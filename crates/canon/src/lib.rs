@@ -1,54 +1,33 @@
-//! # lec-canon — canonical query and subquery shapes
+//! # lec-canon — canonical query shapes
 //!
-//! Label-free normal forms for optimization requests, shared by the
-//! serving layer's cross-query plan cache (`lec-service`) and the DP
-//! engine's per-node subplan memo (`lec-core`).
+//! Label-free normal forms for optimization requests, consumed by the
+//! serving layer's cross-query plan cache (`lec-service`).
 //!
-//! Two requests — or two DP nodes — should share cached work exactly when
-//! the optimizer would do the same computation for both, which is a
-//! statement about the *shape* of the request (statistics fingerprints,
-//! filters, join predicates, selectivity distributions) and never about
-//! its query-local table numbering.  This crate computes canonical
-//! relabelings at two granularities:
+//! Two requests should share cached work exactly when the optimizer would
+//! do the same computation for both, which is a statement about the
+//! *shape* of the request (statistics fingerprints, filters, join
+//! predicates, selectivity distributions) and never about its query-local
+//! table numbering.  [`canonical_form`] computes the [`CanonicalForm`]
+//! behind `lec-service`'s plan-cache keys — an *exact* encoding (every bit
+//! the cost model can observe, join predicates in original vector order
+//! and orientation because floating-point selectivity products fold in
+//! that order) and a *weak* bucketed one (log₂ size/selectivity buckets,
+//! sorted edges) for near-miss revalidation.
 //!
-//! * **whole queries** ([`canonical_form`]): the [`CanonicalForm`] behind
-//!   `lec-service`'s plan-cache keys — an *exact* encoding (every bit the
-//!   cost model can observe, join predicates in original vector order and
-//!   orientation because floating-point selectivity products fold in that
-//!   order) and a *weak* bucketed one (log₂ size/selectivity buckets,
-//!   sorted edges) for near-miss revalidation;
-//! * **connected subqueries** ([`QueryCanonizer::subquery`]): the
-//!   [`SubplanForm`] keying the engine's [`lec_core`-side] subplan memo.
-//!   The induced subgraph of one DP node is canonicalized by sorting its
-//!   members on their exact occurrence fingerprints — any *twin pair*
-//!   (equal fingerprints) refuses the subset, which both uniquifies the
-//!   permutation and, more importantly, makes every tie-break at and
-//!   below the node provably label-independent — *plus* the restriction
-//!   of the whole query's column-equivalence relation to the subquery's
-//!   columns, since interesting-order bookkeeping (and therefore
-//!   domination pruning) observes equivalences created by joins *outside*
-//!   the subquery.
-//!
-//! Both granularities refuse shapes whose DP tie-breaks are inherently
-//! label-dependent.  Whole queries are refused on a nontrivial exact
-//! automorphism of the body **or** a swappable twin pair inside any
-//! connected induced subgraph (a third table that disambiguates the
-//! twins globally never enters the symmetric subgraph's dag node, so
-//! body-level asymmetry is not enough); subqueries are refused on any
-//! twin pair at all, the stronger condition their inductive reuse
-//! requires.  Shapes too large or too symmetric to canonicalize cheaply
-//! ([`MAX_CANON_TABLES`], [`MAX_CANDIDATE_PERMS`]) are likewise declared
-//! uncacheable rather than slow.
-//!
-//! [`lec_core`-side]: https://docs.rs/lec-core
+//! Shapes whose DP tie-breaks are inherently label-dependent are refused:
+//! a nontrivial exact automorphism of the body **or** a swappable twin
+//! pair inside any connected induced subgraph (a third table that
+//! disambiguates the twins globally never enters the symmetric subgraph's
+//! dag node, so body-level asymmetry is not enough).  Shapes too large or
+//! too symmetric to canonicalize cheaply ([`MAX_CANON_TABLES`],
+//! [`MAX_CANDIDATE_PERMS`]) are likewise declared uncacheable rather than
+//! slow.
 
 mod query;
-mod subplan;
 
 pub use query::{
     canonical_form, CanonicalForm, RefusalReason, MAX_CANDIDATE_PERMS, MAX_CANON_TABLES,
 };
-pub use subplan::{QueryCanonizer, SubplanForm};
 
 /// Invert a permutation: `inv[perm[i]] = i`.
 pub(crate) fn invert(perm: &[usize]) -> Vec<usize> {

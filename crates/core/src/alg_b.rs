@@ -11,6 +11,7 @@ use crate::search::{
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
+use std::sync::Arc;
 
 /// Run Algorithm B: top-c candidates per memory representative, then pick
 /// the candidate of least expected cost.  The outcome's extras carry the
@@ -54,7 +55,7 @@ pub fn optimize_alg_b_with(
         frontier.groups += policy.frontier.groups;
         for e in run.roots {
             if !candidates.contains(&e.plan) {
-                candidates.push(e.plan);
+                candidates.push(Arc::unwrap_or_clone(e.plan));
             }
         }
     }

@@ -18,6 +18,7 @@ use crate::search::{
 };
 use lec_cost::CostModel;
 use lec_prob::{Distribution, MarkovChain};
+use std::sync::Arc;
 
 /// Compute the LEC left-deep plan under a static memory distribution.
 ///
@@ -48,7 +49,11 @@ pub fn optimize_lec_static_with(
     let mut policy = KeepBestPolicy::new(coster);
     let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
     let (best, stats) = run.into_best();
-    Ok(SearchOutcome::new(best.plan, best.cost, stats))
+    Ok(SearchOutcome::new(
+        Arc::unwrap_or_clone(best.plan),
+        best.cost,
+        stats,
+    ))
 }
 
 /// Compute the LEC left-deep plan when memory changes between phases
@@ -80,7 +85,11 @@ pub fn optimize_lec_dynamic_with(
     let mut policy = KeepBestPolicy::new(coster);
     let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
     let (best, stats) = run.into_best();
-    Ok(SearchOutcome::new(best.plan, best.cost, stats))
+    Ok(SearchOutcome::new(
+        Arc::unwrap_or_clone(best.plan),
+        best.cost,
+        stats,
+    ))
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::search::{
 };
 use lec_cost::CostModel;
 use lec_prob::Distribution;
+use std::sync::Arc;
 
 /// Run Algorithm D.  The outcome's extras carry the winning plan's
 /// result-size distribution and the largest pre-rebucketing product
@@ -44,7 +45,7 @@ pub fn optimize_alg_d_with(
     let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, search)?;
     let (best, stats) = run.into_best();
     Ok(SearchOutcome {
-        plan: best.plan,
+        plan: Arc::unwrap_or_clone(best.plan),
         cost: best.cost,
         stats,
         extras: SearchExtras::MultiParam {

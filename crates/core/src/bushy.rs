@@ -23,6 +23,7 @@ use crate::search::{
 };
 use lec_cost::CostModel;
 use lec_prob::Distribution;
+use std::sync::Arc;
 
 /// Compute the LEC plan over the *bushy* plan space (all binary trees
 /// without cross products) under a static memory distribution.
@@ -46,7 +47,11 @@ pub fn optimize_lec_bushy_with(
     let mut policy = KeepBestPolicy::new(coster);
     let run = run_search_with(model, PlanShape::Bushy, &mut policy, config)?;
     let (best, stats) = run.into_best();
-    Ok(SearchOutcome::new(best.plan, best.cost, stats))
+    Ok(SearchOutcome::new(
+        Arc::unwrap_or_clone(best.plan),
+        best.cost,
+        stats,
+    ))
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@ use crate::search::{
 };
 use lec_cost::CostModel;
 use lec_prob::{Distribution, MarkovChain};
+use std::sync::Arc;
 
 /// Objective to minimize.
 pub enum Objective<'a> {
@@ -133,7 +134,7 @@ fn run_keep_all<C: PhaseCoster + Clone + Send>(
     let plans_costed = policy.plans_emitted();
     let (best, stats) = run.into_best();
     Ok(SearchOutcome {
-        plan: best.plan,
+        plan: Arc::unwrap_or_clone(best.plan),
         cost: best.cost,
         stats,
         extras: SearchExtras::PlansCosted(plans_costed),

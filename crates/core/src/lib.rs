@@ -44,7 +44,7 @@
 //! uniform [`SearchStats`] and optional mode-specific extras — so callers
 //! never destructure per-mode result types.  All memory-dependent
 //! evaluations flow through `lec-cost`'s memoized evaluation cache keyed
-//! by `(table set, operator, memory bucket)`; [`SearchStats::evals`]
+//! by `(operator, memory, operand sizes)`; [`SearchStats::evals`]
 //! counts only the formula evaluations actually performed, making the
 //! paper's "factor b" overhead claims — and the cache's savings —
 //! directly observable.
@@ -134,6 +134,6 @@ pub use optimizer::{Mode, Optimized, Optimizer};
 pub use parametric::{coverage_family, CachedPlan, PlanCache, StartupChoice};
 pub use randomized::{iterative_improvement, simulated_annealing, RandomizedConfig};
 pub use search::{
-    run_search, run_search_with, CandidatePolicy, FrontierStats, MemoStats, PlanShape,
-    SearchConfig, SearchExtras, SearchOutcome, SearchStats, SubplanMemo,
+    run_search, run_search_with, CandidatePolicy, FrontierStats, PlanShape, SearchConfig,
+    SearchExtras, SearchOutcome, SearchStats,
 };

@@ -16,6 +16,7 @@ use crate::search::{
 };
 use lec_cost::CostModel;
 use lec_prob::Distribution;
+use std::sync::Arc;
 
 /// Which point of the memory distribution the LSC optimizer assumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +42,11 @@ pub fn optimize_lsc_with(
     let mut policy = KeepBestPolicy::new(PointCoster { memory });
     let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
     let (best, stats) = run.into_best();
-    Ok(SearchOutcome::new(best.plan, best.cost, stats))
+    Ok(SearchOutcome::new(
+        Arc::unwrap_or_clone(best.plan),
+        best.cost,
+        stats,
+    ))
 }
 
 /// Optimize at the mean or mode of a memory distribution — exactly what

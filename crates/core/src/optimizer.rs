@@ -193,20 +193,9 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Consult (and populate) a shared cross-search [`SubplanMemo`] in
-    /// every subsequent DP search: nodes whose canonical connected-subquery
-    /// shape was combined before — in any search sharing the memo — are
-    /// served by relabeling instead of re-running their combine/cost loop.
-    /// Results stay byte-identical with or without the memo; only
-    /// [`SearchStats::memo_hits`]/[`SearchStats::memo_misses`] tell them
-    /// apart.  Top-c (Algorithm B), keep-all and the randomized modes
-    /// bypass it, mirroring the serving cache's uncacheable rules.
-    ///
-    /// [`SubplanMemo`]: crate::search::SubplanMemo
-    /// [`SearchStats::memo_hits`]: crate::SearchStats
-    /// [`SearchStats::memo_misses`]: crate::SearchStats
-    pub fn with_subplan_memo(mut self, memo: std::sync::Arc<crate::search::SubplanMemo>) -> Self {
-        self.search = self.search.with_memo(memo);
+    // Shim, returns `self`: crates/bench/src/bin/ledger/src/harness.rs is the only caller.
+    #[doc(hidden)]
+    pub fn with_subplan_memo(self, _memo: std::sync::Arc<crate::search::SubplanMemo>) -> Self {
         self
     }
 
@@ -222,8 +211,8 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Engine-internal telemetry for every subsequent optimize call (see
-    /// [`SearchConfig::telemetry`]): DP level combine passes, memo probes,
-    /// bound evaluations, and cost-model expectation computes are timed
+    /// [`SearchConfig::telemetry`]): DP level combine passes, bound
+    /// evaluations, and cost-model expectation computes are timed
     /// into the handed-in histograms.  Purely observational — plans,
     /// costs, and every work counter stay byte-identical.
     pub fn with_telemetry(

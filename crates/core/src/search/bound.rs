@@ -602,7 +602,7 @@ impl PruneState {
     /// per-edge floor only when the cheap one lands within
     /// [`SHARP_MARGIN`] of the incumbent.  The decision depends only on
     /// (`set`, `pages`, the level's incumbent, the shape), so the
-    /// tier counters are schedule- and memo-independent.
+    /// tier counters are schedule-independent.
     pub fn check(&self, set: TableSet, pages: f64) -> BoundCheck {
         let incumbent = self.incumbent.get();
         let cheap = self.subset_floor(set, pages);

@@ -11,7 +11,7 @@
 use super::bound::{ExpectationBound, LowerBound, PointBound};
 use super::policy::JoinContext;
 use lec_cost::{BucketParallelism, CostModel};
-use lec_plan::{JoinMethod, TableSet};
+use lec_plan::JoinMethod;
 use lec_prob::{Distribution, MarkovChain, ProbError};
 
 /// Strategy for costing the memory-dependent operators.
@@ -26,16 +26,8 @@ pub trait PhaseCoster {
         inner: f64,
     ) -> f64;
 
-    /// Cost of sorting `pages` pages of `set`'s result at `phase`.
-    fn sort_cost(&self, model: &CostModel<'_>, set: TableSet, phase: usize, pages: f64) -> f64;
-
-    /// Fingerprint of every parameter that shapes this coster's answers
-    /// (memory values, distribution fingerprints, per-phase evolutions),
-    /// for the subplan memo's environment key; `None` declares the coster
-    /// memo-ineligible (the default — costers opt in).
-    fn memo_fingerprint(&self) -> Option<u64> {
-        None
-    }
+    /// Cost of sorting `pages` pages at `phase`.
+    fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64;
 
     /// An admissible [`LowerBound`] under this coster's objective, for
     /// the scalar-page policies (keep-best, keep-all); `None` declares
@@ -57,25 +49,16 @@ impl PhaseCoster for PointCoster {
     fn join_cost(
         &self,
         model: &CostModel<'_>,
-        ctx: &JoinContext,
+        _ctx: &JoinContext,
         method: JoinMethod,
         outer: f64,
         inner: f64,
     ) -> f64 {
-        model.join_cost_for(ctx.left, ctx.right, method, outer, inner, self.memory)
+        model.join_cost_for(method, outer, inner, self.memory)
     }
 
-    fn sort_cost(&self, model: &CostModel<'_>, set: TableSet, _phase: usize, pages: f64) -> f64 {
-        model.sort_cost_for(set, pages, self.memory)
-    }
-
-    fn memo_fingerprint(&self) -> Option<u64> {
-        Some(
-            lec_cost::Fingerprint::new()
-                .u64(1)
-                .f64(self.memory)
-                .finish(),
-        )
+    fn sort_cost(&self, model: &CostModel<'_>, _phase: usize, pages: f64) -> f64 {
+        model.sort_cost_for(pages, self.memory)
     }
 
     fn pruning_bound(&self) -> Option<Box<dyn LowerBound>> {
@@ -126,14 +109,12 @@ impl PhaseCoster for StaticExpectationCoster {
     fn join_cost(
         &self,
         model: &CostModel<'_>,
-        ctx: &JoinContext,
+        _ctx: &JoinContext,
         method: JoinMethod,
         outer: f64,
         inner: f64,
     ) -> f64 {
         model.expected_join_cost_over_with(
-            ctx.left,
-            ctx.right,
             method,
             outer,
             inner,
@@ -143,17 +124,8 @@ impl PhaseCoster for StaticExpectationCoster {
         )
     }
 
-    fn sort_cost(&self, model: &CostModel<'_>, set: TableSet, _phase: usize, pages: f64) -> f64 {
-        model.expected_sort_cost_over_with(set, pages, &self.memory, self.mem_fp, self.par)
-    }
-
-    fn memo_fingerprint(&self) -> Option<u64> {
-        Some(
-            lec_cost::Fingerprint::new()
-                .u64(2)
-                .u64(self.mem_fp)
-                .finish(),
-        )
+    fn sort_cost(&self, model: &CostModel<'_>, _phase: usize, pages: f64) -> f64 {
+        model.expected_sort_cost_over_with(pages, &self.memory, self.mem_fp, self.par)
     }
 
     fn pruning_bound(&self) -> Option<Box<dyn LowerBound>> {
@@ -217,29 +189,12 @@ impl PhaseCoster for DynamicExpectationCoster {
         inner: f64,
     ) -> f64 {
         let (dist, fp) = self.dist(ctx.phase);
-        model.expected_join_cost_over_with(
-            ctx.left, ctx.right, method, outer, inner, dist, *fp, self.par,
-        )
+        model.expected_join_cost_over_with(method, outer, inner, dist, *fp, self.par)
     }
 
-    fn sort_cost(&self, model: &CostModel<'_>, set: TableSet, phase: usize, pages: f64) -> f64 {
+    fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64 {
         let (dist, fp) = self.dist(phase);
-        model.expected_sort_cost_over_with(set, pages, dist, *fp, self.par)
-    }
-
-    /// A node of `k` tables costs its joins at phase `k - 2`, so equal
-    /// subqueries meet equal phase distributions whenever the evolved
-    /// sequences agree; fingerprinting the whole sequence (length
-    /// included) is conservative — dynamic searches over different query
-    /// sizes never share memo entries — but always sound.
-    fn memo_fingerprint(&self) -> Option<u64> {
-        let mut fp = lec_cost::Fingerprint::new()
-            .u64(3)
-            .u64(self.dists.len() as u64);
-        for (_, dist_fp) in &self.dists {
-            fp = fp.u64(*dist_fp);
-        }
-        Some(fp.finish())
+        model.expected_sort_cost_over_with(pages, dist, *fp, self.par)
     }
 
     /// Every phase evaluates under its own evolved distribution, so the

@@ -13,12 +13,10 @@
 //! to a serial run.
 
 use super::bound::{point_size_product, PruneState};
-use super::memo::{MemoRecord, SubplanMemo};
 use super::policy::{CandidatePolicy, JoinContext, RootContext, SearchEntry};
 use super::pool::{ScopedSpawnPool, WorkerPool};
 use super::SearchStats;
 use crate::error::OptError;
-use lec_canon::QueryCanonizer;
 use lec_cost::CostModel;
 use lec_plan::{Query, TableSet};
 use std::collections::HashMap;
@@ -161,15 +159,6 @@ pub struct SearchConfig {
     /// pool choice never affects results — outcomes are byte-identical
     /// either way.
     pub pool: Option<Arc<dyn WorkerPool>>,
-    /// Optional cross-search subplan memo ([`SubplanMemo`]): DP nodes
-    /// whose canonical connected-subquery shape was combined before — in
-    /// this search or any earlier search sharing the memo — are served by
-    /// relabeling the memoized candidates instead of re-running their
-    /// combine/cost loop.  Like the pool, the memo never affects results:
-    /// memo-on searches are byte-identical (plans, cost bits, `evals`,
-    /// `cache_hits`, `candidates`, `nodes`) to memo-off ones; only
-    /// [`SearchStats::memo_hits`]/[`SearchStats::memo_misses`] differ.
-    pub memo: Option<Arc<SubplanMemo>>,
     /// Branch-and-bound pruning (see the module docs of
     /// [`super::bound`]): maintain an incumbent complete-plan cost and
     /// discard a connected subset before its combine/cost loop when an
@@ -185,11 +174,10 @@ pub struct SearchConfig {
     pub pruning: bool,
     /// Optional engine-internal telemetry
     /// ([`lec_telemetry::EngineTelemetry`]): when installed, the drivers
-    /// time each DP level's combine pass, every memo probe, and every
-    /// bound evaluation into its histograms.  Purely observational —
-    /// results and all work counters are byte-identical with or without
-    /// it, so like the pool and memo it does not participate in
-    /// [`SearchConfig::fingerprint`].
+    /// time each DP level's combine pass and every bound evaluation into
+    /// its histograms.  Purely observational — results and all work
+    /// counters are byte-identical with or without it, so like the pool
+    /// it does not participate in [`SearchConfig::fingerprint`].
     pub telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
 }
 
@@ -200,7 +188,6 @@ impl Default for SearchConfig {
             fanout_threshold: DEFAULT_FANOUT_THRESHOLD,
             bucket_evals_threshold: lec_cost::DEFAULT_MIN_PARALLEL_EVALS,
             pool: None,
-            memo: None,
             pruning: false,
             telemetry: None,
         }
@@ -220,11 +207,6 @@ impl PartialEq for SearchConfig {
                     // vtables too, which is not what "same pool" means).
                     std::ptr::addr_eq(Arc::as_ptr(a), Arc::as_ptr(b))
                 }
-                _ => false,
-            }
-            && match (&self.memo, &other.memo) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
                 _ => false,
             }
             && self.pruning == other.pruning
@@ -268,15 +250,6 @@ impl SearchConfig {
         self
     }
 
-    /// This configuration with a shared cross-search subplan memo
-    /// installed: eligible DP nodes consult (and populate) it instead of
-    /// always re-running their combine loops.  Results stay byte-identical
-    /// with or without it.
-    pub fn with_memo(mut self, memo: Arc<SubplanMemo>) -> Self {
-        self.memo = Some(memo);
-        self
-    }
-
     /// This configuration with branch-and-bound pruning switched on or
     /// off (see [`SearchConfig::pruning`]).
     pub fn with_pruning(mut self, pruning: bool) -> Self {
@@ -292,12 +265,12 @@ impl SearchConfig {
     }
 
     /// Stable fingerprint of the outcome-relevant knobs, for cross-query
-    /// plan-cache keys.  The pool is a thread *source* and the memo a
-    /// work *cache*, not semantic knobs (results are byte-identical with
-    /// or without either), so neither participates; pruning is excluded
-    /// for the same reason — it discards only strictly-worse candidates,
-    /// so the answer a cache key names is identical either way.
-    /// Telemetry is pure observation and is excluded likewise.
+    /// plan-cache keys.  The pool is a thread *source*, not a semantic
+    /// knob (results are byte-identical with or without it), so it does
+    /// not participate; pruning is excluded for the same reason — it
+    /// discards only strictly-worse candidates, so the answer a cache key
+    /// names is identical either way.  Telemetry is pure observation and
+    /// is excluded likewise.
     pub fn fingerprint(&self) -> u64 {
         lec_cost::Fingerprint::new()
             .u64(self.threads as u64)
@@ -434,45 +407,6 @@ fn widest_connected_level(query: &Query, n: usize, threshold: usize) -> usize {
     max
 }
 
-/// Per-search subplan-memo state: the shared memo, the query's
-/// canonicalizer, and the environment fingerprint (policy/coster
-/// parameters and plan shape) prefixed onto every node key.
-pub(super) struct MemoSession<'q> {
-    memo: Arc<SubplanMemo>,
-    canon: QueryCanonizer<'q>,
-    env: u64,
-}
-
-/// A memo session for this search, or `None` when the search is
-/// memo-ineligible: no memo configured, a policy that bypasses the memo
-/// (top-c, keep-all), or a disabled evaluation cache (probe replay seeds
-/// the cache, so there must be one).
-fn memo_session<'q, P: CandidatePolicy>(
-    model: &CostModel<'_>,
-    query: &'q Query,
-    shape: PlanShape,
-    policy: &P,
-    config: Option<&SearchConfig>,
-) -> Option<MemoSession<'q>> {
-    let memo = Arc::clone(config?.memo.as_ref()?);
-    if !model.eval_cache_enabled() {
-        return None;
-    }
-    let policy_fp = policy.memo_fingerprint(model)?;
-    let env = lec_cost::Fingerprint::new()
-        .u64(policy_fp)
-        .u64(match shape {
-            PlanShape::LeftDeep => 0,
-            PlanShape::Bushy => 1,
-        })
-        .finish();
-    Some(MemoSession {
-        memo,
-        canon: QueryCanonizer::new(model.catalog(), query),
-        env,
-    })
-}
-
 /// Run `f`, timing it into `h` when a histogram is installed.  The
 /// `None` path is a single branch — engine telemetry off costs nothing
 /// measurable per call site.
@@ -489,17 +423,42 @@ fn timed<T>(h: Option<&lec_telemetry::Histogram>, f: impl FnOnce() -> T) -> T {
     }
 }
 
-/// The plain combine loop of one subset: every split's entry pairs under
-/// every method, exactly as both drivers have always run it.
-fn combine_live<P: CandidatePolicy>(
+/// Combine one subset — every split's entry pairs under every method —
+/// after the branch-and-bound prune check when `prune` is set.  The check
+/// runs *before* the combine (that is the whole point: a pruned subset
+/// skips its entire combine/cost loop) and costs one
+/// [`SearchStats::bound_evals`] size-floor computation.  The full set is
+/// never checked — the root must always combine.  `stats.nodes` is
+/// counted here for non-empty results.
+#[allow(clippy::too_many_arguments)]
+fn combine_subset<P: CandidatePolicy>(
     model: &CostModel<'_>,
     shape: PlanShape,
     policy: &mut P,
     table: &HashMap<TableSet, Vec<P::Entry>>,
     set: TableSet,
+    prune: Option<&PruneState>,
+    tel: Option<&lec_telemetry::EngineTelemetry>,
     stats: &mut SearchStats,
 ) -> Vec<P::Entry> {
     let query = model.query();
+    if let Some(ps) = prune.filter(|_| set.len() < query.n_tables()) {
+        // Structural connectivity first: a disconnected subset can never
+        // produce an entry (every split excludes cross products), so it
+        // is discarded before any size product — this counts toward
+        // `pruned_subsets` but ticks no bound tier.
+        if !ps.is_connected(set) {
+            stats.pruned_subsets += 1;
+            return Vec::new();
+        }
+        stats.bound_evals += 1;
+        let pages = timed(tel.map(|t| &t.bound_eval_ns), || {
+            ps.bound().pages_floor(model, set)
+        });
+        if tally_check(ps.check(set, pages), stats) {
+            return Vec::new();
+        }
+    }
     let mut entries: Vec<P::Entry> = Vec::new();
     for (left, right) in shape.splits(query, set) {
         let (Some(outer), Some(inner)) = (table.get(&left), table.get(&right)) else {
@@ -513,87 +472,6 @@ fn combine_live<P: CandidatePolicy>(
         };
         policy.combine(model, &ctx, outer, inner, &mut entries, stats);
     }
-    entries
-}
-
-/// Combine one subset, consulting the subplan memo when a session is
-/// active and the branch-and-bound prune check when `prune` is set.  A
-/// memo hit relabels the stored candidates into this query's numbering
-/// and replays the recorded cache probes (keeping `evals` / `cache_hits`
-/// byte-identical to a live combine); a miss combines live under probe
-/// recording and populates the memo.  The prune check runs *before* the
-/// combine (that is the whole point — a pruned subset skips its entire
-/// combine/cost loop, and on a memo hit even the decode): the subset's
-/// size floor comes from the memo record when it carries one
-/// ([`MemoRecord::bound_pages`]), else one [`SearchStats::bound_evals`]
-/// computation.  The full set is never checked — the root must always
-/// combine.  `stats.nodes` is counted here for non-empty results.
-#[allow(clippy::too_many_arguments)]
-fn combine_subset<P: CandidatePolicy>(
-    model: &CostModel<'_>,
-    shape: PlanShape,
-    policy: &mut P,
-    table: &HashMap<TableSet, Vec<P::Entry>>,
-    set: TableSet,
-    memo: Option<&MemoSession<'_>>,
-    prune: Option<&PruneState>,
-    tel: Option<&lec_telemetry::EngineTelemetry>,
-    stats: &mut SearchStats,
-) -> Vec<P::Entry> {
-    let check = prune.filter(|_| set.len() < model.query().n_tables());
-    // Structural connectivity first: a disconnected subset can never
-    // produce an entry (every split excludes cross products), so it is
-    // discarded before the memo probe and before any size product —
-    // this counts toward `pruned_subsets` but ticks no bound tier.
-    if let Some(ps) = check {
-        if !ps.is_connected(set) {
-            stats.pruned_subsets += 1;
-            return Vec::new();
-        }
-    }
-    if let Some(ms) = memo {
-        if let Some(form) = ms.canon.subquery(set) {
-            let key = node_key(ms, &form);
-            let rec = timed(tel.map(|t| &t.memo_probe_ns), || ms.memo.lookup(&key));
-            let mut bound_pages = None;
-            if let Some(ps) = check {
-                let pages = match rec.as_deref().and_then(|r| r.bound_pages) {
-                    Some(stored) => stored,
-                    None => {
-                        stats.bound_evals += 1;
-                        timed(tel.map(|t| &t.bound_eval_ns), || {
-                            ps.bound().pages_floor(model, set)
-                        })
-                    }
-                };
-                if tally_check(ps.check(set, pages), stats) {
-                    return Vec::new();
-                }
-                bound_pages = Some(pages);
-            }
-            return memoized_node(
-                model,
-                ms,
-                &form,
-                key,
-                rec,
-                bound_pages,
-                policy,
-                stats,
-                |model, policy, stats| combine_live(model, shape, policy, table, set, stats),
-            );
-        }
-    }
-    if let Some(ps) = check {
-        stats.bound_evals += 1;
-        let pages = timed(tel.map(|t| &t.bound_eval_ns), || {
-            ps.bound().pages_floor(model, set)
-        });
-        if tally_check(ps.check(set, pages), stats) {
-            return Vec::new();
-        }
-    }
-    let entries = combine_live(model, shape, policy, table, set, stats);
     if !entries.is_empty() {
         stats.nodes += 1;
     }
@@ -604,7 +482,7 @@ fn combine_subset<P: CandidatePolicy>(
 /// stats and report whether the subset was discarded.  Every connected
 /// non-full subset ticks exactly one of `sharp_bound_evals` /
 /// `cheap_bound_skips`, so their sum — like `pruned_subsets` — is
-/// schedule- and memo-independent.
+/// schedule-independent.
 fn tally_check(check: super::bound::BoundCheck, stats: &mut SearchStats) -> bool {
     if check.sharp() {
         stats.sharp_bound_evals += 1;
@@ -634,115 +512,22 @@ fn level_prune_delta(
     }
 }
 
-/// Build one depth-1 node (access-path alternatives), consulting the
-/// subplan memo exactly like [`combine_subset`] does for composite
-/// subsets.  Access costing never touches the evaluation cache, so a
-/// singleton record carries its eval count as
-/// [`MemoRecord::unprobed_evals`] instead of a probe log; a hit charges
-/// them back through [`CostModel::charge_evals`], keeping every counter
-/// byte-identical to a memo-off search.
-fn access_subset<P: CandidatePolicy>(
+/// DP depth 1: every table's access-path alternatives, keyed by its
+/// singleton set.
+fn access_level<P: CandidatePolicy>(
     model: &CostModel<'_>,
     policy: &mut P,
-    idx: usize,
-    memo: Option<&MemoSession<'_>>,
-    tel: Option<&lec_telemetry::EngineTelemetry>,
     stats: &mut SearchStats,
-) -> Vec<P::Entry> {
-    if let Some(ms) = memo {
-        if let Some(form) = ms.canon.subquery(TableSet::singleton(idx)) {
-            let key = node_key(ms, &form);
-            let rec = timed(tel.map(|t| &t.memo_probe_ns), || ms.memo.lookup(&key));
-            return memoized_node(model, ms, &form, key, rec, None, policy, stats, {
-                |model, policy: &mut P, stats: &mut SearchStats| {
-                    policy.access_entries(model, idx, stats)
-                }
-            });
+) -> HashMap<TableSet, Vec<P::Entry>> {
+    let mut table = HashMap::new();
+    for idx in 0..model.query().n_tables() {
+        let entries = policy.access_entries(model, idx, stats);
+        if !entries.is_empty() {
+            stats.nodes += 1;
+            table.insert(TableSet::singleton(idx), entries);
         }
     }
-    let entries = policy.access_entries(model, idx, stats);
-    if !entries.is_empty() {
-        stats.nodes += 1;
-    }
-    entries
-}
-
-/// A node's memo key: the search's environment fingerprint prefixed onto
-/// the subquery's canonical shape key.
-fn node_key(ms: &MemoSession<'_>, form: &lec_canon::SubplanForm) -> Box<[u64]> {
-    let mut key = Vec::with_capacity(1 + form.key.len());
-    key.push(ms.env);
-    key.extend_from_slice(&form.key);
-    key.into_boxed_slice()
-}
-
-/// The shared memo record/replay protocol of one DP node: decode the
-/// pre-fetched record on a hit (replaying probes and unprobed eval
-/// charges), or run `live` under probe recording and populate on a miss.
-/// `bound_pages` is the node's already-evaluated size floor when the
-/// caller prune-checked it (stored into the record so later pruned
-/// searches skip the recompute).
-#[allow(clippy::too_many_arguments)]
-fn memoized_node<P: CandidatePolicy>(
-    model: &CostModel<'_>,
-    ms: &MemoSession<'_>,
-    form: &lec_canon::SubplanForm,
-    key: Box<[u64]>,
-    rec: Option<Arc<MemoRecord>>,
-    bound_pages: Option<f64>,
-    policy: &mut P,
-    stats: &mut SearchStats,
-    live: impl FnOnce(&CostModel<'_>, &mut P, &mut SearchStats) -> Vec<P::Entry>,
-) -> Vec<P::Entry> {
-    if let Some(rec) = rec {
-        if let Some(entries) = policy.memo_decode(model, form, &rec) {
-            model.replay_probes(&rec.probes, |bits| form.global_bits(bits));
-            model.charge_evals(rec.unprobed_evals);
-            stats.candidates += rec.candidates;
-            stats.memo_hits += 1;
-            if !entries.is_empty() {
-                stats.nodes += 1;
-            }
-            return entries;
-        }
-    }
-    stats.memo_misses += 1;
-    policy.memo_node_begin();
-    let candidates_before = stats.candidates;
-    let evals_before = model.evals();
-    let recording = model.begin_probe_log();
-    let entries = live(model, policy, stats);
-    let mut probes = recording.finish();
-    if !entries.is_empty() {
-        stats.nodes += 1;
-        if let Some(encoded) = policy.memo_encode(model, form, &entries) {
-            // Store probes in canonical table-set bits so a hit in
-            // any query can relabel them back out.
-            for p in probes.iter_mut() {
-                p.left = form.canonical_bits(p.left);
-                p.right = form.canonical_bits(p.right);
-            }
-            // Evaluations the probe log cannot see (uncached access
-            // costing); for composite nodes every eval flows through a
-            // probe and this is zero.
-            let unprobed_evals = if probes.is_empty() {
-                model.evals() - evals_before
-            } else {
-                0
-            };
-            ms.memo.insert(
-                key,
-                MemoRecord {
-                    entries: encoded,
-                    candidates: stats.candidates - candidates_before,
-                    probes,
-                    unprobed_evals,
-                    bound_pages,
-                },
-            );
-        }
-    }
-    entries
+    table
 }
 
 /// Index of the minimal-cost entry in `entries` (first among exact
@@ -854,10 +639,7 @@ fn greedy_complete<P: CandidatePolicy>(
         cur = vec![out.swap_remove(best)];
         set = result;
     }
-    let ctx = RootContext {
-        set,
-        sort_phase: n - 1,
-    };
+    let ctx = RootContext { sort_phase: n - 1 };
     policy
         .finalize(model, &ctx, cur, stats)
         .iter()
@@ -933,8 +715,8 @@ pub fn run_search<P: CandidatePolicy>(
     run_search_serial(model, shape, policy, None)
 }
 
-/// The serial driver, optionally memo-assisted (the subplan memo rides in
-/// `config`; every other knob is ignored here).
+/// The serial driver; of `config` it reads only the pruning switch and
+/// the telemetry handle.
 fn run_search_serial<P: CandidatePolicy>(
     model: &CostModel<'_>,
     shape: PlanShape,
@@ -950,18 +732,8 @@ fn run_search_serial<P: CandidatePolicy>(
     let hits_before = model.eval_cache_hits();
     model.reset_evals();
     let mut stats = SearchStats::default();
-    let mut table: HashMap<TableSet, Vec<P::Entry>> = HashMap::new();
-
-    let memo_cx = memo_session(model, query, shape, policy, config);
+    let mut table = access_level(model, policy, &mut stats);
     let tel = config.and_then(|c| c.telemetry.as_deref());
-
-    // Depth 1: access paths (memo-eligible like any other node).
-    for idx in 0..n {
-        let entries = access_subset(model, policy, idx, memo_cx.as_ref(), tel, &mut stats);
-        if !entries.is_empty() {
-            table.insert(TableSet::singleton(idx), entries);
-        }
-    }
 
     let prune_cx = build_prune(model, shape, policy, config, &table);
     if let Some(ps) = &prune_cx {
@@ -979,7 +751,6 @@ fn run_search_serial<P: CandidatePolicy>(
                 policy,
                 &table,
                 set,
-                memo_cx.as_ref(),
                 prune_cx.as_deref(),
                 tel,
                 &mut stats,
@@ -1004,10 +775,7 @@ fn run_search_serial<P: CandidatePolicy>(
     let root = table
         .remove(&TableSet::full(n))
         .ok_or(OptError::NoPlanFound)?;
-    let ctx = RootContext {
-        set: TableSet::full(n),
-        sort_phase: n - 1,
-    };
+    let ctx = RootContext { sort_phase: n - 1 };
     let roots = policy.finalize(model, &ctx, root, &mut stats);
     if roots.is_empty() {
         return Err(OptError::NoPlanFound);
@@ -1129,7 +897,6 @@ fn combine_level_sets<P: CandidatePolicy>(
     table: &HashMap<TableSet, Vec<P::Entry>>,
     sets: &[TableSet],
     next: &AtomicUsize,
-    memo: Option<&MemoSession<'_>>,
     prune: Option<&PruneState>,
     tel: Option<&lec_telemetry::EngineTelemetry>,
     out: &mut LevelOutput<P::Entry>,
@@ -1137,17 +904,7 @@ fn combine_level_sets<P: CandidatePolicy>(
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(&set) = sets.get(i) else { break };
-        let entries = combine_subset(
-            model,
-            shape,
-            policy,
-            table,
-            set,
-            memo,
-            prune,
-            tel,
-            &mut out.stats,
-        );
+        let entries = combine_subset(model, shape, policy, table, set, prune, tel, &mut out.stats);
         if !entries.is_empty() {
             out.produced.push((set, entries));
         }
@@ -1202,18 +959,9 @@ where
     let hits_before = model.eval_cache_hits();
     model.reset_evals();
     let mut stats = SearchStats::default();
-    let mut table: HashMap<TableSet, Vec<P::Entry>> = HashMap::new();
-
-    let memo_cx = memo_session(model, query, shape, &*policy, Some(config));
-    let tel = config.telemetry.as_deref();
-
     // Depth 1 (access paths) is trivially cheap: keep it on the caller.
-    for idx in 0..n {
-        let entries = access_subset(model, policy, idx, memo_cx.as_ref(), tel, &mut stats);
-        if !entries.is_empty() {
-            table.insert(TableSet::singleton(idx), entries);
-        }
-    }
+    let table = access_level(model, policy, &mut stats);
+    let tel = config.telemetry.as_deref();
 
     // Install pruning before the forks below so every worker's policy
     // clone shares the one incumbent cell.
@@ -1277,7 +1025,6 @@ where
                 &tbl,
                 &sets,
                 &coord.next,
-                memo_cx.as_ref(),
                 prune_cx.as_deref(),
                 tel,
                 &mut out,
@@ -1324,7 +1071,6 @@ where
                                 &tbl,
                                 &sets,
                                 &cursor,
-                                memo_cx.as_ref(),
                                 prune_cx.as_deref(),
                                 tel,
                                 &mut out,
@@ -1373,7 +1119,6 @@ where
                             &tbl,
                             &sets,
                             &coord.next,
-                            memo_cx.as_ref(),
                             prune_cx.as_deref(),
                             tel,
                             &mut my_out,
@@ -1445,10 +1190,7 @@ where
     let root = table
         .remove(&TableSet::full(n))
         .ok_or(OptError::NoPlanFound)?;
-    let ctx = RootContext {
-        set: TableSet::full(n),
-        sort_phase: n - 1,
-    };
+    let ctx = RootContext { sort_phase: n - 1 };
     let roots = policy.finalize(model, &ctx, root, &mut stats);
     if roots.is_empty() {
         return Err(OptError::NoPlanFound);
@@ -1457,4 +1199,51 @@ where
     stats.cache_hits = model.eval_cache_hits() - hits_before;
     stats.elapsed = start.elapsed();
     Ok(SearchRun { roots, stats })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::search::{KeepBestPolicy, PointCoster};
+    use lec_plan::PlanNode;
+
+    /// The DP table is a dag of plan nodes: a level-(k+1) entry *points
+    /// at* the level-k entry it extends, it does not copy it.
+    #[test]
+    fn an_entry_shares_the_plan_node_of_the_entry_it_extends() {
+        let (cat, q) = crate::fixtures::three_chain();
+        let model = CostModel::new(&cat, &q);
+        let mut policy = KeepBestPolicy::new(PointCoster { memory: 500.0 });
+        let mut stats = SearchStats::default();
+        let mut table = access_level(&model, &mut policy, &mut stats);
+        for bits in [0b011u64, 0b110, 0b111] {
+            let set = TableSet::from_bits(bits);
+            let entries = combine_subset(
+                &model,
+                PlanShape::LeftDeep,
+                &mut policy,
+                &table,
+                set,
+                None,
+                None,
+                &mut stats,
+            );
+            assert!(!entries.is_empty());
+            for e in &entries {
+                let PlanNode::Join { outer, inner, .. } = &*e.plan else {
+                    panic!("a composite entry is a join");
+                };
+                for child in [outer, inner] {
+                    assert!(
+                        table[&child.tables()]
+                            .iter()
+                            .any(|below| Arc::ptr_eq(&below.plan, child)),
+                        "{} must point at a table entry's node",
+                        e.plan.compact()
+                    );
+                }
+            }
+            table.insert(set, entries);
+        }
+    }
 }

@@ -21,11 +21,12 @@ use super::bound::PruneState;
 use super::coster::PhaseCoster;
 use super::keep_best::DpEntry;
 use super::policy::{
-    access_alternatives, join_output_order, CandidatePolicy, JoinContext, RootContext,
+    access_alternatives, join_output_order, shared_join, sort_merge_order, CandidatePolicy,
+    JoinContext, RootContext,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
-use lec_plan::{JoinMethod, PlanNode, TableSet};
+use lec_plan::{JoinMethod, TableSet};
 use std::sync::Arc;
 
 /// The keep-everything policy over any [`PhaseCoster`].
@@ -98,6 +99,7 @@ impl<C: PhaseCoster + Clone> CandidatePolicy for KeepAllPolicy<C> {
         stats: &mut SearchStats,
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
+        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
         let is_root = ctx.result == TableSet::full(model.query().n_tables());
         // The completion floor depends only on the result subset (its
         // size product), never on which entries built it: one bound
@@ -131,10 +133,10 @@ impl<C: PhaseCoster + Clone> CandidatePolicy for KeepAllPolicy<C> {
                         }
                     }
                     into.push(DpEntry {
-                        plan: PlanNode::join(method, oe.plan.clone(), ie.plan.clone()),
+                        plan: shared_join(method, &oe.plan, &ie.plan),
                         cost,
                         pages: model.join_output_pages(oe.pages, ie.pages, sel),
-                        order: join_output_order(model, ctx.left, oe.order, ctx.right, method),
+                        order: join_output_order(sm_order, oe.order, method),
                     });
                 }
             }

@@ -5,21 +5,21 @@
 //! §4 extension.
 
 use super::coster::PhaseCoster;
-use super::memo::{MemoDpEntry, MemoEntries, MemoOrder, MemoRecord};
 use super::policy::{
     access_alternatives, insert_entry_shaped, insert_entry_shaped_lazy, join_output_order,
-    CandidatePolicy, JoinContext, Rankable, RootContext, SearchEntry,
+    shared_join, sort_merge_order, CandidatePolicy, JoinContext, Rankable, RootContext,
+    SearchEntry,
 };
 use super::SearchStats;
-use lec_canon::SubplanForm;
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, OrderProperty, PlanNode};
+use std::sync::Arc;
 
 /// A DP table entry: the cheapest known plan for one (subset, order).
 #[derive(Debug, Clone)]
 pub struct DpEntry {
-    /// The plan.
-    pub plan: PlanNode,
+    /// The plan, shared with every entry built on top of it.
+    pub plan: Arc<PlanNode>,
     /// Its cost under the active coster.
     pub cost: f64,
     /// Point-estimated output size in pages.
@@ -103,6 +103,7 @@ impl<C: PhaseCoster + Clone> CandidatePolicy for KeepBestPolicy<C> {
         stats: &mut SearchStats,
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
+        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
         for oe in outer {
             for ie in inner {
                 // Result size is method-independent; compute once.
@@ -113,9 +114,9 @@ impl<C: PhaseCoster + Clone> CandidatePolicy for KeepBestPolicy<C> {
                         .coster
                         .join_cost(model, ctx, method, oe.pages, ie.pages);
                     let cost = oe.cost + ie.cost + join_cost;
-                    let order = join_output_order(model, ctx.left, oe.order, ctx.right, method);
+                    let order = join_output_order(sm_order, oe.order, method);
                     insert_entry_shaped_lazy(model, into, cost, order, || DpEntry {
-                        plan: PlanNode::join(method, oe.plan.clone(), ie.plan.clone()),
+                        plan: shared_join(method, &oe.plan, &ie.plan),
                         cost,
                         pages,
                         order,
@@ -140,65 +141,6 @@ impl<C: PhaseCoster + Clone> CandidatePolicy for KeepBestPolicy<C> {
     fn pruning_bound(&self, _model: &CostModel<'_>) -> Option<Box<dyn super::bound::LowerBound>> {
         self.coster.pruning_bound()
     }
-
-    fn memo_fingerprint(&self, _model: &CostModel<'_>) -> Option<u64> {
-        // Family tag 1 = keep-best; the coster contributes (or vetoes)
-        // the rest.
-        self.coster
-            .memo_fingerprint()
-            .map(|c| lec_cost::Fingerprint::new().u64(1).u64(c).finish())
-    }
-
-    fn memo_encode(
-        &self,
-        model: &CostModel<'_>,
-        form: &SubplanForm,
-        entries: &[DpEntry],
-    ) -> Option<MemoEntries> {
-        let to_canon = form.to_canonical(model.query().n_tables());
-        entries
-            .iter()
-            .map(|e| {
-                let order = match e.order {
-                    OrderProperty::None => MemoOrder::None,
-                    OrderProperty::Sorted(rep) => MemoOrder::Class(form.order_class(rep)?),
-                };
-                Some(MemoDpEntry {
-                    plan: e.plan.relabel_tables(&to_canon),
-                    cost: e.cost,
-                    pages: e.pages,
-                    order,
-                })
-            })
-            .collect::<Option<Vec<_>>>()
-            .map(MemoEntries::Dp)
-    }
-
-    fn memo_decode(
-        &mut self,
-        _model: &CostModel<'_>,
-        form: &SubplanForm,
-        record: &MemoRecord,
-    ) -> Option<Vec<DpEntry>> {
-        let MemoEntries::Dp(list) = &record.entries else {
-            return None;
-        };
-        let to_global = form.to_global();
-        list.iter()
-            .map(|e| {
-                let order = match e.order {
-                    MemoOrder::None => OrderProperty::None,
-                    MemoOrder::Class(id) => OrderProperty::Sorted(form.class_rep(id)?),
-                };
-                Some(DpEntry {
-                    plan: e.plan.relabel_tables(&to_global),
-                    cost: e.cost,
-                    pages: e.pages,
-                    order,
-                })
-            })
-            .collect()
-    }
 }
 
 /// Shared root finalization: wrap entries that miss a required order in a
@@ -215,9 +157,12 @@ pub(super) fn finalize_with_coster<C: PhaseCoster>(
         .into_iter()
         .map(|e| match query.required_order {
             Some(want) if !eq.satisfies(e.order, want) => {
-                let sort_cost = coster.sort_cost(model, ctx.set, ctx.sort_phase, e.pages);
+                let sort_cost = coster.sort_cost(model, ctx.sort_phase, e.pages);
                 DpEntry {
-                    plan: PlanNode::sort(e.plan, want),
+                    plan: Arc::new(PlanNode::Sort {
+                        input: e.plan,
+                        key: want,
+                    }),
                     cost: e.cost + sort_cost,
                     pages: e.pages,
                     order: eq.sorted_on(want),

@@ -53,31 +53,9 @@
 //! the untouched serial driver; a worker panic surfaces as
 //! [`crate::OptError::WorkerPanicked`], never a deadlock.
 //!
-//! # Subplan memo
-//!
-//! The engine's fourth axis is *cross-search reuse*
-//! ([`engine::SearchConfig::memo`], [`memo::SubplanMemo`]): DP nodes are
-//! keyed by the canonical form of their induced connected subquery
-//! (`lec-canon`), so a node whose shape was combined before — in this
-//! search or any earlier search sharing the memo — skips its entire
-//! combine/cost loop: the memoized candidates are relabeled into the
-//! current query's numbering and the node's recorded cost-cache probes
-//! are replayed ([`lec_cost::CostModel::replay_probes`]), which keeps
-//! every counter the engine promises determinism for (`evals`,
-//! `cache_hits`, `candidates`, `nodes`) byte-identical to a memo-off
-//! run.  Eligibility mirrors the serving cache's uncacheable rules:
-//! keep-best and multi-param policies opt in
-//! ([`policy::CandidatePolicy::memo_fingerprint`]); top-c, keep-all and
-//! the randomized modes bypass, as does any subset containing twin
-//! tables (equal exact fingerprints — refused by the canonicalizer, so
-//! no label-dependent tie-break below the node can leak into a
-//! record).  `lec-service`'s
-//! `PlanServer` shares one memo across all its searches, turning
-//! overlapping different-shaped requests into partial hits.
-//!
 //! # Bound-based pruning
 //!
-//! The engine's fifth axis is *branch and bound*
+//! The engine's fourth axis is *branch and bound*
 //! ([`engine::SearchConfig::pruning`], [`bound`]): with pruning on, a
 //! policy may hand the engine an admissible [`bound::LowerBound`] on the
 //! cost of any complete plan containing a given connected subset as a
@@ -139,7 +117,6 @@ pub mod coster;
 pub mod engine;
 pub mod keep_all;
 pub mod keep_best;
-pub mod memo;
 pub mod multi_param;
 pub mod policy;
 pub mod pool;
@@ -156,14 +133,10 @@ pub use engine::{
 };
 pub use keep_all::KeepAllPolicy;
 pub use keep_best::{DpEntry, KeepBestPolicy};
-pub use memo::{
-    MemoDistEntry, MemoDpEntry, MemoEntries, MemoOrder, MemoRecord, MemoStats, SubplanMemo,
-    DEFAULT_MEMO_CAPACITY,
-};
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
 pub use policy::{
-    insert_entry, insert_entry_shaped, join_output_order, plan_shape_cmp, CandidatePolicy,
-    JoinContext, Rankable, RootContext, SearchEntry,
+    insert_entry, insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order,
+    CandidatePolicy, JoinContext, Rankable, RootContext, SearchEntry,
 };
 pub use pool::{PersistentPool, ScopedSpawnPool, WorkerPool, PERSISTENT_FANOUT_THRESHOLD};
 pub use top_c::{FrontierStats, TopCPolicy};
@@ -171,6 +144,11 @@ pub use top_c::{FrontierStats, TopCPolicy};
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
 use std::time::Duration;
+
+// Shim (the subplan memo is gone): crates/bench/src/bin/ledger/src/harness.rs is the only caller.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct SubplanMemo;
 
 /// Uniform search statistics, populated by the engine for every mode.
 #[derive(Debug, Clone, Copy, Default)]
@@ -185,35 +163,27 @@ pub struct SearchStats {
     pub evals: u64,
     /// Evaluations answered by the memoized cost cache instead.
     pub cache_hits: u64,
-    /// DP nodes served from the cross-search subplan memo (combine loop
-    /// skipped entirely); zero unless [`SearchConfig::memo`] is set.
-    ///
-    /// Unlike every other counter, the memo counters are *not*
-    /// schedule-independent: whether a node hits depends on what earlier
-    /// searches — and, in a parallel run, concurrently-combined sibling
-    /// nodes — already inserted.  They are observability, not semantics;
-    /// results are byte-identical whatever they read.
+    // Shim, always 0 (still absorbed, serialized and on the wire): only crates/bench/src/bin/ledger/src/trace.rs reads it.
+    #[doc(hidden)]
     pub memo_hits: u64,
-    /// Memo-eligible DP nodes that combined live (and populated the memo).
+    // Shim, always 0: only crates/bench/src/bin/ledger/src/trace.rs reads it.
+    #[doc(hidden)]
     pub memo_misses: u64,
     /// Subsets discarded by the branch-and-bound layer before their
     /// combine/cost loop ran — structurally (disconnected) or by a bound
     /// tier; zero unless [`SearchConfig::pruning`] is on and the policy
     /// provides a bound.
     pub pruned_subsets: u64,
-    /// Lower-bound size computations performed for prune checks (a
-    /// [`SubplanMemo`] hit whose record carries the bound skips the
-    /// recompute and is *not* counted here — like the memo counters,
-    /// `bound_evals` is therefore schedule-independent only in memo-off
-    /// runs; `pruned_subsets` is schedule-independent always, because a
-    /// memoized bound equals the value a recompute would produce).
+    /// Lower-bound size computations performed for prune checks: one per
+    /// connected non-full subset checked, so schedule-independent like
+    /// `pruned_subsets`.
     pub bound_evals: u64,
     /// Connected prune checks that escalated to the sharp per-edge tier
     /// ([`bound::PruneState::sharp_subset_floor`]): the cheap floor
     /// landed within [`bound::SHARP_MARGIN`] of the incumbent.  The
     /// tier decision depends only on the subset, its size floor, and
-    /// the level's incumbent, so — unlike `bound_evals` — both tier
-    /// counters are schedule- *and* memo-independent.
+    /// the level's incumbent, so both tier counters are
+    /// schedule-independent.
     pub sharp_bound_evals: u64,
     /// Connected prune checks the cheap tier decided alone (pruned
     /// outright, or kept with the sharp tier out of reach).  Together

@@ -10,16 +10,16 @@
 //! join has size abσ"), kept small by the §3.6.3 rebucketing — either
 //! rebucket-after-product, or the paper's ∛b-inputs scheme.
 
-use super::memo::{MemoDistEntry, MemoEntries, MemoOrder, MemoRecord};
 use super::policy::{
     access_alternatives, insert_entry_shaped, insert_entry_shaped_lazy, join_output_order,
-    CandidatePolicy, JoinContext, Rankable, RootContext, SearchEntry,
+    shared_join, sort_merge_order, CandidatePolicy, JoinContext, Rankable, RootContext,
+    SearchEntry,
 };
 use super::SearchStats;
-use lec_canon::SubplanForm;
 use lec_cost::{BucketParallelism, CostModel};
 use lec_plan::{JoinMethod, OrderProperty, PlanNode};
 use lec_prob::{Distribution, PrefixTables, Rebucket};
+use std::sync::Arc;
 
 /// Configuration of Algorithm D's distribution bookkeeping.
 #[derive(Debug, Clone)]
@@ -49,8 +49,8 @@ impl Default for AlgDConfig {
 /// bookkeeping).
 #[derive(Debug, Clone)]
 pub struct DistEntry {
-    /// The plan.
-    pub plan: PlanNode,
+    /// The plan, shared with every entry built on top of it.
+    pub plan: Arc<PlanNode>,
     /// Its expected cost over memory, sizes and selectivities.
     pub cost: f64,
     /// Distribution of the output size in pages.
@@ -87,10 +87,6 @@ pub struct MultiParamPolicy {
     par: BucketParallelism,
     /// Largest size-distribution support seen before rebucketing.
     pub max_product_support: usize,
-    /// The current DP node's contribution to `max_product_support`, reset
-    /// by [`CandidatePolicy::memo_node_begin`] so memo records can carry
-    /// the per-node delta (a cumulative max cannot be decomposed later).
-    node_support: usize,
 }
 
 impl MultiParamPolicy {
@@ -108,7 +104,6 @@ impl MultiParamPolicy {
             config,
             par: BucketParallelism::serial(),
             max_product_support: 0,
-            node_support: 0,
         }
     }
 
@@ -139,7 +134,6 @@ impl MultiParamPolicy {
             outer.product(inner).product(sel)
         };
         self.max_product_support = self.max_product_support.max(product.len());
-        self.node_support = self.node_support.max(product.len());
         let clamped = product.map(|v| v.max(1.0));
         rebucket_to(&clamped, b, strategy)
     }
@@ -156,7 +150,6 @@ impl CandidatePolicy for MultiParamPolicy {
     fn fork(&self) -> Self {
         MultiParamPolicy {
             max_product_support: 0,
-            node_support: 0,
             ..self.clone()
         }
     }
@@ -202,6 +195,7 @@ impl CandidatePolicy for MultiParamPolicy {
         stats: &mut SearchStats,
     ) {
         let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
+        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
         for oe in outer {
             for ie in inner {
                 // Result size is method-independent; compute once.
@@ -209,8 +203,6 @@ impl CandidatePolicy for MultiParamPolicy {
                 for method in JoinMethod::ALL {
                     stats.candidates += 1;
                     let join_ec = model.expected_join_cost_for_with(
-                        ctx.left,
-                        ctx.right,
                         method,
                         &oe.pages,
                         &ie.pages,
@@ -220,9 +212,9 @@ impl CandidatePolicy for MultiParamPolicy {
                         self.par,
                     );
                     let cost = oe.cost + ie.cost + join_ec;
-                    let order = join_output_order(model, ctx.left, oe.order, ctx.right, method);
+                    let order = join_output_order(sm_order, oe.order, method);
                     insert_entry_shaped_lazy(model, into, cost, order, || DistEntry {
-                        plan: PlanNode::join(method, oe.plan.clone(), ie.plan.clone()),
+                        plan: shared_join(method, &oe.plan, &ie.plan),
                         cost,
                         pages: result_size.clone(),
                         order,
@@ -235,7 +227,7 @@ impl CandidatePolicy for MultiParamPolicy {
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
-        ctx: &RootContext,
+        _ctx: &RootContext,
         entries: Vec<DistEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
@@ -245,14 +237,12 @@ impl CandidatePolicy for MultiParamPolicy {
             .into_iter()
             .map(|e| match query.required_order {
                 Some(want) if !eq.satisfies(e.order, want) => {
-                    let sc = model.expected_sort_cost_for(
-                        ctx.set,
-                        &e.pages,
-                        self.mem_fp,
-                        &self.m_tables,
-                    );
+                    let sc = model.expected_sort_cost_for(&e.pages, self.mem_fp, &self.m_tables);
                     DistEntry {
-                        plan: PlanNode::sort(e.plan, want),
+                        plan: Arc::new(PlanNode::Sort {
+                            input: e.plan,
+                            key: want,
+                        }),
                         cost: e.cost + sc,
                         pages: e.pages,
                         order: eq.sorted_on(want),
@@ -274,89 +264,5 @@ impl CandidatePolicy for MultiParamPolicy {
         Some(Box::new(super::bound::MinSupportBound {
             max_memory: self.memory.max_value(),
         }))
-    }
-
-    fn memo_fingerprint(&self, _model: &CostModel<'_>) -> Option<u64> {
-        // Family tag 2 = multi-param; every AlgDConfig knob shapes the
-        // per-node distributions, so all of them key the memo.
-        Some(
-            lec_cost::Fingerprint::new()
-                .u64(2)
-                .u64(self.mem_fp)
-                .u64(self.config.max_buckets as u64)
-                .u64(match self.config.rebucket {
-                    Rebucket::EqualWidth => 0,
-                    Rebucket::EqualDepth => 1,
-                })
-                .u64(self.config.cube_root_inputs as u64)
-                .finish(),
-        )
-    }
-
-    fn memo_node_begin(&mut self) {
-        self.node_support = 0;
-    }
-
-    fn memo_encode(
-        &self,
-        model: &CostModel<'_>,
-        form: &SubplanForm,
-        entries: &[DistEntry],
-    ) -> Option<MemoEntries> {
-        let to_canon = form.to_canonical(model.query().n_tables());
-        entries
-            .iter()
-            .map(|e| {
-                let order = match e.order {
-                    OrderProperty::None => MemoOrder::None,
-                    OrderProperty::Sorted(rep) => MemoOrder::Class(form.order_class(rep)?),
-                };
-                Some(MemoDistEntry {
-                    plan: e.plan.relabel_tables(&to_canon),
-                    cost: e.cost,
-                    pages: e.pages.clone(),
-                    order,
-                })
-            })
-            .collect::<Option<Vec<_>>>()
-            .map(|entries| MemoEntries::Dist {
-                entries,
-                node_support: self.node_support,
-            })
-    }
-
-    fn memo_decode(
-        &mut self,
-        _model: &CostModel<'_>,
-        form: &SubplanForm,
-        record: &MemoRecord,
-    ) -> Option<Vec<DistEntry>> {
-        let MemoEntries::Dist {
-            entries,
-            node_support,
-        } = &record.entries
-        else {
-            return None;
-        };
-        let to_global = form.to_global();
-        let decoded = entries
-            .iter()
-            .map(|e| {
-                let order = match e.order {
-                    MemoOrder::None => OrderProperty::None,
-                    MemoOrder::Class(id) => OrderProperty::Sorted(form.class_rep(id)?),
-                };
-                Some(DistEntry {
-                    plan: e.plan.relabel_tables(&to_global),
-                    cost: e.cost,
-                    pages: e.pages.clone(),
-                    order,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        // The skipped combine would have pushed the diagnostic high-water
-        // mark exactly this far.
-        self.max_product_support = self.max_product_support.max(*node_support);
-        Some(decoded)
     }
 }

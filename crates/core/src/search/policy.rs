@@ -2,11 +2,10 @@
 //! retains and how a join candidate is costed.
 
 use super::bound::{LowerBound, PruneState};
-use super::memo::{MemoEntries, MemoRecord};
 use super::SearchStats;
-use lec_canon::SubplanForm;
 use lec_cost::{AccessPath, CostModel};
 use lec_plan::{JoinMethod, OrderProperty, PlanNode, TableSet};
+use std::sync::Arc;
 
 /// Everything a policy needs to cost one (outer, inner) combination.
 #[derive(Debug, Clone, Copy)]
@@ -25,13 +24,15 @@ pub struct JoinContext {
 /// Context for root finalization.
 #[derive(Debug, Clone, Copy)]
 pub struct RootContext {
-    /// The full table set.
-    pub set: TableSet,
     /// Phase index of a root sort (after `n - 1` joins).
     pub sort_phase: usize,
 }
 
-/// What the engine needs to read out of a policy's entries.
+/// What the engine needs to read out of a policy's entries.  Entries hold
+/// their plan as `Arc<PlanNode>`, so a clone is a pointer copy and a join
+/// candidate built from two entries ([`shared_join`]) *points at* their
+/// plans — the DP table is a dag of plan nodes, one per retained
+/// candidate.
 pub trait SearchEntry: Clone {
     /// The (partial) plan this entry stands for.
     fn plan(&self) -> &PlanNode;
@@ -124,51 +125,20 @@ pub trait CandidatePolicy {
     /// the incumbent inside their combine loops.  Called once per search,
     /// before any forks are taken.
     fn install_pruning(&mut self, _prune: &std::sync::Arc<PruneState>) {}
+}
 
-    // ---- subplan-memo support (opt in; default: memo-ineligible) --------
-    //
-    // The eligibility rules mirror the serving cache's `Uncacheable`
-    // modes: a policy may only opt in when its candidate lists are a pure,
-    // rename-equivariant function of the canonical subquery shape — true
-    // for the keep-best family (label-independent `insert_entry_shaped`
-    // tie-breaks) and multi-param, false for top-c (frontier truncation
-    // ties) and the keep-all verifier (plan-space blowup).
-
-    /// Fingerprint of every policy/coster parameter that shapes a node's
-    /// candidates, or `None` when this policy must bypass the subplan
-    /// memo.  Two searches whose policies fingerprint equal produce
-    /// byte-identical candidate lists for equal canonical subqueries.
-    fn memo_fingerprint(&self, _model: &CostModel<'_>) -> Option<u64> {
-        None
-    }
-
-    /// Reset any per-node diagnostic accumulators before a recorded
-    /// combine (so [`CandidatePolicy::memo_encode`] can capture the node's
-    /// own contribution).
-    fn memo_node_begin(&mut self) {}
-
-    /// Encode a freshly combined node's candidates into canonical label
-    /// space for storage, or `None` to skip memoizing this node.
-    fn memo_encode(
-        &self,
-        _model: &CostModel<'_>,
-        _form: &SubplanForm,
-        _entries: &[Self::Entry],
-    ) -> Option<MemoEntries> {
-        None
-    }
-
-    /// Decode a memoized record into this query's label space, folding any
-    /// per-node diagnostics back in; `None` (wrong policy family, stale
-    /// class map) downgrades the hit to a live combine.
-    fn memo_decode(
-        &mut self,
-        _model: &CostModel<'_>,
-        _form: &SubplanForm,
-        _record: &MemoRecord,
-    ) -> Option<Vec<Self::Entry>> {
-        None
-    }
+/// The join of two table entries' plans: one new node whose children are
+/// the entries' own (shared) nodes.
+pub fn shared_join(
+    method: JoinMethod,
+    outer: &Arc<PlanNode>,
+    inner: &Arc<PlanNode>,
+) -> Arc<PlanNode> {
+    Arc::new(PlanNode::Join {
+        method,
+        outer: Arc::clone(outer),
+        inner: Arc::clone(inner),
+    })
 }
 
 /// `a` can substitute for `b`: same order, or `b` needs no order.
@@ -229,9 +199,8 @@ pub fn insert_entry_shaped<T: Rankable + SearchEntry>(
 /// [`Rankable`] cost and order equal the `cost`/`order` arguments — so the
 /// kept entries are byte-identical either way.  The point is the combine
 /// hot loop: most join candidates lose on cost immediately, and deferring
-/// construction spares them the deep plan clone (and, for distribution
-/// policies, the size-distribution clone) that dominated dense-graph
-/// search time.
+/// construction spares them the plan-node allocation (and, for
+/// distribution policies, the size-distribution clone).
 pub fn insert_entry_shaped_lazy<T: Rankable + SearchEntry>(
     model: &CostModel<'_>,
     entries: &mut Vec<T>,
@@ -286,6 +255,11 @@ pub fn insert_entry_shaped_lazy<T: Rankable + SearchEntry>(
 /// consulted on exact cost ties, so it never influences which costs win,
 /// merely which of several equal-cost plans is reported.
 pub fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> std::cmp::Ordering {
+    // Tied candidates of one dag node usually extend the same table entry:
+    // their outer subtrees are then one shared node, not two equal ones.
+    if std::ptr::eq(a, b) {
+        return std::cmp::Ordering::Equal;
+    }
     fn kind(p: &PlanNode) -> u8 {
         match p {
             PlanNode::SeqScan { .. } => 0,
@@ -322,24 +296,28 @@ pub fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> std:
     }
 }
 
+/// The order a sort-merge join of `left` and `right` delivers: sorted on
+/// the first predicate crossing the two sets.  It depends on the operand
+/// *sets* only, so a policy computes it once per `combine` call, not once
+/// per candidate.
+pub fn sort_merge_order(model: &CostModel<'_>, left: TableSet, right: TableSet) -> OrderProperty {
+    match model.query().joins_crossing(left, right).first() {
+        Some(&i) => model.equivalences().sorted_on(model.query().joins[i].left),
+        None => OrderProperty::None,
+    }
+}
+
 /// The output order of joining two composites — the shape-generic form of
 /// the \[SAC+79\] interesting-order rules (left-deep inner singletons are
-/// the special case `right = {j}`).
+/// the special case `right = {j}`).  `sort_merge` is the operand pair's
+/// [`sort_merge_order`].
 pub fn join_output_order(
-    model: &CostModel<'_>,
-    left: TableSet,
+    sort_merge: OrderProperty,
     left_order: OrderProperty,
-    right: TableSet,
     method: JoinMethod,
 ) -> OrderProperty {
     match method {
-        JoinMethod::SortMerge => {
-            let crossing = model.query().joins_crossing(left, right);
-            match crossing.first() {
-                Some(&i) => model.equivalences().sorted_on(model.query().joins[i].left),
-                None => OrderProperty::None,
-            }
-        }
+        JoinMethod::SortMerge => sort_merge,
         JoinMethod::PageNestedLoop => left_order,
         JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::None,
     }
@@ -350,7 +328,7 @@ pub fn join_output_order(
 pub fn access_alternatives(
     model: &CostModel<'_>,
     idx: usize,
-) -> Vec<(PlanNode, f64, OrderProperty, f64)> {
+) -> Vec<(Arc<PlanNode>, f64, OrderProperty, f64)> {
     model
         .access_paths(idx)
         .into_iter()
@@ -361,7 +339,7 @@ pub fn access_alternatives(
             };
             let order = lec_cost::output_order(model, &plan);
             let cost = model.access_cost(path, idx);
-            (plan, cost, order, model.base_pages(idx))
+            (Arc::new(plan), cost, order, model.base_pages(idx))
         })
         .collect()
 }
@@ -381,7 +359,7 @@ mod tests {
 
     fn entry(cost: f64, ord: OrderProperty) -> DpEntry {
         DpEntry {
-            plan: PlanNode::SeqScan { table: 0 },
+            plan: Arc::new(PlanNode::SeqScan { table: 0 }),
             cost,
             pages: 10.0,
             order: ord,

@@ -17,12 +17,12 @@
 use super::coster::{PhaseCoster, PointCoster};
 use super::keep_best::DpEntry;
 use super::policy::{
-    access_alternatives, join_output_order, plan_shape_cmp, CandidatePolicy, JoinContext,
-    RootContext,
+    access_alternatives, join_output_order, plan_shape_cmp, shared_join, sort_merge_order,
+    CandidatePolicy, JoinContext, RootContext,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
-use lec_plan::{JoinMethod, OrderProperty, PlanNode};
+use lec_plan::{JoinMethod, OrderProperty};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
@@ -145,6 +145,7 @@ impl CandidatePolicy for TopCPolicy {
         stats: &mut SearchStats,
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
+        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
         // Group the outer list by (order, pages), cost-sorted within each
         // group; the BTreeMap makes tie-breaking among equal-cost
         // candidates deterministic across runs.  Pages are part of the key
@@ -191,7 +192,7 @@ impl CandidatePolicy for TopCPolicy {
                 let join_cost = self
                     .coster
                     .join_cost(model, ctx, method, outer_pages, inner_pages);
-                let order = join_output_order(model, ctx.left, *outer_order, ctx.right, method);
+                let order = join_output_order(sm_order, *outer_order, method);
                 let pages = model.join_output_pages(outer_pages, inner_pages, sel);
                 // Prop 3.1 frontier: only (i, k) with i·k ≤ c.
                 for (ki, ie) in inner_list.iter().enumerate() {
@@ -206,7 +207,7 @@ impl CandidatePolicy for TopCPolicy {
                             model,
                             into,
                             DpEntry {
-                                plan: PlanNode::join(method, oe.plan.clone(), ie.plan.clone()),
+                                plan: shared_join(method, &oe.plan, &ie.plan),
                                 cost: oe.cost + ie.cost + join_cost,
                                 pages,
                                 order,

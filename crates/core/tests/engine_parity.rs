@@ -71,7 +71,7 @@ fn unique_optimum(
             (e.cost() - best.cost).abs() / best.cost.max(1.0) < 1e-6
         })
         .count();
-    (near == 1).then_some((best.plan, best.cost))
+    (near == 1).then_some((std::sync::Arc::unwrap_or_clone(best.plan), best.cost))
 }
 
 proptest! {

@@ -160,246 +160,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The subplan memo must be invisible in outcomes: for every
-    /// memo-eligible policy, a memo-assisted search — cold or warm, serial
-    /// or fanned out across 4 threads — returns a `SearchOutcome`
-    /// byte-identical to the memo-free serial engine's (plan, cost bits,
-    /// `evals`, `cache_hits`, `candidates`, `nodes`), and warm repeats
-    /// actually hit.  Ineligible policies (top-c, exhaustive) ride along
-    /// to pin that they bypass the memo unchanged.
-    #[test]
-    fn subplan_memo_searches_are_byte_identical(
-        seed in 0u64..4000,
-        n in 3usize..7,
-        center in 60.0f64..2500.0,
-        spread in 0.1f64..0.9,
-        b in 2usize..6,
-    ) {
-        use lec_core::search::SubplanMemo;
-        let (cat, q) = workload(seed, n);
-        let memory = presets::spread_family(center, spread, b).unwrap();
-        let chain = MarkovChain::birth_death(memory.support().to_vec(), 0.3, 0.1).unwrap();
-
-        type Runner = dyn Fn(&CostModel<'_>, &SearchConfig) -> Result<SearchOutcome, OptError>;
-        let memory2 = memory.clone();
-        let memory3 = memory.clone();
-        let memory4 = memory.clone();
-        let memory5 = memory.clone();
-        let memory6 = memory.clone();
-        let memory7 = memory.clone();
-        let chain2 = chain.clone();
-        // (name, runner, memo-eligible?)
-        let runners: Vec<(&str, Box<Runner>, bool)> = vec![
-            ("lsc", Box::new(move |m, c| optimize_lsc_with(m, memory2.mean(), c)), true),
-            ("alg_c", Box::new(move |m, c| optimize_lec_static_with(m, &memory3, c)), true),
-            ("alg_c_dyn", Box::new(move |m, c| optimize_lec_dynamic_with(m, &memory4, &chain2, c)), true),
-            ("alg_d", Box::new(move |m, c| optimize_alg_d_with(m, &memory5, &AlgDConfig::default(), c)), true),
-            ("bushy", Box::new(move |m, c| optimize_lec_bushy_with(m, &memory6, c)), true),
-            ("alg_b", Box::new(move |m, c| optimize_alg_b_with(m, &memory7, 3, c)), false),
-            ("exhaustive", Box::new(move |m, c| exhaustive_best_with(m, &Objective::Expected(&memory), c)), false),
-        ];
-
-        for (name, run, eligible) in &runners {
-            let baseline_model = CostModel::new(&cat, &q);
-            let baseline = run(&baseline_model, &SearchConfig::serial()).unwrap();
-
-            let memo = Arc::new(SubplanMemo::default());
-            // Pass 1 (cold, serial), pass 2 (warm, serial), pass 3 (warm,
-            // forced 4-thread fan-out, same shared memo).
-            let serial_memo = SearchConfig::serial().with_memo(Arc::clone(&memo));
-            let par_memo = forced(4).with_memo(Arc::clone(&memo));
-            for (pass, cfg) in [&serial_memo, &serial_memo, &par_memo].into_iter().enumerate() {
-                let model = CostModel::new(&cat, &q);
-                let out = run(&model, cfg).unwrap();
-                assert_identical(&format!("{name}+memo(pass {pass})"), 1, &baseline, &out);
-                if *eligible && pass > 0 {
-                    prop_assert!(out.stats.memo_hits > 0,
-                        "{}: warm pass {} must hit the memo", name, pass);
-                }
-                if !*eligible {
-                    prop_assert_eq!(out.stats.memo_hits + out.stats.memo_misses, 0,
-                        "{}: ineligible policy must bypass the memo", name);
-                }
-            }
-            if *eligible {
-                prop_assert!(!memo.is_empty(), "{}: eligible searches must populate", name);
-            }
-        }
-    }
-
-    /// One memo shared by searches under *different* memory beliefs (and
-    /// different costers) must never cross-contaminate: the environment
-    /// fingerprint keys them apart, and every answer stays byte-identical
-    /// to its own memo-free baseline.
-    #[test]
-    fn shared_memo_isolates_different_environments(
-        seed in 0u64..4000,
-        n in 3usize..6,
-        center in 80.0f64..2000.0,
-    ) {
-        use lec_core::search::SubplanMemo;
-        let (cat, q) = workload(seed, n);
-        let mem_a = presets::spread_family(center, 0.5, 4).unwrap();
-        let mem_b = presets::spread_family(center * 1.7, 0.3, 5).unwrap();
-        let memo = Arc::new(SubplanMemo::default());
-        let cfg = SearchConfig::serial().with_memo(Arc::clone(&memo));
-        // Interleave the two environments twice so each one's second pass
-        // runs against a memo already full of the *other* environment.
-        for _ in 0..2 {
-            for memory in [&mem_a, &mem_b] {
-                let base_model = CostModel::new(&cat, &q);
-                let base = optimize_lec_static_with(&base_model, memory, &SearchConfig::serial()).unwrap();
-                let model = CostModel::new(&cat, &q);
-                let out = optimize_lec_static_with(&model, memory, &cfg).unwrap();
-                assert_identical("alg_c+shared-memo", 1, &base, &out);
-
-                let d_base_model = CostModel::new(&cat, &q);
-                let d_base = optimize_alg_d_with(
-                    &d_base_model, memory, &AlgDConfig::default(), &SearchConfig::serial()).unwrap();
-                let d_model = CostModel::new(&cat, &q);
-                let d_out = optimize_alg_d_with(&d_model, memory, &AlgDConfig::default(), &cfg).unwrap();
-                assert_identical("alg_d+shared-memo", 1, &d_base, &d_out);
-            }
-        }
-    }
-}
-
-/// Cross-query partial reuse: two overlapping chain windows share every
-/// subchain of their 5-table intersection, so the second query's search
-/// must hit exactly those nodes — and still be byte-identical to its
-/// memo-free baseline.
-#[test]
-fn overlapping_queries_share_subplan_nodes() {
-    use lec_core::search::SubplanMemo;
-    use lec_plan::{ColumnRef, JoinPredicate, QueryTable};
-
-    let mut cat = lec_catalog::Catalog::new();
-    let ids: Vec<_> = (0..7)
-        .map(|i| {
-            cat.add_table(
-                format!("W{i}"),
-                lec_catalog::TableStats::new(
-                    900 * (i as u64 + 1),
-                    40_000 * (i as u64 + 2),
-                    vec![
-                        lec_catalog::ColumnStats::plain("a", 50 + i as u64),
-                        lec_catalog::ColumnStats::plain("b", 90 + i as u64),
-                    ],
-                ),
-            )
-        })
-        .collect();
-    let chain_query = |lo: usize, hi: usize| Query {
-        tables: ids[lo..hi].iter().map(|&t| QueryTable::bare(t)).collect(),
-        joins: (0..hi - lo - 1)
-            .map(|i| {
-                JoinPredicate::exact(
-                    ColumnRef::new(i, 1),
-                    ColumnRef::new(i + 1, 0),
-                    1e-5 * (lo + i + 1) as f64,
-                )
-            })
-            .collect(),
-        required_order: None,
-    };
-    let qa = chain_query(0, 6);
-    let qb = chain_query(1, 7);
-    let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
-    let memo = Arc::new(SubplanMemo::default());
-    let cfg = SearchConfig::serial().with_memo(Arc::clone(&memo));
-
-    let model_a = CostModel::new(&cat, &qa);
-    let _ = optimize_lec_static_with(&model_a, &memory, &cfg).unwrap();
-
-    let base_model = CostModel::new(&cat, &qb);
-    let base = optimize_lec_static_with(&base_model, &memory, &SearchConfig::serial()).unwrap();
-    let model_b = CostModel::new(&cat, &qb);
-    let out = optimize_lec_static_with(&model_b, &memory, &cfg).unwrap();
-    assert_identical("overlap", 1, &base, &out);
-    // The 5-table intersection contributes 4+3+2+1 = 10 shared connected
-    // subchains plus its 5 singleton access-path nodes; the 5 subchains
-    // and 1 singleton touching the new endpoint are fresh.
-    assert_eq!(
-        out.stats.memo_hits, 15,
-        "every shared subchain and singleton must hit"
-    );
-    assert_eq!(out.stats.memo_misses, 6, "every fresh node must miss");
-}
-
-/// Twin tables distinguished only *outside* a sub-subset: the body of
-/// {hub, s1, s2, x} is asymmetric (x pins s1), but its child {hub, s1,
-/// s2} is automorphic and tie-breaks by arrival order.  Memoizing the
-/// root would carry that label-dependent choice across isomorphic
-/// queries; the twin refusal keeps every such node out of the memo, so a
-/// shared memo stays byte-identical across the relabeling.
-#[test]
-fn globally_distinguished_twins_stay_byte_identical_under_a_shared_memo() {
-    use lec_core::search::SubplanMemo;
-    use lec_plan::{ColumnRef, JoinPredicate, QueryTable};
-
-    let mut cat = lec_catalog::Catalog::new();
-    let hub = cat.add_table(
-        "hub",
-        lec_catalog::TableStats::new(
-            50_000,
-            2_500_000,
-            vec![lec_catalog::ColumnStats::plain("a", 100)],
-        ),
-    );
-    let spoke = || {
-        lec_catalog::TableStats::new(
-            1000,
-            50_000,
-            vec![lec_catalog::ColumnStats::plain("a", 100)],
-        )
-    };
-    let s1 = cat.add_table("s1", spoke());
-    let s2 = cat.add_table("s2", spoke());
-    let x = cat.add_table(
-        "x",
-        lec_catalog::TableStats::new(
-            7000,
-            300_000,
-            vec![lec_catalog::ColumnStats::plain("a", 100)],
-        ),
-    );
-    let q = Query {
-        tables: [hub, s1, s2, x].into_iter().map(QueryTable::bare).collect(),
-        joins: vec![
-            JoinPredicate::exact(ColumnRef::new(0, 0), ColumnRef::new(1, 0), 1e-5),
-            JoinPredicate::exact(ColumnRef::new(0, 0), ColumnRef::new(2, 0), 1e-5),
-            JoinPredicate::exact(ColumnRef::new(1, 0), ColumnRef::new(3, 0), 1e-4),
-        ],
-        required_order: None,
-    };
-    let q2 = q.relabel_tables(&[0, 2, 1, 3]); // swap the twins
-    let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
-
-    let memo = Arc::new(SubplanMemo::default());
-    let cfg = SearchConfig::serial().with_memo(Arc::clone(&memo));
-    for query in [&q, &q2, &q, &q2] {
-        let base_model = CostModel::new(&cat, query);
-        let base = optimize_lec_static_with(&base_model, &memory, &SearchConfig::serial()).unwrap();
-        let model = CostModel::new(&cat, query);
-        let out = optimize_lec_static_with(&model, &memory, &cfg).unwrap();
-        assert_identical("twin-fixture", 1, &base, &out);
-        // Nodes containing both twins must never be served from the memo;
-        // singleton nodes hold one table and are always eligible — the
-        // twin spokes even share one singleton record (their occurrence
-        // fingerprints are equal, and a one-member subset has no pair to
-        // refuse), which is sound because a depth-1 node is a pure
-        // function of that fingerprint.
-        assert_eq!(
-            out.stats.memo_hits + out.stats.memo_misses,
-            8,
-            "4 twin-free composite subsets + 4 singleton nodes"
-        );
-    }
-}
-
 /// The persistent cross-search pool must be invisible in outcomes: for
 /// every policy, a search whose workers come from long-lived parked
 /// threads is byte-identical to the serial driver at 2, 4 and 8 threads —
@@ -488,13 +248,7 @@ impl PhaseCoster for PoisonedCoster {
         panic!("poisoned shard: the coster blew up mid-combine")
     }
 
-    fn sort_cost(
-        &self,
-        _model: &CostModel<'_>,
-        _set: lec_plan::TableSet,
-        _phase: usize,
-        _pages: f64,
-    ) -> f64 {
+    fn sort_cost(&self, _model: &CostModel<'_>, _phase: usize, _pages: f64) -> f64 {
         panic!("poisoned shard: the coster blew up mid-sort")
     }
 }
@@ -655,7 +409,7 @@ proptest! {
             );
             prop_assert_eq!(
                 serial.stats.bound_evals, par.stats.bound_evals,
-                "bound_evals must be schedule-independent (no memo installed)"
+                "bound_evals must be schedule-independent"
             );
             prop_assert_eq!(
                 serial.stats.sharp_bound_evals, par.stats.sharp_bound_evals,

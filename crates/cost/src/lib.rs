@@ -29,8 +29,8 @@ pub use expected::{
 };
 pub use model::{
     dist_fingerprint, evict_coldest, shard_index, table_occurrence_fingerprint,
-    table_stats_fingerprint, AccessPath, BucketParallelism, CostModel, CostProbe, Fingerprint,
-    FxBuildHasher, FxHasher, ProbeOp, ProbeRecording, DEFAULT_MIN_PARALLEL_EVALS,
+    table_stats_fingerprint, AccessPath, BucketParallelism, CostModel, Fingerprint,
+    DEFAULT_MIN_PARALLEL_EVALS,
 };
 pub use plan_cost::{
     expected_plan_cost_dynamic, expected_plan_cost_static, output_order, phases, plan_cost_at,

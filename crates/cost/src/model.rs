@@ -5,7 +5,6 @@ use crate::formulas;
 use lec_catalog::{Catalog, IndexKind};
 use lec_plan::{ColumnEquivalences, JoinMethod, Query, TableSet};
 use lec_prob::{Distribution, PrefixTables};
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,15 +50,11 @@ impl EvalOp {
 
 /// FxHash — the rustc-style multiply-rotate hasher.  [`EvalKey`] lookups
 /// sit on the engine's innermost loop, where the default SipHash costs
-/// more than the cost formulas it would be saving; the search engine's
-/// subplan memo shares it for the same reason ([`FxBuildHasher`]).
+/// more than the cost formulas it would be saving.
 #[derive(Default)]
-pub struct FxHasher {
+struct FxHasher {
     hash: u64,
 }
-
-/// `BuildHasher` for [`FxHasher`]-keyed maps on hot paths.
-pub type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 
 impl std::hash::Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -251,133 +246,6 @@ struct EvalKey {
     inner: u64,
 }
 
-/// Operator discriminant of a [`CostProbe`]: the public mirror of the
-/// cache's internal operator tags, so probe logs can be stored outside
-/// this crate (the search engine's subplan memo) and replayed later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeOp {
-    /// Point join cost ([`CostModel::join_cost_for`]).
-    Join(JoinMethod),
-    /// Point sort cost ([`CostModel::sort_cost_for`]).
-    Sort,
-    /// Whole-distribution expected join cost of point-sized inputs
-    /// ([`CostModel::expected_join_cost_over`]); carries nested per-bucket
-    /// point values.
-    ExpectedJoinOver(JoinMethod),
-    /// Whole-distribution expected sort cost of a point-sized input.
-    ExpectedSortOver,
-    /// Expected join cost over size + memory distributions (Algorithm D).
-    ExpectedJoin(JoinMethod),
-    /// Expected sort cost over size + memory distributions.
-    ExpectedSort,
-}
-
-impl ProbeOp {
-    fn eval_op(self) -> EvalOp {
-        match self {
-            ProbeOp::Join(m) => EvalOp::Join(m),
-            ProbeOp::Sort => EvalOp::Sort,
-            ProbeOp::ExpectedJoinOver(m) => EvalOp::ExpectedJoinOver(m),
-            ProbeOp::ExpectedSortOver => EvalOp::ExpectedSortOver,
-            ProbeOp::ExpectedJoin(m) => EvalOp::ExpectedJoin(m),
-            ProbeOp::ExpectedSort => EvalOp::ExpectedSort,
-        }
-    }
-}
-
-/// One recorded candidate-level cache probe: everything needed to replay
-/// the probe — and, on a replay miss, the insertion and counter effects of
-/// the original compute — against a *different* query's cache, with the
-/// table-set bits relabeled by the caller.
-///
-/// The probe sequence a DP node's combine makes is a pure function of the
-/// node's canonical subquery shape: one probe per (entry pair × join
-/// method), with operand sizes determined by the (shape-determined)
-/// entries below.  Replaying a node's log therefore touches the cache with
-/// exactly the multiset of keys the live combine would have — which is
-/// what keeps `evals`/`cache_hits` byte-identical when the subplan memo
-/// skips the combine itself.
-#[derive(Debug, Clone)]
-pub struct CostProbe {
-    /// Left operand table-set bits (relabeled by the replayer).
-    pub left: u64,
-    /// Right operand table-set bits (0 for sorts).
-    pub right: u64,
-    /// Operator.
-    pub op: ProbeOp,
-    /// Memory ingredient: bucket value bits (point ops) or distribution
-    /// fingerprint (expectation ops).
-    pub mem: u64,
-    /// Outer size: page bits or size-distribution fingerprint.
-    pub outer: u64,
-    /// Inner size: page bits or size-distribution fingerprint.
-    pub inner: u64,
-    /// The probe's value.
-    pub value: f64,
-    /// Formula evaluations the original compute performed on a miss (one
-    /// for point ops, the per-bucket count for expectation ops), charged
-    /// again by a replay miss.
-    pub direct_evals: u64,
-}
-
-/// One thread's probe log.
-struct ProbeLogState {
-    probes: Vec<CostProbe>,
-}
-
-thread_local! {
-    /// The active probe log of this thread, if any.  One DP node is
-    /// combined wholly by one thread, so a thread-local log captures
-    /// exactly that node's candidate-level probes.
-    static PROBE_LOG: RefCell<Option<ProbeLogState>> = const { RefCell::new(None) };
-    /// The single flag the hot path reads: true exactly when a log is
-    /// active *and* recording is not suppressed (nested per-bucket probes
-    /// inside an expectation compute are folded into the parent probe
-    /// rather than logged individually).  Kept separate from `PROBE_LOG`
-    /// so memo-free searches pay one `Cell` read per cached call, not a
-    /// `RefCell` borrow.
-    static PROBE_ACTIVE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// RAII guard for one node's probe recording; dropping it (normally or
-/// during unwinding) deactivates the log so a panicking combine cannot
-/// leak an active recorder into later searches on a pooled worker thread.
-#[derive(Debug)]
-pub struct ProbeRecording {
-    _private: (),
-}
-
-impl ProbeRecording {
-    /// Consume the guard, returning the probes recorded since
-    /// [`CostModel::begin_probe_log`].
-    pub fn finish(self) -> Vec<CostProbe> {
-        PROBE_LOG
-            .with(|log| log.borrow_mut().take())
-            .map(|state| state.probes)
-            .unwrap_or_default()
-        // Drop of `self` then finds the slot already empty.
-    }
-}
-
-impl Drop for ProbeRecording {
-    fn drop(&mut self) {
-        PROBE_ACTIVE.with(|f| f.set(false));
-        PROBE_LOG.with(|log| *log.borrow_mut() = None);
-    }
-}
-
-fn probe_log_active() -> bool {
-    PROBE_ACTIVE.with(|f| f.get())
-}
-
-fn push_probe(probe: CostProbe) {
-    PROBE_LOG.with(|log| {
-        if let Some(state) = log.borrow_mut().as_mut() {
-            state.probes.push(probe);
-        }
-    });
-}
-
 /// An incremental 64-bit FNV-1a fingerprint over exact bit patterns: the
 /// shared hashing primitive behind every cross-query cache key (model
 /// state, memory distributions, optimizer modes, canonical query shapes).
@@ -444,9 +312,8 @@ pub fn dist_fingerprint(d: &Distribution) -> u64 {
 /// The lock stripe responsible for a multi-word cache key: a
 /// [`Fingerprint`] fold mapped onto `0..n_shards` by multiply-shift
 /// (uniform for any shard count, no power-of-two requirement).  Shared by
-/// every sharded cross-query cache (the search engine's subplan memo,
-/// the serving layer's plan cache) so their stripe selection cannot
-/// drift apart.
+/// every sharded cross-query cache (the serving layer's plan cache) so
+/// stripe selection lives in one place.
 pub fn shard_index(key: &[u64], n_shards: usize) -> usize {
     let h = key
         .iter()
@@ -519,7 +386,7 @@ pub fn table_stats_fingerprint(stats: &lec_catalog::TableStats) -> u64 {
 /// b evaluations of the cost formula", §3.4).
 ///
 /// The `*_for` methods additionally memoize evaluations in a cache keyed by
-/// `(table sets, operator, memory bucket, operand sizes)`, so the repeated
+/// `(operator, memory bucket, operand sizes)`, so the repeated
 /// per-bucket evaluations the DP algorithms perform across entry pairs and
 /// DP levels are computed once; cache hits do not increment the evaluation
 /// counter (they perform no formula work), which is exactly the reduction
@@ -621,17 +488,6 @@ impl<'a> CostModel<'a> {
         self.evals.store(0, Ordering::Relaxed);
     }
 
-    /// Charge `n` formula evaluations that happened (or are being
-    /// replayed) outside the memoized `*_for` path — the search engine's
-    /// subplan memo uses this to reproduce the uncached access-path
-    /// costing of a skipped depth-1 node, keeping [`CostModel::evals`]
-    /// byte-identical to a memo-off run.
-    pub fn charge_evals(&self, n: u64) {
-        if n != 0 {
-            self.evals.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     fn count_eval(&self) {
         self.evals.fetch_add(1, Ordering::Relaxed);
     }
@@ -703,115 +559,27 @@ impl<'a> CostModel<'a> {
         v
     }
 
-    // ---- probe recording and replay -------------------------------------
-
-    /// Start recording this thread's candidate-level cache probes (the
-    /// `*_for` calls made outside any expectation compute) until the
-    /// returned guard is [`ProbeRecording::finish`]ed or dropped.  The
-    /// search engine records one DP node's combine this way and stores the
-    /// log in its subplan memo; [`CostModel::replay_probes`] later applies
-    /// the log to another query's cache.
-    pub fn begin_probe_log(&self) -> ProbeRecording {
-        PROBE_LOG.with(|log| *log.borrow_mut() = Some(ProbeLogState { probes: Vec::new() }));
-        PROBE_ACTIVE.with(|f| f.set(true));
-        ProbeRecording { _private: () }
-    }
-
-    /// Replay a recorded probe log against this model's cache, relabeling
-    /// each probe's table-set bits through `map`.
-    ///
-    /// Per probe: a key already cached scores one cache hit, exactly as
-    /// the live probe would.  A key not yet cached is *seeded* with the
-    /// recorded value and the evaluation counter is charged with the
-    /// recorded `direct_evals` — the formula work the live compute would
-    /// have performed.  Every value seeded this way is a pure function of
-    /// its key, so later live probes that hit it read the same bits a live
-    /// compute would have produced.  Totals over a whole search are
-    /// therefore identical to a memo-off run: each distinct key is charged
-    /// exactly once, and the probe multiset is the same.
-    pub fn replay_probes(&self, probes: &[CostProbe], map: impl Fn(u64) -> u64) {
-        if !self.cache_enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        for p in probes {
-            // Cache keys are set-free ([`EvalKey`]), so the relabeling
-            // only matters to callers that surface the probe's table sets;
-            // the cache effects of a replayed probe are identical under
-            // any relabeling.
-            let _ = map(p.left);
-            let key = EvalKey {
-                op: p.op.eval_op(),
-                mem: p.mem,
-                outer: p.outer,
-                inner: p.inner,
-            };
-            let mut shard = self.eval_cache.shard(&key);
-            if shard.contains_key(&key) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            self.evals.fetch_add(p.direct_evals, Ordering::Relaxed);
-            shard.insert(key, p.value);
-        }
-    }
-
     /// [`CostModel::join_cost`] memoized under `(method, m, sizes)` — the
-    /// per-bucket evaluation unit of Algorithms B/C.  The operand sets
-    /// feed the probe log only; the cache key is set-free ([`EvalKey`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn join_cost_for(
-        &self,
-        left: TableSet,
-        right: TableSet,
-        method: JoinMethod,
-        outer: f64,
-        inner: f64,
-        m: f64,
-    ) -> f64 {
+    /// per-bucket evaluation unit of Algorithms B/C (see [`EvalKey`]).
+    pub fn join_cost_for(&self, method: JoinMethod, outer: f64, inner: f64, m: f64) -> f64 {
         let key = EvalKey {
             op: EvalOp::Join(method),
             mem: m.to_bits(),
             outer: outer.to_bits(),
             inner: inner.to_bits(),
         };
-        let v = self.cached(key, || self.join_cost(method, outer, inner, m));
-        if probe_log_active() {
-            push_probe(CostProbe {
-                left: left.bits(),
-                right: right.bits(),
-                op: ProbeOp::Join(method),
-                mem: key.mem,
-                outer: key.outer,
-                inner: key.inner,
-                value: v,
-                direct_evals: 1,
-            });
-        }
-        v
+        self.cached(key, || self.join_cost(method, outer, inner, m))
     }
 
     /// [`CostModel::sort_cost`] memoized under `(m, pages)`.
-    pub fn sort_cost_for(&self, set: TableSet, pages: f64, m: f64) -> f64 {
+    pub fn sort_cost_for(&self, pages: f64, m: f64) -> f64 {
         let key = EvalKey {
             op: EvalOp::Sort,
             mem: m.to_bits(),
             outer: pages.to_bits(),
             inner: 0,
         };
-        let v = self.cached(key, || self.sort_cost(pages, m));
-        if probe_log_active() {
-            push_probe(CostProbe {
-                left: set.bits(),
-                right: 0,
-                op: ProbeOp::Sort,
-                mem: key.mem,
-                outer: key.outer,
-                inner: 0,
-                value: v,
-                direct_evals: 1,
-            });
-        }
-        v
+        self.cached(key, || self.sort_cost(pages, m))
     }
 
     /// Expected join cost of *point-sized* inputs over a memory
@@ -822,11 +590,8 @@ impl<'a> CostModel<'a> {
     /// evaluations compute through the raw formulas (each one counted, per
     /// §3.4's "b evaluations of the cost formula") without touching the
     /// point tier — see [`ShardedEvalCache`].
-    #[allow(clippy::too_many_arguments)]
     pub fn expected_join_cost_over(
         &self,
-        left: TableSet,
-        right: TableSet,
         method: JoinMethod,
         outer: f64,
         inner: f64,
@@ -834,8 +599,6 @@ impl<'a> CostModel<'a> {
         mem_fp: u64,
     ) -> f64 {
         self.expected_join_cost_over_with(
-            left,
-            right,
             method,
             outer,
             inner,
@@ -849,11 +612,8 @@ impl<'a> CostModel<'a> {
     /// fan-out policy: when `par` is active for the distribution's bucket
     /// count, a cache miss evaluates the per-bucket costs across scoped
     /// threads and folds them in bucket order (bit-identical to serial).
-    #[allow(clippy::too_many_arguments)]
     pub fn expected_join_cost_over_with(
         &self,
-        left: TableSet,
-        right: TableSet,
         method: JoinMethod,
         outer: f64,
         inner: f64,
@@ -867,46 +627,26 @@ impl<'a> CostModel<'a> {
             outer: outer.to_bits(),
             inner: inner.to_bits(),
         };
-        let v = self.cached(key, || {
+        self.cached(key, || {
             let per_bucket = |m: f64| self.join_cost(method, outer, inner, m);
             if par.active_for(memory.len() as u64) {
                 parallel_bucket_expectation(memory, par.threads, per_bucket)
             } else {
                 memory.expect(per_bucket)
             }
-        });
-        if probe_log_active() {
-            push_probe(CostProbe {
-                left: left.bits(),
-                right: right.bits(),
-                op: ProbeOp::ExpectedJoinOver(method),
-                mem: mem_fp,
-                outer: key.outer,
-                inner: key.inner,
-                value: v,
-                direct_evals: memory.len() as u64,
-            });
-        }
-        v
+        })
     }
 
     /// Expected sort cost of a point-sized input over a memory
     /// distribution, memoized like [`CostModel::expected_join_cost_over`].
-    pub fn expected_sort_cost_over(
-        &self,
-        set: TableSet,
-        pages: f64,
-        memory: &Distribution,
-        mem_fp: u64,
-    ) -> f64 {
-        self.expected_sort_cost_over_with(set, pages, memory, mem_fp, BucketParallelism::serial())
+    pub fn expected_sort_cost_over(&self, pages: f64, memory: &Distribution, mem_fp: u64) -> f64 {
+        self.expected_sort_cost_over_with(pages, memory, mem_fp, BucketParallelism::serial())
     }
 
     /// [`CostModel::expected_sort_cost_over`] with an explicit bucket
     /// fan-out policy.
     pub fn expected_sort_cost_over_with(
         &self,
-        set: TableSet,
         pages: f64,
         memory: &Distribution,
         mem_fp: u64,
@@ -918,27 +658,14 @@ impl<'a> CostModel<'a> {
             outer: pages.to_bits(),
             inner: 0,
         };
-        let v = self.cached(key, || {
+        self.cached(key, || {
             let per_bucket = |m: f64| self.sort_cost(pages, m);
             if par.active_for(memory.len() as u64) {
                 parallel_bucket_expectation(memory, par.threads, per_bucket)
             } else {
                 memory.expect(per_bucket)
             }
-        });
-        if probe_log_active() {
-            push_probe(CostProbe {
-                left: set.bits(),
-                right: 0,
-                op: ProbeOp::ExpectedSortOver,
-                mem: mem_fp,
-                outer: key.outer,
-                inner: 0,
-                value: v,
-                direct_evals: memory.len() as u64,
-            });
-        }
-        v
+        })
     }
 
     /// Expected join cost over size and memory distributions (Algorithm
@@ -950,11 +677,8 @@ impl<'a> CostModel<'a> {
     /// cost-formula evaluations on a miss: linear in the bucket counts for
     /// the separable methods, the full `b_A·b_B·b_M` triple product for
     /// block nested-loop.
-    #[allow(clippy::too_many_arguments)]
     pub fn expected_join_cost_for(
         &self,
-        left: TableSet,
-        right: TableSet,
         method: JoinMethod,
         a_dist: &Distribution,
         b_dist: &Distribution,
@@ -963,8 +687,6 @@ impl<'a> CostModel<'a> {
         m_tables: &PrefixTables,
     ) -> f64 {
         self.expected_join_cost_for_with(
-            left,
-            right,
             method,
             a_dist,
             b_dist,
@@ -984,8 +706,6 @@ impl<'a> CostModel<'a> {
     #[allow(clippy::too_many_arguments)]
     pub fn expected_join_cost_for_with(
         &self,
-        left: TableSet,
-        right: TableSet,
         method: JoinMethod,
         a_dist: &Distribution,
         b_dist: &Distribution,
@@ -1000,7 +720,7 @@ impl<'a> CostModel<'a> {
             outer: dist_fingerprint(a_dist),
             inner: dist_fingerprint(b_dist),
         };
-        let v = self.cached(key, || {
+        self.cached(key, || {
             let evals = match method {
                 JoinMethod::BlockNestedLoop => {
                     crate::expected::naive_eval_count(a_dist, b_dist, m_dist)
@@ -1019,33 +739,13 @@ impl<'a> CostModel<'a> {
             } else {
                 crate::expected::expected_join_cost(method, a_dist, b_dist, m_dist, m_tables)
             }
-        });
-        if probe_log_active() {
-            let direct_evals = match method {
-                JoinMethod::BlockNestedLoop => {
-                    crate::expected::naive_eval_count(a_dist, b_dist, m_dist)
-                }
-                _ => (a_dist.len() + b_dist.len()) as u64,
-            };
-            push_probe(CostProbe {
-                left: left.bits(),
-                right: right.bits(),
-                op: ProbeOp::ExpectedJoin(method),
-                mem: m_fp,
-                outer: key.outer,
-                inner: key.inner,
-                value: v,
-                direct_evals,
-            });
-        }
-        v
+        })
     }
 
     /// Expected sort cost over size and memory distributions, memoized
     /// like [`CostModel::expected_join_cost_for`].
     pub fn expected_sort_cost_for(
         &self,
-        set: TableSet,
         r_dist: &Distribution,
         m_fp: u64,
         m_tables: &PrefixTables,
@@ -1056,23 +756,10 @@ impl<'a> CostModel<'a> {
             outer: dist_fingerprint(r_dist),
             inner: 0,
         };
-        let v = self.cached(key, || {
+        self.cached(key, || {
             self.count_evals(r_dist.len() as u64);
             crate::expected::expected_sort_cost(r_dist, m_tables)
-        });
-        if probe_log_active() {
-            push_probe(CostProbe {
-                left: set.bits(),
-                right: 0,
-                op: ProbeOp::ExpectedSort,
-                mem: m_fp,
-                outer: key.outer,
-                inner: 0,
-                value: v,
-                direct_evals: r_dist.len() as u64,
-            });
-        }
-        v
+        })
     }
 
     // ---- sizes ----------------------------------------------------------
@@ -1355,20 +1042,19 @@ mod tests {
     fn eval_cache_hits_skip_the_counter() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let (l, r) = (TableSet::singleton(0), TableSet::singleton(1));
-        let first = m.join_cost_for(l, r, JoinMethod::SortMerge, 100.0, 200.0, 50.0);
+        let first = m.join_cost_for(JoinMethod::SortMerge, 100.0, 200.0, 50.0);
         assert_eq!(m.evals(), 1);
         assert_eq!(m.eval_cache_hits(), 0);
-        let again = m.join_cost_for(l, r, JoinMethod::SortMerge, 100.0, 200.0, 50.0);
+        let again = m.join_cost_for(JoinMethod::SortMerge, 100.0, 200.0, 50.0);
         assert_eq!(first, again);
         assert_eq!(m.evals(), 1, "hit must not re-evaluate");
         assert_eq!(m.eval_cache_hits(), 1);
         // A different memory bucket is a different key.
-        m.join_cost_for(l, r, JoinMethod::SortMerge, 100.0, 200.0, 60.0);
+        m.join_cost_for(JoinMethod::SortMerge, 100.0, 200.0, 60.0);
         assert_eq!(m.evals(), 2);
         // Sort shares the machinery.
-        m.sort_cost_for(l, 100.0, 10.0);
-        m.sort_cost_for(l, 100.0, 10.0);
+        m.sort_cost_for(100.0, 10.0);
+        m.sort_cost_for(100.0, 10.0);
         assert_eq!(m.evals(), 3);
         assert_eq!(m.eval_cache_hits(), 2);
     }
@@ -1377,12 +1063,11 @@ mod tests {
     fn disabled_cache_matches_enabled_values() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let (l, r) = (TableSet::singleton(0), TableSet::singleton(1));
-        let cached = m.join_cost_for(l, r, JoinMethod::GraceHash, 1e4, 2e4, 300.0);
+        let cached = m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
         m.set_eval_cache(false);
         m.reset_evals();
-        let raw = m.join_cost_for(l, r, JoinMethod::GraceHash, 1e4, 2e4, 300.0);
-        m.join_cost_for(l, r, JoinMethod::GraceHash, 1e4, 2e4, 300.0);
+        let raw = m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
+        m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
         assert_eq!(cached, raw);
         assert_eq!(m.evals(), 2, "disabled cache evaluates every call");
         assert_eq!(m.eval_cache_hits(), 0);
@@ -1392,9 +1077,8 @@ mod tests {
     fn disabling_the_cache_resets_the_hit_counter() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let (l, r) = (TableSet::singleton(0), TableSet::singleton(1));
-        m.join_cost_for(l, r, JoinMethod::GraceHash, 1e4, 2e4, 300.0);
-        m.join_cost_for(l, r, JoinMethod::GraceHash, 1e4, 2e4, 300.0);
+        m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
+        m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
         assert_eq!(m.eval_cache_hits(), 1);
         assert!(m.eval_cache_len() > 0);
         m.set_eval_cache(false);
@@ -1410,31 +1094,29 @@ mod tests {
     fn expected_cost_cache_counts_paper_eval_units() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let (l, r) = (TableSet::singleton(0), TableSet::singleton(1));
         let a = Distribution::bimodal(100.0, 200.0, 0.5).unwrap();
         let b = Distribution::bimodal(50.0, 80.0, 0.5).unwrap();
         let mem = Distribution::bimodal(10.0, 1000.0, 0.5).unwrap();
         let mt = lec_prob::PrefixTables::new(&mem);
         let mem_fp = dist_fingerprint(&mem);
         m.reset_evals();
-        let ec = m.expected_join_cost_for(l, r, JoinMethod::SortMerge, &a, &b, &mem, mem_fp, &mt);
+        let ec = m.expected_join_cost_for(JoinMethod::SortMerge, &a, &b, &mem, mem_fp, &mt);
         assert_eq!(m.evals(), 4, "streaming SM is linear in bucket counts");
         let replay = crate::expected::expected_join_cost(JoinMethod::SortMerge, &a, &b, &mem, &mt);
         assert_eq!(ec, replay);
-        m.expected_join_cost_for(l, r, JoinMethod::SortMerge, &a, &b, &mem, mem_fp, &mt);
+        m.expected_join_cost_for(JoinMethod::SortMerge, &a, &b, &mem, mem_fp, &mt);
         assert_eq!(m.evals(), 4, "second call is a cache hit");
         m.reset_evals();
-        m.expected_join_cost_for(l, r, JoinMethod::BlockNestedLoop, &a, &b, &mem, mem_fp, &mt);
+        m.expected_join_cost_for(JoinMethod::BlockNestedLoop, &a, &b, &mem, mem_fp, &mt);
         assert_eq!(m.evals(), 8, "BNL falls back to the b_A*b_B*b_M triple sum");
         m.reset_evals();
-        m.expected_sort_cost_for(l, &a, mem_fp, &mt);
+        m.expected_sort_cost_for(&a, mem_fp, &mt);
         assert_eq!(m.evals(), 2);
     }
 
     #[test]
     fn parallel_bucket_expectation_is_bit_identical_to_serial() {
         let (cat, q) = fixture();
-        let (l, r) = (TableSet::singleton(0), TableSet::singleton(1));
         let memory = Distribution::from_pairs(
             (0..37).map(|i| (50.0 + 13.0 * i as f64, 1.0 + (i % 5) as f64)),
         )
@@ -1448,14 +1130,13 @@ mod tests {
             let serial_model = CostModel::new(&cat, &q);
             let par_model = CostModel::new(&cat, &q);
             for method in JoinMethod::ALL {
-                let s = serial_model
-                    .expected_join_cost_over(l, r, method, 123.0, 456.0, &memory, mem_fp);
+                let s = serial_model.expected_join_cost_over(method, 123.0, 456.0, &memory, mem_fp);
                 let p = par_model
-                    .expected_join_cost_over_with(l, r, method, 123.0, 456.0, &memory, mem_fp, par);
+                    .expected_join_cost_over_with(method, 123.0, 456.0, &memory, mem_fp, par);
                 assert_eq!(s.to_bits(), p.to_bits(), "{method:?} at {threads} threads");
             }
-            let s = serial_model.expected_sort_cost_over(l, 900.0, &memory, mem_fp);
-            let p = par_model.expected_sort_cost_over_with(l, 900.0, &memory, mem_fp, par);
+            let s = serial_model.expected_sort_cost_over(900.0, &memory, mem_fp);
+            let p = par_model.expected_sort_cost_over_with(900.0, &memory, mem_fp, par);
             assert_eq!(s.to_bits(), p.to_bits(), "sort at {threads} threads");
             assert_eq!(serial_model.evals(), par_model.evals());
             assert_eq!(serial_model.eval_cache_hits(), par_model.eval_cache_hits());
@@ -1466,14 +1147,13 @@ mod tests {
     fn concurrent_lookups_evaluate_each_key_exactly_once() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let (l, r) = (TableSet::singleton(0), TableSet::singleton(1));
         let n_keys = 100u64;
         let n_threads = 8;
         std::thread::scope(|s| {
             for _ in 0..n_threads {
                 s.spawn(|| {
                     for i in 0..n_keys {
-                        m.join_cost_for(l, r, JoinMethod::SortMerge, 100.0 + i as f64, 200.0, 50.0);
+                        m.join_cost_for(JoinMethod::SortMerge, 100.0 + i as f64, 200.0, 50.0);
                     }
                 });
             }

@@ -1,14 +1,26 @@
 //! Physical evaluation plans.
 //!
-//! Plans are binary operator trees.  The optimizer only *constructs*
-//! left-deep trees (the System R heuristic of §2.2: "a three-relation join
-//! evaluation plan involves the combination of a two-relation join result
-//! and a stored relation"), but the representation is a general tree so the
+//! Plans are binary operator trees whose nodes are *shared*: a node holds
+//! its children behind [`Arc`], so a plan is a dag in memory and a tree in
+//! meaning.  The optimizer's left-deep construction is System R's (§2.2: "a
+//! three-relation join evaluation plan involves the combination of a
+//! two-relation join result and a stored relation") — a DP table entry
+//! *points at* the subplan it extends.  With `Arc` children that is literal:
+//! building a join candidate from two table entries clones two pointers, not
+//! two subtrees, and the whole DP table holds one node per retained
+//! candidate instead of one subtree copy per level above it.  The shape is
+//! still a general binary tree (bushy plans, sorts anywhere), so the
 //! executor and cost model need no special cases.
+//!
+//! Sharing is invisible to readers: children deref to `&PlanNode`, equality
+//! is by value (a relabeled copy of a plan compares equal to a freshly
+//! built one), and nodes are immutable once built.  Depth is bounded by
+//! [`TableSet::MAX_TABLES`], so the recursive `Drop`/`PartialEq` are safe.
 
 use crate::query::ColumnRef;
 use crate::tableset::TableSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// The binary join algorithms of the cost model.
 ///
@@ -70,7 +82,7 @@ pub enum PlanNode {
     /// Explicit sort enforcer.
     Sort {
         /// Input plan.
-        input: Box<PlanNode>,
+        input: Arc<PlanNode>,
         /// Sort key (canonical form is up to the caller).
         key: ColumnRef,
     },
@@ -79,9 +91,9 @@ pub enum PlanNode {
         /// Algorithm.
         method: JoinMethod,
         /// Outer (left) input — in left-deep plans, the composite.
-        outer: Box<PlanNode>,
+        outer: Arc<PlanNode>,
         /// Inner (right) input — in left-deep plans, a base access.
-        inner: Box<PlanNode>,
+        inner: Arc<PlanNode>,
     },
 }
 
@@ -90,15 +102,15 @@ impl PlanNode {
     pub fn join(method: JoinMethod, outer: PlanNode, inner: PlanNode) -> PlanNode {
         PlanNode::Join {
             method,
-            outer: Box::new(outer),
-            inner: Box::new(inner),
+            outer: Arc::new(outer),
+            inner: Arc::new(inner),
         }
     }
 
     /// Convenience constructor for a sort.
     pub fn sort(input: PlanNode, key: ColumnRef) -> PlanNode {
         PlanNode::Sort {
-            input: Box::new(input),
+            input: Arc::new(input),
             key,
         }
     }
@@ -198,7 +210,7 @@ impl PlanNode {
             PlanNode::SeqScan { table } => PlanNode::SeqScan { table: map[*table] },
             PlanNode::IndexScan { table } => PlanNode::IndexScan { table: map[*table] },
             PlanNode::Sort { input, key } => PlanNode::Sort {
-                input: Box::new(input.relabel_tables(map)),
+                input: Arc::new(input.relabel_tables(map)),
                 key: ColumnRef::new(map[key.table], key.column),
             },
             PlanNode::Join {
@@ -207,8 +219,8 @@ impl PlanNode {
                 inner,
             } => PlanNode::Join {
                 method: *method,
-                outer: Box::new(outer.relabel_tables(map)),
-                inner: Box::new(inner.relabel_tables(map)),
+                outer: Arc::new(outer.relabel_tables(map)),
+                inner: Arc::new(inner.relabel_tables(map)),
             },
         }
     }
@@ -356,5 +368,84 @@ mod tests {
         let mut count = 0;
         left_deep_3().visit(&mut |_| count += 1);
         assert_eq!(count, 5);
+    }
+
+    /// A left-deep plan over tables `0..=depth`, built the way the DP
+    /// builds one: each level's node points at the level below.  Returns
+    /// every level's node ("the DP table") and the root.
+    fn left_deep(depth: usize) -> (Vec<Arc<PlanNode>>, PlanNode) {
+        let mut levels = vec![Arc::new(PlanNode::SeqScan { table: 0 })];
+        for t in 1..depth {
+            let below = Arc::clone(levels.last().unwrap());
+            levels.push(Arc::new(PlanNode::Join {
+                method: JoinMethod::ALL[t % 4],
+                outer: below,
+                inner: Arc::new(PlanNode::SeqScan { table: t }),
+            }));
+        }
+        let root = PlanNode::Join {
+            method: JoinMethod::GraceHash,
+            outer: Arc::clone(levels.last().unwrap()),
+            inner: Arc::new(PlanNode::IndexScan { table: depth }),
+        };
+        (levels, root)
+    }
+
+    fn children(p: &PlanNode) -> (&Arc<PlanNode>, &Arc<PlanNode>) {
+        match p {
+            PlanNode::Join { outer, inner, .. } => (outer, inner),
+            _ => panic!("not a join"),
+        }
+    }
+
+    #[test]
+    fn clone_of_a_deep_plan_is_shallow() {
+        let (_levels, root) = left_deep(14);
+        assert_eq!(root.n_joins(), 14);
+        let copy = root.clone();
+        assert_eq!(copy, root);
+        let ((o1, i1), (o2, i2)) = (children(&root), children(&copy));
+        assert!(Arc::ptr_eq(o1, o2) && Arc::ptr_eq(i1, i2));
+    }
+
+    #[test]
+    fn separately_built_equal_trees_compare_equal_by_value() {
+        let ((_, a), (_, b)) = (left_deep(14), left_deep(14));
+        assert!(!Arc::ptr_eq(children(&a).0, children(&b).0));
+        assert_eq!(a, b);
+        let (_, shorter) = left_deep(13);
+        assert_ne!(a, shorter);
+    }
+
+    #[test]
+    fn relabeling_shares_no_node_with_its_source() {
+        let (_levels, root) = left_deep(14);
+        let before = root.compact();
+        let map: Vec<usize> = (0..15).rev().collect();
+        let relabeled = root.relabel_tables(&map);
+        assert_eq!(root.compact(), before, "the source is untouched");
+        assert_eq!(relabeled.join_order(), map);
+        let mut source_nodes = Vec::new();
+        root.visit(&mut |n| source_nodes.push(n as *const PlanNode));
+        relabeled.visit(&mut |n| assert!(!source_nodes.contains(&(n as *const PlanNode))));
+        // A cache-served plan is such a copy: equal by value to a fresh one.
+        let identity: Vec<usize> = (0..15).collect();
+        assert_eq!(root.relabel_tables(&identity), root);
+    }
+
+    #[test]
+    fn a_returned_plan_outlives_the_table_it_was_built_from() {
+        let (levels, root) = left_deep(14);
+        let expected = left_deep(14).1;
+        let below_root = Arc::clone(&levels[13]);
+        assert!(Arc::strong_count(&below_root) >= 3); // table, root, this handle
+        drop(levels);
+        assert_eq!(
+            Arc::strong_count(&below_root),
+            2,
+            "only the root and this handle remain"
+        );
+        assert_eq!(root, expected);
+        assert_eq!(root.join_order(), (0..15).collect::<Vec<_>>());
     }
 }

@@ -2,8 +2,8 @@
 //! client threads share through `&self`.
 //!
 //! The per-query engine underneath has been `Sync` since PR 2 (sharded
-//! eval cache), PR 3 (persistent worker pool) and PR 4 (sharded subplan
-//! memo); this module makes the *serving* layer match.  Three layers:
+//! eval cache) and PR 3 (persistent worker pool); this module makes the
+//! *serving* layer match.  Three layers:
 //!
 //! 1. **Sharded plan cache** ([`crate::cache::ShapeCache`]): the
 //!    exact/weak maps are lock-striped, so the hit path — the 97%+ common
@@ -17,9 +17,8 @@
 //!    ([`CacheDecision::Coalesced`]).  A thundering herd on a cold hot
 //!    key runs one search, not N.
 //! 3. **Shared worker-pool discipline**: every search borrows threads
-//!    from one [`lec_core::search::PersistentPool`] and probes one shared
-//!    [`SubplanMemo`] — both already safe under concurrent use (the pool
-//!    serializes fan-outs internally; the memo is sharded).  A leader
+//!    from one [`lec_core::search::PersistentPool`], already safe under
+//!    concurrent use (it serializes fan-outs internally).  A leader
 //!    whose search dies — an engine-reported
 //!    [`OptError::WorkerPanicked`], or a panic unwinding out of the
 //!    optimizer — fails **exactly its own followers** (each receives the
@@ -59,7 +58,7 @@ use crate::cache::{CacheDecision, CacheStats, CanonicalAnswer, ExactLookup, Shap
 use crate::server::{ServeResponse, DEFAULT_CACHE_CAPACITY};
 use lec_canon::canonical_form;
 use lec_catalog::Catalog;
-use lec_core::search::{PersistentPool, SubplanMemo, WorkerPool};
+use lec_core::search::{PersistentPool, WorkerPool};
 use lec_core::{Mode, OptError, Optimizer};
 use lec_cost::dist_fingerprint;
 use lec_plan::Query;
@@ -187,7 +186,7 @@ impl Drop for ColdPermit<'_> {
 /// `&self`, so any number of threads share one instance (typically
 /// `Arc<ConcurrentPlanServer>`, or plain borrows under
 /// [`std::thread::scope`]).  See the [module docs](self) for the three
-/// layers — sharded cache, singleflight coalescing, shared pool/memo —
+/// layers — sharded cache, singleflight coalescing, shared pool —
 /// and the byte-identity contract.
 ///
 /// [`serve`]: ConcurrentPlanServer::serve
@@ -195,7 +194,6 @@ impl Drop for ColdPermit<'_> {
 pub struct ConcurrentPlanServer<'a> {
     optimizer: Optimizer<'a>,
     cache: ShapeCache,
-    memo: Option<Arc<SubplanMemo>>,
     memory_fp: u64,
     search_fp: u64,
     /// Lifetime total of subsets discarded by branch-and-bound pruning
@@ -224,30 +222,24 @@ const _: fn() = || {
 
 impl<'a> ConcurrentPlanServer<'a> {
     /// A server over `catalog` believing `memory`, with the default cache
-    /// capacity, a persistent worker pool sized to the host, and a shared
-    /// cross-search subplan memo — the same defaults as
-    /// [`crate::PlanServer::new`].
+    /// capacity and a persistent worker pool sized to the host — the same
+    /// defaults as [`crate::PlanServer::new`].
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
         let pool: Arc<dyn WorkerPool> = Arc::new(PersistentPool::for_host());
-        let memo = Arc::new(SubplanMemo::default());
         Self::with_optimizer(
-            Optimizer::new(catalog, memory)
-                .with_worker_pool(pool)
-                .with_subplan_memo(memo),
+            Optimizer::new(catalog, memory).with_worker_pool(pool),
             DEFAULT_CACHE_CAPACITY,
         )
     }
 
     /// A server around an explicitly configured optimizer (search config,
-    /// worker pool, subplan memo) and cache capacity.
+    /// worker pool) and cache capacity.
     pub fn with_optimizer(optimizer: Optimizer<'a>, cache_capacity: usize) -> Self {
         let memory_fp = dist_fingerprint(optimizer.memory());
         let search_fp = optimizer.search_config().fingerprint();
-        let memo = optimizer.search_config().memo.clone();
         ConcurrentPlanServer {
             optimizer,
             cache: ShapeCache::new(cache_capacity),
-            memo,
             memory_fp,
             search_fp,
             pruned_subsets: AtomicU64::new(0),
@@ -305,12 +297,6 @@ impl<'a> ConcurrentPlanServer<'a> {
     /// Per-entry exact-hit counters, descending.
     pub fn hit_histogram(&self) -> Vec<u64> {
         self.cache.hit_histogram()
-    }
-
-    /// The cross-search subplan memo backing this server's searches, if
-    /// one is installed.
-    pub fn subplan_memo(&self) -> Option<&Arc<SubplanMemo>> {
-        self.memo.as_ref()
     }
 
     /// Answer one optimization request; safe to call from any number of
@@ -461,7 +447,7 @@ impl<'a> ConcurrentPlanServer<'a> {
             let search_start = trace.now_ns();
             let out = match self.optimizer.optimize(query, mode) {
                 Ok(out) => {
-                    trace.span(Stage::Search, search_start, search_detail(&out.stats));
+                    trace.span(Stage::Search, search_start, out.stats.pruned_subsets);
                     out
                 }
                 Err(e) => {
@@ -551,7 +537,7 @@ impl<'a> ConcurrentPlanServer<'a> {
                 let search_start = trace.now_ns();
                 match self.optimizer.optimize(query, mode) {
                     Ok(out) => {
-                        trace.span(Stage::Search, search_start, search_detail(&out.stats));
+                        trace.span(Stage::Search, search_start, out.stats.pruned_subsets);
                         self.count_search(&out.stats);
                         let canon_plan = out.plan.relabel_tables(&form.perm);
                         let decision = guard.complete_ok(
@@ -584,8 +570,7 @@ impl<'a> ConcurrentPlanServer<'a> {
 
     /// Machine-readable service metrics: cache counters (coalescing and
     /// per-reason canonicalizer refusals included), occupancy, the
-    /// exact-hit skew histogram, the subplan memo's counters (`null` when
-    /// no memo is installed), lifetime branch-and-bound pruning totals
+    /// exact-hit skew histogram, lifetime branch-and-bound pruning totals
     /// across every fresh search, and — when telemetry is installed — the
     /// full observability snapshot (latency histograms with
     /// p50/p90/p99/p999, engine timing, trace ring, slow log).  Keys are
@@ -596,10 +581,6 @@ impl<'a> ConcurrentPlanServer<'a> {
             "cache_entries": self.cache.len(),
             "cache_capacity": self.cache.capacity(),
             "hit_histogram": self.hit_histogram(),
-            "memo": match &self.memo {
-                Some(m) => m.stats_json(),
-                None => serde_json::Value::Null,
-            },
             "pruning": {
                 "pruned_subsets": self.pruned_subsets.load(Ordering::Relaxed),
                 "bound_evals": self.bound_evals.load(Ordering::Relaxed),
@@ -613,15 +594,6 @@ impl<'a> ConcurrentPlanServer<'a> {
         })
         .sorted()
     }
-}
-
-/// Pack a fresh search's memo/pruning activity into one trace-span detail
-/// word: memo hits in the high 32 bits, pruned subsets in the low 32
-/// (each saturated).
-fn search_detail(stats: &lec_core::SearchStats) -> u64 {
-    let hits = stats.memo_hits.min(u32::MAX as u64);
-    let pruned = stats.pruned_subsets.min(u32::MAX as u64);
-    (hits << 32) | pruned
 }
 
 /// Append the environment fingerprints (memory distribution, mode, search

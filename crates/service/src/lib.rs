@@ -91,9 +91,8 @@ pub mod cache;
 pub mod concurrent;
 pub mod server;
 
-/// Canonicalization now lives in the shared [`lec_canon`] crate (both this
-/// crate's whole-request cache keys and `lec-core`'s per-node subplan memo
-/// consume it); re-exported here under its historical module path.
+/// Canonicalization lives in the [`lec_canon`] crate; re-exported here
+/// under its historical module path.
 pub use lec_canon as canon;
 
 pub use cache::{CacheDecision, CacheStats, ShapeCache, CACHE_SHARDS};

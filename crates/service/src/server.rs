@@ -10,11 +10,9 @@
 use crate::cache::{CacheDecision, CacheStats};
 use crate::concurrent::ConcurrentPlanServer;
 use lec_catalog::Catalog;
-use lec_core::search::SubplanMemo;
 use lec_core::{Mode, OptError, Optimizer, SearchStats};
 use lec_plan::{PlanNode, Query};
 use lec_prob::Distribution;
-use std::sync::Arc;
 
 /// Default number of cached plans.
 pub const DEFAULT_CACHE_CAPACITY: usize = 512;
@@ -86,11 +84,7 @@ pub struct PlanServer<'a> {
 
 impl<'a> PlanServer<'a> {
     /// A server over `catalog` believing `memory`, with the default cache
-    /// capacity, a persistent pool sized to the host, and a shared
-    /// cross-search subplan memo: even requests the whole-request cache
-    /// cannot answer (cold different-shaped queries, weak-hit
-    /// revalidations) reuse the DP nodes their subquery shapes share with
-    /// everything served before.
+    /// capacity and a persistent pool sized to the host.
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
         PlanServer {
             inner: ConcurrentPlanServer::new(catalog, memory),
@@ -98,7 +92,7 @@ impl<'a> PlanServer<'a> {
     }
 
     /// A server around an explicitly configured optimizer (search config,
-    /// worker pool, subplan memo) and cache capacity.
+    /// worker pool) and cache capacity.
     pub fn with_optimizer(optimizer: Optimizer<'a>, cache_capacity: usize) -> Self {
         PlanServer {
             inner: ConcurrentPlanServer::with_optimizer(optimizer, cache_capacity),
@@ -106,8 +100,8 @@ impl<'a> PlanServer<'a> {
     }
 
     /// The thread-shared server underneath, for callers graduating from
-    /// one client to many: every cache entry, memo record and counter is
-    /// shared between the two views.
+    /// one client to many: every cache entry and counter is shared
+    /// between the two views.
     pub fn concurrent(&self) -> &ConcurrentPlanServer<'a> {
         &self.inner
     }
@@ -145,15 +139,8 @@ impl<'a> PlanServer<'a> {
         requests.iter().map(|(q, m)| self.serve(q, m)).collect()
     }
 
-    /// The cross-search subplan memo backing this server's searches, if
-    /// one is installed.
-    pub fn subplan_memo(&self) -> Option<&Arc<SubplanMemo>> {
-        self.inner.subplan_memo()
-    }
-
     /// Machine-readable service metrics: cache counters, occupancy, the
-    /// exact-hit skew histogram, and the subplan memo's counters (`null`
-    /// when no memo is installed).
+    /// exact-hit skew histogram, and the pruning totals.
     pub fn metrics_json(&self) -> serde_json::Value {
         self.inner.metrics_json()
     }

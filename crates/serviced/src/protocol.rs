@@ -38,6 +38,7 @@ use lec_core::{AlgDConfig, Mode, OptError, PointEstimate, SearchStats};
 use lec_plan::{ColumnRef, JoinMethod, JoinPredicate, LocalPredicate, PlanNode, Query, QueryTable};
 use lec_prob::{Distribution, MarkovChain, Rebucket};
 use lec_service::{CacheDecision, ServeError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Hard cap on one frame's payload (opcode + body).  Far above any real
@@ -637,7 +638,7 @@ fn decode_plan_depth(r: &mut Reader, depth: usize) -> Result<PlanNode, DecodeErr
             let key = decode_column_ref(r)?;
             let input = decode_plan_depth(r, depth + 1)?;
             PlanNode::Sort {
-                input: Box::new(input),
+                input: Arc::new(input),
                 key,
             }
         }
@@ -653,8 +654,8 @@ fn decode_plan_depth(r: &mut Reader, depth: usize) -> Result<PlanNode, DecodeErr
             let inner = decode_plan_depth(r, depth + 1)?;
             PlanNode::Join {
                 method,
-                outer: Box::new(outer),
-                inner: Box::new(inner),
+                outer: Arc::new(outer),
+                inner: Arc::new(inner),
             }
         }
         _ => return Err(DecodeError::BadTag("plan node")),

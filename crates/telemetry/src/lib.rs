@@ -5,7 +5,7 @@
 //! * [`Histogram`] — lock-free log-scale latency histograms with atomic
 //!   buckets and deterministic merge ([`hist`]). Request outcomes
 //!   (served/coalesced/fresh/shed/error) and engine internals (per-level
-//!   combine, memo probes, bound evals, cost-model evals) each get one.
+//!   combine, bound evals, cost-model evals) each get one.
 //! * [`TraceCtx`] / [`TraceRing`] — per-request typed span events collected
 //!   on the stack (zero allocation) and published into a bounded lock-free
 //!   ring with drop-oldest semantics ([`trace`]), plus a slowest-N log with
@@ -289,8 +289,6 @@ pub const MAX_LEVEL_PRUNES: usize = 64;
 pub struct EngineTelemetry {
     /// Wall time of each DP level (combine pass over all subsets of size k).
     pub level_combine_ns: Histogram,
-    /// Memoization-table probe time per lookup.
-    pub memo_probe_ns: Histogram,
     /// Admissible-bound evaluation time per pruning check.
     pub bound_eval_ns: Histogram,
     /// Cost-model expectation-evaluation compute time (cache misses only).
@@ -336,7 +334,6 @@ impl EngineTelemetry {
             "eval_compute": self.eval_compute_ns.snapshot().to_json(),
             "level_combine": self.level_combine_ns.snapshot().to_json(),
             "level_prunes": levels,
-            "memo_probe": self.memo_probe_ns.snapshot().to_json(),
         })
         .sorted()
     }
@@ -530,7 +527,6 @@ impl Telemetry {
             ("bound_eval", &self.engine.bound_eval_ns),
             ("eval_compute", &self.engine.eval_compute_ns),
             ("level_combine", &self.engine.level_combine_ns),
-            ("memo_probe", &self.engine.memo_probe_ns),
         ] {
             let s = h.snapshot();
             let labels = [("stage", stage)];

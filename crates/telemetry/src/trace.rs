@@ -30,8 +30,7 @@ pub enum Stage {
     CacheProbe = 2,
     /// Blocking on another request's in-flight computation.
     CoalesceWait = 3,
-    /// The DP search itself; `detail` packs memo hits (high 32 bits) and
-    /// pruned subsets (low 32 bits).
+    /// The DP search itself; `detail` is the number of pruned subsets.
     Search = 4,
     /// Response encode + flush (daemon only).
     Flush = 5,

@@ -5,6 +5,8 @@
 //! `experiments` binary can persist under `results/`.  Criterion
 //! micro-benchmarks live in `benches/`.
 
+#![forbid(unsafe_code)]
+
 pub mod exp_ext;
 pub mod exp_model;
 pub mod exp_plans;

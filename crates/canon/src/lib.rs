@@ -23,6 +23,8 @@
 //! [`MAX_CANDIDATE_PERMS`]) are likewise declared uncacheable rather than
 //! slow.
 
+#![forbid(unsafe_code)]
+
 mod query;
 
 pub use query::{

@@ -41,9 +41,9 @@ use lec_catalog::{Catalog, IndexKind};
 use lec_cost::Fingerprint;
 use lec_plan::Query;
 
-/// Largest query the canonicalizer will touch.  Beyond this the subset
-/// DP itself is the dominant cost and caching whole requests stops being
-/// the interesting lever (the engine's own level fan-out takes over).
+/// Largest query the canonicalizer will touch.  Beyond this every
+/// request is searched afresh (branch-and-bound pruning is what keeps
+/// those searches affordable).
 pub const MAX_CANON_TABLES: usize = 12;
 
 /// Cap on candidate permutations examined after colour refinement (7! —

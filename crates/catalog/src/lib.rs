@@ -7,6 +7,8 @@
 //! tables with page/row counts, column statistics, index metadata, and a
 //! generator for synthetic catalogs used by the workload experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod stats;
 pub mod synthetic;

@@ -43,9 +43,8 @@ pub fn optimize_alg_a(
     optimize_alg_a_with(model, memory, &SearchConfig::default())
 }
 
-/// [`optimize_alg_a`] under an explicit [`SearchConfig`]: each black-box
-/// per-representative LSC run fans its DP levels out across
-/// `config.threads`.
+/// [`optimize_alg_a`] under an explicit [`SearchConfig`], applied to
+/// each black-box per-representative LSC run.
 pub fn optimize_alg_a_with(
     model: &CostModel<'_>,
     memory: &Distribution,

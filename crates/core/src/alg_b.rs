@@ -25,9 +25,8 @@ pub fn optimize_alg_b(
     optimize_alg_b_with(model, memory, c, &SearchConfig::default())
 }
 
-/// [`optimize_alg_b`] under an explicit [`SearchConfig`]: each
-/// per-representative top-`c` search fans its DP levels out across
-/// `config.threads`.
+/// [`optimize_alg_b`] under an explicit [`SearchConfig`], applied to
+/// each per-representative top-`c` search.
 pub fn optimize_alg_b_with(
     model: &CostModel<'_>,
     memory: &Distribution,

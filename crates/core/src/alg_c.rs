@@ -34,19 +34,13 @@ pub fn optimize_lec_static(
     optimize_lec_static_with(model, memory, &SearchConfig::default())
 }
 
-/// [`optimize_lec_static`] under an explicit [`SearchConfig`]: the DP
-/// levels fan out across `config.threads` when the query is wide enough;
-/// otherwise each candidate's `b`-bucket expectation may fan out instead
-/// once `b` crosses the bucket threshold (the axes are exclusive — see
-/// [`SearchConfig::bucket_parallelism_for`]).
+/// [`optimize_lec_static`] under an explicit [`SearchConfig`].
 pub fn optimize_lec_static_with(
     model: &CostModel<'_>,
     memory: &Distribution,
     config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
-    let coster = StaticExpectationCoster::new(memory)
-        .with_parallelism(config.bucket_parallelism_for(model.query()));
-    let mut policy = KeepBestPolicy::new(coster);
+    let mut policy = KeepBestPolicy::new(StaticExpectationCoster::new(memory));
     let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
     let (best, stats) = run.into_best();
     Ok(SearchOutcome::new(
@@ -80,8 +74,7 @@ pub fn optimize_lec_dynamic_with(
 ) -> Result<SearchOutcome, OptError> {
     let n = model.query().n_tables();
     // n-1 join phases plus a possible root sort phase.
-    let coster = DynamicExpectationCoster::new(initial, chain, n.max(1))?
-        .with_parallelism(config.bucket_parallelism_for(model.query()));
+    let coster = DynamicExpectationCoster::new(initial, chain, n.max(1))?;
     let mut policy = KeepBestPolicy::new(coster);
     let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
     let (best, stats) = run.into_best();

@@ -25,10 +25,7 @@ pub fn optimize_alg_d(
     optimize_alg_d_with(model, memory, config, &SearchConfig::default())
 }
 
-/// [`optimize_alg_d`] under an explicit [`SearchConfig`]: DP levels fan
-/// out across `search.threads`, and block nested-loop's `b_A·b_B·b_M`
-/// per-candidate triple sum fans out once it crosses the bucket
-/// threshold.
+/// [`optimize_alg_d`] under an explicit [`SearchConfig`].
 pub fn optimize_alg_d_with(
     model: &CostModel<'_>,
     memory: &Distribution,
@@ -40,8 +37,7 @@ pub fn optimize_alg_d_with(
             "Algorithm D requires max_buckets >= 1",
         ));
     }
-    let mut policy = MultiParamPolicy::new(memory, config.clone())
-        .with_parallelism(search.bucket_parallelism_for(model.query()));
+    let mut policy = MultiParamPolicy::new(memory, config.clone());
     let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, search)?;
     let (best, stats) = run.into_best();
     Ok(SearchOutcome {

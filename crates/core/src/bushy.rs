@@ -34,17 +34,13 @@ pub fn optimize_lec_bushy(
     optimize_lec_bushy_with(model, memory, &SearchConfig::default())
 }
 
-/// [`optimize_lec_bushy`] under an explicit [`SearchConfig`].  Bushy
-/// levels fan out particularly well: every connected 2-partition of every
-/// same-size subset is independent work.
+/// [`optimize_lec_bushy`] under an explicit [`SearchConfig`].
 pub fn optimize_lec_bushy_with(
     model: &CostModel<'_>,
     memory: &Distribution,
     config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
-    let coster = StaticExpectationCoster::new(memory)
-        .with_parallelism(config.bucket_parallelism_for(model.query()));
-    let mut policy = KeepBestPolicy::new(coster);
+    let mut policy = KeepBestPolicy::new(StaticExpectationCoster::new(memory));
     let run = run_search_with(model, PlanShape::Bushy, &mut policy, config)?;
     let (best, stats) = run.into_best();
     Ok(SearchOutcome::new(

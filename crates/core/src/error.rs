@@ -17,9 +17,12 @@ pub enum OptError {
     NoPlanFound,
     /// A parameter was out of range (e.g. Algorithm B with c = 0).
     BadParameter(&'static str),
-    /// A thread of the parallel search engine panicked while combining
-    /// candidates (e.g. a coster bug); the search was aborted cleanly
-    /// instead of deadlocking the level barrier or unwinding the caller.
+    /// The search serving a request panicked (e.g. a coster bug).  The
+    /// engine itself never returns this — a panic inside a search unwinds
+    /// to its caller; the serving layer produces it, for the followers
+    /// coalesced onto a leader whose search panicked (`lec-service`) and
+    /// for a connection whose request handler panicked (`lec-serviced`,
+    /// wire code 3).
     WorkerPanicked,
 }
 
@@ -31,7 +34,7 @@ impl fmt::Display for OptError {
             OptError::Prob(e) => write!(f, "probability error: {e}"),
             OptError::NoPlanFound => write!(f, "no plan found"),
             OptError::BadParameter(msg) => write!(f, "bad parameter: {msg}"),
-            OptError::WorkerPanicked => write!(f, "a parallel search worker panicked"),
+            OptError::WorkerPanicked => write!(f, "the search serving this request panicked"),
         }
     }
 }

@@ -62,10 +62,7 @@ pub fn exhaustive_best_shaped(
     exhaustive_best_shaped_with(model, objective, shape, &SearchConfig::default())
 }
 
-/// [`exhaustive_best_shaped`] under an explicit [`SearchConfig`].  The
-/// keep-all policy parallelizes like any other: every subset's complete
-/// candidate list is built by exactly one worker, so the materialized
-/// plan space — and its order — is identical to a serial run.
+/// [`exhaustive_best_shaped`] under an explicit [`SearchConfig`].
 pub fn exhaustive_best_shaped_with(
     model: &CostModel<'_>,
     objective: &Objective<'_>,
@@ -85,18 +82,13 @@ pub fn exhaustive_best_shaped_with(
             ));
         }
     }
-    let par = config.bucket_parallelism_for(model.query());
     match objective {
         Objective::Point(m) => run_keep_all(model, shape, PointCoster { memory: *m }, config),
-        Objective::Expected(dist) => run_keep_all(
-            model,
-            shape,
-            StaticExpectationCoster::new(dist).with_parallelism(par),
-            config,
-        ),
+        Objective::Expected(dist) => {
+            run_keep_all(model, shape, StaticExpectationCoster::new(dist), config)
+        }
         Objective::Dynamic { initial, chain } => {
-            let coster =
-                DynamicExpectationCoster::new(initial, chain, n.max(1))?.with_parallelism(par);
+            let coster = DynamicExpectationCoster::new(initial, chain, n.max(1))?;
             run_keep_all(model, shape, coster, config)
         }
     }
@@ -120,7 +112,7 @@ pub fn exhaustive_best_with(
     exhaustive_best_shaped_with(model, objective, PlanShape::LeftDeep, config)
 }
 
-fn run_keep_all<C: PhaseCoster + Clone + Send>(
+fn run_keep_all<C: PhaseCoster>(
     model: &CostModel<'_>,
     shape: PlanShape,
     coster: C,

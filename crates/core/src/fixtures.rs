@@ -150,11 +150,11 @@ pub fn scaling_chain(n: usize) -> (Catalog, Query) {
 }
 
 /// A fixed `n`-table star: hub table 0 joined to each spoke, round-number
-/// sizes, required output order on the last spoke.  The scaling fixture
-/// for *parallel* optimization-effort experiments: unlike the chain —
-/// whose connected subsets are contiguous runs, a handful per DP level —
-/// every subset containing the hub is connected, so mid levels carry
-/// `C(n-1, k-1)` working nodes and give the level fan-out real width.
+/// sizes, required output order on the last spoke.  The *wide* scaling
+/// fixture for optimization-effort experiments: unlike the chain — whose
+/// connected subsets are contiguous runs, a handful per DP level — every
+/// subset containing the hub is connected, so mid levels carry
+/// `C(n-1, k-1)` working nodes.
 pub fn scaling_star(n: usize) -> (Catalog, Query) {
     assert!(n >= 2, "a star needs a hub and at least one spoke");
     let mut catalog = Catalog::new();

@@ -51,35 +51,10 @@
 //!
 //! ## Threading model
 //!
-//! The engine runs serial or parallel under one [`SearchConfig`]
-//! (`threads` defaults to the machine's available parallelism; `1` forces
-//! the serial driver).  Parallelism is **level-barrier fan-out**: the
-//! subsets at one dag depth are independent, so a pool of scoped worker
-//! threads — spawned once per search — steals them off a shared cursor,
-//! combines each wholly on one thread in serial order, and merges results
-//! deterministically at the depth barrier.  `lec-cost`'s evaluation cache
-//! is sharded across per-tier mutexes held for the duration of a miss, so
-//! every distinct evaluation runs exactly once regardless of schedule.
-//! Together this makes parallel outcomes *byte-identical* to serial ones
-//! — plans, cost bits, `evals`, `cache_hits` — property-tested for every
-//! policy in `tests/parallel_parity.rs`.  The fan-out gate is
-//! *work-aware*: it counts connected subsets per level (an 8-table chain
-//! has 70 subsets but only 5 working ones at its widest level), so
-//! sparse topologies stay serial instead of paying pool overhead.  For
-//! searches the level fan-out cannot help (narrow but deep), the
-//! expectation costers instead fan one candidate's bucket evaluations
-//! out ([`lec_cost::BucketParallelism`]) once it needs enough formula
-//! work — Algorithm D's block nested-loop triple product being the
-//! realistic beneficiary; the two axes are deliberately exclusive so
-//! worker counts never multiply.  Every mode wrapper has a `*_with(..,
-//! &SearchConfig)` variant; a worker panic surfaces as
-//! [`OptError::WorkerPanicked`], never a deadlock.  Worker threads come
-//! from a pluggable [`search::WorkerPool`] (`SearchConfig::pool`): the
-//! default spawns a scoped pool per search, while a
-//! [`search::PersistentPool`] of long-lived parked threads (shared
-//! across searches, as `lec-service`'s `PlanServer` does) cuts dispatch
-//! from ~50µs to a few µs so even sub-100µs queries fan out — with
-//! outcomes byte-identical either way.
+//! A search runs to completion on its caller's thread — a plain function
+//! call, whatever the mode.  Parallelism is per connection: the serving
+//! layer (`lec-service`, `lec-serviced`) runs one thread per client, each
+//! doing its own searches.
 //!
 //! The quickest way in:
 //!
@@ -97,6 +72,8 @@
 //! assert!(opt.expected_cost_of(&query, &lec.plan)
 //!       < opt.expected_cost_of(&query, &lsc.plan));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod alg_a;
 pub mod alg_b;

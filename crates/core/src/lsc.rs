@@ -32,8 +32,7 @@ pub fn optimize_lsc(model: &CostModel<'_>, memory: f64) -> Result<SearchOutcome,
     optimize_lsc_with(model, memory, &SearchConfig::default())
 }
 
-/// [`optimize_lsc`] under an explicit [`SearchConfig`] (thread count and
-/// fan-out thresholds of the parallel DP driver).
+/// [`optimize_lsc`] under an explicit [`SearchConfig`].
 pub fn optimize_lsc_with(
     model: &CostModel<'_>,
     memory: f64,

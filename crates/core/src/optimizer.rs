@@ -163,9 +163,8 @@ pub struct Optimizer<'a> {
 
 impl<'a> Optimizer<'a> {
     /// Create an optimizer believing `memory` describes the run-time
-    /// environment.  Searches use the default [`SearchConfig`]: DP levels
-    /// fan out across the machine's available parallelism once a query is
-    /// large enough to benefit.
+    /// environment.  Searches use the default [`SearchConfig`] (no
+    /// pruning, no telemetry) and run on the calling thread.
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
         Optimizer {
             catalog,
@@ -174,22 +173,17 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Override the parallel-search configuration (thread count, fan-out
-    /// thresholds) for every subsequent [`Optimizer::optimize`] call.
-    /// The randomized modes (II/SA) are move-based rather than DP-based
-    /// and ignore it.
+    /// Override the search configuration (pruning, telemetry) for every
+    /// subsequent [`Optimizer::optimize`] call.  The randomized modes
+    /// (II/SA) are move-based rather than DP-based and ignore it.
     pub fn with_search_config(mut self, search: SearchConfig) -> Self {
         self.search = search;
         self
     }
 
-    /// Borrow worker threads from a shared [`crate::search::WorkerPool`]
-    /// for every subsequent search instead of spawning a scoped pool per
-    /// search; a [`crate::search::PersistentPool`] turns the ~50µs spawn
-    /// cost into a few-µs wake, which is what lets sub-100µs queries fan
-    /// out at all.  Results stay byte-identical either way.
-    pub fn with_worker_pool(mut self, pool: std::sync::Arc<dyn crate::search::WorkerPool>) -> Self {
-        self.search = self.search.with_pool(pool);
+    // Shim, returns `self`: crates/bench/src/bin/ledger/src/harness.rs is the only caller.
+    #[doc(hidden)]
+    pub fn with_worker_pool(self, _pool: std::sync::Arc<dyn crate::search::WorkerPool>) -> Self {
         self
     }
 
@@ -231,7 +225,7 @@ impl<'a> Optimizer<'a> {
         self.search.telemetry = telemetry;
     }
 
-    /// The parallel-search configuration in force.
+    /// The search configuration in force.
     pub fn search_config(&self) -> &SearchConfig {
         &self.search
     }

@@ -57,7 +57,7 @@
 //! intermediate relation is at least `table_floor(u) · table_floor(v) ·
 //! selectivity_floor(u, v)` clamped to [`MIN_PAGES`], under every memory
 //! bucket and either operand order — the clamped realized size only ever
-//! multiplies larger factors.  The `parallel_parity` suite pins this
+//! multiplies larger factors.  The `pruning_parity` suite pins this
 //! property over randomized workloads.
 //!
 //! # Connectivity
@@ -234,11 +234,9 @@ impl LowerBound for MinSupportBound {
 
 /// The shared incumbent cost: an `f64` in an atomic cell.
 ///
-/// During a DP level only readers touch the cell; the driver alone
-/// tightens it at level barriers (and once after depth 1), which is what
-/// keeps every prune decision schedule-independent — all workers read
-/// the same incumbent for the whole level, whatever order they steal
-/// subsets in.
+/// During a DP level the cell is only read; the driver tightens it
+/// between levels (and once after depth 1), so every subset of one level
+/// is checked against the same incumbent.
 #[derive(Debug)]
 pub struct IncumbentCell(AtomicU64);
 
@@ -255,7 +253,7 @@ impl IncumbentCell {
     }
 
     /// Lower the incumbent to `cost` if it improves on the current one.
-    /// Driver-only, at level barriers.
+    /// Driver-only, between levels.
     pub fn observe(&self, cost: f64) {
         if cost < self.get() {
             self.0.store(cost.to_bits(), Ordering::Release);
@@ -277,7 +275,7 @@ pub struct EdgeBound {
     /// Floor on the pages of `u ⋈ v`: `table_floor(u) · table_floor(v) ·
     /// selectivity_floor(u, v)`, clamped to [`MIN_PAGES`].  Never above
     /// the realized intermediate size under any memory bucket or operand
-    /// order (the `parallel_parity` proptests pin this).
+    /// order (the `pruning_parity` proptests pin this).
     pub size_floor: f64,
     /// Cheapest cost of a join with `u` as the inner operand: the best
     /// method on ([`MIN_PAGES`], `table_floor(u)`) at the most
@@ -343,8 +341,8 @@ pub struct PruneState {
     attach_floors: Vec<f64>,
     total_attach_floor: f64,
     /// Set once the driver's first completed-but-non-improving greedy
-    /// walk retires the per-level incumbent refresh (barrier-only state,
-    /// like the incumbent itself).
+    /// walk retires the per-level incumbent refresh (changes only
+    /// between levels, like the incumbent itself).
     refresh_retired: std::sync::atomic::AtomicBool,
     n: usize,
 }
@@ -440,7 +438,7 @@ impl PruneState {
     }
 
     /// Retire the per-level incumbent refresh for the rest of the
-    /// search.  Driver-only, at level barriers.
+    /// search.  Driver-only, between levels.
     pub fn retire_refresh(&self) {
         self.refresh_retired.store(true, Ordering::Relaxed);
     }
@@ -601,8 +599,7 @@ impl PruneState {
     /// The tiered prune check: the cheap floor always, the sharp
     /// per-edge floor only when the cheap one lands within
     /// [`SHARP_MARGIN`] of the incumbent.  The decision depends only on
-    /// (`set`, `pages`, the level's incumbent, the shape), so the
-    /// tier counters are schedule-independent.
+    /// (`set`, `pages`, the level's incumbent, the shape).
     pub fn check(&self, set: TableSet, pages: f64) -> BoundCheck {
         let incumbent = self.incumbent.get();
         let cheap = self.subset_floor(set, pages);

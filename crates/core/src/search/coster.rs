@@ -10,7 +10,7 @@
 
 use super::bound::{ExpectationBound, LowerBound, PointBound};
 use super::policy::JoinContext;
-use lec_cost::{BucketParallelism, CostModel};
+use lec_cost::CostModel;
 use lec_plan::JoinMethod;
 use lec_prob::{Distribution, MarkovChain, ProbError};
 
@@ -78,25 +78,15 @@ impl PhaseCoster for PointCoster {
 pub struct StaticExpectationCoster {
     memory: Distribution,
     mem_fp: u64,
-    par: BucketParallelism,
 }
 
 impl StaticExpectationCoster {
-    /// A coster taking expectations over `memory`, serially.
+    /// A coster taking expectations over `memory`.
     pub fn new(memory: &Distribution) -> Self {
         StaticExpectationCoster {
             mem_fp: lec_cost::dist_fingerprint(memory),
             memory: memory.clone(),
-            par: BucketParallelism::serial(),
         }
-    }
-
-    /// Fan one candidate's per-bucket evaluations out across threads once
-    /// the bucket count crosses `par.min_evals` (bit-identical results;
-    /// see [`BucketParallelism`]).
-    pub fn with_parallelism(mut self, par: BucketParallelism) -> Self {
-        self.par = par;
-        self
     }
 
     /// The memory distribution in force.
@@ -114,18 +104,11 @@ impl PhaseCoster for StaticExpectationCoster {
         outer: f64,
         inner: f64,
     ) -> f64 {
-        model.expected_join_cost_over_with(
-            method,
-            outer,
-            inner,
-            &self.memory,
-            self.mem_fp,
-            self.par,
-        )
+        model.expected_join_cost_over(method, outer, inner, &self.memory, self.mem_fp)
     }
 
     fn sort_cost(&self, model: &CostModel<'_>, _phase: usize, pages: f64) -> f64 {
-        model.expected_sort_cost_over_with(pages, &self.memory, self.mem_fp, self.par)
+        model.expected_sort_cost_over(pages, &self.memory, self.mem_fp)
     }
 
     fn pruning_bound(&self) -> Option<Box<dyn LowerBound>> {
@@ -141,7 +124,6 @@ impl PhaseCoster for StaticExpectationCoster {
 #[derive(Debug, Clone)]
 pub struct DynamicExpectationCoster {
     dists: Vec<(Distribution, u64)>,
-    par: BucketParallelism,
 }
 
 impl DynamicExpectationCoster {
@@ -160,17 +142,7 @@ impl DynamicExpectationCoster {
             dists.push((cur, fp));
             cur = next;
         }
-        Ok(DynamicExpectationCoster {
-            dists,
-            par: BucketParallelism::serial(),
-        })
-    }
-
-    /// Fan one candidate's per-bucket evaluations out across threads once
-    /// the phase distribution's bucket count crosses `par.min_evals`.
-    pub fn with_parallelism(mut self, par: BucketParallelism) -> Self {
-        self.par = par;
-        self
+        Ok(DynamicExpectationCoster { dists })
     }
 
     fn dist(&self, phase: usize) -> &(Distribution, u64) {
@@ -189,12 +161,12 @@ impl PhaseCoster for DynamicExpectationCoster {
         inner: f64,
     ) -> f64 {
         let (dist, fp) = self.dist(ctx.phase);
-        model.expected_join_cost_over_with(method, outer, inner, dist, *fp, self.par)
+        model.expected_join_cost_over(method, outer, inner, dist, *fp)
     }
 
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64 {
         let (dist, fp) = self.dist(phase);
-        model.expected_sort_cost_over_with(pages, dist, *fp, self.par)
+        model.expected_sort_cost_over(pages, dist, *fp)
     }
 
     /// Every phase evaluates under its own evolved distribution, so the

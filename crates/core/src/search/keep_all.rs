@@ -36,8 +36,7 @@ pub struct KeepAllPolicy<C> {
     pub coster: C,
     /// The search's shared prune state, when pruning is on.
     prune: Option<Arc<PruneState>>,
-    /// Complete plans costed at the root (before any discard), summed
-    /// across forks by [`CandidatePolicy::merge`].
+    /// Complete plans costed at the root (before any discard).
     plans_emitted: u64,
 }
 
@@ -58,19 +57,8 @@ impl<C: PhaseCoster> KeepAllPolicy<C> {
     }
 }
 
-impl<C: PhaseCoster + Clone> CandidatePolicy for KeepAllPolicy<C> {
+impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
     type Entry = DpEntry;
-
-    fn fork(&self) -> Self {
-        KeepAllPolicy {
-            plans_emitted: 0,
-            ..self.clone()
-        }
-    }
-
-    fn merge(&mut self, forked: Self) {
-        self.plans_emitted += forked.plans_emitted;
-    }
 
     fn access_entries(
         &mut self,

@@ -60,16 +60,8 @@ impl<C: PhaseCoster> KeepBestPolicy<C> {
     }
 }
 
-impl<C: PhaseCoster + Clone> CandidatePolicy for KeepBestPolicy<C> {
+impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
     type Entry = DpEntry;
-
-    fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    fn merge(&mut self, _forked: Self) {
-        // Stateless beyond the (immutable) coster: nothing to fold back.
-    }
 
     fn access_entries(
         &mut self,

@@ -34,28 +34,15 @@
 //!
 //! # Threading model
 //!
-//! The engine has a third axis: *parallelism* ([`engine::SearchConfig`],
-//! driven by [`engine::run_search_with`]).  Subsets at one dag depth are
-//! independent — their splits only read completed lower depths — so each
-//! depth is fanned out across a pool of scoped worker threads that live
-//! for the whole search (**level-barrier fan-out**): the driver publishes
-//! the depth's subsets, every thread steals subsets off a shared cursor
-//! and combines them with its own [`CandidatePolicy::fork`] of the policy,
-//! and the driver folds the per-worker results (and, at the end, the
-//! forked policies) back **deterministically** at the depth barrier.
-//! Below the expectation costers, `lec-cost`'s eval cache is sharded
-//! across per-tier mutexes that are held for the duration of a miss's
-//! compute, so every distinct evaluation happens exactly once no matter
-//! how subsets were scheduled.  The combination makes a parallel search
-//! byte-identical to a serial one — plans, costs, tie-breaks, `evals`,
-//! `cache_hits` — which the `parallel_parity` property tests pin for every
-//! policy.  `SearchConfig::threads == 1` bypasses all of this and runs
-//! the untouched serial driver; a worker panic surfaces as
-//! [`crate::OptError::WorkerPanicked`], never a deadlock.
+//! There is none: a search is a plain function call that runs to
+//! completion on the thread that asked for it ([`engine::run_search_with`]),
+//! and a panic inside a policy or coster unwinds to that caller.  The only
+//! parallelism in the process is the serving layer's — one thread per
+//! connection, each running its own searches.
 //!
 //! # Bound-based pruning
 //!
-//! The engine's fourth axis is *branch and bound*
+//! The engine's third axis is *branch and bound*
 //! ([`engine::SearchConfig::pruning`], [`bound`]): with pruning on, a
 //! policy may hand the engine an admissible [`bound::LowerBound`] on the
 //! cost of any complete plan containing a given connected subset as a
@@ -67,15 +54,12 @@
 //!
 //! * **Achievable incumbent.**  The incumbent is always the *finalized
 //!   cost of a real plan under the policy's own objective*: after depth 1
-//!   (and again at every level barrier) the driver greedily completes the
+//!   (and again after every level) the driver greedily completes the
 //!   cheapest node through the policy's own
 //!   [`policy::CandidatePolicy::combine`]/`finalize`, so no coster
-//!   arithmetic is ever replicated or approximated.  Because only the
-//!   driver tightens the incumbent — at barriers, through an atomic cost
-//!   cell ([`bound::IncumbentCell`]) — every worker reads one stable
-//!   value per level and prune decisions are schedule-independent:
-//!   parallel pruned searches are byte-identical to serial pruned ones,
-//!   `SearchStats::pruned_subsets` included.
+//!   arithmetic is ever replicated or approximated.  The incumbent
+//!   ([`bound::IncumbentCell`]) tightens only between levels, so every
+//!   subset of one level is checked against the same value.
 //! * **Admissible floor, strict prune.**  `subset_floor(S) ≤` the cost of
 //!   every completion through `S` (sizes floored by the subset's
 //!   size product, memory by its most favourable value — the cost
@@ -119,7 +103,6 @@ pub mod keep_all;
 pub mod keep_best;
 pub mod multi_param;
 pub mod policy;
-pub mod pool;
 pub mod top_c;
 
 pub use bound::{
@@ -129,7 +112,6 @@ pub use bound::{
 pub use coster::{DynamicExpectationCoster, PhaseCoster, PointCoster, StaticExpectationCoster};
 pub use engine::{
     plan_space_size, run_search, run_search_with, PlanShape, SearchConfig, SearchRun,
-    DEFAULT_FANOUT_THRESHOLD,
 };
 pub use keep_all::KeepAllPolicy;
 pub use keep_best::{DpEntry, KeepBestPolicy};
@@ -138,7 +120,6 @@ pub use policy::{
     insert_entry, insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order,
     CandidatePolicy, JoinContext, Rankable, RootContext, SearchEntry,
 };
-pub use pool::{PersistentPool, ScopedSpawnPool, WorkerPool, PERSISTENT_FANOUT_THRESHOLD};
 pub use top_c::{FrontierStats, TopCPolicy};
 
 use lec_plan::PlanNode;
@@ -149,6 +130,24 @@ use std::time::Duration;
 #[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct SubplanMemo;
+
+// Shim (searches run on their caller's thread): crates/bench/src/bin/ledger/src/harness.rs is the only caller.
+#[doc(hidden)]
+pub trait WorkerPool: std::fmt::Debug + Send + Sync {}
+
+// Shim, spawns nothing: crates/bench/src/bin/ledger/src/harness.rs is the only caller.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct PersistentPool;
+
+impl PersistentPool {
+    #[doc(hidden)]
+    pub fn for_host() -> Self {
+        PersistentPool
+    }
+}
+
+impl WorkerPool for PersistentPool {}
 
 /// Uniform search statistics, populated by the engine for every mode.
 #[derive(Debug, Clone, Copy, Default)]
@@ -175,15 +174,11 @@ pub struct SearchStats {
     /// provides a bound.
     pub pruned_subsets: u64,
     /// Lower-bound size computations performed for prune checks: one per
-    /// connected non-full subset checked, so schedule-independent like
-    /// `pruned_subsets`.
+    /// connected non-full subset checked.
     pub bound_evals: u64,
     /// Connected prune checks that escalated to the sharp per-edge tier
     /// ([`bound::PruneState::sharp_subset_floor`]): the cheap floor
-    /// landed within [`bound::SHARP_MARGIN`] of the incumbent.  The
-    /// tier decision depends only on the subset, its size floor, and
-    /// the level's incumbent, so both tier counters are
-    /// schedule-independent.
+    /// landed within [`bound::SHARP_MARGIN`] of the incumbent.
     pub sharp_bound_evals: u64,
     /// Connected prune checks the cheap tier decided alone (pruned
     /// outright, or kept with the sharp tier out of reach).  Together

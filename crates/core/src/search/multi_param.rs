@@ -16,7 +16,7 @@ use super::policy::{
     SearchEntry,
 };
 use super::SearchStats;
-use lec_cost::{BucketParallelism, CostModel};
+use lec_cost::CostModel;
 use lec_plan::{JoinMethod, OrderProperty, PlanNode};
 use lec_prob::{Distribution, PrefixTables, Rebucket};
 use std::sync::Arc;
@@ -84,7 +84,6 @@ pub struct MultiParamPolicy {
     memory: Distribution,
     mem_fp: u64,
     m_tables: PrefixTables,
-    par: BucketParallelism,
     /// Largest size-distribution support seen before rebucketing.
     pub max_product_support: usize,
 }
@@ -102,17 +101,8 @@ impl MultiParamPolicy {
             mem_fp: lec_cost::dist_fingerprint(memory),
             memory: memory.clone(),
             config,
-            par: BucketParallelism::serial(),
             max_product_support: 0,
         }
-    }
-
-    /// Fan one candidate's bucket evaluations (block nested-loop's
-    /// `b_A·b_B·b_M` triple sum, the §3.6 hot loop) out across threads
-    /// once they cross `par.min_evals`.
-    pub fn with_parallelism(mut self, par: BucketParallelism) -> Self {
-        self.par = par;
-        self
     }
 
     /// The §3.6.3 result-size distribution `|B_j| · |A_j| · σ`.
@@ -146,17 +136,6 @@ fn rebucket_to(d: &Distribution, n: usize, strategy: Rebucket) -> Distribution {
 
 impl CandidatePolicy for MultiParamPolicy {
     type Entry = DistEntry;
-
-    fn fork(&self) -> Self {
-        MultiParamPolicy {
-            max_product_support: 0,
-            ..self.clone()
-        }
-    }
-
-    fn merge(&mut self, forked: Self) {
-        self.max_product_support = self.max_product_support.max(forked.max_product_support);
-    }
 
     fn access_entries(
         &mut self,
@@ -202,14 +181,13 @@ impl CandidatePolicy for MultiParamPolicy {
                 let result_size = self.product_size(&oe.pages, &ie.pages, &sel_dist);
                 for method in JoinMethod::ALL {
                     stats.candidates += 1;
-                    let join_ec = model.expected_join_cost_for_with(
+                    let join_ec = model.expected_join_cost_for(
                         method,
                         &oe.pages,
                         &ie.pages,
                         &self.memory,
                         self.mem_fp,
                         &self.m_tables,
-                        self.par,
                     );
                     let cost = oe.cost + ie.cost + join_ec;
                     let order = join_output_order(sm_order, oe.order, method);

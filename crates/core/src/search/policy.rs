@@ -45,34 +45,9 @@ pub trait SearchEntry: Clone {
 /// The engine owns subset enumeration and operand pairing; the policy owns
 /// everything per-candidate: costing, output-order and size bookkeeping,
 /// and which candidates a node keeps.
-///
-/// The parallel driver gives every worker thread its own [`fork`] of the
-/// policy and folds each worker back with [`merge`] before finalization,
-/// so a policy may keep mutable diagnostics (frontier counters, support
-/// high-water marks) without synchronization — as long as that state only
-/// *reports* and never influences which candidates are kept (otherwise the
-/// parallel and serial drivers could diverge).
-///
-/// [`fork`]: CandidatePolicy::fork
-/// [`merge`]: CandidatePolicy::merge
 pub trait CandidatePolicy {
     /// The per-node candidate representation.
     type Entry: SearchEntry;
-
-    /// Clone this policy for one parallel worker thread, with any
-    /// accumulating diagnostics zeroed so [`CandidatePolicy::merge`] can
-    /// fold them back without double counting.
-    fn fork(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Fold a forked worker's accumulated diagnostics back into this
-    /// policy.  Folds must be commutative over workers (sums, maxima) so
-    /// the merged totals match a serial run regardless of how subsets
-    /// were scheduled.
-    fn merge(&mut self, forked: Self)
-    where
-        Self: Sized;
 
     /// Build the depth-1 entries (access paths) for one table.
     fn access_entries(
@@ -123,7 +98,7 @@ pub trait CandidatePolicy {
     /// Hand the policy the search's shared [`PruneState`] so policies
     /// with per-entry discard rules (the keep-all verifier) can consult
     /// the incumbent inside their combine loops.  Called once per search,
-    /// before any forks are taken.
+    /// right after depth 1.
     fn install_pruning(&mut self, _prune: &std::sync::Arc<PruneState>) {}
 }
 

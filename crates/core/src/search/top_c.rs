@@ -100,19 +100,6 @@ impl TopCPolicy {
 impl CandidatePolicy for TopCPolicy {
     type Entry = DpEntry;
 
-    fn fork(&self) -> Self {
-        TopCPolicy {
-            frontier: FrontierStats::default(),
-            ..self.clone()
-        }
-    }
-
-    fn merge(&mut self, forked: Self) {
-        self.frontier.combinations_examined += forked.frontier.combinations_examined;
-        self.frontier.bound_total += forked.frontier.bound_total;
-        self.frontier.groups += forked.frontier.groups;
-    }
-
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,

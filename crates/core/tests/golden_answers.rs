@@ -1,18 +1,25 @@
 //! Golden answers: the plan (`PlanNode::compact`) and cost bits every DP
-//! mode returns, pinned as literals.
+//! mode returns, and the work it did to get there, pinned as literals.
 //!
 //! Every other parity suite compares two runs of the *same* binary
-//! (cached vs fresh, parallel vs serial, pruned vs unpruned, wire vs
-//! in-process), so a change that moves both sides moves none of them.
-//! This table was recorded at the commit before plan nodes became a
-//! shared dag and the subplan memo was deleted; a refactor of the search
-//! path must leave every row untouched.  When a row *should* move (a cost
-//! formula or tie-break changes on purpose), the failure message prints
-//! the whole table as the code now computes it — paste it over `GOLDEN`.
+//! (cached vs fresh, pruned vs unpruned, wire vs in-process), so a change
+//! that moves both sides moves none of them.  `GOLDEN` was recorded at
+//! the commit before plan nodes became a shared dag and the subplan memo
+//! was deleted, `GOLDEN_COUNTERS` at the commit before the parallel DP
+//! driver was deleted (it ran these searches fanned out or not, with the
+//! same counters either way); a refactor of the search path must leave
+//! every row of both untouched.  When a row *should* move (a cost formula
+//! or tie-break changes on purpose), the failure message prints the whole
+//! table as the code now computes it — paste it over the constant.
 
 use lec_catalog::{Catalog, CatalogGenerator};
-use lec_core::{fixtures, AlgDConfig, Mode, Optimizer, PointEstimate};
-use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
+use lec_core::search::{
+    run_search_with, JoinContext, KeepBestPolicy, PhaseCoster, PlanShape, SearchConfig,
+    StaticExpectationCoster,
+};
+use lec_core::{fixtures, AlgDConfig, Mode, Optimizer, PointEstimate, SearchStats};
+use lec_cost::CostModel;
+use lec_plan::{JoinMethod, Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_prob::{presets, Distribution, MarkovChain};
 
 /// `(query, mode, plan.compact(), cost.to_bits())`.
@@ -90,6 +97,98 @@ const GOLDEN: &[Row] = &[
     ("random13(seed 11)", "AlgC", "NL(NL(NL(NL(NL(NL(NL(NL(NL(NL(NL(NL(R1,R0),R4),R6),R2),R8),R12),R5),R3),R9),R10),R11),R7)", 0x414c3f3de61809e0),
 ];
 
+/// `(query, mode, [nodes, candidates, evals, cache_hits, pruned_subsets,
+/// bound_evals, sharp_bound_evals, cheap_bound_skips])` — the work each
+/// search did for the answer above, same rows in the same order.  The
+/// answers alone would not notice a search that reaches the same plan by
+/// doing different work; a counter that moves means the search changed.
+type CounterRow = (&'static str, &'static str, [u64; 8]);
+
+#[rustfmt::skip]
+const GOLDEN_COUNTERS: &[CounterRow] = &[
+    ("example_1_1", "LSC(mean)", [3, 8, 10, 0, 0, 0, 0, 0]),
+    ("example_1_1", "LSC(mode)", [3, 8, 10, 0, 0, 0, 0, 0]),
+    ("example_1_1", "AlgA", [9, 24, 45, 0, 0, 0, 0, 0]),
+    ("example_1_1", "AlgB", [9, 24, 53, 6, 0, 0, 0, 0]),
+    ("example_1_1", "AlgC", [3, 8, 20, 0, 0, 0, 0, 0]),
+    ("example_1_1", "AlgC-dyn", [3, 8, 20, 0, 0, 0, 0, 0]),
+    ("example_1_1", "AlgD", [3, 8, 19, 0, 0, 0, 0, 0]),
+    ("example_1_1", "Bushy", [3, 8, 20, 0, 0, 0, 0, 0]),
+    ("three_chain", "LSC(mean)", [6, 24, 27, 0, 0, 0, 0, 0]),
+    ("three_chain", "LSC(mode)", [6, 24, 27, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgA", [30, 128, 190, 8, 0, 0, 0, 0]),
+    ("three_chain", "AlgB", [30, 280, 190, 40, 0, 0, 0, 0]),
+    ("three_chain", "AlgC", [6, 32, 99, 8, 0, 0, 0, 0]),
+    ("three_chain", "AlgC-dyn", [6, 32, 99, 8, 0, 0, 0, 0]),
+    ("three_chain", "AlgD", [6, 32, 63, 8, 0, 0, 0, 0]),
+    ("three_chain", "Bushy", [6, 48, 131, 16, 0, 0, 0, 0]),
+    ("diamond", "LSC(mean)", [10, 56, 20, 40, 0, 0, 0, 0]),
+    ("diamond", "LSC(mode)", [10, 56, 20, 40, 0, 0, 0, 0]),
+    ("diamond", "AlgA", [50, 280, 180, 200, 0, 0, 0, 0]),
+    ("diamond", "AlgB", [50, 880, 196, 320, 0, 0, 0, 0]),
+    ("diamond", "AlgC", [10, 56, 68, 40, 0, 0, 0, 0]),
+    ("diamond", "AlgC-dyn", [10, 56, 68, 40, 0, 0, 0, 0]),
+    ("diamond", "AlgD", [10, 56, 44, 40, 0, 0, 0, 0]),
+    ("diamond", "Bushy", [10, 96, 132, 64, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "LSC(mean)", [21, 216, 131, 97, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "LSC(mode)", [21, 208, 135, 84, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgA", [105, 1096, 817, 486, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgB", [105, 3640, 1027, 853, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgC", [21, 248, 522, 125, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgC-dyn", [21, 248, 522, 125, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgD", [21, 248, 327, 125, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "Bushy", [21, 760, 1226, 461, 0, 0, 0, 0]),
+    ("scaling_star(6)", "LSC(mean)", [37, 440, 183, 265, 0, 0, 0, 0]),
+    ("scaling_star(6)", "LSC(mode)", [37, 440, 183, 265, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgA", [185, 2064, 1062, 1191, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgB", [185, 8800, 1274, 2888, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgC", [37, 404, 702, 232, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgC-dyn", [37, 404, 702, 232, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgD", [37, 404, 438, 232, 0, 0, 0, 0]),
+    ("scaling_star(6)", "Bushy", [37, 768, 1246, 460, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "LSC(mean)", [28, 336, 57, 292, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "LSC(mode)", [28, 412, 57, 369, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgA", [140, 1824, 460, 1605, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgB", [140, 6040, 705, 2095, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgC", [28, 336, 207, 292, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgC-dyn", [28, 336, 207, 292, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgD", [28, 336, 129, 292, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "Bushy", [28, 1080, 811, 885, 0, 0, 0, 0]),
+    ("pruning_star(7)", "LSC(mean)", [70, 1520, 36, 1493, 0, 0, 0, 0]),
+    ("pruning_star(7)", "LSC(mode)", [70, 1520, 36, 1493, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgA", [350, 7504, 355, 7368, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgB", [350, 21960, 495, 7565, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgC", [70, 1536, 123, 1509, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgC-dyn", [70, 1536, 123, 1509, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgD", [70, 1536, 78, 1509, 0, 0, 0, 0]),
+    ("pruning_star(7)", "Bushy", [70, 3024, 203, 2977, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "LSC(mean)", [63, 744, 23, 728, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "LSC(mode)", [63, 1128, 23, 1113, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgA", [315, 4488, 265, 4410, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgB", [315, 18120, 295, 6785, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgC", [63, 744, 74, 728, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgC-dyn", [63, 744, 90, 724, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgD", [63, 744, 47, 728, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "Bushy", [63, 2408, 170, 2368, 0, 0, 0, 0]),
+    ("chain13(seed 3)", "AlgC", [91, 2420, 1344, 2088, 8100, 77, 77, 0]),
+    ("star13(seed 5)", "AlgC", [4108, 310216, 29652, 302813, 4083, 4094, 4094, 0]),
+    ("clique12(seed 7)", "AlgC", [4095, 175768, 10965, 173033, 0, 4082, 4082, 0]),
+    ("random13(seed 11)", "AlgC", [1055, 87244, 3408, 86396, 7136, 1041, 1041, 0]),
+];
+
+fn counters(stats: &SearchStats) -> [u64; 8] {
+    [
+        stats.nodes as u64,
+        stats.candidates,
+        stats.evals,
+        stats.cache_hits,
+        stats.pruned_subsets,
+        stats.bound_evals,
+        stats.sharp_bound_evals,
+        stats.cheap_bound_skips,
+    ]
+}
+
 fn memory() -> Distribution {
     presets::spread_family(500.0, 0.6, 4).expect("static parameters are valid")
 }
@@ -130,13 +229,10 @@ fn generated(seed: u64, n: usize, topology: Topology) -> (Catalog, Query) {
     (cat, q)
 }
 
-fn row(
-    out: &mut Vec<(String, &'static str, String, u64)>,
-    name: &str,
-    opt: &Optimizer<'_>,
-    query: &Query,
-    mode: &Mode,
-) {
+/// One computed row: `(query, mode, plan.compact(), cost.to_bits(), counters)`.
+type Computed = (String, &'static str, String, u64, [u64; 8]);
+
+fn row(out: &mut Vec<Computed>, name: &str, opt: &Optimizer<'_>, query: &Query, mode: &Mode) {
     let got = opt
         .optimize(query, mode)
         .unwrap_or_else(|e| panic!("{name} under {}: {e}", mode.name()));
@@ -145,10 +241,11 @@ fn row(
         mode.name(),
         got.plan.compact(),
         got.cost.to_bits(),
+        counters(&got.stats),
     ));
 }
 
-fn actual() -> Vec<(String, &'static str, String, u64)> {
+fn actual() -> Vec<Computed> {
     let mut out = Vec::new();
 
     // Every mode over the fixture queries (default search config).
@@ -193,7 +290,7 @@ fn every_mode_returns_the_recorded_plan_and_cost_bits() {
     let actual = actual();
     let mut wrong = Vec::new();
     for (i, got) in actual.iter().enumerate() {
-        let (name, mode, plan, bits) = got;
+        let (name, mode, plan, bits, _) = got;
         match GOLDEN.get(i) {
             Some(&(gn, gm, gp, gb)) if gn == name && gm == *mode => {
                 if gp != plan || gb != *bits {
@@ -216,9 +313,114 @@ fn every_mode_returns_the_recorded_plan_and_cost_bits() {
     }
     if !wrong.is_empty() {
         eprintln!("---- the table as this build computes it ----");
-        for (name, mode, plan, bits) in &actual {
+        for (name, mode, plan, bits, _) in &actual {
             eprintln!("    ({name:?}, {mode:?}, {plan:?}, {bits:#018x}),");
         }
         panic!("golden answers moved:\n  {}", wrong.join("\n  "));
     }
+}
+
+#[test]
+fn every_mode_does_the_recorded_work() {
+    let actual = actual();
+    let mut wrong = Vec::new();
+    for (i, (name, mode, _, _, got)) in actual.iter().enumerate() {
+        match GOLDEN_COUNTERS.get(i) {
+            Some(&(gn, gm, recorded)) if gn == name && gm == *mode => {
+                if recorded != *got {
+                    wrong.push(format!(
+                        "{name} under {mode}: recorded {recorded:?}, got {got:?}"
+                    ));
+                }
+            }
+            _ => wrong.push(format!("{name} under {mode}: no recorded row at index {i}")),
+        }
+    }
+    if GOLDEN_COUNTERS.len() != actual.len() {
+        wrong.push(format!(
+            "{} recorded rows, {} computed",
+            GOLDEN_COUNTERS.len(),
+            actual.len()
+        ));
+    }
+    if !wrong.is_empty() {
+        eprintln!("---- the counter table as this build computes it ----");
+        for (name, mode, _, _, got) in &actual {
+            eprintln!("    ({name:?}, {mode:?}, {got:?}),");
+        }
+        panic!(
+            "work counters moved (nodes, candidates, evals, cache_hits, pruned_subsets, \
+             bound_evals, sharp_bound_evals, cheap_bound_skips):\n  {}",
+            wrong.join("\n  ")
+        );
+    }
+}
+
+/// Algorithm C's coster, except that its `k`-th join costing panics.
+struct PanicsOnKthCall {
+    inner: StaticExpectationCoster,
+    calls: std::cell::Cell<usize>,
+    k: usize,
+}
+
+impl PhaseCoster for PanicsOnKthCall {
+    fn join_cost(
+        &self,
+        model: &CostModel<'_>,
+        ctx: &JoinContext,
+        method: JoinMethod,
+        outer: f64,
+        inner: f64,
+    ) -> f64 {
+        self.calls.set(self.calls.get() + 1);
+        if self.calls.get() == self.k {
+            panic!("the coster blew up mid-combine");
+        }
+        self.inner.join_cost(model, ctx, method, outer, inner)
+    }
+
+    fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64 {
+        self.inner.sort_cost(model, phase, pages)
+    }
+}
+
+/// A search is a plain call: a coster's panic unwinds out of it to the
+/// caller, and the model it was using stays usable — the next search on
+/// the *same* `CostModel` (eval cache half-filled by the dead searches)
+/// returns the recorded answer.  The panic here fires outside any shard
+/// lock; `lec-cost`'s `a_panicking_compute_leaves_its_shard_usable`
+/// covers the one that fires under it.
+#[test]
+fn a_panicking_coster_unwinds_and_leaves_the_model_usable() {
+    let (cat, q) = fixtures::scaling_chain(6);
+    let model = CostModel::new(&cat, &q);
+    let mem = memory();
+    for k in [1, 40, 200] {
+        let mut policy = KeepBestPolicy::new(PanicsOnKthCall {
+            inner: StaticExpectationCoster::new(&mem),
+            calls: std::cell::Cell::new(0),
+            k,
+        });
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_search_with(
+                &model,
+                PlanShape::LeftDeep,
+                &mut policy,
+                &SearchConfig::default(),
+            )
+        }));
+        let payload = died.expect_err("the k-th call panics before the search can finish");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"the coster blew up mid-combine"),
+            "k = {k}"
+        );
+    }
+    let got = lec_core::optimize_lec_static(&model, &mem).expect("the model still searches");
+    let &(_, _, plan, bits) = GOLDEN
+        .iter()
+        .find(|r| r.0 == "scaling_chain(6)" && r.1 == "AlgC")
+        .expect("the row is recorded");
+    assert_eq!(got.plan.compact(), plan);
+    assert_eq!(got.cost.to_bits(), bits);
 }

@@ -32,26 +32,6 @@ fn join_formula(method: JoinMethod) -> fn(f64, f64, f64) -> f64 {
     }
 }
 
-/// The inner `Σ_b Σ_m C(a,b,m)·Pr(b)Pr(m)` partial of the triple sum for
-/// one fixed `a` bucket.  Both the serial and the parallel naive paths are
-/// built from these per-`a` partials folded in `a`-bucket order, so they
-/// accumulate in exactly the same floating-point order and agree bit for
-/// bit.
-fn naive_partial_for_a(
-    f: fn(f64, f64, f64) -> f64,
-    av: f64,
-    b: &Distribution,
-    m: &Distribution,
-) -> f64 {
-    let mut partial = 0.0;
-    for (bv, bp) in b.iter() {
-        for (mv, mp) in m.iter() {
-            partial += f(av, bv, mv) * bp * mp;
-        }
-    }
-    partial
-}
-
 /// Expected cost by the defining triple sum.  Exact for every method.
 pub fn naive_expected_join_cost(
     method: JoinMethod,
@@ -61,30 +41,15 @@ pub fn naive_expected_join_cost(
 ) -> f64 {
     let f = join_formula(method);
     a.iter()
-        .map(|(av, ap)| ap * naive_partial_for_a(f, av, b, m))
-        .sum()
-}
-
-/// [`naive_expected_join_cost`] with the per-`a`-bucket partial sums fanned
-/// out across `threads` scoped threads, folded in `a`-bucket order —
-/// bit-identical to the serial triple sum.  This is the Algorithm D hot
-/// path worth parallelizing: block nested-loop's `b_A·b_B·b_M` evaluations
-/// per candidate.
-pub fn parallel_naive_expected_join_cost(
-    method: JoinMethod,
-    a: &Distribution,
-    b: &Distribution,
-    m: &Distribution,
-    threads: usize,
-) -> f64 {
-    let f = join_formula(method);
-    let mut partials = vec![0.0f64; a.len()];
-    crate::par::map_chunked(a.support(), &mut partials, threads, |av| {
-        naive_partial_for_a(f, av, b, m)
-    });
-    a.iter()
-        .zip(&partials)
-        .map(|((_, ap), partial)| ap * partial)
+        .map(|(av, ap)| {
+            let mut partial = 0.0;
+            for (bv, bp) in b.iter() {
+                for (mv, mp) in m.iter() {
+                    partial += f(av, bv, mv) * bp * mp;
+                }
+            }
+            ap * partial
+        })
         .sum()
 }
 

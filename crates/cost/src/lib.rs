@@ -17,20 +17,19 @@
 //!   the defining `O(b³)` triple sum and the paper's `O(b)` streaming
 //!   algorithms, which are tested to agree exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod expected;
 pub mod formulas;
 pub mod model;
-mod par;
 pub mod plan_cost;
 
 pub use expected::{
-    expected_join_cost, expected_sort_cost, naive_expected_join_cost,
-    parallel_naive_expected_join_cost, streaming_expected_join_cost,
+    expected_join_cost, expected_sort_cost, naive_expected_join_cost, streaming_expected_join_cost,
 };
 pub use model::{
     dist_fingerprint, evict_coldest, shard_index, table_occurrence_fingerprint,
-    table_stats_fingerprint, AccessPath, BucketParallelism, CostModel, Fingerprint,
-    DEFAULT_MIN_PARALLEL_EVALS,
+    table_stats_fingerprint, AccessPath, CostModel, Fingerprint,
 };
 pub use plan_cost::{
     expected_plan_cost_dynamic, expected_plan_cost_static, output_order, phases, plan_cost_at,

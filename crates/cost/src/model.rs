@@ -153,74 +153,6 @@ impl std::fmt::Debug for ShardedEvalCache {
     }
 }
 
-/// How far to fan the evaluation of one candidate's buckets out across
-/// threads (the inner hot loop of Algorithms C and D).
-///
-/// `threads` is the fan-out width; `min_evals` is the minimum number of
-/// cost-formula evaluations a single candidate must require before the
-/// fan-out engages — spawning scoped threads costs tens of microseconds,
-/// so tiny expectations must stay serial.  The parallel path folds the
-/// per-bucket results in bucket order, so the expected cost is
-/// bit-identical to the serial sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BucketParallelism {
-    /// Threads to fan one candidate's bucket evaluations across.
-    pub threads: usize,
-    /// Minimum per-candidate evaluation count before fanning out.
-    pub min_evals: usize,
-}
-
-/// Default [`BucketParallelism::min_evals`]: below ~2k formula
-/// evaluations, scoped-thread spawn overhead exceeds the work.  Algorithm
-/// C only crosses this with enormous bucket counts; Algorithm D's block
-/// nested-loop triple product (`b_A·b_B·b_M`) crosses it at `b = 16`.
-pub const DEFAULT_MIN_PARALLEL_EVALS: usize = 2048;
-
-impl BucketParallelism {
-    /// No intra-candidate parallelism whatsoever.
-    pub const fn serial() -> Self {
-        BucketParallelism {
-            threads: 1,
-            min_evals: usize::MAX,
-        }
-    }
-
-    /// Fan out across `threads` once a candidate needs
-    /// [`DEFAULT_MIN_PARALLEL_EVALS`] evaluations.
-    pub fn new(threads: usize) -> Self {
-        BucketParallelism {
-            threads: threads.max(1),
-            min_evals: DEFAULT_MIN_PARALLEL_EVALS,
-        }
-    }
-
-    /// Whether a candidate costing `evals` formula evaluations should fan
-    /// out.
-    pub fn active_for(&self, evals: u64) -> bool {
-        self.threads > 1 && evals >= self.min_evals as u64
-    }
-}
-
-impl Default for BucketParallelism {
-    fn default() -> Self {
-        BucketParallelism::serial()
-    }
-}
-
-/// Evaluate `f` over every bucket of `memory` across `threads` scoped
-/// threads, then fold `Σ f(vᵢ)·pᵢ` in bucket order.  The fold performs the
-/// same multiplications and additions in the same order as the serial
-/// [`Distribution::expect`], so the result is bit-identical.
-fn parallel_bucket_expectation(
-    memory: &Distribution,
-    threads: usize,
-    f: impl Fn(f64) -> f64 + Sync,
-) -> f64 {
-    let mut costs = vec![0.0f64; memory.len()];
-    crate::par::map_chunked(memory.support(), &mut costs, threads, f);
-    costs.iter().zip(memory.probs()).map(|(c, p)| c * p).sum()
-}
-
 /// Memoization key for one memory-dependent operator evaluation: the
 /// operator, the memory ingredient (bucket value or distribution
 /// fingerprint), and the exact operand sizes (point pages or distribution
@@ -396,14 +328,18 @@ pub fn table_stats_fingerprint(stats: &lec_catalog::TableStats) -> u64 {
 ///
 /// # Thread safety
 ///
-/// `CostModel` is `Sync`: the evaluation cache is sharded across
-/// per-tier `Mutex`es ([`ShardedEvalCache`]) and the counters are atomics,
-/// so the parallel search engine shares one model across its worker
-/// threads.  Shard locks are held across the compute of a miss, so every
-/// distinct key is evaluated **exactly once** no matter how many threads
-/// race on it — which keeps [`CostModel::evals`] and
-/// [`CostModel::eval_cache_hits`] identical between serial and parallel
-/// searches over the same query.
+/// A search runs on the thread that asked for it and builds its own
+/// model, so nothing shares a `CostModel` across threads and the shard
+/// locks of [`ShardedEvalCache`] are never contended.  The 2 × 32 mutex
+/// shards and atomic counters stay because the obvious replacement
+/// measured worse where it counts: one unlocked table per
+/// model was 7–14% faster on the ledger's `cold_mix` / `large_joins`
+/// workloads but raised `cold_mix` peak RSS by 6% (bound 5%) — a single
+/// large map's resize transient outweighs 64 small ones in a 5 MiB
+/// process.  Flattening the cache needs a design that avoids that
+/// transient (ROADMAP open item 2).  A shard lock is held across the
+/// compute of a miss and poisoning is ignored, so a compute that panics
+/// leaves the map without the entry and the model usable.
 #[derive(Debug)]
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
@@ -421,12 +357,6 @@ pub struct CostModel<'a> {
     /// hot path a single branch.
     telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
 }
-
-/// The engine shares one model across all of its search threads.
-const _: fn() = || {
-    fn assert_sync<T: Sync + Send>() {}
-    assert_sync::<CostModel<'static>>();
-};
 
 impl<'a> CostModel<'a> {
     /// Bind the model to a query.
@@ -598,29 +528,6 @@ impl<'a> CostModel<'a> {
         memory: &Distribution,
         mem_fp: u64,
     ) -> f64 {
-        self.expected_join_cost_over_with(
-            method,
-            outer,
-            inner,
-            memory,
-            mem_fp,
-            BucketParallelism::serial(),
-        )
-    }
-
-    /// [`CostModel::expected_join_cost_over`] with an explicit bucket
-    /// fan-out policy: when `par` is active for the distribution's bucket
-    /// count, a cache miss evaluates the per-bucket costs across scoped
-    /// threads and folds them in bucket order (bit-identical to serial).
-    pub fn expected_join_cost_over_with(
-        &self,
-        method: JoinMethod,
-        outer: f64,
-        inner: f64,
-        memory: &Distribution,
-        mem_fp: u64,
-        par: BucketParallelism,
-    ) -> f64 {
         let key = EvalKey {
             op: EvalOp::ExpectedJoinOver(method),
             mem: mem_fp,
@@ -628,44 +535,20 @@ impl<'a> CostModel<'a> {
             inner: inner.to_bits(),
         };
         self.cached(key, || {
-            let per_bucket = |m: f64| self.join_cost(method, outer, inner, m);
-            if par.active_for(memory.len() as u64) {
-                parallel_bucket_expectation(memory, par.threads, per_bucket)
-            } else {
-                memory.expect(per_bucket)
-            }
+            memory.expect(|m| self.join_cost(method, outer, inner, m))
         })
     }
 
     /// Expected sort cost of a point-sized input over a memory
     /// distribution, memoized like [`CostModel::expected_join_cost_over`].
     pub fn expected_sort_cost_over(&self, pages: f64, memory: &Distribution, mem_fp: u64) -> f64 {
-        self.expected_sort_cost_over_with(pages, memory, mem_fp, BucketParallelism::serial())
-    }
-
-    /// [`CostModel::expected_sort_cost_over`] with an explicit bucket
-    /// fan-out policy.
-    pub fn expected_sort_cost_over_with(
-        &self,
-        pages: f64,
-        memory: &Distribution,
-        mem_fp: u64,
-        par: BucketParallelism,
-    ) -> f64 {
         let key = EvalKey {
             op: EvalOp::ExpectedSortOver,
             mem: mem_fp,
             outer: pages.to_bits(),
             inner: 0,
         };
-        self.cached(key, || {
-            let per_bucket = |m: f64| self.sort_cost(pages, m);
-            if par.active_for(memory.len() as u64) {
-                parallel_bucket_expectation(memory, par.threads, per_bucket)
-            } else {
-                memory.expect(per_bucket)
-            }
-        })
+        self.cached(key, || memory.expect(|m| self.sort_cost(pages, m)))
     }
 
     /// Expected join cost over size and memory distributions (Algorithm
@@ -686,34 +569,6 @@ impl<'a> CostModel<'a> {
         m_fp: u64,
         m_tables: &PrefixTables,
     ) -> f64 {
-        self.expected_join_cost_for_with(
-            method,
-            a_dist,
-            b_dist,
-            m_dist,
-            m_fp,
-            m_tables,
-            BucketParallelism::serial(),
-        )
-    }
-
-    /// [`CostModel::expected_join_cost_for`] with an explicit bucket
-    /// fan-out policy.  The only method whose per-candidate evaluation
-    /// count can justify fanning out is block nested-loop (the
-    /// non-separable `b_A·b_B·b_M` triple sum); its parallel path computes
-    /// per-`a`-bucket partial sums across threads and folds them in bucket
-    /// order, matching the serial accumulation structure bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn expected_join_cost_for_with(
-        &self,
-        method: JoinMethod,
-        a_dist: &Distribution,
-        b_dist: &Distribution,
-        m_dist: &Distribution,
-        m_fp: u64,
-        m_tables: &PrefixTables,
-        par: BucketParallelism,
-    ) -> f64 {
         let key = EvalKey {
             op: EvalOp::ExpectedJoin(method),
             mem: m_fp,
@@ -728,17 +583,7 @@ impl<'a> CostModel<'a> {
                 _ => (a_dist.len() + b_dist.len()) as u64,
             };
             self.count_evals(evals);
-            if method == JoinMethod::BlockNestedLoop && par.active_for(evals) {
-                crate::expected::parallel_naive_expected_join_cost(
-                    method,
-                    a_dist,
-                    b_dist,
-                    m_dist,
-                    par.threads,
-                )
-            } else {
-                crate::expected::expected_join_cost(method, a_dist, b_dist, m_dist, m_tables)
-            }
+            crate::expected::expected_join_cost(method, a_dist, b_dist, m_dist, m_tables)
         })
     }
 
@@ -1091,6 +936,27 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_compute_leaves_its_shard_usable() {
+        let (cat, q) = fixture();
+        let m = CostModel::new(&cat, &q);
+        let key = || EvalKey {
+            op: EvalOp::Join(JoinMethod::SortMerge),
+            mem: 50f64.to_bits(),
+            outer: 100f64.to_bits(),
+            inner: 200f64.to_bits(),
+        };
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.cached(key(), || panic!("the formula blew up"))
+        }));
+        assert!(died.is_err());
+        assert_eq!(m.eval_cache_len(), 0, "the dead compute left no entry");
+        // Same key, same (now poisoned) shard: a miss that computes, then a hit.
+        assert_eq!(m.cached(key(), || 7.0), 7.0);
+        assert_eq!(m.cached(key(), || unreachable!("memoized")), 7.0);
+        assert_eq!(m.eval_cache_hits(), 1);
+    }
+
+    #[test]
     fn expected_cost_cache_counts_paper_eval_units() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
@@ -1112,59 +978,6 @@ mod tests {
         m.reset_evals();
         m.expected_sort_cost_for(&a, mem_fp, &mt);
         assert_eq!(m.evals(), 2);
-    }
-
-    #[test]
-    fn parallel_bucket_expectation_is_bit_identical_to_serial() {
-        let (cat, q) = fixture();
-        let memory = Distribution::from_pairs(
-            (0..37).map(|i| (50.0 + 13.0 * i as f64, 1.0 + (i % 5) as f64)),
-        )
-        .unwrap();
-        let mem_fp = dist_fingerprint(&memory);
-        for threads in [2usize, 3, 8, 64] {
-            let par = BucketParallelism {
-                threads,
-                min_evals: 1,
-            };
-            let serial_model = CostModel::new(&cat, &q);
-            let par_model = CostModel::new(&cat, &q);
-            for method in JoinMethod::ALL {
-                let s = serial_model.expected_join_cost_over(method, 123.0, 456.0, &memory, mem_fp);
-                let p = par_model
-                    .expected_join_cost_over_with(method, 123.0, 456.0, &memory, mem_fp, par);
-                assert_eq!(s.to_bits(), p.to_bits(), "{method:?} at {threads} threads");
-            }
-            let s = serial_model.expected_sort_cost_over(900.0, &memory, mem_fp);
-            let p = par_model.expected_sort_cost_over_with(900.0, &memory, mem_fp, par);
-            assert_eq!(s.to_bits(), p.to_bits(), "sort at {threads} threads");
-            assert_eq!(serial_model.evals(), par_model.evals());
-            assert_eq!(serial_model.eval_cache_hits(), par_model.eval_cache_hits());
-        }
-    }
-
-    #[test]
-    fn concurrent_lookups_evaluate_each_key_exactly_once() {
-        let (cat, q) = fixture();
-        let m = CostModel::new(&cat, &q);
-        let n_keys = 100u64;
-        let n_threads = 8;
-        std::thread::scope(|s| {
-            for _ in 0..n_threads {
-                s.spawn(|| {
-                    for i in 0..n_keys {
-                        m.join_cost_for(JoinMethod::SortMerge, 100.0 + i as f64, 200.0, 50.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            m.evals(),
-            n_keys,
-            "each distinct key must be computed exactly once"
-        );
-        assert_eq!(m.eval_cache_hits(), (n_threads - 1) * n_keys);
-        assert_eq!(m.eval_cache_len(), n_keys as usize);
     }
 
     #[test]

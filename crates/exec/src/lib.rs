@@ -42,6 +42,8 @@
 //! `calibration` bench pins per-optimizer-mode error bands in
 //! `BENCH_calibration.json`.
 
+#![forbid(unsafe_code)]
+
 pub mod bufpool;
 pub mod calib;
 pub mod datagen;

@@ -14,6 +14,8 @@
 //! * [`workload`] — seeded generators for chain/star/clique/random join
 //!   queries, substituting for the paper's unavailable "realistic queries".
 
+#![forbid(unsafe_code)]
+
 pub mod order;
 pub mod physical;
 pub mod query;

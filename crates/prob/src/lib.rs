@@ -21,6 +21,8 @@
 //! types as the ground truth for "what the optimizer believes about the
 //! run-time environment".
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod error;
 pub mod fit;

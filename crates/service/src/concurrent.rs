@@ -1,9 +1,9 @@
 //! The concurrent serving front end: a [`ConcurrentPlanServer`] that many
 //! client threads share through `&self`.
 //!
-//! The per-query engine underneath has been `Sync` since PR 2 (sharded
-//! eval cache) and PR 3 (persistent worker pool); this module makes the
-//! *serving* layer match.  Three layers:
+//! A search is a plain call on the thread that asks for it, so the client
+//! threads are the only parallelism here; this module is what they share.
+//! Two layers:
 //!
 //! 1. **Sharded plan cache** ([`crate::cache::ShapeCache`]): the
 //!    exact/weak maps are lock-striped, so the hit path — the 97%+ common
@@ -15,15 +15,12 @@
 //!    the whole cohort; *followers* block on it and get the canonical
 //!    answer relabeled into their own table numbering
 //!    ([`CacheDecision::Coalesced`]).  A thundering herd on a cold hot
-//!    key runs one search, not N.
-//! 3. **Shared worker-pool discipline**: every search borrows threads
-//!    from one [`lec_core::search::PersistentPool`], already safe under
-//!    concurrent use (it serializes fan-outs internally).  A leader
-//!    whose search dies — an engine-reported
-//!    [`OptError::WorkerPanicked`], or a panic unwinding out of the
-//!    optimizer — fails **exactly its own followers** (each receives the
-//!    error) and nothing else: the in-flight record is retired, the pool
-//!    survives, and the next request on that key elects a fresh leader.
+//!    key runs one search, not N.  A leader whose search dies — a panic
+//!    unwinding out of the optimizer or a serve hook — fails **exactly
+//!    its own followers** (each receives [`OptError::WorkerPanicked`])
+//!    and nothing else: the in-flight record is retired, the panic keeps
+//!    unwinding the leader's own thread, and the next request on that
+//!    key elects a fresh leader.
 //!
 //! Byte-identity is the same acceptance bar as every layer before it:
 //! whatever the interleaving, every response (plan, cost bits, table
@@ -58,7 +55,6 @@ use crate::cache::{CacheDecision, CacheStats, CanonicalAnswer, ExactLookup, Shap
 use crate::server::{ServeResponse, DEFAULT_CACHE_CAPACITY};
 use lec_canon::canonical_form;
 use lec_catalog::Catalog;
-use lec_core::search::{PersistentPool, WorkerPool};
 use lec_core::{Mode, OptError, Optimizer};
 use lec_cost::dist_fingerprint;
 use lec_plan::Query;
@@ -105,8 +101,8 @@ impl ServeError {
     /// True for errors worth retrying blindly (with backoff): the request
     /// was never searched, or its answer will be cached momentarily.
     /// `Opt` errors — including [`OptError::WorkerPanicked`], which means
-    /// a search genuinely died — are *not* transient: clients must
-    /// surface those, not hammer the server with them.
+    /// the leader's search genuinely died — are *not* transient: clients
+    /// must surface those, not hammer the server with them.
     pub fn is_transient(&self) -> bool {
         matches!(self, ServeError::Overloaded | ServeError::DeadlineExceeded)
     }
@@ -185,9 +181,9 @@ impl Drop for ColdPermit<'_> {
 /// self`), this server is the multi-client front end: [`serve`] takes
 /// `&self`, so any number of threads share one instance (typically
 /// `Arc<ConcurrentPlanServer>`, or plain borrows under
-/// [`std::thread::scope`]).  See the [module docs](self) for the three
-/// layers — sharded cache, singleflight coalescing, shared pool —
-/// and the byte-identity contract.
+/// [`std::thread::scope`]).  See the [module docs](self) for the two
+/// layers — sharded cache, singleflight coalescing — and the
+/// byte-identity contract.
 ///
 /// [`serve`]: ConcurrentPlanServer::serve
 #[derive(Debug)]
@@ -195,7 +191,6 @@ pub struct ConcurrentPlanServer<'a> {
     optimizer: Optimizer<'a>,
     cache: ShapeCache,
     memory_fp: u64,
-    search_fp: u64,
     /// Lifetime total of subsets discarded by branch-and-bound pruning
     /// across every fresh search this server ran (served/coalesced
     /// responses reuse an already-counted search).
@@ -222,26 +217,19 @@ const _: fn() = || {
 
 impl<'a> ConcurrentPlanServer<'a> {
     /// A server over `catalog` believing `memory`, with the default cache
-    /// capacity and a persistent worker pool sized to the host — the same
-    /// defaults as [`crate::PlanServer::new`].
+    /// capacity — the same defaults as [`crate::PlanServer::new`].
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
-        let pool: Arc<dyn WorkerPool> = Arc::new(PersistentPool::for_host());
-        Self::with_optimizer(
-            Optimizer::new(catalog, memory).with_worker_pool(pool),
-            DEFAULT_CACHE_CAPACITY,
-        )
+        Self::with_optimizer(Optimizer::new(catalog, memory), DEFAULT_CACHE_CAPACITY)
     }
 
-    /// A server around an explicitly configured optimizer (search config,
-    /// worker pool) and cache capacity.
+    /// A server around an explicitly configured optimizer (search config)
+    /// and cache capacity.
     pub fn with_optimizer(optimizer: Optimizer<'a>, cache_capacity: usize) -> Self {
         let memory_fp = dist_fingerprint(optimizer.memory());
-        let search_fp = optimizer.search_config().fingerprint();
         ConcurrentPlanServer {
             optimizer,
             cache: ShapeCache::new(cache_capacity),
             memory_fp,
-            search_fp,
             pruned_subsets: AtomicU64::new(0),
             bound_evals: AtomicU64::new(0),
             sharp_bound_evals: AtomicU64::new(0),
@@ -465,7 +453,7 @@ impl<'a> ConcurrentPlanServer<'a> {
             });
         };
 
-        let env = [self.memory_fp, mode.fingerprint(), self.search_fp];
+        let env = [self.memory_fp, mode.fingerprint()];
         let exact_key = key_with_env(&form.exact, &env);
         let weak_key = key_with_env(&form.weak, &env);
 
@@ -596,9 +584,10 @@ impl<'a> ConcurrentPlanServer<'a> {
     }
 }
 
-/// Append the environment fingerprints (memory distribution, mode, search
-/// config) to a shape encoding, producing the final cache key.
-pub(crate) fn key_with_env(encoding: &[u64], env: &[u64; 3]) -> Box<[u64]> {
+/// Append the environment fingerprints (memory distribution, mode) to a
+/// shape encoding, producing the final cache key.  The search config is
+/// not part of it: pruning and telemetry never change an answer.
+pub(crate) fn key_with_env(encoding: &[u64], env: &[u64; 2]) -> Box<[u64]> {
     let mut key = Vec::with_capacity(encoding.len() + env.len());
     key.extend_from_slice(encoding);
     key.extend_from_slice(env);
@@ -607,10 +596,10 @@ pub(crate) fn key_with_env(encoding: &[u64], env: &[u64; 3]) -> Box<[u64]> {
 
 /// The leader's unconditional-publication obligation.  Dropping it
 /// without completing — only possible when the search panicked out of
-/// [`Optimizer::optimize`] — wakes the followers with
-/// [`OptError::WorkerPanicked`] (the engine's own verdict for a search
-/// that died mid-flight) while the panic keeps unwinding the leader; a
-/// follower cohort can therefore never deadlock on a dead leader.
+/// [`Optimizer::optimize`] or a serve hook — wakes the followers with
+/// [`OptError::WorkerPanicked`] while the panic keeps unwinding the
+/// leader; a follower cohort can therefore never deadlock on a dead
+/// leader.
 struct LeaderGuard<'c> {
     cache: &'c ShapeCache,
     exact_key: &'c [u64],
@@ -830,11 +819,7 @@ mod tests {
         gate.deny.store(true, Ordering::SeqCst);
         // Plant a follower by hand via the cache, then shed the leader.
         let form = canonical_form(server.optimizer.catalog(), &q).unwrap();
-        let env = [
-            server.memory_fp,
-            Mode::AlgorithmC.fingerprint(),
-            server.search_fp,
-        ];
+        let env = [server.memory_fp, Mode::AlgorithmC.fingerprint()];
         let exact_key = key_with_env(&form.exact, &env);
         let ExactLookup::Lead(_lead) = server.cache.lookup_or_lead(&exact_key) else {
             panic!("fresh key must lead");
@@ -863,11 +848,7 @@ mod tests {
         let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
         let server = ConcurrentPlanServer::new(&cat, memory);
         let form = canonical_form(server.optimizer.catalog(), &q).unwrap();
-        let env = [
-            server.memory_fp,
-            Mode::AlgorithmC.fingerprint(),
-            server.search_fp,
-        ];
+        let env = [server.memory_fp, Mode::AlgorithmC.fingerprint()];
         let exact_key = key_with_env(&form.exact, &env);
         // Hold leadership so the gated request below must follow.
         let ExactLookup::Lead(_lead) = server.cache.lookup_or_lead(&exact_key) else {

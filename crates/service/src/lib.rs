@@ -4,12 +4,12 @@
 //! (precompute plans for anticipated environments, pick cheaply at
 //! start-up) already gestures at the workload-level question: how do you
 //! serve a *stream* of optimization requests fast?  This crate is that
-//! subsystem, built from two pieces:
+//! subsystem, built around one piece:
 //!
 //! * **Canonical-shape plan cache** ([`canon`], [`cache`]): every request
 //!   is normalized to a canonical table labeling (join-graph topology up
 //!   to renaming, per-table statistics, memory-distribution and
-//!   mode/config fingerprints — Weisfeiler–Leman refinement plus
+//!   mode fingerprints — Weisfeiler–Leman refinement plus
 //!   minimum-encoding tie-breaking).  Requests that are renamings of an
 //!   already-optimized shape skip the whole DP: the cached plan is
 //!   relabeled into the caller's numbering and served.  Near-misses (same
@@ -19,14 +19,10 @@
 //!   [`lec_core::Optimizer::optimize`] on the same request.  LRU
 //!   eviction, per-entry hit counters, and a [`CacheDecision`] in every
 //!   response keep the cache observable.
-//! * **Persistent worker pool** ([`lec_core::search::PersistentPool`],
-//!   injected through [`lec_core::SearchConfig::pool`]): searches borrow
-//!   long-lived parked threads instead of spawning a scoped pool per
-//!   search (~50µs), so the engine's level fan-out pays off on the
-//!   sub-100µs queries a serving layer answers all day — with results
-//!   byte-identical to the serial driver, as for every other pool.
 //!
-//! [`PlanServer`] ties the two together behind one `serve` call:
+//! A miss is a plain search on the thread that asked; the serving layer
+//! adds no threads of its own.  [`PlanServer`] puts the cache behind one
+//! `serve` call:
 //!
 //! ```
 //! use lec_core::{fixtures, Mode};
@@ -86,6 +82,8 @@
 //! assert_eq!(stats.recomputed + stats.revalidated, 1);
 //! assert_eq!(stats.lookups, 4);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod concurrent;

@@ -1,6 +1,5 @@
 //! The serving layer: a [`PlanServer`] answering streams of optimization
-//! requests through the canonical-shape cache and a persistent worker
-//! pool.
+//! requests through the canonical-shape cache.
 //!
 //! Since PR 5 the single-client `PlanServer` is a thin facade over the
 //! thread-shared [`ConcurrentPlanServer`] — same sharded cache, same
@@ -57,17 +56,12 @@ impl ServeResponse {
 ///
 /// `PlanServer` is the workload-level face of the repo: where
 /// [`Optimizer`] answers one query, the server answers a *stream*,
-/// carrying two pieces of cross-query state the per-query facade cannot:
-///
-/// * a **canonical-shape plan cache** (see [`crate::canon`]): requests
-///   that are table-renamings of an already-optimized shape are answered
-///   by relabeling the cached plan — no DP at all — and near-misses
-///   (same bucketed shape, drifted parameters) revalidate the cached plan
-///   against one fresh search instead of silently trusting it;
-/// * a **persistent worker pool**
-///   ([`lec_core::search::PersistentPool`]): searches borrow long-lived
-///   parked threads instead of spawning a scoped pool, so even sub-100µs
-///   queries can fan out.
+/// carrying the cross-query state the per-query facade cannot — a
+/// **canonical-shape plan cache** (see [`crate::canon`]): requests that
+/// are table-renamings of an already-optimized shape are answered by
+/// relabeling the cached plan — no DP at all — and near-misses (same
+/// bucketed shape, drifted parameters) revalidate the cached plan against
+/// one fresh search instead of silently trusting it.
 ///
 /// Responses are **byte-identical** to what a fresh
 /// [`Optimizer::optimize`] would return for the same request — plan, cost
@@ -84,15 +78,15 @@ pub struct PlanServer<'a> {
 
 impl<'a> PlanServer<'a> {
     /// A server over `catalog` believing `memory`, with the default cache
-    /// capacity and a persistent pool sized to the host.
+    /// capacity.
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
         PlanServer {
             inner: ConcurrentPlanServer::new(catalog, memory),
         }
     }
 
-    /// A server around an explicitly configured optimizer (search config,
-    /// worker pool) and cache capacity.
+    /// A server around an explicitly configured optimizer (search config)
+    /// and cache capacity.
     pub fn with_optimizer(optimizer: Optimizer<'a>, cache_capacity: usize) -> Self {
         PlanServer {
             inner: ConcurrentPlanServer::with_optimizer(optimizer, cache_capacity),

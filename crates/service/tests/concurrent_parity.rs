@@ -3,13 +3,13 @@
 //! served, coalesced, revalidated, recomputed — byte-identical (plan,
 //! cost bits, table numbering) to a fresh `Optimizer::optimize` of the
 //! same request under randomized interleavings; plus deterministic
-//! coalescing tests built on a gate-keeping worker pool that holds a
-//! leader's search open until its followers have provably queued.
+//! coalescing tests built on a gate-keeping serve hook that holds a
+//! leader just short of its search until its followers have provably
+//! queued.
 
-use lec_core::search::{PersistentPool, SearchConfig, WorkerPool};
 use lec_core::{Mode, OptError, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
-use lec_service::{CacheDecision, ConcurrentPlanServer};
+use lec_service::{CacheDecision, ConcurrentPlanServer, ServeError, ServeHooks};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -163,29 +163,19 @@ fn concurrent_clients_stay_byte_identical_to_fresh_optimization() {
     assert_eq!(server.hit_histogram().iter().sum::<u64>(), stats.served);
 }
 
-/// A worker pool that can hold a search open at its fan-out point (so a
-/// test can pile followers onto the in-flight leader deterministically)
-/// and, when armed, panic the search instead of running it.
-#[derive(Debug)]
-struct GatePool {
-    inner: PersistentPool,
+/// Serve hooks that can hold a leader at `before_search` — after cohort
+/// admission, so a test can pile followers onto the in-flight leader
+/// deterministically — and, when armed to, panic it instead of letting
+/// the search run.
+#[derive(Debug, Default)]
+struct Gate {
     gated: AtomicBool,
     entered: AtomicUsize,
     released: AtomicBool,
     poisoned: AtomicBool,
 }
 
-impl GatePool {
-    fn new(workers: usize) -> Self {
-        GatePool {
-            inner: PersistentPool::new(workers),
-            gated: AtomicBool::new(false),
-            entered: AtomicUsize::new(0),
-            released: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
+impl Gate {
     fn arm(&self, poison: bool) {
         self.entered.store(0, Ordering::SeqCst);
         self.released.store(false, Ordering::SeqCst);
@@ -210,8 +200,8 @@ impl GatePool {
     }
 }
 
-impl WorkerPool for GatePool {
-    fn scope(&self, workers: usize, worker: &(dyn Fn(usize) + Sync), driver: &mut dyn FnMut()) {
+impl ServeHooks for Gate {
+    fn before_search(&self) {
         if self.gated.load(Ordering::SeqCst) {
             self.entered.fetch_add(1, Ordering::SeqCst);
             let t0 = Instant::now();
@@ -223,21 +213,14 @@ impl WorkerPool for GatePool {
                 std::thread::yield_now();
             }
             if self.poisoned.load(Ordering::SeqCst) {
-                panic!("gate pool poisoned this search");
+                panic!("the gate poisoned this search");
             }
         }
-        self.inner.scope(workers, worker, driver)
-    }
-
-    fn max_workers(&self) -> usize {
-        self.inner.max_workers()
     }
 }
 
-/// A 4-table chain whose widest DP level carries 3 connected subsets, so
-/// a `fanout_threshold` of 3 forces the search through the pool's
-/// `scope` (where the gate sits); plus a 3-table chain that stays under
-/// the gate (widest connected level 2) for bystander traffic.
+/// A 4-table chain for the gated cohort, plus a 3-table chain (another
+/// canonical key) for bystander traffic.
 fn gated_fixtures() -> (lec_catalog::Catalog, Query, Query) {
     let mut g = lec_catalog::CatalogGenerator::new(77);
     let catalog = g.generate(12);
@@ -253,19 +236,9 @@ fn gated_fixtures() -> (lec_catalog::Catalog, Query, Query) {
     (catalog, big, small)
 }
 
-fn gated_server(catalog: &lec_catalog::Catalog, pool: Arc<GatePool>) -> ConcurrentPlanServer<'_> {
+fn gated_server(catalog: &lec_catalog::Catalog) -> ConcurrentPlanServer<'_> {
     let memory = lec_prob::presets::spread_family(600.0, 0.6, 4).unwrap();
-    let pool: Arc<dyn WorkerPool> = pool;
-    let config = SearchConfig {
-        threads: 2,
-        fanout_threshold: 3,
-        pool: Some(pool),
-        ..SearchConfig::default()
-    };
-    ConcurrentPlanServer::with_optimizer(
-        Optimizer::new(catalog, memory).with_search_config(config),
-        64,
-    )
+    ConcurrentPlanServer::with_optimizer(Optimizer::new(catalog, memory), 64)
 }
 
 /// Concurrent misses on one exact canonical key must run exactly one DP:
@@ -275,8 +248,8 @@ fn gated_server(catalog: &lec_catalog::Catalog, pool: Arc<GatePool>) -> Concurre
 #[test]
 fn coalesced_misses_on_one_key_run_exactly_one_dp() {
     let (catalog, big, _) = gated_fixtures();
-    let gate = Arc::new(GatePool::new(1));
-    let server = gated_server(&catalog, Arc::clone(&gate));
+    let gate = Gate::default();
+    let server = gated_server(&catalog);
     let mode = Mode::AlgorithmC;
 
     // Renamed copies of the same shape: one exact canonical key.
@@ -285,16 +258,16 @@ fn coalesced_misses_on_one_key_run_exactly_one_dp() {
     gate.arm(false);
     std::thread::scope(|scope| {
         let leader = {
-            let (server, big, mode) = (&server, &big, &mode);
-            scope.spawn(move || server.serve(big, mode).unwrap())
+            let (server, big, mode, gate) = (&server, &big, &mode, &gate);
+            scope.spawn(move || server.serve_gated(big, mode, gate, None).unwrap())
         };
-        // The leader is now provably inside its DP (gated at fan-out).
+        // The leader now provably holds the key (gated just before its DP).
         gate.await_entered(1);
         let followers: Vec<_> = renamings
             .iter()
             .map(|map| {
                 let renamed = big.relabel_tables(map);
-                let (server, mode) = (&server, &mode);
+                let (server, mode, gate) = (&server, &mode, &gate);
                 scope.spawn(move || {
                     let fresh = Optimizer::new(
                         server.optimizer().catalog(),
@@ -302,7 +275,7 @@ fn coalesced_misses_on_one_key_run_exactly_one_dp() {
                     )
                     .optimize(&renamed, mode)
                     .unwrap();
-                    let resp = server.serve(&renamed, mode).unwrap();
+                    let resp = server.serve_gated(&renamed, mode, gate, None).unwrap();
                     (resp, fresh)
                 })
             })
@@ -344,30 +317,30 @@ fn coalesced_misses_on_one_key_run_exactly_one_dp() {
     assert_eq!(again.decision, CacheDecision::Served);
 }
 
-/// A leader whose search panics mid-flight fails exactly its own
-/// followers — each receives `WorkerPanicked` — while a bystander on a
-/// different key is untouched, the persistent pool survives, and the
-/// poisoned key elects a healthy fresh leader afterwards.
+/// A leader that panics mid-flight fails exactly its own followers —
+/// each receives `WorkerPanicked` — while a bystander on a different key
+/// is untouched, and the poisoned key elects a healthy fresh leader
+/// afterwards.
 #[test]
 fn poisoned_leader_fails_only_its_followers() {
     let (catalog, big, small) = gated_fixtures();
-    let gate = Arc::new(GatePool::new(1));
-    let server = gated_server(&catalog, Arc::clone(&gate));
+    let gate = Gate::default();
+    let server = gated_server(&catalog);
     let mode = Mode::AlgorithmC;
 
     gate.arm(true);
     std::thread::scope(|scope| {
         let leader = {
-            let (server, big, mode) = (&server, &big, &mode);
-            scope.spawn(move || server.serve(big, mode))
+            let (server, big, mode, gate) = (&server, &big, &mode, &gate);
+            scope.spawn(move || server.serve_gated(big, mode, gate, None))
         };
         gate.await_entered(1);
         let followers: Vec<_> = [[1usize, 0, 2, 3], [3, 2, 1, 0]]
             .iter()
             .map(|map| {
                 let renamed = big.relabel_tables(map);
-                let (server, mode) = (&server, &mode);
-                scope.spawn(move || server.serve(&renamed, mode))
+                let (server, mode, gate) = (&server, &mode, &gate);
+                scope.spawn(move || server.serve_gated(&renamed, mode, gate, None))
             })
             .collect();
         let t0 = Instant::now();
@@ -378,9 +351,9 @@ fn poisoned_leader_fails_only_its_followers() {
             );
             std::thread::yield_now();
         }
-        // A bystander on a different key stays under the fan-out gate
-        // (3-table chain), so it never touches the gated pool and must
-        // be answered normally while the leader hangs.
+        // A bystander on a different key serves ungated, so it never
+        // meets the gate and must be answered normally while the leader
+        // hangs.
         let bystander = server.serve(&small, &mode).unwrap();
         assert_eq!(bystander.decision, CacheDecision::Recomputed);
 
@@ -392,15 +365,15 @@ fn poisoned_leader_fails_only_its_followers() {
         for f in followers {
             let got = f.join().unwrap();
             assert!(
-                matches!(got, Err(OptError::WorkerPanicked)),
+                matches!(got, Err(ServeError::Opt(OptError::WorkerPanicked))),
                 "followers of the failed leader must see WorkerPanicked, got {got:?}"
             );
         }
     });
 
-    // Nothing about the poisoned key was cached, and the pool is healthy:
-    // the same key now elects a fresh leader whose (gated-off) search
-    // succeeds and is byte-identical to fresh optimization.
+    // Nothing about the poisoned key was cached: the same key now elects
+    // a fresh leader whose search succeeds and is byte-identical to fresh
+    // optimization.
     let resp = server.serve(&big, &mode).unwrap();
     assert_eq!(resp.decision, CacheDecision::Recomputed);
     let fresh = Optimizer::new(&catalog, server.optimizer().memory().clone())

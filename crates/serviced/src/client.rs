@@ -6,9 +6,10 @@
 //! Only *transient* wire errors ([`ErrorCode::is_transient`]) are retried:
 //! `Overloaded` (the daemon shed the request) and `DeadlineExceeded` (the
 //! coalesced wait ran out — a retry usually lands on the cache the
-//! abandoned search fed).  A `WorkerPanicked` cohort failure is **not**
-//! retried blindly: the same request may kill the next leader too, so it
-//! surfaces to the caller, who decides.  Deterministic optimizer errors
+//! abandoned search fed).  `WorkerPanicked` — the search serving the
+//! request panicked, the request's own or the leader's it coalesced onto
+//! — is **not** retried blindly: the same request may kill the next
+//! search too, so it surfaces to the caller, who decides.  Deterministic optimizer errors
 //! and malformed-frame rejections likewise surface immediately.
 
 use crate::protocol::{self, op, DecodeError, ErrorCode, Reader, StatsFormat, Writer, MAX_FRAME};

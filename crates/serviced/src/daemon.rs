@@ -606,10 +606,12 @@ impl<'s, 'c> Daemon<'s, 'c> {
                     gate: &self.gate,
                     fault,
                 };
-                // The serving layer's LeaderGuard publishes the cohort
-                // error before a panic reaches this catch; mapping the
-                // escaped panic to WorkerPanicked keeps the leader's own
-                // response consistent with what its followers saw.
+                // A search is a plain call on this handler thread, so a
+                // panic in it unwinds to here.  The serving layer's
+                // LeaderGuard publishes the cohort error on the way;
+                // mapping the escaped panic to WorkerPanicked keeps the
+                // leader's own response consistent with what its
+                // followers saw.
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     self.server
                         .serve_traced(&query, &mode, &hooks, deadline, &mut trace)

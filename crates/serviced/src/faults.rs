@@ -13,8 +13,9 @@
 //! inbound frame is peeled off, or before an outbound frame is written);
 //! search faults act inside the serving layer's `before_search` hook, so
 //! a [`SearchFault::KillLeader`] genuinely dies *after* coalescing
-//! admission — its followers observe the cohort-wide `WorkerPanicked`,
-//! which is the scenario worth pinning.
+//! admission — its followers observe the cohort-wide `WorkerPanicked`
+//! the serving layer's `LeaderGuard` publishes, which is the scenario
+//! worth pinning.
 
 use std::collections::HashMap;
 use std::time::Duration;

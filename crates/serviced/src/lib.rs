@@ -52,7 +52,7 @@
 //! |-----:|--------------------|------------|--------------------------------------------|
 //! | 1    | `Overloaded`       | yes        | admission control shed this cold request   |
 //! | 2    | `DeadlineExceeded` | yes        | the request's deadline expired             |
-//! | 3    | `WorkerPanicked`   | **no**     | the cohort's search died — surfaced, never retried blindly |
+//! | 3    | `WorkerPanicked`   | **no**     | the search serving this request panicked (its own, or the leader's it coalesced onto) — surfaced, never retried blindly |
 //! | 4    | `Opt`              | no         | deterministic optimizer rejection          |
 //! | 5    | `Malformed`        | no         | undecodable frame; the connection is poisoned |
 //!
@@ -76,6 +76,8 @@
 //! Transports are pluggable ([`transport::Stream`] /
 //! [`transport::Listener`]): TCP, Unix-domain sockets, or the in-process
 //! [`duplex`](transport::duplex) pipe the tests run on.
+
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod daemon;

@@ -114,8 +114,9 @@ pub enum ErrorCode {
     /// The request's deadline expired.  Transient: a retry usually hits
     /// the cache the abandoned search fed.
     DeadlineExceeded = 2,
-    /// The cohort's search died mid-flight.  **Not** blindly retryable —
-    /// surface it; the same request may kill the next leader too.
+    /// The search serving this request panicked — its own, or the
+    /// leader's it coalesced onto.  **Not** blindly retryable — surface
+    /// it; the same request may kill the next search too.
     WorkerPanicked = 3,
     /// The optimizer rejected the request (bad query, bad parameter, no
     /// plan).  Deterministic: retrying the same bytes returns the same

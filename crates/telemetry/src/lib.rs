@@ -18,6 +18,8 @@
 //! [`TraceCtx`] never reads the clock, so instrumented code needs no
 //! conditional compilation to stay near-free when observability is off.
 
+#![forbid(unsafe_code)]
+
 pub mod hist;
 pub mod prom;
 pub mod slowlog;
@@ -260,11 +262,10 @@ impl TelemetryConfig {
     }
 }
 
-/// One DP level's pruning activity, recorded by the search drivers at the
-/// level barrier: how many subsets the level discarded and how the tiered
-/// bound evaluation split between the sharp per-edge floor and the cheap
-/// universal one.  Deltas of the schedule-independent `SearchStats`
-/// counters, so serial and parallel searches record identical traces.
+/// One DP level's pruning activity, recorded by the search driver when
+/// the level completes: how many subsets the level discarded and how the
+/// tiered bound evaluation split between the sharp per-edge floor and the
+/// cheap universal one.  Deltas of the `SearchStats` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelPrune {
     /// DP level (subset size `k`).

@@ -1,6 +1,6 @@
 //! The cross-query serving layer: a `PlanServer` answering a skewed
-//! stream of optimization requests through the canonical-shape plan cache
-//! and a persistent worker pool.
+//! stream of optimization requests through the canonical-shape plan
+//! cache.
 //!
 //! Repeats and table-renamed copies of an already-optimized query shape
 //! are answered by relabeling the cached plan — no dynamic programming at

@@ -11,7 +11,7 @@
 //! | [`plan`] | queries, order properties, physical plans, workloads |
 //! | [`cost`] | the paper's I/O cost formulas and expected-cost algorithms |
 //! | [`core`] | LSC baseline and Algorithms A, B, C, D; bucketing; ground truth |
-//! | [`service`] | cross-query serving: canonical-shape plan cache + persistent worker pool |
+//! | [`service`] | cross-query serving: canonical-shape plan cache shared by many client threads, singleflight on misses |
 //! | [`serviced`] | hardened network daemon: wire protocol, admission control, graceful drain, fault injection |
 //! | [`exec`] | Monte-Carlo simulation, buffer-pool operators, tuple executor, cost-calibration observatory |
 //! | [`telemetry`] | lock-free histograms, request tracing, calibration-error and I/O counters |
@@ -34,6 +34,8 @@
 //! assert!(opt.expected_cost_of(&query, &lec.plan)
 //!       < opt.expected_cost_of(&query, &lsc.plan));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use lec_catalog as catalog;
 pub use lec_core as core;

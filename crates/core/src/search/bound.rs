@@ -64,11 +64,15 @@
 //!
 //! A *disconnected* subset can never produce a DP entry at all: every
 //! split the engine builds excludes cross products, so by induction no
-//! combination over a disconnected set survives.  [`PruneState`] carries
-//! the query's adjacency structure ([`PruneState::is_connected`]) and the
-//! engine discards disconnected subsets structurally, before any size
-//! product is computed — vacuously admissible, since there is nothing a
-//! disconnected subset could have contributed.
+//! combination over a disconnected set survives.  The engine therefore
+//! never visits one — each DP level is grown from the previous level's
+//! connected sets through the model's neighbour masks
+//! ([`lec_cost::CostModel::frontier`]) — and a bound is only ever asked
+//! about a connected subset.  With pruning on, the disconnected share of
+//! each level is *counted* into [`super::SearchStats::pruned_subsets`]
+//! (`C(n, k)` minus the level's size) without being enumerated:
+//! vacuously admissible, since there is nothing a disconnected subset
+//! could have contributed.
 
 use super::PlanShape;
 use lec_cost::formulas::{raw_join_cost, MIN_PAGES};
@@ -126,10 +130,8 @@ pub fn point_size_product(model: &CostModel<'_>, set: TableSet) -> f64 {
     for i in set.iter() {
         pages *= model.base_pages(i);
     }
-    for join in &model.query().joins {
-        if set.contains(join.left.table) && set.contains(join.right.table) {
-            pages *= join.selectivity.mean();
-        }
+    for selectivity in model.selectivities_within(set) {
+        pages *= selectivity;
     }
     pages.max(MIN_PAGES)
 }
@@ -313,8 +315,8 @@ impl BoundCheck {
 
 /// Everything the engine and policies need to evaluate one prune check:
 /// the size bound, the incumbent, the query-constant floors (cheapest
-/// access per table, cheapest possible join), the adjacency structure,
-/// and the per-search edge-bound table feeding the sharp tier.
+/// access per table, cheapest possible join) and the per-search
+/// edge-bound table feeding the sharp tier.
 #[derive(Debug)]
 pub struct PruneState {
     bound: Box<dyn LowerBound>,
@@ -331,8 +333,6 @@ pub struct PruneState {
     join_floor_each: f64,
     /// Per-edge admissible floors, one entry per joined table pair.
     edges: Vec<EdgeBound>,
-    /// Neighbour bitmask per table, from the query's join edges.
-    adjacency: Vec<u64>,
     /// Per-table operand size floors ([`LowerBound::table_floor`]).
     table_floors: Vec<f64>,
     /// Per-table minimum-spanning attach selection: the cheapest
@@ -377,15 +377,12 @@ impl PruneState {
                 .map(|&m| raw_join_cost(m, MIN_PAGES, table_floors[i], m_max))
                 .fold(f64::INFINITY, f64::min)
         };
-        let mut adjacency = vec![0u64; n];
         let mut edges: Vec<EdgeBound> = Vec::new();
         for join in &model.query().joins {
             let (u, v) = (join.left.table, join.right.table);
             if u == v || u >= n || v >= n {
                 continue;
             }
-            adjacency[u] |= 1 << v;
-            adjacency[v] |= 1 << u;
             let (u, v) = (u.min(v), u.max(v));
             if edges.iter().any(|e| e.u == u && e.v == v) {
                 continue;
@@ -420,7 +417,6 @@ impl PruneState {
             total_access_floor,
             join_floor_each,
             edges,
-            adjacency,
             table_floors,
             attach_floors,
             total_attach_floor,
@@ -458,35 +454,14 @@ impl PruneState {
         &self.edges
     }
 
-    /// Whether `set` is connected under the query's join edges.  A
-    /// disconnected set can never produce a DP entry (every split the
-    /// engine builds excludes cross products), so the engine discards
-    /// such sets structurally before any size product is computed.
-    pub fn is_connected(&self, set: TableSet) -> bool {
-        let bits = set.bits();
-        if bits == 0 {
-            return false;
-        }
-        let mut reached = bits & bits.wrapping_neg();
-        loop {
-            let mut next = reached;
-            let mut cur = reached;
-            while cur != 0 {
-                let t = cur.trailing_zeros() as usize;
-                cur &= cur - 1;
-                next |= self.adjacency[t] & bits;
-            }
-            if next == reached {
-                return reached == bits;
-            }
-            reached = next;
-        }
-    }
-
     /// Floor on the cost of the single join directly above a subtree of
     /// `pages` output pages: the cheapest method and orientation against
     /// a [`MIN_PAGES`]-sized partner at the most favourable memory.
     fn first_join_floor(&self, pages: f64) -> f64 {
+        if pages == MIN_PAGES {
+            // The constant's own operand pair, both orientations.
+            return self.join_floor_each;
+        }
         let m_max = self.bound.max_memory();
         JoinMethod::ALL
             .iter()
@@ -544,37 +519,41 @@ impl PruneState {
     /// result, whose pages are at least `pages`.  Under the bushy shape
     /// this strengthening is *not* admissible (a table can enter via a
     /// composite clamped to [`MIN_PAGES`]), so the sharp floor falls
-    /// back to the cheap one.
-    pub fn sharp_subset_floor(&self, set: TableSet, pages: f64) -> f64 {
-        let cheap = self.subset_floor(set, pages);
+    /// back to the cheap one.  `cheap` is `subset_floor(set, pages)`,
+    /// which the caller has in hand from the tier below.
+    pub fn sharp_subset_floor(
+        &self,
+        model: &CostModel<'_>,
+        set: TableSet,
+        pages: f64,
+        cheap: f64,
+    ) -> f64 {
         let k = set.len();
         if self.shape != PlanShape::LeftDeep || k >= self.n {
             return cheap;
         }
         let mut inside_access = 0.0;
         let mut inside_attach = 0.0;
-        let mut inside_adj = 0u64;
         for i in set.iter() {
             inside_access += self.access_floors[i];
             inside_attach += self.attach_floors[i];
-            inside_adj |= self.adjacency[i];
         }
         let outside_access = self.total_access_floor - inside_access;
         let outside_attach = self.total_attach_floor - inside_attach;
         // The first completion join's inner is some table adjacent to
         // `S`; strengthen its attach with `S`'s size floor as the outer
-        // operand, minimized over the candidates.
-        let m_max = self.bound.max_memory();
+        // operand, minimized over the candidates.  A one-page `S` is the
+        // outer operand every attach floor already assumes: nothing to add.
         let mut first_delta = f64::INFINITY;
-        let mut frontier = inside_adj & !set.bits();
-        while frontier != 0 {
-            let t = frontier.trailing_zeros() as usize;
-            frontier &= frontier - 1;
-            let with_pages = JoinMethod::ALL
-                .iter()
-                .map(|&m| raw_join_cost(m, pages, self.table_floors[t], m_max))
-                .fold(f64::INFINITY, f64::min);
-            first_delta = first_delta.min((with_pages - self.attach_floors[t]).max(0.0));
+        if pages > MIN_PAGES {
+            let m_max = self.bound.max_memory();
+            for t in model.frontier(set).iter() {
+                let with_pages = JoinMethod::ALL
+                    .iter()
+                    .map(|&m| raw_join_cost(m, pages, self.table_floors[t], m_max))
+                    .fold(f64::INFINITY, f64::min);
+                first_delta = first_delta.min((with_pages - self.attach_floors[t]).max(0.0));
+            }
         }
         if !first_delta.is_finite() {
             first_delta = 0.0;
@@ -600,7 +579,7 @@ impl PruneState {
     /// per-edge floor only when the cheap one lands within
     /// [`SHARP_MARGIN`] of the incumbent.  The decision depends only on
     /// (`set`, `pages`, the level's incumbent, the shape).
-    pub fn check(&self, set: TableSet, pages: f64) -> BoundCheck {
+    pub fn check(&self, model: &CostModel<'_>, set: TableSet, pages: f64) -> BoundCheck {
         let incumbent = self.incumbent.get();
         let cheap = self.subset_floor(set, pages);
         if cheap > incumbent {
@@ -612,7 +591,7 @@ impl PruneState {
         {
             return BoundCheck::KeptCheap;
         }
-        if self.sharp_subset_floor(set, pages) > incumbent {
+        if self.sharp_subset_floor(model, set, pages, cheap) > incumbent {
             BoundCheck::PrunedSharp
         } else {
             BoundCheck::KeptSharp

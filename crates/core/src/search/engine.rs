@@ -2,14 +2,16 @@
 //! no optimizer module outside `search/` walks the dag itself.
 //!
 //! A search is a plain function call: [`run_search_with`] walks the
-//! subset dag level by level on the thread that called it.
+//! subset dag level by level on the thread that called it.  A level holds
+//! the *connected* subsets of its size only ([`next_level`]): the walk
+//! costs what the join graph has, not the `2^n` lattice around it.
 
 use super::bound::{point_size_product, PruneState};
 use super::policy::{CandidatePolicy, JoinContext, RootContext, SearchEntry};
 use super::SearchStats;
 use crate::error::OptError;
 use lec_cost::CostModel;
-use lec_plan::{Query, TableSet};
+use lec_plan::TableSet;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,14 +29,13 @@ pub enum PlanShape {
 
 impl PlanShape {
     /// The ordered operand splits of `set`, cross products excluded.
-    fn splits(self, query: &Query, set: TableSet) -> Vec<(TableSet, TableSet)> {
+    fn splits(self, model: &CostModel<'_>, set: TableSet) -> Vec<(TableSet, TableSet)> {
         match self {
             PlanShape::LeftDeep => set
                 .iter()
                 .filter_map(|j| {
                     let left = set.without(j);
-                    query
-                        .is_connected_to(left, j)
+                    (!model.neighbours(j).intersect(left).is_empty())
                         .then_some((left, TableSet::singleton(j)))
                 })
                 .collect(),
@@ -46,7 +47,7 @@ impl PlanShape {
                 while sub != 0 {
                     let left = TableSet::from_bits(sub);
                     let right = TableSet::from_bits(bits & !sub);
-                    if !query.joins_crossing(left, right).is_empty() {
+                    if !model.frontier(left).intersect(right).is_empty() {
                         out.push((left, right));
                     }
                     sub = (sub - 1) & bits;
@@ -55,6 +56,35 @@ impl PlanShape {
             }
         }
     }
+}
+
+/// The connected subsets one table larger than those of `level`, in
+/// increasing bit order: each set grown by each table on its frontier,
+/// sorted and deduplicated.  Every connected set of `k + 1` tables has a
+/// connected `k`-subset (drop a leaf of a spanning tree), so growing *all*
+/// connected `k`-sets reaches all of them — in the order a walk of every
+/// `k + 1`-subset by increasing bits would meet them, which is the order
+/// the tie-breaks and the incumbent refresh were recorded against.
+pub fn next_level(model: &CostModel<'_>, level: &[TableSet]) -> Vec<TableSet> {
+    let mut next: Vec<TableSet> = level
+        .iter()
+        .flat_map(|&set| model.frontier(set).iter().map(move |t| set.with(t)))
+        .collect();
+    next.sort_unstable();
+    next.dedup();
+    next
+}
+
+/// `C(n, k) − connected`: how many `k`-subsets of `n` tables a level of
+/// `connected` sets leaves out.  The running product needs `u128`
+/// (`C(64, 32) · 33` is past `u64`); the result saturates into the `u64`
+/// counter.
+fn disconnected_count(n: usize, k: usize, connected: usize) -> u64 {
+    let mut choose: u128 = 1;
+    for i in 0..k.min(n - k) {
+        choose = choose * (n - i) as u128 / (i + 1) as u128;
+    }
+    u64::try_from(choose - connected as u128).unwrap_or(u64::MAX)
 }
 
 /// The engine's raw product: the finalized (order-enforced) root
@@ -88,23 +118,21 @@ impl<E: SearchEntry> SearchRun<E> {
 /// itself, counting instead of building.  Lets callers reject
 /// plan spaces too large to hold in memory before paying for them.
 pub fn plan_space_size(model: &CostModel<'_>, shape: PlanShape) -> u128 {
-    let query = model.query();
-    let n = query.n_tables();
+    let n = model.query().n_tables();
     if n == 0 {
         return 0;
     }
     let n_methods = lec_plan::JoinMethod::ALL.len() as u128;
     let mut counts: HashMap<TableSet, u128> = HashMap::new();
-    for idx in 0..n {
-        counts.insert(
-            TableSet::singleton(idx),
-            model.access_paths(idx).len() as u128,
-        );
+    let mut level = singletons(n);
+    for &set in &level {
+        counts.insert(set, model.access_paths(set.sole_member()).len() as u128);
     }
-    for k in 2..=n {
-        for set in TableSet::subsets_of_size(n, k) {
+    for _ in 2..=n {
+        level = next_level(model, &level);
+        for &set in &level {
             let mut total: u128 = 0;
-            for (left, right) in shape.splits(query, set) {
+            for (left, right) in shape.splits(model, set) {
                 if let (Some(l), Some(r)) = (counts.get(&left), counts.get(&right)) {
                     total = total.saturating_add(l.saturating_mul(*r).saturating_mul(n_methods));
                 }
@@ -173,10 +201,10 @@ fn timed<T>(h: Option<&lec_telemetry::Histogram>, f: impl FnOnce() -> T) -> T {
     }
 }
 
-/// Combine one subset — every split's entry pairs under every method —
-/// after the branch-and-bound prune check when `prune` is set.  The check
-/// runs *before* the combine (that is the whole point: a pruned subset
-/// skips its entire combine/cost loop) and costs one
+/// Combine one connected subset — every split's entry pairs under every
+/// method — after the branch-and-bound prune check when `prune` is set.
+/// The check runs *before* the combine (that is the whole point: a pruned
+/// subset skips its entire combine/cost loop) and costs one
 /// [`SearchStats::bound_evals`] size-floor computation.  The full set is
 /// never checked — the root must always combine.  `stats.nodes` is
 /// counted here for non-empty results.
@@ -191,26 +219,17 @@ fn combine_subset<P: CandidatePolicy>(
     tel: Option<&lec_telemetry::EngineTelemetry>,
     stats: &mut SearchStats,
 ) -> Vec<P::Entry> {
-    let query = model.query();
-    if let Some(ps) = prune.filter(|_| set.len() < query.n_tables()) {
-        // Structural connectivity first: a disconnected subset can never
-        // produce an entry (every split excludes cross products), so it
-        // is discarded before any size product — this counts toward
-        // `pruned_subsets` but ticks no bound tier.
-        if !ps.is_connected(set) {
-            stats.pruned_subsets += 1;
-            return Vec::new();
-        }
+    if let Some(ps) = prune.filter(|_| set.len() < model.query().n_tables()) {
         stats.bound_evals += 1;
         let pages = timed(tel.map(|t| &t.bound_eval_ns), || {
             ps.bound().pages_floor(model, set)
         });
-        if tally_check(ps.check(set, pages), stats) {
+        if tally_check(ps.check(model, set, pages), stats) {
             return Vec::new();
         }
     }
     let mut entries: Vec<P::Entry> = Vec::new();
-    for (left, right) in shape.splits(query, set) {
+    for (left, right) in shape.splits(model, set) {
         let (Some(outer), Some(inner)) = (table.get(&left), table.get(&right)) else {
             continue;
         };
@@ -229,9 +248,8 @@ fn combine_subset<P: CandidatePolicy>(
 }
 
 /// Fold one tiered prune-check result ([`PruneState::check`]) into the
-/// stats and report whether the subset was discarded.  Every connected
-/// non-full subset ticks exactly one of `sharp_bound_evals` /
-/// `cheap_bound_skips`.
+/// stats and report whether the subset was discarded.  Every checked
+/// subset ticks exactly one of `sharp_bound_evals` / `cheap_bound_skips`.
 fn tally_check(check: super::bound::BoundCheck, stats: &mut SearchStats) -> bool {
     if check.sharp() {
         stats.sharp_bound_evals += 1;
@@ -259,6 +277,11 @@ fn level_prune_delta(
         sharp_bound_evals: after.sharp_bound_evals - before.sharp_bound_evals,
         cheap_bound_skips: after.cheap_bound_skips - before.cheap_bound_skips,
     }
+}
+
+/// Level 1 of the walk: every table on its own.
+fn singletons(n: usize) -> Vec<TableSet> {
+    (0..n).map(TableSet::singleton).collect()
 }
 
 /// DP depth 1: every table's access-path alternatives, keyed by its
@@ -344,18 +367,14 @@ fn greedy_complete<P: CandidatePolicy>(
     seed: TableSet,
     stats: &mut SearchStats,
 ) -> Option<f64> {
-    let query = model.query();
-    let n = query.n_tables();
+    let n = model.query().n_tables();
     let mut set = seed;
     let seed_entries = table.get(&seed)?;
     let mut cur = vec![seed_entries[cheapest_index(seed_entries)?].clone()];
     while set.len() < n {
         let mut choice: Option<(f64, usize)> = None;
-        for j in 0..n {
-            if set.contains(j)
-                || !query.is_connected_to(set, j)
-                || !table.contains_key(&TableSet::singleton(j))
-            {
+        for j in model.frontier(set).iter() {
+            if !table.contains_key(&TableSet::singleton(j)) {
                 continue;
             }
             let size = point_size_product(model, set.with(j));
@@ -396,26 +415,25 @@ fn greedy_complete<P: CandidatePolicy>(
         .min_by(|a, b| a.total_cmp(b))
 }
 
-/// Tighten the incumbent once level `k` is complete: pick the most
-/// promising surviving subset of size `k` (cheapest minimal entry;
+/// Tighten the incumbent once a level is complete: pick the most
+/// promising surviving subset of `level` (cheapest minimal entry;
 /// smallest bit pattern on exact ties), greedily complete it through the
 /// policy, and observe the resulting cost.  The incumbent changes exactly
-/// here (and at the post-depth-1 seeding, `k = 1`), never mid-level — the
+/// here (the post-depth-1 seeding included), never mid-level — the
 /// per-level schedule is how pruning tightens as the search climbs.
 fn refresh_incumbent<P: CandidatePolicy>(
     model: &CostModel<'_>,
     policy: &mut P,
     table: &HashMap<TableSet, Vec<P::Entry>>,
     prune: &PruneState,
-    k: usize,
+    level: &[TableSet],
     stats: &mut SearchStats,
 ) {
     if prune.refresh_retired() {
         return;
     }
-    let n = model.query().n_tables();
     let mut best: Option<(f64, TableSet)> = None;
-    for set in TableSet::subsets_of_size(n, k) {
+    for &set in level {
         let Some(entries) = table.get(&set) else {
             continue;
         };
@@ -467,8 +485,7 @@ pub fn run_search_with<P: CandidatePolicy>(
     policy: &mut P,
     config: &SearchConfig,
 ) -> Result<SearchRun<P::Entry>, OptError> {
-    let query: &Query = model.query();
-    let n = query.n_tables();
+    let n = model.query().n_tables();
     if n == 0 {
         return Err(OptError::EmptyQuery);
     }
@@ -480,15 +497,25 @@ pub fn run_search_with<P: CandidatePolicy>(
     let tel = config.telemetry.as_deref();
 
     let prune_cx = build_prune(model, shape, policy, config, &table);
+    let mut level = singletons(n);
     if let Some(ps) = &prune_cx {
-        refresh_incumbent(model, policy, &table, ps, 1, &mut stats);
+        refresh_incumbent(model, policy, &table, ps, &level, &mut stats);
     }
 
     // Depths 2..n.
     for k in 2..=n {
         let level_start = tel.map(|_| Instant::now());
         let prune_mark = stats;
-        for set in TableSet::subsets_of_size(n, k) {
+        level = next_level(model, &level);
+        if prune_cx.is_some() && k < n {
+            // The disconnected sets of this size: discarded by structure,
+            // so counted rather than visited.
+            stats.pruned_subsets =
+                stats
+                    .pruned_subsets
+                    .saturating_add(disconnected_count(n, k, level.len()));
+        }
+        for &set in &level {
             let entries = combine_subset(
                 model,
                 shape,
@@ -511,7 +538,7 @@ pub fn run_search_with<P: CandidatePolicy>(
         }
         if k < n {
             if let Some(ps) = &prune_cx {
-                refresh_incumbent(model, policy, &table, ps, k, &mut stats);
+                refresh_incumbent(model, policy, &table, ps, &level, &mut stats);
             }
         }
     }

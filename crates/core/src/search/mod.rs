@@ -6,8 +6,8 @@
 //! *costing and candidate-retention rule* as the only thing that changes
 //! between algorithms.  This module is that claim made literal.  The
 //! engine ([`engine::run_search`]) walks the dag — "the nodes at depth k
-//! are labeled by the subsets of {1,…,n} of cardinality k" — and is
-//! parameterized along two axes:
+//! are labeled by the subsets of {1,…,n} of cardinality k", of which it
+//! visits the connected ones — and is parameterized along two axes:
 //!
 //! * **plan shape** ([`engine::PlanShape`]): how a subset is split into
 //!   (outer, inner) operand pairs — left-deep (`S∖{j}` × `{j}`, §2.2) or
@@ -76,10 +76,12 @@
 //!   the tables still outside the subset — only when the cheap floor
 //!   lands within [`bound::SHARP_MARGIN`] of the incumbent and the
 //!   search shape is left-deep (the per-table decomposition the sharp
-//!   floor relies on is exact only there).  Disconnected subsets are
-//!   discarded structurally before either tier: the split enumeration
+//!   floor relies on is exact only there).  Disconnected subsets never
+//!   reach either tier, or the driver at all: the split enumeration
 //!   never materializes a cross product, so a disconnected set can
-//!   never contribute a DP entry.
+//!   never contribute a DP entry, and each level is grown from the
+//!   connected sets of the level below ([`engine::next_level`]).  Their
+//!   number is added to `pruned_subsets` level by level, by count.
 //! * **Eligibility.**  Keep-best (under any [`coster::PhaseCoster`]) and
 //!   multi-param opt in via
 //!   [`policy::CandidatePolicy::pruning_bound`]; Algorithm D's incumbent
@@ -168,10 +170,12 @@ pub struct SearchStats {
     // Shim, always 0: only crates/bench/src/bin/ledger/src/trace.rs reads it.
     #[doc(hidden)]
     pub memo_misses: u64,
-    /// Subsets discarded by the branch-and-bound layer before their
-    /// combine/cost loop ran — structurally (disconnected) or by a bound
-    /// tier; zero unless [`SearchConfig::pruning`] is on and the policy
-    /// provides a bound.
+    /// Subsets of 2 to `n − 1` tables whose combine/cost loop never ran:
+    /// the connected ones a bound tier discarded, plus the disconnected
+    /// ones, which the driver does not visit — that share is *counted*
+    /// per level as `C(n, k)` minus the level's connected sets
+    /// (saturating).  Zero unless [`SearchConfig::pruning`] is on and the
+    /// policy provides a bound.
     pub pruned_subsets: u64,
     /// Lower-bound size computations performed for prune checks: one per
     /// connected non-full subset checked.
@@ -199,7 +203,7 @@ impl SearchStats {
         self.cache_hits += other.cache_hits;
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
-        self.pruned_subsets += other.pruned_subsets;
+        self.pruned_subsets = self.pruned_subsets.saturating_add(other.pruned_subsets);
         self.bound_evals += other.bound_evals;
         self.sharp_bound_evals += other.sharp_bound_evals;
         self.cheap_bound_skips += other.cheap_bound_skips;

@@ -276,8 +276,8 @@ pub fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> std:
 /// *sets* only, so a policy computes it once per `combine` call, not once
 /// per candidate.
 pub fn sort_merge_order(model: &CostModel<'_>, left: TableSet, right: TableSet) -> OrderProperty {
-    match model.query().joins_crossing(left, right).first() {
-        Some(&i) => model.equivalences().sorted_on(model.query().joins[i].left),
+    match model.first_crossing_join(left, right) {
+        Some(i) => model.equivalences().sorted_on(model.query().joins[i].left),
         None => OrderProperty::None,
     }
 }

@@ -1,0 +1,202 @@
+//! The DP driver walks the join graph, not the subset lattice: each level
+//! is the connected subsets of its size, grown from the level below
+//! through the cost model's graph tables.  Pinned here: the enumeration
+//! against a brute-force filter of the lattice, the graph tables against
+//! the `Query` scans they replaced (bit for bit), and the sizes the walk
+//! now reaches — a 40-table chain is 820 subsets, not `2^40`.
+
+use lec_catalog::{Catalog, ColumnStats, TableStats};
+use lec_core::search::engine::next_level;
+use lec_core::search::SearchConfig;
+use lec_core::{fixtures, optimize_lec_static_with, Mode, OptError, Optimized, Optimizer};
+use lec_cost::formulas::MIN_PAGES;
+use lec_cost::CostModel;
+use lec_plan::{ColumnRef, JoinPredicate, Query, QueryTable, TableSet};
+use lec_prob::{presets, Distribution};
+use proptest::prelude::*;
+
+/// A query over `n` tables from raw generated material: each `(u, v, s)`
+/// becomes a predicate between tables `u % n` and `v % n` with a 3-bucket
+/// selectivity around `s` (self-pairs dropped), so a pair can carry
+/// several predicates, a table none at all, and the graph any number of
+/// components.  Every third table is filtered through a 3-bucket local
+/// selectivity.
+fn graph_query(n: usize, edges: &[(usize, usize, f64)]) -> (Catalog, Query) {
+    let mut catalog = Catalog::new();
+    let tables = (0..n)
+        .map(|i| {
+            let pages = 200 * (1 + i as u64 % 7);
+            let id = catalog.add_table(
+                format!("G{i}"),
+                TableStats::new(
+                    pages,
+                    pages * 40,
+                    vec![ColumnStats::plain("a", 100), ColumnStats::plain("b", 100)],
+                ),
+            );
+            if i % 3 == 2 {
+                let sel = Distribution::uniform(&[0.001 * (i + 1) as f64, 0.07, 0.3]).unwrap();
+                QueryTable::filtered(id, 0, sel)
+            } else {
+                QueryTable::bare(id)
+            }
+        })
+        .collect();
+    let joins = edges
+        .iter()
+        .filter(|(u, v, _)| u % n != v % n)
+        .map(|&(u, v, s)| JoinPredicate {
+            left: ColumnRef::new(u % n, 1),
+            right: ColumnRef::new(v % n, 0),
+            selectivity: Distribution::uniform(&[s, s * 3.7, s * 11.3]).unwrap(),
+        })
+        .collect();
+    let query = Query {
+        tables,
+        joins,
+        required_order: None,
+    };
+    (catalog, query)
+}
+
+/// Connectivity by breadth-first search over the predicate list.
+fn bfs_connected(query: &Query, set: TableSet) -> bool {
+    let Some(start) = set.iter().next() else {
+        return false;
+    };
+    let mut seen = TableSet::singleton(start);
+    let mut queue = vec![start];
+    while let Some(t) = queue.pop() {
+        for join in &query.joins {
+            let (a, b) = join.tables();
+            for (from, to) in [(a, b), (b, a)] {
+                if from == t && set.contains(to) && !seen.contains(to) {
+                    seen = seen.with(to);
+                    queue.push(to);
+                }
+            }
+        }
+    }
+    seen == set
+}
+
+fn edges_strategy() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
+    prop::collection::vec((0usize..10, 0usize..10, 1e-5f64..1e-2), 0..=16)
+}
+
+proptest! {
+    /// Every level the driver walks is exactly the connected subsets of
+    /// that size, in the order `subsets_of_size` visits them.
+    #[test]
+    fn levels_are_the_connected_subsets_in_bit_order(n in 2usize..=10, edges in edges_strategy()) {
+        let (cat, q) = graph_query(n, &edges);
+        let model = CostModel::new(&cat, &q);
+        let mut level: Vec<TableSet> = (0..n).map(TableSet::singleton).collect();
+        for k in 2..=n {
+            level = next_level(&model, &level);
+            let brute: Vec<TableSet> = TableSet::subsets_of_size(n, k)
+                .into_iter()
+                .filter(|&s| bfs_connected(&q, s))
+                .collect();
+            prop_assert_eq!(&level, &brute, "level {} of {:?}", k, edges);
+            prop_assert!(level.windows(2).all(|w| w[0].bits() < w[1].bits()));
+        }
+    }
+
+    /// A query whose graph is not connected has no cross-product-free
+    /// plan, whichever way the search is configured.
+    #[test]
+    fn a_disconnected_query_finds_no_plan(n in 2usize..=8, edges in edges_strategy()) {
+        let (cat, q) = graph_query(n, &edges);
+        if !bfs_connected(&q, TableSet::full(n)) {
+            let memory = presets::spread_family(400.0, 0.5, 3).unwrap();
+            for pruning in [false, true] {
+                let model = CostModel::new(&cat, &q);
+                let cfg = SearchConfig::default().with_pruning(pruning);
+                let out = optimize_lec_static_with(&model, &memory, &cfg);
+                prop_assert!(
+                    matches!(out, Err(OptError::NoPlanFound)),
+                    "pruning {}: {:?}", pruning, out.map(|o| o.plan.compact())
+                );
+            }
+        }
+    }
+
+    /// The model's graph tables return what the `Query` scans they
+    /// replaced returned, to the bit: same factors, same product order.
+    #[test]
+    fn graph_tables_agree_with_the_query_scans(
+        n in 2usize..=10,
+        edges in edges_strategy(),
+        masks in prop::collection::vec(any::<u64>(), 12),
+    ) {
+        let (cat, q) = graph_query(n, &edges);
+        let model = CostModel::new(&cat, &q);
+        for i in 0..n {
+            let by_scan = match &q.tables[i].filter {
+                Some(f) => (model.raw_pages(i) * f.selectivity.mean()).max(MIN_PAGES),
+                None => model.raw_pages(i),
+            };
+            prop_assert_eq!(model.base_pages(i).to_bits(), by_scan.to_bits());
+        }
+        let full = TableSet::full(n).bits();
+        let singles = (0..n).flat_map(|u| {
+            (0..n).filter(move |&v| v != u).map(move |v| (1u64 << u, 1u64 << v))
+        });
+        let halves = masks.windows(2).map(|w| (w[0] & full, w[1] & full & !w[0]));
+        for (a, b) in singles.chain(halves) {
+            let (a, b) = (TableSet::from_bits(a), TableSet::from_bits(b));
+            let crossing = q.joins_crossing(a, b);
+            let by_scan: f64 = crossing.iter().map(|&i| q.joins[i].selectivity.mean()).product();
+            prop_assert_eq!(
+                model.join_selectivity_sets(a, b).to_bits(),
+                by_scan.to_bits(),
+                "{} x {} over {:?}", a, b, edges
+            );
+            prop_assert_eq!(model.first_crossing_join(a, b), crossing.first().copied());
+        }
+    }
+}
+
+/// Pruning on and pruning off return the same plan at the same cost
+/// bits; hands back the pruned run.
+fn assert_pruning_invisible(cat: &Catalog, q: &Query, what: &str) -> Optimized {
+    let memory = presets::spread_family(400.0, 0.5, 4).unwrap();
+    let run = |pruning| {
+        Optimizer::new(cat, memory.clone())
+            .with_pruning(pruning)
+            .optimize(q, &Mode::AlgorithmC)
+            .unwrap_or_else(|e| panic!("{what}, pruning {pruning}: {e:?}"))
+    };
+    let (plain, pruned) = (run(false), run(true));
+    assert_eq!(plain.plan, pruned.plan, "{what}: plan drift");
+    assert_eq!(
+        plain.cost.to_bits(),
+        pruned.cost.to_bits(),
+        "{what}: cost drift"
+    );
+    pruned
+}
+
+/// The walk costs what the graph has: a 40-table chain is 820 connected
+/// subsets (the lattice around them has `2^40`); the 10-table star pins
+/// the dense case, where nearly every hub subset is connected.
+#[test]
+fn a_forty_table_chain_and_a_ten_table_star_search_in_a_debug_build() {
+    let (cat, q) = fixtures::scaling_chain(40);
+    assert_pruning_invisible(&cat, &q, "scaling_chain(40)");
+    let (cat, q) = fixtures::pruning_star(10);
+    assert_pruning_invisible(&cat, &q, "pruning_star(10)");
+}
+
+/// The structural prune count is `C(n, k)` minus the level's size, and
+/// `C(64, 32)`'s running product leaves `u64` on the way (debug builds
+/// panic on overflow); the total over the search, `2^64 − 66` subsets of
+/// 2 to 63 tables less the 2,015 connected ones, just fits.
+#[test]
+fn a_sixty_four_table_chain_counts_its_disconnected_subsets_without_overflow() {
+    let (cat, q) = fixtures::scaling_chain(64);
+    let pruned = assert_pruning_invisible(&cat, &q, "scaling_chain(64)");
+    assert_eq!(pruned.stats.bound_evals, 2015);
+    assert!(pruned.stats.pruned_subsets >= u64::MAX - 65 - 2015);
+}

@@ -5,10 +5,10 @@ use crate::formulas;
 use lec_catalog::{Catalog, IndexKind};
 use lec_plan::{ColumnEquivalences, JoinMethod, Query, TableSet};
 use lec_prob::{Distribution, PrefixTables};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// How a base table is accessed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,44 +88,37 @@ impl FxHasher {
 
 type EvalMap = HashMap<EvalKey, f64, std::hash::BuildHasherDefault<FxHasher>>;
 
-/// Number of lock shards per cache tier.  Power of two; large enough that
-/// a handful of search threads rarely collide, small enough that clearing
-/// and summing stay trivial.
+/// Number of shards per cache tier.  Power of two.
 const EVAL_SHARDS: usize = 32;
 
-/// The thread-safe evaluation cache: two arrays of `Mutex`-guarded map
-/// shards, selected by the FxHash of the [`EvalKey`].
+/// The evaluation cache: two arrays of small map shards, selected by the
+/// FxHash of the [`EvalKey`].
 ///
-/// Shard locks are held for the whole compute of a miss — that is what
-/// makes every key evaluate **exactly once** even under concurrency,
-/// keeping [`CostModel::evals`] identical between serial and parallel
-/// searches.  Point and expectation keys live in separate tiers so the
-/// two workloads never contend: the point tier serves the classical
-/// point-coster's per-candidate probes, the expectation tier the whole
-/// `b`-bucket expectations of Algorithms C/D.  An expectation miss
-/// evaluates its buckets through the raw formulas rather than the point
-/// tier — per-bucket values of a `b`-bucket expectation are never probed
-/// individually again, so memoizing them one by one was pure write
-/// traffic (it grew the cache by `b` locked inserts per miss and
-/// dominated dense-search wall time), and computing them directly charges
-/// the same `b` formula evaluations while taking no nested locks.
+/// One thread owns a model, so the shards are plain `RefCell`s and no
+/// borrow outlives a probe or an insert.  The cache is 64 small maps
+/// rather than one table because of memory, not contention: a single map
+/// holding a search's several thousand entries pays hashbrown's
+/// old-plus-new resize transient on one large allocation, which measured
+/// +6% `peak_rss_mb` on the ledger's `cold_mix` workload (bound 5%);
+/// small shards resize a few hundred entries at a time.  Point and
+/// expectation keys live in separate tiers: the point tier serves the
+/// classical point-coster's per-candidate probes, the expectation tier
+/// the whole `b`-bucket expectations of Algorithms C/D.  An expectation
+/// miss evaluates its buckets through the raw formulas rather than the
+/// point tier — per-bucket values of a `b`-bucket expectation are never
+/// probed individually again, so memoizing them one by one was pure write
+/// traffic (it grew the cache by `b` inserts per miss and dominated
+/// dense-search wall time), and computing them directly charges the same
+/// `b` formula evaluations.
+#[derive(Default)]
 struct ShardedEvalCache {
-    point: [Mutex<EvalMap>; EVAL_SHARDS],
-    expectation: [Mutex<EvalMap>; EVAL_SHARDS],
+    point: [RefCell<EvalMap>; EVAL_SHARDS],
+    expectation: [RefCell<EvalMap>; EVAL_SHARDS],
 }
 
 impl ShardedEvalCache {
-    fn new() -> Self {
-        ShardedEvalCache {
-            point: std::array::from_fn(|_| Mutex::new(EvalMap::default())),
-            expectation: std::array::from_fn(|_| Mutex::new(EvalMap::default())),
-        }
-    }
-
-    /// Lock the shard responsible for `key`.  Mutex poisoning is ignored:
-    /// a worker that panicked mid-compute never inserted its entry, so the
-    /// map itself is always consistent and recovery is safe.
-    fn shard(&self, key: &EvalKey) -> MutexGuard<'_, EvalMap> {
+    /// The shard responsible for `key`.
+    fn shard(&self, key: &EvalKey) -> &RefCell<EvalMap> {
         let mut h = FxHasher::default();
         key.hash(&mut h);
         // The final multiply pushes entropy to the high bits; index there.
@@ -135,13 +128,11 @@ impl ShardedEvalCache {
         } else {
             &self.point
         };
-        tier[idx].lock().unwrap_or_else(|e| e.into_inner())
+        &tier[idx]
     }
 
-    fn for_each_shard(&self, mut f: impl FnMut(MutexGuard<'_, EvalMap>)) {
-        for shard in self.point.iter().chain(self.expectation.iter()) {
-            f(shard.lock().unwrap_or_else(|e| e.into_inner()));
-        }
+    fn shards(&self) -> impl Iterator<Item = &RefCell<EvalMap>> {
+        self.point.iter().chain(self.expectation.iter())
     }
 }
 
@@ -329,17 +320,12 @@ pub fn table_stats_fingerprint(stats: &lec_catalog::TableStats) -> u64 {
 /// # Thread safety
 ///
 /// A search runs on the thread that asked for it and builds its own
-/// model, so nothing shares a `CostModel` across threads and the shard
-/// locks of [`ShardedEvalCache`] are never contended.  The 2 × 32 mutex
-/// shards and atomic counters stay because the obvious replacement
-/// measured worse where it counts: one unlocked table per
-/// model was 7–14% faster on the ledger's `cold_mix` / `large_joins`
-/// workloads but raised `cold_mix` peak RSS by 6% (bound 5%) — a single
-/// large map's resize transient outweighs 64 small ones in a 5 MiB
-/// process.  Flattening the cache needs a design that avoids that
-/// transient (ROADMAP open item 2).  A shard lock is held across the
-/// compute of a miss and poisoning is ignored, so a compute that panics
-/// leaves the map without the entry and the model usable.
+/// model, so nothing shares a `CostModel` across threads — and nothing
+/// can: the evaluation cache is `RefCell` shards and the counters are
+/// `Cell`s, which makes the type `!Sync`.  No borrow of a shard is held
+/// across the compute of a miss, so a compute that panics leaves the map
+/// without the entry and the model usable.  [`ShardedEvalCache`] says why
+/// the cache is still 64 small maps.
 #[derive(Debug)]
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
@@ -348,30 +334,89 @@ pub struct CostModel<'a> {
     /// Per-table [`table_occurrence_fingerprint`]s, precomputed so the
     /// engine's tie-breaks are an array lookup rather than a rehash.
     table_shapes: Vec<u64>,
-    evals: AtomicU64,
+    /// Point post-filter page count per table ([`CostModel::base_pages`]).
+    base_pages: Vec<f64>,
+    /// Join-graph neighbours per table ([`CostModel::neighbours`]).
+    neighbours: Vec<TableSet>,
+    /// One [`JoinEdge`] per join predicate, in predicate order.
+    edges: Vec<JoinEdge>,
+    evals: Cell<u64>,
     eval_cache: ShardedEvalCache,
-    cache_enabled: AtomicBool,
-    cache_hits: AtomicU64,
+    cache_enabled: Cell<bool>,
+    cache_hits: Cell<u64>,
     /// When installed, expectation-tier cache misses time their compute
     /// into `telemetry.eval_compute_ns`.  `None` (the default) keeps the
     /// hot path a single branch.
     telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
 }
 
+/// One join predicate as the search reads it: its endpoint tables as
+/// singleton sets (empty for an index outside the query, which no operand
+/// set can then match) and the mean of its selectivity distribution.
+#[derive(Debug)]
+struct JoinEdge {
+    left: TableSet,
+    right: TableSet,
+    selectivity: f64,
+}
+
+impl JoinEdge {
+    /// Whether the predicate has one side in `a` and the other in `b`.
+    fn crosses(&self, a: TableSet, b: TableSet) -> bool {
+        let hits = |side: TableSet, set: TableSet| !side.intersect(set).is_empty();
+        (hits(self.left, a) && hits(self.right, b)) || (hits(self.right, a) && hits(self.left, b))
+    }
+}
+
 impl<'a> CostModel<'a> {
     /// Bind the model to a query.
     pub fn new(catalog: &'a Catalog, query: &'a Query) -> Self {
+        let n = query.n_tables();
+        let base_pages = query
+            .tables
+            .iter()
+            .map(|qt| {
+                let pages = catalog.table(qt.table).stats.pages as f64;
+                match &qt.filter {
+                    Some(f) => (pages * f.selectivity.mean()).max(formulas::MIN_PAGES),
+                    None => pages,
+                }
+            })
+            .collect();
+        // The query's graph tables, built once: every split of every
+        // subset asks which predicates cross it.
+        let side = |t: usize| TableSet::from_indices((t < n).then_some(t));
+        let mut neighbours = vec![TableSet::EMPTY; n];
+        let edges: Vec<JoinEdge> = query
+            .joins
+            .iter()
+            .map(|join| {
+                let (u, v) = join.tables();
+                if u != v && u < n && v < n {
+                    neighbours[u] = neighbours[u].with(v);
+                    neighbours[v] = neighbours[v].with(u);
+                }
+                JoinEdge {
+                    left: side(u),
+                    right: side(v),
+                    selectivity: join.selectivity.mean(),
+                }
+            })
+            .collect();
         CostModel {
             catalog,
             query,
             equivalences: ColumnEquivalences::for_query(query),
-            table_shapes: (0..query.n_tables())
+            table_shapes: (0..n)
                 .map(|i| table_occurrence_fingerprint(catalog, query, i))
                 .collect(),
-            evals: AtomicU64::new(0),
-            eval_cache: ShardedEvalCache::new(),
-            cache_enabled: AtomicBool::new(true),
-            cache_hits: AtomicU64::new(0),
+            base_pages,
+            neighbours,
+            edges,
+            evals: Cell::new(0),
+            eval_cache: ShardedEvalCache::default(),
+            cache_enabled: Cell::new(true),
+            cache_hits: Cell::new(0),
             telemetry: None,
         }
     }
@@ -410,20 +455,20 @@ impl<'a> CostModel<'a> {
 
     /// Number of cost-formula evaluations since the last reset.
     pub fn evals(&self) -> u64 {
-        self.evals.load(Ordering::Relaxed)
+        self.evals.get()
     }
 
     /// Reset the evaluation counter.
     pub fn reset_evals(&self) {
-        self.evals.store(0, Ordering::Relaxed);
+        self.evals.set(0);
     }
 
     fn count_eval(&self) {
-        self.evals.fetch_add(1, Ordering::Relaxed);
+        self.count_evals(1);
     }
 
     fn count_evals(&self, n: u64) {
-        self.evals.fetch_add(n, Ordering::Relaxed);
+        self.evals.set(self.evals.get() + n);
     }
 
     // ---- evaluation cache -----------------------------------------------
@@ -432,50 +477,39 @@ impl<'a> CostModel<'a> {
     /// methods.  Toggling (in either direction) clears every shard of the
     /// cache **and resets the hit counter**, so measurements taken after a
     /// toggle never mix cached and uncached regimes.
-    ///
-    /// Interaction with the sharded cache: the toggle is read with relaxed
-    /// atomics on the hot path and the shards are cleared one lock at a
-    /// time, so this method must not race a running search — toggle
-    /// between searches, as the benchmarks and tests do.  A search running
-    /// concurrently with a toggle would see a mix of cached and uncached
-    /// answers (all *correct*, since entries are pure function values, but
-    /// the `evals`/`cache_hits` counters would no longer be reproducible).
     pub fn set_eval_cache(&self, enabled: bool) {
-        self.cache_enabled.store(enabled, Ordering::Relaxed);
-        self.eval_cache.for_each_shard(|mut shard| shard.clear());
-        self.cache_hits.store(0, Ordering::Relaxed);
+        self.cache_enabled.set(enabled);
+        for shard in self.eval_cache.shards() {
+            shard.borrow_mut().clear();
+        }
+        self.cache_hits.set(0);
     }
 
     /// Whether the evaluation cache is active.
     pub fn eval_cache_enabled(&self) -> bool {
-        self.cache_enabled.load(Ordering::Relaxed)
+        self.cache_enabled.get()
     }
 
     /// Number of evaluations answered from the cache (no formula work).
     pub fn eval_cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
+        self.cache_hits.get()
     }
 
     /// Number of distinct evaluations currently memoized.
     pub fn eval_cache_len(&self) -> usize {
-        let mut total = 0;
-        self.eval_cache.for_each_shard(|shard| total += shard.len());
-        total
+        self.eval_cache.shards().map(|s| s.borrow().len()).sum()
     }
 
     fn cached(&self, key: EvalKey, compute: impl FnOnce() -> f64) -> f64 {
-        if !self.cache_enabled.load(Ordering::Relaxed) {
+        if !self.cache_enabled.get() {
             return compute();
         }
-        let mut shard = self.eval_cache.shard(&key);
-        if let Some(&v) = shard.get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        let shard = self.eval_cache.shard(&key);
+        let hit = shard.borrow().get(&key).copied();
+        if let Some(v) = hit {
+            self.cache_hits.set(self.cache_hits.get() + 1);
             return v;
         }
-        // Compute while holding the shard lock: concurrent threads racing
-        // on the same key serialize here, and the loser scores a hit
-        // instead of re-evaluating — the exactly-once guarantee that makes
-        // the evaluation counters schedule-independent.
         let v = match &self.telemetry {
             Some(t) if key.op.is_expectation() => {
                 let t0 = std::time::Instant::now();
@@ -485,7 +519,7 @@ impl<'a> CostModel<'a> {
             }
             _ => compute(),
         };
-        shard.insert(key, v);
+        shard.borrow_mut().insert(key, v);
         v
     }
 
@@ -628,12 +662,7 @@ impl<'a> CostModel<'a> {
     /// Point estimate (mean) of the post-filter page count of a table —
     /// the paper's `|A_j|` "after any initial selection".
     pub fn base_pages(&self, table_idx: usize) -> f64 {
-        let qt = &self.query.tables[table_idx];
-        let pages = self.raw_pages(table_idx);
-        match &qt.filter {
-            Some(f) => (pages * f.selectivity.mean()).max(formulas::MIN_PAGES),
-            None => pages,
-        }
+        self.base_pages[table_idx]
     }
 
     /// Distribution of the post-filter page count of a table
@@ -653,20 +682,41 @@ impl<'a> CostModel<'a> {
     /// Point (mean) combined selectivity of all join predicates connecting
     /// `set` to table `idx` (independence assumption, §3.6).
     pub fn join_selectivity(&self, set: TableSet, idx: usize) -> f64 {
-        self.query
-            .joins_connecting(set, idx)
-            .iter()
-            .map(|&i| self.query.joins[i].selectivity.mean())
-            .product()
+        self.join_selectivity_sets(set, TableSet::singleton(idx))
     }
 
     /// Distribution of the combined selectivity (`Pr(σ)` in Figure 1).
     pub fn join_selectivity_dist(&self, set: TableSet, idx: usize) -> Distribution {
-        let mut dist = Distribution::point(1.0);
-        for &i in &self.query.joins_connecting(set, idx) {
-            dist = dist.product(&self.query.joins[i].selectivity);
-        }
-        dist
+        self.join_selectivity_dist_sets(set, TableSet::singleton(idx))
+    }
+
+    /// The tables sharing a join predicate with table `table_idx`.
+    pub fn neighbours(&self, table_idx: usize) -> TableSet {
+        self.neighbours[table_idx]
+    }
+
+    /// The tables outside `set` sharing a join predicate with a member of
+    /// it: what `set` can be joined with, one table at a time, without a
+    /// cross product.
+    pub fn frontier(&self, set: TableSet) -> TableSet {
+        let reach = set.iter().fold(0, |acc, i| acc | self.neighbours[i].bits());
+        TableSet::from_bits(reach & !set.bits())
+    }
+
+    /// The join predicates with one side in `a` and the other in `b`, each
+    /// with its index, in predicate order — [`Query::joins_crossing`] read
+    /// off the edge table.
+    fn crossing(&self, a: TableSet, b: TableSet) -> impl Iterator<Item = (usize, &JoinEdge)> {
+        self.edges
+            .iter()
+            .enumerate()
+            .filter(move |(_, e)| e.crosses(a, b))
+    }
+
+    /// The first join predicate (in predicate order) crossing two disjoint
+    /// table sets: the one a sort-merge join of the two sorts on.
+    pub fn first_crossing_join(&self, a: TableSet, b: TableSet) -> Option<usize> {
+        self.crossing(a, b).map(|(i, _)| i).next()
     }
 
     /// Distribution of the combined selectivity of all predicates crossing
@@ -674,20 +724,28 @@ impl<'a> CostModel<'a> {
     /// form).
     pub fn join_selectivity_dist_sets(&self, a: TableSet, b: TableSet) -> Distribution {
         let mut dist = Distribution::point(1.0);
-        for &i in &self.query.joins_crossing(a, b) {
+        for (i, _) in self.crossing(a, b) {
             dist = dist.product(&self.query.joins[i].selectivity);
         }
         dist
     }
 
     /// Point (mean) combined selectivity of all predicates crossing two
-    /// disjoint table sets (general form used when costing arbitrary trees).
+    /// disjoint table sets (general form used when costing arbitrary
+    /// trees): the product of the crossing predicates' means, taken in
+    /// predicate order.
     pub fn join_selectivity_sets(&self, a: TableSet, b: TableSet) -> f64 {
-        self.query
-            .joins_crossing(a, b)
+        self.crossing(a, b).map(|(_, e)| e.selectivity).product()
+    }
+
+    /// Mean selectivity of each join predicate with both sides in `set`,
+    /// in predicate order.
+    pub fn selectivities_within(&self, set: TableSet) -> impl Iterator<Item = f64> + '_ {
+        let inside = move |side: TableSet| !side.intersect(set).is_empty();
+        self.edges
             .iter()
-            .map(|&i| self.query.joins[i].selectivity.mean())
-            .product()
+            .filter(move |e| inside(e.left) && inside(e.right))
+            .map(|e| e.selectivity)
     }
 
     /// Result size of a join: the paper's `a·b·σ` pages, clamped to one page.
@@ -936,7 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_compute_leaves_its_shard_usable() {
+    fn a_panicking_compute_leaves_no_entry_and_no_borrow() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
         let key = || EvalKey {
@@ -950,7 +1008,8 @@ mod tests {
         }));
         assert!(died.is_err());
         assert_eq!(m.eval_cache_len(), 0, "the dead compute left no entry");
-        // Same key, same (now poisoned) shard: a miss that computes, then a hit.
+        // Same key, same shard: a miss that computes (its insert would
+        // panic on an outstanding borrow), then a hit.
         assert_eq!(m.cached(key(), || 7.0), 7.0);
         assert_eq!(m.cached(key(), || unreachable!("memoized")), 7.0);
         assert_eq!(m.eval_cache_hits(), 1);

@@ -344,9 +344,8 @@ pub fn output_order(model: &CostModel<'_>, plan: &PlanNode) -> OrderProperty {
             inner,
         } => match method {
             JoinMethod::SortMerge => {
-                let crossing = model.query().joins_crossing(outer.tables(), inner.tables());
-                match crossing.first() {
-                    Some(&i) => eq.sorted_on(model.query().joins[i].left),
+                match model.first_crossing_join(outer.tables(), inner.tables()) {
+                    Some(i) => eq.sorted_on(model.query().joins[i].left),
                     None => OrderProperty::None,
                 }
             }

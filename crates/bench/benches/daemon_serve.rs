@@ -60,7 +60,7 @@ fn random_perm(rng: &mut StdRng, n: usize) -> Vec<usize> {
 
 /// The skewed stream over a pool of base shapes: shape `i` drawn with
 /// weight `1/(i+1)`, every occurrence randomly table-renamed (the same
-/// construction as the `concurrent_serve` guard).
+/// construction as `concurrent_parity.rs`).
 fn build_stream(catalog: &lec_catalog::Catalog) -> Vec<Query> {
     let mut g = lec_catalog::CatalogGenerator::new(31);
     let mut wg = WorkloadGenerator::new(0x5EED);

@@ -24,7 +24,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lec_core::fixtures::{pruning_chain, pruning_clique, pruning_star};
-use lec_core::{exhaustive_best_with, optimize_lec_static_with, Objective, SearchConfig};
+use lec_core::{exhaustive_best, optimize, Mode, Objective, PlanShape, SearchConfig};
 use lec_cost::CostModel;
 use serde_json::json;
 use std::hint::black_box;
@@ -69,7 +69,7 @@ fn min_search_us(
     let one = |config: &SearchConfig| {
         let model = CostModel::new(catalog, query);
         let t0 = Instant::now();
-        black_box(optimize_lec_static_with(&model, memory, config).unwrap());
+        black_box(optimize(&model, memory, &Mode::AlgorithmC, config).unwrap());
         t0.elapsed().as_secs_f64() * 1e6
     };
     let mut best = (f64::INFINITY, f64::INFINITY);
@@ -92,9 +92,9 @@ fn parity_row(
     let plain_cfg = SearchConfig::default();
 
     let plain_model = CostModel::new(catalog, query);
-    let plain = optimize_lec_static_with(&plain_model, memory, &plain_cfg).unwrap();
+    let plain = optimize(&plain_model, memory, &Mode::AlgorithmC, &plain_cfg).unwrap();
     let pruned_model = CostModel::new(catalog, query);
-    let pruned = optimize_lec_static_with(&pruned_model, memory, &pruned_cfg).unwrap();
+    let pruned = optimize(&pruned_model, memory, &Mode::AlgorithmC, &pruned_cfg).unwrap();
     assert_eq!(plain.plan, pruned.plan, "{name} n={n}: plan drift");
     assert_eq!(
         plain.cost.to_bits(),
@@ -147,7 +147,7 @@ fn ceiling_row(
     let pruned_cfg = SearchConfig::default().with_pruning(true);
     let model = CostModel::new(catalog, query);
     let t0 = Instant::now();
-    let out = optimize_lec_static_with(&model, memory, &pruned_cfg).unwrap();
+    let out = optimize(&model, memory, &Mode::AlgorithmC, &pruned_cfg).unwrap();
     let us = t0.elapsed().as_secs_f64() * 1e6;
     assert!(
         out.stats.pruned_subsets > 0,
@@ -220,19 +220,25 @@ fn bench_large_joins(c: &mut Criterion) {
     let model = CostModel::new(&cat, &q);
     let pruned_cfg = SearchConfig::default().with_pruning(true);
     assert!(
-        exhaustive_best_with(
+        exhaustive_best(
             &model,
             &Objective::Expected(&memory),
+            PlanShape::LeftDeep,
             &SearchConfig::default()
         )
         .is_err(),
         "the unpruned verifier must still refuse 8 tables"
     );
     let t0 = Instant::now();
-    let verified =
-        exhaustive_best_with(&model, &Objective::Expected(&memory), &pruned_cfg).unwrap();
+    let verified = exhaustive_best(
+        &model,
+        &Objective::Expected(&memory),
+        PlanShape::LeftDeep,
+        &pruned_cfg,
+    )
+    .unwrap();
     let verifier_us = t0.elapsed().as_secs_f64() * 1e6;
-    let dp = optimize_lec_static_with(&model, &memory, &pruned_cfg).unwrap();
+    let dp = optimize(&model, &memory, &Mode::AlgorithmC, &pruned_cfg).unwrap();
     assert_eq!(
         verified.cost.to_bits(),
         dp.cost.to_bits(),
@@ -305,7 +311,7 @@ fn bench_large_joins(c: &mut Criterion) {
             bench.iter(|| {
                 let model = CostModel::new(&fixture.0, &fixture.1);
                 black_box(
-                    optimize_lec_static_with(&model, black_box(&memory), &config)
+                    optimize(&model, black_box(&memory), &Mode::AlgorithmC, &config)
                         .unwrap()
                         .cost,
                 )

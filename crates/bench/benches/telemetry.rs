@@ -26,7 +26,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lec_core::Mode;
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
-use lec_service::ConcurrentPlanServer;
+use lec_service::{ConcurrentPlanServer, ServeCtx};
 use lec_serviced::transport::PipeListener;
 use lec_serviced::{Client, Daemon, DaemonConfig, StatsFormat};
 use lec_telemetry::{parse_prometheus, Outcome, Telemetry};
@@ -51,7 +51,7 @@ fn random_perm(rng: &mut StdRng, n: usize) -> Vec<usize> {
     perm
 }
 
-/// The plan-cache bench's skewed stream: shape `i` drawn with weight
+/// The skewed stream of `server_parity.rs`: shape `i` drawn with weight
 /// `1/(i+1)`, every occurrence randomly table-renamed.
 fn build_stream(catalog: &lec_catalog::Catalog) -> Vec<Query> {
     let mut g = lec_catalog::CatalogGenerator::new(31);
@@ -153,8 +153,13 @@ fn bench_telemetry(c: &mut Criterion) {
     let slow_q = stream[0].relabel_tables(&random_perm(&mut rng, stream[0].n_tables()));
     let mut ctx = tel.trace_ctx(0x510);
     let wall0 = Instant::now();
+    let serve_ctx = ServeCtx {
+        hooks: &(),
+        deadline: None,
+        trace: &mut ctx,
+    };
     server_on
-        .serve_traced(&slow_q, &mode, &(), None, &mut ctx)
+        .serve_with(&slow_q, &mode, serve_ctx)
         .expect("traced serve");
     tel.finish_request(&ctx, Outcome::Fresh);
     let wall_ns = wall0.elapsed().as_nanos() as u64;

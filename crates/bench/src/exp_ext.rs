@@ -4,11 +4,12 @@
 //! fitting (§3.1 question 1), and the reactive re-optimization comparison
 //! (§2.3).
 
+use crate::search;
 use crate::table::{num, pct, Table};
 use crate::workloads::{batch, scaling_chain};
 use lec_core::{
-    coverage_family, iterative_improvement, optimize_lec_bushy, optimize_lec_dynamic,
-    optimize_lec_static, optimize_lsc, simulated_annealing, PlanCache, RandomizedConfig,
+    coverage_family, iterative_improvement, simulated_annealing, Mode, PlanCache, PointEstimate,
+    RandomizedConfig,
 };
 use lec_cost::{expected_plan_cost_dynamic, CostModel};
 use lec_exec::monte_carlo_reopt;
@@ -34,7 +35,7 @@ pub fn e12() -> Value {
         // answer lookups warmed by the earlier ones.
         let model_c = CostModel::new(&w.catalog, &w.query);
         let t0 = Instant::now();
-        let c = optimize_lec_static(&model_c, &memory).unwrap();
+        let c = search(&model_c, &memory, Mode::AlgorithmC);
         let t_c = t0.elapsed().as_secs_f64() * 1e3;
         let cfg = RandomizedConfig::default();
         let model_ii = CostModel::new(&w.catalog, &w.query);
@@ -195,8 +196,8 @@ pub fn e14() -> Value {
                 .collect();
             for (cat, q) in &workloads {
                 let model = CostModel::new(cat, q);
-                let ld = optimize_lec_static(&model, &memory).unwrap();
-                let bu = optimize_lec_bushy(&model, &memory).unwrap();
+                let ld = search(&model, &memory, Mode::AlgorithmC);
+                let bu = search(&model, &memory, Mode::Bushy);
                 cand_ld += ld.stats.candidates;
                 cand_bu += bu.stats.candidates;
                 let gain = 1.0 - bu.cost / ld.cost;
@@ -227,8 +228,8 @@ pub fn e14() -> Value {
     // optimum, so the left-deep restriction genuinely costs something.
     let (cat, q) = lec_core::fixtures::diamond();
     let model = CostModel::new(&cat, &q);
-    let ld = optimize_lec_static(&model, &memory).unwrap();
-    let bu = optimize_lec_bushy(&model, &memory).unwrap();
+    let ld = search(&model, &memory, Mode::AlgorithmC);
+    let bu = search(&model, &memory, Mode::Bushy);
     let gain = 1.0 - bu.cost / ld.cost;
     t.row(vec![
         "diamond*".into(),
@@ -290,8 +291,20 @@ pub fn e15() -> Value {
         let mut regrets = Vec::new();
         for w in &workloads {
             let model = CostModel::new(&w.catalog, &w.query);
-            let fitted_plan = optimize_lec_dynamic(&model, &fitted_init, &fitted_chain).unwrap();
-            let oracle = optimize_lec_dynamic(&model, &truth_init, &truth_chain).unwrap();
+            let fitted_plan = search(
+                &model,
+                &fitted_init,
+                Mode::AlgorithmCDynamic {
+                    chain: fitted_chain.clone(),
+                },
+            );
+            let oracle = search(
+                &model,
+                &truth_init,
+                Mode::AlgorithmCDynamic {
+                    chain: truth_chain.clone(),
+                },
+            );
             // Judge the fitted plan under the TRUE environment.
             let true_ec =
                 expected_plan_cost_dynamic(&model, &fitted_plan.plan, &truth_init, &truth_chain)
@@ -347,9 +360,15 @@ pub fn e16() -> Value {
     let mut replans_total = 0.0;
     for (i, w) in workloads.iter().enumerate() {
         let model = CostModel::new(&w.catalog, &w.query);
-        let lsc = optimize_lsc(&model, initial.mean()).unwrap();
-        let stat = optimize_lec_static(&model, &initial).unwrap();
-        let dynm = optimize_lec_dynamic(&model, &initial, &chain).unwrap();
+        let lsc = search(&model, &initial, Mode::Lsc(PointEstimate::Mean));
+        let stat = search(&model, &initial, Mode::AlgorithmC);
+        let dynm = search(
+            &model,
+            &initial,
+            Mode::AlgorithmCDynamic {
+                chain: chain.clone(),
+            },
+        );
         let dyn_ec = |p: &lec_plan::PlanNode| {
             expected_plan_cost_dynamic(&model, p, &initial, &chain).unwrap()
         };

@@ -2,11 +2,11 @@
 //! selectivity uncertainty, bucketing, rebucketing, and the measured I/O
 //! cliffs.
 
+use crate::search;
 use crate::table::{num, pct, Table};
 use crate::workloads::batch;
 use lec_core::{
-    bucketize, fixtures, optimize_alg_d, optimize_lec_dynamic, optimize_lec_static, optimize_lsc,
-    query_memory_breakpoints, AlgDConfig, BucketStrategy,
+    bucketize, fixtures, query_memory_breakpoints, AlgDConfig, BucketStrategy, Mode, PointEstimate,
 };
 use lec_cost::expected::{
     naive_eval_count, naive_expected_join_cost, streaming_expected_join_cost,
@@ -105,9 +105,15 @@ pub fn e7() -> Value {
     let mut wins_dyn = 0usize;
     for (i, w) in workloads.iter().enumerate() {
         let model = CostModel::new(&w.catalog, &w.query);
-        let lsc = optimize_lsc(&model, initial.mean()).unwrap();
-        let stat = optimize_lec_static(&model, &initial).unwrap();
-        let dynm = optimize_lec_dynamic(&model, &initial, &chain).unwrap();
+        let lsc = search(&model, &initial, Mode::Lsc(PointEstimate::Mean));
+        let stat = search(&model, &initial, Mode::AlgorithmC);
+        let dynm = search(
+            &model,
+            &initial,
+            Mode::AlgorithmCDynamic {
+                chain: chain.clone(),
+            },
+        );
         let dyn_ec = |p: &lec_plan::PlanNode| {
             expected_plan_cost_dynamic(&model, p, &initial, &chain).unwrap()
         };
@@ -169,9 +175,15 @@ pub fn e8() -> Value {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xE8);
     for w in &workloads {
         let model = CostModel::new(&w.catalog, &w.query);
-        let lsc = optimize_lsc(&model, memory.mean()).unwrap();
-        let alg_c = optimize_lec_static(&model, &memory).unwrap();
-        let alg_d = optimize_alg_d(&model, &memory, &AlgDConfig::default()).unwrap();
+        let lsc = search(&model, &memory, Mode::Lsc(PointEstimate::Mean));
+        let alg_c = search(&model, &memory, Mode::AlgorithmC);
+        let alg_d = search(
+            &model,
+            &memory,
+            Mode::AlgorithmD {
+                config: AlgDConfig::default(),
+            },
+        );
         // Joint evaluation: draw concrete selectivities, re-cost each plan.
         let mut costs = (0.0f64, 0.0f64, 0.0f64);
         let draws = 300;
@@ -232,7 +244,7 @@ pub fn e9() -> Value {
     let model = CostModel::new(&catalog, &query);
     let truth = presets::uniform_grid(100.0, 2600.0, 126).unwrap();
     let breakpoints = query_memory_breakpoints(&model);
-    let full = optimize_lec_static(&model, &truth).unwrap();
+    let full = search(&model, &truth, Mode::AlgorithmC);
     let mut t = Table::new(&["strategy", "b", "plan", "true EC", "regret", "evals"]);
     let mut rows_json = Vec::new();
     for strategy in [
@@ -242,7 +254,7 @@ pub fn e9() -> Value {
     ] {
         for b in [1usize, 2, 3, 5, 10, 20, 50] {
             let belief = bucketize(&truth, b, strategy, &breakpoints);
-            let r = optimize_lec_static(&model, &belief).unwrap();
+            let r = search(&model, &belief, Mode::AlgorithmC);
             let true_ec = lec_cost::expected_plan_cost_static(&model, &r.plan, &truth);
             let regret = true_ec / full.cost - 1.0;
             t.row(vec![

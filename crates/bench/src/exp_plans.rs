@@ -3,11 +3,11 @@
 //! See DESIGN.md §5 for the experiment index; each function regenerates
 //! one quantitative claim of the paper and returns a JSON summary.
 
+use crate::search;
 use crate::table::{num, pct, Table};
 use crate::workloads::{batch, scaling_chain};
 use lec_core::{
-    exhaustive_best, fixtures, optimize_alg_a, optimize_alg_b, optimize_lec_static, optimize_lsc,
-    Mode, Objective, Optimizer, PointEstimate,
+    exhaustive_best, fixtures, Mode, Objective, Optimizer, PlanShape, PointEstimate, SearchConfig,
 };
 use lec_cost::{expected_plan_cost_static, plan_cost_at, CostModel};
 use lec_exec::{monte_carlo, Environment};
@@ -93,8 +93,8 @@ pub fn e2() -> Value {
         let mut sim_gains = Vec::new();
         for (i, w) in workloads.iter().enumerate() {
             let model = CostModel::new(&w.catalog, &w.query);
-            let lsc = optimize_lsc(&model, memory.mean()).unwrap();
-            let lec = optimize_lec_static(&model, &memory).unwrap();
+            let lsc = search(&model, &memory, Mode::Lsc(PointEstimate::Mean));
+            let lec = search(&model, &memory, Mode::AlgorithmC);
             let lsc_ec = expected_plan_cost_static(&model, &lsc.plan, &memory);
             let gain = 1.0 - lec.cost / lsc_ec;
             ec_gains.push(gain);
@@ -147,11 +147,17 @@ pub fn e3() -> Value {
     let mut c_matches_exhaustive = 0usize;
     for w in &workloads {
         let model = CostModel::new(&w.catalog, &w.query);
-        let a = optimize_alg_a(&model, &memory).unwrap();
-        let b2 = optimize_alg_b(&model, &memory, 2).unwrap();
-        let b4 = optimize_alg_b(&model, &memory, 4).unwrap();
-        let c = optimize_lec_static(&model, &memory).unwrap();
-        let ex = exhaustive_best(&model, &Objective::Expected(&memory)).unwrap();
+        let a = search(&model, &memory, Mode::AlgorithmA);
+        let b2 = search(&model, &memory, Mode::AlgorithmB { c: 2 });
+        let b4 = search(&model, &memory, Mode::AlgorithmB { c: 4 });
+        let c = search(&model, &memory, Mode::AlgorithmC);
+        let ex = exhaustive_best(
+            &model,
+            &Objective::Expected(&memory),
+            PlanShape::LeftDeep,
+            &SearchConfig::default(),
+        )
+        .unwrap();
         if (c.cost - ex.cost).abs() / ex.cost < 1e-9 {
             c_matches_exhaustive += 1;
         }
@@ -233,7 +239,15 @@ pub fn e4() -> Value {
         times.sort_by(f64::total_cmp);
         (times[3], evals)
     };
-    let (t_lsc, e_lsc) = time_of(&|model| optimize_lsc(model, 400.0).unwrap().stats.evals);
+    let (t_lsc, e_lsc) = time_of(&|model| {
+        search(
+            model,
+            &lec_prob::Distribution::point(400.0),
+            Mode::LscAt(400.0),
+        )
+        .stats
+        .evals
+    });
 
     let mut t = Table::new(&[
         "b",
@@ -249,14 +263,18 @@ pub fn e4() -> Value {
     let mut rows_json = Vec::new();
     for b in [1usize, 2, 4, 8, 16, 32] {
         let memory = presets::spread_family(400.0, 0.8, b).unwrap();
-        let (t_c, e_c) = time_of(&|model| optimize_lec_static(model, &memory).unwrap().stats.evals);
+        let (t_c, e_c) = time_of(&|model| search(model, &memory, Mode::AlgorithmC).stats.evals);
         let (_, e_c_off) = time_of(&|model| {
             model.set_eval_cache(false);
-            optimize_lec_static(model, &memory).unwrap().stats.evals
+            search(model, &memory, Mode::AlgorithmC).stats.evals
         });
         let saved = 1.0 - e_c as f64 / e_c_off as f64;
-        let (t_a, _) = time_of(&|model| optimize_alg_a(model, &memory).unwrap().stats.evals);
-        let (t_b, _) = time_of(&|model| optimize_alg_b(model, &memory, 3).unwrap().stats.evals);
+        let (t_a, _) = time_of(&|model| search(model, &memory, Mode::AlgorithmA).stats.evals);
+        let (t_b, _) = time_of(&|model| {
+            search(model, &memory, Mode::AlgorithmB { c: 3 })
+                .stats
+                .evals
+        });
         t.row(vec![
             b.to_string(),
             format!("{t_c:.0}us"),
@@ -304,7 +322,7 @@ pub fn e5() -> Value {
     ]);
     let mut rows_json = Vec::new();
     for c in [1usize, 2, 3, 5, 8, 13, 21] {
-        let r = optimize_alg_b(&model, &memory, c).unwrap();
+        let r = search(&model, &memory, Mode::AlgorithmB { c });
         let per_group = r.frontier().unwrap().combinations_examined as f64
             / r.frontier().unwrap().groups as f64;
         let bound = c as f64 + c as f64 * (c as f64).ln();

@@ -29,6 +29,17 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
+/// The experiments' shorthand: one search under the default
+/// [`lec_core::SearchConfig`], on a model and belief the experiment built.
+pub(crate) fn search(
+    model: &lec_cost::CostModel<'_>,
+    memory: &lec_prob::Distribution,
+    mode: lec_core::Mode,
+) -> lec_core::SearchOutcome {
+    lec_core::optimize(model, memory, &mode, &lec_core::SearchConfig::default())
+        .expect("experiment workloads optimize")
+}
+
 /// One experiment: `(id, description, runner)`.
 pub type Experiment = (&'static str, &'static str, fn() -> Value);
 

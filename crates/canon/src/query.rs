@@ -5,27 +5,29 @@
 //! DP would do the same work for both — which is a statement about the
 //! *shape* of the request, not its table numbering.  This module computes,
 //! for a query, a canonical relabeling of its tables (a permutation
-//! `perm[original] = canonical`) together with two encodings of the
-//! relabeled query:
-//!
-//! * the **exact** encoding captures every bit the cost model can observe
-//!   — per-table statistics fingerprints, filters, join predicates *in
-//!   their original vector order and orientation* (floating-point products
-//!   are taken in that order, so it is part of the computation's identity),
-//!   selectivity distributions, and the required output order.  Two
-//!   requests with equal exact encodings are the same computation up to
-//!   table renaming, and a cached plan can be served by relabeling alone;
-//! * the **weak** encoding buckets table sizes (log₂ pages/rows) and
-//!   selectivities (log₂ of the mean) and sorts the edge list, so queries
-//!   whose parameters drifted within a bucket — or whose predicates were
-//!   merely reordered — still meet.  A weak hit cannot be served directly,
-//!   but it identifies the cached plan to *revalidate* against.
+//! `perm[original] = canonical`) together with the **exact** encoding of
+//! the relabeled query: every bit the cost model can observe — per-table
+//! statistics fingerprints, filters, join predicates *in their original
+//! vector order and orientation* (floating-point products are taken in
+//! that order, so it is part of the computation's identity), selectivity
+//! distributions, and the required output order.  Two requests with equal
+//! exact encodings are the same computation up to table renaming, and a
+//! cached plan can be served by relabeling alone.
 //!
 //! The canonical permutation is found by Weisfeiler–Leman colour
-//! refinement over the weak per-table attributes, followed by exhaustive
-//! minimization over the (usually single) permutation consistent with the
-//! refined colour classes: among all candidates, the one whose weak
-//! encoding — then exact encoding — is lexicographically least.  Ties
+//! refinement seeded from *weak* per-table attributes (log₂ size buckets
+//! and plan-space structure), followed by exhaustive minimization over
+//! the (usually single) permutation consistent with the refined colour
+//! classes: among all candidates, the one whose weak encoding (bucketed
+//! tables, sorted edges labeled by log₂ selectivity bucket) — then exact
+//! encoding — is lexicographically least.  The weak labels are private to
+//! this module and no key is built from them; they stay because they
+//! *decide the labeling*, and the labeling decides the exact key's bytes,
+//! which pick the cache stripe an entry lands in and so what a per-stripe
+//! LRU evicts.  Re-seeding the refinement from the exact attributes was
+//! measured against the frozen benchmark: `mixed_churn`'s hit share moved
+//! out of the window its state check accepts (0.7515 → 0.7173 on seed 2;
+//! failed operations on 5 of 10 seeds).  Ties
 //! inside a colour class (genuinely interchangeable tables) resolve
 //! toward the identity order, matching the DP's own first-wins tie-breaks.
 //! Queries larger than [`MAX_CANON_TABLES`], with more than
@@ -36,7 +38,6 @@
 //! uncacheable rather than risking a served plan that a fresh search
 //! would not reproduce.
 
-use crate::{distinct, factorial, invert, permutations};
 use lec_catalog::{Catalog, IndexKind};
 use lec_cost::Fingerprint;
 use lec_plan::Query;
@@ -83,15 +84,13 @@ impl RefusalReason {
     }
 }
 
-/// A query's canonical relabeling and its two cache-key encodings.
+/// A query's canonical relabeling and its cache-key encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalForm {
     /// `perm[i]` is the canonical index of original table `i`.
     pub perm: Vec<usize>,
     /// Exact encoding of the relabeled query (see module docs).
     pub exact: Vec<u64>,
-    /// Bucketed shape encoding of the relabeled query.
-    pub weak: Vec<u64>,
 }
 
 impl CanonicalForm {
@@ -102,17 +101,10 @@ impl CanonicalForm {
     }
 }
 
-/// Everything the cost model can observe about one table occurrence —
-/// the same fingerprint the engine's tie-breaks use
-/// ([`lec_cost::CostModel::table_shape_fingerprint`]), which is what makes
-/// a served plan relabel onto exactly the plan a fresh search would pick.
-fn exact_table_attr(catalog: &Catalog, query: &Query, idx: usize) -> u64 {
-    lec_cost::table_occurrence_fingerprint(catalog, query, idx)
-}
-
 /// The bucketed view of the same occurrence: log₂ size buckets plus the
 /// plan-space-shaping structure (column count, index kinds, filter
 /// column) that decides which access paths and interesting orders exist.
+/// The colouring seed of the canonical labeling (module docs).
 fn weak_table_attr(catalog: &Catalog, query: &Query, idx: usize) -> u64 {
     let qt = &query.tables[idx];
     let stats = &catalog.table(qt.table).stats;
@@ -148,15 +140,26 @@ struct EdgeLabels {
     exact: u64,
 }
 
-/// Body-only weak encoding: tables and edges, *without* the required
-/// output order.  The canonical permutation (and the automorphism check
-/// gating cacheability) works on the body, because that is all the DP's
-/// sub-root tie-breaks can see — a required order only acts at root
-/// finalization and must not mask an interchangeable-twin symmetry.
-fn weak_encoding(
+/// Body-only, order-insensitive encoding under `perm`: per-table
+/// attributes plus the *sorted* multiset of labeled edges, without the
+/// required output order.  Two callers:
+///
+/// * over the weak attributes and edge labels it is the labeling's first
+///   tie-break, never a key (module docs).  It works on the body because
+///   that is all the DP's sub-root tie-breaks can see — a required order
+///   only acts at root finalization and must not mask an
+///   interchangeable-twin symmetry;
+/// * over the exact ones it is what the automorphism check runs on — the
+///   DP's tie-breaks observe tables and predicates by content, not by
+///   their position in the joins vector, so a symmetry must be detected
+///   even between permutations that shuffle identical predicates past
+///   each other (which the original-order [`exact_encoding`] would
+///   spuriously distinguish).
+fn sorted_edge_encoding(
     query: &Query,
-    weak_attr: &[u64],
+    attr: &[u64],
     labels: &[EdgeLabels],
+    label: fn(&EdgeLabels) -> u64,
     perm: &[usize],
 ) -> Vec<u64> {
     let n = query.n_tables();
@@ -164,7 +167,7 @@ fn weak_encoding(
     let mut out = Vec::with_capacity(1 + n + query.joins.len() * 5);
     out.push(n as u64);
     for canon in 0..n {
-        out.push(weak_attr[inv[canon]]);
+        out.push(attr[inv[canon]]);
     }
     let mut edges: Vec<[u64; 5]> = query
         .joins
@@ -174,9 +177,9 @@ fn weak_encoding(
             let (u, cu) = (perm[j.left.table] as u64, j.left.column as u64);
             let (v, cv) = (perm[j.right.table] as u64, j.right.column as u64);
             if u <= v {
-                [u, cu, v, cv, l.weak]
+                [u, cu, v, cv, label(l)]
             } else {
-                [v, cv, u, cu, l.weak]
+                [v, cv, u, cu, label(l)]
             }
         })
         .collect();
@@ -187,8 +190,8 @@ fn weak_encoding(
     out
 }
 
-/// Body-only exact encoding (see [`weak_encoding`] for why the required
-/// order is excluded here and appended afterwards).
+/// Body-only exact encoding (see [`sorted_edge_encoding`] for why the
+/// required order is excluded here and appended afterwards).
 fn exact_encoding(
     query: &Query,
     exact_attr: &[u64],
@@ -213,47 +216,6 @@ fn exact_encoding(
             j.right.column as u64,
             l.exact,
         ]);
-    }
-    out
-}
-
-/// Order-insensitive exact body encoding: exact table attributes plus the
-/// *sorted* multiset of exactly-labeled edges.  This is the encoding the
-/// automorphism check runs on — the DP's tie-breaks observe tables and
-/// predicates by content, not by their position in the joins vector, so a
-/// symmetry must be detected even between permutations that shuffle
-/// identical predicates past each other (which the original-order
-/// [`exact_encoding`] would spuriously distinguish).
-fn sym_encoding(
-    query: &Query,
-    exact_attr: &[u64],
-    labels: &[EdgeLabels],
-    perm: &[usize],
-) -> Vec<u64> {
-    let n = query.n_tables();
-    let inv = invert(perm);
-    let mut out = Vec::with_capacity(1 + n + query.joins.len() * 5);
-    out.push(n as u64);
-    for canon in 0..n {
-        out.push(exact_attr[inv[canon]]);
-    }
-    let mut edges: Vec<[u64; 5]> = query
-        .joins
-        .iter()
-        .zip(labels)
-        .map(|(j, l)| {
-            let (u, cu) = (perm[j.left.table] as u64, j.left.column as u64);
-            let (v, cv) = (perm[j.right.table] as u64, j.right.column as u64);
-            if u <= v {
-                [u, cu, v, cv, l.exact]
-            } else {
-                [v, cv, u, cu, l.exact]
-            }
-        })
-        .collect();
-    edges.sort_unstable();
-    for e in edges {
-        out.extend_from_slice(&e);
     }
     out
 }
@@ -347,8 +309,11 @@ pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm,
     if n == 0 || n > MAX_CANON_TABLES {
         return Err(RefusalReason::TooManyTables);
     }
+    // Everything the cost model can observe about each table occurrence —
+    // the same fingerprint the engine's tie-breaks use, which is what makes
+    // a served plan relabel onto exactly the plan a fresh search would pick.
     let exact_attr: Vec<u64> = (0..n)
-        .map(|i| exact_table_attr(catalog, query, i))
+        .map(|i| lec_cost::table_occurrence_fingerprint(catalog, query, i))
         .collect();
     let weak_attr: Vec<u64> = (0..n).map(|i| weak_table_attr(catalog, query, i)).collect();
     let labels: Vec<EdgeLabels> = query
@@ -401,7 +366,7 @@ pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm,
     // The automorphism detector: the minimal order-insensitive exact body
     // encoding seen so far, the perm that achieved it, and whether a
     // *different* perm reproduced it.  Two distinct permutations with
-    // equal [`sym_encoding`]s compose into a nontrivial exact
+    // equal exact [`sorted_edge_encoding`]s compose into a nontrivial exact
     // automorphism: the query contains interchangeable twin tables, the
     // DP's sub-root tie-breaks between them are label-dependent
     // (plan_shape_cmp sees equal fingerprints and falls back to
@@ -416,7 +381,7 @@ pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm,
                 perm[orig] = class_base[ci] + pos;
             }
         }
-        let sym = sym_encoding(query, &exact_attr, &labels, &perm);
+        let sym = sorted_edge_encoding(query, &exact_attr, &labels, |l| l.exact, &perm);
         match &best_sym {
             None => best_sym = Some((sym, perm.clone())),
             Some((bs, bp)) => match sym.cmp(bs) {
@@ -432,7 +397,7 @@ pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm,
                 std::cmp::Ordering::Greater => {}
             },
         }
-        let weak = weak_encoding(query, &weak_attr, &labels, &perm);
+        let weak = sorted_edge_encoding(query, &weak_attr, &labels, |l| l.weak, &perm);
         let better = match &best {
             None => true,
             Some((bw, be, _)) => {
@@ -452,10 +417,9 @@ pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm,
                 if automorphic {
                     return Err(RefusalReason::TwinTables);
                 }
-                let (mut weak, mut exact, perm) = best.expect("at least one candidate");
-                push_required_order(&mut weak, query, &perm);
+                let (_, mut exact, perm) = best.expect("at least one candidate");
                 push_required_order(&mut exact, query, &perm);
-                return Ok(CanonicalForm { perm, exact, weak });
+                return Ok(CanonicalForm { perm, exact });
             }
             odo[ci] += 1;
             if odo[ci] < class_perms[ci].len() {
@@ -470,9 +434,8 @@ pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm,
 /// Weisfeiler–Leman refinement: a table's colour absorbs the sorted
 /// multiset of (edge label, neighbour colour).  Colours only ever split
 /// (each round's signature includes the previous colour), so iteration
-/// stops when the number of classes stops growing.  Shared by the
-/// whole-query and subquery canonicalizers.
-pub(crate) fn refine_colors(mut colors: Vec<u64>, adj: &[Vec<(usize, u64)>]) -> Vec<u64> {
+/// stops when the number of classes stops growing.
+fn refine_colors(mut colors: Vec<u64>, adj: &[Vec<(usize, u64)>]) -> Vec<u64> {
     let n = colors.len();
     let mut n_classes = distinct(&colors);
     for _ in 0..n {
@@ -500,7 +463,7 @@ pub(crate) fn refine_colors(mut colors: Vec<u64>, adj: &[Vec<(usize, u64)>]) -> 
 
 /// Colour classes ordered by colour value, members ascending by original
 /// index (so the identity-leaning candidate is enumerated first).
-pub(crate) fn color_classes(colors: &[u64]) -> Vec<Vec<usize>> {
+fn color_classes(colors: &[u64]) -> Vec<Vec<usize>> {
     let mut members: Vec<usize> = (0..colors.len()).collect();
     members.sort_by_key(|&i| (colors[i], i));
     let mut classes: Vec<Vec<usize>> = Vec::new();
@@ -515,7 +478,7 @@ pub(crate) fn color_classes(colors: &[u64]) -> Vec<Vec<usize>> {
 
 /// Starting canonical index of each class (classes are laid out
 /// contiguously in class order).
-pub(crate) fn class_bases(classes: &[Vec<usize>]) -> Vec<usize> {
+fn class_bases(classes: &[Vec<usize>]) -> Vec<usize> {
     classes
         .iter()
         .scan(0usize, |acc, c| {
@@ -524,6 +487,45 @@ pub(crate) fn class_bases(classes: &[Vec<usize>]) -> Vec<usize> {
             Some(base)
         })
         .collect()
+}
+
+/// Invert a permutation: `inv[perm[i]] = i`.
+fn invert(perm: &[usize]) -> Vec<usize> {
+    let mut inv = vec![0usize; perm.len()];
+    for (orig, &canon) in perm.iter().enumerate() {
+        inv[canon] = orig;
+    }
+    inv
+}
+
+/// All permutations of `items` in lexicographic order (by position).
+fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    let mut out = Vec::new();
+    for (i, &head) in items.iter().enumerate() {
+        let mut rest = items.to_vec();
+        rest.remove(i);
+        for tail in permutations(&rest) {
+            let mut p = Vec::with_capacity(items.len());
+            p.push(head);
+            p.extend(tail);
+            out.push(p);
+        }
+    }
+    out
+}
+
+fn distinct(colors: &[u64]) -> usize {
+    let mut sorted = colors.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted.len()
+}
+
+fn factorial(k: usize) -> u128 {
+    (1..=k as u128).product()
 }
 
 #[cfg(test)]
@@ -565,7 +567,6 @@ mod tests {
         let renamed = q.relabel_tables(&map);
         let other = canonical_form(&cat, &renamed).unwrap();
         assert_eq!(base.exact, other.exact);
-        assert_eq!(base.weak, other.weak);
         // The permutations compose: original i and renamed map[i] land on
         // the same canonical index.
         for (i, &m) in map.iter().enumerate() {
@@ -584,23 +585,22 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_drift_changes_exact_but_not_weak() {
+    fn selectivity_drift_within_a_bucket_changes_the_key_but_not_the_labeling() {
         let (cat, mut q) = chain(4);
         let base = canonical_form(&cat, &q).unwrap();
         // Nudge a selectivity within its log2 bucket.
         q.joins[1].selectivity = lec_prob::Distribution::point(1.01e-5);
         let drift = canonical_form(&cat, &q).unwrap();
-        assert_eq!(base.weak, drift.weak, "same shape bucket");
+        assert_eq!(base.perm, drift.perm, "same weak labels, same labeling");
         assert_ne!(base.exact, drift.exact, "different exact computation");
     }
 
     #[test]
-    fn required_order_participates_in_both_keys() {
+    fn required_order_participates_in_the_key() {
         let (cat, mut q) = chain(4);
         let base = canonical_form(&cat, &q).unwrap();
         q.required_order = Some(ColumnRef::new(2, 0));
         let ordered = canonical_form(&cat, &q).unwrap();
-        assert_ne!(base.weak, ordered.weak);
         assert_ne!(base.exact, ordered.exact);
     }
 

@@ -5,12 +5,11 @@
 //! gives us b candidate plans.  We then compute the expected cost of each
 //! candidate, and choose the one with least expected cost."
 //!
-//! Policy over the engine: one [`crate::search::KeepBestPolicy`] +
-//! point-coster run per memory representative (via
-//! [`crate::lsc::optimize_lsc`]), then EC ranking of the candidates.
+//! Policy over the engine: one [`crate::Mode::LscAt`] run — the black box
+//! — per memory representative, then EC ranking of the candidates.
 
 use crate::error::OptError;
-use crate::lsc::optimize_lsc_with;
+use crate::optimizer::{optimize, Mode};
 use crate::search::{SearchConfig, SearchExtras, SearchOutcome, SearchStats};
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::PlanNode;
@@ -29,37 +28,31 @@ pub struct Candidate {
     pub expected_cost: f64,
 }
 
-/// Run Algorithm A.
-///
-/// The candidate memory values are the distribution's bucket
-/// representatives; per the paper's "without loss of generality" remark,
-/// the mean is added when not already present, which guarantees
-/// `EC(result) ≤ EC(LSC-at-mean plan)`.  The outcome's extras carry the
-/// per-representative [`Candidate`] list.
-pub fn optimize_alg_a(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-) -> Result<SearchOutcome, OptError> {
-    optimize_alg_a_with(model, memory, &SearchConfig::default())
-}
-
-/// [`optimize_alg_a`] under an explicit [`SearchConfig`], applied to
-/// each black-box per-representative LSC run.
-pub fn optimize_alg_a_with(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, OptError> {
+/// The memory values Algorithms A and B run their point searches at: the
+/// distribution's bucket representatives, plus — per the paper's "without
+/// loss of generality" remark — the mean when not already present, which
+/// guarantees `EC(result) ≤ EC(LSC-at-mean plan)`.
+pub(crate) fn representatives(memory: &Distribution) -> Vec<f64> {
     let mut reps: Vec<f64> = memory.support().to_vec();
     let mean = memory.mean();
     if !reps.iter().any(|&m| (m - mean).abs() < 1e-9) {
         reps.push(mean);
     }
+    reps
+}
 
+/// Algorithm A's ranking: the LSC plan of every representative, EC-ranked.
+/// The outcome's extras carry the per-representative [`Candidate`] list.
+pub(crate) fn rank_point_plans(
+    model: &CostModel<'_>,
+    memory: &Distribution,
+    config: &SearchConfig,
+) -> Result<SearchOutcome, OptError> {
+    let reps = representatives(memory);
     let mut stats = SearchStats::default();
     let mut candidates = Vec::with_capacity(reps.len());
     for m in reps {
-        let r = optimize_lsc_with(model, m, config)?;
+        let r = optimize(model, memory, &Mode::LscAt(m), config)?;
         stats.absorb(&r.stats);
         candidates.push(Candidate {
             memory: m,
@@ -92,9 +85,9 @@ pub fn optimize_alg_a_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg_c::optimize_lec_static;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
-    use crate::lsc::{optimize_lsc_from_dist, PointEstimate};
+    use crate::lsc::PointEstimate;
+    use crate::optimizer::{lsc_at, run};
 
     #[test]
     fn algorithm_a_recovers_plan2_in_example_1_1() {
@@ -103,7 +96,7 @@ mod tests {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
-        let r = optimize_alg_a(&model, &memory).unwrap();
+        let r = run(&model, &memory, Mode::AlgorithmA).unwrap();
         assert!(crate::fixtures::is_plan2(&r.plan), "{}", r.plan.compact());
         // Candidates: 700, 2000, and the mean 1740.
         assert_eq!(r.candidates().unwrap().len(), 3);
@@ -116,9 +109,9 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         for spread in [0.0, 0.4, 0.9] {
             let memory = lec_prob::presets::spread_family(300.0, spread, 6).unwrap();
-            let a = optimize_alg_a(&model, &memory).unwrap();
+            let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
             for est in [PointEstimate::Mean, PointEstimate::Mode] {
-                let lsc = optimize_lsc_from_dist(&model, &memory, est).unwrap();
+                let lsc = run(&model, &memory, Mode::Lsc(est)).unwrap();
                 let lsc_ec = expected_plan_cost_static(&model, &lsc.plan, &memory);
                 assert!(a.cost <= lsc_ec + 1e-6);
             }
@@ -133,8 +126,8 @@ mod tests {
         for spread in [0.2, 0.5, 0.8] {
             for n in [2, 4, 8] {
                 let memory = lec_prob::presets::spread_family(350.0, spread, n).unwrap();
-                let a = optimize_alg_a(&model, &memory).unwrap();
-                let c = optimize_lec_static(&model, &memory).unwrap();
+                let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
+                let c = run(&model, &memory, Mode::AlgorithmC).unwrap();
                 assert!(
                     c.cost <= a.cost + 1e-6,
                     "spread {spread} n {n}: C {} vs A {}",
@@ -150,7 +143,7 @@ mod tests {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
-        let r = optimize_alg_a(&model, &memory).unwrap();
+        let r = run(&model, &memory, Mode::AlgorithmA).unwrap();
         for c in r.candidates().unwrap() {
             let replay = expected_plan_cost_static(&model, &c.plan, &memory);
             assert!((c.expected_cost - replay).abs() < 1e-9);
@@ -164,8 +157,8 @@ mod tests {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
         let memory = Distribution::point(800.0);
-        let a = optimize_alg_a(&model, &memory).unwrap();
-        let lsc = crate::lsc::optimize_lsc(&model, 800.0).unwrap();
+        let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
+        let lsc = lsc_at(&model, 800.0).unwrap();
         assert!((a.cost - lsc.cost).abs() < 1e-9);
         assert_eq!(a.candidates().unwrap().len(), 1);
     }

@@ -13,21 +13,11 @@ use lec_plan::PlanNode;
 use lec_prob::Distribution;
 use std::sync::Arc;
 
-/// Run Algorithm B: top-c candidates per memory representative, then pick
-/// the candidate of least expected cost.  The outcome's extras carry the
+/// Algorithm B's ranking: the top-`c` plans of every memory
+/// representative, the union EC-ranked.  The outcome's extras carry the
 /// Proposition 3.1 [`crate::search::FrontierStats`] and the number of
 /// distinct candidates ranked.
-pub fn optimize_alg_b(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-    c: usize,
-) -> Result<SearchOutcome, OptError> {
-    optimize_alg_b_with(model, memory, c, &SearchConfig::default())
-}
-
-/// [`optimize_alg_b`] under an explicit [`SearchConfig`], applied to
-/// each per-representative top-`c` search.
-pub fn optimize_alg_b_with(
+pub(crate) fn rank_top_c_plans(
     model: &CostModel<'_>,
     memory: &Distribution,
     c: usize,
@@ -36,11 +26,7 @@ pub fn optimize_alg_b_with(
     if c == 0 {
         return Err(OptError::BadParameter("Algorithm B requires c >= 1"));
     }
-    let mut reps: Vec<f64> = memory.support().to_vec();
-    let mean = memory.mean();
-    if !reps.iter().any(|&m| (m - mean).abs() < 1e-9) {
-        reps.push(mean);
-    }
+    let reps = crate::alg_a::representatives(memory);
 
     let mut frontier = crate::search::FrontierStats::default();
     let mut stats = SearchStats::default();
@@ -84,9 +70,8 @@ pub fn optimize_alg_b_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg_a::optimize_alg_a;
-    use crate::alg_c::optimize_lec_static;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
+    use crate::optimizer::{run, Mode};
 
     #[test]
     fn b_with_c1_matches_a() {
@@ -95,8 +80,8 @@ mod tests {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
         let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
-        let a = optimize_alg_a(&model, &memory).unwrap();
-        let b = optimize_alg_b(&model, &memory, 1).unwrap();
+        let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
+        let b = run(&model, &memory, Mode::AlgorithmB { c: 1 }).unwrap();
         assert!((a.cost - b.cost).abs() < 1e-9);
     }
 
@@ -107,7 +92,7 @@ mod tests {
         let memory = lec_prob::presets::spread_family(300.0, 0.8, 5).unwrap();
         let mut last = f64::INFINITY;
         for c in [1, 2, 4, 8] {
-            let b = optimize_alg_b(&model, &memory, c).unwrap();
+            let b = run(&model, &memory, Mode::AlgorithmB { c }).unwrap();
             assert!(
                 b.cost <= last + 1e-9,
                 "candidate superset cannot hurt (c={c})"
@@ -122,9 +107,9 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         for spread in [0.3, 0.6, 0.9] {
             let memory = lec_prob::presets::spread_family(350.0, spread, 6).unwrap();
-            let a = optimize_alg_a(&model, &memory).unwrap();
-            let b = optimize_alg_b(&model, &memory, 3).unwrap();
-            let c = optimize_lec_static(&model, &memory).unwrap();
+            let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
+            let b = run(&model, &memory, Mode::AlgorithmB { c: 3 }).unwrap();
+            let c = run(&model, &memory, Mode::AlgorithmC).unwrap();
             assert!(b.cost <= a.cost + 1e-9);
             assert!(c.cost <= b.cost + 1e-9);
         }
@@ -136,7 +121,7 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
         for c in [1, 2, 3, 5, 8, 13] {
-            let b = optimize_alg_b(&model, &memory, c).unwrap();
+            let b = run(&model, &memory, Mode::AlgorithmB { c }).unwrap();
             // Per group, examined ≤ c + c·log c (the bound_total is the
             // per-group bound times the number of groups).
             let f = b.frontier().unwrap();
@@ -155,7 +140,7 @@ mod tests {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
-        let b = optimize_alg_b(&model, &memory, 2).unwrap();
+        let b = run(&model, &memory, Mode::AlgorithmB { c: 2 }).unwrap();
         assert!(crate::fixtures::is_plan2(&b.plan), "{}", b.plan.compact());
         assert!((b.cost - 4_209_000.0).abs() < 1.0);
     }
@@ -165,7 +150,7 @@ mod tests {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         assert!(matches!(
-            optimize_alg_b(&model, &example_1_1_memory(), 0),
+            run(&model, &example_1_1_memory(), Mode::AlgorithmB { c: 0 }),
             Err(OptError::BadParameter(_))
         ));
     }

@@ -7,96 +7,35 @@
 //! generation and costing phases. ... We retain the plan for S with the
 //! least expected total cost, discarding all the other candidates."
 //!
-//! Policy over the engine: [`KeepBestPolicy`] with a
-//! [`StaticExpectationCoster`] (or [`DynamicExpectationCoster`] for §3.5),
-//! over the left-deep shape.
-
-use crate::error::OptError;
-use crate::search::{
-    run_search_with, DynamicExpectationCoster, KeepBestPolicy, PlanShape, SearchConfig,
-    SearchOutcome, StaticExpectationCoster,
-};
-use lec_cost::CostModel;
-use lec_prob::{Distribution, MarkovChain};
-use std::sync::Arc;
-
-/// Compute the LEC left-deep plan under a static memory distribution.
-///
-/// If the distribution has `b` buckets, every *distinct* join candidate is
-/// costed with `b` evaluations of the cost formula — the paper's "b times
-/// the cost of the standard computation using a single memory size"; the
-/// shared evaluation cache answers repeats across entry pairs and dag
-/// levels without re-evaluating.
-pub fn optimize_lec_static(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-) -> Result<SearchOutcome, OptError> {
-    optimize_lec_static_with(model, memory, &SearchConfig::default())
-}
-
-/// [`optimize_lec_static`] under an explicit [`SearchConfig`].
-pub fn optimize_lec_static_with(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, OptError> {
-    let mut policy = KeepBestPolicy::new(StaticExpectationCoster::new(memory));
-    let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
-    let (best, stats) = run.into_best();
-    Ok(SearchOutcome::new(
-        Arc::unwrap_or_clone(best.plan),
-        best.cost,
-        stats,
-    ))
-}
-
-/// Compute the LEC left-deep plan when memory changes between phases
-/// according to `chain`, starting from `initial` (§3.5).
-///
-/// "We simply associate the initial distribution with the root of the dag,
-/// and use the transition probabilities to compute the distribution
-/// associated with each node.  We can then apply the algorithm without
-/// change."
-pub fn optimize_lec_dynamic(
-    model: &CostModel<'_>,
-    initial: &Distribution,
-    chain: &MarkovChain,
-) -> Result<SearchOutcome, OptError> {
-    optimize_lec_dynamic_with(model, initial, chain, &SearchConfig::default())
-}
-
-/// [`optimize_lec_dynamic`] under an explicit [`SearchConfig`].
-pub fn optimize_lec_dynamic_with(
-    model: &CostModel<'_>,
-    initial: &Distribution,
-    chain: &MarkovChain,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, OptError> {
-    let n = model.query().n_tables();
-    // n-1 join phases plus a possible root sort phase.
-    let coster = DynamicExpectationCoster::new(initial, chain, n.max(1))?;
-    let mut policy = KeepBestPolicy::new(coster);
-    let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
-    let (best, stats) = run.into_best();
-    Ok(SearchOutcome::new(
-        Arc::unwrap_or_clone(best.plan),
-        best.cost,
-        stats,
-    ))
-}
+//! Policy over the engine: [`crate::search::KeepBestPolicy`] with a
+//! [`crate::search::StaticExpectationCoster`] ([`crate::Mode::AlgorithmC`])
+//! or, for §3.5, a [`crate::search::DynamicExpectationCoster`]
+//! ([`crate::Mode::AlgorithmCDynamic`]), over the left-deep shape.
+//!
+//! If the distribution has `b` buckets, every *distinct* join candidate is
+//! costed with `b` evaluations of the cost formula — the paper's "b times
+//! the cost of the standard computation using a single memory size"; the
+//! shared evaluation cache answers repeats across entry pairs and dag
+//! levels without re-evaluating.
+//!
+//! The dynamic variant, in the paper's words: "We simply associate the
+//! initial distribution with the root of the dag, and use the transition
+//! probabilities to compute the distribution associated with each node.
+//! We can then apply the algorithm without change."
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
-    use crate::lsc::optimize_lsc;
+    use crate::optimizer::{lsc_at, run, Mode};
+    use lec_cost::CostModel;
+    use lec_prob::{Distribution, MarkovChain};
 
     #[test]
     fn algorithm_c_picks_plan2_in_example_1_1() {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
-        let r = optimize_lec_static(&model, &memory).unwrap();
+        let r = run(&model, &memory, Mode::AlgorithmC).unwrap();
         assert!(
             crate::fixtures::is_plan2(&r.plan),
             "the paper's Plan 2, got {}",
@@ -113,8 +52,8 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         for spread in [0.0, 0.3, 0.8] {
             let memory = lec_prob::presets::spread_family(400.0, spread, 5).unwrap();
-            let lec = optimize_lec_static(&model, &memory).unwrap();
-            let lsc = optimize_lsc(&model, memory.mean()).unwrap();
+            let lec = run(&model, &memory, Mode::AlgorithmC).unwrap();
+            let lsc = lsc_at(&model, memory.mean()).unwrap();
             let lsc_ec = lec_cost::expected_plan_cost_static(&model, &lsc.plan, &memory);
             assert!(
                 lec.cost <= lsc_ec + 1e-6,
@@ -132,8 +71,8 @@ mod tests {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
         for m in [40.0, 300.0, 2500.0, 60_000.0] {
-            let lec = optimize_lec_static(&model, &Distribution::point(m)).unwrap();
-            let lsc = optimize_lsc(&model, m).unwrap();
+            let lec = run(&model, &Distribution::point(m), Mode::AlgorithmC).unwrap();
+            let lsc = lsc_at(&model, m).unwrap();
             assert!(
                 (lec.cost - lsc.cost).abs() < 1e-9,
                 "m={m}: {} vs {}",
@@ -148,7 +87,7 @@ mod tests {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
         let memory = lec_prob::presets::spread_family(500.0, 0.7, 4).unwrap();
-        let r = optimize_lec_static(&model, &memory).unwrap();
+        let r = run(&model, &memory, Mode::AlgorithmC).unwrap();
         let replay = lec_cost::expected_plan_cost_static(&model, &r.plan, &memory);
         assert!((r.cost - replay).abs() < 1e-6);
     }
@@ -158,9 +97,9 @@ mod tests {
         let (cat, q) = crate::fixtures::scaling_chain(5);
         let model = CostModel::new(&cat, &q);
         let memory = lec_prob::presets::spread_family(500.0, 0.7, 6).unwrap();
-        let cached = optimize_lec_static(&model, &memory).unwrap();
+        let cached = run(&model, &memory, Mode::AlgorithmC).unwrap();
         model.set_eval_cache(false);
-        let raw = optimize_lec_static(&model, &memory).unwrap();
+        let raw = run(&model, &memory, Mode::AlgorithmC).unwrap();
         model.set_eval_cache(true);
         assert_eq!(cached.plan, raw.plan);
         assert_eq!(cached.cost, raw.cost);
@@ -173,8 +112,15 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         let memory = Distribution::bimodal(100.0, 1000.0, 0.6).unwrap();
         let chain = MarkovChain::identity(vec![100.0, 1000.0]).unwrap();
-        let stat = optimize_lec_static(&model, &memory).unwrap();
-        let dynm = optimize_lec_dynamic(&model, &memory, &chain).unwrap();
+        let stat = run(&model, &memory, Mode::AlgorithmC).unwrap();
+        let dynm = run(
+            &model,
+            &memory,
+            Mode::AlgorithmCDynamic {
+                chain: chain.clone(),
+            },
+        )
+        .unwrap();
         assert!((stat.cost - dynm.cost).abs() < 1e-9);
         assert_eq!(stat.plan, dynm.plan);
     }
@@ -186,7 +132,14 @@ mod tests {
         let states = vec![100.0, 400.0, 1600.0];
         let chain = MarkovChain::birth_death(states.clone(), 0.3, 0.1).unwrap();
         let initial = Distribution::from_pairs([(400.0, 1.0)]).unwrap();
-        let r = optimize_lec_dynamic(&model, &initial, &chain).unwrap();
+        let r = run(
+            &model,
+            &initial,
+            Mode::AlgorithmCDynamic {
+                chain: chain.clone(),
+            },
+        )
+        .unwrap();
         let replay =
             lec_cost::expected_plan_cost_dynamic(&model, &r.plan, &initial, &chain).unwrap();
         assert!((r.cost - replay).abs() < 1e-6, "{} vs {replay}", r.cost);
@@ -203,8 +156,15 @@ mod tests {
         let chain =
             MarkovChain::new(vec![10.0, 2000.0], vec![vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
         let initial = Distribution::point(2000.0);
-        let dynm = optimize_lec_dynamic(&model, &initial, &chain).unwrap();
-        let stat = optimize_lec_static(&model, &initial).unwrap();
+        let dynm = run(
+            &model,
+            &initial,
+            Mode::AlgorithmCDynamic {
+                chain: chain.clone(),
+            },
+        )
+        .unwrap();
+        let stat = run(&model, &initial, Mode::AlgorithmC).unwrap();
         // Statically, 2000 pages favours the bare SM plan (Plan 1).
         assert!(
             crate::fixtures::is_plan1(&stat.plan),

@@ -17,16 +17,7 @@ use std::sync::Arc;
 /// Run Algorithm D.  The outcome's extras carry the winning plan's
 /// result-size distribution and the largest pre-rebucketing product
 /// support.
-pub fn optimize_alg_d(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-    config: &AlgDConfig,
-) -> Result<SearchOutcome, OptError> {
-    optimize_alg_d_with(model, memory, config, &SearchConfig::default())
-}
-
-/// [`optimize_alg_d`] under an explicit [`SearchConfig`].
-pub fn optimize_alg_d_with(
+pub(crate) fn search(
     model: &CostModel<'_>,
     memory: &Distribution,
     config: &AlgDConfig,
@@ -54,8 +45,8 @@ pub fn optimize_alg_d_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg_c::optimize_lec_static;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
+    use crate::optimizer::{run, Mode};
     use lec_plan::ColumnRef;
 
     #[test]
@@ -64,8 +55,15 @@ mod tests {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
         let memory = lec_prob::presets::spread_family(400.0, 0.6, 5).unwrap();
-        let c = optimize_lec_static(&model, &memory).unwrap();
-        let d = optimize_alg_d(&model, &memory, &AlgDConfig::default()).unwrap();
+        let c = run(&model, &memory, Mode::AlgorithmC).unwrap();
+        let d = run(
+            &model,
+            &memory,
+            Mode::AlgorithmD {
+                config: AlgDConfig::default(),
+            },
+        )
+        .unwrap();
         assert!(
             (c.cost - d.cost).abs() / c.cost < 1e-9,
             "C {} vs D {}",
@@ -79,7 +77,14 @@ mod tests {
     fn example_1_1_unchanged_by_d() {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
-        let d = optimize_alg_d(&model, &example_1_1_memory(), &AlgDConfig::default()).unwrap();
+        let d = run(
+            &model,
+            &example_1_1_memory(),
+            Mode::AlgorithmD {
+                config: AlgDConfig::default(),
+            },
+        )
+        .unwrap();
         assert!(crate::fixtures::is_plan2(&d.plan), "{}", d.plan.compact());
         assert!((d.cost - 4_209_000.0).abs() < 1.0);
         // Result size is the certain 3000 pages.
@@ -106,7 +111,14 @@ mod tests {
             Distribution::from_pairs([(base * 0.1, 0.5), (base * 1.9, 0.5)]).unwrap();
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
-        let d = optimize_alg_d(&model, &memory, &AlgDConfig::default()).unwrap();
+        let d = run(
+            &model,
+            &memory,
+            Mode::AlgorithmD {
+                config: AlgDConfig::default(),
+            },
+        )
+        .unwrap();
         // Result size now has two buckets: 300 and 5700 pages.
         assert_eq!(d.result_size().unwrap().len(), 2);
         assert!((d.result_size().unwrap().mean() - 3000.0).abs() < 1e-6);
@@ -135,8 +147,8 @@ mod tests {
             max_buckets: 8,
             ..Default::default()
         };
-        let rf = optimize_alg_d(&model, &memory, &full).unwrap();
-        let rc = optimize_alg_d(&model, &memory, &cube).unwrap();
+        let rf = run(&model, &memory, Mode::AlgorithmD { config: full }).unwrap();
+        let rc = run(&model, &memory, Mode::AlgorithmD { config: cube }).unwrap();
         assert!(
             rc.max_product_support().unwrap() <= 27,
             "∛8 = 2 per factor → ≤ 8 product buckets (constructor may merge), got {}",
@@ -160,7 +172,14 @@ mod tests {
         b_stats.page_dist = Some(Distribution::bimodal(200_000.0, 600_000.0, 0.5).unwrap());
         cat2.add_table("B", b_stats);
         let model = CostModel::new(&cat2, &q);
-        let d = optimize_alg_d(&model, &example_1_1_memory(), &AlgDConfig::default()).unwrap();
+        let d = run(
+            &model,
+            &example_1_1_memory(),
+            Mode::AlgorithmD {
+                config: AlgDConfig::default(),
+            },
+        )
+        .unwrap();
         assert!(d.cost > 0.0);
         assert!(!d.result_size().unwrap().is_point());
     }
@@ -174,7 +193,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            optimize_alg_d(&model, &example_1_1_memory(), &config),
+            run(&model, &example_1_1_memory(), Mode::AlgorithmD { config }),
             Err(OptError::BadParameter(_))
         ));
     }
@@ -190,7 +209,14 @@ mod tests {
         }
         let model = CostModel::new(&cat, &q);
         let memory = lec_prob::presets::spread_family(250.0, 0.4, 4).unwrap();
-        let d = optimize_alg_d(&model, &memory, &AlgDConfig::default()).unwrap();
+        let d = run(
+            &model,
+            &memory,
+            Mode::AlgorithmD {
+                config: AlgDConfig::default(),
+            },
+        )
+        .unwrap();
         // The winning plan must end sorted (either via SM order or a Sort).
         let eq = model.equivalences();
         let order = lec_cost::output_order(&model, &d.plan);

@@ -12,50 +12,17 @@
 //! paper also flags as out of scope).
 //!
 //! Policy over the engine: the *same* [`crate::search::KeepBestPolicy`] +
-//! [`StaticExpectationCoster`] as Algorithm C — only the
-//! [`PlanShape`] changes.  That one-line difference is the whole point of
-//! the pluggable engine.
-
-use crate::error::OptError;
-use crate::search::{
-    run_search_with, KeepBestPolicy, PlanShape, SearchConfig, SearchOutcome,
-    StaticExpectationCoster,
-};
-use lec_cost::CostModel;
-use lec_prob::Distribution;
-use std::sync::Arc;
-
-/// Compute the LEC plan over the *bushy* plan space (all binary trees
-/// without cross products) under a static memory distribution.
-pub fn optimize_lec_bushy(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-) -> Result<SearchOutcome, OptError> {
-    optimize_lec_bushy_with(model, memory, &SearchConfig::default())
-}
-
-/// [`optimize_lec_bushy`] under an explicit [`SearchConfig`].
-pub fn optimize_lec_bushy_with(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, OptError> {
-    let mut policy = KeepBestPolicy::new(StaticExpectationCoster::new(memory));
-    let run = run_search_with(model, PlanShape::Bushy, &mut policy, config)?;
-    let (best, stats) = run.into_best();
-    Ok(SearchOutcome::new(
-        Arc::unwrap_or_clone(best.plan),
-        best.cost,
-        stats,
-    ))
-}
+//! [`crate::search::StaticExpectationCoster`] as Algorithm C — only the
+//! [`crate::search::PlanShape`] changes ([`crate::Mode::Bushy`]).  That
+//! one-word difference is the whole point of the pluggable engine.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::alg_c::optimize_lec_static;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
+    use crate::optimizer::{run, Mode};
+    use lec_cost::CostModel;
     use lec_prob::presets;
+    use lec_prob::Distribution;
 
     #[test]
     fn bushy_equals_left_deep_on_two_tables() {
@@ -63,8 +30,8 @@ mod tests {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
-        let ld = optimize_lec_static(&model, &memory).unwrap();
-        let bu = optimize_lec_bushy(&model, &memory).unwrap();
+        let ld = run(&model, &memory, Mode::AlgorithmC).unwrap();
+        let bu = run(&model, &memory, Mode::Bushy).unwrap();
         assert!((ld.cost - bu.cost).abs() < 1e-9);
     }
 
@@ -76,8 +43,8 @@ mod tests {
         for spread in [0.0, 0.4, 0.8] {
             for center in [80.0, 400.0, 2000.0] {
                 let memory = presets::spread_family(center, spread, 5).unwrap();
-                let ld = optimize_lec_static(&model, &memory).unwrap();
-                let bu = optimize_lec_bushy(&model, &memory).unwrap();
+                let ld = run(&model, &memory, Mode::AlgorithmC).unwrap();
+                let bu = run(&model, &memory, Mode::Bushy).unwrap();
                 assert!(
                     bu.cost <= ld.cost + 1e-9,
                     "center {center} spread {spread}: bushy {} vs left-deep {}",
@@ -93,7 +60,7 @@ mod tests {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(300.0, 0.7, 4).unwrap();
-        let bu = optimize_lec_bushy(&model, &memory).unwrap();
+        let bu = run(&model, &memory, Mode::Bushy).unwrap();
         let replay = lec_cost::expected_plan_cost_static(&model, &bu.plan, &memory);
         assert!(
             (bu.cost - replay).abs() / replay < 1e-9,
@@ -111,8 +78,8 @@ mod tests {
         let (cat, q) = crate::fixtures::diamond();
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(500.0, 0.5, 4).unwrap();
-        let ld = optimize_lec_static(&model, &memory).unwrap();
-        let bu = optimize_lec_bushy(&model, &memory).unwrap();
+        let ld = run(&model, &memory, Mode::AlgorithmC).unwrap();
+        let bu = run(&model, &memory, Mode::Bushy).unwrap();
         assert!(
             bu.cost < ld.cost * 0.9,
             "bushy {} should clearly beat left-deep {}",
@@ -134,8 +101,8 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         for m in [50.0, 500.0, 5000.0] {
             let memory = Distribution::point(m);
-            let ld = optimize_lec_static(&model, &memory).unwrap();
-            let bu = optimize_lec_bushy(&model, &memory).unwrap();
+            let ld = run(&model, &memory, Mode::AlgorithmC).unwrap();
+            let bu = run(&model, &memory, Mode::Bushy).unwrap();
             assert!(bu.cost <= ld.cost + 1e-9);
         }
     }

@@ -52,18 +52,10 @@ pub const MAX_EXHAUSTIVE_TABLES: usize = 7;
 /// check too.
 pub const MAX_EXHAUSTIVE_PLANS: u128 = 1_000_000;
 
-/// Exhaustively find the optimal plan of `shape` under `objective`.  The
-/// outcome's extras carry the number of complete plans costed.
-pub fn exhaustive_best_shaped(
-    model: &CostModel<'_>,
-    objective: &Objective<'_>,
-    shape: PlanShape,
-) -> Result<SearchOutcome, OptError> {
-    exhaustive_best_shaped_with(model, objective, shape, &SearchConfig::default())
-}
-
-/// [`exhaustive_best_shaped`] under an explicit [`SearchConfig`].
-pub fn exhaustive_best_shaped_with(
+/// Exhaustively find the optimal plan of `shape` under `objective` — the
+/// tests' reference oracle.  The outcome's extras carry the number of
+/// complete plans costed.
+pub fn exhaustive_best(
     model: &CostModel<'_>,
     objective: &Objective<'_>,
     shape: PlanShape,
@@ -94,24 +86,6 @@ pub fn exhaustive_best_shaped_with(
     }
 }
 
-/// Exhaustively find the optimal *left-deep* plan under `objective` — the
-/// classic verifier interface.
-pub fn exhaustive_best(
-    model: &CostModel<'_>,
-    objective: &Objective<'_>,
-) -> Result<SearchOutcome, OptError> {
-    exhaustive_best_shaped(model, objective, PlanShape::LeftDeep)
-}
-
-/// [`exhaustive_best`] under an explicit [`SearchConfig`].
-pub fn exhaustive_best_with(
-    model: &CostModel<'_>,
-    objective: &Objective<'_>,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, OptError> {
-    exhaustive_best_shaped_with(model, objective, PlanShape::LeftDeep, config)
-}
-
 fn run_keep_all<C: PhaseCoster>(
     model: &CostModel<'_>,
     shape: PlanShape,
@@ -133,25 +107,25 @@ fn run_keep_all<C: PhaseCoster>(
     })
 }
 
-/// Output size of the winning plan (diagnostic helper).
-pub fn result_pages(model: &CostModel<'_>, plan: &lec_plan::PlanNode) -> f64 {
-    lec_cost::plan_output_pages(model, plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg_c::{optimize_lec_dynamic, optimize_lec_static};
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
-    use crate::lsc::optimize_lsc;
+    use crate::optimizer::{lsc_at, run, Mode};
 
     #[test]
     fn dp_matches_exhaustive_point() {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
         for m in [30.0, 150.0, 700.0, 20_000.0] {
-            let dp = optimize_lsc(&model, m).unwrap();
-            let ex = exhaustive_best(&model, &Objective::Point(m)).unwrap();
+            let dp = lsc_at(&model, m).unwrap();
+            let ex = exhaustive_best(
+                &model,
+                &Objective::Point(m),
+                PlanShape::LeftDeep,
+                &SearchConfig::default(),
+            )
+            .unwrap();
             assert!(
                 (dp.cost - ex.cost).abs() < 1e-6,
                 "m={m}: dp {} vs exhaustive {}",
@@ -168,8 +142,14 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         for spread in [0.2, 0.5, 0.9] {
             let memory = lec_prob::presets::spread_family(400.0, spread, 6).unwrap();
-            let dp = optimize_lec_static(&model, &memory).unwrap();
-            let ex = exhaustive_best(&model, &Objective::Expected(&memory)).unwrap();
+            let dp = run(&model, &memory, Mode::AlgorithmC).unwrap();
+            let ex = exhaustive_best(
+                &model,
+                &Objective::Expected(&memory),
+                PlanShape::LeftDeep,
+                &SearchConfig::default(),
+            )
+            .unwrap();
             assert!(
                 (dp.cost - ex.cost).abs() < 1e-6,
                 "spread {spread}: dp {} vs exhaustive {}",
@@ -187,13 +167,22 @@ mod tests {
         let states = vec![50.0, 200.0, 800.0];
         let chain = MarkovChain::birth_death(states, 0.35, 0.15).unwrap();
         let initial = Distribution::point(200.0);
-        let dp = optimize_lec_dynamic(&model, &initial, &chain).unwrap();
+        let dp = run(
+            &model,
+            &initial,
+            Mode::AlgorithmCDynamic {
+                chain: chain.clone(),
+            },
+        )
+        .unwrap();
         let ex = exhaustive_best(
             &model,
             &Objective::Dynamic {
                 initial: &initial,
                 chain: &chain,
             },
+            PlanShape::LeftDeep,
+            &SearchConfig::default(),
         )
         .unwrap();
         assert!(
@@ -210,9 +199,14 @@ mod tests {
         let (cat, q) = crate::fixtures::diamond();
         let model = CostModel::new(&cat, &q);
         let memory = lec_prob::presets::spread_family(500.0, 0.5, 4).unwrap();
-        let dp = crate::bushy::optimize_lec_bushy(&model, &memory).unwrap();
-        let ex = exhaustive_best_shaped(&model, &Objective::Expected(&memory), PlanShape::Bushy)
-            .unwrap();
+        let dp = run(&model, &memory, Mode::Bushy).unwrap();
+        let ex = exhaustive_best(
+            &model,
+            &Objective::Expected(&memory),
+            PlanShape::Bushy,
+            &SearchConfig::default(),
+        )
+        .unwrap();
         assert!(
             (dp.cost - ex.cost).abs() / ex.cost < 1e-9,
             "dp {} vs exhaustive {}",
@@ -220,7 +214,13 @@ mod tests {
             ex.cost
         );
         // The bushy space strictly contains the left-deep one here.
-        let ld = exhaustive_best(&model, &Objective::Expected(&memory)).unwrap();
+        let ld = exhaustive_best(
+            &model,
+            &Objective::Expected(&memory),
+            PlanShape::LeftDeep,
+            &SearchConfig::default(),
+        )
+        .unwrap();
         assert!(ex.plans_costed().unwrap() > ld.plans_costed().unwrap());
     }
 
@@ -229,7 +229,13 @@ mod tests {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
-        let ex = exhaustive_best(&model, &Objective::Expected(&memory)).unwrap();
+        let ex = exhaustive_best(
+            &model,
+            &Objective::Expected(&memory),
+            PlanShape::LeftDeep,
+            &SearchConfig::default(),
+        )
+        .unwrap();
         assert!(crate::fixtures::is_plan2(&ex.plan), "{}", ex.plan.compact());
         assert!((ex.cost - 4_209_000.0).abs() < 1.0);
         // 2 orders × 4 methods × 1 access path each = 8 plans.
@@ -269,13 +275,24 @@ mod tests {
         };
         let model = CostModel::new(&cat, &q);
         assert!(matches!(
-            exhaustive_best(&model, &Objective::Point(100.0)),
+            exhaustive_best(
+                &model,
+                &Objective::Point(100.0),
+                PlanShape::LeftDeep,
+                &SearchConfig::default()
+            ),
             Err(OptError::BadParameter(_))
         ));
         // A 7-table chain stays comfortably under the cap and still runs.
         let (chain_cat, chain_q) = crate::fixtures::scaling_chain(7);
         let chain_model = CostModel::new(&chain_cat, &chain_q);
-        let ex = exhaustive_best(&chain_model, &Objective::Point(400.0)).unwrap();
+        let ex = exhaustive_best(
+            &chain_model,
+            &Objective::Point(400.0),
+            PlanShape::LeftDeep,
+            &SearchConfig::default(),
+        )
+        .unwrap();
         assert!(ex.plans_costed().unwrap() > 0);
     }
 
@@ -302,7 +319,12 @@ mod tests {
         };
         let model = CostModel::new(&cat, &q);
         assert!(matches!(
-            exhaustive_best(&model, &Objective::Point(100.0)),
+            exhaustive_best(
+                &model,
+                &Objective::Point(100.0),
+                PlanShape::LeftDeep,
+                &SearchConfig::default()
+            ),
             Err(OptError::BadParameter(_))
         ));
     }

@@ -17,7 +17,10 @@
 //! * **candidate policy** ([`search::CandidatePolicy`]): what each dag
 //!   node retains and how candidates are costed.
 //!
-//! The optimizer modules are thin policy definitions over that engine:
+//! One function, [`optimize`], holds the only `match` from a [`Mode`] to
+//! that shape × policy × coster triple; the per-algorithm modules carry
+//! the paper's text for each mode, its tests, and — for the modes that
+//! rank several searches' results — the ranking:
 //!
 //! * [`lsc`] — keep-1 at a point parameter value (Theorem 2.1, the
 //!   "least specific cost" plan);
@@ -37,7 +40,8 @@
 //!   EC objective (not DP-based, but reporting the same uniform stats);
 //! * [`bucketing`] — the §3.7 strategies for partitioning the parameter
 //!   space (equal-width, equi-depth, level-set aware);
-//! * [`optimizer`] — a single facade ([`Optimizer`]) over all modes;
+//! * [`optimizer`] — [`optimize`], and [`Optimizer`], which binds it to a
+//!   catalog and a memory belief;
 //! * [`fixtures`] — the paper's Example 1.1, ready to run.
 //!
 //! Every mode returns the same [`SearchOutcome`] — plan, objective value,
@@ -90,27 +94,16 @@ pub mod parametric;
 pub mod randomized;
 pub mod search;
 
-pub use alg_a::{optimize_alg_a, optimize_alg_a_with, Candidate};
-pub use alg_b::{optimize_alg_b, optimize_alg_b_with};
-pub use alg_c::{
-    optimize_lec_dynamic, optimize_lec_dynamic_with, optimize_lec_static, optimize_lec_static_with,
-};
-pub use alg_d::{optimize_alg_d, optimize_alg_d_with, AlgDConfig};
+pub use alg_a::Candidate;
+pub use alg_d::AlgDConfig;
 pub use bucketing::{bucketize, query_memory_breakpoints, BucketStrategy};
-pub use bushy::{optimize_lec_bushy, optimize_lec_bushy_with};
 pub use error::OptError;
-pub use exhaustive::{
-    exhaustive_best, exhaustive_best_shaped, exhaustive_best_shaped_with, exhaustive_best_with,
-    Objective, MAX_EXHAUSTIVE_PLANS, MAX_EXHAUSTIVE_TABLES,
-};
-pub use lsc::{
-    optimize_lsc, optimize_lsc_from_dist, optimize_lsc_from_dist_with, optimize_lsc_with,
-    PointEstimate,
-};
-pub use optimizer::{Mode, Optimized, Optimizer};
+pub use exhaustive::{exhaustive_best, Objective, MAX_EXHAUSTIVE_PLANS, MAX_EXHAUSTIVE_TABLES};
+pub use lsc::PointEstimate;
+pub use optimizer::{optimize, Mode, Optimized, Optimizer};
 pub use parametric::{coverage_family, CachedPlan, PlanCache, StartupChoice};
 pub use randomized::{iterative_improvement, simulated_annealing, RandomizedConfig};
 pub use search::{
-    run_search, run_search_with, CandidatePolicy, FrontierStats, PlanShape, SearchConfig,
-    SearchExtras, SearchOutcome, SearchStats,
+    run_search_with, CandidatePolicy, FrontierStats, PlanShape, SearchConfig, SearchExtras,
+    SearchOutcome, SearchStats,
 };

@@ -7,16 +7,9 @@
 //! and remain constant during execution.  We call this the least specific
 //! cost (LSC) plan." (§1)
 //!
-//! Policy over the engine: [`KeepBestPolicy`] with a [`PointCoster`], over
-//! the left-deep shape.
-
-use crate::error::OptError;
-use crate::search::{
-    run_search_with, KeepBestPolicy, PlanShape, PointCoster, SearchConfig, SearchOutcome,
-};
-use lec_cost::CostModel;
-use lec_prob::Distribution;
-use std::sync::Arc;
+//! Policy over the engine: [`crate::search::KeepBestPolicy`] with a
+//! [`crate::search::PointCoster`], over the left-deep shape
+//! ([`crate::Mode::Lsc`] and [`crate::Mode::LscAt`]).
 
 /// Which point of the memory distribution the LSC optimizer assumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,55 +20,12 @@ pub enum PointEstimate {
     Mode,
 }
 
-/// Optimize at a fixed memory value; the classical System R algorithm.
-pub fn optimize_lsc(model: &CostModel<'_>, memory: f64) -> Result<SearchOutcome, OptError> {
-    optimize_lsc_with(model, memory, &SearchConfig::default())
-}
-
-/// [`optimize_lsc`] under an explicit [`SearchConfig`].
-pub fn optimize_lsc_with(
-    model: &CostModel<'_>,
-    memory: f64,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, OptError> {
-    let mut policy = KeepBestPolicy::new(PointCoster { memory });
-    let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
-    let (best, stats) = run.into_best();
-    Ok(SearchOutcome::new(
-        Arc::unwrap_or_clone(best.plan),
-        best.cost,
-        stats,
-    ))
-}
-
-/// Optimize at the mean or mode of a memory distribution — exactly what
-/// the paper says "current optimizers" do.
-pub fn optimize_lsc_from_dist(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-    estimate: PointEstimate,
-) -> Result<SearchOutcome, OptError> {
-    optimize_lsc_from_dist_with(model, memory, estimate, &SearchConfig::default())
-}
-
-/// [`optimize_lsc_from_dist`] under an explicit [`SearchConfig`].
-pub fn optimize_lsc_from_dist_with(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-    estimate: PointEstimate,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, OptError> {
-    let m = match estimate {
-        PointEstimate::Mean => memory.mean(),
-        PointEstimate::Mode => memory.mode(),
-    };
-    optimize_lsc_with(model, m, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
+    use crate::optimizer::{lsc_at, run, Mode};
+    use lec_cost::CostModel;
     use lec_plan::{JoinMethod, PlanNode};
 
     #[test]
@@ -86,7 +36,7 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
         for est in [PointEstimate::Mean, PointEstimate::Mode] {
-            let r = optimize_lsc_from_dist(&model, &memory, est).unwrap();
+            let r = run(&model, &memory, Mode::Lsc(est)).unwrap();
             match &r.plan {
                 PlanNode::Join { method, .. } => {
                     assert_eq!(*method, JoinMethod::SortMerge, "{est:?}")
@@ -104,7 +54,7 @@ mod tests {
         // extra pass) even after paying the final sort.
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
-        let r = optimize_lsc(&model, 700.0).unwrap();
+        let r = lsc_at(&model, 700.0).unwrap();
         assert!(crate::fixtures::is_plan2(&r.plan), "{}", r.plan.compact());
         assert_eq!(r.cost, 1_400_000.0 + 2.0 * 1_400_000.0 + 9000.0);
     }
@@ -114,7 +64,7 @@ mod tests {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
         for m in [50.0, 200.0, 1000.0, 50_000.0] {
-            let r = optimize_lsc(&model, m).unwrap();
+            let r = lsc_at(&model, m).unwrap();
             let replay = lec_cost::plan_cost_at(&model, &r.plan, m);
             assert!(
                 (r.cost - replay).abs() < 1e-6,
@@ -129,7 +79,7 @@ mod tests {
     fn stats_are_populated() {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
-        let r = optimize_lsc(&model, 1000.0).unwrap();
+        let r = lsc_at(&model, 1000.0).unwrap();
         // 3 singletons + 2 pairs (chain: {0,1},{1,2} connected; {0,2} not) + full set
         assert_eq!(r.stats.nodes, 6);
         assert!(r.stats.candidates > 0);
@@ -140,13 +90,13 @@ mod tests {
     fn eval_cache_reduces_work_without_changing_the_answer() {
         let (cat, q) = crate::fixtures::scaling_chain(5);
         let model = CostModel::new(&cat, &q);
-        let cached = optimize_lsc(&model, 1000.0).unwrap();
+        let cached = lsc_at(&model, 1000.0).unwrap();
         assert!(
             cached.stats.cache_hits > 0,
             "pair×method repetition must hit"
         );
         model.set_eval_cache(false);
-        let raw = optimize_lsc(&model, 1000.0).unwrap();
+        let raw = lsc_at(&model, 1000.0).unwrap();
         model.set_eval_cache(true);
         assert_eq!(cached.plan, raw.plan);
         assert_eq!(cached.cost, raw.cost);
@@ -165,7 +115,7 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         let mut last = f64::INFINITY;
         for m in [10.0, 100.0, 1000.0, 10_000.0, 100_000.0] {
-            let r = optimize_lsc(&model, m).unwrap();
+            let r = lsc_at(&model, m).unwrap();
             assert!(
                 r.cost <= last + 1e-9,
                 "optimal cost must be monotone in memory"

@@ -1,20 +1,23 @@
-//! The public optimizer facade: one entry point over all modes.
+//! The one way in: [`optimize`] maps a [`Mode`] to the engine's shape ×
+//! policy × coster, and [`Optimizer`] binds it to a catalog and a memory
+//! belief.
 //!
-//! Every mode returns the engine's uniform [`SearchOutcome`], so this
-//! facade does no per-mode destructuring — it stamps the mode name and
-//! the total wall-clock time and hands the outcome through.
+//! Every mode returns the engine's uniform [`SearchOutcome`], so neither
+//! does any per-mode destructuring.
 
-use crate::alg_a::optimize_alg_a_with;
-use crate::alg_b::optimize_alg_b_with;
-use crate::alg_c::{optimize_lec_dynamic_with, optimize_lec_static_with};
-use crate::alg_d::{optimize_alg_d_with, AlgDConfig};
+use crate::alg_d::AlgDConfig;
 use crate::error::OptError;
-use crate::lsc::{optimize_lsc_from_dist_with, PointEstimate};
+use crate::lsc::PointEstimate;
+use crate::search::{
+    run_search_with, DynamicExpectationCoster, KeepBestPolicy, PhaseCoster, PlanShape, PointCoster,
+    StaticExpectationCoster,
+};
 pub use crate::search::{SearchConfig, SearchExtras, SearchOutcome, SearchStats};
 use lec_catalog::Catalog;
 use lec_cost::CostModel;
 use lec_plan::{PlanNode, Query};
 use lec_prob::{Distribution, MarkovChain};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which optimization algorithm to run.
@@ -136,6 +139,65 @@ fn randomized_fingerprint(
         .u64(config.sa_steps as u64)
 }
 
+/// Run `mode` over `model` under the memory belief `memory`: the only
+/// place a [`Mode`] is turned into a plan shape, a candidate policy and a
+/// coster.  The paper's claim that LEC is "a generic modification of the
+/// basic System R optimizer" is the first five arms: one keep-best DP in
+/// which only the coster — or, for the §4 extension, the shape — changes.
+/// `LscAt` ignores `memory`; the randomized modes are move-based and
+/// ignore `config`.
+pub fn optimize(
+    model: &CostModel<'_>,
+    memory: &Distribution,
+    mode: &Mode,
+    config: &SearchConfig,
+) -> Result<SearchOutcome, OptError> {
+    use PlanShape::{Bushy, LeftDeep};
+    let point = |memory| PointCoster { memory };
+    let expectation = || StaticExpectationCoster::new(memory);
+    match mode {
+        Mode::Lsc(PointEstimate::Mean) => keep_best(model, LeftDeep, point(memory.mean()), config),
+        Mode::Lsc(PointEstimate::Mode) => keep_best(model, LeftDeep, point(memory.mode()), config),
+        Mode::LscAt(m) => keep_best(model, LeftDeep, point(*m), config),
+        Mode::AlgorithmC => keep_best(model, LeftDeep, expectation(), config),
+        Mode::AlgorithmCDynamic { chain } => {
+            // n-1 join phases plus a possible root sort phase.
+            let phases = model.query().n_tables().max(1);
+            let coster = DynamicExpectationCoster::new(memory, chain, phases)?;
+            keep_best(model, LeftDeep, coster, config)
+        }
+        Mode::Bushy => keep_best(model, Bushy, expectation(), config),
+        Mode::AlgorithmA => crate::alg_a::rank_point_plans(model, memory, config),
+        Mode::AlgorithmB { c } => crate::alg_b::rank_top_c_plans(model, memory, *c, config),
+        Mode::AlgorithmD { config: buckets } => {
+            crate::alg_d::search(model, memory, buckets, config)
+        }
+        Mode::IterativeImprovement { config, seed } => {
+            crate::randomized::iterative_improvement(model, memory, config, *seed)
+        }
+        Mode::SimulatedAnnealing { config, seed } => {
+            crate::randomized::simulated_annealing(model, memory, config, *seed)
+        }
+    }
+}
+
+/// The keep-1 DP of Theorems 2.1, 3.3 and 3.4: retain the cheapest plan
+/// per (subset, order) under `coster`.
+fn keep_best<C: PhaseCoster>(
+    model: &CostModel<'_>,
+    shape: PlanShape,
+    coster: C,
+    config: &SearchConfig,
+) -> Result<SearchOutcome, OptError> {
+    let mut policy = KeepBestPolicy::new(coster);
+    let (best, stats) = run_search_with(model, shape, &mut policy, config)?.into_best();
+    Ok(SearchOutcome::new(
+        Arc::unwrap_or_clone(best.plan),
+        best.cost,
+        stats,
+    ))
+}
+
 /// The outcome of one optimization call: the engine's uniform result plus
 /// the mode's display name.
 #[derive(Debug, Clone)]
@@ -183,13 +245,13 @@ impl<'a> Optimizer<'a> {
 
     // Shim, returns `self`: crates/bench/src/bin/ledger/src/harness.rs is the only caller.
     #[doc(hidden)]
-    pub fn with_worker_pool(self, _pool: std::sync::Arc<dyn crate::search::WorkerPool>) -> Self {
+    pub fn with_worker_pool(self, _pool: Arc<dyn crate::search::WorkerPool>) -> Self {
         self
     }
 
     // Shim, returns `self`: crates/bench/src/bin/ledger/src/harness.rs is the only caller.
     #[doc(hidden)]
-    pub fn with_subplan_memo(self, _memo: std::sync::Arc<crate::search::SubplanMemo>) -> Self {
+    pub fn with_subplan_memo(self, _memo: Arc<crate::search::SubplanMemo>) -> Self {
         self
     }
 
@@ -209,19 +271,13 @@ impl<'a> Optimizer<'a> {
     /// evaluations, and cost-model expectation computes are timed
     /// into the handed-in histograms.  Purely observational — plans,
     /// costs, and every work counter stay byte-identical.
-    pub fn with_telemetry(
-        mut self,
-        telemetry: std::sync::Arc<lec_telemetry::EngineTelemetry>,
-    ) -> Self {
+    pub fn with_telemetry(mut self, telemetry: Arc<lec_telemetry::EngineTelemetry>) -> Self {
         self.set_telemetry(Some(telemetry));
         self
     }
 
     /// In-place form of [`Optimizer::with_telemetry`]; `None` uninstalls.
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: Option<std::sync::Arc<lec_telemetry::EngineTelemetry>>,
-    ) {
+    pub fn set_telemetry(&mut self, telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>) {
         self.search.telemetry = telemetry;
     }
 
@@ -240,39 +296,16 @@ impl<'a> Optimizer<'a> {
         &self.memory
     }
 
-    /// Optimize `query` under `mode`.
+    /// Optimize `query` under `mode`: validate, build the cost model, run
+    /// the free [`optimize`].
     pub fn optimize(&self, query: &Query, mode: &Mode) -> Result<Optimized, OptError> {
         query.validate(self.catalog)?;
         let mut model = CostModel::new(self.catalog, query);
         if let Some(t) = &self.search.telemetry {
-            model.set_telemetry(Some(std::sync::Arc::clone(t)));
+            model.set_telemetry(Some(Arc::clone(t)));
         }
-        let model = model;
         let start = Instant::now();
-        let outcome: SearchOutcome = match mode {
-            Mode::Lsc(est) => {
-                optimize_lsc_from_dist_with(&model, &self.memory, *est, &self.search)?
-            }
-            Mode::LscAt(m) => crate::lsc::optimize_lsc_with(&model, *m, &self.search)?,
-            Mode::AlgorithmA => optimize_alg_a_with(&model, &self.memory, &self.search)?,
-            Mode::AlgorithmB { c } => optimize_alg_b_with(&model, &self.memory, *c, &self.search)?,
-            Mode::AlgorithmC => optimize_lec_static_with(&model, &self.memory, &self.search)?,
-            Mode::AlgorithmCDynamic { chain } => {
-                optimize_lec_dynamic_with(&model, &self.memory, chain, &self.search)?
-            }
-            Mode::AlgorithmD { config } => {
-                optimize_alg_d_with(&model, &self.memory, config, &self.search)?
-            }
-            Mode::Bushy => {
-                crate::bushy::optimize_lec_bushy_with(&model, &self.memory, &self.search)?
-            }
-            Mode::IterativeImprovement { config, seed } => {
-                crate::randomized::iterative_improvement(&model, &self.memory, config, *seed)?
-            }
-            Mode::SimulatedAnnealing { config, seed } => {
-                crate::randomized::simulated_annealing(&model, &self.memory, config, *seed)?
-            }
-        };
+        let outcome = optimize(&model, &self.memory, mode, &self.search)?;
         let mut stats = outcome.stats;
         stats.elapsed = start.elapsed();
         Ok(Optimized {
@@ -290,6 +323,22 @@ impl<'a> Optimizer<'a> {
         let model = CostModel::new(self.catalog, query);
         lec_cost::expected_plan_cost_static(&model, plan, &self.memory)
     }
+}
+
+/// Unit-test shorthand: [`optimize`] under the default [`SearchConfig`].
+#[cfg(test)]
+pub(crate) fn run(
+    model: &CostModel<'_>,
+    memory: &Distribution,
+    mode: Mode,
+) -> Result<SearchOutcome, OptError> {
+    optimize(model, memory, &mode, &SearchConfig::default())
+}
+
+/// Unit-test shorthand: classical System R at the memory value `m`.
+#[cfg(test)]
+pub(crate) fn lsc_at(model: &CostModel<'_>, m: f64) -> Result<SearchOutcome, OptError> {
+    run(model, &Distribution::point(m), Mode::LscAt(m))
 }
 
 #[cfg(test)]

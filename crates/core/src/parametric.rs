@@ -11,8 +11,9 @@
 //! appropriate distribution over memory sizes when checking to see which
 //! candidate plan is best".
 
-use crate::alg_c::optimize_lec_static;
 use crate::error::OptError;
+use crate::optimizer::{optimize, Mode};
+use crate::search::SearchConfig;
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
@@ -63,7 +64,7 @@ impl PlanCache {
         }
         let mut entries: Vec<CachedPlan> = Vec::with_capacity(anticipated.len());
         for dist in anticipated {
-            let r = optimize_lec_static(model, dist)?;
+            let r = optimize(model, dist, &Mode::AlgorithmC, &SearchConfig::default())?;
             if !entries.iter().any(|e| e.plan == r.plan) {
                 entries.push(CachedPlan {
                     anticipated: dist.clone(),
@@ -128,7 +129,7 @@ impl PlanCache {
             // entries[k].plan is LEC-optimal under actual: its re-costed
             // EC is the optimum, no fresh search needed.
             Some(k) => expected_plan_cost_static(model, &self.entries[k].plan, actual),
-            None => optimize_lec_static(model, actual)?.cost,
+            None => optimize(model, actual, &Mode::AlgorithmC, &SearchConfig::default())?.cost,
         };
         Ok(StartupChoice {
             entry,
@@ -245,7 +246,7 @@ mod tests {
         let anticipated = family[2].clone();
         let choice = cache.choose(&model, &anticipated).unwrap();
         assert_eq!(choice.regret, 0.0, "cached optimum ⇒ zero regret");
-        let rerun = optimize_lec_static(&model, &anticipated).unwrap();
+        let rerun = crate::optimizer::run(&model, &anticipated, Mode::AlgorithmC).unwrap();
         assert!((choice.expected_cost - rerun.cost).abs() / rerun.cost < 1e-9);
     }
 

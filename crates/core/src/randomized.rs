@@ -288,8 +288,8 @@ pub fn simulated_annealing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg_c::optimize_lec_static;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
+    use crate::optimizer::{run, Mode};
 
     #[test]
     fn ii_finds_the_lec_plan_on_example_1_1() {
@@ -297,7 +297,7 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
         let r = iterative_improvement(&model, &memory, &Default::default(), 1).unwrap();
-        let c = optimize_lec_static(&model, &memory).unwrap();
+        let c = run(&model, &memory, Mode::AlgorithmC).unwrap();
         assert!(
             (r.cost - c.cost).abs() < 1.0,
             "II should find the LEC plan on a 2-table query"
@@ -310,7 +310,7 @@ mod tests {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
         let memory = lec_prob::presets::spread_family(400.0, 0.7, 5).unwrap();
-        let c = optimize_lec_static(&model, &memory).unwrap();
+        let c = run(&model, &memory, Mode::AlgorithmC).unwrap();
         let r = simulated_annealing(&model, &memory, &Default::default(), 3).unwrap();
         assert!(
             r.cost <= c.cost * 1.0 + 1e-6,
@@ -327,7 +327,7 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         for seed in 0..5u64 {
             let memory = lec_prob::presets::spread_family(300.0, 0.8, 4).unwrap();
-            let c = optimize_lec_static(&model, &memory).unwrap();
+            let c = run(&model, &memory, Mode::AlgorithmC).unwrap();
             let ii = iterative_improvement(&model, &memory, &Default::default(), seed).unwrap();
             let sa = simulated_annealing(&model, &memory, &Default::default(), seed).unwrap();
             assert!(ii.cost >= c.cost - 1e-6);

@@ -103,7 +103,7 @@ impl<E: SearchEntry> SearchRun<E> {
         self.roots
             .iter()
             .min_by(|a, b| a.cost().total_cmp(&b.cost()))
-            .expect("run_search guarantees a non-empty root list")
+            .expect("run_search_with guarantees a non-empty root list")
     }
 
     /// Consume the run, returning the cheapest candidate and the stats.
@@ -463,16 +463,6 @@ fn refresh_incumbent<P: CandidatePolicy>(
             prune.retire_refresh();
         }
     }
-}
-
-/// Run the DP under `shape` and `policy` with the default
-/// [`SearchConfig`] (no pruning, no telemetry).
-pub fn run_search<P: CandidatePolicy>(
-    model: &CostModel<'_>,
-    shape: PlanShape,
-    policy: &mut P,
-) -> Result<SearchRun<P::Entry>, OptError> {
-    run_search_with(model, shape, policy, &SearchConfig::default())
 }
 
 /// Run the DP under `shape` and `policy` and return the finalized root

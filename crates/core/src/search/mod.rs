@@ -5,7 +5,7 @@
 //! basic System R optimizer": one DP driver over the subset dag, with the
 //! *costing and candidate-retention rule* as the only thing that changes
 //! between algorithms.  This module is that claim made literal.  The
-//! engine ([`engine::run_search`]) walks the dag — "the nodes at depth k
+//! engine ([`engine::run_search_with`]) walks the dag — "the nodes at depth k
 //! are labeled by the subsets of {1,…,n} of cardinality k", of which it
 //! visits the connected ones — and is parameterized along two axes:
 //!
@@ -112,9 +112,7 @@ pub use bound::{
     IncumbentCell, LowerBound, MinSupportBound, PointBound, PruneState, SHARP_MARGIN,
 };
 pub use coster::{DynamicExpectationCoster, PhaseCoster, PointCoster, StaticExpectationCoster};
-pub use engine::{
-    plan_space_size, run_search, run_search_with, PlanShape, SearchConfig, SearchRun,
-};
+pub use engine::{plan_space_size, run_search_with, PlanShape, SearchConfig, SearchRun};
 pub use keep_all::KeepAllPolicy;
 pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};

@@ -8,7 +8,7 @@
 use lec_catalog::{Catalog, ColumnStats, TableStats};
 use lec_core::search::engine::next_level;
 use lec_core::search::SearchConfig;
-use lec_core::{fixtures, optimize_lec_static_with, Mode, OptError, Optimized, Optimizer};
+use lec_core::{fixtures, optimize, Mode, OptError, Optimized, Optimizer};
 use lec_cost::formulas::MIN_PAGES;
 use lec_cost::CostModel;
 use lec_plan::{ColumnRef, JoinPredicate, Query, QueryTable, TableSet};
@@ -113,7 +113,7 @@ proptest! {
             for pruning in [false, true] {
                 let model = CostModel::new(&cat, &q);
                 let cfg = SearchConfig::default().with_pruning(pruning);
-                let out = optimize_lec_static_with(&model, &memory, &cfg);
+                let out = optimize(&model, &memory, &Mode::AlgorithmC, &cfg);
                 prop_assert!(
                     matches!(out, Err(OptError::NoPlanFound)),
                     "pruning {}: {:?}", pruning, out.map(|o| o.plan.compact())

@@ -8,17 +8,34 @@
 //! changes any answer, only the evaluation count.
 
 use lec_core::search::{
-    run_search, KeepAllPolicy, PlanShape, PointCoster, StaticExpectationCoster,
+    run_search_with, KeepAllPolicy, PlanShape, PointCoster, StaticExpectationCoster,
 };
 use lec_core::{
-    exhaustive_best, exhaustive_best_shaped, optimize_alg_a, optimize_alg_b, optimize_alg_d,
-    optimize_lec_bushy, optimize_lec_dynamic, optimize_lec_static, optimize_lsc, AlgDConfig,
-    Objective,
+    exhaustive_best, optimize, AlgDConfig, Mode, Objective, OptError, PointEstimate, SearchConfig,
+    SearchOutcome,
 };
 use lec_cost::CostModel;
 use lec_plan::{PlanNode, Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;
+
+/// [`optimize`] under the default [`SearchConfig`].
+fn run(
+    model: &CostModel<'_>,
+    memory: &Distribution,
+    mode: Mode,
+) -> Result<SearchOutcome, OptError> {
+    optimize(model, memory, &mode, &SearchConfig::default())
+}
+
+/// The keep-all reference oracle under the default [`SearchConfig`].
+fn oracle(
+    model: &CostModel<'_>,
+    objective: &Objective<'_>,
+    shape: PlanShape,
+) -> Result<SearchOutcome, OptError> {
+    exhaustive_best(model, objective, shape, &SearchConfig::default())
+}
 
 fn workload(seed: u64, n: usize) -> (lec_catalog::Catalog, Query) {
     let mut g = lec_catalog::CatalogGenerator::new(seed);
@@ -49,15 +66,17 @@ fn unique_optimum(
     shape: PlanShape,
 ) -> Option<(PlanNode, f64)> {
     let run = match (memory, point) {
-        (Some(d), None) => run_search(
+        (Some(d), None) => run_search_with(
             model,
             shape,
             &mut KeepAllPolicy::new(StaticExpectationCoster::new(d)),
+            &SearchConfig::default(),
         ),
-        (None, Some(m)) => run_search(
+        (None, Some(m)) => run_search_with(
             model,
             shape,
             &mut KeepAllPolicy::new(PointCoster { memory: m }),
+            &SearchConfig::default(),
         ),
         _ => unreachable!("exactly one objective"),
     }
@@ -83,8 +102,8 @@ proptest! {
     fn lsc_matches_exhaustive(seed in 0u64..4000, n in 3usize..6, mem in 20.0f64..4000.0) {
         let (cat, q) = workload(seed, n);
         let model = CostModel::new(&cat, &q);
-        let dp = optimize_lsc(&model, mem).unwrap();
-        let ex = exhaustive_best(&model, &Objective::Point(mem)).unwrap();
+        let dp = run(&model, &Distribution::point(mem), Mode::LscAt(mem)).unwrap();
+        let ex = oracle(&model, &Objective::Point(mem), PlanShape::LeftDeep).unwrap();
         prop_assert!(rel_eq(dp.cost, ex.cost), "dp {} vs exhaustive {}", dp.cost, ex.cost);
         if let Some((plan, _)) = unique_optimum(&model, None, Some(mem), PlanShape::LeftDeep) {
             prop_assert_eq!(&dp.plan, &plan, "unique optimum must match byte-for-byte");
@@ -103,8 +122,8 @@ proptest! {
         let (cat, q) = workload(seed, n);
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, spread, b).unwrap();
-        let dp = optimize_lec_static(&model, &memory).unwrap();
-        let ex = exhaustive_best(&model, &Objective::Expected(&memory)).unwrap();
+        let dp = run(&model, &memory, Mode::AlgorithmC).unwrap();
+        let ex = oracle(&model, &Objective::Expected(&memory), PlanShape::LeftDeep).unwrap();
         prop_assert!(rel_eq(dp.cost, ex.cost), "dp {} vs exhaustive {}", dp.cost, ex.cost);
         if let Some((plan, _)) = unique_optimum(&model, Some(&memory), None, PlanShape::LeftDeep) {
             prop_assert_eq!(&dp.plan, &plan);
@@ -124,11 +143,8 @@ proptest! {
         let states = vec![80.0, 320.0, 1280.0];
         let chain = MarkovChain::birth_death(states, p_down, p_up).unwrap();
         let initial = Distribution::bimodal(320.0, 1280.0, 0.5).unwrap();
-        let dp = optimize_lec_dynamic(&model, &initial, &chain).unwrap();
-        let ex = exhaustive_best(
-            &model,
-            &Objective::Dynamic { initial: &initial, chain: &chain },
-        )
+        let dp = run(&model, &initial, Mode::AlgorithmCDynamic { chain: chain.clone() }).unwrap();
+        let ex = oracle(&model, &Objective::Dynamic { initial: &initial, chain: &chain }, PlanShape::LeftDeep)
         .unwrap();
         prop_assert!(rel_eq(dp.cost, ex.cost), "dp {} vs exhaustive {}", dp.cost, ex.cost);
     }
@@ -150,8 +166,8 @@ proptest! {
             return Ok(());
         }
         let memory = presets::spread_family(center, 0.6, 4).unwrap();
-        let dp = optimize_lec_bushy(&model, &memory).unwrap();
-        let ex = exhaustive_best_shaped(&model, &Objective::Expected(&memory), PlanShape::Bushy)
+        let dp = run(&model, &memory, Mode::Bushy).unwrap();
+        let ex = oracle(&model, &Objective::Expected(&memory), PlanShape::Bushy)
             .unwrap();
         prop_assert!(rel_eq(dp.cost, ex.cost), "dp {} vs exhaustive {}", dp.cost, ex.cost);
         if let Some((plan, _)) = unique_optimum(&model, Some(&memory), None, PlanShape::Bushy) {
@@ -172,8 +188,8 @@ proptest! {
         let (cat, q) = workload(seed, n);
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, 0.5, b).unwrap();
-        let d = optimize_alg_d(&model, &memory, &AlgDConfig::default()).unwrap();
-        let ex = exhaustive_best(&model, &Objective::Expected(&memory)).unwrap();
+        let d = run(&model, &memory, Mode::AlgorithmD { config: AlgDConfig::default() }).unwrap();
+        let ex = oracle(&model, &Objective::Expected(&memory), PlanShape::LeftDeep).unwrap();
         prop_assert!(rel_eq(d.cost, ex.cost), "D {} vs exhaustive {}", d.cost, ex.cost);
         if let Some((plan, _)) = unique_optimum(&model, Some(&memory), None, PlanShape::LeftDeep) {
             prop_assert_eq!(&d.plan, &plan);
@@ -194,11 +210,11 @@ proptest! {
         let (cat, q) = workload(seed, 3);
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, spread, 4).unwrap();
-        let a = optimize_alg_a(&model, &memory).unwrap();
-        let b1 = optimize_alg_b(&model, &memory, 1).unwrap();
+        let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
+        let b1 = run(&model, &memory, Mode::AlgorithmB { c: 1 }).unwrap();
         prop_assert!(rel_eq(a.cost, b1.cost), "B(1) {} vs A {}", b1.cost, a.cost);
-        let b_all = optimize_alg_b(&model, &memory, 256).unwrap();
-        let c = optimize_lec_static(&model, &memory).unwrap();
+        let b_all = run(&model, &memory, Mode::AlgorithmB { c: 256 }).unwrap();
+        let c = run(&model, &memory, Mode::AlgorithmC).unwrap();
         prop_assert!(rel_eq(b_all.cost, c.cost), "B(256) {} vs C {}", b_all.cost, c.cost);
     }
 
@@ -226,10 +242,10 @@ proptest! {
                 prop_assert_eq!(on.cost.to_bits(), off.cost.to_bits(), "{}: cost drift", $name);
             }};
         }
-        check!("lsc", |m: &CostModel<'_>| optimize_lsc(m, memory.mean()));
-        check!("alg_b", |m: &CostModel<'_>| optimize_alg_b(m, &memory, 3));
-        check!("alg_c", |m: &CostModel<'_>| optimize_lec_static(m, &memory));
-        check!("alg_d", |m: &CostModel<'_>| optimize_alg_d(m, &memory, &AlgDConfig::default()));
-        check!("bushy", |m: &CostModel<'_>| optimize_lec_bushy(m, &memory));
+        check!("lsc", |m: &CostModel<'_>| run(m, &memory, Mode::Lsc(PointEstimate::Mean)));
+        check!("alg_b", |m: &CostModel<'_>| run(m, &memory, Mode::AlgorithmB { c: 3 }));
+        check!("alg_c", |m: &CostModel<'_>| run(m, &memory, Mode::AlgorithmC));
+        check!("alg_d", |m: &CostModel<'_>| run(m, &memory, Mode::AlgorithmD { config: AlgDConfig::default() }));
+        check!("bushy", |m: &CostModel<'_>| run(m, &memory, Mode::Bushy));
     }
 }

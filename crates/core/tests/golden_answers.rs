@@ -416,7 +416,8 @@ fn a_panicking_coster_unwinds_and_leaves_the_model_usable() {
             "k = {k}"
         );
     }
-    let got = lec_core::optimize_lec_static(&model, &mem).expect("the model still searches");
+    let got = lec_core::optimize(&model, &mem, &Mode::AlgorithmC, &SearchConfig::default())
+        .expect("the model still searches");
     let &(_, _, plan, bits) = GOLDEN
         .iter()
         .find(|r| r.0 == "scaling_chain(6)" && r.1 == "AlgC")

@@ -3,13 +3,22 @@
 
 use lec_catalog::CatalogGenerator;
 use lec_core::{
-    bucketize, optimize_alg_a, optimize_alg_b, optimize_lec_bushy, optimize_lec_static,
-    optimize_lsc, BucketStrategy, PlanCache,
+    bucketize, optimize, BucketStrategy, Mode, OptError, PlanCache, PointEstimate, SearchConfig,
+    SearchOutcome,
 };
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_prob::{presets, Distribution};
 use proptest::prelude::*;
+
+/// [`optimize`] under the default [`SearchConfig`].
+fn run(
+    model: &CostModel<'_>,
+    memory: &Distribution,
+    mode: Mode,
+) -> Result<SearchOutcome, OptError> {
+    optimize(model, memory, &mode, &SearchConfig::default())
+}
 
 fn workload(seed: u64, n: usize) -> (lec_catalog::Catalog, Query) {
     let mut g = CatalogGenerator::new(seed);
@@ -47,12 +56,12 @@ proptest! {
         let (cat, q) = workload(seed, n);
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, spread, 5).unwrap();
-        let lsc = optimize_lsc(&model, memory.mean()).unwrap();
+        let lsc = run(&model, &memory, Mode::Lsc(PointEstimate::Mean)).unwrap();
         let lsc_ec = expected_plan_cost_static(&model, &lsc.plan, &memory);
-        let a = optimize_alg_a(&model, &memory).unwrap();
-        let bc = optimize_alg_b(&model, &memory, c).unwrap();
-        let cc = optimize_lec_static(&model, &memory).unwrap();
-        let bu = optimize_lec_bushy(&model, &memory).unwrap();
+        let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
+        let bc = run(&model, &memory, Mode::AlgorithmB { c }).unwrap();
+        let cc = run(&model, &memory, Mode::AlgorithmC).unwrap();
+        let bu = run(&model, &memory, Mode::Bushy).unwrap();
         prop_assert!(a.cost <= lsc_ec + 1e-6);
         prop_assert!(cc.cost <= a.cost + 1e-6);
         prop_assert!(cc.cost <= bc.cost + 1e-6);
@@ -65,7 +74,7 @@ proptest! {
         let (cat, q) = workload(seed, n);
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(300.0, 0.6, 4).unwrap();
-        let b = optimize_alg_b(&model, &memory, c).unwrap();
+        let b = run(&model, &memory, Mode::AlgorithmB { c }).unwrap();
         prop_assert!(b.frontier().unwrap().combinations_examined <= b.frontier().unwrap().bound_total);
     }
 
@@ -119,8 +128,8 @@ proptest! {
     fn single_bucket_degeneracy(seed in 0u64..5000, n in 2usize..6, m in 10.0f64..5000.0) {
         let (cat, q) = workload(seed, n);
         let model = CostModel::new(&cat, &q);
-        let lsc = optimize_lsc(&model, m).unwrap();
-        let lec = optimize_lec_static(&model, &Distribution::point(m)).unwrap();
+        let lsc = run(&model, &Distribution::point(m), Mode::LscAt(m)).unwrap();
+        let lec = run(&model, &Distribution::point(m), Mode::AlgorithmC).unwrap();
         prop_assert!((lsc.cost - lec.cost).abs() / lsc.cost.max(1.0) < 1e-9);
     }
 }

@@ -3,10 +3,9 @@
 //! every prune-eligible policy — and the bounds it prunes with must be
 //! admissible, per edge and on the plans the policies actually choose.
 
-use lec_core::search::{PhaseCoster, SearchConfig};
+use lec_core::search::{PhaseCoster, PlanShape, SearchConfig};
 use lec_core::{
-    exhaustive_best_with, optimize_alg_d_with, optimize_lec_bushy_with, optimize_lec_dynamic_with,
-    optimize_lec_static_with, optimize_lsc_with, AlgDConfig, Objective, OptError, SearchOutcome,
+    exhaustive_best, optimize, AlgDConfig, Mode, Objective, OptError, PointEstimate, SearchOutcome,
 };
 use lec_cost::CostModel;
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
@@ -70,12 +69,12 @@ proptest! {
         let memory5 = memory.clone();
         let memory6 = memory.clone();
         let runners: Vec<(&str, Box<Runner>)> = vec![
-            ("lsc", Box::new(move |m, c| optimize_lsc_with(m, memory2.mean(), c))),
-            ("alg_c", Box::new(move |m, c| optimize_lec_static_with(m, &memory3, c))),
-            ("alg_c_dyn", Box::new(move |m, c| optimize_lec_dynamic_with(m, &memory4, &chain, c))),
-            ("alg_d", Box::new(move |m, c| optimize_alg_d_with(m, &memory5, &AlgDConfig::default(), c))),
-            ("bushy", Box::new(move |m, c| optimize_lec_bushy_with(m, &memory6, c))),
-            ("exhaustive", Box::new(move |m, c| exhaustive_best_with(m, &Objective::Expected(&memory), c))),
+            ("lsc", Box::new(move |m, c| optimize(m, &memory2, &Mode::Lsc(PointEstimate::Mean), c))),
+            ("alg_c", Box::new(move |m, c| optimize(m, &memory3, &Mode::AlgorithmC, c))),
+            ("alg_c_dyn", Box::new(move |m, c| optimize(m, &memory4, &Mode::AlgorithmCDynamic { chain: chain.clone() }, c))),
+            ("alg_d", Box::new(move |m, c| optimize(m, &memory5, &Mode::AlgorithmD { config: AlgDConfig::default() }, c))),
+            ("bushy", Box::new(move |m, c| optimize(m, &memory6, &Mode::Bushy, c))),
+            ("exhaustive", Box::new(move |m, c| exhaustive_best(m, &Objective::Expected(&memory), PlanShape::LeftDeep, c))),
         ];
 
         for (name, run) in &runners {
@@ -172,17 +171,17 @@ proptest! {
             (
                 "lsc",
                 PointCoster { memory: memory.mean() }.pruning_bound(),
-                optimize_lsc_with(&model, memory.mean(), &SearchConfig::default()).unwrap(),
+                optimize(&model, &memory, &Mode::Lsc(PointEstimate::Mean), &SearchConfig::default()).unwrap(),
             ),
             (
                 "alg_c",
                 StaticExpectationCoster::new(&memory).pruning_bound(),
-                optimize_lec_static_with(&model, &memory, &SearchConfig::default()).unwrap(),
+                optimize(&model, &memory, &Mode::AlgorithmC, &SearchConfig::default()).unwrap(),
             ),
             (
                 "alg_c_dyn",
                 DynamicExpectationCoster::new(&memory, &chain, n).unwrap().pruning_bound(),
-                optimize_lec_dynamic_with(&model, &memory, &chain, &SearchConfig::default()).unwrap(),
+                optimize(&model, &memory, &Mode::AlgorithmCDynamic { chain: chain.clone() }, &SearchConfig::default()).unwrap(),
             ),
         ];
         for (name, bound, outcome) in cases {
@@ -219,12 +218,18 @@ fn pruning_fixtures_prune_without_changing_answers() {
         lec_core::fixtures::pruning_star(10),
     ] {
         let base_model = CostModel::new(&cat, &q);
-        let base =
-            optimize_lec_static_with(&base_model, &memory, &SearchConfig::default()).unwrap();
+        let base = optimize(
+            &base_model,
+            &memory,
+            &Mode::AlgorithmC,
+            &SearchConfig::default(),
+        )
+        .unwrap();
         let pruned_model = CostModel::new(&cat, &q);
-        let pruned = optimize_lec_static_with(
+        let pruned = optimize(
             &pruned_model,
             &memory,
+            &Mode::AlgorithmC,
             &SearchConfig::default().with_pruning(true),
         )
         .unwrap();

@@ -238,8 +238,14 @@ pub fn monte_carlo_reopt(
 mod tests {
     use super::*;
     use lec_core::fixtures::three_chain;
+    use lec_core::{optimize, Mode, SearchConfig, SearchOutcome};
     use lec_prob::Distribution;
     use rand::SeedableRng;
+
+    fn lsc_at(model: &CostModel<'_>, m: f64) -> SearchOutcome {
+        let config = SearchConfig::default();
+        optimize(model, &Distribution::point(m), &Mode::LscAt(m), &config).unwrap()
+    }
 
     #[test]
     fn without_drift_reopt_equals_lsc() {
@@ -251,7 +257,7 @@ mod tests {
             let chain = MarkovChain::identity(vec![m]).unwrap();
             let mut rng = rand::rngs::StdRng::seed_from_u64(1);
             let run = run_reoptimizing(&model, &chain, &[1.0], &mut rng);
-            let lsc = lec_core::optimize_lsc(&model, m).unwrap();
+            let lsc = lsc_at(&model, m);
             assert!(
                 (run.cost - lsc.cost).abs() / lsc.cost < 1e-9,
                 "m={m}: reopt {} vs lsc {}",
@@ -278,7 +284,7 @@ mod tests {
         // Costs are monotone in memory, so the collapsed run can never
         // beat the all-memory-high optimum (and may equal it when later
         // phases are memory-insensitive).
-        let high = lec_core::optimize_lsc(&model, 3000.0).unwrap();
+        let high = lsc_at(&model, 3000.0);
         assert!(run.cost >= high.cost - 1e-9);
         // ... but react better than blindly running the high-memory plan
         // with its later phases at 30 pages.

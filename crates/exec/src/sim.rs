@@ -103,13 +103,17 @@ fn summarize(mut costs: Vec<f64>) -> SimStats {
 mod tests {
     use super::*;
     use lec_core::fixtures::{example_1_1, example_1_1_memory};
+    use lec_core::{optimize, Mode, PointEstimate, SearchConfig};
     use lec_prob::{Distribution, MarkovChain};
 
-    fn plan2(model: &CostModel<'_>) -> PlanNode {
-        use lec_core::optimize_lec_static;
-        optimize_lec_static(model, &example_1_1_memory())
+    fn plan_of(model: &CostModel<'_>, memory: &Distribution, mode: Mode) -> PlanNode {
+        optimize(model, memory, &mode, &SearchConfig::default())
             .unwrap()
             .plan
+    }
+
+    fn plan2(model: &CostModel<'_>) -> PlanNode {
+        plan_of(model, &example_1_1_memory(), Mode::AlgorithmC)
     }
 
     #[test]
@@ -133,7 +137,7 @@ mod tests {
         let env = Environment::Static(memory.clone());
         // Compare the *LSC* plan (whose cost varies with memory) so the
         // convergence is non-trivial.
-        let lsc = lec_core::optimize_lsc(&model, 2000.0).unwrap().plan;
+        let lsc = plan_of(&model, &example_1_1_memory(), Mode::LscAt(2000.0));
         let ec = lec_cost::expected_plan_cost_static(&model, &lsc, &memory);
         let s = monte_carlo(&model, &lsc, &env, 40_000, 7).unwrap();
         let rel = (s.mean - ec).abs() / ec;
@@ -163,7 +167,7 @@ mod tests {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         let env = Environment::Static(example_1_1_memory());
-        let lsc = lec_core::optimize_lsc(&model, 2000.0).unwrap().plan;
+        let lsc = plan_of(&model, &example_1_1_memory(), Mode::LscAt(2000.0));
         let s = monte_carlo(&model, &lsc, &env, 5000, 3).unwrap();
         assert!(s.min <= s.p50 && s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
         assert!(s.runs == 5000);
@@ -228,8 +232,8 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
         let env = Environment::Static(memory.clone());
-        let lsc = lec_core::optimize_lsc(&model, memory.mode()).unwrap().plan;
-        let lec = lec_core::optimize_lec_static(&model, &memory).unwrap().plan;
+        let lsc = plan_of(&model, &memory, Mode::Lsc(PointEstimate::Mode));
+        let lec = plan_of(&model, &memory, Mode::AlgorithmC);
         let s_lsc = monte_carlo(&model, &lsc, &env, 20_000, 11).unwrap();
         let s_lec = monte_carlo(&model, &lec, &env, 20_000, 11).unwrap();
         assert!(

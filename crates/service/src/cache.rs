@@ -1,6 +1,6 @@
 //! The cross-query plan store: a lock-striped, `&self`-shareable cache of
-//! exact-key LRU entries, a weak-shape index for revalidation, and the
-//! in-flight singleflight table behind request coalescing.
+//! exact-key LRU entries, and the in-flight singleflight table behind
+//! request coalescing.
 //!
 //! Entries are keyed by the full exact encoding (not a hash of it), so
 //! distinct shapes can never collide into each other's plans.  The exact
@@ -11,15 +11,7 @@
 //! shard runs its own LRU over its slice of the capacity, and the
 //! counters are atomics ([`CacheStats`] is a point-in-time snapshot).
 //!
-//! The weak index maps each bucketed shape to the canonical plan most
-//! recently cached under it — the plan a near-miss request revalidates
-//! against — sharded and LRU-bounded the same way (by weak key, since
-//! weak and exact keys hash apart; a weak entry can therefore briefly
-//! outlive its evicted exact entry, which only affects the
-//! revalidated-vs-recomputed *label*, never the served bytes: weak hits
-//! always run a fresh search).
-//!
-//! Each exact shard also carries the shard's **in-flight table**: the
+//! Each shard also carries the shard's **in-flight table**: the
 //! first thread to miss on a key inserts an [`InflightSearch`] under the
 //! same shard lock that observed the miss and becomes the *leader*;
 //! concurrent misses on the same key find the entry and become
@@ -37,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Number of lock stripes in the exact and weak maps.  Enough that a
+/// Number of lock stripes in the exact-key map.  Enough that a
 /// handful of client threads rarely collide on a shard, few enough that
 /// per-shard LRU slices stay large (default capacity 512 → 32 entries per
 /// shard).
@@ -53,12 +45,7 @@ pub enum CacheDecision {
     /// blocked on that leader's search and was answered by relabeling the
     /// leader's canonical result — one DP ran for the whole cohort.
     Coalesced,
-    /// The bucketed shape matched but the exact parameters did not; a
-    /// fresh search ran and *confirmed* the cached plan (the response is
-    /// the fresh result, so byte-identity is unconditional).
-    Revalidated,
-    /// Miss (or a weak hit whose cached plan turned out stale): a fresh
-    /// search ran and its result was inserted.
+    /// Miss: a fresh search ran and its result was inserted.
     Recomputed,
     /// The request cannot be cached — a randomized mode (RNG trajectories
     /// are not rename-equivariant) or a query the canonicalizer declined.
@@ -71,7 +58,6 @@ impl CacheDecision {
         match self {
             CacheDecision::Served => "served",
             CacheDecision::Coalesced => "coalesced",
-            CacheDecision::Revalidated => "revalidated",
             CacheDecision::Recomputed => "recomputed",
             CacheDecision::Uncacheable => "uncacheable",
         }
@@ -91,9 +77,10 @@ pub struct CacheStats {
     pub coalesced_followers: u64,
     /// Leaders whose single search also answered at least one follower.
     pub coalesced_leaders: u64,
-    /// Weak hits whose cached plan a fresh search confirmed.
+    // Shim, always 0 (weak-key revalidation is gone): crates/bench/src/bin/ledger/src/harness.rs is the only reader.
+    #[doc(hidden)]
     pub revalidated: u64,
-    /// Misses (and stale weak hits) that ran a fresh search.
+    /// Misses that ran a fresh search.
     pub recomputed: u64,
     /// Requests that bypassed the cache entirely.
     pub uncacheable: u64,
@@ -132,7 +119,6 @@ impl CacheStats {
             "served": self.served,
             "coalesced_followers": self.coalesced_followers,
             "coalesced_leaders": self.coalesced_leaders,
-            "revalidated": self.revalidated,
             "recomputed": self.recomputed,
             "uncacheable": self.uncacheable,
             "refusals": {
@@ -160,7 +146,6 @@ struct AtomicCacheStats {
     served: AtomicU64,
     coalesced_followers: AtomicU64,
     coalesced_leaders: AtomicU64,
-    revalidated: AtomicU64,
     recomputed: AtomicU64,
     uncacheable: AtomicU64,
     refused_too_many_tables: AtomicU64,
@@ -177,7 +162,7 @@ impl AtomicCacheStats {
             served: self.served.load(Ordering::Relaxed),
             coalesced_followers: self.coalesced_followers.load(Ordering::Relaxed),
             coalesced_leaders: self.coalesced_leaders.load(Ordering::Relaxed),
-            revalidated: self.revalidated.load(Ordering::Relaxed),
+            revalidated: 0,
             recomputed: self.recomputed.load(Ordering::Relaxed),
             uncacheable: self.uncacheable.load(Ordering::Relaxed),
             refused_too_many_tables: self.refused_too_many_tables.load(Ordering::Relaxed),
@@ -294,8 +279,8 @@ pub(crate) enum ExactLookup {
 /// One cached plan in canonical label space.  The answer rides in an
 /// `Arc` so the hit path hands it out with a pointer bump — the deep
 /// work (relabeling into the caller's numbering) happens outside the
-/// shard lock, and one allocation is shared between the exact entry, the
-/// weak entry, and every coalesced follower.
+/// shard lock, and one allocation is shared between the entry and every
+/// coalesced follower.
 #[derive(Debug, Clone)]
 struct CachedShapePlan {
     answer: Arc<CanonicalAnswer>,
@@ -305,20 +290,12 @@ struct CachedShapePlan {
     last_used: u64,
 }
 
-/// One exact-map stripe: its entries, its slice of the in-flight table,
+/// One stripe of the map: its entries, its slice of the in-flight table,
 /// and its own LRU clock.
 #[derive(Debug, Default)]
 struct ExactShard {
     entries: HashMap<Box<[u64]>, CachedShapePlan>,
     inflight: HashMap<Box<[u64]>, Arc<InflightSearch>>,
-    tick: u64,
-}
-
-/// One weak-index stripe: bucketed shape → most recent canonical answer
-/// (shared with the exact entry, compared by plan on revalidation).
-#[derive(Debug, Default)]
-struct WeakShard {
-    entries: HashMap<Box<[u64]>, (Arc<CanonicalAnswer>, u64)>,
     tick: u64,
 }
 
@@ -329,7 +306,6 @@ struct WeakShard {
 #[derive(Debug)]
 pub struct ShapeCache {
     exact: Box<[Mutex<ExactShard>]>,
-    weak: Box<[Mutex<WeakShard>]>,
     shard_capacity: usize,
     capacity: usize,
     stats: AtomicCacheStats,
@@ -353,9 +329,6 @@ impl ShapeCache {
             exact: (0..shards)
                 .map(|_| Mutex::new(ExactShard::default()))
                 .collect(),
-            weak: (0..shards)
-                .map(|_| Mutex::new(WeakShard::default()))
-                .collect(),
             shard_capacity: capacity / shards,
             capacity,
             stats: AtomicCacheStats::default(),
@@ -364,12 +337,6 @@ impl ShapeCache {
 
     fn exact_shard(&self, key: &[u64]) -> MutexGuard<'_, ExactShard> {
         self.exact[lec_cost::shard_index(key, self.exact.len())]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn weak_shard(&self, key: &[u64]) -> MutexGuard<'_, WeakShard> {
-        self.weak[lec_cost::shard_index(key, self.weak.len())]
             .lock()
             .unwrap_or_else(|p| p.into_inner())
     }
@@ -465,44 +432,12 @@ impl ShapeCache {
         ExactLookup::Lead(flight)
     }
 
-    /// Leader completion (success): classify the answer against the weak
-    /// index (updating it), insert the entry under the exact key, retire
-    /// the in-flight record, and wake the followers.  Returns the
-    /// revalidated-vs-recomputed decision for the leader's own response.
-    pub(crate) fn publish_answer(
-        &self,
-        exact: &[u64],
-        weak: Box<[u64]>,
-        answer: CanonicalAnswer,
-    ) -> CacheDecision {
-        // One allocation shared by the exact entry, the weak entry, and
-        // every follower.
+    /// Leader completion (success): insert the entry under the exact key,
+    /// retire the in-flight record, and wake the followers.
+    pub(crate) fn publish_answer(&self, exact: &[u64], answer: CanonicalAnswer) {
+        // One allocation shared by the entry and every follower.
         let answer = Arc::new(answer);
-        // Weak index first (its own stripe, never held together with an
-        // exact stripe): does the bucketed shape already predict this
-        // plan?
-        let decision = {
-            let mut shard = self.weak_shard(&weak);
-            let tick = shard.tick + 1;
-            shard.tick = tick;
-            let matched =
-                matches!(shard.entries.get(&weak), Some((prev, _)) if prev.plan == answer.plan);
-            shard.entries.insert(weak, (Arc::clone(&answer), tick));
-            if shard.entries.len() > self.shard_capacity {
-                lec_cost::evict_coldest(&mut shard.entries, |(_, last_used)| *last_used);
-            }
-            if matched {
-                CacheDecision::Revalidated
-            } else {
-                CacheDecision::Recomputed
-            }
-        };
-        match decision {
-            CacheDecision::Revalidated => &self.stats.revalidated,
-            _ => &self.stats.recomputed,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-
+        self.stats.recomputed.fetch_add(1, Ordering::Relaxed);
         let flight = {
             let mut shard = self.exact_shard(exact);
             let tick = shard.tick + 1;
@@ -531,7 +466,6 @@ impl ShapeCache {
             }
             flight.publish(Ok(answer));
         }
-        decision
     }
 
     /// Leader completion (failure): retire the in-flight record and wake
@@ -566,9 +500,9 @@ mod tests {
 
     /// Lead on `k` and immediately publish `a` (the single-threaded
     /// equivalent of the old insert).
-    fn insert(c: &ShapeCache, k: u64, weak: u64, a: CanonicalAnswer) -> CacheDecision {
+    fn insert(c: &ShapeCache, k: u64, a: CanonicalAnswer) {
         match c.lookup_or_lead(&key(k)) {
-            ExactLookup::Lead(_) => c.publish_answer(&key(k), key(weak), a),
+            ExactLookup::Lead(_) => c.publish_answer(&key(k), a),
             _ => panic!("fresh key must elect a leader"),
         }
     }
@@ -576,11 +510,9 @@ mod tests {
     #[test]
     fn exact_hits_count_and_touch() {
         let c = ShapeCache::with_shards(4, 1);
-        assert_eq!(
-            insert(&c, 1, 100, answer(0, 1.0)),
-            CacheDecision::Recomputed
-        );
+        insert(&c, 1, answer(0, 1.0));
         assert_eq!(c.len(), 1);
+        assert_eq!(c.stats().recomputed, 1);
         assert!(matches!(c.lookup_or_lead(&key(2)), ExactLookup::Lead(_)));
         c.publish_error(&key(2), ServeError::Opt(OptError::NoPlanFound));
         let ExactLookup::Hit(a) = c.lookup_or_lead(&key(1)) else {
@@ -595,10 +527,10 @@ mod tests {
     #[test]
     fn per_shard_lru_evicts_the_coldest_entry() {
         let c = ShapeCache::with_shards(2, 1);
-        insert(&c, 1, 100, answer(0, 1.0));
-        insert(&c, 2, 200, answer(1, 2.0));
+        insert(&c, 1, answer(0, 1.0));
+        insert(&c, 2, answer(1, 2.0));
         assert!(matches!(c.lookup_or_lead(&key(1)), ExactLookup::Hit(_))); // 2 is now coldest
-        insert(&c, 3, 300, answer(2, 3.0));
+        insert(&c, 3, answer(2, 3.0));
         assert_eq!(c.len(), 2);
         assert!(
             matches!(c.lookup_or_lead(&key(2)), ExactLookup::Lead(_)),
@@ -608,27 +540,6 @@ mod tests {
         assert!(matches!(c.lookup_or_lead(&key(1)), ExactLookup::Hit(_)));
         assert!(matches!(c.lookup_or_lead(&key(3)), ExactLookup::Hit(_)));
         assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn weak_index_follows_the_newest_entry_of_a_shape() {
-        let c = ShapeCache::with_shards(4, 1);
-        assert_eq!(
-            insert(&c, 1, 100, answer(0, 1.0)),
-            CacheDecision::Recomputed
-        );
-        // Same weak shape, different plan: the weak index disagrees.
-        assert_eq!(
-            insert(&c, 2, 100, answer(1, 2.0)),
-            CacheDecision::Recomputed
-        );
-        // Same weak shape, same plan as the most recent entry: revalidated.
-        assert_eq!(
-            insert(&c, 3, 100, answer(1, 3.0)),
-            CacheDecision::Revalidated
-        );
-        assert_eq!(c.stats().revalidated, 1);
-        assert_eq!(c.stats().recomputed, 2);
     }
 
     #[test]
@@ -649,7 +560,7 @@ mod tests {
             .into_iter()
             .map(|f| std::thread::spawn(move || f.wait()))
             .collect();
-        c.publish_answer(&key(7), key(700), answer(4, 9.0));
+        c.publish_answer(&key(7), answer(4, 9.0));
         for w in waiters {
             let got = w.join().unwrap().expect("leader succeeded");
             assert_eq!(got.plan, PlanNode::SeqScan { table: 4 });

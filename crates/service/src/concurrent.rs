@@ -6,7 +6,7 @@
 //! Two layers:
 //!
 //! 1. **Sharded plan cache** ([`crate::cache::ShapeCache`]): the
-//!    exact/weak maps are lock-striped, so the hit path — the 97%+ common
+//!    exact-key map is lock-striped, so the hit path — the 97%+ common
 //!    case on a skewed workload — takes one shard lock for a few hundred
 //!    nanoseconds instead of serializing every client behind a global
 //!    `&mut self`.
@@ -25,8 +25,8 @@
 //! Byte-identity is the same acceptance bar as every layer before it:
 //! whatever the interleaving, every response (plan, cost bits, table
 //! numbering) equals a fresh [`Optimizer::optimize`] of that request —
-//! pinned by `tests/concurrent_parity.rs` and the `concurrent_serve`
-//! bench guard.
+//! pinned by `tests/server_parity.rs` (one client) and
+//! `tests/concurrent_parity.rs` (many).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -52,23 +52,46 @@
 //! ```
 
 use crate::cache::{CacheDecision, CacheStats, CanonicalAnswer, ExactLookup, ShapeCache};
-use crate::server::{ServeResponse, DEFAULT_CACHE_CAPACITY};
 use lec_canon::canonical_form;
 use lec_catalog::Catalog;
-use lec_core::{Mode, OptError, Optimizer};
+use lec_core::{Mode, OptError, Optimized, Optimizer, SearchStats};
 use lec_cost::dist_fingerprint;
-use lec_plan::Query;
+use lec_plan::{PlanNode, Query};
 use lec_prob::Distribution;
 use lec_telemetry::{Outcome, Stage, Telemetry, TraceCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Default number of cached plans.
+pub const DEFAULT_CACHE_CAPACITY: usize = 512;
+
+/// One answered request: the plan in the *caller's* table numbering, its
+/// objective value, the search statistics behind it, and what the cache
+/// did.
+#[derive(Debug, Clone)]
+pub struct ServeResponse {
+    /// The chosen plan, relabeled to the request's table indices.
+    pub plan: PlanNode,
+    /// Its objective value (point cost for LSC, expected cost otherwise).
+    pub cost: f64,
+    /// Mode display name.
+    pub mode: &'static str,
+    /// Statistics of the search that produced the plan.  For
+    /// [`CacheDecision::Served`] and [`CacheDecision::Coalesced`]
+    /// responses these are the *original* computation's counters with
+    /// `elapsed` re-stamped to this request's serve latency (the whole
+    /// point of serving from cache or coalescing onto a leader).
+    pub stats: SearchStats,
+    /// How the cache participated.
+    pub decision: CacheDecision,
+}
+
 /// A service-level serving error: either the optimizer's own verdict, or
 /// a condition of the *serving* layer (admission control, deadlines) that
 /// no single-query [`Optimizer`] can produce.
 ///
-/// [`ConcurrentPlanServer::serve_gated`] returns this; plain
+/// [`ConcurrentPlanServer::serve_with`] returns this; plain
 /// [`ConcurrentPlanServer::serve`] keeps its historical
 /// `Result<_, OptError>` signature (an ungated client opted out of
 /// admission control, so the service-level variants never surface there —
@@ -126,8 +149,7 @@ impl From<OptError> for ServeError {
     }
 }
 
-/// Serving-layer extension points, threaded through
-/// [`ConcurrentPlanServer::serve_gated`].  A daemon implements this once
+/// Serving-layer extension points, carried by [`ServeCtx`].  A daemon implements this once
 /// to get admission control (bounded cold-search backlog with
 /// load-shedding) and deterministic fault injection; the default
 /// implementation of every hook is a no-op, and `()` implements the
@@ -174,12 +196,30 @@ impl Drop for ColdPermit<'_> {
     }
 }
 
+/// What one request carries through [`ConcurrentPlanServer::serve_with`]
+/// besides the query and the mode.
+pub struct ServeCtx<'a> {
+    /// Admission control for fresh (cold) searches, and fault injection;
+    /// `&()` admits everything and injects nothing.
+    pub hooks: &'a dyn ServeHooks,
+    /// Bounds how long this request may wait coalesced behind another
+    /// leader's in-flight search.
+    pub deadline: Option<Instant>,
+    /// Typed stage spans (cache probe, admission gate, coalesce wait, DP
+    /// search) are appended here as the request moves through the
+    /// pipeline; a [`TraceCtx::disabled`] context makes every span a
+    /// predictable early return.  The caller owns the trace lifecycle: the
+    /// daemon brackets the serve with its decode and flush spans and then
+    /// publishes via [`Telemetry::finish_request`].
+    pub trace: &'a mut TraceCtx,
+}
+
 /// A long-lived, thread-shared query-optimization service over one
 /// catalog and memory belief.
 ///
-/// Where [`crate::PlanServer`] answers one client at a time (`&mut
-/// self`), this server is the multi-client front end: [`serve`] takes
-/// `&self`, so any number of threads share one instance (typically
+/// Where [`Optimizer`] answers one query, the server answers a *stream*,
+/// carrying the cross-query state the per-query facade cannot.  [`serve`]
+/// takes `&self`, so any number of threads share one instance (typically
 /// `Arc<ConcurrentPlanServer>`, or plain borrows under
 /// [`std::thread::scope`]).  See the [module docs](self) for the two
 /// layers — sharded cache, singleflight coalescing — and the
@@ -217,7 +257,7 @@ const _: fn() = || {
 
 impl<'a> ConcurrentPlanServer<'a> {
     /// A server over `catalog` believing `memory`, with the default cache
-    /// capacity — the same defaults as [`crate::PlanServer::new`].
+    /// capacity.
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
         Self::with_optimizer(Optimizer::new(catalog, memory), DEFAULT_CACHE_CAPACITY)
     }
@@ -256,7 +296,7 @@ impl<'a> ConcurrentPlanServer<'a> {
     }
 
     /// Fold one fresh search's pruning counters into the lifetime totals.
-    fn count_search(&self, stats: &lec_core::SearchStats) {
+    fn count_search(&self, stats: &SearchStats) {
         self.pruned_subsets
             .fetch_add(stats.pruned_subsets, Ordering::Relaxed);
         self.bound_evals
@@ -294,15 +334,19 @@ impl<'a> ConcurrentPlanServer<'a> {
     /// to a fresh [`Optimizer::optimize`] of the same request whatever
     /// the cache decided and however the calls interleaved.  Concurrent
     /// misses on the same exact canonical key run **one** search: the
-    /// leader's, whose [`CacheDecision`] is `Recomputed`/`Revalidated` as
-    /// usual, while every follower reports [`CacheDecision::Coalesced`]
-    /// and carries the leader's counters with `elapsed` re-stamped to its
-    /// own wait.  A leader that fails (or panics) propagates the error to
-    /// exactly its own followers — coalesced cohorts on other keys never
-    /// notice.
+    /// leader's, whose [`CacheDecision`] is `Recomputed` as usual, while
+    /// every follower reports [`CacheDecision::Coalesced`] and carries the
+    /// leader's counters with `elapsed` re-stamped to its own wait.  A
+    /// leader that fails (or panics) propagates the error to exactly its
+    /// own followers — coalesced cohorts on other keys never notice.
     pub fn serve(&self, query: &Query, mode: &Mode) -> Result<ServeResponse, OptError> {
         loop {
-            match self.serve_gated(query, mode, &(), None) {
+            let ctx = ServeCtx {
+                hooks: &(),
+                deadline: None,
+                trace: &mut TraceCtx::disabled(),
+            };
+            match self.serve_with(query, mode, ctx) {
                 Ok(resp) => return Ok(resp),
                 Err(ServeError::Opt(e)) => return Err(e),
                 // Only reachable when this ungated request coalesced onto
@@ -316,10 +360,9 @@ impl<'a> ConcurrentPlanServer<'a> {
         }
     }
 
-    /// [`serve`](Self::serve) with serving-layer controls: `hooks` gates
-    /// admission of fresh (cold) searches and injects faults, `deadline`
-    /// bounds how long this request may wait coalesced behind another
-    /// leader's in-flight search.
+    /// [`serve`](Self::serve) with the serving-layer controls of `ctx`:
+    /// admission of fresh (cold) searches, fault injection, a deadline on
+    /// coalesced waits, and request tracing.
     ///
     /// The byte-identity contract is unchanged — a response, when one is
     /// produced, is bit-identical to plain `serve`.  The extra
@@ -329,39 +372,144 @@ impl<'a> ConcurrentPlanServer<'a> {
     /// its whole cohort, so followers never hang), and a follower whose
     /// deadline passes gets [`ServeError::DeadlineExceeded`] while the
     /// leader's search runs on and feeds the cache.  Warm hits bypass
-    /// both gates: under overload the cache keeps serving.
-    pub fn serve_gated(
+    /// both gates: under overload the cache keeps serving.  When
+    /// telemetry is installed the request's outcome class and wall time
+    /// land in the latency histograms.
+    pub fn serve_with(
         &self,
         query: &Query,
         mode: &Mode,
-        hooks: &dyn ServeHooks,
-        deadline: Option<Instant>,
+        ctx: ServeCtx<'_>,
     ) -> Result<ServeResponse, ServeError> {
-        self.serve_traced(query, mode, hooks, deadline, &mut TraceCtx::disabled())
-    }
+        let ServeCtx {
+            hooks,
+            deadline,
+            trace,
+        } = ctx;
+        let t0 = Instant::now();
+        let result = (|| {
+            query
+                .validate(self.optimizer.catalog())
+                .map_err(OptError::InvalidQuery)?;
+            self.cache.count_lookup();
+            // Cache-probe span: canonicalization + lookup, closed at the
+            // decision point with the branch taken as its detail
+            // (0 = hit, 1 = follow, 2 = lead, 3 = uncacheable).
+            let probe_start = trace.now_ns();
 
-    /// [`serve_gated`](Self::serve_gated) with request tracing: typed
-    /// stage spans (cache probe, admission gate, coalesce wait, DP
-    /// search) are appended to `trace` as the request moves through the
-    /// pipeline, and — when telemetry is installed — its outcome class
-    /// and wall time land in the latency histograms.  The caller owns the
-    /// trace lifecycle: the daemon brackets this call with its decode and
-    /// flush spans and then publishes via
-    /// [`Telemetry::finish_request`].  With a disabled trace and no
-    /// telemetry this is exactly `serve_gated` — the instrumentation is
-    /// all early-return branches, and the warm hit path allocates
-    /// nothing it didn't before.
-    pub fn serve_traced(
-        &self,
-        query: &Query,
-        mode: &Mode,
-        hooks: &dyn ServeHooks,
-        deadline: Option<Instant>,
-        trace: &mut TraceCtx,
-    ) -> Result<ServeResponse, ServeError> {
-        let timer = self.telemetry.as_ref().map(|_| Instant::now());
-        let result = self.serve_inner(query, mode, hooks, deadline, trace);
-        if let (Some(tel), Some(t0)) = (&self.telemetry, timer) {
+            // Serving a cached (or coalesced) plan to a renamed request is
+            // only sound when the mode commutes with table renaming: the
+            // randomized modes' RNG trajectories do not.
+            let cacheable_mode = !matches!(
+                mode,
+                Mode::IterativeImprovement { .. } | Mode::SimulatedAnnealing { .. }
+            );
+            let form = if cacheable_mode {
+                match canonical_form(self.optimizer.catalog(), query) {
+                    Ok(form) => Some(form),
+                    Err(reason) => {
+                        // Counts as uncacheable *and* under its reason, so
+                        // the metrics can distinguish "workload outgrew the
+                        // canonicalizer" from "queries are too symmetric".
+                        self.cache.count_refusal(reason);
+                        None
+                    }
+                }
+            } else {
+                self.cache.count_uncacheable();
+                None
+            };
+            let Some(form) = form else {
+                // Uncacheable requests always run a fresh search, so they
+                // pay the cold toll too (no cohort to notify on a shed).
+                trace.span(Stage::CacheProbe, probe_start, 3);
+                let out = self.cold_search(query, mode, hooks, trace)?;
+                return Ok(ServeResponse {
+                    plan: out.plan,
+                    cost: out.cost,
+                    mode: out.mode,
+                    stats: out.stats,
+                    decision: CacheDecision::Uncacheable,
+                });
+            };
+
+            let exact_key = key_with_env(&form.exact, &[self.memory_fp, mode.fingerprint()]);
+            // A cached or coalesced canonical answer, carried back into
+            // the caller's table numbering.
+            let relabeled = |answer: &CanonicalAnswer, decision| {
+                let plan = answer.plan.relabel_tables(&form.inverse_perm());
+                let mut stats = answer.stats;
+                stats.elapsed = t0.elapsed();
+                ServeResponse {
+                    plan,
+                    cost: answer.cost,
+                    mode: mode.name(),
+                    stats,
+                    decision,
+                }
+            };
+
+            match self.cache.lookup_or_lead(&exact_key) {
+                ExactLookup::Hit(answer) => {
+                    trace.span(Stage::CacheProbe, probe_start, 0);
+                    Ok(relabeled(&answer, CacheDecision::Served))
+                }
+                ExactLookup::Follow(flight) => {
+                    trace.span(Stage::CacheProbe, probe_start, 1);
+                    let wait_start = trace.now_ns();
+                    let waited = match deadline {
+                        Some(d) => flight.wait_deadline(d).ok_or(ServeError::DeadlineExceeded),
+                        None => Ok(flight.wait()),
+                    };
+                    // Detail 1 marks a wait that expired or surfaced the
+                    // leader's error rather than an answer.
+                    trace.span(
+                        Stage::CoalesceWait,
+                        wait_start,
+                        matches!(&waited, Ok(Ok(_))) as u64 ^ 1,
+                    );
+                    Ok(relabeled(&*waited??, CacheDecision::Coalesced))
+                }
+                ExactLookup::Lead(_flight) => {
+                    trace.span(Stage::CacheProbe, probe_start, 2);
+                    // From here on this thread owes the cohort a
+                    // publication; the guard pays the debt with
+                    // `WorkerPanicked` if the search — or the fault
+                    // harness's `before_search` hook — unwinds past us.
+                    let guard = LeaderGuard {
+                        cache: &self.cache,
+                        exact_key: &exact_key,
+                        completed: false,
+                    };
+                    match self.cold_search(query, mode, hooks, trace) {
+                        Ok(out) => {
+                            guard.complete_ok(CanonicalAnswer {
+                                plan: out.plan.relabel_tables(&form.perm),
+                                cost: out.cost,
+                                stats: out.stats,
+                            });
+                            let mut stats = out.stats;
+                            stats.elapsed = t0.elapsed();
+                            Ok(ServeResponse {
+                                plan: out.plan,
+                                cost: out.cost,
+                                mode: out.mode,
+                                stats,
+                                decision: CacheDecision::Recomputed,
+                            })
+                        }
+                        // Shedding a *leader* must tell its whole cohort:
+                        // the followers coalesced onto a search that will
+                        // never run.
+                        Err(e) => {
+                            guard.complete_err(e.clone());
+                            Err(e)
+                        }
+                    }
+                }
+            }
+        })();
+        if let Some(tel) = &self.telemetry {
             let outcome = match &result {
                 Ok(resp) => match resp.decision {
                     CacheDecision::Served => Outcome::Served,
@@ -379,181 +527,31 @@ impl<'a> ConcurrentPlanServer<'a> {
         result
     }
 
-    fn serve_inner(
+    /// One fresh search, as the uncacheable branch and a coalescing leader
+    /// both run it: take a cold slot or shed, give the fault harness its
+    /// hook, search, close the span, count.
+    fn cold_search(
         &self,
         query: &Query,
         mode: &Mode,
         hooks: &dyn ServeHooks,
-        deadline: Option<Instant>,
         trace: &mut TraceCtx,
-    ) -> Result<ServeResponse, ServeError> {
-        let t0 = Instant::now();
-        query
-            .validate(self.optimizer.catalog())
-            .map_err(OptError::InvalidQuery)
-            .map_err(ServeError::Opt)?;
-        self.cache.count_lookup();
-        // Cache-probe span: canonicalization + lookup, closed at the
-        // decision point with the branch taken as its detail
-        // (0 = hit, 1 = follow, 2 = lead, 3 = uncacheable).
-        let probe_start = trace.now_ns();
-
-        // Serving a cached (or coalesced) plan to a renamed request is
-        // only sound when the mode commutes with table renaming — see
-        // `PlanServer::serve`; the refusals are identical here.
-        let cacheable_mode = !matches!(
-            mode,
-            Mode::IterativeImprovement { .. } | Mode::SimulatedAnnealing { .. }
-        );
-        let form = if cacheable_mode {
-            match canonical_form(self.optimizer.catalog(), query) {
-                Ok(form) => Some(form),
-                Err(reason) => {
-                    // Counts as uncacheable *and* under its reason, so the
-                    // metrics can distinguish "workload outgrew the
-                    // canonicalizer" from "queries are too symmetric".
-                    self.cache.count_refusal(reason);
-                    None
-                }
-            }
-        } else {
-            self.cache.count_uncacheable();
-            None
-        };
-        let Some(form) = form else {
-            // Uncacheable requests always run a fresh search, so they pay
-            // the cold toll too (no cohort to notify on a shed).
-            trace.span(Stage::CacheProbe, probe_start, 3);
-            let adm_start = trace.now_ns();
-            let admitted = hooks.admit_cold();
-            trace.span(Stage::Admission, adm_start, admitted as u64);
-            if !admitted {
-                return Err(ServeError::Overloaded);
-            }
-            let _permit = ColdPermit { hooks };
-            hooks.before_search();
-            let search_start = trace.now_ns();
-            let out = match self.optimizer.optimize(query, mode) {
-                Ok(out) => {
-                    trace.span(Stage::Search, search_start, out.stats.pruned_subsets);
-                    out
-                }
-                Err(e) => {
-                    trace.span(Stage::Search, search_start, 0);
-                    return Err(e.into());
-                }
-            };
-            self.count_search(&out.stats);
-            return Ok(ServeResponse {
-                plan: out.plan,
-                cost: out.cost,
-                mode: out.mode,
-                stats: out.stats,
-                decision: CacheDecision::Uncacheable,
-            });
-        };
-
-        let env = [self.memory_fp, mode.fingerprint()];
-        let exact_key = key_with_env(&form.exact, &env);
-        let weak_key = key_with_env(&form.weak, &env);
-
-        match self.cache.lookup_or_lead(&exact_key) {
-            ExactLookup::Hit(answer) => {
-                trace.span(Stage::CacheProbe, probe_start, 0);
-                let plan = answer.plan.relabel_tables(&form.inverse_perm());
-                let mut stats = answer.stats;
-                stats.elapsed = t0.elapsed();
-                Ok(ServeResponse {
-                    plan,
-                    cost: answer.cost,
-                    mode: mode.name(),
-                    stats,
-                    decision: CacheDecision::Served,
-                })
-            }
-            ExactLookup::Follow(flight) => {
-                trace.span(Stage::CacheProbe, probe_start, 1);
-                let wait_start = trace.now_ns();
-                let waited = match deadline {
-                    Some(d) => flight.wait_deadline(d).ok_or(ServeError::DeadlineExceeded),
-                    None => Ok(flight.wait()),
-                };
-                // Detail 1 marks a wait that expired or surfaced the
-                // leader's error rather than an answer.
-                trace.span(
-                    Stage::CoalesceWait,
-                    wait_start,
-                    matches!(&waited, Ok(Ok(_))) as u64 ^ 1,
-                );
-                let answer = waited??;
-                let plan = answer.plan.relabel_tables(&form.inverse_perm());
-                let mut stats = answer.stats;
-                stats.elapsed = t0.elapsed();
-                Ok(ServeResponse {
-                    plan,
-                    cost: answer.cost,
-                    mode: mode.name(),
-                    stats,
-                    decision: CacheDecision::Coalesced,
-                })
-            }
-            ExactLookup::Lead(_flight) => {
-                trace.span(Stage::CacheProbe, probe_start, 2);
-                // From here on this thread owes the cohort a publication;
-                // the guard pays the debt with `WorkerPanicked` if the
-                // search unwinds past us.
-                let guard = LeaderGuard {
-                    cache: &self.cache,
-                    exact_key: &exact_key,
-                    completed: false,
-                };
-                // Shedding a *leader* must tell its whole cohort: the
-                // followers coalesced onto a search that will never run.
-                let adm_start = trace.now_ns();
-                let admitted = hooks.admit_cold();
-                trace.span(Stage::Admission, adm_start, admitted as u64);
-                if !admitted {
-                    guard.complete_err(ServeError::Overloaded);
-                    return Err(ServeError::Overloaded);
-                }
-                let _permit = ColdPermit { hooks };
-                // A panic out of this hook (the fault harness killing the
-                // leader) unwinds past `guard`, which publishes
-                // `WorkerPanicked` to the cohort — exactly as if the
-                // search itself had died.
-                hooks.before_search();
-                let search_start = trace.now_ns();
-                match self.optimizer.optimize(query, mode) {
-                    Ok(out) => {
-                        trace.span(Stage::Search, search_start, out.stats.pruned_subsets);
-                        self.count_search(&out.stats);
-                        let canon_plan = out.plan.relabel_tables(&form.perm);
-                        let decision = guard.complete_ok(
-                            weak_key,
-                            CanonicalAnswer {
-                                plan: canon_plan,
-                                cost: out.cost,
-                                stats: out.stats,
-                            },
-                        );
-                        let mut stats = out.stats;
-                        stats.elapsed = t0.elapsed();
-                        Ok(ServeResponse {
-                            plan: out.plan,
-                            cost: out.cost,
-                            mode: out.mode,
-                            stats,
-                            decision,
-                        })
-                    }
-                    Err(e) => {
-                        trace.span(Stage::Search, search_start, 0);
-                        guard.complete_err(ServeError::Opt(e.clone()));
-                        Err(ServeError::Opt(e))
-                    }
-                }
-            }
+    ) -> Result<Optimized, ServeError> {
+        let adm_start = trace.now_ns();
+        let admitted = hooks.admit_cold();
+        trace.span(Stage::Admission, adm_start, admitted as u64);
+        if !admitted {
+            return Err(ServeError::Overloaded);
         }
+        let _permit = ColdPermit { hooks };
+        hooks.before_search();
+        let search_start = trace.now_ns();
+        let result = self.optimizer.optimize(query, mode);
+        let pruned = result.as_ref().map_or(0, |out| out.stats.pruned_subsets);
+        trace.span(Stage::Search, search_start, pruned);
+        let out = result?;
+        self.count_search(&out.stats);
+        Ok(out)
     }
 
     /// Machine-readable service metrics: cache counters (coalescing and
@@ -607,9 +605,9 @@ struct LeaderGuard<'c> {
 }
 
 impl LeaderGuard<'_> {
-    fn complete_ok(mut self, weak_key: Box<[u64]>, answer: CanonicalAnswer) -> CacheDecision {
+    fn complete_ok(mut self, answer: CanonicalAnswer) {
         self.completed = true;
-        self.cache.publish_answer(self.exact_key, weak_key, answer)
+        self.cache.publish_answer(self.exact_key, answer);
     }
 
     fn complete_err(mut self, error: ServeError) {
@@ -632,6 +630,21 @@ mod tests {
     use super::*;
     use lec_core::fixtures;
 
+    /// `serve_with` under `hooks`, untraced, with no deadline.
+    fn serve_behind(
+        server: &ConcurrentPlanServer<'_>,
+        query: &Query,
+        mode: &Mode,
+        hooks: &dyn ServeHooks,
+    ) -> Result<ServeResponse, ServeError> {
+        let ctx = ServeCtx {
+            hooks,
+            deadline: None,
+            trace: &mut TraceCtx::disabled(),
+        };
+        server.serve_with(query, mode, ctx)
+    }
+
     #[test]
     fn concurrent_server_serves_through_a_shared_reference() {
         let (cat, q) = fixtures::three_chain();
@@ -648,6 +661,92 @@ mod tests {
             .unwrap();
         assert_eq!(fresh.plan, second.plan);
         assert_eq!(fresh.cost.to_bits(), second.cost.to_bits());
+        assert_eq!(server.cache_stats().served, 1);
+        assert_eq!(server.cache_stats().recomputed, 1);
+        assert_eq!(server.hit_histogram(), vec![1]);
+    }
+
+    #[test]
+    fn renamed_requests_hit_the_same_entry() {
+        let (cat, q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory.clone());
+        server.serve(&q, &Mode::AlgorithmC).unwrap();
+        let map = [2usize, 0, 1];
+        let renamed = q.relabel_tables(&map);
+        let served = server.serve(&renamed, &Mode::AlgorithmC).unwrap();
+        assert_eq!(served.decision, CacheDecision::Served);
+        // The served plan must match a fresh optimization of the renamed
+        // query — table numbering included.
+        let fresh = Optimizer::new(&cat, memory)
+            .optimize(&renamed, &Mode::AlgorithmC)
+            .unwrap();
+        assert_eq!(served.plan, fresh.plan);
+        assert_eq!(served.cost.to_bits(), fresh.cost.to_bits());
+    }
+
+    #[test]
+    fn distinct_modes_and_memories_do_not_share_entries() {
+        let (cat, q) = fixtures::three_chain();
+        let m1 = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let m2 = lec_prob::presets::spread_family(900.0, 0.4, 4).unwrap();
+        let s1 = ConcurrentPlanServer::new(&cat, m1);
+        s1.serve(&q, &Mode::AlgorithmC).unwrap();
+        assert_eq!(
+            s1.serve(&q, &Mode::Bushy).unwrap().decision,
+            CacheDecision::Recomputed,
+            "a different mode is a different key"
+        );
+        let s2 = ConcurrentPlanServer::new(&cat, m2);
+        assert_eq!(
+            s2.serve(&q, &Mode::AlgorithmC).unwrap().decision,
+            CacheDecision::Recomputed,
+            "a different memory belief is a different key"
+        );
+    }
+
+    #[test]
+    fn randomized_modes_bypass_the_cache() {
+        let (cat, q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory);
+        let mode = Mode::IterativeImprovement {
+            config: lec_core::RandomizedConfig::default(),
+            seed: 7,
+        };
+        for _ in 0..2 {
+            let resp = server.serve(&q, &mode).unwrap();
+            assert_eq!(resp.decision, CacheDecision::Uncacheable);
+        }
+        assert_eq!(server.cache_len(), 0);
+        assert_eq!(server.cache_stats().uncacheable, 2);
+    }
+
+    #[test]
+    fn invalid_queries_are_rejected_before_touching_the_cache() {
+        let (cat, mut q) = fixtures::three_chain();
+        q.joins.clear();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory);
+        assert!(matches!(
+            server.serve(&q, &Mode::AlgorithmC),
+            Err(OptError::InvalidQuery(_))
+        ));
+        assert_eq!(server.cache_stats().lookups, 0);
+    }
+
+    #[test]
+    fn metrics_are_machine_readable() {
+        let (cat, q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory);
+        server.serve(&q, &Mode::AlgorithmC).unwrap();
+        server.serve(&q, &Mode::AlgorithmC).unwrap();
+        let v = server.metrics_json();
+        assert_eq!(v["cache"]["served"].as_f64(), Some(1.0));
+        assert_eq!(v["cache"]["coalesced_followers"].as_f64(), Some(0.0));
+        assert_eq!(v["cache_entries"].as_f64(), Some(1.0));
+        assert_eq!(v["hit_histogram"][0].as_f64(), Some(1.0));
     }
 
     #[test]
@@ -674,11 +773,11 @@ mod tests {
         assert_eq!(stats.lookups, 4);
         // Every response was answered by exactly one decision.
         assert_eq!(
-            stats.served + stats.coalesced_followers + stats.revalidated + stats.recomputed,
+            stats.served + stats.coalesced_followers + stats.recomputed,
             4
         );
         // However the four clients interleaved, exactly one DP ran.
-        assert_eq!(stats.revalidated + stats.recomputed, 1);
+        assert_eq!(stats.recomputed, 1);
     }
 
     #[test]
@@ -782,17 +881,13 @@ mod tests {
         let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
         let server = ConcurrentPlanServer::new(&cat, memory);
         let gate = CountingGate::new();
-        let cold = server
-            .serve_gated(&q, &Mode::AlgorithmC, &gate, None)
-            .unwrap();
+        let cold = serve_behind(&server, &q, &Mode::AlgorithmC, &gate).unwrap();
         assert_eq!(cold.decision, CacheDecision::Recomputed);
         assert_eq!(gate.admitted.load(Ordering::SeqCst), 1);
         assert_eq!(gate.released.load(Ordering::SeqCst), 1);
         // A warm hit never consults the gate — even one that would deny.
         gate.deny.store(true, Ordering::SeqCst);
-        let warm = server
-            .serve_gated(&q, &Mode::AlgorithmC, &gate, None)
-            .unwrap();
+        let warm = serve_behind(&server, &q, &Mode::AlgorithmC, &gate).unwrap();
         assert_eq!(warm.decision, CacheDecision::Served);
         assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
         assert_eq!(gate.admitted.load(Ordering::SeqCst), 1);
@@ -800,7 +895,7 @@ mod tests {
         let (_, q2) = fixtures::three_chain();
         let renamed_mode = Mode::AlgorithmA; // different env fingerprint → cold
         assert!(matches!(
-            server.serve_gated(&q2, &renamed_mode, &gate, None),
+            serve_behind(&server, &q2, &renamed_mode, &gate),
             Err(ServeError::Overloaded)
         ));
         assert_eq!(
@@ -828,7 +923,7 @@ mod tests {
             panic!("second miss must follow");
         };
         let waiter = std::thread::spawn(move || flight.wait());
-        // Shed the in-flight leader by publishing what serve_gated would.
+        // Shed the in-flight leader by publishing what serve_with would.
         server
             .cache
             .publish_error(&exact_key, ServeError::Overloaded);
@@ -855,12 +950,12 @@ mod tests {
             panic!("fresh key must lead");
         };
         let t0 = Instant::now();
-        let got = server.serve_gated(
-            &q,
-            &Mode::AlgorithmC,
-            &(),
-            Some(Instant::now() + Duration::from_millis(30)),
-        );
+        let ctx = ServeCtx {
+            hooks: &(),
+            deadline: Some(Instant::now() + Duration::from_millis(30)),
+            trace: &mut TraceCtx::disabled(),
+        };
+        let got = server.serve_with(&q, &Mode::AlgorithmC, ctx);
         assert!(matches!(got, Err(ServeError::DeadlineExceeded)));
         assert!(t0.elapsed() >= Duration::from_millis(30));
         // The leader is still in flight; completing it feeds the cache.
@@ -868,7 +963,6 @@ mod tests {
         let canon_plan = out.plan.relabel_tables(&form.perm);
         server.cache.publish_answer(
             &exact_key,
-            key_with_env(&form.weak, &env),
             CanonicalAnswer {
                 plan: canon_plan,
                 cost: out.cost,
@@ -888,7 +982,7 @@ mod tests {
         let gate = CountingGate::new();
         gate.panic_in_search.store(true, Ordering::SeqCst);
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = server.serve_gated(&q, &Mode::AlgorithmC, &gate, None);
+            let _ = serve_behind(&server, &q, &Mode::AlgorithmC, &gate);
         }));
         assert!(died.is_err(), "the injected panic propagates to the caller");
         assert_eq!(
@@ -898,9 +992,7 @@ mod tests {
         );
         // The cohort key was retired with WorkerPanicked; serving again works.
         gate.panic_in_search.store(false, Ordering::SeqCst);
-        let resp = server
-            .serve_gated(&q, &Mode::AlgorithmC, &gate, None)
-            .unwrap();
+        let resp = serve_behind(&server, &q, &Mode::AlgorithmC, &gate).unwrap();
         assert_eq!(resp.decision, CacheDecision::Recomputed);
     }
 
@@ -938,9 +1030,12 @@ mod tests {
         // in `served`.
         server.serve(&q, &Mode::AlgorithmC).unwrap();
         let mut trace = tel.trace_ctx(7);
-        let resp = server
-            .serve_traced(&q, &Mode::AlgorithmC, &(), None, &mut trace)
-            .unwrap();
+        let ctx = ServeCtx {
+            hooks: &(),
+            deadline: None,
+            trace: &mut trace,
+        };
+        let resp = server.serve_with(&q, &Mode::AlgorithmC, ctx).unwrap();
         assert_eq!(resp.decision, CacheDecision::Served);
         tel.finish_request(&trace, Outcome::Served);
         assert_eq!(tel.outcome_snapshot(Outcome::Fresh).count(), 1);

@@ -12,25 +12,24 @@
 //!   mode fingerprints — Weisfeiler–Leman refinement plus
 //!   minimum-encoding tie-breaking).  Requests that are renamings of an
 //!   already-optimized shape skip the whole DP: the cached plan is
-//!   relabeled into the caller's numbering and served.  Near-misses (same
-//!   bucketed shape, drifted parameters) *revalidate* the cached plan
-//!   against one fresh search rather than trusting it, so every response
-//!   — served, revalidated, or recomputed — is byte-identical to a fresh
+//!   relabeled into the caller's numbering and served.  Anything else —
+//!   a drifted parameter included — is a miss and a fresh search, so every
+//!   response, served or recomputed, is byte-identical to a fresh
 //!   [`lec_core::Optimizer::optimize`] on the same request.  LRU
 //!   eviction, per-entry hit counters, and a [`CacheDecision`] in every
 //!   response keep the cache observable.
 //!
 //! A miss is a plain search on the thread that asked; the serving layer
-//! adds no threads of its own.  [`PlanServer`] puts the cache behind one
-//! `serve` call:
+//! adds no threads of its own.  [`ConcurrentPlanServer`] puts the cache
+//! behind one `serve` call:
 //!
 //! ```
 //! use lec_core::{fixtures, Mode};
-//! use lec_service::{CacheDecision, PlanServer};
+//! use lec_service::{CacheDecision, ConcurrentPlanServer};
 //!
 //! let (catalog, query) = fixtures::three_chain();
 //! let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
-//! let mut server = PlanServer::new(&catalog, memory);
+//! let server = ConcurrentPlanServer::new(&catalog, memory);
 //!
 //! let cold = server.serve(&query, &Mode::AlgorithmC).unwrap();
 //! assert_eq!(cold.decision, CacheDecision::Recomputed);
@@ -44,13 +43,11 @@
 //!
 //! # Many clients, one server
 //!
-//! `PlanServer` answers one client at a time; [`ConcurrentPlanServer`]
-//! (the engine `PlanServer` itself delegates to) is the multi-client
-//! front end — `serve` takes `&self`, the plan cache is lock-striped so
-//! hits never serialize behind a global lock, and concurrent misses on
-//! the same exact canonical shape *coalesce*: one leader runs the DP,
-//! every follower blocks on it and gets the canonical answer relabeled
-//! into its own table numbering ([`CacheDecision::Coalesced`]).  Share it
+//! `serve` takes `&self`, the plan cache is lock-striped so hits never
+//! serialize behind a global lock, and concurrent misses on the same
+//! exact canonical shape *coalesce*: one leader runs the DP, every
+//! follower blocks on it and gets the canonical answer relabeled into its
+//! own table numbering ([`CacheDecision::Coalesced`]).  Share the server
 //! with `Arc` (or plain borrows under [`std::thread::scope`]):
 //!
 //! ```
@@ -79,7 +76,7 @@
 //! });
 //! // However the clients raced, exactly one DP ran.
 //! let stats = server.cache_stats();
-//! assert_eq!(stats.recomputed + stats.revalidated, 1);
+//! assert_eq!(stats.recomputed, 1);
 //! assert_eq!(stats.lookups, 4);
 //! ```
 
@@ -87,15 +84,15 @@
 
 pub mod cache;
 pub mod concurrent;
-pub mod server;
 
 /// Canonicalization lives in the [`lec_canon`] crate; re-exported here
 /// under its historical module path.
 pub use lec_canon as canon;
 
 pub use cache::{CacheDecision, CacheStats, ShapeCache, CACHE_SHARDS};
-pub use concurrent::{ConcurrentPlanServer, ServeError, ServeHooks};
+pub use concurrent::{
+    ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks, ServeResponse, DEFAULT_CACHE_CAPACITY,
+};
 pub use lec_canon::{
     canonical_form, CanonicalForm, RefusalReason, MAX_CANDIDATE_PERMS, MAX_CANON_TABLES,
 };
-pub use server::{PlanServer, ServeResponse, DEFAULT_CACHE_CAPACITY};

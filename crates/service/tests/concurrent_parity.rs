@@ -1,6 +1,6 @@
 //! The concurrent-serving acceptance tests: N client threads sharing one
 //! `ConcurrentPlanServer` through `&self`, with every response —
-//! served, coalesced, revalidated, recomputed — byte-identical (plan,
+//! served, coalesced, recomputed — byte-identical (plan,
 //! cost bits, table numbering) to a fresh `Optimizer::optimize` of the
 //! same request under randomized interleavings; plus deterministic
 //! coalescing tests built on a gate-keeping serve hook that holds a
@@ -9,7 +9,10 @@
 
 use lec_core::{Mode, OptError, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
-use lec_service::{CacheDecision, ConcurrentPlanServer, ServeError, ServeHooks};
+use lec_service::{
+    CacheDecision, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks, ServeResponse,
+};
+use lec_telemetry::TraceCtx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -133,7 +136,7 @@ fn concurrent_clients_stay_byte_identical_to_fresh_optimization() {
     assert_eq!(stats.uncacheable, 0, "this stream is fully cacheable");
     // Every request resolved to exactly one decision.
     assert_eq!(
-        stats.served + stats.coalesced_followers + stats.revalidated + stats.recomputed,
+        stats.served + stats.coalesced_followers + stats.recomputed,
         STREAM_LEN as u64,
         "decision accounting must close"
     );
@@ -146,10 +149,9 @@ fn concurrent_clients_stay_byte_identical_to_fresh_optimization() {
     // The skew must still be absorbed: at most one search per distinct
     // shape (coalescing can only reduce searches, never add).
     assert!(
-        stats.recomputed + stats.revalidated <= pool.len() as u64,
-        "more searches ({} + {}) than distinct shapes ({})",
+        stats.recomputed <= pool.len() as u64,
+        "more searches ({}) than distinct shapes ({})",
         stats.recomputed,
-        stats.revalidated,
         pool.len()
     );
     assert!(
@@ -236,6 +238,21 @@ fn gated_fixtures() -> (lec_catalog::Catalog, Query, Query) {
     (catalog, big, small)
 }
 
+/// `serve_with` behind `gate`, untraced, with no deadline.
+fn serve_behind(
+    server: &ConcurrentPlanServer<'_>,
+    query: &Query,
+    mode: &Mode,
+    gate: &Gate,
+) -> Result<ServeResponse, ServeError> {
+    let ctx = ServeCtx {
+        hooks: gate,
+        deadline: None,
+        trace: &mut TraceCtx::disabled(),
+    };
+    server.serve_with(query, mode, ctx)
+}
+
 fn gated_server(catalog: &lec_catalog::Catalog) -> ConcurrentPlanServer<'_> {
     let memory = lec_prob::presets::spread_family(600.0, 0.6, 4).unwrap();
     ConcurrentPlanServer::with_optimizer(Optimizer::new(catalog, memory), 64)
@@ -259,7 +276,7 @@ fn coalesced_misses_on_one_key_run_exactly_one_dp() {
     std::thread::scope(|scope| {
         let leader = {
             let (server, big, mode, gate) = (&server, &big, &mode, &gate);
-            scope.spawn(move || server.serve_gated(big, mode, gate, None).unwrap())
+            scope.spawn(move || serve_behind(server, big, mode, gate).unwrap())
         };
         // The leader now provably holds the key (gated just before its DP).
         gate.await_entered(1);
@@ -275,7 +292,7 @@ fn coalesced_misses_on_one_key_run_exactly_one_dp() {
                     )
                     .optimize(&renamed, mode)
                     .unwrap();
-                    let resp = server.serve_gated(&renamed, mode, gate, None).unwrap();
+                    let resp = serve_behind(server, &renamed, mode, gate).unwrap();
                     (resp, fresh)
                 })
             })
@@ -304,11 +321,7 @@ fn coalesced_misses_on_one_key_run_exactly_one_dp() {
     });
 
     let stats = server.cache_stats();
-    assert_eq!(
-        stats.recomputed + stats.revalidated,
-        1,
-        "exactly one DP ran"
-    );
+    assert_eq!(stats.recomputed, 1, "exactly one DP ran");
     assert_eq!(stats.coalesced_followers, 3);
     assert_eq!(stats.coalesced_leaders, 1);
     assert_eq!(stats.served, 0);
@@ -332,7 +345,7 @@ fn poisoned_leader_fails_only_its_followers() {
     std::thread::scope(|scope| {
         let leader = {
             let (server, big, mode, gate) = (&server, &big, &mode, &gate);
-            scope.spawn(move || server.serve_gated(big, mode, gate, None))
+            scope.spawn(move || serve_behind(server, big, mode, gate))
         };
         gate.await_entered(1);
         let followers: Vec<_> = [[1usize, 0, 2, 3], [3, 2, 1, 0]]
@@ -340,7 +353,7 @@ fn poisoned_leader_fails_only_its_followers() {
             .map(|map| {
                 let renamed = big.relabel_tables(map);
                 let (server, mode, gate) = (&server, &mode, &gate);
-                scope.spawn(move || server.serve_gated(&renamed, mode, gate, None))
+                scope.spawn(move || serve_behind(server, &renamed, mode, gate))
             })
             .collect();
         let t0 = Instant::now();

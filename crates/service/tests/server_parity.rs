@@ -1,13 +1,14 @@
 //! The acceptance parity test: over a 500-query skewed workload (repeats
-//! and table-renamed copies of a base query pool), every `PlanServer`
-//! response — served, revalidated, recomputed, or uncacheable — is
+//! and table-renamed copies of a base query pool), every response of a
+//! `ConcurrentPlanServer` with one client — served, recomputed, or
+//! uncacheable — is
 //! byte-identical (plan, cost bits, table numbering) to a fresh
 //! `Optimizer::optimize` of the same request, and the cache actually
 //! absorbs the skew (non-trivial hit rate, per-entry hit counters).
 
 use lec_core::{Mode, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
-use lec_service::{CacheDecision, PlanServer};
+use lec_service::{CacheDecision, ConcurrentPlanServer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,11 +78,11 @@ fn five_hundred_query_stream_is_byte_identical_to_fresh_optimization() {
     assert_eq!(stream.len(), STREAM_LEN);
 
     let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
-    let mut server = PlanServer::new(&catalog, memory.clone());
+    let server = ConcurrentPlanServer::new(&catalog, memory.clone());
     let fresh_opt = Optimizer::new(&catalog, memory);
     let mode = Mode::AlgorithmC;
 
-    let mut decisions = [0usize; 4];
+    let mut decisions = [0usize; 3];
     for (i, q) in stream.iter().enumerate() {
         let resp = server.serve(q, &mode).expect("serve succeeds");
         let fresh = fresh_opt
@@ -101,9 +102,8 @@ fn five_hundred_query_stream_is_byte_identical_to_fresh_optimization() {
         );
         decisions[match resp.decision {
             CacheDecision::Served => 0,
-            CacheDecision::Revalidated => 1,
-            CacheDecision::Recomputed => 2,
-            CacheDecision::Uncacheable => 3,
+            CacheDecision::Recomputed => 1,
+            CacheDecision::Uncacheable => 2,
             // A single-client server can never race itself onto a leader.
             CacheDecision::Coalesced => unreachable!("no concurrent clients here"),
         }] += 1;
@@ -126,7 +126,7 @@ fn five_hundred_query_stream_is_byte_identical_to_fresh_optimization() {
         STREAM_LEN
     );
     assert_eq!(
-        decisions[2],
+        decisions[1],
         server.cache_len(),
         "one recompute per distinct shape"
     );
@@ -149,7 +149,7 @@ fn mixed_mode_stream_stays_byte_identical() {
     let catalog = g.generate(12);
     let pool = base_pool(&catalog, 23, 6);
     let memory = lec_prob::presets::spread_family(700.0, 0.5, 4).unwrap();
-    let mut server = PlanServer::new(&catalog, memory.clone());
+    let server = ConcurrentPlanServer::new(&catalog, memory.clone());
     let fresh_opt = Optimizer::new(&catalog, memory);
     // AlgorithmB used to be the uncacheable-mode representative; its top-c
     // frontier now truncates under the rename-equivariant (cost, plan

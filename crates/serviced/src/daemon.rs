@@ -21,7 +21,7 @@
 //! *immediately* — under overload the daemon degrades to serving only
 //! what it already knows, it never hangs.  A shed leader publishes the
 //! refusal to its whole coalesced cohort (see
-//! [`lec_service::ConcurrentPlanServer::serve_gated`]).
+//! [`lec_service::ConcurrentPlanServer::serve_with`]).
 //!
 //! # Drain semantics
 //!
@@ -37,7 +37,7 @@ use crate::faults::{FaultPlan, FrameFault, SearchFault};
 use crate::protocol::{self, op, DecodeError, ErrorCode, Reader, StatsFormat, Writer, MAX_FRAME};
 use crate::transport::{is_timeout, AbortHandle, Listener, Stream};
 use lec_core::OptError;
-use lec_service::{CacheDecision, ConcurrentPlanServer, ServeError, ServeHooks};
+use lec_service::{CacheDecision, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks};
 use lec_telemetry::{Outcome, Stage, TraceCtx};
 use serde_json::json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -613,8 +613,12 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 // leader's own response consistent with what its
                 // followers saw.
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    self.server
-                        .serve_traced(&query, &mode, &hooks, deadline, &mut trace)
+                    let ctx = ServeCtx {
+                        hooks: &hooks,
+                        deadline,
+                        trace: &mut trace,
+                    };
+                    self.server.serve_with(&query, &mode, ctx)
                 }))
                 .unwrap_or(Err(ServeError::Opt(OptError::WorkerPanicked)));
                 // A leader is never cancelled mid-search (its result

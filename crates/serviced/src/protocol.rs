@@ -704,11 +704,13 @@ fn mode_index(name: &str) -> u8 {
         .expect("every Mode::name() is in MODE_NAMES") as u8
 }
 
+/// Wire tag of a cache decision.  Tag 2 named the weak-key revalidation
+/// decision, which no longer exists; it is retired, not reused, so the
+/// other tags keep their numbers.
 fn decision_index(d: CacheDecision) -> u8 {
     match d {
         CacheDecision::Served => 0,
         CacheDecision::Coalesced => 1,
-        CacheDecision::Revalidated => 2,
         CacheDecision::Recomputed => 3,
         CacheDecision::Uncacheable => 4,
     }
@@ -732,7 +734,6 @@ pub fn decode_response(r: &mut Reader) -> Result<lec_service::ServeResponse, Dec
     let decision = match r.u8()? {
         0 => CacheDecision::Served,
         1 => CacheDecision::Coalesced,
-        2 => CacheDecision::Revalidated,
         3 => CacheDecision::Recomputed,
         4 => CacheDecision::Uncacheable,
         _ => return Err(DecodeError::BadTag("cache decision")),
@@ -930,6 +931,43 @@ mod tests {
         assert_eq!(ErrorCode::from_u8(99), None);
         assert!(ErrorCode::Overloaded.is_transient());
         assert!(!ErrorCode::WorkerPanicked.is_transient());
+    }
+
+    #[test]
+    fn responses_roundtrip_and_the_retired_decision_tag_is_rejected() {
+        let plan = PlanNode::SeqScan { table: 3 };
+        let mut w = Writer::new();
+        encode_plan(&mut w, &plan);
+        // plan, f64 cost, u8 mode, then the decision tag.
+        let tag_at = w.into_bytes().len() + 8 + 1;
+        for (decision, tag) in [
+            (CacheDecision::Served, 0u8),
+            (CacheDecision::Coalesced, 1),
+            (CacheDecision::Recomputed, 3),
+            (CacheDecision::Uncacheable, 4),
+        ] {
+            let resp = lec_service::ServeResponse {
+                plan: plan.clone(),
+                cost: 42.5,
+                mode: "AlgC",
+                stats: SearchStats::default(),
+                decision,
+            };
+            let mut w = Writer::new();
+            encode_response(&mut w, &resp);
+            let mut bytes = w.into_bytes();
+            assert_eq!(bytes[tag_at], tag, "{decision:?} keeps its wire tag");
+            let back = decode_response(&mut Reader::new(&bytes)).unwrap();
+            assert_eq!(back.decision, decision);
+            assert_eq!(back.plan, plan);
+            assert_eq!(back.cost.to_bits(), 42.5f64.to_bits());
+            // Tag 2 (weak-key revalidation) is retired, never reassigned.
+            bytes[tag_at] = 2;
+            assert_eq!(
+                decode_response(&mut Reader::new(&bytes)).err(),
+                Some(DecodeError::BadTag("cache decision"))
+            );
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use lec_core::{Mode, PointEstimate};
 use lec_plan::{QueryProfile, WorkloadGenerator};
 use lec_serviced::protocol::{
-    decode_dist, decode_mode, decode_plan, decode_query, decode_response, encode_mode,
-    encode_query, Reader, Writer,
+    decode_dist, decode_mode, decode_plan, decode_query, decode_response, encode_mode, encode_plan,
+    encode_query, encode_response, DecodeError, Reader, Writer,
 };
 use proptest::prelude::*;
 
@@ -37,6 +37,46 @@ fn valid_payload() -> Vec<u8> {
     encode_mode(&mut w, &Mode::Lsc(PointEstimate::Mean));
     encode_query(&mut w, &query);
     w.into_bytes()
+}
+
+/// A valid OPTIMIZE_OK-style payload (a response) to mutate, and the
+/// offset of its cache-decision tag.
+fn valid_response() -> (Vec<u8>, usize) {
+    let resp = lec_service::ServeResponse {
+        plan: lec_plan::PlanNode::SeqScan { table: 2 },
+        cost: 1234.5,
+        mode: Mode::AlgorithmC.name(),
+        stats: lec_core::SearchStats::default(),
+        decision: lec_service::CacheDecision::Recomputed,
+    };
+    let mut w = Writer::new();
+    encode_plan(&mut w, &resp.plan);
+    // plan, f64 cost, u8 mode, then the decision tag.
+    let tag_at = w.into_bytes().len() + 8 + 1;
+    let mut w = Writer::new();
+    encode_response(&mut w, &resp);
+    (w.into_bytes(), tag_at)
+}
+
+/// Decision tag 2 (weak-key revalidation) is retired: a peer still sending
+/// it gets a clean `BadTag`, and every other byte value there decodes or
+/// errors without a panic.
+#[test]
+fn the_retired_decision_tag_is_a_clean_error() {
+    let (mut payload, tag_at) = valid_response();
+    assert!(decode_response(&mut Reader::new(&payload)).is_ok());
+    for tag in 0..=u8::MAX {
+        payload[tag_at] = tag;
+        let got = decode_response(&mut Reader::new(&payload));
+        match tag {
+            0 | 1 | 3 | 4 => assert!(got.is_ok(), "tag {tag}"),
+            _ => assert_eq!(
+                got.err(),
+                Some(DecodeError::BadTag("cache decision")),
+                "tag {tag}"
+            ),
+        }
+    }
 }
 
 proptest! {
@@ -75,6 +115,10 @@ proptest! {
             let _ = decode_query(&mut r);
             let _ = r.finish();
         }
+        let (mut response, _) = valid_response();
+        let idx = offset % response.len();
+        response[idx] ^= mask;
+        decode_everything(&response);
     }
 
     #[test]
@@ -82,5 +126,8 @@ proptest! {
         let payload = valid_payload();
         let cut = ((payload.len() as f64) * cut_frac) as usize;
         decode_everything(&payload[..cut.min(payload.len())]);
+        let (response, _) = valid_response();
+        let cut = ((response.len() as f64) * cut_frac) as usize;
+        decode_everything(&response[..cut.min(response.len())]);
     }
 }

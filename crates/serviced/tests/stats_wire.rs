@@ -63,6 +63,18 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
             "wire snapshot lost the pinned io totals: {wire_json}"
         );
 
+        // The cache section, byte for byte: one miss then one hit, keys
+        // sorted, and no `revalidated` key (the always-zero field behind
+        // it is a shim for the frozen benchmark, not a metric).
+        let pinned_cache = "\"cache\": {\"coalesced_followers\": 0, \"coalesced_leaders\": 0, \
+             \"evictions\": 0, \"hit_rate\": 0.5, \"insertions\": 1, \"lookups\": 2, \
+             \"recomputed\": 1, \"refusals\": {\"too_many_permutations\": 0, \
+             \"too_many_tables\": 0, \"twin_tables\": 0}, \"served\": 1, \"uncacheable\": 0}";
+        assert!(
+            wire_json.contains(pinned_cache),
+            "wire snapshot lost the pinned cache section\n  want: {pinned_cache}\n  got:  {wire_json}"
+        );
+
         // Both requests recorded under their outcome classes and retained
         // in the trace ring, bracketed by the daemon's decode/flush spans
         // around the serving layer's probe/search spans.

@@ -44,7 +44,7 @@ pub enum Outcome {
     Served = 0,
     /// Coalesced onto another request's in-flight computation.
     Coalesced = 1,
-    /// Fresh optimization (cold miss, revalidation, or uncacheable).
+    /// Fresh optimization (cold miss or uncacheable).
     Fresh = 2,
     /// Rejected by admission control.
     Shed = 3,

@@ -102,11 +102,10 @@ fn main() {
 
     let stats = server.cache_stats();
     println!(
-        "\ncache: {} served / {} coalesced / {} revalidated / {} recomputed \
-         over {} lookups (hit rate {:.0}%)",
+        "\ncache: {} served / {} coalesced / {} recomputed over {} lookups \
+         (hit rate {:.0}%)",
         stats.served,
         stats.coalesced_followers,
-        stats.revalidated,
         stats.recomputed,
         stats.lookups,
         stats.hit_rate() * 100.0
@@ -116,12 +115,12 @@ fn main() {
     // Every response resolved to exactly one decision, and however the
     // clients interleaved, each distinct shape ran at most one search.
     assert_eq!(
-        stats.served + stats.coalesced_followers + stats.revalidated + stats.recomputed,
+        stats.served + stats.coalesced_followers + stats.recomputed,
         stats.lookups,
         "decision accounting must close"
     );
     assert!(
-        stats.recomputed + stats.revalidated <= base.len() as u64,
+        stats.recomputed <= base.len() as u64,
         "at most one search per distinct canonical shape"
     );
     assert!(stats.served > 0, "repeats must be served from cache");

@@ -28,9 +28,7 @@
 use std::sync::Arc;
 
 use lec_core::fixtures::{pruning_chain, pruning_clique, pruning_star};
-use lec_core::{
-    exhaustive_best, exhaustive_best_with, optimize_lec_static_with, Objective, SearchConfig,
-};
+use lec_core::{exhaustive_best, optimize, Mode, Objective, PlanShape, SearchConfig};
 use lec_cost::CostModel;
 use lec_telemetry::EngineTelemetry;
 
@@ -41,7 +39,12 @@ fn main() {
     // --- Ceiling 1: the 7-table exhaustive cap. -------------------------
     let (cat, q) = pruning_chain(8);
     let model = CostModel::new(&cat, &q);
-    let refused = exhaustive_best(&model, &Objective::Expected(&memory));
+    let refused = exhaustive_best(
+        &model,
+        &Objective::Expected(&memory),
+        PlanShape::LeftDeep,
+        &SearchConfig::default(),
+    );
     println!(
         "8-table chain, plain exhaustive:  {}",
         refused
@@ -54,9 +57,14 @@ fn main() {
         "the unpruned verifier must refuse 8 tables"
     );
 
-    let verified = exhaustive_best_with(&model, &Objective::Expected(&memory), &pruned)
-        .expect("the streaming verifier handles 8 tables");
-    let dp = optimize_lec_static_with(&model, &memory, &pruned).expect("keep-best");
+    let verified = exhaustive_best(
+        &model,
+        &Objective::Expected(&memory),
+        PlanShape::LeftDeep,
+        &pruned,
+    )
+    .expect("the streaming verifier handles 8 tables");
+    let dp = optimize(&model, &memory, &Mode::AlgorithmC, &pruned).expect("keep-best");
     println!(
         "8-table chain, pruned verifier:   cost {:.0}, {} plans costed, {} subsets pruned",
         verified.cost,
@@ -72,11 +80,11 @@ fn main() {
     // --- Ceiling 2: pruned keep-best on a 15-table star. ----------------
     let (cat, q) = pruning_star(15);
     let model = CostModel::new(&cat, &q);
-    let unpruned = optimize_lec_static_with(&model, &memory, &SearchConfig::default())
+    let unpruned = optimize(&model, &memory, &Mode::AlgorithmC, &SearchConfig::default())
         .expect("unpruned keep-best");
     let engine = Arc::new(EngineTelemetry::default());
     let traced = pruned.clone().with_telemetry(engine.clone());
-    let fast = optimize_lec_static_with(&model, &memory, &traced).expect("pruned keep-best");
+    let fast = optimize(&model, &memory, &Mode::AlgorithmC, &traced).expect("pruned keep-best");
     println!(
         "15-table star, unpruned keep-best: cost {:.0}, {} nodes, {} candidates",
         unpruned.cost, unpruned.stats.nodes, unpruned.stats.candidates,
@@ -122,7 +130,7 @@ fn main() {
     // --- Ceiling 3: a 12-table clique, every subset connected. ----------
     let (cat, q) = pruning_clique(12);
     let model = CostModel::new(&cat, &q);
-    let dense = optimize_lec_static_with(&model, &memory, &pruned).expect("pruned clique");
+    let dense = optimize(&model, &memory, &Mode::AlgorithmC, &pruned).expect("pruned clique");
     println!(
         "12-table clique, pruned keep-best: cost {:.0}, {} nodes, {} subsets pruned, \
          {} sharp / {} cheap",

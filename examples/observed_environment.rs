@@ -7,7 +7,7 @@
 //! cargo run --example observed_environment --release
 //! ```
 
-use lec_qopt::core::{fixtures, optimize_lec_dynamic};
+use lec_qopt::core::{fixtures, optimize, Mode, SearchConfig};
 use lec_qopt::cost::{expected_plan_cost_dynamic, CostModel};
 use lec_qopt::prob::{fit, Distribution, MarkovChain, Rebucket};
 use rand::SeedableRng;
@@ -46,8 +46,24 @@ fn main() {
     // Optimize the three-table chain with fitted beliefs.
     let (catalog, query) = fixtures::three_chain();
     let model = CostModel::new(&catalog, &query);
-    let fitted = optimize_lec_dynamic(&model, &initial, &chain).unwrap();
-    let oracle = optimize_lec_dynamic(&model, &truth_init, &truth_chain).unwrap();
+    let fitted = optimize(
+        &model,
+        &initial,
+        &Mode::AlgorithmCDynamic {
+            chain: chain.clone(),
+        },
+        &SearchConfig::default(),
+    )
+    .unwrap();
+    let oracle = optimize(
+        &model,
+        &truth_init,
+        &Mode::AlgorithmCDynamic {
+            chain: truth_chain.clone(),
+        },
+        &SearchConfig::default(),
+    )
+    .unwrap();
 
     // Judge both under the TRUE environment.
     let fitted_true_ec =

@@ -1,12 +1,11 @@
-//! The cross-query serving layer: a `PlanServer` answering a skewed
-//! stream of optimization requests through the canonical-shape plan
-//! cache.
+//! The cross-query serving layer: a `ConcurrentPlanServer` answering one
+//! client's skewed stream of optimization requests through the
+//! canonical-shape plan cache.
 //!
 //! Repeats and table-renamed copies of an already-optimized query shape
 //! are answered by relabeling the cached plan — no dynamic programming at
-//! all — while near-misses revalidate and genuinely new shapes recompute.
-//! Every response is byte-identical to a fresh `Optimizer::optimize` of
-//! the same request.
+//! all — while new shapes recompute.  Every response is byte-identical to
+//! a fresh `Optimizer::optimize` of the same request.
 //!
 //! ```text
 //! cargo run --example plan_server --release
@@ -16,7 +15,7 @@ use lec_qopt::catalog::CatalogGenerator;
 use lec_qopt::core::{Mode, Optimizer};
 use lec_qopt::plan::{QueryProfile, Topology, WorkloadGenerator};
 use lec_qopt::prob::presets;
-use lec_qopt::service::{CacheDecision, PlanServer};
+use lec_qopt::service::{CacheDecision, ConcurrentPlanServer};
 
 fn main() {
     let mut gen = CatalogGenerator::new(42);
@@ -40,7 +39,7 @@ fn main() {
         .collect();
 
     let memory = presets::spread_family(600.0, 0.6, 4).unwrap();
-    let mut server = PlanServer::new(&catalog, memory.clone());
+    let server = ConcurrentPlanServer::new(&catalog, memory.clone());
     let fresh = Optimizer::new(&catalog, memory);
 
     // A small skewed stream: each base shape repeatedly, under rotating
@@ -82,10 +81,8 @@ fn main() {
 
     let stats = server.cache_stats();
     println!(
-        "\ncache: {} served / {} revalidated / {} recomputed over {} lookups \
-         (hit rate {:.0}%)",
+        "\ncache: {} served / {} recomputed over {} lookups (hit rate {:.0}%)",
         stats.served,
-        stats.revalidated,
         stats.recomputed,
         stats.lookups,
         stats.hit_rate() * 100.0

@@ -3,12 +3,30 @@
 
 use lec_qopt::catalog::{CatalogGenerator, CatalogProfile};
 use lec_qopt::core::{
-    exhaustive_best, optimize_lec_dynamic, optimize_lec_static, optimize_lsc, Objective,
+    exhaustive_best, optimize, Mode, Objective, OptError, PlanShape, SearchConfig, SearchOutcome,
 };
 use lec_qopt::cost::CostModel;
 use lec_qopt::plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_qopt::prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;
+
+/// [`optimize`] under the default [`SearchConfig`].
+fn run(
+    model: &CostModel<'_>,
+    memory: &Distribution,
+    mode: Mode,
+) -> Result<SearchOutcome, OptError> {
+    optimize(model, memory, &mode, &SearchConfig::default())
+}
+
+/// The keep-all reference oracle under the default [`SearchConfig`].
+fn oracle(
+    model: &CostModel<'_>,
+    objective: &Objective<'_>,
+    shape: PlanShape,
+) -> Result<SearchOutcome, OptError> {
+    exhaustive_best(model, objective, shape, &SearchConfig::default())
+}
 
 fn random_workload(seed: u64, n: usize, topology: Topology) -> (lec_qopt::catalog::Catalog, Query) {
     let profile = CatalogProfile {
@@ -53,8 +71,8 @@ proptest! {
     ) {
         let (cat, q) = random_workload(seed, n, topology);
         let model = CostModel::new(&cat, &q);
-        let dp = optimize_lsc(&model, mem).unwrap();
-        let ex = exhaustive_best(&model, &Objective::Point(mem)).unwrap();
+        let dp = run(&model, &Distribution::point(mem), Mode::LscAt(mem)).unwrap();
+        let ex = oracle(&model, &Objective::Point(mem), PlanShape::LeftDeep).unwrap();
         prop_assert!(
             (dp.cost - ex.cost).abs() / ex.cost.max(1.0) < 1e-9,
             "dp {} vs exhaustive {}", dp.cost, ex.cost
@@ -74,8 +92,8 @@ proptest! {
         let (cat, q) = random_workload(seed, n, topology);
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, spread, buckets).unwrap();
-        let dp = optimize_lec_static(&model, &memory).unwrap();
-        let ex = exhaustive_best(&model, &Objective::Expected(&memory)).unwrap();
+        let dp = run(&model, &memory, Mode::AlgorithmC).unwrap();
+        let ex = oracle(&model, &Objective::Expected(&memory), PlanShape::LeftDeep).unwrap();
         prop_assert!(
             (dp.cost - ex.cost).abs() / ex.cost.max(1.0) < 1e-9,
             "dp {} vs exhaustive {}", dp.cost, ex.cost
@@ -95,11 +113,8 @@ proptest! {
         let states = vec![60.0, 240.0, 960.0, 3840.0];
         let chain = MarkovChain::birth_death(states, p_down, p_up).unwrap();
         let initial = Distribution::bimodal(240.0, 3840.0, 0.5).unwrap();
-        let dp = optimize_lec_dynamic(&model, &initial, &chain).unwrap();
-        let ex = exhaustive_best(
-            &model,
-            &Objective::Dynamic { initial: &initial, chain: &chain },
-        )
+        let dp = run(&model, &initial, Mode::AlgorithmCDynamic { chain: chain.clone() }).unwrap();
+        let ex = oracle(&model, &Objective::Dynamic { initial: &initial, chain: &chain }, PlanShape::LeftDeep)
         .unwrap();
         prop_assert!(
             (dp.cost - ex.cost).abs() / ex.cost.max(1.0) < 1e-9,
@@ -118,11 +133,11 @@ proptest! {
         let (cat, q) = random_workload(seed, n, Topology::Random);
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, 0.7, 5).unwrap();
-        let lec = optimize_lec_static(&model, &memory).unwrap();
+        let lec = run(&model, &memory, Mode::AlgorithmC).unwrap();
         // LSC plans at various points are a plan sample; none may beat LEC
         // in expectation.
         for m in [memory.min_value(), memory.mean(), memory.max_value()] {
-            let p = optimize_lsc(&model, m).unwrap();
+            let p = run(&model, &Distribution::point(m), Mode::LscAt(m)).unwrap();
             let ec = lec_qopt::cost::expected_plan_cost_static(&model, &p.plan, &memory);
             prop_assert!(lec.cost <= ec + 1e-6);
         }

@@ -24,7 +24,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lec_core::fixtures::{pruning_chain, pruning_clique, pruning_star};
-use lec_core::{exhaustive_best, optimize, Mode, Objective, PlanShape, SearchConfig};
+use lec_core::{exhaustive_best, optimize, MemoryCoster, Mode, PlanShape, SearchConfig};
 use lec_cost::CostModel;
 use serde_json::json;
 use std::hint::black_box;
@@ -222,7 +222,7 @@ fn bench_large_joins(c: &mut Criterion) {
     assert!(
         exhaustive_best(
             &model,
-            &Objective::Expected(&memory),
+            MemoryCoster::fixed(&memory),
             PlanShape::LeftDeep,
             &SearchConfig::default()
         )
@@ -232,7 +232,7 @@ fn bench_large_joins(c: &mut Criterion) {
     let t0 = Instant::now();
     let verified = exhaustive_best(
         &model,
-        &Objective::Expected(&memory),
+        MemoryCoster::fixed(&memory),
         PlanShape::LeftDeep,
         &pruned_cfg,
     )

@@ -7,7 +7,8 @@ use crate::search;
 use crate::table::{num, pct, Table};
 use crate::workloads::{batch, scaling_chain};
 use lec_core::{
-    exhaustive_best, fixtures, Mode, Objective, Optimizer, PlanShape, PointEstimate, SearchConfig,
+    exhaustive_best, fixtures, MemoryCoster, Mode, Optimizer, PlanShape, PointEstimate,
+    SearchConfig,
 };
 use lec_cost::{expected_plan_cost_static, plan_cost_at, CostModel};
 use lec_exec::{monte_carlo, Environment};
@@ -153,7 +154,7 @@ pub fn e3() -> Value {
         let c = search(&model, &memory, Mode::AlgorithmC);
         let ex = exhaustive_best(
             &model,
-            &Objective::Expected(&memory),
+            MemoryCoster::fixed(&memory),
             PlanShape::LeftDeep,
             &SearchConfig::default(),
         )

@@ -7,10 +7,11 @@
 //! generation and costing phases. ... We retain the plan for S with the
 //! least expected total cost, discarding all the other candidates."
 //!
-//! Policy over the engine: [`crate::search::KeepBestPolicy`] with a
-//! [`crate::search::StaticExpectationCoster`] ([`crate::Mode::AlgorithmC`])
-//! or, for §3.5, a [`crate::search::DynamicExpectationCoster`]
-//! ([`crate::Mode::AlgorithmCDynamic`]), over the left-deep shape.
+//! Policy over the engine: [`crate::search::KeepBestPolicy`] with
+//! [`crate::search::MemoryCoster::fixed`] ([`crate::Mode::AlgorithmC`])
+//! or, for §3.5, [`crate::search::MemoryCoster::evolving`]
+//! ([`crate::Mode::AlgorithmCDynamic`]), over the left-deep shape — the
+//! same coster LSC runs under, holding `b` buckets instead of one.
 //!
 //! If the distribution has `b` buckets, every *distinct* join candidate is
 //! costed with `b` evaluations of the cost formula — the paper's "b times

@@ -16,28 +16,11 @@
 
 use crate::error::OptError;
 use crate::search::{
-    run_search_with, DynamicExpectationCoster, KeepAllPolicy, PhaseCoster, PlanShape, PointCoster,
-    SearchConfig, SearchExtras, SearchOutcome, StaticExpectationCoster,
+    run_search_with, KeepAllPolicy, PhaseCoster, PlanShape, SearchConfig, SearchExtras,
+    SearchOutcome,
 };
 use lec_cost::CostModel;
-use lec_prob::{Distribution, MarkovChain};
 use std::sync::Arc;
-
-/// Objective to minimize.
-pub enum Objective<'a> {
-    /// `C(P, m)` at a single memory value (LSC ground truth).
-    Point(f64),
-    /// `EC(P)` under a static memory distribution (Algorithm C ground
-    /// truth).
-    Expected(&'a Distribution),
-    /// `EC(P)` with per-phase Markov evolution (§3.5 ground truth).
-    Dynamic {
-        /// Phase-0 memory distribution.
-        initial: &'a Distribution,
-        /// The transition model.
-        chain: &'a MarkovChain,
-    },
-}
 
 /// Cap on query size for *unpruned* runs: the space is
 /// `O(n! · 4^(n-1) · 2^n)`.  Pruned runs ([`SearchConfig::pruning`])
@@ -52,12 +35,14 @@ pub const MAX_EXHAUSTIVE_TABLES: usize = 7;
 /// check too.
 pub const MAX_EXHAUSTIVE_PLANS: u128 = 1_000_000;
 
-/// Exhaustively find the optimal plan of `shape` under `objective` — the
-/// tests' reference oracle.  The outcome's extras carry the number of
-/// complete plans costed.
+/// Exhaustively find the optimal plan of `shape` under `coster`'s
+/// objective — the tests' reference oracle: `C(P, m)` for
+/// [`crate::search::MemoryCoster::point`] (LSC ground truth), `EC(P)` for
+/// `fixed` (Algorithm C) and `evolving` (§3.5).  The outcome's extras
+/// carry the number of complete plans costed.
 pub fn exhaustive_best(
     model: &CostModel<'_>,
-    objective: &Objective<'_>,
+    coster: impl PhaseCoster,
     shape: PlanShape,
     config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
@@ -74,24 +59,6 @@ pub fn exhaustive_best(
             ));
         }
     }
-    match objective {
-        Objective::Point(m) => run_keep_all(model, shape, PointCoster { memory: *m }, config),
-        Objective::Expected(dist) => {
-            run_keep_all(model, shape, StaticExpectationCoster::new(dist), config)
-        }
-        Objective::Dynamic { initial, chain } => {
-            let coster = DynamicExpectationCoster::new(initial, chain, n.max(1))?;
-            run_keep_all(model, shape, coster, config)
-        }
-    }
-}
-
-fn run_keep_all<C: PhaseCoster>(
-    model: &CostModel<'_>,
-    shape: PlanShape,
-    coster: C,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, OptError> {
     let mut policy = KeepAllPolicy::new(coster);
     let run = run_search_with(model, shape, &mut policy, config)?;
     // Complete plans *costed* (the policy counts them at emission, before
@@ -112,6 +79,8 @@ mod tests {
     use super::*;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
     use crate::optimizer::{lsc_at, run, Mode};
+    use crate::search::MemoryCoster;
+    use lec_prob::{Distribution, MarkovChain};
 
     #[test]
     fn dp_matches_exhaustive_point() {
@@ -121,7 +90,7 @@ mod tests {
             let dp = lsc_at(&model, m).unwrap();
             let ex = exhaustive_best(
                 &model,
-                &Objective::Point(m),
+                MemoryCoster::point(m),
                 PlanShape::LeftDeep,
                 &SearchConfig::default(),
             )
@@ -145,7 +114,7 @@ mod tests {
             let dp = run(&model, &memory, Mode::AlgorithmC).unwrap();
             let ex = exhaustive_best(
                 &model,
-                &Objective::Expected(&memory),
+                MemoryCoster::fixed(&memory),
                 PlanShape::LeftDeep,
                 &SearchConfig::default(),
             )
@@ -177,10 +146,7 @@ mod tests {
         .unwrap();
         let ex = exhaustive_best(
             &model,
-            &Objective::Dynamic {
-                initial: &initial,
-                chain: &chain,
-            },
+            MemoryCoster::evolving(&initial, &chain, 3).unwrap(),
             PlanShape::LeftDeep,
             &SearchConfig::default(),
         )
@@ -202,7 +168,7 @@ mod tests {
         let dp = run(&model, &memory, Mode::Bushy).unwrap();
         let ex = exhaustive_best(
             &model,
-            &Objective::Expected(&memory),
+            MemoryCoster::fixed(&memory),
             PlanShape::Bushy,
             &SearchConfig::default(),
         )
@@ -216,7 +182,7 @@ mod tests {
         // The bushy space strictly contains the left-deep one here.
         let ld = exhaustive_best(
             &model,
-            &Objective::Expected(&memory),
+            MemoryCoster::fixed(&memory),
             PlanShape::LeftDeep,
             &SearchConfig::default(),
         )
@@ -231,7 +197,7 @@ mod tests {
         let memory = example_1_1_memory();
         let ex = exhaustive_best(
             &model,
-            &Objective::Expected(&memory),
+            MemoryCoster::fixed(&memory),
             PlanShape::LeftDeep,
             &SearchConfig::default(),
         )
@@ -277,7 +243,7 @@ mod tests {
         assert!(matches!(
             exhaustive_best(
                 &model,
-                &Objective::Point(100.0),
+                MemoryCoster::point(100.0),
                 PlanShape::LeftDeep,
                 &SearchConfig::default()
             ),
@@ -288,7 +254,7 @@ mod tests {
         let chain_model = CostModel::new(&chain_cat, &chain_q);
         let ex = exhaustive_best(
             &chain_model,
-            &Objective::Point(400.0),
+            MemoryCoster::point(400.0),
             PlanShape::LeftDeep,
             &SearchConfig::default(),
         )
@@ -321,7 +287,7 @@ mod tests {
         assert!(matches!(
             exhaustive_best(
                 &model,
-                &Objective::Point(100.0),
+                MemoryCoster::point(100.0),
                 PlanShape::LeftDeep,
                 &SearchConfig::default()
             ),

@@ -98,12 +98,12 @@ pub use alg_a::Candidate;
 pub use alg_d::AlgDConfig;
 pub use bucketing::{bucketize, query_memory_breakpoints, BucketStrategy};
 pub use error::OptError;
-pub use exhaustive::{exhaustive_best, Objective, MAX_EXHAUSTIVE_PLANS, MAX_EXHAUSTIVE_TABLES};
+pub use exhaustive::{exhaustive_best, MAX_EXHAUSTIVE_PLANS, MAX_EXHAUSTIVE_TABLES};
 pub use lsc::PointEstimate;
 pub use optimizer::{optimize, Mode, Optimized, Optimizer};
 pub use parametric::{coverage_family, CachedPlan, PlanCache, StartupChoice};
 pub use randomized::{iterative_improvement, simulated_annealing, RandomizedConfig};
 pub use search::{
-    run_search_with, CandidatePolicy, FrontierStats, PlanShape, SearchConfig, SearchExtras,
-    SearchOutcome, SearchStats,
+    run_search_with, CandidatePolicy, FrontierStats, MemoryCoster, PlanShape, SearchConfig,
+    SearchExtras, SearchOutcome, SearchStats,
 };

@@ -7,9 +7,11 @@
 //! and remain constant during execution.  We call this the least specific
 //! cost (LSC) plan." (§1)
 //!
-//! Policy over the engine: [`crate::search::KeepBestPolicy`] with a
-//! [`crate::search::PointCoster`], over the left-deep shape
-//! ([`crate::Mode::Lsc`] and [`crate::Mode::LscAt`]).
+//! Policy over the engine: [`crate::search::KeepBestPolicy`] with
+//! [`crate::search::MemoryCoster::point`] — the memory value as a
+//! one-bucket distribution, "the special case where there is only one
+//! bucket" — over the left-deep shape ([`crate::Mode::Lsc`] and
+//! [`crate::Mode::LscAt`]).
 
 /// Which point of the memory distribution the LSC optimizer assumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,10 +8,7 @@
 use crate::alg_d::AlgDConfig;
 use crate::error::OptError;
 use crate::lsc::PointEstimate;
-use crate::search::{
-    run_search_with, DynamicExpectationCoster, KeepBestPolicy, PhaseCoster, PlanShape, PointCoster,
-    StaticExpectationCoster,
-};
+use crate::search::{run_search_with, KeepBestPolicy, MemoryCoster, PlanShape};
 pub use crate::search::{SearchConfig, SearchExtras, SearchOutcome, SearchStats};
 use lec_catalog::Catalog;
 use lec_cost::CostModel;
@@ -143,9 +140,10 @@ fn randomized_fingerprint(
 /// place a [`Mode`] is turned into a plan shape, a candidate policy and a
 /// coster.  The paper's claim that LEC is "a generic modification of the
 /// basic System R optimizer" is the first five arms: one keep-best DP in
-/// which only the coster — or, for the §4 extension, the shape — changes.
-/// `LscAt` ignores `memory`; the randomized modes are move-based and
-/// ignore `config`.
+/// which only the memory distribution the coster holds — a point for LSC
+/// — or, for the §4 extension, the shape changes.  `LscAt` ignores
+/// `memory` and rejects a non-finite value; the randomized modes are
+/// move-based and ignore `config`.
 pub fn optimize(
     model: &CostModel<'_>,
     memory: &Distribution,
@@ -153,20 +151,27 @@ pub fn optimize(
     config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
     use PlanShape::{Bushy, LeftDeep};
-    let point = |memory| PointCoster { memory };
-    let expectation = || StaticExpectationCoster::new(memory);
     match mode {
-        Mode::Lsc(PointEstimate::Mean) => keep_best(model, LeftDeep, point(memory.mean()), config),
-        Mode::Lsc(PointEstimate::Mode) => keep_best(model, LeftDeep, point(memory.mode()), config),
-        Mode::LscAt(m) => keep_best(model, LeftDeep, point(*m), config),
-        Mode::AlgorithmC => keep_best(model, LeftDeep, expectation(), config),
+        Mode::Lsc(estimate) => {
+            let m = match estimate {
+                PointEstimate::Mean => memory.mean(),
+                PointEstimate::Mode => memory.mode(),
+            };
+            keep_best(model, LeftDeep, MemoryCoster::point(m), config)
+        }
+        // The value arrives unchecked from callers and the wire.
+        Mode::LscAt(m) if !m.is_finite() => Err(OptError::BadParameter(
+            "LscAt requires a finite memory value",
+        )),
+        Mode::LscAt(m) => keep_best(model, LeftDeep, MemoryCoster::point(*m), config),
+        Mode::AlgorithmC => keep_best(model, LeftDeep, MemoryCoster::fixed(memory), config),
         Mode::AlgorithmCDynamic { chain } => {
             // n-1 join phases plus a possible root sort phase.
             let phases = model.query().n_tables().max(1);
-            let coster = DynamicExpectationCoster::new(memory, chain, phases)?;
+            let coster = MemoryCoster::evolving(memory, chain, phases)?;
             keep_best(model, LeftDeep, coster, config)
         }
-        Mode::Bushy => keep_best(model, Bushy, expectation(), config),
+        Mode::Bushy => keep_best(model, Bushy, MemoryCoster::fixed(memory), config),
         Mode::AlgorithmA => crate::alg_a::rank_point_plans(model, memory, config),
         Mode::AlgorithmB { c } => crate::alg_b::rank_top_c_plans(model, memory, *c, config),
         Mode::AlgorithmD { config: buckets } => {
@@ -183,10 +188,10 @@ pub fn optimize(
 
 /// The keep-1 DP of Theorems 2.1, 3.3 and 3.4: retain the cheapest plan
 /// per (subset, order) under `coster`.
-fn keep_best<C: PhaseCoster>(
+fn keep_best(
     model: &CostModel<'_>,
     shape: PlanShape,
-    coster: C,
+    coster: MemoryCoster,
     config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
     let mut policy = KeepBestPolicy::new(coster);
@@ -279,11 +284,6 @@ impl<'a> Optimizer<'a> {
     /// In-place form of [`Optimizer::with_telemetry`]; `None` uninstalls.
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>) {
         self.search.telemetry = telemetry;
-    }
-
-    /// The search configuration in force.
-    pub fn search_config(&self) -> &SearchConfig {
-        &self.search
     }
 
     /// The catalog this optimizer is bound to.
@@ -484,6 +484,24 @@ mod tests {
             opt.optimize(&q, &Mode::AlgorithmC),
             Err(OptError::InvalidQuery(_))
         ));
+    }
+
+    #[test]
+    fn a_non_finite_lsc_memory_is_a_bad_parameter() {
+        // `Mode::LscAt` carries whatever `f64` the caller (or the wire
+        // decoder) put there; a point distribution cannot hold these.
+        let (cat, q) = three_chain();
+        let opt = Optimizer::new(&cat, example_1_1_memory());
+        for m in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    opt.optimize(&q, &Mode::LscAt(m)),
+                    Err(OptError::BadParameter(_))
+                ),
+                "LscAt({m})"
+            );
+        }
+        assert!(opt.optimize(&q, &Mode::LscAt(700.0)).is_ok());
     }
 
     #[test]

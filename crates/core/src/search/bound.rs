@@ -43,12 +43,13 @@
 //!
 //! Admissibility rests on two monotonicity facts the cost layer pins by
 //! test ([`lec_cost::formulas`]): every join formula is nondecreasing in
-//! its page inputs and nonincreasing in memory.  So for any coster —
-//! point, expected over a static distribution, per-phase dynamic, or
-//! Algorithm D's multi-parameter expectation — the cost it assigns one
-//! join is at least `raw_join_cost(method, a_floor, b_floor, m_max)`
-//! where `a_floor`/`b_floor` floor the input sizes and `m_max` is the
-//! largest memory value any phase can see.  Summing floors over the
+//! its page inputs and nonincreasing in memory.  So for either costing —
+//! an expectation over a point, a static distribution or per-phase
+//! evolved ones ([`ExpectationBound`]), or Algorithm D's multi-parameter
+//! expectation ([`MinSupportBound`]) — the cost assigned to one join is
+//! at least `raw_join_cost(method, a_floor, b_floor, m_max)` where
+//! `a_floor`/`b_floor` floor the input sizes and `m_max` is the largest
+//! memory value any phase can see.  Summing floors over the
 //! joins and accesses a completion must still perform (a root sort only
 //! adds cost) yields the bound; strict-inequality pruning then preserves
 //! exact cost ties, so pruned searches return byte-identical answers.
@@ -78,7 +79,7 @@ use super::PlanShape;
 use lec_cost::formulas::{raw_join_cost, MIN_PAGES};
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, TableSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Escalation margin of the tiered check: the sharp tier runs only when
 /// `cheap_floor * SHARP_MARGIN >= incumbent` (and an incumbent exists).
@@ -96,7 +97,7 @@ pub const SHARP_MARGIN: f64 = 4.0;
 /// (for scalar-page policies, the entry's `pages` and the mean
 /// selectivity; for Algorithm D, the minimum support of the entry's
 /// size distribution and of the selectivity distribution).
-pub trait LowerBound: Send + Sync {
+pub trait LowerBound {
     /// Floor on the output pages of `set`'s result, at least
     /// [`MIN_PAGES`].
     fn pages_floor(&self, model: &CostModel<'_>, set: TableSet) -> f64;
@@ -157,35 +158,13 @@ pub fn min_support_size_product(model: &CostModel<'_>, set: TableSet) -> f64 {
     pages.max(MIN_PAGES)
 }
 
-/// The point-costing bound (LSC): memory is exactly `memory` in every
-/// phase and sizes are the point products.
-#[derive(Debug, Clone)]
-pub struct PointBound {
-    /// The assumed memory value.
-    pub memory: f64,
-}
-
-impl LowerBound for PointBound {
-    fn pages_floor(&self, model: &CostModel<'_>, set: TableSet) -> f64 {
-        point_size_product(model, set)
-    }
-    fn max_memory(&self) -> f64 {
-        self.memory
-    }
-    fn table_floor(&self, model: &CostModel<'_>, i: usize) -> f64 {
-        model.base_pages(i)
-    }
-    fn selectivity_floor(&self, model: &CostModel<'_>, u: usize, v: usize) -> f64 {
-        model.join_selectivity_sets(TableSet::singleton(u), TableSet::singleton(v))
-    }
-}
-
-/// The expectation-costing bound (Algorithms C/C-dynamic): sizes are
-/// still point products (those policies carry scalar pages), and every
-/// per-memory-bucket evaluation is floored by the formula at the
-/// distribution's largest support value — costs are nonincreasing in
-/// memory, so `E_M[cost(M)] ≥ cost(max M)`.  For the dynamic coster
-/// `max_memory` is the largest value over *all* phase distributions.
+/// The scalar-pages bound of every [`super::MemoryCoster`] search (LSC,
+/// Algorithms C/C-dynamic, bushy): sizes are point products (those
+/// policies carry scalar pages), and every per-memory-bucket evaluation
+/// is floored by the formula at the distribution's largest support value
+/// — costs are nonincreasing in memory, so `E_M[cost(M)] ≥ cost(max M)`,
+/// with equality for a point.  `max_memory` is the largest value over
+/// *all* phase distributions.
 #[derive(Debug, Clone)]
 pub struct ExpectationBound {
     /// Largest memory support value any phase can see.
@@ -231,35 +210,6 @@ impl LowerBound for MinSupportBound {
             .join_selectivity_dist_sets(TableSet::singleton(u), TableSet::singleton(v))
             .min_bucket()
             .0
-    }
-}
-
-/// The shared incumbent cost: an `f64` in an atomic cell.
-///
-/// During a DP level the cell is only read; the driver tightens it
-/// between levels (and once after depth 1), so every subset of one level
-/// is checked against the same incumbent.
-#[derive(Debug)]
-pub struct IncumbentCell(AtomicU64);
-
-impl Default for IncumbentCell {
-    fn default() -> Self {
-        IncumbentCell(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-}
-
-impl IncumbentCell {
-    /// The current incumbent completion cost (`+∞` until one is found).
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Acquire))
-    }
-
-    /// Lower the incumbent to `cost` if it improves on the current one.
-    /// Driver-only, between levels.
-    pub fn observe(&self, cost: f64) {
-        if cost < self.get() {
-            self.0.store(cost.to_bits(), Ordering::Release);
-        }
     }
 }
 
@@ -316,11 +266,16 @@ impl BoundCheck {
 /// Everything the engine and policies need to evaluate one prune check:
 /// the size bound, the incumbent, the query-constant floors (cheapest
 /// access per table, cheapest possible join) and the per-search
-/// edge-bound table feeding the sharp tier.
+/// edge-bound table feeding the sharp tier.  One thread runs a search, so
+/// the two values the driver updates between levels are plain `Cell`s.
 #[derive(Debug)]
 pub struct PruneState {
     bound: Box<dyn LowerBound>,
-    incumbent: IncumbentCell,
+    /// Cheapest complete-plan cost found so far (`+∞` until one is).
+    /// During a DP level it is only read; the driver tightens it between
+    /// levels (and once after depth 1), so every subset of one level is
+    /// checked against the same incumbent.
+    incumbent: Cell<f64>,
     /// The plan shape the search runs under; the sharp tier's per-table
     /// strengthening is admissible only for left-deep completions.
     shape: PlanShape,
@@ -343,7 +298,7 @@ pub struct PruneState {
     /// Set once the driver's first completed-but-non-improving greedy
     /// walk retires the per-level incumbent refresh (changes only
     /// between levels, like the incumbent itself).
-    refresh_retired: std::sync::atomic::AtomicBool,
+    refresh_retired: Cell<bool>,
     n: usize,
 }
 
@@ -411,7 +366,7 @@ impl PruneState {
         let total_attach_floor = attach_floors.iter().sum();
         PruneState {
             bound,
-            incumbent: IncumbentCell::default(),
+            incumbent: Cell::new(f64::INFINITY),
             shape,
             access_floors,
             total_access_floor,
@@ -420,7 +375,7 @@ impl PruneState {
             table_floors,
             attach_floors,
             total_attach_floor,
-            refresh_retired: std::sync::atomic::AtomicBool::new(false),
+            refresh_retired: Cell::new(false),
             n,
         }
     }
@@ -430,13 +385,13 @@ impl PruneState {
     /// incumbent — later walks only re-walk longer prefixes of the same
     /// completions).
     pub fn refresh_retired(&self) -> bool {
-        self.refresh_retired.load(Ordering::Relaxed)
+        self.refresh_retired.get()
     }
 
     /// Retire the per-level incumbent refresh for the rest of the
     /// search.  Driver-only, between levels.
     pub fn retire_refresh(&self) {
-        self.refresh_retired.store(true, Ordering::Relaxed);
+        self.refresh_retired.set(true);
     }
 
     /// The active size bound.
@@ -444,9 +399,17 @@ impl PruneState {
         &*self.bound
     }
 
-    /// The incumbent cell.
-    pub fn incumbent(&self) -> &IncumbentCell {
-        &self.incumbent
+    /// The current incumbent completion cost (`+∞` until one is found).
+    pub fn incumbent(&self) -> f64 {
+        self.incumbent.get()
+    }
+
+    /// Lower the incumbent to `cost` if it improves on the current one.
+    /// Driver-only, between levels.
+    pub fn observe(&self, cost: f64) {
+        if cost < self.incumbent.get() {
+            self.incumbent.set(cost);
+        }
     }
 
     /// The per-search edge-bound table.
@@ -572,7 +535,7 @@ impl PruneState {
     /// answers byte-identical to unpruned ones.  Cheap tier only; the
     /// engine's tiered entry point is [`Self::check`].
     pub fn prunes(&self, set: TableSet, pages: f64) -> bool {
-        self.subset_floor(set, pages) > self.incumbent.get()
+        self.subset_floor(set, pages) > self.incumbent()
     }
 
     /// The tiered prune check: the cheap floor always, the sharp
@@ -580,7 +543,7 @@ impl PruneState {
     /// [`SHARP_MARGIN`] of the incumbent.  The decision depends only on
     /// (`set`, `pages`, the level's incumbent, the shape).
     pub fn check(&self, model: &CostModel<'_>, set: TableSet, pages: f64) -> BoundCheck {
-        let incumbent = self.incumbent.get();
+        let incumbent = self.incumbent();
         let cheap = self.subset_floor(set, pages);
         if cheap > incumbent {
             return BoundCheck::PrunedCheap;

@@ -1,20 +1,30 @@
-//! The costing axis of the keep-1 and keep-all policies: how one
+//! The costing axis of the keep-1, top-c and keep-all policies: how one
 //! memory-dependent operator is priced.
 //!
+//! Memory is a distribution everywhere.  "The standard approach [is] the
+//! special case where there is only one bucket", and §3.5's static case is
+//! the dynamic one with a single phase distribution — so there is one
+//! coster, [`MemoryCoster`], holding one `(distribution, fingerprint)` per
+//! execution phase, and LSC, Algorithms A/B/C, the bushy extension and the
+//! dynamic variant differ only in which constructor built it.
+//!
 //! `ctx.phase` is the 0-based execution phase index of §3.5 (first join =
-//! phase 0; a root sort after `n-1` joins is phase `n-1`).  Static costers
-//! ignore it; the dynamic coster uses it to select the evolved memory
-//! distribution for that phase.  All costers evaluate through the
-//! memoized `*_for` methods of [`CostModel`], so repeated per-bucket
-//! evaluations across entry pairs and dag levels hit the cache.
+//! phase 0; a root sort after `n-1` joins is phase `n-1`); a coster with
+//! fewer phases than the plan prices the later ones under its last.  Every
+//! evaluation goes through the memoized `expected_*_over` methods of
+//! [`CostModel`], so repeats across entry pairs and dag levels hit the
+//! cache — and a point search and an expectation search over the same
+//! one-bucket distribution share their entries.
 
-use super::bound::{ExpectationBound, LowerBound, PointBound};
+use super::bound::{ExpectationBound, LowerBound};
 use super::policy::JoinContext;
 use lec_cost::CostModel;
 use lec_plan::JoinMethod;
 use lec_prob::{Distribution, MarkovChain, ProbError};
 
-/// Strategy for costing the memory-dependent operators.
+/// Strategy for costing the memory-dependent operators.  One production
+/// implementation ([`MemoryCoster`]); the trait is the seam tests
+/// substitute a fake through.
 pub trait PhaseCoster {
     /// Cost of joining inputs of `outer`/`inner` pages under `ctx`.
     fn join_cost(
@@ -37,121 +47,59 @@ pub trait PhaseCoster {
     }
 }
 
-/// Classical point-parameter costing (the LSC baseline): memory is assumed
-/// to be exactly `memory` in every phase.
+/// Expected-cost costing under a per-phase memory distribution: "this
+/// computation requires b evaluations of the cost formula" (§3.4), one
+/// when the distribution is a point.  The whole expectation of each
+/// distinct operator is memoized as one cache entry (with the
+/// distribution's fingerprint precomputed here), so repeats cost one
+/// lookup, not `b` formula evaluations.
 #[derive(Debug, Clone)]
-pub struct PointCoster {
-    /// The assumed memory value.
-    pub memory: f64,
+pub struct MemoryCoster {
+    /// Phase `k`'s memory distribution and its cache fingerprint; never
+    /// empty.
+    phases: Vec<(Distribution, u64)>,
 }
 
-impl PhaseCoster for PointCoster {
-    fn join_cost(
-        &self,
-        model: &CostModel<'_>,
-        _ctx: &JoinContext,
-        method: JoinMethod,
-        outer: f64,
-        inner: f64,
-    ) -> f64 {
-        model.join_cost_for(method, outer, inner, self.memory)
+impl MemoryCoster {
+    /// Classical point costing (the LSC baseline, Algorithm A's black box,
+    /// Algorithm B's per-bucket runs): memory is exactly `memory` in every
+    /// phase.  Panics on a non-finite value ([`Distribution::point`]).
+    pub fn point(memory: f64) -> Self {
+        Self::fixed(&Distribution::point(memory))
     }
 
-    fn sort_cost(&self, model: &CostModel<'_>, _phase: usize, pages: f64) -> f64 {
-        model.sort_cost_for(pages, self.memory)
-    }
-
-    fn pruning_bound(&self) -> Option<Box<dyn LowerBound>> {
-        Some(Box::new(PointBound {
-            memory: self.memory,
-        }))
-    }
-}
-
-/// Expected-cost costing under a static memory distribution (Algorithm C):
-/// "this computation requires b evaluations of the cost formula" (§3.4).
-/// The whole `b`-bucket expectation of each distinct operator is memoized
-/// as one cache entry (with its fingerprint precomputed here), so repeats
-/// across entry pairs and dag levels cost one lookup, not `b` formula
-/// evaluations.
-#[derive(Debug, Clone)]
-pub struct StaticExpectationCoster {
-    memory: Distribution,
-    mem_fp: u64,
-}
-
-impl StaticExpectationCoster {
-    /// A coster taking expectations over `memory`.
-    pub fn new(memory: &Distribution) -> Self {
-        StaticExpectationCoster {
-            mem_fp: lec_cost::dist_fingerprint(memory),
-            memory: memory.clone(),
+    /// The static distribution of Algorithm C and the bushy extension:
+    /// every phase sees `memory`.
+    pub fn fixed(memory: &Distribution) -> Self {
+        MemoryCoster {
+            phases: vec![(memory.clone(), lec_cost::dist_fingerprint(memory))],
         }
     }
 
-    /// The memory distribution in force.
-    pub fn memory(&self) -> &Distribution {
-        &self.memory
-    }
-}
-
-impl PhaseCoster for StaticExpectationCoster {
-    fn join_cost(
-        &self,
-        model: &CostModel<'_>,
-        _ctx: &JoinContext,
-        method: JoinMethod,
-        outer: f64,
-        inner: f64,
-    ) -> f64 {
-        model.expected_join_cost_over(method, outer, inner, &self.memory, self.mem_fp)
-    }
-
-    fn sort_cost(&self, model: &CostModel<'_>, _phase: usize, pages: f64) -> f64 {
-        model.expected_sort_cost_over(pages, &self.memory, self.mem_fp)
-    }
-
-    fn pruning_bound(&self) -> Option<Box<dyn LowerBound>> {
-        Some(Box::new(ExpectationBound {
-            max_memory: self.memory.max_value(),
-        }))
-    }
-}
-
-/// Per-phase expected-cost costing for dynamically changing memory (§3.5):
-/// phase `k` is costed under the initial distribution evolved `k` steps
-/// through the Markov chain.
-#[derive(Debug, Clone)]
-pub struct DynamicExpectationCoster {
-    dists: Vec<(Distribution, u64)>,
-}
-
-impl DynamicExpectationCoster {
-    /// Precompute the evolved distribution (and its cache fingerprint)
-    /// for each of `n_phases` phases.
-    pub fn new(
+    /// Dynamically changing memory (§3.5): phase `k` is costed under
+    /// `initial` evolved `k` steps through `chain`, for `n_phases` phases.
+    pub fn evolving(
         initial: &Distribution,
         chain: &MarkovChain,
         n_phases: usize,
     ) -> Result<Self, ProbError> {
-        let mut dists = Vec::with_capacity(n_phases.max(1));
+        let mut phases = Vec::with_capacity(n_phases.max(1));
         let mut cur = initial.clone();
         for _ in 0..n_phases.max(1) {
             let fp = lec_cost::dist_fingerprint(&cur);
             let next = chain.evolve_dist(&cur)?;
-            dists.push((cur, fp));
+            phases.push((cur, fp));
             cur = next;
         }
-        Ok(DynamicExpectationCoster { dists })
+        Ok(MemoryCoster { phases })
     }
 
-    fn dist(&self, phase: usize) -> &(Distribution, u64) {
-        // A plan can have at most n_phases phases; clamp defensively.
-        &self.dists[phase.min(self.dists.len() - 1)]
+    fn phase(&self, phase: usize) -> &(Distribution, u64) {
+        &self.phases[phase.min(self.phases.len() - 1)]
     }
 }
 
-impl PhaseCoster for DynamicExpectationCoster {
+impl PhaseCoster for MemoryCoster {
     fn join_cost(
         &self,
         model: &CostModel<'_>,
@@ -160,21 +108,20 @@ impl PhaseCoster for DynamicExpectationCoster {
         outer: f64,
         inner: f64,
     ) -> f64 {
-        let (dist, fp) = self.dist(ctx.phase);
+        let (dist, fp) = self.phase(ctx.phase);
         model.expected_join_cost_over(method, outer, inner, dist, *fp)
     }
 
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64 {
-        let (dist, fp) = self.dist(phase);
+        let (dist, fp) = self.phase(phase);
         model.expected_sort_cost_over(pages, dist, *fp)
     }
 
-    /// Every phase evaluates under its own evolved distribution, so the
-    /// bound's memory must be the most favourable value *any* phase can
-    /// see.
+    /// Every phase evaluates under its own distribution, so the bound's
+    /// memory is the most favourable value *any* phase can see.
     fn pruning_bound(&self) -> Option<Box<dyn LowerBound>> {
         let max_memory = self
-            .dists
+            .phases
             .iter()
             .map(|(d, _)| d.max_value())
             .fold(f64::NEG_INFINITY, f64::max);

@@ -13,6 +13,7 @@ use crate::error::OptError;
 use lec_cost::CostModel;
 use lec_plan::TableSet;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -330,7 +331,7 @@ fn build_prune<P: CandidatePolicy>(
     policy: &mut P,
     config: &SearchConfig,
     table: &HashMap<TableSet, Vec<P::Entry>>,
-) -> Option<Arc<PruneState>> {
+) -> Option<Rc<PruneState>> {
     if !config.pruning {
         return None;
     }
@@ -344,7 +345,7 @@ fn build_prune<P: CandidatePolicy>(
                 .unwrap_or(0.0)
         })
         .collect();
-    let ps = Arc::new(PruneState::new(model, shape, bound, access_floors));
+    let ps = Rc::new(PruneState::new(model, shape, bound, access_floors));
     policy.install_pruning(&ps);
     Some(ps)
 }
@@ -450,9 +451,9 @@ fn refresh_incumbent<P: CandidatePolicy>(
         }
     }
     let Some((_, seed)) = best else { return };
-    let before = prune.incumbent().get();
+    let before = prune.incumbent();
     if let Some(cost) = greedy_complete(model, policy, table, seed, stats) {
-        prune.incumbent().observe(cost);
+        prune.observe(cost);
         // Greedy walks have sharply diminishing returns: the first walk
         // that completes without lowering a finite incumbent signals the
         // remaining ones won't either (each later seed walks a longer
@@ -550,7 +551,7 @@ pub fn run_search_with<P: CandidatePolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{KeepBestPolicy, PointCoster};
+    use crate::search::{KeepBestPolicy, MemoryCoster};
     use lec_plan::PlanNode;
 
     /// The DP table is a dag of plan nodes: a level-(k+1) entry *points
@@ -559,7 +560,7 @@ mod tests {
     fn an_entry_shares_the_plan_node_of_the_entry_it_extends() {
         let (cat, q) = crate::fixtures::three_chain();
         let model = CostModel::new(&cat, &q);
-        let mut policy = KeepBestPolicy::new(PointCoster { memory: 500.0 });
+        let mut policy = KeepBestPolicy::new(MemoryCoster::point(500.0));
         let mut stats = SearchStats::default();
         let mut table = access_level(&model, &mut policy, &mut stats);
         for bits in [0b011u64, 0b110, 0b111] {

@@ -27,7 +27,7 @@ use super::policy::{
 use super::SearchStats;
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, TableSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The keep-everything policy over any [`PhaseCoster`].
 #[derive(Debug, Clone)]
@@ -35,7 +35,7 @@ pub struct KeepAllPolicy<C> {
     /// The operator-costing strategy.
     pub coster: C,
     /// The search's shared prune state, when pruning is on.
-    prune: Option<Arc<PruneState>>,
+    prune: Option<Rc<PruneState>>,
     /// Complete plans costed at the root (before any discard).
     plans_emitted: u64,
 }
@@ -96,9 +96,9 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
             Some(ps) if !is_root => {
                 stats.bound_evals += 1;
                 let pages = ps.bound().pages_floor(model, ctx.result);
-                Some(ps.incumbent().get() - ps.completion_floor(ctx.result, pages))
+                Some(ps.incumbent() - ps.completion_floor(ctx.result, pages))
             }
-            Some(ps) => Some(ps.incumbent().get()),
+            Some(ps) => Some(ps.incumbent()),
             None => None,
         };
         for oe in outer {
@@ -145,7 +145,7 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
         self.coster.pruning_bound()
     }
 
-    fn install_pruning(&mut self, prune: &Arc<PruneState>) {
-        self.prune = Some(Arc::clone(prune));
+    fn install_pruning(&mut self, prune: &Rc<PruneState>) {
+        self.prune = Some(Rc::clone(prune));
     }
 }

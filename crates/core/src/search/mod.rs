@@ -15,22 +15,24 @@
 //! * **candidate policy** ([`policy::CandidatePolicy`]): what is kept per
 //!   dag node and how a join candidate is costed.
 //!
-//! Paper-section → policy mapping:
+//! Paper-section → policy mapping ([`coster::MemoryCoster`] is the one
+//! coster; a row names the constructor that built it):
 //!
 //! | policy | costing | paper | used by |
 //! |---|---|---|---|
-//! | [`keep_best::KeepBestPolicy`] + [`coster::PointCoster`] | `C(P, m)` at one memory value | Thm 2.1 | [`crate::lsc`], Algorithm A's black box |
-//! | [`keep_best::KeepBestPolicy`] + [`coster::StaticExpectationCoster`] | `EC(P)` under a static distribution | §3.4, Thm 3.3 | [`crate::alg_c`], [`crate::bushy`] |
-//! | [`keep_best::KeepBestPolicy`] + [`coster::DynamicExpectationCoster`] | per-phase Markov-evolved `EC(P)` | §3.5, Thm 3.4 | [`crate::alg_c`] |
-//! | [`top_c::TopCPolicy`] | top-`c` per (subset, order) at a point, Prop 3.1 frontier | §3.3 | [`crate::alg_b`] |
+//! | [`keep_best::KeepBestPolicy`] + `MemoryCoster::point(m)` | `C(P, m)` at one memory value — the one-bucket expectation | Thm 2.1 | [`crate::lsc`], Algorithm A's black box |
+//! | [`keep_best::KeepBestPolicy`] + `MemoryCoster::fixed(&dist)` | `EC(P)` under a static distribution | §3.4, Thm 3.3 | [`crate::alg_c`], [`crate::bushy`] |
+//! | [`keep_best::KeepBestPolicy`] + `MemoryCoster::evolving(..)` | per-phase Markov-evolved `EC(P)` | §3.5, Thm 3.4 | [`crate::alg_c`] |
+//! | [`top_c::TopCPolicy`] + `MemoryCoster::point(m)` | top-`c` per (subset, order) at a point, Prop 3.1 frontier | §3.3 | [`crate::alg_b`] |
 //! | [`multi_param::MultiParamPolicy`] | Figure 1 distribution bookkeeping, §3.6.3 rebucketing | §3.6 | [`crate::alg_d`] |
 //! | [`keep_all::KeepAllPolicy`] | any [`coster::PhaseCoster`], no pruning | ground truth | [`crate::exhaustive`] |
 //!
 //! Every policy funnels its memory-dependent evaluations through the
-//! memoized `*_for` methods of [`lec_cost::CostModel`], so identical
-//! per-bucket evaluations repeated across entry pairs and dag levels are
-//! computed once; [`SearchStats::evals`] exposes the reduction and
-//! [`SearchStats::cache_hits`] the work avoided.
+//! memoized `expected_*` methods of [`lec_cost::CostModel`]
+//! (`expected_*_over` for scalar sizes, `expected_*_for` for Algorithm
+//! D's size distributions), so identical expectations repeated across
+//! entry pairs and dag levels are computed once; [`SearchStats::evals`]
+//! exposes the reduction and [`SearchStats::cache_hits`] the work avoided.
 //!
 //! # Threading model
 //!
@@ -58,8 +60,8 @@
 //!   cheapest node through the policy's own
 //!   [`policy::CandidatePolicy::combine`]/`finalize`, so no coster
 //!   arithmetic is ever replicated or approximated.  The incumbent
-//!   ([`bound::IncumbentCell`]) tightens only between levels, so every
-//!   subset of one level is checked against the same value.
+//!   ([`bound::PruneState::incumbent`]) tightens only between levels, so
+//!   every subset of one level is checked against the same value.
 //! * **Admissible floor, strict prune.**  `subset_floor(S) ≤` the cost of
 //!   every completion through `S` (sizes floored by the subset's
 //!   size product, memory by its most favourable value — the cost
@@ -109,16 +111,16 @@ pub mod top_c;
 
 pub use bound::{
     min_support_size_product, point_size_product, BoundCheck, EdgeBound, ExpectationBound,
-    IncumbentCell, LowerBound, MinSupportBound, PointBound, PruneState, SHARP_MARGIN,
+    LowerBound, MinSupportBound, PruneState, SHARP_MARGIN,
 };
-pub use coster::{DynamicExpectationCoster, PhaseCoster, PointCoster, StaticExpectationCoster};
+pub use coster::{MemoryCoster, PhaseCoster};
 pub use engine::{plan_space_size, run_search_with, PlanShape, SearchConfig, SearchRun};
 pub use keep_all::KeepAllPolicy;
 pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
 pub use policy::{
-    insert_entry, insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order,
-    CandidatePolicy, JoinContext, Rankable, RootContext, SearchEntry,
+    insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order, CandidatePolicy,
+    JoinContext, Rankable, RootContext, SearchEntry,
 };
 pub use top_c::{FrontierStats, TopCPolicy};
 

@@ -99,7 +99,7 @@ pub trait CandidatePolicy {
     /// with per-entry discard rules (the keep-all verifier) can consult
     /// the incumbent inside their combine loops.  Called once per search,
     /// right after depth 1.
-    fn install_pruning(&mut self, _prune: &std::sync::Arc<PruneState>) {}
+    fn install_pruning(&mut self, _prune: &std::rc::Rc<PruneState>) {}
 }
 
 /// The join of two table entries' plans: one new node whose children are
@@ -129,24 +129,14 @@ pub trait Rankable {
     fn rank_order(&self) -> OrderProperty;
 }
 
-/// Insert with domination pruning: keep an entry only if no other entry
-/// with a covering order is at most as expensive.  This is the System R
-/// interesting-order rule shared by every keep-1 policy.
-pub fn insert_entry<T: Rankable>(entries: &mut Vec<T>, e: T) {
-    for f in entries.iter() {
-        if covers(f.rank_order(), e.rank_order()) && f.rank_cost() <= e.rank_cost() {
-            return;
-        }
-    }
-    entries.retain(|f| !(covers(e.rank_order(), f.rank_order()) && e.rank_cost() <= f.rank_cost()));
-    entries.push(e);
-}
-
-/// [`insert_entry`] with a *label-independent* resolution of exact cost
-/// ties: when two candidates with equivalent orders cost exactly the same
-/// (e.g. the two orientations of a symmetric-cost join at depth 2), the
-/// survivor is the one smaller under [`plan_shape_cmp`] rather than the
-/// one the enumeration happened to produce first.
+/// Insert with domination pruning — keep an entry only if no other entry
+/// with a covering order is cheaper, the System R interesting-order rule
+/// shared by every keep-1 policy — and a *label-independent* resolution of
+/// exact cost ties: a strictly stronger order wins, and when two
+/// candidates with equivalent orders cost exactly the same (e.g. the two
+/// orientations of a symmetric-cost join at depth 2), the survivor is the
+/// one smaller under [`plan_shape_cmp`] rather than the one the
+/// enumeration happened to produce first.
 ///
 /// First-wins tie-breaking is *label-dependent* — subsets are enumerated
 /// in table-index order, so renaming the tables of a query can flip which
@@ -332,6 +322,13 @@ mod tests {
         }
     }
 
+    /// [`insert_entry_shaped`] under some model: the domination rules
+    /// below never reach the shape tie-break that would read it.
+    fn insert(entries: &mut Vec<DpEntry>, e: DpEntry) {
+        let (cat, q) = crate::fixtures::three_chain();
+        insert_entry_shaped(&CostModel::new(&cat, &q), entries, e);
+    }
+
     fn entry(cost: f64, ord: OrderProperty) -> DpEntry {
         DpEntry {
             plan: Arc::new(PlanNode::SeqScan { table: 0 }),
@@ -344,7 +341,7 @@ mod tests {
     #[test]
     fn cheaper_same_order_replaces() {
         let mut v = vec![entry(10.0, order(None))];
-        insert_entry(&mut v, entry(5.0, order(None)));
+        insert(&mut v, entry(5.0, order(None)));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].cost, 5.0);
     }
@@ -352,7 +349,7 @@ mod tests {
     #[test]
     fn more_expensive_same_order_is_dropped() {
         let mut v = vec![entry(5.0, order(None))];
-        insert_entry(&mut v, entry(10.0, order(None)));
+        insert(&mut v, entry(10.0, order(None)));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].cost, 5.0);
     }
@@ -360,7 +357,7 @@ mod tests {
     #[test]
     fn sorted_entry_dominates_equal_cost_unsorted() {
         let mut v = vec![entry(5.0, order(None))];
-        insert_entry(&mut v, entry(5.0, order(Some((0, 0)))));
+        insert(&mut v, entry(5.0, order(Some((0, 0)))));
         // The sorted entry covers the unsorted one at equal cost.
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].order, order(Some((0, 0))));
@@ -369,21 +366,21 @@ mod tests {
     #[test]
     fn expensive_sorted_entry_coexists_with_cheap_unsorted() {
         let mut v = vec![entry(5.0, order(None))];
-        insert_entry(&mut v, entry(8.0, order(Some((0, 0)))));
+        insert(&mut v, entry(8.0, order(Some((0, 0)))));
         assert_eq!(v.len(), 2, "an interesting order justifies extra cost");
     }
 
     #[test]
     fn unsorted_never_dominates_sorted() {
         let mut v = vec![entry(8.0, order(Some((0, 0))))];
-        insert_entry(&mut v, entry(5.0, order(None)));
+        insert(&mut v, entry(5.0, order(None)));
         assert_eq!(v.len(), 2);
     }
 
     #[test]
     fn different_sort_orders_coexist() {
         let mut v = vec![entry(5.0, order(Some((0, 0))))];
-        insert_entry(&mut v, entry(5.0, order(Some((1, 1)))));
+        insert(&mut v, entry(5.0, order(Some((1, 1)))));
         assert_eq!(v.len(), 2);
     }
 
@@ -394,7 +391,7 @@ mod tests {
             entry(12.0, order(Some((0, 0)))),
             entry(7.0, order(Some((1, 1)))),
         ];
-        insert_entry(&mut v, entry(3.0, order(Some((0, 0)))));
+        insert(&mut v, entry(3.0, order(Some((0, 0)))));
         // Kills the unsorted 9.0 and the same-order 12.0; the (1,1) order
         // at 7.0 survives (incomparable).
         assert_eq!(v.len(), 2);

@@ -14,7 +14,7 @@
 //! cost term is constant within a group and ranking reduces to the sum of
 //! input costs — precisely the paper's observation.
 
-use super::coster::{PhaseCoster, PointCoster};
+use super::coster::{MemoryCoster, PhaseCoster};
 use super::keep_best::DpEntry;
 use super::policy::{
     access_alternatives, join_output_order, plan_shape_cmp, shared_join, sort_merge_order,
@@ -41,7 +41,7 @@ pub struct FrontierStats {
 /// The top-`c`-per-(subset, order) policy at one fixed memory value.
 #[derive(Debug, Clone)]
 pub struct TopCPolicy {
-    coster: PointCoster,
+    coster: MemoryCoster,
     c: usize,
     bound: u64,
     /// Frontier counters accumulated across the run.
@@ -54,7 +54,7 @@ impl TopCPolicy {
     pub fn new(memory: f64, c: usize) -> Self {
         assert!(c >= 1, "TopCPolicy requires c >= 1");
         TopCPolicy {
-            coster: PointCoster { memory },
+            coster: MemoryCoster::point(memory),
             c,
             bound: (c as f64 + c as f64 * (c as f64).ln()).ceil() as u64,
             frontier: FrontierStats::default(),

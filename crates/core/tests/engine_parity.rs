@@ -7,12 +7,10 @@
 //! collapses to Algorithm C; and the memoized evaluation cache never
 //! changes any answer, only the evaluation count.
 
-use lec_core::search::{
-    run_search_with, KeepAllPolicy, PlanShape, PointCoster, StaticExpectationCoster,
-};
+use lec_core::search::{run_search_with, KeepAllPolicy, PlanShape};
 use lec_core::{
-    exhaustive_best, optimize, AlgDConfig, Mode, Objective, OptError, PointEstimate, SearchConfig,
-    SearchOutcome,
+    exhaustive_best, optimize, AlgDConfig, MemoryCoster, Mode, OptError, PointEstimate,
+    SearchConfig, SearchOutcome,
 };
 use lec_cost::CostModel;
 use lec_plan::{PlanNode, Query, QueryProfile, Topology, WorkloadGenerator};
@@ -31,10 +29,10 @@ fn run(
 /// The keep-all reference oracle under the default [`SearchConfig`].
 fn oracle(
     model: &CostModel<'_>,
-    objective: &Objective<'_>,
+    coster: MemoryCoster,
     shape: PlanShape,
 ) -> Result<SearchOutcome, OptError> {
-    exhaustive_best(model, objective, shape, &SearchConfig::default())
+    exhaustive_best(model, coster, shape, &SearchConfig::default())
 }
 
 fn workload(seed: u64, n: usize) -> (lec_catalog::Catalog, Query) {
@@ -69,13 +67,13 @@ fn unique_optimum(
         (Some(d), None) => run_search_with(
             model,
             shape,
-            &mut KeepAllPolicy::new(StaticExpectationCoster::new(d)),
+            &mut KeepAllPolicy::new(MemoryCoster::fixed(d)),
             &SearchConfig::default(),
         ),
         (None, Some(m)) => run_search_with(
             model,
             shape,
-            &mut KeepAllPolicy::new(PointCoster { memory: m }),
+            &mut KeepAllPolicy::new(MemoryCoster::point(m)),
             &SearchConfig::default(),
         ),
         _ => unreachable!("exactly one objective"),
@@ -103,7 +101,7 @@ proptest! {
         let (cat, q) = workload(seed, n);
         let model = CostModel::new(&cat, &q);
         let dp = run(&model, &Distribution::point(mem), Mode::LscAt(mem)).unwrap();
-        let ex = oracle(&model, &Objective::Point(mem), PlanShape::LeftDeep).unwrap();
+        let ex = oracle(&model, MemoryCoster::point(mem), PlanShape::LeftDeep).unwrap();
         prop_assert!(rel_eq(dp.cost, ex.cost), "dp {} vs exhaustive {}", dp.cost, ex.cost);
         if let Some((plan, _)) = unique_optimum(&model, None, Some(mem), PlanShape::LeftDeep) {
             prop_assert_eq!(&dp.plan, &plan, "unique optimum must match byte-for-byte");
@@ -123,7 +121,7 @@ proptest! {
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, spread, b).unwrap();
         let dp = run(&model, &memory, Mode::AlgorithmC).unwrap();
-        let ex = oracle(&model, &Objective::Expected(&memory), PlanShape::LeftDeep).unwrap();
+        let ex = oracle(&model, MemoryCoster::fixed(&memory), PlanShape::LeftDeep).unwrap();
         prop_assert!(rel_eq(dp.cost, ex.cost), "dp {} vs exhaustive {}", dp.cost, ex.cost);
         if let Some((plan, _)) = unique_optimum(&model, Some(&memory), None, PlanShape::LeftDeep) {
             prop_assert_eq!(&dp.plan, &plan);
@@ -144,7 +142,7 @@ proptest! {
         let chain = MarkovChain::birth_death(states, p_down, p_up).unwrap();
         let initial = Distribution::bimodal(320.0, 1280.0, 0.5).unwrap();
         let dp = run(&model, &initial, Mode::AlgorithmCDynamic { chain: chain.clone() }).unwrap();
-        let ex = oracle(&model, &Objective::Dynamic { initial: &initial, chain: &chain }, PlanShape::LeftDeep)
+        let ex = oracle(&model, MemoryCoster::evolving(&initial, &chain, n).unwrap(), PlanShape::LeftDeep)
         .unwrap();
         prop_assert!(rel_eq(dp.cost, ex.cost), "dp {} vs exhaustive {}", dp.cost, ex.cost);
     }
@@ -167,7 +165,7 @@ proptest! {
         }
         let memory = presets::spread_family(center, 0.6, 4).unwrap();
         let dp = run(&model, &memory, Mode::Bushy).unwrap();
-        let ex = oracle(&model, &Objective::Expected(&memory), PlanShape::Bushy)
+        let ex = oracle(&model, MemoryCoster::fixed(&memory), PlanShape::Bushy)
             .unwrap();
         prop_assert!(rel_eq(dp.cost, ex.cost), "dp {} vs exhaustive {}", dp.cost, ex.cost);
         if let Some((plan, _)) = unique_optimum(&model, Some(&memory), None, PlanShape::Bushy) {
@@ -189,7 +187,7 @@ proptest! {
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, 0.5, b).unwrap();
         let d = run(&model, &memory, Mode::AlgorithmD { config: AlgDConfig::default() }).unwrap();
-        let ex = oracle(&model, &Objective::Expected(&memory), PlanShape::LeftDeep).unwrap();
+        let ex = oracle(&model, MemoryCoster::fixed(&memory), PlanShape::LeftDeep).unwrap();
         prop_assert!(rel_eq(d.cost, ex.cost), "D {} vs exhaustive {}", d.cost, ex.cost);
         if let Some((plan, _)) = unique_optimum(&model, Some(&memory), None, PlanShape::LeftDeep) {
             prop_assert_eq!(&d.plan, &plan);

@@ -14,8 +14,8 @@
 
 use lec_catalog::{Catalog, CatalogGenerator};
 use lec_core::search::{
-    run_search_with, JoinContext, KeepBestPolicy, PhaseCoster, PlanShape, SearchConfig,
-    StaticExpectationCoster,
+    run_search_with, JoinContext, KeepBestPolicy, MemoryCoster, PhaseCoster, PlanShape,
+    SearchConfig,
 };
 use lec_core::{fixtures, AlgDConfig, Mode, Optimizer, PointEstimate, SearchStats};
 use lec_cost::CostModel;
@@ -358,7 +358,7 @@ fn every_mode_does_the_recorded_work() {
 
 /// Algorithm C's coster, except that its `k`-th join costing panics.
 struct PanicsOnKthCall {
-    inner: StaticExpectationCoster,
+    inner: MemoryCoster,
     calls: std::cell::Cell<usize>,
     k: usize,
 }
@@ -397,7 +397,7 @@ fn a_panicking_coster_unwinds_and_leaves_the_model_usable() {
     let mem = memory();
     for k in [1, 40, 200] {
         let mut policy = KeepBestPolicy::new(PanicsOnKthCall {
-            inner: StaticExpectationCoster::new(&mem),
+            inner: MemoryCoster::fixed(&mem),
             calls: std::cell::Cell::new(0),
             k,
         });

@@ -8,7 +8,7 @@ use lec_core::{
 };
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
-use lec_prob::{presets, Distribution};
+use lec_prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;
 
 /// [`optimize`] under the default [`SearchConfig`].
@@ -123,13 +123,71 @@ proptest! {
         }
     }
 
-    /// LEC degenerates to LSC on point distributions for every workload.
+    /// "The standard approach [is] the special case where there is only
+    /// one bucket": on fresh models LSC at `m`, Algorithm C under a point
+    /// at `m` and dynamic Algorithm C from that point under a chain that
+    /// never moves are one search — same plan, same cost bits, same work.
     #[test]
     fn single_bucket_degeneracy(seed in 0u64..5000, n in 2usize..6, m in 10.0f64..5000.0) {
         let (cat, q) = workload(seed, n);
+        let at_m = Distribution::point(m);
+        let chain = MarkovChain::identity(vec![m]).unwrap();
+        for config in [SearchConfig::default(), SearchConfig::default().with_pruning(true)] {
+            let fresh = |mode: Mode| {
+                let r = optimize(&CostModel::new(&cat, &q), &at_m, &mode, &config).unwrap();
+                (r.plan.compact(), r.cost.to_bits(), work_counters(&r))
+            };
+            let lsc = fresh(Mode::LscAt(m));
+            prop_assert_eq!(&lsc, &fresh(Mode::AlgorithmC));
+            prop_assert_eq!(&lsc, &fresh(Mode::AlgorithmCDynamic { chain: chain.clone() }));
+        }
+    }
+}
+
+/// The eight work counters `golden_answers.rs` pins.
+fn work_counters(r: &SearchOutcome) -> [u64; 8] {
+    let s = &r.stats;
+    [
+        s.nodes as u64,
+        s.candidates,
+        s.evals,
+        s.cache_hits,
+        s.pruned_subsets,
+        s.bound_evals,
+        s.sharp_bound_evals,
+        s.cheap_bound_skips,
+    ]
+}
+
+/// One path, one set of keys: on a *shared* model, Algorithm C under a
+/// point at `m` run after LSC at `m` finds every join and sort expectation
+/// already memoized.  Its only formula evaluations are the access costs,
+/// which are never cached, and it hits wherever the first run hit or
+/// evaluated.
+#[test]
+fn a_point_search_and_a_one_bucket_expectation_share_their_keys() {
+    for (cat, q) in [
+        lec_core::fixtures::three_chain(),
+        lec_core::fixtures::scaling_chain(6),
+        lec_core::fixtures::pruning_star(6),
+    ] {
+        let m = 400.0;
         let model = CostModel::new(&cat, &q);
+        let access_evals: u64 = (0..q.n_tables())
+            .map(|i| model.access_paths(i).len() as u64)
+            .sum();
         let lsc = run(&model, &Distribution::point(m), Mode::LscAt(m)).unwrap();
         let lec = run(&model, &Distribution::point(m), Mode::AlgorithmC).unwrap();
-        prop_assert!((lsc.cost - lec.cost).abs() / lsc.cost.max(1.0) < 1e-9);
+        assert!(lsc.stats.evals > access_evals, "the first run prices joins");
+        assert_eq!(
+            lec.stats.evals, access_evals,
+            "no join or sort formula ran twice"
+        );
+        assert_eq!(
+            lec.stats.cache_hits,
+            lsc.stats.cache_hits + (lsc.stats.evals - access_evals)
+        );
+        assert_eq!(lsc.plan, lec.plan);
+        assert_eq!(lsc.cost.to_bits(), lec.cost.to_bits());
     }
 }

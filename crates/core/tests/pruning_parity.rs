@@ -5,7 +5,8 @@
 
 use lec_core::search::{PhaseCoster, PlanShape, SearchConfig};
 use lec_core::{
-    exhaustive_best, optimize, AlgDConfig, Mode, Objective, OptError, PointEstimate, SearchOutcome,
+    exhaustive_best, optimize, AlgDConfig, MemoryCoster, Mode, OptError, PointEstimate,
+    SearchOutcome,
 };
 use lec_cost::CostModel;
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
@@ -74,7 +75,7 @@ proptest! {
             ("alg_c_dyn", Box::new(move |m, c| optimize(m, &memory4, &Mode::AlgorithmCDynamic { chain: chain.clone() }, c))),
             ("alg_d", Box::new(move |m, c| optimize(m, &memory5, &Mode::AlgorithmD { config: AlgDConfig::default() }, c))),
             ("bushy", Box::new(move |m, c| optimize(m, &memory6, &Mode::Bushy, c))),
-            ("exhaustive", Box::new(move |m, c| exhaustive_best(m, &Objective::Expected(&memory), PlanShape::LeftDeep, c))),
+            ("exhaustive", Box::new(move |m, c| exhaustive_best(m, MemoryCoster::fixed(&memory), PlanShape::LeftDeep, c))),
         ];
 
         for (name, run) in &runners {
@@ -103,14 +104,14 @@ proptest! {
         spread in 0.1f64..0.9,
         b in 2usize..6,
     ) {
-        use lec_core::search::{PlanShape, PruneState, StaticExpectationCoster};
+        use lec_core::search::{PlanShape, PruneState};
         use lec_cost::formulas::MIN_PAGES;
         use lec_plan::TableSet;
 
         let (cat, q) = workload(seed, n);
         let memory = presets::spread_family(center, spread, b).unwrap();
         let model = CostModel::new(&cat, &q);
-        let bound = StaticExpectationCoster::new(&memory)
+        let bound = MemoryCoster::fixed(&memory)
             .pruning_bound()
             .expect("alg_c is prune-eligible");
         let ps = PruneState::new(&model, PlanShape::LeftDeep, bound, vec![0.0; n]);
@@ -154,9 +155,7 @@ proptest! {
         spread in 0.1f64..0.9,
         b in 2usize..6,
     ) {
-        use lec_core::search::{
-            DynamicExpectationCoster, PointCoster, PruneState, StaticExpectationCoster,
-        };
+        use lec_core::search::PruneState;
         let (cat, q) = workload(seed, n);
         let memory = presets::spread_family(center, spread, b).unwrap();
         let chain = MarkovChain::birth_death(memory.support().to_vec(), 0.3, 0.1).unwrap();
@@ -170,17 +169,17 @@ proptest! {
         let cases: Vec<Case> = vec![
             (
                 "lsc",
-                PointCoster { memory: memory.mean() }.pruning_bound(),
+                MemoryCoster::point(memory.mean()).pruning_bound(),
                 optimize(&model, &memory, &Mode::Lsc(PointEstimate::Mean), &SearchConfig::default()).unwrap(),
             ),
             (
                 "alg_c",
-                StaticExpectationCoster::new(&memory).pruning_bound(),
+                MemoryCoster::fixed(&memory).pruning_bound(),
                 optimize(&model, &memory, &Mode::AlgorithmC, &SearchConfig::default()).unwrap(),
             ),
             (
                 "alg_c_dyn",
-                DynamicExpectationCoster::new(&memory, &chain, n).unwrap().pruning_bound(),
+                MemoryCoster::evolving(&memory, &chain, n).unwrap().pruning_bound(),
                 optimize(&model, &memory, &Mode::AlgorithmCDynamic { chain: chain.clone() }, &SearchConfig::default()).unwrap(),
             ),
         ];

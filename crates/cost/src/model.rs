@@ -19,135 +19,95 @@ pub enum AccessPath {
     IndexScan,
 }
 
-/// Operator discriminant for [`EvalKey`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Operator discriminant for [`EvalKey`].  Every memoized evaluation is an
+/// expectation over a memory distribution; the operators differ in whether
+/// the operand sizes are scalars or distributions too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EvalOp {
-    /// Point join cost of one method.
-    Join(JoinMethod),
-    /// Point sort cost.
-    Sort,
     /// Expected join cost of point-sized inputs over a memory
-    /// distribution (Algorithms B/C): one cache entry stands for a whole
-    /// `b`-bucket expectation.
-    ExpectedJoinOver(JoinMethod),
+    /// distribution (LSC and Algorithms A/B at one bucket, Algorithm C at
+    /// `b`): one cache entry stands for a whole `b`-bucket expectation.
+    ScalarJoin(JoinMethod),
     /// Expected sort cost of a point-sized input over a memory
     /// distribution.
-    ExpectedSortOver,
+    ScalarSort,
     /// Expected join cost over size + memory distributions (Algorithm D).
-    ExpectedJoin(JoinMethod),
+    DistJoin(JoinMethod),
     /// Expected sort cost over size + memory distributions.
-    ExpectedSort,
+    DistSort,
 }
 
-impl EvalOp {
-    /// Whether this operator lives in the *expectation* tier of the cache
-    /// (see [`ShardedEvalCache`] for why the two tiers keep separate shard
-    /// arrays).
-    fn is_expectation(self) -> bool {
-        !matches!(self, EvalOp::Join(_) | EvalOp::Sort)
-    }
+/// One step of FxHash — the rustc-style multiply-rotate mix.  [`EvalKey`]
+/// lookups sit on the engine's innermost loop, where the default SipHash
+/// costs more than the cost formulas it would be saving.
+#[inline]
+fn fx_mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x517CC1B727220A95)
 }
 
-/// FxHash — the rustc-style multiply-rotate hasher.  [`EvalKey`] lookups
-/// sit on the engine's innermost loop, where the default SipHash costs
-/// more than the cost formulas it would be saving.
+/// The hasher of [`EvalMap`]: an [`EvalKey`] hashes itself once, when it is
+/// built, and hands the result through here, so picking the shard, probing
+/// the map and inserting on a miss share a single hash pass.
 #[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
+struct Prehashed(u64);
 
-impl std::hash::Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
+impl Hasher for Prehashed {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("an EvalKey writes its one precomputed u64");
     }
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
     }
     fn finish(&self) -> u64 {
-        self.hash
+        self.0
     }
 }
 
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ v).wrapping_mul(0x517CC1B727220A95);
-    }
-}
+type EvalMap = HashMap<EvalKey, f64, std::hash::BuildHasherDefault<Prehashed>>;
 
-type EvalMap = HashMap<EvalKey, f64, std::hash::BuildHasherDefault<FxHasher>>;
-
-/// Number of shards per cache tier.  Power of two.
+/// Number of cache shards.  Power of two.
 const EVAL_SHARDS: usize = 32;
 
-/// The evaluation cache: two arrays of small map shards, selected by the
+/// The evaluation cache: an array of small map shards, selected by the
 /// FxHash of the [`EvalKey`].
 ///
 /// One thread owns a model, so the shards are plain `RefCell`s and no
-/// borrow outlives a probe or an insert.  The cache is 64 small maps
+/// borrow outlives a probe or an insert.  The cache is 32 small maps
 /// rather than one table because of memory, not contention: a single map
 /// holding a search's several thousand entries pays hashbrown's
 /// old-plus-new resize transient on one large allocation, which measured
 /// +6% `peak_rss_mb` on the ledger's `cold_mix` workload (bound 5%);
-/// small shards resize a few hundred entries at a time.  Point and
-/// expectation keys live in separate tiers: the point tier serves the
-/// classical point-coster's per-candidate probes, the expectation tier
-/// the whole `b`-bucket expectations of Algorithms C/D.  An expectation
-/// miss evaluates its buckets through the raw formulas rather than the
-/// point tier — per-bucket values of a `b`-bucket expectation are never
-/// probed individually again, so memoizing them one by one was pure write
-/// traffic (it grew the cache by `b` inserts per miss and dominated
-/// dense-search wall time), and computing them directly charges the same
-/// `b` formula evaluations.
+/// small shards resize a few hundred entries at a time.  Every entry is a
+/// whole expectation — one bucket for the point modes, `b` for Algorithms
+/// C/D.  A miss evaluates its buckets through the raw formulas: per-bucket
+/// values of a `b`-bucket expectation are never probed individually
+/// again, so memoizing them one by one would be pure write traffic (`b`
+/// inserts per miss), and computing them directly charges the same `b`
+/// formula evaluations.
 #[derive(Default)]
 struct ShardedEvalCache {
-    point: [RefCell<EvalMap>; EVAL_SHARDS],
-    expectation: [RefCell<EvalMap>; EVAL_SHARDS],
+    shards: [RefCell<EvalMap>; EVAL_SHARDS],
 }
 
 impl ShardedEvalCache {
     /// The shard responsible for `key`.
     fn shard(&self, key: &EvalKey) -> &RefCell<EvalMap> {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
         // The final multiply pushes entropy to the high bits; index there.
-        let idx = (h.finish() >> (64 - EVAL_SHARDS.trailing_zeros())) as usize;
-        let tier = if key.op.is_expectation() {
-            &self.expectation
-        } else {
-            &self.point
-        };
-        &tier[idx]
-    }
-
-    fn shards(&self) -> impl Iterator<Item = &RefCell<EvalMap>> {
-        self.point.iter().chain(self.expectation.iter())
+        &self.shards[(key.hash >> (64 - EVAL_SHARDS.trailing_zeros())) as usize]
     }
 }
 
 impl std::fmt::Debug for ShardedEvalCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEvalCache")
-            .field("shards", &(2 * EVAL_SHARDS))
+            .field("shards", &EVAL_SHARDS)
             .finish()
     }
 }
 
 /// Memoization key for one memory-dependent operator evaluation: the
-/// operator, the memory ingredient (bucket value or distribution
-/// fingerprint), and the exact operand sizes (point pages or distribution
-/// fingerprints).
+/// operator, the memory distribution's fingerprint, and the exact operand
+/// sizes (point pages or distribution fingerprints).
 ///
 /// The key is exactly the tuple the cost formulas read — and nothing
 /// more.  Every compute behind [`CostModel::cached`] is a pure function
@@ -161,12 +121,51 @@ impl std::fmt::Debug for ShardedEvalCache {
 /// `join_output_pages` can make entries of the same subset built through
 /// different splits carry different sizes, so sizes — not sets — are
 /// what keeps the cache exact rather than approximate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EvalKey {
+    /// FxHash of the four fields below, computed by [`EvalKey::new`].
+    hash: u64,
     op: EvalOp,
     mem: u64,
     outer: u64,
     inner: u64,
+}
+
+impl EvalKey {
+    /// Build a key, hashing it once: FxHash over the operator tag, the
+    /// join method if the operator has one, then `mem`, `outer`, `inner`.
+    ///
+    /// The operator tags start at 2: they are the words `derive(Hash)` fed
+    /// the hasher while two point operators (tags 0 and 1) preceded these
+    /// four.  The tag is the first word mixed in, so it decides which
+    /// shard and which bucket every key lands in; renumbering the
+    /// survivors 0..3 measured −8% `large_joins` throughput on the ledger
+    /// (slower in 9 of 10 pairs) with nothing else changed
+    /// (`eval_key_hashes_are_pinned` holds the values).
+    fn new(op: EvalOp, mem: u64, outer: u64, inner: u64) -> Self {
+        let mut hash = match op {
+            EvalOp::ScalarJoin(m) => fx_mix(fx_mix(0, 2), m as u64),
+            EvalOp::ScalarSort => fx_mix(0, 3),
+            EvalOp::DistJoin(m) => fx_mix(fx_mix(0, 4), m as u64),
+            EvalOp::DistSort => fx_mix(0, 5),
+        };
+        for word in [mem, outer, inner] {
+            hash = fx_mix(hash, word);
+        }
+        EvalKey {
+            hash,
+            op,
+            mem,
+            outer,
+            inner,
+        }
+    }
+}
+
+impl Hash for EvalKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 /// An incremental 64-bit FNV-1a fingerprint over exact bit patterns: the
@@ -308,14 +307,15 @@ pub fn table_stats_fingerprint(stats: &lec_catalog::TableStats) -> u64 {
 /// unit in which the paper states its overheads ("this computation requires
 /// b evaluations of the cost formula", §3.4).
 ///
-/// The `*_for` methods additionally memoize evaluations in a cache keyed by
-/// `(operator, memory bucket, operand sizes)`, so the repeated
-/// per-bucket evaluations the DP algorithms perform across entry pairs and
-/// DP levels are computed once; cache hits do not increment the evaluation
-/// counter (they perform no formula work), which is exactly the reduction
-/// [`CostModel::evals`] is meant to expose.  The cache is on by default and
-/// can be disabled with [`CostModel::set_eval_cache`] for apples-to-apples
-/// overhead measurements.
+/// The `expected_*_over` and `expected_*_for` methods additionally memoize
+/// whole expectations in a cache keyed by `(operator, memory distribution,
+/// operand sizes)` — a point memory value is a one-bucket distribution —
+/// so the repeated evaluations the DP algorithms perform across entry
+/// pairs and DP levels are computed once; cache hits do not increment the
+/// evaluation counter (they perform no formula work), which is exactly the
+/// reduction [`CostModel::evals`] is meant to expose.  The cache is on by
+/// default and can be disabled with [`CostModel::set_eval_cache`] for
+/// apples-to-apples overhead measurements.
 ///
 /// # Thread safety
 ///
@@ -325,7 +325,7 @@ pub fn table_stats_fingerprint(stats: &lec_catalog::TableStats) -> u64 {
 /// `Cell`s, which makes the type `!Sync`.  No borrow of a shard is held
 /// across the compute of a miss, so a compute that panics leaves the map
 /// without the entry and the model usable.  [`ShardedEvalCache`] says why
-/// the cache is still 64 small maps.
+/// the cache is still 32 small maps.
 #[derive(Debug)]
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
@@ -344,9 +344,9 @@ pub struct CostModel<'a> {
     eval_cache: ShardedEvalCache,
     cache_enabled: Cell<bool>,
     cache_hits: Cell<u64>,
-    /// When installed, expectation-tier cache misses time their compute
-    /// into `telemetry.eval_compute_ns`.  `None` (the default) keeps the
-    /// hot path a single branch.
+    /// When installed, cache misses time their compute into
+    /// `telemetry.eval_compute_ns`.  `None` (the default) keeps the hot
+    /// path a single branch.
     telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
 }
 
@@ -421,9 +421,10 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Install (or remove) engine telemetry: expectation-tier cache-miss
-    /// computes are timed into its `eval_compute_ns` histogram.  Purely
-    /// observational — costs, counters, and results are unaffected.
+    /// Install (or remove) engine telemetry: cache-miss computes — LSC's
+    /// one-bucket expectations included — are timed into its
+    /// `eval_compute_ns` histogram.  Purely observational — costs,
+    /// counters, and results are unaffected.
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>) {
         self.telemetry = telemetry;
     }
@@ -473,13 +474,13 @@ impl<'a> CostModel<'a> {
 
     // ---- evaluation cache -----------------------------------------------
 
-    /// Enable or disable the memoized evaluation cache used by the `*_for`
-    /// methods.  Toggling (in either direction) clears every shard of the
+    /// Enable or disable the memoized evaluation cache used by the
+    /// `expected_*` methods.  Toggling (in either direction) clears every shard of the
     /// cache **and resets the hit counter**, so measurements taken after a
     /// toggle never mix cached and uncached regimes.
     pub fn set_eval_cache(&self, enabled: bool) {
         self.cache_enabled.set(enabled);
-        for shard in self.eval_cache.shards() {
+        for shard in &self.eval_cache.shards {
             shard.borrow_mut().clear();
         }
         self.cache_hits.set(0);
@@ -497,7 +498,11 @@ impl<'a> CostModel<'a> {
 
     /// Number of distinct evaluations currently memoized.
     pub fn eval_cache_len(&self) -> usize {
-        self.eval_cache.shards().map(|s| s.borrow().len()).sum()
+        self.eval_cache
+            .shards
+            .iter()
+            .map(|s| s.borrow().len())
+            .sum()
     }
 
     fn cached(&self, key: EvalKey, compute: impl FnOnce() -> f64) -> f64 {
@@ -511,49 +516,26 @@ impl<'a> CostModel<'a> {
             return v;
         }
         let v = match &self.telemetry {
-            Some(t) if key.op.is_expectation() => {
+            Some(t) => {
                 let t0 = std::time::Instant::now();
                 let v = compute();
                 t.eval_compute_ns.record_duration(t0.elapsed());
                 v
             }
-            _ => compute(),
+            None => compute(),
         };
         shard.borrow_mut().insert(key, v);
         v
     }
 
-    /// [`CostModel::join_cost`] memoized under `(method, m, sizes)` — the
-    /// per-bucket evaluation unit of Algorithms B/C (see [`EvalKey`]).
-    pub fn join_cost_for(&self, method: JoinMethod, outer: f64, inner: f64, m: f64) -> f64 {
-        let key = EvalKey {
-            op: EvalOp::Join(method),
-            mem: m.to_bits(),
-            outer: outer.to_bits(),
-            inner: inner.to_bits(),
-        };
-        self.cached(key, || self.join_cost(method, outer, inner, m))
-    }
-
-    /// [`CostModel::sort_cost`] memoized under `(m, pages)`.
-    pub fn sort_cost_for(&self, pages: f64, m: f64) -> f64 {
-        let key = EvalKey {
-            op: EvalOp::Sort,
-            mem: m.to_bits(),
-            outer: pages.to_bits(),
-            inner: 0,
-        };
-        self.cached(key, || self.sort_cost(pages, m))
-    }
-
     /// Expected join cost of *point-sized* inputs over a memory
-    /// distribution — the whole `b`-bucket expectation of Algorithms B/C
-    /// as one cache entry.  `mem_fp` is the distribution's
-    /// [`dist_fingerprint`], precomputed by the caller so the hot path
-    /// never rehashes the distribution.  On a miss the per-bucket
-    /// evaluations compute through the raw formulas (each one counted, per
-    /// §3.4's "b evaluations of the cost formula") without touching the
-    /// point tier — see [`ShardedEvalCache`].
+    /// distribution — the whole `b`-bucket expectation of Algorithm C, or
+    /// the one-bucket one of a point mode, as one cache entry.  `mem_fp`
+    /// is the distribution's [`dist_fingerprint`], precomputed by the
+    /// caller so the hot path never rehashes the distribution.  On a miss
+    /// the per-bucket evaluations compute through the raw formulas (each
+    /// one counted, per §3.4's "b evaluations of the cost formula") — see
+    /// [`ShardedEvalCache`].
     pub fn expected_join_cost_over(
         &self,
         method: JoinMethod,
@@ -562,12 +544,12 @@ impl<'a> CostModel<'a> {
         memory: &Distribution,
         mem_fp: u64,
     ) -> f64 {
-        let key = EvalKey {
-            op: EvalOp::ExpectedJoinOver(method),
-            mem: mem_fp,
-            outer: outer.to_bits(),
-            inner: inner.to_bits(),
-        };
+        let key = EvalKey::new(
+            EvalOp::ScalarJoin(method),
+            mem_fp,
+            outer.to_bits(),
+            inner.to_bits(),
+        );
         self.cached(key, || {
             memory.expect(|m| self.join_cost(method, outer, inner, m))
         })
@@ -576,12 +558,7 @@ impl<'a> CostModel<'a> {
     /// Expected sort cost of a point-sized input over a memory
     /// distribution, memoized like [`CostModel::expected_join_cost_over`].
     pub fn expected_sort_cost_over(&self, pages: f64, memory: &Distribution, mem_fp: u64) -> f64 {
-        let key = EvalKey {
-            op: EvalOp::ExpectedSortOver,
-            mem: mem_fp,
-            outer: pages.to_bits(),
-            inner: 0,
-        };
+        let key = EvalKey::new(EvalOp::ScalarSort, mem_fp, pages.to_bits(), 0);
         self.cached(key, || memory.expect(|m| self.sort_cost(pages, m)))
     }
 
@@ -603,12 +580,12 @@ impl<'a> CostModel<'a> {
         m_fp: u64,
         m_tables: &PrefixTables,
     ) -> f64 {
-        let key = EvalKey {
-            op: EvalOp::ExpectedJoin(method),
-            mem: m_fp,
-            outer: dist_fingerprint(a_dist),
-            inner: dist_fingerprint(b_dist),
-        };
+        let key = EvalKey::new(
+            EvalOp::DistJoin(method),
+            m_fp,
+            dist_fingerprint(a_dist),
+            dist_fingerprint(b_dist),
+        );
         self.cached(key, || {
             let evals = match method {
                 JoinMethod::BlockNestedLoop => {
@@ -629,12 +606,7 @@ impl<'a> CostModel<'a> {
         m_fp: u64,
         m_tables: &PrefixTables,
     ) -> f64 {
-        let key = EvalKey {
-            op: EvalOp::ExpectedSort,
-            mem: m_fp,
-            outer: dist_fingerprint(r_dist),
-            inner: 0,
-        };
+        let key = EvalKey::new(EvalOp::DistSort, m_fp, dist_fingerprint(r_dist), 0);
         self.cached(key, || {
             self.count_evals(r_dist.len() as u64);
             crate::expected::expected_sort_cost(r_dist, m_tables)
@@ -941,23 +913,39 @@ mod tests {
         );
     }
 
+    /// A point memory value as the search prices it: a one-bucket
+    /// distribution and its fingerprint.
+    fn point(m: f64) -> (Distribution, u64) {
+        let d = Distribution::point(m);
+        let fp = dist_fingerprint(&d);
+        (d, fp)
+    }
+
     #[test]
     fn eval_cache_hits_skip_the_counter() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let first = m.join_cost_for(JoinMethod::SortMerge, 100.0, 200.0, 50.0);
+        let (at50, fp50) = point(50.0);
+        let first = m.expected_join_cost_over(JoinMethod::SortMerge, 100.0, 200.0, &at50, fp50);
         assert_eq!(m.evals(), 1);
         assert_eq!(m.eval_cache_hits(), 0);
-        let again = m.join_cost_for(JoinMethod::SortMerge, 100.0, 200.0, 50.0);
+        assert_eq!(
+            first.to_bits(),
+            formulas::raw_join_cost(JoinMethod::SortMerge, 100.0, 200.0, 50.0).to_bits(),
+            "a one-bucket expectation is the formula's own bits"
+        );
+        let again = m.expected_join_cost_over(JoinMethod::SortMerge, 100.0, 200.0, &at50, fp50);
         assert_eq!(first, again);
         assert_eq!(m.evals(), 1, "hit must not re-evaluate");
         assert_eq!(m.eval_cache_hits(), 1);
-        // A different memory bucket is a different key.
-        m.join_cost_for(JoinMethod::SortMerge, 100.0, 200.0, 60.0);
+        // A different memory value is a different key.
+        let (at60, fp60) = point(60.0);
+        m.expected_join_cost_over(JoinMethod::SortMerge, 100.0, 200.0, &at60, fp60);
         assert_eq!(m.evals(), 2);
         // Sort shares the machinery.
-        m.sort_cost_for(100.0, 10.0);
-        m.sort_cost_for(100.0, 10.0);
+        let (at10, fp10) = point(10.0);
+        m.expected_sort_cost_over(100.0, &at10, fp10);
+        m.expected_sort_cost_over(100.0, &at10, fp10);
         assert_eq!(m.evals(), 3);
         assert_eq!(m.eval_cache_hits(), 2);
     }
@@ -966,11 +954,12 @@ mod tests {
     fn disabled_cache_matches_enabled_values() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let cached = m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
+        let (mem, fp) = point(300.0);
+        let cached = m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
         m.set_eval_cache(false);
         m.reset_evals();
-        let raw = m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
-        m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
+        let raw = m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
+        m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
         assert_eq!(cached, raw);
         assert_eq!(m.evals(), 2, "disabled cache evaluates every call");
         assert_eq!(m.eval_cache_hits(), 0);
@@ -980,8 +969,9 @@ mod tests {
     fn disabling_the_cache_resets_the_hit_counter() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
-        m.join_cost_for(JoinMethod::GraceHash, 1e4, 2e4, 300.0);
+        let (mem, fp) = point(300.0);
+        m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
+        m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
         assert_eq!(m.eval_cache_hits(), 1);
         assert!(m.eval_cache_len() > 0);
         m.set_eval_cache(false);
@@ -997,11 +987,13 @@ mod tests {
     fn a_panicking_compute_leaves_no_entry_and_no_borrow() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let key = || EvalKey {
-            op: EvalOp::Join(JoinMethod::SortMerge),
-            mem: 50f64.to_bits(),
-            outer: 100f64.to_bits(),
-            inner: 200f64.to_bits(),
+        let key = || {
+            EvalKey::new(
+                EvalOp::ScalarJoin(JoinMethod::SortMerge),
+                point(50.0).1,
+                100f64.to_bits(),
+                200f64.to_bits(),
+            )
         };
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             m.cached(key(), || panic!("the formula blew up"))
@@ -1013,6 +1005,22 @@ mod tests {
         assert_eq!(m.cached(key(), || 7.0), 7.0);
         assert_eq!(m.cached(key(), || unreachable!("memoized")), 7.0);
         assert_eq!(m.eval_cache_hits(), 1);
+    }
+
+    /// The hash decides shard and bucket, and both are tuned against: a
+    /// change that moves these values is a performance change.
+    #[test]
+    fn eval_key_hashes_are_pinned() {
+        use JoinMethod::{BlockNestedLoop, GraceHash, SortMerge};
+        for (op, hash) in [
+            (EvalOp::ScalarJoin(SortMerge), 0x5D100AC4532FB2AE_u64),
+            (EvalOp::ScalarJoin(BlockNestedLoop), 0xDE46DC31C41FDF68),
+            (EvalOp::ScalarSort, 0x63CD0158BA8BC12D),
+            (EvalOp::DistJoin(GraceHash), 0xDD1401E8210D59F3),
+            (EvalOp::DistSort, 0x25ABE29D9817E7CB),
+        ] {
+            assert_eq!(EvalKey::new(op, 1, 2, 3).hash, hash, "{op:?}");
+        }
     }
 
     #[test]

@@ -111,26 +111,6 @@ pub enum ServeError {
     DeadlineExceeded,
 }
 
-impl ServeError {
-    /// Stable lower-case label for logs, metrics, and wire error codes.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServeError::Opt(_) => "opt",
-            ServeError::Overloaded => "overloaded",
-            ServeError::DeadlineExceeded => "deadline_exceeded",
-        }
-    }
-
-    /// True for errors worth retrying blindly (with backoff): the request
-    /// was never searched, or its answer will be cached momentarily.
-    /// `Opt` errors — including [`OptError::WorkerPanicked`], which means
-    /// the leader's search genuinely died — are *not* transient: clients
-    /// must surface those, not hammer the server with them.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ServeError::Overloaded | ServeError::DeadlineExceeded)
-    }
-}
-
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -232,6 +232,54 @@ fn a_killed_leader_surfaces_worker_panicked_and_the_connection_survives() {
 }
 
 // ---------------------------------------------------------------------
+// A parameter the decoder lets through is the optimizer's to reject
+// ---------------------------------------------------------------------
+
+/// `decode_mode` reads `LscAt`'s memory value as raw `f64` bits.  A
+/// non-finite one must come back as a typed, non-transient error frame —
+/// not as a search that panics building a point distribution — with
+/// nothing cached and the connection still serving.
+#[test]
+fn a_non_finite_lsc_memory_is_an_error_frame_and_the_daemon_keeps_serving() {
+    let (catalog, queries) = fixture();
+    let ((), _report) = with_daemon(
+        &catalog,
+        DaemonConfig::default(),
+        FaultPlan::new(),
+        |listener, daemon| {
+            let mut client = Client::new(Box::new(listener.connect()), 1);
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            for (i, m) in bad.into_iter().enumerate() {
+                match client.optimize_once(i as u64, &Mode::LscAt(m), &queries[0]) {
+                    Err(ClientError::Server(e)) => {
+                        assert_eq!(e.code, ErrorCode::Opt, "LscAt({m})");
+                        assert!(!e.code.is_transient());
+                    }
+                    other => panic!("LscAt({m}): expected an Opt error, got {other:?}"),
+                }
+            }
+            let cached = || daemon.metrics_json()["service"]["cache_entries"].as_f64();
+            assert_eq!(cached(), Some(0.0), "a rejected request caches nothing");
+            let resp = client
+                .optimize_once(3, &Mode::LscAt(500.0), &queries[0])
+                .expect("the same connection serves the next request");
+            assert!(resp.cost.is_finite());
+            assert_eq!(cached(), Some(1.0));
+
+            let m = daemon.metrics();
+            assert_eq!(m.requests_err(), bad.len() as u64);
+            assert_eq!(m.requests_ok(), 1);
+            assert_eq!(m.malformed_frames(), 0);
+            assert_eq!(
+                daemon.gate().depth(),
+                0,
+                "every rejection released its slot"
+            );
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
 // Overload: cold requests shed fast, warm hits keep serving
 // ---------------------------------------------------------------------
 

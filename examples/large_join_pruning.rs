@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use lec_core::fixtures::{pruning_chain, pruning_clique, pruning_star};
-use lec_core::{exhaustive_best, optimize, Mode, Objective, PlanShape, SearchConfig};
+use lec_core::{exhaustive_best, optimize, MemoryCoster, Mode, PlanShape, SearchConfig};
 use lec_cost::CostModel;
 use lec_telemetry::EngineTelemetry;
 
@@ -41,7 +41,7 @@ fn main() {
     let model = CostModel::new(&cat, &q);
     let refused = exhaustive_best(
         &model,
-        &Objective::Expected(&memory),
+        MemoryCoster::fixed(&memory),
         PlanShape::LeftDeep,
         &SearchConfig::default(),
     );
@@ -59,7 +59,7 @@ fn main() {
 
     let verified = exhaustive_best(
         &model,
-        &Objective::Expected(&memory),
+        MemoryCoster::fixed(&memory),
         PlanShape::LeftDeep,
         &pruned,
     )

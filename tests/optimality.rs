@@ -3,7 +3,7 @@
 
 use lec_qopt::catalog::{CatalogGenerator, CatalogProfile};
 use lec_qopt::core::{
-    exhaustive_best, optimize, Mode, Objective, OptError, PlanShape, SearchConfig, SearchOutcome,
+    exhaustive_best, optimize, MemoryCoster, Mode, OptError, PlanShape, SearchConfig, SearchOutcome,
 };
 use lec_qopt::cost::CostModel;
 use lec_qopt::plan::{Query, QueryProfile, Topology, WorkloadGenerator};
@@ -22,10 +22,10 @@ fn run(
 /// The keep-all reference oracle under the default [`SearchConfig`].
 fn oracle(
     model: &CostModel<'_>,
-    objective: &Objective<'_>,
+    coster: MemoryCoster,
     shape: PlanShape,
 ) -> Result<SearchOutcome, OptError> {
-    exhaustive_best(model, objective, shape, &SearchConfig::default())
+    exhaustive_best(model, coster, shape, &SearchConfig::default())
 }
 
 fn random_workload(seed: u64, n: usize, topology: Topology) -> (lec_qopt::catalog::Catalog, Query) {
@@ -72,7 +72,7 @@ proptest! {
         let (cat, q) = random_workload(seed, n, topology);
         let model = CostModel::new(&cat, &q);
         let dp = run(&model, &Distribution::point(mem), Mode::LscAt(mem)).unwrap();
-        let ex = oracle(&model, &Objective::Point(mem), PlanShape::LeftDeep).unwrap();
+        let ex = oracle(&model, MemoryCoster::point(mem), PlanShape::LeftDeep).unwrap();
         prop_assert!(
             (dp.cost - ex.cost).abs() / ex.cost.max(1.0) < 1e-9,
             "dp {} vs exhaustive {}", dp.cost, ex.cost
@@ -93,7 +93,7 @@ proptest! {
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, spread, buckets).unwrap();
         let dp = run(&model, &memory, Mode::AlgorithmC).unwrap();
-        let ex = oracle(&model, &Objective::Expected(&memory), PlanShape::LeftDeep).unwrap();
+        let ex = oracle(&model, MemoryCoster::fixed(&memory), PlanShape::LeftDeep).unwrap();
         prop_assert!(
             (dp.cost - ex.cost).abs() / ex.cost.max(1.0) < 1e-9,
             "dp {} vs exhaustive {}", dp.cost, ex.cost
@@ -114,7 +114,7 @@ proptest! {
         let chain = MarkovChain::birth_death(states, p_down, p_up).unwrap();
         let initial = Distribution::bimodal(240.0, 3840.0, 0.5).unwrap();
         let dp = run(&model, &initial, Mode::AlgorithmCDynamic { chain: chain.clone() }).unwrap();
-        let ex = oracle(&model, &Objective::Dynamic { initial: &initial, chain: &chain }, PlanShape::LeftDeep)
+        let ex = oracle(&model, MemoryCoster::evolving(&initial, &chain, n).unwrap(), PlanShape::LeftDeep)
         .unwrap();
         prop_assert!(
             (dp.cost - ex.cost).abs() / ex.cost.max(1.0) < 1e-9,

@@ -9,16 +9,17 @@
 //!    byte-identical (plan, cost bits, table numbering) to a fresh
 //!    `Optimizer::optimize` of the same request; the run *fails*
 //!    otherwise.
-//! 2. **Regression guards**: on hosts with >= `GUARD_CORES` cores, the
-//!    warm batched Unix-socket throughput must stay within
-//!    `MAX_WIRE_SLOWDOWN`x of in-process throughput (the wire tax must
-//!    not swamp the ~microsecond hit path), and the overload pass must
-//!    shed every cold request in a fraction of the time the backlog is
-//!    actually held (refusal is immediate, not queued).  Single-core
-//!    hosts record the numbers but skip the wall-time ratio —
-//!    scheduling noise dominates there.  The *behavioral* overload
-//!    assertions (sheds happen, warm hits keep serving, nothing hangs)
-//!    are enforced everywhere.
+//! 2. **Regression guards**, on every host: the wire may add at most
+//!    `RECORDED_WIRE_NS * (1 + WIRE_NS_MARGIN)` nanoseconds to a warm
+//!    batched request over serving it in-process (`1e9 / wire qps − 1e9 /
+//!    in-process qps`, each side at its best of `WARM_PASSES` passes), and
+//!    the overload pass must shed every cold request in a fraction of the
+//!    time the backlog is actually held (refusal is immediate, not
+//!    queued).  The tax is a difference, not a ratio: a faster hit path
+//!    raises `in-process / wire` without the wire costing a nanosecond
+//!    more, and a guard must not punish that.  The *behavioral* overload
+//!    assertions (sheds happen, warm hits keep serving, nothing hangs) sit
+//!    beside them.
 //! 3. **Record**: throughputs, the wire tax, and the overload counters
 //!    land in `BENCH_daemon_serve.json` at the workspace root.
 
@@ -38,15 +39,30 @@ use std::time::{Duration, Instant};
 const STREAM_LEN: usize = 400;
 const POOL_SIZE: usize = 24;
 const BATCH: usize = 32;
-/// Minimum host cores before the wall-time guards are enforced.
-const GUARD_CORES: usize = 4;
-/// Warm wire throughput may cost at most this factor vs in-process.
-const MAX_WIRE_SLOWDOWN: f64 = 2.0;
+/// Warm passes timed on each side; the fastest one is the side's number.
+const WARM_PASSES: usize = 20;
+/// What the wire added to a warm batched request, in nanoseconds, when
+/// this guard was recorded on the 2-vCPU builder host: the median of
+/// forty runs.
+const RECORDED_WIRE_NS: f64 = 3100.0;
+/// The cap is `RECORDED_WIRE_NS * (1 + WIRE_NS_MARGIN)`.  The margin is
+/// this wide because of the host, not the program: two runs in three read
+/// 2,484–4,010, and the third, for minutes at a time and with in-process
+/// throughput unmoved, 4,451–7,572 — a cross-vCPU wake-up per batch, when
+/// a neighbour has the other vCPU.
+const WIRE_NS_MARGIN: f64 = 2.0;
 
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+/// `actual <= expected * (1 + margin)`, saying both numbers when not (the
+/// upper half of lantern's `is_within_error`: costing less is no failure).
+fn is_within_cap(actual: f64, expected: f64, margin: f64) -> bool {
+    let within = actual <= expected * (1.0 + margin);
+    if !within {
+        eprintln!(
+            "Expected: {expected:.0} +/- {:.0} %, Actual: {actual:.0}",
+            margin * 100.0
+        );
+    }
+    within
 }
 
 fn random_perm(rng: &mut StdRng, n: usize) -> Vec<usize> {
@@ -140,7 +156,7 @@ fn bench_daemon_serve(c: &mut Criterion) {
         .map(|q| fresh_opt.optimize(q, &mode).expect("fresh optimize"))
         .collect();
 
-    // In-process baseline: warm the server, then time one warm pass.
+    // In-process baseline: warm the server, then time the warm passes.
     let inproc = ConcurrentPlanServer::new(&catalog, memory.clone());
     for (i, q) in stream.iter().enumerate() {
         assert_identical(
@@ -150,16 +166,19 @@ fn bench_daemon_serve(c: &mut Criterion) {
             "inproc-cold",
         );
     }
-    let t0 = Instant::now();
-    for (i, q) in stream.iter().enumerate() {
-        assert_identical(
-            &inproc.serve(q, &mode).unwrap(),
-            &fresh[i],
-            i,
-            "inproc-warm",
-        );
+    let mut inproc_qps = 0f64;
+    for _ in 0..WARM_PASSES {
+        let t0 = Instant::now();
+        for (i, q) in stream.iter().enumerate() {
+            assert_identical(
+                &inproc.serve(q, &mode).unwrap(),
+                &fresh[i],
+                i,
+                "inproc-warm",
+            );
+        }
+        inproc_qps = inproc_qps.max(STREAM_LEN as f64 / t0.elapsed().as_secs_f64());
     }
-    let inproc_qps = STREAM_LEN as f64 / t0.elapsed().as_secs_f64();
 
     // ------------------------------------------------------------------
     // The daemon over a real Unix-domain socket.
@@ -192,19 +211,22 @@ fn bench_daemon_serve(c: &mut Criterion) {
             .enumerate()
             .map(|(i, q)| (i as u64, mode.clone(), q.clone()))
             .collect();
-        let t0 = Instant::now();
-        for batch in requests.chunks(BATCH) {
-            for (k, resp) in client
-                .optimize_batch(batch)
-                .expect("warm batch")
-                .into_iter()
-                .enumerate()
-            {
-                let i = batch[k].0 as usize;
-                assert_identical(&resp.expect("warm serve"), &fresh[i], i, "wire-warm");
+        let mut warm_wire_qps = 0f64;
+        for _ in 0..WARM_PASSES {
+            let t0 = Instant::now();
+            for batch in requests.chunks(BATCH) {
+                for (k, resp) in client
+                    .optimize_batch(batch)
+                    .expect("warm batch")
+                    .into_iter()
+                    .enumerate()
+                {
+                    let i = batch[k].0 as usize;
+                    assert_identical(&resp.expect("warm serve"), &fresh[i], i, "wire-warm");
+                }
             }
+            warm_wire_qps = warm_wire_qps.max(STREAM_LEN as f64 / t0.elapsed().as_secs_f64());
         }
-        let warm_wire_qps = STREAM_LEN as f64 / t0.elapsed().as_secs_f64();
 
         let mut ctl = Client::new(connect(), 0xD1A1);
         ctl.drain().expect("drain");
@@ -309,31 +331,21 @@ fn bench_daemon_serve(c: &mut Criterion) {
         "every cold probe was shed"
     );
 
-    let host_cores = cores();
-    let guard_enforced = host_cores >= GUARD_CORES;
-    let wire_tax = inproc_qps / warm_wire_qps;
-    if guard_enforced {
-        assert!(
-            wire_tax <= MAX_WIRE_SLOWDOWN,
-            "wire tax regression: warm batched socket throughput {warm_wire_qps:.0} req/s is \
-             {wire_tax:.2}x slower than in-process {inproc_qps:.0} req/s (cap {MAX_WIRE_SLOWDOWN}x)"
-        );
-        assert!(
-            max_refusal < hold / 4,
-            "overload refusals must be immediate: slowest took {max_refusal:?} \
-             against a {hold:?} hold"
-        );
-        println!(
-            "daemon-serve guard  in-process {inproc_qps:.0} req/s, warm wire {warm_wire_qps:.0} \
-             req/s ({wire_tax:.2}x tax), slowest shed {max_refusal:?}"
-        );
-    } else {
-        println!(
-            "daemon-serve guard  in-process {inproc_qps:.0} req/s, warm wire {warm_wire_qps:.0} \
-             req/s ({wire_tax:.2}x tax), slowest shed {max_refusal:?} — host has {host_cores} \
-             core(s), wall-time guards skipped (byte-identity and shed behavior still enforced)"
-        );
-    }
+    let wire_added_ns = 1e9 / warm_wire_qps - 1e9 / inproc_qps;
+    assert!(
+        is_within_cap(wire_added_ns, RECORDED_WIRE_NS, WIRE_NS_MARGIN),
+        "wire tax regression: a warm batched request costs {wire_added_ns:.0} ns more over the \
+         socket ({warm_wire_qps:.0} req/s) than in process ({inproc_qps:.0} req/s)"
+    );
+    assert!(
+        max_refusal < hold / 4,
+        "overload refusals must be immediate: slowest took {max_refusal:?} \
+         against a {hold:?} hold"
+    );
+    println!(
+        "daemon-serve guard  in-process {inproc_qps:.0} req/s, warm wire {warm_wire_qps:.0} \
+         req/s (+{wire_added_ns:.0} ns per request), slowest shed {max_refusal:?}"
+    );
 
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -345,8 +357,8 @@ fn bench_daemon_serve(c: &mut Criterion) {
             "schema_version": lec_bench::BENCH_SCHEMA_VERSION,
             "host_cores": lec_bench::host_cores() as u64,
             "claim": "the daemon serves the skewed workload over a Unix socket with every \
-                      response byte-identical to fresh optimization; warm batched wire \
-                      throughput stays within the wire-tax cap of in-process serving; under \
+                      response byte-identical to fresh optimization; the wire adds no more \
+                      than the recorded nanoseconds plus margin to a warm batched request; under \
                       overload every cold request is shed immediately with Overloaded while \
                       warm hits keep serving; drain completes without forced aborts",
             "workload": {
@@ -359,13 +371,13 @@ fn bench_daemon_serve(c: &mut Criterion) {
                 "batch": BATCH,
                 "transport": "unix-domain socket",
             },
-            "host_cores": host_cores,
-            "wall_time_guards_enforced": guard_enforced,
+            "warm_passes": WARM_PASSES,
             "inproc_warm_qps": inproc_qps,
             "wire_cold_qps": cold_qps,
             "wire_warm_batched_qps": warm_wire_qps,
-            "wire_tax_vs_inproc": wire_tax,
-            "max_wire_slowdown_allowed": MAX_WIRE_SLOWDOWN,
+            "wire_added_ns_per_request": wire_added_ns,
+            "wire_added_ns_recorded": RECORDED_WIRE_NS,
+            "wire_added_ns_margin": WIRE_NS_MARGIN,
             "warm_hit_rate": warm_hit_rate,
             "overload": {
                 "cold_backlog_slots": 1,

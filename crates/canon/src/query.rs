@@ -1,44 +1,8 @@
-//! Canonical whole-query shapes: the normal form behind cross-query cache
-//! keys.
-//!
-//! Two optimization requests should share a cached plan exactly when the
-//! DP would do the same work for both — which is a statement about the
-//! *shape* of the request, not its table numbering.  This module computes,
-//! for a query, a canonical relabeling of its tables (a permutation
-//! `perm[original] = canonical`) together with the **exact** encoding of
-//! the relabeled query: every bit the cost model can observe — per-table
-//! statistics fingerprints, filters, join predicates *in their original
-//! vector order and orientation* (floating-point products are taken in
-//! that order, so it is part of the computation's identity), selectivity
-//! distributions, and the required output order.  Two requests with equal
-//! exact encodings are the same computation up to table renaming, and a
-//! cached plan can be served by relabeling alone.
-//!
-//! The canonical permutation is found by Weisfeiler–Leman colour
-//! refinement seeded from *weak* per-table attributes (log₂ size buckets
-//! and plan-space structure), followed by exhaustive minimization over
-//! the (usually single) permutation consistent with the refined colour
-//! classes: among all candidates, the one whose weak encoding (bucketed
-//! tables, sorted edges labeled by log₂ selectivity bucket) — then exact
-//! encoding — is lexicographically least.  The weak labels are private to
-//! this module and no key is built from them; they stay because they
-//! *decide the labeling*, and the labeling decides the exact key's bytes,
-//! which pick the cache stripe an entry lands in and so what a per-stripe
-//! LRU evicts.  Re-seeding the refinement from the exact attributes was
-//! measured against the frozen benchmark: `mixed_churn`'s hit share moved
-//! out of the window its state check accepts (0.7515 → 0.7173 on seed 2;
-//! failed operations on 5 of 10 seeds).  Ties
-//! inside a colour class (genuinely interchangeable tables) resolve
-//! toward the identity order, matching the DP's own first-wins tie-breaks.
-//! Queries larger than [`MAX_CANON_TABLES`], with more than
-//! [`MAX_CANDIDATE_PERMS`] residual candidates (a near-regular graph of
-//! near-identical tables), or whose join-graph body admits a *nontrivial
-//! exact automorphism* — interchangeable twin tables, between which the
-//! DP's tie-breaks are unavoidably label-dependent — are declared
-//! uncacheable rather than risking a served plan that a fresh search
-//! would not reproduce.
+//! [`canonical_form`]: the labeling and the exact encoding behind
+//! cross-query cache keys.  The crate docs say what is computed, what is
+//! refused and which values are pinned; the comments here say how.
 
-use lec_catalog::{Catalog, IndexKind};
+use lec_catalog::Catalog;
 use lec_cost::Fingerprint;
 use lec_plan::Query;
 
@@ -73,23 +37,12 @@ pub enum RefusalReason {
     TwinTables,
 }
 
-impl RefusalReason {
-    /// Stable snake_case name, used as the JSON metrics key suffix.
-    pub fn name(self) -> &'static str {
-        match self {
-            RefusalReason::TooManyTables => "too_many_tables",
-            RefusalReason::TooManyPermutations => "too_many_permutations",
-            RefusalReason::TwinTables => "twin_tables",
-        }
-    }
-}
-
 /// A query's canonical relabeling and its cache-key encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalForm {
     /// `perm[i]` is the canonical index of original table `i`.
     pub perm: Vec<usize>,
-    /// Exact encoding of the relabeled query (see module docs).
+    /// Exact encoding of the relabeled query (see the crate docs).
     pub exact: Vec<u64>,
 }
 
@@ -101,24 +54,13 @@ impl CanonicalForm {
     }
 }
 
-/// The bucketed view of the same occurrence: log₂ size buckets plus the
-/// plan-space-shaping structure (column count, index kinds, filter
-/// column) that decides which access paths and interesting orders exist.
-/// The colouring seed of the canonical labeling (module docs).
+/// The bucketed view of one table occurrence, the colouring seed of the
+/// labeling: the stored table's log₂ size buckets and plan-space-shaping
+/// structure (folded once by the catalog) plus the occurrence's filter
+/// column — what decides which access paths and interesting orders exist.
 fn weak_table_attr(catalog: &Catalog, query: &Query, idx: usize) -> u64 {
     let qt = &query.tables[idx];
-    let stats = &catalog.table(qt.table).stats;
-    let mut fp = Fingerprint::new()
-        .u64(stats.pages.ilog2() as u64)
-        .u64(stats.rows.max(1).ilog2() as u64)
-        .u64(stats.columns.len() as u64);
-    for col in &stats.columns {
-        fp = fp.u64(match col.index {
-            IndexKind::None => 0,
-            IndexKind::Clustered => 1,
-            IndexKind::Unclustered => 2,
-        });
-    }
+    let fp = catalog.bucketed_prefix(qt.table);
     match &qt.filter {
         Some(f) => fp.u64(1).u64(f.column as u64),
         None => fp.u64(0),
@@ -133,19 +75,31 @@ fn weak_sel_bucket(mean: f64) -> u64 {
     mean.log2().floor() as i64 as u64
 }
 
-/// Per-join precomputed labels: weak bucket and exact distribution
-/// fingerprint.
+/// Per-join labels: weak bucket and exact distribution fingerprint.
 struct EdgeLabels {
     weak: u64,
     exact: u64,
 }
 
+/// `[n, attr of canonical table 0, .., attr of canonical table n - 1]`,
+/// the head both body encodings share, with room for `spare` more words.
+fn encoding_head(attr: &[u64], perm: &[usize], spare: usize) -> Vec<u64> {
+    let n = attr.len();
+    let mut out = Vec::with_capacity(1 + n + spare);
+    out.resize(1 + n, n as u64);
+    for (orig, &a) in attr.iter().enumerate() {
+        out[1 + perm[orig]] = a;
+    }
+    out
+}
+
 /// Body-only, order-insensitive encoding under `perm`: per-table
 /// attributes plus the *sorted* multiset of labeled edges, without the
-/// required output order.  Two callers:
+/// required output order.  Only [`minimal_labeling`] builds it, twice per
+/// candidate:
 ///
 /// * over the weak attributes and edge labels it is the labeling's first
-///   tie-break, never a key (module docs).  It works on the body because
+///   tie-break, never a key (crate docs).  It works on the body because
 ///   that is all the DP's sub-root tie-breaks can see — a required order
 ///   only acts at root finalization and must not mask an
 ///   interchangeable-twin symmetry;
@@ -162,13 +116,7 @@ fn sorted_edge_encoding(
     label: fn(&EdgeLabels) -> u64,
     perm: &[usize],
 ) -> Vec<u64> {
-    let n = query.n_tables();
-    let inv = invert(perm);
-    let mut out = Vec::with_capacity(1 + n + query.joins.len() * 5);
-    out.push(n as u64);
-    for canon in 0..n {
-        out.push(attr[inv[canon]]);
-    }
+    let mut out = encoding_head(attr, perm, query.joins.len() * 5);
     let mut edges: Vec<[u64; 5]> = query
         .joins
         .iter()
@@ -184,31 +132,20 @@ fn sorted_edge_encoding(
         })
         .collect();
     edges.sort_unstable();
-    for e in edges {
-        out.extend_from_slice(&e);
-    }
+    out.extend(edges.into_iter().flatten());
     out
 }
 
 /// Body-only exact encoding (see [`sorted_edge_encoding`] for why the
 /// required order is excluded here and appended afterwards).
-fn exact_encoding(
-    query: &Query,
-    exact_attr: &[u64],
-    labels: &[EdgeLabels],
-    perm: &[usize],
-) -> Vec<u64> {
-    let n = query.n_tables();
-    let inv = invert(perm);
-    let mut out = Vec::with_capacity(1 + n + query.joins.len() * 5);
-    out.push(n as u64);
-    for canon in 0..n {
-        out.push(exact_attr[inv[canon]]);
-    }
+fn exact_encoding(query: &Query, r: &Refined, perm: &[usize]) -> Vec<u64> {
+    // Room for the required-order suffix and for the two environment words
+    // the serving layer pushes to make its cache key of the same buffer.
+    let mut out = encoding_head(&r.exact_attr[..r.n], perm, query.joins.len() * 5 + 3 + 2);
     // Joins in original vector order and orientation: selectivity products
     // are folded in this order, so it is part of the computation's
-    // identity (see the module docs).
-    for (j, l) in query.joins.iter().zip(labels) {
+    // identity (see the crate docs).
+    for (j, l) in query.joins.iter().zip(&r.labels) {
         out.extend_from_slice(&[
             perm[j.left.table] as u64,
             j.left.column as u64,
@@ -234,77 +171,90 @@ fn exact_encoding(
 /// are not detected; like fingerprint collisions, they are accepted as a
 /// beyond-adversarial residual.)
 fn twin_swap_exists(exact_attr: &[u64], query: &Query, labels: &[EdgeLabels]) -> bool {
-    use std::collections::HashMap;
+    // A table's edges as sorted (far table, near column, far column, label).
+    let edges_of = |x: usize| {
+        let mut edges: Vec<(usize, u64, u64, u64)> = Vec::new();
+        for (j, l) in query.joins.iter().zip(labels) {
+            for (near, far) in [(j.left, j.right), (j.right, j.left)] {
+                if near.table == x {
+                    edges.push((far.table, near.column as u64, far.column as u64, l.exact));
+                }
+            }
+        }
+        edges.sort_unstable();
+        edges
+    };
+    let toward = |edges: &[(usize, u64, u64, u64)], t: usize| -> Vec<(u64, u64, u64)> {
+        let to_t = edges.iter().filter(|e| e.0 == t);
+        to_t.map(|&(_, near, far, l)| (near, far, l)).collect()
+    };
     let n = exact_attr.len();
     for a in 0..n {
         for b in a + 1..n {
             if exact_attr[a] != exact_attr[b] {
                 continue;
             }
-            // Edges between a and b (oriented from a's side), and each
-            // one's edges to every third table (oriented from the pair's
-            // side).
-            let mut mutual: Vec<(u64, u64, u64)> = Vec::new();
-            let mut to_a: HashMap<usize, Vec<(u64, u64, u64)>> = HashMap::new();
-            let mut to_b: HashMap<usize, Vec<(u64, u64, u64)>> = HashMap::new();
-            for (j, l) in query.joins.iter().zip(labels) {
-                let (u, cu) = (j.left.table, j.left.column as u64);
-                let (v, cv) = (j.right.table, j.right.column as u64);
-                if (u, v) == (a, b) {
-                    mutual.push((cu, cv, l.exact));
-                } else if (u, v) == (b, a) {
-                    mutual.push((cv, cu, l.exact));
-                } else if u == a {
-                    to_a.entry(v).or_default().push((cu, cv, l.exact));
-                } else if v == a {
-                    to_a.entry(u).or_default().push((cv, cu, l.exact));
-                } else if u == b {
-                    to_b.entry(v).or_default().push((cu, cv, l.exact));
-                } else if v == b {
-                    to_b.entry(u).or_default().push((cv, cu, l.exact));
-                }
-            }
+            let (of_a, of_b) = (edges_of(a), edges_of(b));
+            let mutual = toward(&of_a, b);
             if !mutual.is_empty() {
                 // Swapping a and b flips each mutual edge's column pair;
                 // a self-mirrored multiset makes {a, b} automorphic on
                 // its own.  Asymmetric mutual edges pin the pair apart in
                 // *every* induced subgraph (they are always included), so
                 // the common-neighbour test below is moot either way.
-                let mut orig = mutual.clone();
                 let mut flipped: Vec<_> = mutual.iter().map(|&(x, y, l)| (y, x, l)).collect();
-                orig.sort_unstable();
                 flipped.sort_unstable();
-                if orig == flipped {
+                if mutual == flipped {
                     return true;
                 }
                 continue;
             }
-            for (t, ea) in &mut to_a {
-                if let Some(eb) = to_b.get_mut(t) {
-                    ea.sort_unstable();
-                    eb.sort_unstable();
-                    if ea == eb {
-                        return true;
-                    }
-                }
+            // A third table both relate to with identical oriented edges.
+            let shared = |t| {
+                let (to_a, to_b) = (toward(&of_a, t), toward(&of_b, t));
+                !to_a.is_empty() && to_a == to_b
+            };
+            if (0..n).any(shared) {
+                return true;
             }
         }
     }
     false
 }
 
-/// Append the required-order suffix to a body encoding under `perm`.
-fn push_required_order(out: &mut Vec<u64>, query: &Query, perm: &[usize]) {
-    match &query.required_order {
-        Some(c) => out.extend_from_slice(&[1, perm[c.table] as u64, c.column as u64]),
-        None => out.push(0),
-    }
-}
-
 /// Compute the canonical form of `query`, or the [`RefusalReason`] when
 /// the query is too large or too symmetric to canonicalize cheaply (the
 /// caller then treats the request as uncacheable, counting the reason).
 pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm, RefusalReason> {
+    let r = refine(catalog, query)?;
+    let (perm, mut exact) = if r.discrete {
+        discrete_labeling(query, &r)
+    } else {
+        minimal_labeling(query, &r)?
+    };
+    // The required-order suffix: part of the key, not of the labeled body.
+    match &query.required_order {
+        Some(c) => exact.extend_from_slice(&[1, perm[c.table] as u64, c.column as u64]),
+        None => exact.push(0),
+    }
+    Ok(CanonicalForm { perm, exact })
+}
+
+/// What a labeling is chosen from: a query's per-table attributes (`n`
+/// live slots each), its per-join labels and the refined colouring.
+struct Refined {
+    n: usize,
+    exact_attr: [u64; MAX_CANON_TABLES],
+    weak_attr: [u64; MAX_CANON_TABLES],
+    labels: Vec<EdgeLabels>,
+    colors: [u64; MAX_CANON_TABLES],
+    /// Tables by (colour, original index): the colour classes end to end.
+    order: [usize; MAX_CANON_TABLES],
+    /// Every class is a single table.
+    discrete: bool,
+}
+
+fn refine(catalog: &Catalog, query: &Query) -> Result<Refined, RefusalReason> {
     let n = query.n_tables();
     if n == 0 || n > MAX_CANON_TABLES {
         return Err(RefusalReason::TooManyTables);
@@ -312,10 +262,11 @@ pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm,
     // Everything the cost model can observe about each table occurrence —
     // the same fingerprint the engine's tie-breaks use, which is what makes
     // a served plan relabel onto exactly the plan a fresh search would pick.
-    let exact_attr: Vec<u64> = (0..n)
-        .map(|i| lec_cost::table_occurrence_fingerprint(catalog, query, i))
-        .collect();
-    let weak_attr: Vec<u64> = (0..n).map(|i| weak_table_attr(catalog, query, i)).collect();
+    let (mut exact_attr, mut weak_attr) = ([0; MAX_CANON_TABLES], [0; MAX_CANON_TABLES]);
+    for i in 0..n {
+        exact_attr[i] = lec_cost::table_occurrence_fingerprint(catalog, query, i);
+        weak_attr[i] = weak_table_attr(catalog, query, i);
+    }
     let labels: Vec<EdgeLabels> = query
         .joins
         .iter()
@@ -324,169 +275,160 @@ pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm,
             exact: lec_cost::dist_fingerprint(&j.selectivity),
         })
         .collect();
-
     // Interchangeable twins anywhere in the body — even inside a proper
     // subgraph a third table disambiguates globally — make sub-root
     // tie-breaks label-dependent; refuse before doing any more work.
-    if twin_swap_exists(&exact_attr, query, &labels) {
+    if twin_swap_exists(&exact_attr[..n], query, &labels) {
         return Err(RefusalReason::TwinTables);
     }
+    let (colors, n_classes) = refine_colors(&weak_attr[..n], query, &labels);
+    let mut order: [usize; MAX_CANON_TABLES] = std::array::from_fn(|i| i);
+    order[..n].sort_unstable_by_key(|&i| (colors[i], i));
+    Ok(Refined {
+        n,
+        exact_attr,
+        weak_attr,
+        labels,
+        colors,
+        order,
+        discrete: n_classes == n,
+    })
+}
 
-    // Adjacency with oriented weak edge labels, for colour refinement.
-    let mut adj: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    for (j, l) in query.joins.iter().zip(&labels) {
-        let (a, ca) = (j.left.table, j.left.column as u64);
-        let (b, cb) = (j.right.table, j.right.column as u64);
-        let from_a = Fingerprint::new().u64(ca).u64(cb).u64(l.weak).finish();
-        let from_b = Fingerprint::new().u64(cb).u64(ca).u64(l.weak).finish();
-        adj[a].push((b, from_a));
-        adj[b].push((a, from_b));
-    }
+/// The one class-respecting labeling of a discrete colouring — the class
+/// order itself — and its exact body encoding.
+fn discrete_labeling(query: &Query, r: &Refined) -> (Vec<usize>, Vec<u64>) {
+    let perm = invert(&r.order[..r.n]);
+    let exact = exact_encoding(query, r, &perm);
+    (perm, exact)
+}
 
-    let colors = refine_colors(weak_attr.clone(), &adj);
-
-    // Colour classes, ordered by colour value; members ascend by original
-    // index so the identity-leaning candidate is enumerated first.
-    let classes = color_classes(&colors);
-
+/// The search behind a colouring with a class of two or more tables:
+/// among all class-respecting labelings, the one whose weak
+/// [`sorted_edge_encoding`] — then [`exact_encoding`] — is
+/// lexicographically least, with that exact encoding.
+fn minimal_labeling(query: &Query, r: &Refined) -> Result<(Vec<usize>, Vec<u64>), RefusalReason> {
+    // Colour classes as position ranges of the class order; members ascend
+    // by original index, so the identity-leaning candidate comes first.
+    let mut arrangement = r.order;
+    let mut classes: Vec<std::ops::Range<usize>> = Vec::new();
     let mut candidates: u128 = 1;
-    for class in &classes {
-        candidates = candidates.saturating_mul(factorial(class.len()));
+    for class in r.order[..r.n].chunk_by(|&a, &b| r.colors[a] == r.colors[b]) {
+        let at = classes.last().map_or(0, |c| c.end);
+        classes.push(at..at + class.len());
+        candidates = candidates.saturating_mul((1..=class.len() as u128).product());
         if candidates > MAX_CANDIDATE_PERMS {
             return Err(RefusalReason::TooManyPermutations);
         }
     }
 
-    // Enumerate all class-respecting permutations via an odometer over the
-    // per-class orderings, minimizing (weak encoding, exact encoding).
-    let class_perms: Vec<Vec<Vec<usize>>> = classes.iter().map(|c| permutations(c)).collect();
-    let class_base: Vec<usize> = class_bases(&classes);
-    let mut odo = vec![0usize; classes.len()];
-    let mut best: Option<(Vec<u64>, Vec<u64>, Vec<usize>)> = None;
+    let mut best: Option<(_, Vec<usize>)> = None;
     // The automorphism detector: the minimal order-insensitive exact body
-    // encoding seen so far, the perm that achieved it, and whether a
-    // *different* perm reproduced it.  Two distinct permutations with
-    // equal exact [`sorted_edge_encoding`]s compose into a nontrivial exact
+    // encoding seen so far, and whether a *different* perm reproduced it
+    // (the candidates are distinct permutations, so any equal encoding
+    // is one).  Two distinct permutations with equal exact
+    // [`sorted_edge_encoding`]s compose into a nontrivial exact
     // automorphism: the query contains interchangeable twin tables, the
     // DP's sub-root tie-breaks between them are label-dependent
     // (plan_shape_cmp sees equal fingerprints and falls back to
     // first-wins), and a served relabeling could legitimately differ from
     // a fresh search — so the query is declared uncacheable.
-    let mut best_sym: Option<(Vec<u64>, Vec<usize>)> = None;
+    let mut best_sym: Option<Vec<u64>> = None;
     let mut automorphic = false;
     loop {
-        let mut perm = vec![0usize; n];
-        for (ci, &choice) in odo.iter().enumerate() {
-            for (pos, &orig) in class_perms[ci][choice].iter().enumerate() {
-                perm[orig] = class_base[ci] + pos;
+        let perm = invert(&arrangement[..r.n]);
+        let sym = sorted_edge_encoding(query, &r.exact_attr[..r.n], &r.labels, |l| l.exact, &perm);
+        match best_sym.as_ref().map(|bs| sym.cmp(bs)) {
+            None | Some(std::cmp::Ordering::Less) => {
+                automorphic = false;
+                best_sym = Some(sym);
             }
+            Some(std::cmp::Ordering::Equal) => automorphic = true,
+            Some(std::cmp::Ordering::Greater) => {}
         }
-        let sym = sorted_edge_encoding(query, &exact_attr, &labels, |l| l.exact, &perm);
-        match &best_sym {
-            None => best_sym = Some((sym, perm.clone())),
-            Some((bs, bp)) => match sym.cmp(bs) {
-                std::cmp::Ordering::Less => {
-                    automorphic = false;
-                    best_sym = Some((sym, perm.clone()));
-                }
-                std::cmp::Ordering::Equal => {
-                    if perm != *bp {
-                        automorphic = true;
-                    }
-                }
-                std::cmp::Ordering::Greater => {}
-            },
+        let weak = sorted_edge_encoding(query, &r.weak_attr[..r.n], &r.labels, |l| l.weak, &perm);
+        let key = (weak, exact_encoding(query, r, &perm));
+        if best.as_ref().is_none_or(|(least, _)| key < *least) {
+            best = Some((key, perm));
         }
-        let weak = sorted_edge_encoding(query, &weak_attr, &labels, |l| l.weak, &perm);
-        let better = match &best {
-            None => true,
-            Some((bw, be, _)) => {
-                weak.cmp(bw)
-                    .then_with(|| exact_encoding(query, &exact_attr, &labels, &perm).cmp(be))
-                    == std::cmp::Ordering::Less
-            }
-        };
-        if better {
-            let exact = exact_encoding(query, &exact_attr, &labels, &perm);
-            best = Some((weak, exact, perm));
-        }
-        // Advance the odometer.
-        let mut ci = 0;
-        loop {
-            if ci == odo.len() {
-                if automorphic {
-                    return Err(RefusalReason::TwinTables);
-                }
-                let (_, mut exact, perm) = best.expect("at least one candidate");
-                push_required_order(&mut exact, query, &perm);
-                return Ok(CanonicalForm { perm, exact });
-            }
-            odo[ci] += 1;
-            if odo[ci] < class_perms[ci].len() {
-                break;
-            }
-            odo[ci] = 0;
-            ci += 1;
+        // An odometer over the per-class orderings, first class fastest:
+        // a class past its last ordering wraps and carries into the next.
+        let mut digits = classes.iter().cloned();
+        if !digits.any(|c| next_permutation(&mut arrangement[c])) {
+            break;
         }
     }
+    if automorphic {
+        return Err(RefusalReason::TwinTables);
+    }
+    let ((_, exact), perm) = best.expect("at least one candidate");
+    Ok((perm, exact))
 }
 
-/// Weisfeiler–Leman refinement: a table's colour absorbs the sorted
-/// multiset of (edge label, neighbour colour).  Colours only ever split
-/// (each round's signature includes the previous colour), so iteration
-/// stops when the number of classes stops growing.
-fn refine_colors(mut colors: Vec<u64>, adj: &[Vec<(usize, u64)>]) -> Vec<u64> {
-    let n = colors.len();
-    let mut n_classes = distinct(&colors);
+/// One direction of a join predicate as colour refinement reads it: the
+/// far table and the fold of (near column, far column, weak selectivity
+/// bucket).
+#[derive(Clone, Copy, Default)]
+struct HalfEdge {
+    to: usize,
+    label: u64,
+}
+
+/// Weisfeiler–Leman refinement from the weak attributes: a table's colour
+/// absorbs the sorted multiset of (edge label, neighbour colour).  Colours
+/// only ever split (each round's signature includes the previous colour),
+/// so iteration stops when the class count stops growing — which a
+/// discrete colouring shows without the round that would confirm it.
+fn refine_colors(
+    weak_attr: &[u64],
+    query: &Query,
+    labels: &[EdgeLabels],
+) -> ([u64; MAX_CANON_TABLES], usize) {
+    let n = weak_attr.len();
+    // Half-edges grouped by near table: `start[i]..start[i + 1]` are `i`'s.
+    let mut start = [0usize; MAX_CANON_TABLES + 1];
+    for (u, v) in query.joins.iter().map(|j| j.tables()) {
+        start[u + 1] += 1;
+        start[v + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start;
+    let mut half = vec![HalfEdge::default(); 2 * query.joins.len()];
+    for (j, l) in query.joins.iter().zip(labels) {
+        for (near, far) in [(j.left, j.right), (j.right, j.left)] {
+            let label = Fingerprint::new().u64(near.column as u64);
+            let label = label.u64(far.column as u64).u64(l.weak).finish();
+            let to = far.table;
+            half[fill[near.table]] = HalfEdge { to, label };
+            fill[near.table] += 1;
+        }
+    }
+
+    let mut colors = [0; MAX_CANON_TABLES];
+    colors[..n].copy_from_slice(weak_attr);
+    let mut n_classes = distinct(&colors[..n]);
     for _ in 0..n {
-        let next: Vec<u64> = (0..n)
-            .map(|i| {
-                let mut neigh: Vec<(u64, u64)> =
-                    adj[i].iter().map(|&(j, e)| (e, colors[j])).collect();
-                neigh.sort_unstable();
-                let mut fp = Fingerprint::new().u64(colors[i]);
-                for (e, c) in neigh {
-                    fp = fp.u64(e).u64(c);
-                }
-                fp.finish()
-            })
-            .collect();
-        let next_classes = distinct(&next);
+        if n_classes == n {
+            break;
+        }
+        let mut next = [0; MAX_CANON_TABLES];
+        for i in 0..n {
+            let neigh = &mut half[start[i]..start[i + 1]];
+            neigh.sort_unstable_by_key(|h| (h.label, colors[h.to]));
+            let seed = Fingerprint::new().u64(colors[i]);
+            let fold = |fp: Fingerprint, h: &HalfEdge| fp.u64(h.label).u64(colors[h.to]);
+            next[i] = neigh.iter().fold(seed, fold).finish();
+        }
+        let next_classes = distinct(&next[..n]);
         if next_classes == n_classes {
             break;
         }
         colors = next;
         n_classes = next_classes;
     }
-    colors
-}
-
-/// Colour classes ordered by colour value, members ascending by original
-/// index (so the identity-leaning candidate is enumerated first).
-fn color_classes(colors: &[u64]) -> Vec<Vec<usize>> {
-    let mut members: Vec<usize> = (0..colors.len()).collect();
-    members.sort_by_key(|&i| (colors[i], i));
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for &i in &members {
-        match classes.last_mut() {
-            Some(class) if colors[class[0]] == colors[i] => class.push(i),
-            _ => classes.push(vec![i]),
-        }
-    }
-    classes
-}
-
-/// Starting canonical index of each class (classes are laid out
-/// contiguously in class order).
-fn class_bases(classes: &[Vec<usize>]) -> Vec<usize> {
-    classes
-        .iter()
-        .scan(0usize, |acc, c| {
-            let base = *acc;
-            *acc += c.len();
-            Some(base)
-        })
-        .collect()
+    (colors, n_classes)
 }
 
 /// Invert a permutation: `inv[perm[i]] = i`.
@@ -498,34 +440,23 @@ fn invert(perm: &[usize]) -> Vec<usize> {
     inv
 }
 
-/// All permutations of `items` in lexicographic order (by position).
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-    if items.len() <= 1 {
-        return vec![items.to_vec()];
-    }
-    let mut out = Vec::new();
-    for (i, &head) in items.iter().enumerate() {
-        let mut rest = items.to_vec();
-        rest.remove(i);
-        for tail in permutations(&rest) {
-            let mut p = Vec::with_capacity(items.len());
-            p.push(head);
-            p.extend(tail);
-            out.push(p);
-        }
-    }
-    out
+/// Step `a` to its next permutation in lexicographic order; from the last
+/// one, back to the first (ascending) and `false`.
+fn next_permutation(a: &mut [usize]) -> bool {
+    let Some(i) = a.windows(2).rposition(|w| w[0] < w[1]) else {
+        a.reverse();
+        return false;
+    };
+    let j = a.iter().rposition(|&x| x > a[i]).expect("a[i + 1] is one");
+    a.swap(i, j);
+    a[i + 1..].reverse();
+    true
 }
 
+/// Number of distinct values among at most [`MAX_CANON_TABLES`] colours.
 fn distinct(colors: &[u64]) -> usize {
-    let mut sorted = colors.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
-}
-
-fn factorial(k: usize) -> u128 {
-    (1..=k as u128).product()
+    let first_of_its_value = |i: &usize| !colors[..*i].contains(&colors[*i]);
+    (0..colors.len()).filter(first_of_its_value).count()
 }
 
 #[cfg(test)]
@@ -735,5 +666,74 @@ mod tests {
             j.selectivity = lec_prob::Distribution::point(1e-5 * (i + 1) as f64);
         }
         assert!(canonical_form(&cat, &q).is_ok());
+    }
+    /// The discrete fast path and the enumerator it bypasses are the same
+    /// function wherever both apply.
+    #[test]
+    fn the_discrete_fast_path_agrees_with_the_enumerator() {
+        use lec_plan::{QueryProfile, Topology, WorkloadGenerator};
+        let mut checked = 0;
+        for seed in 0..160u64 {
+            let n = 3 + (seed % 6) as usize;
+            let mut g = lec_catalog::CatalogGenerator::new(seed);
+            let cat = g.generate(n + 1);
+            let ids = g.pick_tables(&cat, n);
+            // Chain, star, random, and a cycle (a chain plus a closing edge).
+            let topology =
+                [Topology::Chain, Topology::Star, Topology::Random][(seed % 4 % 3) as usize];
+            let profile = QueryProfile {
+                topology,
+                sel_buckets: 1 + 2 * (seed % 2) as usize,
+                ..Default::default()
+            };
+            let mut q = WorkloadGenerator::new(seed ^ 0xC0FFEE).gen_query(&cat, &ids, &profile);
+            if seed % 4 == 3 {
+                let (last, first) = (ColumnRef::new(n - 1, 0), ColumnRef::new(0, 0));
+                q.joins.push(JoinPredicate::exact(last, first, 1e-4));
+            }
+            let Ok(r) = refine(&cat, &q) else { continue };
+            if r.discrete {
+                let fast = discrete_labeling(&q, &r);
+                assert_eq!(minimal_labeling(&q, &r), Ok(fast), "seed {seed}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 100, "only {checked} discrete colourings");
+    }
+
+    /// A 4-cycle whose two opposite corners share their log₂ buckets and
+    /// differ in rows: nothing refinement sees separates them, so the
+    /// labeling comes from the enumerator — and is the same labeling under
+    /// every renaming.
+    #[test]
+    fn near_twins_in_symmetric_positions_are_labeled_by_the_enumerator() {
+        let mut cat = Catalog::new();
+        let stats = |pages, rows| TableStats::new(pages, rows, vec![ColumnStats::plain("a", 100)]);
+        let ids = [
+            cat.add_table("hub", stats(50_000, 2_500_000)),
+            cat.add_table("east", stats(1000, 50_000)),
+            cat.add_table("far", stats(7000, 300_000)),
+            cat.add_table("west", stats(1000, 50_001)),
+        ];
+        let q = Query {
+            tables: ids.into_iter().map(QueryTable::bare).collect(),
+            joins: (0..4)
+                .map(|i| {
+                    let (l, r) = (ColumnRef::new(i, 0), ColumnRef::new((i + 1) % 4, 0));
+                    JoinPredicate::exact(l, r, 1e-5)
+                })
+                .collect(),
+            required_order: None,
+        };
+        assert!(!refine(&cat, &q).unwrap().discrete);
+        let base = canonical_form(&cat, &q).unwrap();
+        let mut map = [0, 1, 2, 3];
+        while next_permutation(&mut map) {
+            let other = canonical_form(&cat, &q.relabel_tables(&map)).unwrap();
+            assert_eq!(base.exact, other.exact, "renaming {map:?}");
+            for (i, &m) in map.iter().enumerate() {
+                assert_eq!(base.perm[i], other.perm[m], "renaming {map:?}");
+            }
+        }
     }
 }

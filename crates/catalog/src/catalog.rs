@@ -1,5 +1,6 @@
 //! The catalog: a registry of stored tables and their statistics.
 
+use crate::fingerprint::{stored_prefixes, Fingerprint};
 use crate::stats::TableStats;
 use std::fmt;
 
@@ -25,9 +26,15 @@ pub struct Table {
 }
 
 /// An in-memory catalog, the source of all data-property parameters.
+///
+/// A registered table is immutable: [`Catalog::add_table`] is the only way
+/// in and every accessor hands out `&Table`, so the fingerprint prefixes
+/// folded at registration have no statistics update to fall behind.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
     tables: Vec<Table>,
+    /// `(exact, bucketed)` prefix per table, parallel to `tables`.
+    prefixes: Vec<(Fingerprint, Fingerprint)>,
 }
 
 impl Catalog {
@@ -39,6 +46,7 @@ impl Catalog {
     /// Register a table; returns its id.
     pub fn add_table(&mut self, name: impl Into<String>, stats: TableStats) -> TableId {
         let id = TableId(self.tables.len() as u32);
+        self.prefixes.push(stored_prefixes(&stats));
         self.tables.push(Table {
             id,
             name: name.into(),
@@ -69,6 +77,20 @@ impl Catalog {
     /// Look up a table by id, returning `None` for foreign ids.
     pub fn try_table(&self, id: TableId) -> Option<&Table> {
         self.tables.get(id.0 as usize)
+    }
+
+    /// A fresh [`Fingerprint`] that has absorbed the table's
+    /// [`crate::table_stats_fingerprint`]: where every occurrence of the
+    /// table in a query starts its own, with only its filter left to fold.
+    pub fn exact_prefix(&self, id: TableId) -> Fingerprint {
+        self.prefixes[id.0 as usize].0
+    }
+
+    /// The bucketed counterpart: log₂ pages, log₂ rows, the column count
+    /// and each column's index kind — what shapes the plan space, blind to
+    /// statistics drift inside a size bucket.
+    pub fn bucketed_prefix(&self, id: TableId) -> Fingerprint {
+        self.prefixes[id.0 as usize].1
     }
 
     /// Look up a table by name.

@@ -10,9 +10,11 @@
 #![forbid(unsafe_code)]
 
 pub mod catalog;
+pub mod fingerprint;
 pub mod stats;
 pub mod synthetic;
 
 pub use catalog::{Catalog, Table, TableId};
+pub use fingerprint::{table_stats_fingerprint, Fingerprint};
 pub use stats::{ColumnStats, IndexKind, TableStats};
 pub use synthetic::{CatalogGenerator, CatalogProfile};

@@ -2,6 +2,7 @@
 //! dispatch, with an evaluation counter for the paper's complexity claims.
 
 use crate::formulas;
+pub use lec_catalog::{table_stats_fingerprint, Fingerprint};
 use lec_catalog::{Catalog, IndexKind};
 use lec_plan::{ColumnEquivalences, JoinMethod, Query, TableSet};
 use lec_prob::{Distribution, PrefixTables};
@@ -45,15 +46,16 @@ fn fx_mix(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(0x517CC1B727220A95)
 }
 
-/// The hasher of [`EvalMap`]: an [`EvalKey`] hashes itself once, when it is
-/// built, and hands the result through here, so picking the shard, probing
-/// the map and inserting on a miss share a single hash pass.
-#[derive(Default)]
-struct Prehashed(u64);
+/// The identity hasher for keys that hash themselves once, when built:
+/// an [`EvalKey`] (picking the shard, probing the map and inserting on a
+/// miss share one FxHash pass) and the serving layer's plan-cache key (one
+/// [`Fingerprint`] fold picks the stripe and probes it).
+#[derive(Debug, Default)]
+pub struct Prehashed(u64);
 
 impl Hasher for Prehashed {
     fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("an EvalKey writes its one precomputed u64");
+        unreachable!("a prehashed key writes its one precomputed u64");
     }
     fn write_u64(&mut self, hash: u64) {
         self.0 = hash;
@@ -168,134 +170,26 @@ impl Hash for EvalKey {
     }
 }
 
-/// An incremental 64-bit FNV-1a fingerprint over exact bit patterns: the
-/// shared hashing primitive behind every cross-query cache key (model
-/// state, memory distributions, optimizer modes, canonical query shapes).
-///
-/// Builder-style so key assembly reads as a pipeline:
-///
-/// ```
-/// let fp = lec_cost::Fingerprint::new().u64(3).f64(0.25).finish();
-/// assert_ne!(fp, lec_cost::Fingerprint::new().f64(0.25).u64(3).finish());
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Fingerprint(u64);
-
-impl Fingerprint {
-    /// Start from the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fingerprint(0xCBF29CE484222325)
-    }
-
-    /// Absorb raw bytes.
-    pub fn bytes(mut self, bytes: &[u8]) -> Self {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001B3);
-        }
-        self
-    }
-
-    /// Absorb a `u64`.
-    pub fn u64(self, v: u64) -> Self {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Absorb an `f64` by exact bit pattern (`-0.0` and `0.0` differ; every
-    /// NaN payload is its own value — cache keys must never conflate
-    /// almost-equal floats).
-    pub fn f64(self, v: f64) -> Self {
-        self.u64(v.to_bits())
-    }
-
-    /// Absorb a distribution's exact contents.
-    pub fn dist(self, d: &Distribution) -> Self {
-        d.iter().fold(self, |fp, (v, p)| fp.f64(v).f64(p))
-    }
-
-    /// The accumulated fingerprint.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Fingerprint::new()
-    }
-}
-
 /// 64-bit FNV-1a fingerprint of a distribution's exact contents, used to
 /// key the expected-cost caches.
 pub fn dist_fingerprint(d: &Distribution) -> u64 {
     Fingerprint::new().dist(d).finish()
 }
 
-/// The lock stripe responsible for a multi-word cache key: a
-/// [`Fingerprint`] fold mapped onto `0..n_shards` by multiply-shift
-/// (uniform for any shard count, no power-of-two requirement).  Shared by
-/// every sharded cross-query cache (the serving layer's plan cache) so
-/// stripe selection lives in one place.
-pub fn shard_index(key: &[u64], n_shards: usize) -> usize {
-    let h = key
-        .iter()
-        .fold(Fingerprint::new(), |fp, &w| fp.u64(w))
-        .finish();
-    ((h as u128 * n_shards as u128) >> 64) as usize
-}
-
-/// Remove and return the key of the least-recently-used entry of one
-/// cache shard, per `last_used`'s reading of the shard's LRU clock.  The
-/// scan is `O(shard len)` — shards are small slices of a bounded
-/// capacity, and eviction only runs when a shard is full.
-pub fn evict_coldest<V, S: std::hash::BuildHasher>(
-    map: &mut HashMap<Box<[u64]>, V, S>,
-    last_used: impl Fn(&V) -> u64,
-) -> Option<Box<[u64]>> {
-    let victim = map
-        .iter()
-        .min_by_key(|(_, v)| last_used(v))
-        .map(|(k, _)| k.clone())?;
-    map.remove(&victim);
-    Some(victim)
-}
-
 /// Label-independent fingerprint of one table *occurrence* in a query:
-/// the stored table's statistics fingerprint plus the occurrence's filter
-/// (column and selectivity distribution).  The free-function form of
+/// the stored table's statistics fingerprint (folded once, when the
+/// catalog registered the table) plus the occurrence's filter (column and
+/// selectivity distribution).  The free-function form of
 /// [`CostModel::table_shape_fingerprint`], for callers that have no model
 /// (e.g. cache-key canonicalization).
 pub fn table_occurrence_fingerprint(catalog: &Catalog, query: &Query, idx: usize) -> u64 {
     let qt = &query.tables[idx];
-    let fp = Fingerprint::new().u64(table_stats_fingerprint(&catalog.table(qt.table).stats));
+    let fp = catalog.exact_prefix(qt.table);
     match &qt.filter {
         Some(f) => fp.u64(1).u64(f.column as u64).dist(&f.selectivity),
         None => fp.u64(0),
     }
     .finish()
-}
-
-/// Fingerprint of everything in one table's statistics that the cost
-/// model can observe: pages, rows, the optional page-count distribution,
-/// and each column's distinct count and index kind (names are display
-/// only).  This is the per-table ingredient of cross-query cache keys —
-/// two tables with equal fingerprints are interchangeable to the DP.
-pub fn table_stats_fingerprint(stats: &lec_catalog::TableStats) -> u64 {
-    let mut fp = Fingerprint::new().u64(stats.pages).u64(stats.rows);
-    fp = match &stats.page_dist {
-        Some(d) => fp.u64(1).dist(d),
-        None => fp.u64(0),
-    };
-    fp = fp.u64(stats.columns.len() as u64);
-    for col in &stats.columns {
-        let kind = match col.index {
-            IndexKind::None => 0u64,
-            IndexKind::Clustered => 1,
-            IndexKind::Unclustered => 2,
-        };
-        fp = fp.u64(col.distinct).u64(kind);
-    }
-    fp.finish()
 }
 
 /// Cost model bound to one catalog and one query.

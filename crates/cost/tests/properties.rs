@@ -157,3 +157,77 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// The fingerprint prefixes a catalog folds when a table is registered
+    /// are what a from-scratch fold of the stored statistics gives — with
+    /// and without a page-count distribution — every occurrence
+    /// fingerprint resumes from them, and `clone` / `==` see a catalog as
+    /// its tables and nothing else.
+    #[test]
+    fn stored_fingerprint_prefixes_match_a_fresh_fold(
+        seed in 0u64..10_000,
+        n in 1usize..8,
+        with_dist in 0usize..2,
+    ) {
+        use lec_catalog::{Catalog, CatalogGenerator, IndexKind};
+        use lec_cost::{table_occurrence_fingerprint, table_stats_fingerprint, Fingerprint};
+        use lec_plan::{Query, QueryTable};
+
+        let mut g = CatalogGenerator::new(seed);
+        let mut cat = Catalog::new();
+        for i in 0..n {
+            let mut stats = g.gen_table_stats();
+            if with_dist == 1 && i % 2 == 0 {
+                let pages = stats.pages as f64;
+                stats.page_dist = Some(Distribution::bimodal(pages * 0.5, pages * 2.0, 0.5).unwrap());
+            }
+            cat.add_table(format!("R{i}"), stats);
+        }
+        let selectivity = Distribution::bimodal(0.01, 0.5, 0.25).unwrap();
+        for t in cat.tables() {
+            let exact = Fingerprint::new().u64(table_stats_fingerprint(&t.stats));
+            prop_assert_eq!(cat.exact_prefix(t.id), exact);
+            let mut bucketed = Fingerprint::new()
+                .u64(t.stats.pages.ilog2() as u64)
+                .u64(t.stats.rows.ilog2() as u64)
+                .u64(t.stats.columns.len() as u64);
+            for col in &t.stats.columns {
+                bucketed = bucketed.u64(match col.index {
+                    IndexKind::None => 0,
+                    IndexKind::Clustered => 1,
+                    IndexKind::Unclustered => 2,
+                });
+            }
+            prop_assert_eq!(cat.bucketed_prefix(t.id), bucketed);
+
+            let q = Query {
+                tables: vec![
+                    QueryTable::bare(t.id),
+                    QueryTable::filtered(t.id, 1, selectivity.clone()),
+                ],
+                joins: vec![],
+                required_order: None,
+            };
+            prop_assert_eq!(table_occurrence_fingerprint(&cat, &q, 0), exact.u64(0).finish());
+            prop_assert_eq!(
+                table_occurrence_fingerprint(&cat, &q, 1),
+                exact.u64(1).u64(1).dist(&selectivity).finish()
+            );
+        }
+
+        let copy = cat.clone();
+        prop_assert_eq!(&copy, &cat);
+        let (mut rebuilt, mut drifted) = (Catalog::new(), Catalog::new());
+        for t in cat.tables() {
+            prop_assert_eq!(copy.exact_prefix(t.id), cat.exact_prefix(t.id));
+            prop_assert_eq!(copy.bucketed_prefix(t.id), cat.bucketed_prefix(t.id));
+            rebuilt.add_table(t.name.clone(), t.stats.clone());
+            let mut stats = t.stats.clone();
+            stats.rows += (t.id.0 == 0) as u64;
+            drifted.add_table(t.name.clone(), stats);
+        }
+        prop_assert_eq!(&rebuilt, &cat);
+        prop_assert_ne!(&drifted, &cat);
+    }
+}

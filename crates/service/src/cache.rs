@@ -23,8 +23,10 @@
 use crate::concurrent::ServeError;
 use lec_canon::RefusalReason;
 use lec_core::SearchStats;
+use lec_cost::{Fingerprint, Prehashed};
 use lec_plan::PlanNode;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -176,6 +178,32 @@ impl AtomicCacheStats {
     }
 }
 
+/// A plan-cache key: the exact encoding plus the environment fingerprints,
+/// folded through [`Fingerprint`] once when built.  That one fold picks the
+/// stripe and is the hash its maps probe with ([`Prehashed`]); equality is
+/// on the full words, so distinct shapes never collide into one plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PlanKey {
+    fingerprint: u64,
+    words: Vec<u64>,
+}
+
+impl PlanKey {
+    pub(crate) fn new(words: Vec<u64>) -> Self {
+        let fold = words.iter().fold(Fingerprint::new(), |fp, &w| fp.u64(w));
+        let fingerprint = fold.finish();
+        PlanKey { fingerprint, words }
+    }
+}
+
+impl Hash for PlanKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint);
+    }
+}
+
+type KeyMap<V> = HashMap<PlanKey, V, BuildHasherDefault<Prehashed>>;
+
 /// A completed search result in canonical label space — what a leader
 /// hands its followers and what the cache stores.
 #[derive(Debug, Clone)]
@@ -294,8 +322,8 @@ struct CachedShapePlan {
 /// and its own LRU clock.
 #[derive(Debug, Default)]
 struct ExactShard {
-    entries: HashMap<Box<[u64]>, CachedShapePlan>,
-    inflight: HashMap<Box<[u64]>, Arc<InflightSearch>>,
+    entries: KeyMap<CachedShapePlan>,
+    inflight: KeyMap<Arc<InflightSearch>>,
     tick: u64,
 }
 
@@ -335,8 +363,9 @@ impl ShapeCache {
         }
     }
 
-    fn exact_shard(&self, key: &[u64]) -> MutexGuard<'_, ExactShard> {
-        self.exact[lec_cost::shard_index(key, self.exact.len())]
+    /// `key`'s stripe: multiply-shift of its fingerprint, uniform for any count.
+    fn exact_shard(&self, key: &PlanKey) -> MutexGuard<'_, ExactShard> {
+        self.exact[((key.fingerprint as u128 * self.exact.len() as u128) >> 64) as usize]
             .lock()
             .unwrap_or_else(|p| p.into_inner())
     }
@@ -404,7 +433,7 @@ impl ShapeCache {
     /// hit counters touched), an uncached key with a search already in
     /// flight joins it ([`ExactLookup::Follow`]), and an uncached idle key
     /// makes this thread the leader ([`ExactLookup::Lead`]).
-    pub(crate) fn lookup_or_lead(&self, exact: &[u64]) -> ExactLookup {
+    pub(crate) fn lookup_or_lead(&self, exact: &PlanKey) -> ExactLookup {
         let mut shard = self.exact_shard(exact);
         let tick = shard.tick + 1;
         shard.tick = tick;
@@ -426,15 +455,13 @@ impl ShapeCache {
             return ExactLookup::Follow(flight);
         }
         let flight = Arc::new(InflightSearch::new());
-        shard
-            .inflight
-            .insert(exact.to_vec().into_boxed_slice(), Arc::clone(&flight));
+        shard.inflight.insert(exact.clone(), Arc::clone(&flight));
         ExactLookup::Lead(flight)
     }
 
     /// Leader completion (success): insert the entry under the exact key,
     /// retire the in-flight record, and wake the followers.
-    pub(crate) fn publish_answer(&self, exact: &[u64], answer: CanonicalAnswer) {
+    pub(crate) fn publish_answer(&self, exact: &PlanKey, answer: CanonicalAnswer) {
         // One allocation shared by the entry and every follower.
         let answer = Arc::new(answer);
         self.stats.recomputed.fetch_add(1, Ordering::Relaxed);
@@ -443,7 +470,7 @@ impl ShapeCache {
             let tick = shard.tick + 1;
             shard.tick = tick;
             shard.entries.insert(
-                exact.to_vec().into_boxed_slice(),
+                exact.clone(),
                 CachedShapePlan {
                     answer: Arc::clone(&answer),
                     hits: 0,
@@ -451,8 +478,12 @@ impl ShapeCache {
                 },
             );
             self.stats.insertions.fetch_add(1, Ordering::Relaxed);
+            // The LRU scan is O(stripe): stripes are small slices of a
+            // bounded capacity, and it only runs when one is full.
             while shard.entries.len() > self.shard_capacity {
-                lec_cost::evict_coldest(&mut shard.entries, |e| e.last_used);
+                let coldest = shard.entries.iter().min_by_key(|(_, e)| e.last_used);
+                let victim = coldest.expect("over capacity, so not empty").0.clone();
+                shard.entries.remove(&victim);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
             // Retiring the in-flight record under the same lock that
@@ -470,7 +501,7 @@ impl ShapeCache {
 
     /// Leader completion (failure): retire the in-flight record and wake
     /// the followers with the leader's error.  Nothing is cached.
-    pub(crate) fn publish_error(&self, exact: &[u64], error: ServeError) {
+    pub(crate) fn publish_error(&self, exact: &PlanKey, error: ServeError) {
         let flight = self.exact_shard(exact).inflight.remove(exact);
         if let Some(flight) = flight {
             if flight.followers() > 0 {
@@ -486,8 +517,8 @@ mod tests {
     use super::*;
     use lec_core::OptError;
 
-    fn key(v: u64) -> Box<[u64]> {
-        vec![v].into_boxed_slice()
+    fn key(v: u64) -> PlanKey {
+        PlanKey::new(vec![v])
     }
 
     fn answer(t: usize, cost: f64) -> CanonicalAnswer {

@@ -51,7 +51,7 @@
 //! assert_eq!(server.cache_stats().lookups, 4);
 //! ```
 
-use crate::cache::{CacheDecision, CacheStats, CanonicalAnswer, ExactLookup, ShapeCache};
+use crate::cache::{CacheDecision, CacheStats, CanonicalAnswer, ExactLookup, PlanKey, ShapeCache};
 use lec_canon::canonical_form;
 use lec_catalog::Catalog;
 use lec_core::{Mode, OptError, Optimized, Optimizer, SearchStats};
@@ -413,11 +413,12 @@ impl<'a> ConcurrentPlanServer<'a> {
                 });
             };
 
-            let exact_key = key_with_env(&form.exact, &[self.memory_fp, mode.fingerprint()]);
+            let inverse_perm = form.inverse_perm();
+            let exact_key = self.plan_key(form.exact, mode);
             // A cached or coalesced canonical answer, carried back into
             // the caller's table numbering.
             let relabeled = |answer: &CanonicalAnswer, decision| {
-                let plan = answer.plan.relabel_tables(&form.inverse_perm());
+                let plan = answer.plan.relabel_tables(&inverse_perm);
                 let mut stats = answer.stats;
                 stats.elapsed = t0.elapsed();
                 ServeResponse {
@@ -507,6 +508,14 @@ impl<'a> ConcurrentPlanServer<'a> {
         result
     }
 
+    /// The cache key: the exact encoding with the memory and mode
+    /// fingerprints pushed onto it (it arrives with room for them).  The
+    /// search config stays out: pruning and telemetry never change an answer.
+    fn plan_key(&self, mut exact: Vec<u64>, mode: &Mode) -> PlanKey {
+        exact.extend_from_slice(&[self.memory_fp, mode.fingerprint()]);
+        PlanKey::new(exact)
+    }
+
     /// One fresh search, as the uncacheable branch and a coalescing leader
     /// both run it: take a cold slot or shed, give the fault harness its
     /// hook, search, close the span, count.
@@ -562,16 +571,6 @@ impl<'a> ConcurrentPlanServer<'a> {
     }
 }
 
-/// Append the environment fingerprints (memory distribution, mode) to a
-/// shape encoding, producing the final cache key.  The search config is
-/// not part of it: pruning and telemetry never change an answer.
-pub(crate) fn key_with_env(encoding: &[u64], env: &[u64; 2]) -> Box<[u64]> {
-    let mut key = Vec::with_capacity(encoding.len() + env.len());
-    key.extend_from_slice(encoding);
-    key.extend_from_slice(env);
-    key.into_boxed_slice()
-}
-
 /// The leader's unconditional-publication obligation.  Dropping it
 /// without completing — only possible when the search panicked out of
 /// [`Optimizer::optimize`] or a serve hook — wakes the followers with
@@ -580,7 +579,7 @@ pub(crate) fn key_with_env(encoding: &[u64], env: &[u64; 2]) -> Box<[u64]> {
 /// leader.
 struct LeaderGuard<'c> {
     cache: &'c ShapeCache,
-    exact_key: &'c [u64],
+    exact_key: &'c PlanKey,
     completed: bool,
 }
 
@@ -894,8 +893,7 @@ mod tests {
         gate.deny.store(true, Ordering::SeqCst);
         // Plant a follower by hand via the cache, then shed the leader.
         let form = canonical_form(server.optimizer.catalog(), &q).unwrap();
-        let env = [server.memory_fp, Mode::AlgorithmC.fingerprint()];
-        let exact_key = key_with_env(&form.exact, &env);
+        let exact_key = server.plan_key(form.exact.clone(), &Mode::AlgorithmC);
         let ExactLookup::Lead(_lead) = server.cache.lookup_or_lead(&exact_key) else {
             panic!("fresh key must lead");
         };
@@ -923,8 +921,7 @@ mod tests {
         let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
         let server = ConcurrentPlanServer::new(&cat, memory);
         let form = canonical_form(server.optimizer.catalog(), &q).unwrap();
-        let env = [server.memory_fp, Mode::AlgorithmC.fingerprint()];
-        let exact_key = key_with_env(&form.exact, &env);
+        let exact_key = server.plan_key(form.exact.clone(), &Mode::AlgorithmC);
         // Hold leadership so the gated request below must follow.
         let ExactLookup::Lead(_lead) = server.cache.lookup_or_lead(&exact_key) else {
             panic!("fresh key must lead");

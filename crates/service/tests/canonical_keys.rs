@@ -2,6 +2,8 @@
 //! equal (and serve relabel-identical plans); distinct shapes and distinct
 //! memory distributions never collide on the 7-table fixtures.
 
+mod common;
+
 use lec_core::{fixtures, Mode, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::{canonical_form, CacheDecision, ConcurrentPlanServer, RefusalReason};
@@ -32,6 +34,86 @@ fn random_perm(rng: &mut StdRng, n: usize) -> Vec<usize> {
         perm.swap(i, j);
     }
     perm
+}
+
+/// A query built to leave colour refinement undecided: 3–7 tables drawn
+/// from two log₂ size buckets with a row drift of 0–2 inside the bucket
+/// (drift 0 twice is an exact twin pair, otherwise same bucket and
+/// different exact statistics), every join on column 0, selectivities from
+/// two values of one log₂ bucket and one of another, over a cycle, star,
+/// chain or clique — the topologies with symmetric positions.
+fn near_symmetric(rng: &mut StdRng) -> (lec_catalog::Catalog, Query) {
+    use lec_catalog::{Catalog, ColumnStats, TableStats};
+    use lec_plan::{ColumnRef, JoinPredicate, QueryTable};
+    let n = rng.gen_range(3..=7usize);
+    let mut cat = Catalog::new();
+    let tables = (0..n)
+        .map(|i| {
+            let (pages, rows) = [(1000, 50_000), (7000, 300_000)][rng.gen_range(0..2usize)];
+            let stats = TableStats::new(
+                pages,
+                rows + rng.gen_range(0..3u64),
+                vec![ColumnStats::plain("a", 100)],
+            );
+            QueryTable::bare(cat.add_table(format!("S{i}"), stats))
+        })
+        .collect();
+    let pairs: Vec<(usize, usize)> = match rng.gen_range(0..4usize) {
+        0 => (0..n).map(|i| (i, (i + 1) % n)).collect(),
+        1 => (1..n).map(|i| (0, i)).collect(),
+        2 => (1..n).map(|i| (i - 1, i)).collect(),
+        _ => (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .collect(),
+    };
+    let joins = pairs
+        .into_iter()
+        .map(|(u, v)| {
+            let sel = [1e-5, 1.1e-5, 1e-4][rng.gen_range(0..3usize)];
+            JoinPredicate::exact(ColumnRef::new(u, 0), ColumnRef::new(v, 0), sel)
+        })
+        .collect();
+    let q = Query {
+        tables,
+        joins,
+        required_order: None,
+    };
+    (cat, q)
+}
+
+/// Any two table-relabelings of one query either both refuse, for the same
+/// reason, or agree byte for byte — also where refinement is not discrete
+/// and the labeling comes out of the enumeration.
+#[test]
+fn relabelings_agree_or_refuse_alike_on_undecided_colourings() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_CA11);
+    let (mut labeled, mut twins) = (0, 0);
+    for case in 0..400 {
+        let (cat, q) = near_symmetric(&mut rng);
+        let map = random_perm(&mut rng, q.n_tables());
+        let base = canonical_form(&cat, &q);
+        let other = canonical_form(&cat, &q.relabel_tables(&map));
+        match (&base, &other) {
+            (Ok(base), Ok(other)) => {
+                assert_eq!(base.exact, other.exact, "case {case}");
+                for (i, &m) in map.iter().enumerate() {
+                    assert_eq!(base.perm[i], other.perm[m], "case {case}");
+                }
+                labeled += 1;
+            }
+            _ => {
+                assert_eq!(
+                    base, other,
+                    "case {case}: refusals must not depend on labels"
+                );
+                twins += (base == Err(RefusalReason::TwinTables)) as usize;
+            }
+        }
+    }
+    assert!(
+        labeled >= 50 && twins >= 50,
+        "the generator must reach both outcomes: {labeled} labeled, {twins} twin refusals"
+    );
 }
 
 proptest! {
@@ -257,4 +339,12 @@ fn exact_key_bytes_are_pinned() {
     let random = uncertain_random(17, 6);
     let name = "6-random, sel_buckets = 3";
     pinned(name, random, 0x2D1569D40BE400E5, &[2, 3, 0, 1, 4, 5]);
+    // Labeled by the enumeration path, not by a discrete colouring.
+    let near_twins = common::near_twin_cycle();
+    pinned(
+        "near-twin 5-cycle",
+        near_twins,
+        0xB4F134AFD3477258,
+        &[0, 2, 1, 4, 3],
+    );
 }

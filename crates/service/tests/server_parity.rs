@@ -6,6 +6,8 @@
 //! `Optimizer::optimize` of the same request, and the cache actually
 //! absorbs the skew (non-trivial hit rate, per-entry hit counters).
 
+mod common;
+
 use lec_core::{Mode, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::{CacheDecision, ConcurrentPlanServer};
@@ -197,4 +199,29 @@ fn mixed_mode_stream_stays_byte_identical() {
         "Algorithm B renamed repeats must now hit the cache \
          (served {alg_b_served}, uncacheable {alg_b_uncacheable})"
     );
+}
+
+#[test]
+fn a_query_labeled_by_enumeration_is_served_byte_identically() {
+    // No ledger workload reaches the canonicalizer's enumeration path (all
+    // their colourings are discrete); this fixture does, and is cacheable.
+    let (catalog, q) = common::near_twin_cycle();
+    let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
+    let server = ConcurrentPlanServer::new(&catalog, memory.clone());
+    let fresh_opt = Optimizer::new(&catalog, memory);
+    let mode = Mode::AlgorithmC;
+    let first = server.serve(&q, &mode).unwrap();
+    assert_eq!(first.decision, CacheDecision::Recomputed);
+    for map in [[1, 2, 3, 4, 0], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]] {
+        let renamed = q.relabel_tables(&map);
+        let served = server.serve(&renamed, &mode).unwrap();
+        let fresh = fresh_opt.optimize(&renamed, &mode).unwrap();
+        assert_eq!(served.decision, CacheDecision::Served, "renaming {map:?}");
+        assert_eq!(served.plan, fresh.plan, "renaming {map:?}");
+        assert_eq!(
+            served.cost.to_bits(),
+            fresh.cost.to_bits(),
+            "renaming {map:?}"
+        );
+    }
 }

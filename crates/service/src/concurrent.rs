@@ -129,6 +129,20 @@ impl From<OptError> for ServeError {
     }
 }
 
+/// The telemetry outcome a finished request is recorded under — the one
+/// place a serving result is mapped onto [`Outcome`].
+pub fn outcome_of(result: &Result<ServeResponse, ServeError>) -> Outcome {
+    match result {
+        Ok(resp) => match resp.decision {
+            CacheDecision::Served => Outcome::Served,
+            CacheDecision::Coalesced => Outcome::Coalesced,
+            _ => Outcome::Fresh,
+        },
+        Err(ServeError::Overloaded) => Outcome::Shed,
+        Err(_) => Outcome::Error,
+    }
+}
+
 /// Serving-layer extension points, carried by [`ServeCtx`].  A daemon implements this once
 /// to get admission control (bounded cold-search backlog with
 /// load-shedding) and deterministic fault injection; the default
@@ -491,17 +505,8 @@ impl<'a> ConcurrentPlanServer<'a> {
             }
         })();
         if let Some(tel) = &self.telemetry {
-            let outcome = match &result {
-                Ok(resp) => match resp.decision {
-                    CacheDecision::Served => Outcome::Served,
-                    CacheDecision::Coalesced => Outcome::Coalesced,
-                    _ => Outcome::Fresh,
-                },
-                Err(ServeError::Overloaded) => Outcome::Shed,
-                Err(_) => Outcome::Error,
-            };
             tel.record_outcome(
-                outcome,
+                outcome_of(&result),
                 u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
         }

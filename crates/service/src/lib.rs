@@ -91,7 +91,8 @@ pub use lec_canon as canon;
 
 pub use cache::{CacheDecision, CacheStats, ShapeCache, CACHE_SHARDS};
 pub use concurrent::{
-    ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks, ServeResponse, DEFAULT_CACHE_CAPACITY,
+    outcome_of, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks, ServeResponse,
+    DEFAULT_CACHE_CAPACITY,
 };
 pub use lec_canon::{
     canonical_form, CanonicalForm, RefusalReason, MAX_CANDIDATE_PERMS, MAX_CANON_TABLES,

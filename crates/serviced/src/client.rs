@@ -12,7 +12,7 @@
 //! search too, so it surfaces to the caller, who decides.  Deterministic optimizer errors
 //! and malformed-frame rejections likewise surface immediately.
 
-use crate::protocol::{self, op, DecodeError, ErrorCode, Reader, StatsFormat, Writer, MAX_FRAME};
+use crate::protocol::{self, op, DecodeError, ErrorCode, FrameBuf, Reader, StatsFormat, Writer};
 use crate::transport::Stream;
 use lec_core::Mode;
 use lec_plan::Query;
@@ -121,7 +121,8 @@ pub struct Client {
     stream: Box<dyn Stream>,
     policy: RetryPolicy,
     rng: StdRng,
-    inbuf: Vec<u8>,
+    inbuf: FrameBuf,
+    out: Writer,
 }
 
 impl Client {
@@ -136,143 +137,42 @@ impl Client {
             stream,
             policy,
             rng: StdRng::seed_from_u64(seed),
-            inbuf: Vec::new(),
+            inbuf: FrameBuf::default(),
+            out: Writer::new(),
         }
     }
 
     // -- wire plumbing ------------------------------------------------
 
-    fn send(&mut self, frame: &[u8]) -> Result<(), ClientError> {
-        self.stream.write_all(frame).map_err(ClientError::Io)
+    /// Write everything encoded onto `out` since the last send.
+    fn send(&mut self) -> Result<(), ClientError> {
+        let sent = self.stream.write_all(&self.out.buf);
+        self.out.buf.clear();
+        sent.map_err(ClientError::Io)
     }
 
-    /// Read one complete frame (opcode + body, prefix stripped).
-    fn read_frame(&mut self) -> Result<Vec<u8>, ClientError> {
-        let mut chunk = [0u8; 16 * 1024];
+    /// Read one complete frame (opcode + body), a slice of the input
+    /// buffer.
+    fn read_frame(&mut self) -> Result<&[u8], ClientError> {
         loop {
-            if self.inbuf.len() >= 4 {
-                let len = u32::from_le_bytes(self.inbuf[..4].try_into().expect("4 bytes checked"));
-                if len == 0 || len > MAX_FRAME {
-                    return Err(ClientError::Protocol("illegal frame length from daemon"));
-                }
-                let total = 4 + len as usize;
-                if self.inbuf.len() >= total {
-                    let frame = self.inbuf[4..total].to_vec();
-                    self.inbuf.drain(..total);
-                    return Ok(frame);
-                }
+            if let Some(at) = self.inbuf.next_frame().map_err(ClientError::Protocol)? {
+                return Ok(&self.inbuf.buf[at]);
             }
-            let n = self.stream.read(&mut chunk).map_err(ClientError::Io)?;
-            if n == 0 {
+            if self.inbuf.fill(self.stream.as_mut())? == 0 {
                 return Err(ClientError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "daemon closed the connection",
                 )));
             }
-            self.inbuf.extend_from_slice(&chunk[..n]);
         }
     }
 
-    fn encode_optimize(req_id: u64, mode: &Mode, query: &Query) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(req_id);
-        protocol::encode_mode(&mut w, mode);
-        protocol::encode_query(&mut w, query);
-        protocol::frame(op::OPTIMIZE, &w.into_bytes())
-    }
-
-    fn parse_optimize_reply(frame: &[u8]) -> Result<(u64, ServeResponse), ClientError> {
-        let Some((&opcode, body)) = frame.split_first() else {
-            return Err(ClientError::Protocol("empty frame from daemon"));
-        };
-        let mut r = Reader::new(body);
-        match opcode {
-            op::OPTIMIZE_OK => {
-                let req_id = r.u64()?;
-                let resp = protocol::decode_response(&mut r)?;
-                r.finish()?;
-                Ok((req_id, resp))
-            }
-            op::ERROR => {
-                let _req_id = r.u64()?;
-                let code = ErrorCode::from_u8(r.u8()?)
-                    .ok_or(ClientError::Protocol("unknown error code"))?;
-                let message = r.str()?;
-                r.finish()?;
-                Err(ClientError::Server(ServerError { code, message }))
-            }
-            _ => Err(ClientError::Protocol("unexpected opcode for optimize")),
-        }
-    }
-
-    // -- requests -----------------------------------------------------
-
-    /// One optimize round trip, no retry.
-    pub fn optimize_once(
-        &mut self,
-        req_id: u64,
-        mode: &Mode,
-        query: &Query,
-    ) -> Result<ServeResponse, ClientError> {
-        self.send(&Self::encode_optimize(req_id, mode, query))?;
-        let frame = self.read_frame()?;
-        let (id, resp) = Self::parse_optimize_reply(&frame)?;
-        if id != req_id {
-            return Err(ClientError::Protocol("response req_id mismatch"));
-        }
-        Ok(resp)
-    }
-
-    /// Optimize with the retry policy: transient refusals retry after a
-    /// jittered backoff; everything else surfaces on the first attempt.
-    pub fn optimize(
-        &mut self,
-        req_id: u64,
-        mode: &Mode,
-        query: &Query,
-    ) -> Result<ServeResponse, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.optimize_once(req_id, mode, query) {
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    let delay = backoff_delay(&self.policy, attempt, &mut self.rng);
-                    std::thread::sleep(delay);
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Pipeline a whole batch: all requests go out in **one** write, then
-    /// all responses are read back in order.  This amortizes one syscall
-    /// pair over the batch — the intended way to pump warm hits.  No
-    /// retry: per-request outcomes (including refusals) map 1:1 into the
-    /// returned vector.
-    pub fn optimize_batch(
-        &mut self,
-        requests: &[(u64, Mode, Query)],
-    ) -> Result<Vec<Result<ServeResponse, ServerError>>, ClientError> {
-        let mut batch = Vec::new();
-        for (req_id, mode, query) in requests {
-            batch.extend_from_slice(&Self::encode_optimize(*req_id, mode, query));
-        }
-        self.send(&batch)?;
-        let mut out = Vec::with_capacity(requests.len());
-        for (req_id, _, _) in requests {
-            let frame = self.read_frame()?;
-            match Self::parse_optimize_reply(&frame) {
-                Ok((id, resp)) => {
-                    if id != *req_id {
-                        return Err(ClientError::Protocol("batch response out of order"));
-                    }
-                    out.push(Ok(resp));
-                }
-                Err(ClientError::Server(e)) => out.push(Err(e)),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
+    fn encode_optimize(&mut self, req_id: u64, mode: &Mode, query: &Query) {
+        let at = self.out.begin_frame(op::OPTIMIZE);
+        self.out.u64(req_id);
+        protocol::encode_mode(&mut self.out, mode);
+        protocol::encode_query(&mut self.out, query);
+        self.out.end_frame(at);
     }
 
     /// Split a reply frame, surfacing `ERROR` frames as
@@ -300,15 +200,108 @@ impl Client {
         Ok(body)
     }
 
-    /// Fetch the daemon's metrics JSON.
-    pub fn metrics(&mut self) -> Result<String, ClientError> {
-        self.send(&protocol::frame(op::METRICS, &[]))?;
+    /// Read the reply to one optimize request.
+    fn read_optimize_reply(&mut self) -> Result<(u64, ServeResponse), ClientError> {
         let frame = self.read_frame()?;
-        let body = Self::expect_opcode(&frame, op::METRICS_OK, "unexpected opcode for metrics")?;
+        let body = Self::expect_opcode(frame, op::OPTIMIZE_OK, "unexpected opcode for optimize")?;
         let mut r = Reader::new(body);
-        let doc = r.str()?;
+        let req_id = r.u64()?;
+        let resp = protocol::decode_response(&mut r)?;
         r.finish()?;
-        Ok(doc)
+        Ok((req_id, resp))
+    }
+
+    /// One control round trip: send `opcode` + `body`, return the body of
+    /// the `want` reply.
+    fn control(
+        &mut self,
+        opcode: u8,
+        body: &[u8],
+        want: u8,
+        what: &'static str,
+    ) -> Result<&[u8], ClientError> {
+        let at = self.out.begin_frame(opcode);
+        self.out.buf.extend_from_slice(body);
+        self.out.end_frame(at);
+        self.send()?;
+        Self::expect_opcode(self.read_frame()?, want, what)
+    }
+
+    /// A control round trip whose request and reply both carry no body.
+    fn control_ack(&mut self, opcode: u8, want: u8, what: &'static str) -> Result<(), ClientError> {
+        if self.control(opcode, &[], want, what)?.is_empty() {
+            Ok(())
+        } else {
+            Err(ClientError::Protocol("acknowledgement carries a body"))
+        }
+    }
+
+    // -- requests -----------------------------------------------------
+
+    /// One optimize round trip, no retry.
+    pub fn optimize_once(
+        &mut self,
+        req_id: u64,
+        mode: &Mode,
+        query: &Query,
+    ) -> Result<ServeResponse, ClientError> {
+        self.encode_optimize(req_id, mode, query);
+        self.send()?;
+        let (id, resp) = self.read_optimize_reply()?;
+        if id != req_id {
+            return Err(ClientError::Protocol("response req_id mismatch"));
+        }
+        Ok(resp)
+    }
+
+    /// Optimize with the retry policy: transient refusals retry after a
+    /// jittered backoff; everything else surfaces on the first attempt.
+    pub fn optimize(
+        &mut self,
+        req_id: u64,
+        mode: &Mode,
+        query: &Query,
+    ) -> Result<ServeResponse, ClientError> {
+        let mut attempt = 0u32;
+        loop {
+            match self.optimize_once(req_id, mode, query) {
+                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
+                    let delay = backoff_delay(&self.policy, attempt, &mut self.rng);
+                    std::thread::sleep(delay);
+                    attempt += 1;
+                }
+                other => return other,
+            }
+        }
+    }
+
+    /// Pipeline a whole batch: all requests are encoded into one buffer
+    /// and go out in **one** write, then all responses are read back in
+    /// order.  This amortizes one syscall pair over the batch — the
+    /// intended way to pump warm hits.  No retry: per-request outcomes
+    /// (including refusals) map 1:1 into the returned vector.
+    pub fn optimize_batch(
+        &mut self,
+        requests: &[(u64, Mode, Query)],
+    ) -> Result<Vec<Result<ServeResponse, ServerError>>, ClientError> {
+        for (req_id, mode, query) in requests {
+            self.encode_optimize(*req_id, mode, query);
+        }
+        self.send()?;
+        let mut out = Vec::with_capacity(requests.len());
+        for (req_id, _, _) in requests {
+            match self.read_optimize_reply() {
+                Ok((id, resp)) => {
+                    if id != *req_id {
+                        return Err(ClientError::Protocol("batch response out of order"));
+                    }
+                    out.push(Ok(resp));
+                }
+                Err(ClientError::Server(e)) => out.push(Err(e)),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(out)
     }
 
     /// Fetch the daemon's observability snapshot in the requested
@@ -317,9 +310,12 @@ impl Client {
     /// snapshots can be compared field-for-field), and
     /// [`StatsFormat::Prometheus`] returns the text exposition.
     pub fn stats(&mut self, format: StatsFormat) -> Result<String, ClientError> {
-        self.send(&protocol::frame(op::STATS, &[format as u8]))?;
-        let frame = self.read_frame()?;
-        let body = Self::expect_opcode(&frame, op::STATS_OK, "unexpected opcode for stats")?;
+        let body = self.control(
+            op::STATS,
+            &[format as u8],
+            op::STATS_OK,
+            "unexpected opcode for stats",
+        )?;
         let mut r = Reader::new(body);
         let doc = r.str()?;
         r.finish()?;
@@ -328,26 +324,12 @@ impl Client {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.send(&protocol::frame(op::PING, &[]))?;
-        let frame = self.read_frame()?;
-        let body = Self::expect_opcode(&frame, op::PONG, "unexpected opcode for ping")?;
-        if body.is_empty() {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol("pong carries no body"))
-        }
+        self.control_ack(op::PING, op::PONG, "unexpected opcode for ping")
     }
 
     /// Ask the daemon to drain gracefully.
     pub fn drain(&mut self) -> Result<(), ClientError> {
-        self.send(&protocol::frame(op::DRAIN, &[]))?;
-        let frame = self.read_frame()?;
-        let body = Self::expect_opcode(&frame, op::DRAIN_OK, "unexpected opcode for drain")?;
-        if body.is_empty() {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol("drain ack carries no body"))
-        }
+        self.control_ack(op::DRAIN, op::DRAIN_OK, "unexpected opcode for drain")
     }
 }
 

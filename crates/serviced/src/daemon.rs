@@ -5,7 +5,7 @@
 //!
 //! [`Daemon::run`] owns a `std::thread::scope`: one accept loop (the
 //! calling thread) plus one handler thread per connection.  Handlers never
-//! block indefinitely — reads use the configured poll interval as a
+//! block indefinitely — reads use a 10 ms poll interval as a
 //! timeout so the drain flag is observed within one interval, and writes
 //! carry the slow-client write timeout.  `run` returns only after every
 //! handler has exited, so the returned [`DrainReport`] is a complete
@@ -34,11 +34,13 @@
 //! the [`DrainReport`].
 
 use crate::faults::{FaultPlan, FrameFault, SearchFault};
-use crate::protocol::{self, op, DecodeError, ErrorCode, Reader, StatsFormat, Writer, MAX_FRAME};
+use crate::protocol::{
+    self, op, split_frame, DecodeError, ErrorCode, FrameBuf, Reader, StatsFormat, Writer,
+};
 use crate::transport::{is_timeout, AbortHandle, Listener, Stream};
 use lec_core::OptError;
-use lec_service::{CacheDecision, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks};
-use lec_telemetry::{Outcome, Stage, TraceCtx};
+use lec_service::{outcome_of, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks};
+use lec_telemetry::{Stage, TraceCtx};
 use serde_json::json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -58,8 +60,6 @@ pub struct DaemonConfig {
     /// Slow-client write timeout; a connection whose peer stops draining
     /// its socket is closed rather than allowed to wedge a handler.
     pub write_timeout: Option<Duration>,
-    /// How often blocked reads/accepts wake up to poll the drain flag.
-    pub poll_interval: Duration,
     /// How long a drain waits for in-flight connections before the
     /// watchdog force-closes the stragglers.
     pub drain_deadline: Duration,
@@ -71,11 +71,13 @@ impl Default for DaemonConfig {
             max_cold_backlog: 4,
             request_deadline: None,
             write_timeout: Some(Duration::from_secs(2)),
-            poll_interval: Duration::from_millis(10),
             drain_deadline: Duration::from_secs(5),
         }
     }
 }
+
+/// How often blocked reads and accepts wake up to poll the drain flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Monotonic counters, cheap to bump from any handler thread.  The
 /// closure invariants tests assert: `connections_accepted ==
@@ -93,6 +95,11 @@ pub struct DaemonMetrics {
     malformed_frames: AtomicU64,
     forced_aborts: AtomicU64,
     drain_duration_ms: AtomicU64,
+}
+
+/// Count one event.
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::AcqRel);
 }
 
 macro_rules! metric_getters {
@@ -137,36 +144,15 @@ impl Gate {
     }
 
     fn try_acquire(&self) -> bool {
-        let mut cur = self.depth.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.max {
-                return false;
-            }
-            match self.depth.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    let new = cur + 1;
-                    let mut hw = self.high_water.load(Ordering::Relaxed);
-                    while new > hw {
-                        match self.high_water.compare_exchange_weak(
-                            hw,
-                            new,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break,
-                            Err(seen) => hw = seen,
-                        }
-                    }
-                    return true;
-                }
-                Err(seen) => cur = seen,
-            }
+        let admitted = self
+            .depth
+            .fetch_update(Ordering::AcqRel, Ordering::Relaxed, |d| {
+                (d < self.max).then_some(d + 1)
+            });
+        if let Ok(before) = admitted {
+            self.high_water.fetch_max(before + 1, Ordering::Relaxed);
         }
+        admitted.is_ok()
     }
 
     fn release(&self) {
@@ -221,7 +207,8 @@ pub struct DrainReport {
     pub drain_duration: Duration,
     /// Connections the watchdog had to force-close at the deadline.
     pub forced_aborts: u64,
-    /// Final metrics snapshot (same shape as a wire `METRICS` response).
+    /// Final metrics snapshot (the document a wire `STATS` request with
+    /// the JSON format byte returns).
     pub metrics: serde_json::Value,
     /// The same snapshot flattened into dotted counter keys, every one
     /// prefixed with its layer's namespace (`daemon.requests_ok`,
@@ -256,17 +243,6 @@ pub fn flatten_counters(doc: &serde_json::Value) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     walk("", doc, &mut out);
     out
-}
-
-/// What to do with the connection after processing one frame.
-enum Disposition {
-    /// Keep pumping frames.
-    Continue,
-    /// Flush pending responses (the error frame is among them), then
-    /// close — the malformed-frame path.
-    Poison,
-    /// Close immediately without flushing (inbound `Drop` fault).
-    Hangup,
 }
 
 /// A hardened front end over one [`ConcurrentPlanServer`].
@@ -380,26 +356,20 @@ impl<'s, 'c> Daemon<'s, 'c> {
         // watchdog just fires them all at the deadline.
         let abort_handles: Mutex<Vec<AbortHandle>> = Mutex::new(Vec::new());
 
-        std::thread::scope(|scope| {
+        let started = std::thread::scope(|scope| {
             let mut next_conn_id: u64 = 0;
             while !self.is_draining() {
-                match listener.accept_timeout(self.config.poll_interval) {
+                match listener.accept_timeout(POLL_INTERVAL) {
                     Ok(Some(stream)) => {
                         if self.is_draining() {
-                            self.metrics
-                                .connections_rejected
-                                .fetch_add(1, Ordering::AcqRel);
+                            bump(&self.metrics.connections_rejected);
                             drop(stream);
                             break;
                         }
                         let conn_id = next_conn_id;
                         next_conn_id += 1;
-                        self.metrics
-                            .connections_accepted
-                            .fetch_add(1, Ordering::AcqRel);
-                        self.metrics
-                            .connections_active
-                            .fetch_add(1, Ordering::AcqRel);
+                        bump(&self.metrics.connections_accepted);
+                        bump(&self.metrics.connections_active);
                         abort_handles
                             .lock()
                             .unwrap_or_else(|p| p.into_inner())
@@ -423,9 +393,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 .unwrap_or_else(Instant::now);
             loop {
                 while let Ok(Some(stream)) = listener.accept_timeout(Duration::ZERO) {
-                    self.metrics
-                        .connections_rejected
-                        .fetch_add(1, Ordering::AcqRel);
+                    bump(&self.metrics.connections_rejected);
                     drop(stream);
                 }
                 let active = self.metrics.connections_active();
@@ -445,17 +413,13 @@ impl<'s, 'c> Daemon<'s, 'c> {
                     }
                     break;
                 }
-                std::thread::sleep(self.config.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
             }
             // Scope exit joins every handler (aborted connections unblock
             // promptly: their reads see EOF/errors).
+            started
         });
 
-        let started = self
-            .drain_started
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .unwrap_or_else(Instant::now);
         let drain_duration = started.elapsed();
         self.metrics
             .drain_duration_ms
@@ -478,19 +442,19 @@ impl<'s, 'c> Daemon<'s, 'c> {
         }
         let _active = ActiveGuard(&self.metrics.connections_active);
 
-        let _ = stream.set_read_timeout(Some(self.config.poll_interval));
+        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         let _ = stream.set_write_timeout(self.config.write_timeout);
 
-        let mut inbuf: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 16 * 1024];
+        let mut inbuf = FrameBuf::default();
+        let mut out = Writer::new();
         let mut in_frame_idx: u64 = 0;
         let mut out_frame_idx: u64 = 0;
         let mut req_idx: u64 = 0;
 
         loop {
-            match stream.read(&mut chunk) {
+            match inbuf.fill(stream.as_mut()) {
                 Ok(0) => return,
-                Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if is_timeout(&e) => {
                     if self.is_draining() {
                         return;
@@ -500,20 +464,20 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 Err(_) => return,
             }
 
-            // Peel every complete frame the read delivered and answer the
-            // whole batch with one write — this is the syscall
+            // Answer every complete frame the read delivered into one
+            // buffer and send it with one write — this is the syscall
             // amortization that lets one connection pump thousands of
             // ~microsecond warm hits per second.
-            let mut out_frames: Vec<Vec<u8>> = Vec::new();
-            let mut disposition = Disposition::Continue;
-            loop {
-                let mut frame = match peel_frame(&mut inbuf) {
-                    Ok(Some(frame)) => frame,
+            out.buf.clear();
+            // A poisoned connection still flushes what it owes (the error
+            // frame is among it), then closes.
+            let mut poisoned = false;
+            while !poisoned {
+                let mut frame = match inbuf.next_frame() {
+                    Ok(Some(at)) => &mut inbuf.buf[at],
                     Ok(None) => break,
                     Err(what) => {
-                        self.metrics.malformed_frames.fetch_add(1, Ordering::AcqRel);
-                        out_frames.push(error_frame(0, ErrorCode::Malformed, what));
-                        disposition = Disposition::Poison;
+                        poisoned = self.malformed(&mut out, what);
                         break;
                     }
                 };
@@ -522,51 +486,42 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 in_frame_idx += 1;
                 match self.faults.inbound_fault(conn_id, idx) {
                     None => {}
-                    Some(FrameFault::Drop) => {
-                        disposition = Disposition::Hangup;
-                        break;
+                    // Close at once, flushing nothing.
+                    Some(FrameFault::Drop) => return,
+                    Some(FrameFault::Truncate(n)) => {
+                        let n = n.min(frame.len());
+                        frame = &mut frame[..n];
                     }
-                    Some(FrameFault::Truncate(n)) => frame.truncate(n),
                     Some(FrameFault::Garble { offset, mask }) if !frame.is_empty() => {
-                        let i = offset % frame.len();
-                        frame[i] ^= mask;
+                        frame[offset % frame.len()] ^= mask;
                     }
                     Some(FrameFault::Garble { .. }) => {}
                     Some(FrameFault::Delay(d)) => std::thread::sleep(d),
                 }
-
-                if self.dispatch(conn_id, &mut req_idx, &frame, &mut out_frames) {
-                    disposition = Disposition::Poison;
-                    break;
-                }
+                poisoned = self.dispatch(conn_id, &mut req_idx, frame, &mut out);
             }
 
-            if matches!(disposition, Disposition::Hangup) {
-                return;
-            }
-            if !self.flush(conn_id, stream.as_mut(), out_frames, &mut out_frame_idx) {
-                return;
-            }
-            if matches!(disposition, Disposition::Poison) || self.is_draining() {
+            let flushed = self.flush(conn_id, stream.as_mut(), &mut out.buf, &mut out_frame_idx);
+            if !flushed || poisoned || self.is_draining() {
                 return;
             }
         }
     }
 
-    /// Process one frame (opcode + body).  Pushes any response frames;
-    /// returns `true` when the connection must be poisoned (the error
-    /// frame is already queued).
-    fn dispatch(
-        &self,
-        conn_id: u64,
-        req_idx: &mut u64,
-        frame: &[u8],
-        out: &mut Vec<Vec<u8>>,
-    ) -> bool {
+    /// Count a malformed frame and answer it; returns `true`, the
+    /// poison verdict of [`Daemon::dispatch`].
+    fn malformed(&self, out: &mut Writer, what: &str) -> bool {
+        bump(&self.metrics.malformed_frames);
+        error_frame(out, 0, ErrorCode::Malformed, what);
+        true
+    }
+
+    /// Process one frame (opcode + body).  Encodes any response frames
+    /// onto `out`; returns `true` when the connection must be poisoned
+    /// (the error frame is already encoded).
+    fn dispatch(&self, conn_id: u64, req_idx: &mut u64, frame: &[u8], out: &mut Writer) -> bool {
         let Some((&opcode, body)) = frame.split_first() else {
-            self.metrics.malformed_frames.fetch_add(1, Ordering::AcqRel);
-            out.push(error_frame(0, ErrorCode::Malformed, "empty frame"));
-            return true;
+            return self.malformed(out, "empty frame");
         };
         match opcode {
             op::OPTIMIZE => {
@@ -586,11 +541,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 })();
                 let (req_id, mode, query) = match parsed {
                     Ok(parts) => parts,
-                    Err(e) => {
-                        self.metrics.malformed_frames.fetch_add(1, Ordering::AcqRel);
-                        out.push(error_frame(0, ErrorCode::Malformed, &e.to_string()));
-                        return true;
-                    }
+                    Err(e) => return self.malformed(out, &e.to_string()),
                 };
                 let mut trace = match (tel, decode_start) {
                     (Some(t), Some(epoch)) => t.trace_ctx_at(req_id, epoch),
@@ -629,72 +580,47 @@ impl<'s, 'c> Daemon<'s, 'c> {
                     (other, _) => other,
                 };
 
-                match result {
+                match &result {
                     Ok(resp) => {
-                        self.metrics.requests_ok.fetch_add(1, Ordering::AcqRel);
-                        // Flush span: response encode + queue, detail =
-                        // encoded body bytes.  (The socket write itself is
-                        // batched across requests after dispatch.)
+                        bump(&self.metrics.requests_ok);
+                        // Flush span: response encode, detail = encoded
+                        // body bytes.  (The socket write itself is batched
+                        // across requests after dispatch.)
                         let flush_start = trace.now_ns();
-                        let mut w = Writer::new();
-                        w.u64(req_id);
-                        protocol::encode_response(&mut w, &resp);
-                        let bytes = w.into_bytes();
-                        let body_len = bytes.len() as u64;
-                        out.push(protocol::frame(op::OPTIMIZE_OK, &bytes));
+                        let at = out.begin_frame(op::OPTIMIZE_OK);
+                        let body_at = out.buf.len();
+                        out.u64(req_id);
+                        protocol::encode_response(out, resp);
+                        let body_len = (out.buf.len() - body_at) as u64;
+                        out.end_frame(at);
                         trace.span(Stage::Flush, flush_start, body_len);
-                        if let Some(t) = tel {
-                            let outcome = match resp.decision {
-                                CacheDecision::Served => Outcome::Served,
-                                CacheDecision::Coalesced => Outcome::Coalesced,
-                                _ => Outcome::Fresh,
-                            };
-                            t.finish_request(&trace, outcome);
-                        }
                     }
                     Err(e) => {
-                        self.metrics.requests_err.fetch_add(1, Ordering::AcqRel);
-                        match &e {
-                            ServeError::Overloaded => {
-                                self.metrics.shed_requests.fetch_add(1, Ordering::AcqRel);
-                            }
+                        bump(&self.metrics.requests_err);
+                        match e {
+                            ServeError::Overloaded => bump(&self.metrics.shed_requests),
                             ServeError::DeadlineExceeded => {
-                                self.metrics
-                                    .deadline_expirations
-                                    .fetch_add(1, Ordering::AcqRel);
+                                bump(&self.metrics.deadline_expirations)
                             }
                             ServeError::Opt(_) => {}
                         }
-                        out.push(error_frame(
-                            req_id,
-                            ErrorCode::from_serve_error(&e),
-                            &e.to_string(),
-                        ));
-                        if let Some(t) = tel {
-                            let outcome = match &e {
-                                ServeError::Overloaded => Outcome::Shed,
-                                _ => Outcome::Error,
-                            };
-                            t.finish_request(&trace, outcome);
-                        }
+                        error_frame(out, req_id, ErrorCode::from_serve_error(e), &e.to_string());
                     }
+                }
+                if let Some(t) = tel {
+                    t.finish_request(&trace, outcome_of(&result));
                 }
                 false
             }
-            op::METRICS if body.is_empty() => {
-                let doc = serde_json::to_string(&self.metrics_json()).unwrap_or_default();
-                let mut w = Writer::new();
-                w.str(&doc);
-                out.push(protocol::frame(op::METRICS_OK, &w.into_bytes()));
-                false
-            }
             op::PING if body.is_empty() => {
-                out.push(protocol::frame(op::PONG, &[]));
+                let at = out.begin_frame(op::PONG);
+                out.end_frame(at);
                 false
             }
             op::DRAIN if body.is_empty() => {
                 self.initiate_drain();
-                out.push(protocol::frame(op::DRAIN_OK, &[]));
+                let at = out.begin_frame(op::DRAIN_OK);
+                out.end_frame(at);
                 false
             }
             op::STATS if body.len() == 1 => match StatsFormat::from_u8(body[0]) {
@@ -705,142 +631,75 @@ impl<'s, 'c> Daemon<'s, 'c> {
                         }
                         StatsFormat::Prometheus => self.prometheus(),
                     };
-                    let mut w = Writer::new();
-                    w.str(&doc);
-                    out.push(protocol::frame(op::STATS_OK, &w.into_bytes()));
+                    let at = out.begin_frame(op::STATS_OK);
+                    out.str(&doc);
+                    out.end_frame(at);
                     false
                 }
-                None => {
-                    self.metrics.malformed_frames.fetch_add(1, Ordering::AcqRel);
-                    out.push(error_frame(0, ErrorCode::Malformed, "unknown stats format"));
-                    true
-                }
+                None => self.malformed(out, "unknown stats format"),
             },
-            _ => {
-                self.metrics.malformed_frames.fetch_add(1, Ordering::AcqRel);
-                out.push(error_frame(
-                    0,
-                    ErrorCode::Malformed,
-                    "unknown or malformed opcode",
-                ));
-                true
-            }
+            _ => self.malformed(out, "unknown or malformed opcode"),
         }
     }
 
-    /// Write the batch.  Fault-free daemons concatenate into a single
-    /// `write_all`; a scripted outbound fault forces per-frame writes so
-    /// faults land on exact frame boundaries.  Returns `false` when the
+    /// Write the batch: one `write_all` of the whole buffer.  A scripted
+    /// outbound fault acts on the same bytes, found by walking the
+    /// buffer's frames; only a fault that severs or delays splits the
+    /// write, at that frame's boundary.  Returns `false` when the
     /// connection must close (write failure, slow client, or a fault
     /// that severs it).
     fn flush(
         &self,
         conn_id: u64,
         stream: &mut dyn Stream,
-        out_frames: Vec<Vec<u8>>,
+        out: &mut [u8],
         out_frame_idx: &mut u64,
     ) -> bool {
-        if out_frames.is_empty() {
-            return true;
-        }
-        if self.faults.is_empty() {
-            let total: usize = out_frames.iter().map(Vec::len).sum();
-            let mut buf = Vec::with_capacity(total);
-            for f in &out_frames {
-                buf.extend_from_slice(f);
-            }
-            *out_frame_idx += out_frames.len() as u64;
-            return stream.write_all(&buf).is_ok();
-        }
-        for mut f in out_frames {
-            let idx = *out_frame_idx;
-            *out_frame_idx += 1;
-            match self.faults.outbound_fault(conn_id, idx) {
-                None => {}
-                Some(FrameFault::Drop) => return false,
-                Some(FrameFault::Truncate(n)) => {
-                    f.truncate(n);
-                    let _ = stream.write_all(&f);
-                    return false;
+        // Bytes of `out` already written.
+        let mut sent = 0;
+        if !self.faults.is_empty() {
+            let mut lo = 0;
+            while let Ok(Some((_, used))) = split_frame(&out[lo..]) {
+                let idx = *out_frame_idx;
+                *out_frame_idx += 1;
+                match self.faults.outbound_fault(conn_id, idx) {
+                    None => {}
+                    Some(FrameFault::Drop) => {
+                        let _ = stream.write_all(&out[sent..lo]);
+                        return false;
+                    }
+                    Some(FrameFault::Truncate(n)) => {
+                        let _ = stream.write_all(&out[sent..lo + n.min(used)]);
+                        return false;
+                    }
+                    Some(FrameFault::Garble { offset, mask }) => out[lo + offset % used] ^= mask,
+                    Some(FrameFault::Delay(d)) => {
+                        if stream.write_all(&out[sent..lo]).is_err() {
+                            return false;
+                        }
+                        sent = lo;
+                        std::thread::sleep(d);
+                    }
                 }
-                Some(FrameFault::Garble { offset, mask }) if !f.is_empty() => {
-                    let i = offset % f.len();
-                    f[i] ^= mask;
-                }
-                Some(FrameFault::Garble { .. }) => {}
-                Some(FrameFault::Delay(d)) => std::thread::sleep(d),
-            }
-            if stream.write_all(&f).is_err() {
-                return false;
+                lo += used;
             }
         }
-        true
+        stream.write_all(&out[sent..]).is_ok()
     }
 }
 
-/// Pop one complete frame (opcode + body, length prefix stripped) off the
-/// input buffer.  `Ok(None)` means more bytes are needed; `Err` means the
-/// length prefix itself is illegal and the connection is poisoned.
-fn peel_frame(inbuf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, &'static str> {
-    if inbuf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(inbuf[..4].try_into().expect("4 bytes checked"));
-    if len == 0 {
-        return Err("zero-length frame");
-    }
-    if len > MAX_FRAME {
-        return Err("frame exceeds MAX_FRAME");
-    }
-    let total = 4 + len as usize;
-    if inbuf.len() < total {
-        return Ok(None);
-    }
-    let frame = inbuf[4..total].to_vec();
-    inbuf.drain(..total);
-    Ok(Some(frame))
-}
-
-/// Assemble one `ERROR` frame.
-fn error_frame(req_id: u64, code: ErrorCode, message: &str) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(req_id);
-    w.u8(code as u8);
-    w.str(message);
-    protocol::frame(op::ERROR, &w.into_bytes())
+/// Encode one `ERROR` frame onto `out`.
+fn error_frame(out: &mut Writer, req_id: u64, code: ErrorCode, message: &str) {
+    let at = out.begin_frame(op::ERROR);
+    out.u64(req_id);
+    out.u8(code as u8);
+    out.str(message);
+    out.end_frame(at);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peel_frame_respects_boundaries() {
-        let mut buf = Vec::new();
-        assert_eq!(peel_frame(&mut buf), Ok(None));
-        buf.extend_from_slice(&protocol::frame(op::PING, &[]));
-        buf.extend_from_slice(&protocol::frame(op::METRICS, &[]));
-        assert_eq!(peel_frame(&mut buf), Ok(Some(vec![op::PING])));
-        assert_eq!(peel_frame(&mut buf), Ok(Some(vec![op::METRICS])));
-        assert_eq!(peel_frame(&mut buf), Ok(None));
-    }
-
-    #[test]
-    fn peel_frame_rejects_illegal_lengths() {
-        let mut zero = 0u32.to_le_bytes().to_vec();
-        assert!(peel_frame(&mut zero).is_err());
-        let mut huge = (MAX_FRAME + 1).to_le_bytes().to_vec();
-        assert!(peel_frame(&mut huge).is_err());
-    }
-
-    #[test]
-    fn peel_frame_waits_for_partial_frames() {
-        let full = protocol::frame(op::PING, &[1, 2, 3]);
-        for cut in 0..full.len() {
-            let mut partial = full[..cut].to_vec();
-            assert_eq!(peel_frame(&mut partial), Ok(None), "cut at {cut}");
-        }
-    }
 
     #[test]
     fn drain_report_counters_are_namespaced_and_collision_free() {

@@ -23,16 +23,23 @@
 //! | op   | name         | direction | body                                        |
 //! |-----:|--------------|-----------|---------------------------------------------|
 //! | 0x01 | `OPTIMIZE`   | request   | `req_id: u64`, mode, query                  |
-//! | 0x02 | `METRICS`    | request   | empty                                       |
+//! | 0x02 | *retired*    | request   | was `METRICS`; answered as an unknown opcode |
 //! | 0x03 | `PING`       | request   | empty                                       |
 //! | 0x04 | `DRAIN`      | request   | empty                                       |
 //! | 0x05 | `STATS`      | request   | `format: u8` (0 = JSON, 1 = Prometheus)     |
 //! | 0x81 | `OPTIMIZE_OK`| response  | `req_id: u64`, response                     |
 //! | 0x82 | `ERROR`      | response  | `req_id: u64`, `code: u8`, message          |
-//! | 0x83 | `METRICS_OK` | response  | one JSON string                             |
+//! | 0x83 | *retired*    | response  | was `METRICS_OK`; never sent                |
 //! | 0x84 | `PONG`       | response  | empty                                       |
 //! | 0x85 | `DRAIN_OK`   | response  | empty                                       |
 //! | 0x86 | `STATS_OK`   | response  | one string in the requested format          |
+//!
+//! Opcodes 0x02 / 0x83 are retired, not renumbered: `METRICS` returned the
+//! document `STATS` with the JSON format byte returns, so `STATS` is the
+//! one stats op.  [`protocol::split_frame`] is the only code that reads a
+//! length prefix and [`protocol::Writer::end_frame`] the only code that
+//! writes one; daemon and client each keep one input buffer whose frames
+//! are slices of it and one output buffer encoded in place.
 //!
 //! `STATS` with the JSON format byte returns the daemon's full
 //! observability snapshot — latency histograms (p50/p90/p99/p999 per
@@ -74,8 +81,10 @@
 //!   leaders mid-search, so the chaos suite asserts exact blast radii.
 //!
 //! Transports are pluggable ([`transport::Stream`] /
-//! [`transport::Listener`]): TCP, Unix-domain sockets, or the in-process
-//! [`duplex`](transport::duplex) pipe the tests run on.
+//! [`transport::Listener`]): the in-process [`duplex`](transport::duplex)
+//! pipe most tests run on, and kernel sockets — [`TcpAcceptor`] and
+//! [`UnixAcceptor`] are one implementation instantiated twice, and
+//! `wire_parity.rs` runs the parity stream over both.
 
 #![forbid(unsafe_code)]
 

@@ -33,11 +33,14 @@
 //! panic, an OOM, or a hang — which the daemon answers with
 //! [`ErrorCode::Malformed`] before poisoning exactly that connection.
 
+use crate::transport::Stream;
 use lec_catalog::TableId;
 use lec_core::{AlgDConfig, Mode, OptError, PointEstimate, SearchStats};
 use lec_plan::{ColumnRef, JoinMethod, JoinPredicate, LocalPredicate, PlanNode, Query, QueryTable};
 use lec_prob::{Distribution, MarkovChain, Rebucket};
 use lec_service::{CacheDecision, ServeError};
+use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,8 +60,9 @@ pub mod op {
     /// Optimize one query: `req_id: u64`, then [`super::encode_mode`],
     /// then [`super::encode_query`].
     pub const OPTIMIZE: u8 = 0x01;
-    /// Fetch the daemon's metrics JSON.  Empty body.
-    pub const METRICS: u8 = 0x02;
+    // 0x02 named `METRICS`, which returned the document `STATS` with the
+    // JSON format byte returns; it is retired, not reused, and a peer still
+    // sending it is answered like any unknown opcode.
     /// Liveness probe.  Empty body.
     pub const PING: u8 = 0x03;
     /// Initiate graceful drain.  Empty body.
@@ -73,8 +77,7 @@ pub mod op {
     pub const OPTIMIZE_OK: u8 = 0x81;
     /// Error response: `req_id: u64`, `code: u8`, `message: String`.
     pub const ERROR: u8 = 0x82;
-    /// Metrics response: one JSON string.
-    pub const METRICS_OK: u8 = 0x83;
+    // 0x83 named `METRICS_OK`; retired with 0x02.
     /// Ping response.  Empty body.
     pub const PONG: u8 = 0x84;
     /// Drain acknowledged; the daemon finishes in-flight work and exits.
@@ -206,10 +209,12 @@ pub const MODE_NAMES: [&str; 11] = [
 // Writer
 // ---------------------------------------------------------------------
 
-/// Append-only frame body builder.
+/// Append-only builder of frame bodies and, with [`Writer::begin_frame`] /
+/// [`Writer::end_frame`], of whole frames in place: one `Writer` holds a
+/// connection's outgoing batch.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: Vec<u8>,
+    pub(crate) buf: Vec<u8>,
 }
 
 impl Writer {
@@ -219,6 +224,23 @@ impl Writer {
 
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Start a frame where the buffer ends: four bytes held for the length
+    /// prefix, then the opcode.  The body is whatever is written before
+    /// [`Writer::end_frame`] is given the returned position.
+    pub fn begin_frame(&mut self, opcode: u8) -> usize {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0, 0, 0, 0, opcode]);
+        at
+    }
+
+    /// Patch the length prefix of the frame begun at `at` — the only place
+    /// a prefix is written.
+    pub fn end_frame(&mut self, at: usize) {
+        let len = self.buf.len() - at - 4;
+        assert!(len <= MAX_FRAME as usize, "frame exceeds MAX_FRAME");
+        self.buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
     }
 
     pub fn u8(&mut self, v: u8) -> &mut Self {
@@ -754,13 +776,75 @@ pub fn decode_response(r: &mut Reader) -> Result<lec_service::ServeResponse, Dec
 
 /// Assemble a complete frame (length prefix + opcode + body).
 pub fn frame(opcode: u8, body: &[u8]) -> Vec<u8> {
-    let len = (body.len() + 1) as u32;
-    assert!(len <= MAX_FRAME, "frame exceeds MAX_FRAME");
-    let mut out = Vec::with_capacity(4 + len as usize);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(opcode);
-    out.extend_from_slice(body);
-    out
+    let mut w = Writer {
+        buf: Vec::with_capacity(5 + body.len()),
+    };
+    let at = w.begin_frame(opcode);
+    w.buf.extend_from_slice(body);
+    w.end_frame(at);
+    w.buf
+}
+
+/// Split the first frame off `buf`: its opcode and body as a slice of
+/// `buf`, and the bytes it occupies with its prefix — the only place a
+/// prefix is read.  `Ok(None)` means more bytes are needed; `Err` means
+/// the prefix itself is illegal (zero, or past [`MAX_FRAME`]), which is
+/// decided from the prefix alone and poisons the connection.
+pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, &'static str> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix);
+    if len == 0 {
+        return Err("zero-length frame");
+    }
+    if len > MAX_FRAME {
+        return Err("frame exceeds MAX_FRAME");
+    }
+    let total = 4 + len as usize;
+    Ok(buf.get(4..total).map(|frame| (frame, total)))
+}
+
+/// Bytes asked of the stream per read.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// A connection's input: one buffer that reads land in and frames are
+/// slices of, with a cursor past the frames already handed out.
+#[derive(Debug, Default)]
+pub(crate) struct FrameBuf {
+    pub(crate) buf: Vec<u8>,
+    /// `buf[start..end]` is received and not yet handed out.
+    start: usize,
+    end: usize,
+}
+
+impl FrameBuf {
+    /// Drop what was handed out, then read once into the room behind the
+    /// rest.  Returns the stream's count (`0` = peer closed).
+    pub(crate) fn fill(&mut self, stream: &mut dyn Stream) -> io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() < self.end + READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
+        }
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Where in `buf` the next complete frame (opcode + body) lies, if one
+    /// has arrived; the cursor moves past it.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Range<usize>>, &'static str> {
+        let Some((frame, used)) = split_frame(&self.buf[self.start..self.end])? else {
+            return Ok(None);
+        };
+        let len = frame.len();
+        self.start += used;
+        Ok(Some(self.start - len..self.start))
+    }
 }
 
 #[cfg(test)]

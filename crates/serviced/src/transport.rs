@@ -4,7 +4,8 @@
 //! The daemon and client are written against the [`Stream`] / [`Listener`]
 //! traits so every robustness test can run hermetically over [`duplex`]
 //! pipes — deterministic, no ports, no filesystem — while production
-//! deployments listen on TCP or a Unix socket with identical semantics.
+//! deployments listen on TCP or a Unix socket with identical semantics:
+//! the two kernel sockets are one implementation, instantiated twice.
 //! The pipe implements *bounded* buffers with real read/write timeouts, so
 //! slow-client backpressure and write-timeout tests behave exactly like a
 //! kernel socket buffer filling up.
@@ -56,134 +57,78 @@ pub fn is_timeout(e: &io::Error) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// TCP
+// Kernel sockets: TCP and Unix-domain
 // ---------------------------------------------------------------------
 
-impl Stream for TcpStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        io::Read::read(self, buf)
-    }
+/// The one socket implementation: [`Stream`] for `$stream`, and
+/// `$acceptor`, a [`Listener`] over a non-blocking `$listener`.
+macro_rules! socket_transport {
+    ($acceptor:ident, $listener:ident, $stream:ident) => {
+        impl Stream for $stream {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                io::Read::read(self, buf)
+            }
 
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        io::Write::write_all(self, buf)
-    }
+            fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+                io::Write::write_all(self, buf)
+            }
 
-    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        TcpStream::set_read_timeout(self, d)
-    }
+            fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
+                $stream::set_read_timeout(self, d)
+            }
 
-    fn set_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        TcpStream::set_write_timeout(self, d)
-    }
+            fn set_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
+                $stream::set_write_timeout(self, d)
+            }
 
-    fn abort_handle(&self) -> AbortHandle {
-        match self.try_clone() {
-            Ok(clone) => Box::new(move || {
-                let _ = clone.shutdown(std::net::Shutdown::Both);
-            }),
-            Err(_) => Box::new(|| {}),
-        }
-    }
-}
-
-/// [`Listener`] over a non-blocking [`TcpListener`].
-pub struct TcpAcceptor {
-    inner: TcpListener,
-}
-
-impl TcpAcceptor {
-    /// Wrap a bound listener (switched to non-blocking accepts).
-    pub fn new(inner: TcpListener) -> io::Result<Self> {
-        inner.set_nonblocking(true)?;
-        Ok(TcpAcceptor { inner })
-    }
-}
-
-impl Listener for TcpAcceptor {
-    fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<Box<dyn Stream>>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.inner.accept() {
-                Ok((stream, _addr)) => {
-                    stream.set_nonblocking(false)?;
-                    return Ok(Some(Box::new(stream)));
+            fn abort_handle(&self) -> AbortHandle {
+                match self.try_clone() {
+                    Ok(clone) => Box::new(move || {
+                        let _ = clone.shutdown(std::net::Shutdown::Both);
+                    }),
+                    Err(_) => Box::new(|| {}),
                 }
-                Err(e) if is_timeout(&e) => {
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => return Err(e),
             }
         }
-    }
-}
 
-// ---------------------------------------------------------------------
-// Unix-domain sockets
-// ---------------------------------------------------------------------
-
-impl Stream for UnixStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        io::Read::read(self, buf)
-    }
-
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        io::Write::write_all(self, buf)
-    }
-
-    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        UnixStream::set_read_timeout(self, d)
-    }
-
-    fn set_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        UnixStream::set_write_timeout(self, d)
-    }
-
-    fn abort_handle(&self) -> AbortHandle {
-        match self.try_clone() {
-            Ok(clone) => Box::new(move || {
-                let _ = clone.shutdown(std::net::Shutdown::Both);
-            }),
-            Err(_) => Box::new(|| {}),
+        #[doc = concat!("[`Listener`] over a non-blocking [`", stringify!($listener), "`].")]
+        pub struct $acceptor {
+            inner: $listener,
         }
-    }
-}
 
-/// [`Listener`] over a non-blocking [`UnixListener`].
-pub struct UnixAcceptor {
-    inner: UnixListener,
-}
-
-impl UnixAcceptor {
-    /// Wrap a bound listener (switched to non-blocking accepts).
-    pub fn new(inner: UnixListener) -> io::Result<Self> {
-        inner.set_nonblocking(true)?;
-        Ok(UnixAcceptor { inner })
-    }
-}
-
-impl Listener for UnixAcceptor {
-    fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<Box<dyn Stream>>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.inner.accept() {
-                Ok((stream, _addr)) => {
-                    stream.set_nonblocking(false)?;
-                    return Ok(Some(Box::new(stream)));
-                }
-                Err(e) if is_timeout(&e) => {
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => return Err(e),
+        impl $acceptor {
+            /// Wrap a bound listener (switched to non-blocking accepts).
+            pub fn new(inner: $listener) -> io::Result<Self> {
+                inner.set_nonblocking(true)?;
+                Ok($acceptor { inner })
             }
         }
-    }
+
+        impl Listener for $acceptor {
+            fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<Box<dyn Stream>>> {
+                let deadline = Instant::now() + timeout;
+                loop {
+                    match self.inner.accept() {
+                        Ok((stream, _addr)) => {
+                            stream.set_nonblocking(false)?;
+                            return Ok(Some(Box::new(stream)));
+                        }
+                        Err(e) if is_timeout(&e) => {
+                            if Instant::now() >= deadline {
+                                return Ok(None);
+                            }
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
+            }
+        }
+    };
 }
+
+socket_transport!(TcpAcceptor, TcpListener, TcpStream);
+socket_transport!(UnixAcceptor, UnixListener, UnixStream);
 
 // ---------------------------------------------------------------------
 // In-process duplex pipe

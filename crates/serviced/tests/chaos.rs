@@ -188,6 +188,48 @@ fn truncated_optimize_bodies_are_rejected_cleanly() {
     }
 }
 
+/// Opcode 0x02 was `METRICS` until `STATS` with the JSON format byte
+/// replaced it.  It is retired, not reused: a peer still sending it is
+/// answered like any unknown opcode — one `Malformed` error frame, then
+/// its connection is closed.
+#[test]
+fn the_retired_metrics_opcode_is_malformed_and_poisons_its_connection() {
+    let (catalog, queries) = fixture();
+    let ((), report) = with_daemon(
+        &catalog,
+        DaemonConfig::default(),
+        FaultPlan::new(),
+        |listener, daemon| {
+            let mut raw = listener.connect();
+            raw.write_all(&protocol::frame(0x02, &[])).unwrap();
+            // Read to EOF: the daemon closes the connection by itself,
+            // after exactly one frame.
+            let mut reply = Vec::new();
+            let mut chunk = [0u8; 256];
+            loop {
+                match raw.read(&mut chunk).expect("reply, then a clean close") {
+                    0 => break,
+                    n => reply.extend_from_slice(&chunk[..n]),
+                }
+            }
+            let (frame, used) = protocol::split_frame(&reply)
+                .expect("legal prefix")
+                .expect("one whole frame");
+            assert_eq!(used, reply.len(), "nothing follows the error frame");
+            assert_eq!(frame[0], op::ERROR);
+            let mut r = protocol::Reader::new(&frame[1..]);
+            assert_eq!(r.u64(), Ok(0), "no request id to echo");
+            assert_eq!(r.u8(), Ok(ErrorCode::Malformed as u8));
+            let mut healthy = Client::new(Box::new(listener.connect()), 2);
+            healthy
+                .optimize_once(0, &Mode::AlgorithmC, &queries[0])
+                .expect("healthy conn serves");
+            assert_eq!(daemon.metrics().malformed_frames(), 1);
+        },
+    );
+    assert_eq!(report.forced_aborts, 0);
+}
+
 // ---------------------------------------------------------------------
 // Leader kills: the cohort fails, the connection survives
 // ---------------------------------------------------------------------

@@ -7,12 +7,15 @@
 //! frames (one byte flipped anywhere in a well-formed encoding — the
 //! single-bit-rot case the chaos suite's `Garble` fault plays out
 //! end-to-end).
+//!
+//! The frame splitter gets the same treatment: `split_frame` on arbitrary
+//! bytes, and on valid frame streams cut in two at every offset.
 
 use lec_core::{Mode, PointEstimate};
 use lec_plan::{QueryProfile, WorkloadGenerator};
 use lec_serviced::protocol::{
     decode_dist, decode_mode, decode_plan, decode_query, decode_response, encode_mode, encode_plan,
-    encode_query, encode_response, DecodeError, Reader, Writer,
+    encode_query, encode_response, frame, op, split_frame, DecodeError, Reader, Writer, MAX_FRAME,
 };
 use proptest::prelude::*;
 
@@ -79,7 +82,87 @@ fn the_retired_decision_tag_is_a_clean_error() {
     }
 }
 
+#[test]
+fn split_frame_respects_boundaries() {
+    let mut buf = Vec::new();
+    assert_eq!(split_frame(&buf), Ok(None));
+    buf.extend_from_slice(&frame(op::PING, &[]));
+    buf.extend_from_slice(&frame(op::DRAIN, &[]));
+    assert_eq!(split_frame(&buf), Ok(Some((&[op::PING][..], 5))));
+    assert_eq!(split_frame(&buf[5..]), Ok(Some((&[op::DRAIN][..], 5))));
+    assert_eq!(split_frame(&buf[10..]), Ok(None));
+}
+
+#[test]
+fn split_frame_rejects_illegal_lengths() {
+    let zero = 0u32.to_le_bytes();
+    assert!(split_frame(&zero).is_err());
+    let huge = (MAX_FRAME + 1).to_le_bytes();
+    assert!(split_frame(&huge).is_err());
+}
+
+#[test]
+fn split_frame_waits_for_partial_frames() {
+    let full = frame(op::PING, &[1, 2, 3]);
+    for cut in 0..full.len() {
+        assert_eq!(split_frame(&full[..cut]), Ok(None), "cut at {cut}");
+    }
+}
+
+/// Split every complete frame off `stream` the way a connection does: a
+/// first read delivers `stream[..cut]`, a second the rest, and the bytes
+/// of a frame the first read left incomplete wait in the buffer.
+fn frames_across_a_cut(stream: &[u8], cut: usize) -> Vec<Vec<u8>> {
+    let mut frames = Vec::new();
+    let mut pos = 0;
+    for end in [cut, stream.len()] {
+        while let Some((frame, used)) = split_frame(&stream[pos..end]).expect("valid prefixes") {
+            frames.push(frame.to_vec());
+            pos += used;
+        }
+    }
+    assert_eq!(pos, stream.len(), "no byte is left behind");
+    frames
+}
+
 proptest! {
+    #[test]
+    fn split_frame_never_panics_and_stays_inside_its_input(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        claimed in prop_oneof![0u32..96, MAX_FRAME - 2..MAX_FRAME + 3],
+        lead_with_claim in any::<bool>(),
+    ) {
+        // Pure noise almost always announces an oversized frame, so half
+        // the inputs lead with a prefix near the bytes that follow it or
+        // near the cap instead.
+        let mut input = if lead_with_claim { claimed.to_le_bytes().to_vec() } else { Vec::new() };
+        input.extend_from_slice(&bytes);
+        if let Ok(Some((frame, used))) = split_frame(&input) {
+            prop_assert!(used <= input.len());
+            prop_assert!(!frame.is_empty() && frame.len() < used);
+            let within = input.as_ptr_range();
+            let got = frame.as_ptr_range();
+            prop_assert!(within.start <= got.start && got.end <= within.end);
+            prop_assert_eq!(frame, &input[used - frame.len()..used]);
+        }
+    }
+
+    #[test]
+    fn frames_survive_every_two_piece_cut(
+        bodies in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..6),
+    ) {
+        let mut stream = Vec::new();
+        let mut want = Vec::new();
+        for (i, body) in bodies.iter().enumerate() {
+            let opcode = 1 + i as u8;
+            stream.extend_from_slice(&frame(opcode, body));
+            want.push([&[opcode][..], body].concat());
+        }
+        for cut in 0..=stream.len() {
+            prop_assert_eq!(&frames_across_a_cut(&stream, cut), &want, "cut at {}", cut);
+        }
+    }
+
     #[test]
     fn pure_noise_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         decode_everything(&bytes);

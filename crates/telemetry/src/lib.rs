@@ -13,7 +13,7 @@
 //! * [`Telemetry::snapshot_json`] / [`Telemetry::prometheus`] — the full
 //!   snapshot as sorted-key JSON or Prometheus text exposition ([`prom`]).
 //!
-//! A [`Telemetry`] built from [`TelemetryConfig::off()`] keeps every
+//! A [`Telemetry`] built by [`Telemetry::off`] keeps every
 //! recording method a cheap early-return branch, and a disabled
 //! [`TraceCtx`] never reads the clock, so instrumented code needs no
 //! conditional compilation to stay near-free when observability is off.
@@ -222,45 +222,12 @@ impl IoTotals {
     }
 }
 
-/// Sizing and enablement for a [`Telemetry`] instance.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    pub enabled: bool,
-    /// Trace-ring segments; writers hash by thread onto segments.
-    pub ring_segments: usize,
-    /// Slots per segment (drop-oldest beyond this).
-    pub ring_slots_per_segment: usize,
-    /// Slowest-N requests retained with span breakdowns.
-    pub slow_log_size: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig::on()
-    }
-}
-
-impl TelemetryConfig {
-    pub fn on() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: true,
-            ring_segments: 4,
-            ring_slots_per_segment: 64,
-            slow_log_size: 16,
-        }
-    }
-
-    /// Disabled: recording methods become early-return branches and no ring
-    /// or slow-log memory is retained beyond minimal stubs.
-    pub fn off() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: false,
-            ring_segments: 1,
-            ring_slots_per_segment: 1,
-            slow_log_size: 1,
-        }
-    }
-}
+/// Trace-ring segments; writers hash by thread onto segments.
+const RING_SEGMENTS: usize = 4;
+/// Slots per ring segment (drop-oldest beyond this).
+const RING_SLOTS_PER_SEGMENT: usize = 64;
+/// Slowest-N requests retained with span breakdowns.
+const SLOW_LOG_SIZE: usize = 16;
 
 /// One DP level's pruning activity, recorded by the search driver when
 /// the level completes: how many subsets the level discarded and how the
@@ -343,21 +310,19 @@ impl EngineTelemetry {
 /// The full telemetry surface for one serving stack: outcome latency
 /// histograms, engine-internal histograms, the trace ring, and the slow log.
 pub struct Telemetry {
-    config: TelemetryConfig,
+    enabled: bool,
     outcomes: [Histogram; OUTCOME_COUNT],
     engine: Arc<EngineTelemetry>,
     calibration: CalibrationErrors,
     io: Arc<IoTotals>,
     ring: TraceRing,
     slow: SlowLog,
-    /// Floor (ns) below which finished traces skip the slow log entirely.
-    slow_threshold_ns: u64,
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("config", &self.config)
+            .field("enabled", &self.enabled)
             .field("ring_occupancy", &self.ring.occupancy())
             .field("slow_log_entries", &self.slow.len())
             .finish_non_exhaustive()
@@ -365,38 +330,31 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    pub fn new(config: TelemetryConfig) -> Telemetry {
-        let ring = TraceRing::new(config.ring_segments, config.ring_slots_per_segment);
-        let slow = SlowLog::new(config.slow_log_size);
+    fn new(enabled: bool) -> Telemetry {
         Telemetry {
+            enabled,
             outcomes: std::array::from_fn(|_| Histogram::new()),
             engine: Arc::new(EngineTelemetry::default()),
             calibration: CalibrationErrors::default(),
             io: Arc::new(IoTotals::default()),
-            ring,
-            slow,
-            slow_threshold_ns: 0,
-            config,
+            ring: TraceRing::new(RING_SEGMENTS, RING_SLOTS_PER_SEGMENT),
+            slow: SlowLog::new(SLOW_LOG_SIZE),
         }
     }
 
-    /// Enabled telemetry with default sizing.
+    /// Enabled telemetry.
     pub fn on() -> Telemetry {
-        Telemetry::new(TelemetryConfig::on())
+        Telemetry::new(true)
     }
 
     /// Disabled telemetry: every recording call is a cheap early return.
     pub fn off() -> Telemetry {
-        Telemetry::new(TelemetryConfig::off())
+        Telemetry::new(false)
     }
 
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.config.enabled
-    }
-
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
+        self.enabled
     }
 
     /// Engine-internal histograms handle, for installation into
@@ -415,7 +373,7 @@ impl Telemetry {
     /// operator class.  Cheap early return when telemetry is off.
     #[inline]
     pub fn record_calibration_error(&self, class: OpClass, predicted: f64, measured: f64) {
-        if !self.config.enabled {
+        if !self.enabled {
             return;
         }
         self.calibration.record(class, predicted, measured);
@@ -427,7 +385,7 @@ impl Telemetry {
 
     /// A [`TraceCtx`] for a new request: active iff telemetry is enabled.
     pub fn trace_ctx(&self, request_id: u64) -> TraceCtx {
-        if self.config.enabled {
+        if self.enabled {
             TraceCtx::new(request_id)
         } else {
             TraceCtx::disabled()
@@ -437,7 +395,7 @@ impl Telemetry {
     /// Like [`Self::trace_ctx`] but with an explicit epoch (timing started
     /// before the request id was decoded).
     pub fn trace_ctx_at(&self, request_id: u64, epoch: Instant) -> TraceCtx {
-        if self.config.enabled {
+        if self.enabled {
             TraceCtx::starting_at(request_id, epoch)
         } else {
             TraceCtx::disabled()
@@ -448,7 +406,7 @@ impl Telemetry {
     /// One branch plus three relaxed atomic adds; no allocation.
     #[inline]
     pub fn record_outcome(&self, outcome: Outcome, elapsed_ns: u64) {
-        if !self.config.enabled {
+        if !self.enabled {
             return;
         }
         self.outcomes[outcome as usize].record(elapsed_ns);
@@ -456,14 +414,12 @@ impl Telemetry {
 
     /// Publish a finished trace into the ring and offer it to the slow log.
     pub fn finish_request(&self, ctx: &TraceCtx, outcome: Outcome) {
-        if !self.config.enabled || !ctx.enabled() {
+        if !self.enabled || !ctx.enabled() {
             return;
         }
         let total_ns = ctx.now_ns();
         self.ring.push(ctx, outcome as u8, total_ns);
-        if total_ns > self.slow_threshold_ns {
-            self.slow.offer(ctx, outcome as u8, total_ns);
-        }
+        self.slow.offer(ctx, outcome as u8, total_ns);
     }
 
     pub fn ring(&self) -> &TraceRing {
@@ -488,7 +444,7 @@ impl Telemetry {
         latency.sort_by(|a, b| a.0.cmp(&b.0));
         json!({
             "calibration": self.calibration.to_json(),
-            "enabled": self.config.enabled,
+            "enabled": self.enabled,
             "engine": self.engine.to_json(),
             "io": self.io.to_json(),
             "latency": Value::Object(latency),

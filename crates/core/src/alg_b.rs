@@ -35,9 +35,10 @@ pub(crate) fn rank_top_c_plans(
         let mut policy = TopCPolicy::new(m, c);
         let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
         stats.absorb(&run.stats);
-        frontier.combinations_examined += policy.frontier.combinations_examined;
-        frontier.bound_total += policy.frontier.bound_total;
-        frontier.groups += policy.frontier.groups;
+        let f = policy.frontier;
+        frontier.combinations_examined += f.combinations_examined;
+        frontier.bound_total = frontier.bound_total.saturating_add(f.bound_total);
+        frontier.groups += f.groups;
         for e in run.roots {
             if !candidates.contains(&e.plan) {
                 candidates.push(Arc::unwrap_or_clone(e.plan));
@@ -133,6 +134,20 @@ mod tests {
             );
             assert!(f.groups > 0);
         }
+    }
+
+    /// The Prop 3.1 bound of `c = usize::MAX` is itself `u64::MAX`: the
+    /// frontier total saturates instead of overflowing (a debug build
+    /// used to panic on the second group).
+    #[test]
+    fn huge_c_saturates_the_frontier_bound() {
+        let (cat, q) = three_chain();
+        let model = CostModel::new(&cat, &q);
+        let memory = example_1_1_memory();
+        let huge = run(&model, &memory, Mode::AlgorithmB { c: usize::MAX }).unwrap();
+        assert_eq!(huge.frontier().unwrap().bound_total, u64::MAX);
+        let c3 = run(&model, &memory, Mode::AlgorithmB { c: 3 }).unwrap();
+        assert!(huge.cost <= c3.cost, "a candidate superset cannot hurt");
     }
 
     #[test]

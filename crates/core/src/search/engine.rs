@@ -10,12 +10,27 @@ use super::bound::{point_size_product, PruneState};
 use super::policy::{CandidatePolicy, JoinContext, RootContext, SearchEntry};
 use super::SearchStats;
 use crate::error::OptError;
-use lec_cost::CostModel;
+use lec_cost::{CostModel, Prehashed};
 use lec_plan::TableSet;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A DP-table key: a subset, hashed as one [`lec_cost::avalanche`] of
+/// its bits — every probe of a combine pays a few multiplies, not SipHash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Subset(TableSet);
+
+impl Hash for Subset {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(lec_cost::avalanche(self.0.bits()));
+    }
+}
+
+/// The DP table: each populated subset's retained entries.
+type DpTable<E> = HashMap<Subset, Vec<E>, BuildHasherDefault<Prehashed>>;
 
 /// How a subset is split into (outer, inner) operand pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,7 +229,7 @@ fn combine_subset<P: CandidatePolicy>(
     model: &CostModel<'_>,
     shape: PlanShape,
     policy: &mut P,
-    table: &HashMap<TableSet, Vec<P::Entry>>,
+    table: &DpTable<P::Entry>,
     set: TableSet,
     prune: Option<&PruneState>,
     tel: Option<&lec_telemetry::EngineTelemetry>,
@@ -231,7 +246,8 @@ fn combine_subset<P: CandidatePolicy>(
     }
     let mut entries: Vec<P::Entry> = Vec::new();
     for (left, right) in shape.splits(model, set) {
-        let (Some(outer), Some(inner)) = (table.get(&left), table.get(&right)) else {
+        let (Some(outer), Some(inner)) = (table.get(&Subset(left)), table.get(&Subset(right)))
+        else {
             continue;
         };
         let ctx = JoinContext {
@@ -291,13 +307,13 @@ fn access_level<P: CandidatePolicy>(
     model: &CostModel<'_>,
     policy: &mut P,
     stats: &mut SearchStats,
-) -> HashMap<TableSet, Vec<P::Entry>> {
-    let mut table = HashMap::new();
+) -> DpTable<P::Entry> {
+    let mut table = DpTable::default();
     for idx in 0..model.query().n_tables() {
         let entries = policy.access_entries(model, idx, stats);
         if !entries.is_empty() {
             stats.nodes += 1;
-            table.insert(TableSet::singleton(idx), entries);
+            table.insert(Subset(TableSet::singleton(idx)), entries);
         }
     }
     table
@@ -330,7 +346,7 @@ fn build_prune<P: CandidatePolicy>(
     shape: PlanShape,
     policy: &mut P,
     config: &SearchConfig,
-    table: &HashMap<TableSet, Vec<P::Entry>>,
+    table: &DpTable<P::Entry>,
 ) -> Option<Rc<PruneState>> {
     if !config.pruning {
         return None;
@@ -340,7 +356,7 @@ fn build_prune<P: CandidatePolicy>(
     let access_floors = (0..n)
         .map(|i| {
             table
-                .get(&TableSet::singleton(i))
+                .get(&Subset(TableSet::singleton(i)))
                 .and_then(|es| cheapest_index(es).map(|j| es[j].cost()))
                 .unwrap_or(0.0)
         })
@@ -364,18 +380,18 @@ fn build_prune<P: CandidatePolicy>(
 fn greedy_complete<P: CandidatePolicy>(
     model: &CostModel<'_>,
     policy: &mut P,
-    table: &HashMap<TableSet, Vec<P::Entry>>,
+    table: &DpTable<P::Entry>,
     seed: TableSet,
     stats: &mut SearchStats,
 ) -> Option<f64> {
     let n = model.query().n_tables();
     let mut set = seed;
-    let seed_entries = table.get(&seed)?;
+    let seed_entries = table.get(&Subset(seed))?;
     let mut cur = vec![seed_entries[cheapest_index(seed_entries)?].clone()];
     while set.len() < n {
         let mut choice: Option<(f64, usize)> = None;
         for j in model.frontier(set).iter() {
-            if !table.contains_key(&TableSet::singleton(j)) {
+            if !table.contains_key(&Subset(TableSet::singleton(j))) {
                 continue;
             }
             let size = point_size_product(model, set.with(j));
@@ -400,7 +416,7 @@ fn greedy_complete<P: CandidatePolicy>(
             model,
             &ctx,
             &cur,
-            &table[&TableSet::singleton(j)],
+            &table[&Subset(TableSet::singleton(j))],
             &mut out,
             stats,
         );
@@ -425,7 +441,7 @@ fn greedy_complete<P: CandidatePolicy>(
 fn refresh_incumbent<P: CandidatePolicy>(
     model: &CostModel<'_>,
     policy: &mut P,
-    table: &HashMap<TableSet, Vec<P::Entry>>,
+    table: &DpTable<P::Entry>,
     prune: &PruneState,
     level: &[TableSet],
     stats: &mut SearchStats,
@@ -435,7 +451,7 @@ fn refresh_incumbent<P: CandidatePolicy>(
     }
     let mut best: Option<(f64, TableSet)> = None;
     for &set in level {
-        let Some(entries) = table.get(&set) else {
+        let Some(entries) = table.get(&Subset(set)) else {
             continue;
         };
         let Some(i) = cheapest_index(entries) else {
@@ -518,7 +534,7 @@ pub fn run_search_with<P: CandidatePolicy>(
                 &mut stats,
             );
             if !entries.is_empty() {
-                table.insert(set, entries);
+                table.insert(Subset(set), entries);
             }
         }
         if let (Some(t), Some(t0)) = (tel, level_start) {
@@ -535,7 +551,7 @@ pub fn run_search_with<P: CandidatePolicy>(
     }
 
     let root = table
-        .remove(&TableSet::full(n))
+        .remove(&Subset(TableSet::full(n)))
         .ok_or(OptError::NoPlanFound)?;
     let ctx = RootContext { sort_phase: n - 1 };
     let roots = policy.finalize(model, &ctx, root, &mut stats);
@@ -582,7 +598,7 @@ mod tests {
                 };
                 for child in [outer, inner] {
                     assert!(
-                        table[&child.tables()]
+                        table[&Subset(child.tables())]
                             .iter()
                             .any(|below| Arc::ptr_eq(&below.plan, child)),
                         "{} must point at a table entry's node",
@@ -590,7 +606,7 @@ mod tests {
                     );
                 }
             }
-            table.insert(set, entries);
+            table.insert(Subset(set), entries);
         }
     }
 }

@@ -7,8 +7,7 @@
 use super::coster::PhaseCoster;
 use super::policy::{
     access_alternatives, insert_entry_shaped, insert_entry_shaped_lazy, join_output_order,
-    shared_join, sort_merge_order, CandidatePolicy, JoinContext, Rankable, RootContext,
-    SearchEntry,
+    shared_join, sort_merge_order, CandidatePolicy, JoinContext, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
@@ -35,13 +34,7 @@ impl SearchEntry for DpEntry {
     fn cost(&self) -> f64 {
         self.cost
     }
-}
-
-impl Rankable for DpEntry {
-    fn rank_cost(&self) -> f64 {
-        self.cost
-    }
-    fn rank_order(&self) -> OrderProperty {
+    fn order(&self) -> OrderProperty {
         self.order
     }
 }
@@ -175,9 +168,5 @@ pub(super) fn sort_roots<E>(model: &CostModel<'_>, roots: &mut [E])
 where
     E: super::policy::SearchEntry,
 {
-    roots.sort_by(|a, b| {
-        a.cost()
-            .total_cmp(&b.cost())
-            .then_with(|| super::policy::plan_shape_cmp(model, a.plan(), b.plan()))
-    });
+    roots.sort_by(|a, b| super::policy::shape_rank(model, a, b));
 }

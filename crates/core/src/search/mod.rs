@@ -120,9 +120,9 @@ pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
 pub use policy::{
     insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order, CandidatePolicy,
-    JoinContext, Rankable, RootContext, SearchEntry,
+    JoinContext, RootContext, SearchEntry,
 };
-pub use top_c::{FrontierStats, TopCPolicy};
+pub use top_c::{insert_top_c, FrontierStats, TopCPolicy};
 
 use lec_plan::PlanNode;
 use lec_prob::Distribution;

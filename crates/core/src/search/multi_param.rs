@@ -12,8 +12,7 @@
 
 use super::policy::{
     access_alternatives, insert_entry_shaped, insert_entry_shaped_lazy, join_output_order,
-    shared_join, sort_merge_order, CandidatePolicy, JoinContext, Rankable, RootContext,
-    SearchEntry,
+    shared_join, sort_merge_order, CandidatePolicy, JoinContext, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
@@ -55,6 +54,9 @@ pub struct DistEntry {
     pub cost: f64,
     /// Distribution of the output size in pages.
     pub pages: Distribution,
+    /// `pages`' [`lec_cost::dist_fingerprint`], folded once when the entry
+    /// is built: it keys every expected cost the entry is an operand of.
+    pub pages_fp: u64,
     /// Output order property.
     pub order: OrderProperty,
 }
@@ -66,13 +68,7 @@ impl SearchEntry for DistEntry {
     fn cost(&self) -> f64 {
         self.cost
     }
-}
-
-impl Rankable for DistEntry {
-    fn rank_cost(&self) -> f64 {
-        self.cost
-    }
-    fn rank_order(&self) -> OrderProperty {
+    fn order(&self) -> OrderProperty {
         self.order
     }
 }
@@ -148,6 +144,7 @@ impl CandidatePolicy for MultiParamPolicy {
             self.config.max_buckets,
             self.config.rebucket,
         );
+        let pages_fp = lec_cost::dist_fingerprint(&pages);
         let mut entries = Vec::new();
         for (plan, cost, order, _point_pages) in access_alternatives(model, idx) {
             insert_entry_shaped(
@@ -157,6 +154,7 @@ impl CandidatePolicy for MultiParamPolicy {
                     plan,
                     cost,
                     pages: pages.clone(),
+                    pages_fp,
                     order,
                 },
             );
@@ -184,7 +182,9 @@ impl CandidatePolicy for MultiParamPolicy {
                     let join_ec = model.expected_join_cost_for(
                         method,
                         &oe.pages,
+                        oe.pages_fp,
                         &ie.pages,
+                        ie.pages_fp,
                         &self.memory,
                         self.mem_fp,
                         &self.m_tables,
@@ -195,6 +195,7 @@ impl CandidatePolicy for MultiParamPolicy {
                         plan: shared_join(method, &oe.plan, &ie.plan),
                         cost,
                         pages: result_size.clone(),
+                        pages_fp: lec_cost::dist_fingerprint(&result_size),
                         order,
                     });
                 }
@@ -215,7 +216,12 @@ impl CandidatePolicy for MultiParamPolicy {
             .into_iter()
             .map(|e| match query.required_order {
                 Some(want) if !eq.satisfies(e.order, want) => {
-                    let sc = model.expected_sort_cost_for(&e.pages, self.mem_fp, &self.m_tables);
+                    let sc = model.expected_sort_cost_for(
+                        &e.pages,
+                        e.pages_fp,
+                        self.mem_fp,
+                        &self.m_tables,
+                    );
                     DistEntry {
                         plan: Arc::new(PlanNode::Sort {
                             input: e.plan,
@@ -223,6 +229,7 @@ impl CandidatePolicy for MultiParamPolicy {
                         }),
                         cost: e.cost + sc,
                         pages: e.pages,
+                        pages_fp: e.pages_fp,
                         order: eq.sorted_on(want),
                     }
                 }

@@ -38,6 +38,8 @@ pub trait SearchEntry: Clone {
     fn plan(&self) -> &PlanNode;
     /// Its cost under the policy's objective.
     fn cost(&self) -> f64;
+    /// Its output order property.
+    fn order(&self) -> OrderProperty;
 }
 
 /// A retention-and-costing strategy plugged into the engine.
@@ -121,14 +123,6 @@ pub fn covers(a: OrderProperty, b: OrderProperty) -> bool {
     a == b || b == OrderProperty::None
 }
 
-/// An entry that can participate in domination pruning.
-pub trait Rankable {
-    /// Cost under the active objective.
-    fn rank_cost(&self) -> f64;
-    /// Output order property.
-    fn rank_order(&self) -> OrderProperty;
-}
-
 /// Insert with domination pruning — keep an entry only if no other entry
 /// with a covering order is cheaper, the System R interesting-order rule
 /// shared by every keep-1 policy — and a *label-independent* resolution of
@@ -147,12 +141,8 @@ pub trait Rankable {
 /// candidates by their label-free shape restores that, except between
 /// genuinely indistinguishable twin tables (equal statistics and filters),
 /// where either choice is the same plan up to an automorphism.
-pub fn insert_entry_shaped<T: Rankable + SearchEntry>(
-    model: &CostModel<'_>,
-    entries: &mut Vec<T>,
-    e: T,
-) {
-    let (cost, order) = (e.rank_cost(), e.rank_order());
+pub fn insert_entry_shaped<T: SearchEntry>(model: &CostModel<'_>, entries: &mut Vec<T>, e: T) {
+    let (cost, order) = (e.cost(), e.order());
     insert_entry_shaped_lazy(model, entries, cost, order, move || e);
 }
 
@@ -161,12 +151,12 @@ pub fn insert_entry_shaped<T: Rankable + SearchEntry>(
 /// order alone (or an exact cost tie forces a shape comparison).  The
 /// comparisons and the retained-set mutation are exactly those of
 /// [`insert_entry_shaped`] — `make` must produce an entry whose
-/// [`Rankable`] cost and order equal the `cost`/`order` arguments — so the
+/// [`SearchEntry`] cost and order equal the `cost`/`order` arguments — so the
 /// kept entries are byte-identical either way.  The point is the combine
 /// hot loop: most join candidates lose on cost immediately, and deferring
 /// construction spares them the plan-node allocation (and, for
 /// distribution policies, the size-distribution clone).
-pub fn insert_entry_shaped_lazy<T: Rankable + SearchEntry>(
+pub fn insert_entry_shaped_lazy<T: SearchEntry>(
     model: &CostModel<'_>,
     entries: &mut Vec<T>,
     cost: f64,
@@ -177,7 +167,7 @@ pub fn insert_entry_shaped_lazy<T: Rankable + SearchEntry>(
     let mut make = Some(make);
     let mut built: Option<T> = None;
     for found in entries.iter() {
-        let (f_cost, f_order) = (found.rank_cost(), found.rank_order());
+        let (f_cost, f_order) = (found.cost(), found.order());
         if covers(f_order, order) {
             if f_cost < cost {
                 return;
@@ -203,10 +193,10 @@ pub fn insert_entry_shaped_lazy<T: Rankable + SearchEntry>(
         None => make.take().expect("make is consumed at most once")(),
     };
     entries.retain(|f| {
-        !(covers(e.rank_order(), f.rank_order())
-            && (e.rank_cost() < f.rank_cost()
-                || (e.rank_cost() == f.rank_cost()
-                    && (!covers(f.rank_order(), e.rank_order())
+        !(covers(e.order(), f.order())
+            && (e.cost() < f.cost()
+                || (e.cost() == f.cost()
+                    && (!covers(f.order(), e.order())
                         || plan_shape_cmp(model, e.plan(), f.plan()) == Ordering::Less))))
     });
     entries.push(e);
@@ -259,6 +249,17 @@ pub fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> std:
             .then_with(|| plan_shape_cmp(model, na, nb)),
         _ => kind(a).cmp(&kind(b)),
     }
+}
+
+/// The rename-equivariant total order on entries: cost, then
+/// [`plan_shape_cmp`] on exact cost ties, so a table renaming of the query
+/// keeps and reports the same plans (up to relabeling).  Only genuinely
+/// indistinguishable twin tables (equal shape fingerprints, refused by the
+/// canonicalizer's automorphism check) fall back to arrival order.
+pub fn shape_rank<E: SearchEntry>(model: &CostModel<'_>, a: &E, b: &E) -> std::cmp::Ordering {
+    a.cost()
+        .total_cmp(&b.cost())
+        .then_with(|| plan_shape_cmp(model, a.plan(), b.plan()))
 }
 
 /// The order a sort-merge join of `left` and `right` delivers: sorted on

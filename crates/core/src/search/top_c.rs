@@ -17,14 +17,13 @@
 use super::coster::{MemoryCoster, PhaseCoster};
 use super::keep_best::DpEntry;
 use super::policy::{
-    access_alternatives, join_output_order, plan_shape_cmp, shared_join, sort_merge_order,
+    access_alternatives, join_output_order, shape_rank, shared_join, sort_merge_order,
     CandidatePolicy, JoinContext, RootContext,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, OrderProperty};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// Counters proving Proposition 3.1 empirically.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -32,7 +31,8 @@ pub struct FrontierStats {
     /// Combinations actually examined across all (node, split, method)
     /// groups.
     pub combinations_examined: u64,
-    /// Sum of the paper's `c + c·log c` bound over the same groups.
+    /// Sum of the paper's `c + c·log c` bound over the same groups,
+    /// saturating: a huge `c` makes one group's bound `u64::MAX`.
     pub bound_total: u64,
     /// Number of combination groups.
     pub groups: u64,
@@ -60,41 +60,43 @@ impl TopCPolicy {
             frontier: FrontierStats::default(),
         }
     }
+}
 
-    /// Keep the `c` cheapest entries of `e.order` under the
-    /// *rename-equivariant* total order `(cost, plan shape)` — exact cost
-    /// ties resolve by [`plan_shape_cmp`] instead of arrival order, so a
-    /// table renaming of the query truncates the frontier to the same
-    /// plans (up to relabeling).  This is what lets Algorithm B share the
-    /// serving layer's canonical-shape cache; only genuinely
-    /// indistinguishable twin tables (equal shape fingerprints, refused by
-    /// the canonicalizer's automorphism check) fall back to first-wins.
-    fn insert(&self, model: &CostModel<'_>, entries: &mut Vec<DpEntry>, e: DpEntry) {
-        let rank = |a: &DpEntry, b: &DpEntry| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| plan_shape_cmp(model, &a.plan, &b.plan))
-        };
-        let mut same = 0usize;
-        let mut worst: Option<usize> = None;
-        for (i, f) in entries.iter().enumerate() {
-            if f.order != e.order {
-                continue;
-            }
-            same += 1;
-            if worst.is_none_or(|w| rank(&entries[w], f) != Ordering::Greater) {
-                worst = Some(i);
-            }
-        }
-        if same >= self.c {
-            let w = worst.expect("same >= c >= 1 implies a worst entry");
-            if rank(&e, &entries[w]) != Ordering::Less {
-                return;
-            }
-            entries.remove(w);
-        }
-        entries.push(e);
+/// Keep the `c` best entries of `order` in `entries` under [`shape_rank`]
+/// (rename-equivariant, so Algorithm B can share the canonical-shape plan
+/// cache).  `entries` stays sorted by `(order, cost, shape)`: each order's
+/// list is one contiguous run whose last element is its worst, and
+/// [`TopCPolicy::combine`] reads a node's groups off that order.  A full
+/// run rejects a costlier candidate with one compare against its worst,
+/// before `make` builds the plan node; otherwise the candidate goes in
+/// after every entry it does not outrank (an equal-rank newcomer loses)
+/// and a full run drops its last element — the latest-kept worst.  `make`
+/// must build an entry of exactly `cost` and `order`, under the contract
+/// of [`super::policy::insert_entry_shaped_lazy`].
+pub fn insert_top_c(
+    model: &CostModel<'_>,
+    entries: &mut Vec<DpEntry>,
+    c: usize,
+    cost: f64,
+    order: OrderProperty,
+    make: impl FnOnce() -> DpEntry,
+) {
+    let lo = entries.partition_point(|f| f.order < order);
+    let hi = lo + entries[lo..].partition_point(|f| f.order == order);
+    let full = hi - lo >= c;
+    if full && entries[lo..hi].last().is_some_and(|w| w.cost < cost) {
+        return;
     }
+    let e = make();
+    let at =
+        lo + entries[lo..hi].partition_point(|f| shape_rank(model, f, &e) != Ordering::Greater);
+    if full {
+        if at == hi {
+            return;
+        }
+        entries.remove(hi - 1);
+    }
+    entries.insert(at, e);
 }
 
 impl CandidatePolicy for TopCPolicy {
@@ -108,16 +110,12 @@ impl CandidatePolicy for TopCPolicy {
     ) -> Vec<DpEntry> {
         let mut entries = Vec::new();
         for (plan, cost, order, pages) in access_alternatives(model, idx) {
-            self.insert(
-                model,
-                &mut entries,
-                DpEntry {
-                    plan,
-                    cost,
-                    pages,
-                    order,
-                },
-            );
+            insert_top_c(model, &mut entries, self.c, cost, order, || DpEntry {
+                plan,
+                cost,
+                pages,
+                order,
+            });
         }
         entries
     }
@@ -133,53 +131,38 @@ impl CandidatePolicy for TopCPolicy {
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
         let sm_order = sort_merge_order(model, ctx.left, ctx.right);
-        // Group the outer list by (order, pages), cost-sorted within each
-        // group; the BTreeMap makes tie-breaking among equal-cost
-        // candidates deterministic across runs.  Pages are part of the key
-        // because the one-page clamp can give same-subset entries built
-        // through different splits different sizes — the paper's
-        // "identical physical properties" premise holds only within a
-        // same-size group, and grouping by size keeps the shared
-        // join-cost-term evaluation exact rather than approximate.
-        let mut outer_groups: BTreeMap<(OrderProperty, u64), Vec<&DpEntry>> = BTreeMap::new();
-        for e in outer {
-            outer_groups
-                .entry((e.order, e.pages.to_bits()))
-                .or_default()
-                .push(e);
-        }
-        // Cost-sort within each group, shape-breaking exact ties so the
-        // Prop 3.1 frontier window selects the same plans under any table
-        // renaming.
-        for group in outer_groups.values_mut() {
-            group.sort_by(|a, b| {
-                a.cost
-                    .total_cmp(&b.cost)
-                    .then_with(|| plan_shape_cmp(model, &a.plan, &b.plan))
-            });
-        }
+        // Group the outer list by (order, pages).  `outer` is a top-c node,
+        // sorted by (order, cost, shape), so a stable sort on the group key
+        // leaves every group cost-sorted with exact cost ties shape-broken
+        // — the Prop 3.1 frontier window selects the same plans under any
+        // table renaming — and groups come out in key order, deterministic
+        // across runs.  Pages are part of the key because the one-page
+        // clamp can give same-subset entries built through different
+        // splits different sizes — the paper's "identical physical
+        // properties" premise holds only within a same-size group, and
+        // grouping by size keeps the shared join-cost-term evaluation exact
+        // rather than approximate.
+        let key = |e: &DpEntry| (e.order, e.pages.to_bits());
+        let mut outer_list: Vec<&DpEntry> = outer.iter().collect();
+        outer_list.sort_by_key(|e| key(e));
         // Flatten inner entries (access paths) into one sorted list; their
         // orders are folded into the join's output order rule, which for
         // inner sides never depends on the inner order, and a singleton's
         // access paths all share the same page count.
         let mut inner_list: Vec<&DpEntry> = inner.iter().collect();
-        inner_list.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| plan_shape_cmp(model, &a.plan, &b.plan))
-        });
+        inner_list.sort_by(|a, b| shape_rank(model, *a, *b));
+        let inner_pages = inner_list.first().map(|e| e.pages).unwrap_or(0.0);
 
-        for ((outer_order, outer_pages_bits), outer_list) in &outer_groups {
+        for group in outer_list.chunk_by(|a, b| key(a) == key(b)) {
+            let (outer_order, outer_pages) = (group[0].order, group[0].pages);
             for method in JoinMethod::ALL {
                 self.frontier.groups += 1;
-                self.frontier.bound_total += self.bound;
+                self.frontier.bound_total = self.frontier.bound_total.saturating_add(self.bound);
                 // Cost term constant within the group: evaluate once.
-                let outer_pages = f64::from_bits(*outer_pages_bits);
-                let inner_pages = inner_list.first().map(|e| e.pages).unwrap_or(0.0);
                 let join_cost = self
                     .coster
                     .join_cost(model, ctx, method, outer_pages, inner_pages);
-                let order = join_output_order(sm_order, *outer_order, method);
+                let order = join_output_order(sm_order, outer_order, method);
                 let pages = model.join_output_pages(outer_pages, inner_pages, sel);
                 // Prop 3.1 frontier: only (i, k) with i·k ≤ c.
                 for (ki, ie) in inner_list.iter().enumerate() {
@@ -187,19 +170,16 @@ impl CandidatePolicy for TopCPolicy {
                     if i_max == 0 {
                         break;
                     }
-                    for oe in outer_list.iter().take(i_max) {
+                    for oe in group.iter().take(i_max) {
                         self.frontier.combinations_examined += 1;
                         stats.candidates += 1;
-                        self.insert(
-                            model,
-                            into,
-                            DpEntry {
-                                plan: shared_join(method, &oe.plan, &ie.plan),
-                                cost: oe.cost + ie.cost + join_cost,
-                                pages,
-                                order,
-                            },
-                        );
+                        let cost = oe.cost + ie.cost + join_cost;
+                        insert_top_c(model, into, self.c, cost, order, || DpEntry {
+                            plan: shared_join(method, &oe.plan, &ie.plan),
+                            cost,
+                            pages,
+                            order,
+                        });
                     }
                 }
             }
@@ -214,11 +194,7 @@ impl CandidatePolicy for TopCPolicy {
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
         let mut out = super::keep_best::finalize_with_coster(model, ctx, entries, &self.coster);
-        out.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| plan_shape_cmp(model, &a.plan, &b.plan))
-        });
+        super::keep_best::sort_roots(model, &mut out);
         out.truncate(self.c);
         out
     }

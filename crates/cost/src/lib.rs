@@ -28,8 +28,8 @@ pub use expected::{
     expected_join_cost, expected_sort_cost, naive_expected_join_cost, streaming_expected_join_cost,
 };
 pub use model::{
-    dist_fingerprint, table_occurrence_fingerprint, table_stats_fingerprint, AccessPath, CostModel,
-    Fingerprint, Prehashed,
+    avalanche, dist_fingerprint, table_occurrence_fingerprint, table_stats_fingerprint, AccessPath,
+    CostModel, Fingerprint, Prehashed,
 };
 pub use plan_cost::{
     expected_plan_cost_dynamic, expected_plan_cost_static, output_order, phases, plan_cost_at,

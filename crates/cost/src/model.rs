@@ -46,10 +46,24 @@ fn fx_mix(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(0x517CC1B727220A95)
 }
 
+/// MurmurHash3's `fmix64`, for word-sized keys hashed through [`Prehashed`]:
+/// every input bit reaches the low bits hashbrown indexes on and the top
+/// seven it tags with (a lone FxHash multiply only moves bits upward).
+#[inline]
+pub fn avalanche(word: u64) -> u64 {
+    let mut h = word;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51AFD7ED558CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CEB9FE1A85EC53);
+    h ^ (h >> 33)
+}
+
 /// The identity hasher for keys that hash themselves once, when built:
 /// an [`EvalKey`] (picking the shard, probing the map and inserting on a
-/// miss share one FxHash pass) and the serving layer's plan-cache key (one
-/// [`Fingerprint`] fold picks the stripe and probes it).
+/// miss share one FxHash pass), the serving layer's plan-cache key (one
+/// [`Fingerprint`] fold picks the stripe and probes it) and the DP
+/// table's subsets (one [`avalanche`] of the set's bits).
 #[derive(Debug, Default)]
 pub struct Prehashed(u64);
 
@@ -380,11 +394,6 @@ impl<'a> CostModel<'a> {
         self.cache_hits.set(0);
     }
 
-    /// Whether the evaluation cache is active.
-    pub fn eval_cache_enabled(&self) -> bool {
-        self.cache_enabled.get()
-    }
-
     /// Number of evaluations answered from the cache (no formula work).
     pub fn eval_cache_hits(&self) -> u64 {
         self.cache_hits.get()
@@ -458,28 +467,27 @@ impl<'a> CostModel<'a> {
 
     /// Expected join cost over size and memory distributions (Algorithm
     /// D's per-method costing step), memoized under the method and the
-    /// distribution fingerprints.  `m_fp` is the memory distribution's
-    /// [`dist_fingerprint`], precomputed by the caller — the memory
-    /// distribution is constant for a whole run, so the hot path never
-    /// rehashes it.  Counts the §3.6.1/§3.6.2 number of
+    /// distribution fingerprints.  Every `*_fp` is the matching
+    /// distribution's [`dist_fingerprint`], precomputed by the caller —
+    /// the memory distribution is constant for a whole run and a size
+    /// distribution for its DP entry's life, so the hot path never
+    /// rehashes one.  Counts the §3.6.1/§3.6.2 number of
     /// cost-formula evaluations on a miss: linear in the bucket counts for
     /// the separable methods, the full `b_A·b_B·b_M` triple product for
     /// block nested-loop.
+    #[allow(clippy::too_many_arguments)]
     pub fn expected_join_cost_for(
         &self,
         method: JoinMethod,
         a_dist: &Distribution,
+        a_fp: u64,
         b_dist: &Distribution,
+        b_fp: u64,
         m_dist: &Distribution,
         m_fp: u64,
         m_tables: &PrefixTables,
     ) -> f64 {
-        let key = EvalKey::new(
-            EvalOp::DistJoin(method),
-            m_fp,
-            dist_fingerprint(a_dist),
-            dist_fingerprint(b_dist),
-        );
+        let key = EvalKey::new(EvalOp::DistJoin(method), m_fp, a_fp, b_fp);
         self.cached(key, || {
             let evals = match method {
                 JoinMethod::BlockNestedLoop => {
@@ -497,10 +505,11 @@ impl<'a> CostModel<'a> {
     pub fn expected_sort_cost_for(
         &self,
         r_dist: &Distribution,
+        r_fp: u64,
         m_fp: u64,
         m_tables: &PrefixTables,
     ) -> f64 {
-        let key = EvalKey::new(EvalOp::DistSort, m_fp, dist_fingerprint(r_dist), 0);
+        let key = EvalKey::new(EvalOp::DistSort, m_fp, r_fp, 0);
         self.cached(key, || {
             self.count_evals(r_dist.len() as u64);
             crate::expected::expected_sort_cost(r_dist, m_tables)
@@ -926,18 +935,20 @@ mod tests {
         let mem = Distribution::bimodal(10.0, 1000.0, 0.5).unwrap();
         let mt = lec_prob::PrefixTables::new(&mem);
         let mem_fp = dist_fingerprint(&mem);
+        let (a_fp, b_fp) = (dist_fingerprint(&a), dist_fingerprint(&b));
+        let join = |method| m.expected_join_cost_for(method, &a, a_fp, &b, b_fp, &mem, mem_fp, &mt);
         m.reset_evals();
-        let ec = m.expected_join_cost_for(JoinMethod::SortMerge, &a, &b, &mem, mem_fp, &mt);
+        let ec = join(JoinMethod::SortMerge);
         assert_eq!(m.evals(), 4, "streaming SM is linear in bucket counts");
         let replay = crate::expected::expected_join_cost(JoinMethod::SortMerge, &a, &b, &mem, &mt);
         assert_eq!(ec, replay);
-        m.expected_join_cost_for(JoinMethod::SortMerge, &a, &b, &mem, mem_fp, &mt);
+        join(JoinMethod::SortMerge);
         assert_eq!(m.evals(), 4, "second call is a cache hit");
         m.reset_evals();
-        m.expected_join_cost_for(JoinMethod::BlockNestedLoop, &a, &b, &mem, mem_fp, &mt);
+        join(JoinMethod::BlockNestedLoop);
         assert_eq!(m.evals(), 8, "BNL falls back to the b_A*b_B*b_M triple sum");
         m.reset_evals();
-        m.expected_sort_cost_for(&a, mem_fp, &mt);
+        m.expected_sort_cost_for(&a, a_fp, mem_fp, &mt);
         assert_eq!(m.evals(), 2);
     }
 

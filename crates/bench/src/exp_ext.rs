@@ -30,9 +30,7 @@ pub fn e12() -> Value {
     let mut rows_json = Vec::new();
     for n in [4usize, 6, 8, 10, 12] {
         let w = scaling_chain(n);
-        // Fresh model per timed algorithm: a model's eval cache persists
-        // for its lifetime, and sharing one would let the later runs
-        // answer lookups warmed by the earlier ones.
+        // Fresh model per timed algorithm, so each times one cold call.
         let model_c = CostModel::new(&w.catalog, &w.query);
         let t0 = Instant::now();
         let c = search(&model_c, &memory, Mode::AlgorithmC);

@@ -216,17 +216,12 @@ pub fn e3() -> Value {
 
 /// E4 — Contribution 3 / Theorem 3.2: optimization overhead is a factor of
 /// the bucket count `b` (and Algorithm B costs ~αb of one invocation).
-/// Reports Algorithm C's evaluation count with the memoized eval cache on
-/// *and* off side by side, so the table shows both the paper's raw
-/// `b`-factor (cache off) and what the engine actually pays (cache on).
 pub fn e4() -> Value {
     println!("E4: optimization overhead vs bucket count b (6-table chain)\n");
     let w = scaling_chain(6);
 
     // Baseline: single-bucket LSC.  Each timed run gets a fresh CostModel
-    // so it measures one cold optimization call — a long-lived model's
-    // eval cache would otherwise make every repeat (and every higher b)
-    // look nearly free.
+    // so it measures one cold optimization call.
     let time_of = |f: &dyn Fn(&CostModel<'_>) -> u64| {
         // median of 7 runs, returns (micros, evals)
         let mut times = Vec::new();
@@ -254,9 +249,6 @@ pub fn e4() -> Value {
         "b",
         "AlgC time",
         "AlgC/LSC",
-        "evals (cache on)",
-        "evals (cache off)",
-        "saved",
         "evals ratio",
         "AlgA/LSC",
         "AlgB(c=3)/LSC",
@@ -265,11 +257,6 @@ pub fn e4() -> Value {
     for b in [1usize, 2, 4, 8, 16, 32] {
         let memory = presets::spread_family(400.0, 0.8, b).unwrap();
         let (t_c, e_c) = time_of(&|model| search(model, &memory, Mode::AlgorithmC).stats.evals);
-        let (_, e_c_off) = time_of(&|model| {
-            model.set_eval_cache(false);
-            search(model, &memory, Mode::AlgorithmC).stats.evals
-        });
-        let saved = 1.0 - e_c as f64 / e_c_off as f64;
         let (t_a, _) = time_of(&|model| search(model, &memory, Mode::AlgorithmA).stats.evals);
         let (t_b, _) = time_of(&|model| {
             search(model, &memory, Mode::AlgorithmB { c: 3 })
@@ -280,27 +267,19 @@ pub fn e4() -> Value {
             b.to_string(),
             format!("{t_c:.0}us"),
             format!("{:.1}x", t_c / t_lsc),
-            e_c.to_string(),
-            e_c_off.to_string(),
-            pct(saved),
             format!("{:.1}x", e_c as f64 / e_lsc as f64),
             format!("{:.1}x", t_a / t_lsc),
             format!("{:.1}x", t_b / t_lsc),
         ]);
         rows_json.push(json!({
             "b": b, "alg_c_us": t_c, "alg_c_ratio": t_c / t_lsc,
-            "alg_c_evals_cache_on": e_c, "alg_c_evals_cache_off": e_c_off,
-            "cache_saved_fraction": saved,
+            "alg_c_evals": e_c,
             "evals_ratio": e_c as f64 / e_lsc as f64,
             "alg_a_ratio": t_a / t_lsc, "alg_b_ratio": t_b / t_lsc,
         }));
     }
     println!("{}", t.render());
-    println!("LSC baseline: {t_lsc:.0}us, {e_lsc} cost-formula evaluations.");
-    println!("Theory: AlgC evals = b x LSC evals per *distinct* candidate; the");
-    println!("cache-off column shows that raw b-factor, the cache-on column what");
-    println!("the memoized eval cache leaves of it (repeats across entry pairs");
-    println!("and dag levels are answered without formula work).\n");
+    println!("LSC baseline: {t_lsc:.0}us, {e_lsc} cost-formula evaluations.\n");
     json!({
         "experiment": "e4", "lsc_us": t_lsc, "lsc_evals": e_lsc, "rows": rows_json,
         "paper_claim": "LEC optimization costs ~b times one standard invocation",

@@ -113,7 +113,7 @@ pub fn diamond() -> (Catalog, Query) {
 /// output order: the scaling fixture for optimization-effort experiments
 /// (identical shape at every `n`).  The required order keeps sort-merge
 /// entries interesting at every dag node, so nodes carry several
-/// candidates and the evaluation cache has repetition to absorb.
+/// candidates.
 pub fn scaling_chain(n: usize) -> (Catalog, Query) {
     assert!(n >= 2, "a chain needs at least two tables");
     let mut catalog = Catalog::new();

@@ -46,12 +46,13 @@
 //!
 //! Every mode returns the same [`SearchOutcome`] — plan, objective value,
 //! uniform [`SearchStats`] and optional mode-specific extras — so callers
-//! never destructure per-mode result types.  All memory-dependent
-//! evaluations flow through `lec-cost`'s memoized evaluation cache keyed
-//! by `(operator, memory, operand sizes)`; [`SearchStats::evals`]
-//! counts only the formula evaluations actually performed, making the
-//! paper's "factor b" overhead claims — and the cache's savings —
-//! directly observable.
+//! never destructure per-mode result types.  A scalar-size operator is
+//! priced in place, `b` formula calls under a `b`-bucket memory
+//! distribution; only Algorithm D's expectations over size distributions
+//! go through `lec-cost`'s memoized evaluation cache.
+//! [`SearchStats::evals`] counts the formula evaluations actually
+//! performed, making the paper's "factor b" overhead claims directly
+//! observable.
 //!
 //! ## Threading model
 //!

@@ -89,29 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_cache_reduces_work_without_changing_the_answer() {
-        let (cat, q) = crate::fixtures::scaling_chain(5);
-        let model = CostModel::new(&cat, &q);
-        let cached = lsc_at(&model, 1000.0).unwrap();
-        assert!(
-            cached.stats.cache_hits > 0,
-            "pair×method repetition must hit"
-        );
-        model.set_eval_cache(false);
-        let raw = lsc_at(&model, 1000.0).unwrap();
-        model.set_eval_cache(true);
-        assert_eq!(cached.plan, raw.plan);
-        assert_eq!(cached.cost, raw.cost);
-        assert!(
-            cached.stats.evals < raw.stats.evals,
-            "cache must reduce evals: {} vs {}",
-            cached.stats.evals,
-            raw.stats.evals
-        );
-        assert_eq!(raw.stats.cache_hits, 0);
-    }
-
-    #[test]
     fn more_memory_never_costs_more() {
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);

@@ -4,17 +4,17 @@
 //! Memory is a distribution everywhere.  "The standard approach [is] the
 //! special case where there is only one bucket", and §3.5's static case is
 //! the dynamic one with a single phase distribution — so there is one
-//! coster, [`MemoryCoster`], holding one `(distribution, fingerprint)` per
-//! execution phase, and LSC, Algorithms A/B/C, the bushy extension and the
-//! dynamic variant differ only in which constructor built it.
+//! coster, [`MemoryCoster`], holding one distribution per execution phase,
+//! and LSC, Algorithms A/B/C, the bushy extension and the dynamic variant
+//! differ only in which constructor built it.
 //!
 //! `ctx.phase` is the 0-based execution phase index of §3.5 (first join =
 //! phase 0; a root sort after `n-1` joins is phase `n-1`); a coster with
 //! fewer phases than the plan prices the later ones under its last.  Every
-//! evaluation goes through the memoized `expected_*_over` methods of
-//! [`CostModel`], so repeats across entry pairs and dag levels hit the
-//! cache — and a point search and an expectation search over the same
-//! one-bucket distribution share their entries.
+//! operator is priced in place by [`CostModel`]'s `expected_*_over`
+//! methods: `b` formula calls under a `b`-bucket phase, one under a point,
+//! so a point search and an expectation search over the same one-bucket
+//! distribution do the same work.
 
 use super::bound::{ExpectationBound, LowerBound};
 use super::policy::JoinContext;
@@ -49,15 +49,11 @@ pub trait PhaseCoster {
 
 /// Expected-cost costing under a per-phase memory distribution: "this
 /// computation requires b evaluations of the cost formula" (§3.4), one
-/// when the distribution is a point.  The whole expectation of each
-/// distinct operator is memoized as one cache entry (with the
-/// distribution's fingerprint precomputed here), so repeats cost one
-/// lookup, not `b` formula evaluations.
+/// when the distribution is a point.
 #[derive(Debug, Clone)]
 pub struct MemoryCoster {
-    /// Phase `k`'s memory distribution and its cache fingerprint; never
-    /// empty.
-    phases: Vec<(Distribution, u64)>,
+    /// Phase `k`'s memory distribution; never empty.
+    phases: Vec<Distribution>,
 }
 
 impl MemoryCoster {
@@ -72,7 +68,7 @@ impl MemoryCoster {
     /// every phase sees `memory`.
     pub fn fixed(memory: &Distribution) -> Self {
         MemoryCoster {
-            phases: vec![(memory.clone(), lec_cost::dist_fingerprint(memory))],
+            phases: vec![memory.clone()],
         }
     }
 
@@ -86,15 +82,14 @@ impl MemoryCoster {
         let mut phases = Vec::with_capacity(n_phases.max(1));
         let mut cur = initial.clone();
         for _ in 0..n_phases.max(1) {
-            let fp = lec_cost::dist_fingerprint(&cur);
             let next = chain.evolve_dist(&cur)?;
-            phases.push((cur, fp));
+            phases.push(cur);
             cur = next;
         }
         Ok(MemoryCoster { phases })
     }
 
-    fn phase(&self, phase: usize) -> &(Distribution, u64) {
+    fn phase(&self, phase: usize) -> &Distribution {
         &self.phases[phase.min(self.phases.len() - 1)]
     }
 }
@@ -108,13 +103,11 @@ impl PhaseCoster for MemoryCoster {
         outer: f64,
         inner: f64,
     ) -> f64 {
-        let (dist, fp) = self.phase(ctx.phase);
-        model.expected_join_cost_over(method, outer, inner, dist, *fp)
+        model.expected_join_cost_over(method, outer, inner, self.phase(ctx.phase))
     }
 
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64 {
-        let (dist, fp) = self.phase(phase);
-        model.expected_sort_cost_over(pages, dist, *fp)
+        model.expected_sort_cost_over(pages, self.phase(phase))
     }
 
     /// Every phase evaluates under its own distribution, so the bound's
@@ -123,7 +116,7 @@ impl PhaseCoster for MemoryCoster {
         let max_memory = self
             .phases
             .iter()
-            .map(|(d, _)| d.max_value())
+            .map(Distribution::max_value)
             .fold(f64::NEG_INFINITY, f64::max);
         Some(Box::new(ExpectationBound { max_memory }))
     }

@@ -28,11 +28,13 @@
 //! | [`keep_all::KeepAllPolicy`] | any [`coster::PhaseCoster`], no pruning | ground truth | [`crate::exhaustive`] |
 //!
 //! Every policy funnels its memory-dependent evaluations through the
-//! memoized `expected_*` methods of [`lec_cost::CostModel`]
-//! (`expected_*_over` for scalar sizes, `expected_*_for` for Algorithm
-//! D's size distributions), so identical expectations repeated across
-//! entry pairs and dag levels are computed once; [`SearchStats::evals`]
-//! exposes the reduction and [`SearchStats::cache_hits`] the work avoided.
+//! `expected_*` methods of [`lec_cost::CostModel`]: `expected_*_over`
+//! prices a scalar-size operator in place (`b` formula calls under a
+//! `b`-bucket distribution), and `expected_*_for` memoizes Algorithm D's
+//! expectations over size distributions, so identical ones repeated across
+//! entry pairs and dag levels are computed once.  [`SearchStats::evals`]
+//! counts the formula calls made and [`SearchStats::cache_hits`] D's
+//! memoized repeats.
 //!
 //! # Threading model
 //!
@@ -162,7 +164,8 @@ pub struct SearchStats {
     pub candidates: u64,
     /// Cost-formula evaluations actually performed (cache hits excluded).
     pub evals: u64,
-    /// Evaluations answered by the memoized cost cache instead.
+    /// Algorithm D's expectations answered by the memoized cost cache
+    /// instead (always 0 for the other modes).
     pub cache_hits: u64,
     // Shim, always 0 (still absorbed, serialized and on the wire): only crates/bench/src/bin/ledger/src/trace.rs reads it.
     #[doc(hidden)]

@@ -109,71 +109,71 @@ const GOLDEN_COUNTERS: &[CounterRow] = &[
     ("example_1_1", "LSC(mean)", [3, 8, 10, 0, 0, 0, 0, 0]),
     ("example_1_1", "LSC(mode)", [3, 8, 10, 0, 0, 0, 0, 0]),
     ("example_1_1", "AlgA", [9, 24, 45, 0, 0, 0, 0, 0]),
-    ("example_1_1", "AlgB", [9, 24, 53, 6, 0, 0, 0, 0]),
+    ("example_1_1", "AlgB", [9, 24, 59, 0, 0, 0, 0, 0]),
     ("example_1_1", "AlgC", [3, 8, 20, 0, 0, 0, 0, 0]),
     ("example_1_1", "AlgC-dyn", [3, 8, 20, 0, 0, 0, 0, 0]),
     ("example_1_1", "AlgD", [3, 8, 19, 0, 0, 0, 0, 0]),
     ("example_1_1", "Bushy", [3, 8, 20, 0, 0, 0, 0, 0]),
     ("three_chain", "LSC(mean)", [6, 24, 27, 0, 0, 0, 0, 0]),
     ("three_chain", "LSC(mode)", [6, 24, 27, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgA", [30, 128, 190, 8, 0, 0, 0, 0]),
-    ("three_chain", "AlgB", [30, 280, 190, 40, 0, 0, 0, 0]),
-    ("three_chain", "AlgC", [6, 32, 99, 8, 0, 0, 0, 0]),
-    ("three_chain", "AlgC-dyn", [6, 32, 99, 8, 0, 0, 0, 0]),
+    ("three_chain", "AlgA", [30, 128, 198, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgB", [30, 280, 230, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgC", [6, 32, 131, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgC-dyn", [6, 32, 131, 0, 0, 0, 0, 0]),
     ("three_chain", "AlgD", [6, 32, 63, 8, 0, 0, 0, 0]),
-    ("three_chain", "Bushy", [6, 48, 131, 16, 0, 0, 0, 0]),
-    ("diamond", "LSC(mean)", [10, 56, 20, 40, 0, 0, 0, 0]),
-    ("diamond", "LSC(mode)", [10, 56, 20, 40, 0, 0, 0, 0]),
-    ("diamond", "AlgA", [50, 280, 180, 200, 0, 0, 0, 0]),
-    ("diamond", "AlgB", [50, 880, 196, 320, 0, 0, 0, 0]),
-    ("diamond", "AlgC", [10, 56, 68, 40, 0, 0, 0, 0]),
-    ("diamond", "AlgC-dyn", [10, 56, 68, 40, 0, 0, 0, 0]),
+    ("three_chain", "Bushy", [6, 48, 195, 0, 0, 0, 0, 0]),
+    ("diamond", "LSC(mean)", [10, 56, 60, 0, 0, 0, 0, 0]),
+    ("diamond", "LSC(mode)", [10, 56, 60, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgA", [50, 280, 380, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgB", [50, 880, 516, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgC", [10, 56, 228, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgC-dyn", [10, 56, 228, 0, 0, 0, 0, 0]),
     ("diamond", "AlgD", [10, 56, 44, 40, 0, 0, 0, 0]),
-    ("diamond", "Bushy", [10, 96, 132, 64, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "LSC(mean)", [21, 216, 131, 97, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "LSC(mode)", [21, 208, 135, 84, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgA", [105, 1096, 817, 486, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgB", [105, 3640, 1027, 853, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgC", [21, 248, 522, 125, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgC-dyn", [21, 248, 522, 125, 0, 0, 0, 0]),
+    ("diamond", "Bushy", [10, 96, 388, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "LSC(mean)", [21, 216, 228, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "LSC(mode)", [21, 208, 219, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgA", [105, 1096, 1303, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgB", [105, 3640, 1880, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgC", [21, 248, 1022, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgC-dyn", [21, 248, 1022, 0, 0, 0, 0, 0]),
     ("scaling_chain(6)", "AlgD", [21, 248, 327, 125, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "Bushy", [21, 760, 1226, 461, 0, 0, 0, 0]),
-    ("scaling_star(6)", "LSC(mean)", [37, 440, 183, 265, 0, 0, 0, 0]),
-    ("scaling_star(6)", "LSC(mode)", [37, 440, 183, 265, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgA", [185, 2064, 1062, 1191, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgB", [185, 8800, 1274, 2888, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgC", [37, 404, 702, 232, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgC-dyn", [37, 404, 702, 232, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "Bushy", [21, 760, 3070, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "LSC(mean)", [37, 440, 448, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "LSC(mode)", [37, 440, 448, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgA", [185, 2064, 2253, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgB", [185, 8800, 4162, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgC", [37, 404, 1630, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgC-dyn", [37, 404, 1630, 0, 0, 0, 0, 0]),
     ("scaling_star(6)", "AlgD", [37, 404, 438, 232, 0, 0, 0, 0]),
-    ("scaling_star(6)", "Bushy", [37, 768, 1246, 460, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "LSC(mean)", [28, 336, 57, 292, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "LSC(mode)", [28, 412, 57, 369, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgA", [140, 1824, 460, 1605, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgB", [140, 6040, 705, 2095, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgC", [28, 336, 207, 292, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgC-dyn", [28, 336, 207, 292, 0, 0, 0, 0]),
+    ("scaling_star(6)", "Bushy", [37, 768, 3086, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "LSC(mean)", [28, 336, 349, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "LSC(mode)", [28, 412, 426, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgA", [140, 1824, 2065, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgB", [140, 6040, 2800, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgC", [28, 336, 1375, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgC-dyn", [28, 336, 1375, 0, 0, 0, 0, 0]),
     ("pruning_chain(7)", "AlgD", [28, 336, 129, 292, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "Bushy", [28, 1080, 811, 885, 0, 0, 0, 0]),
-    ("pruning_star(7)", "LSC(mean)", [70, 1520, 36, 1493, 0, 0, 0, 0]),
-    ("pruning_star(7)", "LSC(mode)", [70, 1520, 36, 1493, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgA", [350, 7504, 355, 7368, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgB", [350, 21960, 495, 7565, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgC", [70, 1536, 123, 1509, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgC-dyn", [70, 1536, 123, 1509, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "Bushy", [28, 1080, 4351, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "LSC(mean)", [70, 1520, 1529, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "LSC(mode)", [70, 1520, 1529, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgA", [350, 7504, 7723, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgB", [350, 21960, 8060, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgC", [70, 1536, 6159, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgC-dyn", [70, 1536, 6159, 0, 0, 0, 0, 0]),
     ("pruning_star(7)", "AlgD", [70, 1536, 78, 1509, 0, 0, 0, 0]),
-    ("pruning_star(7)", "Bushy", [70, 3024, 203, 2977, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "LSC(mean)", [63, 744, 23, 728, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "LSC(mode)", [63, 1128, 23, 1113, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "AlgA", [315, 4488, 265, 4410, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "AlgB", [315, 18120, 295, 6785, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "AlgC", [63, 744, 74, 728, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "AlgC-dyn", [63, 744, 90, 724, 0, 0, 0, 0]),
+    ("pruning_star(7)", "Bushy", [70, 3024, 12111, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "LSC(mean)", [63, 744, 751, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "LSC(mode)", [63, 1128, 1136, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgA", [315, 4488, 4675, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgB", [315, 18120, 7080, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgC", [63, 744, 2986, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgC-dyn", [63, 744, 2986, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "AlgD", [63, 744, 47, 728, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "Bushy", [63, 2408, 170, 2368, 0, 0, 0, 0]),
-    ("chain13(seed 3)", "AlgC", [91, 2420, 1344, 2088, 8100, 77, 77, 0]),
-    ("star13(seed 5)", "AlgC", [4108, 310216, 29652, 302813, 4083, 4094, 4094, 0]),
-    ("clique12(seed 7)", "AlgC", [4095, 175768, 10965, 173033, 0, 4082, 4082, 0]),
-    ("random13(seed 11)", "AlgC", [1055, 87244, 3408, 86396, 7136, 1041, 1041, 0]),
+    ("pruning_clique(6)", "Bushy", [63, 2408, 9642, 0, 0, 0, 0, 0]),
+    ("chain13(seed 3)", "AlgC", [91, 2420, 9696, 0, 8100, 77, 77, 0]),
+    ("star13(seed 5)", "AlgC", [4108, 310216, 1240904, 0, 4083, 4094, 4094, 0]),
+    ("clique12(seed 7)", "AlgC", [4095, 175768, 703097, 0, 0, 4082, 4082, 0]),
+    ("random13(seed 11)", "AlgC", [1055, 87244, 348992, 0, 7136, 1041, 1041, 0]),
 ];
 
 fn counters(stats: &SearchStats) -> [u64; 8] {
@@ -386,10 +386,10 @@ impl PhaseCoster for PanicsOnKthCall {
 
 /// A search is a plain call: a coster's panic unwinds out of it to the
 /// caller, and the model it was using stays usable — the next search on
-/// the *same* `CostModel` (eval cache half-filled by the dead searches)
-/// returns the recorded answer.  The panic here fires outside any shard
-/// lock; `lec-cost`'s `a_panicking_compute_leaves_its_shard_usable`
-/// covers the one that fires under it.
+/// the *same* `CostModel` returns the recorded answer.  The panic here
+/// fires outside any shard borrow; `lec-cost`'s
+/// `a_panicking_compute_leaves_no_entry_and_no_borrow` covers the one that
+/// fires under it.
 #[test]
 fn a_panicking_coster_unwinds_and_leaves_the_model_usable() {
     let (cat, q) = fixtures::scaling_chain(6);

@@ -1,4 +1,5 @@
-//! Algorithms B and D commute with table renaming: optimizing a renamed
+//! Every DP mode — LSC, Algorithms A, B, C (static and dynamic), D and the
+//! bushy extension — commutes with table renaming: optimizing a renamed
 //! query returns the original plan relabeled, at the same cost bits.  The
 //! plan cache serves cached plans by relabeling, so it relies on this; the
 //! shape tie-breaks (`plan_shape_cmp`) are what make it hold, and queries
@@ -6,9 +7,10 @@
 //! automorphism — are skipped, as the canonicalizer refuses them.
 
 use lec_catalog::CatalogGenerator;
-use lec_core::{AlgDConfig, Mode, Optimizer};
+use lec_core::{AlgDConfig, Mode, Optimizer, PointEstimate};
 use lec_cost::CostModel;
 use lec_plan::{QueryProfile, Topology, WorkloadGenerator};
+use lec_prob::MarkovChain;
 use proptest::prelude::*;
 
 const TOPOLOGIES: [Topology; 3] = [Topology::Chain, Topology::Star, Topology::Random];
@@ -17,7 +19,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn algorithms_b_and_d_commute_with_renaming(
+    fn every_mode_commutes_with_renaming(
         seed in 0u64..1_000_000,
         n in 4usize..9,
         topology in 0usize..3,
@@ -47,10 +49,16 @@ proptest! {
         }
         let renamed = query.relabel_tables(&perm);
         let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
+        let chain = MarkovChain::sticky_uniform(memory.support().to_vec(), 0.6).unwrap();
         let optimizer = Optimizer::new(&catalog, memory);
         for mode in [
+            Mode::Lsc(PointEstimate::Mean),
+            Mode::AlgorithmA,
             Mode::AlgorithmB { c: 3 },
+            Mode::AlgorithmC,
+            Mode::AlgorithmCDynamic { chain },
             Mode::AlgorithmD { config: AlgDConfig::default() },
+            Mode::Bushy,
         ] {
             let original = optimizer.optimize(&query, &mode).unwrap();
             let moved = optimizer.optimize(&renamed, &mode).unwrap();

@@ -20,6 +20,7 @@
 //! * External sort and scans follow the same pass-counting style.
 
 use lec_plan::JoinMethod;
+use lec_prob::Distribution;
 
 /// Smallest size, in pages, any input is treated as.
 pub const MIN_PAGES: f64 = 1.0;
@@ -36,6 +37,18 @@ pub fn raw_join_cost(method: JoinMethod, outer: f64, inner: f64, m: f64) -> f64 
     }
 }
 
+/// `E[raw_join_cost(method, outer, inner, M)]` over a memory distribution,
+/// bit for bit, with sort-merge's and Grace hash's square and cube roots
+/// taken once per call rather than once per bucket.
+pub fn join_cost_over(method: JoinMethod, outer: f64, inner: f64, memory: &Distribution) -> f64 {
+    let (a, b) = (clamp(outer), clamp(inner));
+    match method {
+        JoinMethod::SortMerge => memory.expect(passes(a.max(b), a + b)),
+        JoinMethod::GraceHash => memory.expect(passes(a.min(b), a + b)),
+        _ => memory.expect(|m| raw_join_cost(method, a, b, m)),
+    }
+}
+
 fn clamp(pages: f64) -> f64 {
     if pages.is_nan() {
         MIN_PAGES
@@ -44,33 +57,35 @@ fn clamp(pages: f64) -> f64 {
     }
 }
 
+/// The pass-counting shape sort-merge and Grace hash share, as a function
+/// of memory: two passes over `total` pages above `√l`, four above `∛l`,
+/// six below.  The cube root is taken only once a memory value reaches
+/// below the square root.
+fn passes(l: f64, total: f64) -> impl FnMut(f64) -> f64 {
+    let sqrt = l.sqrt();
+    let mut cbrt = None;
+    move |m| {
+        if m > sqrt {
+            2.0 * total
+        } else if m > *cbrt.get_or_insert_with(|| l.cbrt()) {
+            4.0 * total
+        } else {
+            6.0 * total
+        }
+    }
+}
+
 /// Sort-merge join cost (paper §3.6.1).
 pub fn sm_join_cost(a: f64, b: f64, m: f64) -> f64 {
     let (a, b) = (clamp(a), clamp(b));
-    let l = a.max(b);
-    let total = a + b;
-    if m > l.sqrt() {
-        2.0 * total
-    } else if m > l.cbrt() {
-        4.0 * total
-    } else {
-        6.0 * total
-    }
+    passes(a.max(b), a + b)(m)
 }
 
 /// Grace hash join cost (Example 1.1 / \[Sha86\]); thresholds on the smaller
 /// input.
 pub fn grace_join_cost(a: f64, b: f64, m: f64) -> f64 {
     let (a, b) = (clamp(a), clamp(b));
-    let s = a.min(b);
-    let total = a + b;
-    if m > s.sqrt() {
-        2.0 * total
-    } else if m > s.cbrt() {
-        4.0 * total
-    } else {
-        6.0 * total
-    }
+    passes(a.min(b), a + b)(m)
 }
 
 /// Page nested-loop join cost (paper §3.6.2); `a` is the outer input.

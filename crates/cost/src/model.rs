@@ -20,26 +20,18 @@ pub enum AccessPath {
     IndexScan,
 }
 
-/// Operator discriminant for [`EvalKey`].  Every memoized evaluation is an
-/// expectation over a memory distribution; the operators differ in whether
-/// the operand sizes are scalars or distributions too.
+/// Operator discriminant for [`EvalKey`]: every memoized evaluation is
+/// Algorithm D's expectation over size and memory distributions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EvalOp {
-    /// Expected join cost of point-sized inputs over a memory
-    /// distribution (LSC and Algorithms A/B at one bucket, Algorithm C at
-    /// `b`): one cache entry stands for a whole `b`-bucket expectation.
-    ScalarJoin(JoinMethod),
-    /// Expected sort cost of a point-sized input over a memory
-    /// distribution.
-    ScalarSort,
-    /// Expected join cost over size + memory distributions (Algorithm D).
+    /// Expected join cost over size + memory distributions.
     DistJoin(JoinMethod),
     /// Expected sort cost over size + memory distributions.
     DistSort,
 }
 
 /// One step of FxHash — the rustc-style multiply-rotate mix.  [`EvalKey`]
-/// lookups sit on the engine's innermost loop, where the default SipHash
+/// lookups sit on Algorithm D's innermost loop, where the default SipHash
 /// costs more than the cost formulas it would be saving.
 #[inline]
 fn fx_mix(hash: u64, word: u64) -> u64 {
@@ -93,13 +85,13 @@ const EVAL_SHARDS: usize = 32;
 /// holding a search's several thousand entries pays hashbrown's
 /// old-plus-new resize transient on one large allocation, which measured
 /// +6% `peak_rss_mb` on the ledger's `cold_mix` workload (bound 5%);
-/// small shards resize a few hundred entries at a time.  Every entry is a
-/// whole expectation — one bucket for the point modes, `b` for Algorithms
-/// C/D.  A miss evaluates its buckets through the raw formulas: per-bucket
-/// values of a `b`-bucket expectation are never probed individually
-/// again, so memoizing them one by one would be pure write traffic (`b`
-/// inserts per miss), and computing them directly charges the same `b`
-/// formula evaluations.
+/// small shards resize a few hundred entries at a time.
+///
+/// Every entry is one of Algorithm D's expectations, which stream `b_A +
+/// b_B` (block nested-loop: `b_A·b_B·b_M`) formula calls behind one probe;
+/// with the cache off, D measured 12–15% slower on the ledger's `cold_mix`
+/// shapes (in process, 2-vCPU host).  A scalar-size expectation is never
+/// memoized: its `b` formula calls cost less than the key fold and probe.
 #[derive(Default)]
 struct ShardedEvalCache {
     shards: [RefCell<EvalMap>; EVAL_SHARDS],
@@ -121,22 +113,15 @@ impl std::fmt::Debug for ShardedEvalCache {
     }
 }
 
-/// Memoization key for one memory-dependent operator evaluation: the
-/// operator, the memory distribution's fingerprint, and the exact operand
-/// sizes (point pages or distribution fingerprints).
+/// Memoization key for one of Algorithm D's expectations: the operator,
+/// the memory distribution's fingerprint, and the operand size
+/// distributions' fingerprints.
 ///
 /// The key is exactly the tuple the cost formulas read — and nothing
 /// more.  Every compute behind [`CostModel::cached`] is a pure function
 /// of `(op, mem, outer, inner)`; the operand *table sets* never enter a
 /// formula, so keying on them would only relabel identical computations
-/// as distinct.  On dense join graphs the distinction is enormous: a
-/// 15-table star probes ~900k `(sets, sizes)` pairs but only a few
-/// thousand distinct `(sizes)` tuples — set-free keys turn the cache
-/// from a net loss (insert traffic, hash pressure) into a ~99% hit rate.
-/// The sizes must participate, though: the one-page clamp in
-/// `join_output_pages` can make entries of the same subset built through
-/// different splits carry different sizes, so sizes — not sets — are
-/// what keeps the cache exact rather than approximate.
+/// as distinct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EvalKey {
     /// FxHash of the four fields below, computed by [`EvalKey::new`].
@@ -151,17 +136,15 @@ impl EvalKey {
     /// Build a key, hashing it once: FxHash over the operator tag, the
     /// join method if the operator has one, then `mem`, `outer`, `inner`.
     ///
-    /// The operator tags start at 2: they are the words `derive(Hash)` fed
-    /// the hasher while two point operators (tags 0 and 1) preceded these
-    /// four.  The tag is the first word mixed in, so it decides which
-    /// shard and which bucket every key lands in; renumbering the
-    /// survivors 0..3 measured −8% `large_joins` throughput on the ledger
-    /// (slower in 9 of 10 pairs) with nothing else changed
-    /// (`eval_key_hashes_are_pinned` holds the values).
+    /// The operator tags are 4 and 5: the words `derive(Hash)` fed the
+    /// hasher while four retired operators (tags 0..3) preceded these two.
+    /// The tag is the first word mixed in, so it decides which shard and
+    /// which bucket every key lands in; renumbering tags once measured −8%
+    /// `large_joins` throughput on the ledger (slower in 9 of 10 pairs)
+    /// with nothing else changed (`eval_key_hashes_are_pinned` holds the
+    /// values).
     fn new(op: EvalOp, mem: u64, outer: u64, inner: u64) -> Self {
         let mut hash = match op {
-            EvalOp::ScalarJoin(m) => fx_mix(fx_mix(0, 2), m as u64),
-            EvalOp::ScalarSort => fx_mix(0, 3),
             EvalOp::DistJoin(m) => fx_mix(fx_mix(0, 4), m as u64),
             EvalOp::DistSort => fx_mix(0, 5),
         };
@@ -215,13 +198,13 @@ pub fn table_occurrence_fingerprint(catalog: &Catalog, query: &Query, idx: usize
 /// unit in which the paper states its overheads ("this computation requires
 /// b evaluations of the cost formula", §3.4).
 ///
-/// The `expected_*_over` and `expected_*_for` methods additionally memoize
-/// whole expectations in a cache keyed by `(operator, memory distribution,
-/// operand sizes)` — a point memory value is a one-bucket distribution —
-/// so the repeated evaluations the DP algorithms perform across entry
-/// pairs and DP levels are computed once; cache hits do not increment the
-/// evaluation counter (they perform no formula work), which is exactly the
-/// reduction [`CostModel::evals`] is meant to expose.  The cache is on by
+/// The `expected_*_over` methods price a scalar-size operator in place:
+/// `b` formula calls over a `b`-bucket memory distribution, one for a
+/// point.  Algorithm D's `expected_*_for` methods additionally memoize
+/// whole expectations in a cache keyed by `(operator, memory
+/// distribution, size distributions)`, so the repeats across entry pairs
+/// and DP levels are computed once; cache hits do not increment the
+/// evaluation counter (they perform no formula work).  The cache is on by
 /// default and can be disabled with [`CostModel::set_eval_cache`] for
 /// apples-to-apples overhead measurements.
 ///
@@ -252,7 +235,7 @@ pub struct CostModel<'a> {
     eval_cache: ShardedEvalCache,
     cache_enabled: Cell<bool>,
     cache_hits: Cell<u64>,
-    /// When installed, cache misses time their compute into
+    /// When installed, Algorithm D's cache misses time their compute into
     /// `telemetry.eval_compute_ns`.  `None` (the default) keeps the hot
     /// path a single branch.
     telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
@@ -329,10 +312,9 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Install (or remove) engine telemetry: cache-miss computes — LSC's
-    /// one-bucket expectations included — are timed into its
-    /// `eval_compute_ns` histogram.  Purely observational — costs,
-    /// counters, and results are unaffected.
+    /// Install (or remove) engine telemetry: Algorithm D's cache-miss
+    /// computes are timed into its `eval_compute_ns` histogram.  Purely
+    /// observational — costs, counters, and results are unaffected.
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>) {
         self.telemetry = telemetry;
     }
@@ -383,7 +365,7 @@ impl<'a> CostModel<'a> {
     // ---- evaluation cache -----------------------------------------------
 
     /// Enable or disable the memoized evaluation cache used by the
-    /// `expected_*` methods.  Toggling (in either direction) clears every shard of the
+    /// `expected_*_for` methods.  Toggling (in either direction) clears every shard of the
     /// cache **and resets the hit counter**, so measurements taken after a
     /// toggle never mix cached and uncached regimes.
     pub fn set_eval_cache(&self, enabled: bool) {
@@ -432,37 +414,25 @@ impl<'a> CostModel<'a> {
     }
 
     /// Expected join cost of *point-sized* inputs over a memory
-    /// distribution — the whole `b`-bucket expectation of Algorithm C, or
-    /// the one-bucket one of a point mode, as one cache entry.  `mem_fp`
-    /// is the distribution's [`dist_fingerprint`], precomputed by the
-    /// caller so the hot path never rehashes the distribution.  On a miss
-    /// the per-bucket evaluations compute through the raw formulas (each
-    /// one counted, per §3.4's "b evaluations of the cost formula") — see
-    /// [`ShardedEvalCache`].
+    /// distribution — the `b`-bucket expectation of Algorithm C, or the
+    /// one-bucket one of a point mode: "b evaluations of the cost formula"
+    /// (§3.4), all `b` counted ([`formulas::join_cost_over`]).
     pub fn expected_join_cost_over(
         &self,
         method: JoinMethod,
         outer: f64,
         inner: f64,
         memory: &Distribution,
-        mem_fp: u64,
     ) -> f64 {
-        let key = EvalKey::new(
-            EvalOp::ScalarJoin(method),
-            mem_fp,
-            outer.to_bits(),
-            inner.to_bits(),
-        );
-        self.cached(key, || {
-            memory.expect(|m| self.join_cost(method, outer, inner, m))
-        })
+        self.count_evals(memory.len() as u64);
+        formulas::join_cost_over(method, outer, inner, memory)
     }
 
     /// Expected sort cost of a point-sized input over a memory
-    /// distribution, memoized like [`CostModel::expected_join_cost_over`].
-    pub fn expected_sort_cost_over(&self, pages: f64, memory: &Distribution, mem_fp: u64) -> f64 {
-        let key = EvalKey::new(EvalOp::ScalarSort, mem_fp, pages.to_bits(), 0);
-        self.cached(key, || memory.expect(|m| self.sort_cost(pages, m)))
+    /// distribution, priced like [`CostModel::expected_join_cost_over`].
+    pub fn expected_sort_cost_over(&self, pages: f64, memory: &Distribution) -> f64 {
+        self.count_evals(memory.len() as u64);
+        memory.expect(|m| formulas::sort_cost(pages, m))
     }
 
     /// Expected join cost over size and memory distributions (Algorithm
@@ -816,55 +786,38 @@ mod tests {
         );
     }
 
-    /// A point memory value as the search prices it: a one-bucket
-    /// distribution and its fingerprint.
-    fn point(m: f64) -> (Distribution, u64) {
-        let d = Distribution::point(m);
-        let fp = dist_fingerprint(&d);
-        (d, fp)
-    }
-
-    #[test]
-    fn eval_cache_hits_skip_the_counter() {
-        let (cat, q) = fixture();
-        let m = CostModel::new(&cat, &q);
-        let (at50, fp50) = point(50.0);
-        let first = m.expected_join_cost_over(JoinMethod::SortMerge, 100.0, 200.0, &at50, fp50);
-        assert_eq!(m.evals(), 1);
-        assert_eq!(m.eval_cache_hits(), 0);
-        assert_eq!(
-            first.to_bits(),
-            formulas::raw_join_cost(JoinMethod::SortMerge, 100.0, 200.0, 50.0).to_bits(),
-            "a one-bucket expectation is the formula's own bits"
-        );
-        let again = m.expected_join_cost_over(JoinMethod::SortMerge, 100.0, 200.0, &at50, fp50);
-        assert_eq!(first, again);
-        assert_eq!(m.evals(), 1, "hit must not re-evaluate");
-        assert_eq!(m.eval_cache_hits(), 1);
-        // A different memory value is a different key.
-        let (at60, fp60) = point(60.0);
-        m.expected_join_cost_over(JoinMethod::SortMerge, 100.0, 200.0, &at60, fp60);
-        assert_eq!(m.evals(), 2);
-        // Sort shares the machinery.
-        let (at10, fp10) = point(10.0);
-        m.expected_sort_cost_over(100.0, &at10, fp10);
-        m.expected_sort_cost_over(100.0, &at10, fp10);
-        assert_eq!(m.evals(), 3);
-        assert_eq!(m.eval_cache_hits(), 2);
+    /// One of Algorithm D's memoized expectations: a grace-hash join of
+    /// two two-bucket sizes under a two-bucket memory (four formula calls
+    /// on a miss).
+    fn dist_join(m: &CostModel<'_>) -> f64 {
+        let a = Distribution::bimodal(1e4, 2e4, 0.5).unwrap();
+        let b = Distribution::bimodal(3e3, 5e3, 0.5).unwrap();
+        let mem = Distribution::bimodal(100.0, 300.0, 0.5).unwrap();
+        let fp = dist_fingerprint;
+        let mt = PrefixTables::new(&mem);
+        m.expected_join_cost_for(
+            JoinMethod::GraceHash,
+            &a,
+            fp(&a),
+            &b,
+            fp(&b),
+            &mem,
+            fp(&mem),
+            &mt,
+        )
     }
 
     #[test]
     fn disabled_cache_matches_enabled_values() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let (mem, fp) = point(300.0);
-        let cached = m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
+        let cached = dist_join(&m);
         m.set_eval_cache(false);
         m.reset_evals();
-        let raw = m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
-        m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
-        assert_eq!(cached, raw);
-        assert_eq!(m.evals(), 2, "disabled cache evaluates every call");
+        let raw = dist_join(&m);
+        dist_join(&m);
+        assert_eq!(cached.to_bits(), raw.to_bits());
+        assert_eq!(m.evals(), 8, "disabled cache evaluates every call");
         assert_eq!(m.eval_cache_hits(), 0);
     }
 
@@ -872,9 +825,8 @@ mod tests {
     fn disabling_the_cache_resets_the_hit_counter() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let (mem, fp) = point(300.0);
-        m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
-        m.expected_join_cost_over(JoinMethod::GraceHash, 1e4, 2e4, &mem, fp);
+        dist_join(&m);
+        dist_join(&m);
         assert_eq!(m.eval_cache_hits(), 1);
         assert!(m.eval_cache_len() > 0);
         m.set_eval_cache(false);
@@ -892,10 +844,10 @@ mod tests {
         let m = CostModel::new(&cat, &q);
         let key = || {
             EvalKey::new(
-                EvalOp::ScalarJoin(JoinMethod::SortMerge),
-                point(50.0).1,
-                100f64.to_bits(),
-                200f64.to_bits(),
+                EvalOp::DistJoin(JoinMethod::SortMerge),
+                dist_fingerprint(&Distribution::point(50.0)),
+                dist_fingerprint(&Distribution::point(100.0)),
+                dist_fingerprint(&Distribution::point(200.0)),
             )
         };
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -914,12 +866,11 @@ mod tests {
     /// change that moves these values is a performance change.
     #[test]
     fn eval_key_hashes_are_pinned() {
-        use JoinMethod::{BlockNestedLoop, GraceHash, SortMerge};
         for (op, hash) in [
-            (EvalOp::ScalarJoin(SortMerge), 0x5D100AC4532FB2AE_u64),
-            (EvalOp::ScalarJoin(BlockNestedLoop), 0xDE46DC31C41FDF68),
-            (EvalOp::ScalarSort, 0x63CD0158BA8BC12D),
-            (EvalOp::DistJoin(GraceHash), 0xDD1401E8210D59F3),
+            (
+                EvalOp::DistJoin(JoinMethod::GraceHash),
+                0xDD1401E8210D59F3_u64,
+            ),
             (EvalOp::DistSort, 0x25ABE29D9817E7CB),
         ] {
             assert_eq!(EvalKey::new(op, 1, 2, 3).hash, hash, "{op:?}");

@@ -1,5 +1,6 @@
 //! Property tests for the cost crate: formula laws, streaming/naive
-//! agreement, and plan-cost consistency.
+//! agreement, scalar expectations priced in place, and plan-cost
+//! consistency.
 
 use lec_cost::expected::{naive_expected_join_cost, streaming_expected_join_cost};
 use lec_cost::formulas;
@@ -229,5 +230,99 @@ proptest! {
         }
         prop_assert_eq!(&rebuilt, &cat);
         prop_assert_ne!(&drifted, &cat);
+    }
+}
+
+/// A one-table model: the scalar expectations read only their arguments,
+/// so any bound query will do.
+fn with_model(f: impl FnOnce(&lec_cost::CostModel<'_>)) {
+    use lec_catalog::{Catalog, ColumnStats, TableStats};
+    use lec_plan::{Query, QueryTable};
+
+    let mut cat = Catalog::new();
+    let t = cat.add_table(
+        "R",
+        TableStats::new(100, 1000, vec![ColumnStats::plain("x", 10)]),
+    );
+    let q = Query {
+        tables: vec![QueryTable::bare(t)],
+        joins: vec![],
+        required_order: None,
+    };
+    f(&lec_cost::CostModel::new(&cat, &q));
+}
+
+/// A memory distribution of 1 to 32 buckets.
+fn arb_memory() -> impl Strategy<Value = Distribution> {
+    prop::collection::vec((2.0f64..1e5, 0.05f64..1.0), 1..33)
+        .prop_map(|pairs| Distribution::from_pairs(pairs).expect("valid"))
+}
+
+proptest! {
+    /// A scalar-size expected join cost is §3.4's "b evaluations of the
+    /// cost formula", priced in place: the raw formula's expectation to
+    /// the bit, and `b` counted evaluations on every call — a repeat is
+    /// not memoized.
+    #[test]
+    fn a_scalar_join_expectation_is_b_formula_calls(
+        method in 0usize..4,
+        outer in 1.0f64..1e7,
+        inner in 1.0f64..1e7,
+        memory in arb_memory(),
+    ) {
+        let method = JoinMethod::ALL[method];
+        let want = memory.expect(|m| formulas::raw_join_cost(method, outer, inner, m));
+        let b = memory.len() as u64;
+        with_model(|model| {
+            for call in 1..=2 {
+                let got = model.expected_join_cost_over(method, outer, inner, &memory);
+                assert_eq!(got.to_bits(), want.to_bits(), "{method:?}, call {call}");
+                assert_eq!(model.evals(), call * b, "{method:?}, call {call}");
+            }
+            assert_eq!(model.eval_cache_hits(), 0);
+        });
+    }
+
+    /// The same for the scalar-size expected sort cost.
+    #[test]
+    fn a_scalar_sort_expectation_is_b_formula_calls(
+        pages in 1.0f64..1e7,
+        memory in arb_memory(),
+    ) {
+        let want = memory.expect(|m| formulas::sort_cost(pages, m));
+        let b = memory.len() as u64;
+        with_model(|model| {
+            for call in 1..=2 {
+                let got = model.expected_sort_cost_over(pages, &memory);
+                assert_eq!(got.to_bits(), want.to_bits(), "call {call}");
+                assert_eq!(model.evals(), call * b, "call {call}");
+            }
+            assert_eq!(model.eval_cache_hits(), 0);
+        });
+    }
+
+    /// "The standard approach [is] the special case where there is only
+    /// one bucket": a one-bucket expectation is the formula's own bits.
+    #[test]
+    fn a_one_bucket_expectation_is_the_raw_formula(
+        method in 0usize..4,
+        outer in 1.0f64..1e7,
+        inner in 1.0f64..1e7,
+        m in 2.0f64..1e5,
+    ) {
+        let method = JoinMethod::ALL[method];
+        let point = Distribution::point(m);
+        with_model(|model| {
+            assert_eq!(
+                model.expected_join_cost_over(method, outer, inner, &point).to_bits(),
+                formulas::raw_join_cost(method, outer, inner, m).to_bits(),
+                "{method:?}"
+            );
+            assert_eq!(
+                model.expected_sort_cost_over(outer, &point).to_bits(),
+                formulas::sort_cost(outer, m).to_bits()
+            );
+            assert_eq!(model.evals(), 2);
+        });
     }
 }

@@ -259,7 +259,8 @@ pub struct EngineTelemetry {
     pub level_combine_ns: Histogram,
     /// Admissible-bound evaluation time per pruning check.
     pub bound_eval_ns: Histogram,
-    /// Cost-model expectation-evaluation compute time (cache misses only).
+    /// Compute time of Algorithm D's memoized cost-model expectations
+    /// (cache misses only); scalar-size expectations are not timed.
     pub eval_compute_ns: Histogram,
     /// Per-level prune trace, newest last (bounded by
     /// [`MAX_LEVEL_PRUNES`], drop-oldest).

@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 /// Algorithm B's ranking: the top-`c` plans of every memory
 /// representative, the union EC-ranked.  The outcome's extras carry the
-/// Proposition 3.1 [`crate::search::FrontierStats`] and the number of
-/// distinct candidates ranked.
+/// Proposition 3.1 [`crate::search::FrontierStats`].
 pub(crate) fn rank_top_c_plans(
     model: &CostModel<'_>,
     memory: &Distribution,
@@ -61,10 +60,7 @@ pub(crate) fn rank_top_c_plans(
         plan,
         cost: expected_cost,
         stats,
-        extras: SearchExtras::Frontier {
-            frontier,
-            n_candidates: candidates.len(),
-        },
+        extras: SearchExtras::Frontier(frontier),
     })
 }
 

@@ -5,6 +5,10 @@
 //! subset dag level by level on the thread that called it.  A level holds
 //! the *connected* subsets of its size only ([`next_level`]): the walk
 //! costs what the join graph has, not the `2^n` lattice around it.
+//!
+//! Every split of a subset ranks *pending* joins, which borrow their
+//! operands from the table, into one buffer ([`combine_subset`]); the
+//! policy builds the survivors once, after the last split.
 
 use super::bound::{point_size_product, PruneState};
 use super::policy::{CandidatePolicy, JoinContext, RootContext, SearchEntry};
@@ -12,6 +16,7 @@ use super::SearchStats;
 use crate::error::OptError;
 use lec_cost::{CostModel, Prehashed};
 use lec_plan::TableSet;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
@@ -113,7 +118,7 @@ pub struct SearchRun<E> {
     pub stats: SearchStats,
 }
 
-impl<E: SearchEntry> SearchRun<E> {
+impl<E: SearchEntry + Clone> SearchRun<E> {
     /// The cheapest finalized candidate.
     pub fn best(&self) -> &E {
         self.roots
@@ -172,10 +177,10 @@ pub struct SearchConfig {
     /// opts in with an admissible bound
     /// ([`CandidatePolicy::pruning_bound`]) — keep-best, multi-param and
     /// keep-all do; top-c bypasses.  Pruned searches return answers
-    /// byte-identical (plans, cost bits) to unpruned ones; only work
-    /// counters ([`SearchStats::pruned_subsets`],
-    /// [`SearchStats::bound_evals`], `candidates`, `evals`, `nodes`,
-    /// `cache_hits`) differ.
+    /// byte-identical (plans, cost bits) to unpruned ones; only the four
+    /// pruning counters ([`SearchStats::pruned_subsets`] and its kin) and
+    /// `candidates` (generated, built or not), `evals`, `nodes`,
+    /// `cache_hits` differ.
     pub pruning: bool,
     /// Optional engine-internal telemetry
     /// ([`lec_telemetry::EngineTelemetry`]): when installed, the driver
@@ -218,7 +223,8 @@ fn timed<T>(h: Option<&lec_telemetry::Histogram>, f: impl FnOnce() -> T) -> T {
 }
 
 /// Combine one connected subset — every split's entry pairs under every
-/// method — after the branch-and-bound prune check when `prune` is set.
+/// method into one buffer of pending joins, whose survivors are then built
+/// — after the branch-and-bound prune check when `prune` is set.
 /// The check runs *before* the combine (that is the whole point: a pruned
 /// subset skips its entire combine/cost loop) and costs one
 /// [`SearchStats::bound_evals`] size-floor computation.  The full set is
@@ -244,7 +250,7 @@ fn combine_subset<P: CandidatePolicy>(
             return Vec::new();
         }
     }
-    let mut entries: Vec<P::Entry> = Vec::new();
+    let mut pending = Vec::new();
     for (left, right) in shape.splits(model, set) {
         let (Some(outer), Some(inner)) = (table.get(&Subset(left)), table.get(&Subset(right)))
         else {
@@ -256,8 +262,11 @@ fn combine_subset<P: CandidatePolicy>(
             result: set,
             phase: set.len() - 2,
         };
-        policy.combine(model, &ctx, outer, inner, &mut entries, stats);
+        policy.combine(model, &ctx, outer, inner, &mut pending, stats);
     }
+    // A node lives as long as the table: keep no spare capacity.
+    let mut entries = policy.build(pending);
+    entries.shrink_to_fit();
     if !entries.is_empty() {
         stats.nodes += 1;
     }
@@ -319,21 +328,16 @@ fn access_level<P: CandidatePolicy>(
     table
 }
 
+/// `min_by` as a strict `<` scan: the first of equal or unordered values.
+fn first_min<T>(a: &(f64, T), b: &(f64, T)) -> Ordering {
+    a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal)
+}
+
 /// Index of the minimal-cost entry in `entries` (first among exact
 /// ties, matching [`SearchRun::best`]'s pick).
 fn cheapest_index<E: SearchEntry>(entries: &[E]) -> Option<usize> {
-    let mut best: Option<(f64, usize)> = None;
-    for (i, e) in entries.iter().enumerate() {
-        let c = e.cost();
-        let better = match best {
-            None => true,
-            Some((bc, _)) => c < bc,
-        };
-        if better {
-            best = Some((c, i));
-        }
-    }
-    best.map(|(_, i)| i)
+    let costs = entries.iter().map(SearchEntry::cost).zip(0..);
+    costs.min_by(first_min).map(|(_, i)| i)
 }
 
 /// Assemble — and install into the policy — the search's prune state,
@@ -389,21 +393,12 @@ fn greedy_complete<P: CandidatePolicy>(
     let seed_entries = table.get(&Subset(seed))?;
     let mut cur = vec![seed_entries[cheapest_index(seed_entries)?].clone()];
     while set.len() < n {
-        let mut choice: Option<(f64, usize)> = None;
-        for j in model.frontier(set).iter() {
-            if !table.contains_key(&Subset(TableSet::singleton(j))) {
-                continue;
-            }
-            let size = point_size_product(model, set.with(j));
-            let better = match choice {
-                None => true,
-                Some((best, _)) => size < best,
-            };
-            if better {
-                choice = Some((size, j));
-            }
-        }
-        let (_, j) = choice?;
+        let (_, j) = model
+            .frontier(set)
+            .iter()
+            .filter(|&j| table.contains_key(&Subset(TableSet::singleton(j))))
+            .map(|j| (point_size_product(model, set.with(j)), j))
+            .min_by(first_min)?;
         let result = set.with(j);
         let ctx = JoinContext {
             left: set,
@@ -421,7 +416,7 @@ fn greedy_complete<P: CandidatePolicy>(
             stats,
         );
         let best = cheapest_index(&out)?;
-        cur = vec![out.swap_remove(best)];
+        cur = policy.build(vec![out.swap_remove(best)]);
         set = result;
     }
     let ctx = RootContext { sort_phase: n - 1 };
@@ -449,24 +444,14 @@ fn refresh_incumbent<P: CandidatePolicy>(
     if prune.refresh_retired() {
         return;
     }
-    let mut best: Option<(f64, TableSet)> = None;
-    for &set in level {
-        let Some(entries) = table.get(&Subset(set)) else {
-            continue;
-        };
-        let Some(i) = cheapest_index(entries) else {
-            continue;
-        };
-        let c = entries[i].cost();
-        let better = match best {
-            None => true,
-            Some((bc, bs)) => c < bc || (c == bc && set.bits() < bs.bits()),
-        };
-        if better {
-            best = Some((c, set));
-        }
-    }
-    let Some((_, seed)) = best else { return };
+    // `level` is in increasing bit order: the first minimum is the smallest.
+    let best = level.iter().filter_map(|&set| {
+        let entries = table.get(&Subset(set))?;
+        Some((entries[cheapest_index(entries)?].cost(), set))
+    });
+    let Some((_, seed)) = best.min_by(first_min) else {
+        return;
+    };
     let before = prune.incumbent();
     if let Some(cost) = greedy_complete(model, policy, table, seed, stats) {
         prune.observe(cost);

@@ -21,8 +21,8 @@ use super::bound::PruneState;
 use super::coster::PhaseCoster;
 use super::keep_best::DpEntry;
 use super::policy::{
-    access_alternatives, join_output_order, shared_join, sort_merge_order, CandidatePolicy,
-    JoinContext, RootContext,
+    access_alternatives, join_output_order, sort_merge_order, CandidatePolicy, JoinContext, Joined,
+    RootContext,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
@@ -59,6 +59,7 @@ impl<C: PhaseCoster> KeepAllPolicy<C> {
 
 impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
     type Entry = DpEntry;
+    type Size = f64;
 
     fn access_entries(
         &mut self,
@@ -67,23 +68,15 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
         access_alternatives(model, idx)
-            .into_iter()
-            .map(|(plan, cost, order, pages)| DpEntry {
-                plan,
-                cost,
-                pages,
-                order,
-            })
-            .collect()
     }
 
-    fn combine(
+    fn combine<'t>(
         &mut self,
         model: &CostModel<'_>,
         ctx: &JoinContext,
-        outer: &[DpEntry],
-        inner: &[DpEntry],
-        into: &mut Vec<DpEntry>,
+        outer: &'t [DpEntry],
+        inner: &'t [DpEntry],
+        into: &mut Vec<Joined<'t, f64>>,
         stats: &mut SearchStats,
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
@@ -120,15 +113,21 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
                             continue;
                         }
                     }
-                    into.push(DpEntry {
-                        plan: shared_join(method, &oe.plan, &ie.plan),
+                    into.push(Joined {
                         cost,
-                        pages: model.join_output_pages(oe.pages, ie.pages, sel),
                         order: join_output_order(sm_order, oe.order, method),
+                        size: model.join_output_pages(oe.pages, ie.pages, sel),
+                        method,
+                        outer: &oe.plan,
+                        inner: &ie.plan,
                     });
                 }
             }
         }
+    }
+
+    fn build(&mut self, pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
+        pending.into_iter().map(DpEntry::from).collect()
     }
 
     fn finalize(

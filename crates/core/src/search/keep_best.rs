@@ -6,12 +6,13 @@
 
 use super::coster::PhaseCoster;
 use super::policy::{
-    access_alternatives, insert_entry_shaped, insert_entry_shaped_lazy, join_output_order,
-    shared_join, sort_merge_order, CandidatePolicy, JoinContext, RootContext, SearchEntry,
+    access_alternatives, insert_entry_shaped, join_output_order, plan_shape_cmp, shape_rank,
+    sort_merge_order, CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
-use lec_plan::{JoinMethod, OrderProperty, PlanNode};
+use lec_plan::{ColumnRef, JoinMethod, OrderProperty, PlanNode};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A DP table entry: the cheapest known plan for one (subset, order).
@@ -28,14 +29,25 @@ pub struct DpEntry {
 }
 
 impl SearchEntry for DpEntry {
-    fn plan(&self) -> &PlanNode {
-        &self.plan
-    }
     fn cost(&self) -> f64 {
         self.cost
     }
     fn order(&self) -> OrderProperty {
         self.order
+    }
+    fn shape_cmp(&self, model: &CostModel<'_>, other: &Self) -> Ordering {
+        plan_shape_cmp(model, &self.plan, &other.plan)
+    }
+}
+
+impl From<Joined<'_, f64>> for DpEntry {
+    fn from(j: Joined<'_, f64>) -> Self {
+        DpEntry {
+            plan: j.node(),
+            cost: j.cost,
+            pages: j.size,
+            order: j.order,
+        }
     }
 }
 
@@ -55,6 +67,7 @@ impl<C: PhaseCoster> KeepBestPolicy<C> {
 
 impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
     type Entry = DpEntry;
+    type Size = f64;
 
     fn access_entries(
         &mut self,
@@ -63,28 +76,19 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
         let mut entries = Vec::new();
-        for (plan, cost, order, pages) in access_alternatives(model, idx) {
-            insert_entry_shaped(
-                model,
-                &mut entries,
-                DpEntry {
-                    plan,
-                    cost,
-                    pages,
-                    order,
-                },
-            );
+        for e in access_alternatives(model, idx) {
+            insert_entry_shaped(model, &mut entries, e);
         }
         entries
     }
 
-    fn combine(
+    fn combine<'t>(
         &mut self,
         model: &CostModel<'_>,
         ctx: &JoinContext,
-        outer: &[DpEntry],
-        inner: &[DpEntry],
-        into: &mut Vec<DpEntry>,
+        outer: &'t [DpEntry],
+        inner: &'t [DpEntry],
+        into: &mut Vec<Joined<'t, f64>>,
         stats: &mut SearchStats,
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
@@ -98,17 +102,22 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
                     let join_cost = self
                         .coster
                         .join_cost(model, ctx, method, oe.pages, ie.pages);
-                    let cost = oe.cost + ie.cost + join_cost;
-                    let order = join_output_order(sm_order, oe.order, method);
-                    insert_entry_shaped_lazy(model, into, cost, order, || DpEntry {
-                        plan: shared_join(method, &oe.plan, &ie.plan),
-                        cost,
-                        pages,
-                        order,
-                    });
+                    let joined = Joined {
+                        cost: oe.cost + ie.cost + join_cost,
+                        order: join_output_order(sm_order, oe.order, method),
+                        size: pages,
+                        method,
+                        outer: &oe.plan,
+                        inner: &ie.plan,
+                    };
+                    insert_entry_shaped(model, into, joined);
                 }
             }
         }
+    }
+
+    fn build(&mut self, pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
+        pending.into_iter().map(DpEntry::from).collect()
     }
 
     fn finalize(
@@ -129,33 +138,37 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
 }
 
 /// Shared root finalization: wrap entries that miss a required order in a
-/// sort costed by `coster`.  Used by the keep-1 and keep-all policies.
+/// sort costed by `coster`.  Used by every policy but multi-param.
 pub(super) fn finalize_with_coster<C: PhaseCoster>(
     model: &CostModel<'_>,
     ctx: &RootContext,
     entries: Vec<DpEntry>,
     coster: &C,
 ) -> Vec<DpEntry> {
-    let query = model.query();
+    sort_where_required(model, entries, |e, key, order| DpEntry {
+        cost: e.cost + coster.sort_cost(model, ctx.sort_phase, e.pages),
+        plan: Arc::new(PlanNode::Sort { input: e.plan, key }),
+        order,
+        ..e
+    })
+}
+
+/// Replace every root entry that misses the query's required order with
+/// `sort(entry, key, the order the sort delivers)`.
+pub(super) fn sort_where_required<E: SearchEntry>(
+    model: &CostModel<'_>,
+    entries: Vec<E>,
+    sort: impl Fn(E, ColumnRef, OrderProperty) -> E,
+) -> Vec<E> {
+    let Some(want) = model.query().required_order else {
+        return entries;
+    };
     let eq = model.equivalences();
-    entries
-        .into_iter()
-        .map(|e| match query.required_order {
-            Some(want) if !eq.satisfies(e.order, want) => {
-                let sort_cost = coster.sort_cost(model, ctx.sort_phase, e.pages);
-                DpEntry {
-                    plan: Arc::new(PlanNode::Sort {
-                        input: e.plan,
-                        key: want,
-                    }),
-                    cost: e.cost + sort_cost,
-                    pages: e.pages,
-                    order: eq.sorted_on(want),
-                }
-            }
-            _ => e,
-        })
-        .collect()
+    let sort_unsorted = |e: E| match eq.satisfies(e.order(), want) {
+        true => e,
+        false => sort(e, want, eq.sorted_on(want)),
+    };
+    entries.into_iter().map(sort_unsorted).collect()
 }
 
 /// Order finalized root candidates by (cost bits, label-free shape), so
@@ -164,9 +177,6 @@ pub(super) fn finalize_with_coster<C: PhaseCoster>(
 /// per-order-class insertion order.  Pruning can remove strictly-worse
 /// candidates whose insertion used to shuffle that order; sorting here
 /// (pruned and unpruned alike) keeps the two answers byte-identical.
-pub(super) fn sort_roots<E>(model: &CostModel<'_>, roots: &mut [E])
-where
-    E: super::policy::SearchEntry,
-{
-    roots.sort_by(|a, b| super::policy::shape_rank(model, a, b));
+pub(super) fn sort_roots<E: SearchEntry>(model: &CostModel<'_>, roots: &mut [E]) {
+    roots.sort_by(|a, b| shape_rank(model, a, b));
 }

@@ -122,7 +122,7 @@ pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
 pub use policy::{
     insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order, CandidatePolicy,
-    JoinContext, RootContext, SearchEntry,
+    JoinContext, Joined, RootContext, SearchEntry,
 };
 pub use top_c::{insert_top_c, FrontierStats, TopCPolicy};
 
@@ -159,8 +159,9 @@ pub struct SearchStats {
     /// Dag nodes (subsets) populated; for move-based searches, complete
     /// plans costed.
     pub nodes: usize,
-    /// Join candidates generated (subset × split × entry pair × method);
-    /// for move-based searches, neighbour moves proposed.
+    /// Join candidates generated (subset × split × entry pair × method;
+    /// for top-c, the pairs its frontier admits), whether or not they are
+    /// ranked or built; for move-based searches, neighbour moves proposed.
     pub candidates: u64,
     /// Cost-formula evaluations actually performed (cache hits excluded).
     pub evals: u64,
@@ -249,14 +250,8 @@ pub enum SearchExtras {
     None,
     /// Algorithm A: the per-memory-representative candidates.
     Candidates(Vec<crate::alg_a::Candidate>),
-    /// Algorithm B: Proposition 3.1 frontier counters and the number of
-    /// distinct candidate plans that were EC-ranked.
-    Frontier {
-        /// The frontier counters.
-        frontier: FrontierStats,
-        /// Distinct candidate plans ranked by expected cost.
-        n_candidates: usize,
-    },
+    /// Algorithm B: Proposition 3.1 frontier counters.
+    Frontier(FrontierStats),
     /// Algorithm D: the winning plan's result-size distribution and the
     /// largest pre-rebucketing product support seen.
     MultiParam {
@@ -297,15 +292,7 @@ impl SearchOutcome {
     /// Algorithm B's frontier counters, when this outcome has them.
     pub fn frontier(&self) -> Option<&FrontierStats> {
         match &self.extras {
-            SearchExtras::Frontier { frontier, .. } => Some(frontier),
-            _ => None,
-        }
-    }
-
-    /// Algorithm B's distinct EC-ranked candidate count.
-    pub fn n_candidates(&self) -> Option<usize> {
-        match &self.extras {
-            SearchExtras::Frontier { n_candidates, .. } => Some(*n_candidates),
+            SearchExtras::Frontier(frontier) => Some(frontier),
             _ => None,
         }
     }

@@ -10,14 +10,16 @@
 //! join has size abσ"), kept small by the §3.6.3 rebucketing — either
 //! rebucket-after-product, or the paper's ∛b-inputs scheme.
 
+use super::keep_best::sort_where_required;
 use super::policy::{
-    access_alternatives, insert_entry_shaped, insert_entry_shaped_lazy, join_output_order,
-    shared_join, sort_merge_order, CandidatePolicy, JoinContext, RootContext, SearchEntry,
+    access_alternatives, insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order,
+    CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, OrderProperty, PlanNode};
 use lec_prob::{Distribution, PrefixTables, Rebucket};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Configuration of Algorithm D's distribution bookkeeping.
@@ -62,14 +64,14 @@ pub struct DistEntry {
 }
 
 impl SearchEntry for DistEntry {
-    fn plan(&self) -> &PlanNode {
-        &self.plan
-    }
     fn cost(&self) -> f64 {
         self.cost
     }
     fn order(&self) -> OrderProperty {
         self.order
+    }
+    fn shape_cmp(&self, model: &CostModel<'_>, other: &Self) -> Ordering {
+        plan_shape_cmp(model, &self.plan, &other.plan)
     }
 }
 
@@ -80,6 +82,8 @@ pub struct MultiParamPolicy {
     memory: Distribution,
     mem_fp: u64,
     m_tables: PrefixTables,
+    /// This subset's result sizes, one per pair, indexed by [`Joined::size`].
+    sizes: Vec<Distribution>,
     /// Largest size-distribution support seen before rebucketing.
     pub max_product_support: usize,
 }
@@ -97,6 +101,7 @@ impl MultiParamPolicy {
             mem_fp: lec_cost::dist_fingerprint(memory),
             memory: memory.clone(),
             config,
+            sizes: Vec::new(),
             max_product_support: 0,
         }
     }
@@ -132,6 +137,7 @@ fn rebucket_to(d: &Distribution, n: usize, strategy: Rebucket) -> Distribution {
 
 impl CandidatePolicy for MultiParamPolicy {
     type Entry = DistEntry;
+    type Size = usize;
 
     fn access_entries(
         &mut self,
@@ -146,29 +152,26 @@ impl CandidatePolicy for MultiParamPolicy {
         );
         let pages_fp = lec_cost::dist_fingerprint(&pages);
         let mut entries = Vec::new();
-        for (plan, cost, order, _point_pages) in access_alternatives(model, idx) {
-            insert_entry_shaped(
-                model,
-                &mut entries,
-                DistEntry {
-                    plan,
-                    cost,
-                    pages: pages.clone(),
-                    pages_fp,
-                    order,
-                },
-            );
+        for e in access_alternatives(model, idx) {
+            let e = DistEntry {
+                plan: e.plan,
+                cost: e.cost,
+                pages: pages.clone(),
+                pages_fp,
+                order: e.order,
+            };
+            insert_entry_shaped(model, &mut entries, e);
         }
         entries
     }
 
-    fn combine(
+    fn combine<'t>(
         &mut self,
         model: &CostModel<'_>,
         ctx: &JoinContext,
-        outer: &[DistEntry],
-        inner: &[DistEntry],
-        into: &mut Vec<DistEntry>,
+        outer: &'t [DistEntry],
+        inner: &'t [DistEntry],
+        into: &mut Vec<Joined<'t, usize>>,
         stats: &mut SearchStats,
     ) {
         let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
@@ -177,6 +180,8 @@ impl CandidatePolicy for MultiParamPolicy {
             for ie in inner {
                 // Result size is method-independent; compute once.
                 let result_size = self.product_size(&oe.pages, &ie.pages, &sel_dist);
+                self.sizes.push(result_size);
+                let size = self.sizes.len() - 1;
                 for method in JoinMethod::ALL {
                     stats.candidates += 1;
                     let join_ec = model.expected_join_cost_for(
@@ -189,18 +194,33 @@ impl CandidatePolicy for MultiParamPolicy {
                         self.mem_fp,
                         &self.m_tables,
                     );
-                    let cost = oe.cost + ie.cost + join_ec;
-                    let order = join_output_order(sm_order, oe.order, method);
-                    insert_entry_shaped_lazy(model, into, cost, order, || DistEntry {
-                        plan: shared_join(method, &oe.plan, &ie.plan),
-                        cost,
-                        pages: result_size.clone(),
-                        pages_fp: lec_cost::dist_fingerprint(&result_size),
-                        order,
-                    });
+                    let joined = Joined {
+                        cost: oe.cost + ie.cost + join_ec,
+                        order: join_output_order(sm_order, oe.order, method),
+                        size,
+                        method,
+                        outer: &oe.plan,
+                        inner: &ie.plan,
+                    };
+                    insert_entry_shaped(model, into, joined);
                 }
             }
         }
+    }
+
+    /// Only survivors clone and fingerprint a size distribution.
+    fn build(&mut self, pending: Vec<Joined<'_, usize>>) -> Vec<DistEntry> {
+        let sizes = &self.sizes;
+        let built = pending.into_iter().map(|j| DistEntry {
+            plan: j.node(),
+            cost: j.cost,
+            pages_fp: lec_cost::dist_fingerprint(&sizes[j.size]),
+            pages: sizes[j.size].clone(),
+            order: j.order,
+        });
+        let built = built.collect();
+        self.sizes.clear();
+        built
     }
 
     fn finalize(
@@ -210,32 +230,13 @@ impl CandidatePolicy for MultiParamPolicy {
         entries: Vec<DistEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
-        let query = model.query();
-        let eq = model.equivalences();
-        let mut roots: Vec<DistEntry> = entries
-            .into_iter()
-            .map(|e| match query.required_order {
-                Some(want) if !eq.satisfies(e.order, want) => {
-                    let sc = model.expected_sort_cost_for(
-                        &e.pages,
-                        e.pages_fp,
-                        self.mem_fp,
-                        &self.m_tables,
-                    );
-                    DistEntry {
-                        plan: Arc::new(PlanNode::Sort {
-                            input: e.plan,
-                            key: want,
-                        }),
-                        cost: e.cost + sc,
-                        pages: e.pages,
-                        pages_fp: e.pages_fp,
-                        order: eq.sorted_on(want),
-                    }
-                }
-                _ => e,
-            })
-            .collect();
+        let (mem_fp, m_tables) = (self.mem_fp, &self.m_tables);
+        let mut roots = sort_where_required(model, entries, |e, key, order| DistEntry {
+            cost: e.cost + model.expected_sort_cost_for(&e.pages, e.pages_fp, mem_fp, m_tables),
+            plan: Arc::new(PlanNode::Sort { input: e.plan, key }),
+            order,
+            ..e
+        });
         super::keep_best::sort_roots(model, &mut roots);
         roots
     }

@@ -2,9 +2,11 @@
 //! retains and how a join candidate is costed.
 
 use super::bound::{LowerBound, PruneState};
+use super::keep_best::DpEntry;
 use super::SearchStats;
 use lec_cost::{AccessPath, CostModel};
 use lec_plan::{JoinMethod, OrderProperty, PlanNode, TableSet};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Everything a policy needs to cost one (outer, inner) combination.
@@ -28,28 +30,76 @@ pub struct RootContext {
     pub sort_phase: usize,
 }
 
-/// What the engine needs to read out of a policy's entries.  Entries hold
-/// their plan as `Arc<PlanNode>`, so a clone is a pointer copy and a join
-/// candidate built from two entries ([`shared_join`]) *points at* their
-/// plans — the DP table is a dag of plan nodes, one per retained
-/// candidate.
-pub trait SearchEntry: Clone {
-    /// The (partial) plan this entry stands for.
-    fn plan(&self) -> &PlanNode;
+/// What the insert rules and the engine read out of a candidate, a built
+/// entry or a pending [`Joined`] alike.
+pub trait SearchEntry {
     /// Its cost under the policy's objective.
     fn cost(&self) -> f64;
     /// Its output order property.
     fn order(&self) -> OrderProperty;
+    /// [`plan_shape_cmp`] of the two candidates' plans, built or not.
+    fn shape_cmp(&self, model: &CostModel<'_>, other: &Self) -> Ordering;
+}
+
+/// A join candidate not built yet, its operand plans borrowed from the DP
+/// table; `size` is its result size or the policy's handle to one.
+#[derive(Debug, Clone, Copy)]
+pub struct Joined<'t, S> {
+    /// Its cost under the policy's objective.
+    pub cost: f64,
+    /// Its output order property.
+    pub order: OrderProperty,
+    /// Its result size, or where the policy keeps it.
+    pub size: S,
+    /// The join method.
+    pub method: JoinMethod,
+    /// The outer operand's plan.
+    pub outer: &'t Arc<PlanNode>,
+    /// The inner operand's plan.
+    pub inner: &'t Arc<PlanNode>,
+}
+
+impl<S> Joined<'_, S> {
+    /// Its join node, whose children are the operand entries' own nodes:
+    /// the DP table is a dag of plan nodes, one per retained candidate.
+    pub fn node(&self) -> Arc<PlanNode> {
+        Arc::new(PlanNode::Join {
+            method: self.method,
+            outer: Arc::clone(self.outer),
+            inner: Arc::clone(self.inner),
+        })
+    }
+}
+
+impl<S> SearchEntry for Joined<'_, S> {
+    fn cost(&self) -> f64 {
+        self.cost
+    }
+    fn order(&self) -> OrderProperty {
+        self.order
+    }
+    /// [`plan_shape_cmp`] of the two built nodes: method, outer, inner.
+    fn shape_cmp(&self, model: &CostModel<'_>, other: &Self) -> Ordering {
+        self.method
+            .cmp(&other.method)
+            .then_with(|| plan_shape_cmp(model, self.outer, other.outer))
+            .then_with(|| plan_shape_cmp(model, self.inner, other.inner))
+    }
 }
 
 /// A retention-and-costing strategy plugged into the engine.
 ///
 /// The engine owns subset enumeration and operand pairing; the policy owns
 /// everything per-candidate: costing, output-order and size bookkeeping,
-/// and which candidates a node keeps.
+/// and which candidates a node keeps.  `combine` emits *pending* joins
+/// ([`Joined`]) into a per-subset buffer the engine owns, so a losing
+/// candidate allocates nothing; after the subset's last split the engine
+/// builds the survivors once, through `build`.
 pub trait CandidatePolicy {
     /// The per-node candidate representation.
-    type Entry: SearchEntry;
+    type Entry: SearchEntry + Clone;
+    /// A pending join's [`Joined::size`].
+    type Size;
 
     /// Build the depth-1 entries (access paths) for one table.
     fn access_entries(
@@ -60,16 +110,20 @@ pub trait CandidatePolicy {
     ) -> Vec<Self::Entry>;
 
     /// Combine every (outer, inner) entry pair under every join method,
-    /// inserting the retained candidates into `into`.
-    fn combine(
+    /// retaining pending joins in `into` — which holds the subset's
+    /// survivors of earlier splits — under the policy's insert rule.
+    fn combine<'t>(
         &mut self,
         model: &CostModel<'_>,
         ctx: &JoinContext,
-        outer: &[Self::Entry],
-        inner: &[Self::Entry],
-        into: &mut Vec<Self::Entry>,
+        outer: &'t [Self::Entry],
+        inner: &'t [Self::Entry],
+        into: &mut Vec<Joined<'t, Self::Size>>,
         stats: &mut SearchStats,
     );
+
+    /// Build one subset's surviving pending joins, in order.
+    fn build(&mut self, pending: Vec<Joined<'_, Self::Size>>) -> Vec<Self::Entry>;
 
     /// Enforce the query's required output order on the root candidates
     /// (wrapping in a sort where needed) and return the survivors.
@@ -104,20 +158,6 @@ pub trait CandidatePolicy {
     fn install_pruning(&mut self, _prune: &std::rc::Rc<PruneState>) {}
 }
 
-/// The join of two table entries' plans: one new node whose children are
-/// the entries' own (shared) nodes.
-pub fn shared_join(
-    method: JoinMethod,
-    outer: &Arc<PlanNode>,
-    inner: &Arc<PlanNode>,
-) -> Arc<PlanNode> {
-    Arc::new(PlanNode::Join {
-        method,
-        outer: Arc::clone(outer),
-        inner: Arc::clone(inner),
-    })
-}
-
 /// `a` can substitute for `b`: same order, or `b` needs no order.
 pub fn covers(a: OrderProperty, b: OrderProperty) -> bool {
     a == b || b == OrderProperty::None
@@ -140,64 +180,28 @@ pub fn covers(a: OrderProperty, b: OrderProperty) -> bool {
 /// so it needs the engine to commute with renaming; comparing tied
 /// candidates by their label-free shape restores that, except between
 /// genuinely indistinguishable twin tables (equal statistics and filters),
-/// where either choice is the same plan up to an automorphism.
+/// where either choice is the same plan up to an automorphism.  Keep-1
+/// nodes insert pending joins ([`Joined`]) and build only the survivors.
 pub fn insert_entry_shaped<T: SearchEntry>(model: &CostModel<'_>, entries: &mut Vec<T>, e: T) {
     let (cost, order) = (e.cost(), e.order());
-    insert_entry_shaped_lazy(model, entries, cost, order, move || e);
-}
-
-/// [`insert_entry_shaped`] with deferred candidate construction: `make`
-/// runs only when the candidate survives the domination scan on cost and
-/// order alone (or an exact cost tie forces a shape comparison).  The
-/// comparisons and the retained-set mutation are exactly those of
-/// [`insert_entry_shaped`] — `make` must produce an entry whose
-/// [`SearchEntry`] cost and order equal the `cost`/`order` arguments — so the
-/// kept entries are byte-identical either way.  The point is the combine
-/// hot loop: most join candidates lose on cost immediately, and deferring
-/// construction spares them the plan-node allocation (and, for
-/// distribution policies, the size-distribution clone).
-pub fn insert_entry_shaped_lazy<T: SearchEntry>(
-    model: &CostModel<'_>,
-    entries: &mut Vec<T>,
-    cost: f64,
-    order: OrderProperty,
-    make: impl FnOnce() -> T,
-) {
-    use std::cmp::Ordering;
-    let mut make = Some(make);
-    let mut built: Option<T> = None;
     for found in entries.iter() {
         let (f_cost, f_order) = (found.cost(), found.order());
-        if covers(f_order, order) {
-            if f_cost < cost {
-                return;
-            }
-            if f_cost == cost {
+        if covers(f_order, order)
+            && (f_cost < cost
                 // A strictly stronger order at equal cost dominates; for
                 // equivalent orders the smaller shape survives.
-                if !covers(order, f_order) {
-                    return;
-                }
-                let e = match &built {
-                    Some(e) => e,
-                    None => built.insert(make.take().expect("make is consumed at most once")()),
-                };
-                if plan_shape_cmp(model, found.plan(), e.plan()) != Ordering::Greater {
-                    return;
-                }
-            }
+                || (f_cost == cost
+                    && (!covers(order, f_order)
+                        || found.shape_cmp(model, &e) != Ordering::Greater)))
+        {
+            return;
         }
     }
-    let e = match built {
-        Some(e) => e,
-        None => make.take().expect("make is consumed at most once")(),
-    };
     entries.retain(|f| {
-        !(covers(e.order(), f.order())
-            && (e.cost() < f.cost()
-                || (e.cost() == f.cost()
-                    && (!covers(f.order(), e.order())
-                        || plan_shape_cmp(model, e.plan(), f.plan()) == Ordering::Less))))
+        !(covers(order, f.order())
+            && (cost < f.cost()
+                || (cost == f.cost()
+                    && (!covers(f.order(), order) || e.shape_cmp(model, f) == Ordering::Less))))
     });
     entries.push(e);
 }
@@ -209,11 +213,11 @@ pub fn insert_entry_shaped_lazy<T: SearchEntry>(
 /// observable statistics rather than its query-local number.  Only
 /// consulted on exact cost ties, so it never influences which costs win,
 /// merely which of several equal-cost plans is reported.
-pub fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> std::cmp::Ordering {
+pub fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> Ordering {
     // Tied candidates of one dag node usually extend the same table entry:
     // their outer subtrees are then one shared node, not two equal ones.
     if std::ptr::eq(a, b) {
-        return std::cmp::Ordering::Equal;
+        return Ordering::Equal;
     }
     fn kind(p: &PlanNode) -> u8 {
         match p {
@@ -255,11 +259,12 @@ pub fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> std:
 /// [`plan_shape_cmp`] on exact cost ties, so a table renaming of the query
 /// keeps and reports the same plans (up to relabeling).  Only genuinely
 /// indistinguishable twin tables (equal shape fingerprints, refused by the
-/// canonicalizer's automorphism check) fall back to arrival order.
-pub fn shape_rank<E: SearchEntry>(model: &CostModel<'_>, a: &E, b: &E) -> std::cmp::Ordering {
+/// canonicalizer's automorphism check) fall back to arrival order.  A
+/// pending join ranks exactly as its built node would.
+pub fn shape_rank<E: SearchEntry>(model: &CostModel<'_>, a: &E, b: &E) -> Ordering {
     a.cost()
         .total_cmp(&b.cost())
-        .then_with(|| plan_shape_cmp(model, a.plan(), b.plan()))
+        .then_with(|| a.shape_cmp(model, b))
 }
 
 /// The order a sort-merge join of `left` and `right` delivers: sorted on
@@ -289,12 +294,9 @@ pub fn join_output_order(
     }
 }
 
-/// The access-path alternatives of one table, costed: `(plan, cost, order,
-/// pages)`.  Shared by every policy's depth-1 construction.
-pub fn access_alternatives(
-    model: &CostModel<'_>,
-    idx: usize,
-) -> Vec<(Arc<PlanNode>, f64, OrderProperty, f64)> {
+/// The access-path alternatives of one table, costed, at the table's
+/// point size.  Shared by every policy's depth-1 construction.
+pub fn access_alternatives(model: &CostModel<'_>, idx: usize) -> Vec<DpEntry> {
     model
         .access_paths(idx)
         .into_iter()
@@ -303,9 +305,12 @@ pub fn access_alternatives(
                 AccessPath::SeqScan => PlanNode::SeqScan { table: idx },
                 AccessPath::IndexScan => PlanNode::IndexScan { table: idx },
             };
-            let order = lec_cost::output_order(model, &plan);
-            let cost = model.access_cost(path, idx);
-            (Arc::new(plan), cost, order, model.base_pages(idx))
+            DpEntry {
+                order: lec_cost::output_order(model, &plan),
+                cost: model.access_cost(path, idx),
+                pages: model.base_pages(idx),
+                plan: Arc::new(plan),
+            }
         })
         .collect()
 }

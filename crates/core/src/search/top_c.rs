@@ -13,23 +13,29 @@
 //! input share the same physical properties (sizes), so the join-method
 //! cost term is constant within a group and ranking reduces to the sum of
 //! input costs — precisely the paper's observation.
+//!
+//! A frontier walk also stops early, exactly: both lists are cost-sorted,
+//! `(a + x) + j` is monotone and a full run's worst never rises, so a run
+//! that rejects a combination on cost would reject the rest of its outer
+//! group too (and, if it was the group's cheapest, every later inner's).
 
 use super::coster::{MemoryCoster, PhaseCoster};
 use super::keep_best::DpEntry;
 use super::policy::{
-    access_alternatives, join_output_order, shape_rank, shared_join, sort_merge_order,
-    CandidatePolicy, JoinContext, RootContext,
+    access_alternatives, join_output_order, shape_rank, sort_merge_order, CandidatePolicy,
+    JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
-use lec_plan::{JoinMethod, OrderProperty};
+use lec_plan::JoinMethod;
 use std::cmp::Ordering;
 
 /// Counters proving Proposition 3.1 empirically.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FrontierStats {
-    /// Combinations actually examined across all (node, split, method)
-    /// groups.
+    /// Combinations the frontier admits across all (node, split, method)
+    /// groups: `Σₖ min(⌊c/(k+1)⌋, |group|)` per group.  The early stop
+    /// counts the combinations it skips without inserting them.
     pub combinations_examined: u64,
     /// Sum of the paper's `c + c·log c` bound over the same groups,
     /// saturating: a huge `c` makes one group's bound `u64::MAX`.
@@ -62,45 +68,46 @@ impl TopCPolicy {
     }
 }
 
-/// Keep the `c` best entries of `order` in `entries` under [`shape_rank`]
-/// (rename-equivariant, so Algorithm B can share the canonical-shape plan
-/// cache).  `entries` stays sorted by `(order, cost, shape)`: each order's
+/// Keep the `c` best entries of `e`'s order in `entries` under
+/// [`shape_rank`] (rename-equivariant, so Algorithm B can share the
+/// canonical-shape plan cache).  `entries` — built entries, or a subset's
+/// pending joins — stays sorted by `(order, cost, shape)`: each order's
 /// list is one contiguous run whose last element is its worst, and
 /// [`TopCPolicy::combine`] reads a node's groups off that order.  A full
-/// run rejects a costlier candidate with one compare against its worst,
-/// before `make` builds the plan node; otherwise the candidate goes in
-/// after every entry it does not outrank (an equal-rank newcomer loses)
-/// and a full run drops its last element — the latest-kept worst.  `make`
-/// must build an entry of exactly `cost` and `order`, under the contract
-/// of [`super::policy::insert_entry_shaped_lazy`].
-pub fn insert_top_c(
+/// run rejects a costlier candidate with one compare against its worst and
+/// returns `true`; otherwise the candidate goes in after every entry it
+/// does not outrank (an equal-rank newcomer loses) and a full run drops
+/// its last element — the latest-kept worst — and the answer is `false`.
+/// Only `true` licenses [`TopCPolicy::combine`]'s early stop: a loss on a
+/// cost tie does not, as rounding can give a later combination that cost.
+pub fn insert_top_c<T: SearchEntry>(
     model: &CostModel<'_>,
-    entries: &mut Vec<DpEntry>,
+    entries: &mut Vec<T>,
     c: usize,
-    cost: f64,
-    order: OrderProperty,
-    make: impl FnOnce() -> DpEntry,
-) {
-    let lo = entries.partition_point(|f| f.order < order);
-    let hi = lo + entries[lo..].partition_point(|f| f.order == order);
+    e: T,
+) -> bool {
+    let order = e.order();
+    let lo = entries.partition_point(|f| f.order() < order);
+    let hi = lo + entries[lo..].partition_point(|f| f.order() == order);
     let full = hi - lo >= c;
-    if full && entries[lo..hi].last().is_some_and(|w| w.cost < cost) {
-        return;
+    if full && entries[lo..hi].last().is_some_and(|w| w.cost() < e.cost()) {
+        return true;
     }
-    let e = make();
     let at =
         lo + entries[lo..hi].partition_point(|f| shape_rank(model, f, &e) != Ordering::Greater);
     if full {
         if at == hi {
-            return;
+            return false;
         }
         entries.remove(hi - 1);
     }
     entries.insert(at, e);
+    false
 }
 
 impl CandidatePolicy for TopCPolicy {
     type Entry = DpEntry;
+    type Size = f64;
 
     fn access_entries(
         &mut self,
@@ -109,24 +116,19 @@ impl CandidatePolicy for TopCPolicy {
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
         let mut entries = Vec::new();
-        for (plan, cost, order, pages) in access_alternatives(model, idx) {
-            insert_top_c(model, &mut entries, self.c, cost, order, || DpEntry {
-                plan,
-                cost,
-                pages,
-                order,
-            });
+        for e in access_alternatives(model, idx) {
+            insert_top_c(model, &mut entries, self.c, e);
         }
         entries
     }
 
-    fn combine(
+    fn combine<'t>(
         &mut self,
         model: &CostModel<'_>,
         ctx: &JoinContext,
-        outer: &[DpEntry],
-        inner: &[DpEntry],
-        into: &mut Vec<DpEntry>,
+        outer: &'t [DpEntry],
+        inner: &'t [DpEntry],
+        into: &mut Vec<Joined<'t, f64>>,
         stats: &mut SearchStats,
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
@@ -143,47 +145,59 @@ impl CandidatePolicy for TopCPolicy {
         // grouping by size keeps the shared join-cost-term evaluation exact
         // rather than approximate.
         let key = |e: &DpEntry| (e.order, e.pages.to_bits());
-        let mut outer_list: Vec<&DpEntry> = outer.iter().collect();
+        let mut outer_list: Vec<&'t DpEntry> = outer.iter().collect();
         outer_list.sort_by_key(|e| key(e));
         // Flatten inner entries (access paths) into one sorted list; their
         // orders are folded into the join's output order rule, which for
         // inner sides never depends on the inner order, and a singleton's
         // access paths all share the same page count.
-        let mut inner_list: Vec<&DpEntry> = inner.iter().collect();
+        let mut inner_list: Vec<&'t DpEntry> = inner.iter().collect();
         inner_list.sort_by(|a, b| shape_rank(model, *a, *b));
         let inner_pages = inner_list.first().map(|e| e.pages).unwrap_or(0.0);
 
         for group in outer_list.chunk_by(|a, b| key(a) == key(b)) {
             let (outer_order, outer_pages) = (group[0].order, group[0].pages);
+            // Prop 3.1 frontier: only (i, k) with i·k ≤ c.  Every admitted
+            // combination counts, whether or not the early stop reaches it.
+            let admitted: u64 = (0..inner_list.len())
+                .map(|k| (self.c / (k + 1)).min(group.len()) as u64)
+                .sum();
             for method in JoinMethod::ALL {
                 self.frontier.groups += 1;
                 self.frontier.bound_total = self.frontier.bound_total.saturating_add(self.bound);
+                self.frontier.combinations_examined += admitted;
+                stats.candidates += admitted;
                 // Cost term constant within the group: evaluate once.
                 let join_cost = self
                     .coster
                     .join_cost(model, ctx, method, outer_pages, inner_pages);
                 let order = join_output_order(sm_order, outer_order, method);
                 let pages = model.join_output_pages(outer_pages, inner_pages, sel);
-                // Prop 3.1 frontier: only (i, k) with i·k ≤ c.
-                for (ki, ie) in inner_list.iter().enumerate() {
-                    let i_max = self.c / (ki + 1);
-                    if i_max == 0 {
-                        break;
-                    }
-                    for oe in group.iter().take(i_max) {
-                        self.frontier.combinations_examined += 1;
-                        stats.candidates += 1;
-                        let cost = oe.cost + ie.cost + join_cost;
-                        insert_top_c(model, into, self.c, cost, order, || DpEntry {
-                            plan: shared_join(method, &oe.plan, &ie.plan),
-                            cost,
-                            pages,
+                'inner: for (ki, &ie) in inner_list.iter().enumerate() {
+                    for (i, &oe) in group.iter().take(self.c / (ki + 1)).enumerate() {
+                        let joined = Joined {
+                            cost: oe.cost + ie.cost + join_cost,
                             order,
-                        });
+                            size: pages,
+                            method,
+                            outer: &oe.plan,
+                            inner: &ie.plan,
+                        };
+                        // The exact early stop of the module docs.
+                        if insert_top_c(model, into, self.c, joined) {
+                            if i == 0 {
+                                break 'inner;
+                            }
+                            break;
+                        }
                     }
                 }
             }
         }
+    }
+
+    fn build(&mut self, pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
+        pending.into_iter().map(DpEntry::from).collect()
     }
 
     fn finalize(

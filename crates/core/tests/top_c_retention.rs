@@ -1,14 +1,287 @@
 //! Algorithm B's top-`c` insert ([`insert_top_c`]: sorted runs, binary
-//! search, lazy plan construction) keeps exactly the entries the original
-//! scan-for-worst rule kept.  That rule is kept here as the reference.
+//! search, a one-compare reject) keeps exactly the entries the original
+//! scan-for-worst rule kept, and its policy's pending joins and early
+//! frontier stop keep exactly what an eager walk of the whole frontier
+//! kept.  Both originals are kept here as references.
 
-use lec_core::fixtures::three_chain;
-use lec_core::search::{insert_top_c, plan_shape_cmp, DpEntry};
+use lec_catalog::{Catalog, CatalogGenerator, ColumnStats, TableStats};
+use lec_core::fixtures::{pruning_clique, pruning_star, three_chain};
+use lec_core::search::policy::shape_rank;
+use lec_core::search::{
+    insert_top_c, join_output_order, plan_shape_cmp, run_search_with, sort_merge_order,
+    CandidatePolicy, DpEntry, FrontierStats, JoinContext, Joined, MemoryCoster, PhaseCoster,
+    PlanShape, RootContext, SearchConfig, SearchStats, TopCPolicy,
+};
 use lec_cost::CostModel;
-use lec_plan::{ColumnRef, JoinMethod, OrderProperty, PlanNode};
+use lec_plan::{
+    ColumnRef, JoinMethod, JoinPredicate, OrderProperty, PlanNode, Query, QueryProfile, QueryTable,
+    Topology, WorkloadGenerator,
+};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::sync::Arc;
+
+/// Algorithm B's policy as it was before pending joins and the early
+/// stop: its frontier walk verbatim, every admitted combination built and
+/// inserted into the node's list, which `build` then hands over whole.
+/// Access paths and finalization are [`TopCPolicy`]'s own.
+struct EagerTopC {
+    delegate: TopCPolicy,
+    coster: MemoryCoster,
+    c: usize,
+    bound: u64,
+    frontier: FrontierStats,
+    node: Vec<DpEntry>,
+}
+
+impl EagerTopC {
+    fn new(memory: f64, c: usize) -> Self {
+        EagerTopC {
+            delegate: TopCPolicy::new(memory, c),
+            coster: MemoryCoster::point(memory),
+            c,
+            bound: (c as f64 + c as f64 * (c as f64).ln()).ceil() as u64,
+            frontier: FrontierStats::default(),
+            node: Vec::new(),
+        }
+    }
+}
+
+impl CandidatePolicy for EagerTopC {
+    type Entry = DpEntry;
+    type Size = f64;
+
+    fn access_entries(
+        &mut self,
+        model: &CostModel<'_>,
+        idx: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<DpEntry> {
+        self.delegate.access_entries(model, idx, stats)
+    }
+
+    fn combine<'t>(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &JoinContext,
+        outer: &'t [DpEntry],
+        inner: &'t [DpEntry],
+        _into: &mut Vec<Joined<'t, f64>>,
+        stats: &mut SearchStats,
+    ) {
+        let sel = model.join_selectivity_sets(ctx.left, ctx.right);
+        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        let key = |e: &DpEntry| (e.order, e.pages.to_bits());
+        let mut outer_list: Vec<&DpEntry> = outer.iter().collect();
+        outer_list.sort_by_key(|e| key(e));
+        let mut inner_list: Vec<&DpEntry> = inner.iter().collect();
+        inner_list.sort_by(|a, b| shape_rank(model, *a, *b));
+        let inner_pages = inner_list.first().map(|e| e.pages).unwrap_or(0.0);
+
+        for group in outer_list.chunk_by(|a, b| key(a) == key(b)) {
+            let (outer_order, outer_pages) = (group[0].order, group[0].pages);
+            for method in JoinMethod::ALL {
+                self.frontier.groups += 1;
+                self.frontier.bound_total = self.frontier.bound_total.saturating_add(self.bound);
+                let join_cost = self
+                    .coster
+                    .join_cost(model, ctx, method, outer_pages, inner_pages);
+                let order = join_output_order(sm_order, outer_order, method);
+                let pages = model.join_output_pages(outer_pages, inner_pages, sel);
+                for (ki, ie) in inner_list.iter().enumerate() {
+                    let i_max = self.c / (ki + 1);
+                    if i_max == 0 {
+                        break;
+                    }
+                    for oe in group.iter().take(i_max) {
+                        self.frontier.combinations_examined += 1;
+                        stats.candidates += 1;
+                        let e = DpEntry {
+                            plan: Arc::new(PlanNode::Join {
+                                method,
+                                outer: Arc::clone(&oe.plan),
+                                inner: Arc::clone(&ie.plan),
+                            }),
+                            cost: oe.cost + ie.cost + join_cost,
+                            pages,
+                            order,
+                        };
+                        insert_top_c(model, &mut self.node, self.c, e);
+                    }
+                }
+            }
+        }
+    }
+
+    fn build(&mut self, _pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
+        std::mem::take(&mut self.node)
+    }
+
+    fn finalize(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &RootContext,
+        entries: Vec<DpEntry>,
+        stats: &mut SearchStats,
+    ) -> Vec<DpEntry> {
+        self.delegate.finalize(model, ctx, entries, stats)
+    }
+}
+
+/// Every work counter of a run (all but the wall time).
+fn counters(s: &SearchStats) -> [u64; 10] {
+    [
+        s.nodes as u64,
+        s.candidates,
+        s.evals,
+        s.cache_hits,
+        s.memo_hits,
+        s.memo_misses,
+        s.pruned_subsets,
+        s.bound_evals,
+        s.sharp_bound_evals,
+        s.cheap_bound_skips,
+    ]
+}
+
+type View = Vec<(PlanNode, u64, OrderProperty)>;
+
+/// The comparable content of an entry list: plans, cost bits, orders.
+fn view(entries: &[DpEntry]) -> View {
+    entries
+        .iter()
+        .map(|e| ((*e.plan).clone(), e.cost.to_bits(), e.order))
+        .collect()
+}
+
+/// A policy that records every node it builds, in build order.  A lost
+/// top-c member rarely reaches the root's final top `c`, so comparing
+/// every node is what makes a wrong stop visible.
+struct Logged<P> {
+    policy: P,
+    nodes: Vec<View>,
+}
+
+impl<P: CandidatePolicy<Entry = DpEntry>> CandidatePolicy for Logged<P> {
+    type Entry = DpEntry;
+    type Size = P::Size;
+
+    fn access_entries(
+        &mut self,
+        model: &CostModel<'_>,
+        idx: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<DpEntry> {
+        self.policy.access_entries(model, idx, stats)
+    }
+
+    fn combine<'t>(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &JoinContext,
+        outer: &'t [DpEntry],
+        inner: &'t [DpEntry],
+        into: &mut Vec<Joined<'t, P::Size>>,
+        stats: &mut SearchStats,
+    ) {
+        self.policy.combine(model, ctx, outer, inner, into, stats);
+    }
+
+    fn build(&mut self, pending: Vec<Joined<'_, P::Size>>) -> Vec<DpEntry> {
+        let built = self.policy.build(pending);
+        self.nodes.push(view(&built));
+        built
+    }
+
+    fn finalize(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &RootContext,
+        entries: Vec<DpEntry>,
+        stats: &mut SearchStats,
+    ) -> Vec<DpEntry> {
+        self.policy.finalize(model, ctx, entries, stats)
+    }
+}
+
+/// Run [`TopCPolicy`] and [`EagerTopC`] on one query and memory value and
+/// require the same node lists and root list (plans, cost bits, orders),
+/// the same frontier counters and the same work counters.
+fn assert_early_stop_is_exact(catalog: &Catalog, query: &Query, memory: f64, c: usize) {
+    let model = CostModel::new(catalog, query);
+    let config = SearchConfig::default();
+    let mut fast = Logged {
+        policy: TopCPolicy::new(memory, c),
+        nodes: Vec::new(),
+    };
+    let mut eager = Logged {
+        policy: EagerTopC::new(memory, c),
+        nodes: Vec::new(),
+    };
+    let got = run_search_with(&model, PlanShape::LeftDeep, &mut fast, &config).unwrap();
+    let want = run_search_with(&model, PlanShape::LeftDeep, &mut eager, &config).unwrap();
+    let ctx = format!("c = {c}, m = {memory}");
+    assert_eq!(fast.nodes, eager.nodes, "nodes, {ctx}");
+    assert_eq!(view(&got.roots), view(&want.roots), "roots, {ctx}");
+    assert_eq!(
+        fast.policy.frontier, eager.policy.frontier,
+        "frontier, {ctx}"
+    );
+    assert_eq!(counters(&got.stats), counters(&want.stats), "stats, {ctx}");
+}
+
+const MEMORIES: [f64; 4] = [40.0, 300.0, 1500.0, 8000.0];
+
+/// A chain of four 10-page tables ending in a 10¹⁸-page one.  Joining the
+/// giant costs ≈10¹⁸, whose last-place unit is hundreds of pages, so outer
+/// plans that differ by less round to the *same* candidate cost and only
+/// shape decides: the one input on which a stop that also broke on a
+/// shape-tie rejection (rather than a strictly costlier one) would lose a
+/// plan the eager walk keeps.
+fn absorbing_chain() -> (Catalog, Query) {
+    let mut catalog = Catalog::new();
+    let ids: Vec<_> = (0..5u64)
+        .map(|i| {
+            let pages = if i == 4 {
+                1_000_000_000_000_000_000
+            } else {
+                10 + i
+            };
+            let stats = TableStats::new(
+                pages,
+                pages,
+                vec![ColumnStats::plain("a", 100), ColumnStats::plain("b", 100)],
+            );
+            catalog.add_table(format!("W{i}"), stats)
+        })
+        .collect();
+    let query = Query {
+        tables: ids.into_iter().map(QueryTable::bare).collect(),
+        joins: (1..5)
+            .map(|i| {
+                let sel = if i == 4 { 1e-18 } else { 0.1 };
+                JoinPredicate::exact(ColumnRef::new(i - 1, 1), ColumnRef::new(i, 0), sel)
+            })
+            .collect(),
+        required_order: None,
+    };
+    (catalog, query)
+}
+
+/// The clamp-heavy fixtures, where one-page intermediates make many
+/// same-size groups and exact cost ties, and the absorbing chain.
+#[test]
+fn the_early_stop_keeps_the_eager_frontier_on_tie_heavy_fixtures() {
+    for (catalog, query) in [pruning_star(7), pruning_clique(6), absorbing_chain()] {
+        for c in 1..=8 {
+            for memory in MEMORIES {
+                assert_early_stop_is_exact(&catalog, &query, memory, c);
+            }
+        }
+    }
+}
+
+const TOPOLOGIES: [Topology; 3] = [Topology::Chain, Topology::Star, Topology::Random];
 
 /// The rule `insert_top_c` replaced, verbatim: per order, scan for the
 /// worst entry under (cost, shape), the last found among equal-rank worsts;
@@ -78,8 +351,8 @@ proptest! {
     /// Random candidate streams with frequent exact ties (four cost values,
     /// repeated plans): every order's run holds the reference survivors,
     /// plan for plan (the same allocation, not merely an equal plan), in
-    /// (cost, shape) order; and a full run never builds a candidate that
-    /// costs more than its worst.
+    /// (cost, shape) order; and the insert reports "beaten" exactly when a
+    /// full run's worst costs strictly less than the candidate.
     #[test]
     fn top_c_insert_keeps_the_scan_for_worst_survivors(
         ci in 0usize..4,
@@ -100,12 +373,8 @@ proptest! {
             };
             let run: Vec<&DpEntry> = fast.iter().filter(|f| f.order == e.order).collect();
             let must_skip = run.len() >= c && run.last().is_some_and(|w| w.cost < e.cost);
-            let mut built = false;
-            insert_top_c(&model, &mut fast, c, e.cost, e.order, || {
-                built = true;
-                e.clone()
-            });
-            prop_assert!(!(must_skip && built), "built a candidate a full run rejects on cost");
+            let beaten = insert_top_c(&model, &mut fast, c, e.clone());
+            prop_assert_eq!(beaten, must_skip, "beaten exactly when a full run's worst costs less");
             reference_insert(&model, c, &mut reference, e);
         }
         let rank = |a: &DpEntry, b: &DpEntry| {
@@ -126,5 +395,32 @@ proptest! {
             }
         }
         prop_assert_eq!(fast.len(), reference.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `rename_equivariance.rs`'s generator, twin tables included: every
+    /// tie the early stop could mishandle is in play.
+    #[test]
+    fn the_early_stop_keeps_the_eager_frontier_on_random_queries(
+        seed in 0u64..1_000_000,
+        n in 3usize..8,
+        topology in 0usize..3,
+        sel_buckets in 1usize..4,
+        c in 1usize..=8,
+        mi in 0usize..4,
+    ) {
+        let mut tables = CatalogGenerator::new(seed);
+        let catalog = tables.generate(n + 4);
+        let ids = tables.pick_tables(&catalog, n);
+        let profile = QueryProfile {
+            topology: TOPOLOGIES[topology],
+            sel_buckets,
+            ..Default::default()
+        };
+        let query = WorkloadGenerator::new(seed ^ 0x5EED).gen_query(&catalog, &ids, &profile);
+        assert_early_stop_is_exact(&catalog, &query, MEMORIES[mi], c);
     }
 }

@@ -9,7 +9,7 @@ use lec_core::{
     bucketize, fixtures, query_memory_breakpoints, AlgDConfig, BucketStrategy, Mode, PointEstimate,
 };
 use lec_cost::expected::{
-    naive_eval_count, naive_expected_join_cost, streaming_expected_join_cost,
+    naive_eval_count, naive_expected_join_cost, streaming_expected_join_cost, DistTables,
 };
 use lec_cost::{expected_plan_cost_dynamic, CostModel};
 use lec_exec::{monte_carlo, Environment};
@@ -61,8 +61,9 @@ pub fn e6() -> Value {
         let mut fast_vals = Vec::new();
         for (a, bd, m) in &dists {
             let mt = PrefixTables::new(m);
+            let (a, bd) = (DistTables::new(a.clone()), DistTables::new(bd.clone()));
             for method in [JoinMethod::SortMerge, JoinMethod::PageNestedLoop] {
-                fast_vals.push(streaming_expected_join_cost(method, a, bd, &mt).unwrap());
+                fast_vals.push(streaming_expected_join_cost(method, &a, &bd, &mt).unwrap());
             }
         }
         let t_fast = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
@@ -427,7 +428,6 @@ pub fn f1() -> Value {
     let w = ws.pop().unwrap();
     let model = CostModel::new(&w.catalog, &w.query);
     let memory = presets::spread_family(400.0, 0.6, 4).unwrap();
-    let mt = PrefixTables::new(&memory);
 
     // The node S = {0,1} joined with A_j = table 2 (if connected; else 1).
     let sj = TableSet::from_indices([0, 1]);
@@ -465,8 +465,9 @@ pub fn f1() -> Value {
     // The two arrows of Figure 1: EC(P_S) from (M, |B_j|, |A_j|), and
     // Pr(|B_j ⋈ A_j|) from (|B_j|, |A_j|, σ).
     let mut ec_table = Table::new(&["join method", "EC from (M,|B_j|,|A_j|)"]);
+    let [m, b, a] = [&memory, &b_outer, &a_j].map(|d| DistTables::new(d.clone()));
     for method in JoinMethod::ALL {
-        let ec = lec_cost::expected::expected_join_cost(method, &b_outer, &a_j, &memory, &mt);
+        let ec = lec_cost::expected::expected_join_cost(method, &b, &a, &m);
         ec_table.row(vec![method.name().into(), num(ec)]);
     }
     println!("{}", ec_table.render());

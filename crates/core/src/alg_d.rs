@@ -36,7 +36,7 @@ pub(crate) fn search(
         cost: best.cost,
         stats,
         extras: SearchExtras::MultiParam {
-            result_size: best.pages,
+            result_size: Arc::unwrap_or_clone(best.pages).dist,
             max_product_support: policy.max_product_support,
         },
     })

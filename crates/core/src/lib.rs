@@ -48,11 +48,10 @@
 //! uniform [`SearchStats`] and optional mode-specific extras — so callers
 //! never destructure per-mode result types.  A scalar-size operator is
 //! priced in place, `b` formula calls under a `b`-bucket memory
-//! distribution; only Algorithm D's expectations over size distributions
-//! go through `lec-cost`'s memoized evaluation cache.
-//! [`SearchStats::evals`] counts the formula evaluations actually
-//! performed, making the paper's "factor b" overhead claims directly
-//! observable.
+//! distribution, and each `combine` prices each distinct operand-size
+//! pair once; nothing is memoized across calls.  [`SearchStats::evals`]
+//! counts the formula evaluations actually performed, making the paper's
+//! "factor b" overhead claims directly observable.
 //!
 //! ## Threading model
 //!

@@ -137,27 +137,6 @@ pub fn point_size_product(model: &CostModel<'_>, set: TableSet) -> f64 {
     pages.max(MIN_PAGES)
 }
 
-/// The minimum-support size product of `set`: smallest support value of
-/// every member's page distribution times the smallest support value of
-/// every internal join's selectivity distribution, clamped to
-/// [`MIN_PAGES`].  A floor on the minimum support of any
-/// [`super::multi_param::DistEntry`] size distribution for `set`:
-/// Algorithm D clamps each product value at one page, and rebucketing
-/// (a weighted merge of adjacent buckets) can only raise a
-/// distribution's minimum.
-pub fn min_support_size_product(model: &CostModel<'_>, set: TableSet) -> f64 {
-    let mut pages = 1.0f64;
-    for i in set.iter() {
-        pages *= model.base_pages_dist(i).min_value();
-    }
-    for join in &model.query().joins {
-        if set.contains(join.left.table) && set.contains(join.right.table) {
-            pages *= join.selectivity.min_value();
-        }
-    }
-    pages.max(MIN_PAGES)
-}
-
 /// The scalar-pages bound of every [`super::MemoryCoster`] search (LSC,
 /// Algorithms C/C-dynamic, bushy): sizes are point products (those
 /// policies carry scalar pages), and every per-memory-bucket evaluation
@@ -193,17 +172,50 @@ impl LowerBound for ExpectationBound {
 pub struct MinSupportBound {
     /// Largest memory support value.
     pub max_memory: f64,
+    /// Each table's minimum page support, computed once per search.
+    table_mins: Vec<f64>,
+}
+
+impl MinSupportBound {
+    /// The bound for one search under a memory whose largest support
+    /// value is `max_memory`.
+    pub fn new(model: &CostModel<'_>, max_memory: f64) -> Self {
+        let n = model.query().n_tables();
+        MinSupportBound {
+            max_memory,
+            table_mins: (0..n)
+                .map(|i| model.base_pages_dist(i).min_value())
+                .collect(),
+        }
+    }
 }
 
 impl LowerBound for MinSupportBound {
+    /// The minimum-support size product of `set`: smallest support value
+    /// of every member's page distribution times the smallest support
+    /// value of every internal join's selectivity distribution, clamped
+    /// to [`MIN_PAGES`].  A floor on the minimum support of any
+    /// [`super::multi_param::DistEntry`] size distribution for `set`:
+    /// Algorithm D clamps each product value at one page, and rebucketing
+    /// (a weighted merge of adjacent buckets) can only raise a
+    /// distribution's minimum.
     fn pages_floor(&self, model: &CostModel<'_>, set: TableSet) -> f64 {
-        min_support_size_product(model, set)
+        let mut pages = 1.0f64;
+        for i in set.iter() {
+            pages *= self.table_mins[i];
+        }
+        for join in &model.query().joins {
+            if set.contains(join.left.table) && set.contains(join.right.table) {
+                pages *= join.selectivity.min_value();
+            }
+        }
+        pages.max(MIN_PAGES)
     }
     fn max_memory(&self) -> f64 {
         self.max_memory
     }
-    fn table_floor(&self, model: &CostModel<'_>, i: usize) -> f64 {
-        model.base_pages_dist(i).min_bucket().0
+    fn table_floor(&self, _model: &CostModel<'_>, i: usize) -> f64 {
+        self.table_mins[i]
     }
     fn selectivity_floor(&self, model: &CostModel<'_>, u: usize, v: usize) -> f64 {
         model

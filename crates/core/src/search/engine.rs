@@ -179,8 +179,8 @@ pub struct SearchConfig {
     /// keep-all do; top-c bypasses.  Pruned searches return answers
     /// byte-identical (plans, cost bits) to unpruned ones; only the four
     /// pruning counters ([`SearchStats::pruned_subsets`] and its kin) and
-    /// `candidates` (generated, built or not), `evals`, `nodes`,
-    /// `cache_hits` differ.
+    /// `candidates` (generated, built or not), `evals` and `nodes`
+    /// differ.
     pub pruning: bool,
     /// Optional engine-internal telemetry
     /// ([`lec_telemetry::EngineTelemetry`]): when installed, the driver
@@ -482,7 +482,6 @@ pub fn run_search_with<P: CandidatePolicy>(
         return Err(OptError::EmptyQuery);
     }
     let start = Instant::now();
-    let hits_before = model.eval_cache_hits();
     model.reset_evals();
     let mut stats = SearchStats::default();
     let mut table = access_level(model, policy, &mut stats);
@@ -544,7 +543,6 @@ pub fn run_search_with<P: CandidatePolicy>(
         return Err(OptError::NoPlanFound);
     }
     stats.evals = model.evals();
-    stats.cache_hits = model.eval_cache_hits() - hits_before;
     stats.elapsed = start.elapsed();
     Ok(SearchRun { roots, stats })
 }

@@ -6,8 +6,8 @@
 
 use super::coster::PhaseCoster;
 use super::policy::{
-    access_alternatives, insert_entry_shaped, join_output_order, plan_shape_cmp, shape_rank,
-    sort_merge_order, CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
+    access_alternatives, insert_entry_shaped, join_output_order, plan_shape_cmp, priced,
+    shape_rank, sort_merge_order, CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
@@ -93,15 +93,21 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
         let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        // (outer pages, inner pages) -> (method costs, result pages).
+        let mut pairs = Vec::new();
         for oe in outer {
             for ie in inner {
-                // Result size is method-independent; compute once.
-                let pages = model.join_output_pages(oe.pages, ie.pages, sel);
-                for method in JoinMethod::ALL {
+                let key = (oe.pages.to_bits(), ie.pages.to_bits());
+                let (costs, pages) = priced(&mut pairs, key, || {
+                    let cost = |method| {
+                        self.coster
+                            .join_cost(model, ctx, method, oe.pages, ie.pages)
+                    };
+                    let pages = model.join_output_pages(oe.pages, ie.pages, sel);
+                    (JoinMethod::ALL.map(cost), pages)
+                });
+                for (method, join_cost) in JoinMethod::ALL.into_iter().zip(costs) {
                     stats.candidates += 1;
-                    let join_cost = self
-                        .coster
-                        .join_cost(model, ctx, method, oe.pages, ie.pages);
                     let joined = Joined {
                         cost: oe.cost + ie.cost + join_cost,
                         order: join_output_order(sm_order, oe.order, method),

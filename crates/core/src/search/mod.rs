@@ -28,13 +28,14 @@
 //! | [`keep_all::KeepAllPolicy`] | any [`coster::PhaseCoster`], no pruning | ground truth | [`crate::exhaustive`] |
 //!
 //! Every policy funnels its memory-dependent evaluations through the
-//! `expected_*` methods of [`lec_cost::CostModel`]: `expected_*_over`
-//! prices a scalar-size operator in place (`b` formula calls under a
-//! `b`-bucket distribution), and `expected_*_for` memoizes Algorithm D's
-//! expectations over size distributions, so identical ones repeated across
-//! entry pairs and dag levels are computed once.  [`SearchStats::evals`]
-//! counts the formula calls made and [`SearchStats::cache_hits`] D's
-//! memoized repeats.
+//! `expected_*` methods of [`lec_cost::CostModel`], which price in place:
+//! `expected_*_over` a scalar-size operator (`b` formula calls under a
+//! `b`-bucket distribution), `expected_*_for` Algorithm D's expectations
+//! over size distributions that carry their prefix tables.  A join's
+//! method costs depend only on its operands' sizes (Proposition 3.1's
+//! observation), so every `combine` prices each distinct operand-size pair
+//! once and its candidates read the stored prices.
+//! [`SearchStats::evals`] counts the formula calls made.
 //!
 //! # Threading model
 //!
@@ -71,9 +72,9 @@
 //!   its floor is *strictly above* the incumbent.  Every subtree of an
 //!   optimal plan therefore survives, exact ties included, and a pruned
 //!   search returns the same plan at the same cost bits as an unpruned
-//!   one; only the work counters (`evals`, `candidates`, `nodes`,
-//!   `cache_hits`) and the pruning counters (`pruned_subsets`,
-//!   `bound_evals`, `sharp_bound_evals`, `cheap_bound_skips`) may differ.
+//!   one; only the work counters (`evals`, `candidates`, `nodes`) and
+//!   the pruning counters (`pruned_subsets`, `bound_evals`,
+//!   `sharp_bound_evals`, `cheap_bound_skips`) may differ.
 //! * **Tiered evaluation.**  Checks run in two tiers ([`bound`] module
 //!   docs): a *cheap* floor (universal per-join constant) always, and a
 //!   *sharp* per-edge floor — per-table inner-operand attach costs over
@@ -112,8 +113,8 @@ pub mod policy;
 pub mod top_c;
 
 pub use bound::{
-    min_support_size_product, point_size_product, BoundCheck, EdgeBound, ExpectationBound,
-    LowerBound, MinSupportBound, PruneState, SHARP_MARGIN,
+    point_size_product, BoundCheck, EdgeBound, ExpectationBound, LowerBound, MinSupportBound,
+    PruneState, SHARP_MARGIN,
 };
 pub use coster::{MemoryCoster, PhaseCoster};
 pub use engine::{plan_space_size, run_search_with, PlanShape, SearchConfig, SearchRun};
@@ -124,7 +125,7 @@ pub use policy::{
     insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order, CandidatePolicy,
     JoinContext, Joined, RootContext, SearchEntry,
 };
-pub use top_c::{insert_top_c, FrontierStats, TopCPolicy};
+pub use top_c::{insert_top_c, order_run, FrontierStats, TopCPolicy};
 
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
@@ -163,10 +164,10 @@ pub struct SearchStats {
     /// for top-c, the pairs its frontier admits), whether or not they are
     /// ranked or built; for move-based searches, neighbour moves proposed.
     pub candidates: u64,
-    /// Cost-formula evaluations actually performed (cache hits excluded).
+    /// Cost-formula evaluations made, in the paper's units (§3.4, §3.6).
     pub evals: u64,
-    /// Algorithm D's expectations answered by the memoized cost cache
-    /// instead (always 0 for the other modes).
+    /// Always 0: no cost model memoizes an expectation.  Kept because the
+    /// wire and the frozen ledger read it.
     pub cache_hits: u64,
     // Shim, always 0 (still absorbed, serialized and on the wire): only crates/bench/src/bin/ledger/src/trace.rs reads it.
     #[doc(hidden)]

@@ -9,16 +9,22 @@
 //! the independent product `|B_j|·|A_j|·σ` (§3.6: "the probability that the
 //! join has size abσ"), kept small by the §3.6.3 rebucketing — either
 //! rebucket-after-product, or the paper's ∛b-inputs scheme.
+//!
+//! A size distribution carries its prefix tables, built once with the
+//! entry (a table's access entries share one set), and a join's four
+//! method costs depend only on its operands' sizes: so `combine` forms
+//! the product and prices the four methods once per distinct (outer,
+//! inner) size pair, and every entry pair of that pair reads them.
 
 use super::keep_best::sort_where_required;
 use super::policy::{
-    access_alternatives, insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order,
-    CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
+    access_alternatives, insert_entry_shaped, join_output_order, plan_shape_cmp, priced,
+    sort_merge_order, CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
-use lec_cost::CostModel;
+use lec_cost::{CostModel, DistTables};
 use lec_plan::{JoinMethod, OrderProperty, PlanNode};
-use lec_prob::{Distribution, PrefixTables, Rebucket};
+use lec_prob::{Distribution, Rebucket};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -54,10 +60,12 @@ pub struct DistEntry {
     pub plan: Arc<PlanNode>,
     /// Its expected cost over memory, sizes and selectivities.
     pub cost: f64,
-    /// Distribution of the output size in pages.
-    pub pages: Distribution,
+    /// Distribution of the output size in pages, with its prefix tables;
+    /// shared by the entries built with the same size.
+    pub pages: Arc<DistTables>,
     /// `pages`' [`lec_cost::dist_fingerprint`], folded once when the entry
-    /// is built: it keys every expected cost the entry is an operand of.
+    /// is built: it keys the size pairs of every combine the entry is an
+    /// operand of.
     pub pages_fp: u64,
     /// Output order property.
     pub order: OrderProperty,
@@ -79,10 +87,9 @@ impl SearchEntry for DistEntry {
 #[derive(Debug, Clone)]
 pub struct MultiParamPolicy {
     config: AlgDConfig,
-    memory: Distribution,
-    mem_fp: u64,
-    m_tables: PrefixTables,
-    /// This subset's result sizes, one per pair, indexed by [`Joined::size`].
+    memory: DistTables,
+    /// This subset's result sizes, one per distinct size pair of each
+    /// combine, indexed by [`Joined::size`].
     sizes: Vec<Distribution>,
     /// Largest size-distribution support seen before rebucketing.
     pub max_product_support: usize,
@@ -97,9 +104,7 @@ impl MultiParamPolicy {
             "MultiParamPolicy requires max_buckets >= 1"
         );
         MultiParamPolicy {
-            m_tables: PrefixTables::new(memory),
-            mem_fp: lec_cost::dist_fingerprint(memory),
-            memory: memory.clone(),
+            memory: DistTables::new(memory.clone()),
             config,
             sizes: Vec::new(),
             max_product_support: 0,
@@ -151,12 +156,13 @@ impl CandidatePolicy for MultiParamPolicy {
             self.config.rebucket,
         );
         let pages_fp = lec_cost::dist_fingerprint(&pages);
+        let pages = Arc::new(DistTables::new(pages));
         let mut entries = Vec::new();
         for e in access_alternatives(model, idx) {
             let e = DistEntry {
                 plan: e.plan,
                 cost: e.cost,
-                pages: pages.clone(),
+                pages: Arc::clone(&pages),
                 pages_fp,
                 order: e.order,
             };
@@ -176,24 +182,18 @@ impl CandidatePolicy for MultiParamPolicy {
     ) {
         let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
         let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        // (outer fingerprint, inner fingerprint) -> (size, method costs).
+        let mut pairs = Vec::new();
         for oe in outer {
             for ie in inner {
-                // Result size is method-independent; compute once.
-                let result_size = self.product_size(&oe.pages, &ie.pages, &sel_dist);
-                self.sizes.push(result_size);
-                let size = self.sizes.len() - 1;
-                for method in JoinMethod::ALL {
+                let (size, costs) = priced(&mut pairs, (oe.pages_fp, ie.pages_fp), || {
+                    let result = self.product_size(&oe.pages.dist, &ie.pages.dist, &sel_dist);
+                    self.sizes.push(result);
+                    let costs = model.expected_join_costs_for(&oe.pages, &ie.pages, &self.memory);
+                    (self.sizes.len() - 1, costs)
+                });
+                for (method, join_ec) in JoinMethod::ALL.into_iter().zip(costs) {
                     stats.candidates += 1;
-                    let join_ec = model.expected_join_cost_for(
-                        method,
-                        &oe.pages,
-                        oe.pages_fp,
-                        &ie.pages,
-                        ie.pages_fp,
-                        &self.memory,
-                        self.mem_fp,
-                        &self.m_tables,
-                    );
                     let joined = Joined {
                         cost: oe.cost + ie.cost + join_ec,
                         order: join_output_order(sm_order, oe.order, method),
@@ -208,19 +208,28 @@ impl CandidatePolicy for MultiParamPolicy {
         }
     }
 
-    /// Only survivors clone and fingerprint a size distribution.
+    /// Only survivors fingerprint a size distribution and build its
+    /// tables, once per size whichever survivors share it.
     fn build(&mut self, pending: Vec<Joined<'_, usize>>) -> Vec<DistEntry> {
+        let mut built: Vec<Option<(Arc<DistTables>, u64)>> = vec![None; self.sizes.len()];
         let sizes = &self.sizes;
-        let built = pending.into_iter().map(|j| DistEntry {
-            plan: j.node(),
-            cost: j.cost,
-            pages_fp: lec_cost::dist_fingerprint(&sizes[j.size]),
-            pages: sizes[j.size].clone(),
-            order: j.order,
+        let entries = pending.into_iter().map(|j| {
+            let (pages, pages_fp) = built[j.size].get_or_insert_with(|| {
+                let size = &sizes[j.size];
+                let fp = lec_cost::dist_fingerprint(size);
+                (Arc::new(DistTables::new(size.clone())), fp)
+            });
+            DistEntry {
+                plan: j.node(),
+                cost: j.cost,
+                pages: Arc::clone(pages),
+                pages_fp: *pages_fp,
+                order: j.order,
+            }
         });
-        let built = built.collect();
+        let entries = entries.collect();
         self.sizes.clear();
-        built
+        entries
     }
 
     fn finalize(
@@ -230,9 +239,9 @@ impl CandidatePolicy for MultiParamPolicy {
         entries: Vec<DistEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
-        let (mem_fp, m_tables) = (self.mem_fp, &self.m_tables);
+        let m_tables = &self.memory.tables;
         let mut roots = sort_where_required(model, entries, |e, key, order| DistEntry {
-            cost: e.cost + model.expected_sort_cost_for(&e.pages, e.pages_fp, mem_fp, m_tables),
+            cost: e.cost + model.expected_sort_cost_for(&e.pages.dist, m_tables),
             plan: Arc::new(PlanNode::Sort { input: e.plan, key }),
             order,
             ..e
@@ -246,9 +255,10 @@ impl CandidatePolicy for MultiParamPolicy {
     /// are floored through the node distributions' minimum supports
     /// (clamping and rebucketing only ever raise a distribution's
     /// minimum), memory by its largest support value.
-    fn pruning_bound(&self, _model: &CostModel<'_>) -> Option<Box<dyn super::bound::LowerBound>> {
-        Some(Box::new(super::bound::MinSupportBound {
-            max_memory: self.memory.max_value(),
-        }))
+    fn pruning_bound(&self, model: &CostModel<'_>) -> Option<Box<dyn super::bound::LowerBound>> {
+        Some(Box::new(super::bound::MinSupportBound::new(
+            model,
+            self.memory.dist.max_value(),
+        )))
     }
 }

@@ -294,6 +294,24 @@ pub fn join_output_order(
     }
 }
 
+/// The value `pairs` holds for `key`, or `price()` stored under it: how a
+/// `combine` call prices each distinct operand-size pair once
+/// (Proposition 3.1's observation — a join's method costs depend only on
+/// its operands' sizes).  A call sees a handful of distinct keys, so the
+/// memo is a vector scanned in order.
+pub(super) fn priced<K: PartialEq + Copy, V: Copy>(
+    pairs: &mut Vec<(K, V)>,
+    key: K,
+    price: impl FnOnce() -> V,
+) -> V {
+    if let Some(&(_, v)) = pairs.iter().find(|(k, _)| *k == key) {
+        return v;
+    }
+    let v = price();
+    pairs.push((key, v));
+    v
+}
+
 /// The access-path alternatives of one table, costed, at the table's
 /// point size.  Shared by every policy's depth-1 construction.
 pub fn access_alternatives(model: &CostModel<'_>, idx: usize) -> Vec<DpEntry> {

@@ -18,17 +18,23 @@
 //! `(a + x) + j` is monotone and a full run's worst never rises, so a run
 //! that rejects a combination on cost would reject the rest of its outer
 //! group too (and, if it was the group's cheapest, every later inner's).
+//!
+//! Within one `combine` call the inner size is fixed, so the join methods
+//! are priced once per distinct outer page count (groups of different
+//! orders share it), and each (group, method) walk finds its order's run
+//! in the pending buffer once and hands it to every insert.
 
 use super::coster::{MemoryCoster, PhaseCoster};
 use super::keep_best::DpEntry;
 use super::policy::{
-    access_alternatives, join_output_order, shape_rank, sort_merge_order, CandidatePolicy,
+    access_alternatives, join_output_order, priced, shape_rank, sort_merge_order, CandidatePolicy,
     JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
-use lec_plan::JoinMethod;
+use lec_plan::{JoinMethod, OrderProperty};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Counters proving Proposition 3.1 empirically.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -68,13 +74,23 @@ impl TopCPolicy {
     }
 }
 
+/// Where `order`'s run lies in `entries`, a list sorted by order (as
+/// [`insert_top_c`] keeps it): `lo..hi`, empty at its insertion point
+/// when no entry has that order.
+pub fn order_run<T: SearchEntry>(entries: &[T], order: OrderProperty) -> Range<usize> {
+    let lo = entries.partition_point(|f| f.order() < order);
+    lo..lo + entries[lo..].partition_point(|f| f.order() == order)
+}
+
 /// Keep the `c` best entries of `e`'s order in `entries` under
 /// [`shape_rank`] (rename-equivariant, so Algorithm B can share the
 /// canonical-shape plan cache).  `entries` — built entries, or a subset's
 /// pending joins — stays sorted by `(order, cost, shape)`: each order's
 /// list is one contiguous run whose last element is its worst, and
-/// [`TopCPolicy::combine`] reads a node's groups off that order.  A full
-/// run rejects a costlier candidate with one compare against its worst and
+/// [`TopCPolicy::combine`] reads a node's groups off that order.  `run` is
+/// `e`'s order's run ([`order_run`]); the insert keeps it current, so a
+/// caller inserting many entries of one order finds it once.  A full run
+/// rejects a costlier candidate with one compare against its worst and
 /// returns `true`; otherwise the candidate goes in after every entry it
 /// does not outrank (an equal-rank newcomer loses) and a full run drops
 /// its last element — the latest-kept worst — and the answer is `false`.
@@ -83,12 +99,12 @@ impl TopCPolicy {
 pub fn insert_top_c<T: SearchEntry>(
     model: &CostModel<'_>,
     entries: &mut Vec<T>,
+    run: &mut Range<usize>,
     c: usize,
     e: T,
 ) -> bool {
-    let order = e.order();
-    let lo = entries.partition_point(|f| f.order() < order);
-    let hi = lo + entries[lo..].partition_point(|f| f.order() == order);
+    debug_assert_eq!(*run, order_run(entries, e.order()), "a stale run");
+    let (lo, hi) = (run.start, run.end);
     let full = hi - lo >= c;
     if full && entries[lo..hi].last().is_some_and(|w| w.cost() < e.cost()) {
         return true;
@@ -100,6 +116,8 @@ pub fn insert_top_c<T: SearchEntry>(
             return false;
         }
         entries.remove(hi - 1);
+    } else {
+        run.end += 1;
     }
     entries.insert(at, e);
     false
@@ -117,7 +135,8 @@ impl CandidatePolicy for TopCPolicy {
     ) -> Vec<DpEntry> {
         let mut entries = Vec::new();
         for e in access_alternatives(model, idx) {
-            insert_top_c(model, &mut entries, self.c, e);
+            let mut run = order_run(&entries, e.order);
+            insert_top_c(model, &mut entries, &mut run, self.c, e);
         }
         entries
     }
@@ -155,6 +174,8 @@ impl CandidatePolicy for TopCPolicy {
         inner_list.sort_by(|a, b| shape_rank(model, *a, *b));
         let inner_pages = inner_list.first().map(|e| e.pages).unwrap_or(0.0);
 
+        // outer pages -> (method costs, result pages).
+        let mut sizes = Vec::new();
         for group in outer_list.chunk_by(|a, b| key(a) == key(b)) {
             let (outer_order, outer_pages) = (group[0].order, group[0].pages);
             // Prop 3.1 frontier: only (i, k) with i·k ≤ c.  Every admitted
@@ -162,17 +183,23 @@ impl CandidatePolicy for TopCPolicy {
             let admitted: u64 = (0..inner_list.len())
                 .map(|k| (self.c / (k + 1)).min(group.len()) as u64)
                 .sum();
-            for method in JoinMethod::ALL {
+            // Cost term constant within the group, and across groups of
+            // one size: evaluate once per size.
+            let (costs, pages) = priced(&mut sizes, outer_pages.to_bits(), || {
+                let cost = |method| {
+                    self.coster
+                        .join_cost(model, ctx, method, outer_pages, inner_pages)
+                };
+                let pages = model.join_output_pages(outer_pages, inner_pages, sel);
+                (JoinMethod::ALL.map(cost), pages)
+            });
+            for (method, join_cost) in JoinMethod::ALL.into_iter().zip(costs) {
                 self.frontier.groups += 1;
                 self.frontier.bound_total = self.frontier.bound_total.saturating_add(self.bound);
                 self.frontier.combinations_examined += admitted;
                 stats.candidates += admitted;
-                // Cost term constant within the group: evaluate once.
-                let join_cost = self
-                    .coster
-                    .join_cost(model, ctx, method, outer_pages, inner_pages);
                 let order = join_output_order(sm_order, outer_order, method);
-                let pages = model.join_output_pages(outer_pages, inner_pages, sel);
+                let mut run = order_run(into, order);
                 'inner: for (ki, &ie) in inner_list.iter().enumerate() {
                     for (i, &oe) in group.iter().take(self.c / (ki + 1)).enumerate() {
                         let joined = Joined {
@@ -184,7 +211,7 @@ impl CandidatePolicy for TopCPolicy {
                             inner: &ie.plan,
                         };
                         // The exact early stop of the module docs.
-                        if insert_top_c(model, into, self.c, joined) {
+                        if insert_top_c(model, into, &mut run, self.c, joined) {
                             if i == 0 {
                                 break 'inner;
                             }

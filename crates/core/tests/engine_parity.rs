@@ -4,13 +4,13 @@
 //! the plan bytes whenever the optimum is unique.  Also pins the
 //! degeneracies the paper implies: Algorithm B at `c = 1` collapses to
 //! Algorithm A, and with `c` large enough to hold every candidate list it
-//! collapses to Algorithm C; and the memoized evaluation cache never
-//! changes any answer, only the evaluation count.
+//! collapses to Algorithm C.  (`priced_once_parity.rs` holds the policies
+//! to eager references that price every candidate.)
 
 use lec_core::search::{run_search_with, KeepAllPolicy, PlanShape};
 use lec_core::{
-    exhaustive_best, optimize, AlgDConfig, MemoryCoster, Mode, OptError, PointEstimate,
-    SearchConfig, SearchOutcome,
+    exhaustive_best, optimize, AlgDConfig, MemoryCoster, Mode, OptError, SearchConfig,
+    SearchOutcome,
 };
 use lec_cost::CostModel;
 use lec_plan::{PlanNode, Query, QueryProfile, Topology, WorkloadGenerator};
@@ -214,36 +214,5 @@ proptest! {
         let b_all = run(&model, &memory, Mode::AlgorithmB { c: 256 }).unwrap();
         let c = run(&model, &memory, Mode::AlgorithmC).unwrap();
         prop_assert!(rel_eq(b_all.cost, c.cost), "B(256) {} vs C {}", b_all.cost, c.cost);
-    }
-
-    /// The memoized evaluation cache changes evaluation counts, never
-    /// answers: every policy returns byte-identical plans and costs with
-    /// the cache disabled.
-    #[test]
-    fn cache_is_transparent_for_every_policy(
-        seed in 0u64..4000,
-        n in 3usize..5,
-        center in 60.0f64..2500.0,
-    ) {
-        let (cat, q) = workload(seed, n);
-        let memory = presets::spread_family(center, 0.6, 4).unwrap();
-        let cached_model = CostModel::new(&cat, &q);
-        let raw_model = CostModel::new(&cat, &q);
-        raw_model.set_eval_cache(false);
-        macro_rules! check {
-            ($name:literal, $f:expr) => {{
-                #[allow(clippy::redundant_closure_call)]
-                let on = $f(&cached_model).unwrap();
-                #[allow(clippy::redundant_closure_call)]
-                let off = $f(&raw_model).unwrap();
-                prop_assert_eq!(&on.plan, &off.plan, "{}: plan drift", $name);
-                prop_assert_eq!(on.cost.to_bits(), off.cost.to_bits(), "{}: cost drift", $name);
-            }};
-        }
-        check!("lsc", |m: &CostModel<'_>| run(m, &memory, Mode::Lsc(PointEstimate::Mean)));
-        check!("alg_b", |m: &CostModel<'_>| run(m, &memory, Mode::AlgorithmB { c: 3 }));
-        check!("alg_c", |m: &CostModel<'_>| run(m, &memory, Mode::AlgorithmC));
-        check!("alg_d", |m: &CostModel<'_>| run(m, &memory, Mode::AlgorithmD { config: AlgDConfig::default() }));
-        check!("bushy", |m: &CostModel<'_>| run(m, &memory, Mode::Bushy));
     }
 }

@@ -7,10 +7,13 @@
 //! the commit before plan nodes became a shared dag and the subplan memo
 //! was deleted, `GOLDEN_COUNTERS` at the commit before the parallel DP
 //! driver was deleted (it ran these searches fanned out or not, with the
-//! same counters either way); a refactor of the search path must leave
-//! every row of both untouched.  When a row *should* move (a cost formula
-//! or tie-break changes on purpose), the failure message prints the whole
-//! table as the code now computes it — paste it over the constant.
+//! same counters either way), and its `evals` and `cache_hits` columns
+//! again when a combine began pricing each operand-size pair once and
+//! Algorithm D's eval cache was deleted.  A refactor of the search path
+//! must leave every row of both untouched.  When a row *should* move (a
+//! cost formula or tie-break changes on purpose), the failure message
+//! prints the whole table as the code now computes it — paste it over
+//! the constant.
 
 use lec_catalog::{Catalog, CatalogGenerator};
 use lec_core::search::{
@@ -116,64 +119,64 @@ const GOLDEN_COUNTERS: &[CounterRow] = &[
     ("example_1_1", "Bushy", [3, 8, 20, 0, 0, 0, 0, 0]),
     ("three_chain", "LSC(mean)", [6, 24, 27, 0, 0, 0, 0, 0]),
     ("three_chain", "LSC(mode)", [6, 24, 27, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgA", [30, 128, 198, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgB", [30, 280, 230, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgC", [6, 32, 131, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgC-dyn", [6, 32, 131, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgD", [6, 32, 63, 8, 0, 0, 0, 0]),
-    ("three_chain", "Bushy", [6, 48, 195, 0, 0, 0, 0, 0]),
-    ("diamond", "LSC(mean)", [10, 56, 60, 0, 0, 0, 0, 0]),
-    ("diamond", "LSC(mode)", [10, 56, 60, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgA", [50, 280, 380, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgB", [50, 880, 516, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgC", [10, 56, 228, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgC-dyn", [10, 56, 228, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgD", [10, 56, 44, 40, 0, 0, 0, 0]),
-    ("diamond", "Bushy", [10, 96, 388, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "LSC(mean)", [21, 216, 228, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "LSC(mode)", [21, 208, 219, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgA", [105, 1096, 1303, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgB", [105, 3640, 1880, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgC", [21, 248, 1022, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgC-dyn", [21, 248, 1022, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgD", [21, 248, 327, 125, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "Bushy", [21, 760, 3070, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "LSC(mean)", [37, 440, 448, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "LSC(mode)", [37, 440, 448, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgA", [185, 2064, 2253, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgB", [185, 8800, 4162, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgC", [37, 404, 1630, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgC-dyn", [37, 404, 1630, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgD", [37, 404, 438, 232, 0, 0, 0, 0]),
-    ("scaling_star(6)", "Bushy", [37, 768, 3086, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "LSC(mean)", [28, 336, 349, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "LSC(mode)", [28, 412, 426, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgA", [140, 1824, 2065, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgB", [140, 6040, 2800, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgC", [28, 336, 1375, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgC-dyn", [28, 336, 1375, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgD", [28, 336, 129, 292, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "Bushy", [28, 1080, 4351, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "LSC(mean)", [70, 1520, 1529, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "LSC(mode)", [70, 1520, 1529, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgA", [350, 7504, 7723, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgB", [350, 21960, 8060, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgC", [70, 1536, 6159, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgC-dyn", [70, 1536, 6159, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgD", [70, 1536, 78, 1509, 0, 0, 0, 0]),
-    ("pruning_star(7)", "Bushy", [70, 3024, 12111, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgA", [30, 128, 190, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgB", [30, 280, 190, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgC", [6, 32, 99, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgC-dyn", [6, 32, 99, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgD", [6, 32, 63, 0, 0, 0, 0, 0]),
+    ("three_chain", "Bushy", [6, 48, 131, 0, 0, 0, 0, 0]),
+    ("diamond", "LSC(mean)", [10, 56, 52, 0, 0, 0, 0, 0]),
+    ("diamond", "LSC(mode)", [10, 56, 52, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgA", [50, 280, 340, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgB", [50, 880, 356, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgC", [10, 56, 196, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgC-dyn", [10, 56, 196, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgD", [10, 56, 124, 0, 0, 0, 0, 0]),
+    ("diamond", "Bushy", [10, 96, 324, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "LSC(mean)", [21, 216, 144, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "LSC(mode)", [21, 208, 147, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgA", [105, 1096, 879, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgB", [105, 3640, 1152, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgC", [21, 248, 574, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgC-dyn", [21, 248, 574, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgD", [21, 248, 352, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "Bushy", [21, 760, 1342, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "LSC(mean)", [37, 440, 348, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "LSC(mode)", [37, 440, 348, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgA", [185, 2064, 1901, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgB", [185, 8800, 2386, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgC", [37, 404, 1422, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgC-dyn", [37, 404, 1422, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgD", [37, 404, 888, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "Bushy", [37, 768, 2670, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "LSC(mean)", [28, 336, 189, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "LSC(mode)", [28, 412, 182, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgA", [140, 1824, 1105, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgB", [140, 6040, 1424, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgC", [28, 336, 735, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgC-dyn", [28, 336, 735, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgD", [28, 336, 453, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "Bushy", [28, 1080, 1823, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "LSC(mean)", [70, 1520, 801, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "LSC(mode)", [70, 1520, 801, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgA", [350, 7504, 4179, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgB", [350, 21960, 4340, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgC", [70, 1536, 3183, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgC-dyn", [70, 1536, 3183, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgD", [70, 1536, 1989, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "Bushy", [70, 3024, 6159, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "LSC(mean)", [63, 744, 751, 0, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "LSC(mode)", [63, 1128, 1136, 0, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "AlgA", [315, 4488, 4675, 0, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "AlgB", [315, 18120, 7080, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "LSC(mode)", [63, 1128, 752, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgA", [315, 4488, 3907, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgB", [315, 18120, 3960, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "AlgC", [63, 744, 2986, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "AlgC-dyn", [63, 744, 2986, 0, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "AlgD", [63, 744, 47, 728, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgD", [63, 744, 1867, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "Bushy", [63, 2408, 9642, 0, 0, 0, 0, 0]),
-    ("chain13(seed 3)", "AlgC", [91, 2420, 9696, 0, 8100, 77, 77, 0]),
-    ("star13(seed 5)", "AlgC", [4108, 310216, 1240904, 0, 4083, 4094, 4094, 0]),
-    ("clique12(seed 7)", "AlgC", [4095, 175768, 703097, 0, 0, 4082, 4082, 0]),
-    ("random13(seed 11)", "AlgC", [1055, 87244, 348992, 0, 7136, 1041, 1041, 0]),
+    ("chain13(seed 3)", "AlgC", [91, 2420, 2976, 0, 8100, 77, 77, 0]),
+    ("star13(seed 5)", "AlgC", [4108, 310216, 400760, 0, 4083, 4094, 4094, 0]),
+    ("clique12(seed 7)", "AlgC", [4095, 175768, 393385, 0, 0, 4082, 4082, 0]),
+    ("random13(seed 11)", "AlgC", [1055, 87244, 69744, 0, 7136, 1041, 1041, 0]),
 ];
 
 fn counters(stats: &SearchStats) -> [u64; 8] {
@@ -356,7 +359,8 @@ fn every_mode_does_the_recorded_work() {
     }
 }
 
-/// Algorithm C's coster, except that its `k`-th join costing panics.
+/// Algorithm C's coster, counting its join costings; the `k`-th panics
+/// (none, for `k = 0`).
 struct PanicsOnKthCall {
     inner: MemoryCoster,
     calls: std::cell::Cell<usize>,
@@ -386,30 +390,38 @@ impl PhaseCoster for PanicsOnKthCall {
 
 /// A search is a plain call: a coster's panic unwinds out of it to the
 /// caller, and the model it was using stays usable — the next search on
-/// the *same* `CostModel` returns the recorded answer.  The panic here
-/// fires outside any shard borrow; `lec-cost`'s
-/// `a_panicking_compute_leaves_no_entry_and_no_borrow` covers the one that
-/// fires under it.
+/// the *same* `CostModel` returns the recorded answer.  The panicking
+/// calls are the search's first, middle and last join costing, counted
+/// by a run that does not panic.
 #[test]
 fn a_panicking_coster_unwinds_and_leaves_the_model_usable() {
     let (cat, q) = fixtures::scaling_chain(6);
     let model = CostModel::new(&cat, &q);
     let mem = memory();
-    for k in [1, 40, 200] {
+    let search = |k| {
         let mut policy = KeepBestPolicy::new(PanicsOnKthCall {
             inner: MemoryCoster::fixed(&mem),
             calls: std::cell::Cell::new(0),
             k,
         });
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_search_with(
-                &model,
-                PlanShape::LeftDeep,
-                &mut policy,
-                &SearchConfig::default(),
-            )
+        let config = SearchConfig::default();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_search_with(&model, PlanShape::LeftDeep, &mut policy, &config)
         }));
-        let payload = died.expect_err("the k-th call panics before the search can finish");
+        (run, policy.coster.calls.get())
+    };
+    let (counted, calls) = search(0);
+    counted
+        .expect("no call panics")
+        .expect("the counting run finishes");
+    assert!(
+        calls >= 3,
+        "a six-table search costs more than {calls} joins"
+    );
+    for k in [1, calls / 2, calls] {
+        let payload = search(k)
+            .0
+            .expect_err("the k-th call panics before the search can finish");
         assert_eq!(
             payload.downcast_ref::<&str>(),
             Some(&"the coster blew up mid-combine"),

@@ -1,0 +1,444 @@
+//! Priced once, answered the same: keep-best (under a static and an
+//! evolving memory) and Algorithm D's multi-param policy price each
+//! distinct operand-size pair of a `combine` call once, and they build
+//! exactly the nodes — plan, cost bits, order, size — and do exactly the
+//! work, every counter but `evals`, of eager references that price every
+//! candidate.  The references are the policies' combines as they were
+//! before the memo, kept here verbatim.  Both shapes run, because only a
+//! bushy split gives one call inner entries of different sizes, and the
+//! clamp-heavy fixtures give one subset's entries different sizes.
+
+use lec_catalog::{Catalog, CatalogGenerator};
+use lec_core::fixtures::{pruning_clique, pruning_star};
+use lec_core::search::{
+    insert_entry_shaped, join_output_order, run_search_with, sort_merge_order, CandidatePolicy,
+    DistEntry, DpEntry, JoinContext, Joined, KeepBestPolicy, LowerBound, MultiParamPolicy,
+    PhaseCoster, PlanShape, RootContext, SearchConfig, SearchStats,
+};
+use lec_core::{AlgDConfig, MemoryCoster};
+use lec_cost::{CostModel, DistTables};
+use lec_plan::{JoinMethod, OrderProperty, PlanNode, Query, QueryProfile, Topology};
+use lec_prob::{presets, Distribution, MarkovChain};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+/// Keep-best's combine before the memo: four coster calls and one
+/// output size per (outer, inner) entry pair.
+struct EagerKeepBest<C> {
+    policy: KeepBestPolicy<C>,
+}
+
+impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
+    type Entry = DpEntry;
+    type Size = f64;
+
+    fn access_entries(
+        &mut self,
+        model: &CostModel<'_>,
+        idx: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<DpEntry> {
+        self.policy.access_entries(model, idx, stats)
+    }
+
+    fn combine<'t>(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &JoinContext,
+        outer: &'t [DpEntry],
+        inner: &'t [DpEntry],
+        into: &mut Vec<Joined<'t, f64>>,
+        stats: &mut SearchStats,
+    ) {
+        let sel = model.join_selectivity_sets(ctx.left, ctx.right);
+        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        for oe in outer {
+            for ie in inner {
+                let pages = model.join_output_pages(oe.pages, ie.pages, sel);
+                for method in JoinMethod::ALL {
+                    stats.candidates += 1;
+                    let join_cost = self
+                        .policy
+                        .coster
+                        .join_cost(model, ctx, method, oe.pages, ie.pages);
+                    let joined = Joined {
+                        cost: oe.cost + ie.cost + join_cost,
+                        order: join_output_order(sm_order, oe.order, method),
+                        size: pages,
+                        method,
+                        outer: &oe.plan,
+                        inner: &ie.plan,
+                    };
+                    insert_entry_shaped(model, into, joined);
+                }
+            }
+        }
+    }
+
+    fn build(&mut self, pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
+        self.policy.build(pending)
+    }
+
+    fn finalize(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &RootContext,
+        entries: Vec<DpEntry>,
+        stats: &mut SearchStats,
+    ) -> Vec<DpEntry> {
+        self.policy.finalize(model, ctx, entries, stats)
+    }
+
+    fn pruning_bound(&self, model: &CostModel<'_>) -> Option<Box<dyn LowerBound>> {
+        self.policy.pruning_bound(model)
+    }
+}
+
+/// Algorithm D's combine before the memo: a §3.6.3 size product and four
+/// expectations per (outer, inner) entry pair, and a size (tables and
+/// fingerprint) built per survivor.
+struct EagerMultiParam {
+    policy: MultiParamPolicy,
+    config: AlgDConfig,
+    memory: DistTables,
+    sizes: Vec<Distribution>,
+    max_product_support: usize,
+}
+
+impl EagerMultiParam {
+    fn new(memory: &Distribution, config: AlgDConfig) -> Self {
+        EagerMultiParam {
+            policy: MultiParamPolicy::new(memory, config.clone()),
+            config,
+            memory: DistTables::new(memory.clone()),
+            sizes: Vec::new(),
+            max_product_support: 0,
+        }
+    }
+
+    fn product_size(
+        &mut self,
+        outer: &Distribution,
+        inner: &Distribution,
+        sel: &Distribution,
+    ) -> Distribution {
+        let b = self.config.max_buckets;
+        let strategy = self.config.rebucket;
+        let to = |d: &Distribution, n: usize| d.rebucket(n.max(1), strategy).unwrap();
+        let product = if self.config.cube_root_inputs {
+            let cube = ((b as f64).cbrt().ceil() as usize).max(1);
+            to(outer, cube)
+                .product(&to(inner, cube))
+                .product(&to(sel, cube))
+        } else {
+            outer.product(inner).product(sel)
+        };
+        self.max_product_support = self.max_product_support.max(product.len());
+        to(&product.map(|v| v.max(1.0)), b)
+    }
+}
+
+impl CandidatePolicy for EagerMultiParam {
+    type Entry = DistEntry;
+    type Size = usize;
+
+    fn access_entries(
+        &mut self,
+        model: &CostModel<'_>,
+        idx: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<DistEntry> {
+        self.policy.access_entries(model, idx, stats)
+    }
+
+    fn combine<'t>(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &JoinContext,
+        outer: &'t [DistEntry],
+        inner: &'t [DistEntry],
+        into: &mut Vec<Joined<'t, usize>>,
+        stats: &mut SearchStats,
+    ) {
+        let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
+        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        for oe in outer {
+            for ie in inner {
+                let result_size = self.product_size(&oe.pages.dist, &ie.pages.dist, &sel_dist);
+                self.sizes.push(result_size);
+                let size = self.sizes.len() - 1;
+                let costs = model.expected_join_costs_for(&oe.pages, &ie.pages, &self.memory);
+                for (method, join_ec) in JoinMethod::ALL.into_iter().zip(costs) {
+                    stats.candidates += 1;
+                    let joined = Joined {
+                        cost: oe.cost + ie.cost + join_ec,
+                        order: join_output_order(sm_order, oe.order, method),
+                        size,
+                        method,
+                        outer: &oe.plan,
+                        inner: &ie.plan,
+                    };
+                    insert_entry_shaped(model, into, joined);
+                }
+            }
+        }
+    }
+
+    fn build(&mut self, pending: Vec<Joined<'_, usize>>) -> Vec<DistEntry> {
+        let built = pending.into_iter().map(|j| DistEntry {
+            plan: j.node(),
+            cost: j.cost,
+            pages: Arc::new(DistTables::new(self.sizes[j.size].clone())),
+            pages_fp: lec_cost::dist_fingerprint(&self.sizes[j.size]),
+            order: j.order,
+        });
+        let built = built.collect();
+        self.sizes.clear();
+        built
+    }
+
+    fn finalize(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &RootContext,
+        entries: Vec<DistEntry>,
+        stats: &mut SearchStats,
+    ) -> Vec<DistEntry> {
+        self.policy.finalize(model, ctx, entries, stats)
+    }
+
+    fn pruning_bound(&self, model: &CostModel<'_>) -> Option<Box<dyn LowerBound>> {
+        self.policy.pruning_bound(model)
+    }
+}
+
+/// One entry as a comparison sees it: plan, cost bits, order, and the
+/// bits of its size (support and probabilities, then the fingerprint,
+/// for a distribution).
+type Row = (PlanNode, u64, OrderProperty, Vec<u64>);
+
+trait Viewed {
+    fn row(&self) -> Row;
+}
+
+impl Viewed for DpEntry {
+    fn row(&self) -> Row {
+        let size = vec![self.pages.to_bits()];
+        ((*self.plan).clone(), self.cost.to_bits(), self.order, size)
+    }
+}
+
+impl Viewed for DistEntry {
+    fn row(&self) -> Row {
+        let d = &self.pages.dist;
+        let bits = d.support().iter().chain(d.probs()).map(|v| v.to_bits());
+        let size = bits.chain([self.pages_fp]).collect();
+        ((*self.plan).clone(), self.cost.to_bits(), self.order, size)
+    }
+}
+
+fn view<E: Viewed>(entries: &[E]) -> Vec<Row> {
+    entries.iter().map(Viewed::row).collect()
+}
+
+/// A policy that records every node it builds, in build order.
+struct Logged<P> {
+    policy: P,
+    nodes: Vec<Vec<Row>>,
+}
+
+impl<P: CandidatePolicy> CandidatePolicy for Logged<P>
+where
+    P::Entry: Viewed,
+{
+    type Entry = P::Entry;
+    type Size = P::Size;
+
+    fn access_entries(
+        &mut self,
+        model: &CostModel<'_>,
+        idx: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<P::Entry> {
+        self.policy.access_entries(model, idx, stats)
+    }
+
+    fn combine<'t>(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &JoinContext,
+        outer: &'t [P::Entry],
+        inner: &'t [P::Entry],
+        into: &mut Vec<Joined<'t, P::Size>>,
+        stats: &mut SearchStats,
+    ) {
+        self.policy.combine(model, ctx, outer, inner, into, stats);
+    }
+
+    fn build(&mut self, pending: Vec<Joined<'_, P::Size>>) -> Vec<P::Entry> {
+        let built = self.policy.build(pending);
+        self.nodes.push(view(&built));
+        built
+    }
+
+    fn finalize(
+        &mut self,
+        model: &CostModel<'_>,
+        ctx: &RootContext,
+        entries: Vec<P::Entry>,
+        stats: &mut SearchStats,
+    ) -> Vec<P::Entry> {
+        self.policy.finalize(model, ctx, entries, stats)
+    }
+
+    fn pruning_bound(&self, model: &CostModel<'_>) -> Option<Box<dyn LowerBound>> {
+        self.policy.pruning_bound(model)
+    }
+}
+
+/// Every work counter of a run but `evals`, and the wall time.
+fn counters(s: &SearchStats) -> [u64; 9] {
+    [
+        s.nodes as u64,
+        s.candidates,
+        s.cache_hits,
+        s.memo_hits,
+        s.memo_misses,
+        s.pruned_subsets,
+        s.bound_evals,
+        s.sharp_bound_evals,
+        s.cheap_bound_skips,
+    ]
+}
+
+/// Run `memoized` and `eager` over `query` under both shapes, with
+/// pruning off and on, and require the same nodes, node by node, the same
+/// roots and every counter but `evals` the same, with no more `evals`
+/// for the memoized policy.
+fn assert_priced_once<P, Q>(
+    catalog: &Catalog,
+    query: &Query,
+    what: &str,
+    memoized: impl Fn() -> P,
+    eager: impl Fn() -> Q,
+) where
+    P: CandidatePolicy,
+    Q: CandidatePolicy<Entry = P::Entry>,
+    P::Entry: Viewed,
+{
+    let model = CostModel::new(catalog, query);
+    for shape in [PlanShape::LeftDeep, PlanShape::Bushy] {
+        for pruning in [false, true] {
+            let config = SearchConfig::default().with_pruning(pruning);
+            let ctx = format!("{what}, {shape:?}, pruning {pruning}");
+            let mut fast = Logged {
+                policy: memoized(),
+                nodes: Vec::new(),
+            };
+            let mut slow = Logged {
+                policy: eager(),
+                nodes: Vec::new(),
+            };
+            let got = run_search_with(&model, shape, &mut fast, &config).unwrap();
+            let want = run_search_with(&model, shape, &mut slow, &config).unwrap();
+            assert_eq!(fast.nodes.len(), slow.nodes.len(), "node count, {ctx}");
+            for (k, (g, w)) in fast.nodes.iter().zip(&slow.nodes).enumerate() {
+                assert_eq!(g, w, "node {k}, {ctx}");
+            }
+            assert_eq!(view(&got.roots), view(&want.roots), "roots, {ctx}");
+            assert_eq!(counters(&got.stats), counters(&want.stats), "stats, {ctx}");
+            assert!(got.stats.evals <= want.stats.evals, "evals, {ctx}");
+        }
+    }
+}
+
+/// Every memoized policy against its eager reference on one query.
+fn assert_every_policy_priced_once(catalog: &Catalog, query: &Query) {
+    let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
+    let chain = MarkovChain::sticky_uniform(memory.support().to_vec(), 0.6).unwrap();
+    let n = query.n_tables();
+    let fixed = || MemoryCoster::fixed(&memory);
+    let evolving = || MemoryCoster::evolving(&memory, &chain, n).unwrap();
+    assert_priced_once(
+        catalog,
+        query,
+        "keep-best, fixed",
+        || KeepBestPolicy::new(fixed()),
+        || EagerKeepBest {
+            policy: KeepBestPolicy::new(fixed()),
+        },
+    );
+    assert_priced_once(
+        catalog,
+        query,
+        "keep-best, evolving",
+        || KeepBestPolicy::new(evolving()),
+        || EagerKeepBest {
+            policy: KeepBestPolicy::new(evolving()),
+        },
+    );
+    for cube_root_inputs in [false, true] {
+        let config = AlgDConfig {
+            cube_root_inputs,
+            ..AlgDConfig::default()
+        };
+        assert_priced_once(
+            catalog,
+            query,
+            &format!("multi-param, cube-root inputs {cube_root_inputs}"),
+            || MultiParamPolicy::new(&memory, config.clone()),
+            || EagerMultiParam::new(&memory, config.clone()),
+        );
+    }
+}
+
+/// The largest pre-rebucketing support D reports is the reference's too.
+#[test]
+fn multi_param_reports_the_eager_product_support() {
+    let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
+    for (catalog, query) in [pruning_star(7), pruning_clique(6)] {
+        let model = CostModel::new(&catalog, &query);
+        let mut fast = MultiParamPolicy::new(&memory, AlgDConfig::default());
+        let mut slow = EagerMultiParam::new(&memory, AlgDConfig::default());
+        let config = SearchConfig::default();
+        run_search_with(&model, PlanShape::LeftDeep, &mut fast, &config).unwrap();
+        run_search_with(&model, PlanShape::LeftDeep, &mut slow, &config).unwrap();
+        assert_eq!(fast.max_product_support, slow.max_product_support);
+    }
+}
+
+/// The clamp-heavy fixtures, where one-page intermediates give one
+/// subset's entries different page counts.
+#[test]
+fn memoized_policies_build_the_eager_nodes_on_clamp_heavy_fixtures() {
+    for (catalog, query) in [pruning_star(7), pruning_clique(6)] {
+        assert_every_policy_priced_once(&catalog, &query);
+    }
+}
+
+const TOPOLOGIES: [Topology; 3] = [Topology::Chain, Topology::Star, Topology::Random];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `rename_equivariance.rs`'s generator, twin tables included.
+    #[test]
+    fn memoized_policies_build_the_eager_nodes_on_random_queries(
+        seed in 0u64..1_000_000,
+        n in 4usize..8,
+        topology in 0usize..3,
+        sel_buckets in 1usize..4,
+    ) {
+        let mut tables = CatalogGenerator::new(seed);
+        let catalog = tables.generate(n + 4);
+        let ids = tables.pick_tables(&catalog, n);
+        let profile = QueryProfile {
+            topology: TOPOLOGIES[topology],
+            sel_buckets,
+            ..Default::default()
+        };
+        let query =
+            lec_plan::WorkloadGenerator::new(seed ^ 0x5EED).gen_query(&catalog, &ids, &profile);
+        assert_every_policy_priced_once(&catalog, &query);
+    }
+}

@@ -1,14 +1,15 @@
 //! Algorithm B's top-`c` insert ([`insert_top_c`]: sorted runs, binary
 //! search, a one-compare reject) keeps exactly the entries the original
-//! scan-for-worst rule kept, and its policy's pending joins and early
-//! frontier stop keep exactly what an eager walk of the whole frontier
-//! kept.  Both originals are kept here as references.
+//! scan-for-worst rule kept, and its policy's pending joins, early
+//! frontier stop and once-per-size pricing keep exactly what an eager walk
+//! of the whole frontier, pricing every group, kept.  Both originals are
+//! kept here as references.
 
 use lec_catalog::{Catalog, CatalogGenerator, ColumnStats, TableStats};
 use lec_core::fixtures::{pruning_clique, pruning_star, three_chain};
 use lec_core::search::policy::shape_rank;
 use lec_core::search::{
-    insert_top_c, join_output_order, plan_shape_cmp, run_search_with, sort_merge_order,
+    insert_top_c, join_output_order, order_run, plan_shape_cmp, run_search_with, sort_merge_order,
     CandidatePolicy, DpEntry, FrontierStats, JoinContext, Joined, MemoryCoster, PhaseCoster,
     PlanShape, RootContext, SearchConfig, SearchStats, TopCPolicy,
 };
@@ -21,10 +22,11 @@ use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Algorithm B's policy as it was before pending joins and the early
-/// stop: its frontier walk verbatim, every admitted combination built and
-/// inserted into the node's list, which `build` then hands over whole.
-/// Access paths and finalization are [`TopCPolicy`]'s own.
+/// Algorithm B's policy as it was before pending joins, the early stop
+/// and once-per-size pricing: its frontier walk verbatim, the methods
+/// priced per group, every admitted combination built and inserted into
+/// the node's list, which `build` then hands over whole.  Access paths
+/// and finalization are [`TopCPolicy`]'s own.
 struct EagerTopC {
     delegate: TopCPolicy,
     coster: MemoryCoster,
@@ -106,7 +108,8 @@ impl CandidatePolicy for EagerTopC {
                             pages,
                             order,
                         };
-                        insert_top_c(model, &mut self.node, self.c, e);
+                        let mut run = order_run(&self.node, e.order);
+                        insert_top_c(model, &mut self.node, &mut run, self.c, e);
                     }
                 }
             }
@@ -128,12 +131,12 @@ impl CandidatePolicy for EagerTopC {
     }
 }
 
-/// Every work counter of a run (all but the wall time).
-fn counters(s: &SearchStats) -> [u64; 10] {
+/// Every work counter of a run but `evals` (the reference prices every
+/// group, the policy every distinct size) and the wall time.
+fn counters(s: &SearchStats) -> [u64; 9] {
     [
         s.nodes as u64,
         s.candidates,
-        s.evals,
         s.cache_hits,
         s.memo_hits,
         s.memo_misses,
@@ -206,7 +209,8 @@ impl<P: CandidatePolicy<Entry = DpEntry>> CandidatePolicy for Logged<P> {
 
 /// Run [`TopCPolicy`] and [`EagerTopC`] on one query and memory value and
 /// require the same node lists and root list (plans, cost bits, orders),
-/// the same frontier counters and the same work counters.
+/// the same frontier counters and every work counter but `evals` the same,
+/// with the policy's `evals` no more than the reference's.
 fn assert_early_stop_is_exact(catalog: &Catalog, query: &Query, memory: f64, c: usize) {
     let model = CostModel::new(catalog, query);
     let config = SearchConfig::default();
@@ -228,6 +232,7 @@ fn assert_early_stop_is_exact(catalog: &Catalog, query: &Query, memory: f64, c: 
         "frontier, {ctx}"
     );
     assert_eq!(counters(&got.stats), counters(&want.stats), "stats, {ctx}");
+    assert!(got.stats.evals <= want.stats.evals, "evals, {ctx}");
 }
 
 const MEMORIES: [f64; 4] = [40.0, 300.0, 1500.0, 8000.0];
@@ -351,8 +356,9 @@ proptest! {
     /// Random candidate streams with frequent exact ties (four cost values,
     /// repeated plans): every order's run holds the reference survivors,
     /// plan for plan (the same allocation, not merely an equal plan), in
-    /// (cost, shape) order; and the insert reports "beaten" exactly when a
-    /// full run's worst costs strictly less than the candidate.
+    /// (cost, shape) order; the insert reports "beaten" exactly when a
+    /// full run's worst costs strictly less than the candidate; and the
+    /// run it was handed is the order's run after the insert too.
     #[test]
     fn top_c_insert_keeps_the_scan_for_worst_survivors(
         ci in 0usize..4,
@@ -373,8 +379,10 @@ proptest! {
             };
             let run: Vec<&DpEntry> = fast.iter().filter(|f| f.order == e.order).collect();
             let must_skip = run.len() >= c && run.last().is_some_and(|w| w.cost < e.cost);
-            let beaten = insert_top_c(&model, &mut fast, c, e.clone());
+            let mut run = order_run(&fast, e.order);
+            let beaten = insert_top_c(&model, &mut fast, &mut run, c, e.clone());
             prop_assert_eq!(beaten, must_skip, "beaten exactly when a full run's worst costs less");
+            prop_assert_eq!(&run, &order_run(&fast, e.order), "the run stays current");
             reference_insert(&model, c, &mut reference, e);
         }
         let rank = |a: &DpEntry, b: &DpEntry| {

@@ -18,6 +18,10 @@
 //! Block nested-loop has no separable form (`⌈a/(m-2)⌉·b` couples `a` and
 //! `m`), so it deliberately falls back to the naive path — it is the
 //! resident example of why the generic `O(b³)` algorithm must exist.
+//!
+//! Every operand reaches the streaming path as a [`DistTables`]: its
+//! prefix tables are built once, with the distribution, and then only
+//! queried.
 
 use crate::formulas;
 use lec_plan::JoinMethod;
@@ -180,23 +184,43 @@ pub fn streaming_expected_nl_cost(
     term1 + term2
 }
 
+/// A distribution together with its [`PrefixTables`], built once and then
+/// only queried: what the linear-time expectations read of an operand.
+#[derive(Debug, Clone)]
+pub struct DistTables {
+    /// The distribution.
+    pub dist: Distribution,
+    /// Its prefix tables.
+    pub tables: PrefixTables,
+}
+
+impl DistTables {
+    /// Build `dist`'s prefix tables, once.
+    pub fn new(dist: Distribution) -> Self {
+        DistTables {
+            tables: PrefixTables::new(&dist),
+            dist,
+        }
+    }
+}
+
 /// Expected join cost via the linear-time path when one exists.
 /// Returns `None` for block nested-loop (not separable; use the naive sum).
 pub fn streaming_expected_join_cost(
     method: JoinMethod,
-    a_dist: &Distribution,
-    b_dist: &Distribution,
+    a: &DistTables,
+    b: &DistTables,
     m_tables: &PrefixTables,
 ) -> Option<f64> {
-    let a = PrefixTables::new(a_dist);
-    let b = PrefixTables::new(b_dist);
+    let (a_dist, b_dist) = (&a.dist, &b.dist);
+    let (a, b) = (&a.tables, &b.tables);
     match method {
-        JoinMethod::SortMerge => Some(streaming_expected_sm_cost(&a, b_dist, &b, a_dist, m_tables)),
+        JoinMethod::SortMerge => Some(streaming_expected_sm_cost(a, b_dist, b, a_dist, m_tables)),
         JoinMethod::GraceHash => Some(streaming_expected_grace_cost(
-            &a, b_dist, &b, a_dist, m_tables,
+            a, b_dist, b, a_dist, m_tables,
         )),
         JoinMethod::PageNestedLoop => {
-            Some(streaming_expected_nl_cost(&a, b_dist, &b, a_dist, m_tables))
+            Some(streaming_expected_nl_cost(a, b_dist, b, a_dist, m_tables))
         }
         JoinMethod::BlockNestedLoop => None,
     }
@@ -206,13 +230,12 @@ pub fn streaming_expected_join_cost(
 /// otherwise.  This is Algorithm D's per-method costing step.
 pub fn expected_join_cost(
     method: JoinMethod,
-    a_dist: &Distribution,
-    b_dist: &Distribution,
-    m_dist: &Distribution,
-    m_tables: &PrefixTables,
+    a: &DistTables,
+    b: &DistTables,
+    m: &DistTables,
 ) -> f64 {
-    streaming_expected_join_cost(method, a_dist, b_dist, m_tables)
-        .unwrap_or_else(|| naive_expected_join_cost(method, a_dist, b_dist, m_dist))
+    streaming_expected_join_cost(method, a, b, &m.tables)
+        .unwrap_or_else(|| naive_expected_join_cost(method, &a.dist, &b.dist, &m.dist))
 }
 
 /// Expected external-sort cost over uncertain input size and memory, in
@@ -252,6 +275,16 @@ mod tests {
             .unwrap()
     }
 
+    fn tabled(d: &Distribution) -> DistTables {
+        DistTables::new(d.clone())
+    }
+
+    const SEPARABLE: [JoinMethod; 3] = [
+        JoinMethod::SortMerge,
+        JoinMethod::GraceHash,
+        JoinMethod::PageNestedLoop,
+    ];
+
     #[test]
     fn streaming_matches_naive_on_random_inputs() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
@@ -260,14 +293,10 @@ mod tests {
             let b = rand_dist(&mut rng, 8, 1.0, 1e6);
             let m = rand_dist(&mut rng, 8, 2.0, 5e3);
             let mt = PrefixTables::new(&m);
-            for method in [
-                JoinMethod::SortMerge,
-                JoinMethod::GraceHash,
-                JoinMethod::PageNestedLoop,
-            ] {
+            for method in SEPARABLE {
                 let naive = naive_expected_join_cost(method, &a, &b, &m);
-                let fast =
-                    streaming_expected_join_cost(method, &a, &b, &mt).expect("separable method");
+                let fast = streaming_expected_join_cost(method, &tabled(&a), &tabled(&b), &mt)
+                    .expect("separable method");
                 let scale = naive.abs().max(1.0);
                 assert!(
                     ((naive - fast) / scale).abs() < 1e-9,
@@ -277,9 +306,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_handles_boundary_ties() {
-        // Supports share values exactly — exercises ≤ vs < splits.
+    /// Sizes and a memory whose supports share values exactly: they
+    /// exercise the ≤ vs < splits.
+    fn boundary_ties() -> (Distribution, Distribution, Distribution) {
         let a = Distribution::from_pairs([(100.0, 0.5), (200.0, 0.5)]).unwrap();
         let b = Distribution::from_pairs([(100.0, 0.25), (200.0, 0.75)]).unwrap();
         // Memory exactly at cliff values of both:
@@ -290,14 +319,16 @@ mod tests {
             (1000.0, 0.3),
         ])
         .unwrap();
+        (a, b, m)
+    }
+
+    #[test]
+    fn streaming_handles_boundary_ties() {
+        let (a, b, m) = boundary_ties();
         let mt = PrefixTables::new(&m);
-        for method in [
-            JoinMethod::SortMerge,
-            JoinMethod::GraceHash,
-            JoinMethod::PageNestedLoop,
-        ] {
+        for method in SEPARABLE {
             let naive = naive_expected_join_cost(method, &a, &b, &m);
-            let fast = streaming_expected_join_cost(method, &a, &b, &mt).unwrap();
+            let fast = streaming_expected_join_cost(method, &tabled(&a), &tabled(&b), &mt).unwrap();
             assert!(
                 (naive - fast).abs() / naive.max(1.0) < 1e-12,
                 "{method:?}: {naive} vs {fast}"
@@ -305,11 +336,57 @@ mod tests {
         }
     }
 
+    /// The expectation as it was computed before operands carried their
+    /// tables: both operands' tables rebuilt on every call.
+    fn with_tables_rebuilt(
+        method: JoinMethod,
+        a_dist: &Distribution,
+        b_dist: &Distribution,
+        m_dist: &Distribution,
+        m: &PrefixTables,
+    ) -> f64 {
+        let a = PrefixTables::new(a_dist);
+        let b = PrefixTables::new(b_dist);
+        match method {
+            JoinMethod::SortMerge => streaming_expected_sm_cost(&a, b_dist, &b, a_dist, m),
+            JoinMethod::GraceHash => streaming_expected_grace_cost(&a, b_dist, &b, a_dist, m),
+            JoinMethod::PageNestedLoop => streaming_expected_nl_cost(&a, b_dist, &b, a_dist, m),
+            JoinMethod::BlockNestedLoop => naive_expected_join_cost(method, a_dist, b_dist, m_dist),
+        }
+    }
+
+    /// Tables built once and queried by every call give every method the
+    /// bits of tables rebuilt per call, in both operand orders.
+    #[test]
+    fn prebuilt_tables_change_no_bits() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E5);
+        let mut inputs: Vec<_> = (0..200)
+            .map(|_| {
+                (
+                    rand_dist(&mut rng, 8, 1.0, 1e6),
+                    rand_dist(&mut rng, 8, 1.0, 1e6),
+                    rand_dist(&mut rng, 8, 2.0, 5e3),
+                )
+            })
+            .collect();
+        inputs.push(boundary_ties());
+        for (a, b, m) in &inputs {
+            let (ta, tb, tm) = (tabled(a), tabled(b), tabled(m));
+            for method in JoinMethod::ALL {
+                for (x, y, tx, ty) in [(a, b, &ta, &tb), (b, a, &tb, &ta)] {
+                    let want = with_tables_rebuilt(method, x, y, m, &tm.tables);
+                    let got = expected_join_cost(method, tx, ty, &tm);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{method:?}: {got} vs {want}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn point_sizes_reduce_to_memory_expectation() {
         // With point sizes the expected cost must equal E_M[C(a,b,M)].
-        let a = Distribution::point(1_000_000.0);
-        let b = Distribution::point(400_000.0);
+        let a = tabled(&Distribution::point(1_000_000.0));
+        let b = tabled(&Distribution::point(400_000.0));
         let m = lec_prob::presets::example_1_1_memory();
         let mt = PrefixTables::new(&m);
         let direct = m.expect(|mv| formulas::sm_join_cost(1_000_000.0, 400_000.0, mv));
@@ -324,10 +401,9 @@ mod tests {
     #[test]
     fn nl_asymmetry_is_preserved() {
         // Outer 10 pages vs outer 1000 pages differ under low memory.
-        let small = Distribution::point(10.0);
-        let big = Distribution::point(1000.0);
-        let m = Distribution::point(5.0);
-        let mt = PrefixTables::new(&m);
+        let small = tabled(&Distribution::point(10.0));
+        let big = tabled(&Distribution::point(1000.0));
+        let mt = PrefixTables::new(&Distribution::point(5.0));
         let small_outer =
             streaming_expected_join_cost(JoinMethod::PageNestedLoop, &small, &big, &mt).unwrap();
         let big_outer =
@@ -339,12 +415,12 @@ mod tests {
 
     #[test]
     fn bnl_falls_back_to_naive() {
-        let a = Distribution::point(100.0);
-        let b = Distribution::point(50.0);
-        let m = Distribution::point(12.0);
-        let mt = PrefixTables::new(&m);
-        assert!(streaming_expected_join_cost(JoinMethod::BlockNestedLoop, &a, &b, &mt).is_none());
-        let ec = expected_join_cost(JoinMethod::BlockNestedLoop, &a, &b, &m, &mt);
+        let a = tabled(&Distribution::point(100.0));
+        let b = tabled(&Distribution::point(50.0));
+        let m = tabled(&Distribution::point(12.0));
+        let bnl = JoinMethod::BlockNestedLoop;
+        assert!(streaming_expected_join_cost(bnl, &a, &b, &m.tables).is_none());
+        let ec = expected_join_cost(bnl, &a, &b, &m);
         assert_eq!(ec, formulas::bnl_join_cost(100.0, 50.0, 12.0));
     }
 

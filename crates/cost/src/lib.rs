@@ -26,6 +26,7 @@ pub mod plan_cost;
 
 pub use expected::{
     expected_join_cost, expected_sort_cost, naive_expected_join_cost, streaming_expected_join_cost,
+    DistTables,
 };
 pub use model::{
     avalanche, dist_fingerprint, table_occurrence_fingerprint, table_stats_fingerprint, AccessPath,

@@ -1,14 +1,14 @@
 //! The query-aware cost model: effective sizes, selectivities, and cost
 //! dispatch, with an evaluation counter for the paper's complexity claims.
 
+use crate::expected::{self, DistTables};
 use crate::formulas;
 pub use lec_catalog::{table_stats_fingerprint, Fingerprint};
 use lec_catalog::{Catalog, IndexKind};
 use lec_plan::{ColumnEquivalences, JoinMethod, Query, TableSet};
 use lec_prob::{Distribution, PrefixTables};
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::cell::Cell;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// How a base table is accessed.
@@ -18,24 +18,6 @@ pub enum AccessPath {
     SeqScan,
     /// Scan through the index matching the table's local filter.
     IndexScan,
-}
-
-/// Operator discriminant for [`EvalKey`]: every memoized evaluation is
-/// Algorithm D's expectation over size and memory distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvalOp {
-    /// Expected join cost over size + memory distributions.
-    DistJoin(JoinMethod),
-    /// Expected sort cost over size + memory distributions.
-    DistSort,
-}
-
-/// One step of FxHash — the rustc-style multiply-rotate mix.  [`EvalKey`]
-/// lookups sit on Algorithm D's innermost loop, where the default SipHash
-/// costs more than the cost formulas it would be saving.
-#[inline]
-fn fx_mix(hash: u64, word: u64) -> u64 {
-    (hash.rotate_left(5) ^ word).wrapping_mul(0x517CC1B727220A95)
 }
 
 /// MurmurHash3's `fmix64`, for word-sized keys hashed through [`Prehashed`]:
@@ -52,10 +34,9 @@ pub fn avalanche(word: u64) -> u64 {
 }
 
 /// The identity hasher for keys that hash themselves once, when built:
-/// an [`EvalKey`] (picking the shard, probing the map and inserting on a
-/// miss share one FxHash pass), the serving layer's plan-cache key (one
-/// [`Fingerprint`] fold picks the stripe and probes it) and the DP
-/// table's subsets (one [`avalanche`] of the set's bits).
+/// the serving layer's plan-cache key (one [`Fingerprint`] fold picks the
+/// stripe and probes it) and the DP table's subsets (one [`avalanche`] of
+/// the set's bits).
 #[derive(Debug, Default)]
 pub struct Prehashed(u64);
 
@@ -71,104 +52,8 @@ impl Hasher for Prehashed {
     }
 }
 
-type EvalMap = HashMap<EvalKey, f64, std::hash::BuildHasherDefault<Prehashed>>;
-
-/// Number of cache shards.  Power of two.
-const EVAL_SHARDS: usize = 32;
-
-/// The evaluation cache: an array of small map shards, selected by the
-/// FxHash of the [`EvalKey`].
-///
-/// One thread owns a model, so the shards are plain `RefCell`s and no
-/// borrow outlives a probe or an insert.  The cache is 32 small maps
-/// rather than one table because of memory, not contention: a single map
-/// holding a search's several thousand entries pays hashbrown's
-/// old-plus-new resize transient on one large allocation, which measured
-/// +6% `peak_rss_mb` on the ledger's `cold_mix` workload (bound 5%);
-/// small shards resize a few hundred entries at a time.
-///
-/// Every entry is one of Algorithm D's expectations, which stream `b_A +
-/// b_B` (block nested-loop: `b_A·b_B·b_M`) formula calls behind one probe;
-/// with the cache off, D measured 12–15% slower on the ledger's `cold_mix`
-/// shapes (in process, 2-vCPU host).  A scalar-size expectation is never
-/// memoized: its `b` formula calls cost less than the key fold and probe.
-#[derive(Default)]
-struct ShardedEvalCache {
-    shards: [RefCell<EvalMap>; EVAL_SHARDS],
-}
-
-impl ShardedEvalCache {
-    /// The shard responsible for `key`.
-    fn shard(&self, key: &EvalKey) -> &RefCell<EvalMap> {
-        // The final multiply pushes entropy to the high bits; index there.
-        &self.shards[(key.hash >> (64 - EVAL_SHARDS.trailing_zeros())) as usize]
-    }
-}
-
-impl std::fmt::Debug for ShardedEvalCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEvalCache")
-            .field("shards", &EVAL_SHARDS)
-            .finish()
-    }
-}
-
-/// Memoization key for one of Algorithm D's expectations: the operator,
-/// the memory distribution's fingerprint, and the operand size
-/// distributions' fingerprints.
-///
-/// The key is exactly the tuple the cost formulas read — and nothing
-/// more.  Every compute behind [`CostModel::cached`] is a pure function
-/// of `(op, mem, outer, inner)`; the operand *table sets* never enter a
-/// formula, so keying on them would only relabel identical computations
-/// as distinct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EvalKey {
-    /// FxHash of the four fields below, computed by [`EvalKey::new`].
-    hash: u64,
-    op: EvalOp,
-    mem: u64,
-    outer: u64,
-    inner: u64,
-}
-
-impl EvalKey {
-    /// Build a key, hashing it once: FxHash over the operator tag, the
-    /// join method if the operator has one, then `mem`, `outer`, `inner`.
-    ///
-    /// The operator tags are 4 and 5: the words `derive(Hash)` fed the
-    /// hasher while four retired operators (tags 0..3) preceded these two.
-    /// The tag is the first word mixed in, so it decides which shard and
-    /// which bucket every key lands in; renumbering tags once measured −8%
-    /// `large_joins` throughput on the ledger (slower in 9 of 10 pairs)
-    /// with nothing else changed (`eval_key_hashes_are_pinned` holds the
-    /// values).
-    fn new(op: EvalOp, mem: u64, outer: u64, inner: u64) -> Self {
-        let mut hash = match op {
-            EvalOp::DistJoin(m) => fx_mix(fx_mix(0, 4), m as u64),
-            EvalOp::DistSort => fx_mix(0, 5),
-        };
-        for word in [mem, outer, inner] {
-            hash = fx_mix(hash, word);
-        }
-        EvalKey {
-            hash,
-            op,
-            mem,
-            outer,
-            inner,
-        }
-    }
-}
-
-impl Hash for EvalKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// 64-bit FNV-1a fingerprint of a distribution's exact contents, used to
-/// key the expected-cost caches.
+/// 64-bit FNV-1a fingerprint of a distribution's exact contents: what
+/// Algorithm D keys a combine's operand-size pairs on.
 pub fn dist_fingerprint(d: &Distribution) -> u64 {
     Fingerprint::new().dist(d).finish()
 }
@@ -198,25 +83,20 @@ pub fn table_occurrence_fingerprint(catalog: &Catalog, query: &Query, idx: usize
 /// unit in which the paper states its overheads ("this computation requires
 /// b evaluations of the cost formula", §3.4).
 ///
-/// The `expected_*_over` methods price a scalar-size operator in place:
-/// `b` formula calls over a `b`-bucket memory distribution, one for a
-/// point.  Algorithm D's `expected_*_for` methods additionally memoize
-/// whole expectations in a cache keyed by `(operator, memory
-/// distribution, size distributions)`, so the repeats across entry pairs
-/// and DP levels are computed once; cache hits do not increment the
-/// evaluation counter (they perform no formula work).  The cache is on by
-/// default and can be disabled with [`CostModel::set_eval_cache`] for
-/// apples-to-apples overhead measurements.
+/// Every expectation is priced in place, and nothing is memoized here:
+/// the `expected_*_over` methods make `b` formula calls over a
+/// `b`-bucket memory distribution (one for a point), and Algorithm D's
+/// `expected_*_for` methods stream over operands whose prefix tables were
+/// built once, with their distributions.  A search prices each distinct
+/// operand-size pair of a combine once (Proposition 3.1: a join's method
+/// cost depends only on its operands' sizes), so the evaluation counter
+/// counts exactly the formula calls made.
 ///
 /// # Thread safety
 ///
 /// A search runs on the thread that asked for it and builds its own
 /// model, so nothing shares a `CostModel` across threads — and nothing
-/// can: the evaluation cache is `RefCell` shards and the counters are
-/// `Cell`s, which makes the type `!Sync`.  No borrow of a shard is held
-/// across the compute of a miss, so a compute that panics leaves the map
-/// without the entry and the model usable.  [`ShardedEvalCache`] says why
-/// the cache is still 32 small maps.
+/// can: the counter is a `Cell`, which makes the type `!Sync`.
 #[derive(Debug)]
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
@@ -232,10 +112,8 @@ pub struct CostModel<'a> {
     /// One [`JoinEdge`] per join predicate, in predicate order.
     edges: Vec<JoinEdge>,
     evals: Cell<u64>,
-    eval_cache: ShardedEvalCache,
-    cache_enabled: Cell<bool>,
-    cache_hits: Cell<u64>,
-    /// When installed, Algorithm D's cache misses time their compute into
+    /// When installed, Algorithm D's per-pair pricing
+    /// ([`CostModel::expected_join_costs_for`]) is timed into
     /// `telemetry.eval_compute_ns`.  `None` (the default) keeps the hot
     /// path a single branch.
     telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
@@ -305,15 +183,12 @@ impl<'a> CostModel<'a> {
             neighbours,
             edges,
             evals: Cell::new(0),
-            eval_cache: ShardedEvalCache::default(),
-            cache_enabled: Cell::new(true),
-            cache_hits: Cell::new(0),
             telemetry: None,
         }
     }
 
-    /// Install (or remove) engine telemetry: Algorithm D's cache-miss
-    /// computes are timed into its `eval_compute_ns` histogram.  Purely
+    /// Install (or remove) engine telemetry: Algorithm D's per-pair
+    /// pricing is timed into its `eval_compute_ns` histogram.  Purely
     /// observational — costs, counters, and results are unaffected.
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>) {
         self.telemetry = telemetry;
@@ -362,56 +237,7 @@ impl<'a> CostModel<'a> {
         self.evals.set(self.evals.get() + n);
     }
 
-    // ---- evaluation cache -----------------------------------------------
-
-    /// Enable or disable the memoized evaluation cache used by the
-    /// `expected_*_for` methods.  Toggling (in either direction) clears every shard of the
-    /// cache **and resets the hit counter**, so measurements taken after a
-    /// toggle never mix cached and uncached regimes.
-    pub fn set_eval_cache(&self, enabled: bool) {
-        self.cache_enabled.set(enabled);
-        for shard in &self.eval_cache.shards {
-            shard.borrow_mut().clear();
-        }
-        self.cache_hits.set(0);
-    }
-
-    /// Number of evaluations answered from the cache (no formula work).
-    pub fn eval_cache_hits(&self) -> u64 {
-        self.cache_hits.get()
-    }
-
-    /// Number of distinct evaluations currently memoized.
-    pub fn eval_cache_len(&self) -> usize {
-        self.eval_cache
-            .shards
-            .iter()
-            .map(|s| s.borrow().len())
-            .sum()
-    }
-
-    fn cached(&self, key: EvalKey, compute: impl FnOnce() -> f64) -> f64 {
-        if !self.cache_enabled.get() {
-            return compute();
-        }
-        let shard = self.eval_cache.shard(&key);
-        let hit = shard.borrow().get(&key).copied();
-        if let Some(v) = hit {
-            self.cache_hits.set(self.cache_hits.get() + 1);
-            return v;
-        }
-        let v = match &self.telemetry {
-            Some(t) => {
-                let t0 = std::time::Instant::now();
-                let v = compute();
-                t.eval_compute_ns.record_duration(t0.elapsed());
-                v
-            }
-            None => compute(),
-        };
-        shard.borrow_mut().insert(key, v);
-        v
-    }
+    // ---- expectations -------------------------------------------------
 
     /// Expected join cost of *point-sized* inputs over a memory
     /// distribution — the `b`-bucket expectation of Algorithm C, or the
@@ -435,55 +261,45 @@ impl<'a> CostModel<'a> {
         memory.expect(|m| formulas::sort_cost(pages, m))
     }
 
-    /// Expected join cost over size and memory distributions (Algorithm
-    /// D's per-method costing step), memoized under the method and the
-    /// distribution fingerprints.  Every `*_fp` is the matching
-    /// distribution's [`dist_fingerprint`], precomputed by the caller —
-    /// the memory distribution is constant for a whole run and a size
-    /// distribution for its DP entry's life, so the hot path never
-    /// rehashes one.  Counts the §3.6.1/§3.6.2 number of
-    /// cost-formula evaluations on a miss: linear in the bucket counts for
-    /// the separable methods, the full `b_A·b_B·b_M` triple product for
-    /// block nested-loop.
-    #[allow(clippy::too_many_arguments)]
-    pub fn expected_join_cost_for(
+    /// Algorithm D's four join expectations of one operand-size pair over
+    /// size and memory distributions, in [`JoinMethod::ALL`] order: every
+    /// method's cost depends only on the two sizes, so a combine prices a
+    /// pair once.  Counts the §3.6.1/§3.6.2 number of cost-formula
+    /// evaluations: linear in the bucket counts for the separable methods,
+    /// the full `b_A·b_B·b_M` triple product for block nested-loop.
+    pub fn expected_join_costs_for(
         &self,
-        method: JoinMethod,
-        a_dist: &Distribution,
-        a_fp: u64,
-        b_dist: &Distribution,
-        b_fp: u64,
-        m_dist: &Distribution,
-        m_fp: u64,
-        m_tables: &PrefixTables,
-    ) -> f64 {
-        let key = EvalKey::new(EvalOp::DistJoin(method), m_fp, a_fp, b_fp);
-        self.cached(key, || {
-            let evals = match method {
-                JoinMethod::BlockNestedLoop => {
-                    crate::expected::naive_eval_count(a_dist, b_dist, m_dist)
-                }
-                _ => (a_dist.len() + b_dist.len()) as u64,
-            };
-            self.count_evals(evals);
-            crate::expected::expected_join_cost(method, a_dist, b_dist, m_dist, m_tables)
-        })
+        outer: &DistTables,
+        inner: &DistTables,
+        memory: &DistTables,
+    ) -> [f64; 4] {
+        let price = || {
+            JoinMethod::ALL.map(|method| {
+                self.count_evals(match method {
+                    JoinMethod::BlockNestedLoop => {
+                        expected::naive_eval_count(&outer.dist, &inner.dist, &memory.dist)
+                    }
+                    _ => (outer.dist.len() + inner.dist.len()) as u64,
+                });
+                expected::expected_join_cost(method, outer, inner, memory)
+            })
+        };
+        match &self.telemetry {
+            Some(t) => {
+                let t0 = std::time::Instant::now();
+                let costs = price();
+                t.eval_compute_ns.record_duration(t0.elapsed());
+                costs
+            }
+            None => price(),
+        }
     }
 
-    /// Expected sort cost over size and memory distributions, memoized
-    /// like [`CostModel::expected_join_cost_for`].
-    pub fn expected_sort_cost_for(
-        &self,
-        r_dist: &Distribution,
-        r_fp: u64,
-        m_fp: u64,
-        m_tables: &PrefixTables,
-    ) -> f64 {
-        let key = EvalKey::new(EvalOp::DistSort, m_fp, r_fp, 0);
-        self.cached(key, || {
-            self.count_evals(r_dist.len() as u64);
-            crate::expected::expected_sort_cost(r_dist, m_tables)
-        })
+    /// Expected sort cost over size and memory distributions: `b_R`
+    /// formula evaluations.
+    pub fn expected_sort_cost_for(&self, r_dist: &Distribution, m_tables: &PrefixTables) -> f64 {
+        self.count_evals(r_dist.len() as u64);
+        expected::expected_sort_cost(r_dist, m_tables)
     }
 
     // ---- sizes ----------------------------------------------------------
@@ -786,120 +602,28 @@ mod tests {
         );
     }
 
-    /// One of Algorithm D's memoized expectations: a grace-hash join of
-    /// two two-bucket sizes under a two-bucket memory (four formula calls
-    /// on a miss).
-    fn dist_join(m: &CostModel<'_>) -> f64 {
-        let a = Distribution::bimodal(1e4, 2e4, 0.5).unwrap();
-        let b = Distribution::bimodal(3e3, 5e3, 0.5).unwrap();
-        let mem = Distribution::bimodal(100.0, 300.0, 0.5).unwrap();
-        let fp = dist_fingerprint;
-        let mt = PrefixTables::new(&mem);
-        m.expected_join_cost_for(
-            JoinMethod::GraceHash,
-            &a,
-            fp(&a),
-            &b,
-            fp(&b),
-            &mem,
-            fp(&mem),
-            &mt,
-        )
-    }
-
+    /// Algorithm D's pricing counts the formula calls it makes, in the
+    /// paper's units, on every call: `b_A + b_B` per separable method,
+    /// `b_A·b_B·b_M` for block nested-loop, `b_R` for a sort.  Nothing is
+    /// memoized, so a repeat counts again.
     #[test]
-    fn disabled_cache_matches_enabled_values() {
+    fn distribution_pricing_counts_the_formula_calls_it_makes() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let cached = dist_join(&m);
-        m.set_eval_cache(false);
-        m.reset_evals();
-        let raw = dist_join(&m);
-        dist_join(&m);
-        assert_eq!(cached.to_bits(), raw.to_bits());
-        assert_eq!(m.evals(), 8, "disabled cache evaluates every call");
-        assert_eq!(m.eval_cache_hits(), 0);
-    }
-
-    #[test]
-    fn disabling_the_cache_resets_the_hit_counter() {
-        let (cat, q) = fixture();
-        let m = CostModel::new(&cat, &q);
-        dist_join(&m);
-        dist_join(&m);
-        assert_eq!(m.eval_cache_hits(), 1);
-        assert!(m.eval_cache_len() > 0);
-        m.set_eval_cache(false);
-        assert_eq!(m.eval_cache_hits(), 0, "toggle must reset cache_hits");
-        assert_eq!(m.eval_cache_len(), 0, "toggle must clear every shard");
-        // Re-enabling starts from a clean slate too.
-        m.set_eval_cache(true);
-        assert_eq!(m.eval_cache_hits(), 0);
-        assert_eq!(m.eval_cache_len(), 0);
-    }
-
-    #[test]
-    fn a_panicking_compute_leaves_no_entry_and_no_borrow() {
-        let (cat, q) = fixture();
-        let m = CostModel::new(&cat, &q);
-        let key = || {
-            EvalKey::new(
-                EvalOp::DistJoin(JoinMethod::SortMerge),
-                dist_fingerprint(&Distribution::point(50.0)),
-                dist_fingerprint(&Distribution::point(100.0)),
-                dist_fingerprint(&Distribution::point(200.0)),
-            )
-        };
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.cached(key(), || panic!("the formula blew up"))
-        }));
-        assert!(died.is_err());
-        assert_eq!(m.eval_cache_len(), 0, "the dead compute left no entry");
-        // Same key, same shard: a miss that computes (its insert would
-        // panic on an outstanding borrow), then a hit.
-        assert_eq!(m.cached(key(), || 7.0), 7.0);
-        assert_eq!(m.cached(key(), || unreachable!("memoized")), 7.0);
-        assert_eq!(m.eval_cache_hits(), 1);
-    }
-
-    /// The hash decides shard and bucket, and both are tuned against: a
-    /// change that moves these values is a performance change.
-    #[test]
-    fn eval_key_hashes_are_pinned() {
-        for (op, hash) in [
-            (
-                EvalOp::DistJoin(JoinMethod::GraceHash),
-                0xDD1401E8210D59F3_u64,
-            ),
-            (EvalOp::DistSort, 0x25ABE29D9817E7CB),
-        ] {
-            assert_eq!(EvalKey::new(op, 1, 2, 3).hash, hash, "{op:?}");
+        let a = DistTables::new(Distribution::bimodal(100.0, 200.0, 0.5).unwrap());
+        let b = DistTables::new(Distribution::uniform(&[50.0, 80.0, 90.0]).unwrap());
+        let mem = DistTables::new(Distribution::bimodal(10.0, 1000.0, 0.5).unwrap());
+        let per_pair = 3 * (2 + 3) + 2 * 3 * 2;
+        for call in 1..=2 {
+            let costs = m.expected_join_costs_for(&a, &b, &mem);
+            assert_eq!(m.evals(), call * per_pair, "call {call}");
+            for (method, cost) in JoinMethod::ALL.into_iter().zip(costs) {
+                let want = expected::expected_join_cost(method, &a, &b, &mem);
+                assert_eq!(cost.to_bits(), want.to_bits(), "{method:?}");
+            }
         }
-    }
-
-    #[test]
-    fn expected_cost_cache_counts_paper_eval_units() {
-        let (cat, q) = fixture();
-        let m = CostModel::new(&cat, &q);
-        let a = Distribution::bimodal(100.0, 200.0, 0.5).unwrap();
-        let b = Distribution::bimodal(50.0, 80.0, 0.5).unwrap();
-        let mem = Distribution::bimodal(10.0, 1000.0, 0.5).unwrap();
-        let mt = lec_prob::PrefixTables::new(&mem);
-        let mem_fp = dist_fingerprint(&mem);
-        let (a_fp, b_fp) = (dist_fingerprint(&a), dist_fingerprint(&b));
-        let join = |method| m.expected_join_cost_for(method, &a, a_fp, &b, b_fp, &mem, mem_fp, &mt);
         m.reset_evals();
-        let ec = join(JoinMethod::SortMerge);
-        assert_eq!(m.evals(), 4, "streaming SM is linear in bucket counts");
-        let replay = crate::expected::expected_join_cost(JoinMethod::SortMerge, &a, &b, &mem, &mt);
-        assert_eq!(ec, replay);
-        join(JoinMethod::SortMerge);
-        assert_eq!(m.evals(), 4, "second call is a cache hit");
-        m.reset_evals();
-        join(JoinMethod::BlockNestedLoop);
-        assert_eq!(m.evals(), 8, "BNL falls back to the b_A*b_B*b_M triple sum");
-        m.reset_evals();
-        m.expected_sort_cost_for(&a, a_fp, mem_fp, &mt);
+        m.expected_sort_cost_for(&a.dist, &mem.tables);
         assert_eq!(m.evals(), 2);
     }
 

@@ -2,7 +2,7 @@
 //! agreement, scalar expectations priced in place, and plan-cost
 //! consistency.
 
-use lec_cost::expected::{naive_expected_join_cost, streaming_expected_join_cost};
+use lec_cost::expected::{naive_expected_join_cost, streaming_expected_join_cost, DistTables};
 use lec_cost::formulas;
 use lec_plan::JoinMethod;
 use lec_prob::{Distribution, PrefixTables};
@@ -23,9 +23,10 @@ proptest! {
         m in arb_dist(2.0, 1e4),
     ) {
         let mt = PrefixTables::new(&m);
+        let (ta, tb) = (DistTables::new(a.clone()), DistTables::new(b.clone()));
         for method in [JoinMethod::SortMerge, JoinMethod::GraceHash, JoinMethod::PageNestedLoop] {
             let naive = naive_expected_join_cost(method, &a, &b, &m);
-            let fast = streaming_expected_join_cost(method, &a, &b, &mt).unwrap();
+            let fast = streaming_expected_join_cost(method, &ta, &tb, &mt).unwrap();
             prop_assert!(
                 ((naive - fast) / naive.max(1.0)).abs() < 1e-9,
                 "{method:?}: {naive} vs {fast}"
@@ -123,8 +124,8 @@ proptest! {
         b in 1.0f64..1e6,
         m in 2.0f64..1e5,
     ) {
-        let da = Distribution::point(a);
-        let db = Distribution::point(b);
+        let da = DistTables::new(Distribution::point(a));
+        let db = DistTables::new(Distribution::point(b));
         let dm = Distribution::point(m);
         let mt = PrefixTables::new(&dm);
         for method in [JoinMethod::SortMerge, JoinMethod::GraceHash, JoinMethod::PageNestedLoop] {
@@ -151,6 +152,7 @@ proptest! {
         let m_up = m.scale(1.0 + shift / 1e4);
         let mt = PrefixTables::new(&m);
         let mt_up = PrefixTables::new(&m_up);
+        let (a, b) = (DistTables::new(a), DistTables::new(b));
         for method in [JoinMethod::SortMerge, JoinMethod::GraceHash, JoinMethod::PageNestedLoop] {
             let base = streaming_expected_join_cost(method, &a, &b, &mt).unwrap();
             let up = streaming_expected_join_cost(method, &a, &b, &mt_up).unwrap();
@@ -279,7 +281,6 @@ proptest! {
                 assert_eq!(got.to_bits(), want.to_bits(), "{method:?}, call {call}");
                 assert_eq!(model.evals(), call * b, "{method:?}, call {call}");
             }
-            assert_eq!(model.eval_cache_hits(), 0);
         });
     }
 
@@ -297,7 +298,6 @@ proptest! {
                 assert_eq!(got.to_bits(), want.to_bits(), "call {call}");
                 assert_eq!(model.evals(), call * b, "call {call}");
             }
-            assert_eq!(model.eval_cache_hits(), 0);
         });
     }
 

@@ -12,11 +12,6 @@
 //!   per-stage breakdowns ([`slowlog`]).
 //! * [`Telemetry::snapshot_json`] / [`Telemetry::prometheus`] — the full
 //!   snapshot as sorted-key JSON or Prometheus text exposition ([`prom`]).
-//!
-//! A [`Telemetry`] built by [`Telemetry::off`] keeps every
-//! recording method a cheap early-return branch, and a disabled
-//! [`TraceCtx`] never reads the clock, so instrumented code needs no
-//! conditional compilation to stay near-free when observability is off.
 
 #![forbid(unsafe_code)]
 
@@ -259,8 +254,9 @@ pub struct EngineTelemetry {
     pub level_combine_ns: Histogram,
     /// Admissible-bound evaluation time per pruning check.
     pub bound_eval_ns: Histogram,
-    /// Compute time of Algorithm D's memoized cost-model expectations
-    /// (cache misses only); scalar-size expectations are not timed.
+    /// Compute time of Algorithm D's per-pair pricing (the four join
+    /// expectations of one operand-size pair); scalar-size expectations
+    /// are not timed.
     pub eval_compute_ns: Histogram,
     /// Per-level prune trace, newest last (bounded by
     /// [`MAX_LEVEL_PRUNES`], drop-oldest).
@@ -331,9 +327,10 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    fn new(enabled: bool) -> Telemetry {
+    /// Enabled telemetry.
+    pub fn on() -> Telemetry {
         Telemetry {
-            enabled,
+            enabled: true,
             outcomes: std::array::from_fn(|_| Histogram::new()),
             engine: Arc::new(EngineTelemetry::default()),
             calibration: CalibrationErrors::default(),
@@ -341,16 +338,6 @@ impl Telemetry {
             ring: TraceRing::new(RING_SEGMENTS, RING_SLOTS_PER_SEGMENT),
             slow: SlowLog::new(SLOW_LOG_SIZE),
         }
-    }
-
-    /// Enabled telemetry.
-    pub fn on() -> Telemetry {
-        Telemetry::new(true)
-    }
-
-    /// Disabled telemetry: every recording call is a cheap early return.
-    pub fn off() -> Telemetry {
-        Telemetry::new(false)
     }
 
     #[inline]
@@ -593,21 +580,6 @@ mod tests {
                 && s.labels.iter().any(|(k, v)| k == "dir" && v == "read")
                 && s.value == 15.0
         }));
-    }
-
-    #[test]
-    fn off_telemetry_records_nothing() {
-        let t = Telemetry::off();
-        t.record_outcome(Outcome::Served, 1000);
-        t.record_calibration_error(OpClass::Sort, 10.0, 20.0);
-        assert_eq!(t.calibration_snapshot(OpClass::Sort).count(), 0);
-        let mut ctx = t.trace_ctx(1);
-        assert!(!ctx.enabled());
-        ctx.span(Stage::Search, 0, 0);
-        t.finish_request(&ctx, Outcome::Served);
-        assert_eq!(t.outcome_snapshot(Outcome::Served).count(), 0);
-        assert_eq!(t.ring().occupancy(), 0);
-        assert!(t.slow_log().is_empty());
     }
 
     #[test]

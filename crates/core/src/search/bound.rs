@@ -174,17 +174,25 @@ pub struct MinSupportBound {
     pub max_memory: f64,
     /// Each table's minimum page support, computed once per search.
     table_mins: Vec<f64>,
+    /// Each join predicate's minimum selectivity support, by predicate
+    /// index, computed once per search.
+    selectivity_mins: Vec<f64>,
 }
 
 impl MinSupportBound {
     /// The bound for one search under a memory whose largest support
     /// value is `max_memory`.
     pub fn new(model: &CostModel<'_>, max_memory: f64) -> Self {
-        let n = model.query().n_tables();
+        let query = model.query();
         MinSupportBound {
             max_memory,
-            table_mins: (0..n)
+            table_mins: (0..query.n_tables())
                 .map(|i| model.base_pages_dist(i).min_value())
+                .collect(),
+            selectivity_mins: query
+                .joins
+                .iter()
+                .map(|join| join.selectivity.min_value())
                 .collect(),
         }
     }
@@ -204,10 +212,8 @@ impl LowerBound for MinSupportBound {
         for i in set.iter() {
             pages *= self.table_mins[i];
         }
-        for join in &model.query().joins {
-            if set.contains(join.left.table) && set.contains(join.right.table) {
-                pages *= join.selectivity.min_value();
-            }
+        for p in model.predicates_within(set) {
+            pages *= self.selectivity_mins[p];
         }
         pages.max(MIN_PAGES)
     }
@@ -345,23 +351,17 @@ impl PruneState {
                 .fold(f64::INFINITY, f64::min)
         };
         let mut edges: Vec<EdgeBound> = Vec::new();
-        for join in &model.query().joins {
-            let (u, v) = (join.left.table, join.right.table);
-            if u == v || u >= n || v >= n {
-                continue;
+        for u in 0..n {
+            for v in model.neighbours(u).iter().filter(|&v| v > u) {
+                let sel = bound.selectivity_floor(model, u, v);
+                edges.push(EdgeBound {
+                    u,
+                    v,
+                    size_floor: (table_floors[u] * table_floors[v] * sel).max(MIN_PAGES),
+                    attach_u: attach(u),
+                    attach_v: attach(v),
+                });
             }
-            let (u, v) = (u.min(v), u.max(v));
-            if edges.iter().any(|e| e.u == u && e.v == v) {
-                continue;
-            }
-            let sel = bound.selectivity_floor(model, u, v);
-            edges.push(EdgeBound {
-                u,
-                v,
-                size_floor: (table_floors[u] * table_floors[v] * sel).max(MIN_PAGES),
-                attach_u: attach(u),
-                attach_v: attach(v),
-            });
         }
         // Minimum-spanning attach selection: for each table, the cheapest
         // incident edge's attach floor for that endpoint.

@@ -8,10 +8,12 @@
 //!
 //! Every split of a subset ranks *pending* joins, which borrow their
 //! operands from the table, into one buffer ([`combine_subset`]); the
-//! policy builds the survivors once, after the last split.
+//! policy builds the survivors once, after the last split.  A level only
+//! reads the levels below it, so its subsets share that buffer and its
+//! nodes enter the table when the level is done ([`fill_table`]).
 
 use super::bound::{point_size_product, PruneState};
-use super::policy::{CandidatePolicy, JoinContext, RootContext, SearchEntry};
+use super::policy::{CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry};
 use super::SearchStats;
 use crate::error::OptError;
 use lec_cost::{CostModel, Prehashed};
@@ -49,20 +51,18 @@ pub enum PlanShape {
 }
 
 impl PlanShape {
-    /// The ordered operand splits of `set`, cross products excluded.
-    fn splits(self, model: &CostModel<'_>, set: TableSet) -> Vec<(TableSet, TableSet)> {
+    /// Fill `out` with the ordered operand splits of `set`, cross products
+    /// excluded.  Each half is a proper subset of `set`.
+    fn splits(self, model: &CostModel<'_>, set: TableSet, out: &mut Vec<(TableSet, TableSet)>) {
+        out.clear();
         match self {
-            PlanShape::LeftDeep => set
-                .iter()
-                .filter_map(|j| {
-                    let left = set.without(j);
-                    (!model.neighbours(j).intersect(left).is_empty())
-                        .then_some((left, TableSet::singleton(j)))
-                })
-                .collect(),
+            PlanShape::LeftDeep => out.extend(set.iter().filter_map(|j| {
+                let left = set.without(j);
+                (!model.neighbours(j).intersect(left).is_empty())
+                    .then_some((left, TableSet::singleton(j)))
+            })),
             PlanShape::Bushy => {
                 let bits = set.bits();
-                let mut out = Vec::new();
                 // Walk all non-empty proper subsets via the standard trick.
                 let mut sub = (bits - 1) & bits;
                 while sub != 0 {
@@ -73,7 +73,6 @@ impl PlanShape {
                     }
                     sub = (sub - 1) & bits;
                 }
-                out
             }
         }
     }
@@ -149,11 +148,13 @@ pub fn plan_space_size(model: &CostModel<'_>, shape: PlanShape) -> u128 {
     for &set in &level {
         counts.insert(set, model.access_paths(set.sole_member()).len() as u128);
     }
+    let mut splits = Vec::new();
     for _ in 2..=n {
         level = next_level(model, &level);
         for &set in &level {
             let mut total: u128 = 0;
-            for (left, right) in shape.splits(model, set) {
+            shape.splits(model, set, &mut splits);
+            for &(left, right) in &splits {
                 if let (Some(l), Some(r)) = (counts.get(&left), counts.get(&right)) {
                     total = total.saturating_add(l.saturating_mul(*r).saturating_mul(n_methods));
                 }
@@ -223,22 +224,25 @@ fn timed<T>(h: Option<&lec_telemetry::Histogram>, f: impl FnOnce() -> T) -> T {
 }
 
 /// Combine one connected subset — every split's entry pairs under every
-/// method into one buffer of pending joins, whose survivors are then built
-/// — after the branch-and-bound prune check when `prune` is set.
-/// The check runs *before* the combine (that is the whole point: a pruned
-/// subset skips its entire combine/cost loop) and costs one
+/// method into the level's buffer of pending joins, whose survivors are
+/// then built — after the branch-and-bound prune check when `prune` is
+/// set.  The check runs *before* the combine (that is the whole point: a
+/// pruned subset skips its entire combine/cost loop) and costs one
 /// [`SearchStats::bound_evals`] size-floor computation.  The full set is
-/// never checked — the root must always combine.  `stats.nodes` is
-/// counted here for non-empty results.
+/// never checked — the root must always combine.  `splits` and `pending`
+/// are scratch shared by a level's subsets: both come back empty.
+/// `stats.nodes` is counted here for non-empty results.
 #[allow(clippy::too_many_arguments)]
-fn combine_subset<P: CandidatePolicy>(
+fn combine_subset<'t, P: CandidatePolicy>(
     model: &CostModel<'_>,
     shape: PlanShape,
     policy: &mut P,
-    table: &DpTable<P::Entry>,
+    table: &'t DpTable<P::Entry>,
     set: TableSet,
     prune: Option<&PruneState>,
     tel: Option<&lec_telemetry::EngineTelemetry>,
+    splits: &mut Vec<(TableSet, TableSet)>,
+    pending: &mut Vec<Joined<'t, P::Size>>,
     stats: &mut SearchStats,
 ) -> Vec<P::Entry> {
     if let Some(ps) = prune.filter(|_| set.len() < model.query().n_tables()) {
@@ -250,8 +254,8 @@ fn combine_subset<P: CandidatePolicy>(
             return Vec::new();
         }
     }
-    let mut pending = Vec::new();
-    for (left, right) in shape.splits(model, set) {
+    shape.splits(model, set, splits);
+    for &(left, right) in splits.iter() {
         let (Some(outer), Some(inner)) = (table.get(&Subset(left)), table.get(&Subset(right)))
         else {
             continue;
@@ -262,11 +266,12 @@ fn combine_subset<P: CandidatePolicy>(
             result: set,
             phase: set.len() - 2,
         };
-        policy.combine(model, &ctx, outer, inner, &mut pending, stats);
+        policy.combine(model, &ctx, outer, inner, pending, stats);
     }
-    // A node lives as long as the table: keep no spare capacity.
-    let mut entries = policy.build(pending);
-    entries.shrink_to_fit();
+    // The survivors leave in an exactly sized vector; the buffer keeps its
+    // capacity for the level's next subset.
+    #[allow(clippy::drain_collect)]
+    let entries = policy.build(pending.drain(..).collect());
     if !entries.is_empty() {
         stats.nodes += 1;
     }
@@ -319,7 +324,9 @@ fn access_level<P: CandidatePolicy>(
 ) -> DpTable<P::Entry> {
     let mut table = DpTable::default();
     for idx in 0..model.query().n_tables() {
-        let entries = policy.access_entries(model, idx, stats);
+        let mut entries = policy.access_entries(model, idx, stats);
+        // A node lives as long as the table: it keeps no spare capacity.
+        entries.shrink_to_fit();
         if !entries.is_empty() {
             stats.nodes += 1;
             table.insert(Subset(TableSet::singleton(idx)), entries);
@@ -467,6 +474,76 @@ fn refresh_incumbent<P: CandidatePolicy>(
     }
 }
 
+/// Fill the DP table of an `n ≥ 1`-table query level by level.  A split's
+/// halves are proper subsets, so a level reads only the levels below it:
+/// its subsets share one pending buffer and one splits buffer, and its
+/// nodes enter the table once the whole level is combined.
+fn fill_table<P: CandidatePolicy>(
+    model: &CostModel<'_>,
+    shape: PlanShape,
+    policy: &mut P,
+    config: &SearchConfig,
+    stats: &mut SearchStats,
+) -> DpTable<P::Entry> {
+    let n = model.query().n_tables();
+    let mut table = access_level(model, policy, stats);
+    let tel = config.telemetry.as_deref();
+
+    let prune_cx = build_prune(model, shape, policy, config, &table);
+    let mut level = singletons(n);
+    if let Some(ps) = &prune_cx {
+        refresh_incumbent(model, policy, &table, ps, &level, stats);
+    }
+
+    let mut splits = Vec::new();
+    let mut nodes = Vec::new();
+    // Depths 2..n.
+    for k in 2..=n {
+        let level_start = tel.map(|_| Instant::now());
+        let prune_mark = *stats;
+        level = next_level(model, &level);
+        if prune_cx.is_some() && k < n {
+            // The disconnected sets of this size: discarded by structure,
+            // so counted rather than visited.
+            stats.pruned_subsets =
+                stats
+                    .pruned_subsets
+                    .saturating_add(disconnected_count(n, k, level.len()));
+        }
+        let mut pending = Vec::new();
+        for &set in &level {
+            let entries = combine_subset(
+                model,
+                shape,
+                policy,
+                &table,
+                set,
+                prune_cx.as_deref(),
+                tel,
+                &mut splits,
+                &mut pending,
+                stats,
+            );
+            if !entries.is_empty() {
+                nodes.push((Subset(set), entries));
+            }
+        }
+        table.extend(nodes.drain(..));
+        if let (Some(t), Some(t0)) = (tel, level_start) {
+            t.level_combine_ns.record_duration(t0.elapsed());
+            if prune_cx.is_some() {
+                t.record_level_prune(level_prune_delta(k, &prune_mark, stats));
+            }
+        }
+        if k < n {
+            if let Some(ps) = &prune_cx {
+                refresh_incumbent(model, policy, &table, ps, &level, stats);
+            }
+        }
+    }
+    table
+}
+
 /// Run the DP under `shape` and `policy` and return the finalized root
 /// candidates, cheapest-available via [`SearchRun::best`].  The search
 /// runs to completion on the calling thread; a panic inside a policy or
@@ -484,56 +561,7 @@ pub fn run_search_with<P: CandidatePolicy>(
     let start = Instant::now();
     model.reset_evals();
     let mut stats = SearchStats::default();
-    let mut table = access_level(model, policy, &mut stats);
-    let tel = config.telemetry.as_deref();
-
-    let prune_cx = build_prune(model, shape, policy, config, &table);
-    let mut level = singletons(n);
-    if let Some(ps) = &prune_cx {
-        refresh_incumbent(model, policy, &table, ps, &level, &mut stats);
-    }
-
-    // Depths 2..n.
-    for k in 2..=n {
-        let level_start = tel.map(|_| Instant::now());
-        let prune_mark = stats;
-        level = next_level(model, &level);
-        if prune_cx.is_some() && k < n {
-            // The disconnected sets of this size: discarded by structure,
-            // so counted rather than visited.
-            stats.pruned_subsets =
-                stats
-                    .pruned_subsets
-                    .saturating_add(disconnected_count(n, k, level.len()));
-        }
-        for &set in &level {
-            let entries = combine_subset(
-                model,
-                shape,
-                policy,
-                &table,
-                set,
-                prune_cx.as_deref(),
-                tel,
-                &mut stats,
-            );
-            if !entries.is_empty() {
-                table.insert(Subset(set), entries);
-            }
-        }
-        if let (Some(t), Some(t0)) = (tel, level_start) {
-            t.level_combine_ns.record_duration(t0.elapsed());
-            if prune_cx.is_some() {
-                t.record_level_prune(level_prune_delta(k, &prune_mark, &stats));
-            }
-        }
-        if k < n {
-            if let Some(ps) = &prune_cx {
-                refresh_incumbent(model, policy, &table, ps, &level, &mut stats);
-            }
-        }
-    }
-
+    let mut table = fill_table(model, shape, policy, config, &mut stats);
     let root = table
         .remove(&Subset(TableSet::full(n)))
         .ok_or(OptError::NoPlanFound)?;
@@ -562,6 +590,7 @@ mod tests {
         let mut policy = KeepBestPolicy::new(MemoryCoster::point(500.0));
         let mut stats = SearchStats::default();
         let mut table = access_level(&model, &mut policy, &mut stats);
+        let mut splits = Vec::new();
         for bits in [0b011u64, 0b110, 0b111] {
             let set = TableSet::from_bits(bits);
             let entries = combine_subset(
@@ -572,6 +601,8 @@ mod tests {
                 set,
                 None,
                 None,
+                &mut splits,
+                &mut Vec::new(),
                 &mut stats,
             );
             assert!(!entries.is_empty());
@@ -590,6 +621,49 @@ mod tests {
                 }
             }
             table.insert(Subset(set), entries);
+        }
+    }
+
+    /// Fill `policy`'s table for `query` under `shape` and require every
+    /// stored node to hold exactly its entries: a node lives as long as
+    /// the table, so spare capacity is resident memory for nothing.
+    fn assert_nodes_exactly_sized<P: CandidatePolicy>(
+        (cat, q): &(lec_catalog::Catalog, lec_plan::Query),
+        shape: PlanShape,
+        mut policy: P,
+        what: &str,
+    ) {
+        let model = CostModel::new(cat, q);
+        let mut stats = SearchStats::default();
+        let table = fill_table(
+            &model,
+            shape,
+            &mut policy,
+            &SearchConfig::default(),
+            &mut stats,
+        );
+        assert_eq!(table.len(), stats.nodes, "{what}: every node is stored");
+        for (Subset(set), node) in &table {
+            assert_eq!(node.capacity(), node.len(), "{what}: node {set}");
+        }
+    }
+
+    #[test]
+    fn every_stored_node_is_exactly_sized() {
+        use crate::search::{AlgDConfig, MultiParamPolicy, TopCPolicy};
+        let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
+        let runs = [
+            (crate::fixtures::pruning_star(9), PlanShape::LeftDeep),
+            (crate::fixtures::pruning_clique(6), PlanShape::Bushy),
+        ];
+        for (query, shape) in &runs {
+            let what = |policy: &str| format!("{policy}, {shape:?}");
+            let keep_best = KeepBestPolicy::new(MemoryCoster::fixed(&memory));
+            assert_nodes_exactly_sized(query, *shape, keep_best, &what("keep-best"));
+            let top_c = TopCPolicy::new(memory.mean(), 3);
+            assert_nodes_exactly_sized(query, *shape, top_c, &what("top-c"));
+            let multi_param = MultiParamPolicy::new(&memory, AlgDConfig::default());
+            assert_nodes_exactly_sized(query, *shape, multi_param, &what("multi-param"));
         }
     }
 }

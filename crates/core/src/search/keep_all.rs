@@ -126,8 +126,8 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
         }
     }
 
-    fn build(&mut self, pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
-        pending.into_iter().map(DpEntry::from).collect()
+    fn build(&mut self, mut pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
+        pending.drain(..).map(DpEntry::from).collect()
     }
 
     fn finalize(

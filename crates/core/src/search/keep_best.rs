@@ -51,17 +51,25 @@ impl From<Joined<'_, f64>> for DpEntry {
     }
 }
 
+/// (outer pages, inner pages) bits -> (method costs, result pages).
+type PricedPairs = Vec<((u64, u64), ([f64; 4], f64))>;
+
 /// The keep-1 policy over any [`PhaseCoster`].
 #[derive(Debug, Clone)]
 pub struct KeepBestPolicy<C> {
     /// The operator-costing strategy.
     pub coster: C,
+    /// The size pairs one `combine` call has priced; cleared per call.
+    pairs: PricedPairs,
 }
 
 impl<C: PhaseCoster> KeepBestPolicy<C> {
     /// A policy costing operators with `coster`.
     pub fn new(coster: C) -> Self {
-        KeepBestPolicy { coster }
+        KeepBestPolicy {
+            coster,
+            pairs: Vec::new(),
+        }
     }
 }
 
@@ -93,12 +101,11 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
         let sm_order = sort_merge_order(model, ctx.left, ctx.right);
-        // (outer pages, inner pages) -> (method costs, result pages).
-        let mut pairs = Vec::new();
+        self.pairs.clear();
         for oe in outer {
             for ie in inner {
                 let key = (oe.pages.to_bits(), ie.pages.to_bits());
-                let (costs, pages) = priced(&mut pairs, key, || {
+                let (costs, pages) = priced(&mut self.pairs, key, || {
                     let cost = |method| {
                         self.coster
                             .join_cost(model, ctx, method, oe.pages, ie.pages)
@@ -122,8 +129,8 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
         }
     }
 
-    fn build(&mut self, pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
-        pending.into_iter().map(DpEntry::from).collect()
+    fn build(&mut self, mut pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
+        pending.drain(..).map(DpEntry::from).collect()
     }
 
     fn finalize(

@@ -83,6 +83,9 @@ impl SearchEntry for DistEntry {
     }
 }
 
+/// (outer fingerprint, inner fingerprint) -> (size, method costs).
+type PricedPairs = Vec<((u64, u64), (usize, [f64; 4]))>;
+
 /// The Figure 1 multi-parameter policy.
 #[derive(Debug, Clone)]
 pub struct MultiParamPolicy {
@@ -91,6 +94,11 @@ pub struct MultiParamPolicy {
     /// This subset's result sizes, one per distinct size pair of each
     /// combine, indexed by [`Joined::size`].
     sizes: Vec<Distribution>,
+    /// The size pairs one `combine` call has priced, cleared per call.
+    pairs: PricedPairs,
+    /// `build`'s per-size slots: each size's tables and fingerprint, built
+    /// for the first survivor that has it.
+    slots: Vec<Option<(Arc<DistTables>, u64)>>,
     /// Largest size-distribution support seen before rebucketing.
     pub max_product_support: usize,
 }
@@ -107,6 +115,8 @@ impl MultiParamPolicy {
             memory: DistTables::new(memory.clone()),
             config,
             sizes: Vec::new(),
+            pairs: Vec::new(),
+            slots: Vec::new(),
             max_product_support: 0,
         }
     }
@@ -182,8 +192,8 @@ impl CandidatePolicy for MultiParamPolicy {
     ) {
         let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
         let sm_order = sort_merge_order(model, ctx.left, ctx.right);
-        // (outer fingerprint, inner fingerprint) -> (size, method costs).
-        let mut pairs = Vec::new();
+        let mut pairs = std::mem::take(&mut self.pairs);
+        pairs.clear();
         for oe in outer {
             for ie in inner {
                 let (size, costs) = priced(&mut pairs, (oe.pages_fp, ie.pages_fp), || {
@@ -206,15 +216,17 @@ impl CandidatePolicy for MultiParamPolicy {
                 }
             }
         }
+        self.pairs = pairs;
     }
 
     /// Only survivors fingerprint a size distribution and build its
     /// tables, once per size whichever survivors share it.
-    fn build(&mut self, pending: Vec<Joined<'_, usize>>) -> Vec<DistEntry> {
-        let mut built: Vec<Option<(Arc<DistTables>, u64)>> = vec![None; self.sizes.len()];
-        let sizes = &self.sizes;
-        let entries = pending.into_iter().map(|j| {
-            let (pages, pages_fp) = built[j.size].get_or_insert_with(|| {
+    fn build(&mut self, mut pending: Vec<Joined<'_, usize>>) -> Vec<DistEntry> {
+        self.slots.clear();
+        self.slots.resize(self.sizes.len(), None);
+        let (sizes, slots) = (&self.sizes, &mut self.slots);
+        let entries = pending.drain(..).map(|j| {
+            let (pages, pages_fp) = slots[j.size].get_or_insert_with(|| {
                 let size = &sizes[j.size];
                 let fp = lec_cost::dist_fingerprint(size);
                 (Arc::new(DistTables::new(size.clone())), fp)

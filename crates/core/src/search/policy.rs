@@ -92,9 +92,10 @@ impl<S> SearchEntry for Joined<'_, S> {
 /// The engine owns subset enumeration and operand pairing; the policy owns
 /// everything per-candidate: costing, output-order and size bookkeeping,
 /// and which candidates a node keeps.  `combine` emits *pending* joins
-/// ([`Joined`]) into a per-subset buffer the engine owns, so a losing
-/// candidate allocates nothing; after the subset's last split the engine
-/// builds the survivors once, through `build`.
+/// ([`Joined`]) into a buffer the engine owns (one per DP level, holding
+/// the subset in hand's survivors), so a losing candidate allocates
+/// nothing; after the subset's last split the engine builds the survivors
+/// once, through `build`.
 pub trait CandidatePolicy {
     /// The per-node candidate representation.
     type Entry: SearchEntry + Clone;
@@ -122,7 +123,8 @@ pub trait CandidatePolicy {
         stats: &mut SearchStats,
     );
 
-    /// Build one subset's surviving pending joins, in order.
+    /// Build one subset's surviving pending joins, in order, into an
+    /// exactly sized node: a node lives as long as the DP table.
     fn build(&mut self, pending: Vec<Joined<'_, Self::Size>>) -> Vec<Self::Entry>;
 
     /// Enforce the query's required output order on the root candidates
@@ -267,15 +269,12 @@ pub fn shape_rank<E: SearchEntry>(model: &CostModel<'_>, a: &E, b: &E) -> Orderi
         .then_with(|| a.shape_cmp(model, b))
 }
 
-/// The order a sort-merge join of `left` and `right` delivers: sorted on
-/// the first predicate crossing the two sets.  It depends on the operand
-/// *sets* only, so a policy computes it once per `combine` call, not once
-/// per candidate.
+/// The order a sort-merge join of `left` and `right` delivers
+/// ([`CostModel::sort_merge_order`]).  It depends on the operand *sets*
+/// only, so a policy computes it once per `combine` call, not once per
+/// candidate.
 pub fn sort_merge_order(model: &CostModel<'_>, left: TableSet, right: TableSet) -> OrderProperty {
-    match model.first_crossing_join(left, right) {
-        Some(i) => model.equivalences().sorted_on(model.query().joins[i].left),
-        None => OrderProperty::None,
-    }
+    model.sort_merge_order(left, right)
 }
 
 /// The output order of joining two composites — the shape-generic form of

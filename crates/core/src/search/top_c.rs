@@ -58,6 +58,12 @@ pub struct TopCPolicy {
     bound: u64,
     /// Frontier counters accumulated across the run.
     pub frontier: FrontierStats,
+    /// One `combine` call's scratch, cleared per call: outer page count
+    /// bits -> (method costs, result pages), and the operand lists'
+    /// indices in walk order.
+    sizes: Vec<(u64, ([f64; 4], f64))>,
+    outer_order: Vec<usize>,
+    inner_order: Vec<usize>,
 }
 
 impl TopCPolicy {
@@ -70,6 +76,9 @@ impl TopCPolicy {
             c,
             bound: (c as f64 + c as f64 * (c as f64).ln()).ceil() as u64,
             frontier: FrontierStats::default(),
+            sizes: Vec::new(),
+            outer_order: Vec::new(),
+            inner_order: Vec::new(),
         }
     }
 }
@@ -163,29 +172,31 @@ impl CandidatePolicy for TopCPolicy {
         // properties" premise holds only within a same-size group, and
         // grouping by size keeps the shared join-cost-term evaluation exact
         // rather than approximate.
-        let key = |e: &DpEntry| (e.order, e.pages.to_bits());
-        let mut outer_list: Vec<&'t DpEntry> = outer.iter().collect();
-        outer_list.sort_by_key(|e| key(e));
+        let key = |i: usize| (outer[i].order, outer[i].pages.to_bits());
+        self.outer_order.clear();
+        self.outer_order.extend(0..outer.len());
+        self.outer_order.sort_by_key(|&i| key(i));
         // Flatten inner entries (access paths) into one sorted list; their
         // orders are folded into the join's output order rule, which for
         // inner sides never depends on the inner order, and a singleton's
         // access paths all share the same page count.
-        let mut inner_list: Vec<&'t DpEntry> = inner.iter().collect();
-        inner_list.sort_by(|a, b| shape_rank(model, *a, *b));
-        let inner_pages = inner_list.first().map(|e| e.pages).unwrap_or(0.0);
+        self.inner_order.clear();
+        self.inner_order.extend(0..inner.len());
+        self.inner_order
+            .sort_by(|&a, &b| shape_rank(model, &inner[a], &inner[b]));
+        let inner_pages = self.inner_order.first().map_or(0.0, |&i| inner[i].pages);
 
-        // outer pages -> (method costs, result pages).
-        let mut sizes = Vec::new();
-        for group in outer_list.chunk_by(|a, b| key(a) == key(b)) {
-            let (outer_order, outer_pages) = (group[0].order, group[0].pages);
+        self.sizes.clear();
+        for group in self.outer_order.chunk_by(|&a, &b| key(a) == key(b)) {
+            let (outer_order, outer_pages) = (outer[group[0]].order, outer[group[0]].pages);
             // Prop 3.1 frontier: only (i, k) with i·k ≤ c.  Every admitted
             // combination counts, whether or not the early stop reaches it.
-            let admitted: u64 = (0..inner_list.len())
+            let admitted: u64 = (0..inner.len())
                 .map(|k| (self.c / (k + 1)).min(group.len()) as u64)
                 .sum();
             // Cost term constant within the group, and across groups of
             // one size: evaluate once per size.
-            let (costs, pages) = priced(&mut sizes, outer_pages.to_bits(), || {
+            let (costs, pages) = priced(&mut self.sizes, outer_pages.to_bits(), || {
                 let cost = |method| {
                     self.coster
                         .join_cost(model, ctx, method, outer_pages, inner_pages)
@@ -200,8 +211,10 @@ impl CandidatePolicy for TopCPolicy {
                 stats.candidates += admitted;
                 let order = join_output_order(sm_order, outer_order, method);
                 let mut run = order_run(into, order);
-                'inner: for (ki, &ie) in inner_list.iter().enumerate() {
-                    for (i, &oe) in group.iter().take(self.c / (ki + 1)).enumerate() {
+                'inner: for (ki, &ii) in self.inner_order.iter().enumerate() {
+                    let ie = &inner[ii];
+                    for (i, &oi) in group.iter().take(self.c / (ki + 1)).enumerate() {
+                        let oe = &outer[oi];
                         let joined = Joined {
                             cost: oe.cost + ie.cost + join_cost,
                             order,
@@ -223,8 +236,8 @@ impl CandidatePolicy for TopCPolicy {
         }
     }
 
-    fn build(&mut self, pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
-        pending.into_iter().map(DpEntry::from).collect()
+    fn build(&mut self, mut pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
+        pending.drain(..).map(DpEntry::from).collect()
     }
 
     fn finalize(

@@ -1,17 +1,18 @@
 //! The DP driver walks the join graph, not the subset lattice: each level
 //! is the connected subsets of its size, grown from the level below
 //! through the cost model's graph tables.  Pinned here: the enumeration
-//! against a brute-force filter of the lattice, the graph tables against
-//! the `Query` scans they replaced (bit for bit), and the sizes the walk
-//! now reaches — a 40-table chain is 820 subsets, not `2^40`.
+//! against a brute-force filter of the lattice, the graph tables (incident
+//! predicate bitsets) against the full predicate scans they replaced (bit
+//! for bit), and the sizes the walk now reaches — a 40-table chain is 820
+//! subsets, not `2^40`.
 
 use lec_catalog::{Catalog, ColumnStats, TableStats};
 use lec_core::search::engine::next_level;
-use lec_core::search::SearchConfig;
+use lec_core::search::{point_size_product, LowerBound, MinSupportBound, SearchConfig};
 use lec_core::{fixtures, optimize, Mode, OptError, Optimized, Optimizer};
 use lec_cost::formulas::MIN_PAGES;
 use lec_cost::CostModel;
-use lec_plan::{ColumnRef, JoinPredicate, Query, QueryTable, TableSet};
+use lec_plan::{ColumnRef, JoinPredicate, OrderProperty, Query, QueryTable, TableSet};
 use lec_prob::{presets, Distribution};
 use proptest::prelude::*;
 
@@ -122,12 +123,16 @@ proptest! {
         }
     }
 
-    /// The model's graph tables return what the `Query` scans they
-    /// replaced returned, to the bit: same factors, same product order.
+    /// The model's graph tables return what the full predicate scans they
+    /// replaced returned, to the bit: same factors, same product order —
+    /// on small random graphs and on 12–15-table cliques, whose 69–108
+    /// predicates span two bitset words.
     #[test]
     fn graph_tables_agree_with_the_query_scans(
         n in 2usize..=10,
         edges in edges_strategy(),
+        clique in 12usize..=15,
+        sels in prop::collection::vec(1e-5f64..1e-2, 108),
         masks in prop::collection::vec(any::<u64>(), 12),
     ) {
         let (cat, q) = graph_query(n, &edges);
@@ -139,23 +144,139 @@ proptest! {
             };
             prop_assert_eq!(model.base_pages(i).to_bits(), by_scan.to_bits());
         }
-        let full = TableSet::full(n).bits();
-        let singles = (0..n).flat_map(|u| {
-            (0..n).filter(move |&v| v != u).map(move |v| (1u64 << u, 1u64 << v))
-        });
-        let halves = masks.windows(2).map(|w| (w[0] & full, w[1] & full & !w[0]));
-        for (a, b) in singles.chain(halves) {
-            let (a, b) = (TableSet::from_bits(a), TableSet::from_bits(b));
-            let crossing = q.joins_crossing(a, b);
-            let by_scan: f64 = crossing.iter().map(|&i| q.joins[i].selectivity.mean()).product();
-            prop_assert_eq!(
-                model.join_selectivity_sets(a, b).to_bits(),
-                by_scan.to_bits(),
-                "{} x {} over {:?}", a, b, edges
-            );
-            prop_assert_eq!(model.first_crossing_join(a, b), crossing.first().copied());
+        assert_graph_tables_agree(&cat, &q, &masks)?;
+        let (cat, q) = clique_query(clique, &sels);
+        prop_assert!(q.joins.len() > 64);
+        assert_graph_tables_agree(&cat, &q, &masks)?;
+    }
+}
+
+/// A clique over `n` tables: one predicate per pair, oriented both ways
+/// by turns, plus a second predicate on the first three pairs.  Every
+/// sixth predicate keeps `graph_query`'s three selectivity buckets and
+/// the rest are points, so the distributions crossing a split stay small.
+fn clique_query(n: usize, sels: &[f64]) -> (Catalog, Query) {
+    let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+    let edges: Vec<(usize, usize, f64)> = pairs
+        .clone()
+        .chain(pairs.take(3))
+        .zip(sels.iter().cycle())
+        .enumerate()
+        .map(|(i, ((u, v), &s))| if i % 2 == 0 { (u, v, s) } else { (v, u, s) })
+        .collect();
+    let (cat, mut q) = graph_query(n, &edges);
+    for (i, join) in q.joins.iter_mut().enumerate() {
+        if i % 6 != 0 {
+            join.selectivity = Distribution::point(join.selectivity.mean());
         }
     }
+    (cat, q)
+}
+
+/// The rule the model's incident bitsets replaced, kept as the reference:
+/// a predicate's sides are its endpoint tables (none past the query), and
+/// it crosses `a` and `b` when one side meets each.
+fn crosses(q: &Query, i: usize, a: TableSet, b: TableSet) -> bool {
+    let side = |t: usize| TableSet::from_indices((t < q.n_tables()).then_some(t));
+    let (left, right) = q.joins[i].tables();
+    let (left, right) = (side(left), side(right));
+    let hits = |side: TableSet, set: TableSet| !side.intersect(set).is_empty();
+    (hits(left, a) && hits(right, b)) || (hits(right, a) && hits(left, b))
+}
+
+/// The reference's predicates with both sides in `set`.
+fn within(q: &Query, i: usize, set: TableSet) -> bool {
+    let (left, right) = q.joins[i].tables();
+    set.contains(left) && set.contains(right)
+}
+
+/// Every crossing and internal-predicate product the search reads, for
+/// singleton pairs, each singleton against the rest of the query, and
+/// disjoint bushy halves cut from `masks`, against full scans of the
+/// predicate list: selectivity means, first crossing predicates and the
+/// orders a sort-merge join on them delivers, the
+/// selectivity distributions' support and probability bits (where the
+/// product has at most 4,096 buckets), and the point and minimum-support
+/// size floors of every half and union.
+fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<(), TestCaseError> {
+    let model = CostModel::new(cat, q);
+    let min_support = MinSupportBound::new(&model, 1000.0);
+    let n = q.n_tables();
+    let full = TableSet::full(n).bits();
+    let singles = (0..n).flat_map(|u| {
+        (0..n)
+            .filter(move |&v| v != u)
+            .map(move |v| (1u64 << u, 1u64 << v))
+    });
+    let stars = (0..n).map(|u| (1u64 << u, full & !(1u64 << u)));
+    let halves = masks.windows(2).map(|w| (w[0] & full, w[1] & full & !w[0]));
+    for (a, b) in singles.chain(stars).chain(halves) {
+        let (a, b) = (TableSet::from_bits(a), TableSet::from_bits(b));
+        let crossing: Vec<usize> = (0..q.joins.len())
+            .filter(|&i| crosses(q, i, a, b))
+            .collect();
+        let mean: f64 = crossing
+            .iter()
+            .map(|&i| q.joins[i].selectivity.mean())
+            .product();
+        prop_assert_eq!(
+            model.join_selectivity_sets(a, b).to_bits(),
+            mean.to_bits(),
+            "{} x {} over {} predicates",
+            a,
+            b,
+            q.joins.len()
+        );
+        prop_assert_eq!(model.first_crossing_join(a, b), crossing.first().copied());
+        let merge = crossing.first().map_or(OrderProperty::None, |&i| {
+            model.equivalences().sorted_on(q.joins[i].left)
+        });
+        prop_assert_eq!(model.sort_merge_order(a, b), merge);
+        let buckets: usize = crossing
+            .iter()
+            .map(|&i| q.joins[i].selectivity.len())
+            .product();
+        if buckets <= 4096 {
+            let mut dist = Distribution::point(1.0);
+            for &i in &crossing {
+                dist = dist.product(&q.joins[i].selectivity);
+            }
+            let got = model.join_selectivity_dist_sets(a, b);
+            let bits = |d: &Distribution| -> Vec<u64> {
+                d.support()
+                    .iter()
+                    .chain(d.probs())
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&dist), "{} x {} distribution", a, b);
+        }
+        for set in [a, b, a.union(b)] {
+            let inside: Vec<usize> = (0..q.joins.len()).filter(|&i| within(q, i, set)).collect();
+            let (mut point, mut floor) = (1.0f64, 1.0f64);
+            for t in set.iter() {
+                point *= model.base_pages(t);
+                floor *= model.base_pages_dist(t).min_value();
+            }
+            for &i in &inside {
+                point *= q.joins[i].selectivity.mean();
+                floor *= q.joins[i].selectivity.min_value();
+            }
+            prop_assert_eq!(
+                point_size_product(&model, set).to_bits(),
+                point.max(MIN_PAGES).to_bits(),
+                "point size of {}",
+                set
+            );
+            prop_assert_eq!(
+                min_support.pages_floor(&model, set).to_bits(),
+                floor.max(MIN_PAGES).to_bits(),
+                "minimum-support floor of {}",
+                set
+            );
+        }
+    }
+    Ok(())
 }
 
 /// Pruning on and pruning off return the same plan at the same cost

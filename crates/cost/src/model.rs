@@ -5,7 +5,7 @@ use crate::expected::{self, DistTables};
 use crate::formulas;
 pub use lec_catalog::{table_stats_fingerprint, Fingerprint};
 use lec_catalog::{Catalog, IndexKind};
-use lec_plan::{ColumnEquivalences, JoinMethod, Query, TableSet};
+use lec_plan::{ColumnEquivalences, JoinMethod, OrderProperty, Query, TableSet};
 use lec_prob::{Distribution, PrefixTables};
 use std::cell::Cell;
 use std::hash::Hasher;
@@ -111,6 +111,11 @@ pub struct CostModel<'a> {
     neighbours: Vec<TableSet>,
     /// One [`JoinEdge`] per join predicate, in predicate order.
     edges: Vec<JoinEdge>,
+    /// Each table's incident predicates as a bitset over predicate
+    /// indices: `words` `u64`s per table, table `t`'s at
+    /// `t * words..(t + 1) * words`.
+    incident: Vec<u64>,
+    words: usize,
     evals: Cell<u64>,
     /// When installed, Algorithm D's per-pair pricing
     /// ([`CostModel::expected_join_costs_for`]) is timed into
@@ -119,22 +124,15 @@ pub struct CostModel<'a> {
     telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
 }
 
-/// One join predicate as the search reads it: its endpoint tables as
-/// singleton sets (empty for an index outside the query, which no operand
-/// set can then match) and the mean of its selectivity distribution.
+/// One join predicate as the search reads it: the tables it joins, the
+/// mean of its selectivity distribution and the order a sort-merge join on
+/// it delivers.  A predicate with an endpoint outside the query is in no
+/// table's incident bitset, so no set reaches it.
 #[derive(Debug)]
 struct JoinEdge {
-    left: TableSet,
-    right: TableSet,
+    ends: TableSet,
     selectivity: f64,
-}
-
-impl JoinEdge {
-    /// Whether the predicate has one side in `a` and the other in `b`.
-    fn crosses(&self, a: TableSet, b: TableSet) -> bool {
-        let hits = |side: TableSet, set: TableSet| !side.intersect(set).is_empty();
-        (hits(self.left, a) && hits(self.right, b)) || (hits(self.right, a) && hits(self.left, b))
-    }
+    merge_order: OrderProperty,
 }
 
 impl<'a> CostModel<'a> {
@@ -153,35 +151,48 @@ impl<'a> CostModel<'a> {
             })
             .collect();
         // The query's graph tables, built once: every split of every
-        // subset asks which predicates cross it.
-        let side = |t: usize| TableSet::from_indices((t < n).then_some(t));
+        // subset asks which predicates cross it, and reads the answer off
+        // its tables' incident bitsets.
+        let equivalences = ColumnEquivalences::for_query(query);
+        let words = query.joins.len().div_ceil(64);
+        let mut incident = vec![0u64; n * words];
         let mut neighbours = vec![TableSet::EMPTY; n];
         let edges: Vec<JoinEdge> = query
             .joins
             .iter()
-            .map(|join| {
+            .enumerate()
+            .map(|(p, join)| {
                 let (u, v) = join.tables();
-                if u != v && u < n && v < n {
-                    neighbours[u] = neighbours[u].with(v);
-                    neighbours[v] = neighbours[v].with(u);
+                let mut ends = TableSet::EMPTY;
+                if u < n && v < n {
+                    ends = TableSet::from_indices([u, v]);
+                    for t in ends.iter() {
+                        incident[t * words + p / 64] |= 1u64 << (p % 64);
+                    }
+                    if u != v {
+                        neighbours[u] = neighbours[u].with(v);
+                        neighbours[v] = neighbours[v].with(u);
+                    }
                 }
                 JoinEdge {
-                    left: side(u),
-                    right: side(v),
+                    ends,
                     selectivity: join.selectivity.mean(),
+                    merge_order: equivalences.sorted_on(join.left),
                 }
             })
             .collect();
         CostModel {
             catalog,
             query,
-            equivalences: ColumnEquivalences::for_query(query),
+            equivalences,
             table_shapes: (0..n)
                 .map(|i| table_occurrence_fingerprint(catalog, query, i))
                 .collect(),
             base_pages,
             neighbours,
             edges,
+            incident,
+            words,
             evals: Cell::new(0),
             telemetry: None,
         }
@@ -364,20 +375,49 @@ impl<'a> CostModel<'a> {
         TableSet::from_bits(reach & !set.bits())
     }
 
-    /// The join predicates with one side in `a` and the other in `b`, each
-    /// with its index, in predicate order — [`Query::joins_crossing`] read
-    /// off the edge table.
-    fn crossing(&self, a: TableSet, b: TableSet) -> impl Iterator<Item = (usize, &JoinEdge)> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.crosses(a, b))
+    /// The indices of the predicates with an endpoint in `side`, ascending:
+    /// the union of its tables' incident bitsets, walked word by word.
+    fn incident_to(&self, side: TableSet) -> impl Iterator<Item = usize> + '_ {
+        let words = self.words;
+        // `bits` holds what is left of word `w - 1`.
+        let (mut w, mut bits) = (0, 0u64);
+        std::iter::from_fn(move || loop {
+            if bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                return Some((w - 1) * 64 + bit);
+            }
+            if w == words {
+                return None;
+            }
+            bits = side
+                .iter()
+                .fold(0, |acc, t| acc | self.incident[t * words + w]);
+            w += 1;
+        })
+    }
+
+    /// The indices of the predicates with one side in `a` and the other in
+    /// the disjoint `b`, ascending — [`Query::joins_crossing`] read off the
+    /// smaller side's incident bitsets.
+    fn predicates_between(&self, a: TableSet, b: TableSet) -> impl Iterator<Item = usize> + '_ {
+        let (side, other) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        self.incident_to(side)
+            .filter(move |&p| !self.edges[p].ends.intersect(other).is_empty())
     }
 
     /// The first join predicate (in predicate order) crossing two disjoint
     /// table sets: the one a sort-merge join of the two sorts on.
     pub fn first_crossing_join(&self, a: TableSet, b: TableSet) -> Option<usize> {
-        self.crossing(a, b).map(|(i, _)| i).next()
+        self.predicates_between(a, b).next()
+    }
+
+    /// The order a sort-merge join of two disjoint table sets delivers:
+    /// sorted on the class of the first predicate crossing them, the one
+    /// the join sorts on.
+    pub fn sort_merge_order(&self, a: TableSet, b: TableSet) -> OrderProperty {
+        self.first_crossing_join(a, b)
+            .map_or(OrderProperty::None, |p| self.edges[p].merge_order)
     }
 
     /// Distribution of the combined selectivity of all predicates crossing
@@ -385,8 +425,8 @@ impl<'a> CostModel<'a> {
     /// form).
     pub fn join_selectivity_dist_sets(&self, a: TableSet, b: TableSet) -> Distribution {
         let mut dist = Distribution::point(1.0);
-        for (i, _) in self.crossing(a, b) {
-            dist = dist.product(&self.query.joins[i].selectivity);
+        for p in self.predicates_between(a, b) {
+            dist = dist.product(&self.query.joins[p].selectivity);
         }
         dist
     }
@@ -396,17 +436,23 @@ impl<'a> CostModel<'a> {
     /// trees): the product of the crossing predicates' means, taken in
     /// predicate order.
     pub fn join_selectivity_sets(&self, a: TableSet, b: TableSet) -> f64 {
-        self.crossing(a, b).map(|(_, e)| e.selectivity).product()
+        self.predicates_between(a, b)
+            .map(|p| self.edges[p].selectivity)
+            .product()
+    }
+
+    /// The indices of the join predicates with both sides in `set`,
+    /// ascending.
+    pub fn predicates_within(&self, set: TableSet) -> impl Iterator<Item = usize> + '_ {
+        self.incident_to(set)
+            .filter(move |&p| self.edges[p].ends.is_subset_of(set))
     }
 
     /// Mean selectivity of each join predicate with both sides in `set`,
     /// in predicate order.
     pub fn selectivities_within(&self, set: TableSet) -> impl Iterator<Item = f64> + '_ {
-        let inside = move |side: TableSet| !side.intersect(set).is_empty();
-        self.edges
-            .iter()
-            .filter(move |e| inside(e.left) && inside(e.right))
-            .map(|e| e.selectivity)
+        self.predicates_within(set)
+            .map(|p| self.edges[p].selectivity)
     }
 
     /// Result size of a join: the paper's `a·b·σ` pages, clamped to one page.

@@ -343,12 +343,7 @@ pub fn output_order(model: &CostModel<'_>, plan: &PlanNode) -> OrderProperty {
             outer,
             inner,
         } => match method {
-            JoinMethod::SortMerge => {
-                match model.first_crossing_join(outer.tables(), inner.tables()) {
-                    Some(i) => eq.sorted_on(model.query().joins[i].left),
-                    None => OrderProperty::None,
-                }
-            }
+            JoinMethod::SortMerge => model.sort_merge_order(outer.tables(), inner.tables()),
             JoinMethod::PageNestedLoop => output_order(model, outer),
             JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::None,
         },

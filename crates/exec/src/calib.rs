@@ -390,9 +390,7 @@ impl Calibrator {
         }
 
         // Execute once per bucket; mirror page I/O into telemetry if on.
-        let sink = telemetry
-            .filter(|t| t.enabled())
-            .map(|t| Arc::clone(t.io()));
+        let sink = telemetry.map(|t| Arc::clone(t.io()));
         let _guard = SinkGuard::install(sink);
         let mut measured_per_bucket: Vec<Vec<u64>> = Vec::with_capacity(buckets.len());
         for &m in &bucket_pages {

@@ -529,7 +529,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 // the frame is decoded; the request id arrives mid-decode,
                 // so the context is built retroactively on that epoch
                 // (`trace_ctx_at`).  Without telemetry no clock is read.
-                let tel = self.server.telemetry().filter(|t| t.enabled());
+                let tel = self.server.telemetry();
                 let decode_start = tel.map(|_| Instant::now());
                 let mut r = Reader::new(body);
                 let parsed = (|| {

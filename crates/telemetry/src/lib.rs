@@ -307,7 +307,6 @@ impl EngineTelemetry {
 /// The full telemetry surface for one serving stack: outcome latency
 /// histograms, engine-internal histograms, the trace ring, and the slow log.
 pub struct Telemetry {
-    enabled: bool,
     outcomes: [Histogram; OUTCOME_COUNT],
     engine: Arc<EngineTelemetry>,
     calibration: CalibrationErrors,
@@ -319,7 +318,6 @@ pub struct Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("enabled", &self.enabled)
             .field("ring_occupancy", &self.ring.occupancy())
             .field("slow_log_entries", &self.slow.len())
             .finish_non_exhaustive()
@@ -327,10 +325,10 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// Enabled telemetry.
+    /// A fresh telemetry surface: every histogram empty, the ring and
+    /// slow log clear.
     pub fn on() -> Telemetry {
         Telemetry {
-            enabled: true,
             outcomes: std::array::from_fn(|_| Histogram::new()),
             engine: Arc::new(EngineTelemetry::default()),
             calibration: CalibrationErrors::default(),
@@ -338,11 +336,6 @@ impl Telemetry {
             ring: TraceRing::new(RING_SEGMENTS, RING_SLOTS_PER_SEGMENT),
             slow: SlowLog::new(SLOW_LOG_SIZE),
         }
-    }
-
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Engine-internal histograms handle, for installation into
@@ -358,12 +351,9 @@ impl Telemetry {
     }
 
     /// Record one plan node's predicted-vs-measured cost pair under its
-    /// operator class.  Cheap early return when telemetry is off.
+    /// operator class.
     #[inline]
     pub fn record_calibration_error(&self, class: OpClass, predicted: f64, measured: f64) {
-        if !self.enabled {
-            return;
-        }
         self.calibration.record(class, predicted, measured);
     }
 
@@ -371,38 +361,27 @@ impl Telemetry {
         self.calibration.snapshot(class)
     }
 
-    /// A [`TraceCtx`] for a new request: active iff telemetry is enabled.
+    /// An active [`TraceCtx`] for a new request.
     pub fn trace_ctx(&self, request_id: u64) -> TraceCtx {
-        if self.enabled {
-            TraceCtx::new(request_id)
-        } else {
-            TraceCtx::disabled()
-        }
+        TraceCtx::new(request_id)
     }
 
     /// Like [`Self::trace_ctx`] but with an explicit epoch (timing started
     /// before the request id was decoded).
     pub fn trace_ctx_at(&self, request_id: u64, epoch: Instant) -> TraceCtx {
-        if self.enabled {
-            TraceCtx::starting_at(request_id, epoch)
-        } else {
-            TraceCtx::disabled()
-        }
+        TraceCtx::starting_at(request_id, epoch)
     }
 
     /// Record a finished request's wall time under its outcome class.
-    /// One branch plus three relaxed atomic adds; no allocation.
+    /// Three relaxed atomic adds; no allocation.
     #[inline]
     pub fn record_outcome(&self, outcome: Outcome, elapsed_ns: u64) {
-        if !self.enabled {
-            return;
-        }
         self.outcomes[outcome as usize].record(elapsed_ns);
     }
 
     /// Publish a finished trace into the ring and offer it to the slow log.
     pub fn finish_request(&self, ctx: &TraceCtx, outcome: Outcome) {
-        if !self.enabled || !ctx.enabled() {
+        if !ctx.enabled() {
             return;
         }
         let total_ns = ctx.now_ns();
@@ -432,7 +411,6 @@ impl Telemetry {
         latency.sort_by(|a, b| a.0.cmp(&b.0));
         json!({
             "calibration": self.calibration.to_json(),
-            "enabled": self.enabled,
             "engine": self.engine.to_json(),
             "io": self.io.to_json(),
             "latency": Value::Object(latency),

@@ -52,5 +52,5 @@ fn main() {
 
 fn usage() {
     println!("usage: experiments <all | list | ID...>");
-    println!("       IDs: e1..e16, f1 (see DESIGN.md section 5)");
+    println!("       IDs: e1..e16, f1 (`experiments list` describes each)");
 }

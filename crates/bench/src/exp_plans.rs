@@ -1,7 +1,8 @@
 //! Experiments E1–E5: plan quality and optimizer overhead.
 //!
-//! See DESIGN.md §5 for the experiment index; each function regenerates
-//! one quantitative claim of the paper and returns a JSON summary.
+//! [`crate::registry`] is the experiment index (`experiments list` prints
+//! it); each function regenerates one quantitative claim of the paper and
+//! returns a JSON summary.
 
 use crate::search;
 use crate::table::{num, pct, Table};

@@ -1,6 +1,6 @@
 //! # lec-bench — experiment harness for the LEC reproduction
 //!
-//! One function per experiment in DESIGN.md §5 (E1–E11, F1), each printing
+//! One function per experiment ([`registry`]: E1–E16, F1), each printing
 //! the table it regenerates and returning a JSON summary that the
 //! `experiments` binary can persist under `results/`.  Criterion
 //! micro-benchmarks live in `benches/`.

@@ -7,8 +7,8 @@ use lec_cost::Fingerprint;
 use lec_plan::Query;
 
 /// Largest query the canonicalizer will touch.  Beyond this every
-/// request is searched afresh (branch-and-bound pruning is what keeps
-/// those searches affordable).
+/// request is searched afresh (the DP visits connected subsets only,
+/// which is what keeps those searches affordable).
 pub const MAX_CANON_TABLES: usize = 12;
 
 /// Cap on candidate permutations examined after colour refinement (7! —

@@ -200,16 +200,16 @@ const PRUNING_EXPANSIVE_SEL: f64 = 0.5;
 /// partner: each one shrinks the intermediate by 100×.
 const PRUNING_REDUCTIVE_SEL: f64 = 1e-5;
 
-/// An `n`-table chain built to exercise branch-and-bound pruning: every
-/// table is 1000 pages, most adjacent joins are strongly reductive
-/// (output shrinks 100× per join) but the joins at positions `n/3` and
-/// `2n/3` are expansive (output grows 500×).  Orders that cross an
-/// expansive edge while the running intermediate is still large are
-/// hopeless — a contiguous run that starts *at* an expansive edge has a
-/// size floor of ~5·10⁵ pages against incumbents in the tens of
-/// thousands, so the engine discards it outright — while the good orders
-/// start between the expansive edges and shrink the intermediate to a
-/// page or two before crossing either one.
+/// An `n`-table chain built to exercise branch-and-bound pruning (today
+/// the oracle's streaming discard): every table is 1000 pages, most
+/// adjacent joins are strongly reductive (output shrinks 100× per join)
+/// but the joins at positions `n/3` and `2n/3` are expansive (output grows
+/// 500×).  Orders that cross an expansive edge while the running
+/// intermediate is still large are hopeless — a contiguous run that
+/// starts *at* an expansive edge has a size floor of ~5·10⁵ pages against
+/// incumbents in the tens of thousands — while the good orders start
+/// between the expansive edges and shrink the intermediate to a page or
+/// two before crossing either one.
 pub fn pruning_chain(n: usize) -> (Catalog, Query) {
     assert!(n >= 4, "the pruning chain needs at least four tables");
     let mut catalog = Catalog::new();
@@ -248,9 +248,10 @@ pub fn pruning_chain(n: usize) -> (Catalog, Query) {
 /// hub-containing subset is connected, so unlike the chain the bad
 /// subsets are plentiful: any subset combining expansive spokes with few
 /// reductive ones has a size floor orders of magnitude above the
-/// incumbent and is discarded before its combine loop, while the good
-/// orders join every reductive spoke first and pay for the expansive
-/// ones only once the intermediate has collapsed to a page.
+/// incumbent, while the good orders join every reductive spoke first and
+/// pay for the expansive ones only once the intermediate has collapsed
+/// to a page.  Its one-page intermediates also make Algorithm C's sizes
+/// depend on join order: at 7 tables C misses the oracle's plan by 70x.
 pub fn pruning_star(n: usize) -> (Catalog, Query) {
     assert!(
         n >= 3,
@@ -293,16 +294,12 @@ const PRUNING_CLIQUE_SEL: f64 = 1e-2;
 
 /// An `n`-table clique built to exercise branch-and-bound pruning on a
 /// *dense* join graph: every pair of 1000-page tables is joined, so every
-/// subset of every size is connected and the structural
-/// disconnected-subset discard never fires — the bound tiers carry the
-/// whole search.  The joins among tables `1`, `6` and `11` are expansive
-/// ([`PRUNING_EXPANSIVE_SEL`]); every other pair is mildly reductive.
-/// Subsets gathering two or three of the expansive trio before the rest
-/// of the clique has collapsed the intermediate carry size floors of
-/// `5·10⁵` pages and up against incumbents in the tens of thousands and
-/// are discarded outright, while a clique's quadratic edge count makes
-/// the per-edge sharp floor's frontier genuinely multi-way at every
-/// level.
+/// subset of every size is connected.  The joins among tables `1`, `6`
+/// and `11` are expansive ([`PRUNING_EXPANSIVE_SEL`]); every other pair
+/// is mildly reductive.  Subsets gathering two or three of the expansive
+/// trio before the rest of the clique has collapsed the intermediate
+/// carry size floors of `5·10⁵` pages and up against incumbents in the
+/// tens of thousands.
 pub fn pruning_clique(n: usize) -> (Catalog, Query) {
     assert!(n >= 4, "the pruning clique needs at least four tables");
     let heavy = |i: usize| i == 1 || i == 6 || i == 11;

@@ -98,7 +98,7 @@ pub use alg_a::Candidate;
 pub use alg_d::AlgDConfig;
 pub use bucketing::{bucketize, query_memory_breakpoints, BucketStrategy};
 pub use error::OptError;
-pub use exhaustive::{exhaustive_best, MAX_EXHAUSTIVE_PLANS, MAX_EXHAUSTIVE_TABLES};
+pub use exhaustive::exhaustive_best;
 pub use lsc::PointEstimate;
 pub use optimizer::{optimize, Mode, Optimized, Optimizer};
 pub use parametric::{coverage_family, CachedPlan, PlanCache, StartupChoice};

@@ -231,7 +231,7 @@ pub struct Optimizer<'a> {
 impl<'a> Optimizer<'a> {
     /// Create an optimizer believing `memory` describes the run-time
     /// environment.  Searches use the default [`SearchConfig`] (no
-    /// pruning, no telemetry) and run on the calling thread.
+    /// telemetry) and run on the calling thread.
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
         Optimizer {
             catalog,
@@ -240,7 +240,7 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Override the search configuration (pruning, telemetry) for every
+    /// Override the search configuration (telemetry) for every
     /// subsequent [`Optimizer::optimize`] call.  The randomized modes
     /// (II/SA) are move-based rather than DP-based and ignore it.
     pub fn with_search_config(mut self, search: SearchConfig) -> Self {
@@ -260,21 +260,16 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Branch-and-bound pruning for every subsequent DP search (see
-    /// [`SearchConfig::pruning`]): subsets whose admissible lower bound
-    /// strictly exceeds the incumbent complete-plan cost are discarded
-    /// before their combine/cost loop.  Answers stay byte-identical;
-    /// modes whose policy cannot supply an admissible bound (top-c, the
-    /// randomized modes) simply ignore the flag.
-    pub fn with_pruning(mut self, pruning: bool) -> Self {
-        self.search = self.search.with_pruning(pruning);
+    // Shim, returns `self` (no search prunes): crates/bench/src/bin/ledger/src/{harness,oracle}.rs are the only callers.
+    #[doc(hidden)]
+    pub fn with_pruning(self, _pruning: bool) -> Self {
         self
     }
 
     /// Engine-internal telemetry for every subsequent optimize call (see
-    /// [`SearchConfig::telemetry`]): DP level combine passes, bound
-    /// evaluations, and cost-model expectation computes are timed
-    /// into the handed-in histograms.  Purely observational — plans,
+    /// [`SearchConfig::telemetry`]): DP level combine passes and
+    /// Algorithm D's pair pricing are timed into the handed-in
+    /// histograms.  Purely observational — plans,
     /// costs, and every work counter stay byte-identical.
     pub fn with_telemetry(mut self, telemetry: Arc<lec_telemetry::EngineTelemetry>) -> Self {
         self.set_telemetry(Some(telemetry));

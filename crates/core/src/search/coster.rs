@@ -16,7 +16,6 @@
 //! so a point search and an expectation search over the same one-bucket
 //! distribution do the same work.
 
-use super::bound::{ExpectationBound, LowerBound};
 use super::policy::JoinContext;
 use lec_cost::CostModel;
 use lec_plan::JoinMethod;
@@ -38,13 +37,6 @@ pub trait PhaseCoster {
 
     /// Cost of sorting `pages` pages at `phase`.
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64;
-
-    /// An admissible [`LowerBound`] under this coster's objective, for
-    /// the scalar-page policies (keep-best, keep-all); `None` declares
-    /// the coster prune-ineligible (the default — costers opt in).
-    fn pruning_bound(&self) -> Option<Box<dyn LowerBound>> {
-        None
-    }
 }
 
 /// Expected-cost costing under a per-phase memory distribution: "this
@@ -92,6 +84,17 @@ impl MemoryCoster {
     fn phase(&self, phase: usize) -> &Distribution {
         &self.phases[phase.min(self.phases.len() - 1)]
     }
+
+    /// The most favourable memory value *any* phase can see: costs are
+    /// nonincreasing in memory, so every expectation this coster takes is
+    /// at least the formula at this value (the oracle's
+    /// [`super::CompletionFloor`]).
+    pub fn max_memory(&self) -> f64 {
+        self.phases
+            .iter()
+            .map(Distribution::max_value)
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
 }
 
 impl PhaseCoster for MemoryCoster {
@@ -108,16 +111,5 @@ impl PhaseCoster for MemoryCoster {
 
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64 {
         model.expected_sort_cost_over(pages, self.phase(phase))
-    }
-
-    /// Every phase evaluates under its own distribution, so the bound's
-    /// memory is the most favourable value *any* phase can see.
-    fn pruning_bound(&self) -> Option<Box<dyn LowerBound>> {
-        let max_memory = self
-            .phases
-            .iter()
-            .map(Distribution::max_value)
-            .fold(f64::NEG_INFINITY, f64::max);
-        Some(Box::new(ExpectationBound { max_memory }))
     }
 }

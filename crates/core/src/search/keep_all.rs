@@ -1,51 +1,74 @@
 //! The keep-all policy: the exhaustive ground-truth verifier.
 //!
-//! Unpruned, it enumerates (and holds) every plan of the active shape
-//! exactly once — `O(n! · 4^(n-1) · 2^n)` for left-deep trees, larger
-//! for bushy ones — so callers cap `n` (see
-//! [`crate::exhaustive::MAX_EXHAUSTIVE_TABLES`]).
+//! Built by [`KeepAllPolicy::new`], it enumerates (and holds) every plan
+//! of the active shape exactly once — `O(n! · 4^(n-1) · 2^n)` for
+//! left-deep trees, larger for bushy ones — so callers cap the plan space
+//! ([`super::plan_space_size`]).
 //!
-//! With [`super::SearchConfig::pruning`] on, the policy becomes a
-//! **streaming branch-and-bound verifier**: every candidate is still
+//! Built by [`KeepAllPolicy::streaming`], it is the oracle
+//! ([`crate::exhaustive::exhaustive_best`]): every candidate is still
 //! *costed* in enumeration order, but an entry is discarded on emission
-//! when its accumulated cost plus an admissible floor on everything a
-//! completion must still pay ([`PruneState::completion_floor`]) strictly
-//! exceeds the incumbent.  Discarded entries can only lead to complete
-//! plans strictly worse than a plan already in hand, so the verifier's
-//! answer — the optimal plan, at exact cost bits — is byte-identical to
-//! the unpruned enumeration wherever both run, while the materialized
-//! state stays a sliver of the plan space.  This is what lifts the
-//! verifier's 7-table materialization cap.
+//! when its cost plus the [`CompletionFloor`] of its subset strictly
+//! exceeds the **incumbent**, the cheapest finalized complete plan found
+//! so far.  A discarded entry can only lead to complete plans strictly
+//! worse than one already in hand, so the answer — the optimal plan, at
+//! exact cost bits — is the materializing run's, while the held state
+//! stays a sliver of the plan space.
+//!
+//! The incumbent tightens only between levels, in
+//! [`CandidatePolicy::after_level`]: the cheapest node of the level just
+//! filled is greedily completed through the policy's own `combine` and
+//! `finalize`, so it is a real plan's cost under the exact objective.
+//! The first walk that completes without lowering a finite incumbent
+//! retires the refresh — each later seed walks a longer prefix of a
+//! completion already observed.
 
-use super::bound::PruneState;
-use super::coster::PhaseCoster;
-use super::keep_best::DpEntry;
+use super::bound::{point_size_product, CompletionFloor};
+use super::coster::{MemoryCoster, PhaseCoster};
+use super::engine::DpView;
+use super::keep_best::{DpEntry, PricedPairs};
 use super::policy::{
-    access_alternatives, join_output_order, sort_merge_order, CandidatePolicy, JoinContext, Joined,
-    RootContext,
+    access_alternatives, join_output_order, priced, sort_merge_order, CandidatePolicy, JoinContext,
+    Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, TableSet};
-use std::rc::Rc;
+use std::cmp::Ordering;
 
 /// The keep-everything policy over any [`PhaseCoster`].
 #[derive(Debug, Clone)]
 pub struct KeepAllPolicy<C> {
     /// The operator-costing strategy.
     pub coster: C,
-    /// The search's shared prune state, when pruning is on.
-    prune: Option<Rc<PruneState>>,
+    /// The streaming discard's floor and incumbent; `None` holds every
+    /// plan.
+    bound: Option<Incumbent>,
+    /// The size pairs one `combine` call has priced; cleared per call.
+    pairs: PricedPairs,
     /// Complete plans costed at the root (before any discard).
     plans_emitted: u64,
 }
 
+/// A streaming run's discard rule: entries whose cost plus `floor`
+/// strictly exceeds `cost` are dropped.
+#[derive(Debug, Clone)]
+struct Incumbent {
+    floor: CompletionFloor,
+    /// Cheapest finalized complete-plan cost found so far (`+∞` until one
+    /// is).
+    cost: f64,
+    /// Set by the first greedy walk that fails to lower the incumbent.
+    retired: bool,
+}
+
 impl<C: PhaseCoster> KeepAllPolicy<C> {
-    /// A policy costing operators with `coster`.
+    /// A policy costing operators with `coster` that holds every plan.
     pub fn new(coster: C) -> Self {
         KeepAllPolicy {
             coster,
-            prune: None,
+            bound: None,
+            pairs: Vec::new(),
             plans_emitted: 0,
         }
     }
@@ -55,6 +78,77 @@ impl<C: PhaseCoster> KeepAllPolicy<C> {
     pub fn plans_emitted(&self) -> u64 {
         self.plans_emitted
     }
+
+    /// Greedily complete the cheapest entry of `seed` to a full plan
+    /// through the policy's own `combine`/`finalize`, returning the
+    /// finalized cost.  Each step joins the single cheapest candidate with
+    /// the connected table whose point size product keeps the intermediate
+    /// smallest, so a walk is `O(n)` cheap combines.  `None` when the
+    /// streaming discard drops every candidate of a step.
+    fn greedy_complete(
+        &mut self,
+        model: &CostModel<'_>,
+        table: &DpView<'_, DpEntry>,
+        seed: TableSet,
+        stats: &mut SearchStats,
+    ) -> Option<f64> {
+        let n = model.query().n_tables();
+        let mut set = seed;
+        let seed_entries = table.get(seed)?;
+        let mut cur = vec![seed_entries[cheapest_index(seed_entries)?].clone()];
+        while set.len() < n {
+            let (_, j) = model
+                .frontier(set)
+                .iter()
+                .map(|j| (point_size_product(model, set.with(j)), j))
+                .min_by(first_min)?;
+            let right = TableSet::singleton(j);
+            let result = set.with(j);
+            let ctx = JoinContext {
+                left: set,
+                right,
+                result,
+                phase: result.len() - 2,
+            };
+            let mut out = Vec::new();
+            self.combine(model, &ctx, &cur, table.get(right)?, &mut out, stats);
+            let best = cheapest_index(&out)?;
+            cur = self.build(vec![out.swap_remove(best)]);
+            set = result;
+        }
+        let ctx = RootContext { sort_phase: n - 1 };
+        self.finalize(model, &ctx, cur, stats)
+            .iter()
+            .map(SearchEntry::cost)
+            .min_by(|a, b| a.total_cmp(b))
+    }
+}
+
+impl KeepAllPolicy<MemoryCoster> {
+    /// The oracle's streaming verifier over `model` (module docs): costs
+    /// every plan, holds only those that might still win.
+    pub fn streaming(model: &CostModel<'_>, coster: MemoryCoster) -> Self {
+        let bound = Incumbent {
+            floor: CompletionFloor::new(model, coster.max_memory()),
+            cost: f64::INFINITY,
+            retired: false,
+        };
+        KeepAllPolicy {
+            bound: Some(bound),
+            ..KeepAllPolicy::new(coster)
+        }
+    }
+}
+
+/// `min_by` as a strict `<` scan: the first of equal or unordered values.
+fn first_min<T>(a: &(f64, T), b: &(f64, T)) -> Ordering {
+    a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal)
+}
+
+/// Index of the minimal-cost entry in `entries` (first among exact ties).
+fn cheapest_index<E: SearchEntry>(entries: &[E]) -> Option<usize> {
+    let costs = entries.iter().map(SearchEntry::cost).zip(0..);
+    costs.min_by(first_min).map(|(_, i)| i)
 }
 
 impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
@@ -82,41 +176,41 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
         let sm_order = sort_merge_order(model, ctx.left, ctx.right);
         let is_root = ctx.result == TableSet::full(model.query().n_tables());
-        // The completion floor depends only on the result subset (its
-        // size product), never on which entries built it: one bound
-        // evaluation covers every candidate this call emits.
-        let discard_above = match &self.prune {
-            Some(ps) if !is_root => {
-                stats.bound_evals += 1;
-                let pages = ps.bound().pages_floor(model, ctx.result);
-                Some(ps.incumbent() - ps.completion_floor(ctx.result, pages))
-            }
-            Some(ps) => Some(ps.incumbent()),
-            None => None,
-        };
+        // The completion floor depends only on the result subset, never on
+        // which entries built it: one floor covers every candidate this
+        // call emits.
+        let discard_above = self
+            .bound
+            .as_ref()
+            .map(|b| b.cost - b.floor.of(model, ctx.result));
+        self.pairs.clear();
         for oe in outer {
             for ie in inner {
-                for method in JoinMethod::ALL {
+                let key = (oe.pages.to_bits(), ie.pages.to_bits());
+                let (costs, size) = priced(&mut self.pairs, key, || {
+                    let cost = |method| {
+                        self.coster
+                            .join_cost(model, ctx, method, oe.pages, ie.pages)
+                    };
+                    let size = model.join_output_pages(oe.pages, ie.pages, sel);
+                    (JoinMethod::ALL.map(cost), size)
+                });
+                for (method, join_cost) in JoinMethod::ALL.into_iter().zip(costs) {
                     stats.candidates += 1;
-                    let join_cost = self
-                        .coster
-                        .join_cost(model, ctx, method, oe.pages, ie.pages);
                     let cost = oe.cost + ie.cost + join_cost;
                     if is_root {
                         self.plans_emitted += 1;
                     }
                     // Strict inequality: exact ties with the incumbent
                     // survive, so the first-minimal root pick matches the
-                    // unpruned enumeration bit for bit.
-                    if let Some(limit) = discard_above {
-                        if cost > limit {
-                            continue;
-                        }
+                    // materializing enumeration bit for bit.
+                    if discard_above.is_some_and(|limit| cost > limit) {
+                        continue;
                     }
                     into.push(Joined {
                         cost,
                         order: join_output_order(sm_order, oe.order, method),
-                        size: model.join_output_pages(oe.pages, ie.pages, sel),
+                        size,
                         method,
                         outer: &oe.plan,
                         inner: &ie.plan,
@@ -140,11 +234,31 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
         super::keep_best::finalize_with_coster(model, ctx, entries, &self.coster)
     }
 
-    fn pruning_bound(&self, _model: &CostModel<'_>) -> Option<Box<dyn super::bound::LowerBound>> {
-        self.coster.pruning_bound()
-    }
-
-    fn install_pruning(&mut self, prune: &Rc<PruneState>) {
-        self.prune = Some(Rc::clone(prune));
+    /// A streaming run seeds or tightens its incumbent from the level's
+    /// most promising subset: the cheapest minimal entry, the smallest bit
+    /// pattern on exact ties.
+    fn after_level(
+        &mut self,
+        model: &CostModel<'_>,
+        table: DpView<'_, DpEntry>,
+        level: &[TableSet],
+        stats: &mut SearchStats,
+    ) {
+        let Some(before) = self.bound.as_ref().filter(|b| !b.retired).map(|b| b.cost) else {
+            return;
+        };
+        // `level` is in increasing bit order: the first minimum is the smallest.
+        let best = level.iter().filter_map(|&set| {
+            let entries = table.get(set)?;
+            Some((entries[cheapest_index(entries)?].cost, set))
+        });
+        let Some((_, seed)) = best.min_by(first_min) else {
+            return;
+        };
+        if let Some(cost) = self.greedy_complete(model, &table, seed, stats) {
+            let bound = self.bound.as_mut().expect("a streaming run");
+            bound.cost = bound.cost.min(cost);
+            bound.retired = cost >= before;
+        }
     }
 }

@@ -52,7 +52,7 @@ impl From<Joined<'_, f64>> for DpEntry {
 }
 
 /// (outer pages, inner pages) bits -> (method costs, result pages).
-type PricedPairs = Vec<((u64, u64), ([f64; 4], f64))>;
+pub(super) type PricedPairs = Vec<((u64, u64), ([f64; 4], f64))>;
 
 /// The keep-1 policy over any [`PhaseCoster`].
 #[derive(Debug, Clone)]
@@ -144,10 +144,6 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
         sort_roots(model, &mut roots);
         roots
     }
-
-    fn pruning_bound(&self, _model: &CostModel<'_>) -> Option<Box<dyn super::bound::LowerBound>> {
-        self.coster.pruning_bound()
-    }
 }
 
 /// Shared root finalization: wrap entries that miss a required order in a
@@ -187,9 +183,7 @@ pub(super) fn sort_where_required<E: SearchEntry>(
 /// Order finalized root candidates by (cost bits, label-free shape), so
 /// the reported root vector — and [`super::SearchRun::best`]'s
 /// first-minimal pick among exact-cost ties — is independent of the
-/// per-order-class insertion order.  Pruning can remove strictly-worse
-/// candidates whose insertion used to shuffle that order; sorting here
-/// (pruned and unpruned alike) keeps the two answers byte-identical.
+/// per-order-class insertion order.
 pub(super) fn sort_roots<E: SearchEntry>(model: &CostModel<'_>, roots: &mut [E]) {
     roots.sort_by(|a, b| shape_rank(model, a, b));
 }

@@ -25,7 +25,7 @@
 //! | [`keep_best::KeepBestPolicy`] + `MemoryCoster::evolving(..)` | per-phase Markov-evolved `EC(P)` | §3.5, Thm 3.4 | [`crate::alg_c`] |
 //! | [`top_c::TopCPolicy`] + `MemoryCoster::point(m)` | top-`c` per (subset, order) at a point, Prop 3.1 frontier | §3.3 | [`crate::alg_b`] |
 //! | [`multi_param::MultiParamPolicy`] | Figure 1 distribution bookkeeping, §3.6.3 rebucketing | §3.6 | [`crate::alg_d`] |
-//! | [`keep_all::KeepAllPolicy`] | any [`coster::PhaseCoster`], no pruning | ground truth | [`crate::exhaustive`] |
+//! | [`keep_all::KeepAllPolicy`] | any [`coster::PhaseCoster`], every plan (streamed past a completion floor by the oracle) | ground truth | [`crate::exhaustive`] |
 //!
 //! Every policy funnels its memory-dependent evaluations through the
 //! `expected_*` methods of [`lec_cost::CostModel`], which price in place:
@@ -47,61 +47,28 @@
 //!
 //! # Bound-based pruning
 //!
-//! The engine's third axis is *branch and bound*
-//! ([`engine::SearchConfig::pruning`], [`bound`]): with pruning on, a
-//! policy may hand the engine an admissible [`bound::LowerBound`] on the
-//! cost of any complete plan containing a given connected subset as a
-//! subtree, and the engine discards the subset before its combine/cost
-//! loop whenever that bound strictly exceeds the **incumbent** — the
-//! cheapest complete-plan cost established so far.
+//! Served searches do not prune: every DP mode combines every connected
+//! subset, and nothing in the engine bounds, keeps an incumbent or skips
+//! work.  Branch-and-bound was measured on the served workloads and lost
+//! wall time on every one, so it lives only where it earns its keep: the
+//! exhaustive oracle ([`crate::exhaustive::exhaustive_best`]), whose
+//! streaming keep-all verifier ([`keep_all::KeepAllPolicy::streaming`])
+//! costs every plan of the space but holds only those that might still
+//! win.  Its contract:
 //!
-//! The incumbent/bound contract has three clauses:
-//!
-//! * **Achievable incumbent.**  The incumbent is always the *finalized
-//!   cost of a real plan under the policy's own objective*: after depth 1
-//!   (and again after every level) the driver greedily completes the
-//!   cheapest node through the policy's own
-//!   [`policy::CandidatePolicy::combine`]/`finalize`, so no coster
-//!   arithmetic is ever replicated or approximated.  The incumbent
-//!   ([`bound::PruneState::incumbent`]) tightens only between levels, so
-//!   every subset of one level is checked against the same value.
-//! * **Admissible floor, strict prune.**  `subset_floor(S) ≤` the cost of
-//!   every completion through `S` (sizes floored by the subset's
-//!   size product, memory by its most favourable value — the cost
-//!   formulas are monotone in both), and a subset is discarded only when
-//!   its floor is *strictly above* the incumbent.  Every subtree of an
-//!   optimal plan therefore survives, exact ties included, and a pruned
-//!   search returns the same plan at the same cost bits as an unpruned
-//!   one; only the work counters (`evals`, `candidates`, `nodes`) and
-//!   the pruning counters (`pruned_subsets`, `bound_evals`,
-//!   `sharp_bound_evals`, `cheap_bound_skips`) may differ.
-//! * **Tiered evaluation.**  Checks run in two tiers ([`bound`] module
-//!   docs): a *cheap* floor (universal per-join constant) always, and a
-//!   *sharp* per-edge floor — per-table inner-operand attach costs over
-//!   the tables still outside the subset — only when the cheap floor
-//!   lands within [`bound::SHARP_MARGIN`] of the incumbent and the
-//!   search shape is left-deep (the per-table decomposition the sharp
-//!   floor relies on is exact only there).  Disconnected subsets never
-//!   reach either tier, or the driver at all: the split enumeration
-//!   never materializes a cross product, so a disconnected set can
-//!   never contribute a DP entry, and each level is grown from the
-//!   connected sets of the level below ([`engine::next_level`]).  Their
-//!   number is added to `pruned_subsets` level by level, by count.
-//! * **Eligibility.**  Keep-best (under any [`coster::PhaseCoster`]) and
-//!   multi-param opt in via
-//!   [`policy::CandidatePolicy::pruning_bound`]; Algorithm D's incumbent
-//!   is the scalar *expected* completion cost, floored through its
-//!   size-distributions' minimum supports, so one incumbent covers every
-//!   memory bucket at once.  Top-c **bypasses** pruning: its answer is a
-//!   Proposition 3.1 *frontier* of candidates per node, and a subset
-//!   whose cheapest completion loses to the incumbent can still carry a
-//!   frontier member the final EC ranking needs — no single-incumbent
-//!   bound is admissible for "keep the c best".  The randomized modes
-//!   (II/SA) never run the DP engine at all.  The keep-all verifier
-//!   becomes a *streaming* branch-and-bound enumerator: the same subset
-//!   check plus a per-entry emit-and-discard rule (`entry cost +
-//!   completion floor > incumbent`), which is what lifts its 7-table
-//!   materialization cap.
+//! * **Achievable incumbent.**  The incumbent is the *finalized cost of a
+//!   real plan under the run's own objective*: after each level below the
+//!   root ([`policy::CandidatePolicy::after_level`], the engine's one
+//!   hook) the verifier greedily completes the level's cheapest node
+//!   through its own `combine`/`finalize`, so no coster arithmetic is
+//!   replicated.  It tightens only between levels, and the first walk
+//!   that fails to lower it retires the refresh.
+//! * **Admissible floor, strict discard.**  An entry is dropped on
+//!   emission when its cost plus [`bound::CompletionFloor::of`] its subset
+//!   is *strictly above* the incumbent.  The floor never exceeds what any
+//!   completion must still pay (the [`bound`] module docs), so every
+//!   prefix of an optimal plan survives, exact ties included, and the
+//!   streaming answer equals the materializing one in plan and cost bits.
 
 pub mod bound;
 pub mod coster;
@@ -112,12 +79,9 @@ pub mod multi_param;
 pub mod policy;
 pub mod top_c;
 
-pub use bound::{
-    point_size_product, BoundCheck, EdgeBound, ExpectationBound, LowerBound, MinSupportBound,
-    PruneState, SHARP_MARGIN,
-};
+pub use bound::{point_size_product, CompletionFloor};
 pub use coster::{MemoryCoster, PhaseCoster};
-pub use engine::{plan_space_size, run_search_with, PlanShape, SearchConfig, SearchRun};
+pub use engine::{plan_space_size, run_search_with, DpView, PlanShape, SearchConfig, SearchRun};
 pub use keep_all::KeepAllPolicy;
 pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
@@ -175,24 +139,14 @@ pub struct SearchStats {
     // Shim, always 0: only crates/bench/src/bin/ledger/src/trace.rs reads it.
     #[doc(hidden)]
     pub memo_misses: u64,
-    /// Subsets of 2 to `n − 1` tables whose combine/cost loop never ran:
-    /// the connected ones a bound tier discarded, plus the disconnected
-    /// ones, which the driver does not visit — that share is *counted*
-    /// per level as `C(n, k)` minus the level's connected sets
-    /// (saturating).  Zero unless [`SearchConfig::pruning`] is on and the
-    /// policy provides a bound.
+    /// Always 0: no served search prunes.  This and the next three
+    /// counters stay because the wire and the frozen ledger read them.
     pub pruned_subsets: u64,
-    /// Lower-bound size computations performed for prune checks: one per
-    /// connected non-full subset checked.
+    /// Always 0 (see `pruned_subsets`).
     pub bound_evals: u64,
-    /// Connected prune checks that escalated to the sharp per-edge tier
-    /// ([`bound::PruneState::sharp_subset_floor`]): the cheap floor
-    /// landed within [`bound::SHARP_MARGIN`] of the incumbent.
+    /// Always 0 (see `pruned_subsets`).
     pub sharp_bound_evals: u64,
-    /// Connected prune checks the cheap tier decided alone (pruned
-    /// outright, or kept with the sharp tier out of reach).  Together
-    /// with `sharp_bound_evals` this counts every connected non-full
-    /// subset checked.
+    /// Always 0 (see `pruned_subsets`).
     pub cheap_bound_skips: u64,
     /// Wall-clock optimization time.
     pub elapsed: Duration,
@@ -208,7 +162,7 @@ impl SearchStats {
         self.cache_hits += other.cache_hits;
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
-        self.pruned_subsets = self.pruned_subsets.saturating_add(other.pruned_subsets);
+        self.pruned_subsets += other.pruned_subsets;
         self.bound_evals += other.bound_evals;
         self.sharp_bound_evals += other.sharp_bound_evals;
         self.cheap_bound_skips += other.cheap_bound_skips;

@@ -261,16 +261,4 @@ impl CandidatePolicy for MultiParamPolicy {
         super::keep_best::sort_roots(model, &mut roots);
         roots
     }
-
-    /// Algorithm D's objective is the scalar *expected* completion cost,
-    /// so a single incumbent covers every memory bucket at once; sizes
-    /// are floored through the node distributions' minimum supports
-    /// (clamping and rebucketing only ever raise a distribution's
-    /// minimum), memory by its largest support value.
-    fn pruning_bound(&self, model: &CostModel<'_>) -> Option<Box<dyn super::bound::LowerBound>> {
-        Some(Box::new(super::bound::MinSupportBound::new(
-            model,
-            self.memory.dist.max_value(),
-        )))
-    }
 }

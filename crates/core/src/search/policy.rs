@@ -1,7 +1,7 @@
 //! The candidate-policy axis of the search engine: what each dag node
 //! retains and how a join candidate is costed.
 
-use super::bound::{LowerBound, PruneState};
+use super::engine::DpView;
 use super::keep_best::DpEntry;
 use super::SearchStats;
 use lec_cost::{AccessPath, CostModel};
@@ -137,27 +137,19 @@ pub trait CandidatePolicy {
         stats: &mut SearchStats,
     ) -> Vec<Self::Entry>;
 
-    // ---- branch-and-bound support (opt in; default: bypass) -------------
-    //
-    // A policy opts into [`SearchConfig::pruning`] by returning an
-    // admissible [`LowerBound`]; `None` (the default, and top-c's
-    // answer — a frontier member can survive at a node whose cheapest
-    // completion loses to the incumbent, so no single-incumbent bound is
-    // admissible there) makes the engine skip every prune check.
-    //
-    // [`SearchConfig::pruning`]: super::SearchConfig::pruning
-
-    /// An admissible size bound for branch-and-bound pruning under this
-    /// policy's objective, or `None` to bypass pruning entirely.
-    fn pruning_bound(&self, _model: &CostModel<'_>) -> Option<Box<dyn LowerBound>> {
-        None
+    /// Called once each level below the root is filled, depth 1
+    /// included, with the table so far and that level's subsets in
+    /// increasing bit order.  Does nothing by default; the oracle's
+    /// streaming verifier tightens its incumbent here
+    /// ([`super::KeepAllPolicy::streaming`]).
+    fn after_level(
+        &mut self,
+        _model: &CostModel<'_>,
+        _table: DpView<'_, Self::Entry>,
+        _level: &[TableSet],
+        _stats: &mut SearchStats,
+    ) {
     }
-
-    /// Hand the policy the search's shared [`PruneState`] so policies
-    /// with per-entry discard rules (the keep-all verifier) can consult
-    /// the incumbent inside their combine loops.  Called once per search,
-    /// right after depth 1.
-    fn install_pruning(&mut self, _prune: &std::rc::Rc<PruneState>) {}
 }
 
 /// `a` can substitute for `b`: same order, or `b` needs no order.

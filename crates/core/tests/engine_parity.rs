@@ -156,11 +156,9 @@ proptest! {
     ) {
         let (cat, q) = workload(seed, n);
         let model = CostModel::new(&cat, &q);
-        // Dense bushy spaces can exceed the keep-all verifier's 1M-plan
-        // cap; skip those cases rather than materialize them.
-        if lec_core::search::plan_space_size(&model, PlanShape::Bushy)
-            > lec_core::MAX_EXHAUSTIVE_PLANS
-        {
+        // `unique_optimum` holds every plan: skip dense bushy spaces past
+        // a million plans rather than materialize them.
+        if lec_core::search::plan_space_size(&model, PlanShape::Bushy) > 1_000_000 {
             return Ok(());
         }
         let memory = presets::spread_family(center, 0.6, 4).unwrap();

@@ -12,8 +12,8 @@ use lec_catalog::{Catalog, CatalogGenerator};
 use lec_core::fixtures::{pruning_clique, pruning_star};
 use lec_core::search::{
     insert_entry_shaped, join_output_order, run_search_with, sort_merge_order, CandidatePolicy,
-    DistEntry, DpEntry, JoinContext, Joined, KeepBestPolicy, LowerBound, MultiParamPolicy,
-    PhaseCoster, PlanShape, RootContext, SearchConfig, SearchStats,
+    DistEntry, DpEntry, JoinContext, Joined, KeepBestPolicy, MultiParamPolicy, PhaseCoster,
+    PlanShape, RootContext, SearchConfig, SearchStats,
 };
 use lec_core::{AlgDConfig, MemoryCoster};
 use lec_cost::{CostModel, DistTables};
@@ -87,10 +87,6 @@ impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
         self.policy.finalize(model, ctx, entries, stats)
-    }
-
-    fn pruning_bound(&self, model: &CostModel<'_>) -> Option<Box<dyn LowerBound>> {
-        self.policy.pruning_bound(model)
     }
 }
 
@@ -206,10 +202,6 @@ impl CandidatePolicy for EagerMultiParam {
     ) -> Vec<DistEntry> {
         self.policy.finalize(model, ctx, entries, stats)
     }
-
-    fn pruning_bound(&self, model: &CostModel<'_>) -> Option<Box<dyn LowerBound>> {
-        self.policy.pruning_bound(model)
-    }
 }
 
 /// One entry as a comparison sees it: plan, cost bits, order, and the
@@ -290,29 +282,21 @@ where
     ) -> Vec<P::Entry> {
         self.policy.finalize(model, ctx, entries, stats)
     }
-
-    fn pruning_bound(&self, model: &CostModel<'_>) -> Option<Box<dyn LowerBound>> {
-        self.policy.pruning_bound(model)
-    }
 }
 
-/// Every work counter of a run but `evals`, and the wall time.
-fn counters(s: &SearchStats) -> [u64; 9] {
+/// Every work counter of a run but `evals`.
+fn counters(s: &SearchStats) -> [u64; 5] {
     [
         s.nodes as u64,
         s.candidates,
         s.cache_hits,
         s.memo_hits,
         s.memo_misses,
-        s.pruned_subsets,
-        s.bound_evals,
-        s.sharp_bound_evals,
-        s.cheap_bound_skips,
     ]
 }
 
-/// Run `memoized` and `eager` over `query` under both shapes, with
-/// pruning off and on, and require the same nodes, node by node, the same
+/// Run `memoized` and `eager` over `query` under both shapes, and require
+/// the same nodes, node by node, the same
 /// roots and every counter but `evals` the same, with no more `evals`
 /// for the memoized policy.
 fn assert_priced_once<P, Q>(
@@ -327,28 +311,26 @@ fn assert_priced_once<P, Q>(
     P::Entry: Viewed,
 {
     let model = CostModel::new(catalog, query);
+    let config = SearchConfig::default();
     for shape in [PlanShape::LeftDeep, PlanShape::Bushy] {
-        for pruning in [false, true] {
-            let config = SearchConfig::default().with_pruning(pruning);
-            let ctx = format!("{what}, {shape:?}, pruning {pruning}");
-            let mut fast = Logged {
-                policy: memoized(),
-                nodes: Vec::new(),
-            };
-            let mut slow = Logged {
-                policy: eager(),
-                nodes: Vec::new(),
-            };
-            let got = run_search_with(&model, shape, &mut fast, &config).unwrap();
-            let want = run_search_with(&model, shape, &mut slow, &config).unwrap();
-            assert_eq!(fast.nodes.len(), slow.nodes.len(), "node count, {ctx}");
-            for (k, (g, w)) in fast.nodes.iter().zip(&slow.nodes).enumerate() {
-                assert_eq!(g, w, "node {k}, {ctx}");
-            }
-            assert_eq!(view(&got.roots), view(&want.roots), "roots, {ctx}");
-            assert_eq!(counters(&got.stats), counters(&want.stats), "stats, {ctx}");
-            assert!(got.stats.evals <= want.stats.evals, "evals, {ctx}");
+        let ctx = format!("{what}, {shape:?}");
+        let mut fast = Logged {
+            policy: memoized(),
+            nodes: Vec::new(),
+        };
+        let mut slow = Logged {
+            policy: eager(),
+            nodes: Vec::new(),
+        };
+        let got = run_search_with(&model, shape, &mut fast, &config).unwrap();
+        let want = run_search_with(&model, shape, &mut slow, &config).unwrap();
+        assert_eq!(fast.nodes.len(), slow.nodes.len(), "node count, {ctx}");
+        for (k, (g, w)) in fast.nodes.iter().zip(&slow.nodes).enumerate() {
+            assert_eq!(g, w, "node {k}, {ctx}");
         }
+        assert_eq!(view(&got.roots), view(&want.roots), "roots, {ctx}");
+        assert_eq!(counters(&got.stats), counters(&want.stats), "stats, {ctx}");
+        assert!(got.stats.evals <= want.stats.evals, "evals, {ctx}");
     }
 }
 

@@ -132,18 +132,14 @@ impl CandidatePolicy for EagerTopC {
 }
 
 /// Every work counter of a run but `evals` (the reference prices every
-/// group, the policy every distinct size) and the wall time.
-fn counters(s: &SearchStats) -> [u64; 9] {
+/// group, the policy every distinct size).
+fn counters(s: &SearchStats) -> [u64; 5] {
     [
         s.nodes as u64,
         s.candidates,
         s.cache_hits,
         s.memo_hits,
         s.memo_misses,
-        s.pruned_subsets,
-        s.bound_evals,
-        s.sharp_bound_evals,
-        s.cheap_bound_skips,
     ]
 }
 

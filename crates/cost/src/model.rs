@@ -443,7 +443,7 @@ impl<'a> CostModel<'a> {
 
     /// The indices of the join predicates with both sides in `set`,
     /// ascending.
-    pub fn predicates_within(&self, set: TableSet) -> impl Iterator<Item = usize> + '_ {
+    fn predicates_within(&self, set: TableSet) -> impl Iterator<Item = usize> + '_ {
         self.incident_to(set)
             .filter(move |&p| self.edges[p].ends.is_subset_of(set))
     }

@@ -212,14 +212,6 @@ impl Distribution {
         self.support[0]
     }
 
-    /// The most favourable bucket: the smallest support value together
-    /// with its probability mass.  Admissible size and selectivity
-    /// floors (branch-and-bound pruning, `lec-core`) are built from this
-    /// bucket — no realized value under any bucket can fall below it.
-    pub fn min_bucket(&self) -> (f64, f64) {
-        (self.support[0], self.probs[0])
-    }
-
     /// Largest support value.
     pub fn max_value(&self) -> f64 {
         *self.support.last().expect("non-empty support")
@@ -465,18 +457,6 @@ mod tests {
 
     fn example_memory() -> Distribution {
         Distribution::bimodal(700.0, 2000.0, 0.8).unwrap()
-    }
-
-    #[test]
-    fn min_bucket_is_smallest_support_with_its_mass() {
-        let d = example_memory();
-        let (v, p) = d.min_bucket();
-        assert_eq!(v, d.min_value());
-        assert_eq!(v, 700.0);
-        // `bimodal(lo, hi, p_hi)` puts mass `1 - p_hi` on the low mode.
-        assert!(nearly_equal(p, 0.2));
-        let point = Distribution::point(42.0);
-        assert_eq!(point.min_bucket(), (42.0, 1.0));
     }
 
     #[test]

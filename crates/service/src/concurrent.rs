@@ -59,7 +59,6 @@ use lec_cost::dist_fingerprint;
 use lec_plan::{PlanNode, Query};
 use lec_prob::Distribution;
 use lec_telemetry::{Outcome, Stage, Telemetry, TraceCtx};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -225,17 +224,6 @@ pub struct ConcurrentPlanServer<'a> {
     optimizer: Optimizer<'a>,
     cache: ShapeCache,
     memory_fp: u64,
-    /// Lifetime total of subsets discarded by branch-and-bound pruning
-    /// across every fresh search this server ran (served/coalesced
-    /// responses reuse an already-counted search).
-    pruned_subsets: AtomicU64,
-    /// Lifetime total of lower-bound evaluations across fresh searches.
-    bound_evals: AtomicU64,
-    /// Lifetime total of sharp per-edge bound evaluations (tiered checks
-    /// that escalated past the cheap universal floor).
-    sharp_bound_evals: AtomicU64,
-    /// Lifetime total of tiered checks settled by the cheap floor alone.
-    cheap_bound_skips: AtomicU64,
     /// Observability surface ([`lec_telemetry::Telemetry`]): outcome
     /// latency histograms recorded on every serve, engine histograms
     /// installed into the optimizer, trace ring + slow log fed by traced
@@ -264,10 +252,6 @@ impl<'a> ConcurrentPlanServer<'a> {
             optimizer,
             cache: ShapeCache::new(cache_capacity),
             memory_fp,
-            pruned_subsets: AtomicU64::new(0),
-            bound_evals: AtomicU64::new(0),
-            sharp_bound_evals: AtomicU64::new(0),
-            cheap_bound_skips: AtomicU64::new(0),
             telemetry: None,
         }
     }
@@ -287,18 +271,6 @@ impl<'a> ConcurrentPlanServer<'a> {
     /// The installed telemetry surface, if any.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
-    }
-
-    /// Fold one fresh search's pruning counters into the lifetime totals.
-    fn count_search(&self, stats: &SearchStats) {
-        self.pruned_subsets
-            .fetch_add(stats.pruned_subsets, Ordering::Relaxed);
-        self.bound_evals
-            .fetch_add(stats.bound_evals, Ordering::Relaxed);
-        self.sharp_bound_evals
-            .fetch_add(stats.sharp_bound_evals, Ordering::Relaxed);
-        self.cheap_bound_skips
-            .fetch_add(stats.cheap_bound_skips, Ordering::Relaxed);
     }
 
     /// The optimizer answering cache misses.
@@ -515,7 +487,7 @@ impl<'a> ConcurrentPlanServer<'a> {
 
     /// The cache key: the exact encoding with the memory and mode
     /// fingerprints pushed onto it (it arrives with room for them).  The
-    /// search config stays out: pruning and telemetry never change an answer.
+    /// search config stays out: telemetry never changes an answer.
     fn plan_key(&self, mut exact: Vec<u64>, mode: &Mode) -> PlanKey {
         exact.extend_from_slice(&[self.memory_fp, mode.fingerprint()]);
         PlanKey::new(exact)
@@ -541,17 +513,14 @@ impl<'a> ConcurrentPlanServer<'a> {
         hooks.before_search();
         let search_start = trace.now_ns();
         let result = self.optimizer.optimize(query, mode);
-        let pruned = result.as_ref().map_or(0, |out| out.stats.pruned_subsets);
-        trace.span(Stage::Search, search_start, pruned);
-        let out = result?;
-        self.count_search(&out.stats);
-        Ok(out)
+        let nodes = result.as_ref().map_or(0, |out| out.stats.nodes as u64);
+        trace.span(Stage::Search, search_start, nodes);
+        Ok(result?)
     }
 
     /// Machine-readable service metrics: cache counters (coalescing and
     /// per-reason canonicalizer refusals included), occupancy, the
-    /// exact-hit skew histogram, lifetime branch-and-bound pruning totals
-    /// across every fresh search, and — when telemetry is installed — the
+    /// exact-hit skew histogram, and — when telemetry is installed — the
     /// full observability snapshot (latency histograms with
     /// p50/p90/p99/p999, engine timing, trace ring, slow log).  Keys are
     /// emitted recursively sorted so snapshots diff cleanly across runs.
@@ -561,12 +530,6 @@ impl<'a> ConcurrentPlanServer<'a> {
             "cache_entries": self.cache.len(),
             "cache_capacity": self.cache.capacity(),
             "hit_histogram": self.hit_histogram(),
-            "pruning": {
-                "pruned_subsets": self.pruned_subsets.load(Ordering::Relaxed),
-                "bound_evals": self.bound_evals.load(Ordering::Relaxed),
-                "sharp_bound_evals": self.sharp_bound_evals.load(Ordering::Relaxed),
-                "cheap_bound_skips": self.cheap_bound_skips.load(Ordering::Relaxed),
-            },
             "telemetry": match &self.telemetry {
                 Some(t) => t.snapshot_json(),
                 None => serde_json::Value::Null,
@@ -613,6 +576,7 @@ impl Drop for LeaderGuard<'_> {
 mod tests {
     use super::*;
     use lec_core::fixtures;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// `serve_with` under `hooks`, untraced, with no deadline.
     fn serve_behind(
@@ -765,22 +729,15 @@ mod tests {
     }
 
     #[test]
-    fn refusal_reasons_and_pruning_totals_reach_the_metrics() {
-        use lec_core::SearchConfig;
+    fn refusal_reasons_reach_the_metrics() {
         // The pruning star's reductive spokes are interchangeable twins,
         // so the canonicalizer refuses it — the request still gets a real
-        // (uncacheable) answer, and with pruning enabled that fresh search
-        // contributes its bound counters to the lifetime totals.
+        // (uncacheable) answer.
         let (cat, q) = fixtures::pruning_star(9);
         let memory = lec_prob::presets::spread_family(400.0, 0.5, 4).unwrap();
-        let server = ConcurrentPlanServer::with_optimizer(
-            Optimizer::new(&cat, memory)
-                .with_search_config(SearchConfig::default().with_pruning(true)),
-            DEFAULT_CACHE_CAPACITY,
-        );
+        let server = ConcurrentPlanServer::new(&cat, memory);
         let resp = server.serve(&q, &Mode::AlgorithmC).unwrap();
         assert_eq!(resp.decision, CacheDecision::Uncacheable);
-        assert!(resp.stats.pruned_subsets > 0, "the star must prune");
         let v = server.metrics_json();
         assert_eq!(v["cache"]["refusals"]["twin_tables"].as_f64(), Some(1.0));
         assert_eq!(
@@ -788,26 +745,6 @@ mod tests {
             Some(0.0)
         );
         assert_eq!(v["cache"]["uncacheable"].as_f64(), Some(1.0));
-        assert_eq!(
-            v["pruning"]["pruned_subsets"].as_f64(),
-            Some(resp.stats.pruned_subsets as f64)
-        );
-        assert_eq!(
-            v["pruning"]["bound_evals"].as_f64(),
-            Some(resp.stats.bound_evals as f64)
-        );
-        assert_eq!(
-            v["pruning"]["sharp_bound_evals"].as_f64(),
-            Some(resp.stats.sharp_bound_evals as f64)
-        );
-        assert_eq!(
-            v["pruning"]["cheap_bound_skips"].as_f64(),
-            Some(resp.stats.cheap_bound_skips as f64)
-        );
-        assert!(
-            resp.stats.sharp_bound_evals + resp.stats.cheap_bound_skips > 0,
-            "the tiered check must have run"
-        );
 
         // An oversize query lands in the size-cap bucket.
         let (big_cat, big_q) = fixtures::pruning_chain(13);

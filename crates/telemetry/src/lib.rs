@@ -5,7 +5,7 @@
 //! * [`Histogram`] — lock-free log-scale latency histograms with atomic
 //!   buckets and deterministic merge ([`hist`]). Request outcomes
 //!   (served/coalesced/fresh/shed/error) and engine internals (per-level
-//!   combine, bound evals, cost-model evals) each get one.
+//!   combine, Algorithm D's pair pricing) each get one.
 //! * [`TraceCtx`] / [`TraceRing`] — per-request typed span events collected
 //!   on the stack (zero allocation) and published into a bounded lock-free
 //!   ring with drop-oldest semantics ([`trace`]), plus a slowest-N log with
@@ -224,81 +224,23 @@ const RING_SLOTS_PER_SEGMENT: usize = 64;
 /// Slowest-N requests retained with span breakdowns.
 const SLOW_LOG_SIZE: usize = 16;
 
-/// One DP level's pruning activity, recorded by the search driver when
-/// the level completes: how many subsets the level discarded and how the
-/// tiered bound evaluation split between the sharp per-edge floor and the
-/// cheap universal one.  Deltas of the `SearchStats` counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelPrune {
-    /// DP level (subset size `k`).
-    pub level: u32,
-    /// Subsets this level discarded (structurally or by a bound tier).
-    pub pruned_subsets: u64,
-    /// Checks that escalated to the sharp per-edge floor.
-    pub sharp_bound_evals: u64,
-    /// Checks the cheap universal floor decided alone.
-    pub cheap_bound_skips: u64,
-}
-
-/// Levels retained in [`EngineTelemetry::level_prunes`]; beyond this the
-/// oldest entries are dropped so a long-lived serving process stays
-/// bounded.
-pub const MAX_LEVEL_PRUNES: usize = 64;
-
 /// Engine-internal timing histograms, shared with `lec-core` / `lec-cost`
-/// via `Arc`. All methods are lock-free except the per-level prune trace,
-/// which takes a short mutex once per DP level.
+/// via `Arc`.  Lock-free.
 #[derive(Debug, Default)]
 pub struct EngineTelemetry {
     /// Wall time of each DP level (combine pass over all subsets of size k).
     pub level_combine_ns: Histogram,
-    /// Admissible-bound evaluation time per pruning check.
-    pub bound_eval_ns: Histogram,
     /// Compute time of Algorithm D's per-pair pricing (the four join
     /// expectations of one operand-size pair); scalar-size expectations
     /// are not timed.
     pub eval_compute_ns: Histogram,
-    /// Per-level prune trace, newest last (bounded by
-    /// [`MAX_LEVEL_PRUNES`], drop-oldest).
-    level_prunes: std::sync::Mutex<Vec<LevelPrune>>,
 }
 
 impl EngineTelemetry {
-    /// Append one level's pruning record (driver barrier; once per level).
-    pub fn record_level_prune(&self, rec: LevelPrune) {
-        let mut prunes = self.level_prunes.lock().unwrap_or_else(|p| p.into_inner());
-        if prunes.len() >= MAX_LEVEL_PRUNES {
-            prunes.remove(0);
-        }
-        prunes.push(rec);
-    }
-
-    /// The retained per-level prune trace, oldest first.
-    pub fn level_prunes(&self) -> Vec<LevelPrune> {
-        self.level_prunes
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
     pub fn to_json(&self) -> Value {
-        let levels: Vec<Value> = self
-            .level_prunes()
-            .iter()
-            .map(|l| {
-                json!({
-                    "cheap_bound_skips": l.cheap_bound_skips,
-                    "level": l.level,
-                    "pruned_subsets": l.pruned_subsets,
-                    "sharp_bound_evals": l.sharp_bound_evals,
-                })
-            })
-            .collect();
         json!({
-            "bound_eval": self.bound_eval_ns.snapshot().to_json(),
             "eval_compute": self.eval_compute_ns.snapshot().to_json(),
             "level_combine": self.level_combine_ns.snapshot().to_json(),
-            "level_prunes": levels,
         })
         .sorted()
     }
@@ -447,7 +389,6 @@ impl Telemetry {
             }
         }
         for (stage, h) in [
-            ("bound_eval", &self.engine.bound_eval_ns),
             ("eval_compute", &self.engine.eval_compute_ns),
             ("level_combine", &self.engine.level_combine_ns),
         ] {

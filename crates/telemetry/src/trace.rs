@@ -30,7 +30,8 @@ pub enum Stage {
     CacheProbe = 2,
     /// Blocking on another request's in-flight computation.
     CoalesceWait = 3,
-    /// The DP search itself; `detail` is the number of pruned subsets.
+    /// The DP search itself; `detail` is the number of DP nodes it
+    /// populated.
     Search = 4,
     /// Response encode + flush (daemon only).
     Flush = 5,

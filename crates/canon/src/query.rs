@@ -330,7 +330,7 @@ fn minimal_labeling(query: &Query, r: &Refined) -> Result<(Vec<usize>, Vec<u64>)
     // [`sorted_edge_encoding`]s compose into a nontrivial exact
     // automorphism: the query contains interchangeable twin tables, the
     // DP's sub-root tie-breaks between them are label-dependent
-    // (plan_shape_cmp sees equal fingerprints and falls back to
+    // (the shape tie-break sees equal fingerprints and falls back to
     // first-wins), and a served relabeling could legitimately differ from
     // a fresh search — so the query is declared uncacheable.
     let mut best_sym: Option<Vec<u64>> = None;

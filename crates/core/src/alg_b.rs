@@ -11,7 +11,6 @@ use crate::search::{
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
-use std::sync::Arc;
 
 /// Algorithm B's ranking: the top-`c` plans of every memory
 /// representative, the union EC-ranked.  The outcome's extras carry the
@@ -38,9 +37,10 @@ pub(crate) fn rank_top_c_plans(
         frontier.combinations_examined += f.combinations_examined;
         frontier.bound_total = frontier.bound_total.saturating_add(f.bound_total);
         frontier.groups += f.groups;
-        for e in run.roots {
-            if !candidates.contains(&e.plan) {
-                candidates.push(Arc::unwrap_or_clone(e.plan));
+        for e in &run.roots {
+            let plan = run.plans.node(e.plan);
+            if !candidates.contains(&plan) {
+                candidates.push(plan);
             }
         }
     }

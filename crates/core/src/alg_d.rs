@@ -12,7 +12,6 @@ use crate::search::{
 };
 use lec_cost::CostModel;
 use lec_prob::Distribution;
-use std::sync::Arc;
 
 /// Run Algorithm D.  The outcome's extras carry the winning plan's
 /// result-size distribution and the largest pre-rebucketing product
@@ -30,13 +29,13 @@ pub(crate) fn search(
     }
     let mut policy = MultiParamPolicy::new(memory, config.clone());
     let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, search)?;
-    let (best, stats) = run.into_best();
+    let best = run.best();
     Ok(SearchOutcome {
-        plan: Arc::unwrap_or_clone(best.plan),
+        plan: run.plans.node(best.plan),
         cost: best.cost,
-        stats,
+        stats: run.stats,
         extras: SearchExtras::MultiParam {
-            result_size: Arc::unwrap_or_clone(best.pages).dist,
+            result_size: best.pages.dist.clone(),
             max_product_support: policy.max_product_support,
         },
     })

@@ -18,7 +18,6 @@ use crate::search::{
     SearchOutcome,
 };
 use lec_cost::CostModel;
-use std::sync::Arc;
 
 /// Exhaustively find the optimal plan of `shape` under `coster`'s
 /// objective — the tests' reference oracle: `C(P, m)` for
@@ -36,11 +35,11 @@ pub fn exhaustive_best(
     // Complete plans *costed* (the policy counts them at emission, before
     // any streaming discard).
     let plans_costed = policy.plans_emitted();
-    let (best, stats) = run.into_best();
+    let best = run.best();
     Ok(SearchOutcome {
-        plan: Arc::unwrap_or_clone(best.plan),
+        plan: run.plans.node(best.plan),
         cost: best.cost,
-        stats,
+        stats: run.stats,
         extras: SearchExtras::PlansCosted(plans_costed),
     })
 }

@@ -195,11 +195,12 @@ fn keep_best(
     config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
     let mut policy = KeepBestPolicy::new(coster);
-    let (best, stats) = run_search_with(model, shape, &mut policy, config)?.into_best();
+    let run = run_search_with(model, shape, &mut policy, config)?;
+    let best = run.best();
     Ok(SearchOutcome::new(
-        Arc::unwrap_or_clone(best.plan),
+        run.plans.node(best.plan),
         best.cost,
-        stats,
+        run.stats,
     ))
 }
 

@@ -6,13 +6,12 @@
 //! the *connected* subsets of its size only ([`next_level`]): the walk
 //! costs what the join graph has, not the `2^n` lattice around it.
 //!
-//! Every split of a subset ranks *pending* joins, which borrow their
-//! operands from the table, into one buffer ([`combine_subset`]); the
-//! policy builds the survivors once, after the last split.  A level only
-//! reads the levels below it, so its subsets share that buffer and its
-//! nodes enter the table when the level is done ([`fill_table`]).
+//! A level's entries live in one exactly sized vector ([`fill_table`]),
+//! their plans as steps of the search's [`PlanArena`]; plan trees are
+//! built only for the roots a caller takes ([`SearchRun::plans`]).
 
-use super::policy::{CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry};
+use super::arena::PlanArena;
+use super::policy::{CandidatePolicy, JoinContext, RootContext, SearchEntry};
 use super::SearchStats;
 use crate::error::OptError;
 use lec_cost::{CostModel, Prehashed};
@@ -33,8 +32,35 @@ impl Hash for Subset {
     }
 }
 
-/// The DP table: each populated subset's retained entries.
-type DpTable<E> = HashMap<Subset, Vec<E>, BuildHasherDefault<Prehashed>>;
+/// The DP table: each level's entries in one vector (`levels[k - 1]` for
+/// the `k`-table subsets) and each populated subset's range in its level's.
+pub struct DpTable<E> {
+    ranges: HashMap<Subset, [u32; 2], BuildHasherDefault<Prehashed>>,
+    levels: Vec<Vec<E>>,
+}
+
+impl<E> DpTable<E> {
+    /// The entries retained for `set`, if it is populated.
+    pub fn get(&self, set: TableSet) -> Option<&[E]> {
+        let &[start, end] = self.ranges.get(&Subset(set))?;
+        Some(&self.levels[set.len() - 1][start as usize..end as usize])
+    }
+
+    /// Store the level in hand exactly sized; `level` keeps its capacity.
+    fn push_level(&mut self, level: &mut Vec<E>) {
+        #[allow(clippy::drain_collect)]
+        self.levels.push(level.drain(..).collect());
+    }
+
+    /// Record `set`'s entries, `level[start..]`, if it has any.
+    fn add(&mut self, set: TableSet, level: &[E], start: usize, stats: &mut SearchStats) {
+        if level.len() > start {
+            stats.nodes += 1;
+            let range = [start, level.len()].map(|i| u32::try_from(i).expect("< 2^32 entries"));
+            self.ranges.insert(Subset(set), range);
+        }
+    }
+}
 
 /// How a subset is split into (outer, inner) operand pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,28 +119,24 @@ pub fn next_level(model: &CostModel<'_>, level: &[TableSet]) -> Vec<TableSet> {
 }
 
 /// The engine's raw product: the finalized (order-enforced) root
-/// candidates plus the run's statistics.
+/// candidates, the run's statistics and its plan steps.
 #[derive(Debug, Clone)]
 pub struct SearchRun<E> {
     /// Finalized root candidates; non-empty.
     pub roots: Vec<E>,
     /// Statistics for this run.
     pub stats: SearchStats,
+    /// Every plan step the run built; [`PlanArena::node`] builds a tree.
+    pub plans: PlanArena,
 }
 
-impl<E: SearchEntry + Clone> SearchRun<E> {
+impl<E: SearchEntry> SearchRun<E> {
     /// The cheapest finalized candidate.
     pub fn best(&self) -> &E {
         self.roots
             .iter()
             .min_by(|a, b| a.cost().total_cmp(&b.cost()))
             .expect("run_search_with guarantees a non-empty root list")
-    }
-
-    /// Consume the run, returning the cheapest candidate and the stats.
-    pub fn into_best(self) -> (E, SearchStats) {
-        let best = self.best().clone();
-        (best, self.stats)
     }
 }
 
@@ -172,113 +194,62 @@ impl SearchConfig {
     }
 }
 
-/// Read access to the DP table as filled so far, for
-/// [`CandidatePolicy::after_level`]: each populated subset's retained
-/// entries.
-pub struct DpView<'t, E>(&'t DpTable<E>);
-
-impl<'t, E> DpView<'t, E> {
-    /// The entries retained for `set`, if it is populated.
-    pub fn get(&self, set: TableSet) -> Option<&'t [E]> {
-        self.0.get(&Subset(set)).map(Vec::as_slice)
-    }
-}
-
-/// Combine one connected subset over its operand `splits` — every
-/// split's entry pairs under every method into the level's buffer of
-/// pending joins, whose survivors are then built.  `pending` is scratch
-/// shared by a level's subsets and comes back empty.  `stats.nodes` is
-/// counted here for non-empty results.
-fn combine_subset<'t, P: CandidatePolicy>(
-    model: &CostModel<'_>,
-    policy: &mut P,
-    table: &'t DpTable<P::Entry>,
-    set: TableSet,
-    splits: &[(TableSet, TableSet)],
-    pending: &mut Vec<Joined<'t, P::Size>>,
-    stats: &mut SearchStats,
-) -> Vec<P::Entry> {
-    for &(left, right) in splits {
-        let (Some(outer), Some(inner)) = (table.get(&Subset(left)), table.get(&Subset(right)))
-        else {
-            continue;
-        };
-        let ctx = JoinContext {
-            left,
-            right,
-            result: set,
-            phase: set.len() - 2,
-        };
-        policy.combine(model, &ctx, outer, inner, pending, stats);
-    }
-    // The survivors leave in an exactly sized vector; the buffer keeps its
-    // capacity for the level's next subset.
-    #[allow(clippy::drain_collect)]
-    let entries = policy.build(pending.drain(..).collect());
-    if !entries.is_empty() {
-        stats.nodes += 1;
-    }
-    entries
-}
-
 /// Level 1 of the walk: every table on its own.
 fn singletons(n: usize) -> Vec<TableSet> {
     (0..n).map(TableSet::singleton).collect()
 }
 
-/// DP depth 1: every table's access-path alternatives, keyed by its
-/// singleton set.
-fn access_level<P: CandidatePolicy>(
-    model: &CostModel<'_>,
-    policy: &mut P,
-    stats: &mut SearchStats,
-) -> DpTable<P::Entry> {
-    let mut table = DpTable::default();
-    for idx in 0..model.query().n_tables() {
-        let mut entries = policy.access_entries(model, idx, stats);
-        // A node lives as long as the table: it keeps no spare capacity.
-        entries.shrink_to_fit();
-        if !entries.is_empty() {
-            stats.nodes += 1;
-            table.insert(Subset(TableSet::singleton(idx)), entries);
-        }
-    }
-    table
-}
-
-/// Fill the DP table of an `n ≥ 1`-table query level by level.  A split's
-/// halves are proper subsets, so a level reads only the levels below it:
-/// its subsets share one pending buffer and one splits buffer, and its
-/// nodes enter the table once the whole level is combined.  The policy
-/// sees every level below the root once it is filled
+/// Fill the DP table of an `n ≥ 1`-table query level by level: a subset's
+/// splits rank *pending* joins into one buffer, built after its last split,
+/// and a level (reading only those below it) fills one buffer, stored
+/// exactly sized when done.  The policy sees each level below the root
 /// ([`CandidatePolicy::after_level`]).
 fn fill_table<P: CandidatePolicy>(
     model: &CostModel<'_>,
     shape: PlanShape,
     policy: &mut P,
+    plans: &mut PlanArena,
     config: &SearchConfig,
     stats: &mut SearchStats,
 ) -> DpTable<P::Entry> {
     let n = model.query().n_tables();
-    let mut table = access_level(model, policy, stats);
+    let mut table = DpTable {
+        ranges: HashMap::default(),
+        levels: Vec::with_capacity(n),
+    };
+    let (mut entries, mut splits, mut pending) = (Vec::new(), Vec::new(), Vec::new());
+    for idx in 0..n {
+        let start = entries.len();
+        entries.extend(policy.access_entries(model, plans, idx, stats));
+        table.add(TableSet::singleton(idx), &entries, start, stats);
+    }
+    table.push_level(&mut entries);
     let tel = config.telemetry.as_deref();
     let mut level = singletons(n);
-    let mut splits = Vec::new();
-    let mut nodes = Vec::new();
     // Depths 2..n.
     for _ in 2..=n {
-        policy.after_level(model, DpView(&table), &level, stats);
+        policy.after_level(model, plans, &table, &level, stats);
         let level_start = tel.map(|_| Instant::now());
         level = next_level(model, &level);
-        let mut pending = Vec::new();
         for &set in &level {
             shape.splits(model, set, &mut splits);
-            let entries = combine_subset(model, policy, &table, set, &splits, &mut pending, stats);
-            if !entries.is_empty() {
-                nodes.push((Subset(set), entries));
+            for &(left, right) in &splits {
+                let (Some(outer), Some(inner)) = (table.get(left), table.get(right)) else {
+                    continue;
+                };
+                let ctx = JoinContext {
+                    left,
+                    right,
+                    result: set,
+                    phase: set.len() - 2,
+                };
+                policy.combine(model, plans, &ctx, outer, inner, &mut pending, stats);
             }
+            let start = entries.len();
+            policy.build(plans, &mut pending, &mut entries);
+            table.add(set, &entries, start, stats);
         }
-        table.extend(nodes.drain(..));
+        table.push_level(&mut entries);
         if let (Some(t), Some(t0)) = (tel, level_start) {
             t.level_combine_ns.record_duration(t0.elapsed());
         }
@@ -303,94 +274,108 @@ pub fn run_search_with<P: CandidatePolicy>(
     let start = Instant::now();
     model.reset_evals();
     let mut stats = SearchStats::default();
-    let mut table = fill_table(model, shape, policy, config, &mut stats);
-    let root = table
-        .remove(&Subset(TableSet::full(n)))
-        .ok_or(OptError::NoPlanFound)?;
+    let mut plans = PlanArena::default();
+    let mut table = fill_table(model, shape, policy, &mut plans, config, &mut stats);
+    // Level `n` holds the full set only.
+    let root = table.levels.pop().unwrap_or_default();
+    if root.is_empty() {
+        return Err(OptError::NoPlanFound);
+    }
     let ctx = RootContext { sort_phase: n - 1 };
-    let roots = policy.finalize(model, &ctx, root, &mut stats);
+    let roots = policy.finalize(model, &mut plans, &ctx, root, &mut stats);
     if roots.is_empty() {
         return Err(OptError::NoPlanFound);
     }
     stats.evals = model.evals();
     stats.elapsed = start.elapsed();
-    Ok(SearchRun { roots, stats })
+    Ok(SearchRun {
+        roots,
+        stats,
+        plans,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{KeepBestPolicy, MemoryCoster};
-    use lec_plan::PlanNode;
+    use crate::search::arena::Step;
+    use crate::search::{AlgDConfig, KeepBestPolicy, MemoryCoster, MultiParamPolicy, TopCPolicy};
 
-    /// The DP table is a dag of plan nodes: a level-(k+1) entry *points
-    /// at* the level-k entry it extends, it does not copy it.
+    /// Fill `policy`'s table for `query` under `shape`.
+    fn filled<P: CandidatePolicy>(
+        model: &CostModel<'_>,
+        shape: PlanShape,
+        policy: &mut P,
+    ) -> (DpTable<P::Entry>, PlanArena, SearchStats) {
+        let (mut plans, mut stats) = (PlanArena::default(), SearchStats::default());
+        let config = SearchConfig::default();
+        let table = fill_table(model, shape, policy, &mut plans, &config, &mut stats);
+        (table, plans, stats)
+    }
+
+    /// The DP table is a dag of steps: a composite entry's join step
+    /// names, as its operands, the steps of entries stored for its split's
+    /// two halves — it points at them, it does not copy them.
     #[test]
-    fn an_entry_shares_the_plan_node_of_the_entry_it_extends() {
-        let (cat, q) = crate::fixtures::three_chain();
-        let model = CostModel::new(&cat, &q);
-        let mut policy = KeepBestPolicy::new(MemoryCoster::point(500.0));
-        let mut stats = SearchStats::default();
-        let mut table = access_level(&model, &mut policy, &mut stats);
-        let mut splits = Vec::new();
-        for bits in [0b011u64, 0b110, 0b111] {
-            let set = TableSet::from_bits(bits);
-            PlanShape::LeftDeep.splits(&model, set, &mut splits);
-            let entries = combine_subset(
-                &model,
-                &mut policy,
-                &table,
-                set,
-                &splits,
-                &mut Vec::new(),
-                &mut stats,
-            );
-            assert!(!entries.is_empty());
-            for e in &entries {
-                let PlanNode::Join { outer, inner, .. } = &*e.plan else {
-                    panic!("a composite entry is a join");
-                };
-                for child in [outer, inner] {
-                    assert!(
-                        table[&Subset(child.tables())]
-                            .iter()
-                            .any(|below| Arc::ptr_eq(&below.plan, child)),
-                        "{} must point at a table entry's node",
-                        e.plan.compact()
-                    );
+    fn a_join_step_names_entries_stored_for_its_halves() {
+        let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
+        let runs = [
+            (crate::fixtures::three_chain(), PlanShape::LeftDeep),
+            (crate::fixtures::pruning_clique(5), PlanShape::Bushy),
+        ];
+        for ((cat, q), shape) in &runs {
+            let model = CostModel::new(cat, q);
+            let mut policy = KeepBestPolicy::new(MemoryCoster::fixed(&memory));
+            let (table, plans, _) = filled(&model, *shape, &mut policy);
+            let composites = table.ranges.keys().filter(|Subset(set)| set.len() > 1);
+            for &Subset(set) in composites {
+                for e in table.get(set).unwrap() {
+                    let Step::Join(_, outer, inner) = plans.step(e.plan) else {
+                        panic!("a composite entry is a join step");
+                    };
+                    let halves = [outer, inner].map(|id| (id, plans.node(id).tables()));
+                    assert_eq!(halves[0].1.union(halves[1].1), set, "{shape:?}");
+                    for (id, half) in halves {
+                        let stored = table.get(half).expect("a stored half");
+                        assert!(
+                            stored.iter().any(|below| below.plan == id),
+                            "{shape:?}: {} must point at an entry of {half}",
+                            plans.node(e.plan).compact()
+                        );
+                    }
                 }
             }
-            table.insert(Subset(set), entries);
         }
     }
 
-    /// Fill `policy`'s table for `query` under `shape` and require every
-    /// stored node to hold exactly its entries: a node lives as long as
-    /// the table, so spare capacity is resident memory for nothing.
-    fn assert_nodes_exactly_sized<P: CandidatePolicy>(
+    /// Fill `policy`'s table and require every level's entry vector to
+    /// hold exactly its entries: a level lives as long as the table, so
+    /// spare capacity is resident memory for nothing.
+    fn assert_levels_exactly_sized<P: CandidatePolicy>(
         (cat, q): &(lec_catalog::Catalog, lec_plan::Query),
         shape: PlanShape,
         mut policy: P,
         what: &str,
     ) {
         let model = CostModel::new(cat, q);
-        let mut stats = SearchStats::default();
-        let table = fill_table(
-            &model,
-            shape,
-            &mut policy,
-            &SearchConfig::default(),
-            &mut stats,
+        let (table, _, stats) = filled(&model, shape, &mut policy);
+        assert_eq!(
+            table.ranges.len(),
+            stats.nodes,
+            "{what}: every node is stored"
         );
-        assert_eq!(table.len(), stats.nodes, "{what}: every node is stored");
-        for (Subset(set), node) in &table {
-            assert_eq!(node.capacity(), node.len(), "{what}: node {set}");
+        assert_eq!(
+            table.levels.len(),
+            q.n_tables(),
+            "{what}: one vector per level"
+        );
+        for (k, level) in table.levels.iter().enumerate() {
+            assert_eq!(level.capacity(), level.len(), "{what}: level {}", k + 1);
         }
     }
 
     #[test]
-    fn every_stored_node_is_exactly_sized() {
-        use crate::search::{AlgDConfig, MultiParamPolicy, TopCPolicy};
+    fn every_level_entry_vector_is_exactly_sized() {
         let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
         let runs = [
             (crate::fixtures::pruning_star(9), PlanShape::LeftDeep),
@@ -399,11 +384,11 @@ mod tests {
         for (query, shape) in &runs {
             let what = |policy: &str| format!("{policy}, {shape:?}");
             let keep_best = KeepBestPolicy::new(MemoryCoster::fixed(&memory));
-            assert_nodes_exactly_sized(query, *shape, keep_best, &what("keep-best"));
+            assert_levels_exactly_sized(query, *shape, keep_best, &what("keep-best"));
             let top_c = TopCPolicy::new(memory.mean(), 3);
-            assert_nodes_exactly_sized(query, *shape, top_c, &what("top-c"));
+            assert_levels_exactly_sized(query, *shape, top_c, &what("top-c"));
             let multi_param = MultiParamPolicy::new(&memory, AlgDConfig::default());
-            assert_nodes_exactly_sized(query, *shape, multi_param, &what("multi-param"));
+            assert_levels_exactly_sized(query, *shape, multi_param, &what("multi-param"));
         }
     }
 }

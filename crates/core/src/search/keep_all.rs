@@ -23,13 +23,14 @@
 //! retires the refresh — each later seed walks a longer prefix of a
 //! completion already observed.
 
+use super::arena::PlanArena;
 use super::bound::{point_size_product, CompletionFloor};
 use super::coster::{MemoryCoster, PhaseCoster};
-use super::engine::DpView;
-use super::keep_best::{DpEntry, PricedPairs};
+use super::engine::DpTable;
+use super::keep_best::{build_entries, DpEntry, PricedPairs};
 use super::policy::{
-    access_alternatives, join_output_order, priced, sort_merge_order, CandidatePolicy, JoinContext,
-    Joined, RootContext, SearchEntry,
+    access_alternatives, join_output_order, priced, CandidatePolicy, JoinContext, Joined,
+    RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
@@ -88,14 +89,15 @@ impl<C: PhaseCoster> KeepAllPolicy<C> {
     fn greedy_complete(
         &mut self,
         model: &CostModel<'_>,
-        table: &DpView<'_, DpEntry>,
+        plans: &mut PlanArena,
+        table: &DpTable<DpEntry>,
         seed: TableSet,
         stats: &mut SearchStats,
     ) -> Option<f64> {
         let n = model.query().n_tables();
         let mut set = seed;
         let seed_entries = table.get(seed)?;
-        let mut cur = vec![seed_entries[cheapest_index(seed_entries)?].clone()];
+        let mut cur = vec![seed_entries[cheapest_index(seed_entries)?]];
         while set.len() < n {
             let (_, j) = model
                 .frontier(set)
@@ -111,13 +113,14 @@ impl<C: PhaseCoster> KeepAllPolicy<C> {
                 phase: result.len() - 2,
             };
             let mut out = Vec::new();
-            self.combine(model, &ctx, &cur, table.get(right)?, &mut out, stats);
+            self.combine(model, plans, &ctx, &cur, table.get(right)?, &mut out, stats);
             let best = cheapest_index(&out)?;
-            cur = self.build(vec![out.swap_remove(best)]);
+            cur.clear();
+            self.build(plans, &mut vec![out.swap_remove(best)], &mut cur);
             set = result;
         }
         let ctx = RootContext { sort_phase: n - 1 };
-        self.finalize(model, &ctx, cur, stats)
+        self.finalize(model, plans, &ctx, cur, stats)
             .iter()
             .map(SearchEntry::cost)
             .min_by(|a, b| a.total_cmp(b))
@@ -158,23 +161,24 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        access_alternatives(model, idx)
+        access_alternatives(model, plans, idx)
     }
 
-    fn combine<'t>(
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        _plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [DpEntry],
-        inner: &'t [DpEntry],
-        into: &mut Vec<Joined<'t, f64>>,
+        outer: &[DpEntry],
+        inner: &[DpEntry],
+        into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
-        let sel = model.join_selectivity_sets(ctx.left, ctx.right);
-        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
         let is_root = ctx.result == TableSet::full(model.query().n_tables());
         // The completion floor depends only on the result subset, never on
         // which entries built it: one floor covers every candidate this
@@ -212,26 +216,32 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
                         order: join_output_order(sm_order, oe.order, method),
                         size,
                         method,
-                        outer: &oe.plan,
-                        inner: &ie.plan,
+                        outer: oe.plan,
+                        inner: ie.plan,
                     });
                 }
             }
         }
     }
 
-    fn build(&mut self, mut pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
-        pending.drain(..).map(DpEntry::from).collect()
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        pending: &mut Vec<Joined<f64>>,
+        into: &mut Vec<DpEntry>,
+    ) {
+        build_entries(plans, pending, into);
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         ctx: &RootContext,
         entries: Vec<DpEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        super::keep_best::finalize_with_coster(model, ctx, entries, &self.coster)
+        super::keep_best::finalize_with_coster(model, plans, ctx, entries, &self.coster)
     }
 
     /// A streaming run seeds or tightens its incumbent from the level's
@@ -240,7 +250,8 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
     fn after_level(
         &mut self,
         model: &CostModel<'_>,
-        table: DpView<'_, DpEntry>,
+        plans: &mut PlanArena,
+        table: &DpTable<DpEntry>,
         level: &[TableSet],
         stats: &mut SearchStats,
     ) {
@@ -255,7 +266,7 @@ impl<C: PhaseCoster> CandidatePolicy for KeepAllPolicy<C> {
         let Some((_, seed)) = best.min_by(first_min) else {
             return;
         };
-        if let Some(cost) = self.greedy_complete(model, &table, seed, stats) {
+        if let Some(cost) = self.greedy_complete(model, plans, table, seed, stats) {
             let bound = self.bound.as_mut().expect("a streaming run");
             bound.cost = bound.cost.min(cost);
             bound.retired = cost >= before;

@@ -3,23 +3,32 @@
 //! this is Theorem 2.1's System R baseline; with an expectation coster it
 //! is Algorithm C (Theorems 3.3/3.4); run under the bushy shape it is the
 //! §4 extension.
+//!
+//! A keep-1 `combine` prices and sums every candidate of a split, then
+//! inserts only each group's cheapest ([`for_each_cheapest`]): sort-merge,
+//! Grace or block nested-loop over the split, page nested-loop per outer
+//! entry, so a group shares one output order.  A costlier member is
+//! strictly dominated by a same-order candidate of its split: the insert
+//! rule drops it whenever it arrives, and what it would evict or reject,
+//! the cheaper one does too.  So the node's entries, their order and every
+//! counter stay; exact ties all go in, for the shape tie-break.
 
+use super::arena::{PlanArena, PlanId, Step};
 use super::coster::PhaseCoster;
 use super::policy::{
-    access_alternatives, insert_entry_shaped, join_output_order, plan_shape_cmp, priced,
-    shape_rank, sort_merge_order, CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
+    access_alternatives, insert_entry_shaped, join_output_order, priced, shape_rank,
+    CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
-use lec_plan::{ColumnRef, JoinMethod, OrderProperty, PlanNode};
+use lec_plan::{ColumnRef, JoinMethod, OrderProperty};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// A DP table entry: the cheapest known plan for one (subset, order).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct DpEntry {
-    /// The plan, shared with every entry built on top of it.
-    pub plan: Arc<PlanNode>,
+    /// The plan's step, an input of every entry built on top of it.
+    pub plan: PlanId,
     /// Its cost under the active coster.
     pub cost: f64,
     /// Point-estimated output size in pages.
@@ -35,24 +44,57 @@ impl SearchEntry for DpEntry {
     fn order(&self) -> OrderProperty {
         self.order
     }
-    fn shape_cmp(&self, model: &CostModel<'_>, other: &Self) -> Ordering {
-        plan_shape_cmp(model, &self.plan, &other.plan)
+    fn shape_cmp(&self, model: &CostModel<'_>, plans: &PlanArena, other: &Self) -> Ordering {
+        plans.shape_cmp(model, self.plan, other.plan)
     }
 }
 
-impl From<Joined<'_, f64>> for DpEntry {
-    fn from(j: Joined<'_, f64>) -> Self {
-        DpEntry {
-            plan: j.node(),
-            cost: j.cost,
-            pages: j.size,
-            order: j.order,
-        }
-    }
+/// The `build` of keep-best, top-c and keep-all.
+pub(super) fn build_entries(
+    plans: &mut PlanArena,
+    pending: &mut Vec<Joined<f64>>,
+    into: &mut Vec<DpEntry>,
+) {
+    into.extend(pending.drain(..).map(|j| DpEntry {
+        plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
+        cost: j.cost,
+        pages: j.size,
+        order: j.order,
+    }));
 }
 
 /// (outer pages, inner pages) bits -> (method costs, result pages).
 pub(super) type PricedPairs = Vec<((u64, u64), ([f64; 4], f64))>;
+
+/// Call `insert(i, j, method, cost, size)`, in enumeration order, for each
+/// candidate of one split that is its group's cheapest (module docs);
+/// `sums[i * n_inner + j]` holds outer `i` with inner `j`'s costs and size.
+pub(super) fn for_each_cheapest<S: Copy>(
+    sums: &[([f64; 4], S)],
+    n_inner: usize,
+    mut insert: impl FnMut(usize, usize, JoinMethod, f64, S),
+) {
+    let mut split = [f64::INFINITY; 4];
+    for (costs, _) in sums {
+        split = std::array::from_fn(|k| split[k].min(costs[k]));
+    }
+    for (i, row) in sums.chunks(n_inner.max(1)).enumerate() {
+        // Page nested-loop, `JoinMethod::ALL[2]`, groups per outer entry.
+        let mut min = split;
+        min[2] = row
+            .iter()
+            .fold(f64::INFINITY, |m, (costs, _)| m.min(costs[2]));
+        for (j, &(costs, size)) in row.iter().enumerate() {
+            for (k, method) in JoinMethod::ALL.into_iter().enumerate() {
+                // A NaN cost is above no minimum: the filter keeps it, as the rule does.
+                if costs[k] > min[k] {
+                    continue;
+                }
+                insert(i, j, method, costs[k], size);
+            }
+        }
+    }
+}
 
 /// The keep-1 policy over any [`PhaseCoster`].
 #[derive(Debug, Clone)]
@@ -61,6 +103,8 @@ pub struct KeepBestPolicy<C> {
     pub coster: C,
     /// The size pairs one `combine` call has priced; cleared per call.
     pairs: PricedPairs,
+    /// One `combine` call's candidate costs and sizes per entry pair.
+    sums: Vec<([f64; 4], f64)>,
 }
 
 impl<C: PhaseCoster> KeepBestPolicy<C> {
@@ -69,6 +113,7 @@ impl<C: PhaseCoster> KeepBestPolicy<C> {
         KeepBestPolicy {
             coster,
             pairs: Vec::new(),
+            sums: Vec::new(),
         }
     }
 }
@@ -80,28 +125,30 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
         let mut entries = Vec::new();
-        for e in access_alternatives(model, idx) {
-            insert_entry_shaped(model, &mut entries, e);
+        for e in access_alternatives(model, plans, idx) {
+            insert_entry_shaped(model, plans, &mut entries, e);
         }
         entries
     }
 
-    fn combine<'t>(
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [DpEntry],
-        inner: &'t [DpEntry],
-        into: &mut Vec<Joined<'t, f64>>,
+        outer: &[DpEntry],
+        inner: &[DpEntry],
+        into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
-        let sel = model.join_selectivity_sets(ctx.left, ctx.right);
-        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
         self.pairs.clear();
+        self.sums.clear();
         for oe in outer {
             for ie in inner {
                 let key = (oe.pages.to_bits(), ie.pages.to_bits());
@@ -113,35 +160,44 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
                     let pages = model.join_output_pages(oe.pages, ie.pages, sel);
                     (JoinMethod::ALL.map(cost), pages)
                 });
-                for (method, join_cost) in JoinMethod::ALL.into_iter().zip(costs) {
-                    stats.candidates += 1;
-                    let joined = Joined {
-                        cost: oe.cost + ie.cost + join_cost,
-                        order: join_output_order(sm_order, oe.order, method),
-                        size: pages,
-                        method,
-                        outer: &oe.plan,
-                        inner: &ie.plan,
-                    };
-                    insert_entry_shaped(model, into, joined);
-                }
+                stats.candidates += JoinMethod::ALL.len() as u64;
+                self.sums
+                    .push((costs.map(|join_cost| oe.cost + ie.cost + join_cost), pages));
             }
         }
+        for_each_cheapest(&self.sums, inner.len(), |i, j, method, cost, pages| {
+            let (oe, ie) = (&outer[i], &inner[j]);
+            let joined = Joined {
+                cost,
+                order: join_output_order(sm_order, oe.order, method),
+                size: pages,
+                method,
+                outer: oe.plan,
+                inner: ie.plan,
+            };
+            insert_entry_shaped(model, plans, into, joined);
+        });
     }
 
-    fn build(&mut self, mut pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
-        pending.drain(..).map(DpEntry::from).collect()
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        pending: &mut Vec<Joined<f64>>,
+        into: &mut Vec<DpEntry>,
+    ) {
+        build_entries(plans, pending, into);
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         ctx: &RootContext,
         entries: Vec<DpEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        let mut roots = finalize_with_coster(model, ctx, entries, &self.coster);
-        sort_roots(model, &mut roots);
+        let mut roots = finalize_with_coster(model, plans, ctx, entries, &self.coster);
+        sort_roots(model, plans, &mut roots);
         roots
     }
 }
@@ -150,13 +206,14 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
 /// sort costed by `coster`.  Used by every policy but multi-param.
 pub(super) fn finalize_with_coster<C: PhaseCoster>(
     model: &CostModel<'_>,
+    plans: &mut PlanArena,
     ctx: &RootContext,
     entries: Vec<DpEntry>,
     coster: &C,
 ) -> Vec<DpEntry> {
     sort_where_required(model, entries, |e, key, order| DpEntry {
         cost: e.cost + coster.sort_cost(model, ctx.sort_phase, e.pages),
-        plan: Arc::new(PlanNode::Sort { input: e.plan, key }),
+        plan: plans.push(Step::Sort(e.plan, key)),
         order,
         ..e
     })
@@ -167,7 +224,7 @@ pub(super) fn finalize_with_coster<C: PhaseCoster>(
 pub(super) fn sort_where_required<E: SearchEntry>(
     model: &CostModel<'_>,
     entries: Vec<E>,
-    sort: impl Fn(E, ColumnRef, OrderProperty) -> E,
+    mut sort: impl FnMut(E, ColumnRef, OrderProperty) -> E,
 ) -> Vec<E> {
     let Some(want) = model.query().required_order else {
         return entries;
@@ -184,6 +241,114 @@ pub(super) fn sort_where_required<E: SearchEntry>(
 /// the reported root vector — and [`super::SearchRun::best`]'s
 /// first-minimal pick among exact-cost ties — is independent of the
 /// per-order-class insertion order.
-pub(super) fn sort_roots<E: SearchEntry>(model: &CostModel<'_>, roots: &mut [E]) {
-    roots.sort_by(|a, b| shape_rank(model, a, b));
+pub(super) fn sort_roots<E: SearchEntry>(
+    model: &CostModel<'_>,
+    plans: &PlanArena,
+    roots: &mut [E],
+) {
+    roots.sort_by(|a, b| shape_rank(model, plans, a, b));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lec_plan::TableSet;
+
+    /// A coster pricing each join method at one fixed cost.
+    struct Flat([f64; 4]);
+
+    impl PhaseCoster for Flat {
+        fn join_cost(
+            &self,
+            _model: &CostModel<'_>,
+            _ctx: &JoinContext,
+            method: JoinMethod,
+            _outer: f64,
+            _inner: f64,
+        ) -> f64 {
+            self.0[JoinMethod::ALL.iter().position(|&m| m == method).unwrap()]
+        }
+
+        fn sort_cost(&self, _model: &CostModel<'_>, _phase: usize, _pages: f64) -> f64 {
+            0.0
+        }
+    }
+
+    /// Two outer entries whose sums round to one candidate cost: 1.5 and
+    /// 2.5 vanish into a 10¹⁸ join cost, whose last place is 128.  Both
+    /// are their groups' minimum, so the filter inserts both, and the
+    /// survivor is the one inserting every candidate keeps: the second
+    /// outer entry's Grace join, whose outer is the smaller shape (SM
+    /// before BNL), not the first one enumerated.  A third outer entry's
+    /// sums stay above the minimum and are skipped, but for its own page
+    /// nested-loop group.
+    #[test]
+    fn a_rounding_tie_keeps_the_insert_every_candidate_survivor() {
+        let (cat, q) = crate::fixtures::three_chain();
+        let model = CostModel::new(&cat, &q);
+        let mut plans = PlanArena::default();
+        let [s0, s1, s2] = [0, 1, 2].map(|t| plans.push(Step::SeqScan(t)));
+        let mut entry = |method, cost| DpEntry {
+            plan: plans.push(Step::Join(method, s0, s1)),
+            cost,
+            pages: 10.0,
+            order: OrderProperty::None,
+        };
+        let outer = [
+            entry(JoinMethod::BlockNestedLoop, 1.0),
+            entry(JoinMethod::SortMerge, 2.0),
+            entry(JoinMethod::GraceHash, 1e6),
+        ];
+        let inner = [DpEntry {
+            plan: s2,
+            cost: 0.5,
+            pages: 10.0,
+            order: OrderProperty::None,
+        }];
+        let ctx = JoinContext {
+            left: TableSet::from_bits(0b011),
+            right: TableSet::from_bits(0b100),
+            result: TableSet::from_bits(0b111),
+            phase: 1,
+        };
+        let coster = Flat([4e18, 1e18, 2e18, 3e18]);
+        let (_, sm_order) = model.crossing(ctx.left, ctx.right);
+        let mut want = Vec::new();
+        for (oe, ie) in outer
+            .iter()
+            .flat_map(|oe| inner.iter().map(move |ie| (oe, ie)))
+        {
+            for method in JoinMethod::ALL {
+                let join_cost = coster.join_cost(&model, &ctx, method, oe.pages, ie.pages);
+                let joined = Joined {
+                    cost: oe.cost + ie.cost + join_cost,
+                    order: join_output_order(sm_order, oe.order, method),
+                    size: 0.0,
+                    method,
+                    outer: oe.plan,
+                    inner: ie.plan,
+                };
+                insert_entry_shaped(&model, &plans, &mut want, joined);
+            }
+        }
+        let mut policy = KeepBestPolicy::new(coster);
+        let (mut got, mut stats) = (Vec::new(), SearchStats::default());
+        policy.combine(&model, &plans, &ctx, &outer, &inner, &mut got, &mut stats);
+        assert_eq!(stats.candidates, 12, "every candidate counts");
+        let view = |v: &[Joined<f64>]| -> Vec<_> {
+            v.iter()
+                .map(|j| (j.method, j.outer, j.inner, j.cost.to_bits(), j.order))
+                .collect()
+        };
+        assert_eq!(view(&got), view(&want));
+        let unordered: Vec<_> = got
+            .iter()
+            .filter(|j| j.order == OrderProperty::None)
+            .collect();
+        assert_eq!(unordered.len(), 1);
+        assert_eq!(
+            (unordered[0].method, unordered[0].outer),
+            (JoinMethod::GraceHash, outer[1].plan)
+        );
+    }
 }

@@ -37,6 +37,14 @@
 //! once and its candidates read the stored prices.
 //! [`SearchStats::evals`] counts the formula calls made.
 //!
+//! # Who holds plans
+//!
+//! A search's [`arena::PlanArena`] does: every access path, retained join
+//! and root sort is one step, named by a `u32` [`arena::PlanId`] that DP
+//! entries and pending joins ([`policy::Joined`]) hold.  It leaves with
+//! the roots ([`engine::SearchRun::plans`]), and a caller builds a
+//! [`PlanNode`] tree only for the root it takes ([`SearchOutcome::plan`]).
+//!
 //! # Threading model
 //!
 //! There is none: a search is a plain function call that runs to
@@ -48,28 +56,12 @@
 //! # Bound-based pruning
 //!
 //! Served searches do not prune: every DP mode combines every connected
-//! subset, and nothing in the engine bounds, keeps an incumbent or skips
-//! work.  Branch-and-bound was measured on the served workloads and lost
-//! wall time on every one, so it lives only where it earns its keep: the
-//! exhaustive oracle ([`crate::exhaustive::exhaustive_best`]), whose
-//! streaming keep-all verifier ([`keep_all::KeepAllPolicy::streaming`])
-//! costs every plan of the space but holds only those that might still
-//! win.  Its contract:
-//!
-//! * **Achievable incumbent.**  The incumbent is the *finalized cost of a
-//!   real plan under the run's own objective*: after each level below the
-//!   root ([`policy::CandidatePolicy::after_level`], the engine's one
-//!   hook) the verifier greedily completes the level's cheapest node
-//!   through its own `combine`/`finalize`, so no coster arithmetic is
-//!   replicated.  It tightens only between levels, and the first walk
-//!   that fails to lower it retires the refresh.
-//! * **Admissible floor, strict discard.**  An entry is dropped on
-//!   emission when its cost plus [`bound::CompletionFloor::of`] its subset
-//!   is *strictly above* the incumbent.  The floor never exceeds what any
-//!   completion must still pay (the [`bound`] module docs), so every
-//!   prefix of an optimal plan survives, exact ties included, and the
-//!   streaming answer equals the materializing one in plan and cost bits.
+//! subset.  Branch-and-bound lost wall time on every served workload, so
+//! it lives only in the exhaustive oracle's streaming keep-all verifier:
+//! [`keep_all`]'s module docs hold its incumbent and discard contract,
+//! [`bound`]'s the completion floor's admissibility.
 
+pub mod arena;
 pub mod bound;
 pub mod coster;
 pub mod engine;
@@ -79,15 +71,16 @@ pub mod multi_param;
 pub mod policy;
 pub mod top_c;
 
+pub use arena::{PlanArena, PlanId, Step};
 pub use bound::{point_size_product, CompletionFloor};
 pub use coster::{MemoryCoster, PhaseCoster};
-pub use engine::{plan_space_size, run_search_with, DpView, PlanShape, SearchConfig, SearchRun};
+pub use engine::{plan_space_size, run_search_with, DpTable, PlanShape, SearchConfig, SearchRun};
 pub use keep_all::KeepAllPolicy;
 pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
 pub use policy::{
-    insert_entry_shaped, join_output_order, plan_shape_cmp, sort_merge_order, CandidatePolicy,
-    JoinContext, Joined, RootContext, SearchEntry,
+    insert_entry_shaped, join_output_order, CandidatePolicy, JoinContext, Joined, RootContext,
+    SearchEntry,
 };
 pub use top_c::{insert_top_c, order_run, FrontierStats, TopCPolicy};
 

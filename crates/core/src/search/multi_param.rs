@@ -14,16 +14,18 @@
 //! entry (a table's access entries share one set), and a join's four
 //! method costs depend only on its operands' sizes: so `combine` forms
 //! the product and prices the four methods once per distinct (outer,
-//! inner) size pair, and every entry pair of that pair reads them.
+//! inner) size pair, and every entry pair of that pair reads them; as in
+//! [`super::keep_best`], it inserts only each group's cheapest candidates.
 
-use super::keep_best::sort_where_required;
+use super::arena::{PlanArena, PlanId, Step};
+use super::keep_best::{for_each_cheapest, sort_where_required};
 use super::policy::{
-    access_alternatives, insert_entry_shaped, join_output_order, plan_shape_cmp, priced,
-    sort_merge_order, CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
+    access_alternatives, insert_entry_shaped, join_output_order, priced, CandidatePolicy,
+    JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::{CostModel, DistTables};
-use lec_plan::{JoinMethod, OrderProperty, PlanNode};
+use lec_plan::{JoinMethod, OrderProperty};
 use lec_prob::{Distribution, Rebucket};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -56,8 +58,8 @@ impl Default for AlgDConfig {
 /// bookkeeping).
 #[derive(Debug, Clone)]
 pub struct DistEntry {
-    /// The plan, shared with every entry built on top of it.
-    pub plan: Arc<PlanNode>,
+    /// The plan's step, an input of every entry built on top of it.
+    pub plan: PlanId,
     /// Its expected cost over memory, sizes and selectivities.
     pub cost: f64,
     /// Distribution of the output size in pages, with its prefix tables;
@@ -78,8 +80,8 @@ impl SearchEntry for DistEntry {
     fn order(&self) -> OrderProperty {
         self.order
     }
-    fn shape_cmp(&self, model: &CostModel<'_>, other: &Self) -> Ordering {
-        plan_shape_cmp(model, &self.plan, &other.plan)
+    fn shape_cmp(&self, model: &CostModel<'_>, plans: &PlanArena, other: &Self) -> Ordering {
+        plans.shape_cmp(model, self.plan, other.plan)
     }
 }
 
@@ -96,6 +98,8 @@ pub struct MultiParamPolicy {
     sizes: Vec<Distribution>,
     /// The size pairs one `combine` call has priced, cleared per call.
     pairs: PricedPairs,
+    /// One `combine` call's candidate costs and sizes per entry pair.
+    sums: Vec<([f64; 4], usize)>,
     /// `build`'s per-size slots: each size's tables and fingerprint, built
     /// for the first survivor that has it.
     slots: Vec<Option<(Arc<DistTables>, u64)>>,
@@ -116,6 +120,7 @@ impl MultiParamPolicy {
             config,
             sizes: Vec::new(),
             pairs: Vec::new(),
+            sums: Vec::new(),
             slots: Vec::new(),
             max_product_support: 0,
         }
@@ -157,6 +162,7 @@ impl CandidatePolicy for MultiParamPolicy {
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         _stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
@@ -168,7 +174,7 @@ impl CandidatePolicy for MultiParamPolicy {
         let pages_fp = lec_cost::dist_fingerprint(&pages);
         let pages = Arc::new(DistTables::new(pages));
         let mut entries = Vec::new();
-        for e in access_alternatives(model, idx) {
+        for e in access_alternatives(model, plans, idx) {
             let e = DistEntry {
                 plan: e.plan,
                 cost: e.cost,
@@ -176,24 +182,26 @@ impl CandidatePolicy for MultiParamPolicy {
                 pages_fp,
                 order: e.order,
             };
-            insert_entry_shaped(model, &mut entries, e);
+            insert_entry_shaped(model, plans, &mut entries, e);
         }
         entries
     }
 
-    fn combine<'t>(
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [DistEntry],
-        inner: &'t [DistEntry],
-        into: &mut Vec<Joined<'t, usize>>,
+        outer: &[DistEntry],
+        inner: &[DistEntry],
+        into: &mut Vec<Joined<usize>>,
         stats: &mut SearchStats,
     ) {
         let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
-        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        let sm_order = model.sort_merge_order(ctx.left, ctx.right);
         let mut pairs = std::mem::take(&mut self.pairs);
         pairs.clear();
+        self.sums.clear();
         for oe in outer {
             for ie in inner {
                 let (size, costs) = priced(&mut pairs, (oe.pages_fp, ie.pages_fp), || {
@@ -202,51 +210,58 @@ impl CandidatePolicy for MultiParamPolicy {
                     let costs = model.expected_join_costs_for(&oe.pages, &ie.pages, &self.memory);
                     (self.sizes.len() - 1, costs)
                 });
-                for (method, join_ec) in JoinMethod::ALL.into_iter().zip(costs) {
-                    stats.candidates += 1;
-                    let joined = Joined {
-                        cost: oe.cost + ie.cost + join_ec,
-                        order: join_output_order(sm_order, oe.order, method),
-                        size,
-                        method,
-                        outer: &oe.plan,
-                        inner: &ie.plan,
-                    };
-                    insert_entry_shaped(model, into, joined);
-                }
+                stats.candidates += JoinMethod::ALL.len() as u64;
+                self.sums
+                    .push((costs.map(|join_ec| oe.cost + ie.cost + join_ec), size));
             }
         }
         self.pairs = pairs;
+        for_each_cheapest(&self.sums, inner.len(), |i, j, method, cost, size| {
+            let (oe, ie) = (&outer[i], &inner[j]);
+            let joined = Joined {
+                cost,
+                order: join_output_order(sm_order, oe.order, method),
+                size,
+                method,
+                outer: oe.plan,
+                inner: ie.plan,
+            };
+            insert_entry_shaped(model, plans, into, joined);
+        });
     }
 
     /// Only survivors fingerprint a size distribution and build its
     /// tables, once per size whichever survivors share it.
-    fn build(&mut self, mut pending: Vec<Joined<'_, usize>>) -> Vec<DistEntry> {
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        pending: &mut Vec<Joined<usize>>,
+        into: &mut Vec<DistEntry>,
+    ) {
         self.slots.clear();
         self.slots.resize(self.sizes.len(), None);
         let (sizes, slots) = (&self.sizes, &mut self.slots);
-        let entries = pending.drain(..).map(|j| {
+        into.extend(pending.drain(..).map(|j| {
             let (pages, pages_fp) = slots[j.size].get_or_insert_with(|| {
                 let size = &sizes[j.size];
                 let fp = lec_cost::dist_fingerprint(size);
                 (Arc::new(DistTables::new(size.clone())), fp)
             });
             DistEntry {
-                plan: j.node(),
+                plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
                 cost: j.cost,
                 pages: Arc::clone(pages),
                 pages_fp: *pages_fp,
                 order: j.order,
             }
-        });
-        let entries = entries.collect();
+        }));
         self.sizes.clear();
-        entries
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         _ctx: &RootContext,
         entries: Vec<DistEntry>,
         _stats: &mut SearchStats,
@@ -254,11 +269,11 @@ impl CandidatePolicy for MultiParamPolicy {
         let m_tables = &self.memory.tables;
         let mut roots = sort_where_required(model, entries, |e, key, order| DistEntry {
             cost: e.cost + model.expected_sort_cost_for(&e.pages.dist, m_tables),
-            plan: Arc::new(PlanNode::Sort { input: e.plan, key }),
+            plan: plans.push(Step::Sort(e.plan, key)),
             order,
             ..e
         });
-        super::keep_best::sort_roots(model, &mut roots);
+        super::keep_best::sort_roots(model, plans, &mut roots);
         roots
     }
 }

@@ -1,13 +1,13 @@
 //! The candidate-policy axis of the search engine: what each dag node
 //! retains and how a join candidate is costed.
 
-use super::engine::DpView;
+use super::arena::{PlanArena, PlanId, Step};
+use super::engine::DpTable;
 use super::keep_best::DpEntry;
 use super::SearchStats;
 use lec_cost::{AccessPath, CostModel};
 use lec_plan::{JoinMethod, OrderProperty, PlanNode, TableSet};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// Everything a policy needs to cost one (outer, inner) combination.
 #[derive(Debug, Clone, Copy)]
@@ -37,14 +37,14 @@ pub trait SearchEntry {
     fn cost(&self) -> f64;
     /// Its output order property.
     fn order(&self) -> OrderProperty;
-    /// [`plan_shape_cmp`] of the two candidates' plans, built or not.
-    fn shape_cmp(&self, model: &CostModel<'_>, other: &Self) -> Ordering;
+    /// [`PlanArena::shape_cmp`] of the two candidates' plans, built or not.
+    fn shape_cmp(&self, model: &CostModel<'_>, plans: &PlanArena, other: &Self) -> Ordering;
 }
 
-/// A join candidate not built yet, its operand plans borrowed from the DP
-/// table; `size` is its result size or the policy's handle to one.
+/// A join candidate not built yet: its operands are steps of the search's
+/// [`PlanArena`]; `size` is its result size or the policy's handle to one.
 #[derive(Debug, Clone, Copy)]
-pub struct Joined<'t, S> {
+pub struct Joined<S> {
     /// Its cost under the policy's objective.
     pub cost: f64,
     /// Its output order property.
@@ -54,48 +54,36 @@ pub struct Joined<'t, S> {
     /// The join method.
     pub method: JoinMethod,
     /// The outer operand's plan.
-    pub outer: &'t Arc<PlanNode>,
+    pub outer: PlanId,
     /// The inner operand's plan.
-    pub inner: &'t Arc<PlanNode>,
+    pub inner: PlanId,
 }
 
-impl<S> Joined<'_, S> {
-    /// Its join node, whose children are the operand entries' own nodes:
-    /// the DP table is a dag of plan nodes, one per retained candidate.
-    pub fn node(&self) -> Arc<PlanNode> {
-        Arc::new(PlanNode::Join {
-            method: self.method,
-            outer: Arc::clone(self.outer),
-            inner: Arc::clone(self.inner),
-        })
-    }
-}
-
-impl<S> SearchEntry for Joined<'_, S> {
+impl<S> SearchEntry for Joined<S> {
     fn cost(&self) -> f64 {
         self.cost
     }
     fn order(&self) -> OrderProperty {
         self.order
     }
-    /// [`plan_shape_cmp`] of the two built nodes: method, outer, inner.
-    fn shape_cmp(&self, model: &CostModel<'_>, other: &Self) -> Ordering {
+    /// [`PlanArena::shape_cmp`] of the join steps they build.
+    fn shape_cmp(&self, model: &CostModel<'_>, plans: &PlanArena, other: &Self) -> Ordering {
         self.method
             .cmp(&other.method)
-            .then_with(|| plan_shape_cmp(model, self.outer, other.outer))
-            .then_with(|| plan_shape_cmp(model, self.inner, other.inner))
+            .then_with(|| plans.shape_cmp(model, self.outer, other.outer))
+            .then_with(|| plans.shape_cmp(model, self.inner, other.inner))
     }
 }
 
 /// A retention-and-costing strategy plugged into the engine.
 ///
-/// The engine owns subset enumeration and operand pairing; the policy owns
-/// everything per-candidate: costing, output-order and size bookkeeping,
-/// and which candidates a node keeps.  `combine` emits *pending* joins
-/// ([`Joined`]) into a buffer the engine owns (one per DP level, holding
-/// the subset in hand's survivors), so a losing candidate allocates
-/// nothing; after the subset's last split the engine builds the survivors
-/// once, through `build`.
+/// The engine owns subset enumeration, operand pairing and the search's
+/// [`PlanArena`]; the policy owns everything per-candidate: costing,
+/// output-order and size bookkeeping, and which candidates a node keeps.
+/// `combine` emits *pending* joins ([`Joined`]) into a buffer the engine
+/// owns (holding the subset in hand's survivors), so a losing candidate
+/// builds nothing; after the subset's last split the engine builds the
+/// survivors once, through `build`.
 pub trait CandidatePolicy {
     /// The per-node candidate representation.
     type Entry: SearchEntry + Clone;
@@ -106,6 +94,7 @@ pub trait CandidatePolicy {
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         stats: &mut SearchStats,
     ) -> Vec<Self::Entry>;
@@ -113,25 +102,33 @@ pub trait CandidatePolicy {
     /// Combine every (outer, inner) entry pair under every join method,
     /// retaining pending joins in `into` — which holds the subset's
     /// survivors of earlier splits — under the policy's insert rule.
-    fn combine<'t>(
+    #[allow(clippy::too_many_arguments)]
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [Self::Entry],
-        inner: &'t [Self::Entry],
-        into: &mut Vec<Joined<'t, Self::Size>>,
+        outer: &[Self::Entry],
+        inner: &[Self::Entry],
+        into: &mut Vec<Joined<Self::Size>>,
         stats: &mut SearchStats,
     );
 
-    /// Build one subset's surviving pending joins, in order, into an
-    /// exactly sized node: a node lives as long as the DP table.
-    fn build(&mut self, pending: Vec<Joined<'_, Self::Size>>) -> Vec<Self::Entry>;
+    /// Build one subset's surviving pending joins, in order, onto `into`
+    /// (its level's entries), one join step each; `pending` ends empty.
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        pending: &mut Vec<Joined<Self::Size>>,
+        into: &mut Vec<Self::Entry>,
+    );
 
     /// Enforce the query's required output order on the root candidates
-    /// (wrapping in a sort where needed) and return the survivors.
+    /// (wrapping in a sort step where needed) and return the survivors.
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         ctx: &RootContext,
         entries: Vec<Self::Entry>,
         stats: &mut SearchStats,
@@ -145,7 +142,8 @@ pub trait CandidatePolicy {
     fn after_level(
         &mut self,
         _model: &CostModel<'_>,
-        _table: DpView<'_, Self::Entry>,
+        _plans: &mut PlanArena,
+        _table: &DpTable<Self::Entry>,
         _level: &[TableSet],
         _stats: &mut SearchStats,
     ) {
@@ -163,7 +161,7 @@ pub fn covers(a: OrderProperty, b: OrderProperty) -> bool {
 /// exact cost ties: a strictly stronger order wins, and when two
 /// candidates with equivalent orders cost exactly the same (e.g. the two
 /// orientations of a symmetric-cost join at depth 2), the survivor is the
-/// one smaller under [`plan_shape_cmp`] rather than the one the
+/// one smaller under [`PlanArena::shape_cmp`] rather than the one the
 /// enumeration happened to produce first.
 ///
 /// First-wins tie-breaking is *label-dependent* — subsets are enumerated
@@ -176,7 +174,12 @@ pub fn covers(a: OrderProperty, b: OrderProperty) -> bool {
 /// genuinely indistinguishable twin tables (equal statistics and filters),
 /// where either choice is the same plan up to an automorphism.  Keep-1
 /// nodes insert pending joins ([`Joined`]) and build only the survivors.
-pub fn insert_entry_shaped<T: SearchEntry>(model: &CostModel<'_>, entries: &mut Vec<T>, e: T) {
+pub fn insert_entry_shaped<T: SearchEntry>(
+    model: &CostModel<'_>,
+    plans: &PlanArena,
+    entries: &mut Vec<T>,
+    e: T,
+) {
     let (cost, order) = (e.cost(), e.order());
     for found in entries.iter() {
         let (f_cost, f_order) = (found.cost(), found.order());
@@ -186,7 +189,7 @@ pub fn insert_entry_shaped<T: SearchEntry>(model: &CostModel<'_>, entries: &mut 
                 // equivalent orders the smaller shape survives.
                 || (f_cost == cost
                     && (!covers(order, f_order)
-                        || found.shape_cmp(model, &e) != Ordering::Greater)))
+                        || found.shape_cmp(model, plans, &e) != Ordering::Greater)))
         {
             return;
         }
@@ -195,84 +198,35 @@ pub fn insert_entry_shaped<T: SearchEntry>(model: &CostModel<'_>, entries: &mut 
         !(covers(order, f.order())
             && (cost < f.cost()
                 || (cost == f.cost()
-                    && (!covers(f.order(), order) || e.shape_cmp(model, f) == Ordering::Less))))
+                    && (!covers(f.order(), order)
+                        || e.shape_cmp(model, plans, f) == Ordering::Less))))
     });
     entries.push(e);
 }
 
-/// A total order on plans that is invariant under table renaming: nodes
-/// compare by kind, joins by method then operands, sorts by key *column*
-/// (the table index is label-dependent and excluded), and scans by the
-/// model's [`lec_cost::CostModel::table_shape_fingerprint`] — the table's
-/// observable statistics rather than its query-local number.  Only
-/// consulted on exact cost ties, so it never influences which costs win,
-/// merely which of several equal-cost plans is reported.
-pub fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> Ordering {
-    // Tied candidates of one dag node usually extend the same table entry:
-    // their outer subtrees are then one shared node, not two equal ones.
-    if std::ptr::eq(a, b) {
-        return Ordering::Equal;
-    }
-    fn kind(p: &PlanNode) -> u8 {
-        match p {
-            PlanNode::SeqScan { .. } => 0,
-            PlanNode::IndexScan { .. } => 1,
-            PlanNode::Sort { .. } => 2,
-            PlanNode::Join { .. } => 3,
-        }
-    }
-    match (a, b) {
-        (PlanNode::SeqScan { table: ta }, PlanNode::SeqScan { table: tb })
-        | (PlanNode::IndexScan { table: ta }, PlanNode::IndexScan { table: tb }) => model
-            .table_shape_fingerprint(*ta)
-            .cmp(&model.table_shape_fingerprint(*tb)),
-        (PlanNode::Sort { input: ia, key: ka }, PlanNode::Sort { input: ib, key: kb }) => ka
-            .column
-            .cmp(&kb.column)
-            .then_with(|| plan_shape_cmp(model, ia, ib)),
-        (
-            PlanNode::Join {
-                method: ma,
-                outer: oa,
-                inner: na,
-            },
-            PlanNode::Join {
-                method: mb,
-                outer: ob,
-                inner: nb,
-            },
-        ) => ma
-            .cmp(mb)
-            .then_with(|| plan_shape_cmp(model, oa, ob))
-            .then_with(|| plan_shape_cmp(model, na, nb)),
-        _ => kind(a).cmp(&kind(b)),
-    }
-}
-
 /// The rename-equivariant total order on entries: cost, then
-/// [`plan_shape_cmp`] on exact cost ties, so a table renaming of the query
-/// keeps and reports the same plans (up to relabeling).  Only genuinely
-/// indistinguishable twin tables (equal shape fingerprints, refused by the
-/// canonicalizer's automorphism check) fall back to arrival order.  A
-/// pending join ranks exactly as its built node would.
-pub fn shape_rank<E: SearchEntry>(model: &CostModel<'_>, a: &E, b: &E) -> Ordering {
+/// [`PlanArena::shape_cmp`] on exact cost ties, so a table renaming of
+/// the query keeps and reports the same plans (up to relabeling).  Only
+/// genuinely indistinguishable twin tables (equal shape fingerprints,
+/// refused by the canonicalizer's automorphism check) fall back to
+/// arrival order.  A pending join ranks exactly as its built entry would.
+pub fn shape_rank<E: SearchEntry>(
+    model: &CostModel<'_>,
+    plans: &PlanArena,
+    a: &E,
+    b: &E,
+) -> Ordering {
     a.cost()
         .total_cmp(&b.cost())
-        .then_with(|| a.shape_cmp(model, b))
-}
-
-/// The order a sort-merge join of `left` and `right` delivers
-/// ([`CostModel::sort_merge_order`]).  It depends on the operand *sets*
-/// only, so a policy computes it once per `combine` call, not once per
-/// candidate.
-pub fn sort_merge_order(model: &CostModel<'_>, left: TableSet, right: TableSet) -> OrderProperty {
-    model.sort_merge_order(left, right)
+        .then_with(|| a.shape_cmp(model, plans, b))
 }
 
 /// The output order of joining two composites — the shape-generic form of
 /// the \[SAC+79\] interesting-order rules (left-deep inner singletons are
-/// the special case `right = {j}`).  `sort_merge` is the operand pair's
-/// [`sort_merge_order`].
+/// the special case `right = {j}`).  `sort_merge` is the order a
+/// sort-merge join of the operand pair delivers
+/// ([`CostModel::sort_merge_order`]), which depends on the operand *sets*
+/// only, so a policy reads it once per `combine` call.
 pub fn join_output_order(
     sort_merge: OrderProperty,
     left_order: OrderProperty,
@@ -304,21 +258,26 @@ pub(super) fn priced<K: PartialEq + Copy, V: Copy>(
 }
 
 /// The access-path alternatives of one table, costed, at the table's
-/// point size.  Shared by every policy's depth-1 construction.
-pub fn access_alternatives(model: &CostModel<'_>, idx: usize) -> Vec<DpEntry> {
+/// point size, each a scan step of `plans`.  Shared by every policy's
+/// depth-1 construction.
+pub fn access_alternatives(
+    model: &CostModel<'_>,
+    plans: &mut PlanArena,
+    idx: usize,
+) -> Vec<DpEntry> {
     model
         .access_paths(idx)
         .into_iter()
         .map(|path| {
-            let plan = match path {
-                AccessPath::SeqScan => PlanNode::SeqScan { table: idx },
-                AccessPath::IndexScan => PlanNode::IndexScan { table: idx },
+            let (plan, step) = match path {
+                AccessPath::SeqScan => (PlanNode::SeqScan { table: idx }, Step::SeqScan(idx)),
+                AccessPath::IndexScan => (PlanNode::IndexScan { table: idx }, Step::IndexScan(idx)),
             };
             DpEntry {
                 order: lec_cost::output_order(model, &plan),
                 cost: model.access_cost(path, idx),
                 pages: model.base_pages(idx),
-                plan: Arc::new(plan),
+                plan: plans.push(step),
             }
         })
         .collect()
@@ -341,12 +300,12 @@ mod tests {
     /// below never reach the shape tie-break that would read it.
     fn insert(entries: &mut Vec<DpEntry>, e: DpEntry) {
         let (cat, q) = crate::fixtures::three_chain();
-        insert_entry_shaped(&CostModel::new(&cat, &q), entries, e);
+        insert_entry_shaped(&CostModel::new(&cat, &q), &PlanArena::default(), entries, e);
     }
 
     fn entry(cost: f64, ord: OrderProperty) -> DpEntry {
         DpEntry {
-            plan: Arc::new(PlanNode::SeqScan { table: 0 }),
+            plan: 0,
             cost,
             pages: 10.0,
             order: ord,

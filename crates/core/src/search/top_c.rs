@@ -24,11 +24,12 @@
 //! orders share it), and each (group, method) walk finds its order's run
 //! in the pending buffer once and hands it to every insert.
 
+use super::arena::PlanArena;
 use super::coster::{MemoryCoster, PhaseCoster};
-use super::keep_best::DpEntry;
+use super::keep_best::{build_entries, finalize_with_coster, sort_roots, DpEntry};
 use super::policy::{
-    access_alternatives, join_output_order, priced, shape_rank, sort_merge_order, CandidatePolicy,
-    JoinContext, Joined, RootContext, SearchEntry,
+    access_alternatives, join_output_order, priced, shape_rank, CandidatePolicy, JoinContext,
+    Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
@@ -107,6 +108,7 @@ pub fn order_run<T: SearchEntry>(entries: &[T], order: OrderProperty) -> Range<u
 /// cost tie does not, as rounding can give a later combination that cost.
 pub fn insert_top_c<T: SearchEntry>(
     model: &CostModel<'_>,
+    plans: &PlanArena,
     entries: &mut Vec<T>,
     run: &mut Range<usize>,
     c: usize,
@@ -118,8 +120,8 @@ pub fn insert_top_c<T: SearchEntry>(
     if full && entries[lo..hi].last().is_some_and(|w| w.cost() < e.cost()) {
         return true;
     }
-    let at =
-        lo + entries[lo..hi].partition_point(|f| shape_rank(model, f, &e) != Ordering::Greater);
+    let at = lo
+        + entries[lo..hi].partition_point(|f| shape_rank(model, plans, f, &e) != Ordering::Greater);
     if full {
         if at == hi {
             return false;
@@ -139,28 +141,29 @@ impl CandidatePolicy for TopCPolicy {
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
         let mut entries = Vec::new();
-        for e in access_alternatives(model, idx) {
+        for e in access_alternatives(model, plans, idx) {
             let mut run = order_run(&entries, e.order);
-            insert_top_c(model, &mut entries, &mut run, self.c, e);
+            insert_top_c(model, plans, &mut entries, &mut run, self.c, e);
         }
         entries
     }
 
-    fn combine<'t>(
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [DpEntry],
-        inner: &'t [DpEntry],
-        into: &mut Vec<Joined<'t, f64>>,
+        outer: &[DpEntry],
+        inner: &[DpEntry],
+        into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
-        let sel = model.join_selectivity_sets(ctx.left, ctx.right);
-        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
         // Group the outer list by (order, pages).  `outer` is a top-c node,
         // sorted by (order, cost, shape), so a stable sort on the group key
         // leaves every group cost-sorted with exact cost ties shape-broken
@@ -183,7 +186,7 @@ impl CandidatePolicy for TopCPolicy {
         self.inner_order.clear();
         self.inner_order.extend(0..inner.len());
         self.inner_order
-            .sort_by(|&a, &b| shape_rank(model, &inner[a], &inner[b]));
+            .sort_by(|&a, &b| shape_rank(model, plans, &inner[a], &inner[b]));
         let inner_pages = self.inner_order.first().map_or(0.0, |&i| inner[i].pages);
 
         self.sizes.clear();
@@ -220,11 +223,11 @@ impl CandidatePolicy for TopCPolicy {
                             order,
                             size: pages,
                             method,
-                            outer: &oe.plan,
-                            inner: &ie.plan,
+                            outer: oe.plan,
+                            inner: ie.plan,
                         };
                         // The exact early stop of the module docs.
-                        if insert_top_c(model, into, &mut run, self.c, joined) {
+                        if insert_top_c(model, plans, into, &mut run, self.c, joined) {
                             if i == 0 {
                                 break 'inner;
                             }
@@ -236,19 +239,25 @@ impl CandidatePolicy for TopCPolicy {
         }
     }
 
-    fn build(&mut self, mut pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
-        pending.drain(..).map(DpEntry::from).collect()
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        pending: &mut Vec<Joined<f64>>,
+        into: &mut Vec<DpEntry>,
+    ) {
+        build_entries(plans, pending, into);
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         ctx: &RootContext,
         entries: Vec<DpEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        let mut out = super::keep_best::finalize_with_coster(model, ctx, entries, &self.coster);
-        super::keep_best::sort_roots(model, &mut out);
+        let mut out = finalize_with_coster(model, plans, ctx, entries, &self.coster);
+        sort_roots(model, plans, &mut out);
         out.truncate(self.c);
         out
     }

@@ -228,6 +228,10 @@ fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<
             model.equivalences().sorted_on(q.joins[i].left)
         });
         prop_assert_eq!(model.sort_merge_order(a, b), merge);
+        // The one-walk reader every scalar combine calls agrees with both.
+        let (sel, order) = model.crossing(a, b);
+        prop_assert_eq!(sel.to_bits(), model.join_selectivity_sets(a, b).to_bits());
+        prop_assert_eq!(order, model.sort_merge_order(a, b));
         let buckets: usize = crossing
             .iter()
             .map(|&i| q.joins[i].selectivity.len())

@@ -79,7 +79,7 @@ fn unique_optimum(
         _ => unreachable!("exactly one objective"),
     }
     .expect("keep-all search succeeds on generated workloads");
-    let best = run.best().clone();
+    let best = *run.best();
     let near = run
         .roots
         .iter()
@@ -88,7 +88,7 @@ fn unique_optimum(
             (e.cost() - best.cost).abs() / best.cost.max(1.0) < 1e-6
         })
         .count();
-    (near == 1).then_some((std::sync::Arc::unwrap_or_clone(best.plan), best.cost))
+    (near == 1).then_some((run.plans.node(best.plan), best.cost))
 }
 
 proptest! {

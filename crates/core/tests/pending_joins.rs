@@ -1,42 +1,84 @@
-//! A pending join ([`Joined`]) ranks exactly as the node it builds: the
-//! insert rules compare pending joins, so every tie-break of the built DP
-//! table rests on this.  Operands are real plan nodes of a real search —
-//! every node reachable from Algorithm B's root list — and half of the
-//! pairs are forced to an exact cost tie, so the shape compare decides.
+//! A pending join ([`Joined`]) ranks exactly as the join step it builds,
+//! and the plan arena's step compare equals [`plan_shape_cmp`], the tree
+//! compare it replaced (kept here as the reference), on the trees both
+//! sides materialize: the insert rules compare pending joins and built
+//! entries by their steps, so every tie-break of the built DP table rests
+//! on this.  Operands are real steps of a real search — every step
+//! reachable from Algorithm B's root list — and half of the pairs are
+//! forced to an exact cost tie, so the shape compare decides.
 
 use lec_catalog::CatalogGenerator;
 use lec_core::search::policy::shape_rank;
 use lec_core::search::{
-    plan_shape_cmp, run_search_with, CandidatePolicy, Joined, PlanShape, SearchConfig, SearchEntry,
-    TopCPolicy,
+    run_search_with, CandidatePolicy, Joined, PlanArena, PlanId, PlanShape, SearchConfig,
+    SearchEntry, Step, TopCPolicy,
 };
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, OrderProperty, PlanNode, QueryProfile, Topology, WorkloadGenerator};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::cmp::Ordering;
+
+/// The shape tie-break over plan trees, as the search ran it before plans
+/// lived in an arena: nodes compare by kind, joins by method then
+/// operands, sorts by key column, scans by the table's shape fingerprint.
+fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> Ordering {
+    if std::ptr::eq(a, b) {
+        return Ordering::Equal;
+    }
+    fn kind(p: &PlanNode) -> u8 {
+        match p {
+            PlanNode::SeqScan { .. } => 0,
+            PlanNode::IndexScan { .. } => 1,
+            PlanNode::Sort { .. } => 2,
+            PlanNode::Join { .. } => 3,
+        }
+    }
+    match (a, b) {
+        (PlanNode::SeqScan { table: ta }, PlanNode::SeqScan { table: tb })
+        | (PlanNode::IndexScan { table: ta }, PlanNode::IndexScan { table: tb }) => model
+            .table_shape_fingerprint(*ta)
+            .cmp(&model.table_shape_fingerprint(*tb)),
+        (PlanNode::Sort { input: ia, key: ka }, PlanNode::Sort { input: ib, key: kb }) => ka
+            .column
+            .cmp(&kb.column)
+            .then_with(|| plan_shape_cmp(model, ia, ib)),
+        (
+            PlanNode::Join {
+                method: ma,
+                outer: oa,
+                inner: na,
+            },
+            PlanNode::Join {
+                method: mb,
+                outer: ob,
+                inner: nb,
+            },
+        ) => ma
+            .cmp(mb)
+            .then_with(|| plan_shape_cmp(model, oa, ob))
+            .then_with(|| plan_shape_cmp(model, na, nb)),
+        _ => kind(a).cmp(&kind(b)),
+    }
+}
 
 const TOPOLOGIES: [Topology; 3] = [Topology::Chain, Topology::Star, Topology::Random];
+
+/// `id` and every step below it, shared steps once per path.
+fn steps(plans: &PlanArena, id: PlanId, into: &mut Vec<PlanId>) {
+    into.push(id);
+    match plans.step(id) {
+        Step::Join(_, outer, inner) => {
+            steps(plans, outer, into);
+            steps(plans, inner, into);
+        }
+        Step::Sort(input, _) => steps(plans, input, into),
+        Step::SeqScan(_) | Step::IndexScan(_) => {}
+    }
+}
 
 /// A random (outer pick, inner pick, method index) of a pending join.
 fn join() -> impl Strategy<Value = (usize, usize, usize)> {
     (0usize..1 << 16, 0usize..1 << 16, 0usize..4)
-}
-
-/// Every operand node below `plan`, shared nodes included once per path.
-fn operands(plan: &PlanNode, into: &mut Vec<Arc<PlanNode>>) {
-    match plan {
-        PlanNode::Join { outer, inner, .. } => {
-            for child in [outer, inner] {
-                into.push(Arc::clone(child));
-                operands(child, into);
-            }
-        }
-        PlanNode::Sort { input, .. } => {
-            into.push(Arc::clone(input));
-            operands(input, into);
-        }
-        PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } => {}
-    }
 }
 
 proptest! {
@@ -63,10 +105,10 @@ proptest! {
         let run = run_search_with(&model, PlanShape::LeftDeep, &mut policy, &config).unwrap();
         let mut pool = Vec::new();
         for root in &run.roots {
-            pool.push(Arc::clone(&root.plan));
-            operands(&root.plan, &mut pool);
+            steps(&run.plans, root.plan, &mut pool);
         }
-        let pick = |k: usize| &pool[k % pool.len()];
+        let mut plans = run.plans;
+        let pick = |k: usize| pool[k % pool.len()];
         for ((ao, ai, am), (bo, bi, bm), share, tie) in picks {
             let a = Joined {
                 cost: (ao % 7) as f64,
@@ -77,7 +119,7 @@ proptest! {
                 inner: pick(ai),
             };
             // Shared operands are the common case among tied candidates
-            // of one node: they meet `plan_shape_cmp`'s pointer shortcut.
+            // of one node: they meet the compare's equal-id shortcut.
             let b = Joined {
                 cost: if tie { a.cost } else { (bo % 7) as f64 },
                 method: JoinMethod::ALL[bm],
@@ -85,22 +127,25 @@ proptest! {
                 inner: if share == 2 { a.inner } else { pick(bi) },
                 ..a
             };
-            let built_a = policy.build(vec![a]).remove(0);
-            let built_b = policy.build(vec![b]).remove(0);
-            let PlanNode::Join { outer, inner, .. } = &*built_a.plan else {
-                panic!("a pending join builds a join node");
-            };
-            prop_assert!(Arc::ptr_eq(outer, a.outer) && Arc::ptr_eq(inner, a.inner));
+            let mut built = Vec::new();
+            policy.build(&mut plans, &mut vec![a, b], &mut built);
+            let (built_a, built_b) = (built[0], built[1]);
+            prop_assert_eq!(plans.step(built_a.plan), Step::Join(a.method, a.outer, a.inner));
+            let (tree_a, tree_b) = (plans.node(built_a.plan), plans.node(built_b.plan));
+            let want = plan_shape_cmp(&model, &tree_a, &tree_b);
+            prop_assert_eq!(a.shape_cmp(&model, &plans, &b), want);
+            prop_assert_eq!(built_a.shape_cmp(&model, &plans, &built_b), want);
+            let (x, y) = (pick(ao ^ bo), pick(ai ^ bi));
             prop_assert_eq!(
-                a.shape_cmp(&model, &b),
-                plan_shape_cmp(&model, &built_a.plan, &built_b.plan)
+                plans.shape_cmp(&model, x, y),
+                plan_shape_cmp(&model, &plans.node(x), &plans.node(y))
             );
             prop_assert_eq!(
-                shape_rank(&model, &a, &b),
-                shape_rank(&model, &built_a, &built_b),
+                shape_rank(&model, &plans, &a, &b),
+                shape_rank(&model, &plans, &built_a, &built_b),
                 "{} vs {}",
-                built_a.plan.compact(),
-                built_b.plan.compact()
+                tree_a.compact(),
+                tree_b.compact()
             );
         }
     }

@@ -4,16 +4,19 @@
 //! exactly the nodes — plan, cost bits, order, size — and do exactly the
 //! work, every counter but `evals`, of eager references that price every
 //! candidate.  The references are the policies' combines as they were
-//! before the memo, kept here verbatim.  Both shapes run, because only a
+//! before the memo, kept here verbatim but for signatures: they insert
+//! every candidate, so the node-by-node check also holds each keep-1
+//! combine's insert of only its groups' cheapest candidates to inserting
+//! them all.  Both shapes run, because only a
 //! bushy split gives one call inner entries of different sizes, and the
 //! clamp-heavy fixtures give one subset's entries different sizes.
 
 use lec_catalog::{Catalog, CatalogGenerator};
 use lec_core::fixtures::{pruning_clique, pruning_star};
 use lec_core::search::{
-    insert_entry_shaped, join_output_order, run_search_with, sort_merge_order, CandidatePolicy,
-    DistEntry, DpEntry, JoinContext, Joined, KeepBestPolicy, MultiParamPolicy, PhaseCoster,
-    PlanShape, RootContext, SearchConfig, SearchStats,
+    insert_entry_shaped, join_output_order, run_search_with, CandidatePolicy, DistEntry, DpEntry,
+    JoinContext, Joined, KeepBestPolicy, MultiParamPolicy, PhaseCoster, PlanArena, PlanShape,
+    RootContext, SearchConfig, SearchStats, Step,
 };
 use lec_core::{AlgDConfig, MemoryCoster};
 use lec_cost::{CostModel, DistTables};
@@ -35,23 +38,25 @@ impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.policy.access_entries(model, idx, stats)
+        self.policy.access_entries(model, plans, idx, stats)
     }
 
-    fn combine<'t>(
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [DpEntry],
-        inner: &'t [DpEntry],
-        into: &mut Vec<Joined<'t, f64>>,
+        outer: &[DpEntry],
+        inner: &[DpEntry],
+        into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
-        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        let sm_order = model.sort_merge_order(ctx.left, ctx.right);
         for oe in outer {
             for ie in inner {
                 let pages = model.join_output_pages(oe.pages, ie.pages, sel);
@@ -66,27 +71,33 @@ impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
                         order: join_output_order(sm_order, oe.order, method),
                         size: pages,
                         method,
-                        outer: &oe.plan,
-                        inner: &ie.plan,
+                        outer: oe.plan,
+                        inner: ie.plan,
                     };
-                    insert_entry_shaped(model, into, joined);
+                    insert_entry_shaped(model, plans, into, joined);
                 }
             }
         }
     }
 
-    fn build(&mut self, pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
-        self.policy.build(pending)
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        pending: &mut Vec<Joined<f64>>,
+        into: &mut Vec<DpEntry>,
+    ) {
+        self.policy.build(plans, pending, into);
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         ctx: &RootContext,
         entries: Vec<DpEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.policy.finalize(model, ctx, entries, stats)
+        self.policy.finalize(model, plans, ctx, entries, stats)
     }
 }
 
@@ -141,23 +152,25 @@ impl CandidatePolicy for EagerMultiParam {
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
-        self.policy.access_entries(model, idx, stats)
+        self.policy.access_entries(model, plans, idx, stats)
     }
 
-    fn combine<'t>(
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [DistEntry],
-        inner: &'t [DistEntry],
-        into: &mut Vec<Joined<'t, usize>>,
+        outer: &[DistEntry],
+        inner: &[DistEntry],
+        into: &mut Vec<Joined<usize>>,
         stats: &mut SearchStats,
     ) {
         let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
-        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        let sm_order = model.sort_merge_order(ctx.left, ctx.right);
         for oe in outer {
             for ie in inner {
                 let result_size = self.product_size(&oe.pages.dist, &ie.pages.dist, &sel_dist);
@@ -171,36 +184,40 @@ impl CandidatePolicy for EagerMultiParam {
                         order: join_output_order(sm_order, oe.order, method),
                         size,
                         method,
-                        outer: &oe.plan,
-                        inner: &ie.plan,
+                        outer: oe.plan,
+                        inner: ie.plan,
                     };
-                    insert_entry_shaped(model, into, joined);
+                    insert_entry_shaped(model, plans, into, joined);
                 }
             }
         }
     }
 
-    fn build(&mut self, pending: Vec<Joined<'_, usize>>) -> Vec<DistEntry> {
-        let built = pending.into_iter().map(|j| DistEntry {
-            plan: j.node(),
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        pending: &mut Vec<Joined<usize>>,
+        into: &mut Vec<DistEntry>,
+    ) {
+        into.extend(pending.drain(..).map(|j| DistEntry {
+            plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
             cost: j.cost,
             pages: Arc::new(DistTables::new(self.sizes[j.size].clone())),
             pages_fp: lec_cost::dist_fingerprint(&self.sizes[j.size]),
             order: j.order,
-        });
-        let built = built.collect();
+        }));
         self.sizes.clear();
-        built
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         ctx: &RootContext,
         entries: Vec<DistEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
-        self.policy.finalize(model, ctx, entries, stats)
+        self.policy.finalize(model, plans, ctx, entries, stats)
     }
 }
 
@@ -210,27 +227,27 @@ impl CandidatePolicy for EagerMultiParam {
 type Row = (PlanNode, u64, OrderProperty, Vec<u64>);
 
 trait Viewed {
-    fn row(&self) -> Row;
+    fn row(&self, plans: &PlanArena) -> Row;
 }
 
 impl Viewed for DpEntry {
-    fn row(&self) -> Row {
+    fn row(&self, plans: &PlanArena) -> Row {
         let size = vec![self.pages.to_bits()];
-        ((*self.plan).clone(), self.cost.to_bits(), self.order, size)
+        (plans.node(self.plan), self.cost.to_bits(), self.order, size)
     }
 }
 
 impl Viewed for DistEntry {
-    fn row(&self) -> Row {
+    fn row(&self, plans: &PlanArena) -> Row {
         let d = &self.pages.dist;
         let bits = d.support().iter().chain(d.probs()).map(|v| v.to_bits());
         let size = bits.chain([self.pages_fp]).collect();
-        ((*self.plan).clone(), self.cost.to_bits(), self.order, size)
+        (plans.node(self.plan), self.cost.to_bits(), self.order, size)
     }
 }
 
-fn view<E: Viewed>(entries: &[E]) -> Vec<Row> {
-    entries.iter().map(Viewed::row).collect()
+fn view<E: Viewed>(plans: &PlanArena, entries: &[E]) -> Vec<Row> {
+    entries.iter().map(|e| e.row(plans)).collect()
 }
 
 /// A policy that records every node it builds, in build order.
@@ -249,38 +266,47 @@ where
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         stats: &mut SearchStats,
     ) -> Vec<P::Entry> {
-        self.policy.access_entries(model, idx, stats)
+        self.policy.access_entries(model, plans, idx, stats)
     }
 
-    fn combine<'t>(
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [P::Entry],
-        inner: &'t [P::Entry],
-        into: &mut Vec<Joined<'t, P::Size>>,
+        outer: &[P::Entry],
+        inner: &[P::Entry],
+        into: &mut Vec<Joined<P::Size>>,
         stats: &mut SearchStats,
     ) {
-        self.policy.combine(model, ctx, outer, inner, into, stats);
+        self.policy
+            .combine(model, plans, ctx, outer, inner, into, stats);
     }
 
-    fn build(&mut self, pending: Vec<Joined<'_, P::Size>>) -> Vec<P::Entry> {
-        let built = self.policy.build(pending);
-        self.nodes.push(view(&built));
-        built
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        pending: &mut Vec<Joined<P::Size>>,
+        into: &mut Vec<P::Entry>,
+    ) {
+        let start = into.len();
+        self.policy.build(plans, pending, into);
+        self.nodes.push(view(plans, &into[start..]));
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         ctx: &RootContext,
         entries: Vec<P::Entry>,
         stats: &mut SearchStats,
     ) -> Vec<P::Entry> {
-        self.policy.finalize(model, ctx, entries, stats)
+        self.policy.finalize(model, plans, ctx, entries, stats)
     }
 }
 
@@ -328,7 +354,11 @@ fn assert_priced_once<P, Q>(
         for (k, (g, w)) in fast.nodes.iter().zip(&slow.nodes).enumerate() {
             assert_eq!(g, w, "node {k}, {ctx}");
         }
-        assert_eq!(view(&got.roots), view(&want.roots), "roots, {ctx}");
+        assert_eq!(
+            view(&got.plans, &got.roots),
+            view(&want.plans, &want.roots),
+            "roots, {ctx}"
+        );
         assert_eq!(counters(&got.stats), counters(&want.stats), "stats, {ctx}");
         assert!(got.stats.evals <= want.stats.evals, "evals, {ctx}");
     }

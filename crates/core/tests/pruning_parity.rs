@@ -76,12 +76,12 @@ proptest! {
                 let config = SearchConfig::default();
                 let mut all = KeepAllPolicy::new(coster.clone());
                 let held = run_search_with(&model, shape, &mut all, &config).unwrap();
-                let held = held.best();
+                let (best, plans) = (held.best(), &held.plans);
                 let streamed = exhaustive_best(&model, coster.clone(), shape, &config).unwrap();
-                prop_assert_eq!(&*held.plan, &streamed.plan, "{} {:?}: plan drift", name, shape);
+                prop_assert_eq!(plans.node(best.plan), streamed.plan, "{} {:?}: plan drift", name, shape);
                 prop_assert_eq!(
-                    held.cost.to_bits(), streamed.cost.to_bits(),
-                    "{} {:?}: cost drift ({} vs {})", name, shape, held.cost, streamed.cost
+                    best.cost.to_bits(), streamed.cost.to_bits(),
+                    "{} {:?}: cost drift ({} vs {})", name, shape, best.cost, streamed.cost
                 );
             }
         }

@@ -2,8 +2,8 @@
 //! bushy extension — commutes with table renaming: optimizing a renamed
 //! query returns the original plan relabeled, at the same cost bits.  The
 //! plan cache serves cached plans by relabeling, so it relies on this; the
-//! shape tie-breaks (`plan_shape_cmp`) are what make it hold, and queries
-//! with twin tables — where either tied plan is the same up to an
+//! shape tie-breaks (`PlanArena::shape_cmp`) are what make it hold, and
+//! queries with twin tables — where either tied plan is the same up to an
 //! automorphism — are skipped, as the canonicalizer refuses them.
 
 use lec_catalog::CatalogGenerator;

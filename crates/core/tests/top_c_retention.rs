@@ -3,15 +3,15 @@
 //! scan-for-worst rule kept, and its policy's pending joins, early
 //! frontier stop and once-per-size pricing keep exactly what an eager walk
 //! of the whole frontier, pricing every group, kept.  Both originals are
-//! kept here as references.
+//! kept here as references, changed only to name plans by arena step.
 
 use lec_catalog::{Catalog, CatalogGenerator, ColumnStats, TableStats};
 use lec_core::fixtures::{pruning_clique, pruning_star, three_chain};
 use lec_core::search::policy::shape_rank;
 use lec_core::search::{
-    insert_top_c, join_output_order, order_run, plan_shape_cmp, run_search_with, sort_merge_order,
-    CandidatePolicy, DpEntry, FrontierStats, JoinContext, Joined, MemoryCoster, PhaseCoster,
-    PlanShape, RootContext, SearchConfig, SearchStats, TopCPolicy,
+    insert_top_c, join_output_order, order_run, run_search_with, CandidatePolicy, DpEntry,
+    FrontierStats, JoinContext, Joined, MemoryCoster, PhaseCoster, PlanArena, PlanId, PlanShape,
+    RootContext, SearchConfig, SearchStats, Step, TopCPolicy,
 };
 use lec_cost::CostModel;
 use lec_plan::{
@@ -24,8 +24,9 @@ use std::sync::Arc;
 
 /// Algorithm B's policy as it was before pending joins, the early stop
 /// and once-per-size pricing: its frontier walk verbatim, the methods
-/// priced per group, every admitted combination built and inserted into
-/// the node's list, which `build` then hands over whole.  Access paths
+/// priced per group, every admitted combination inserted into the node's
+/// list (as a join not built yet: the search's arena is read-only inside
+/// a combine), which `build` then builds whole.  Access paths
 /// and finalization are [`TopCPolicy`]'s own.
 struct EagerTopC {
     delegate: TopCPolicy,
@@ -33,7 +34,7 @@ struct EagerTopC {
     c: usize,
     bound: u64,
     frontier: FrontierStats,
-    node: Vec<DpEntry>,
+    node: Vec<Joined<f64>>,
 }
 
 impl EagerTopC {
@@ -56,28 +57,30 @@ impl CandidatePolicy for EagerTopC {
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.delegate.access_entries(model, idx, stats)
+        self.delegate.access_entries(model, plans, idx, stats)
     }
 
-    fn combine<'t>(
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [DpEntry],
-        inner: &'t [DpEntry],
-        _into: &mut Vec<Joined<'t, f64>>,
+        outer: &[DpEntry],
+        inner: &[DpEntry],
+        _into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
-        let sm_order = sort_merge_order(model, ctx.left, ctx.right);
+        let sm_order = model.sort_merge_order(ctx.left, ctx.right);
         let key = |e: &DpEntry| (e.order, e.pages.to_bits());
         let mut outer_list: Vec<&DpEntry> = outer.iter().collect();
         outer_list.sort_by_key(|e| key(e));
         let mut inner_list: Vec<&DpEntry> = inner.iter().collect();
-        inner_list.sort_by(|a, b| shape_rank(model, *a, *b));
+        inner_list.sort_by(|a, b| shape_rank(model, plans, *a, *b));
         let inner_pages = inner_list.first().map(|e| e.pages).unwrap_or(0.0);
 
         for group in outer_list.chunk_by(|a, b| key(a) == key(b)) {
@@ -98,36 +101,40 @@ impl CandidatePolicy for EagerTopC {
                     for oe in group.iter().take(i_max) {
                         self.frontier.combinations_examined += 1;
                         stats.candidates += 1;
-                        let e = DpEntry {
-                            plan: Arc::new(PlanNode::Join {
-                                method,
-                                outer: Arc::clone(&oe.plan),
-                                inner: Arc::clone(&ie.plan),
-                            }),
+                        let e = Joined {
                             cost: oe.cost + ie.cost + join_cost,
-                            pages,
                             order,
+                            size: pages,
+                            method,
+                            outer: oe.plan,
+                            inner: ie.plan,
                         };
                         let mut run = order_run(&self.node, e.order);
-                        insert_top_c(model, &mut self.node, &mut run, self.c, e);
+                        insert_top_c(model, plans, &mut self.node, &mut run, self.c, e);
                     }
                 }
             }
         }
     }
 
-    fn build(&mut self, _pending: Vec<Joined<'_, f64>>) -> Vec<DpEntry> {
-        std::mem::take(&mut self.node)
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        _pending: &mut Vec<Joined<f64>>,
+        into: &mut Vec<DpEntry>,
+    ) {
+        self.delegate.build(plans, &mut self.node, into);
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         ctx: &RootContext,
         entries: Vec<DpEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.delegate.finalize(model, ctx, entries, stats)
+        self.delegate.finalize(model, plans, ctx, entries, stats)
     }
 }
 
@@ -146,10 +153,10 @@ fn counters(s: &SearchStats) -> [u64; 5] {
 type View = Vec<(PlanNode, u64, OrderProperty)>;
 
 /// The comparable content of an entry list: plans, cost bits, orders.
-fn view(entries: &[DpEntry]) -> View {
+fn view(plans: &PlanArena, entries: &[DpEntry]) -> View {
     entries
         .iter()
-        .map(|e| ((*e.plan).clone(), e.cost.to_bits(), e.order))
+        .map(|e| (plans.node(e.plan), e.cost.to_bits(), e.order))
         .collect()
 }
 
@@ -168,38 +175,47 @@ impl<P: CandidatePolicy<Entry = DpEntry>> CandidatePolicy for Logged<P> {
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         idx: usize,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.policy.access_entries(model, idx, stats)
+        self.policy.access_entries(model, plans, idx, stats)
     }
 
-    fn combine<'t>(
+    fn combine(
         &mut self,
         model: &CostModel<'_>,
+        plans: &PlanArena,
         ctx: &JoinContext,
-        outer: &'t [DpEntry],
-        inner: &'t [DpEntry],
-        into: &mut Vec<Joined<'t, P::Size>>,
+        outer: &[DpEntry],
+        inner: &[DpEntry],
+        into: &mut Vec<Joined<P::Size>>,
         stats: &mut SearchStats,
     ) {
-        self.policy.combine(model, ctx, outer, inner, into, stats);
+        self.policy
+            .combine(model, plans, ctx, outer, inner, into, stats);
     }
 
-    fn build(&mut self, pending: Vec<Joined<'_, P::Size>>) -> Vec<DpEntry> {
-        let built = self.policy.build(pending);
-        self.nodes.push(view(&built));
-        built
+    fn build(
+        &mut self,
+        plans: &mut PlanArena,
+        pending: &mut Vec<Joined<P::Size>>,
+        into: &mut Vec<DpEntry>,
+    ) {
+        let start = into.len();
+        self.policy.build(plans, pending, into);
+        self.nodes.push(view(plans, &into[start..]));
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
+        plans: &mut PlanArena,
         ctx: &RootContext,
         entries: Vec<DpEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.policy.finalize(model, ctx, entries, stats)
+        self.policy.finalize(model, plans, ctx, entries, stats)
     }
 }
 
@@ -222,7 +238,11 @@ fn assert_early_stop_is_exact(catalog: &Catalog, query: &Query, memory: f64, c: 
     let want = run_search_with(&model, PlanShape::LeftDeep, &mut eager, &config).unwrap();
     let ctx = format!("c = {c}, m = {memory}");
     assert_eq!(fast.nodes, eager.nodes, "nodes, {ctx}");
-    assert_eq!(view(&got.roots), view(&want.roots), "roots, {ctx}");
+    assert_eq!(
+        view(&got.plans, &got.roots),
+        view(&want.plans, &want.roots),
+        "roots, {ctx}"
+    );
     assert_eq!(
         fast.policy.frontier, eager.policy.frontier,
         "frontier, {ctx}"
@@ -288,11 +308,17 @@ const TOPOLOGIES: [Topology; 3] = [Topology::Chain, Topology::Star, Topology::Ra
 /// worst entry under (cost, shape), the last found among equal-rank worsts;
 /// a full list rejects an equal-rank newcomer and otherwise evicts that
 /// worst; survivors keep arrival order.
-fn reference_insert(model: &CostModel<'_>, c: usize, entries: &mut Vec<DpEntry>, e: DpEntry) {
+fn reference_insert(
+    model: &CostModel<'_>,
+    plans: &PlanArena,
+    c: usize,
+    entries: &mut Vec<DpEntry>,
+    e: DpEntry,
+) {
     let rank = |a: &DpEntry, b: &DpEntry| {
         a.cost
             .total_cmp(&b.cost)
-            .then_with(|| plan_shape_cmp(model, &a.plan, &b.plan))
+            .then_with(|| plans.shape_cmp(model, a.plan, b.plan))
     };
     let mut same = 0usize;
     let mut worst: Option<usize> = None;
@@ -315,7 +341,7 @@ fn reference_insert(model: &CostModel<'_>, c: usize, entries: &mut Vec<DpEntry>,
     entries.push(e);
 }
 
-/// Plans whose shapes tie and differ in every way `plan_shape_cmp` looks
+/// Plans whose shapes tie and differ in every way the shape compare looks
 /// at: scan kind, table, join method, operands.
 fn plan_pool() -> Vec<PlanNode> {
     let scan = |t| Arc::new(PlanNode::SeqScan { table: t });
@@ -335,6 +361,21 @@ fn plan_pool() -> Vec<PlanNode> {
     ]
 }
 
+/// `plan`'s steps appended to `plans`, fresh: the id is this copy's own.
+fn push_tree(plans: &mut PlanArena, plan: &PlanNode) -> PlanId {
+    let step = match plan {
+        PlanNode::SeqScan { table } => Step::SeqScan(*table),
+        PlanNode::IndexScan { table } => Step::IndexScan(*table),
+        PlanNode::Sort { input, key } => Step::Sort(push_tree(plans, input), *key),
+        PlanNode::Join {
+            method,
+            outer,
+            inner,
+        } => Step::Join(*method, push_tree(plans, outer), push_tree(plans, inner)),
+    };
+    plans.push(step)
+}
+
 const COSTS: [f64; 4] = [1.0, 2.0, 3.0, 5.0];
 const CS: [usize; 4] = [1, 2, 3, 5];
 
@@ -351,7 +392,7 @@ proptest! {
 
     /// Random candidate streams with frequent exact ties (four cost values,
     /// repeated plans): every order's run holds the reference survivors,
-    /// plan for plan (the same allocation, not merely an equal plan), in
+    /// plan for plan (the same step, not merely an equal plan), in
     /// (cost, shape) order; the insert reports "beaten" exactly when a
     /// full run's worst costs strictly less than the candidate; and the
     /// run it was handed is the order's run after the insert too.
@@ -365,10 +406,11 @@ proptest! {
         let model = CostModel::new(&cat, &q);
         let c = CS[ci];
         let pool = plan_pool();
+        let mut plans = PlanArena::default();
         let (mut fast, mut reference): (Vec<DpEntry>, Vec<DpEntry>) = (Vec::new(), Vec::new());
         for (k, o, p) in stream {
             let e = DpEntry {
-                plan: Arc::new(pool[p].clone()),
+                plan: push_tree(&mut plans, &pool[p]),
                 cost: COSTS[k],
                 pages: 10.0,
                 order: order(o % n_orders),
@@ -376,15 +418,15 @@ proptest! {
             let run: Vec<&DpEntry> = fast.iter().filter(|f| f.order == e.order).collect();
             let must_skip = run.len() >= c && run.last().is_some_and(|w| w.cost < e.cost);
             let mut run = order_run(&fast, e.order);
-            let beaten = insert_top_c(&model, &mut fast, &mut run, c, e.clone());
+            let beaten = insert_top_c(&model, &plans, &mut fast, &mut run, c, e);
             prop_assert_eq!(beaten, must_skip, "beaten exactly when a full run's worst costs less");
             prop_assert_eq!(&run, &order_run(&fast, e.order), "the run stays current");
-            reference_insert(&model, c, &mut reference, e);
+            reference_insert(&model, &plans, c, &mut reference, e);
         }
         let rank = |a: &DpEntry, b: &DpEntry| {
             a.cost
                 .total_cmp(&b.cost)
-                .then_with(|| plan_shape_cmp(&model, &a.plan, &b.plan))
+                .then_with(|| plans.shape_cmp(&model, a.plan, b.plan))
         };
         prop_assert!(fast.is_sorted_by(|a, b| {
             a.order.cmp(&b.order).then_with(|| rank(a, b)) != Ordering::Greater
@@ -395,7 +437,8 @@ proptest! {
             let got: Vec<&DpEntry> = fast.iter().filter(|e| e.order == order(o)).collect();
             prop_assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
-                prop_assert!(Arc::ptr_eq(&g.plan, &w.plan), "{} vs {}", g.plan.compact(), w.plan.compact());
+                let (gp, wp) = (plans.node(g.plan), plans.node(w.plan));
+                prop_assert_eq!(g.plan, w.plan, "{} vs {}", gp.compact(), wp.compact());
             }
         }
         prop_assert_eq!(fast.len(), reference.len());

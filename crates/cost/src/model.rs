@@ -420,6 +420,16 @@ impl<'a> CostModel<'a> {
             .map_or(OrderProperty::None, |p| self.edges[p].merge_order)
     }
 
+    /// [`Self::join_selectivity_sets`] and [`Self::sort_merge_order`], bit
+    /// for bit, from one walk of the crossing predicates.
+    pub fn crossing(&self, a: TableSet, b: TableSet) -> (f64, OrderProperty) {
+        let mut preds = self.predicates_between(a, b).peekable();
+        let order = preds
+            .peek()
+            .map_or(OrderProperty::None, |&p| self.edges[p].merge_order);
+        (preds.map(|p| self.edges[p].selectivity).product(), order)
+    }
+
     /// Distribution of the combined selectivity of all predicates crossing
     /// two disjoint table sets (the `Pr(σ)` of Figure 1 in bushy-capable
     /// form).

@@ -217,8 +217,6 @@ mod tests {
         )
         .unwrap();
         // The winning plan must end sorted (either via SM order or a Sort).
-        let eq = model.equivalences();
-        let order = lec_cost::output_order(&model, &d.plan);
-        assert!(eq.satisfies(order, q.required_order.unwrap()));
+        assert!(lec_cost::output_order(&model, &d.plan).is_required());
     }
 }

@@ -111,9 +111,9 @@ pub fn diamond() -> (Catalog, Query) {
 
 /// A fixed `n`-table chain over round-number table sizes with a required
 /// output order: the scaling fixture for optimization-effort experiments
-/// (identical shape at every `n`).  The required order keeps sort-merge
-/// entries interesting at every dag node, so nodes carry several
-/// candidates.
+/// (identical shape at every `n`).  The required order is on a column no
+/// predicate joins, so every plan ends in a sort, no sort-merge order is
+/// interesting, and each dag node keeps one candidate.
 pub fn scaling_chain(n: usize) -> (Catalog, Query) {
     assert!(n >= 2, "a chain needs at least two tables");
     let mut catalog = Catalog::new();

@@ -187,7 +187,7 @@ pub fn optimize(
 }
 
 /// The keep-1 DP of Theorems 2.1, 3.3 and 3.4: retain the cheapest plan
-/// per (subset, order) under `coster`.
+/// per (subset, order class) under `coster`.
 fn keep_best(
     model: &CostModel<'_>,
     shape: PlanShape,

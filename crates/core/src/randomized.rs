@@ -121,12 +121,7 @@ impl Search<'_, '_> {
         }
         // Root order enforcement, same rule as the DP.
         match self.model.query().required_order {
-            Some(want)
-                if !self
-                    .model
-                    .equivalences()
-                    .satisfies(output_order(self.model, &plan), want) =>
-            {
+            Some(want) if !output_order(self.model, &plan).is_required() => {
                 PlanNode::sort(plan, want)
             }
             _ => plan,

@@ -1,8 +1,10 @@
 //! The keep-1 policy: per (subset, interesting order), retain the single
-//! cheapest plan under the active [`PhaseCoster`].  With a point coster
-//! this is Theorem 2.1's System R baseline; with an expectation coster it
-//! is Algorithm C (Theorems 3.3/3.4); run under the bushy shape it is the
-//! §4 extension.
+//! cheapest plan under the active [`PhaseCoster`]: one sorted as required
+//! and one other, as no join is cheaper for a sorted input and only the
+//! root's sort consumes an order ([`lec_plan::order`]).  With a point
+//! coster this is Theorem 2.1's System R baseline; with an expectation
+//! coster it is Algorithm C (Theorems 3.3/3.4); run under the bushy shape
+//! it is the §4 extension.
 //!
 //! A keep-1 `combine` prices and sums every candidate of a split, then
 //! inserts only each group's cheapest ([`for_each_cheapest`]): sort-merge,
@@ -24,7 +26,7 @@ use lec_cost::CostModel;
 use lec_plan::{ColumnRef, JoinMethod, OrderProperty};
 use std::cmp::Ordering;
 
-/// A DP table entry: the cheapest known plan for one (subset, order).
+/// A DP table entry: the cheapest known plan for one (subset, order class).
 #[derive(Debug, Clone, Copy)]
 pub struct DpEntry {
     /// The plan's step, an input of every entry built on top of it.
@@ -211,28 +213,27 @@ pub(super) fn finalize_with_coster<C: PhaseCoster>(
     entries: Vec<DpEntry>,
     coster: &C,
 ) -> Vec<DpEntry> {
-    sort_where_required(model, entries, |e, key, order| DpEntry {
+    sort_where_required(model, entries, |e, key| DpEntry {
         cost: e.cost + coster.sort_cost(model, ctx.sort_phase, e.pages),
         plan: plans.push(Step::Sort(e.plan, key)),
-        order,
+        order: OrderProperty::Required,
         ..e
     })
 }
 
 /// Replace every root entry that misses the query's required order with
-/// `sort(entry, key, the order the sort delivers)`.
+/// `sort(entry, the required order's key)`, which delivers it.
 pub(super) fn sort_where_required<E: SearchEntry>(
     model: &CostModel<'_>,
     entries: Vec<E>,
-    mut sort: impl FnMut(E, ColumnRef, OrderProperty) -> E,
+    mut sort: impl FnMut(E, ColumnRef) -> E,
 ) -> Vec<E> {
     let Some(want) = model.query().required_order else {
         return entries;
     };
-    let eq = model.equivalences();
-    let sort_unsorted = |e: E| match eq.satisfies(e.order(), want) {
+    let sort_unsorted = |e: E| match e.order().is_required() {
         true => e,
-        false => sort(e, want, eq.sorted_on(want)),
+        false => sort(e, want),
     };
     entries.into_iter().map(sort_unsorted).collect()
 }
@@ -292,7 +293,7 @@ mod tests {
             plan: plans.push(Step::Join(method, s0, s1)),
             cost,
             pages: 10.0,
-            order: OrderProperty::None,
+            order: OrderProperty::Unsorted,
         };
         let outer = [
             entry(JoinMethod::BlockNestedLoop, 1.0),
@@ -303,7 +304,7 @@ mod tests {
             plan: s2,
             cost: 0.5,
             pages: 10.0,
-            order: OrderProperty::None,
+            order: OrderProperty::Unsorted,
         }];
         let ctx = JoinContext {
             left: TableSet::from_bits(0b011),
@@ -343,7 +344,7 @@ mod tests {
         assert_eq!(view(&got), view(&want));
         let unordered: Vec<_> = got
             .iter()
-            .filter(|j| j.order == OrderProperty::None)
+            .filter(|j| j.order == OrderProperty::Unsorted)
             .collect();
         assert_eq!(unordered.len(), 1);
         assert_eq!(

@@ -267,10 +267,10 @@ impl CandidatePolicy for MultiParamPolicy {
         _stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
         let m_tables = &self.memory.tables;
-        let mut roots = sort_where_required(model, entries, |e, key, order| DistEntry {
+        let mut roots = sort_where_required(model, entries, |e, key| DistEntry {
             cost: e.cost + model.expected_sort_cost_for(&e.pages.dist, m_tables),
             plan: plans.push(Step::Sort(e.plan, key)),
-            order,
+            order: OrderProperty::Required,
             ..e
         });
         super::keep_best::sort_roots(model, plans, &mut roots);

@@ -6,7 +6,7 @@ use super::engine::DpTable;
 use super::keep_best::DpEntry;
 use super::SearchStats;
 use lec_cost::{AccessPath, CostModel};
-use lec_plan::{JoinMethod, OrderProperty, PlanNode, TableSet};
+use lec_plan::{JoinMethod, OrderProperty, TableSet};
 use std::cmp::Ordering;
 
 /// Everything a policy needs to cost one (outer, inner) combination.
@@ -150,19 +150,30 @@ pub trait CandidatePolicy {
     }
 }
 
-/// `a` can substitute for `b`: same order, or `b` needs no order.
+/// `a` can substitute for `b`: `a` is sorted as required, or `b` is not —
+/// only the required order is interesting ([`lec_plan::order`]).
 pub fn covers(a: OrderProperty, b: OrderProperty) -> bool {
-    a == b || b == OrderProperty::None
+    a.is_required() || !b.is_required()
+}
+
+/// How two candidates of equal cost rank: the stronger order first, then
+/// the smaller shape under [`PlanArena::shape_cmp`].
+fn tie_rank<E: SearchEntry>(model: &CostModel<'_>, plans: &PlanArena, a: &E, b: &E) -> Ordering {
+    b.order()
+        .cmp(&a.order())
+        .then_with(|| a.shape_cmp(model, plans, b))
 }
 
 /// Insert with domination pruning — keep an entry only if no other entry
 /// with a covering order is cheaper, the System R interesting-order rule
-/// shared by every keep-1 policy — and a *label-independent* resolution of
-/// exact cost ties: a strictly stronger order wins, and when two
-/// candidates with equivalent orders cost exactly the same (e.g. the two
-/// orientations of a symmetric-cost join at depth 2), the survivor is the
-/// one smaller under [`PlanArena::shape_cmp`] rather than the one the
-/// enumeration happened to produce first.
+/// shared by every keep-1 policy: one entry sorted as required, one for
+/// the rest — and a *label-independent* resolution of exact cost ties: a
+/// stronger order wins (an incidental sort over none, so a tie reports the
+/// plan a search keeping every sort class would), and when two candidates
+/// with equal orders cost exactly the same (e.g. the two orientations of a
+/// symmetric-cost join at depth 2), the survivor is the one smaller under
+/// [`PlanArena::shape_cmp`] rather than the one the enumeration happened
+/// to produce first.
 ///
 /// First-wins tie-breaking is *label-dependent* — subsets are enumerated
 /// in table-index order, so renaming the tables of a query can flip which
@@ -181,25 +192,18 @@ pub fn insert_entry_shaped<T: SearchEntry>(
     e: T,
 ) {
     let (cost, order) = (e.cost(), e.order());
-    for found in entries.iter() {
-        let (f_cost, f_order) = (found.cost(), found.order());
-        if covers(f_order, order)
-            && (f_cost < cost
-                // A strictly stronger order at equal cost dominates; for
-                // equivalent orders the smaller shape survives.
-                || (f_cost == cost
-                    && (!covers(order, f_order)
-                        || found.shape_cmp(model, plans, &e) != Ordering::Greater)))
-        {
-            return;
-        }
+    let kept = |f: &T| {
+        covers(f.order(), order)
+            && (f.cost() < cost
+                || (f.cost() == cost && tie_rank(model, plans, f, &e) != Ordering::Greater))
+    };
+    if entries.iter().any(kept) {
+        return;
     }
     entries.retain(|f| {
         !(covers(order, f.order())
             && (cost < f.cost()
-                || (cost == f.cost()
-                    && (!covers(f.order(), order)
-                        || e.shape_cmp(model, plans, f) == Ordering::Less))))
+                || (cost == f.cost() && tie_rank(model, plans, &e, f) == Ordering::Less)))
     });
     entries.push(e);
 }
@@ -235,7 +239,7 @@ pub fn join_output_order(
     match method {
         JoinMethod::SortMerge => sort_merge,
         JoinMethod::PageNestedLoop => left_order,
-        JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::None,
+        JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::Unsorted,
     }
 }
 
@@ -269,12 +273,12 @@ pub fn access_alternatives(
         .access_paths(idx)
         .into_iter()
         .map(|path| {
-            let (plan, step) = match path {
-                AccessPath::SeqScan => (PlanNode::SeqScan { table: idx }, Step::SeqScan(idx)),
-                AccessPath::IndexScan => (PlanNode::IndexScan { table: idx }, Step::IndexScan(idx)),
+            let (step, order) = match path {
+                AccessPath::SeqScan => (Step::SeqScan(idx), OrderProperty::Unsorted),
+                AccessPath::IndexScan => (Step::IndexScan(idx), model.index_scan_order(idx)),
             };
             DpEntry {
-                order: lec_cost::output_order(model, &plan),
+                order,
                 cost: model.access_cost(path, idx),
                 pages: model.base_pages(idx),
                 plan: plans.push(step),
@@ -287,14 +291,8 @@ pub fn access_alternatives(
 mod tests {
     use super::*;
     use crate::search::keep_best::DpEntry;
-    use lec_plan::ColumnRef;
-
-    fn order(c: Option<(usize, usize)>) -> OrderProperty {
-        match c {
-            Some((t, col)) => OrderProperty::Sorted(ColumnRef::new(t, col)),
-            None => OrderProperty::None,
-        }
-    }
+    use crate::search::{insert_top_c, order_run};
+    use OrderProperty::{Incidental, Required, Unsorted};
 
     /// [`insert_entry_shaped`] under some model: the domination rules
     /// below never reach the shape tie-break that would read it.
@@ -314,62 +312,121 @@ mod tests {
 
     #[test]
     fn cheaper_same_order_replaces() {
-        let mut v = vec![entry(10.0, order(None))];
-        insert(&mut v, entry(5.0, order(None)));
+        let mut v = vec![entry(10.0, Unsorted)];
+        insert(&mut v, entry(5.0, Unsorted));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].cost, 5.0);
     }
 
     #[test]
     fn more_expensive_same_order_is_dropped() {
-        let mut v = vec![entry(5.0, order(None))];
-        insert(&mut v, entry(10.0, order(None)));
+        let mut v = vec![entry(5.0, Unsorted)];
+        insert(&mut v, entry(10.0, Unsorted));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].cost, 5.0);
     }
 
     #[test]
     fn sorted_entry_dominates_equal_cost_unsorted() {
-        let mut v = vec![entry(5.0, order(None))];
-        insert(&mut v, entry(5.0, order(Some((0, 0)))));
+        let mut v = vec![entry(5.0, Unsorted)];
+        insert(&mut v, entry(5.0, Required));
         // The sorted entry covers the unsorted one at equal cost.
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].order, order(Some((0, 0))));
+        assert_eq!(v[0].order, Required);
     }
 
     #[test]
     fn expensive_sorted_entry_coexists_with_cheap_unsorted() {
-        let mut v = vec![entry(5.0, order(None))];
-        insert(&mut v, entry(8.0, order(Some((0, 0)))));
+        let mut v = vec![entry(5.0, Unsorted)];
+        insert(&mut v, entry(8.0, Required));
         assert_eq!(v.len(), 2, "an interesting order justifies extra cost");
     }
 
     #[test]
     fn unsorted_never_dominates_sorted() {
-        let mut v = vec![entry(8.0, order(Some((0, 0))))];
-        insert(&mut v, entry(5.0, order(None)));
+        let mut v = vec![entry(8.0, Required)];
+        insert(&mut v, entry(5.0, Unsorted));
         assert_eq!(v.len(), 2);
     }
 
+    /// One entry per class: an incidental sort and the required one
+    /// coexist when the incidental one is cheaper, and lose to it at an
+    /// equal cost.
     #[test]
-    fn different_sort_orders_coexist() {
-        let mut v = vec![entry(5.0, order(Some((0, 0))))];
-        insert(&mut v, entry(5.0, order(Some((1, 1)))));
+    fn different_sort_orders_coexist_only_across_classes() {
+        let mut v = vec![entry(5.0, Required)];
+        insert(&mut v, entry(4.0, Incidental));
         assert_eq!(v.len(), 2);
+        let mut v = vec![entry(5.0, Required)];
+        insert(&mut v, entry(5.0, Incidental));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].order, Required);
     }
 
     #[test]
     fn cheap_sorted_kills_expensive_everything() {
-        let mut v = vec![
-            entry(9.0, order(None)),
-            entry(12.0, order(Some((0, 0)))),
-            entry(7.0, order(Some((1, 1)))),
+        for other in [Unsorted, Incidental] {
+            let mut v = vec![entry(9.0, other), entry(12.0, Required)];
+            insert(&mut v, entry(3.0, Required));
+            // Kills the costlier entry of the other class and the
+            // same-order 12.0.
+            assert_eq!(v.len(), 1);
+            assert_eq!((v[0].cost, v[0].order), (3.0, Required));
+        }
+    }
+
+    #[test]
+    fn at_an_exact_tie_incidental_beats_unsorted() {
+        let mut v = vec![entry(5.0, Unsorted)];
+        insert(&mut v, entry(5.0, Incidental));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].order, Incidental, "the incidental newcomer evicts");
+        insert(&mut v, entry(5.0, Unsorted));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].order, Incidental, "an unsorted newcomer is dropped");
+    }
+
+    #[test]
+    fn a_strictly_cheaper_unsorted_entry_evicts_an_incidental_one() {
+        let mut v = vec![entry(5.0, Incidental)];
+        insert(&mut v, entry(4.0, Unsorted));
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].cost, v[0].order), (4.0, Unsorted));
+    }
+
+    #[test]
+    fn sorted_as_required_is_never_dominated_by_a_cheaper_other_entry() {
+        for other in [Unsorted, Incidental] {
+            let mut v = vec![entry(8.0, Required)];
+            insert(&mut v, entry(1.0, other));
+            assert_eq!(v.len(), 2);
+            assert!(v.iter().any(|e| (e.cost, e.order) == (8.0, Required)));
+        }
+    }
+
+    /// With `c = 2`, unsorted and incidental entries share one run of two,
+    /// ranked by cost then shape (an equal-rank newcomer goes last), and an
+    /// entry sorted as required gets a run of its own.
+    #[test]
+    fn top_c_keeps_one_run_for_unsorted_and_incidental_entries() {
+        let (cat, q) = crate::fixtures::three_chain();
+        let model = CostModel::new(&cat, &q);
+        let plans = PlanArena::default();
+        let mut v: Vec<DpEntry> = Vec::new();
+        let stream = [
+            (5.0, Unsorted),
+            (9.0, Required),
+            (4.0, Incidental),
+            (3.0, Unsorted),
+            (3.0, Incidental),
         ];
-        insert(&mut v, entry(3.0, order(Some((0, 0)))));
-        // Kills the unsorted 9.0 and the same-order 12.0; the (1,1) order
-        // at 7.0 survives (incomparable).
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().any(|e| e.cost == 3.0));
-        assert!(v.iter().any(|e| e.cost == 7.0));
+        for (cost, order) in stream {
+            let mut run = order_run(&v, order);
+            insert_top_c(&model, &plans, &mut v, &mut run, 2, entry(cost, order));
+        }
+        assert_eq!(order_run(&v, Unsorted), order_run(&v, Incidental));
+        assert_eq!(order_run(&v, Unsorted), 0..2);
+        let kept: Vec<_> = v.iter().map(|e| (e.cost, e.order)).collect();
+        assert_eq!(kept, [(3.0, Unsorted), (3.0, Incidental), (9.0, Required)]);
     }
 }

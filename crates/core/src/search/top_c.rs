@@ -19,10 +19,13 @@
 //! that rejects a combination on cost would reject the rest of its outer
 //! group too (and, if it was the group's cheapest, every later inner's).
 //!
-//! Within one `combine` call the inner size is fixed, so the join methods
-//! are priced once per distinct outer page count (groups of different
-//! orders share it), and each (group, method) walk finds its order's run
-//! in the pending buffer once and hands it to every insert.
+//! Only the required order is interesting ([`lec_plan::order`]), so a node
+//! keeps `c` plans sorted as required and `c` others in one run ranked by
+//! (cost, shape), and groups its outer list on the same two classes.  Within one `combine` call the inner size is fixed, so the
+//! join methods are priced once per distinct outer page count (groups of
+//! both classes share it), and each (group, method) walk finds its
+//! class's run — an outer order's class decides its page nested-loop
+//! output's — in the pending buffer once and hands it to every insert.
 
 use super::arena::PlanArena;
 use super::coster::{MemoryCoster, PhaseCoster};
@@ -51,7 +54,7 @@ pub struct FrontierStats {
     pub groups: u64,
 }
 
-/// The top-`c`-per-(subset, order) policy at one fixed memory value.
+/// The top-`c`-per-(subset, order class) policy at one fixed memory value.
 #[derive(Debug, Clone)]
 pub struct TopCPolicy {
     coster: MemoryCoster,
@@ -68,7 +71,7 @@ pub struct TopCPolicy {
 }
 
 impl TopCPolicy {
-    /// A policy keeping the `c` cheapest plans per (subset, order) at
+    /// A policy keeping the `c` cheapest plans per (subset, order class) at
     /// memory value `memory`.  Requires `c >= 1`.
     pub fn new(memory: f64, c: usize) -> Self {
         assert!(c >= 1, "TopCPolicy requires c >= 1");
@@ -84,26 +87,29 @@ impl TopCPolicy {
     }
 }
 
-/// Where `order`'s run lies in `entries`, a list sorted by order (as
-/// [`insert_top_c`] keeps it): `lo..hi`, empty at its insertion point
-/// when no entry has that order.
+/// Where `order`'s class's run lies in `entries`, a list sorted by class
+/// (as [`insert_top_c`] keeps it): `lo..hi`, empty at its insertion point
+/// when no entry has that class.  The classes are those of
+/// [`super::policy::covers`]: sorted as required, and the rest.
 pub fn order_run<T: SearchEntry>(entries: &[T], order: OrderProperty) -> Range<usize> {
-    let lo = entries.partition_point(|f| f.order() < order);
-    lo..lo + entries[lo..].partition_point(|f| f.order() == order)
+    let required = order.is_required();
+    let lo = entries.partition_point(|f| required && !f.order().is_required());
+    lo..lo + entries[lo..].partition_point(|f| f.order().is_required() == required)
 }
 
-/// Keep the `c` best entries of `e`'s order in `entries` under
+/// Keep the `c` best entries of `e`'s order class in `entries` under
 /// [`shape_rank`] (rename-equivariant, so Algorithm B can share the
 /// canonical-shape plan cache).  `entries` — built entries, or a subset's
-/// pending joins — stays sorted by `(order, cost, shape)`: each order's
-/// list is one contiguous run whose last element is its worst, and
-/// [`TopCPolicy::combine`] reads a node's groups off that order.  `run` is
-/// `e`'s order's run ([`order_run`]); the insert keeps it current, so a
-/// caller inserting many entries of one order finds it once.  A full run
-/// rejects a costlier candidate with one compare against its worst and
-/// returns `true`; otherwise the candidate goes in after every entry it
-/// does not outrank (an equal-rank newcomer loses) and a full run drops
-/// its last element — the latest-kept worst — and the answer is `false`.
+/// pending joins — stays sorted by `(class, cost, shape)`: each
+/// class's list is one contiguous run whose last element is its worst,
+/// and [`TopCPolicy::combine`] reads a node's groups off that order.
+/// `run` is `e`'s class's run ([`order_run`]); the insert keeps it
+/// current, so a caller inserting many entries of one class finds it
+/// once.  A full run rejects a costlier candidate with one compare against
+/// its worst and returns `true`; otherwise the candidate goes in after
+/// every entry it does not outrank (an equal-rank newcomer loses) and a
+/// full run drops its last element — the latest-kept worst — and the
+/// answer is `false`.
 /// Only `true` licenses [`TopCPolicy::combine`]'s early stop: a loss on a
 /// cost tie does not, as rounding can give a later combination that cost.
 pub fn insert_top_c<T: SearchEntry>(
@@ -164,18 +170,18 @@ impl CandidatePolicy for TopCPolicy {
         stats: &mut SearchStats,
     ) {
         let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
-        // Group the outer list by (order, pages).  `outer` is a top-c node,
-        // sorted by (order, cost, shape), so a stable sort on the group key
-        // leaves every group cost-sorted with exact cost ties shape-broken
-        // — the Prop 3.1 frontier window selects the same plans under any
-        // table renaming — and groups come out in key order, deterministic
-        // across runs.  Pages are part of the key because the one-page
-        // clamp can give same-subset entries built through different
-        // splits different sizes — the paper's "identical physical
-        // properties" premise holds only within a same-size group, and
-        // grouping by size keeps the shared join-cost-term evaluation exact
-        // rather than approximate.
-        let key = |i: usize| (outer[i].order, outer[i].pages.to_bits());
+        // Group the outer list by (order class, pages).  `outer` is a top-c
+        // node, sorted by (class, cost, shape), so a stable sort on the
+        // group key leaves every group cost-sorted with exact cost ties
+        // shape-broken — the Prop 3.1 frontier window selects the same
+        // plans under any table renaming — and groups come out in key
+        // order, deterministic across runs.  Pages are part of the key
+        // because the one-page clamp can give same-subset entries built
+        // through different splits different sizes — the paper's
+        // "identical physical properties" premise holds only within a
+        // same-size group, and grouping by size keeps the shared
+        // join-cost-term evaluation exact rather than approximate.
+        let key = |i: usize| (outer[i].order.is_required(), outer[i].pages.to_bits());
         self.outer_order.clear();
         self.outer_order.extend(0..outer.len());
         self.outer_order.sort_by_key(|&i| key(i));
@@ -212,15 +218,14 @@ impl CandidatePolicy for TopCPolicy {
                 self.frontier.bound_total = self.frontier.bound_total.saturating_add(self.bound);
                 self.frontier.combinations_examined += admitted;
                 stats.candidates += admitted;
-                let order = join_output_order(sm_order, outer_order, method);
-                let mut run = order_run(into, order);
+                let mut run = order_run(into, join_output_order(sm_order, outer_order, method));
                 'inner: for (ki, &ii) in self.inner_order.iter().enumerate() {
                     let ie = &inner[ii];
                     for (i, &oi) in group.iter().take(self.c / (ki + 1)).enumerate() {
                         let oe = &outer[oi];
                         let joined = Joined {
                             cost: oe.cost + ie.cost + join_cost,
-                            order,
+                            order: join_output_order(sm_order, oe.order, method),
                             size: pages,
                             method,
                             outer: oe.plan,

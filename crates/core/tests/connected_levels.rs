@@ -12,7 +12,9 @@ use lec_core::search::{point_size_product, SearchConfig};
 use lec_core::{fixtures, optimize, Mode, OptError, Optimized, Optimizer};
 use lec_cost::formulas::MIN_PAGES;
 use lec_cost::CostModel;
-use lec_plan::{ColumnRef, JoinPredicate, OrderProperty, Query, QueryTable, TableSet};
+use lec_plan::{
+    ColumnEquivalences, ColumnRef, JoinPredicate, OrderProperty, Query, QueryTable, TableSet,
+};
 use lec_prob::{presets, Distribution};
 use proptest::prelude::*;
 
@@ -131,8 +133,12 @@ proptest! {
         clique in 12usize..=15,
         sels in prop::collection::vec(1e-5f64..1e-2, 108),
         masks in prop::collection::vec(any::<u64>(), 12),
+        want in (0usize..15, 0usize..2),
     ) {
-        let (cat, q) = graph_query(n, &edges);
+        // Required orders on both columns of every table, and none.
+        let required = |n: usize| (want.0 < n).then(|| ColumnRef::new(want.0, want.1));
+        let (cat, mut q) = graph_query(n, &edges);
+        q.required_order = required(n);
         let model = CostModel::new(&cat, &q);
         for i in 0..n {
             let by_scan = match &q.tables[i].filter {
@@ -142,7 +148,8 @@ proptest! {
             prop_assert_eq!(model.base_pages(i).to_bits(), by_scan.to_bits());
         }
         assert_graph_tables_agree(&cat, &q, &masks)?;
-        let (cat, q) = clique_query(clique, &sels);
+        let (cat, mut q) = clique_query(clique, &sels);
+        q.required_order = required(clique);
         prop_assert!(q.joins.len() > 64);
         assert_graph_tables_agree(&cat, &q, &masks)?;
     }
@@ -224,9 +231,16 @@ fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<
             q.joins.len()
         );
         prop_assert_eq!(model.first_crossing_join(a, b), crossing.first().copied());
-        let merge = crossing.first().map_or(OrderProperty::None, |&i| {
-            model.equivalences().sorted_on(q.joins[i].left)
-        });
+        // A sort-merge output is sorted as required when its predicate's
+        // left column shares the required order's class, incidentally
+        // otherwise.
+        let eq = ColumnEquivalences::for_query(q);
+        let merge = crossing
+            .first()
+            .map_or(OrderProperty::Unsorted, |&i| match q.required_order {
+                Some(want) if eq.same_class(q.joins[i].left, want) => OrderProperty::Required,
+                _ => OrderProperty::Incidental,
+            });
         prop_assert_eq!(model.sort_merge_order(a, b), merge);
         // The one-walk reader every scalar combine calls agrees with both.
         let (sel, order) = model.crossing(a, b);

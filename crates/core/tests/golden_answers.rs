@@ -12,7 +12,10 @@
 //! Algorithm D's eval cache was deleted; the four large rows' pruning,
 //! `candidates` and `evals` columns moved again when served searches
 //! stopped pruning (the greedy incumbent walks had counted their
-//! combines).  A refactor of the search path
+//! combines); `candidates` and `evals` moved again, with one `GOLDEN`
+//! plan (`pruning_chain(7)` under AlgB, an exact cost tie, its cost bits
+//! unchanged), when only the required order stayed interesting.  A
+//! refactor of the search path
 //! must leave every row of both untouched.  When a row *should* move (a
 //! cost formula or tie-break changes on purpose), the failure message
 //! prints the whole table as the code now computes it — paste it over
@@ -76,7 +79,7 @@ const GOLDEN: &[Row] = &[
     ("pruning_chain(7)", "LSC(mean)", "Sort(SM(NL(BNL(NL(NL(SM(R2,R1),R0),R3),R4),R5),R6))", 0x40d6fd4000000000),
     ("pruning_chain(7)", "LSC(mode)", "Sort(BNL(NL(NL(NL(NL(BNL(R2,R1),R0),R3),R4),R5),R6))", 0x40d48c4000000000),
     ("pruning_chain(7)", "AlgA", "Sort(SM(NL(BNL(NL(NL(SM(R2,R1),R0),R3),R4),R5),R6))", 0x40d6bec000000000),
-    ("pruning_chain(7)", "AlgB", "Sort(SM(NL(BNL(NL(NL(SM(R1,R0),R2),R3),R4),R5),R6))", 0x40d6bec000000000),
+    ("pruning_chain(7)", "AlgB", "Sort(SM(NL(BNL(NL(NL(SM(R2,R1),R0),R3),R4),R5),R6))", 0x40d6bec000000000),
     ("pruning_chain(7)", "AlgC", "Sort(SM(NL(BNL(NL(NL(SM(R2,R1),R0),R3),R4),R5),R6))", 0x40d6bec000000000),
     ("pruning_chain(7)", "AlgC-dyn", "Sort(SM(NL(BNL(NL(NL(SM(R2,R1),R0),R3),R4),R5),R6))", 0x40d6bec000000000),
     ("pruning_chain(7)", "AlgD", "Sort(SM(NL(BNL(NL(NL(SM(R2,R1),R0),R3),R4),R5),R6))", 0x40d6bec000000000),
@@ -122,64 +125,64 @@ const GOLDEN_COUNTERS: &[CounterRow] = &[
     ("example_1_1", "Bushy", [3, 8, 20, 0, 0, 0, 0, 0]),
     ("three_chain", "LSC(mean)", [6, 24, 27, 0, 0, 0, 0, 0]),
     ("three_chain", "LSC(mode)", [6, 24, 27, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgA", [30, 128, 190, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgB", [30, 280, 190, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgC", [6, 32, 99, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgC-dyn", [6, 32, 99, 0, 0, 0, 0, 0]),
-    ("three_chain", "AlgD", [6, 32, 63, 0, 0, 0, 0, 0]),
-    ("three_chain", "Bushy", [6, 48, 131, 0, 0, 0, 0, 0]),
-    ("diamond", "LSC(mean)", [10, 56, 52, 0, 0, 0, 0, 0]),
-    ("diamond", "LSC(mode)", [10, 56, 52, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgA", [50, 280, 340, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgB", [50, 880, 356, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgC", [10, 56, 196, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgC-dyn", [10, 56, 196, 0, 0, 0, 0, 0]),
-    ("diamond", "AlgD", [10, 56, 124, 0, 0, 0, 0, 0]),
-    ("diamond", "Bushy", [10, 96, 324, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "LSC(mean)", [21, 216, 144, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "LSC(mode)", [21, 208, 147, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgA", [105, 1096, 879, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgB", [105, 3640, 1152, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgC", [21, 248, 574, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgC-dyn", [21, 248, 574, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "AlgD", [21, 248, 352, 0, 0, 0, 0, 0]),
-    ("scaling_chain(6)", "Bushy", [21, 760, 1342, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "LSC(mean)", [37, 440, 348, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "LSC(mode)", [37, 440, 348, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgA", [185, 2064, 1901, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgB", [185, 8800, 2386, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgC", [37, 404, 1422, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgC-dyn", [37, 404, 1422, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "AlgD", [37, 404, 888, 0, 0, 0, 0, 0]),
-    ("scaling_star(6)", "Bushy", [37, 768, 2670, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "LSC(mean)", [28, 336, 189, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "LSC(mode)", [28, 412, 182, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgA", [140, 1824, 1105, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgB", [140, 6040, 1424, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgC", [28, 336, 735, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgC-dyn", [28, 336, 735, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "AlgD", [28, 336, 453, 0, 0, 0, 0, 0]),
-    ("pruning_chain(7)", "Bushy", [28, 1080, 1823, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "LSC(mean)", [70, 1520, 801, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "LSC(mode)", [70, 1520, 801, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgA", [350, 7504, 4179, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgB", [350, 21960, 4340, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgC", [70, 1536, 3183, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgC-dyn", [70, 1536, 3183, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "AlgD", [70, 1536, 1989, 0, 0, 0, 0, 0]),
-    ("pruning_star(7)", "Bushy", [70, 3024, 6159, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgA", [30, 120, 190, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgB", [30, 200, 190, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgC", [6, 24, 99, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgC-dyn", [6, 24, 99, 0, 0, 0, 0, 0]),
+    ("three_chain", "AlgD", [6, 24, 63, 0, 0, 0, 0, 0]),
+    ("three_chain", "Bushy", [6, 32, 131, 0, 0, 0, 0, 0]),
+    ("diamond", "LSC(mean)", [10, 48, 52, 0, 0, 0, 0, 0]),
+    ("diamond", "LSC(mode)", [10, 48, 52, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgA", [50, 240, 340, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgB", [50, 480, 356, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgC", [10, 48, 196, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgC-dyn", [10, 48, 196, 0, 0, 0, 0, 0]),
+    ("diamond", "AlgD", [10, 48, 124, 0, 0, 0, 0, 0]),
+    ("diamond", "Bushy", [10, 80, 324, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "LSC(mean)", [21, 120, 127, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "LSC(mode)", [21, 120, 127, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgA", [105, 600, 785, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgB", [105, 1400, 1005, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgC", [21, 120, 490, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgC-dyn", [21, 120, 490, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "AlgD", [21, 120, 307, 0, 0, 0, 0, 0]),
+    ("scaling_chain(6)", "Bushy", [21, 280, 1130, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "LSC(mean)", [37, 340, 347, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "LSC(mode)", [37, 340, 347, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgA", [185, 1700, 1885, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgB", [185, 4700, 2359, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgC", [37, 340, 1370, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgC-dyn", [37, 340, 1370, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "AlgD", [37, 340, 857, 0, 0, 0, 0, 0]),
+    ("scaling_star(6)", "Bushy", [37, 640, 2570, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "LSC(mean)", [28, 168, 176, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "LSC(mode)", [28, 168, 176, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgA", [140, 840, 1055, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgB", [140, 2040, 1310, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgC", [28, 168, 683, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgC-dyn", [28, 168, 683, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "AlgD", [28, 168, 428, 0, 0, 0, 0, 0]),
+    ("pruning_chain(7)", "Bushy", [28, 448, 1803, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "LSC(mean)", [70, 792, 800, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "LSC(mode)", [70, 792, 800, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgA", [350, 3960, 4175, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgB", [350, 11400, 4325, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgC", [70, 792, 3179, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgC-dyn", [70, 792, 3179, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "AlgD", [70, 792, 1988, 0, 0, 0, 0, 0]),
+    ("pruning_star(7)", "Bushy", [70, 1536, 6155, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "LSC(mean)", [63, 744, 751, 0, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "LSC(mode)", [63, 1128, 752, 0, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "AlgA", [315, 4488, 3907, 0, 0, 0, 0, 0]),
-    ("pruning_clique(6)", "AlgB", [315, 18120, 3960, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "LSC(mode)", [63, 744, 751, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgA", [315, 3720, 3905, 0, 0, 0, 0, 0]),
+    ("pruning_clique(6)", "AlgB", [315, 9960, 3945, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "AlgC", [63, 744, 2986, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "AlgC-dyn", [63, 744, 2986, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "AlgD", [63, 744, 1867, 0, 0, 0, 0, 0]),
     ("pruning_clique(6)", "Bushy", [63, 2408, 9642, 0, 0, 0, 0, 0]),
-    ("chain13(seed 3)", "AlgC", [91, 2328, 2608, 0, 0, 0, 0, 0]),
-    ("star13(seed 5)", "AlgC", [4108, 310084, 400220, 0, 0, 0, 0, 0]),
+    ("chain13(seed 3)", "AlgC", [91, 624, 2512, 0, 0, 0, 0, 0]),
+    ("star13(seed 5)", "AlgC", [4108, 190512, 397892, 0, 0, 0, 0, 0]),
     ("clique12(seed 7)", "AlgC", [4095, 175684, 393041, 0, 0, 0, 0, 0]),
-    ("random13(seed 11)", "AlgC", [1055, 87152, 69376, 0, 0, 0, 0, 0]),
+    ("random13(seed 11)", "AlgC", [1055, 17308, 69248, 0, 0, 0, 0, 0]),
 ];
 
 fn counters(stats: &SearchStats) -> [u64; 8] {

@@ -112,7 +112,7 @@ proptest! {
         for ((ao, ai, am), (bo, bi, bm), share, tie) in picks {
             let a = Joined {
                 cost: (ao % 7) as f64,
-                order: OrderProperty::None,
+                order: OrderProperty::Unsorted,
                 size: 1.0,
                 method: JoinMethod::ALL[am],
                 outer: pick(ao),

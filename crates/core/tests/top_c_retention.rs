@@ -26,7 +26,9 @@ use std::sync::Arc;
 /// and once-per-size pricing: its frontier walk verbatim, the methods
 /// priced per group, every admitted combination inserted into the node's
 /// list (as a join not built yet: the search's arena is read-only inside
-/// a combine), which `build` then builds whole.  Access paths
+/// a combine), which `build` then builds whole.  Its groups are keyed on
+/// the policy's order classes (sorted as required, and the rest) and each
+/// combination carries its own outer entry's output order.  Access paths
 /// and finalization are [`TopCPolicy`]'s own.
 struct EagerTopC {
     delegate: TopCPolicy,
@@ -76,7 +78,7 @@ impl CandidatePolicy for EagerTopC {
     ) {
         let sel = model.join_selectivity_sets(ctx.left, ctx.right);
         let sm_order = model.sort_merge_order(ctx.left, ctx.right);
-        let key = |e: &DpEntry| (e.order, e.pages.to_bits());
+        let key = |e: &DpEntry| (e.order.is_required(), e.pages.to_bits());
         let mut outer_list: Vec<&DpEntry> = outer.iter().collect();
         outer_list.sort_by_key(|e| key(e));
         let mut inner_list: Vec<&DpEntry> = inner.iter().collect();
@@ -84,14 +86,13 @@ impl CandidatePolicy for EagerTopC {
         let inner_pages = inner_list.first().map(|e| e.pages).unwrap_or(0.0);
 
         for group in outer_list.chunk_by(|a, b| key(a) == key(b)) {
-            let (outer_order, outer_pages) = (group[0].order, group[0].pages);
+            let outer_pages = group[0].pages;
             for method in JoinMethod::ALL {
                 self.frontier.groups += 1;
                 self.frontier.bound_total = self.frontier.bound_total.saturating_add(self.bound);
                 let join_cost = self
                     .coster
                     .join_cost(model, ctx, method, outer_pages, inner_pages);
-                let order = join_output_order(sm_order, outer_order, method);
                 let pages = model.join_output_pages(outer_pages, inner_pages, sel);
                 for (ki, ie) in inner_list.iter().enumerate() {
                     let i_max = self.c / (ki + 1);
@@ -103,7 +104,7 @@ impl CandidatePolicy for EagerTopC {
                         stats.candidates += 1;
                         let e = Joined {
                             cost: oe.cost + ie.cost + join_cost,
-                            order,
+                            order: join_output_order(sm_order, oe.order, method),
                             size: pages,
                             method,
                             outer: oe.plan,
@@ -304,10 +305,11 @@ fn the_early_stop_keeps_the_eager_frontier_on_tie_heavy_fixtures() {
 
 const TOPOLOGIES: [Topology; 3] = [Topology::Chain, Topology::Star, Topology::Random];
 
-/// The rule `insert_top_c` replaced, verbatim: per order, scan for the
-/// worst entry under (cost, shape), the last found among equal-rank worsts;
-/// a full list rejects an equal-rank newcomer and otherwise evicts that
-/// worst; survivors keep arrival order.
+/// The rule `insert_top_c` replaced, restated for order classes: per
+/// class (sorted as required, and the rest), scan for the worst entry
+/// under (cost, shape), the last found among equal-rank worsts; a full
+/// list rejects an equal-rank newcomer and otherwise evicts that worst;
+/// survivors keep arrival order.
 fn reference_insert(
     model: &CostModel<'_>,
     plans: &PlanArena,
@@ -315,15 +317,11 @@ fn reference_insert(
     entries: &mut Vec<DpEntry>,
     e: DpEntry,
 ) {
-    let rank = |a: &DpEntry, b: &DpEntry| {
-        a.cost
-            .total_cmp(&b.cost)
-            .then_with(|| plans.shape_cmp(model, a.plan, b.plan))
-    };
+    let rank = |a: &DpEntry, b: &DpEntry| reference_rank(model, plans, a, b);
     let mut same = 0usize;
     let mut worst: Option<usize> = None;
     for (i, f) in entries.iter().enumerate() {
-        if f.order != e.order {
+        if f.order.is_required() != e.order.is_required() {
             continue;
         }
         same += 1;
@@ -339,6 +337,13 @@ fn reference_insert(
         entries.remove(w);
     }
     entries.push(e);
+}
+
+/// Cost, then shape.
+fn reference_rank(model: &CostModel<'_>, plans: &PlanArena, a: &DpEntry, b: &DpEntry) -> Ordering {
+    a.cost
+        .total_cmp(&b.cost)
+        .then_with(|| plans.shape_cmp(model, a.plan, b.plan))
 }
 
 /// Plans whose shapes tie and differ in every way the shape compare looks
@@ -379,11 +384,12 @@ fn push_tree(plans: &mut PlanArena, plan: &PlanNode) -> PlanId {
 const COSTS: [f64; 4] = [1.0, 2.0, 3.0, 5.0];
 const CS: [usize; 4] = [1, 2, 3, 5];
 
+/// Two orders are two classes; the third shares the first's class.
 fn order(i: usize) -> OrderProperty {
     match i {
-        0 => OrderProperty::None,
-        1 => OrderProperty::Sorted(ColumnRef::new(0, 0)),
-        _ => OrderProperty::Sorted(ColumnRef::new(1, 1)),
+        0 => OrderProperty::Unsorted,
+        1 => OrderProperty::Required,
+        _ => OrderProperty::Incidental,
     }
 }
 
@@ -391,11 +397,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Random candidate streams with frequent exact ties (four cost values,
-    /// repeated plans): every order's run holds the reference survivors,
+    /// repeated plans): every class's run holds the reference survivors,
     /// plan for plan (the same step, not merely an equal plan), in
-    /// (cost, shape) order; the insert reports "beaten" exactly when a
-    /// full run's worst costs strictly less than the candidate; and the
-    /// run it was handed is the order's run after the insert too.
+    /// (cost, shape) order; the insert reports "beaten" exactly
+    /// when a full run's worst costs strictly less than the candidate; and
+    /// the run it was handed is the class's run after the insert too.
     #[test]
     fn top_c_insert_keeps_the_scan_for_worst_survivors(
         ci in 0usize..4,
@@ -415,7 +421,8 @@ proptest! {
                 pages: 10.0,
                 order: order(o % n_orders),
             };
-            let run: Vec<&DpEntry> = fast.iter().filter(|f| f.order == e.order).collect();
+            let class = e.order.is_required();
+            let run: Vec<&DpEntry> = fast.iter().filter(|f| f.order.is_required() == class).collect();
             let must_skip = run.len() >= c && run.last().is_some_and(|w| w.cost < e.cost);
             let mut run = order_run(&fast, e.order);
             let beaten = insert_top_c(&model, &plans, &mut fast, &mut run, c, e);
@@ -423,18 +430,15 @@ proptest! {
             prop_assert_eq!(&run, &order_run(&fast, e.order), "the run stays current");
             reference_insert(&model, &plans, c, &mut reference, e);
         }
-        let rank = |a: &DpEntry, b: &DpEntry| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| plans.shape_cmp(&model, a.plan, b.plan))
-        };
+        let rank = |a: &DpEntry, b: &DpEntry| reference_rank(&model, &plans, a, b);
+        let class = |e: &DpEntry| e.order.is_required();
         prop_assert!(fast.is_sorted_by(|a, b| {
-            a.order.cmp(&b.order).then_with(|| rank(a, b)) != Ordering::Greater
+            class(a).cmp(&class(b)).then_with(|| rank(a, b)) != Ordering::Greater
         }));
-        for o in 0..n_orders {
-            let mut want: Vec<&DpEntry> = reference.iter().filter(|e| e.order == order(o)).collect();
+        for required in [false, true] {
+            let mut want: Vec<&DpEntry> = reference.iter().filter(|e| class(e) == required).collect();
             want.sort_by(|a, b| rank(a, b));
-            let got: Vec<&DpEntry> = fast.iter().filter(|e| e.order == order(o)).collect();
+            let got: Vec<&DpEntry> = fast.iter().filter(|e| class(e) == required).collect();
             prop_assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 let (gp, wp) = (plans.node(g.plan), plans.node(w.plan));

@@ -5,7 +5,7 @@ use crate::expected::{self, DistTables};
 use crate::formulas;
 pub use lec_catalog::{table_stats_fingerprint, Fingerprint};
 use lec_catalog::{Catalog, IndexKind};
-use lec_plan::{ColumnEquivalences, JoinMethod, OrderProperty, Query, TableSet};
+use lec_plan::{ColumnEquivalences, ColumnRef, JoinMethod, OrderProperty, Query, TableSet};
 use lec_prob::{Distribution, PrefixTables};
 use std::cell::Cell;
 use std::hash::Hasher;
@@ -101,7 +101,10 @@ pub fn table_occurrence_fingerprint(catalog: &Catalog, query: &Query, idx: usize
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
     query: &'a Query,
-    equivalences: ColumnEquivalences,
+    /// Read only to classify a sort's key ([`crate::output_order`]).
+    pub(crate) equivalences: ColumnEquivalences,
+    /// [`CostModel::index_scan_order`] per table.
+    index_orders: Vec<OrderProperty>,
     /// Per-table [`table_occurrence_fingerprint`]s, precomputed so the
     /// engine's tie-breaks are an array lookup rather than a rehash.
     table_shapes: Vec<u64>,
@@ -126,8 +129,9 @@ pub struct CostModel<'a> {
 
 /// One join predicate as the search reads it: the tables it joins, the
 /// mean of its selectivity distribution and the order a sort-merge join on
-/// it delivers.  A predicate with an endpoint outside the query is in no
-/// table's incident bitset, so no set reaches it.
+/// it delivers ([`ColumnEquivalences::sorted_on`]).  A predicate with an
+/// endpoint outside the query is in no table's incident bitset, so no set
+/// reaches it.
 #[derive(Debug)]
 struct JoinEdge {
     ends: TableSet,
@@ -181,10 +185,19 @@ impl<'a> CostModel<'a> {
                 }
             })
             .collect();
+        let index_orders = (query.tables.iter().enumerate())
+            .map(|(t, qt)| match qt.filter.as_ref().map(|f| f.column) {
+                Some(c) if catalog.table(qt.table).stats.index_on(c) == IndexKind::Clustered => {
+                    equivalences.sorted_on(ColumnRef::new(t, c))
+                }
+                _ => OrderProperty::Unsorted,
+            })
+            .collect();
         CostModel {
             catalog,
             query,
             equivalences,
+            index_orders,
             table_shapes: (0..n)
                 .map(|i| table_occurrence_fingerprint(catalog, query, i))
                 .collect(),
@@ -205,19 +218,15 @@ impl<'a> CostModel<'a> {
         self.telemetry = telemetry;
     }
 
-    /// The underlying catalog.
-    pub fn catalog(&self) -> &Catalog {
-        self.catalog
-    }
-
     /// The query this model is bound to.
     pub fn query(&self) -> &Query {
         self.query
     }
 
-    /// Column equivalence classes of the query (for order properties).
-    pub fn equivalences(&self) -> &ColumnEquivalences {
-        &self.equivalences
+    /// The order a table's index scan delivers: its filter column's when
+    /// the index is clustered, none otherwise.
+    pub fn index_scan_order(&self, table_idx: usize) -> OrderProperty {
+        self.index_orders[table_idx]
     }
 
     /// Label-independent fingerprint of one table occurrence: everything
@@ -417,7 +426,7 @@ impl<'a> CostModel<'a> {
     /// the join sorts on.
     pub fn sort_merge_order(&self, a: TableSet, b: TableSet) -> OrderProperty {
         self.first_crossing_join(a, b)
-            .map_or(OrderProperty::None, |p| self.edges[p].merge_order)
+            .map_or(OrderProperty::Unsorted, |p| self.edges[p].merge_order)
     }
 
     /// [`Self::join_selectivity_sets`] and [`Self::sort_merge_order`], bit
@@ -426,7 +435,7 @@ impl<'a> CostModel<'a> {
         let mut preds = self.predicates_between(a, b).peekable();
         let order = preds
             .peek()
-            .map_or(OrderProperty::None, |&p| self.edges[p].merge_order);
+            .map_or(OrderProperty::Unsorted, |&p| self.edges[p].merge_order);
         (preds.map(|p| self.edges[p].selectivity).product(), order)
     }
 

@@ -311,7 +311,8 @@ pub fn plan_output_pages(model: &CostModel<'_>, plan: &PlanNode) -> f64 {
 
 /// The order property of a plan's output.
 ///
-/// Rules (the \[SAC+79\] interesting-order extension):
+/// Rules (the \[SAC+79\] interesting-order extension, with the required
+/// order the one interesting order — [`lec_plan::order`]):
 /// * sort-merge output is sorted on the join column (class of the
 ///   lowest-indexed crossing predicate);
 /// * page nested-loop preserves the outer order; Grace hash and block
@@ -319,25 +320,10 @@ pub fn plan_output_pages(model: &CostModel<'_>, plan: &PlanNode) -> f64 {
 /// * a clustered index scan produces its filter column's order;
 /// * a sort produces its key's order.
 pub fn output_order(model: &CostModel<'_>, plan: &PlanNode) -> OrderProperty {
-    let eq = model.equivalences();
     match plan {
-        PlanNode::SeqScan { .. } => OrderProperty::None,
-        PlanNode::IndexScan { table } => {
-            let qt = &model.query().tables[*table];
-            match &qt.filter {
-                Some(f) => {
-                    use lec_catalog::IndexKind;
-                    let kind = model.catalog().table(qt.table).stats.index_on(f.column);
-                    if kind == IndexKind::Clustered {
-                        eq.sorted_on(lec_plan::ColumnRef::new(*table, f.column))
-                    } else {
-                        OrderProperty::None
-                    }
-                }
-                None => OrderProperty::None,
-            }
-        }
-        PlanNode::Sort { key, .. } => eq.sorted_on(*key),
+        PlanNode::SeqScan { .. } => OrderProperty::Unsorted,
+        PlanNode::IndexScan { table } => model.index_scan_order(*table),
+        PlanNode::Sort { key, .. } => model.equivalences.sorted_on(*key),
         PlanNode::Join {
             method,
             outer,
@@ -345,7 +331,7 @@ pub fn output_order(model: &CostModel<'_>, plan: &PlanNode) -> OrderProperty {
         } => match method {
             JoinMethod::SortMerge => model.sort_merge_order(outer.tables(), inner.tables()),
             JoinMethod::PageNestedLoop => output_order(model, outer),
-            JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::None,
+            JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::Unsorted,
         },
     }
 }
@@ -552,24 +538,25 @@ mod tests {
     fn order_properties() {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
-        let eq = model.equivalences();
-        let want = q.required_order.unwrap();
         // SM output satisfies the required order; GH does not; the sort fixes it.
-        assert!(eq.satisfies(output_order(&model, &plan1()), want));
+        assert_eq!(output_order(&model, &plan1()), OrderProperty::Required);
         let bare_gh = PlanNode::join(
             JoinMethod::GraceHash,
             PlanNode::SeqScan { table: 0 },
             PlanNode::SeqScan { table: 1 },
         );
-        assert_eq!(output_order(&model, &bare_gh), OrderProperty::None);
-        assert!(eq.satisfies(output_order(&model, &plan2()), want));
+        assert_eq!(output_order(&model, &bare_gh), OrderProperty::Unsorted);
+        assert_eq!(output_order(&model, &plan2()), OrderProperty::Required);
         // NL preserves the outer's (lack of) order.
         let nl = PlanNode::join(
             JoinMethod::PageNestedLoop,
             PlanNode::SeqScan { table: 0 },
             PlanNode::SeqScan { table: 1 },
         );
-        assert_eq!(output_order(&model, &nl), OrderProperty::None);
+        assert_eq!(output_order(&model, &nl), OrderProperty::Unsorted);
+        // A sort on a column outside the required class is incidental.
+        let off_key = PlanNode::sort(PlanNode::SeqScan { table: 0 }, ColumnRef::new(0, 1));
+        assert_eq!(output_order(&model, &off_key), OrderProperty::Incidental);
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn completion_cost(
 ) -> f64 {
     if set.len() == model.query().n_tables() {
         return match model.query().required_order {
-            Some(want) if !model.equivalences().satisfies(order, want) => model.sort_cost(pages, m),
+            Some(_) if !order.is_required() => model.sort_cost(pages, m),
             _ => 0.0,
         };
     }
@@ -116,15 +116,9 @@ fn join_order_after(
     method: JoinMethod,
 ) -> OrderProperty {
     match method {
-        JoinMethod::SortMerge => {
-            let crossing = model.query().joins_connecting(set, j);
-            match crossing.first() {
-                Some(&i) => model.equivalences().sorted_on(model.query().joins[i].left),
-                None => OrderProperty::None,
-            }
-        }
+        JoinMethod::SortMerge => model.sort_merge_order(set, TableSet::singleton(j)),
         JoinMethod::PageNestedLoop => order,
-        JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::None,
+        JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::Unsorted,
     }
 }
 
@@ -135,8 +129,13 @@ fn best_start(model: &CostModel<'_>, m: f64) -> (usize, usize, JoinMethod, f64) 
     let mut best: Option<(usize, usize, JoinMethod, f64)> = None;
     for outer in 0..n {
         let set = TableSet::singleton(outer);
-        let Some(c) = best_completion(model, set, model.base_pages(outer), OrderProperty::None, m)
-        else {
+        let Some(c) = best_completion(
+            model,
+            set,
+            model.base_pages(outer),
+            OrderProperty::Unsorted,
+            m,
+        ) else {
             continue;
         };
         let est = best_access(model, outer) + c.est_cost;
@@ -174,7 +173,7 @@ pub fn run_reoptimizing<R: Rng + ?Sized>(
     let mut order = join_order_after(
         model,
         TableSet::singleton(outer),
-        OrderProperty::None,
+        OrderProperty::Unsorted,
         inner,
         method,
     );
@@ -201,12 +200,10 @@ pub fn run_reoptimizing<R: Rng + ?Sized>(
     }
 
     // Final sort phase if needed (memory moves once more).
-    if let Some(want) = query.required_order {
-        if !model.equivalences().satisfies(order, want) {
-            state = chain.sample_state(chain.row(state), rng);
-            m = chain.states()[state];
-            total += model.sort_cost(pages, m);
-        }
+    if query.required_order.is_some() && !order.is_required() {
+        state = chain.sample_state(chain.row(state), rng);
+        m = chain.states()[state];
+        total += model.sort_cost(pages, m);
     }
     ReoptRun {
         cost: total,

@@ -9,7 +9,8 @@
 //!   optional required output order (Example 1.1's "result needs to be
 //!   ordered by the join column");
 //! * [`order`] — column equivalence classes induced by join predicates and
-//!   the order-property lattice used for "interesting orders";
+//!   the three-valued order property of the one interesting order, the
+//!   query's required one;
 //! * [`PlanNode`] — physical plan trees over the four join methods;
 //! * [`workload`] — seeded generators for chain/star/clique/random join
 //!   queries, substituting for the paper's unavailable "realistic queries".

@@ -1,13 +1,19 @@
-//! Interesting orders: column equivalence classes and order properties.
+//! Interesting orders: the one order a query can use, and the column
+//! equivalence classes that decide which sorted outputs have it.
 //!
 //! The paper brackets interesting orders away ("this requires simple
 //! extensions of the optimization algorithm, as described in \[SAC+79\] …
 //! our solutions apply without change in the presence of these
-//! extensions"), yet its own Example 1.1 *depends* on them: Plan 1 wins at
+//! extensions"), yet its own Example 1.1 *depends* on one: Plan 1 wins at
 //! high memory precisely because sort-merge output is already ordered on
-//! the join column while the hash plan must add a final sort.  We therefore
-//! implement the \[SAC+79\] extension: plans carry an order property, and the
-//! DP keeps the best plan per (subset, order property).
+//! the join column while the hash plan must add a final sort.  The DP
+//! keeps the best plan per (subset, interesting order), as \[SAC+79\] does,
+//! and only the query's required order is interesting.  That is exact:
+//! every join formula prices only the method, the two operand sizes and
+//! memory (sort-merge always sorts both inputs), so no input order makes a
+//! join cheaper, and the only consumer of an order is the root's sort.  A
+//! sort on any other class survives only as a rank on exact cost ties
+//! ([`OrderProperty::Incidental`]).
 //!
 //! Because equi-joins make their two columns equal, "sorted on A.x" and
 //! "sorted on B.y" are the same physical property once `A.x = B.y` has been
@@ -17,17 +23,24 @@
 use crate::query::{ColumnRef, Query};
 use std::collections::HashMap;
 
-/// The order property of a plan's output.
-///
-/// `Sorted(c)` means "sorted on the equivalence class whose canonical
-/// representative is `c`"; canonicalization is performed by
-/// [`ColumnEquivalences::canonical`].
+/// The order property of a plan's output, as far as its query can use it,
+/// in rank order: an exact cost tie goes to the greater.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OrderProperty {
-    /// No useful ordering.
-    None,
-    /// Sorted on the given (canonical) column class.
-    Sorted(ColumnRef),
+    /// No ordering.
+    Unsorted,
+    /// Sorted on a column class nothing consumes: unsorted to every later
+    /// step but the exact-tie rank.
+    Incidental,
+    /// Sorted on the query's required order's class.
+    Required,
+}
+
+impl OrderProperty {
+    /// Does this output satisfy the query's required order?
+    pub fn is_required(self) -> bool {
+        self == OrderProperty::Required
+    }
 }
 
 /// Union-find over query columns, seeded by the query's equi-join
@@ -35,6 +48,8 @@ pub enum OrderProperty {
 #[derive(Debug, Clone)]
 pub struct ColumnEquivalences {
     parent: HashMap<ColumnRef, ColumnRef>,
+    /// The canonical column of the required order's class, if any.
+    required: Option<ColumnRef>,
 }
 
 impl ColumnEquivalences {
@@ -42,10 +57,12 @@ impl ColumnEquivalences {
     pub fn for_query(query: &Query) -> Self {
         let mut eq = ColumnEquivalences {
             parent: HashMap::new(),
+            required: None,
         };
         for p in &query.joins {
             eq.union(p.left, p.right);
         }
+        eq.required = query.required_order.map(|c| eq.find(c));
         eq
     }
 
@@ -83,17 +100,13 @@ impl ColumnEquivalences {
         self.find(a) == self.find(b)
     }
 
-    /// The canonical order property for "sorted on column c".
+    /// The order property of an output sorted on column `c`: sorted as
+    /// required when `c` is in the required order's class, incidentally
+    /// sorted otherwise.
     pub fn sorted_on(&self, c: ColumnRef) -> OrderProperty {
-        OrderProperty::Sorted(self.canonical(c))
-    }
-
-    /// Does a plan with order property `have` satisfy a requirement to be
-    /// sorted on `want`?
-    pub fn satisfies(&self, have: OrderProperty, want: ColumnRef) -> bool {
-        match have {
-            OrderProperty::None => false,
-            OrderProperty::Sorted(c) => c == self.canonical(want),
+        match self.required == Some(self.find(c)) {
+            true => OrderProperty::Required,
+            false => OrderProperty::Incidental,
         }
     }
 }
@@ -135,26 +148,49 @@ mod tests {
         assert_eq!(eq.canonical(ColumnRef::new(0, 1)), ColumnRef::new(0, 1));
     }
 
+    /// `query_with_joins` with a required order.
+    fn ordered_by(mut q: Query, want: ColumnRef) -> ColumnEquivalences {
+        q.required_order = Some(want);
+        ColumnEquivalences::for_query(&q)
+    }
+
     #[test]
     fn order_satisfaction_uses_classes() {
         let q = query_with_joins(2, vec![(ColumnRef::new(0, 0), ColumnRef::new(1, 3))]);
-        let eq = ColumnEquivalences::for_query(&q);
-        let sorted_left = eq.sorted_on(ColumnRef::new(0, 0));
+        let sorted_left = |eq: ColumnEquivalences| eq.sorted_on(ColumnRef::new(0, 0));
         // Sorted on A.c0 satisfies "order by B.c3" because the join equated them.
-        assert!(eq.satisfies(sorted_left, ColumnRef::new(1, 3)));
-        assert!(eq.satisfies(sorted_left, ColumnRef::new(0, 0)));
-        assert!(!eq.satisfies(sorted_left, ColumnRef::new(1, 1)));
-        assert!(!eq.satisfies(OrderProperty::None, ColumnRef::new(0, 0)));
+        let by_b3 = ordered_by(q.clone(), ColumnRef::new(1, 3));
+        assert_eq!(sorted_left(by_b3), OrderProperty::Required);
+        let by_a0 = ordered_by(q.clone(), ColumnRef::new(0, 0));
+        assert_eq!(sorted_left(by_a0), OrderProperty::Required);
+        let by_b1 = ordered_by(q.clone(), ColumnRef::new(1, 1));
+        assert_eq!(sorted_left(by_b1), OrderProperty::Incidental);
+        assert!(!OrderProperty::Unsorted.is_required());
+        // With no required order, every sorted output is incidental.
+        let unordered = ColumnEquivalences::for_query(&q);
+        assert_eq!(sorted_left(unordered), OrderProperty::Incidental);
     }
 
     #[test]
     fn sorted_on_canonicalizes_both_sides() {
         let q = query_with_joins(2, vec![(ColumnRef::new(1, 2), ColumnRef::new(0, 5))]);
-        let eq = ColumnEquivalences::for_query(&q);
-        assert_eq!(
-            eq.sorted_on(ColumnRef::new(1, 2)),
-            eq.sorted_on(ColumnRef::new(0, 5))
-        );
+        for want in [
+            ColumnRef::new(1, 2),
+            ColumnRef::new(0, 5),
+            ColumnRef::new(0, 1),
+        ] {
+            let eq = ordered_by(q.clone(), want);
+            assert_eq!(
+                eq.sorted_on(ColumnRef::new(1, 2)),
+                eq.sorted_on(ColumnRef::new(0, 5))
+            );
+        }
+    }
+
+    #[test]
+    fn the_ranks_order_unsorted_incidental_required() {
+        use OrderProperty::*;
+        assert!(Unsorted < Incidental && Incidental < Required);
     }
 
     #[test]

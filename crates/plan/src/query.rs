@@ -178,17 +178,6 @@ impl Query {
         TableSet::full(self.n_tables())
     }
 
-    /// Indices of join predicates that connect `set` to table `idx`
-    /// (the predicates applied when table `idx` joins last).
-    pub fn joins_connecting(&self, set: TableSet, idx: usize) -> Vec<usize> {
-        self.joins
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.connects(set, idx))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// True when table `idx` has at least one predicate into `set`
     /// (used to avoid cross products during enumeration).
     pub fn is_connected_to(&self, set: TableSet, idx: usize) -> bool {
@@ -395,9 +384,10 @@ mod tests {
     fn joins_connecting_respects_orientation() {
         let q = chain_query(3);
         let set01 = TableSet::from_indices([0, 1]);
-        assert_eq!(q.joins_connecting(set01, 2), vec![1]);
-        assert_eq!(q.joins_connecting(TableSet::singleton(0), 1), vec![0]);
-        assert!(q.joins_connecting(TableSet::singleton(0), 2).is_empty());
+        let single = TableSet::singleton;
+        assert_eq!(q.joins_crossing(set01, single(2)), vec![1]);
+        assert_eq!(q.joins_crossing(single(0), single(1)), vec![0]);
+        assert!(q.joins_crossing(single(0), single(2)).is_empty());
         assert!(q.is_connected_to(set01, 2));
         assert!(!q.is_connected_to(TableSet::singleton(0), 2));
     }

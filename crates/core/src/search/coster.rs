@@ -37,6 +37,14 @@ pub trait PhaseCoster {
 
     /// Cost of sorting `pages` pages at `phase`.
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64;
+
+    /// The phase whose prices `phase` reads: `join_cost` depends only on
+    /// the method, the two sizes and this index, so joins of equal sizes
+    /// at phases with one index share their prices.  Every phase its own
+    /// by default.
+    fn price_phase(&self, phase: usize) -> usize {
+        phase
+    }
 }
 
 /// Expected-cost costing under a per-phase memory distribution: "this
@@ -44,8 +52,11 @@ pub trait PhaseCoster {
 /// when the distribution is a point.
 #[derive(Debug, Clone)]
 pub struct MemoryCoster {
-    /// Phase `k`'s memory distribution; never empty.
+    /// The distinct phase distributions, in order of first appearance;
+    /// never empty.
     phases: Vec<Distribution>,
+    /// Phase `k`'s index into `phases`; never empty.
+    reads: Vec<usize>,
 }
 
 impl MemoryCoster {
@@ -61,28 +72,42 @@ impl MemoryCoster {
     pub fn fixed(memory: &Distribution) -> Self {
         MemoryCoster {
             phases: vec![memory.clone()],
+            reads: vec![0],
         }
     }
 
     /// Dynamically changing memory (§3.5): phase `k` is costed under
     /// `initial` evolved `k` steps through `chain`, for `n_phases` phases.
+    /// Phases whose distributions agree bit for bit read one of them, so
+    /// they share their prices ([`PhaseCoster::price_phase`]).
     pub fn evolving(
         initial: &Distribution,
         chain: &MarkovChain,
         n_phases: usize,
     ) -> Result<Self, ProbError> {
-        let mut phases = Vec::with_capacity(n_phases.max(1));
+        let bits = |d: &Distribution| -> Vec<u64> {
+            d.support()
+                .iter()
+                .chain(d.probs())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let (mut phases, mut reads) = (Vec::new(), Vec::with_capacity(n_phases.max(1)));
         let mut cur = initial.clone();
         for _ in 0..n_phases.max(1) {
             let next = chain.evolve_dist(&cur)?;
-            phases.push(cur);
+            let seen = phases.iter().position(|d| bits(d) == bits(&cur));
+            reads.push(seen.unwrap_or(phases.len()));
+            if seen.is_none() {
+                phases.push(cur);
+            }
             cur = next;
         }
-        Ok(MemoryCoster { phases })
+        Ok(MemoryCoster { phases, reads })
     }
 
     fn phase(&self, phase: usize) -> &Distribution {
-        &self.phases[phase.min(self.phases.len() - 1)]
+        &self.phases[self.price_phase(phase)]
     }
 
     /// The most favourable memory value *any* phase can see: costs are
@@ -111,5 +136,11 @@ impl PhaseCoster for MemoryCoster {
 
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64 {
         model.expected_sort_cost_over(pages, self.phase(phase))
+    }
+
+    /// The distribution the phase reads: the one of every static coster,
+    /// and a later phase reads the last phase's.
+    fn price_phase(&self, phase: usize) -> usize {
+        self.reads[phase.min(self.reads.len() - 1)]
     }
 }

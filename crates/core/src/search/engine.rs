@@ -8,57 +8,92 @@
 //!
 //! A level's entries live in one exactly sized vector ([`fill_table`]),
 //! their plans as steps of the search's [`PlanArena`]; plan trees are
-//! built only for the roots a caller takes ([`SearchRun::plans`]).
+//! built only for the roots a caller takes ([`SearchRun::plans`]).  A
+//! left-deep level is grown from its parents (`grow_left_deep`), so a
+//! split reads its outer entries at its parent's index and its inner ones
+//! at its table's; only the bushy walk and the oracle look a subset up
+//! ([`DpTable::get`]: by its bits in a bushy search, by a binary search of
+//! its level otherwise).
 
 use super::arena::PlanArena;
 use super::policy::{CandidatePolicy, JoinContext, RootContext, SearchEntry};
 use super::SearchStats;
 use crate::error::OptError;
-use lec_cost::{CostModel, Prehashed};
+use lec_cost::CostModel;
 use lec_plan::TableSet;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A DP-table key: a subset, hashed as one [`lec_cost::avalanche`] of
-/// its bits — every probe of a combine pays a few multiplies, not SipHash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Subset(TableSet);
+/// The most tables whose bushy walk indexes its subsets by their bits: a
+/// `4·2^n`-byte index beside a `3^n`-step walk, at most 256 KB.
+const DENSE_INDEX_TABLES: usize = 16;
 
-impl Hash for Subset {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(lec_cost::avalanche(self.0.bits()));
-    }
-}
-
-/// The DP table: each level's entries in one vector (`levels[k - 1]` for
-/// the `k`-table subsets) and each populated subset's range in its level's.
+/// The DP table, one level per subset size (index `k - 1` for `k`
+/// tables): the level's connected subsets in increasing bit order, each
+/// one's range in the level's entry vector (empty when it kept none), and
+/// that vector.
 pub struct DpTable<E> {
-    ranges: HashMap<Subset, [u32; 2], BuildHasherDefault<Prehashed>>,
+    sets: Vec<Vec<TableSet>>,
+    ranges: Vec<Vec<[u32; 2]>>,
     levels: Vec<Vec<E>>,
+    /// A bushy walk's two lookups per split read each subset's index in
+    /// its level here, by its bits (`u32::MAX` for no subset), where a
+    /// binary search of the level would cost the walk an eighth of its
+    /// time; empty for every other search, and past
+    /// [`DENSE_INDEX_TABLES`].
+    dense: Vec<u32>,
 }
 
 impl<E> DpTable<E> {
     /// The entries retained for `set`, if it is populated.
     pub fn get(&self, set: TableSet) -> Option<&[E]> {
-        let &[start, end] = self.ranges.get(&Subset(set))?;
-        Some(&self.levels[set.len() - 1][start as usize..end as usize])
+        let k = set.len().checked_sub(1)?;
+        let i = if self.dense.is_empty() {
+            self.sets.get(k)?.binary_search(&set).ok()?
+        } else {
+            let i = *self.dense.get(set.bits() as usize)?;
+            (i != u32::MAX).then_some(i as usize)?
+        };
+        self.entries(k, i)
+    }
+
+    /// The entries of the `i`-th subset of level `k + 1`, if it kept any.
+    fn entries(&self, k: usize, i: usize) -> Option<&[E]> {
+        let [start, end] = self.ranges[k][i].map(|x| x as usize);
+        (start < end).then(|| &self.levels[k][start..end])
     }
 
     /// Store the level in hand exactly sized; `level` keeps its capacity.
-    fn push_level(&mut self, level: &mut Vec<E>) {
-        #[allow(clippy::drain_collect)]
-        self.levels.push(level.drain(..).collect());
-    }
-
-    /// Record `set`'s entries, `level[start..]`, if it has any.
-    fn add(&mut self, set: TableSet, level: &[E], start: usize, stats: &mut SearchStats) {
-        if level.len() > start {
-            stats.nodes += 1;
-            let range = [start, level.len()].map(|i| u32::try_from(i).expect("< 2^32 entries"));
-            self.ranges.insert(Subset(set), range);
+    #[allow(clippy::drain_collect)]
+    fn push_level(&mut self, level: &mut Level<E>) {
+        if !self.dense.is_empty() {
+            for (i, set) in level.sets.iter().enumerate() {
+                self.dense[set.bits() as usize] = i as u32;
+            }
         }
+        self.sets.push(level.sets.drain(..).collect());
+        self.ranges.push(level.ranges.drain(..).collect());
+        self.levels.push(level.entries.drain(..).collect());
+    }
+}
+
+/// The level being filled: its subsets so far, their ranges and entries.
+struct Level<E> {
+    sets: Vec<TableSet>,
+    ranges: Vec<[u32; 2]>,
+    entries: Vec<E>,
+}
+
+impl<E> Level<E> {
+    /// Record `set`, whose entries are `entries[start..]`.
+    fn add(&mut self, set: TableSet, start: usize, stats: &mut SearchStats) {
+        if self.entries.len() > start {
+            stats.nodes += 1;
+        }
+        self.sets.push(set);
+        let range = [start, self.entries.len()].map(|i| u32::try_from(i).expect("< 2^32 entries"));
+        self.ranges.push(range);
     }
 }
 
@@ -116,6 +151,34 @@ pub fn next_level(model: &CostModel<'_>, level: &[TableSet]) -> Vec<TableSet> {
     next.sort_unstable();
     next.dedup();
     next
+}
+
+/// A left-deep split of level `k + 1`: the subset `set` is its parent —
+/// the outer half, at index `parent` of level `k` — with `table` added.
+#[derive(Debug, Clone, Copy)]
+struct Grown {
+    set: TableSet,
+    table: u32,
+    parent: u32,
+}
+
+/// Level `k + 1` of a left-deep walk as its splits: every subset of
+/// `level` (level `k`'s, in increasing bit order) grown by each table on
+/// its frontier, sorted by (set, table).  A set's run holds its splits
+/// `(S∖{t}, {t})` with a connected outer, in ascending `t` — the sets of
+/// [`next_level`], in its order, each with the splits of
+/// [`PlanShape::splits`] whose outer a level holds, in its order.
+fn grow_left_deep(model: &CostModel<'_>, level: &[TableSet], out: &mut Vec<Grown>) {
+    out.clear();
+    for (parent, &set) in level.iter().enumerate() {
+        let parent = u32::try_from(parent).expect("< 2^32 subsets");
+        out.extend(model.frontier(set).iter().map(|t| Grown {
+            set: set.with(t),
+            table: t as u32,
+            parent,
+        }));
+    }
+    out.sort_unstable_by_key(|g| (g.set, g.table));
 }
 
 /// The engine's raw product: the finalized (order-enforced) root
@@ -214,42 +277,67 @@ fn fill_table<P: CandidatePolicy>(
 ) -> DpTable<P::Entry> {
     let n = model.query().n_tables();
     let mut table = DpTable {
-        ranges: HashMap::default(),
+        sets: Vec::with_capacity(n),
+        ranges: Vec::with_capacity(n),
         levels: Vec::with_capacity(n),
+        dense: match shape {
+            PlanShape::Bushy if n <= DENSE_INDEX_TABLES => vec![u32::MAX; 1 << n],
+            _ => Vec::new(),
+        },
     };
-    let (mut entries, mut splits, mut pending) = (Vec::new(), Vec::new(), Vec::new());
+    let mut level = Level {
+        sets: Vec::new(),
+        ranges: Vec::new(),
+        entries: Vec::new(),
+    };
+    let (mut grown, mut splits, mut pending) = (Vec::new(), Vec::new(), Vec::new());
     for idx in 0..n {
-        let start = entries.len();
-        entries.extend(policy.access_entries(model, plans, idx, stats));
-        table.add(TableSet::singleton(idx), &entries, start, stats);
+        let start = level.entries.len();
+        let access = policy.access_entries(model, plans, idx, stats);
+        level.entries.extend(access);
+        level.add(TableSet::singleton(idx), start, stats);
     }
-    table.push_level(&mut entries);
+    table.push_level(&mut level);
     let tel = config.telemetry.as_deref();
-    let mut level = singletons(n);
-    // Depths 2..n.
-    for _ in 2..=n {
-        policy.after_level(model, plans, &table, &level, stats);
+    // Depths 2..n, each read off depth `k + 1`, the level at index `k`.
+    for k in 0..n - 1 {
+        policy.after_level(model, plans, &table, &table.sets[k], stats);
         let level_start = tel.map(|_| Instant::now());
-        level = next_level(model, &level);
-        for &set in &level {
-            shape.splits(model, set, &mut splits);
-            for &(left, right) in &splits {
-                let (Some(outer), Some(inner)) = (table.get(left), table.get(right)) else {
-                    continue;
-                };
-                let ctx = JoinContext {
-                    left,
-                    right,
-                    result: set,
-                    phase: set.len() - 2,
-                };
-                policy.combine(model, plans, &ctx, outer, inner, &mut pending, stats);
+        match shape {
+            PlanShape::LeftDeep => {
+                grow_left_deep(model, &table.sets[k], &mut grown);
+                for run in grown.chunk_by(|a, b| a.set == b.set) {
+                    for g in run {
+                        let (t, parent) = (g.table as usize, g.parent as usize);
+                        let outer = table.entries(k, parent);
+                        let (Some(outer), Some(inner)) = (outer, table.entries(0, t)) else {
+                            continue;
+                        };
+                        let ctx = JoinContext::of(g.set.without(t), TableSet::singleton(t));
+                        policy.combine(model, plans, &ctx, outer, inner, &mut pending, stats);
+                    }
+                    let start = level.entries.len();
+                    policy.build(plans, &mut pending, &mut level.entries);
+                    level.add(run[0].set, start, stats);
+                }
             }
-            let start = entries.len();
-            policy.build(plans, &mut pending, &mut entries);
-            table.add(set, &entries, start, stats);
+            PlanShape::Bushy => {
+                for set in next_level(model, &table.sets[k]) {
+                    shape.splits(model, set, &mut splits);
+                    for &(left, right) in &splits {
+                        let (Some(outer), Some(inner)) = (table.get(left), table.get(right)) else {
+                            continue;
+                        };
+                        let ctx = JoinContext::of(left, right);
+                        policy.combine(model, plans, &ctx, outer, inner, &mut pending, stats);
+                    }
+                    let start = level.entries.len();
+                    policy.build(plans, &mut pending, &mut level.entries);
+                    level.add(set, start, stats);
+                }
+            }
         }
-        table.push_level(&mut entries);
+        table.push_level(&mut level);
         if let (Some(t), Some(t0)) = (tel, level_start) {
             t.level_combine_ns.record_duration(t0.elapsed());
         }
@@ -327,9 +415,9 @@ mod tests {
             let model = CostModel::new(cat, q);
             let mut policy = KeepBestPolicy::new(MemoryCoster::fixed(&memory));
             let (table, plans, _) = filled(&model, *shape, &mut policy);
-            let composites = table.ranges.keys().filter(|Subset(set)| set.len() > 1);
-            for &Subset(set) in composites {
-                for e in table.get(set).unwrap() {
+            let composites = table.sets.iter().skip(1).flatten();
+            for &set in composites {
+                for e in table.get(set).into_iter().flatten() {
                     let Step::Join(_, outer, inner) = plans.step(e.plan) else {
                         panic!("a composite entry is a join step");
                     };
@@ -359,8 +447,9 @@ mod tests {
     ) {
         let model = CostModel::new(cat, q);
         let (table, _, stats) = filled(&model, shape, &mut policy);
+        let populated = table.ranges.iter().flatten();
         assert_eq!(
-            table.ranges.len(),
+            populated.filter(|[start, end]| start < end).count(),
             stats.nodes,
             "{what}: every node is stored"
         );
@@ -369,8 +458,20 @@ mod tests {
             q.n_tables(),
             "{what}: one vector per level"
         );
-        for (k, level) in table.levels.iter().enumerate() {
-            assert_eq!(level.capacity(), level.len(), "{what}: level {}", k + 1);
+        for k in 0..q.n_tables() {
+            let level = k + 1;
+            let (sets, ranges) = (&table.sets[k], &table.ranges[k]);
+            assert_eq!(sets.len(), ranges.len(), "{what}: level {level}");
+            for capacity_and_len in [
+                (table.levels[k].capacity(), table.levels[k].len()),
+                (sets.capacity(), sets.len()),
+                (ranges.capacity(), ranges.len()),
+            ] {
+                assert_eq!(
+                    capacity_and_len.0, capacity_and_len.1,
+                    "{what}: level {level}"
+                );
+            }
         }
     }
 
@@ -389,6 +490,87 @@ mod tests {
             assert_levels_exactly_sized(query, *shape, top_c, &what("top-c"));
             let multi_param = MultiParamPolicy::new(&memory, AlgDConfig::default());
             assert_levels_exactly_sized(query, *shape, multi_param, &what("multi-param"));
+        }
+    }
+
+    /// A left-deep level grown from its parents gives every set the
+    /// splits the shape gives it whose halves are populated, in the same
+    /// order, and [`DpTable::get`] finds every set a level stores and no
+    /// other, by binary search and, in a bushy table, by bits: on a star,
+    /// a clique and random graphs, whose disconnected outers the grown
+    /// splits never name.
+    #[test]
+    fn grown_left_deep_splits_are_the_shapes_populated_splits() {
+        let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
+        let mut queries = vec![
+            crate::fixtures::pruning_star(7),
+            crate::fixtures::pruning_clique(6),
+        ];
+        for seed in [3, 11] {
+            let mut tables = lec_catalog::CatalogGenerator::new(seed);
+            let catalog = tables.generate(12);
+            let ids = tables.pick_tables(&catalog, 8);
+            let profile = lec_plan::QueryProfile {
+                topology: lec_plan::Topology::Random,
+                ..Default::default()
+            };
+            let query = lec_plan::WorkloadGenerator::new(seed).gen_query(&catalog, &ids, &profile);
+            queries.push((catalog, query));
+        }
+        for (cat, q) in &queries {
+            let model = CostModel::new(cat, q);
+            let mut policy = KeepBestPolicy::new(MemoryCoster::fixed(&memory));
+            let (table, _, _) = filled(&model, PlanShape::LeftDeep, &mut policy);
+            let (mut grown, mut splits) = (Vec::new(), Vec::new());
+            for k in 0..q.n_tables() - 1 {
+                grow_left_deep(&model, &table.sets[k], &mut grown);
+                let runs: Vec<_> = grown.chunk_by(|a, b| a.set == b.set).collect();
+                let sets: Vec<_> = runs.iter().map(|run| run[0].set).collect();
+                assert_eq!(sets, next_level(&model, &table.sets[k]));
+                assert_eq!(sets, table.sets[k + 1], "level {}", k + 2);
+                for run in runs {
+                    let set = run[0].set;
+                    let got: Vec<_> = run
+                        .iter()
+                        .filter(|g| {
+                            let outer = table.entries(k, g.parent as usize);
+                            outer.is_some() && table.entries(0, g.table as usize).is_some()
+                        })
+                        .map(|g| {
+                            let outer = table.sets[k][g.parent as usize];
+                            (outer, TableSet::singleton(g.table as usize))
+                        })
+                        .collect();
+                    PlanShape::LeftDeep.splits(&model, set, &mut splits);
+                    let want: Vec<_> = splits
+                        .iter()
+                        .copied()
+                        .filter(|&(l, r)| table.get(l).is_some() && table.get(r).is_some())
+                        .collect();
+                    assert!(!want.is_empty(), "{set}");
+                    assert_eq!(got, want, "{set}");
+                }
+            }
+            let mut policy = KeepBestPolicy::new(MemoryCoster::fixed(&memory));
+            let (bushy, _, _) = filled(&model, PlanShape::Bushy, &mut policy);
+            assert!(!bushy.dense.is_empty() && table.dense.is_empty());
+            for table in [table, bushy] {
+                for (k, sets) in table.sets.iter().enumerate() {
+                    for (i, &set) in sets.iter().enumerate() {
+                        let got = table.get(set).map(|e| e.as_ptr());
+                        assert_eq!(got, table.entries(k, i).map(|e| e.as_ptr()), "{set}");
+                        assert!(got.is_some(), "{set} is populated");
+                    }
+                }
+                let full = TableSet::full(q.n_tables()).bits();
+                for bits in 1..=full {
+                    let set = TableSet::from_bits(bits);
+                    let stored = table.sets[set.len() - 1].contains(&set);
+                    assert_eq!(table.get(set).is_some(), stored, "{set}");
+                }
+                let outside = TableSet::singleton(q.n_tables());
+                assert!(table.get(outside).is_none() && table.get(TableSet::EMPTY).is_none());
+            }
         }
     }
 }

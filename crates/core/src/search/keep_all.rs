@@ -27,7 +27,7 @@ use super::arena::PlanArena;
 use super::bound::{point_size_product, CompletionFloor};
 use super::coster::{MemoryCoster, PhaseCoster};
 use super::engine::DpTable;
-use super::keep_best::{build_entries, DpEntry, PricedPairs};
+use super::keep_best::{build_entries, DpEntry};
 use super::policy::{
     access_alternatives, join_output_order, priced, CandidatePolicy, JoinContext, Joined,
     RootContext, SearchEntry,
@@ -36,6 +36,9 @@ use super::SearchStats;
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, TableSet};
 use std::cmp::Ordering;
+
+/// (outer pages, inner pages) bits -> (method costs, result pages).
+type PricedPairs = Vec<((u64, u64), ([f64; 4], f64))>;
 
 /// The keep-everything policy over any [`PhaseCoster`].
 #[derive(Debug, Clone)]
@@ -105,19 +108,13 @@ impl<C: PhaseCoster> KeepAllPolicy<C> {
                 .map(|j| (point_size_product(model, set.with(j)), j))
                 .min_by(first_min)?;
             let right = TableSet::singleton(j);
-            let result = set.with(j);
-            let ctx = JoinContext {
-                left: set,
-                right,
-                result,
-                phase: result.len() - 2,
-            };
+            let ctx = JoinContext::of(set, right);
             let mut out = Vec::new();
             self.combine(model, plans, &ctx, &cur, table.get(right)?, &mut out, stats);
             let best = cheapest_index(&out)?;
             cur.clear();
             self.build(plans, &mut vec![out.swap_remove(best)], &mut cur);
-            set = result;
+            set = ctx.result;
         }
         let ctx = RootContext { sort_phase: n - 1 };
         self.finalize(model, plans, &ctx, cur, stats)

@@ -14,12 +14,20 @@
 //! rule drops it whenever it arrives, and what it would evict or reject,
 //! the cheaper one does too.  So the node's entries, their order and every
 //! counter stay; exact ties all go in, for the shape tie-break.
+//!
+//! A search prices each operand-size pair once per phase distribution, not
+//! once per split: most of a dense graph's intermediates clamp to one
+//! page, so its splits meet the same few (outer pages, inner pages) pairs
+//! again and again.  The prices live in a direct-mapped table of
+//! `PRICE_SLOTS` (128) slots that the policy empties when a search starts;
+//! a result size is still one multiply per pair, as its selectivity is the
+//! split's.
 
 use super::arena::{PlanArena, PlanId, Step};
 use super::coster::PhaseCoster;
 use super::policy::{
-    access_alternatives, insert_entry_shaped, join_output_order, priced, shape_rank,
-    CandidatePolicy, JoinContext, Joined, RootContext, SearchEntry,
+    access_alternatives, insert_entry_shaped, join_output_order, shape_rank, CandidatePolicy,
+    JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
@@ -65,8 +73,46 @@ pub(super) fn build_entries(
     }));
 }
 
-/// (outer pages, inner pages) bits -> (method costs, result pages).
-pub(super) type PricedPairs = Vec<((u64, u64), ([f64; 4], f64))>;
+/// Slots in a search's [`PriceTable`]: a constant, about 7 KB.
+const PRICE_SLOTS: usize = 128;
+
+/// A price table key: (outer pages bits, inner pages bits, the coster's
+/// [`PhaseCoster::price_phase`]).
+type PriceKey = (u64, u64, usize);
+
+/// An empty slot of a [`PriceTable`]: no coster reads phase `usize::MAX`.
+const NO_PRICE: (PriceKey, [f64; 4]) = ((0, 0, usize::MAX), [0.0; 4]);
+
+/// One search's join prices, direct-mapped: a join's method costs depend
+/// only on its operands' sizes and the phase distribution the coster
+/// reads (Proposition 3.1's observation), so every split of the search
+/// that meets a priced key reads its costs instead of paying `4·b`
+/// formula calls again.  A slot holds the last key hashed to it and that
+/// key's four method costs, in [`JoinMethod::ALL`] order; the full key is
+/// compared, so a colliding key is priced again and never reads another
+/// key's prices.  The table is empty until the search's first price.
+#[derive(Debug, Clone, Default)]
+struct PriceTable(Vec<(PriceKey, [f64; 4])>);
+
+impl PriceTable {
+    fn slot(key: PriceKey) -> usize {
+        let (outer, inner, phase) = key;
+        let hash = lec_cost::avalanche(lec_cost::avalanche(outer) ^ inner ^ phase as u64);
+        hash as usize % PRICE_SLOTS
+    }
+
+    /// `key`'s costs, priced by `price` unless its slot holds them.
+    fn get_or_price(&mut self, key: PriceKey, price: impl FnOnce() -> [f64; 4]) -> [f64; 4] {
+        if self.0.is_empty() {
+            self.0.resize(PRICE_SLOTS, NO_PRICE);
+        }
+        let slot = &mut self.0[Self::slot(key)];
+        if slot.0 != key {
+            *slot = (key, price());
+        }
+        slot.1
+    }
+}
 
 /// Call `insert(i, j, method, cost, size)`, in enumeration order, for each
 /// candidate of one split that is its group's cheapest (module docs);
@@ -103,8 +149,8 @@ pub(super) fn for_each_cheapest<S: Copy>(
 pub struct KeepBestPolicy<C> {
     /// The operator-costing strategy.
     pub coster: C,
-    /// The size pairs one `combine` call has priced; cleared per call.
-    pairs: PricedPairs,
+    /// The search's join prices; emptied when a search starts.
+    prices: PriceTable,
     /// One `combine` call's candidate costs and sizes per entry pair.
     sums: Vec<([f64; 4], f64)>,
 }
@@ -114,7 +160,7 @@ impl<C: PhaseCoster> KeepBestPolicy<C> {
     pub fn new(coster: C) -> Self {
         KeepBestPolicy {
             coster,
-            pairs: Vec::new(),
+            prices: PriceTable::default(),
             sums: Vec::new(),
         }
     }
@@ -131,6 +177,10 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
         idx: usize,
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
+        // A search starts with its first table: no price outlives a search.
+        if idx == 0 {
+            self.prices.0.clear();
+        }
         let mut entries = Vec::new();
         for e in access_alternatives(model, plans, idx) {
             insert_entry_shaped(model, plans, &mut entries, e);
@@ -149,19 +199,18 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
         stats: &mut SearchStats,
     ) {
         let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
-        self.pairs.clear();
+        let phase = self.coster.price_phase(ctx.phase);
         self.sums.clear();
         for oe in outer {
             for ie in inner {
-                let key = (oe.pages.to_bits(), ie.pages.to_bits());
-                let (costs, pages) = priced(&mut self.pairs, key, || {
-                    let cost = |method| {
+                let key = (oe.pages.to_bits(), ie.pages.to_bits(), phase);
+                let costs = self.prices.get_or_price(key, || {
+                    JoinMethod::ALL.map(|method| {
                         self.coster
                             .join_cost(model, ctx, method, oe.pages, ie.pages)
-                    };
-                    let pages = model.join_output_pages(oe.pages, ie.pages, sel);
-                    (JoinMethod::ALL.map(cost), pages)
+                    })
                 });
+                let pages = model.join_output_pages(oe.pages, ie.pages, sel);
                 stats.candidates += JoinMethod::ALL.len() as u64;
                 self.sums
                     .push((costs.map(|join_cost| oe.cost + ie.cost + join_cost), pages));
@@ -275,6 +324,39 @@ mod tests {
         }
     }
 
+    /// Two keys that share a slot each read their own prices: the second
+    /// evicts the first, which is priced again when it returns, and a key
+    /// equal to it but for its phase, in the same slot, is a third key.
+    #[test]
+    fn colliding_keys_each_read_their_own_prices() {
+        let first = (1.0f64.to_bits(), 10.0f64.to_bits(), 0);
+        let collides =
+            |key: &PriceKey| *key != first && PriceTable::slot(*key) == PriceTable::slot(first);
+        let second = (1..)
+            .map(|pages| (1.0f64.to_bits(), f64::to_bits(pages as f64), 0))
+            .find(collides)
+            .expect("some inner page count collides");
+        let other_phase = (1..)
+            .map(|phase| (first.0, first.1, phase))
+            .find(collides)
+            .expect("some phase collides");
+        let mut table = PriceTable::default();
+        let mut priced = Vec::new();
+        let mut read = |key: PriceKey, costs: [f64; 4]| {
+            table.get_or_price(key, || {
+                priced.push(key);
+                costs
+            })
+        };
+        let (a, b) = ([1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]);
+        assert_eq!(read(first, a), a);
+        assert_eq!(read(first, b), a, "a stored price is read, not priced");
+        assert_eq!(read(second, b), b, "a collision is priced, not read");
+        assert_eq!(read(first, a), a, "the evicted key is priced again");
+        assert_eq!(read(other_phase, b), b, "another phase's price is priced");
+        assert_eq!(priced, [first, second, first, other_phase]);
+    }
+
     /// Two outer entries whose sums round to one candidate cost: 1.5 and
     /// 2.5 vanish into a 10¹⁸ join cost, whose last place is 128.  Both
     /// are their groups' minimum, so the filter inserts both, and the
@@ -306,12 +388,7 @@ mod tests {
             pages: 10.0,
             order: OrderProperty::Unsorted,
         }];
-        let ctx = JoinContext {
-            left: TableSet::from_bits(0b011),
-            right: TableSet::from_bits(0b100),
-            result: TableSet::from_bits(0b111),
-            phase: 1,
-        };
+        let ctx = JoinContext::of(TableSet::from_bits(0b011), TableSet::from_bits(0b100));
         let coster = Flat([4e18, 1e18, 2e18, 3e18]);
         let (_, sm_order) = model.crossing(ctx.left, ctx.right);
         let mut want = Vec::new();

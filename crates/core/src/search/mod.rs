@@ -33,8 +33,11 @@
 //! `b`-bucket distribution), `expected_*_for` Algorithm D's expectations
 //! over size distributions that carry their prefix tables.  A join's
 //! method costs depend only on its operands' sizes (Proposition 3.1's
-//! observation), so every `combine` prices each distinct operand-size pair
-//! once and its candidates read the stored prices.
+//! observation), so no operand-size pair is priced twice where it is
+//! bound to repeat: a keep-1 search keeps one price table for all its
+//! splits, keyed by the two sizes and the phase distribution the coster
+//! reads ([`keep_best`]); top-c, multi-param and keep-all price each
+//! distinct pair of one `combine` call once.  Nothing outlives a search.
 //! [`SearchStats::evals`] counts the formula calls made.
 //!
 //! # Who holds plans

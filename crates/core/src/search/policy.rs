@@ -23,6 +23,19 @@ pub struct JoinContext {
     pub phase: usize,
 }
 
+impl JoinContext {
+    /// The context of joining `left` with `right`.
+    pub fn of(left: TableSet, right: TableSet) -> Self {
+        let result = left.union(right);
+        JoinContext {
+            left,
+            right,
+            result,
+            phase: result.len() - 2,
+        }
+    }
+}
+
 /// Context for root finalization.
 #[derive(Debug, Clone, Copy)]
 pub struct RootContext {

@@ -23,9 +23,11 @@
 //! keeps `c` plans sorted as required and `c` others in one run ranked by
 //! (cost, shape), and groups its outer list on the same two classes.  Within one `combine` call the inner size is fixed, so the
 //! join methods are priced once per distinct outer page count (groups of
-//! both classes share it), and each (group, method) walk finds its
-//! class's run — an outer order's class decides its page nested-loop
-//! output's — in the pending buffer once and hands it to every insert.
+//! both classes share it), and the call finds where the pending buffer's
+//! two runs meet once: each (group, method) walk takes its class's run —
+//! an outer order's class decides its page nested-loop output's — from
+//! that boundary, hands it to every insert, and moves the boundary by what
+//! the first run gained.
 
 use super::arena::PlanArena;
 use super::coster::{MemoryCoster, PhaseCoster};
@@ -196,6 +198,10 @@ impl CandidatePolicy for TopCPolicy {
         let inner_pages = self.inner_order.first().map_or(0.0, |&i| inner[i].pages);
 
         self.sizes.clear();
+        // `into` is the run of entries not sorted as required, then the
+        // run of those that are: a walk's run is one side of this split,
+        // and only a walk in the first moves it.
+        let mut others_end = order_run(into, OrderProperty::Unsorted).end;
         for group in self.outer_order.chunk_by(|&a, &b| key(a) == key(b)) {
             let (outer_order, outer_pages) = (outer[group[0]].order, outer[group[0]].pages);
             // Prop 3.1 frontier: only (i, k) with i·k ≤ c.  Every admitted
@@ -218,7 +224,11 @@ impl CandidatePolicy for TopCPolicy {
                 self.frontier.bound_total = self.frontier.bound_total.saturating_add(self.bound);
                 self.frontier.combinations_examined += admitted;
                 stats.candidates += admitted;
-                let mut run = order_run(into, join_output_order(sm_order, outer_order, method));
+                let required = join_output_order(sm_order, outer_order, method).is_required();
+                let mut run = match required {
+                    true => others_end..into.len(),
+                    false => 0..others_end,
+                };
                 'inner: for (ki, &ii) in self.inner_order.iter().enumerate() {
                     let ie = &inner[ii];
                     for (i, &oi) in group.iter().take(self.c / (ki + 1)).enumerate() {
@@ -239,6 +249,9 @@ impl CandidatePolicy for TopCPolicy {
                             break;
                         }
                     }
+                }
+                if !required {
+                    others_end = run.end;
                 }
             }
         }

@@ -1,15 +1,18 @@
-//! Priced once, answered the same: keep-best (under a static and an
-//! evolving memory) and Algorithm D's multi-param policy price each
-//! distinct operand-size pair of a `combine` call once, and they build
-//! exactly the nodes — plan, cost bits, order, size — and do exactly the
-//! work, every counter but `evals`, of eager references that price every
+//! Priced once, answered the same: keep-best reads each operand-size
+//! pair's prices from one table per search (under the point costers of
+//! LSC and Algorithm A, a static memory — C and the bushy extension — and
+//! an evolving one, C-dynamic), and Algorithm D's multi-param policy
+//! prices each distinct pair of a `combine` call once; they build exactly
+//! the nodes — plan, cost bits, order, size — and do exactly the work,
+//! every counter but `evals`, of eager references that price every
 //! candidate.  The references are the policies' combines as they were
-//! before the memo, kept here verbatim but for signatures: they insert
+//! before any memo, kept here verbatim but for signatures: they insert
 //! every candidate, so the node-by-node check also holds each keep-1
 //! combine's insert of only its groups' cheapest candidates to inserting
-//! them all.  Both shapes run, because only a
-//! bushy split gives one call inner entries of different sizes, and the
-//! clamp-heavy fixtures give one subset's entries different sizes.
+//! them all.  Both shapes run, because only a bushy split gives one call
+//! inner entries of different sizes, and the clamp-heavy fixtures give
+//! one subset's entries different sizes.  A price read at the wrong phase
+//! or size shows as a cost bit that differs from the reference's.
 
 use lec_catalog::{Catalog, CatalogGenerator};
 use lec_core::fixtures::{pruning_clique, pruning_star};
@@ -25,8 +28,8 @@ use lec_prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Keep-best's combine before the memo: four coster calls and one
-/// output size per (outer, inner) entry pair.
+/// Keep-best's combine before any memo: four coster calls and one output
+/// size per (outer, inner) entry pair.
 struct EagerKeepBest<C> {
     policy: KeepBestPolicy<C>,
 }
@@ -369,26 +372,33 @@ fn assert_every_policy_priced_once(catalog: &Catalog, query: &Query) {
     let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
     let chain = MarkovChain::sticky_uniform(memory.support().to_vec(), 0.6).unwrap();
     let n = query.n_tables();
-    let fixed = || MemoryCoster::fixed(&memory);
-    let evolving = || MemoryCoster::evolving(&memory, &chain, n).unwrap();
-    assert_priced_once(
-        catalog,
-        query,
-        "keep-best, fixed",
-        || KeepBestPolicy::new(fixed()),
-        || EagerKeepBest {
-            policy: KeepBestPolicy::new(fixed()),
-        },
-    );
-    assert_priced_once(
-        catalog,
-        query,
-        "keep-best, evolving",
-        || KeepBestPolicy::new(evolving()),
-        || EagerKeepBest {
-            policy: KeepBestPolicy::new(evolving()),
-        },
-    );
+    // LSC at the mean and Algorithm A's point runs, C (and, bushy, the
+    // §4 extension), C-dynamic.
+    let mut costers = vec![("LSC", MemoryCoster::point(memory.mean()))];
+    for &m in memory.support() {
+        costers.push(("AlgA's point run", MemoryCoster::point(m)));
+    }
+    costers.push(("fixed", MemoryCoster::fixed(&memory)));
+    costers.push((
+        "evolving",
+        MemoryCoster::evolving(&memory, &chain, n).unwrap(),
+    ));
+    // The uniform start barely moves under the sticky chain; a skewed one
+    // gives every phase its own distribution, so its own prices.
+    let skewed = presets::zipf_over(memory.support(), 1.5).unwrap();
+    let drifting = MemoryCoster::evolving(&skewed, &chain, n).unwrap();
+    costers.push(("evolving from a skew", drifting));
+    for (what, coster) in costers {
+        assert_priced_once(
+            catalog,
+            query,
+            &format!("keep-best, {what}"),
+            || KeepBestPolicy::new(coster.clone()),
+            || EagerKeepBest {
+                policy: KeepBestPolicy::new(coster.clone()),
+            },
+        );
+    }
     for cube_root_inputs in [false, true] {
         let config = AlgDConfig {
             cube_root_inputs,

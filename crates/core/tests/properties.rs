@@ -152,7 +152,7 @@ fn work_counters(r: &SearchOutcome) -> [u64; 4] {
 /// One path, priced in place: on a *shared* model, LSC at `m` and
 /// Algorithm C under a point at `m` return the same plan and cost bits and
 /// do the same formula work — the second run finds nothing memoized,
-/// because no expectation is ever cached.
+/// because nothing outlives a search.
 #[test]
 fn a_point_search_and_a_one_bucket_search_do_the_same_work() {
     for (cat, q) in [

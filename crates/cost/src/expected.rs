@@ -16,8 +16,11 @@
 //!   `E(≤b') = E(≤b) + E(b<·≤b')` is a plain sum.
 //!
 //! Block nested-loop has no separable form (`⌈a/(m-2)⌉·b` couples `a` and
-//! `m`), so it deliberately falls back to the naive path — it is the
-//! resident example of why the generic `O(b³)` algorithm must exist.
+//! `m`), so it deliberately takes the triple sum — it is the resident
+//! example of why the generic `O(b³)` algorithm must exist.  Its block
+//! count does not read `b`, so [`expected_join_cost`] computes it once per
+//! (outer, memory) value pair, in the naive sum's term order, to the same
+//! bits.
 //!
 //! Every operand reaches the streaming path as a [`DistTables`]: its
 //! prefix tables are built once, with the distribution, and then only
@@ -50,6 +53,37 @@ pub fn naive_expected_join_cost(
             for (bv, bp) in b.iter() {
                 for (mv, mp) in m.iter() {
                     partial += f(av, bv, mv) * bp * mp;
+                }
+            }
+            ap * partial
+        })
+        .sum()
+}
+
+/// Block nested-loop's [`naive_expected_join_cost`], term for term and
+/// so bit for bit, with each (outer, memory) pair's block count computed
+/// once rather than once per inner size.
+fn expected_bnl_cost(a: &Distribution, b: &Distribution, m: &Distribution) -> f64 {
+    // One outer value's block counts, on the stack up to 16 memory buckets.
+    let (mut stack, mut heap) = ([0.0; 16], Vec::new());
+    let blocks = match m.len() <= stack.len() {
+        true => &mut stack[..m.len()],
+        false => {
+            heap.resize(m.len(), 0.0);
+            &mut heap[..]
+        }
+    };
+    a.iter()
+        .map(|(av, ap)| {
+            for (scans, (mv, _)) in blocks.iter_mut().zip(m.iter()) {
+                *scans = formulas::bnl_blocks(av, mv);
+            }
+            let outer = formulas::clamp(av);
+            let mut partial = 0.0;
+            for (bv, bp) in b.iter() {
+                let inner = formulas::clamp(bv);
+                for ((_, mp), &scans) in m.iter().zip(blocks.iter()) {
+                    partial += (outer + scans * inner) * bp * mp;
                 }
             }
             ap * partial
@@ -226,8 +260,9 @@ pub fn streaming_expected_join_cost(
     }
 }
 
-/// Best available expected join cost: streaming when separable, naive
-/// otherwise.  This is Algorithm D's per-method costing step.
+/// Best available expected join cost: streaming when separable, the
+/// triple sum with its block counts hoisted otherwise.  This is Algorithm
+/// D's per-method costing step.
 pub fn expected_join_cost(
     method: JoinMethod,
     a: &DistTables,
@@ -235,7 +270,7 @@ pub fn expected_join_cost(
     m: &DistTables,
 ) -> f64 {
     streaming_expected_join_cost(method, a, b, &m.tables)
-        .unwrap_or_else(|| naive_expected_join_cost(method, &a.dist, &b.dist, &m.dist))
+        .unwrap_or_else(|| expected_bnl_cost(&a.dist, &b.dist, &m.dist))
 }
 
 /// Expected external-sort cost over uncertain input size and memory, in
@@ -411,6 +446,27 @@ mod tests {
         assert_eq!(small_outer, 10.0 + 10.0 * 1000.0);
         assert_eq!(big_outer, 1000.0 + 1000.0 * 10.0);
         assert!(small_outer < big_outer);
+    }
+
+    /// The hoisted block counts give the naive triple sum's bits, on
+    /// distributions of up to 16×16×4 buckets with sub-page sizes and
+    /// memories whose block clamps to one page, and on memories of up to
+    /// 24 buckets, past the stack's 16.
+    #[test]
+    fn hoisted_bnl_blocks_give_the_naive_bits() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB10C);
+        for trial in 0..300 {
+            let a = rand_dist(&mut rng, 16, 0.25, 1e5);
+            let b = rand_dist(&mut rng, 16, 0.25, 1e5);
+            let m = rand_dist(&mut rng, if trial % 10 == 0 { 24 } else { 4 }, 0.5, 3e3);
+            let naive = naive_expected_join_cost(JoinMethod::BlockNestedLoop, &a, &b, &m);
+            let got = expected_bnl_cost(&a, &b, &m);
+            assert_eq!(
+                got.to_bits(),
+                naive.to_bits(),
+                "trial {trial}: {got} vs {naive}"
+            );
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub fn join_cost_over(method: JoinMethod, outer: f64, inner: f64, memory: &Distr
     }
 }
 
-fn clamp(pages: f64) -> f64 {
+pub(crate) fn clamp(pages: f64) -> f64 {
     if pages.is_nan() {
         MIN_PAGES
     } else {
@@ -104,9 +104,14 @@ pub fn nl_join_cost(a: f64, b: f64, m: f64) -> f64 {
 /// included as the "more complicated formula" ablation its footnote 2
 /// discusses.
 pub fn bnl_join_cost(a: f64, b: f64, m: f64) -> f64 {
-    let (a, b) = (clamp(a), clamp(b));
-    let block = (m - 2.0).max(1.0);
-    a + (a / block).ceil() * b
+    clamp(a) + bnl_blocks(a, m) * clamp(b)
+}
+
+/// Block nested-loop's block count `⌈a/max(m−2, 1)⌉`: how many times the
+/// inner is scanned.  It does not read the inner size, so an expectation
+/// over one hoists it out of the inner loop.
+pub(crate) fn bnl_blocks(a: f64, m: f64) -> f64 {
+    (clamp(a) / (m - 2.0).max(1.0)).ceil()
 }
 
 /// External sort of `r` pages with `m` buffer pages, in the same

@@ -35,8 +35,7 @@ pub fn avalanche(word: u64) -> u64 {
 
 /// The identity hasher for keys that hash themselves once, when built:
 /// the serving layer's plan-cache key (one [`Fingerprint`] fold picks the
-/// stripe and probes it) and the DP table's subsets (one [`avalanche`] of
-/// the set's bits).
+/// stripe and probes it).
 #[derive(Debug, Default)]
 pub struct Prehashed(u64);
 

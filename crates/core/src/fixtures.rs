@@ -200,8 +200,8 @@ const PRUNING_EXPANSIVE_SEL: f64 = 0.5;
 /// partner: each one shrinks the intermediate by 100×.
 const PRUNING_REDUCTIVE_SEL: f64 = 1e-5;
 
-/// An `n`-table chain built to exercise branch-and-bound pruning (today
-/// the oracle's streaming discard): every table is 1000 pages, most
+/// An `n`-table chain built to exercise branch-and-bound pruning (now a
+/// reach case for `lec_cost::oracle`): every table is 1000 pages, most
 /// adjacent joins are strongly reductive (output shrinks 100× per join)
 /// but the joins at positions `n/3` and `2n/3` are expansive (output grows
 /// 500×).  Orders that cross an expansive edge while the running

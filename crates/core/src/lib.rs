@@ -34,8 +34,6 @@
 //!   (Figure 1) with §3.6.3 rebucketing;
 //! * [`bushy`] — Algorithm C's policy under the bushy shape (the §4
 //!   extension);
-//! * [`exhaustive`] — the keep-all policy: brute-force ground truth used
-//!   to verify the optimality theorems;
 //! * [`randomized`] — move-based II/SA searches \[Swa89, IK90\] with the
 //!   EC objective (not DP-based, but reporting the same uniform stats);
 //! * [`bucketing`] — the §3.7 strategies for partitioning the parameter
@@ -86,7 +84,6 @@ pub mod alg_d;
 pub mod bucketing;
 pub mod bushy;
 pub mod error;
-pub mod exhaustive;
 pub mod fixtures;
 pub mod lsc;
 pub mod optimizer;
@@ -98,7 +95,6 @@ pub use alg_a::Candidate;
 pub use alg_d::AlgDConfig;
 pub use bucketing::{bucketize, query_memory_breakpoints, BucketStrategy};
 pub use error::OptError;
-pub use exhaustive::exhaustive_best;
 pub use lsc::PointEstimate;
 pub use optimizer::{optimize, Mode, Optimized, Optimizer};
 pub use parametric::{coverage_family, CachedPlan, PlanCache, StartupChoice};

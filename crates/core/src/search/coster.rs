@@ -1,4 +1,4 @@
-//! The costing axis of the keep-1, top-c and keep-all policies: how one
+//! The costing axis of the keep-1 and top-c policies: how one
 //! memory-dependent operator is priced.
 //!
 //! Memory is a distribution everywhere.  "The standard approach [is] the
@@ -108,17 +108,6 @@ impl MemoryCoster {
 
     fn phase(&self, phase: usize) -> &Distribution {
         &self.phases[self.price_phase(phase)]
-    }
-
-    /// The most favourable memory value *any* phase can see: costs are
-    /// nonincreasing in memory, so every expectation this coster takes is
-    /// at least the formula at this value (the oracle's
-    /// [`super::CompletionFloor`]).
-    pub fn max_memory(&self) -> f64 {
-        self.phases
-            .iter()
-            .map(Distribution::max_value)
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 }
 

@@ -11,9 +11,9 @@
 //! built only for the roots a caller takes ([`SearchRun::plans`]).  A
 //! left-deep level is grown from its parents (`grow_left_deep`), so a
 //! split reads its outer entries at its parent's index and its inner ones
-//! at its table's; only the bushy walk and the oracle look a subset up
-//! ([`DpTable::get`]: by its bits in a bushy search, by a binary search of
-//! its level otherwise).
+//! at its table's; only the bushy walk looks a subset up
+//! (`DpTable::get`: by its bits, or past `DENSE_INDEX_TABLES` tables by
+//! a binary search of its level).
 
 use super::arena::PlanArena;
 use super::policy::{CandidatePolicy, JoinContext, RootContext, SearchEntry};
@@ -21,7 +21,6 @@ use super::SearchStats;
 use crate::error::OptError;
 use lec_cost::CostModel;
 use lec_plan::TableSet;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,7 +32,7 @@ const DENSE_INDEX_TABLES: usize = 16;
 /// tables): the level's connected subsets in increasing bit order, each
 /// one's range in the level's entry vector (empty when it kept none), and
 /// that vector.
-pub struct DpTable<E> {
+struct DpTable<E> {
     sets: Vec<Vec<TableSet>>,
     ranges: Vec<Vec<[u32; 2]>>,
     levels: Vec<Vec<E>>,
@@ -47,7 +46,7 @@ pub struct DpTable<E> {
 
 impl<E> DpTable<E> {
     /// The entries retained for `set`, if it is populated.
-    pub fn get(&self, set: TableSet) -> Option<&[E]> {
+    fn get(&self, set: TableSet) -> Option<&[E]> {
         let k = set.len().checked_sub(1)?;
         let i = if self.dense.is_empty() {
             self.sets.get(k)?.binary_search(&set).ok()?
@@ -108,31 +107,19 @@ pub enum PlanShape {
     Bushy,
 }
 
-impl PlanShape {
-    /// Fill `out` with the ordered operand splits of `set`, cross products
-    /// excluded.  Each half is a proper subset of `set`.
-    fn splits(self, model: &CostModel<'_>, set: TableSet, out: &mut Vec<(TableSet, TableSet)>) {
-        out.clear();
-        match self {
-            PlanShape::LeftDeep => out.extend(set.iter().filter_map(|j| {
-                let left = set.without(j);
-                (!model.neighbours(j).intersect(left).is_empty())
-                    .then_some((left, TableSet::singleton(j)))
-            })),
-            PlanShape::Bushy => {
-                let bits = set.bits();
-                // Walk all non-empty proper subsets via the standard trick.
-                let mut sub = (bits - 1) & bits;
-                while sub != 0 {
-                    let left = TableSet::from_bits(sub);
-                    let right = TableSet::from_bits(bits & !sub);
-                    if !model.frontier(left).intersect(right).is_empty() {
-                        out.push((left, right));
-                    }
-                    sub = (sub - 1) & bits;
-                }
-            }
+/// Fill `out` with the bushy splits of `set`: every ordered 2-partition
+/// whose halves a predicate joins, by decreasing outer bits.
+fn bushy_splits(model: &CostModel<'_>, set: TableSet, out: &mut Vec<(TableSet, TableSet)>) {
+    out.clear();
+    let bits = set.bits();
+    // Walk all non-empty proper subsets via the standard trick.
+    let mut sub = (bits - 1) & bits;
+    while sub != 0 {
+        let (left, right) = (TableSet::from_bits(sub), TableSet::from_bits(bits & !sub));
+        if !model.frontier(left).intersect(right).is_empty() {
+            out.push((left, right));
         }
+        sub = (sub - 1) & bits;
     }
 }
 
@@ -142,7 +129,7 @@ impl PlanShape {
 /// connected `k`-subset (drop a leaf of a spanning tree), so growing *all*
 /// connected `k`-sets reaches all of them — in the order a walk of every
 /// `k + 1`-subset by increasing bits would meet them, which is the order
-/// the tie-breaks and the oracle's incumbent refresh were recorded against.
+/// the tie-breaks were recorded against.
 pub fn next_level(model: &CostModel<'_>, level: &[TableSet]) -> Vec<TableSet> {
     let mut next: Vec<TableSet> = level
         .iter()
@@ -166,8 +153,8 @@ struct Grown {
 /// `level` (level `k`'s, in increasing bit order) grown by each table on
 /// its frontier, sorted by (set, table).  A set's run holds its splits
 /// `(S∖{t}, {t})` with a connected outer, in ascending `t` — the sets of
-/// [`next_level`], in its order, each with the splits of
-/// [`PlanShape::splits`] whose outer a level holds, in its order.
+/// [`next_level`], in its order, each with its left-deep splits (`t`
+/// adjacent to `S∖{t}`) whose outer a level holds, in ascending `t`.
 fn grow_left_deep(model: &CostModel<'_>, level: &[TableSet], out: &mut Vec<Grown>) {
     out.clear();
     for (parent, &set) in level.iter().enumerate() {
@@ -203,40 +190,6 @@ impl<E: SearchEntry> SearchRun<E> {
     }
 }
 
-/// Number of complete plans of `shape` the keep-all policy would
-/// materialize for this query: the same subset recursion as the search
-/// itself, counting instead of building.  Lets callers reject
-/// plan spaces too large to hold in memory before paying for them.
-pub fn plan_space_size(model: &CostModel<'_>, shape: PlanShape) -> u128 {
-    let n = model.query().n_tables();
-    if n == 0 {
-        return 0;
-    }
-    let n_methods = lec_plan::JoinMethod::ALL.len() as u128;
-    let mut counts: HashMap<TableSet, u128> = HashMap::new();
-    let mut level = singletons(n);
-    for &set in &level {
-        counts.insert(set, model.access_paths(set.sole_member()).len() as u128);
-    }
-    let mut splits = Vec::new();
-    for _ in 2..=n {
-        level = next_level(model, &level);
-        for &set in &level {
-            let mut total: u128 = 0;
-            shape.splits(model, set, &mut splits);
-            for &(left, right) in &splits {
-                if let (Some(l), Some(r)) = (counts.get(&left), counts.get(&right)) {
-                    total = total.saturating_add(l.saturating_mul(*r).saturating_mul(n_methods));
-                }
-            }
-            if total > 0 {
-                counts.insert(set, total);
-            }
-        }
-    }
-    counts.get(&TableSet::full(n)).copied().unwrap_or(0)
-}
-
 /// What a search does beyond the plain DP ([`run_search_with`]).
 #[derive(Debug, Clone, Default)]
 pub struct SearchConfig {
@@ -257,16 +210,10 @@ impl SearchConfig {
     }
 }
 
-/// Level 1 of the walk: every table on its own.
-fn singletons(n: usize) -> Vec<TableSet> {
-    (0..n).map(TableSet::singleton).collect()
-}
-
 /// Fill the DP table of an `n ≥ 1`-table query level by level: a subset's
 /// splits rank *pending* joins into one buffer, built after its last split,
 /// and a level (reading only those below it) fills one buffer, stored
-/// exactly sized when done.  The policy sees each level below the root
-/// ([`CandidatePolicy::after_level`]).
+/// exactly sized when done.
 fn fill_table<P: CandidatePolicy>(
     model: &CostModel<'_>,
     shape: PlanShape,
@@ -301,7 +248,6 @@ fn fill_table<P: CandidatePolicy>(
     let tel = config.telemetry.as_deref();
     // Depths 2..n, each read off depth `k + 1`, the level at index `k`.
     for k in 0..n - 1 {
-        policy.after_level(model, plans, &table, &table.sets[k], stats);
         let level_start = tel.map(|_| Instant::now());
         match shape {
             PlanShape::LeftDeep => {
@@ -323,7 +269,7 @@ fn fill_table<P: CandidatePolicy>(
             }
             PlanShape::Bushy => {
                 for set in next_level(model, &table.sets[k]) {
-                    shape.splits(model, set, &mut splits);
+                    bushy_splits(model, set, &mut splits);
                     for &(left, right) in &splits {
                         let (Some(outer), Some(inner)) = (table.get(left), table.get(right)) else {
                             continue;
@@ -493,9 +439,9 @@ mod tests {
         }
     }
 
-    /// A left-deep level grown from its parents gives every set the
-    /// splits the shape gives it whose halves are populated, in the same
-    /// order, and [`DpTable::get`] finds every set a level stores and no
+    /// A left-deep level grown from its parents gives every set its
+    /// left-deep splits whose halves are populated, in ascending inner
+    /// table, and [`DpTable::get`] finds every set a level stores and no
     /// other, by binary search and, in a bushy table, by bits: on a star,
     /// a clique and random graphs, whose disconnected outers the grown
     /// splits never name.
@@ -521,7 +467,7 @@ mod tests {
             let model = CostModel::new(cat, q);
             let mut policy = KeepBestPolicy::new(MemoryCoster::fixed(&memory));
             let (table, _, _) = filled(&model, PlanShape::LeftDeep, &mut policy);
-            let (mut grown, mut splits) = (Vec::new(), Vec::new());
+            let mut grown = Vec::new();
             for k in 0..q.n_tables() - 1 {
                 grow_left_deep(&model, &table.sets[k], &mut grown);
                 let runs: Vec<_> = grown.chunk_by(|a, b| a.set == b.set).collect();
@@ -541,10 +487,10 @@ mod tests {
                             (outer, TableSet::singleton(g.table as usize))
                         })
                         .collect();
-                    PlanShape::LeftDeep.splits(&model, set, &mut splits);
-                    let want: Vec<_> = splits
+                    let want: Vec<_> = set
                         .iter()
-                        .copied()
+                        .map(|j| (set.without(j), TableSet::singleton(j)))
+                        .filter(|&(l, r)| !model.frontier(l).intersect(r).is_empty())
                         .filter(|&(l, r)| table.get(l).is_some() && table.get(r).is_some())
                         .collect();
                     assert!(!want.is_empty(), "{set}");

@@ -59,7 +59,7 @@ impl SearchEntry for DpEntry {
     }
 }
 
-/// The `build` of keep-best, top-c and keep-all.
+/// The `build` of keep-best and top-c.
 pub(super) fn build_entries(
     plans: &mut PlanArena,
     pending: &mut Vec<Joined<f64>>,

@@ -25,7 +25,6 @@
 //! | [`keep_best::KeepBestPolicy`] + `MemoryCoster::evolving(..)` | per-phase Markov-evolved `EC(P)` | §3.5, Thm 3.4 | [`crate::alg_c`] |
 //! | [`top_c::TopCPolicy`] + `MemoryCoster::point(m)` | top-`c` per (subset, order class) at a point, Prop 3.1 frontier | §3.3 | [`crate::alg_b`] |
 //! | [`multi_param::MultiParamPolicy`] | Figure 1 distribution bookkeeping, §3.6.3 rebucketing | §3.6 | [`crate::alg_d`] |
-//! | [`keep_all::KeepAllPolicy`] | any [`coster::PhaseCoster`], every plan (streamed past a completion floor by the oracle) | ground truth | [`crate::exhaustive`] |
 //!
 //! Every policy funnels its memory-dependent evaluations through the
 //! `expected_*` methods of [`lec_cost::CostModel`], which price in place:
@@ -36,8 +35,8 @@
 //! observation), so no operand-size pair is priced twice where it is
 //! bound to repeat: a keep-1 search keeps one price table for all its
 //! splits, keyed by the two sizes and the phase distribution the coster
-//! reads ([`keep_best`]); top-c, multi-param and keep-all price each
-//! distinct pair of one `combine` call once.  Nothing outlives a search.
+//! reads ([`keep_best`]); top-c and multi-param price each distinct pair
+//! of one `combine` call once.  Nothing outlives a search.
 //! [`SearchStats::evals`] counts the formula calls made.
 //!
 //! # Who holds plans
@@ -56,29 +55,21 @@
 //! parallelism in the process is the serving layer's — one thread per
 //! connection, each running its own searches.
 //!
-//! # Bound-based pruning
-//!
-//! Served searches do not prune: every DP mode combines every connected
-//! subset.  Branch-and-bound lost wall time on every served workload, so
-//! it lives only in the exhaustive oracle's streaming keep-all verifier:
-//! [`keep_all`]'s module docs hold its incumbent and discard contract,
-//! [`bound`]'s the completion floor's admissibility.
+//! No search prunes: every DP mode combines every connected subset.  The
+//! ground truth the modes are tested against is `lec_cost::oracle`, which
+//! shares none of this module's code.
 
 pub mod arena;
-pub mod bound;
 pub mod coster;
 pub mod engine;
-pub mod keep_all;
 pub mod keep_best;
 pub mod multi_param;
 pub mod policy;
 pub mod top_c;
 
 pub use arena::{PlanArena, PlanId, Step};
-pub use bound::{point_size_product, CompletionFloor};
 pub use coster::{MemoryCoster, PhaseCoster};
-pub use engine::{plan_space_size, run_search_with, DpTable, PlanShape, SearchConfig, SearchRun};
-pub use keep_all::KeepAllPolicy;
+pub use engine::{run_search_with, PlanShape, SearchConfig, SearchRun};
 pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
 pub use policy::{
@@ -211,8 +202,6 @@ pub enum SearchExtras {
         /// Largest size-distribution support before rebucketing.
         max_product_support: usize,
     },
-    /// Exhaustive verification: complete plans costed.
-    PlansCosted(u64),
 }
 
 /// The uniform result of one optimization run, whatever the mode.
@@ -271,14 +260,6 @@ impl SearchOutcome {
                 max_product_support,
                 ..
             } => Some(*max_product_support),
-            _ => None,
-        }
-    }
-
-    /// The exhaustive verifier's complete-plans-costed count.
-    pub fn plans_costed(&self) -> Option<u64> {
-        match &self.extras {
-            SearchExtras::PlansCosted(n) => Some(*n),
             _ => None,
         }
     }

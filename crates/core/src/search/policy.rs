@@ -2,7 +2,6 @@
 //! retains and how a join candidate is costed.
 
 use super::arena::{PlanArena, PlanId, Step};
-use super::engine::DpTable;
 use super::keep_best::DpEntry;
 use super::SearchStats;
 use lec_cost::{AccessPath, CostModel};
@@ -146,21 +145,6 @@ pub trait CandidatePolicy {
         entries: Vec<Self::Entry>,
         stats: &mut SearchStats,
     ) -> Vec<Self::Entry>;
-
-    /// Called once each level below the root is filled, depth 1
-    /// included, with the table so far and that level's subsets in
-    /// increasing bit order.  Does nothing by default; the oracle's
-    /// streaming verifier tightens its incumbent here
-    /// ([`super::KeepAllPolicy::streaming`]).
-    fn after_level(
-        &mut self,
-        _model: &CostModel<'_>,
-        _plans: &mut PlanArena,
-        _table: &DpTable<Self::Entry>,
-        _level: &[TableSet],
-        _stats: &mut SearchStats,
-    ) {
-    }
 }
 
 /// `a` can substitute for `b`: `a` is sorted as required, or `b` is not —

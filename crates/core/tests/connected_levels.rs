@@ -8,7 +8,7 @@
 
 use lec_catalog::{Catalog, ColumnStats, TableStats};
 use lec_core::search::engine::next_level;
-use lec_core::search::{point_size_product, SearchConfig};
+use lec_core::search::SearchConfig;
 use lec_core::{fixtures, optimize, Mode, OptError, Optimized, Optimizer};
 use lec_cost::formulas::MIN_PAGES;
 use lec_cost::CostModel;
@@ -188,20 +188,13 @@ fn crosses(q: &Query, i: usize, a: TableSet, b: TableSet) -> bool {
     (hits(left, a) && hits(right, b)) || (hits(right, a) && hits(left, b))
 }
 
-/// The reference's predicates with both sides in `set`.
-fn within(q: &Query, i: usize, set: TableSet) -> bool {
-    let (left, right) = q.joins[i].tables();
-    set.contains(left) && set.contains(right)
-}
-
-/// Every crossing and internal-predicate product the search reads, for
+/// Every crossing product the search reads, for
 /// singleton pairs, each singleton against the rest of the query, and
 /// disjoint bushy halves cut from `masks`, against full scans of the
 /// predicate list: selectivity means, first crossing predicates and the
 /// orders a sort-merge join on them delivers, the
 /// selectivity distributions' support and probability bits (where the
-/// product has at most 4,096 buckets), and the point size product of
-/// every half and union.
+/// product has at most 4,096 buckets).
 fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<(), TestCaseError> {
     let model = CostModel::new(cat, q);
     let n = q.n_tables();
@@ -264,22 +257,6 @@ fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<
                     .collect()
             };
             prop_assert_eq!(bits(&got), bits(&dist), "{} x {} distribution", a, b);
-        }
-        for set in [a, b, a.union(b)] {
-            let inside: Vec<usize> = (0..q.joins.len()).filter(|&i| within(q, i, set)).collect();
-            let mut point = 1.0f64;
-            for t in set.iter() {
-                point *= model.base_pages(t);
-            }
-            for &i in &inside {
-                point *= q.joins[i].selectivity.mean();
-            }
-            prop_assert_eq!(
-                point_size_product(&model, set).to_bits(),
-                point.max(MIN_PAGES).to_bits(),
-                "point size of {}",
-                set
-            );
         }
     }
     Ok(())

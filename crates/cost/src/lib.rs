@@ -1,6 +1,6 @@
 //! # lec-cost — the I/O cost model of the PODS'99 LEC paper
 //!
-//! Three layers:
+//! Five modules:
 //!
 //! * [`formulas`] — the raw piecewise page-I/O formulas (§3.6.1/§3.6.2 of
 //!   the paper, plus the Grace-hash and external-sort formulas implied by
@@ -15,13 +15,16 @@
 //!   memory, and per-plan cliff positions for §3.7 level-set bucketing;
 //! * [`expected`] — expected *join* cost under size+memory distributions:
 //!   the defining `O(b³)` triple sum and the paper's `O(b)` streaming
-//!   algorithms, which are tested to agree exactly.
+//!   algorithms, which are tested to agree exactly;
+//! * [`oracle`] — ground truth for the optimizer's theorems: every plan of
+//!   a space, priced by the replay.
 
 #![forbid(unsafe_code)]
 
 pub mod expected;
 pub mod formulas;
 pub mod model;
+pub mod oracle;
 pub mod plan_cost;
 
 pub use expected::{

@@ -109,7 +109,7 @@ pub struct CostModel<'a> {
     table_shapes: Vec<u64>,
     /// Point post-filter page count per table ([`CostModel::base_pages`]).
     base_pages: Vec<f64>,
-    /// Join-graph neighbours per table ([`CostModel::neighbours`]).
+    /// Join-graph neighbours per table.
     neighbours: Vec<TableSet>,
     /// One [`JoinEdge`] per join predicate, in predicate order.
     edges: Vec<JoinEdge>,
@@ -370,11 +370,6 @@ impl<'a> CostModel<'a> {
         self.join_selectivity_dist_sets(set, TableSet::singleton(idx))
     }
 
-    /// The tables sharing a join predicate with table `table_idx`.
-    pub fn neighbours(&self, table_idx: usize) -> TableSet {
-        self.neighbours[table_idx]
-    }
-
     /// The tables outside `set` sharing a join predicate with a member of
     /// it: what `set` can be joined with, one table at a time, without a
     /// cross product.
@@ -457,20 +452,6 @@ impl<'a> CostModel<'a> {
         self.predicates_between(a, b)
             .map(|p| self.edges[p].selectivity)
             .product()
-    }
-
-    /// The indices of the join predicates with both sides in `set`,
-    /// ascending.
-    fn predicates_within(&self, set: TableSet) -> impl Iterator<Item = usize> + '_ {
-        self.incident_to(set)
-            .filter(move |&p| self.edges[p].ends.is_subset_of(set))
-    }
-
-    /// Mean selectivity of each join predicate with both sides in `set`,
-    /// in predicate order.
-    pub fn selectivities_within(&self, set: TableSet) -> impl Iterator<Item = f64> + '_ {
-        self.predicates_within(set)
-            .map(|p| self.edges[p].selectivity)
     }
 
     /// Result size of a join: the paper's `a·b·σ` pages, clamped to one page.

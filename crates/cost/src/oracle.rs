@@ -1,0 +1,265 @@
+//! Ground truth for the optimizer's theorems: every plan of a space, priced
+//! by the replay (`expected_plan_cost_{static,dynamic}`), below the
+//! optimizer crate so that it shares none of the DP's code.  [`left_deep`]
+//! shares each prefix's fold among the plans extending it, in the replay's
+//! own order (static: a running sum per memory bucket, phases innermost
+//! first, then `Σ f(m)·p(m)`; dynamic: a running sum of per-phase
+//! expectations), so every cost is the replay's to the bit; [`bushy`]
+//! replays each plan whole.
+
+use crate::model::{AccessPath, CostModel};
+use crate::plan_cost::{expected_plan_cost_dynamic, expected_plan_cost_static, output_order};
+use lec_plan::{ColumnRef, JoinMethod, OrderProperty as Order, PlanNode, TableSet};
+use lec_prob::{Distribution, MarkovChain};
+
+/// What a plan is priced by.
+#[derive(Debug, Clone)]
+pub enum Objective {
+    /// `EC(P)` under one memory distribution (§3.1); a point memory is the
+    /// one-bucket distribution.
+    Static(Distribution),
+    /// §3.5: phase `k` sees `initial` pushed `k` steps through `chain`.
+    Dynamic {
+        /// The first phase's memory distribution.
+        initial: Distribution,
+        /// How memory moves between phases.
+        chain: MarkovChain,
+    },
+}
+
+impl Objective {
+    /// The replay's cost of `plan`.  Panics if a dynamic objective's chain
+    /// cannot evolve its initial distribution.
+    pub fn replay(&self, model: &CostModel<'_>, plan: &PlanNode) -> f64 {
+        match self {
+            Objective::Static(memory) => expected_plan_cost_static(model, plan, memory),
+            Objective::Dynamic { initial, chain } => {
+                expected_plan_cost_dynamic(model, plan, initial, chain).expect("chain evolves")
+            }
+        }
+    }
+}
+
+/// The cheapest plan of a space and what the enumeration saw.
+#[derive(Debug, Clone)]
+pub struct Best {
+    /// The cheapest plan, the first enumerated among exact cost ties.
+    pub plan: PlanNode,
+    /// Its cost: the replay's bits.
+    pub cost: f64,
+    /// The second-lowest cost enumerated: `cost` itself on an exact tie.
+    pub runner_up: f64,
+    /// Complete plans enumerated.
+    pub plans: u64,
+}
+
+const NOTHING: Best = Best {
+    plan: PlanNode::SeqScan { table: 0 },
+    cost: f64::INFINITY,
+    runner_up: f64::INFINITY,
+    plans: 0,
+};
+
+impl Best {
+    /// Count a complete plan of `cost`, built only if it is the cheapest.
+    fn offer(&mut self, cost: f64, plan: impl FnOnce() -> PlanNode) {
+        self.plans += 1;
+        if cost < self.cost {
+            (self.runner_up, self.cost, self.plan) = (self.cost, cost, plan());
+        } else {
+            self.runner_up = self.runner_up.min(cost);
+        }
+    }
+}
+
+/// One access path of a table: its cost, output order and plan leaf.
+type Access = (f64, Order, PlanNode);
+
+fn accesses(model: &CostModel<'_>) -> Vec<Vec<Access>> {
+    let access = |table, path| {
+        let leaf = match path {
+            AccessPath::SeqScan => PlanNode::SeqScan { table },
+            AccessPath::IndexScan => PlanNode::IndexScan { table },
+        };
+        let (cost, order) = (model.access_cost(path, table), output_order(model, &leaf));
+        (cost, order, leaf)
+    };
+    let of_table = |t| model.access_paths(t).into_iter().map(move |p| access(t, p));
+    let n = model.query().n_tables();
+    (0..n).map(|t| of_table(t).collect()).collect()
+}
+
+/// The key of the root sort a plan of `order` needs, if any.
+fn root_sort(model: &CostModel<'_>, order: Order) -> Option<ColumnRef> {
+    model
+        .query()
+        .required_order
+        .filter(|_| !order.is_required())
+}
+
+/// A left-deep enumeration in progress.
+struct LeftDeep<'m, 'a> {
+    model: &'m CostModel<'a>,
+    objective: &'m Objective,
+    /// A dynamic objective's memory distribution per phase.
+    phases: Vec<Distribution>,
+    accesses: Vec<Vec<Access>>,
+    /// Running sums, `width` per row: row `k` after `k` phases.
+    sums: Vec<f64>,
+    width: usize,
+    /// The prefix's leaves, each with the join that brought it in (unread
+    /// for the first).
+    path: Vec<(JoinMethod, PlanNode)>,
+    best: Best,
+}
+
+impl LeftDeep<'_, '_> {
+    /// Fill row `k + 1`, returned, with row `k` plus phase `k` at `cost(m)`:
+    /// fixed part plus operator, as [`crate::Phase::cost_at`] adds them.
+    fn add(&mut self, k: usize, cost: impl Fn(f64) -> f64) -> usize {
+        let w = self.width;
+        let (prev, next) = self.sums[k * w..(k + 2) * w].split_at_mut(w);
+        match self.objective {
+            Objective::Static(memory) => {
+                for ((n, p), &m) in next.iter_mut().zip(&*prev).zip(memory.support()) {
+                    *n = p + cost(m);
+                }
+            }
+            Objective::Dynamic { .. } => next[0] = prev[0] + self.phases[k].expect(cost),
+        }
+        k + 1
+    }
+
+    /// Extend the prefix over `set`, its phases folded into row `|set| - 1`;
+    /// `pending` is a lone table's access cost, which the first join pays.
+    fn extend(&mut self, set: TableSet, pages: f64, order: Order, pending: f64) {
+        let (model, q, k) = (self.model, self.model.query(), set.len() - 1);
+        if k + 1 == q.n_tables() {
+            return self.complete(k, pages, order, pending);
+        }
+        for j in (0..q.n_tables()).filter(|&j| !set.contains(j) && q.is_connected_to(set, j)) {
+            let (right, inner) = (TableSet::singleton(j), model.base_pages(j));
+            let out =
+                model.join_output_pages(pages, inner, model.join_selectivity_sets(set, right));
+            for a in 0..self.accesses[j].len() {
+                let (cost, _, leaf) = self.accesses[j][a].clone();
+                let fixed = pending + cost;
+                for method in JoinMethod::ALL {
+                    self.add(k, |m| fixed + model.join_cost(method, pages, inner, m));
+                    let order = match method {
+                        JoinMethod::SortMerge => model.sort_merge_order(set, right),
+                        JoinMethod::PageNestedLoop => order,
+                        _ => Order::Unsorted,
+                    };
+                    self.path.push((method, leaf.clone()));
+                    self.extend(set.with(j), out, order, 0.0);
+                    self.path.pop();
+                }
+            }
+        }
+    }
+
+    /// Price a complete order with its root phase — a sort where the order
+    /// is missing, else a lone table's access — and offer it.
+    fn complete(&mut self, k: usize, pages: f64, order: Order, pending: f64) {
+        let (model, sort) = (self.model, root_sort(self.model, order));
+        let row = if sort.is_some() {
+            self.add(k, |m| pending + model.sort_cost(pages, m))
+        } else if pending > 0.0 {
+            self.add(k, |_| pending)
+        } else {
+            k
+        };
+        let sums = &self.sums[row * self.width..(row + 1) * self.width];
+        let cost = match self.objective {
+            Objective::Static(memory) => sums.iter().zip(memory.probs()).map(|(s, p)| s * p).sum(),
+            Objective::Dynamic { .. } => sums[0],
+        };
+        let path = &self.path;
+        let join =
+            |outer, (method, leaf): &(_, PlanNode)| PlanNode::join(*method, outer, leaf.clone());
+        let plan = || path[1..].iter().fold(path[0].1.clone(), join);
+        self.best
+            .offer(cost, || sort.into_iter().fold(plan(), PlanNode::sort));
+    }
+}
+
+/// The cheapest left-deep plan without cross products (every join method,
+/// every access path, a root sort where the order is missing); `None` for
+/// no tables or a disconnected join graph.  Panics if a dynamic
+/// objective's chain cannot evolve its initial distribution.
+pub fn left_deep(model: &CostModel<'_>, objective: &Objective) -> Option<Best> {
+    let n = model.query().n_tables();
+    let (width, phases) = match objective {
+        Objective::Static(memory) => (memory.len(), Vec::new()),
+        Objective::Dynamic { initial, chain } => {
+            let evolve = |d: &Distribution| Some(chain.evolve_dist(d).expect("chain evolves"));
+            let phases = std::iter::successors(Some(initial.clone()), evolve);
+            (1, phases.take(n).collect())
+        }
+    };
+    let (accesses, sums) = (accesses(model), vec![0.0; (n + 1) * width]);
+    let mut walk = LeftDeep {
+        model,
+        objective,
+        phases,
+        accesses,
+        sums,
+        width,
+        path: Vec::with_capacity(n),
+        best: NOTHING,
+    };
+    for t in 0..n {
+        for (pending, order, leaf) in walk.accesses[t].clone() {
+            walk.path.push((JoinMethod::SortMerge, leaf));
+            walk.extend(TableSet::singleton(t), model.base_pages(t), order, pending);
+            walk.path.pop();
+        }
+    }
+    Some(walk.best).filter(|best| best.plans > 0)
+}
+
+/// The cheapest bushy plan (each join's halves connected and joined by a
+/// predicate) under a static `memory`; `None` as for [`left_deep`].  It
+/// holds every proper subset's plans: small queries only.
+pub fn bushy(model: &CostModel<'_>, memory: &Distribution) -> Option<Best> {
+    let (q, n) = (model.query(), model.query().n_tables());
+    assert!(n <= 16, "the bushy oracle holds every subset's plans");
+    let (accesses, full) = (accesses(model), (1u64 << n) - 1);
+    let mut best = NOTHING;
+    // Each subset's plans, by its bits: a proper subset has smaller bits.
+    let mut plans: Vec<Vec<PlanNode>> = vec![Vec::new(); 1 << n];
+    for bits in 1..=full {
+        let mut here = Vec::new();
+        let mut emit = |plan: PlanNode| {
+            if bits != full {
+                return here.push(plan);
+            }
+            let sort = root_sort(model, output_order(model, &plan));
+            let plan = sort.into_iter().fold(plan, PlanNode::sort);
+            best.offer(expected_plan_cost_static(model, &plan, memory), || plan);
+        };
+        let set = TableSet::from_bits(bits);
+        if set.len() == 1 {
+            for (_, _, leaf) in &accesses[set.sole_member()] {
+                emit(leaf.clone());
+            }
+        }
+        let mut sub = (bits - 1) & bits;
+        while sub != 0 {
+            let (left, right) = (TableSet::from_bits(sub), TableSet::from_bits(bits & !sub));
+            sub = (sub - 1) & bits;
+            if left.iter().any(|t| q.is_connected_to(right, t)) {
+                for outer in &plans[left.bits() as usize] {
+                    for inner in &plans[right.bits() as usize] {
+                        for method in JoinMethod::ALL {
+                            emit(PlanNode::join(method, outer.clone(), inner.clone()));
+                        }
+                    }
+                }
+            }
+        }
+        plans[bits as usize] = here;
+    }
+    Some(best).filter(|best| best.plans > 0)
+}

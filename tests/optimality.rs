@@ -1,10 +1,11 @@
 //! Property-based verification of the paper's optimality theorems against
-//! exhaustive enumeration, on randomly generated catalogs and queries.
+//! the oracle (`lec_cost::oracle`: every plan enumerated and priced by the
+//! plan replay, with no search code), on randomly generated catalogs and
+//! queries.
 
 use lec_qopt::catalog::{CatalogGenerator, CatalogProfile};
-use lec_qopt::core::{
-    exhaustive_best, optimize, MemoryCoster, Mode, OptError, PlanShape, SearchConfig, SearchOutcome,
-};
+use lec_qopt::core::{optimize, Mode, OptError, SearchConfig, SearchOutcome};
+use lec_qopt::cost::oracle::{self, Objective};
 use lec_qopt::cost::CostModel;
 use lec_qopt::plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_qopt::prob::{presets, Distribution, MarkovChain};
@@ -19,13 +20,11 @@ fn run(
     optimize(model, memory, &mode, &SearchConfig::default())
 }
 
-/// The keep-all reference oracle under the default [`SearchConfig`].
-fn oracle(
-    model: &CostModel<'_>,
-    coster: MemoryCoster,
-    shape: PlanShape,
-) -> Result<SearchOutcome, OptError> {
-    exhaustive_best(model, coster, shape, &SearchConfig::default())
+/// The oracle's optimal left-deep cost under `objective`.
+fn best_cost(model: &CostModel<'_>, objective: &Objective) -> f64 {
+    oracle::left_deep(model, objective)
+        .expect("generated queries are connected")
+        .cost
 }
 
 fn random_workload(seed: u64, n: usize, topology: Topology) -> (lec_qopt::catalog::Catalog, Query) {
@@ -61,7 +60,7 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Theorem 2.1: the DP at a point equals exhaustive search at a point.
+    /// Theorem 2.1: the DP at a point finds the oracle's optimum at a point.
     #[test]
     fn lsc_dp_is_optimal(
         seed in 0u64..5000,
@@ -72,10 +71,10 @@ proptest! {
         let (cat, q) = random_workload(seed, n, topology);
         let model = CostModel::new(&cat, &q);
         let dp = run(&model, &Distribution::point(mem), Mode::LscAt(mem)).unwrap();
-        let ex = oracle(&model, MemoryCoster::point(mem), PlanShape::LeftDeep).unwrap();
+        let ex = best_cost(&model, &Objective::Static(Distribution::point(mem)));
         prop_assert!(
-            (dp.cost - ex.cost).abs() / ex.cost.max(1.0) < 1e-9,
-            "dp {} vs exhaustive {}", dp.cost, ex.cost
+            (dp.cost - ex).abs() / ex.max(1.0) < 1e-9,
+            "dp {} vs oracle {}", dp.cost, ex
         );
     }
 
@@ -93,10 +92,10 @@ proptest! {
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(center, spread, buckets).unwrap();
         let dp = run(&model, &memory, Mode::AlgorithmC).unwrap();
-        let ex = oracle(&model, MemoryCoster::fixed(&memory), PlanShape::LeftDeep).unwrap();
+        let ex = best_cost(&model, &Objective::Static(memory));
         prop_assert!(
-            (dp.cost - ex.cost).abs() / ex.cost.max(1.0) < 1e-9,
-            "dp {} vs exhaustive {}", dp.cost, ex.cost
+            (dp.cost - ex).abs() / ex.max(1.0) < 1e-9,
+            "dp {} vs oracle {}", dp.cost, ex
         );
     }
 
@@ -114,16 +113,15 @@ proptest! {
         let chain = MarkovChain::birth_death(states, p_down, p_up).unwrap();
         let initial = Distribution::bimodal(240.0, 3840.0, 0.5).unwrap();
         let dp = run(&model, &initial, Mode::AlgorithmCDynamic { chain: chain.clone() }).unwrap();
-        let ex = oracle(&model, MemoryCoster::evolving(&initial, &chain, n).unwrap(), PlanShape::LeftDeep)
-        .unwrap();
+        let ex = best_cost(&model, &Objective::Dynamic { initial, chain });
         prop_assert!(
-            (dp.cost - ex.cost).abs() / ex.cost.max(1.0) < 1e-9,
-            "dp {} vs exhaustive {}", dp.cost, ex.cost
+            (dp.cost - ex).abs() / ex.max(1.0) < 1e-9,
+            "dp {} vs oracle {}", dp.cost, ex
         );
     }
 
     /// Definitional: the LEC plan's EC lower-bounds every plan the
-    /// exhaustive enumerator can build.
+    /// oracle can build.
     #[test]
     fn lec_cost_lower_bounds_sampled_plans(
         seed in 0u64..5000,

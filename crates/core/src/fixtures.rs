@@ -342,28 +342,18 @@ pub fn pruning_clique(n: usize) -> (Catalog, Query) {
 /// Recognizer for Example 1.1's Plan 1: a bare sort-merge join of the two
 /// scans (either orientation — the SM formula is symmetric).
 pub fn is_plan1(plan: &lec_plan::PlanNode) -> bool {
-    use lec_plan::{JoinMethod, PlanNode};
-    matches!(
-        plan,
-        PlanNode::Join { method: JoinMethod::SortMerge, outer, inner }
-            if matches!(**outer, PlanNode::SeqScan { .. })
-                && matches!(**inner, PlanNode::SeqScan { .. })
-    )
+    use lec_plan::{JoinMethod::SortMerge, Step::*};
+    matches!(plan.steps(), [SeqScan(_), SeqScan(_), Join(SortMerge, ..)])
 }
 
 /// Recognizer for Example 1.1's Plan 2: Grace hash join (either
 /// orientation) followed by a sort of the small result.
 pub fn is_plan2(plan: &lec_plan::PlanNode) -> bool {
-    use lec_plan::{JoinMethod, PlanNode};
-    match plan {
-        PlanNode::Sort { input, .. } => matches!(
-            &**input,
-            PlanNode::Join { method: JoinMethod::GraceHash, outer, inner }
-                if matches!(**outer, PlanNode::SeqScan { .. })
-                    && matches!(**inner, PlanNode::SeqScan { .. })
-        ),
-        _ => false,
-    }
+    use lec_plan::{JoinMethod::GraceHash, Step::*};
+    matches!(
+        plan.steps(),
+        [SeqScan(_), SeqScan(_), Join(GraceHash, ..), Sort(..)]
+    )
 }
 
 #[cfg(test)]
@@ -376,16 +366,16 @@ mod tests {
         for (o, i) in [(0usize, 1usize), (1, 0)] {
             let p1 = PlanNode::join(
                 JoinMethod::SortMerge,
-                PlanNode::SeqScan { table: o },
-                PlanNode::SeqScan { table: i },
+                PlanNode::seq_scan(o),
+                PlanNode::seq_scan(i),
             );
             assert!(is_plan1(&p1));
             assert!(!is_plan2(&p1));
             let p2 = PlanNode::sort(
                 PlanNode::join(
                     JoinMethod::GraceHash,
-                    PlanNode::SeqScan { table: o },
-                    PlanNode::SeqScan { table: i },
+                    PlanNode::seq_scan(o),
+                    PlanNode::seq_scan(i),
                 ),
                 ColumnRef::new(0, 0),
             );

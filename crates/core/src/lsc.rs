@@ -28,7 +28,7 @@ mod tests {
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
     use crate::optimizer::{lsc_at, run, Mode};
     use lec_cost::CostModel;
-    use lec_plan::{JoinMethod, PlanNode};
+    use lec_plan::{JoinMethod, Step};
 
     #[test]
     fn lsc_picks_plan1_in_example_1_1() {
@@ -39,11 +39,9 @@ mod tests {
         let memory = example_1_1_memory();
         for est in [PointEstimate::Mean, PointEstimate::Mode] {
             let r = run(&model, &memory, Mode::Lsc(est)).unwrap();
-            match &r.plan {
-                PlanNode::Join { method, .. } => {
-                    assert_eq!(*method, JoinMethod::SortMerge, "{est:?}")
-                }
-                other => panic!("expected bare SM join, got {}", other.compact()),
+            match r.plan.root().node() {
+                Step::Join(method, ..) => assert_eq!(method, JoinMethod::SortMerge, "{est:?}"),
+                _ => panic!("expected bare SM join, got {}", r.plan.compact()),
             }
             // Scans + two passes.
             assert_eq!(r.cost, 1_400_000.0 + 2.0 * 1_400_000.0);

@@ -112,8 +112,8 @@ impl Search<'_, '_> {
 
     fn build_plan(&self, s: &State) -> PlanNode {
         let access = |t: usize| match s.paths[t] {
-            AccessPath::SeqScan => PlanNode::SeqScan { table: t },
-            AccessPath::IndexScan => PlanNode::IndexScan { table: t },
+            AccessPath::SeqScan => PlanNode::seq_scan(t),
+            AccessPath::IndexScan => PlanNode::index_scan(t),
         };
         let mut plan = access(s.order[0]);
         for (k, &t) in s.order.iter().enumerate().skip(1) {
@@ -355,7 +355,7 @@ mod tests {
         let sa = simulated_annealing(&model, &memory, &Default::default(), 1).unwrap();
         let ii = iterative_improvement(&model, &memory, &Default::default(), 1).unwrap();
         for r in [&sa, &ii] {
-            assert!(matches!(r.plan, lec_plan::PlanNode::SeqScan { .. }));
+            assert!(matches!(r.plan.steps(), [lec_plan::Step::SeqScan(_)]));
             assert!(r.cost > 0.0);
         }
     }

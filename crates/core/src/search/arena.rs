@@ -1,26 +1,14 @@
 //! The per-search plan arena, the DP's back-pointer store: every access
 //! path, retained join and root sort is one [`Step`], its inputs named by
-//! [`PlanId`]; [`PlanArena::node`] builds a tree for a root a caller takes.
+//! [`PlanId`]; [`PlanArena::node`] copies out the plan of a root a caller
+//! takes.
 
 use lec_cost::CostModel;
-use lec_plan::{ColumnRef, JoinMethod, PlanNode};
+use lec_plan::{PlanNode, Step};
 use std::cmp::Ordering;
 
 /// A step's index in its search's [`PlanArena`].
 pub type PlanId = u32;
-
-/// One plan operator, its inputs named by their steps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Step {
-    /// Full scan of a query table.
-    SeqScan(usize),
-    /// Index scan of a query table.
-    IndexScan(usize),
-    /// Sort of a plan on a key.
-    Sort(PlanId, ColumnRef),
-    /// Join of an outer and an inner plan.
-    Join(JoinMethod, PlanId, PlanId),
-}
 
 /// Every plan step of one search, in creation order.
 #[derive(Debug, Clone, Default)]
@@ -39,14 +27,20 @@ impl PlanArena {
         self.0[id as usize]
     }
 
-    /// The plan tree rooted at `id`.
+    /// The plan rooted at `id`: a postorder copy of the steps it reaches.
     pub fn node(&self, id: PlanId) -> PlanNode {
-        match self.step(id) {
-            Step::SeqScan(table) => PlanNode::SeqScan { table },
-            Step::IndexScan(table) => PlanNode::IndexScan { table },
-            Step::Sort(input, key) => PlanNode::sort(self.node(input), key),
-            Step::Join(method, o, i) => PlanNode::join(method, self.node(o), self.node(i)),
-        }
+        let mut steps = Vec::new();
+        self.copy_postorder(id, &mut steps);
+        PlanNode::from_postorder(steps)
+    }
+
+    /// Append the subtree at `id` to `out` in postorder; its root's index.
+    fn copy_postorder(&self, id: PlanId, out: &mut Vec<Step>) -> u32 {
+        let step = self
+            .step(id)
+            .map_inputs(|input| self.copy_postorder(input, out));
+        out.push(step);
+        out.len() as u32 - 1
     }
 
     /// The shape tie-break, a total order on plans invariant under table

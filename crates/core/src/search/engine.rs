@@ -7,8 +7,8 @@
 //! costs what the join graph has, not the `2^n` lattice around it.
 //!
 //! A level's entries live in one exactly sized vector ([`fill_table`]),
-//! their plans as steps of the search's [`PlanArena`]; plan trees are
-//! built only for the roots a caller takes ([`SearchRun::plans`]).  A
+//! their plans as steps of the search's [`PlanArena`]; a plan is copied
+//! out only for a root a caller takes ([`SearchRun::plans`]).  A
 //! left-deep level is grown from its parents (`grow_left_deep`), so a
 //! split reads its outer entries at its parent's index and its inner ones
 //! at its table's; only the bushy walk looks a subset up
@@ -176,7 +176,7 @@ pub struct SearchRun<E> {
     pub roots: Vec<E>,
     /// Statistics for this run.
     pub stats: SearchStats,
-    /// Every plan step the run built; [`PlanArena::node`] builds a tree.
+    /// Every plan step the run built; [`PlanArena::node`] copies a plan out.
     pub plans: PlanArena,
 }
 
@@ -332,8 +332,8 @@ pub fn run_search_with<P: CandidatePolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::arena::Step;
     use crate::search::{AlgDConfig, KeepBestPolicy, MemoryCoster, MultiParamPolicy, TopCPolicy};
+    use lec_plan::Step;
 
     /// Fill `policy`'s table for `query` under `shape`.
     fn filled<P: CandidatePolicy>(

@@ -23,7 +23,7 @@
 //! a result size is still one multiply per pair, as its selectivity is the
 //! split's.
 
-use super::arena::{PlanArena, PlanId, Step};
+use super::arena::{PlanArena, PlanId};
 use super::coster::PhaseCoster;
 use super::policy::{
     access_alternatives, insert_entry_shaped, join_output_order, shape_rank, CandidatePolicy,
@@ -31,7 +31,7 @@ use super::policy::{
 };
 use super::SearchStats;
 use lec_cost::CostModel;
-use lec_plan::{ColumnRef, JoinMethod, OrderProperty};
+use lec_plan::{ColumnRef, JoinMethod, OrderProperty, Step};
 use std::cmp::Ordering;
 
 /// A DP table entry: the cheapest known plan for one (subset, order class).

@@ -44,8 +44,9 @@
 //! A search's [`arena::PlanArena`] does: every access path, retained join
 //! and root sort is one step, named by a `u32` [`arena::PlanId`] that DP
 //! entries and pending joins ([`policy::Joined`]) hold.  It leaves with
-//! the roots ([`engine::SearchRun::plans`]), and a caller builds a
-//! [`PlanNode`] tree only for the root it takes ([`SearchOutcome::plan`]).
+//! the roots ([`engine::SearchRun::plans`]), and a caller copies out a
+//! [`PlanNode`] — the steps a root reaches, in postorder — only for the
+//! root it takes ([`SearchOutcome::plan`]).
 //!
 //! # Threading model
 //!
@@ -67,10 +68,11 @@ pub mod multi_param;
 pub mod policy;
 pub mod top_c;
 
-pub use arena::{PlanArena, PlanId, Step};
+pub use arena::{PlanArena, PlanId};
 pub use coster::{MemoryCoster, PhaseCoster};
 pub use engine::{run_search_with, PlanShape, SearchConfig, SearchRun};
 pub use keep_best::{DpEntry, KeepBestPolicy};
+pub use lec_plan::Step;
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
 pub use policy::{
     insert_entry_shaped, join_output_order, CandidatePolicy, JoinContext, Joined, RootContext,

@@ -17,7 +17,7 @@
 //! inner) size pair, and every entry pair of that pair reads them; as in
 //! [`super::keep_best`], it inserts only each group's cheapest candidates.
 
-use super::arena::{PlanArena, PlanId, Step};
+use super::arena::{PlanArena, PlanId};
 use super::keep_best::{for_each_cheapest, sort_where_required};
 use super::policy::{
     access_alternatives, insert_entry_shaped, join_output_order, priced, CandidatePolicy,
@@ -25,7 +25,7 @@ use super::policy::{
 };
 use super::SearchStats;
 use lec_cost::{CostModel, DistTables};
-use lec_plan::{JoinMethod, OrderProperty};
+use lec_plan::{JoinMethod, OrderProperty, Step};
 use lec_prob::{Distribution, Rebucket};
 use std::cmp::Ordering;
 use std::sync::Arc;

@@ -1,11 +1,11 @@
 //! The candidate-policy axis of the search engine: what each dag node
 //! retains and how a join candidate is costed.
 
-use super::arena::{PlanArena, PlanId, Step};
+use super::arena::{PlanArena, PlanId};
 use super::keep_best::DpEntry;
 use super::SearchStats;
 use lec_cost::{AccessPath, CostModel};
-use lec_plan::{JoinMethod, OrderProperty, TableSet};
+use lec_plan::{JoinMethod, OrderProperty, Step, TableSet};
 use std::cmp::Ordering;
 
 /// Everything a policy needs to cost one (outer, inner) combination.

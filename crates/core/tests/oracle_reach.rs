@@ -55,7 +55,7 @@ fn the_oracle_finds_the_seven_table_star_plan_algorithm_c_misses() {
     assert_eq!(best.plans, 5_898_240);
     assert_eq!(best.cost.to_bits(), 0x40cc3d0000000000, "{}", best.cost);
     // Sort(NL(NL(NL(BNL(NL(NL(R5,R0),R6),R4),R3),R2),R1))
-    let scan = |table| PlanNode::SeqScan { table };
+    let scan = |table| PlanNode::seq_scan(table);
     let mut plan = PlanNode::join(JoinMethod::PageNestedLoop, scan(5), scan(0));
     for (method, table) in [
         (JoinMethod::PageNestedLoop, 6),

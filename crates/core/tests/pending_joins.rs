@@ -14,50 +14,37 @@ use lec_core::search::{
     SearchEntry, Step, TopCPolicy,
 };
 use lec_cost::CostModel;
-use lec_plan::{JoinMethod, OrderProperty, PlanNode, QueryProfile, Topology, WorkloadGenerator};
+use lec_plan::{JoinMethod, NodeRef, OrderProperty, QueryProfile, Topology, WorkloadGenerator};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
 /// The shape tie-break over plan trees, as the search ran it before plans
 /// lived in an arena: nodes compare by kind, joins by method then
 /// operands, sorts by key column, scans by the table's shape fingerprint.
-fn plan_shape_cmp(model: &CostModel<'_>, a: &PlanNode, b: &PlanNode) -> Ordering {
-    if std::ptr::eq(a, b) {
-        return Ordering::Equal;
-    }
-    fn kind(p: &PlanNode) -> u8 {
-        match p {
-            PlanNode::SeqScan { .. } => 0,
-            PlanNode::IndexScan { .. } => 1,
-            PlanNode::Sort { .. } => 2,
-            PlanNode::Join { .. } => 3,
+fn plan_shape_cmp(model: &CostModel<'_>, a: NodeRef<'_>, b: NodeRef<'_>) -> Ordering {
+    fn kind(n: Step<NodeRef<'_>>) -> u8 {
+        match n {
+            Step::SeqScan(_) => 0,
+            Step::IndexScan(_) => 1,
+            Step::Sort(..) => 2,
+            Step::Join(..) => 3,
         }
     }
-    match (a, b) {
-        (PlanNode::SeqScan { table: ta }, PlanNode::SeqScan { table: tb })
-        | (PlanNode::IndexScan { table: ta }, PlanNode::IndexScan { table: tb }) => model
-            .table_shape_fingerprint(*ta)
-            .cmp(&model.table_shape_fingerprint(*tb)),
-        (PlanNode::Sort { input: ia, key: ka }, PlanNode::Sort { input: ib, key: kb }) => ka
+    match (a.node(), b.node()) {
+        (Step::SeqScan(ta), Step::SeqScan(tb)) | (Step::IndexScan(ta), Step::IndexScan(tb)) => {
+            model
+                .table_shape_fingerprint(ta)
+                .cmp(&model.table_shape_fingerprint(tb))
+        }
+        (Step::Sort(ia, ka), Step::Sort(ib, kb)) => ka
             .column
             .cmp(&kb.column)
             .then_with(|| plan_shape_cmp(model, ia, ib)),
-        (
-            PlanNode::Join {
-                method: ma,
-                outer: oa,
-                inner: na,
-            },
-            PlanNode::Join {
-                method: mb,
-                outer: ob,
-                inner: nb,
-            },
-        ) => ma
-            .cmp(mb)
+        (Step::Join(ma, oa, na), Step::Join(mb, ob, nb)) => ma
+            .cmp(&mb)
             .then_with(|| plan_shape_cmp(model, oa, ob))
             .then_with(|| plan_shape_cmp(model, na, nb)),
-        _ => kind(a).cmp(&kind(b)),
+        (na, nb) => kind(na).cmp(&kind(nb)),
     }
 }
 
@@ -132,13 +119,13 @@ proptest! {
             let (built_a, built_b) = (built[0], built[1]);
             prop_assert_eq!(plans.step(built_a.plan), Step::Join(a.method, a.outer, a.inner));
             let (tree_a, tree_b) = (plans.node(built_a.plan), plans.node(built_b.plan));
-            let want = plan_shape_cmp(&model, &tree_a, &tree_b);
+            let want = plan_shape_cmp(&model, tree_a.root(), tree_b.root());
             prop_assert_eq!(a.shape_cmp(&model, &plans, &b), want);
             prop_assert_eq!(built_a.shape_cmp(&model, &plans, &built_b), want);
             let (x, y) = (pick(ao ^ bo), pick(ai ^ bi));
             prop_assert_eq!(
                 plans.shape_cmp(&model, x, y),
-                plan_shape_cmp(&model, &plans.node(x), &plans.node(y))
+                plan_shape_cmp(&model, plans.node(x).root(), plans.node(y).root())
             );
             prop_assert_eq!(
                 shape_rank(&model, &plans, &a, &b),

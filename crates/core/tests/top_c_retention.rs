@@ -11,7 +11,7 @@ use lec_core::search::policy::shape_rank;
 use lec_core::search::{
     insert_top_c, join_output_order, order_run, run_search_with, CandidatePolicy, DpEntry,
     FrontierStats, JoinContext, Joined, MemoryCoster, PhaseCoster, PlanArena, PlanId, PlanShape,
-    RootContext, SearchConfig, SearchStats, Step, TopCPolicy,
+    RootContext, SearchConfig, SearchStats, TopCPolicy,
 };
 use lec_cost::CostModel;
 use lec_plan::{
@@ -20,7 +20,6 @@ use lec_plan::{
 };
 use proptest::prelude::*;
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// Algorithm B's policy as it was before pending joins, the early stop
 /// and once-per-size pricing: its frontier walk verbatim, the methods
@@ -349,16 +348,12 @@ fn reference_rank(model: &CostModel<'_>, plans: &PlanArena, a: &DpEntry, b: &DpE
 /// Plans whose shapes tie and differ in every way the shape compare looks
 /// at: scan kind, table, join method, operands.
 fn plan_pool() -> Vec<PlanNode> {
-    let scan = |t| Arc::new(PlanNode::SeqScan { table: t });
-    let join = |method, o, i| PlanNode::Join {
-        method,
-        outer: scan(o),
-        inner: scan(i),
-    };
+    let scan = PlanNode::seq_scan;
+    let join = |method, o, i| PlanNode::join(method, scan(o), scan(i));
     vec![
-        PlanNode::SeqScan { table: 0 },
-        PlanNode::SeqScan { table: 2 },
-        PlanNode::IndexScan { table: 1 },
+        PlanNode::seq_scan(0),
+        PlanNode::seq_scan(2),
+        PlanNode::index_scan(1),
         join(JoinMethod::GraceHash, 0, 1),
         join(JoinMethod::GraceHash, 1, 0),
         join(JoinMethod::SortMerge, 0, 1),
@@ -368,17 +363,12 @@ fn plan_pool() -> Vec<PlanNode> {
 
 /// `plan`'s steps appended to `plans`, fresh: the id is this copy's own.
 fn push_tree(plans: &mut PlanArena, plan: &PlanNode) -> PlanId {
-    let step = match plan {
-        PlanNode::SeqScan { table } => Step::SeqScan(*table),
-        PlanNode::IndexScan { table } => Step::IndexScan(*table),
-        PlanNode::Sort { input, key } => Step::Sort(push_tree(plans, input), *key),
-        PlanNode::Join {
-            method,
-            outer,
-            inner,
-        } => Step::Join(*method, push_tree(plans, outer), push_tree(plans, inner)),
-    };
-    plans.push(step)
+    let mut ids = Vec::new();
+    for step in plan.steps() {
+        let step = step.map_inputs(|i| ids[i as usize]);
+        ids.push(plans.push(step));
+    }
+    *ids.last().expect("a plan has a root")
 }
 
 const COSTS: [f64; 4] = [1.0, 2.0, 3.0, 5.0];

@@ -53,14 +53,16 @@ pub struct Best {
     pub plans: u64,
 }
 
-const NOTHING: Best = Best {
-    plan: PlanNode::SeqScan { table: 0 },
-    cost: f64::INFINITY,
-    runner_up: f64::INFINITY,
-    plans: 0,
-};
-
 impl Best {
+    fn nothing() -> Best {
+        Best {
+            plan: PlanNode::seq_scan(0),
+            cost: f64::INFINITY,
+            runner_up: f64::INFINITY,
+            plans: 0,
+        }
+    }
+
     /// Count a complete plan of `cost`, built only if it is the cheapest.
     fn offer(&mut self, cost: f64, plan: impl FnOnce() -> PlanNode) {
         self.plans += 1;
@@ -78,8 +80,8 @@ type Access = (f64, Order, PlanNode);
 fn accesses(model: &CostModel<'_>) -> Vec<Vec<Access>> {
     let access = |table, path| {
         let leaf = match path {
-            AccessPath::SeqScan => PlanNode::SeqScan { table },
-            AccessPath::IndexScan => PlanNode::IndexScan { table },
+            AccessPath::SeqScan => PlanNode::seq_scan(table),
+            AccessPath::IndexScan => PlanNode::index_scan(table),
         };
         let (cost, order) = (model.access_cost(path, table), output_order(model, &leaf));
         (cost, order, leaf)
@@ -107,9 +109,9 @@ struct LeftDeep<'m, 'a> {
     /// Running sums, `width` per row: row `k` after `k` phases.
     sums: Vec<f64>,
     width: usize,
-    /// The prefix's leaves, each with the join that brought it in (unread
-    /// for the first).
-    path: Vec<(JoinMethod, PlanNode)>,
+    /// The prefix's leaves as (table, index into its `accesses`), each
+    /// with the join that brought it in (unread for the first).
+    path: Vec<(JoinMethod, usize, usize)>,
     best: Best,
 }
 
@@ -142,8 +144,7 @@ impl LeftDeep<'_, '_> {
             let out =
                 model.join_output_pages(pages, inner, model.join_selectivity_sets(set, right));
             for a in 0..self.accesses[j].len() {
-                let (cost, _, leaf) = self.accesses[j][a].clone();
-                let fixed = pending + cost;
+                let fixed = pending + self.accesses[j][a].0;
                 for method in JoinMethod::ALL {
                     self.add(k, |m| fixed + model.join_cost(method, pages, inner, m));
                     let order = match method {
@@ -151,7 +152,7 @@ impl LeftDeep<'_, '_> {
                         JoinMethod::PageNestedLoop => order,
                         _ => Order::Unsorted,
                     };
-                    self.path.push((method, leaf.clone()));
+                    self.path.push((method, j, a));
                     self.extend(set.with(j), out, order, 0.0);
                     self.path.pop();
                 }
@@ -175,10 +176,10 @@ impl LeftDeep<'_, '_> {
             Objective::Static(memory) => sums.iter().zip(memory.probs()).map(|(s, p)| s * p).sum(),
             Objective::Dynamic { .. } => sums[0],
         };
-        let path = &self.path;
-        let join =
-            |outer, (method, leaf): &(_, PlanNode)| PlanNode::join(*method, outer, leaf.clone());
-        let plan = || path[1..].iter().fold(path[0].1.clone(), join);
+        let (path, accesses) = (&self.path, &self.accesses);
+        let leaf = |t: usize, a: usize| accesses[t][a].2.clone();
+        let join = |outer, &(method, t, a): &(_, _, _)| PlanNode::join(method, outer, leaf(t, a));
+        let plan = || path[1..].iter().fold(leaf(path[0].1, path[0].2), join);
         self.best
             .offer(cost, || sort.into_iter().fold(plan(), PlanNode::sort));
     }
@@ -207,11 +208,12 @@ pub fn left_deep(model: &CostModel<'_>, objective: &Objective) -> Option<Best> {
         sums,
         width,
         path: Vec::with_capacity(n),
-        best: NOTHING,
+        best: Best::nothing(),
     };
     for t in 0..n {
-        for (pending, order, leaf) in walk.accesses[t].clone() {
-            walk.path.push((JoinMethod::SortMerge, leaf));
+        for a in 0..walk.accesses[t].len() {
+            let (pending, order, _) = walk.accesses[t][a];
+            walk.path.push((JoinMethod::SortMerge, t, a));
             walk.extend(TableSet::singleton(t), model.base_pages(t), order, pending);
             walk.path.pop();
         }
@@ -226,7 +228,7 @@ pub fn bushy(model: &CostModel<'_>, memory: &Distribution) -> Option<Best> {
     let (q, n) = (model.query(), model.query().n_tables());
     assert!(n <= 16, "the bushy oracle holds every subset's plans");
     let (accesses, full) = (accesses(model), (1u64 << n) - 1);
-    let mut best = NOTHING;
+    let mut best = Best::nothing();
     // Each subset's plans, by its bits: a proper subset has smaller bits.
     let mut plans: Vec<Vec<PlanNode>> = vec![Vec::new(); 1 << n];
     for bits in 1..=full {

@@ -11,7 +11,7 @@
 //! [`phases`] materializes exactly that decomposition.
 
 use crate::model::{AccessPath, CostModel};
-use lec_plan::{JoinMethod, OrderProperty, PlanNode};
+use lec_plan::{JoinMethod, NodeRef, OrderProperty, PlanNode, Step};
 use lec_prob::{Distribution, MarkovChain, ProbError};
 
 /// The memory-dependent part of one execution phase.
@@ -67,23 +67,15 @@ struct NodeInfo {
     pending_fixed: f64,
 }
 
-fn access_path_of(node: &PlanNode) -> Option<(AccessPath, usize)> {
-    match node {
-        PlanNode::SeqScan { table } => Some((AccessPath::SeqScan, *table)),
-        PlanNode::IndexScan { table } => Some((AccessPath::IndexScan, *table)),
-        _ => None,
-    }
-}
-
-fn collect(model: &CostModel<'_>, node: &PlanNode, out: &mut Vec<Phase>) -> NodeInfo {
-    if let Some((path, table)) = access_path_of(node) {
-        return NodeInfo {
-            pages: model.base_pages(table),
-            pending_fixed: model.access_cost(path, table),
-        };
-    }
-    match node {
-        PlanNode::Sort { input, .. } => {
+fn collect(model: &CostModel<'_>, node: NodeRef<'_>, out: &mut Vec<Phase>) -> NodeInfo {
+    let access = |path, table| NodeInfo {
+        pages: model.base_pages(table),
+        pending_fixed: model.access_cost(path, table),
+    };
+    match node.node() {
+        Step::SeqScan(table) => access(AccessPath::SeqScan, table),
+        Step::IndexScan(table) => access(AccessPath::IndexScan, table),
+        Step::Sort(input, _) => {
             let info = collect(model, input, out);
             out.push(Phase {
                 fixed: info.pending_fixed,
@@ -94,11 +86,7 @@ fn collect(model: &CostModel<'_>, node: &PlanNode, out: &mut Vec<Phase>) -> Node
                 pending_fixed: 0.0,
             }
         }
-        PlanNode::Join {
-            method,
-            outer,
-            inner,
-        } => {
+        Step::Join(method, outer, inner) => {
             let outer_info = collect(model, outer, out);
             let inner_info = collect(model, inner, out);
             let sel = model.join_selectivity_sets(outer.tables(), inner.tables());
@@ -106,7 +94,7 @@ fn collect(model: &CostModel<'_>, node: &PlanNode, out: &mut Vec<Phase>) -> Node
             out.push(Phase {
                 fixed: outer_info.pending_fixed + inner_info.pending_fixed,
                 mem: MemCost::Join {
-                    method: *method,
+                    method,
                     outer: outer_info.pages,
                     inner: inner_info.pages,
                 },
@@ -116,7 +104,6 @@ fn collect(model: &CostModel<'_>, node: &PlanNode, out: &mut Vec<Phase>) -> Node
                 pending_fixed: 0.0,
             }
         }
-        PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } => unreachable!(),
     }
 }
 
@@ -205,34 +192,22 @@ impl PlanNodeCost {
 
 fn collect_nodes(
     model: &CostModel<'_>,
-    node: &PlanNode,
+    node: NodeRef<'_>,
     next_phase: &mut usize,
     out: &mut Vec<PlanNodeCost>,
 ) -> f64 {
-    match node {
-        PlanNode::SeqScan { table } => {
-            out.push(PlanNodeCost {
-                label: format!("R{table}"),
-                phase: None,
-                kind: NodeKind::Access {
-                    path: AccessPath::SeqScan,
-                    table: *table,
-                },
-            });
-            model.base_pages(*table)
-        }
-        PlanNode::IndexScan { table } => {
-            out.push(PlanNodeCost {
-                label: format!("IxR{table}"),
-                phase: None,
-                kind: NodeKind::Access {
-                    path: AccessPath::IndexScan,
-                    table: *table,
-                },
-            });
-            model.base_pages(*table)
-        }
-        PlanNode::Sort { input, .. } => {
+    let mut access = |path, table| {
+        out.push(PlanNodeCost {
+            label: node.compact(),
+            phase: None,
+            kind: NodeKind::Access { path, table },
+        });
+        model.base_pages(table)
+    };
+    match node.node() {
+        Step::SeqScan(table) => access(AccessPath::SeqScan, table),
+        Step::IndexScan(table) => access(AccessPath::IndexScan, table),
+        Step::Sort(input, _) => {
             let pages = collect_nodes(model, input, next_phase, out);
             let phase = *next_phase;
             *next_phase += 1;
@@ -243,11 +218,7 @@ fn collect_nodes(
             });
             pages
         }
-        PlanNode::Join {
-            method,
-            outer,
-            inner,
-        } => {
+        Step::Join(method, outer, inner) => {
             let outer_pages = collect_nodes(model, outer, next_phase, out);
             let inner_pages = collect_nodes(model, inner, next_phase, out);
             let phase = *next_phase;
@@ -256,7 +227,7 @@ fn collect_nodes(
                 label: method.name().to_string(),
                 phase: Some(phase),
                 kind: NodeKind::Join {
-                    method: *method,
+                    method,
                     outer: outer_pages,
                     inner: inner_pages,
                 },
@@ -275,14 +246,14 @@ fn collect_nodes(
 pub fn plan_node_costs(model: &CostModel<'_>, plan: &PlanNode) -> Vec<PlanNodeCost> {
     let mut out = Vec::new();
     let mut next_phase = 0usize;
-    collect_nodes(model, plan, &mut next_phase, &mut out);
+    collect_nodes(model, plan.root(), &mut next_phase, &mut out);
     out
 }
 
 /// Decompose a plan into execution phases, innermost first.
 pub fn phases(model: &CostModel<'_>, plan: &PlanNode) -> Vec<Phase> {
     let mut out = Vec::with_capacity(plan.n_phases());
-    let info = collect(model, plan, &mut out);
+    let info = collect(model, plan.root(), &mut out);
     if info.pending_fixed > 0.0 {
         // Degenerate single-access plan: charge the access as its own phase.
         out.push(Phase {
@@ -295,16 +266,16 @@ pub fn phases(model: &CostModel<'_>, plan: &PlanNode) -> Vec<Phase> {
 
 /// Output size of a plan in pages (point estimates).
 pub fn plan_output_pages(model: &CostModel<'_>, plan: &PlanNode) -> f64 {
-    match plan {
-        PlanNode::SeqScan { table } | PlanNode::IndexScan { table } => model.base_pages(*table),
-        PlanNode::Sort { input, .. } => plan_output_pages(model, input),
-        PlanNode::Join { outer, inner, .. } => {
+    output_pages(model, plan.root())
+}
+
+fn output_pages(model: &CostModel<'_>, node: NodeRef<'_>) -> f64 {
+    match node.node() {
+        Step::SeqScan(table) | Step::IndexScan(table) => model.base_pages(table),
+        Step::Sort(input, _) => output_pages(model, input),
+        Step::Join(_, outer, inner) => {
             let sel = model.join_selectivity_sets(outer.tables(), inner.tables());
-            model.join_output_pages(
-                plan_output_pages(model, outer),
-                plan_output_pages(model, inner),
-                sel,
-            )
+            model.join_output_pages(output_pages(model, outer), output_pages(model, inner), sel)
         }
     }
 }
@@ -320,19 +291,18 @@ pub fn plan_output_pages(model: &CostModel<'_>, plan: &PlanNode) -> f64 {
 /// * a clustered index scan produces its filter column's order;
 /// * a sort produces its key's order.
 pub fn output_order(model: &CostModel<'_>, plan: &PlanNode) -> OrderProperty {
-    match plan {
-        PlanNode::SeqScan { .. } => OrderProperty::Unsorted,
-        PlanNode::IndexScan { table } => model.index_scan_order(*table),
-        PlanNode::Sort { key, .. } => model.equivalences.sorted_on(*key),
-        PlanNode::Join {
-            method,
-            outer,
-            inner,
-        } => match method {
-            JoinMethod::SortMerge => model.sort_merge_order(outer.tables(), inner.tables()),
-            JoinMethod::PageNestedLoop => output_order(model, outer),
-            JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::Unsorted,
-        },
+    let mut node = plan.root();
+    while let Step::Join(JoinMethod::PageNestedLoop, outer, _) = node.node() {
+        node = outer;
+    }
+    match node.node() {
+        Step::SeqScan(_) => OrderProperty::Unsorted,
+        Step::IndexScan(table) => model.index_scan_order(table),
+        Step::Sort(_, key) => model.equivalences.sorted_on(key),
+        Step::Join(JoinMethod::SortMerge, outer, inner) => {
+            model.sort_merge_order(outer.tables(), inner.tables())
+        }
+        Step::Join(..) => OrderProperty::Unsorted,
     }
 }
 
@@ -441,8 +411,8 @@ mod tests {
         // Sort-merge join; output already ordered.
         PlanNode::join(
             JoinMethod::SortMerge,
-            PlanNode::SeqScan { table: 0 },
-            PlanNode::SeqScan { table: 1 },
+            PlanNode::seq_scan(0),
+            PlanNode::seq_scan(1),
         )
     }
 
@@ -451,8 +421,8 @@ mod tests {
         PlanNode::sort(
             PlanNode::join(
                 JoinMethod::GraceHash,
-                PlanNode::SeqScan { table: 0 },
-                PlanNode::SeqScan { table: 1 },
+                PlanNode::seq_scan(0),
+                PlanNode::seq_scan(1),
             ),
             ColumnRef::new(0, 0),
         )
@@ -542,20 +512,20 @@ mod tests {
         assert_eq!(output_order(&model, &plan1()), OrderProperty::Required);
         let bare_gh = PlanNode::join(
             JoinMethod::GraceHash,
-            PlanNode::SeqScan { table: 0 },
-            PlanNode::SeqScan { table: 1 },
+            PlanNode::seq_scan(0),
+            PlanNode::seq_scan(1),
         );
         assert_eq!(output_order(&model, &bare_gh), OrderProperty::Unsorted);
         assert_eq!(output_order(&model, &plan2()), OrderProperty::Required);
         // NL preserves the outer's (lack of) order.
         let nl = PlanNode::join(
             JoinMethod::PageNestedLoop,
-            PlanNode::SeqScan { table: 0 },
-            PlanNode::SeqScan { table: 1 },
+            PlanNode::seq_scan(0),
+            PlanNode::seq_scan(1),
         );
         assert_eq!(output_order(&model, &nl), OrderProperty::Unsorted);
         // A sort on a column outside the required class is incidental.
-        let off_key = PlanNode::sort(PlanNode::SeqScan { table: 0 }, ColumnRef::new(0, 1));
+        let off_key = PlanNode::sort(PlanNode::seq_scan(0), ColumnRef::new(0, 1));
         assert_eq!(output_order(&model, &off_key), OrderProperty::Incidental);
     }
 
@@ -595,8 +565,8 @@ mod tests {
         for plan in [
             plan1(),
             plan2(),
-            PlanNode::SeqScan { table: 0 },
-            PlanNode::sort(PlanNode::SeqScan { table: 1 }, ColumnRef::new(1, 0)),
+            PlanNode::seq_scan(0),
+            PlanNode::sort(PlanNode::seq_scan(1), ColumnRef::new(1, 0)),
         ] {
             let nodes = plan_node_costs(&model, &plan);
             for m in [50.0, 700.0, 2000.0, 1e6] {

@@ -57,8 +57,8 @@ fn every_left_deep_plan(model: &CostModel<'_>, visit: &mut dyn FnMut(PlanNode)) 
 
 fn leaves(model: &CostModel<'_>, table: usize) -> Vec<PlanNode> {
     let leaf = |path| match path {
-        AccessPath::SeqScan => PlanNode::SeqScan { table },
-        AccessPath::IndexScan => PlanNode::IndexScan { table },
+        AccessPath::SeqScan => PlanNode::seq_scan(table),
+        AccessPath::IndexScan => PlanNode::index_scan(table),
     };
     model.access_paths(table).into_iter().map(leaf).collect()
 }

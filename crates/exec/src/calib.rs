@@ -40,7 +40,7 @@ use lec_catalog::{Catalog, ColumnStats, IndexKind, TableStats};
 use lec_cost::{
     expected_plan_cost_dynamic, expected_plan_cost_static, plan_cost_at, plan_node_costs, CostModel,
 };
-use lec_plan::{ColumnRef, JoinMethod, PlanNode, Query};
+use lec_plan::{ColumnRef, JoinMethod, NodeRef, PlanNode, Query, Step};
 use lec_prob::{Distribution, ProbError};
 use lec_telemetry::{error_bp, IoTotals, OpClass, Telemetry};
 use serde_json::{json, Value};
@@ -395,7 +395,7 @@ impl Calibrator {
         let mut measured_per_bucket: Vec<Vec<u64>> = Vec::with_capacity(buckets.len());
         for &m in &bucket_pages {
             let mut ios = Vec::with_capacity(node_costs.len());
-            self.exec_node(plan, m, &mut ios)?;
+            self.exec_node(plan.root(), m, &mut ios)?;
             debug_assert_eq!(ios.len(), node_costs.len());
             measured_per_bucket.push(ios);
         }
@@ -500,17 +500,17 @@ impl Calibrator {
     /// the subtree's output rows and table layout.
     fn exec_node(
         &self,
-        node: &PlanNode,
+        node: NodeRef<'_>,
         m: usize,
         ios: &mut Vec<u64>,
     ) -> Result<(Vec<Row>, Vec<usize>), CalibError> {
         let page_cap = self.cfg.page_cap;
-        match node {
-            PlanNode::SeqScan { table } => {
+        match node.node() {
+            Step::SeqScan(table) => {
                 let mut disk = Disk::new();
-                let mut rows = disk.read_all(&self.base[*table]);
-                if let Some(thr) = self.thresholds[*table] {
-                    let col = self.twin.query.tables[*table]
+                let mut rows = disk.read_all(&self.base[table]);
+                if let Some(thr) = self.thresholds[table] {
+                    let col = self.twin.query.tables[table]
                         .filter
                         .as_ref()
                         .unwrap()
@@ -518,13 +518,13 @@ impl Calibrator {
                     rows.retain(|r| r[col] < thr);
                 }
                 ios.push(disk.io().total());
-                Ok((rows, vec![*table]))
+                Ok((rows, vec![table]))
             }
-            PlanNode::IndexScan { table } => {
-                let thr = self.thresholds[*table].ok_or(CalibError::MissingFilter(*table))?;
-                let qt = &self.twin.query.tables[*table];
+            Step::IndexScan(table) => {
+                let thr = self.thresholds[table].ok_or(CalibError::MissingFilter(table))?;
+                let qt = &self.twin.query.tables[table];
                 let col = qt.filter.as_ref().unwrap().column;
-                let base = &self.base[*table];
+                let base = &self.base[table];
                 let mut disk = Disk::new();
                 let descent = (base.n_rows().max(1) as f64).log2().ceil().max(1.0) as u64;
                 disk.charge_reads(descent);
@@ -561,21 +561,17 @@ impl Calibrator {
                     }
                 };
                 ios.push(disk.io().total());
-                Ok((rows, vec![*table]))
+                Ok((rows, vec![table]))
             }
-            PlanNode::Sort { input, key } => {
+            Step::Sort(input, key) => {
                 let (rows, layout) = self.exec_node(input, m, ios)?;
-                let off = self.column_offset(&layout, *key);
+                let off = self.column_offset(&layout, key);
                 let t = DiskTable::from_rows(rows, page_cap);
                 let r = extops::external_sort(&t, off, m, page_cap);
                 ios.push(r.io);
                 Ok((r.rows, layout))
             }
-            PlanNode::Join {
-                method,
-                outer,
-                inner,
-            } => {
+            Step::Join(method, outer, inner) => {
                 let (orows, olay) = self.exec_node(outer, m, ios)?;
                 let (irows, ilay) = self.exec_node(inner, m, ios)?;
                 let crossing = self
@@ -718,7 +714,7 @@ mod tests {
     fn seq_scan_measurement_is_exact() {
         let (cat, q) = fixtures::example_1_1();
         let cal = Calibrator::new(&cat, &q, CalibConfig::default());
-        let plan = PlanNode::SeqScan { table: 0 };
+        let plan = PlanNode::seq_scan(0);
         let env = Environment::Static(Distribution::point(8.0));
         let audit = cal.audit(&plan, &env, None).unwrap();
         assert_eq!(audit.nodes.len(), 1);
@@ -817,8 +813,8 @@ mod tests {
         let cal = Calibrator::new(&cat, &q2, CalibConfig::default());
         let plan = PlanNode::join(
             lec_plan::JoinMethod::GraceHash,
-            PlanNode::SeqScan { table: 0 },
-            PlanNode::SeqScan { table: 1 },
+            PlanNode::seq_scan(0),
+            PlanNode::seq_scan(1),
         );
         let env = Environment::Static(Distribution::point(8.0));
         match cal.audit(&plan, &env, None) {
@@ -831,7 +827,7 @@ mod tests {
     fn fractional_memory_buckets_are_rejected() {
         let (cat, q) = fixtures::example_1_1();
         let cal = Calibrator::new(&cat, &q, CalibConfig::default());
-        let plan = PlanNode::SeqScan { table: 0 };
+        let plan = PlanNode::seq_scan(0);
         let env = Environment::Static(Distribution::point(7.5));
         match cal.audit(&plan, &env, None) {
             Err(CalibError::BadMemoryBucket(m)) => assert_eq!(m, 7.5),

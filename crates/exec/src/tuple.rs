@@ -7,7 +7,7 @@
 //! emit for a query must produce the same multiset of rows.
 
 use crate::datagen::{filter_threshold, Dataset, Row};
-use lec_plan::{ColumnRef, JoinMethod, PlanNode, Query, TableSet};
+use lec_plan::{ColumnRef, JoinMethod, NodeRef, PlanNode, Query, Step, TableSet};
 use std::collections::HashMap;
 
 /// An intermediate relation: rows plus a schema mapping each participating
@@ -65,27 +65,23 @@ impl Relation {
 
 /// Execute `plan` against `dataset`.
 pub fn execute(plan: &PlanNode, query: &Query, dataset: &Dataset) -> Relation {
-    match plan {
-        PlanNode::SeqScan { table } | PlanNode::IndexScan { table } => scan(
-            *table,
-            query,
-            dataset,
-            matches!(plan, PlanNode::IndexScan { .. }),
-        ),
-        PlanNode::Sort { input, key } => {
-            let mut rel = execute(input, query, dataset);
-            let idx = rel.col_index(resolve_sort_key(*key, &rel, query));
+    execute_node(plan.root(), query, dataset)
+}
+
+fn execute_node(node: NodeRef<'_>, query: &Query, dataset: &Dataset) -> Relation {
+    match node.node() {
+        Step::SeqScan(table) => scan(table, query, dataset, false),
+        Step::IndexScan(table) => scan(table, query, dataset, true),
+        Step::Sort(input, key) => {
+            let mut rel = execute_node(input, query, dataset);
+            let idx = rel.col_index(resolve_sort_key(key, &rel, query));
             rel.rows.sort_by_key(|r| r[idx]);
             rel
         }
-        PlanNode::Join {
-            method,
-            outer,
-            inner,
-        } => {
-            let left = execute(outer, query, dataset);
-            let right = execute(inner, query, dataset);
-            join(*method, left, right, query)
+        Step::Join(method, outer, inner) => {
+            let left = execute_node(outer, query, dataset);
+            let right = execute_node(inner, query, dataset);
+            join(method, left, right, query)
         }
     }
 }
@@ -267,9 +263,9 @@ mod tests {
     }
 
     fn left_deep_plan(order: &[usize], methods: &[JoinMethod]) -> PlanNode {
-        let mut plan = PlanNode::SeqScan { table: order[0] };
+        let mut plan = PlanNode::seq_scan(order[0]);
         for (k, &t) in order.iter().enumerate().skip(1) {
-            plan = PlanNode::join(methods[k - 1], plan, PlanNode::SeqScan { table: t });
+            plan = PlanNode::join(methods[k - 1], plan, PlanNode::seq_scan(t));
         }
         plan
     }
@@ -342,10 +338,10 @@ mod tests {
         });
         let d = generate(&cat, &q, 60, 9);
         let unfiltered = d.tables[0].len();
-        let scanned = execute(&PlanNode::SeqScan { table: 0 }, &q, &d);
+        let scanned = execute(&PlanNode::seq_scan(0), &q, &d);
         assert!(scanned.rows.len() < unfiltered);
         // Index scan returns the same multiset, sorted by the filter column.
-        let ix = execute(&PlanNode::IndexScan { table: 0 }, &q, &d);
+        let ix = execute(&PlanNode::index_scan(0), &q, &d);
         assert_eq!(scanned.canonical_rows(), ix.canonical_rows());
     }
 

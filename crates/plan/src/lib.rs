@@ -11,7 +11,8 @@
 //! * [`order`] — column equivalence classes induced by join predicates and
 //!   the three-valued order property of the one interesting order, the
 //!   query's required one;
-//! * [`PlanNode`] — physical plan trees over the four join methods;
+//! * [`PlanNode`] — physical plans over the four join methods, each one
+//!   vector of [`Step`]s in postorder, read through [`NodeRef`];
 //! * [`workload`] — seeded generators for chain/star/clique/random join
 //!   queries, substituting for the paper's unavailable "realistic queries".
 
@@ -24,7 +25,7 @@ pub mod tableset;
 pub mod workload;
 
 pub use order::{ColumnEquivalences, OrderProperty};
-pub use physical::{JoinMethod, PlanNode};
+pub use physical::{JoinMethod, NodeRef, PlanNode, Step};
 pub use query::{ColumnRef, JoinPredicate, LocalPredicate, Query, QueryTable};
 pub use tableset::TableSet;
 pub use workload::{QueryProfile, Topology, WorkloadGenerator};

@@ -1,26 +1,29 @@
 //! Physical evaluation plans.
 //!
-//! Plans are binary operator trees whose nodes are *shared*: a node holds
-//! its children behind [`Arc`], so a plan is a dag in memory and a tree in
-//! meaning.  The optimizer's left-deep construction is System R's (§2.2: "a
+//! A plan is one vector of [`Step`]s in postorder — a join's outer subtree,
+//! then its inner subtree, then the join; a sort's input, then the sort —
+//! with the root last, each step naming its inputs by their index in the
+//! same vector.  That is System R's own representation (§2.2: "a
 //! three-relation join evaluation plan involves the combination of a
-//! two-relation join result and a stored relation") — a DP table entry
-//! *points at* the subplan it extends.  With `Arc` children that is literal:
-//! building a join candidate from two table entries clones two pointers, not
-//! two subtrees, and the whole DP table holds one node per retained
-//! candidate instead of one subtree copy per level above it.  The shape is
-//! still a general binary tree (bushy plans, sorts anywhere), so the
-//! executor and cost model need no special cases.
+//! two-relation join result and a stored relation" — a DP table entry
+//! *points at* the subplan it extends): the optimizer keeps every candidate
+//! of a search as such steps in one per-search arena and copies out the
+//! steps reachable from the root it returns.  The shape is a general binary
+//! tree (bushy plans, sorts anywhere), so the executor and cost model need
+//! no special cases.
 //!
-//! Sharing is invisible to readers: children deref to `&PlanNode`, equality
-//! is by value (a relabeled copy of a plan compares equal to a freshly
-//! built one), and nodes are immutable once built.  Depth is bounded by
-//! [`TableSet::MAX_TABLES`], so the recursive `Drop`/`PartialEq` are safe.
+//! A tree has exactly one postorder, so equality of two step vectors is
+//! equality of the trees (a relabeled copy of a plan compares equal to a
+//! freshly built one), and every subtree is one contiguous run of steps
+//! ending at its root.  Readers walk the tree through [`PlanNode::root`], a
+//! borrowed [`NodeRef`] whose [`NodeRef::node`] is the operator with its
+//! inputs as further `NodeRef`s; whole-plan passes (relabeling, the table
+//! set, the phase count) iterate the steps.  A plan is one heap allocation
+//! however many operators it holds.
 
 use crate::query::ColumnRef;
 use crate::tableset::TableSet;
 use std::fmt;
-use std::sync::Arc;
 
 /// The binary join algorithms of the cost model.
 ///
@@ -66,136 +69,220 @@ impl fmt::Display for JoinMethod {
     }
 }
 
-/// A physical plan node.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanNode {
-    /// Sequential (heap) scan of a base table, applying its local filter.
-    SeqScan {
-        /// Query-local table index.
-        table: usize,
-    },
-    /// Index scan of a base table through the index matching its filter.
-    IndexScan {
-        /// Query-local table index.
-        table: usize,
-    },
-    /// Explicit sort enforcer.
-    Sort {
-        /// Input plan.
-        input: Arc<PlanNode>,
-        /// Sort key (canonical form is up to the caller).
-        key: ColumnRef,
-    },
-    /// Binary join.
-    Join {
-        /// Algorithm.
-        method: JoinMethod,
-        /// Outer (left) input — in left-deep plans, the composite.
-        outer: Arc<PlanNode>,
-        /// Inner (right) input — in left-deep plans, a base access.
-        inner: Arc<PlanNode>,
-    },
+/// One plan operator, its inputs named by `I`: in a plan's vector or a
+/// search's plan arena, the indices of earlier steps of the same vector
+/// (`u32`); read through [`NodeRef::node`], the inputs' own [`NodeRef`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Step<I = u32> {
+    /// Sequential (heap) scan of a query table, applying its local filter.
+    SeqScan(usize),
+    /// Index scan of a query table through the index matching its filter.
+    IndexScan(usize),
+    /// Explicit sort enforcer: an input, sorted on a key (canonical form
+    /// is up to the caller).
+    Sort(I, ColumnRef),
+    /// Binary join: the algorithm, the outer input (in left-deep plans,
+    /// the composite) and the inner input (in left-deep plans, a base
+    /// access).
+    Join(JoinMethod, I, I),
 }
 
-impl PlanNode {
-    /// Convenience constructor for a join.
-    pub fn join(method: JoinMethod, outer: PlanNode, inner: PlanNode) -> PlanNode {
-        PlanNode::Join {
-            method,
-            outer: Arc::new(outer),
-            inner: Arc::new(inner),
+impl<I> Step<I> {
+    /// The step with each input `i` replaced by `f(i)`, outer before inner.
+    pub fn map_inputs<J>(self, mut f: impl FnMut(I) -> J) -> Step<J> {
+        match self {
+            Step::SeqScan(table) => Step::SeqScan(table),
+            Step::IndexScan(table) => Step::IndexScan(table),
+            Step::Sort(input, key) => Step::Sort(f(input), key),
+            Step::Join(method, outer, inner) => Step::Join(method, f(outer), f(inner)),
+        }
+    }
+}
+
+/// A physical plan: its [`Step`]s in postorder, root last.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanNode {
+    steps: Vec<Step>,
+}
+
+/// A borrowed subtree of a plan: the step at `at` and the steps below it.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeRef<'a> {
+    steps: &'a [Step],
+    at: u32,
+}
+
+/// The first step of the subtree rooted at `at`: its leftmost leaf.
+fn subtree_start(steps: &[Step], mut at: u32) -> u32 {
+    loop {
+        match steps[at as usize] {
+            Step::SeqScan(_) | Step::IndexScan(_) => return at,
+            Step::Sort(input, _) => at = input,
+            Step::Join(_, outer, _) => at = outer,
+        }
+    }
+}
+
+fn tables_of(steps: &[Step]) -> TableSet {
+    steps.iter().fold(TableSet::EMPTY, |set, step| match *step {
+        Step::SeqScan(t) | Step::IndexScan(t) => set.with(t),
+        Step::Sort(..) | Step::Join(..) => set,
+    })
+}
+
+impl<'a> NodeRef<'a> {
+    /// The operator at this node, its inputs as nodes.
+    pub fn node(self) -> Step<NodeRef<'a>> {
+        self.steps[self.at as usize].map_inputs(|at| NodeRef { at, ..self })
+    }
+
+    /// Set of base tables the subtree references.
+    pub fn tables(self) -> TableSet {
+        let start = subtree_start(self.steps, self.at) as usize;
+        tables_of(&self.steps[start..=self.at as usize])
+    }
+
+    /// One-line summary, e.g. `Sort(SM(NL(R0,R1),R2))`.
+    pub fn compact(self) -> String {
+        let mut out = String::new();
+        self.write_compact(&mut out)
+            .expect("a String takes every write");
+        out
+    }
+
+    fn write_compact(self, out: &mut String) -> fmt::Result {
+        use std::fmt::Write;
+        match self.node() {
+            Step::SeqScan(table) => write!(out, "R{table}"),
+            Step::IndexScan(table) => write!(out, "IxR{table}"),
+            Step::Sort(input, _) => {
+                write!(out, "Sort(")?;
+                input.write_compact(out)?;
+                write!(out, ")")
+            }
+            Step::Join(method, outer, inner) => {
+                write!(out, "{method}(")?;
+                outer.write_compact(out)?;
+                write!(out, ",")?;
+                inner.write_compact(out)?;
+                write!(out, ")")
+            }
         }
     }
 
-    /// Convenience constructor for a sort.
+    fn fmt_indented(self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let pad = "  ".repeat(depth);
+        match self.node() {
+            Step::SeqScan(table) => writeln!(f, "{pad}SeqScan  table={table}"),
+            Step::IndexScan(table) => writeln!(f, "{pad}IndexScan table={table}"),
+            Step::Sort(input, key) => {
+                writeln!(f, "{pad}Sort key={key}")?;
+                input.fmt_indented(f, depth + 1)
+            }
+            Step::Join(method, outer, inner) => {
+                writeln!(f, "{pad}Join [{method}]")?;
+                outer.fmt_indented(f, depth + 1)?;
+                inner.fmt_indented(f, depth + 1)
+            }
+        }
+    }
+}
+
+impl PlanNode {
+    /// A sequential scan of query table `table`.
+    pub fn seq_scan(table: usize) -> PlanNode {
+        PlanNode {
+            steps: vec![Step::SeqScan(table)],
+        }
+    }
+
+    /// An index scan of query table `table`.
+    pub fn index_scan(table: usize) -> PlanNode {
+        PlanNode {
+            steps: vec![Step::IndexScan(table)],
+        }
+    }
+
+    /// A join of two plans.
+    pub fn join(method: JoinMethod, outer: PlanNode, inner: PlanNode) -> PlanNode {
+        let mut steps = outer.steps;
+        let shift = steps.len() as u32;
+        let shifted = inner
+            .steps
+            .iter()
+            .map(|step| step.map_inputs(|i| i + shift));
+        steps.extend(shifted);
+        steps.push(Step::Join(method, shift - 1, steps.len() as u32 - 1));
+        PlanNode { steps }
+    }
+
+    /// A plan sorted on `key`.
     pub fn sort(input: PlanNode, key: ColumnRef) -> PlanNode {
-        PlanNode::Sort {
-            input: Arc::new(input),
-            key,
+        let mut steps = input.steps;
+        steps.push(Step::Sort(steps.len() as u32 - 1, key));
+        PlanNode { steps }
+    }
+
+    /// The plan whose postorder is `steps`.
+    ///
+    /// # Panics
+    /// Panics unless `steps` is a tree's postorder: each sort's input the
+    /// step before it, each join's inner the step before it and its outer
+    /// the step before the inner's subtree, and the root's subtree every
+    /// step.
+    pub fn from_postorder(steps: Vec<Step>) -> PlanNode {
+        let postorder = !steps.is_empty()
+            && steps.iter().enumerate().all(|(at, step)| match *step {
+                Step::SeqScan(_) | Step::IndexScan(_) => true,
+                Step::Sort(input, _) => input as usize + 1 == at,
+                Step::Join(_, outer, inner) => {
+                    inner as usize + 1 == at
+                        && outer as usize + 1 == subtree_start(&steps, inner) as usize
+                }
+            })
+            && subtree_start(&steps, steps.len() as u32 - 1) == 0;
+        assert!(postorder, "plan steps are not a postorder: {steps:?}");
+        PlanNode { steps }
+    }
+
+    /// The plan's steps in postorder, root last.
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// The root operator's node.
+    pub fn root(&self) -> NodeRef<'_> {
+        NodeRef {
+            steps: &self.steps,
+            at: self.steps.len() as u32 - 1,
         }
     }
 
     /// Set of base tables referenced by the plan.
     pub fn tables(&self) -> TableSet {
-        match self {
-            PlanNode::SeqScan { table } | PlanNode::IndexScan { table } => {
-                TableSet::singleton(*table)
-            }
-            PlanNode::Sort { input, .. } => input.tables(),
-            PlanNode::Join { outer, inner, .. } => outer.tables().union(inner.tables()),
-        }
-    }
-
-    /// Number of join operators in the plan.
-    pub fn n_joins(&self) -> usize {
-        match self {
-            PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } => 0,
-            PlanNode::Sort { input, .. } => input.n_joins(),
-            PlanNode::Join { outer, inner, .. } => 1 + outer.n_joins() + inner.n_joins(),
-        }
+        tables_of(&self.steps)
     }
 
     /// Number of execution *phases* in the paper's §3.5 sense: one per join
     /// plus one per explicit sort (a sort is a blocking pass of its own).
     pub fn n_phases(&self) -> usize {
-        match self {
-            PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } => 0,
-            PlanNode::Sort { input, .. } => 1 + input.n_phases(),
-            PlanNode::Join { outer, inner, .. } => 1 + outer.n_phases() + inner.n_phases(),
-        }
+        let phase = |step: &&Step| matches!(step, Step::Sort(..) | Step::Join(..));
+        self.steps.iter().filter(phase).count()
     }
 
-    /// True when the plan is left-deep: every join's inner child is a base
-    /// access (possibly wrapped in the System R sense — we do not place
-    /// sorts below joins, so no wrapper appears on the inner side).
+    /// True when the plan is left-deep: every join's inner input is a base
+    /// access (we do not place sorts below joins, so no wrapper appears on
+    /// the inner side).
     pub fn is_left_deep(&self) -> bool {
-        match self {
-            PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } => true,
-            PlanNode::Sort { input, .. } => input.is_left_deep(),
-            PlanNode::Join { outer, inner, .. } => {
+        self.steps.iter().all(|step| match *step {
+            Step::Join(_, _, inner) => {
                 matches!(
-                    **inner,
-                    PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. }
-                ) && outer.is_left_deep()
+                    self.steps[inner as usize],
+                    Step::SeqScan(_) | Step::IndexScan(_)
+                )
             }
-        }
-    }
-
-    /// The left-deep join order: base-table indices from the innermost
-    /// (first-joined) outward.  Sort nodes are transparent.
-    ///
-    /// # Panics
-    /// Panics when the plan is not left-deep.
-    pub fn join_order(&self) -> Vec<usize> {
-        match self {
-            PlanNode::SeqScan { table } | PlanNode::IndexScan { table } => vec![*table],
-            PlanNode::Sort { input, .. } => input.join_order(),
-            PlanNode::Join { outer, inner, .. } => {
-                let mut order = outer.join_order();
-                match &**inner {
-                    PlanNode::SeqScan { table } | PlanNode::IndexScan { table } => {
-                        order.push(*table)
-                    }
-                    _ => panic!("join_order on non-left-deep plan"),
-                }
-                order
-            }
-        }
-    }
-
-    /// Count joins per method, for experiment reporting.
-    pub fn method_histogram(&self) -> [usize; 4] {
-        let mut h = [0usize; 4];
-        self.visit(&mut |node| {
-            if let PlanNode::Join { method, .. } = node {
-                let idx = JoinMethod::ALL
-                    .iter()
-                    .position(|m| m == method)
-                    .expect("known method");
-                h[idx] += 1;
-            }
-        });
-        h
+            _ => true,
+        })
     }
 
     /// The plan with every query-local table index `i` replaced by
@@ -206,79 +293,26 @@ impl PlanNode {
     /// # Panics
     /// Panics when the plan references a table index outside `map`.
     pub fn relabel_tables(&self, map: &[usize]) -> PlanNode {
-        match self {
-            PlanNode::SeqScan { table } => PlanNode::SeqScan { table: map[*table] },
-            PlanNode::IndexScan { table } => PlanNode::IndexScan { table: map[*table] },
-            PlanNode::Sort { input, key } => PlanNode::Sort {
-                input: Arc::new(input.relabel_tables(map)),
-                key: ColumnRef::new(map[key.table], key.column),
-            },
-            PlanNode::Join {
-                method,
-                outer,
-                inner,
-            } => PlanNode::Join {
-                method: *method,
-                outer: Arc::new(outer.relabel_tables(map)),
-                inner: Arc::new(inner.relabel_tables(map)),
-            },
-        }
-    }
-
-    /// Pre-order visit of every node.
-    pub fn visit(&self, f: &mut impl FnMut(&PlanNode)) {
-        f(self);
-        match self {
-            PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } => {}
-            PlanNode::Sort { input, .. } => input.visit(f),
-            PlanNode::Join { outer, inner, .. } => {
-                outer.visit(f);
-                inner.visit(f);
-            }
+        let relabel = |&step: &Step| match step {
+            Step::SeqScan(t) => Step::SeqScan(map[t]),
+            Step::IndexScan(t) => Step::IndexScan(map[t]),
+            Step::Sort(input, key) => Step::Sort(input, ColumnRef::new(map[key.table], key.column)),
+            join => join,
+        };
+        PlanNode {
+            steps: self.steps.iter().map(relabel).collect(),
         }
     }
 
     /// One-line summary, e.g. `Sort(SM(NL(R0,R1),R2))`.
     pub fn compact(&self) -> String {
-        match self {
-            PlanNode::SeqScan { table } => format!("R{table}"),
-            PlanNode::IndexScan { table } => format!("IxR{table}"),
-            PlanNode::Sort { input, .. } => format!("Sort({})", input.compact()),
-            PlanNode::Join {
-                method,
-                outer,
-                inner,
-            } => {
-                format!("{}({},{})", method.name(), outer.compact(), inner.compact())
-            }
-        }
-    }
-
-    fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-        let pad = "  ".repeat(depth);
-        match self {
-            PlanNode::SeqScan { table } => writeln!(f, "{pad}SeqScan  table={table}"),
-            PlanNode::IndexScan { table } => writeln!(f, "{pad}IndexScan table={table}"),
-            PlanNode::Sort { input, key } => {
-                writeln!(f, "{pad}Sort key={key}")?;
-                input.fmt_indented(f, depth + 1)
-            }
-            PlanNode::Join {
-                method,
-                outer,
-                inner,
-            } => {
-                writeln!(f, "{pad}Join [{method}]")?;
-                outer.fmt_indented(f, depth + 1)?;
-                inner.fmt_indented(f, depth + 1)
-            }
-        }
+        self.root().compact()
     }
 }
 
 impl fmt::Display for PlanNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_indented(f, 0)
+        self.root().fmt_indented(f, 0)
     }
 }
 
@@ -291,52 +325,88 @@ mod tests {
             JoinMethod::SortMerge,
             PlanNode::join(
                 JoinMethod::PageNestedLoop,
-                PlanNode::SeqScan { table: 0 },
-                PlanNode::SeqScan { table: 1 },
+                PlanNode::seq_scan(0),
+                PlanNode::seq_scan(1),
             ),
-            PlanNode::IndexScan { table: 2 },
+            PlanNode::index_scan(2),
+        )
+    }
+
+    fn bushy() -> PlanNode {
+        PlanNode::join(
+            JoinMethod::GraceHash,
+            PlanNode::seq_scan(0),
+            PlanNode::join(
+                JoinMethod::GraceHash,
+                PlanNode::seq_scan(1),
+                PlanNode::seq_scan(2),
+            ),
         )
     }
 
     #[test]
-    fn tables_and_join_counts() {
+    fn tables_and_phase_counts() {
         let p = left_deep_3();
         assert_eq!(p.tables(), TableSet::from_indices([0, 1, 2]));
-        assert_eq!(p.n_joins(), 2);
         assert_eq!(p.n_phases(), 2);
         let sorted = PlanNode::sort(p, ColumnRef::new(0, 0));
-        assert_eq!(sorted.n_joins(), 2);
         assert_eq!(sorted.n_phases(), 3);
     }
 
     #[test]
-    fn left_deep_recognition() {
-        let p = left_deep_3();
-        assert!(p.is_left_deep());
-        assert_eq!(p.join_order(), vec![0, 1, 2]);
-        let bushy = PlanNode::join(
-            JoinMethod::GraceHash,
-            PlanNode::SeqScan { table: 0 },
-            PlanNode::join(
-                JoinMethod::GraceHash,
-                PlanNode::SeqScan { table: 1 },
-                PlanNode::SeqScan { table: 2 },
-            ),
+    fn steps_are_a_postorder_with_the_root_last() {
+        use Step::*;
+        let p = PlanNode::sort(bushy(), ColumnRef::new(2, 0));
+        let gh = JoinMethod::GraceHash;
+        assert_eq!(
+            p.steps(),
+            [
+                SeqScan(0),
+                SeqScan(1),
+                SeqScan(2),
+                Join(gh, 1, 2),
+                Join(gh, 0, 3),
+                Sort(4, ColumnRef::new(2, 0))
+            ]
         );
-        assert!(!bushy.is_left_deep());
+        assert_eq!(PlanNode::from_postorder(p.steps().to_vec()), p);
+        let Step::Sort(input, _) = p.root().node() else {
+            panic!("a sort at the root");
+        };
+        let Step::Join(_, outer, inner) = input.node() else {
+            panic!("a join below it");
+        };
+        assert_eq!(outer.tables(), TableSet::singleton(0));
+        assert_eq!(inner.tables(), TableSet::from_indices([1, 2]));
+        assert_eq!(inner.compact(), "GH(R1,R2)");
     }
 
     #[test]
-    fn method_histogram_counts() {
-        let p = left_deep_3();
-        let h = p.method_histogram();
-        assert_eq!(h, [1, 0, 1, 0]); // one SM, one NL
+    #[should_panic(expected = "not a postorder")]
+    fn a_join_whose_outer_is_not_before_its_inner_subtree_is_refused() {
+        let gh = JoinMethod::GraceHash;
+        let steps = vec![
+            Step::SeqScan(0),
+            Step::SeqScan(1),
+            Step::SeqScan(2),
+            Step::Join(gh, 0, 2),
+            Step::Join(gh, 1, 3),
+        ];
+        PlanNode::from_postorder(steps);
+    }
+
+    #[test]
+    fn left_deep_recognition() {
+        assert!(left_deep_3().is_left_deep());
+        assert!(PlanNode::sort(left_deep_3(), ColumnRef::new(0, 0)).is_left_deep());
+        assert!(!bushy().is_left_deep());
     }
 
     #[test]
     fn compact_rendering() {
         let p = PlanNode::sort(left_deep_3(), ColumnRef::new(0, 0));
         assert_eq!(p.compact(), "Sort(SM(NL(R0,R1),IxR2))");
+        assert_eq!(bushy().compact(), "GH(R0,GH(R1,R2))");
     }
 
     #[test]
@@ -355,8 +425,8 @@ mod tests {
         let r = p.relabel_tables(&map);
         assert_eq!(r.tables(), TableSet::from_indices([0, 1, 2]));
         assert_eq!(r.compact(), "Sort(SM(NL(R1,R2),IxR0))");
-        match &r {
-            PlanNode::Sort { key, .. } => assert_eq!(*key, ColumnRef::new(0, 1)),
+        match r.root().node() {
+            Step::Sort(_, key) => assert_eq!(key, ColumnRef::new(0, 1)),
             _ => panic!("sort survives relabeling"),
         }
         // Identity map is a no-op.
@@ -364,88 +434,17 @@ mod tests {
     }
 
     #[test]
-    fn visit_sees_all_nodes() {
-        let mut count = 0;
-        left_deep_3().visit(&mut |_| count += 1);
-        assert_eq!(count, 5);
-    }
-
-    /// A left-deep plan over tables `0..=depth`, built the way the DP
-    /// builds one: each level's node points at the level below.  Returns
-    /// every level's node ("the DP table") and the root.
-    fn left_deep(depth: usize) -> (Vec<Arc<PlanNode>>, PlanNode) {
-        let mut levels = vec![Arc::new(PlanNode::SeqScan { table: 0 })];
-        for t in 1..depth {
-            let below = Arc::clone(levels.last().unwrap());
-            levels.push(Arc::new(PlanNode::Join {
-                method: JoinMethod::ALL[t % 4],
-                outer: below,
-                inner: Arc::new(PlanNode::SeqScan { table: t }),
-            }));
-        }
-        let root = PlanNode::Join {
-            method: JoinMethod::GraceHash,
-            outer: Arc::clone(levels.last().unwrap()),
-            inner: Arc::new(PlanNode::IndexScan { table: depth }),
-        };
-        (levels, root)
-    }
-
-    fn children(p: &PlanNode) -> (&Arc<PlanNode>, &Arc<PlanNode>) {
-        match p {
-            PlanNode::Join { outer, inner, .. } => (outer, inner),
-            _ => panic!("not a join"),
-        }
-    }
-
-    #[test]
-    fn clone_of_a_deep_plan_is_shallow() {
-        let (_levels, root) = left_deep(14);
-        assert_eq!(root.n_joins(), 14);
-        let copy = root.clone();
-        assert_eq!(copy, root);
-        let ((o1, i1), (o2, i2)) = (children(&root), children(&copy));
-        assert!(Arc::ptr_eq(o1, o2) && Arc::ptr_eq(i1, i2));
-    }
-
-    #[test]
     fn separately_built_equal_trees_compare_equal_by_value() {
-        let ((_, a), (_, b)) = (left_deep(14), left_deep(14));
-        assert!(!Arc::ptr_eq(children(&a).0, children(&b).0));
-        assert_eq!(a, b);
-        let (_, shorter) = left_deep(13);
-        assert_ne!(a, shorter);
-    }
-
-    #[test]
-    fn relabeling_shares_no_node_with_its_source() {
-        let (_levels, root) = left_deep(14);
-        let before = root.compact();
+        let left_deep = |depth: usize| {
+            (1..=depth).fold(PlanNode::seq_scan(0), |plan, t| {
+                PlanNode::join(JoinMethod::ALL[t % 4], plan, PlanNode::seq_scan(t))
+            })
+        };
+        assert_eq!(left_deep(14), left_deep(14));
+        assert_ne!(left_deep(14), left_deep(13));
         let map: Vec<usize> = (0..15).rev().collect();
-        let relabeled = root.relabel_tables(&map);
-        assert_eq!(root.compact(), before, "the source is untouched");
-        assert_eq!(relabeled.join_order(), map);
-        let mut source_nodes = Vec::new();
-        root.visit(&mut |n| source_nodes.push(n as *const PlanNode));
-        relabeled.visit(&mut |n| assert!(!source_nodes.contains(&(n as *const PlanNode))));
-        // A cache-served plan is such a copy: equal by value to a fresh one.
-        let identity: Vec<usize> = (0..15).collect();
-        assert_eq!(root.relabel_tables(&identity), root);
-    }
-
-    #[test]
-    fn a_returned_plan_outlives_the_table_it_was_built_from() {
-        let (levels, root) = left_deep(14);
-        let expected = left_deep(14).1;
-        let below_root = Arc::clone(&levels[13]);
-        assert!(Arc::strong_count(&below_root) >= 3); // table, root, this handle
-        drop(levels);
-        assert_eq!(
-            Arc::strong_count(&below_root),
-            2,
-            "only the root and this handle remain"
-        );
-        assert_eq!(root, expected);
-        assert_eq!(root.join_order(), (0..15).collect::<Vec<_>>());
+        let relabeled = left_deep(14).relabel_tables(&map);
+        assert_ne!(relabeled, left_deep(14));
+        assert_eq!(relabeled.relabel_tables(&map), left_deep(14));
     }
 }

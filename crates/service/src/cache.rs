@@ -523,7 +523,7 @@ mod tests {
 
     fn answer(t: usize, cost: f64) -> CanonicalAnswer {
         CanonicalAnswer {
-            plan: PlanNode::SeqScan { table: t },
+            plan: PlanNode::seq_scan(t),
             cost,
             stats: SearchStats::default(),
         }
@@ -594,7 +594,7 @@ mod tests {
         c.publish_answer(&key(7), answer(4, 9.0));
         for w in waiters {
             let got = w.join().unwrap().expect("leader succeeded");
-            assert_eq!(got.plan, PlanNode::SeqScan { table: 4 });
+            assert_eq!(got.plan, PlanNode::seq_scan(4));
             assert_eq!(got.cost.to_bits(), 9.0f64.to_bits());
         }
         let s = c.stats();

@@ -36,12 +36,14 @@
 use crate::transport::Stream;
 use lec_catalog::TableId;
 use lec_core::{AlgDConfig, Mode, OptError, PointEstimate, SearchStats};
-use lec_plan::{ColumnRef, JoinMethod, JoinPredicate, LocalPredicate, PlanNode, Query, QueryTable};
+use lec_plan::{
+    ColumnRef, JoinMethod, JoinPredicate, LocalPredicate, NodeRef, PlanNode, Query, QueryTable,
+    Step,
+};
 use lec_prob::{Distribution, MarkovChain, Rebucket};
 use lec_service::{CacheDecision, ServeError};
 use std::io;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Hard cap on one frame's payload (opcode + body).  Far above any real
@@ -613,76 +615,85 @@ pub fn decode_mode(r: &mut Reader) -> Result<Mode, DecodeError> {
 // Plans
 // ---------------------------------------------------------------------
 
+/// A plan in preorder: a node's tag and fields, then its inputs, outer
+/// before inner.
 pub fn encode_plan(w: &mut Writer, p: &PlanNode) {
-    match p {
-        PlanNode::SeqScan { table } => {
+    encode_node(w, p.root());
+}
+
+fn encode_node(w: &mut Writer, node: NodeRef<'_>) {
+    match node.node() {
+        Step::SeqScan(table) => {
             w.u8(0);
-            w.u64(*table as u64);
+            w.u64(table as u64);
         }
-        PlanNode::IndexScan { table } => {
+        Step::IndexScan(table) => {
             w.u8(1);
-            w.u64(*table as u64);
+            w.u64(table as u64);
         }
-        PlanNode::Sort { input, key } => {
+        Step::Sort(input, key) => {
             w.u8(2);
-            encode_column_ref(w, key);
-            encode_plan(w, input);
+            encode_column_ref(w, &key);
+            encode_node(w, input);
         }
-        PlanNode::Join {
-            method,
-            outer,
-            inner,
-        } => {
+        Step::Join(method, outer, inner) => {
             w.u8(3);
-            w.u8(match method {
-                JoinMethod::SortMerge => 0,
-                JoinMethod::GraceHash => 1,
-                JoinMethod::PageNestedLoop => 2,
-                JoinMethod::BlockNestedLoop => 3,
-            });
-            encode_plan(w, outer);
-            encode_plan(w, inner);
+            // A method's code is its position in `JoinMethod::ALL`, which
+            // is its declaration order.
+            w.u8(method as u8);
+            encode_node(w, outer);
+            encode_node(w, inner);
         }
     }
 }
 
+/// A plan node [`decode_plan`] has read, waiting for its inputs.
+enum Pending {
+    Sort(ColumnRef),
+    /// A join, and its outer input's step once that is read.
+    Join(JoinMethod, Option<u32>),
+}
+
+/// The plan [`encode_plan`] wrote, its preorder read into postorder steps
+/// with an explicit stack of the nodes still waiting for an input.
 pub fn decode_plan(r: &mut Reader) -> Result<PlanNode, DecodeError> {
-    decode_plan_depth(r, 0)
-}
-
-fn decode_plan_depth(r: &mut Reader, depth: usize) -> Result<PlanNode, DecodeError> {
-    if depth > MAX_PLAN_DEPTH {
-        return Err(DecodeError::BadValue("plan tree too deep"));
-    }
-    Ok(match r.u8()? {
-        0 => PlanNode::SeqScan { table: r.count()? },
-        1 => PlanNode::IndexScan { table: r.count()? },
-        2 => {
-            let key = decode_column_ref(r)?;
-            let input = decode_plan_depth(r, depth + 1)?;
-            PlanNode::Sort {
-                input: Arc::new(input),
-                key,
-            }
+    let (mut steps, mut pending) = (Vec::new(), Vec::new());
+    loop {
+        // The node about to be read has every pending node above it.
+        if pending.len() > MAX_PLAN_DEPTH {
+            return Err(DecodeError::BadValue("plan tree too deep"));
         }
-        3 => {
-            let method = match r.u8()? {
-                0 => JoinMethod::SortMerge,
-                1 => JoinMethod::GraceHash,
-                2 => JoinMethod::PageNestedLoop,
-                3 => JoinMethod::BlockNestedLoop,
-                _ => return Err(DecodeError::BadTag("join method")),
+        let mut step = match r.u8()? {
+            0 => Step::SeqScan(r.count()?),
+            1 => Step::IndexScan(r.count()?),
+            2 => {
+                pending.push(Pending::Sort(decode_column_ref(r)?));
+                continue;
+            }
+            3 => {
+                let method = JoinMethod::ALL.get(r.u8()? as usize);
+                let method = *method.ok_or(DecodeError::BadTag("join method"))?;
+                pending.push(Pending::Join(method, None));
+                continue;
+            }
+            _ => return Err(DecodeError::BadTag("plan node")),
+        };
+        // A subtree is complete: hand it to the node waiting on it.
+        loop {
+            steps.push(step);
+            let done = steps.len() as u32 - 1;
+            step = match pending.last_mut() {
+                None => return Ok(PlanNode::from_postorder(steps)),
+                Some(Pending::Join(_, outer @ None)) => {
+                    *outer = Some(done);
+                    break;
+                }
+                Some(&mut Pending::Join(method, Some(outer))) => Step::Join(method, outer, done),
+                Some(&mut Pending::Sort(key)) => Step::Sort(done, key),
             };
-            let outer = decode_plan_depth(r, depth + 1)?;
-            let inner = decode_plan_depth(r, depth + 1)?;
-            PlanNode::Join {
-                method,
-                outer: Arc::new(outer),
-                inner: Arc::new(inner),
-            }
+            pending.pop();
         }
-        _ => return Err(DecodeError::BadTag("plan node")),
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -942,8 +953,8 @@ mod tests {
     fn plans_roundtrip_and_depth_is_capped() {
         let plan = PlanNode::join(
             JoinMethod::GraceHash,
-            PlanNode::sort(PlanNode::SeqScan { table: 0 }, ColumnRef::new(0, 1)),
-            PlanNode::IndexScan { table: 2 },
+            PlanNode::sort(PlanNode::seq_scan(0), ColumnRef::new(0, 1)),
+            PlanNode::index_scan(2),
         );
         let mut w = Writer::new();
         encode_plan(&mut w, &plan);
@@ -1019,7 +1030,7 @@ mod tests {
 
     #[test]
     fn responses_roundtrip_and_the_retired_decision_tag_is_rejected() {
-        let plan = PlanNode::SeqScan { table: 3 };
+        let plan = PlanNode::seq_scan(3);
         let mut w = Writer::new();
         encode_plan(&mut w, &plan);
         // plan, f64 cost, u8 mode, then the decision tag.

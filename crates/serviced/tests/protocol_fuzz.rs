@@ -12,10 +12,11 @@
 //! bytes, and on valid frame streams cut in two at every offset.
 
 use lec_core::{Mode, PointEstimate};
-use lec_plan::{QueryProfile, WorkloadGenerator};
+use lec_plan::{ColumnRef, JoinMethod, PlanNode, QueryProfile, WorkloadGenerator};
 use lec_serviced::protocol::{
     decode_dist, decode_mode, decode_plan, decode_query, decode_response, encode_mode, encode_plan,
     encode_query, encode_response, frame, op, split_frame, DecodeError, Reader, Writer, MAX_FRAME,
+    MAX_PLAN_DEPTH,
 };
 use proptest::prelude::*;
 
@@ -42,20 +43,55 @@ fn valid_payload() -> Vec<u8> {
     w.into_bytes()
 }
 
+/// A 6-table bushy plan that reaches every arm of the plan decoder: both
+/// scans, a sort at the root and one below a join, all four join methods.
+fn plan() -> PlanNode {
+    let [sm, gh, nl, bnl] = JoinMethod::ALL;
+    let (scan, ix) = (PlanNode::seq_scan, PlanNode::index_scan);
+    let sorted_ix = PlanNode::sort(ix(1), ColumnRef::new(1, 0));
+    PlanNode::sort(
+        PlanNode::join(
+            bnl,
+            PlanNode::join(sm, scan(0), sorted_ix),
+            PlanNode::join(
+                nl,
+                PlanNode::join(gh, scan(2), ix(3)),
+                PlanNode::join(sm, scan(4), scan(5)),
+            ),
+        ),
+        ColumnRef::new(5, 1),
+    )
+}
+
+fn plan_bytes(plan: &PlanNode) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode_plan(&mut w, plan);
+    w.into_bytes()
+}
+
+/// A plan decoded from the front of `bytes` re-encodes to exactly the
+/// bytes it consumed.
+fn plan_reencodes(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let mut r = Reader::new(bytes);
+    if let Ok(plan) = decode_plan(&mut r) {
+        let consumed = &bytes[..bytes.len() - r.remaining()];
+        prop_assert_eq!(plan_bytes(&plan), consumed, "{}", plan.compact());
+    }
+    Ok(())
+}
+
 /// A valid OPTIMIZE_OK-style payload (a response) to mutate, and the
 /// offset of its cache-decision tag.
 fn valid_response() -> (Vec<u8>, usize) {
     let resp = lec_service::ServeResponse {
-        plan: lec_plan::PlanNode::SeqScan { table: 2 },
+        plan: plan(),
         cost: 1234.5,
         mode: Mode::AlgorithmC.name(),
         stats: lec_core::SearchStats::default(),
         decision: lec_service::CacheDecision::Recomputed,
     };
-    let mut w = Writer::new();
-    encode_plan(&mut w, &resp.plan);
     // plan, f64 cost, u8 mode, then the decision tag.
-    let tag_at = w.into_bytes().len() + 8 + 1;
+    let tag_at = plan_bytes(&resp.plan).len() + 8 + 1;
     let mut w = Writer::new();
     encode_response(&mut w, &resp);
     (w.into_bytes(), tag_at)
@@ -78,6 +114,45 @@ fn the_retired_decision_tag_is_a_clean_error() {
                 Some(DecodeError::BadTag("cache decision")),
                 "tag {tag}"
             ),
+        }
+    }
+}
+
+/// Every strict prefix of a plan's bytes — a join missing its inner
+/// operand, or its outer, a sort missing its input — is a clean
+/// `Truncated`: the preorder encoding is prefix-free.
+#[test]
+fn a_plan_cut_short_is_truncated() {
+    let bytes = plan_bytes(&plan());
+    assert_eq!(decode_plan(&mut Reader::new(&bytes)), Ok(plan()));
+    for cut in 0..bytes.len() {
+        let got = decode_plan(&mut Reader::new(&bytes[..cut]));
+        assert_eq!(got, Err(DecodeError::Truncated), "cut at {cut}");
+    }
+}
+
+/// A node at depth `MAX_PLAN_DEPTH` decodes; one deeper is refused,
+/// under nested sorts and under a left-deep join chain alike.
+#[test]
+fn plans_past_max_plan_depth_are_too_deep() {
+    let too_deep = Err(DecodeError::BadValue("plan tree too deep"));
+    let sorts = |n| {
+        (0..n).fold(PlanNode::seq_scan(0), |p, _| {
+            PlanNode::sort(p, ColumnRef::new(0, 0))
+        })
+    };
+    let joins = |n| {
+        (1..=n).fold(PlanNode::seq_scan(0), |p, t| {
+            PlanNode::join(JoinMethod::ALL[t % 4], p, PlanNode::index_scan(t))
+        })
+    };
+    for nest in [sorts, joins] {
+        let deepest = nest(MAX_PLAN_DEPTH);
+        let decoded = decode_plan(&mut Reader::new(&plan_bytes(&deepest)));
+        assert_eq!(decoded, Ok(deepest));
+        for n in [MAX_PLAN_DEPTH + 1, MAX_PLAN_DEPTH + 8] {
+            let decoded = decode_plan(&mut Reader::new(&plan_bytes(&nest(n))));
+            assert_eq!(decoded, too_deep, "{n} deep");
         }
     }
 }
@@ -202,6 +277,7 @@ proptest! {
         let idx = offset % response.len();
         response[idx] ^= mask;
         decode_everything(&response);
+        plan_reencodes(&response)?;
     }
 
     #[test]
@@ -212,5 +288,20 @@ proptest! {
         let (response, _) = valid_response();
         let cut = ((response.len() as f64) * cut_frac) as usize;
         decode_everything(&response[..cut.min(response.len())]);
+        plan_reencodes(&response[..cut.min(response.len())])?;
+    }
+
+    /// One or two byte flips inside the plan's own bytes: about half of a
+    /// whole response's single flips land past them.
+    #[test]
+    fn mutated_plans_decode_cleanly_and_reencode_exactly(
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..3),
+    ) {
+        let mut bytes = plan_bytes(&plan());
+        for (offset, mask) in flips {
+            let idx = offset % bytes.len();
+            bytes[idx] ^= mask;
+        }
+        plan_reencodes(&bytes)?;
     }
 }

@@ -362,3 +362,178 @@ fn a_pipelined_batch_straddles_read_boundaries() {
     assert_eq!(daemon.metrics().requests_ok(), BATCH as u64);
     assert_eq!(daemon.metrics().malformed_frames(), 0);
 }
+
+/// The plan encoder's bytes, pinned as hex literals: every mode's plan on
+/// the golden fixtures (`golden_answers.rs`'s small queries) and
+/// hand-built plans covering what those miss — index scans, a sort at the
+/// root and below a join, bushy joins, all four methods and table ids
+/// past one byte.  Every other test compares plans by value after a round
+/// trip, which an encoder and decoder drifting together would pass.
+#[test]
+fn plan_bytes_are_pinned() {
+    use lec_core::{fixtures, AlgDConfig, PointEstimate};
+    use lec_plan::{ColumnRef, JoinMethod, PlanNode};
+    use lec_prob::{presets, MarkovChain};
+
+    fn hex(plan: &PlanNode) -> String {
+        let mut w = Writer::new();
+        protocol::encode_plan(&mut w, plan);
+        w.into_bytes().iter().map(|b| format!("{b:02x}")).collect()
+    }
+    let (scan, ix) = (PlanNode::seq_scan, PlanNode::index_scan);
+    let [sm, gh, nl, bnl] = JoinMethod::ALL;
+
+    let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
+    let fixtures = [
+        (
+            "example_1_1",
+            fixtures::example_1_1(),
+            fixtures::example_1_1_memory(),
+        ),
+        ("three_chain", fixtures::three_chain(), memory.clone()),
+        ("diamond", fixtures::diamond(), memory.clone()),
+        (
+            "scaling_chain(6)",
+            fixtures::scaling_chain(6),
+            memory.clone(),
+        ),
+        ("scaling_star(6)", fixtures::scaling_star(6), memory.clone()),
+        (
+            "pruning_chain(7)",
+            fixtures::pruning_chain(7),
+            memory.clone(),
+        ),
+        ("pruning_star(7)", fixtures::pruning_star(7), memory.clone()),
+        ("pruning_clique(6)", fixtures::pruning_clique(6), memory),
+    ];
+    let mut actual = Vec::new();
+    for (name, (cat, q), mem) in &fixtures {
+        let opt = Optimizer::new(cat, mem.clone());
+        let chain = MarkovChain::sticky_uniform(mem.support().to_vec(), 0.6).unwrap();
+        for mode in [
+            Mode::Lsc(PointEstimate::Mean),
+            Mode::Lsc(PointEstimate::Mode),
+            Mode::AlgorithmA,
+            Mode::AlgorithmB { c: 3 },
+            Mode::AlgorithmC,
+            Mode::AlgorithmCDynamic { chain },
+            Mode::AlgorithmD {
+                config: AlgDConfig::default(),
+            },
+            Mode::Bushy,
+        ] {
+            let plan = opt.optimize(q, &mode).unwrap().plan;
+            actual.push((name.to_string(), mode.name().to_string(), hex(&plan)));
+        }
+    }
+    let hand_built = [
+        ("index scan", ix(3)),
+        (
+            "sort at the root",
+            PlanNode::sort(PlanNode::join(gh, scan(0), ix(1)), ColumnRef::new(1, 2)),
+        ),
+        (
+            "bushy, every method",
+            PlanNode::join(
+                bnl,
+                PlanNode::join(sm, scan(0), PlanNode::sort(ix(1), ColumnRef::new(1, 0))),
+                PlanNode::join(nl, scan(2), PlanNode::join(gh, ix(3), scan(4))),
+            ),
+        ),
+        (
+            "table ids past one byte",
+            PlanNode::sort(
+                PlanNode::join(nl, scan(256), ix(300)),
+                ColumnRef::new(300, 258),
+            ),
+        ),
+    ];
+    for (name, plan) in &hand_built {
+        actual.push((name.to_string(), String::new(), hex(plan)));
+    }
+
+    #[rustfmt::skip]
+    let pinned: &[(&str, &str, &str)] = &[
+        ("example_1_1", "LSC(mean)", "0300000000000000000000000100000000000000"),
+        ("example_1_1", "LSC(mode)", "0300000000000000000000000100000000000000"),
+        ("example_1_1", "AlgA", "02000000000000000000000000000000000301000000000000000000000100000000000000"),
+        ("example_1_1", "AlgB", "02000000000000000000000000000000000301000000000000000000000100000000000000"),
+        ("example_1_1", "AlgC", "02000000000000000000000000000000000301000000000000000000000100000000000000"),
+        ("example_1_1", "AlgC-dyn", "02000000000000000000000000000000000301000000000000000000000100000000000000"),
+        ("example_1_1", "AlgD", "02000000000000000000000000000000000301000000000000000000000100000000000000"),
+        ("example_1_1", "Bushy", "02000000000000000000000000000000000301000000000000000000000100000000000000"),
+        ("three_chain", "LSC(mean)", "03020300000000000000000000000100000000000000000200000000000000"),
+        ("three_chain", "LSC(mode)", "03020300000000000000000000000100000000000000000200000000000000"),
+        ("three_chain", "AlgA", "03020301000000000000000000000100000000000000000200000000000000"),
+        ("three_chain", "AlgB", "03020301000000000000000000000100000000000000000200000000000000"),
+        ("three_chain", "AlgC", "03020301000000000000000000000100000000000000000200000000000000"),
+        ("three_chain", "AlgC-dyn", "03020301000000000000000000000100000000000000000200000000000000"),
+        ("three_chain", "AlgD", "03020301000000000000000000000100000000000000000200000000000000"),
+        ("three_chain", "Bushy", "03020002000000000000000301000000000000000000000100000000000000"),
+        ("diamond", "LSC(mean)", "030103020300000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("diamond", "LSC(mode)", "030103020300000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("diamond", "AlgA", "030103020300000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("diamond", "AlgB", "030103020300000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("diamond", "AlgC", "030103020300000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("diamond", "AlgC-dyn", "030103020300000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("diamond", "AlgD", "030103020300000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("diamond", "Bushy", "030203000003000000000000000002000000000000000300000100000000000000000000000000000000"),
+        ("scaling_chain(6)", "LSC(mean)", "020500000000000000010000000000000003020302030303000300000000000000000000000100000000000000000200000000000000000300000000000000000400000000000000000500000000000000"),
+        ("scaling_chain(6)", "LSC(mode)", "020500000000000000010000000000000003020302030203000300000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("scaling_chain(6)", "AlgA", "020500000000000000010000000000000003020302030003010301000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("scaling_chain(6)", "AlgB", "020500000000000000010000000000000003020302030003010301000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("scaling_chain(6)", "AlgC", "020500000000000000010000000000000003020303030103000300000000000000000000000100000000000000000200000000000000000300000000000000000400000000000000000500000000000000"),
+        ("scaling_chain(6)", "AlgC-dyn", "020500000000000000010000000000000003020303030103000300000000000000000000000100000000000000000200000000000000000300000000000000000400000000000000000500000000000000"),
+        ("scaling_chain(6)", "AlgD", "020500000000000000010000000000000003020303030103000300000000000000000000000100000000000000000200000000000000000300000000000000000400000000000000000500000000000000"),
+        ("scaling_chain(6)", "Bushy", "020500000000000000010000000000000003020005000000000000000303030100030000000000000003000002000000000000000300000000000000000000000100000000000000000400000000000000"),
+        ("scaling_star(6)", "LSC(mean)", "020500000000000000010000000000000003020302030303000300000500000000000000000000000000000000000200000000000000000100000000000000000300000000000000000400000000000000"),
+        ("scaling_star(6)", "LSC(mode)", "020500000000000000010000000000000003020302030303000300000500000000000000000000000000000000000200000000000000000100000000000000000300000000000000000400000000000000"),
+        ("scaling_star(6)", "AlgA", "020500000000000000010000000000000003020303030003000300000500000000000000000000000000000000000200000000000000000100000000000000000300000000000000000400000000000000"),
+        ("scaling_star(6)", "AlgB", "020500000000000000010000000000000003020303030003000300000500000000000000000000000000000000000200000000000000000100000000000000000300000000000000000400000000000000"),
+        ("scaling_star(6)", "AlgC", "020500000000000000010000000000000003020303030003000300000500000000000000000000000000000000000200000000000000000100000000000000000300000000000000000400000000000000"),
+        ("scaling_star(6)", "AlgC-dyn", "020500000000000000010000000000000003020303030003000300000500000000000000000000000000000000000200000000000000000100000000000000000300000000000000000400000000000000"),
+        ("scaling_star(6)", "AlgD", "020500000000000000010000000000000003020303030003000300000500000000000000000000000000000000000200000000000000000100000000000000000300000000000000000400000000000000"),
+        ("scaling_star(6)", "Bushy", "020500000000000000010000000000000003020004000000000000000303030000050000000000000003000002000000000000000300000000000000000000000100000000000000000300000000000000"),
+        ("pruning_chain(7)", "LSC(mean)", "0206000000000000000100000000000000030003020303030203020300000200000000000000000100000000000000000000000000000000000300000000000000000400000000000000000500000000000000000600000000000000"),
+        ("pruning_chain(7)", "LSC(mode)", "0206000000000000000100000000000000030303020302030203020303000200000000000000000100000000000000000000000000000000000300000000000000000400000000000000000500000000000000000600000000000000"),
+        ("pruning_chain(7)", "AlgA", "0206000000000000000100000000000000030003020303030203020300000200000000000000000100000000000000000000000000000000000300000000000000000400000000000000000500000000000000000600000000000000"),
+        ("pruning_chain(7)", "AlgB", "0206000000000000000100000000000000030003020303030203020300000200000000000000000100000000000000000000000000000000000300000000000000000400000000000000000500000000000000000600000000000000"),
+        ("pruning_chain(7)", "AlgC", "0206000000000000000100000000000000030003020303030203020300000200000000000000000100000000000000000000000000000000000300000000000000000400000000000000000500000000000000000600000000000000"),
+        ("pruning_chain(7)", "AlgC-dyn", "0206000000000000000100000000000000030003020303030203020300000200000000000000000100000000000000000000000000000000000300000000000000000400000000000000000500000000000000000600000000000000"),
+        ("pruning_chain(7)", "AlgD", "0206000000000000000100000000000000030003020303030203020300000200000000000000000100000000000000000000000000000000000300000000000000000400000000000000000500000000000000000600000000000000"),
+        ("pruning_chain(7)", "Bushy", "0206000000000000000100000000000000030203000006000000000000000005000000000000000303030203020300000200000000000000000100000000000000000000000000000000000300000000000000000400000000000000"),
+        ("pruning_star(7)", "LSC(mean)", "0206000000000000000100000000000000030303020302030203020302000500000000000000000000000000000000000400000000000000000300000000000000000200000000000000000600000000000000000100000000000000"),
+        ("pruning_star(7)", "LSC(mode)", "0206000000000000000100000000000000030203020302030203020302000500000000000000000000000000000000000400000000000000000300000000000000000200000000000000000600000000000000000100000000000000"),
+        ("pruning_star(7)", "AlgA", "0206000000000000000100000000000000030303020302030203020302000500000000000000000000000000000000000400000000000000000300000000000000000200000000000000000600000000000000000100000000000000"),
+        ("pruning_star(7)", "AlgB", "0206000000000000000100000000000000030303020302030203020302000500000000000000000000000000000000000400000000000000000300000000000000000200000000000000000600000000000000000100000000000000"),
+        ("pruning_star(7)", "AlgC", "0206000000000000000100000000000000030303020302030203020302000500000000000000000000000000000000000400000000000000000300000000000000000200000000000000000600000000000000000100000000000000"),
+        ("pruning_star(7)", "AlgC-dyn", "0206000000000000000100000000000000030303020302030203020302000500000000000000000000000000000000000400000000000000000300000000000000000200000000000000000600000000000000000100000000000000"),
+        ("pruning_star(7)", "AlgD", "0206000000000000000100000000000000030303020302030203020302000500000000000000000000000000000000000400000000000000000300000000000000000200000000000000000600000000000000000100000000000000"),
+        ("pruning_star(7)", "Bushy", "0206000000000000000100000000000000030303020006000000000000000302000500000000000000030200040000000000000003020003000000000000000302000200000000000000000000000000000000000100000000000000"),
+        ("pruning_clique(6)", "LSC(mean)", "020500000000000000010000000000000003020302030003000300000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("pruning_clique(6)", "LSC(mode)", "020500000000000000010000000000000003020302030303000303000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("pruning_clique(6)", "AlgA", "020500000000000000010000000000000003020302030003000300000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("pruning_clique(6)", "AlgB", "020500000000000000010000000000000003020302030003000300000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("pruning_clique(6)", "AlgC", "020500000000000000010000000000000003020302030003000300000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("pruning_clique(6)", "AlgC-dyn", "020500000000000000010000000000000003020302030003000300000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("pruning_clique(6)", "AlgD", "020500000000000000010000000000000003020302030003000300000500000000000000000400000000000000000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("pruning_clique(6)", "Bushy", "020500000000000000010000000000000003020302030000050000000000000003000004000000000000000300000300000000000000000200000000000000000100000000000000000000000000000000"),
+        ("index scan", "", "010300000000000000"),
+        ("sort at the root", "", "02010000000000000002000000000000000301000000000000000000010100000000000000"),
+        ("bushy, every method", "", "03030300000000000000000000020100000000000000000000000000000001010000000000000003020002000000000000000301010300000000000000000400000000000000"),
+        ("table ids past one byte", "", "022c0100000000000002010000000000000302000001000000000000012c01000000000000"),
+    ];
+    let table: String = actual
+        .iter()
+        .map(|(q, m, h)| format!("        (\"{q}\", \"{m}\", \"{h}\"),\n"))
+        .collect();
+    let matches = pinned.len() == actual.len()
+        && pinned
+            .iter()
+            .zip(&actual)
+            .all(|(p, a)| (p.0, p.1, p.2) == (&*a.0, &*a.1, &*a.2));
+    assert!(
+        matches,
+        "plan bytes moved; the encoder now writes:\n{table}"
+    );
+}

@@ -52,5 +52,5 @@ fn main() {
 
 fn usage() {
     println!("usage: experiments <all | list | ID...>");
-    println!("       IDs: e1..e16, f1 (`experiments list` describes each)");
+    println!("       IDs: e1..e11, e14, e15, f1 (`experiments list` describes each)");
 }

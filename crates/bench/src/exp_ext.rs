@@ -1,154 +1,15 @@
-//! Experiments E12–E16: the paper's explicitly flagged extensions —
-//! randomized search with the EC objective (§1), the \[INSS92\] parametric
-//! combination (§3.2/§3.4), bushy trees (§4), closed-loop statistics
-//! fitting (§3.1 question 1), and the reactive re-optimization comparison
-//! (§2.3).
+//! Experiments E14 and E15: two of the paper's explicitly flagged
+//! extensions — bushy trees (§4) and closed-loop statistics fitting (§3.1
+//! question 1).
 
 use crate::search;
-use crate::table::{num, pct, Table};
-use crate::workloads::{batch, scaling_chain};
-use lec_core::{
-    coverage_family, iterative_improvement, simulated_annealing, Mode, PlanCache, PointEstimate,
-    RandomizedConfig,
-};
+use crate::table::{pct, Table};
+use crate::workloads::batch;
+use lec_core::Mode;
 use lec_cost::{expected_plan_cost_dynamic, CostModel};
-use lec_exec::monte_carlo_reopt;
 use lec_prob::{fit, presets, Distribution, MarkovChain, Rebucket};
 use rand::SeedableRng;
 use serde_json::{json, Value};
-use std::time::Instant;
-
-/// E12 — §1: "randomized algorithms ... apply in our approach too".
-/// Iterative improvement and simulated annealing with EC as the objective,
-/// against the exact Algorithm C, as query size grows.
-pub fn e12() -> Value {
-    println!("E12: randomized LEC optimization (II / SA) vs exact Algorithm C\n");
-    let memory = presets::spread_family(400.0, 0.8, 5).unwrap();
-    let mut t = Table::new(&[
-        "n", "C cost", "II gap", "SA gap", "C time", "II time", "SA time", "II evals",
-    ]);
-    let mut rows_json = Vec::new();
-    for n in [4usize, 6, 8, 10, 12] {
-        let w = scaling_chain(n);
-        // Fresh model per timed algorithm, so each times one cold call.
-        let model_c = CostModel::new(&w.catalog, &w.query);
-        let t0 = Instant::now();
-        let c = search(&model_c, &memory, Mode::AlgorithmC);
-        let t_c = t0.elapsed().as_secs_f64() * 1e3;
-        let cfg = RandomizedConfig::default();
-        let model_ii = CostModel::new(&w.catalog, &w.query);
-        let t0 = Instant::now();
-        let ii = iterative_improvement(&model_ii, &memory, &cfg, 42).unwrap();
-        let t_ii = t0.elapsed().as_secs_f64() * 1e3;
-        let model_sa = CostModel::new(&w.catalog, &w.query);
-        let t0 = Instant::now();
-        let sa = simulated_annealing(&model_sa, &memory, &cfg, 42).unwrap();
-        let t_sa = t0.elapsed().as_secs_f64() * 1e3;
-        let gap = |x: f64| (x - c.cost) / c.cost;
-        t.row(vec![
-            n.to_string(),
-            num(c.cost),
-            pct(gap(ii.cost)),
-            pct(gap(sa.cost)),
-            format!("{t_c:.1}ms"),
-            format!("{t_ii:.1}ms"),
-            format!("{t_sa:.1}ms"),
-            ii.stats.nodes.to_string(),
-        ]);
-        rows_json.push(json!({
-            "n": n, "c_cost": c.cost,
-            "ii_gap": gap(ii.cost), "sa_gap": gap(sa.cost),
-            "c_ms": t_c, "ii_ms": t_ii, "sa_ms": t_sa,
-            "ii_evaluations": ii.stats.nodes,
-        }));
-    }
-    println!("{}", t.render());
-    println!("(the randomized searches use the same EC objective; their gaps are");
-    println!(" relative to the provably optimal Algorithm C plan)\n");
-    json!({
-        "experiment": "e12", "rows": rows_json,
-        "paper_claim": "randomized join optimizers transfer to the LEC objective unchanged",
-    })
-}
-
-/// E13 — §3.2/§3.4: parametric precomputation.  Compile-time plan caches
-/// of increasing coverage, judged by start-up regret against a fresh
-/// Algorithm C run.
-pub fn e13() -> Value {
-    println!("E13: parametric LEC — plan-cache coverage vs start-up regret\n");
-    let workloads = batch(13_000, 15, 5, 1);
-    let families: Vec<(&str, Vec<lec_prob::Distribution>)> = vec![
-        ("1 point", coverage_family(&[400.0], &[0.0], 5)),
-        (
-            "3 centers",
-            coverage_family(&[100.0, 400.0, 1600.0], &[0.0], 5),
-        ),
-        (
-            "3 centers x 3 spreads",
-            coverage_family(&[100.0, 400.0, 1600.0], &[0.0, 0.5, 0.9], 5),
-        ),
-        (
-            "5 centers x 3 spreads",
-            coverage_family(&[50.0, 150.0, 450.0, 1350.0, 4050.0], &[0.0, 0.5, 0.9], 5),
-        ),
-    ];
-    // Start-up distributions the cache was NOT optimized for.
-    let actuals: Vec<lec_prob::Distribution> = vec![
-        presets::spread_family(250.0, 0.7, 6).unwrap(),
-        presets::spread_family(900.0, 0.3, 6).unwrap(),
-        presets::zipf_over(&[60.0, 240.0, 960.0, 3840.0], 1.0).unwrap(),
-    ];
-    let mut t = Table::new(&[
-        "coverage",
-        "avg cached plans",
-        "mean regret",
-        "max regret",
-        "lookup/full-opt time",
-    ]);
-    let mut rows_json = Vec::new();
-    for (name, family) in &families {
-        let mut regrets = Vec::new();
-        let mut sizes = Vec::new();
-        let mut t_lookup = 0.0;
-        let mut t_full = 0.0;
-        for w in &workloads {
-            let model = CostModel::new(&w.catalog, &w.query);
-            let cache = PlanCache::precompute(&model, family).unwrap();
-            sizes.push(cache.len() as f64);
-            for actual in &actuals {
-                let t0 = Instant::now();
-                let _ = cache.choose_fast(&model, actual).unwrap();
-                t_lookup += t0.elapsed().as_secs_f64();
-                let t0 = Instant::now();
-                let choice = cache.choose(&model, actual).unwrap();
-                t_full += t0.elapsed().as_secs_f64(); // includes the full re-opt
-                regrets.push(choice.regret);
-            }
-        }
-        let mean_regret = regrets.iter().sum::<f64>() / regrets.len() as f64;
-        let max_regret = regrets.iter().cloned().fold(0.0f64, f64::max);
-        let avg_size = sizes.iter().sum::<f64>() / sizes.len() as f64;
-        t.row(vec![
-            name.to_string(),
-            format!("{avg_size:.1}"),
-            pct(mean_regret),
-            pct(max_regret),
-            format!("{:.2}", t_lookup / t_full),
-        ]);
-        rows_json.push(json!({
-            "coverage": name, "avg_cached_plans": avg_size,
-            "mean_regret": mean_regret, "max_regret": max_regret,
-            "lookup_time_fraction": t_lookup / t_full,
-        }));
-    }
-    println!("{}", t.render());
-    println!("(regret = EC of the cached choice over EC of a fresh Algorithm C run,");
-    println!(" under start-up distributions outside the anticipated family)\n");
-    json!({
-        "experiment": "e13", "rows": rows_json,
-        "paper_claim": "precomputing LEC plans per anticipated distribution leaves little start-up work",
-    })
-}
 
 /// E14 — §4: bushy trees.  How much does the left-deep restriction cost
 /// the LEC objective, and what does lifting it cost in search effort?
@@ -341,68 +202,4 @@ fn chain_l1(truth: &MarkovChain, fitted: &MarkovChain) -> f64 {
         }
     }
     err / n as f64
-}
-
-/// E16 — §2.3: LEC planning vs reactive mid-query re-optimization
-/// (\[KD98\]-style) under Markov drift, measured by simulation.
-pub fn e16() -> Value {
-    println!("E16: plan-ahead (Algorithm C) vs reactive re-optimization under drift\n");
-    let states = vec![50.0, 150.0, 450.0, 1350.0];
-    let chain = MarkovChain::birth_death(states.clone(), 0.45, 0.10).unwrap();
-    let initial = Distribution::point(1350.0);
-    let init_probs = chain.dist_to_probs(&initial).unwrap();
-    // Same workload batch as E7, where drift demonstrably changes plans.
-    let workloads = batch(7000, 25, 5, 1);
-    let runs = 2000;
-    let mut sums = [0.0f64; 4];
-    let mut replans_total = 0.0;
-    for (i, w) in workloads.iter().enumerate() {
-        let model = CostModel::new(&w.catalog, &w.query);
-        let lsc = search(&model, &initial, Mode::Lsc(PointEstimate::Mean));
-        let stat = search(&model, &initial, Mode::AlgorithmC);
-        let dynm = search(
-            &model,
-            &initial,
-            Mode::AlgorithmCDynamic {
-                chain: chain.clone(),
-            },
-        );
-        let dyn_ec = |p: &lec_plan::PlanNode| {
-            expected_plan_cost_dynamic(&model, p, &initial, &chain).unwrap()
-        };
-        sums[0] += dyn_ec(&lsc.plan);
-        sums[1] += dyn_ec(&stat.plan);
-        sums[2] += dyn_ec(&dynm.plan);
-        let (reopt_mean, replans) =
-            monte_carlo_reopt(&model, &chain, &init_probs, runs, 16_000 + i as u64);
-        sums[3] += reopt_mean;
-        replans_total += replans;
-    }
-    let n = workloads.len() as f64;
-    let mut t = Table::new(&["strategy", "mean cost under drift", "vs LSC"]);
-    let names = [
-        "LSC @ start",
-        "static Alg C",
-        "dynamic Alg C",
-        "reactive reopt*",
-    ];
-    let mut rows_json = Vec::new();
-    for (k, name) in names.iter().enumerate() {
-        t.row(vec![
-            name.to_string(),
-            num(sums[k] / n),
-            pct(1.0 - sums[k] / sums[0]),
-        ]);
-        rows_json.push(json!({"strategy": name, "mean_cost": sums[k] / n}));
-    }
-    println!("{}", t.render());
-    println!(
-        "(*idealized: free re-planning, pipelined intermediates; avg {:.1} plan\n changes per run.  The reactive baseline exploits observations the\n planner cannot have; dynamic Algorithm C closes most of the gap with\n zero run-time machinery.)\n",
-        replans_total / n
-    );
-    json!({
-        "experiment": "e16", "rows": rows_json,
-        "avg_replans_per_run": replans_total / n,
-        "paper_claim": "LEC is compile-time only; reactive schemes wait for more information (2.3)",
-    })
 }

@@ -63,10 +63,14 @@ pub fn e1() -> Value {
         "experiment": "e1",
         "plans": rows_json,
         "lsc_plan": lsc_mode.plan.compact(),
+        "lsc_mean_plan": lsc_mean.plan.compact(),
         "lec_plan": lec.plan.compact(),
         "lec_saving": saving,
         "paper_claim": "LSC picks Plan 1 at mean/mode; Plan 2 is cheaper on average",
-        "claim_holds": lec.plan != lsc_mode.plan && saving > 0.0,
+        "claim_holds": fixtures::is_plan1(&lsc_mode.plan)
+            && fixtures::is_plan1(&lsc_mean.plan)
+            && lec.plan != lsc_mode.plan
+            && saving > 0.0,
     })
 }
 
@@ -278,20 +282,21 @@ pub fn e5() -> Value {
     let mut rows_json = Vec::new();
     for c in [1usize, 2, 3, 5, 8, 13, 21] {
         let r = search(&model, &memory, Mode::AlgorithmB { c });
-        let per_group = r.frontier().unwrap().combinations_examined as f64
-            / r.frontier().unwrap().groups as f64;
+        let f = r.frontier().unwrap();
+        let per_group = f.combinations_examined as f64 / f.groups as f64;
         let bound = c as f64 + c as f64 * (c as f64).ln();
-        let ok = r.frontier().unwrap().combinations_examined <= r.frontier().unwrap().bound_total;
+        let ok = f.combinations_examined <= f.bound_total;
         t.row(vec![
             c.to_string(),
-            r.frontier().unwrap().groups.to_string(),
+            f.groups.to_string(),
             format!("{per_group:.2}"),
             format!("{bound:.2}"),
             ok.to_string(),
         ]);
         rows_json.push(json!({
-            "c": c, "groups": r.frontier().unwrap().groups,
-            "examined_per_group": per_group, "bound_per_group": bound, "within": ok,
+            "c": c, "groups": f.groups,
+            "examined_per_group": per_group, "bound_per_group": bound,
+            "examined": f.combinations_examined, "bound_total": f.bound_total, "within": ok,
         }));
     }
     println!("{}", t.render());

@@ -34,13 +34,15 @@
 //!   (Figure 1) with §3.6.3 rebucketing;
 //! * [`bushy`] — Algorithm C's policy under the bushy shape (the §4
 //!   extension);
-//! * [`randomized`] — move-based II/SA searches \[Swa89, IK90\] with the
-//!   EC objective (not DP-based, but reporting the same uniform stats);
 //! * [`bucketing`] — the §3.7 strategies for partitioning the parameter
 //!   space (equal-width, equi-depth, level-set aware);
 //! * [`optimizer`] — [`optimize`], and [`Optimizer`], which binds it to a
 //!   catalog and a memory belief;
 //! * [`fixtures`] — the paper's Example 1.1, ready to run.
+//!
+//! Every [`Mode`] is one of the paper's DP searches — LSC, Algorithms A–D
+//! or the §4 bushy extension — so every mode commutes with table renaming,
+//! which is what lets the serving layer cache answers by query shape.
 //!
 //! Every mode returns the same [`SearchOutcome`] — plan, objective value,
 //! uniform [`SearchStats`] and optional mode-specific extras — so callers
@@ -87,8 +89,6 @@ pub mod error;
 pub mod fixtures;
 pub mod lsc;
 pub mod optimizer;
-pub mod parametric;
-pub mod randomized;
 pub mod search;
 
 pub use alg_a::Candidate;
@@ -97,8 +97,6 @@ pub use bucketing::{bucketize, query_memory_breakpoints, BucketStrategy};
 pub use error::OptError;
 pub use lsc::PointEstimate;
 pub use optimizer::{optimize, Mode, Optimized, Optimizer};
-pub use parametric::{coverage_family, CachedPlan, PlanCache, StartupChoice};
-pub use randomized::{iterative_improvement, simulated_annealing, RandomizedConfig};
 pub use search::{
     run_search_with, CandidatePolicy, FrontierStats, MemoryCoster, PlanShape, SearchConfig,
     SearchExtras, SearchOutcome, SearchStats,

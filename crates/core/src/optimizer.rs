@@ -46,28 +46,16 @@ pub enum Mode {
     },
     /// Bushy-plan LEC DP (the §4 extension; static memory only).
     Bushy,
-    /// Randomized iterative improvement \[Swa89\] with the EC objective.
-    IterativeImprovement {
-        /// Search tuning.
-        config: crate::randomized::RandomizedConfig,
-        /// RNG seed (searches are deterministic per seed).
-        seed: u64,
-    },
-    /// Simulated annealing \[IK90\] with the EC objective.
-    SimulatedAnnealing {
-        /// Search tuning.
-        config: crate::randomized::RandomizedConfig,
-        /// RNG seed.
-        seed: u64,
-    },
 }
 
 impl Mode {
     /// Stable fingerprint of the mode *and every parameter that shapes its
     /// outcome* (point estimates, candidate widths, Markov transition
-    /// matrices, bucketing configs, RNG seeds) — one ingredient of the
+    /// matrices, bucketing configs) — one ingredient of the
     /// cross-query plan-cache key.  Two requests whose modes fingerprint
     /// equal are answered by the same algorithm with the same tuning.
+    /// Tags 9 and 10 named the retired randomized searches and are not
+    /// reused.
     pub fn fingerprint(&self) -> u64 {
         use lec_cost::Fingerprint;
         let fp = Fingerprint::new();
@@ -97,12 +85,6 @@ impl Mode {
                 })
                 .u64(config.cube_root_inputs as u64),
             Mode::Bushy => fp.u64(8),
-            Mode::IterativeImprovement { config, seed } => {
-                randomized_fingerprint(fp.u64(9), config).u64(*seed)
-            }
-            Mode::SimulatedAnnealing { config, seed } => {
-                randomized_fingerprint(fp.u64(10), config).u64(*seed)
-            }
         }
         .finish()
     }
@@ -119,21 +101,8 @@ impl Mode {
             Mode::AlgorithmCDynamic { .. } => "AlgC-dyn",
             Mode::AlgorithmD { .. } => "AlgD",
             Mode::Bushy => "Bushy",
-            Mode::IterativeImprovement { .. } => "II",
-            Mode::SimulatedAnnealing { .. } => "SA",
         }
     }
-}
-
-fn randomized_fingerprint(
-    fp: lec_cost::Fingerprint,
-    config: &crate::randomized::RandomizedConfig,
-) -> lec_cost::Fingerprint {
-    fp.u64(config.restarts as u64)
-        .u64(config.patience as u64)
-        .f64(config.initial_temp_frac)
-        .f64(config.cooling)
-        .u64(config.sa_steps as u64)
 }
 
 /// Run `mode` over `model` under the memory belief `memory`: the only
@@ -142,8 +111,7 @@ fn randomized_fingerprint(
 /// basic System R optimizer" is the first five arms: one keep-best DP in
 /// which only the memory distribution the coster holds — a point for LSC
 /// — or, for the §4 extension, the shape changes.  `LscAt` ignores
-/// `memory` and rejects a non-finite value; the randomized modes are
-/// move-based and ignore `config`.
+/// `memory` and rejects a non-finite value.
 pub fn optimize(
     model: &CostModel<'_>,
     memory: &Distribution,
@@ -176,12 +144,6 @@ pub fn optimize(
         Mode::AlgorithmB { c } => crate::alg_b::rank_top_c_plans(model, memory, *c, config),
         Mode::AlgorithmD { config: buckets } => {
             crate::alg_d::search(model, memory, buckets, config)
-        }
-        Mode::IterativeImprovement { config, seed } => {
-            crate::randomized::iterative_improvement(model, memory, config, *seed)
-        }
-        Mode::SimulatedAnnealing { config, seed } => {
-            crate::randomized::simulated_annealing(model, memory, config, *seed)
         }
     }
 }
@@ -242,8 +204,7 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Override the search configuration (telemetry) for every
-    /// subsequent [`Optimizer::optimize`] call.  The randomized modes
-    /// (II/SA) are move-based rather than DP-based and ignore it.
+    /// subsequent [`Optimizer::optimize`] call.
     pub fn with_search_config(mut self, search: SearchConfig) -> Self {
         self.search = search;
         self
@@ -369,8 +330,7 @@ mod tests {
 
     #[test]
     fn all_four_counters_are_live_in_every_mode() {
-        // The seed hard-coded AlgD's evals and the randomized modes' nodes
-        // to zero; the engine now populates every counter uniformly.
+        // Every mode populates every work counter.
         let (cat, q) = three_chain();
         let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
         let chain = MarkovChain::identity(memory.support().to_vec()).unwrap();
@@ -386,14 +346,6 @@ mod tests {
                 config: AlgDConfig::default(),
             },
             Mode::Bushy,
-            Mode::IterativeImprovement {
-                config: crate::randomized::RandomizedConfig::default(),
-                seed: 5,
-            },
-            Mode::SimulatedAnnealing {
-                config: crate::randomized::RandomizedConfig::default(),
-                seed: 5,
-            },
         ];
         for mode in modes {
             let r = opt.optimize(&q, &mode).unwrap();
@@ -447,28 +399,16 @@ mod tests {
         let (cat, q) = example_1_1();
         let opt = Optimizer::new(&cat, example_1_1_memory());
         let exact = opt.optimize(&q, &Mode::AlgorithmC).unwrap();
-        for mode in [
-            Mode::Bushy,
-            Mode::IterativeImprovement {
-                config: crate::randomized::RandomizedConfig::default(),
-                seed: 5,
-            },
-            Mode::SimulatedAnnealing {
-                config: crate::randomized::RandomizedConfig::default(),
-                seed: 5,
-            },
-        ] {
-            let r = opt.optimize(&q, &mode).unwrap();
-            // On a two-table query every mode must find the exact optimum
-            // (the plan space is tiny).
-            assert!(
-                (r.cost - exact.cost).abs() < 1.0,
-                "{}: {} vs {}",
-                r.mode,
-                r.cost,
-                exact.cost
-            );
-        }
+        let r = opt.optimize(&q, &Mode::Bushy).unwrap();
+        // On a two-table query the bushy search must find the exact
+        // optimum (the plan space is tiny).
+        assert!(
+            (r.cost - exact.cost).abs() < 1.0,
+            "{}: {} vs {}",
+            r.mode,
+            r.cost,
+            exact.cost
+        );
     }
 
     #[test]

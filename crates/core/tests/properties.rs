@@ -1,10 +1,9 @@
 //! Property tests for the optimizer crate: DP entry pruning, algorithm
-//! orderings, bucketing, and the randomized/parametric extensions.
+//! orderings and bucketing.
 
 use lec_catalog::CatalogGenerator;
 use lec_core::{
-    bucketize, optimize, BucketStrategy, Mode, OptError, PlanCache, PointEstimate, SearchConfig,
-    SearchOutcome,
+    bucketize, optimize, BucketStrategy, Mode, OptError, PointEstimate, SearchConfig, SearchOutcome,
 };
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
@@ -97,30 +96,6 @@ proptest! {
         prop_assert!((mass - 1.0).abs() < 1e-9);
         let scale = truth.mean().abs().max(1.0);
         prop_assert!((d.mean() - truth.mean()).abs() / scale < 1e-9);
-    }
-
-    /// Parametric caches: regret is non-negative and zero when the
-    /// start-up distribution was anticipated.
-    #[test]
-    fn parametric_regret_laws(seed in 0u64..3000, n in 3usize..5) {
-        let (cat, q) = workload(seed, n);
-        let model = CostModel::new(&cat, &q);
-        let anticipated = vec![
-            presets::spread_family(150.0, 0.4, 4).unwrap(),
-            presets::spread_family(900.0, 0.4, 4).unwrap(),
-        ];
-        let cache = PlanCache::precompute(&model, &anticipated).unwrap();
-        // Anticipated distribution → zero regret.
-        let hit = cache.choose(&model, &anticipated[0]).unwrap();
-        prop_assert!(hit.regret.abs() < 1e-9);
-        // Arbitrary distribution → non-negative regret, best-of-cache.
-        let actual = presets::spread_family(400.0, 0.7, 5).unwrap();
-        let choice = cache.choose(&model, &actual).unwrap();
-        prop_assert!(choice.regret >= 0.0);
-        for e in cache.entries() {
-            let ec = expected_plan_cost_static(&model, &e.plan, &actual);
-            prop_assert!(choice.expected_cost <= ec + 1e-9);
-        }
     }
 
     /// "The standard approach [is] the special case where there is only

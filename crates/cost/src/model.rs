@@ -359,12 +359,6 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Point (mean) combined selectivity of all join predicates connecting
-    /// `set` to table `idx` (independence assumption, §3.6).
-    pub fn join_selectivity(&self, set: TableSet, idx: usize) -> f64 {
-        self.join_selectivity_sets(set, TableSet::singleton(idx))
-    }
-
     /// Distribution of the combined selectivity (`Pr(σ)` in Figure 1).
     pub fn join_selectivity_dist(&self, set: TableSet, idx: usize) -> Distribution {
         self.join_selectivity_dist_sets(set, TableSet::singleton(idx))
@@ -589,7 +583,7 @@ mod tests {
             0.5,
         ));
         let m = CostModel::new(&cat, &q);
-        let s = m.join_selectivity(TableSet::singleton(0), 1);
+        let s = m.join_selectivity_sets(TableSet::singleton(0), TableSet::singleton(1));
         assert!((s - 1e-4 * 0.5).abs() < 1e-18);
         let d = m.join_selectivity_dist(TableSet::singleton(0), 1);
         assert!(d.is_point());

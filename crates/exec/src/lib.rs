@@ -14,9 +14,6 @@
 //!   join, block nested-loop) that count actual page I/O under a buffer
 //!   budget, demonstrating that the cost cliffs driving the paper exist in
 //!   a genuine implementation (experiment E11);
-//! * [`reopt`] — an idealized \[KD98\]-style mid-query re-optimization
-//!   baseline (§2.3's "wait until they have more information" family),
-//!   for head-to-head comparison with Algorithm C under drift;
 //! * [`datagen`] / [`mod@tuple`] — synthetic rows plus a tuple-at-a-time
 //!   executor used to verify that every plan the optimizer can emit for a
 //!   query computes the same result (the §2.2 commutativity/associativity
@@ -49,7 +46,6 @@ pub mod calib;
 pub mod datagen;
 pub mod env;
 pub mod extops;
-pub mod reopt;
 pub mod sim;
 pub mod tuple;
 
@@ -60,6 +56,5 @@ pub use env::Environment;
 pub use extops::{
     block_nl_join, external_sort, grace_hash_join, page_nl_join, sort_merge_join, OpResult,
 };
-pub use reopt::{monte_carlo_reopt, run_reoptimizing, ReoptRun};
 pub use sim::{monte_carlo, SimStats};
 pub use tuple::{execute, Relation};

@@ -242,7 +242,7 @@ impl MarkovChain {
     }
 
     /// Sample a state index from a dense probability vector.
-    pub fn sample_state<R: Rng + ?Sized>(&self, probs: &[f64], rng: &mut R) -> usize {
+    fn sample_state<R: Rng + ?Sized>(&self, probs: &[f64], rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         let mut acc = 0.0;
         for (i, &p) in probs.iter().enumerate() {

@@ -49,8 +49,8 @@ pub enum CacheDecision {
     Coalesced,
     /// Miss: a fresh search ran and its result was inserted.
     Recomputed,
-    /// The request cannot be cached — a randomized mode (RNG trajectories
-    /// are not rename-equivariant) or a query the canonicalizer declined.
+    /// The request cannot be cached: the canonicalizer declined the query
+    /// (too many tables or permutations, or twin tables).
     Uncacheable,
 }
 
@@ -396,11 +396,6 @@ impl ShapeCache {
     /// Count one request consulting the cache.
     pub(crate) fn count_lookup(&self) {
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one request bypassing the cache.
-    pub(crate) fn count_uncacheable(&self) {
-        self.stats.uncacheable.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one request the canonicalizer refused — bypasses the cache

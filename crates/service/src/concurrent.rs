@@ -362,41 +362,29 @@ impl<'a> ConcurrentPlanServer<'a> {
             // decision point with the branch taken as its detail
             // (0 = hit, 1 = follow, 2 = lead, 3 = uncacheable).
             let probe_start = trace.now_ns();
-
             // Serving a cached (or coalesced) plan to a renamed request is
-            // only sound when the mode commutes with table renaming: the
-            // randomized modes' RNG trajectories do not.
-            let cacheable_mode = !matches!(
-                mode,
-                Mode::IterativeImprovement { .. } | Mode::SimulatedAnnealing { .. }
-            );
-            let form = if cacheable_mode {
-                match canonical_form(self.optimizer.catalog(), query) {
-                    Ok(form) => Some(form),
-                    Err(reason) => {
-                        // Counts as uncacheable *and* under its reason, so
-                        // the metrics can distinguish "workload outgrew the
-                        // canonicalizer" from "queries are too symmetric".
-                        self.cache.count_refusal(reason);
-                        None
-                    }
+            // sound because every mode commutes with table renaming
+            // (`rename_equivariance.rs`): only the query can be refused.
+            let form = match canonical_form(self.optimizer.catalog(), query) {
+                Ok(form) => form,
+                Err(reason) => {
+                    // Counts as uncacheable *and* under its reason, so the
+                    // metrics can distinguish "workload outgrew the
+                    // canonicalizer" from "queries are too symmetric".
+                    self.cache.count_refusal(reason);
+                    // Uncacheable requests always run a fresh search, so
+                    // they pay the cold toll too (no cohort to notify on a
+                    // shed).
+                    trace.span(Stage::CacheProbe, probe_start, 3);
+                    let out = self.cold_search(query, mode, hooks, trace)?;
+                    return Ok(ServeResponse {
+                        plan: out.plan,
+                        cost: out.cost,
+                        mode: out.mode,
+                        stats: out.stats,
+                        decision: CacheDecision::Uncacheable,
+                    });
                 }
-            } else {
-                self.cache.count_uncacheable();
-                None
-            };
-            let Some(form) = form else {
-                // Uncacheable requests always run a fresh search, so they
-                // pay the cold toll too (no cohort to notify on a shed).
-                trace.span(Stage::CacheProbe, probe_start, 3);
-                let out = self.cold_search(query, mode, hooks, trace)?;
-                return Ok(ServeResponse {
-                    plan: out.plan,
-                    cost: out.cost,
-                    mode: out.mode,
-                    stats: out.stats,
-                    decision: CacheDecision::Uncacheable,
-                });
             };
 
             let inverse_perm = form.inverse_perm();
@@ -651,23 +639,6 @@ mod tests {
             CacheDecision::Recomputed,
             "a different memory belief is a different key"
         );
-    }
-
-    #[test]
-    fn randomized_modes_bypass_the_cache() {
-        let (cat, q) = fixtures::three_chain();
-        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
-        let server = ConcurrentPlanServer::new(&cat, memory);
-        let mode = Mode::IterativeImprovement {
-            config: lec_core::RandomizedConfig::default(),
-            seed: 7,
-        };
-        for _ in 0..2 {
-            let resp = server.serve(&q, &mode).unwrap();
-            assert_eq!(resp.decision, CacheDecision::Uncacheable);
-        }
-        assert_eq!(server.cache_len(), 0);
-        assert_eq!(server.cache_stats().uncacheable, 2);
     }
 
     #[test]

@@ -193,7 +193,9 @@ impl std::error::Error for DecodeError {}
 /// Decoding a response reconstructs the `&'static str` the in-process
 /// [`lec_service::ServeResponse`] carries by indexing this table — the
 /// reason responses can be compared field-for-field across the wire.
-pub const MODE_NAMES: [&str; 11] = [
+/// Indices 9 and 10 named the randomized searches, which no longer exist;
+/// they are retired, not reused, and decode as a bad tag.
+pub const MODE_NAMES: [&str; 9] = [
     "LSC(mean)",
     "LSC(mode)",
     "LSC(at)",
@@ -203,8 +205,6 @@ pub const MODE_NAMES: [&str; 11] = [
     "AlgC-dyn",
     "AlgD",
     "Bushy",
-    "II",
-    "SA",
 ];
 
 // ---------------------------------------------------------------------
@@ -482,28 +482,9 @@ pub fn decode_query(r: &mut Reader) -> Result<Query, DecodeError> {
 // Modes
 // ---------------------------------------------------------------------
 
-fn encode_randomized(w: &mut Writer, c: &lec_core::randomized::RandomizedConfig) {
-    w.u64(c.restarts as u64);
-    w.u64(c.patience as u64);
-    w.f64(c.initial_temp_frac);
-    w.f64(c.cooling);
-    w.u64(c.sa_steps as u64);
-}
-
-fn decode_randomized(
-    r: &mut Reader,
-) -> Result<lec_core::randomized::RandomizedConfig, DecodeError> {
-    Ok(lec_core::randomized::RandomizedConfig {
-        restarts: r.count()?,
-        patience: r.count()?,
-        initial_temp_frac: r.f64()?,
-        cooling: r.f64()?,
-        sa_steps: r.count()?,
-    })
-}
-
 /// Mode tags match the fingerprint tags in `lec_core::optimizer` and the
-/// indices of [`MODE_NAMES`].
+/// indices of [`MODE_NAMES`].  Tags 9 and 10 named the randomized
+/// searches; they are retired, not reused.
 pub fn encode_mode(w: &mut Writer, m: &Mode) {
     match m {
         Mode::Lsc(PointEstimate::Mean) => {
@@ -544,16 +525,6 @@ pub fn encode_mode(w: &mut Writer, m: &Mode) {
         }
         Mode::Bushy => {
             w.u8(8);
-        }
-        Mode::IterativeImprovement { config, seed } => {
-            w.u8(9);
-            encode_randomized(w, config);
-            w.u64(*seed);
-        }
-        Mode::SimulatedAnnealing { config, seed } => {
-            w.u8(10);
-            encode_randomized(w, config);
-            w.u64(*seed);
         }
     }
 }
@@ -597,16 +568,6 @@ pub fn decode_mode(r: &mut Reader) -> Result<Mode, DecodeError> {
             }
         }
         8 => Mode::Bushy,
-        9 => {
-            let config = decode_randomized(r)?;
-            let seed = r.u64()?;
-            Mode::IterativeImprovement { config, seed }
-        }
-        10 => {
-            let config = decode_randomized(r)?;
-            let seed = r.u64()?;
-            Mode::SimulatedAnnealing { config, seed }
-        }
         _ => return Err(DecodeError::BadTag("mode")),
     })
 }
@@ -907,7 +868,6 @@ mod tests {
 
     #[test]
     fn all_modes_roundtrip() {
-        use lec_core::randomized::RandomizedConfig;
         let chain =
             MarkovChain::new(vec![700.0, 2000.0], vec![vec![0.9, 0.1], vec![0.2, 0.8]]).unwrap();
         let modes = vec![
@@ -926,14 +886,6 @@ mod tests {
                 },
             },
             Mode::Bushy,
-            Mode::IterativeImprovement {
-                config: RandomizedConfig::default(),
-                seed: 42,
-            },
-            Mode::SimulatedAnnealing {
-                config: RandomizedConfig::default(),
-                seed: 7,
-            },
         ];
         for m in &modes {
             let mut w = Writer::new();

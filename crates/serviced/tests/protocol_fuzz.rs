@@ -118,6 +118,36 @@ fn the_retired_decision_tag_is_a_clean_error() {
     }
 }
 
+/// Mode tags 9 and 10 named the randomized searches (iterative
+/// improvement, simulated annealing), and so did response mode-name
+/// indices 9 and 10.  All four are retired, not reused: a peer still
+/// sending them gets a clean `BadTag` before any of the old mode's
+/// parameters are read.
+#[test]
+fn the_retired_mode_tags_are_clean_errors() {
+    for tag in [9u8, 10] {
+        // The tag, then the old parameters' 48 bytes.
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&[0; 48]);
+        assert_eq!(
+            decode_mode(&mut Reader::new(&bytes)).err(),
+            Some(DecodeError::BadTag("mode")),
+            "mode tag {tag}"
+        );
+    }
+    let (mut payload, tag_at) = valid_response();
+    // The mode-name index is the byte before the decision tag.
+    let index_at = tag_at - 1;
+    for index in [9u8, 10] {
+        payload[index_at] = index;
+        assert_eq!(
+            decode_response(&mut Reader::new(&payload)).err(),
+            Some(DecodeError::BadTag("mode name index")),
+            "mode name index {index}"
+        );
+    }
+}
+
 /// Every strict prefix of a plan's bytes — a join missing its inner
 /// operand, or its outer, a sort missing its input — is a clean
 /// `Truncated`: the preorder encoding is prefix-free.

@@ -363,6 +363,70 @@ fn a_pipelined_batch_straddles_read_boundaries() {
     assert_eq!(daemon.metrics().malformed_frames(), 0);
 }
 
+/// Mode tag 10 (simulated annealing) is retired: an OPTIMIZE frame that
+/// carries it, laid out as the old encoder wrote it, is answered with one
+/// `Malformed` error frame and counted, its connection is closed, and a
+/// new connection is still served byte-identically.
+#[test]
+fn a_retired_mode_tag_is_malformed_and_a_new_connection_is_served() {
+    let (catalog, query) = lec_core::fixtures::three_chain();
+    let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
+    let fresh = [Optimizer::new(&catalog, memory.clone())
+        .optimize(&query, &Mode::AlgorithmC)
+        .expect("fresh")];
+
+    let mut w = Writer::new();
+    w.u64(7); // request id
+    w.u8(10);
+    // The old parameters: restarts, patience, initial temperature,
+    // cooling, steps per chain, seed.
+    w.u64(8);
+    w.u64(64);
+    w.f64(0.1);
+    w.f64(0.995);
+    w.u64(1200);
+    w.u64(42);
+    protocol::encode_query(&mut w, &query);
+    let request = protocol::frame(protocol::op::OPTIMIZE, &w.into_bytes());
+
+    let server = ConcurrentPlanServer::new(&catalog, memory);
+    let daemon = Daemon::new(&server, DaemonConfig::default());
+    let listener = PipeListener::new();
+    std::thread::scope(|scope| {
+        let runner = scope.spawn(|| daemon.run(&listener));
+        let mut raw = listener.connect();
+        raw.write_all(&request).unwrap();
+        // Read to EOF: the daemon answers one frame, then closes.
+        let mut reply = Vec::new();
+        let mut chunk = [0u8; 256];
+        loop {
+            match raw.read(&mut chunk).expect("reply, then a clean close") {
+                0 => break,
+                n => reply.extend_from_slice(&chunk[..n]),
+            }
+        }
+        let (frame, used) = protocol::split_frame(&reply)
+            .expect("legal prefix")
+            .expect("one whole frame");
+        assert_eq!(used, reply.len(), "nothing follows the error frame");
+        assert_eq!(frame[0], protocol::op::ERROR);
+        let mut r = protocol::Reader::new(&frame[1..]);
+        assert_eq!(r.u64(), Ok(0), "no request id to echo");
+        assert_eq!(r.u8(), Ok(protocol::ErrorCode::Malformed as u8));
+        assert_eq!(daemon.metrics().malformed_frames(), 1);
+
+        let mut client = Client::new(Box::new(listener.connect()), 2);
+        let resp = client
+            .optimize_once(0, &Mode::AlgorithmC, &query)
+            .expect("a new connection is served");
+        assert_identical(0, &resp, &fresh, "a new connection");
+        daemon.initiate_drain();
+        runner.join().expect("daemon thread");
+    });
+    assert_eq!(daemon.metrics().requests_ok(), 1);
+    assert_eq!(daemon.metrics().malformed_frames(), 1);
+}
+
 /// The plan encoder's bytes, pinned as hex literals: every mode's plan on
 /// the golden fixtures (`golden_answers.rs`'s small queries) and
 /// hand-built plans covering what those miss — index scans, a sort at the

@@ -203,13 +203,6 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Override the search configuration (telemetry) for every
-    /// subsequent [`Optimizer::optimize`] call.
-    pub fn with_search_config(mut self, search: SearchConfig) -> Self {
-        self.search = search;
-        self
-    }
-
     // Shim, returns `self`: crates/bench/src/bin/ledger/src/harness.rs is the only caller.
     #[doc(hidden)]
     pub fn with_worker_pool(self, _pool: Arc<dyn crate::search::WorkerPool>) -> Self {

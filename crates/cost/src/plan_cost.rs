@@ -61,52 +61,6 @@ impl Phase {
     }
 }
 
-struct NodeInfo {
-    pages: f64,
-    /// Access cost of a base node not yet folded into a phase.
-    pending_fixed: f64,
-}
-
-fn collect(model: &CostModel<'_>, node: NodeRef<'_>, out: &mut Vec<Phase>) -> NodeInfo {
-    let access = |path, table| NodeInfo {
-        pages: model.base_pages(table),
-        pending_fixed: model.access_cost(path, table),
-    };
-    match node.node() {
-        Step::SeqScan(table) => access(AccessPath::SeqScan, table),
-        Step::IndexScan(table) => access(AccessPath::IndexScan, table),
-        Step::Sort(input, _) => {
-            let info = collect(model, input, out);
-            out.push(Phase {
-                fixed: info.pending_fixed,
-                mem: MemCost::Sort { pages: info.pages },
-            });
-            NodeInfo {
-                pages: info.pages,
-                pending_fixed: 0.0,
-            }
-        }
-        Step::Join(method, outer, inner) => {
-            let outer_info = collect(model, outer, out);
-            let inner_info = collect(model, inner, out);
-            let sel = model.join_selectivity_sets(outer.tables(), inner.tables());
-            let pages = model.join_output_pages(outer_info.pages, inner_info.pages, sel);
-            out.push(Phase {
-                fixed: outer_info.pending_fixed + inner_info.pending_fixed,
-                mem: MemCost::Join {
-                    method,
-                    outer: outer_info.pages,
-                    inner: inner_info.pages,
-                },
-            });
-            NodeInfo {
-                pages,
-                pending_fixed: 0.0,
-            }
-        }
-    }
-}
-
 /// What one audited plan node is, with the point-estimated operand sizes
 /// its predicted cost is computed from.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,50 +144,60 @@ impl PlanNodeCost {
     }
 }
 
-fn collect_nodes(
+impl NodeKind {
+    /// The memory-dependent part of the phase a sort or join opens.
+    fn mem(&self) -> MemCost {
+        match *self {
+            NodeKind::Access { .. } => MemCost::None,
+            NodeKind::Sort { pages } => MemCost::Sort { pages },
+            NodeKind::Join {
+                method,
+                outer,
+                inner,
+            } => MemCost::Join {
+                method,
+                outer,
+                inner,
+            },
+        }
+    }
+}
+
+/// The replay's one walk over a plan: postorder, outer before inner.
+/// Calls `visit(node, kind, fixed)` once per node, where `fixed` is `Some`
+/// for a sort or join — the access costs of the leaves directly below it,
+/// which its phase carries — and `None` for an access.  Returns the
+/// node's output pages and, for an access, its cost not yet carried by a
+/// phase.
+fn walk<'p>(
     model: &CostModel<'_>,
-    node: NodeRef<'_>,
-    next_phase: &mut usize,
-    out: &mut Vec<PlanNodeCost>,
-) -> f64 {
+    node: NodeRef<'p>,
+    visit: &mut impl FnMut(NodeRef<'p>, NodeKind, Option<f64>),
+) -> (f64, f64) {
     let mut access = |path, table| {
-        out.push(PlanNodeCost {
-            label: node.compact(),
-            phase: None,
-            kind: NodeKind::Access { path, table },
-        });
-        model.base_pages(table)
+        visit(node, NodeKind::Access { path, table }, None);
+        (model.base_pages(table), model.access_cost(path, table))
     };
     match node.node() {
         Step::SeqScan(table) => access(AccessPath::SeqScan, table),
         Step::IndexScan(table) => access(AccessPath::IndexScan, table),
         Step::Sort(input, _) => {
-            let pages = collect_nodes(model, input, next_phase, out);
-            let phase = *next_phase;
-            *next_phase += 1;
-            out.push(PlanNodeCost {
-                label: "Sort".to_string(),
-                phase: Some(phase),
-                kind: NodeKind::Sort { pages },
-            });
-            pages
+            let (pages, pending) = walk(model, input, visit);
+            visit(node, NodeKind::Sort { pages }, Some(pending));
+            (pages, 0.0)
         }
         Step::Join(method, outer, inner) => {
-            let outer_pages = collect_nodes(model, outer, next_phase, out);
-            let inner_pages = collect_nodes(model, inner, next_phase, out);
-            let phase = *next_phase;
-            *next_phase += 1;
-            out.push(PlanNodeCost {
-                label: method.name().to_string(),
-                phase: Some(phase),
-                kind: NodeKind::Join {
-                    method,
-                    outer: outer_pages,
-                    inner: inner_pages,
-                },
-            });
+            let (outer_pages, outer_pending) = walk(model, outer, visit);
+            let (inner_pages, inner_pending) = walk(model, inner, visit);
+            let kind = NodeKind::Join {
+                method,
+                outer: outer_pages,
+                inner: inner_pages,
+            };
+            visit(node, kind, Some(outer_pending + inner_pending));
             let sel = model.join_selectivity_sets(outer.tables(), inner.tables());
-            model.join_output_pages(outer_pages, inner_pages, sel)
+            let pages = model.join_output_pages(outer_pages, inner_pages, sel);
+            (pages, 0.0)
         }
     }
 }
@@ -244,40 +208,39 @@ fn collect_nodes(
 /// calibration audit: for any memory `m`, the node costs sum to the
 /// whole-plan prediction `plan_cost_at(model, plan, m)`.
 pub fn plan_node_costs(model: &CostModel<'_>, plan: &PlanNode) -> Vec<PlanNodeCost> {
-    let mut out = Vec::new();
-    let mut next_phase = 0usize;
-    collect_nodes(model, plan.root(), &mut next_phase, &mut out);
+    let mut out = Vec::with_capacity(plan.steps().len());
+    let mut next_phase = 0..;
+    walk(model, plan.root(), &mut |node, kind, fixed| {
+        let label = match &kind {
+            NodeKind::Access { .. } => node.compact(),
+            NodeKind::Sort { .. } => "Sort".to_string(),
+            NodeKind::Join { method, .. } => method.name().to_string(),
+        };
+        let phase = fixed.and_then(|_| next_phase.next());
+        out.push(PlanNodeCost { label, phase, kind });
+    });
     out
 }
 
 /// Decompose a plan into execution phases, innermost first.
 pub fn phases(model: &CostModel<'_>, plan: &PlanNode) -> Vec<Phase> {
     let mut out = Vec::with_capacity(plan.n_phases());
-    let info = collect(model, plan.root(), &mut out);
-    if info.pending_fixed > 0.0 {
+    let (_, pending) = walk(model, plan.root(), &mut |_, kind, fixed| {
+        if let Some(fixed) = fixed {
+            out.push(Phase {
+                fixed,
+                mem: kind.mem(),
+            });
+        }
+    });
+    if pending > 0.0 {
         // Degenerate single-access plan: charge the access as its own phase.
         out.push(Phase {
-            fixed: info.pending_fixed,
+            fixed: pending,
             mem: MemCost::None,
         });
     }
     out
-}
-
-/// Output size of a plan in pages (point estimates).
-pub fn plan_output_pages(model: &CostModel<'_>, plan: &PlanNode) -> f64 {
-    output_pages(model, plan.root())
-}
-
-fn output_pages(model: &CostModel<'_>, node: NodeRef<'_>) -> f64 {
-    match node.node() {
-        Step::SeqScan(table) | Step::IndexScan(table) => model.base_pages(table),
-        Step::Sort(input, _) => output_pages(model, input),
-        Step::Join(_, outer, inner) => {
-            let sel = model.join_selectivity_sets(outer.tables(), inner.tables());
-            model.join_output_pages(output_pages(model, outer), output_pages(model, inner), sel)
-        }
-    }
 }
 
 /// The order property of a plan's output.
@@ -494,14 +457,6 @@ mod tests {
             MemCost::Sort { pages } => assert!((pages - 3000.0).abs() < 1e-6),
             _ => panic!("expected sort phase"),
         }
-    }
-
-    #[test]
-    fn output_pages_match_example() {
-        let (cat, q) = example_1_1();
-        let model = CostModel::new(&cat, &q);
-        assert!((plan_output_pages(&model, &plan1()) - 3000.0).abs() < 1e-6);
-        assert!((plan_output_pages(&model, &plan2()) - 3000.0).abs() < 1e-6);
     }
 
     #[test]

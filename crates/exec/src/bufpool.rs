@@ -144,12 +144,6 @@ impl Disk {
         sink_reads(n);
     }
 
-    /// Charge `n` page writes without moving data.
-    pub fn charge_writes(&mut self, n: u64) {
-        self.io.writes += n;
-        sink_writes(n);
-    }
-
     /// Read page `i` of `table` (one page read).
     pub fn read_page(&mut self, table: &DiskTable, i: usize) -> Page {
         self.io.reads += 1;

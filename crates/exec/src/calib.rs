@@ -255,6 +255,31 @@ impl CostAudit {
     }
 }
 
+/// One plan's output from [`Calibrator::run`] at one memory value.
+#[derive(Debug, Clone)]
+pub struct Execution {
+    /// Output rows in delivery order, each row's column blocks laid out
+    /// by ascending table index (the canonical form two plans compare in).
+    pub rows: Vec<Row>,
+    /// `(table, offset)` of each table's column block, ascending by table.
+    pub blocks: Vec<(usize, usize)>,
+    /// Measured page I/O per plan node, in `plan_node_costs` order.
+    pub ios: Vec<u64>,
+}
+
+impl Execution {
+    /// Offset of `col` in every row.  Panics if its table is not in the
+    /// output.
+    pub fn column(&self, col: ColumnRef) -> usize {
+        let &(_, off) = self
+            .blocks
+            .iter()
+            .find(|(t, _)| *t == col.table)
+            .unwrap_or_else(|| panic!("column {col:?} not in output {:?}", self.blocks));
+        off + col.column
+    }
+}
+
 /// The observatory: owns the twin, its generated dataset, and the stored
 /// base tables, and audits any plan for the twin query.
 #[derive(Debug)]
@@ -305,7 +330,7 @@ impl Calibrator {
         // Pass 1 computed the twin with the original filter selectivities;
         // the generated data is independent of them, so thresholds derived
         // now stay valid after the rewrite below.
-        let dataset = datagen::generate(&twin.catalog, &twin.query, usize::MAX, cfg.seed);
+        let dataset = datagen::generate(&twin.catalog, &twin.query, cfg.seed);
         let mut thresholds = Vec::with_capacity(twin.query.tables.len());
         for t in 0..twin.query.tables.len() {
             let thr = datagen::filter_threshold(&dataset, &twin.query, t).map(|thr| {
@@ -370,7 +395,7 @@ impl Calibrator {
     ) -> Result<CostAudit, CalibError> {
         let model = self.model();
         let node_costs = plan_node_costs(&model, plan);
-        let n_phases = lec_cost::phases(&model, plan).len();
+        let n_phases = node_costs.iter().filter(|n| n.phase.is_some()).count();
 
         // Memory buckets: the union of every phase marginal's support.
         let phase_dists = env.phase_distributions(n_phases)?;
@@ -394,8 +419,7 @@ impl Calibrator {
         let _guard = SinkGuard::install(sink);
         let mut measured_per_bucket: Vec<Vec<u64>> = Vec::with_capacity(buckets.len());
         for &m in &bucket_pages {
-            let mut ios = Vec::with_capacity(node_costs.len());
-            self.exec_node(plan.root(), m, &mut ios)?;
+            let ios = self.run(plan, m)?.ios;
             debug_assert_eq!(ios.len(), node_costs.len());
             measured_per_bucket.push(ios);
         }
@@ -493,6 +517,41 @@ impl Calibrator {
             sim,
             node_consistency_rel,
         })
+    }
+
+    /// Execute `plan` through the page-counting operators with `m` buffer
+    /// pages: its output rows, in the order the plan delivers them and
+    /// with each row's table blocks in ascending table order, and each
+    /// node's measured page I/O.  This is the only code that turns a plan
+    /// into rows.
+    pub fn run(&self, plan: &PlanNode, m: usize) -> Result<Execution, CalibError> {
+        if m < 3 {
+            return Err(CalibError::BadMemoryBucket(m as f64));
+        }
+        let mut ios = Vec::with_capacity(plan.steps().len());
+        let (mut rows, tables) = self.exec_node(plan.root(), m, &mut ios)?;
+        let width = |t: usize| self.dataset.domains[t].len();
+        let mut blocks = Vec::with_capacity(tables.len());
+        let mut off = 0;
+        for &t in &tables {
+            blocks.push((t, off));
+            off += width(t);
+        }
+        blocks.sort_unstable();
+        if !tables.is_sorted() {
+            for row in &mut rows {
+                *row = blocks
+                    .iter()
+                    .flat_map(|&(t, o)| row[o..o + width(t)].iter().copied())
+                    .collect();
+            }
+        }
+        let mut off = 0;
+        for (t, o) in &mut blocks {
+            *o = off;
+            off += width(*t);
+        }
+        Ok(Execution { rows, blocks, ios })
     }
 
     /// Execute one subtree at memory `m`, appending each node's measured

@@ -1,4 +1,4 @@
-//! Synthetic data generation for the tuple executor.
+//! Synthetic data generation for the calibration twin ([`crate::calib`]).
 //!
 //! Semantics are fixed so that queries are *executable*, not just costable:
 //!
@@ -8,13 +8,11 @@
 //!   the generated data then honors the cataloged selectivity in
 //!   expectation.
 
+use crate::bufpool::Row;
 use lec_catalog::Catalog;
 use lec_plan::{ColumnEquivalences, ColumnRef, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One generated row.
-pub type Row = Vec<i64>;
 
 /// Generated base-table rows for one query, indexed by query-table
 /// position.
@@ -33,8 +31,10 @@ pub const JOIN_DOMAIN: i64 = 16;
 /// Domain for plain columns.
 pub const PLAIN_DOMAIN: i64 = 40;
 
-/// Generate a dataset for `query`, capping each table at `max_rows` rows.
-pub fn generate(catalog: &Catalog, query: &Query, max_rows: usize, seed: u64) -> Dataset {
+/// Generate a dataset for `query`: each table gets the catalog's row
+/// count (at least one row), so callers pass a catalog small enough to
+/// materialize, such as a calibration twin.
+pub fn generate(catalog: &Catalog, query: &Query, seed: u64) -> Dataset {
     let eq = ColumnEquivalences::for_query(query);
     // A column participates in a join iff its equivalence class is shared
     // with some other column mentioned in a predicate.
@@ -59,7 +59,7 @@ pub fn generate(catalog: &Catalog, query: &Query, max_rows: usize, seed: u64) ->
                 }
             })
             .collect();
-        let n_rows = (stats.rows as usize).min(max_rows).max(1);
+        let n_rows = (stats.rows as usize).max(1);
         let rows: Vec<Row> = (0..n_rows)
             .map(|_| col_domains.iter().map(|&d| rng.gen_range(0..d)).collect())
             .collect();
@@ -81,13 +81,20 @@ pub fn filter_threshold(dataset: &Dataset, query: &Query, table_idx: usize) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lec_catalog::{CatalogGenerator, TableId};
+    use lec_catalog::{CatalogGenerator, CatalogProfile, TableId};
     use lec_plan::{QueryProfile, WorkloadGenerator};
     use lec_prob::Distribution;
 
+    /// A 3-table query over a catalog small enough to materialize whole
+    /// (at most 40 rows a table).
     fn setup() -> (Catalog, Query) {
-        let mut g = CatalogGenerator::new(3);
-        let cat = g.generate(4);
+        let profile = CatalogProfile {
+            min_pages: 1,
+            max_pages: 4,
+            rows_per_page: (5, 10),
+            ..Default::default()
+        };
+        let cat = CatalogGenerator::with_profile(3, profile).generate(4);
         let ids: Vec<TableId> = cat.ids().collect();
         let mut wg = WorkloadGenerator::new(5);
         let q = wg.gen_query(&cat, &ids[..3], &QueryProfile::default());
@@ -95,20 +102,20 @@ mod tests {
     }
 
     #[test]
-    fn generation_is_deterministic_and_capped() {
+    fn generation_is_deterministic_and_sized_by_the_catalog() {
         let (cat, q) = setup();
-        let d1 = generate(&cat, &q, 50, 7);
-        let d2 = generate(&cat, &q, 50, 7);
+        let d1 = generate(&cat, &q, 7);
+        let d2 = generate(&cat, &q, 7);
         assert_eq!(d1.tables, d2.tables);
-        for t in &d1.tables {
-            assert!(t.len() <= 50 && !t.is_empty());
+        for (t, rows) in d1.tables.iter().enumerate() {
+            assert_eq!(rows.len() as u64, cat.table(q.tables[t].table).stats.rows);
         }
     }
 
     #[test]
     fn join_columns_share_small_domains() {
         let (cat, q) = setup();
-        let d = generate(&cat, &q, 100, 1);
+        let d = generate(&cat, &q, 1);
         for p in &q.joins {
             assert_eq!(d.domains[p.left.table][p.left.column], JOIN_DOMAIN);
             assert_eq!(d.domains[p.right.table][p.right.column], JOIN_DOMAIN);
@@ -118,7 +125,7 @@ mod tests {
     #[test]
     fn values_respect_domains() {
         let (cat, q) = setup();
-        let d = generate(&cat, &q, 80, 2);
+        let d = generate(&cat, &q, 2);
         for (t, rows) in d.tables.iter().enumerate() {
             for row in rows {
                 for (c, &v) in row.iter().enumerate() {
@@ -152,7 +159,7 @@ mod tests {
             )],
             required_order: None,
         };
-        let d = generate(&cat, &q, 50, 3);
+        let d = generate(&cat, &q, 3);
         // Column 0 of table 0 is a join column → domain 16; threshold = 4.
         assert_eq!(filter_threshold(&d, &q, 0), Some(4));
         assert_eq!(filter_threshold(&d, &q, 1), None);

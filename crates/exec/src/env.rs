@@ -25,14 +25,6 @@ pub enum Environment {
 }
 
 impl Environment {
-    /// The marginal distribution of the memory in phase 0.
-    pub fn initial_distribution(&self) -> &Distribution {
-        match self {
-            Environment::Static(d) => d,
-            Environment::Dynamic { initial, .. } => initial,
-        }
-    }
-
     /// Sample the memory values seen by one execution of `n_phases` phases.
     pub fn sample_trace<R: Rng + ?Sized>(
         &self,

@@ -14,10 +14,8 @@
 //!   join, block nested-loop) that count actual page I/O under a buffer
 //!   budget, demonstrating that the cost cliffs driving the paper exist in
 //!   a genuine implementation (experiment E11);
-//! * [`datagen`] / [`mod@tuple`] — synthetic rows plus a tuple-at-a-time
-//!   executor used to verify that every plan the optimizer can emit for a
-//!   query computes the same result (the §2.2 commutativity/associativity
-//!   observations, made executable).
+//! * [`datagen`] — synthetic rows whose join and filter selectivities are
+//!   known by construction, so queries are executable, not just costable.
 //!
 //! ## Calibration: auditing predictions against ground truth
 //!
@@ -25,19 +23,24 @@
 //! [`calib::Calibrator`] builds a *physical twin* of a query — every
 //! table scaled down to an executable size with `rows = pages·page_cap`
 //! and selectivities rewritten to the page-exact values the generated
-//! data induces — then executes any plan through the real page-counting
-//! operators at every memory bucket of an [`Environment`].  The result is
-//! a [`calib::CostAudit`]: for each plan node, predicted cost (point per
-//! bucket, and expected under the environment's per-phase marginals)
-//! beside measured page I/O and the Monte-Carlo simulated cost, dumpable
-//! as sorted-key JSON.  With a `lec_telemetry::Telemetry` attached, each
-//! node's prediction error lands in the per-operator-class calibration
-//! histograms and all page I/O mirrors into cumulative counters, so both
-//! surface through `metrics_json` and the daemon's `STATS`/Prometheus
-//! endpoints.  [`calib::op_band`] records the measured-vs-formula
-//! envelope each operator class is expected to stay inside; the
-//! `calibration` bench pins per-optimizer-mode error bands in
-//! `BENCH_calibration.json`.
+//! data induces.  [`calib::Calibrator::run`] is the one way a plan becomes
+//! rows: it executes the plan through the real page-counting operators at
+//! one memory value and returns its output, in a table-ordered canonical
+//! form, beside each node's measured page I/O.  The same output checks
+//! that every plan the optimizer can emit for a query computes the same
+//! result (the §2.2 commutativity/associativity observations, made
+//! executable).  Run at every memory bucket of an [`Environment`], it
+//! yields a [`calib::CostAudit`]: for each plan node, predicted cost
+//! (point per bucket, and expected under the environment's per-phase
+//! marginals) beside measured page I/O and the Monte-Carlo simulated
+//! cost, dumpable as sorted-key JSON.  With a `lec_telemetry::Telemetry`
+//! attached, each node's prediction error lands in the
+//! per-operator-class calibration histograms and all page I/O mirrors
+//! into cumulative counters, so both surface through `metrics_json` and
+//! the daemon's `STATS`/Prometheus endpoints.  [`calib::op_band`] records
+//! the measured-vs-formula envelope each operator class is expected to
+//! stay inside; the `calibration` bench pins per-optimizer-mode error
+//! bands in `BENCH_calibration.json`.
 
 #![forbid(unsafe_code)]
 
@@ -47,14 +50,14 @@ pub mod datagen;
 pub mod env;
 pub mod extops;
 pub mod sim;
-pub mod tuple;
 
 pub use bufpool::{install_io_sink, Disk, DiskTable, Io};
-pub use calib::{op_band, CalibConfig, CalibError, Calibrator, CostAudit, NodeAudit, Twin};
+pub use calib::{
+    op_band, CalibConfig, CalibError, Calibrator, CostAudit, Execution, NodeAudit, Twin,
+};
 pub use datagen::{generate, Dataset};
 pub use env::Environment;
 pub use extops::{
     block_nl_join, external_sort, grace_hash_join, page_nl_join, sort_merge_join, OpResult,
 };
 pub use sim::{monte_carlo, SimStats};
-pub use tuple::{execute, Relation};

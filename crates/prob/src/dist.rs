@@ -256,11 +256,6 @@ impl Distribution {
         self.iter().map(|(v, p)| f(v) * p).sum()
     }
 
-    /// Probability that a predicate holds: `Pr(pred(X))`.
-    pub fn prob_that(&self, mut pred: impl FnMut(f64) -> bool) -> f64 {
-        self.iter().filter(|&(v, _)| pred(v)).map(|(_, p)| p).sum()
-    }
-
     /// `Pr(X <= x)`.
     pub fn prob_le(&self, x: f64) -> f64 {
         let idx = self.support.partition_point(|&v| v <= x);

@@ -174,15 +174,6 @@ impl MarkovChain {
         Ok(out)
     }
 
-    /// `k` steps of evolution.
-    pub fn evolve_n(&self, probs: &[f64], k: usize) -> Result<Vec<f64>, ProbError> {
-        let mut cur = probs.to_vec();
-        for _ in 0..k {
-            cur = self.evolve(&cur)?;
-        }
-        Ok(cur)
-    }
-
     /// Convert a distribution whose support is a subset of the chain's
     /// states into a dense probability vector aligned with the states.
     pub fn dist_to_probs(&self, dist: &Distribution) -> Result<Vec<f64>, ProbError> {
@@ -361,8 +352,10 @@ mod tests {
     #[test]
     fn sticky_uniform_mixes_toward_uniform() {
         let c = MarkovChain::sticky_uniform(vec![1.0, 2.0, 3.0, 4.0], 0.5).unwrap();
-        let start = vec![1.0, 0.0, 0.0, 0.0];
-        let after = c.evolve_n(&start, 50).unwrap();
+        let mut after = vec![1.0, 0.0, 0.0, 0.0];
+        for _ in 0..50 {
+            after = c.evolve(&after).unwrap();
+        }
         for &p in &after {
             assert!((p - 0.25).abs() < 1e-6);
         }

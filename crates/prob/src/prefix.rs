@@ -83,12 +83,6 @@ impl PrefixTables {
         1.0 - self.prob_le(x)
     }
 
-    /// `Pr(lo < X <= hi)` — the probability of a half-open band, e.g. the
-    /// paper's `Pr(∛b < M <= √b)` middle case of the sort-merge formula.
-    pub fn prob_in_lohi(&self, lo: f64, hi: f64) -> f64 {
-        (self.prob_le(hi) - self.prob_le(lo)).max(0.0)
-    }
-
     /// Partial (truncated) expectation `E[X · 1{X <= x}]`.
     ///
     /// This is the quantity the paper manipulates as
@@ -117,18 +111,6 @@ impl PrefixTables {
     /// Partial expectation `E[X · 1{X > x}]`.
     pub fn partial_expect_gt(&self, x: f64) -> f64 {
         self.mean() - self.partial_expect_le(x)
-    }
-
-    /// Conditional expectation `E[X | X <= x]`, or `None` if `Pr(X<=x)=0`.
-    pub fn cond_expect_le(&self, x: f64) -> Option<f64> {
-        let p = self.prob_le(x);
-        (p > 0.0).then(|| self.partial_expect_le(x) / p)
-    }
-
-    /// Conditional expectation `E[X | X >= x]`, or `None` if `Pr(X>=x)=0`.
-    pub fn cond_expect_ge(&self, x: f64) -> Option<f64> {
-        let p = self.prob_ge(x);
-        (p > 0.0).then(|| self.partial_expect_ge(x) / p)
     }
 }
 
@@ -175,29 +157,5 @@ mod tests {
             let ge = t.partial_expect_ge(x);
             assert!((lt + ge - t.mean()).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn band_probability() {
-        let t = PrefixTables::new(&dist());
-        // Pr(1 < X <= 5) = 0.2 + 0.3
-        assert!((t.prob_in_lohi(1.0, 5.0) - 0.5).abs() < 1e-12);
-        // Degenerate band
-        assert_eq!(t.prob_in_lohi(5.0, 5.0), 0.0);
-        // Inverted band clamps to zero
-        assert_eq!(t.prob_in_lohi(9.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn conditional_expectations() {
-        let t = PrefixTables::new(&dist());
-        // E[X | X <= 2] = (1*0.1 + 2*0.2) / 0.3
-        let e = t.cond_expect_le(2.0).unwrap();
-        assert!((e - 0.5 / 0.3).abs() < 1e-12);
-        assert_eq!(t.cond_expect_le(0.5), None);
-        // E[X | X >= 5] = (5*0.3 + 9*0.4) / 0.7
-        let e = t.cond_expect_ge(5.0).unwrap();
-        assert!((e - 5.1 / 0.7).abs() < 1e-12);
-        assert_eq!(t.cond_expect_ge(9.5), None);
     }
 }

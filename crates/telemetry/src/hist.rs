@@ -163,10 +163,6 @@ impl HistogramSnapshot {
         self.sum
     }
 
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Element-wise merge: associative, commutative, and deterministic, so
     /// any merge order over per-thread histograms yields identical counts.
     pub fn merge(&mut self, other: &HistogramSnapshot) {

@@ -13,7 +13,7 @@
 //! | [`core`] | LSC baseline and Algorithms A, B, C, D; bucketing; ground truth |
 //! | [`service`] | cross-query serving: canonical-shape plan cache shared by many client threads, singleflight on misses |
 //! | [`serviced`] | hardened network daemon: wire protocol, admission control, graceful drain, fault injection |
-//! | [`exec`] | Monte-Carlo simulation, buffer-pool operators, tuple executor, cost-calibration observatory |
+//! | [`exec`] | Monte-Carlo simulation, page-counting operators (the one plan executor), cost-calibration observatory |
 //! | [`telemetry`] | lock-free histograms, request tracing, calibration-error and I/O counters |
 //!
 //! This facade crate re-exports the public APIs and hosts the runnable

@@ -1,22 +1,28 @@
 //! The optimizer meets the executor: every plan any algorithm chooses for
-//! a query must compute the same result (System R's §2.2 observations,
-//! verified end to end), and simulated costs must match the cost model.
+//! a query must compute the same result through the page-counting
+//! operators calibration measures (System R's §2.2 observations, verified
+//! end to end on a physical twin of each query, at several memory values),
+//! and simulated costs must match the cost model.
 
-use lec_qopt::catalog::{CatalogGenerator, CatalogProfile};
+use lec_qopt::catalog::{
+    Catalog, CatalogGenerator, CatalogProfile, ColumnStats, IndexKind, TableStats,
+};
 use lec_qopt::core::{AlgDConfig, Mode, Optimizer, PointEstimate};
 use lec_qopt::cost::CostModel;
-use lec_qopt::exec::{datagen, execute, monte_carlo, Environment};
-use lec_qopt::plan::{QueryProfile, Topology, WorkloadGenerator};
-use lec_qopt::prob::presets;
+use lec_qopt::exec::{monte_carlo, CalibConfig, Calibrator, Environment};
+use lec_qopt::plan::{
+    ColumnRef, JoinMethod, JoinPredicate, PlanNode, Query, QueryProfile, QueryTable, TableSet,
+    Topology, WorkloadGenerator,
+};
+use lec_qopt::prob::{presets, Distribution};
 
-fn workload(
-    seed: u64,
-    n: usize,
-    topology: Topology,
-) -> (lec_qopt::catalog::Catalog, lec_qopt::plan::Query) {
+/// Buffer pages every plan runs at: the operators' floor and two more.
+const MEMORY: [usize; 3] = [3, 5, 40];
+
+fn workload(seed: u64, n: usize, topology: Topology, max_pages: u64) -> (Catalog, Query) {
     let profile = CatalogProfile {
         min_pages: 100,
-        max_pages: 800_000,
+        max_pages,
         ..Default::default()
     };
     let mut g = CatalogGenerator::with_profile(seed, profile);
@@ -34,19 +40,31 @@ fn workload(
     (cat, q)
 }
 
+/// `plan`'s output rows on the twin at `m` pages, sorted: the multiset
+/// two plans must agree on.
+fn rows(cal: &Calibrator, plan: &PlanNode, m: usize) -> Vec<Vec<i64>> {
+    let mut rows = cal.run(plan, m).unwrap().rows;
+    rows.sort_unstable();
+    rows
+}
+
 #[test]
 fn all_chosen_plans_return_identical_results() {
-    for (seed, topology) in [
-        (1u64, Topology::Chain),
-        (2, Topology::Star),
-        (3, Topology::Clique),
-        (4, Topology::Random),
+    // A 4-table clique stays empty on the twin (six predicates over a
+    // 16-value join domain), so the multi-predicate case is a 3-table
+    // cycle: its last join crosses two predicates.
+    for (seed, n, topology) in [
+        (1u64, 4, Topology::Chain),
+        (2, 4, Topology::Star),
+        (3, 3, Topology::Clique),
+        (4, 4, Topology::Random),
     ] {
-        let (cat, q) = workload(seed, 4, topology);
-        let dataset = datagen::generate(&cat, &q, 40, seed * 7 + 1);
+        let (cat, q) = workload(seed, n, topology, 3_200);
+        let cal = Calibrator::new(&cat, &q, CalibConfig::default());
         let memory = presets::spread_family(400.0, 0.8, 5).unwrap();
         let opt = Optimizer::new(&cat, memory);
         let mut reference: Option<Vec<Vec<i64>>> = None;
+        let mut plans: Vec<PlanNode> = Vec::new();
         for mode in [
             Mode::Lsc(PointEstimate::Mean),
             Mode::Lsc(PointEstimate::Mode),
@@ -57,54 +75,198 @@ fn all_chosen_plans_return_identical_results() {
             Mode::AlgorithmD {
                 config: AlgDConfig::default(),
             },
+            Mode::Bushy,
         ] {
             let r = opt.optimize(&q, &mode).unwrap();
-            let rows = execute(&r.plan, &q, &dataset).canonical_rows();
-            match &reference {
-                None => reference = Some(rows),
-                Some(want) => assert_eq!(
-                    &rows, want,
-                    "{topology:?} seed {seed}: {} returned different rows",
-                    r.mode
-                ),
+            for m in MEMORY {
+                let got = rows(&cal, &r.plan, m);
+                match &reference {
+                    None => {
+                        assert!(
+                            !got.is_empty(),
+                            "{topology:?} seed {seed}: {} returned no rows at m={m}",
+                            r.mode
+                        );
+                        reference = Some(got);
+                    }
+                    Some(want) => assert!(
+                        &got == want,
+                        "{topology:?} seed {seed}: {} returned {} rows at m={m}, not the {} \
+                         the first plan returned",
+                        r.mode,
+                        got.len(),
+                        want.len()
+                    ),
+                }
+            }
+            if !plans.contains(&r.plan) {
+                plans.push(r.plan);
             }
         }
+        // The comparison means something only if the modes disagree.
+        assert!(
+            plans.len() >= 2,
+            "{topology:?} seed {seed}: every mode chose {}",
+            plans[0].compact()
+        );
     }
 }
 
 #[test]
 fn required_order_is_physically_delivered() {
     for seed in [11u64, 12, 13] {
-        let (cat, mut q) = workload(seed, 3, Topology::Chain);
+        let (cat, mut q) = workload(seed, 3, Topology::Chain, 3_200);
         // Force a required order on the last join's column.
-        q.required_order = Some(q.joins.last().unwrap().right);
-        let dataset = datagen::generate(&cat, &q, 40, seed);
+        let key = q.joins.last().unwrap().right;
+        q.required_order = Some(key);
+        let cal = Calibrator::new(&cat, &q, CalibConfig::default());
         let memory = presets::spread_family(300.0, 0.6, 4).unwrap();
         let opt = Optimizer::new(&cat, memory);
         let r = opt.optimize(&q, &Mode::AlgorithmC).unwrap();
-        let rel = execute(&r.plan, &q, &dataset);
-        // Resolve the key through the relation (any class member works).
-        let want = q.required_order.unwrap();
-        let eq = lec_qopt::plan::ColumnEquivalences::for_query(&q);
-        let key = q
-            .joins
-            .iter()
-            .flat_map(|p| [p.left, p.right])
-            .chain([want])
-            .find(|c| eq.same_class(*c, want))
-            .unwrap();
-        let idx = rel.col_index(key);
-        assert!(
-            rel.rows.windows(2).all(|w| w[0][idx] <= w[1][idx]),
-            "seed {seed}: output not sorted"
+        for m in MEMORY {
+            let out = cal.run(&r.plan, m).unwrap();
+            assert!(!out.rows.is_empty(), "seed {seed}: no rows at m={m}");
+            let idx = out.column(key);
+            assert!(
+                out.rows.windows(2).all(|w| w[0][idx] <= w[1][idx]),
+                "seed {seed}: {} output not sorted at m={m}",
+                r.plan.compact()
+            );
+        }
+    }
+}
+
+/// A 3-table cycle `R0 – R1 – R2 – R0` on distinct column pairs, so the
+/// second join of any left-deep order crosses two predicates.  `R0` has a
+/// clustered index on its filtered column 2.
+fn cycle() -> (Catalog, Query) {
+    let mut cat = Catalog::new();
+    let ids: Vec<_> = [
+        (12, IndexKind::Clustered),
+        (20, IndexKind::None),
+        (32, IndexKind::None),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (pages, index))| {
+        let columns = vec![
+            ColumnStats::plain("a", 40),
+            ColumnStats::plain("b", 40),
+            ColumnStats::indexed("f", 40, index),
+        ];
+        cat.add_table(format!("R{i}"), TableStats::new(pages, pages * 4, columns))
+    })
+    .collect();
+    let query = Query {
+        tables: vec![
+            QueryTable::filtered(ids[0], 2, Distribution::point(0.5)),
+            QueryTable::bare(ids[1]),
+            QueryTable::bare(ids[2]),
+        ],
+        joins: vec![
+            JoinPredicate::exact(ColumnRef::new(0, 0), ColumnRef::new(1, 0), 0.25),
+            JoinPredicate::exact(ColumnRef::new(1, 1), ColumnRef::new(2, 0), 0.25),
+            JoinPredicate::exact(ColumnRef::new(2, 1), ColumnRef::new(0, 1), 0.25),
+        ],
+        required_order: None,
+    };
+    (cat, query)
+}
+
+#[test]
+fn every_left_deep_order_and_method_returns_the_same_rows() {
+    let (cat, q) = cycle();
+    let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+    let orders = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    let mut reference: Option<Vec<Vec<i64>>> = None;
+    for [a, b, c] in orders {
+        let first = TableSet::from_indices([a, b]);
+        assert_eq!(
+            q.joins_crossing(first, TableSet::from_indices([c])).len(),
+            2
         );
+        for m1 in JoinMethod::ALL {
+            for m2 in JoinMethod::ALL {
+                let plan = PlanNode::join(
+                    m2,
+                    PlanNode::join(m1, PlanNode::seq_scan(a), PlanNode::seq_scan(b)),
+                    PlanNode::seq_scan(c),
+                );
+                for m in [3, 8] {
+                    let got = rows(&cal, &plan, m);
+                    match &reference {
+                        None => {
+                            assert!(!got.is_empty(), "{}: no rows", plan.compact());
+                            reference = Some(got);
+                        }
+                        Some(want) => assert!(
+                            &got == want,
+                            "{} at m={m}: {} rows, not {}",
+                            plan.compact(),
+                            got.len(),
+                            want.len()
+                        ),
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn filters_cut_cardinality() {
+    let (cat, q) = cycle();
+    let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+    let twin = cal.twin();
+    let stored = twin.catalog.table(twin.query.tables[0].table).stats.rows as usize;
+    let scanned = rows(&cal, &PlanNode::seq_scan(0), 3);
+    assert!(
+        !scanned.is_empty() && scanned.len() < stored,
+        "{} of {stored} rows pass the filter",
+        scanned.len()
+    );
+    // The clustered index scan returns the same multiset, in filter order.
+    let ix = cal.run(&PlanNode::index_scan(0), 3).unwrap();
+    assert!(ix.rows.windows(2).all(|w| w[0][2] <= w[1][2]));
+    let mut ix_rows = ix.rows;
+    ix_rows.sort_unstable();
+    assert_eq!(ix_rows, scanned);
+}
+
+#[test]
+fn a_root_sort_delivers_its_order() {
+    let (cat, q) = cycle();
+    let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+    let join = PlanNode::join(
+        JoinMethod::GraceHash,
+        PlanNode::seq_scan(1),
+        PlanNode::seq_scan(2),
+    );
+    let key = ColumnRef::new(2, 2);
+    let sorted = PlanNode::sort(join.clone(), key);
+    for m in [3, 8] {
+        let out = cal.run(&sorted, m).unwrap();
+        let idx = out.column(key);
+        assert!(out.rows.windows(2).all(|w| w[0][idx] <= w[1][idx]), "m={m}");
+        let mut got = out.rows;
+        got.sort_unstable();
+        let want = rows(&cal, &join, m);
+        assert!(!want.is_empty());
+        assert_eq!(got, want, "m={m}");
     }
 }
 
 #[test]
 fn monte_carlo_agrees_with_analytic_expected_cost() {
     for seed in [21u64, 22] {
-        let (cat, q) = workload(seed, 4, Topology::Chain);
+        let (cat, q) = workload(seed, 4, Topology::Chain, 800_000);
         let memory = presets::spread_family(350.0, 0.9, 4).unwrap();
         let model = CostModel::new(&cat, &q);
         let opt = Optimizer::new(&cat, memory.clone());
@@ -127,7 +289,7 @@ fn lec_improvement_survives_measurement() {
     // favor LEC (it can never favor LSC, by optimality of the objective).
     let mut disagreements = 0;
     for seed in 0..20u64 {
-        let (cat, q) = workload(seed + 31, 4, Topology::Chain);
+        let (cat, q) = workload(seed + 31, 4, Topology::Chain, 800_000);
         let memory = presets::spread_family(250.0, 0.9, 6).unwrap();
         let model = CostModel::new(&cat, &q);
         let opt = Optimizer::new(&cat, memory.clone());

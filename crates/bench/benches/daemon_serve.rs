@@ -32,7 +32,6 @@ use lec_serviced::{Client, ClientError, Daemon, DaemonConfig, ErrorCode, FaultPl
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
-use std::hint::black_box;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::{Duration, Instant};
 
@@ -142,7 +141,7 @@ fn assert_identical(
     );
 }
 
-fn bench_daemon_serve(c: &mut Criterion) {
+fn bench_daemon_serve(_c: &mut Criterion) {
     let mut g = lec_catalog::CatalogGenerator::new(31);
     let catalog = g.generate(18);
     let stream = build_stream(&catalog);
@@ -391,30 +390,6 @@ fn bench_daemon_serve(c: &mut Criterion) {
         .unwrap(),
     )
     .expect("write BENCH_daemon_serve.json");
-
-    // Criterion timing group so `cargo bench` history tracks the warm
-    // wire round trip (in-process daemon pipe, single request).
-    let listener = lec_serviced::PipeListener::new();
-    let timing_server = inproc; // already warm on the whole stream
-    let timing_daemon = Daemon::new(&timing_server, DaemonConfig::default());
-    std::thread::scope(|scope| {
-        let runner = scope.spawn(|| timing_daemon.run(&listener));
-        let mut client = Client::new(Box::new(listener.connect()), 0x71C7);
-        let hot = &stream[0];
-        let mut group = c.benchmark_group("daemon_serve");
-        group.sample_size(20);
-        group.bench_function("warm_roundtrip_pipe", |b| {
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                black_box(client.optimize_once(i, &mode, black_box(hot)).unwrap().cost)
-            })
-        });
-        group.finish();
-        let mut ctl = Client::new(Box::new(listener.connect()), 0x71C8);
-        ctl.drain().expect("drain");
-        runner.join().expect("daemon thread");
-    });
 }
 
 criterion_group!(benches, bench_daemon_serve);

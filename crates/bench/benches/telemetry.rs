@@ -27,13 +27,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use lec_core::Mode;
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::{ConcurrentPlanServer, ServeCtx};
-use lec_serviced::transport::PipeListener;
-use lec_serviced::{Client, Daemon, DaemonConfig, StatsFormat};
+use lec_serviced::{Client, Daemon, DaemonConfig, StatsFormat, UnixAcceptor};
 use lec_telemetry::{parse_prometheus, Outcome, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
 use std::hint::black_box;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -175,12 +175,19 @@ fn bench_telemetry(c: &mut Criterion) {
         "the traced cold request enters the slow log"
     );
 
-    // Wire agreement: STATS over a pipe == in-process metrics_json.
+    // Wire agreement: STATS over a Unix socket == in-process metrics_json.
     let daemon = Daemon::new(&server_on, DaemonConfig::default());
-    let listener = PipeListener::new();
+    let path = std::env::temp_dir().join(format!(
+        "lec-serviced-bench-{}-telemetry.sock",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let acceptor =
+        UnixAcceptor::new(UnixListener::bind(&path).expect("bind unix socket")).expect("acceptor");
     let (wire_json, wire_prom) = std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&listener));
-        let mut client = Client::new(Box::new(listener.connect()), 0xD0C5);
+        let runner = scope.spawn(|| daemon.run(&acceptor));
+        let stream = UnixStream::connect(&path).expect("connect unix socket");
+        let mut client = Client::new(Box::new(stream), 0xD0C5);
         let wire_json = client.stats(StatsFormat::Json).expect("stats json");
         let local_json = serde_json::to_string(&daemon.metrics_json()).unwrap();
         assert_eq!(
@@ -194,6 +201,7 @@ fn bench_telemetry(c: &mut Criterion) {
         runner.join().expect("daemon thread");
         (wire_json, wire_prom)
     });
+    let _ = std::fs::remove_file(&path);
 
     let served = tel.outcome_snapshot(Outcome::Served);
     println!(

@@ -93,11 +93,6 @@ impl Catalog {
         self.prefixes[id.0 as usize].1
     }
 
-    /// Look up a table by name.
-    pub fn table_by_name(&self, name: &str) -> Option<&Table> {
-        self.tables.iter().find(|t| t.name == name)
-    }
-
     /// Iterate over all tables in id order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
         self.tables.iter()
@@ -126,8 +121,6 @@ mod tests {
         assert_eq!(cat.len(), 2);
         assert_eq!(cat.table(a).name, "A");
         assert_eq!(cat.table(b).stats.pages, 200);
-        assert_eq!(cat.table_by_name("B").unwrap().id, b);
-        assert!(cat.table_by_name("missing").is_none());
         assert!(cat.try_table(TableId(99)).is_none());
     }
 

@@ -151,14 +151,6 @@ impl Disk {
         table.pages[i].clone()
     }
 
-    /// Append a page to `table` (one page write).
-    pub fn append_page(&mut self, table: &mut DiskTable, page: Page) {
-        assert!(!page.is_empty(), "never write empty pages");
-        self.io.writes += 1;
-        sink_writes(1);
-        table.pages.push(page);
-    }
-
     /// Write all `rows` as pages of `page_cap` (counts one write per page).
     pub fn write_rows(
         &mut self,
@@ -216,23 +208,6 @@ mod tests {
         assert_eq!(disk.io().total(), 9);
         disk.reset();
         assert_eq!(disk.io(), Io::default());
-    }
-
-    #[test]
-    fn append_page_counts_one_write() {
-        let mut disk = Disk::new();
-        let mut t = DiskTable::default();
-        disk.append_page(&mut t, vec![vec![1], vec![2]]);
-        assert_eq!(t.n_pages(), 1);
-        assert_eq!(disk.io().writes, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "never write empty pages")]
-    fn empty_page_write_is_a_bug() {
-        let mut disk = Disk::new();
-        let mut t = DiskTable::default();
-        disk.append_page(&mut t, vec![]);
     }
 
     #[test]

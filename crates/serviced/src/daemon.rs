@@ -42,6 +42,7 @@ use lec_core::OptError;
 use lec_service::{outcome_of, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks};
 use lec_telemetry::{Stage, TraceCtx};
 use serde_json::json;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -351,10 +352,11 @@ impl<'s, 'c> Daemon<'s, 'c> {
     /// handler thread per connection.  Returns after the last handler
     /// exits, with the final metrics inside the [`DrainReport`].
     pub fn run(&self, listener: &dyn Listener) -> DrainReport {
-        // Abort handles for every connection ever accepted; firing one
-        // for an already-closed connection is a harmless no-op, so the
-        // watchdog just fires them all at the deadline.
-        let abort_handles: Mutex<Vec<AbortHandle>> = Mutex::new(Vec::new());
+        // Abort handles of the open connections, by connection id.  A
+        // socket's handle holds a clone of its descriptor, so each
+        // handler drops its own when it returns: until then the peer
+        // would not see the close.
+        let abort_handles: Mutex<HashMap<u64, AbortHandle>> = Mutex::new(HashMap::new());
 
         let started = std::thread::scope(|scope| {
             let mut next_conn_id: u64 = 0;
@@ -370,11 +372,18 @@ impl<'s, 'c> Daemon<'s, 'c> {
                         next_conn_id += 1;
                         bump(&self.metrics.connections_accepted);
                         bump(&self.metrics.connections_active);
-                        abort_handles
+                        let handles = &abort_handles;
+                        handles
                             .lock()
                             .unwrap_or_else(|p| p.into_inner())
-                            .push(stream.abort_handle());
-                        scope.spawn(move || self.handle_conn(conn_id, stream));
+                            .insert(conn_id, stream.abort_handle());
+                        scope.spawn(move || {
+                            self.handle_conn(conn_id, stream);
+                            handles
+                                .lock()
+                                .unwrap_or_else(|p| p.into_inner())
+                                .remove(&conn_id);
+                        });
                     }
                     Ok(None) => {}
                     // A dead listener cannot accept; treat as drain.
@@ -407,7 +416,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                     for handle in abort_handles
                         .lock()
                         .unwrap_or_else(|p| p.into_inner())
-                        .iter()
+                        .values()
                     {
                         handle();
                     }

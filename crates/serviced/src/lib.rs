@@ -80,11 +80,11 @@
 //!   truncates, garbles, or delays scripted frames and kills scripted
 //!   leaders mid-search, so the chaos suite asserts exact blast radii.
 //!
-//! Transports are pluggable ([`transport::Stream`] /
-//! [`transport::Listener`]): the in-process [`duplex`](transport::duplex)
-//! pipe most tests run on, and kernel sockets — [`TcpAcceptor`] and
-//! [`UnixAcceptor`] are one implementation instantiated twice, and
-//! `wire_parity.rs` runs the parity stream over both.
+//! The daemon serves any [`transport::Listener`] of
+//! [`transport::Stream`]s.  There is one implementation, the kernel
+//! sockets: [`TcpAcceptor`] and [`UnixAcceptor`] are one macro
+//! instantiated twice.  Every daemon test runs on a Unix socket, and
+//! `wire_parity.rs` runs the parity stream over TCP too.
 
 #![forbid(unsafe_code)]
 
@@ -98,4 +98,4 @@ pub use client::{backoff_delay, Client, ClientError, RetryPolicy, ServerError};
 pub use daemon::{flatten_counters, Daemon, DaemonConfig, DaemonMetrics, DrainReport};
 pub use faults::{FaultPlan, FrameFault, SearchFault};
 pub use protocol::{ErrorCode, StatsFormat};
-pub use transport::{duplex, PipeListener, PipeStream, TcpAcceptor, UnixAcceptor};
+pub use transport::{TcpAcceptor, UnixAcceptor};

@@ -10,9 +10,13 @@ use lec_core::Mode;
 use lec_plan::Query;
 use lec_service::ConcurrentPlanServer;
 use lec_serviced::protocol::{self, op, ErrorCode, Writer, MAX_FRAME};
-use lec_serviced::transport::{PipeListener, Stream};
+use lec_serviced::transport::Stream;
 use lec_serviced::{Client, ClientError, Daemon, DaemonConfig, FaultPlan, FrameFault, SearchFault};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
+
+mod common;
+use common::Socket;
 
 fn fixture() -> (lec_catalog::Catalog, Vec<Query>) {
     let mut g = lec_catalog::CatalogGenerator::new(31);
@@ -37,17 +41,19 @@ fn with_daemon<T>(
     catalog: &lec_catalog::Catalog,
     config: DaemonConfig,
     faults: FaultPlan,
-    body: impl FnOnce(&PipeListener, &Daemon<'_, '_>) -> T,
+    body: impl FnOnce(&Socket, &Daemon<'_, '_>) -> T,
 ) -> (T, lec_serviced::DrainReport) {
     let server = ConcurrentPlanServer::new(catalog, memory());
     let daemon = Daemon::new(&server, config).with_faults(faults);
-    let listener = PipeListener::new();
+    let socket = Socket::bind();
     std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&listener));
-        let out = body(&listener, &daemon);
+        let runner = scope.spawn(|| daemon.run(&socket.acceptor));
+        // Drain even when `body` panics, so a failed assertion fails the
+        // test instead of leaving it waiting on a daemon that still runs.
+        let out = catch_unwind(AssertUnwindSafe(|| body(&socket, &daemon)));
         daemon.initiate_drain();
         let report = runner.join().expect("daemon thread");
-        (out, report)
+        (out.unwrap_or_else(|panic| resume_unwind(panic)), report)
     })
 }
 
@@ -72,11 +78,11 @@ fn a_garbled_frame_poisons_only_its_connection() {
         &catalog,
         DaemonConfig::default(),
         faults,
-        |listener, daemon| {
-            // Connection ids follow accept order, which for the pipe
-            // listener is connect order: dial sequentially.
-            let mut poisoned = Client::new(Box::new(listener.connect()), 1);
-            let mut healthy = Client::new(Box::new(listener.connect()), 2);
+        |socket, daemon| {
+            // Connection ids follow accept order, which for a Unix
+            // socket is dial order: dial sequentially.
+            let mut poisoned = Client::new(Box::new(socket.connect()), 1);
+            let mut healthy = Client::new(Box::new(socket.connect()), 2);
 
             match poisoned.optimize_once(0, &mode, &queries[0]) {
                 Err(ClientError::Server(e)) => {
@@ -115,8 +121,8 @@ fn a_dropped_frame_hangs_up_without_a_response() {
         &catalog,
         DaemonConfig::default(),
         faults,
-        |listener, daemon| {
-            let mut dropped = Client::new(Box::new(listener.connect()), 1);
+        |socket, daemon| {
+            let mut dropped = Client::new(Box::new(socket.connect()), 1);
             assert!(
                 matches!(
                     dropped.optimize_once(0, &mode, &queries[0]),
@@ -140,8 +146,8 @@ fn an_oversized_frame_is_rejected_without_reading_it() {
         &catalog,
         DaemonConfig::default(),
         FaultPlan::new(),
-        |listener, daemon| {
-            let mut raw = listener.connect();
+        |socket, daemon| {
+            let mut raw = socket.connect();
             // A header announcing MAX_FRAME + 1 bytes: the daemon must
             // reject on the prefix alone.
             raw.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
@@ -174,8 +180,8 @@ fn truncated_optimize_bodies_are_rejected_cleanly() {
             &catalog2,
             DaemonConfig::default(),
             faults,
-            |listener, daemon| {
-                let mut client = Client::new(Box::new(listener.connect()), 1);
+            |socket, daemon| {
+                let mut client = Client::new(Box::new(socket.connect()), 1);
                 match client.optimize_once(7, &mode, &queries[0]) {
                     Err(ClientError::Server(e)) => {
                         assert_eq!(e.code, ErrorCode::Malformed, "cut at {cut}")
@@ -199,8 +205,8 @@ fn the_retired_metrics_opcode_is_malformed_and_poisons_its_connection() {
         &catalog,
         DaemonConfig::default(),
         FaultPlan::new(),
-        |listener, daemon| {
-            let mut raw = listener.connect();
+        |socket, daemon| {
+            let mut raw = socket.connect();
             raw.write_all(&protocol::frame(0x02, &[])).unwrap();
             // Read to EOF: the daemon closes the connection by itself,
             // after exactly one frame.
@@ -220,7 +226,7 @@ fn the_retired_metrics_opcode_is_malformed_and_poisons_its_connection() {
             let mut r = protocol::Reader::new(&frame[1..]);
             assert_eq!(r.u64(), Ok(0), "no request id to echo");
             assert_eq!(r.u8(), Ok(ErrorCode::Malformed as u8));
-            let mut healthy = Client::new(Box::new(listener.connect()), 2);
+            let mut healthy = Client::new(Box::new(socket.connect()), 2);
             healthy
                 .optimize_once(0, &Mode::AlgorithmC, &queries[0])
                 .expect("healthy conn serves");
@@ -243,8 +249,8 @@ fn a_killed_leader_surfaces_worker_panicked_and_the_connection_survives() {
         &catalog,
         DaemonConfig::default(),
         faults,
-        |listener, daemon| {
-            let mut client = Client::new(Box::new(listener.connect()), 1);
+        |socket, daemon| {
+            let mut client = Client::new(Box::new(socket.connect()), 1);
             // optimize (with retry) must NOT mask the panic behind retries:
             // WorkerPanicked is not transient, so it surfaces immediately.
             match client.optimize(0, &mode, &queries[0]) {
@@ -288,8 +294,8 @@ fn a_non_finite_lsc_memory_is_an_error_frame_and_the_daemon_keeps_serving() {
         &catalog,
         DaemonConfig::default(),
         FaultPlan::new(),
-        |listener, daemon| {
-            let mut client = Client::new(Box::new(listener.connect()), 1);
+        |socket, daemon| {
+            let mut client = Client::new(Box::new(socket.connect()), 1);
             let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
             for (i, m) in bad.into_iter().enumerate() {
                 match client.optimize_once(i as u64, &Mode::LscAt(m), &queries[0]) {
@@ -336,9 +342,9 @@ fn overload_sheds_cold_requests_while_warm_hits_keep_serving() {
         max_cold_backlog: 1,
         ..DaemonConfig::default()
     };
-    let ((), _report) = with_daemon(&catalog, config, faults, |listener, _daemon| {
-        let mut blocker = Client::new(Box::new(listener.connect()), 1);
-        let mut prober = Client::new(Box::new(listener.connect()), 2);
+    let ((), _report) = with_daemon(&catalog, config, faults, |socket, _daemon| {
+        let mut blocker = Client::new(Box::new(socket.connect()), 1);
+        let mut prober = Client::new(Box::new(socket.connect()), 2);
 
         // Warm the cache with query 0 before saturating the gate.
         blocker
@@ -390,11 +396,11 @@ fn the_client_retry_rides_out_a_transient_overload() {
         max_cold_backlog: 1,
         ..DaemonConfig::default()
     };
-    let ((), _report) = with_daemon(&catalog, config, faults, |listener, daemon| {
-        let mut blocker = Client::new(Box::new(listener.connect()), 1);
+    let ((), _report) = with_daemon(&catalog, config, faults, |socket, daemon| {
+        let mut blocker = Client::new(Box::new(socket.connect()), 1);
         // A generous retry budget: backoff outlasts the 120ms hold.
         let mut retrier = Client::with_policy(
-            Box::new(listener.connect()),
+            Box::new(socket.connect()),
             lec_serviced::RetryPolicy {
                 max_retries: 30,
                 base: Duration::from_millis(10),
@@ -433,8 +439,8 @@ fn a_request_deadline_expires_instead_of_hanging() {
         request_deadline: Some(Duration::from_millis(40)),
         ..DaemonConfig::default()
     };
-    let ((), _report) = with_daemon(&catalog, config, faults, |listener, daemon| {
-        let mut client = Client::new(Box::new(listener.connect()), 1);
+    let ((), _report) = with_daemon(&catalog, config, faults, |socket, daemon| {
+        let mut client = Client::new(Box::new(socket.connect()), 1);
         match client.optimize_once(0, &mode, &queries[0]) {
             Err(ClientError::Server(e)) => {
                 assert_eq!(e.code, ErrorCode::DeadlineExceeded);
@@ -458,10 +464,8 @@ fn a_request_deadline_expires_instead_of_hanging() {
 
 #[test]
 fn a_slow_client_is_disconnected_not_waited_on() {
-    let (catalog, queries) = fixture();
-    let mode = Mode::AlgorithmC;
-    // 64-byte pipes: one response overfills the buffer if unread.
-    let listener = PipeListener::with_capacity(64);
+    let (catalog, _queries) = fixture();
+    let socket = Socket::bind();
     let server = ConcurrentPlanServer::new(&catalog, memory());
     let config = DaemonConfig {
         write_timeout: Some(Duration::from_millis(50)),
@@ -469,20 +473,21 @@ fn a_slow_client_is_disconnected_not_waited_on() {
     };
     let daemon = Daemon::new(&server, config);
     std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&listener));
+        let runner = scope.spawn(|| daemon.run(&socket.acceptor));
 
-        // The slow client writes a request and then never reads.
-        let mut slow = listener.connect();
-        let mut w = Writer::new();
-        w.u64(0);
-        protocol::encode_mode(&mut w, &mode);
-        protocol::encode_query(&mut w, &queries[0]);
-        // The request itself exceeds 64 bytes, so write it in chunks the
-        // daemon drains as it parses.
-        let frame = protocol::frame(op::OPTIMIZE, &w.into_bytes());
-        for chunk in frame.chunks(48) {
-            slow.write_all(chunk).expect("request trickles in");
-        }
+        // The slow client pipelines 1,000 STATS requests in one write and
+        // then never reads.  Each reply is a JSON document of some 640
+        // bytes, so the replies overflow both socket buffers.
+        let mut slow = socket.connect();
+        let stats = protocol::frame(op::STATS, &[protocol::StatsFormat::Json as u8]);
+        slow.write_all(&stats.repeat(1_000))
+            .expect("the requests fit the socket");
+
+        // A ping on a second connection is answered only after the daemon
+        // has accepted the slow one, which is then counted active.
+        Client::new(Box::new(socket.connect()), 1)
+            .ping()
+            .expect("the daemon serves other connections");
 
         // The daemon must give up on the write within the timeout and
         // close the connection rather than wedge the handler.
@@ -514,19 +519,19 @@ fn drain_finishes_inflight_work_and_rejects_late_arrivals() {
         drain_deadline: Duration::from_secs(5),
         ..DaemonConfig::default()
     };
-    let ((), report) = with_daemon(&catalog, config, faults, |listener, daemon| {
-        let mut inflight = Client::new(Box::new(listener.connect()), 1);
+    let ((), report) = with_daemon(&catalog, config, faults, |socket, daemon| {
+        let mut inflight = Client::new(Box::new(socket.connect()), 1);
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| inflight.optimize_once(0, &mode, &queries[0]));
             std::thread::sleep(Duration::from_millis(40));
 
             // Drain arrives while the search is mid-flight.
-            let mut ctl = Client::new(Box::new(listener.connect()), 2);
+            let mut ctl = Client::new(Box::new(socket.connect()), 2);
             ctl.drain().expect("drain acknowledged");
 
             // A connection dialed after the drain ack is rejected
             // (closed), never served, never hung.
-            let mut late = Client::new(Box::new(listener.connect()), 3);
+            let mut late = Client::new(Box::new(socket.connect()), 3);
             assert!(
                 matches!(late.ping(), Err(ClientError::Io(_))),
                 "late connection must be closed"
@@ -559,8 +564,8 @@ fn the_drain_watchdog_force_closes_stragglers_at_the_deadline() {
         drain_deadline: Duration::from_millis(50),
         ..DaemonConfig::default()
     };
-    let ((), report) = with_daemon(&catalog, config, faults, |listener, daemon| {
-        let mut straggler = Client::new(Box::new(listener.connect()), 1);
+    let ((), report) = with_daemon(&catalog, config, faults, |socket, daemon| {
+        let mut straggler = Client::new(Box::new(socket.connect()), 1);
         std::thread::scope(|scope| {
             let worker = scope.spawn(move || straggler.optimize_once(0, &mode, &queries[0]));
             std::thread::sleep(Duration::from_millis(40));

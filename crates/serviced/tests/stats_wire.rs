@@ -9,10 +9,12 @@
 use lec_core::Mode;
 use lec_service::ConcurrentPlanServer;
 use lec_serviced::protocol::{decode_response, encode_response, Reader, Writer};
-use lec_serviced::transport::PipeListener;
 use lec_serviced::{Client, Daemon, DaemonConfig, StatsFormat};
 use lec_telemetry::{parse_prometheus, Outcome, Stage, Telemetry};
 use std::sync::Arc;
+
+mod common;
+use common::Socket;
 
 #[test]
 fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
@@ -21,11 +23,11 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
     let tel = Arc::new(Telemetry::on());
     let server = ConcurrentPlanServer::new(&cat, memory).with_telemetry(Arc::clone(&tel));
     let daemon = Daemon::new(&server, DaemonConfig::default());
-    let listener = PipeListener::new();
+    let socket = Socket::bind();
 
     std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&listener));
-        let mut client = Client::new(Box::new(listener.connect()), 7);
+        let runner = scope.spawn(|| daemon.run(&socket.acceptor));
+        let mut client = Client::new(Box::new(socket.connect()), 7);
         // One cold request, then a warm hit of the same query — both
         // traced by the daemon.
         client.optimize(1, &Mode::AlgorithmC, &q).expect("cold");

@@ -1,5 +1,5 @@
 //! Cross-wire byte-identity: responses served through the daemon —
-//! encoded, framed, pushed through a socket-faithful pipe, decoded —
+//! encoded, framed, pushed through a Unix-domain socket, decoded —
 //! must be byte-identical (plan shape, cost bits, table numbering, mode)
 //! to a fresh `Optimizer::optimize` of the same request, over a skewed
 //! multi-client workload with batching, warm hits, and coalescing all in
@@ -10,10 +10,13 @@ use lec_core::{Mode, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::ConcurrentPlanServer;
 use lec_serviced::protocol::{self, Writer};
-use lec_serviced::transport::{Listener, PipeListener, Stream, PIPE_CAPACITY};
-use lec_serviced::{Client, Daemon, DaemonConfig, StatsFormat, TcpAcceptor, UnixAcceptor};
+use lec_serviced::transport::{Listener, Stream};
+use lec_serviced::{Client, Daemon, DaemonConfig, StatsFormat, TcpAcceptor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::Socket;
 
 const POOL_SIZE: usize = 12;
 const STREAM_LEN: usize = 180;
@@ -92,10 +95,10 @@ fn responses_cross_the_wire_byte_identically() {
             ..DaemonConfig::default()
         },
     );
-    let listener = PipeListener::new();
+    let socket = Socket::bind();
 
     std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&listener));
+        let runner = scope.spawn(|| daemon.run(&socket.acceptor));
 
         // N clients replay overlapping staggered views of the stream, so
         // warm hits, coalesced cohorts, and cold leads all cross the
@@ -105,11 +108,11 @@ fn responses_cross_the_wire_byte_identically() {
         for client_id in 0..CLIENTS {
             let stream = &stream;
             let fresh = &fresh;
-            let listener = &listener;
+            let socket = &socket;
             let mode = mode.clone();
             client_threads.push(scope.spawn(move || {
                 let mut client =
-                    Client::new(Box::new(listener.connect()), 0xC0FFEE + client_id as u64);
+                    Client::new(Box::new(socket.connect()), 0xC0FFEE + client_id as u64);
                 let indices: Vec<usize> = (0..stream.len())
                     .map(|k| (k + client_id * 7) % stream.len())
                     .collect();
@@ -158,7 +161,7 @@ fn responses_cross_the_wire_byte_identically() {
         }
 
         // A final control client checks liveness and metrics, then drains.
-        let mut control = Client::new(Box::new(listener.connect()), 0xD1A1);
+        let mut control = Client::new(Box::new(socket.connect()), 0xD1A1);
         control.ping().expect("ping");
         let metrics = control.stats(StatsFormat::Json).expect("metrics");
         assert!(
@@ -292,30 +295,31 @@ fn responses_cross_tcp_and_unix_sockets_byte_identically() {
         &fresh,
     );
 
-    let dir = std::env::temp_dir().join(format!("lec-wire-parity-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("daemon.sock");
-    let unix = std::os::unix::net::UnixListener::bind(&path).expect("unix bind");
+    let unix = Socket::bind();
     parity_over(
         "unix",
-        &UnixAcceptor::new(unix).expect("acceptor"),
-        &|| Box::new(std::os::unix::net::UnixStream::connect(&path).expect("dial unix")),
+        &unix.acceptor,
+        &|| Box::new(unix.connect()),
         &catalog,
         &stream,
         &fresh,
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// 96 requests in one `optimize_batch`: one client write of more than two
-/// 16 KiB daemon reads (and under `PIPE_CAPACITY`, so the write completes
-/// before the first reply is read), so request frames straddle the
-/// daemon's read boundaries and the partial frame left by each read must
-/// be carried into the next.  Replies come back in order, byte-identical
-/// to fresh optimization.
+/// 16 KiB daemon reads, so request frames straddle the daemon's read
+/// boundaries and the partial frame left by each read must be carried
+/// into the next.  Replies come back in order, byte-identical to fresh
+/// optimization.
 #[test]
 fn a_pipelined_batch_straddles_read_boundaries() {
     const BATCH: usize = 96;
+    // The client writes the whole batch before it reads a reply, while
+    // the daemon answers as it reads.  A batch past a socket buffer could
+    // fill the socket in both directions, and each side would wait on the
+    // other until the daemon's write timeout.  Linux's default Unix
+    // socket buffer is some 208 KiB; this bound keeps the batch far below.
+    const SOCKET_ROOM: usize = 64 * 1024;
     let (catalog, stream, fresh) = parity_fixture();
     let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
     let mode = Mode::AlgorithmC;
@@ -334,8 +338,8 @@ fn a_pipelined_batch_straddles_read_boundaries() {
         bytes += protocol::frame(protocol::op::OPTIMIZE, &w.into_bytes()).len();
     }
     assert!(
-        2 * 16 * 1024 < bytes && bytes < PIPE_CAPACITY,
-        "the batch is {bytes} bytes: it must span more than two reads and fit the pipe"
+        2 * 16 * 1024 < bytes && bytes < SOCKET_ROOM,
+        "the batch is {bytes} bytes: it must span more than two reads and fit the socket"
     );
 
     let server = ConcurrentPlanServer::new(&catalog, memory);
@@ -346,10 +350,10 @@ fn a_pipelined_batch_straddles_read_boundaries() {
             ..DaemonConfig::default()
         },
     );
-    let listener = PipeListener::new();
+    let socket = Socket::bind();
     std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&listener));
-        let mut client = Client::new(Box::new(listener.connect()), 0x96);
+        let runner = scope.spawn(|| daemon.run(&socket.acceptor));
+        let mut client = Client::new(Box::new(socket.connect()), 0x96);
         let responses = client.optimize_batch(&requests).expect("batch io");
         assert_eq!(responses.len(), BATCH);
         for (i, resp) in responses.into_iter().enumerate() {
@@ -391,10 +395,10 @@ fn a_retired_mode_tag_is_malformed_and_a_new_connection_is_served() {
 
     let server = ConcurrentPlanServer::new(&catalog, memory);
     let daemon = Daemon::new(&server, DaemonConfig::default());
-    let listener = PipeListener::new();
+    let socket = Socket::bind();
     std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&listener));
-        let mut raw = listener.connect();
+        let runner = scope.spawn(|| daemon.run(&socket.acceptor));
+        let mut raw = socket.connect();
         raw.write_all(&request).unwrap();
         // Read to EOF: the daemon answers one frame, then closes.
         let mut reply = Vec::new();
@@ -415,7 +419,7 @@ fn a_retired_mode_tag_is_malformed_and_a_new_connection_is_served() {
         assert_eq!(r.u8(), Ok(protocol::ErrorCode::Malformed as u8));
         assert_eq!(daemon.metrics().malformed_frames(), 1);
 
-        let mut client = Client::new(Box::new(listener.connect()), 2);
+        let mut client = Client::new(Box::new(socket.connect()), 2);
         let resp = client
             .optimize_once(0, &Mode::AlgorithmC, &query)
             .expect("a new connection is served");

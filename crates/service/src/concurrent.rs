@@ -226,8 +226,9 @@ pub struct ConcurrentPlanServer<'a> {
     memory_fp: u64,
     /// Observability surface ([`lec_telemetry::Telemetry`]): outcome
     /// latency histograms recorded on every serve, engine histograms
-    /// installed into the optimizer, trace ring + slow log fed by traced
-    /// callers.  `None` keeps the serve path entirely uninstrumented.
+    /// installed into the optimizer, and the slow log — the one store of
+    /// finished traces — fed by traced callers.  `None` keeps the serve
+    /// path entirely uninstrumented.
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -268,7 +269,10 @@ impl<'a> ConcurrentPlanServer<'a> {
         self
     }
 
-    /// The installed telemetry surface, if any.
+    /// The installed telemetry surface, if any: its snapshot rides in
+    /// [`Self::metrics_json`] under `telemetry`, and traced callers offer
+    /// finished requests to its slow log through
+    /// [`Telemetry::finish_request`].
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
     }
@@ -510,7 +514,7 @@ impl<'a> ConcurrentPlanServer<'a> {
     /// per-reason canonicalizer refusals included), occupancy, the
     /// exact-hit skew histogram, and — when telemetry is installed — the
     /// full observability snapshot (latency histograms with
-    /// p50/p90/p99/p999, engine timing, trace ring, slow log).  Keys are
+    /// p50/p90/p99/p999, engine timing, slow log).  Keys are
     /// emitted recursively sorted so snapshots diff cleanly across runs.
     pub fn metrics_json(&self) -> serde_json::Value {
         serde_json::json!({
@@ -919,7 +923,7 @@ mod tests {
         // Cold miss lands in the `fresh` histogram, then a traced warm hit
         // in `served`.
         server.serve(&q, &Mode::AlgorithmC).unwrap();
-        let mut trace = tel.trace_ctx(7);
+        let mut trace = TraceCtx::new(7);
         let ctx = ServeCtx {
             hooks: &(),
             deadline: None,
@@ -932,7 +936,12 @@ mod tests {
         assert_eq!(tel.outcome_snapshot(Outcome::Served).count(), 1);
         // The warm hit's trace holds exactly one span: the cache probe,
         // closed with detail 0 (= hit).
-        let rec = tel.ring().find(7).expect("trace retained in ring");
+        let rec = tel
+            .slow_log()
+            .entries()
+            .into_iter()
+            .find(|e| e.request_id == 7)
+            .expect("trace retained in the slow log");
         assert_eq!(rec.spans.len(), 1);
         assert_eq!(rec.spans[0].stage, Stage::CacheProbe);
         assert_eq!(rec.spans[0].detail, 0);

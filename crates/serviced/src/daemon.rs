@@ -211,39 +211,13 @@ pub struct DrainReport {
     /// Final metrics snapshot (the document a wire `STATS` request with
     /// the JSON format byte returns).
     pub metrics: serde_json::Value,
-    /// The same snapshot flattened into dotted counter keys, every one
-    /// prefixed with its layer's namespace (`daemon.requests_ok`,
-    /// `service.cache.served`, ...).  The prefixes keep the two layers'
-    /// counter names from colliding however either document evolves —
-    /// pinned by `drain_report_counters_are_namespaced_and_collision_free`.
+    /// The same snapshot flattened into dotted counter keys
+    /// ([`lec_telemetry::flatten`]), every one prefixed with its layer's
+    /// namespace (`daemon.requests_ok`, `service.cache.served`, ...).  The
+    /// prefixes keep the two layers' counter names from colliding however
+    /// either document evolves — pinned by
+    /// `drain_report_counters_are_namespaced_and_collision_free`.
     pub counters: Vec<(String, f64)>,
-}
-
-/// Flatten a nested metrics document into dotted counter keys.  Only
-/// numeric leaves are taken (booleans, strings, and arrays — e.g. the
-/// slow-query log — are presentation, not counters), so the result is a
-/// flat, collision-free `(name, value)` list suitable for diffing,
-/// assertions, and Prometheus exposition.
-pub fn flatten_counters(doc: &serde_json::Value) -> Vec<(String, f64)> {
-    fn walk(prefix: &str, v: &serde_json::Value, out: &mut Vec<(String, f64)>) {
-        match v {
-            serde_json::Value::Object(pairs) => {
-                for (k, v) in pairs {
-                    let key = if prefix.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{prefix}.{k}")
-                    };
-                    walk(&key, v, out);
-                }
-            }
-            serde_json::Value::Number(n) => out.push((prefix.to_string(), *n)),
-            _ => {}
-        }
-    }
-    let mut out = Vec::new();
-    walk("", doc, &mut out);
-    out
 }
 
 /// A hardened front end over one [`ConcurrentPlanServer`].
@@ -303,8 +277,8 @@ impl<'s, 'c> Daemon<'s, 'c> {
     /// The daemon's metrics document: the serving layer's own snapshot
     /// under `"service"`, the daemon counters under `"daemon"`, keys
     /// recursively sorted.  When telemetry is installed on the server,
-    /// its full snapshot (latency quantiles, engine histograms, trace
-    /// ring, slow log) rides along under `service.telemetry` — this is
+    /// its full snapshot (latency quantiles, engine histograms, slow log)
+    /// rides along under `service.telemetry` — this is
     /// also the exact document a wire `STATS` request with the JSON
     /// format byte returns.
     pub fn metrics_json(&self) -> serde_json::Value {
@@ -329,23 +303,16 @@ impl<'s, 'c> Daemon<'s, 'c> {
         .sorted()
     }
 
-    /// Prometheus text exposition: every flattened counter as an
-    /// unlabeled gauge (`lec_daemon_requests_ok`,
-    /// `lec_service_cache_served`, ...), plus — when telemetry is
-    /// installed — the labeled histogram series from
-    /// [`lec_telemetry::Telemetry::prometheus`].  Every line parses with
-    /// [`lec_telemetry::parse_prometheus`]; tests and the CI smoke step
-    /// pin that.
+    /// Prometheus text exposition: [`Self::metrics_json`] rendered by
+    /// [`lec_telemetry::render`], every numeric leaf one unlabelled
+    /// gauge named by its path (`lec_daemon_requests_ok`,
+    /// `lec_service_cache_served`,
+    /// `lec_service_telemetry_latency_served_count`, ...).  The
+    /// exposition is the document, so the two cannot drift apart; every
+    /// line parses with [`lec_telemetry::parse_prometheus`], and tests
+    /// and the CI smoke step pin that.
     pub fn prometheus(&self) -> String {
-        let mut out = String::new();
-        for (key, value) in flatten_counters(&self.metrics_json()) {
-            let name = format!("lec_{}", key.replace('.', "_"));
-            lec_telemetry::write_sample(&mut out, &name, &[], value);
-        }
-        if let Some(tel) = self.server.telemetry() {
-            out.push_str(&tel.prometheus());
-        }
-        out
+        lec_telemetry::render("lec", &self.metrics_json())
     }
 
     /// Serve the listener until drained.  Blocks the calling thread; one
@@ -437,7 +404,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
         DrainReport {
             drain_duration,
             forced_aborts: self.metrics.forced_aborts(),
-            counters: flatten_counters(&metrics),
+            counters: lec_telemetry::flatten(&metrics),
             metrics,
         }
     }
@@ -537,7 +504,8 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 // With telemetry installed the trace clock starts before
                 // the frame is decoded; the request id arrives mid-decode,
                 // so the context is built retroactively on that epoch
-                // (`trace_ctx_at`).  Without telemetry no clock is read.
+                // (`TraceCtx::starting_at`).  Without telemetry no clock
+                // is read.
                 let tel = self.server.telemetry();
                 let decode_start = tel.map(|_| Instant::now());
                 let mut r = Reader::new(body);
@@ -552,9 +520,9 @@ impl<'s, 'c> Daemon<'s, 'c> {
                     Ok(parts) => parts,
                     Err(e) => return self.malformed(out, &e.to_string()),
                 };
-                let mut trace = match (tel, decode_start) {
-                    (Some(t), Some(epoch)) => t.trace_ctx_at(req_id, epoch),
-                    _ => TraceCtx::disabled(),
+                let mut trace = match decode_start {
+                    Some(epoch) => TraceCtx::starting_at(req_id, epoch),
+                    None => TraceCtx::disabled(),
                 };
                 // Decode span: epoch to now, detail = frame body bytes.
                 trace.span(Stage::Decode, 0, body.len() as u64);
@@ -717,7 +685,7 @@ mod tests {
         let tel = std::sync::Arc::new(lec_telemetry::Telemetry::on());
         let server = ConcurrentPlanServer::new(&cat, memory).with_telemetry(tel);
         let daemon = Daemon::new(&server, DaemonConfig::default());
-        let counters = flatten_counters(&daemon.metrics_json());
+        let counters = lec_telemetry::flatten(&daemon.metrics_json());
         assert!(!counters.is_empty());
         let mut seen = std::collections::HashSet::new();
         for (key, value) in &counters {
@@ -751,6 +719,19 @@ mod tests {
             .find(|s| s.name == "lec_service_cache_recomputed")
             .expect("service counter exposed");
         assert_eq!(fresh.value, 1.0);
+        // The exposition is the document: sample for sample, each one is
+        // a numeric leaf of `metrics_json` under its `_`-joined path, with
+        // the same value and no labels.
+        let leaves = lec_telemetry::flatten(&daemon.metrics_json());
+        assert_eq!(samples.len(), leaves.len());
+        for (sample, (path, value)) in samples.iter().zip(&leaves) {
+            assert_eq!(sample.name, format!("lec_{}", path.replace('.', "_")));
+            assert_eq!(sample.value, *value, "{path}");
+            assert!(sample.labels.is_empty(), "{} carries labels", sample.name);
+        }
+        assert!(leaves
+            .iter()
+            .any(|(path, v)| path == "service.telemetry.latency.fresh.count" && *v == 1.0));
     }
 
     #[test]

@@ -43,10 +43,11 @@
 //!
 //! `STATS` with the JSON format byte returns the daemon's full
 //! observability snapshot — latency histograms (p50/p90/p99/p999 per
-//! outcome), engine timing, trace-ring occupancy, and the slow-query log
-//! when telemetry is installed — byte-identical to the in-process
-//! `Daemon::metrics_json` document at snapshot time; the Prometheus
-//! format returns a text exposition whose every line parses with
+//! outcome), engine timing and the slow-query log when telemetry is
+//! installed — byte-identical to the in-process `Daemon::metrics_json`
+//! document at snapshot time; the Prometheus format returns the same
+//! document rendered as one unlabelled sample per numeric leaf
+//! ([`lec_telemetry::render`]), every line of which parses with
 //! [`lec_telemetry::parse_prometheus`].  Floats travel
 //! as IEEE-754 bit patterns and distributions are reconstructed with
 //! [`Distribution::from_parts_exact`](lec_prob::Distribution::from_parts_exact)
@@ -95,7 +96,7 @@ pub mod protocol;
 pub mod transport;
 
 pub use client::{backoff_delay, Client, ClientError, RetryPolicy, ServerError};
-pub use daemon::{flatten_counters, Daemon, DaemonConfig, DaemonMetrics, DrainReport};
+pub use daemon::{Daemon, DaemonConfig, DaemonMetrics, DrainReport};
 pub use faults::{FaultPlan, FrameFault, SearchFault};
 pub use protocol::{ErrorCode, StatsFormat};
 pub use transport::{TcpAcceptor, UnixAcceptor};

@@ -1,8 +1,9 @@
 //! `STATS` over the wire: the JSON snapshot a client fetches must be
 //! byte-identical to the daemon's in-process `metrics_json` document at
 //! a quiescent moment, the Prometheus exposition must parse line by
-//! line, the daemon's request traces must bracket the serving layer's
-//! spans with decode and flush, and the drain report's flattened
+//! line as that same document's numeric leaves, the daemon's request
+//! traces (kept by the slow log) must bracket the serving layer's spans
+//! with decode and flush, and the drain report's flattened
 //! counters must carry the telemetry snapshot under its namespace.  The
 //! always-zero pruning counters still cross a response round trip.
 
@@ -48,9 +49,10 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
         // keys.  The daemon only optimizes — nothing executed — so the
         // per-class error histograms and the cumulative I/O totals are
         // exactly zero, and both sections can be matched as literal
-        // substrings of the payload.
-        let empty_hist = "{\"count\": 0, \"mean_ns\": 0, \"p50_ns\": 0, \"p90_ns\": 0, \
-                          \"p999_ns\": 0, \"p99_ns\": 0, \"sum_ns\": 0}";
+        // substrings of the payload.  Calibration errors are basis
+        // points, so their keys say `_bp`.
+        let empty_hist = "{\"count\": 0, \"mean_bp\": 0, \"p50_bp\": 0, \"p90_bp\": 0, \
+                          \"p999_bp\": 0, \"p99_bp\": 0, \"sum_bp\": 0}";
         let pinned_calibration = format!(
             "\"calibration\": {{\"block_nl\": {empty_hist}, \"grace_hash\": {empty_hist}, \
              \"index_access\": {empty_hist}, \"page_nl\": {empty_hist}, \
@@ -80,13 +82,15 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
         );
 
         // Both requests recorded under their outcome classes and retained
-        // in the trace ring, bracketed by the daemon's decode/flush spans
+        // in the slow log, bracketed by the daemon's decode/flush spans
         // around the serving layer's probe/search spans.
         assert_eq!(tel.outcome_snapshot(Outcome::Fresh).count(), 1);
         assert_eq!(tel.outcome_snapshot(Outcome::Served).count(), 1);
-        assert_eq!(tel.ring().occupancy(), 2);
+        let traces = tel.slow_log().entries();
+        assert_eq!(traces.len(), 2);
+        let find = |req_id: u64| traces.iter().find(|e| e.request_id == req_id);
         for req_id in [1u64, 2] {
-            let rec = tel.ring().find(req_id).expect("request traced");
+            let rec = find(req_id).expect("request traced");
             assert!(rec.spans.iter().any(|s| s.stage == Stage::Decode));
             assert!(rec.spans.iter().any(|s| s.stage == Stage::CacheProbe));
             assert!(rec.spans.iter().any(|s| s.stage == Stage::Flush));
@@ -97,25 +101,22 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
                 rec.total_ns
             );
         }
-        let cold = tel.ring().find(1).expect("cold trace");
+        let cold = find(1).expect("cold trace");
         assert!(
             cold.spans.iter().any(|s| s.stage == Stage::Search),
             "the cold request ran a traced search"
         );
 
-        // Prometheus exposition parses and exposes both layers.
+        // Prometheus exposition parses and exposes both layers, the
+        // telemetry snapshot under its flattened document path.
         let prom = client.stats(StatsFormat::Prometheus).expect("stats prom");
         let samples = parse_prometheus(&prom).expect("exposition parses");
         assert!(samples
             .iter()
             .any(|s| s.name == "lec_daemon_requests_ok" && s.value == 2.0));
-        assert!(samples.iter().any(|s| {
-            s.name == "lec_requests_total"
-                && s.labels
-                    .iter()
-                    .any(|(k, v)| k == "outcome" && v == "served")
-                && s.value == 1.0
-        }));
+        assert!(samples
+            .iter()
+            .any(|s| s.name == "lec_service_telemetry_latency_served_count" && s.value == 1.0));
 
         client.drain().expect("drain");
         let report = runner.join().expect("daemon thread");

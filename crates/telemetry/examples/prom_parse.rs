@@ -1,11 +1,11 @@
 //! CI smoke: assert a Prometheus exposition parses line-by-line.
 //!
 //! With a file argument, parses that file (the snapshot a bench run wrote).
-//! Without arguments, generates a live exposition from an exercised
-//! `Telemetry` and parses that — so the step works even before any bench
-//! has produced a snapshot.
+//! Without arguments, renders the snapshot of an exercised `Telemetry`
+//! (`lec_telemetry::render`) and parses that — so the step works even
+//! before any bench has produced a snapshot.
 
-use lec_telemetry::{parse_prometheus, Outcome, Stage, Telemetry};
+use lec_telemetry::{parse_prometheus, render, Outcome, Stage, Telemetry, TraceCtx};
 
 fn main() {
     let (source, text) = match std::env::args().nth(1) {
@@ -20,10 +20,10 @@ fn main() {
                 t.record_outcome(Outcome::Served, 10_000 + i * 37);
             }
             t.record_outcome(Outcome::Shed, 900);
-            let mut ctx = t.trace_ctx(1);
+            let mut ctx = TraceCtx::new(1);
             ctx.span_with(Stage::Search, 0, 5_000_000, 0);
             t.finish_request(&ctx, Outcome::Fresh);
-            ("<generated>".to_string(), t.prometheus())
+            ("<generated>".to_string(), render("lec", &t.snapshot_json()))
         }
     };
 

@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use serde_json::{json, Value};
+use serde_json::Value;
 
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// `2^SUB_BITS` buckets.
@@ -199,18 +199,21 @@ impl HistogramSnapshot {
         }
     }
 
-    /// JSON summary: count, sum, mean, and the standard quantile ladder.
-    /// Keys are emitted sorted (the whole crate's `metrics_json` contract).
-    pub fn to_json(&self) -> Value {
-        json!({
-            "count": self.count as f64,
-            "mean_ns": self.mean(),
-            "p50_ns": self.quantile(0.50) as f64,
-            "p90_ns": self.quantile(0.90) as f64,
-            "p99_ns": self.quantile(0.99) as f64,
-            "p999_ns": self.quantile(0.999) as f64,
-            "sum_ns": self.sum as f64,
-        })
+    /// JSON summary: count, sum, mean, and the standard quantile ladder,
+    /// every key but `count` suffixed with the samples' `unit` (`ns` for
+    /// latencies, `bp` for calibration errors).  Keys are emitted sorted
+    /// (the whole crate's `metrics_json` contract).
+    pub fn to_json(&self, unit: &str) -> Value {
+        let keyed = |name: &str, v: f64| (format!("{name}_{unit}"), Value::Number(v));
+        Value::Object(vec![
+            ("count".to_string(), Value::Number(self.count as f64)),
+            keyed("mean", self.mean()),
+            keyed("p50", self.quantile(0.50) as f64),
+            keyed("p90", self.quantile(0.90) as f64),
+            keyed("p99", self.quantile(0.99) as f64),
+            keyed("p999", self.quantile(0.999) as f64),
+            keyed("sum", self.sum as f64),
+        ])
         .sorted()
     }
 }

@@ -6,12 +6,14 @@
 //!   buckets and deterministic merge ([`hist`]). Request outcomes
 //!   (served/coalesced/fresh/shed/error) and engine internals (per-level
 //!   combine, Algorithm D's pair pricing) each get one.
-//! * [`TraceCtx`] / [`TraceRing`] — per-request typed span events collected
-//!   on the stack (zero allocation) and published into a bounded lock-free
-//!   ring with drop-oldest semantics ([`trace`]), plus a slowest-N log with
-//!   per-stage breakdowns ([`slowlog`]).
-//! * [`Telemetry::snapshot_json`] / [`Telemetry::prometheus`] — the full
-//!   snapshot as sorted-key JSON or Prometheus text exposition ([`prom`]).
+//! * [`TraceCtx`] — per-request typed span events collected on the stack
+//!   (zero allocation, [`trace`]); a finished trace is offered to the
+//!   slowest-N log ([`slowlog`]), the one store of finished traces, which
+//!   keeps each retained request's per-stage breakdown.
+//! * [`Telemetry::snapshot_json`] — the full snapshot as one sorted-key
+//!   JSON document.  Its Prometheus text exposition is a mechanical
+//!   rendering of the same document ([`prom::render`]: one unlabelled
+//!   sample per numeric leaf), so a new metric is one line in a `json!`.
 
 #![forbid(unsafe_code)]
 
@@ -21,13 +23,12 @@ pub mod slowlog;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use prom::{parse_prometheus, write_sample, PromSample};
+pub use prom::{flatten, parse_prometheus, render, PromSample};
 pub use slowlog::{SlowEntry, SlowLog};
-pub use trace::{Span, Stage, TraceCtx, TraceRecord, TraceRing, MAX_SPANS};
+pub use trace::{Span, Stage, TraceCtx, MAX_SPANS};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use serde_json::{json, Value};
 
@@ -68,16 +69,6 @@ impl Outcome {
             Outcome::Shed,
             Outcome::Error,
         ]
-    }
-
-    pub fn from_u8(v: u8) -> Outcome {
-        match v {
-            0 => Outcome::Served,
-            1 => Outcome::Coalesced,
-            2 => Outcome::Fresh,
-            3 => Outcome::Shed,
-            _ => Outcome::Error,
-        }
     }
 }
 
@@ -169,13 +160,12 @@ impl CalibrationErrors {
         self.classes[class as usize].snapshot()
     }
 
-    /// Sorted-key JSON: one histogram summary per class name.  Quantile
-    /// keys read `_ns` by histogram convention; the unit here is basis
-    /// points of relative error.
+    /// Sorted-key JSON: one histogram summary per class name, its keys
+    /// suffixed `_bp` (basis points of relative error).
     pub fn to_json(&self) -> Value {
         let mut pairs: Vec<(String, Value)> = OpClass::all()
             .iter()
-            .map(|c| (c.name().to_string(), self.snapshot(*c).to_json()))
+            .map(|c| (c.name().to_string(), self.snapshot(*c).to_json("bp")))
             .collect();
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
         Value::Object(pairs)
@@ -217,10 +207,6 @@ impl IoTotals {
     }
 }
 
-/// Trace-ring segments; writers hash by thread onto segments.
-const RING_SEGMENTS: usize = 4;
-/// Slots per ring segment (drop-oldest beyond this).
-const RING_SLOTS_PER_SEGMENT: usize = 64;
 /// Slowest-N requests retained with span breakdowns.
 const SLOW_LOG_SIZE: usize = 16;
 
@@ -239,43 +225,41 @@ pub struct EngineTelemetry {
 impl EngineTelemetry {
     pub fn to_json(&self) -> Value {
         json!({
-            "eval_compute": self.eval_compute_ns.snapshot().to_json(),
-            "level_combine": self.level_combine_ns.snapshot().to_json(),
+            "eval_compute": self.eval_compute_ns.snapshot().to_json("ns"),
+            "level_combine": self.level_combine_ns.snapshot().to_json("ns"),
         })
         .sorted()
     }
 }
 
 /// The full telemetry surface for one serving stack: outcome latency
-/// histograms, engine-internal histograms, the trace ring, and the slow log.
+/// histograms, engine-internal histograms, calibration errors, I/O totals
+/// and the slow log.
 pub struct Telemetry {
     outcomes: [Histogram; OUTCOME_COUNT],
     engine: Arc<EngineTelemetry>,
     calibration: CalibrationErrors,
     io: Arc<IoTotals>,
-    ring: TraceRing,
     slow: SlowLog,
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("ring_occupancy", &self.ring.occupancy())
             .field("slow_log_entries", &self.slow.len())
             .finish_non_exhaustive()
     }
 }
 
 impl Telemetry {
-    /// A fresh telemetry surface: every histogram empty, the ring and
-    /// slow log clear.
+    /// A fresh telemetry surface: every histogram empty, the slow log
+    /// clear.
     pub fn on() -> Telemetry {
         Telemetry {
             outcomes: std::array::from_fn(|_| Histogram::new()),
             engine: Arc::new(EngineTelemetry::default()),
             calibration: CalibrationErrors::default(),
             io: Arc::new(IoTotals::default()),
-            ring: TraceRing::new(RING_SEGMENTS, RING_SLOTS_PER_SEGMENT),
             slow: SlowLog::new(SLOW_LOG_SIZE),
         }
     }
@@ -303,17 +287,6 @@ impl Telemetry {
         self.calibration.snapshot(class)
     }
 
-    /// An active [`TraceCtx`] for a new request.
-    pub fn trace_ctx(&self, request_id: u64) -> TraceCtx {
-        TraceCtx::new(request_id)
-    }
-
-    /// Like [`Self::trace_ctx`] but with an explicit epoch (timing started
-    /// before the request id was decoded).
-    pub fn trace_ctx_at(&self, request_id: u64, epoch: Instant) -> TraceCtx {
-        TraceCtx::starting_at(request_id, epoch)
-    }
-
     /// Record a finished request's wall time under its outcome class.
     /// Three relaxed atomic adds; no allocation.
     #[inline]
@@ -321,18 +294,12 @@ impl Telemetry {
         self.outcomes[outcome as usize].record(elapsed_ns);
     }
 
-    /// Publish a finished trace into the ring and offer it to the slow log.
+    /// Offer a finished trace to the slow log.
     pub fn finish_request(&self, ctx: &TraceCtx, outcome: Outcome) {
         if !ctx.enabled() {
             return;
         }
-        let total_ns = ctx.now_ns();
-        self.ring.push(ctx, outcome as u8, total_ns);
-        self.slow.offer(ctx, outcome as u8, total_ns);
-    }
-
-    pub fn ring(&self) -> &TraceRing {
-        &self.ring
+        self.slow.offer(ctx, outcome, ctx.now_ns());
     }
 
     pub fn slow_log(&self) -> &SlowLog {
@@ -344,11 +311,16 @@ impl Telemetry {
     }
 
     /// Full snapshot as sorted-key JSON: per-outcome latency histograms,
-    /// engine histograms, slow log, and trace-ring occupancy.
+    /// engine and calibration histograms, I/O totals and the slow log.
     pub fn snapshot_json(&self) -> Value {
         let mut latency: Vec<(String, Value)> = Outcome::all()
             .iter()
-            .map(|o| (o.name().to_string(), self.outcome_snapshot(*o).to_json()))
+            .map(|o| {
+                (
+                    o.name().to_string(),
+                    self.outcome_snapshot(*o).to_json("ns"),
+                )
+            })
             .collect();
         latency.sort_by(|a, b| a.0.cmp(&b.0));
         json!({
@@ -357,93 +329,10 @@ impl Telemetry {
             "io": self.io.to_json(),
             "latency": Value::Object(latency),
             "trace": {
-                "dropped_events": self.ring.dropped_events() as f64,
-                "ring_occupancy": self.ring.occupancy() as f64,
-                "slow_log": self.slow.to_json(|o| Outcome::from_u8(o).name()),
+                "slow_log": self.slow.to_json(),
             },
         })
         .sorted()
-    }
-
-    /// Prometheus-style text exposition of the histogram and ring state.
-    /// Every line parses with [`parse_prometheus`] (pinned by tests + CI).
-    pub fn prometheus(&self) -> String {
-        let mut out = String::new();
-        for o in Outcome::all() {
-            let s = self.outcome_snapshot(o);
-            let labels = [("outcome", o.name())];
-            write_sample(&mut out, "lec_requests_total", &labels, s.count() as f64);
-            write_sample(
-                &mut out,
-                "lec_request_seconds_sum",
-                &labels,
-                s.sum() as f64 / 1e9,
-            );
-            for (q, qn) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")] {
-                write_sample(
-                    &mut out,
-                    "lec_request_latency_ns",
-                    &[("outcome", o.name()), ("quantile", qn)],
-                    s.quantile(q) as f64,
-                );
-            }
-        }
-        for (stage, h) in [
-            ("eval_compute", &self.engine.eval_compute_ns),
-            ("level_combine", &self.engine.level_combine_ns),
-        ] {
-            let s = h.snapshot();
-            let labels = [("stage", stage)];
-            write_sample(&mut out, "lec_engine_ops_total", &labels, s.count() as f64);
-            for (q, qn) in [(0.5, "0.5"), (0.99, "0.99")] {
-                write_sample(
-                    &mut out,
-                    "lec_engine_ns",
-                    &[("quantile", qn), ("stage", stage)],
-                    s.quantile(q) as f64,
-                );
-            }
-        }
-        for class in OpClass::all() {
-            let s = self.calibration.snapshot(class);
-            let labels = [("op", class.name())];
-            write_sample(
-                &mut out,
-                "lec_calibration_samples_total",
-                &labels,
-                s.count() as f64,
-            );
-            for (q, qn) in [(0.5, "0.5"), (0.99, "0.99")] {
-                write_sample(
-                    &mut out,
-                    "lec_calibration_error_bp",
-                    &[("op", class.name()), ("quantile", qn)],
-                    s.quantile(q) as f64,
-                );
-            }
-        }
-        for (dir, n) in [("read", self.io.reads()), ("write", self.io.writes())] {
-            write_sample(&mut out, "lec_io_pages_total", &[("dir", dir)], n as f64);
-        }
-        write_sample(
-            &mut out,
-            "lec_trace_ring_occupancy",
-            &[],
-            self.ring.occupancy() as f64,
-        );
-        write_sample(
-            &mut out,
-            "lec_trace_dropped_events",
-            &[],
-            self.ring.dropped_events() as f64,
-        );
-        write_sample(
-            &mut out,
-            "lec_slow_log_entries",
-            &[],
-            self.slow.len() as f64,
-        );
-        out
     }
 }
 
@@ -493,12 +382,10 @@ mod tests {
         let snap = t.snapshot_json();
         assert_eq!(snap["io"]["reads"].as_f64(), Some(15.0));
         assert_eq!(snap["io"]["writes"].as_f64(), Some(5.0));
-        let samples = parse_prometheus(&t.prometheus()).expect("parses");
-        assert!(samples.iter().any(|s| {
-            s.name == "lec_io_pages_total"
-                && s.labels.iter().any(|(k, v)| k == "dir" && v == "read")
-                && s.value == 15.0
-        }));
+        let samples = parse_prometheus(&render("lec", &snap)).expect("parses");
+        assert!(samples
+            .iter()
+            .any(|s| s.name == "lec_io_reads" && s.value == 15.0));
     }
 
     #[test]
@@ -506,13 +393,13 @@ mod tests {
         let t = Telemetry::on();
         t.record_outcome(Outcome::Served, 500);
         t.record_outcome(Outcome::Shed, 100);
-        let mut ctx = t.trace_ctx(9);
+        let mut ctx = TraceCtx::new(9);
         ctx.span_with(Stage::Search, 0, 400, 0);
         t.finish_request(&ctx, Outcome::Served);
         let snap = t.snapshot_json();
         assert_eq!(snap["latency"]["served"]["count"].as_f64(), Some(1.0));
         assert_eq!(snap["latency"]["shed"]["count"].as_f64(), Some(1.0));
-        assert_eq!(snap["trace"]["ring_occupancy"].as_f64(), Some(1.0));
+        assert_eq!(snap["trace"]["slow_log"].as_array().map(Vec::len), Some(1));
         fn assert_sorted(v: &Value) {
             if let Value::Object(pairs) = v {
                 for w in pairs.windows(2) {
@@ -537,41 +424,78 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_parses() {
+    fn the_snapshot_renders_as_unlabelled_samples() {
         let t = Telemetry::on();
         for i in 0..100u64 {
             t.record_outcome(Outcome::Served, i * 1000);
         }
-        let mut ctx = t.trace_ctx(3);
+        t.record_calibration_error(OpClass::SortMerge, 150.0, 100.0);
+        let mut ctx = TraceCtx::new(3);
         ctx.span_with(Stage::CacheProbe, 0, 10, 0);
         t.finish_request(&ctx, Outcome::Served);
-        let text = t.prometheus();
-        let samples = parse_prometheus(&text).expect("exposition parses");
-        assert!(samples.len() > 20);
-        let served = samples
-            .iter()
-            .find(|s| {
-                s.name == "lec_requests_total"
-                    && s.labels
-                        .iter()
-                        .any(|(k, v)| k == "outcome" && v == "served")
-            })
-            .expect("served counter present");
-        assert_eq!(served.value, 100.0);
+        let samples = parse_prometheus(&render("lec", &t.snapshot_json())).expect("parses");
+        assert!(samples.iter().all(|s| s.labels.is_empty()));
+        let value = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
+        assert_eq!(value("lec_latency_served_count"), Some(100.0));
+        let sort_merge = t.calibration_snapshot(OpClass::SortMerge);
+        assert_eq!(value("lec_calibration_sort_merge_sum_bp"), Some(5_000.0));
+        assert_eq!(
+            value("lec_calibration_sort_merge_p50_bp"),
+            Some(sort_merge.quantile(0.5) as f64)
+        );
     }
 
     #[test]
-    fn finish_request_feeds_ring_and_slow_log() {
+    fn finish_request_feeds_the_slow_log() {
         let t = Telemetry::on();
-        let mut ctx = t.trace_ctx(77);
+        let mut ctx = TraceCtx::new(77);
         ctx.span_with(Stage::Decode, 0, 50, 0);
         ctx.span_with(Stage::Search, 50, 900, (3u64 << 32) | 5);
         t.finish_request(&ctx, Outcome::Fresh);
-        let rec = t.ring().find(77).expect("trace retained");
-        assert_eq!(rec.spans.len(), 2);
-        assert_eq!(rec.spans[1].detail >> 32, 3);
         let slow = t.slow_log().entries();
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].request_id, 77);
+        assert_eq!(slow[0].outcome, Outcome::Fresh);
+        assert_eq!(slow[0].spans.len(), 2);
+        assert_eq!(slow[0].spans[1].detail >> 32, 3);
+    }
+
+    /// Clients choose `u64` request ids, and a JSON number is an `f64`:
+    /// the slow log writes ids as decimal strings so that ids past 2^53
+    /// read back exactly.
+    #[test]
+    fn slow_log_request_ids_read_back_exactly() {
+        let t = Telemetry::on();
+        let ids = [(1u64 << 53) + 1, u64::MAX - 1];
+        for id in ids {
+            let mut ctx = TraceCtx::new(id);
+            ctx.span_with(Stage::Search, 0, 10, 0);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            t.finish_request(&ctx, Outcome::Fresh);
+        }
+        let snap = t.snapshot_json();
+        let mut got: Vec<u64> = snap["trace"]["slow_log"]
+            .as_array()
+            .expect("slow log array")
+            .iter()
+            .map(|e| {
+                e["request_id"]
+                    .as_str()
+                    .expect("id string")
+                    .parse()
+                    .expect("decimal")
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, ids);
+        let text = serde_json::to_string(&snap).unwrap();
+        assert!(
+            text.contains("\"request_id\": \"9007199254740993\""),
+            "{text}"
+        );
+        assert!(
+            text.contains("\"request_id\": \"18446744073709551614\""),
+            "{text}"
+        );
     }
 }

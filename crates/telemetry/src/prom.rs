@@ -1,6 +1,11 @@
-//! Prometheus-style text exposition: a writer for `name{label="v"} value`
-//! lines and a strict line-by-line parser used by tests and the CI smoke
-//! step to assert every emitted line is well-formed.
+//! Prometheus-style text exposition of a metrics document: [`flatten`]
+//! takes every numeric leaf of a sorted-key JSON document, [`render`]
+//! writes each as one unlabelled `name value` line, and a strict
+//! line-by-line parser lets tests and the CI smoke step assert that every
+//! emitted line is well-formed.  The exposition is the document, so the
+//! two cannot drift apart.
+
+use serde_json::Value;
 
 /// One parsed sample line.
 #[derive(Clone, Debug, PartialEq)]
@@ -10,38 +15,48 @@ pub struct PromSample {
     pub value: f64,
 }
 
-/// Append one exposition line. `labels` are emitted in the given order;
-/// callers keep them sorted so output is deterministic.
-pub fn write_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
-    out.push_str(name);
-    if !labels.is_empty() {
-        out.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push_str("=\"");
-            for c in v.chars() {
-                match c {
-                    '\\' => out.push_str("\\\\"),
-                    '"' => out.push_str("\\\""),
-                    '\n' => out.push_str("\\n"),
-                    c => out.push(c),
+/// Flatten a metrics document into dotted keys, in document order.  Only
+/// numeric leaves are taken: booleans, strings and arrays (the slow log)
+/// are presentation, not counters.
+pub fn flatten(doc: &Value) -> Vec<(String, f64)> {
+    fn walk(prefix: &str, v: &Value, out: &mut Vec<(String, f64)>) {
+        match v {
+            Value::Object(pairs) => {
+                for (k, v) in pairs {
+                    let key = if prefix.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{prefix}.{k}")
+                    };
+                    walk(&key, v, out);
                 }
             }
-            out.push('"');
+            Value::Number(n) => out.push((prefix.to_string(), *n)),
+            _ => {}
         }
-        out.push('}');
     }
-    out.push(' ');
-    // Prometheus floats: integral values print without a fraction.
-    if value.fract() == 0.0 && value.abs() < 1e15 {
-        out.push_str(&format!("{}", value as i64));
-    } else {
-        out.push_str(&format!("{value}"));
+    let mut out = Vec::new();
+    walk("", doc, &mut out);
+    out
+}
+
+/// The exposition of `doc`: one unlabelled sample per [`flatten`] leaf,
+/// named `prefix` plus the leaf's path, `_`-joined
+/// (`service.cache.served` → `lec_service_cache_served`).
+pub fn render(prefix: &str, doc: &Value) -> String {
+    let mut out = String::new();
+    for (key, value) in flatten(doc) {
+        out.push_str(prefix);
+        out.push('_');
+        out.push_str(&key.replace('.', "_"));
+        // Prometheus floats: integral values print without a fraction.
+        if value.fract() == 0.0 && value.abs() < 1e15 {
+            out.push_str(&format!(" {}\n", value as i64));
+        } else {
+            out.push_str(&format!(" {value}\n"));
+        }
     }
-    out.push('\n');
+    out
 }
 
 fn valid_name(s: &str) -> bool {
@@ -166,37 +181,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_samples() {
-        let mut text = String::new();
-        write_sample(
-            &mut text,
-            "lec_requests_total",
-            &[("outcome", "served")],
-            42.0,
+    fn render_writes_one_sample_per_numeric_leaf() {
+        let doc = serde_json::json!({
+            "a": {"count": 42.0, "mean": 1.5, "name": "skipped"},
+            "log": [{"n": 1.0}],
+            "z": 0.0,
+        });
+        assert_eq!(
+            flatten(&doc),
+            vec![
+                ("a.count".to_string(), 42.0),
+                ("a.mean".to_string(), 1.5),
+                ("z".to_string(), 0.0),
+            ]
         );
-        write_sample(
-            &mut text,
-            "lec_request_latency_ns",
-            &[("outcome", "shed"), ("quantile", "0.99")],
-            123456.0,
-        );
-        write_sample(&mut text, "lec_trace_dropped_events", &[], 0.0);
-        write_sample(&mut text, "lec_mean", &[], 1.5);
+        let text = render("lec", &doc);
+        assert_eq!(text, "lec_a_count 42\nlec_a_mean 1.5\nlec_z 0\n");
         let parsed = parse_prometheus(&text).expect("parses");
-        assert_eq!(parsed.len(), 4);
-        assert_eq!(parsed[0].name, "lec_requests_total");
-        assert_eq!(parsed[0].labels, vec![("outcome".into(), "served".into())]);
-        assert_eq!(parsed[0].value, 42.0);
-        assert_eq!(parsed[1].labels.len(), 2);
-        assert_eq!(parsed[3].value, 1.5);
+        assert_eq!(parsed.len(), 3);
+        assert!(parsed.iter().all(|s| s.labels.is_empty()));
+        assert_eq!(parsed[1].value, 1.5);
     }
 
     #[test]
-    fn escaped_label_values_roundtrip() {
-        let mut text = String::new();
-        write_sample(&mut text, "m", &[("k", "a\"b\\c\nd")], 1.0);
-        let parsed = parse_prometheus(&text).expect("parses");
+    fn escaped_label_values_parse() {
+        let parsed = parse_prometheus("m{k=\"a\\\"b\\\\c\\nd\",q=\"0.5\"} 1").expect("parses");
         assert_eq!(parsed[0].labels[0].1, "a\"b\\c\nd");
+        assert_eq!(parsed[0].labels[1], ("q".into(), "0.5".into()));
     }
 
     #[test]

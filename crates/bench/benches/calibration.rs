@@ -2,7 +2,7 @@
 //! audited end to end against measured page I/O through the physical-twin
 //! observatory (`lec_exec::calib`).
 //!
-//! Three guards, each failing the run:
+//! Two guards, each failing the run:
 //!
 //! 1. **Decomposition**: for every audit, the summed per-node predictions
 //!    must agree with the whole-plan prediction to float-summation noise
@@ -13,18 +13,16 @@
 //!    suite, must stay inside its pinned band ([`MODE_BANDS`]).  The
 //!    suite is fully deterministic, so a band exit means the model, an
 //!    operator, or the twin construction drifted.
-//! 3. **Telemetry**: the shared `Telemetry` must have seen every node's
-//!    prediction error in the per-operator-class calibration histograms,
-//!    and the mirrored cumulative I/O counters must be non-zero.
 //!
 //! The registry lands in `BENCH_calibration.json` (schema-stamped) for
-//! the CI artifact diff.
+//! the CI artifact diff, with `calibration_samples`: the audited nodes
+//! counted per operator class.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lec_core::{fixtures, Mode, Optimizer, PointEstimate};
-use lec_exec::{CalibConfig, Calibrator, Environment};
+use lec_cost::OpClass;
+use lec_exec::{Calibrator, Environment};
 use lec_prob::{Distribution, MarkovChain};
-use lec_telemetry::{OpClass, Telemetry};
 use serde_json::{json, Value};
 use std::hint::black_box;
 
@@ -104,20 +102,26 @@ fn bench_calibration(c: &mut Criterion) {
     let memory =
         Distribution::from_pairs(STATES.iter().map(|&m| (m, 1.0 / STATES.len() as f64))).unwrap();
     let static_env = Environment::Static(memory.clone());
-    let tel = Telemetry::on();
     let suite = workload_suite();
     let calibrators: Vec<(&String, Calibrator)> = suite
         .iter()
-        .map(|(name, w)| {
-            (
-                name,
-                Calibrator::new(&w.catalog, &w.query, CalibConfig::default()),
-            )
-        })
+        .map(|(name, w)| (name, Calibrator::new(&w.catalog, &w.query)))
         .collect();
 
     let mut mode_records: Vec<(String, Value)> = Vec::new();
     let mut worst_consistency = 0.0f64;
+    // Audited nodes per operator class, every class listed even at zero.
+    let mut samples: Vec<(OpClass, u64)> = [
+        OpClass::BlockNestedLoop,
+        OpClass::GraceHash,
+        OpClass::IndexAccess,
+        OpClass::PageNestedLoop,
+        OpClass::SeqAccess,
+        OpClass::Sort,
+        OpClass::SortMerge,
+    ]
+    .map(|class| (class, 0))
+    .to_vec();
     for (key, mode, band) in mode_bands() {
         let env = match &mode {
             Mode::AlgorithmCDynamic { chain } => Environment::Dynamic {
@@ -134,7 +138,7 @@ fn bench_calibration(c: &mut Criterion) {
                 .optimize(&cal.twin().query, &mode)
                 .unwrap_or_else(|e| panic!("{key}/{wname}: optimize failed: {e}"));
             let audit = cal
-                .audit(&optimized.plan, &env, Some(&tel))
+                .audit(&optimized.plan, &env)
                 .unwrap_or_else(|e| panic!("{key}/{wname}: audit failed: {e}"));
             assert!(
                 audit.node_consistency_rel <= 1e-9,
@@ -144,6 +148,10 @@ fn bench_calibration(c: &mut Criterion) {
                 audit.plan
             );
             worst_consistency = worst_consistency.max(audit.node_consistency_rel);
+            for node in &audit.nodes {
+                let entry = samples.iter_mut().find(|(c, _)| *c == node.class);
+                entry.expect("every class is listed").1 += 1;
+            }
             let rel = audit.relative_error();
             max_rel = max_rel.max(rel);
             sum_rel += rel;
@@ -152,7 +160,6 @@ fn bench_calibration(c: &mut Criterion) {
                 "plan": audit.plan.clone(),
                 "predicted_expected": audit.predicted_expected,
                 "relative_error": rel,
-                "sim_mean": audit.sim.mean,
                 "workload": wname.as_str(),
             }));
         }
@@ -178,33 +185,6 @@ fn bench_calibration(c: &mut Criterion) {
         ));
     }
 
-    // Telemetry guard: every audited node fed a calibration histogram, and
-    // the operators' page I/O mirrored into the cumulative counters.
-    let hist_counts: Vec<(String, Value)> = OpClass::all()
-        .iter()
-        .map(|&cl| {
-            (
-                cl.name().to_string(),
-                Value::from(tel.calibration_snapshot(cl).count() as f64),
-            )
-        })
-        .collect();
-    let total_samples: f64 = hist_counts
-        .iter()
-        .map(|(_, v)| match v {
-            Value::Number(n) => *n,
-            _ => 0.0,
-        })
-        .sum();
-    assert!(
-        total_samples > 0.0,
-        "no calibration errors reached the telemetry histograms"
-    );
-    assert!(
-        tel.io().reads() > 0,
-        "no page I/O mirrored into the cumulative counters"
-    );
-
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     std::fs::write(
         root.join("BENCH_calibration.json"),
@@ -220,8 +200,12 @@ fn bench_calibration(c: &mut Criterion) {
                 "memory_states": Value::Array(STATES.iter().map(|&m| Value::from(m)).collect()),
                 "workloads": suite.len() as u64,
                 "node_consistency_max": worst_consistency,
-                "calibration_samples": Value::Object(hist_counts),
-                "io_totals": tel.io().to_json(),
+                "calibration_samples": Value::Object(
+                    samples
+                        .iter()
+                        .map(|(c, n)| (c.name().to_string(), Value::from(*n as f64)))
+                        .collect(),
+                ),
                 "modes": Value::Object(mode_records),
             })
             .sorted(),
@@ -231,7 +215,7 @@ fn bench_calibration(c: &mut Criterion) {
     .expect("write BENCH_calibration.json");
 
     // Criterion history: one full audit (optimize + execute at every
-    // bucket + Monte-Carlo) of the three-table chain under Algorithm C.
+    // bucket) of the three-table chain under Algorithm C.
     let cal = &calibrators[1].1;
     let optimized = Optimizer::new(&cal.twin().catalog, memory.clone())
         .optimize(&cal.twin().query, &Mode::AlgorithmC)
@@ -241,7 +225,7 @@ fn bench_calibration(c: &mut Criterion) {
     group.bench_function("audit_three_chain_alg_c", |b| {
         b.iter(|| {
             black_box(
-                cal.audit(black_box(&optimized.plan), &static_env, None)
+                cal.audit(black_box(&optimized.plan), &static_env)
                     .unwrap()
                     .measured_expected,
             )

@@ -37,5 +37,5 @@ pub use model::{
 };
 pub use plan_cost::{
     expected_plan_cost_dynamic, expected_plan_cost_static, output_order, phases, plan_cost_at,
-    plan_memory_breakpoints, plan_node_costs, MemCost, NodeKind, Phase, PlanNodeCost,
+    plan_memory_breakpoints, plan_node_costs, MemCost, NodeKind, OpClass, Phase, PlanNodeCost,
 };

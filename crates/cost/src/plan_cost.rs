@@ -88,6 +88,43 @@ pub enum NodeKind {
     },
 }
 
+/// Physical operator classes of the execution substrate: every class
+/// `lec-exec` can execute and this crate can predict.  The calibration
+/// audit (`lec-exec::calib`) reports each node's prediction error under
+/// its class, so a formula that drifts from its operator shows up per
+/// class rather than averaged away.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpClass {
+    /// Sequential heap scan.
+    SeqAccess,
+    /// Index access (clustered or unclustered).
+    IndexAccess,
+    /// Explicit external sort.
+    Sort,
+    /// Sort-merge join.
+    SortMerge,
+    /// Grace hash join.
+    GraceHash,
+    /// Block nested-loop join.
+    BlockNestedLoop,
+    /// Page nested-loop join.
+    PageNestedLoop,
+}
+
+impl OpClass {
+    pub fn name(self) -> &'static str {
+        match self {
+            OpClass::SeqAccess => "seq_access",
+            OpClass::IndexAccess => "index_access",
+            OpClass::Sort => "sort",
+            OpClass::SortMerge => "sort_merge",
+            OpClass::GraceHash => "grace_hash",
+            OpClass::BlockNestedLoop => "block_nl",
+            OpClass::PageNestedLoop => "page_nl",
+        }
+    }
+}
+
 /// One plan node's predicted-cost record: the per-node decomposition the
 /// calibration observatory (`lec-exec::calib`) audits against measured
 /// page I/O.  Emitted by [`plan_node_costs`] in the exact traversal order
@@ -120,10 +157,8 @@ impl PlanNodeCost {
         }
     }
 
-    /// The telemetry operator class this node's prediction error is
-    /// recorded under.
-    pub fn class(&self) -> lec_telemetry::OpClass {
-        use lec_telemetry::OpClass;
+    /// The physical operator class of this node.
+    pub fn class(&self) -> OpClass {
         match &self.kind {
             NodeKind::Access {
                 path: AccessPath::SeqScan,
@@ -577,7 +612,6 @@ mod tests {
         }
         assert_eq!(mem_nodes, ph.len());
         // Access leaves carry no phase and classify by path.
-        use lec_telemetry::OpClass;
         assert_eq!(nodes[0].class(), OpClass::SeqAccess);
         assert_eq!(nodes[0].phase, None);
         assert_eq!(nodes.last().unwrap().class(), OpClass::Sort);

@@ -6,44 +6,8 @@
 //! *cliffs* the whole paper is built on (E11): measured I/O against buffer
 //! size shows the same discontinuities as the closed-form formulas.
 
-use std::cell::RefCell;
-use std::sync::Arc;
-
-use lec_telemetry::IoTotals;
-
 /// One tuple: a fixed-width vector of integers.
 pub type Row = Vec<i64>;
-
-thread_local! {
-    /// Optional live mirror of this thread's disk counters, installed by
-    /// calibration runs so buffer-pool work surfaces in telemetry
-    /// (`metrics_json` / daemon `STATS`) while plans execute.
-    static IO_SINK: RefCell<Option<Arc<IoTotals>>> = const { RefCell::new(None) };
-}
-
-/// Install (or clear, with `None`) this thread's telemetry I/O sink,
-/// returning the previous one so callers can restore it.  Every page this
-/// thread's [`Disk`]s read or write is mirrored into the sink as it
-/// happens.
-pub fn install_io_sink(sink: Option<Arc<IoTotals>>) -> Option<Arc<IoTotals>> {
-    IO_SINK.with(|s| std::mem::replace(&mut *s.borrow_mut(), sink))
-}
-
-fn sink_reads(n: u64) {
-    IO_SINK.with(|s| {
-        if let Some(sink) = s.borrow().as_ref() {
-            sink.add_reads(n);
-        }
-    });
-}
-
-fn sink_writes(n: u64) {
-    IO_SINK.with(|s| {
-        if let Some(sink) = s.borrow().as_ref() {
-            sink.add_writes(n);
-        }
-    });
-}
 
 /// A page: up to `page_cap` rows.
 pub type Page = Vec<Row>;
@@ -132,22 +96,15 @@ impl Disk {
         self.io
     }
 
-    /// Reset counters.
-    pub fn reset(&mut self) {
-        self.io = Io::default();
-    }
-
     /// Charge `n` page reads without moving data (synthetic accounting,
     /// e.g. an index descent).
     pub fn charge_reads(&mut self, n: u64) {
         self.io.reads += n;
-        sink_reads(n);
     }
 
     /// Read page `i` of `table` (one page read).
     pub fn read_page(&mut self, table: &DiskTable, i: usize) -> Page {
         self.io.reads += 1;
-        sink_reads(1);
         table.pages[i].clone()
     }
 
@@ -159,14 +116,12 @@ impl Disk {
     ) -> DiskTable {
         let table = DiskTable::from_rows(rows, page_cap);
         self.io.writes += table.n_pages() as u64;
-        sink_writes(table.n_pages() as u64);
         table
     }
 
     /// Read the whole table into memory (counts every page).
     pub fn read_all(&mut self, table: &DiskTable) -> Vec<Row> {
         self.io.reads += table.n_pages() as u64;
-        sink_reads(table.n_pages() as u64);
         table.pages.iter().flatten().cloned().collect()
     }
 }
@@ -206,25 +161,5 @@ mod tests {
         assert_eq!(out.n_pages(), 4);
         assert_eq!(disk.io().writes, 4);
         assert_eq!(disk.io().total(), 9);
-        disk.reset();
-        assert_eq!(disk.io(), Io::default());
-    }
-
-    #[test]
-    fn io_sink_mirrors_disk_counters_while_installed() {
-        let sink = Arc::new(IoTotals::default());
-        let prev = install_io_sink(Some(Arc::clone(&sink)));
-        assert!(prev.is_none());
-        let mut disk = Disk::new();
-        let t = DiskTable::from_rows((0..8i64).map(|i| vec![i]), 2);
-        let _ = disk.read_all(&t);
-        let _ = disk.write_rows((0..4i64).map(|i| vec![i]), 2);
-        disk.charge_reads(3);
-        // Uninstall; further I/O must not leak into the sink.
-        let got = install_io_sink(None).expect("sink was installed");
-        let _ = disk.read_page(&t, 0);
-        assert_eq!(got.reads(), 4 + 3);
-        assert_eq!(got.writes(), 2);
-        assert_eq!(disk.io().reads, 8);
     }
 }

@@ -4,16 +4,17 @@
 //! least-specific cost — a claim about predictions.  This module closes
 //! the predicted-vs-measured loop: it executes plans through the real
 //! page-counting operators ([`crate::bufpool`] / [`crate::extops`]) and
-//! the Monte-Carlo simulator ([`crate::sim`]), and produces a per-plan
-//! **cost audit trace** pairing, for every plan node, the cost model's
-//! prediction (point per memory bucket, and expected under the
-//! environment) with measured page I/O and simulated cost.
+//! produces a per-plan **cost audit trace** pairing, for every plan node,
+//! its operator class and the cost model's prediction (point per memory
+//! bucket, and expected under the environment) with measured page I/O.
+//! The [`CostAudit`] is the one home of calibration data: no served
+//! request executes a plan, so nothing of it reaches the metrics document.
 //!
 //! Because catalogs describe tables far too large to materialize, the
 //! observatory builds a **physical twin** of the query: each table scaled
-//! down (ratio-preserving) to at most [`CalibConfig::max_pages`] pages,
-//! with `rows = pages · page_cap` so page arithmetic is exact, and with
-//! the twin's selectivities rewritten to the *page-level* values the
+//! down (ratio-preserving) to at most 32 pages, with `rows = pages ·
+//! page_cap` (4 rows a page) so page arithmetic is exact, and with the
+//! twin's selectivities rewritten to the *page-level* values the
 //! generated data actually induces (a join on the shared
 //! [`crate::datagen::JOIN_DOMAIN`] produces `a·b·(page_cap/domain)` pages
 //! from `a` and `b` page inputs; a filter keeps exactly
@@ -29,48 +30,43 @@
 //! ([`Environment::phase_distributions`]) yields the exact expectation
 //! under static or drifting memory without enumerating memory paths.
 
-use std::sync::Arc;
-
-use crate::bufpool::{install_io_sink, Disk, DiskTable, Row};
+use crate::bufpool::{Disk, DiskTable, Row};
 use crate::datagen::{self, Dataset};
 use crate::env::Environment;
 use crate::extops;
-use crate::sim::{monte_carlo, SimStats};
 use lec_catalog::{Catalog, ColumnStats, IndexKind, TableStats};
 use lec_cost::{
-    expected_plan_cost_dynamic, expected_plan_cost_static, plan_cost_at, plan_node_costs, CostModel,
+    expected_plan_cost_dynamic, expected_plan_cost_static, plan_cost_at, plan_node_costs,
+    CostModel, OpClass,
 };
 use lec_plan::{ColumnRef, JoinMethod, NodeRef, PlanNode, Query, Step};
 use lec_prob::{Distribution, ProbError};
-use lec_telemetry::{error_bp, IoTotals, OpClass, Telemetry};
 use serde_json::{json, Value};
 
-/// Sizing knobs for the physical twin and the simulation half.
-#[derive(Debug, Clone)]
-pub struct CalibConfig {
-    /// Rows per page in the twin (kept small so page counts are exact).
-    pub page_cap: usize,
-    /// Largest table in the twin, in pages; bigger catalogs are scaled
-    /// down ratio-preserving.
-    pub max_pages: usize,
-    /// Floor for rewritten filter selectivities, so filtered intermediates
-    /// never collapse to empty inputs.
-    pub min_filter_sel: f64,
-    /// Monte-Carlo runs for the simulated side of the audit.
-    pub sim_runs: usize,
-    /// Seed for data generation and simulation.
-    pub seed: u64,
-}
+/// Rows per page in the twin (kept small so page counts are exact).
+const PAGE_CAP: usize = 4;
+/// Largest table in the twin, in pages; bigger catalogs are scaled down
+/// ratio-preserving.
+const MAX_PAGES: usize = 32;
+/// Floor for rewritten filter selectivities, so filtered intermediates
+/// never collapse to empty inputs.
+const MIN_FILTER_SEL: f64 = 0.25;
+/// Seed for data generation.
+const SEED: u64 = 0xCA11B;
 
-impl Default for CalibConfig {
-    fn default() -> Self {
-        CalibConfig {
-            page_cap: 4,
-            max_pages: 32,
-            min_filter_sel: 0.25,
-            sim_runs: 256,
-            seed: 0xCA11B,
-        }
+/// Absolute relative prediction error in basis points,
+/// `|pred − meas| / meas · 10⁴`, rounded.  Total over all float inputs (a
+/// non-positive measurement with a positive prediction saturates) and
+/// deterministic.
+pub fn error_bp(predicted: f64, measured: f64) -> u64 {
+    if measured <= 0.0 {
+        return if predicted <= 0.0 { 0 } else { u64::MAX };
+    }
+    let bp = ((predicted - measured) / measured).abs() * 1e4;
+    if !bp.is_finite() {
+        u64::MAX
+    } else {
+        bp.round().min(1e18) as u64
     }
 }
 
@@ -146,7 +142,7 @@ pub fn op_band(class: OpClass) -> (f64, f64) {
 pub struct NodeAudit {
     /// Display label (`R0`, `IxR2`, `Sort`, `SM`, ...).
     pub label: String,
-    /// Telemetry operator class.
+    /// Physical operator class.
     pub class: OpClass,
     /// Phase index (aligned with `lec_cost::phases` and the simulator);
     /// `None` for memory-independent base accesses.
@@ -185,7 +181,7 @@ impl NodeAudit {
 }
 
 /// A whole plan's audit trace: per-node records, whole-plan totals per
-/// bucket, both expectations, and the simulated cost distribution.
+/// bucket and both expectations.
 #[derive(Debug, Clone)]
 pub struct CostAudit {
     /// `PlanNode::compact` of the audited plan.
@@ -202,8 +198,6 @@ pub struct CostAudit {
     pub predicted_expected: f64,
     /// Expected measured page I/O under the environment.
     pub measured_expected: f64,
-    /// Monte-Carlo summary of the model cost under sampled memory traces.
-    pub sim: SimStats,
     /// Largest relative disagreement, over buckets, between the summed
     /// per-node predictions and the whole-plan prediction.  A correct
     /// decomposition keeps this at float-summation noise (≤ 1e-9).
@@ -236,16 +230,6 @@ impl CostAudit {
             "plan": self.plan.clone(),
             "predicted_expected": self.predicted_expected,
             "relative_error": self.relative_error(),
-            "sim": json!({
-                "max": self.sim.max,
-                "mean": self.sim.mean,
-                "min": self.sim.min,
-                "p50": self.sim.p50,
-                "p95": self.sim.p95,
-                "p99": self.sim.p99,
-                "runs": self.sim.runs as f64,
-                "std_dev": self.sim.std_dev,
-            }),
             "totals": json!({
                 "measured": pairs(&self.measured_total),
                 "predicted": pairs(&self.predicted_total),
@@ -285,7 +269,6 @@ impl Execution {
 #[derive(Debug)]
 pub struct Calibrator {
     twin: Twin,
-    cfg: CalibConfig,
     dataset: Dataset,
     /// Base tables as stored: sorted by the filter column where the
     /// catalog declares a clustered index on it, heap order otherwise.
@@ -294,49 +277,20 @@ pub struct Calibrator {
     thresholds: Vec<Option<i64>>,
 }
 
-/// Restore-on-drop guard for the thread-local telemetry I/O sink.
-struct SinkGuard {
-    prev: Option<Arc<IoTotals>>,
-    active: bool,
-}
-
-impl SinkGuard {
-    fn install(sink: Option<Arc<IoTotals>>) -> SinkGuard {
-        match sink {
-            Some(s) => SinkGuard {
-                prev: install_io_sink(Some(s)),
-                active: true,
-            },
-            None => SinkGuard {
-                prev: None,
-                active: false,
-            },
-        }
-    }
-}
-
-impl Drop for SinkGuard {
-    fn drop(&mut self) {
-        if self.active {
-            install_io_sink(self.prev.take());
-        }
-    }
-}
-
 impl Calibrator {
     /// Build the physical twin of `query` and generate its data.
-    pub fn new(catalog: &Catalog, query: &Query, cfg: CalibConfig) -> Calibrator {
-        let mut twin = physical_twin(catalog, query, &cfg);
+    pub fn new(catalog: &Catalog, query: &Query) -> Calibrator {
+        let mut twin = physical_twin(catalog, query);
         // Pass 1 computed the twin with the original filter selectivities;
         // the generated data is independent of them, so thresholds derived
         // now stay valid after the rewrite below.
-        let dataset = datagen::generate(&twin.catalog, &twin.query, cfg.seed);
+        let dataset = datagen::generate(&twin.catalog, &twin.query, SEED);
         let mut thresholds = Vec::with_capacity(twin.query.tables.len());
         for t in 0..twin.query.tables.len() {
             let thr = datagen::filter_threshold(&dataset, &twin.query, t).map(|thr| {
                 let f = twin.query.tables[t].filter.as_ref().unwrap();
                 let domain = dataset.domains[t][f.column];
-                let floor = (cfg.min_filter_sel * domain as f64).ceil() as i64;
+                let floor = (MIN_FILTER_SEL * domain as f64).ceil() as i64;
                 thr.max(floor).clamp(1, domain)
             });
             // Pass 2: rewrite the filter selectivity to the exact fraction
@@ -362,12 +316,11 @@ impl Calibrator {
                         rows.sort_by_key(|r| r[f.column]);
                     }
                 }
-                DiskTable::from_rows(rows, cfg.page_cap)
+                DiskTable::from_rows(rows, PAGE_CAP)
             })
             .collect();
         Calibrator {
             twin,
-            cfg,
             dataset,
             base,
             thresholds,
@@ -384,15 +337,8 @@ impl Calibrator {
         CostModel::new(&self.twin.catalog, &self.twin.query)
     }
 
-    /// Audit one plan under one environment.  When `telemetry` is enabled,
-    /// per-node prediction errors feed the per-operator-class calibration
-    /// histograms and all page I/O mirrors into its cumulative counters.
-    pub fn audit(
-        &self,
-        plan: &PlanNode,
-        env: &Environment,
-        telemetry: Option<&Telemetry>,
-    ) -> Result<CostAudit, CalibError> {
+    /// Audit one plan under one environment.
+    pub fn audit(&self, plan: &PlanNode, env: &Environment) -> Result<CostAudit, CalibError> {
         let model = self.model();
         let node_costs = plan_node_costs(&model, plan);
         let n_phases = node_costs.iter().filter(|n| n.phase.is_some()).count();
@@ -414,9 +360,7 @@ impl Calibrator {
             bucket_pages.push(pages as usize);
         }
 
-        // Execute once per bucket; mirror page I/O into telemetry if on.
-        let sink = telemetry.map(|t| Arc::clone(t.io()));
-        let _guard = SinkGuard::install(sink);
+        // Execute once per bucket.
         let mut measured_per_bucket: Vec<Vec<u64>> = Vec::with_capacity(buckets.len());
         for &m in &bucket_pages {
             let ios = self.run(plan, m)?.ios;
@@ -451,7 +395,7 @@ impl Calibrator {
                     })
                     .sum::<f64>()
             };
-            let audit = NodeAudit {
+            nodes.push(NodeAudit {
                 label: nc.label.clone(),
                 class: nc.class(),
                 phase: nc.phase,
@@ -459,15 +403,7 @@ impl Calibrator {
                 measured_expected: weigh(&measured),
                 predicted,
                 measured,
-            };
-            if let Some(tel) = telemetry {
-                tel.record_calibration_error(
-                    audit.class,
-                    audit.predicted_expected,
-                    audit.measured_expected,
-                );
-            }
-            nodes.push(audit);
+            });
         }
 
         // Whole-plan totals and expectations.
@@ -504,8 +440,6 @@ impl Calibrator {
             })
             .fold(0.0f64, f64::max);
 
-        let sim = monte_carlo(&model, plan, env, self.cfg.sim_runs, self.cfg.seed)?;
-
         Ok(CostAudit {
             plan: plan.compact(),
             buckets,
@@ -514,7 +448,6 @@ impl Calibrator {
             measured_total,
             predicted_expected,
             measured_expected,
-            sim,
             node_consistency_rel,
         })
     }
@@ -563,7 +496,6 @@ impl Calibrator {
         m: usize,
         ios: &mut Vec<u64>,
     ) -> Result<(Vec<Row>, Vec<usize>), CalibError> {
-        let page_cap = self.cfg.page_cap;
         match node.node() {
             Step::SeqScan(table) => {
                 let mut disk = Disk::new();
@@ -593,7 +525,7 @@ impl Calibrator {
                         // Matching rows are a prefix of the sorted heap:
                         // read exactly the pages holding them.
                         let n_match = base.peek_rows().iter().filter(|r| r[col] < thr).count();
-                        let n_read = n_match.div_ceil(page_cap).max(1).min(base.n_pages());
+                        let n_read = n_match.div_ceil(PAGE_CAP).max(1).min(base.n_pages());
                         let mut rows = Vec::new();
                         for p in 0..n_read {
                             rows.extend(disk.read_page(base, p));
@@ -625,8 +557,8 @@ impl Calibrator {
             Step::Sort(input, key) => {
                 let (rows, layout) = self.exec_node(input, m, ios)?;
                 let off = self.column_offset(&layout, key);
-                let t = DiskTable::from_rows(rows, page_cap);
-                let r = extops::external_sort(&t, off, m, page_cap);
+                let t = DiskTable::from_rows(rows, PAGE_CAP);
+                let r = extops::external_sort(&t, off, m, PAGE_CAP);
                 ios.push(r.io);
                 Ok((r.rows, layout))
             }
@@ -648,20 +580,20 @@ impl Calibrator {
                 };
                 let o_off = self.column_offset(&olay, okey);
                 let i_off = self.column_offset(&ilay, ikey);
-                let ot = DiskTable::from_rows(orows, page_cap);
-                let it = DiskTable::from_rows(irows, page_cap);
+                let ot = DiskTable::from_rows(orows, PAGE_CAP);
+                let it = DiskTable::from_rows(irows, PAGE_CAP);
                 let r = match method {
                     JoinMethod::SortMerge => {
-                        extops::sort_merge_join(&ot, &it, o_off, i_off, m, page_cap)
+                        extops::sort_merge_join(&ot, &it, o_off, i_off, m, PAGE_CAP)
                     }
                     JoinMethod::GraceHash => {
-                        extops::grace_hash_join(&ot, &it, o_off, i_off, m, page_cap)
+                        extops::grace_hash_join(&ot, &it, o_off, i_off, m, PAGE_CAP)
                     }
                     JoinMethod::PageNestedLoop => {
-                        extops::page_nl_join(&ot, &it, o_off, i_off, m, page_cap)
+                        extops::page_nl_join(&ot, &it, o_off, i_off, m, PAGE_CAP)
                     }
                     JoinMethod::BlockNestedLoop => {
-                        extops::block_nl_join(&ot, &it, o_off, i_off, m, page_cap)
+                        extops::block_nl_join(&ot, &it, o_off, i_off, m, PAGE_CAP)
                     }
                 };
                 ios.push(r.io);
@@ -696,12 +628,12 @@ impl Calibrator {
 }
 
 /// Scale a query's catalog down to an executable replica: each query-table
-/// occurrence becomes its own twin table of at most `cfg.max_pages` pages
+/// occurrence becomes its own twin table of at most [`MAX_PAGES`] pages
 /// (ratios preserved, two-page floor), with `rows = pages · page_cap`, and
 /// every join selectivity rewritten to the page-level value the shared
 /// join domain induces (`page_cap / JOIN_DOMAIN`).  Filter selectivities
 /// are rewritten by [`Calibrator::new`] once thresholds are known.
-pub fn physical_twin(catalog: &Catalog, query: &Query, cfg: &CalibConfig) -> Twin {
+fn physical_twin(catalog: &Catalog, query: &Query) -> Twin {
     let max_orig = query
         .tables
         .iter()
@@ -709,13 +641,13 @@ pub fn physical_twin(catalog: &Catalog, query: &Query, cfg: &CalibConfig) -> Twi
         .max()
         .unwrap_or(1)
         .max(1);
-    let scale = (max_orig as f64 / cfg.max_pages as f64).max(1.0);
+    let scale = (max_orig as f64 / MAX_PAGES as f64).max(1.0);
     let mut twin_cat = Catalog::new();
     let mut twin_q = query.clone();
     for (i, qt) in query.tables.iter().enumerate() {
         let stats = &catalog.table(qt.table).stats;
         let pages = ((stats.pages as f64 / scale).round() as u64).max(2);
-        let rows = pages * cfg.page_cap as u64;
+        let rows = pages * PAGE_CAP as u64;
         let columns = stats
             .columns
             .iter()
@@ -729,7 +661,7 @@ pub fn physical_twin(catalog: &Catalog, query: &Query, cfg: &CalibConfig) -> Twi
         let id = twin_cat.add_table(name, TableStats::new(pages, rows, columns));
         twin_q.tables[i].table = id;
     }
-    let page_sel = cfg.page_cap as f64 / datagen::JOIN_DOMAIN as f64;
+    let page_sel = PAGE_CAP as f64 / datagen::JOIN_DOMAIN as f64;
     for j in &mut twin_q.joins {
         j.selectivity = Distribution::point(page_sel);
     }
@@ -753,29 +685,38 @@ mod tests {
     }
 
     #[test]
+    fn error_bp_is_total_and_symmetric_in_sign() {
+        assert_eq!(error_bp(100.0, 100.0), 0);
+        assert_eq!(error_bp(150.0, 100.0), 5_000);
+        assert_eq!(error_bp(50.0, 100.0), 5_000);
+        assert_eq!(error_bp(0.0, 0.0), 0);
+        assert_eq!(error_bp(1.0, 0.0), u64::MAX);
+        assert_eq!(error_bp(f64::NAN, 100.0), u64::MAX);
+    }
+
+    #[test]
     fn twin_preserves_ratios_and_rewrites_selectivities() {
         let (cat, q) = fixtures::example_1_1();
-        let cfg = CalibConfig::default();
-        let twin = physical_twin(&cat, &q, &cfg);
+        let twin = physical_twin(&cat, &q);
         let a = twin.catalog.table(twin.query.tables[0].table).stats.pages;
         let b = twin.catalog.table(twin.query.tables[1].table).stats.pages;
         assert_eq!(a, 32); // 1e6 pages scaled to the cap
         assert_eq!(b, 13); // 4e5 · 32/1e6 = 12.8 → 13
         for t in [0, 1] {
             let stats = &twin.catalog.table(twin.query.tables[t].table).stats;
-            assert_eq!(stats.rows, stats.pages * cfg.page_cap as u64);
+            assert_eq!(stats.rows, stats.pages * PAGE_CAP as u64);
         }
         let sel = twin.query.joins[0].selectivity.mean();
-        assert_eq!(sel, cfg.page_cap as f64 / datagen::JOIN_DOMAIN as f64);
+        assert_eq!(sel, PAGE_CAP as f64 / datagen::JOIN_DOMAIN as f64);
     }
 
     #[test]
     fn seq_scan_measurement_is_exact() {
         let (cat, q) = fixtures::example_1_1();
-        let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+        let cal = Calibrator::new(&cat, &q);
         let plan = PlanNode::seq_scan(0);
         let env = Environment::Static(Distribution::point(8.0));
-        let audit = cal.audit(&plan, &env, None).unwrap();
+        let audit = cal.audit(&plan, &env).unwrap();
         assert_eq!(audit.nodes.len(), 1);
         assert_eq!(audit.nodes[0].class, OpClass::SeqAccess);
         // Model seq scan = raw pages; measured = the same pages read once.
@@ -786,14 +727,13 @@ mod tests {
     #[test]
     fn audit_trace_is_consistent_and_sorted() {
         let (cat, q) = fixtures::three_chain();
-        let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+        let cal = Calibrator::new(&cat, &q);
         let memory = spread(6.0, 3);
         let optimized = Optimizer::new(&cal.twin().catalog, memory.clone())
             .optimize(&cal.twin().query, &Mode::AlgorithmC)
             .unwrap();
         let env = Environment::Static(memory);
-        let tel = Telemetry::on();
-        let audit = cal.audit(&optimized.plan, &env, Some(&tel)).unwrap();
+        let audit = cal.audit(&optimized.plan, &env).unwrap();
         // Per-node predictions agree with the whole-plan prediction.
         assert!(
             audit.node_consistency_rel <= 1e-9,
@@ -807,13 +747,6 @@ mod tests {
             audit.predicted_expected,
             optimized.cost
         );
-        // Telemetry saw every node's error and the mirrored page I/O.
-        let recorded: u64 = OpClass::all()
-            .iter()
-            .map(|&c| tel.calibration_snapshot(c).count())
-            .sum();
-        assert_eq!(recorded as usize, audit.nodes.len());
-        assert!(tel.io().reads() > 0);
         // JSON is sorted-key at every level.
         fn assert_sorted(v: &Value) {
             match v {
@@ -828,9 +761,8 @@ mod tests {
             }
         }
         assert_sorted(&audit.to_json());
-        // Simulated mean and measured expectation are both positive and
-        // within the same order of magnitude as the prediction.
-        assert!(audit.sim.mean > 0.0);
+        // The measured expectation is positive and within the same order
+        // of magnitude as the prediction.
         assert!(audit.measured_expected > 0.0);
         assert!(audit.relative_error() < 3.0);
     }
@@ -838,7 +770,7 @@ mod tests {
     #[test]
     fn dynamic_audit_weights_phases_by_the_chain() {
         let (cat, q) = fixtures::three_chain();
-        let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+        let cal = Calibrator::new(&cat, &q);
         let states = vec![4.0, 8.0, 16.0];
         let chain = MarkovChain::birth_death(states.clone(), 0.4, 0.2).unwrap();
         let initial = Distribution::point(8.0);
@@ -850,7 +782,7 @@ mod tests {
         let optimized = Optimizer::new(&cal.twin().catalog, initial)
             .optimize(&cal.twin().query, &mode)
             .unwrap();
-        let audit = cal.audit(&optimized.plan, &env, None).unwrap();
+        let audit = cal.audit(&optimized.plan, &env).unwrap();
         assert_eq!(audit.buckets, states);
         assert!(audit.node_consistency_rel <= 1e-9);
         // The dynamic expectation matches the library computation (the
@@ -869,14 +801,14 @@ mod tests {
         let (cat, q) = fixtures::example_1_1();
         let mut q2 = q.clone();
         q2.joins.clear();
-        let cal = Calibrator::new(&cat, &q2, CalibConfig::default());
+        let cal = Calibrator::new(&cat, &q2);
         let plan = PlanNode::join(
             lec_plan::JoinMethod::GraceHash,
             PlanNode::seq_scan(0),
             PlanNode::seq_scan(1),
         );
         let env = Environment::Static(Distribution::point(8.0));
-        match cal.audit(&plan, &env, None) {
+        match cal.audit(&plan, &env) {
             Err(CalibError::NoJoinPredicate(_)) => {}
             other => panic!("expected NoJoinPredicate, got {other:?}"),
         }
@@ -885,10 +817,10 @@ mod tests {
     #[test]
     fn fractional_memory_buckets_are_rejected() {
         let (cat, q) = fixtures::example_1_1();
-        let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+        let cal = Calibrator::new(&cat, &q);
         let plan = PlanNode::seq_scan(0);
         let env = Environment::Static(Distribution::point(7.5));
-        match cal.audit(&plan, &env, None) {
+        match cal.audit(&plan, &env) {
             Err(CalibError::BadMemoryBucket(m)) => assert_eq!(m, 7.5),
             other => panic!("expected BadMemoryBucket, got {other:?}"),
         }

@@ -30,14 +30,12 @@
 //! that every plan the optimizer can emit for a query computes the same
 //! result (the §2.2 commutativity/associativity observations, made
 //! executable).  Run at every memory bucket of an [`Environment`], it
-//! yields a [`calib::CostAudit`]: for each plan node, predicted cost
-//! (point per bucket, and expected under the environment's per-phase
-//! marginals) beside measured page I/O and the Monte-Carlo simulated
-//! cost, dumpable as sorted-key JSON.  With a `lec_telemetry::Telemetry`
-//! attached, each node's prediction error lands in the
-//! per-operator-class calibration histograms and all page I/O mirrors
-//! into cumulative counters, so both surface through `metrics_json` and
-//! the daemon's `STATS`/Prometheus endpoints.  [`calib::op_band`] records
+//! yields a [`calib::CostAudit`]: for each plan node, its operator class
+//! and predicted cost (point per bucket, and expected under the
+//! environment's per-phase marginals) beside measured page I/O, dumpable
+//! as sorted-key JSON.  The audit is the caller's: no served request
+//! executes a plan, so calibration data stays out of the serving stack's
+//! metrics document.  [`calib::op_band`] records
 //! the measured-vs-formula envelope each operator class is expected to
 //! stay inside; the `calibration` bench pins per-optimizer-mode error
 //! bands in `BENCH_calibration.json`.
@@ -51,10 +49,8 @@ pub mod env;
 pub mod extops;
 pub mod sim;
 
-pub use bufpool::{install_io_sink, Disk, DiskTable, Io};
-pub use calib::{
-    op_band, CalibConfig, CalibError, Calibrator, CostAudit, Execution, NodeAudit, Twin,
-};
+pub use bufpool::{Disk, DiskTable, Io};
+pub use calib::{error_bp, op_band, CalibError, Calibrator, CostAudit, Execution, NodeAudit, Twin};
 pub use datagen::{generate, Dataset};
 pub use env::Environment;
 pub use extops::{

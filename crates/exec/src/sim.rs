@@ -38,8 +38,7 @@ pub struct SimStats {
 
 impl SimStats {
     /// Relative error of a prediction against the simulated mean:
-    /// `|predicted − mean| / mean`.  The calibration audit's headline
-    /// number for the simulated side of the loop.
+    /// `|predicted − mean| / mean`.
     pub fn relative_error(&self, predicted: f64) -> f64 {
         if self.mean == 0.0 {
             return if predicted == 0.0 { 0.0 } else { f64::INFINITY };

@@ -1,13 +1,12 @@
 //! Property tests for the execution substrate: external operators against
 //! each other and against the closed-form I/O model.
 
-use lec_cost::formulas;
+use lec_cost::{formulas, OpClass};
 use lec_exec::bufpool::Row;
 use lec_exec::{
-    block_nl_join, external_sort, grace_hash_join, op_band, page_nl_join, sort_merge_join,
-    DiskTable,
+    block_nl_join, error_bp, external_sort, grace_hash_join, op_band, page_nl_join,
+    sort_merge_join, DiskTable,
 };
-use lec_telemetry::OpClass;
 use proptest::prelude::*;
 
 const PAGE_CAP: usize = 4;
@@ -176,5 +175,19 @@ proptest! {
                  outside band [{lo}, {hi}] at |A|={ap}, |B|={bp}, m={m}"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn error_bp_total_and_scale_invariant(p in 0.1f64..1e9, m in 0.1f64..1e9, k in 1.0f64..100.0) {
+        // Total: always defined.  Relative: scaling both sides by the same
+        // factor leaves the error within one rounding step.
+        let base = error_bp(p, m);
+        let scaled = error_bp(p * k, m * k);
+        prop_assert!(base.abs_diff(scaled) <= 1, "error_bp not scale-invariant: {base} vs {scaled}");
+        prop_assert_eq!(error_bp(m, m), 0);
     }
 }

@@ -45,28 +45,23 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
         );
         assert!(wire_json.contains("\"telemetry\""));
 
-        // The calibration surface crosses the wire with pinned sorted
-        // keys.  The daemon only optimizes — nothing executed — so the
-        // per-class error histograms and the cumulative I/O totals are
-        // exactly zero, and both sections can be matched as literal
-        // substrings of the payload.  Calibration errors are basis
-        // points, so their keys say `_bp`.
-        let empty_hist = "{\"count\": 0, \"mean_bp\": 0, \"p50_bp\": 0, \"p90_bp\": 0, \
-                          \"p999_bp\": 0, \"p99_bp\": 0, \"sum_bp\": 0}";
-        let pinned_calibration = format!(
-            "\"calibration\": {{\"block_nl\": {empty_hist}, \"grace_hash\": {empty_hist}, \
-             \"index_access\": {empty_hist}, \"page_nl\": {empty_hist}, \
-             \"seq_access\": {empty_hist}, \"sort\": {empty_hist}, \
-             \"sort_merge\": {empty_hist}}}"
-        );
+        // The served telemetry document holds exactly what a server can
+        // fill: latency and engine histograms and the slow log.  No
+        // served request executes a plan, so it has no calibration or I/O
+        // section.  An empty latency histogram crosses the wire as a
+        // literal with `_ns` keys.
+        let local = daemon.metrics_json();
+        let serde_json::Value::Object(sections) = &local["service"]["telemetry"] else {
+            panic!("service.telemetry is not an object: {local_json}");
+        };
+        let keys: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["engine", "latency", "trace"]);
+        let pinned_shed = "\"shed\": {\"count\": 0, \"mean_ns\": 0, \"p50_ns\": 0, \
+             \"p90_ns\": 0, \"p999_ns\": 0, \"p99_ns\": 0, \"sum_ns\": 0}";
         assert!(
-            wire_json.contains(&pinned_calibration),
-            "wire snapshot lost the pinned calibration section\n  want: \
-             {pinned_calibration}\n  got:  {wire_json}"
-        );
-        assert!(
-            wire_json.contains("\"io\": {\"reads\": 0, \"writes\": 0}"),
-            "wire snapshot lost the pinned io totals: {wire_json}"
+            wire_json.contains(pinned_shed),
+            "wire snapshot lost the pinned empty shed histogram\n  want: \
+             {pinned_shed}\n  got:  {wire_json}"
         );
 
         // The cache section, byte for byte: one miss then one hit, keys

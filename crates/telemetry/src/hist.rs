@@ -200,11 +200,10 @@ impl HistogramSnapshot {
     }
 
     /// JSON summary: count, sum, mean, and the standard quantile ladder,
-    /// every key but `count` suffixed with the samples' `unit` (`ns` for
-    /// latencies, `bp` for calibration errors).  Keys are emitted sorted
-    /// (the whole crate's `metrics_json` contract).
-    pub fn to_json(&self, unit: &str) -> Value {
-        let keyed = |name: &str, v: f64| (format!("{name}_{unit}"), Value::Number(v));
+    /// every key but `count` suffixed `_ns`.  Keys are emitted sorted (the
+    /// whole crate's `metrics_json` contract).
+    pub fn to_json(&self) -> Value {
+        let keyed = |name: &str, v: f64| (format!("{name}_ns"), Value::Number(v));
         Value::Object(vec![
             ("count".to_string(), Value::Number(self.count as f64)),
             keyed("mean", self.mean()),

@@ -14,6 +14,9 @@
 //!   JSON document.  Its Prometheus text exposition is a mechanical
 //!   rendering of the same document ([`prom::render`]: one unlabelled
 //!   sample per numeric leaf), so a new metric is one line in a `json!`.
+//!
+//! Cost calibration is not here: no served request executes a plan, so
+//! per-operator-class prediction error lives in `lec-exec`'s `CostAudit`.
 
 #![forbid(unsafe_code)]
 
@@ -27,7 +30,6 @@ pub use prom::{flatten, parse_prometheus, render, PromSample};
 pub use slowlog::{SlowEntry, SlowLog};
 pub use trace::{Span, Stage, TraceCtx, MAX_SPANS};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde_json::{json, Value};
@@ -72,141 +74,6 @@ impl Outcome {
     }
 }
 
-/// Physical operator classes of the execution substrate, the axis of the
-/// calibration error histograms: every class `lec-exec` can execute and
-/// `lec-cost` can predict gets its own prediction-error distribution, so a
-/// formula that drifts from its operator shows up per class rather than
-/// averaged away.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum OpClass {
-    /// Sequential heap scan.
-    SeqAccess = 0,
-    /// Index access (clustered or unclustered).
-    IndexAccess = 1,
-    /// Explicit external sort.
-    Sort = 2,
-    /// Sort-merge join.
-    SortMerge = 3,
-    /// Grace hash join.
-    GraceHash = 4,
-    /// Block nested-loop join.
-    BlockNestedLoop = 5,
-    /// Page nested-loop join.
-    PageNestedLoop = 6,
-}
-
-pub const OP_CLASS_COUNT: usize = 7;
-
-impl OpClass {
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClass::SeqAccess => "seq_access",
-            OpClass::IndexAccess => "index_access",
-            OpClass::Sort => "sort",
-            OpClass::SortMerge => "sort_merge",
-            OpClass::GraceHash => "grace_hash",
-            OpClass::BlockNestedLoop => "block_nl",
-            OpClass::PageNestedLoop => "page_nl",
-        }
-    }
-
-    pub fn all() -> [OpClass; OP_CLASS_COUNT] {
-        [
-            OpClass::SeqAccess,
-            OpClass::IndexAccess,
-            OpClass::Sort,
-            OpClass::SortMerge,
-            OpClass::GraceHash,
-            OpClass::BlockNestedLoop,
-            OpClass::PageNestedLoop,
-        ]
-    }
-}
-
-/// The pure sample mapping of the calibration histograms: absolute
-/// relative prediction error in basis points, `|pred − meas| / meas · 10⁴`,
-/// rounded.  Total over all float inputs (a non-positive measurement with a
-/// positive prediction saturates) and deterministic, so per-thread or
-/// per-process recordings merge into the same counts as serial recording.
-pub fn error_bp(predicted: f64, measured: f64) -> u64 {
-    if measured <= 0.0 {
-        return if predicted <= 0.0 { 0 } else { u64::MAX };
-    }
-    let bp = ((predicted - measured) / measured).abs() * 1e4;
-    if !bp.is_finite() {
-        u64::MAX
-    } else {
-        bp.round().min(1e18) as u64
-    }
-}
-
-/// Per-operator-class prediction-error histograms, fed by calibration runs
-/// (`lec-exec::calib`): each sample is one plan node's [`error_bp`] between
-/// the cost model's expected cost and the measured page I/O.
-#[derive(Debug, Default)]
-pub struct CalibrationErrors {
-    classes: [Histogram; OP_CLASS_COUNT],
-}
-
-impl CalibrationErrors {
-    /// Record one predicted-vs-measured pair under its operator class.
-    #[inline]
-    pub fn record(&self, class: OpClass, predicted: f64, measured: f64) {
-        self.classes[class as usize].record(error_bp(predicted, measured));
-    }
-
-    pub fn snapshot(&self, class: OpClass) -> HistogramSnapshot {
-        self.classes[class as usize].snapshot()
-    }
-
-    /// Sorted-key JSON: one histogram summary per class name, its keys
-    /// suffixed `_bp` (basis points of relative error).
-    pub fn to_json(&self) -> Value {
-        let mut pairs: Vec<(String, Value)> = OpClass::all()
-            .iter()
-            .map(|c| (c.name().to_string(), self.snapshot(*c).to_json("bp")))
-            .collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(pairs)
-    }
-}
-
-/// Cumulative buffer-pool page counters, mirrored from `lec-exec`'s disks
-/// when a calibration sink is installed.  Monotone totals (Prometheus
-/// `_total` semantics); shared by `Arc` so the recording side never blocks.
-#[derive(Debug, Default)]
-pub struct IoTotals {
-    reads: AtomicU64,
-    writes: AtomicU64,
-}
-
-impl IoTotals {
-    pub fn add_reads(&self, n: u64) {
-        self.reads.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_writes(&self, n: u64) {
-        self.writes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    pub fn to_json(&self) -> Value {
-        json!({
-            "reads": self.reads() as f64,
-            "writes": self.writes() as f64,
-        })
-        .sorted()
-    }
-}
-
 /// Slowest-N requests retained with span breakdowns.
 const SLOW_LOG_SIZE: usize = 16;
 
@@ -225,21 +92,18 @@ pub struct EngineTelemetry {
 impl EngineTelemetry {
     pub fn to_json(&self) -> Value {
         json!({
-            "eval_compute": self.eval_compute_ns.snapshot().to_json("ns"),
-            "level_combine": self.level_combine_ns.snapshot().to_json("ns"),
+            "eval_compute": self.eval_compute_ns.snapshot().to_json(),
+            "level_combine": self.level_combine_ns.snapshot().to_json(),
         })
         .sorted()
     }
 }
 
 /// The full telemetry surface for one serving stack: outcome latency
-/// histograms, engine-internal histograms, calibration errors, I/O totals
-/// and the slow log.
+/// histograms, engine-internal histograms and the slow log.
 pub struct Telemetry {
     outcomes: [Histogram; OUTCOME_COUNT],
     engine: Arc<EngineTelemetry>,
-    calibration: CalibrationErrors,
-    io: Arc<IoTotals>,
     slow: SlowLog,
 }
 
@@ -258,8 +122,6 @@ impl Telemetry {
         Telemetry {
             outcomes: std::array::from_fn(|_| Histogram::new()),
             engine: Arc::new(EngineTelemetry::default()),
-            calibration: CalibrationErrors::default(),
-            io: Arc::new(IoTotals::default()),
             slow: SlowLog::new(SLOW_LOG_SIZE),
         }
     }
@@ -268,23 +130,6 @@ impl Telemetry {
     /// `SearchConfig` / `CostModel`.
     pub fn engine(&self) -> &Arc<EngineTelemetry> {
         &self.engine
-    }
-
-    /// Cumulative buffer-pool page counters; `lec-exec` calibration runs
-    /// install this as their I/O sink so execution work shows up live.
-    pub fn io(&self) -> &Arc<IoTotals> {
-        &self.io
-    }
-
-    /// Record one plan node's predicted-vs-measured cost pair under its
-    /// operator class.
-    #[inline]
-    pub fn record_calibration_error(&self, class: OpClass, predicted: f64, measured: f64) {
-        self.calibration.record(class, predicted, measured);
-    }
-
-    pub fn calibration_snapshot(&self, class: OpClass) -> HistogramSnapshot {
-        self.calibration.snapshot(class)
     }
 
     /// Record a finished request's wall time under its outcome class.
@@ -311,22 +156,15 @@ impl Telemetry {
     }
 
     /// Full snapshot as sorted-key JSON: per-outcome latency histograms,
-    /// engine and calibration histograms, I/O totals and the slow log.
+    /// engine histograms and the slow log.
     pub fn snapshot_json(&self) -> Value {
         let mut latency: Vec<(String, Value)> = Outcome::all()
             .iter()
-            .map(|o| {
-                (
-                    o.name().to_string(),
-                    self.outcome_snapshot(*o).to_json("ns"),
-                )
-            })
+            .map(|o| (o.name().to_string(), self.outcome_snapshot(*o).to_json()))
             .collect();
         latency.sort_by(|a, b| a.0.cmp(&b.0));
         json!({
-            "calibration": self.calibration.to_json(),
             "engine": self.engine.to_json(),
-            "io": self.io.to_json(),
             "latency": Value::Object(latency),
             "trace": {
                 "slow_log": self.slow.to_json(),
@@ -339,54 +177,6 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn error_bp_is_total_and_symmetric_in_sign() {
-        assert_eq!(error_bp(100.0, 100.0), 0);
-        assert_eq!(error_bp(150.0, 100.0), 5_000);
-        assert_eq!(error_bp(50.0, 100.0), 5_000);
-        assert_eq!(error_bp(0.0, 0.0), 0);
-        assert_eq!(error_bp(1.0, 0.0), u64::MAX);
-        assert_eq!(error_bp(f64::NAN, 100.0), u64::MAX);
-    }
-
-    #[test]
-    fn calibration_errors_surface_per_class() {
-        let t = Telemetry::on();
-        t.record_calibration_error(OpClass::SortMerge, 120.0, 100.0);
-        t.record_calibration_error(OpClass::SortMerge, 100.0, 100.0);
-        t.record_calibration_error(OpClass::SeqAccess, 100.0, 100.0);
-        let sm = t.calibration_snapshot(OpClass::SortMerge);
-        assert_eq!(sm.count(), 2);
-        assert_eq!(sm.sum(), 2_000);
-        assert_eq!(t.calibration_snapshot(OpClass::GraceHash).count(), 0);
-        let snap = t.snapshot_json();
-        assert_eq!(
-            snap["calibration"]["sort_merge"]["count"].as_f64(),
-            Some(2.0)
-        );
-        assert_eq!(
-            snap["calibration"]["seq_access"]["count"].as_f64(),
-            Some(1.0)
-        );
-    }
-
-    #[test]
-    fn io_totals_accumulate_and_surface() {
-        let t = Telemetry::on();
-        t.io().add_reads(12);
-        t.io().add_writes(5);
-        t.io().add_reads(3);
-        assert_eq!(t.io().reads(), 15);
-        assert_eq!(t.io().writes(), 5);
-        let snap = t.snapshot_json();
-        assert_eq!(snap["io"]["reads"].as_f64(), Some(15.0));
-        assert_eq!(snap["io"]["writes"].as_f64(), Some(5.0));
-        let samples = parse_prometheus(&render("lec", &snap)).expect("parses");
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "lec_io_reads" && s.value == 15.0));
-    }
 
     #[test]
     fn snapshot_json_has_sorted_keys_and_core_fields() {
@@ -429,7 +219,6 @@ mod tests {
         for i in 0..100u64 {
             t.record_outcome(Outcome::Served, i * 1000);
         }
-        t.record_calibration_error(OpClass::SortMerge, 150.0, 100.0);
         let mut ctx = TraceCtx::new(3);
         ctx.span_with(Stage::CacheProbe, 0, 10, 0);
         t.finish_request(&ctx, Outcome::Served);
@@ -437,12 +226,6 @@ mod tests {
         assert!(samples.iter().all(|s| s.labels.is_empty()));
         let value = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
         assert_eq!(value("lec_latency_served_count"), Some(100.0));
-        let sort_merge = t.calibration_snapshot(OpClass::SortMerge);
-        assert_eq!(value("lec_calibration_sort_merge_sum_bp"), Some(5_000.0));
-        assert_eq!(
-            value("lec_calibration_sort_merge_p50_bp"),
-            Some(sort_merge.quantile(0.5) as f64)
-        );
     }
 
     #[test]

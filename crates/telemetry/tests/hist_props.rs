@@ -6,23 +6,11 @@
 //!   in the recorded values (element-wise domination of sample sets).
 
 use lec_telemetry::hist::{bucket_index, bucket_upper_bound, N_BUCKETS};
-use lec_telemetry::{error_bp, Histogram, HistogramSnapshot, OpClass, Telemetry};
+use lec_telemetry::{Histogram, HistogramSnapshot};
 use proptest::prelude::*;
 
 fn samples() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..2_000_000_000, 1..200)
-}
-
-/// (class index, predicted, measured) triples for the calibration axis.
-fn calib_samples() -> impl Strategy<Value = Vec<(usize, f64, f64)>> {
-    prop::collection::vec(
-        (
-            0usize..lec_telemetry::OP_CLASS_COUNT,
-            0.1f64..1e6,
-            0.1f64..1e6,
-        ),
-        1..200,
-    )
 }
 
 fn record_all(values: &[u64]) -> HistogramSnapshot {
@@ -91,56 +79,6 @@ proptest! {
         });
 
         prop_assert_eq!(shared.snapshot(), serial);
-    }
-
-    #[test]
-    fn calibration_errors_sharded_then_merged_match_serial(
-        pairs in calib_samples(),
-        shards in 2usize..5,
-    ) {
-        // Serial reference: one Telemetry instance records every sample.
-        let serial = Telemetry::on();
-        for &(c, p, m) in &pairs {
-            serial.record_calibration_error(OpClass::all()[c], p, m);
-        }
-
-        // Shard the same samples round-robin across independent Telemetry
-        // instances (concurrently), then merge per-class snapshots.  The
-        // sample mapping `error_bp` is pure and the histogram merge is
-        // associative/commutative, so the result must match serial exactly.
-        let tels: Vec<Telemetry> = (0..shards).map(|_| Telemetry::on()).collect();
-        std::thread::scope(|scope| {
-            for (t, tel) in tels.iter().enumerate() {
-                let shard: Vec<(usize, f64, f64)> = pairs
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % shards == t)
-                    .map(|(_, v)| *v)
-                    .collect();
-                scope.spawn(move || {
-                    for (c, p, m) in shard {
-                        tel.record_calibration_error(OpClass::all()[c], p, m);
-                    }
-                });
-            }
-        });
-        for class in OpClass::all() {
-            let mut merged = HistogramSnapshot::empty();
-            for tel in &tels {
-                merged.merge(&tel.calibration_snapshot(class));
-            }
-            prop_assert_eq!(merged, serial.calibration_snapshot(class));
-        }
-    }
-
-    #[test]
-    fn error_bp_total_and_scale_invariant(p in 0.1f64..1e9, m in 0.1f64..1e9, k in 1.0f64..100.0) {
-        // Total: always defined.  Relative: scaling both sides by the same
-        // factor leaves the error within one rounding step.
-        let base = error_bp(p, m);
-        let scaled = error_bp(p * k, m * k);
-        prop_assert!(base.abs_diff(scaled) <= 1, "error_bp not scale-invariant: {base} vs {scaled}");
-        prop_assert_eq!(error_bp(m, m), 0);
     }
 
     #[test]

@@ -12,13 +12,12 @@
 //! ```
 
 use lec_qopt::core::{fixtures, Mode, Optimizer, PointEstimate};
-use lec_qopt::exec::{CalibConfig, Calibrator, Environment};
+use lec_qopt::exec::{Calibrator, Environment};
 use lec_qopt::prob::Distribution;
-use lec_qopt::telemetry::{OpClass, Telemetry};
 
 fn main() {
     let (catalog, query) = fixtures::three_chain();
-    let cal = Calibrator::new(&catalog, &query, CalibConfig::default());
+    let cal = Calibrator::new(&catalog, &query);
     let twin = cal.twin();
     println!("physical twin (page_cap 4, cap 32 pages):");
     for qt in &twin.query.tables {
@@ -38,14 +37,17 @@ fn main() {
     let env = Environment::Static(memory.clone());
     let opt = Optimizer::new(&twin.catalog, memory);
 
-    let tel = Telemetry::on();
+    // Every audited node's (operator class, error in bp), for the
+    // per-class summary at the end.
+    let mut errors: Vec<(&str, u64)> = Vec::new();
     println!(
         "\n{:<10} {:>12} {:>12} {:>9}  plan",
         "mode", "predicted", "measured", "rel err"
     );
     for mode in [Mode::Lsc(PointEstimate::Mean), Mode::AlgorithmC] {
         let optimized = opt.optimize(&cal.twin().query, &mode).unwrap();
-        let audit = cal.audit(&optimized.plan, &env, Some(&tel)).unwrap();
+        let audit = cal.audit(&optimized.plan, &env).unwrap();
+        errors.extend(audit.nodes.iter().map(|n| (n.class.name(), n.error_bp())));
         println!(
             "{:<10} {:>12.1} {:>12.1} {:>8.1}%  {}",
             optimized.mode,
@@ -58,7 +60,7 @@ fn main() {
 
     // The full audit trace for the LEC plan, as sorted-key JSON.
     let optimized = opt.optimize(&cal.twin().query, &Mode::AlgorithmC).unwrap();
-    let audit = cal.audit(&optimized.plan, &env, Some(&tel)).unwrap();
+    let audit = cal.audit(&optimized.plan, &env).unwrap();
     println!("\nper-node audit of the LEC plan:");
     for node in &audit.nodes {
         println!(
@@ -73,23 +75,16 @@ fn main() {
     }
     println!("\nfull trace JSON:\n{}", audit.to_json());
 
-    // Everything above also landed in the shared telemetry: calibration
-    // histograms per operator class plus cumulative page I/O.
-    println!("\ntelemetry calibration histograms:");
-    for class in OpClass::all() {
-        let snap = tel.calibration_snapshot(class);
-        if snap.count() > 0 {
-            println!(
-                "  {:<12} {} samples, p50 error {} bp",
-                class.name(),
-                snap.count(),
-                snap.quantile(0.5)
-            );
-        }
+    // Per operator class over both modes' audits: how many nodes, and
+    // their median prediction error.
+    println!("\nprediction error per operator class:");
+    errors.sort_unstable();
+    for class in errors.chunk_by(|a, b| a.0 == b.0) {
+        println!(
+            "  {:<12} {} nodes, median error {} bp",
+            class[0].0,
+            class.len(),
+            class[(class.len() - 1) / 2].1
+        );
     }
-    println!(
-        "io totals: {} page reads, {} page writes",
-        tel.io().reads(),
-        tel.io().writes()
-    );
 }

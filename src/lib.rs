@@ -14,7 +14,7 @@
 //! | [`service`] | cross-query serving: canonical-shape plan cache shared by many client threads, singleflight on misses |
 //! | [`serviced`] | hardened network daemon: wire protocol, admission control, graceful drain, fault injection |
 //! | [`exec`] | Monte-Carlo simulation, page-counting operators (the one plan executor), cost-calibration observatory |
-//! | [`telemetry`] | lock-free histograms, request tracing, calibration-error and I/O counters |
+//! | [`telemetry`] | lock-free histograms, request tracing, the slow log |
 //!
 //! This facade crate re-exports the public APIs and hosts the runnable
 //! examples (`examples/`) and workspace integration tests (`tests/`).

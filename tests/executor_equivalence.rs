@@ -9,7 +9,7 @@ use lec_qopt::catalog::{
 };
 use lec_qopt::core::{AlgDConfig, Mode, Optimizer, PointEstimate};
 use lec_qopt::cost::CostModel;
-use lec_qopt::exec::{monte_carlo, CalibConfig, Calibrator, Environment};
+use lec_qopt::exec::{monte_carlo, Calibrator, Environment};
 use lec_qopt::plan::{
     ColumnRef, JoinMethod, JoinPredicate, PlanNode, Query, QueryProfile, QueryTable, TableSet,
     Topology, WorkloadGenerator,
@@ -60,7 +60,7 @@ fn all_chosen_plans_return_identical_results() {
         (4, 4, Topology::Random),
     ] {
         let (cat, q) = workload(seed, n, topology, 3_200);
-        let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+        let cal = Calibrator::new(&cat, &q);
         let memory = presets::spread_family(400.0, 0.8, 5).unwrap();
         let opt = Optimizer::new(&cat, memory);
         let mut reference: Option<Vec<Vec<i64>>> = None;
@@ -119,7 +119,7 @@ fn required_order_is_physically_delivered() {
         // Force a required order on the last join's column.
         let key = q.joins.last().unwrap().right;
         q.required_order = Some(key);
-        let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+        let cal = Calibrator::new(&cat, &q);
         let memory = presets::spread_family(300.0, 0.6, 4).unwrap();
         let opt = Optimizer::new(&cat, memory);
         let r = opt.optimize(&q, &Mode::AlgorithmC).unwrap();
@@ -176,7 +176,7 @@ fn cycle() -> (Catalog, Query) {
 #[test]
 fn every_left_deep_order_and_method_returns_the_same_rows() {
     let (cat, q) = cycle();
-    let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+    let cal = Calibrator::new(&cat, &q);
     let orders = [
         [0, 1, 2],
         [0, 2, 1],
@@ -223,7 +223,7 @@ fn every_left_deep_order_and_method_returns_the_same_rows() {
 #[test]
 fn filters_cut_cardinality() {
     let (cat, q) = cycle();
-    let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+    let cal = Calibrator::new(&cat, &q);
     let twin = cal.twin();
     let stored = twin.catalog.table(twin.query.tables[0].table).stats.rows as usize;
     let scanned = rows(&cal, &PlanNode::seq_scan(0), 3);
@@ -243,7 +243,7 @@ fn filters_cut_cardinality() {
 #[test]
 fn a_root_sort_delivers_its_order() {
     let (cat, q) = cycle();
-    let cal = Calibrator::new(&cat, &q, CalibConfig::default());
+    let cal = Calibrator::new(&cat, &q);
     let join = PlanNode::join(
         JoinMethod::GraceHash,
         PlanNode::seq_scan(1),

@@ -20,8 +20,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lec_core::{fixtures, Mode, Optimizer, PointEstimate};
-use lec_cost::OpClass;
-use lec_exec::{Calibrator, Environment};
+use lec_cost::{Objective, OpClass};
+use lec_exec::Calibrator;
 use lec_prob::{Distribution, MarkovChain};
 use serde_json::{json, Value};
 use std::hint::black_box;
@@ -32,10 +32,11 @@ use std::hint::black_box;
 const STATES: [f64; 3] = [4.0, 8.0, 16.0];
 
 /// Largest tolerated per-mode relative error |predicted − measured| /
-/// measured of the environment expectations, over the whole workload
-/// suite.  Pinned from the deterministic suite with ~30% headroom; the
-/// dominant residual is the model's simplified join constants (`2(a+b)`
-/// for a fitting join vs one measured pass), not noise.
+/// measured of the expectations under the audit's memory belief, over the
+/// whole workload suite.  Pinned from the deterministic suite with ~30%
+/// headroom; the dominant residual is the model's simplified join
+/// constants (`2(a+b)` for a fitting join vs one measured pass), not
+/// noise.
 fn mode_bands() -> Vec<(&'static str, Mode, f64)> {
     let chain = MarkovChain::birth_death(STATES.to_vec(), 0.3, 0.3).unwrap();
     vec![
@@ -101,7 +102,7 @@ fn workload_suite() -> Vec<(String, lec_bench::workloads::Workload)> {
 fn bench_calibration(c: &mut Criterion) {
     let memory =
         Distribution::from_pairs(STATES.iter().map(|&m| (m, 1.0 / STATES.len() as f64))).unwrap();
-    let static_env = Environment::Static(memory.clone());
+    let fixed = Objective::Static(memory.clone());
     let suite = workload_suite();
     let calibrators: Vec<(&String, Calibrator)> = suite
         .iter()
@@ -123,12 +124,12 @@ fn bench_calibration(c: &mut Criterion) {
     .map(|class| (class, 0))
     .to_vec();
     for (key, mode, band) in mode_bands() {
-        let env = match &mode {
-            Mode::AlgorithmCDynamic { chain } => Environment::Dynamic {
+        let objective = match &mode {
+            Mode::AlgorithmCDynamic { chain } => Objective::Dynamic {
                 initial: Distribution::point(8.0),
                 chain: chain.clone(),
             },
-            _ => static_env.clone(),
+            _ => fixed.clone(),
         };
         let mut max_rel = 0.0f64;
         let mut sum_rel = 0.0f64;
@@ -138,7 +139,7 @@ fn bench_calibration(c: &mut Criterion) {
                 .optimize(&cal.twin().query, &mode)
                 .unwrap_or_else(|e| panic!("{key}/{wname}: optimize failed: {e}"));
             let audit = cal
-                .audit(&optimized.plan, &env)
+                .audit(&optimized.plan, &objective)
                 .unwrap_or_else(|e| panic!("{key}/{wname}: audit failed: {e}"));
             assert!(
                 audit.node_consistency_rel <= 1e-9,
@@ -225,7 +226,7 @@ fn bench_calibration(c: &mut Criterion) {
     group.bench_function("audit_three_chain_alg_c", |b| {
         b.iter(|| {
             black_box(
-                cal.audit(black_box(&optimized.plan), &static_env)
+                cal.audit(black_box(&optimized.plan), &fixed)
                     .unwrap()
                     .measured_expected,
             )

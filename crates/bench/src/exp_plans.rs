@@ -8,15 +8,13 @@ use crate::search;
 use crate::table::{num, pct, Table};
 use crate::workloads::{batch, scaling_chain};
 use lec_core::{fixtures, Mode, Optimizer, PointEstimate};
-use lec_cost::oracle::{self, Objective};
-use lec_cost::{expected_plan_cost_static, plan_cost_at, CostModel};
-use lec_exec::{monte_carlo, Environment};
+use lec_cost::{expected_plan_cost_static, oracle, plan_cost_at, CostModel, Objective};
 use lec_prob::presets;
 use serde_json::{json, Value};
 use std::time::Instant;
 
 /// E1 — Example 1.1 (§1.1): the full cost table, the LSC choice at the
-/// mean and mode, the LEC choice, and the measured average costs.
+/// mean and mode, the LEC choice, and the expected costs.
 pub fn e1() -> Value {
     println!("E1: Example 1.1 — Plan 1 (sort-merge) vs Plan 2 (Grace hash + sort)\n");
     let (catalog, query) = fixtures::example_1_1();
@@ -32,8 +30,7 @@ pub fn e1() -> Value {
         .unwrap();
     let lec = opt.optimize(&query, &Mode::AlgorithmC).unwrap();
 
-    let mut t = Table::new(&["plan", "C(P,2000)", "C(P,700)", "EC(P)", "sim mean (50k)"]);
-    let env = Environment::Static(memory.clone());
+    let mut t = Table::new(&["plan", "C(P,2000)", "C(P,700)", "EC(P)"]);
     let mut rows_json = Vec::new();
     for (name, plan) in [
         ("Plan1=SM(A,B)", &lsc_mode.plan),
@@ -42,11 +39,9 @@ pub fn e1() -> Value {
         let hi = plan_cost_at(&model, plan, 2000.0);
         let lo = plan_cost_at(&model, plan, 700.0);
         let ec = expected_plan_cost_static(&model, plan, &memory);
-        let sim = monte_carlo(&model, plan, &env, 50_000, 1).unwrap();
-        t.row(vec![name.into(), num(hi), num(lo), num(ec), num(sim.mean)]);
+        t.row(vec![name.into(), num(hi), num(lo), num(ec)]);
         rows_json.push(json!({
-            "plan": name, "cost_at_2000": hi, "cost_at_700": lo,
-            "expected_cost": ec, "simulated_mean": sim.mean,
+            "plan": name, "cost_at_2000": hi, "cost_at_700": lo, "expected_cost": ec,
         }));
     }
     println!("{}", t.render());
@@ -81,51 +76,34 @@ pub fn e2() -> Value {
     println!("E2: LEC advantage vs run-time variability (mean-preserving spread)\n");
     let n_queries = 40;
     let spreads = [0.0, 0.2, 0.4, 0.6, 0.8, 0.95];
-    let mut t = Table::new(&[
-        "spread",
-        "plans differ",
-        "mean EC gain",
-        "max EC gain",
-        "mean sim gain",
-    ]);
+    let mut t = Table::new(&["spread", "plans differ", "mean EC gain", "max EC gain"]);
     let workloads = batch(1000, n_queries, 4, 1);
     let mut rows_json = Vec::new();
     for &spread in &spreads {
         let memory = presets::spread_family(400.0, spread, 7).unwrap();
         let mut differs = 0usize;
         let mut ec_gains = Vec::new();
-        let mut sim_gains = Vec::new();
-        for (i, w) in workloads.iter().enumerate() {
+        for w in &workloads {
             let model = CostModel::new(&w.catalog, &w.query);
             let lsc = search(&model, &memory, Mode::Lsc(PointEstimate::Mean));
             let lec = search(&model, &memory, Mode::AlgorithmC);
             let lsc_ec = expected_plan_cost_static(&model, &lsc.plan, &memory);
             let gain = 1.0 - lec.cost / lsc_ec;
             ec_gains.push(gain);
-            if lsc.plan != lec.plan {
-                differs += 1;
-                let env = Environment::Static(memory.clone());
-                let s_lsc = monte_carlo(&model, &lsc.plan, &env, 3000, i as u64).unwrap();
-                let s_lec = monte_carlo(&model, &lec.plan, &env, 3000, i as u64).unwrap();
-                sim_gains.push(1.0 - s_lec.mean / s_lsc.mean);
-            } else {
-                sim_gains.push(0.0);
-            }
+            differs += usize::from(lsc.plan != lec.plan);
         }
         // Clamp float dust so the spread-0 row prints exactly 0.0%.
         let mean_ec = (ec_gains.iter().sum::<f64>() / ec_gains.len() as f64).max(0.0);
         let max_ec = ec_gains.iter().cloned().fold(0.0f64, f64::max);
-        let mean_sim = sim_gains.iter().sum::<f64>() / sim_gains.len() as f64;
         t.row(vec![
             format!("{spread:.2}"),
             format!("{differs}/{n_queries}"),
             pct(mean_ec),
             pct(max_ec),
-            pct(mean_sim),
         ]);
         rows_json.push(json!({
             "spread": spread, "plans_differ": differs, "n_queries": n_queries,
-            "mean_ec_gain": mean_ec, "max_ec_gain": max_ec, "mean_sim_gain": mean_sim,
+            "mean_ec_gain": mean_ec, "max_ec_gain": max_ec,
         }));
     }
     println!("{}", t.render());

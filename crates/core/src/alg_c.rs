@@ -8,9 +8,10 @@
 //! least expected total cost, discarding all the other candidates."
 //!
 //! Policy over the engine: [`crate::search::KeepBestPolicy`] with
-//! [`crate::search::MemoryCoster::fixed`] ([`crate::Mode::AlgorithmC`])
-//! or, for §3.5, [`crate::search::MemoryCoster::evolving`]
-//! ([`crate::Mode::AlgorithmCDynamic`]), over the left-deep shape — the
+//! [`crate::search::MemoryCoster::new`] under the mode's
+//! [`crate::Mode::objective`] — the static belief for
+//! [`crate::Mode::AlgorithmC`], its per-phase marginals for §3.5's
+//! [`crate::Mode::AlgorithmCDynamic`] — over the left-deep shape: the
 //! same coster LSC runs under, holding `b` buckets instead of one.
 //!
 //! If the distribution has `b` buckets, every join candidate is costed

@@ -12,7 +12,7 @@
 //! paper also flags as out of scope).
 //!
 //! Policy over the engine: the *same* [`crate::search::KeepBestPolicy`] +
-//! [`crate::search::MemoryCoster::fixed`] as Algorithm C — only the
+//! [`crate::search::MemoryCoster::new`] as Algorithm C — only the
 //! [`crate::search::PlanShape`] changes ([`crate::Mode::Bushy`]).  That
 //! one-word difference is the whole point of the pluggable engine.
 

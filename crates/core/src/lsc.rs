@@ -8,9 +8,10 @@
 //! cost (LSC) plan." (§1)
 //!
 //! Policy over the engine: [`crate::search::KeepBestPolicy`] with
-//! [`crate::search::MemoryCoster::point`] — the memory value as a
-//! one-bucket distribution, "the special case where there is only one
-//! bucket" — over the left-deep shape ([`crate::Mode::Lsc`] and
+//! [`crate::search::MemoryCoster::new`] under a point objective
+//! ([`crate::Mode::objective`]) — the memory value as a one-bucket
+//! distribution, "the special case where there is only one bucket" —
+//! over the left-deep shape ([`crate::Mode::Lsc`] and
 //! [`crate::Mode::LscAt`]).
 
 /// Which point of the memory distribution the LSC optimizer assumes.

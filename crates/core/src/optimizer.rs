@@ -11,7 +11,7 @@ use crate::lsc::PointEstimate;
 use crate::search::{run_search_with, KeepBestPolicy, MemoryCoster, PlanShape};
 pub use crate::search::{SearchConfig, SearchExtras, SearchOutcome, SearchStats};
 use lec_catalog::Catalog;
-use lec_cost::CostModel;
+use lec_cost::{CostModel, Objective};
 use lec_plan::{PlanNode, Query};
 use lec_prob::{Distribution, MarkovChain};
 use std::sync::Arc;
@@ -89,6 +89,30 @@ impl Mode {
         .finish()
     }
 
+    /// The memory belief this mode's plan is priced by, given the
+    /// optimizer's `memory`: a point for LSC, `memory` evolved through
+    /// the mode's chain for C-dynamic, `memory` itself for every other
+    /// mode.  The keep-best modes search under it, and it is what the
+    /// oracle must agree with.  A non-finite `LscAt` value (it arrives
+    /// unchecked from callers and the wire) is a bad parameter.
+    pub fn objective(&self, memory: &Distribution) -> Result<Objective, OptError> {
+        Ok(match self {
+            Mode::Lsc(PointEstimate::Mean) => Objective::Static(Distribution::point(memory.mean())),
+            Mode::Lsc(PointEstimate::Mode) => Objective::Static(Distribution::point(memory.mode())),
+            Mode::LscAt(m) if !m.is_finite() => {
+                return Err(OptError::BadParameter(
+                    "LscAt requires a finite memory value",
+                ))
+            }
+            Mode::LscAt(m) => Objective::Static(Distribution::point(*m)),
+            Mode::AlgorithmCDynamic { chain } => Objective::Dynamic {
+                initial: memory.clone(),
+                chain: chain.clone(),
+            },
+            _ => Objective::Static(memory.clone()),
+        })
+    }
+
     /// Short display name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -108,62 +132,40 @@ impl Mode {
 /// Run `mode` over `model` under the memory belief `memory`: the only
 /// place a [`Mode`] is turned into a plan shape, a candidate policy and a
 /// coster.  The paper's claim that LEC is "a generic modification of the
-/// basic System R optimizer" is the first five arms: one keep-best DP in
-/// which only the memory distribution the coster holds — a point for LSC
-/// — or, for the §4 extension, the shape changes.  `LscAt` ignores
-/// `memory` and rejects a non-finite value.
+/// basic System R optimizer" is the last arm: one keep-best DP in which
+/// only the mode's [`Mode::objective`] — a point for LSC — or, for the §4
+/// extension, the shape changes.
 pub fn optimize(
     model: &CostModel<'_>,
     memory: &Distribution,
     mode: &Mode,
     config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
-    use PlanShape::{Bushy, LeftDeep};
     match mode {
-        Mode::Lsc(estimate) => {
-            let m = match estimate {
-                PointEstimate::Mean => memory.mean(),
-                PointEstimate::Mode => memory.mode(),
-            };
-            keep_best(model, LeftDeep, MemoryCoster::point(m), config)
-        }
-        // The value arrives unchecked from callers and the wire.
-        Mode::LscAt(m) if !m.is_finite() => Err(OptError::BadParameter(
-            "LscAt requires a finite memory value",
-        )),
-        Mode::LscAt(m) => keep_best(model, LeftDeep, MemoryCoster::point(*m), config),
-        Mode::AlgorithmC => keep_best(model, LeftDeep, MemoryCoster::fixed(memory), config),
-        Mode::AlgorithmCDynamic { chain } => {
-            // n-1 join phases plus a possible root sort phase.
-            let phases = model.query().n_tables().max(1);
-            let coster = MemoryCoster::evolving(memory, chain, phases)?;
-            keep_best(model, LeftDeep, coster, config)
-        }
-        Mode::Bushy => keep_best(model, Bushy, MemoryCoster::fixed(memory), config),
         Mode::AlgorithmA => crate::alg_a::rank_point_plans(model, memory, config),
         Mode::AlgorithmB { c } => crate::alg_b::rank_top_c_plans(model, memory, *c, config),
         Mode::AlgorithmD { config: buckets } => {
             crate::alg_d::search(model, memory, buckets, config)
         }
+        _ => {
+            let shape = match mode {
+                Mode::Bushy => PlanShape::Bushy,
+                _ => PlanShape::LeftDeep,
+            };
+            // The keep-1 DP of Theorems 2.1, 3.3 and 3.4, over n-1 join
+            // phases plus a possible root sort phase.
+            let phases = model.query().n_tables().max(1);
+            let coster = MemoryCoster::new(mode.objective(memory)?, phases)?;
+            let mut policy = KeepBestPolicy::new(coster);
+            let run = run_search_with(model, shape, &mut policy, config)?;
+            let best = run.best();
+            Ok(SearchOutcome::new(
+                run.plans.node(best.plan),
+                best.cost,
+                run.stats,
+            ))
+        }
     }
-}
-
-/// The keep-1 DP of Theorems 2.1, 3.3 and 3.4: retain the cheapest plan
-/// per (subset, order class) under `coster`.
-fn keep_best(
-    model: &CostModel<'_>,
-    shape: PlanShape,
-    coster: MemoryCoster,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, OptError> {
-    let mut policy = KeepBestPolicy::new(coster);
-    let run = run_search_with(model, shape, &mut policy, config)?;
-    let best = run.best();
-    Ok(SearchOutcome::new(
-        run.plans.node(best.plan),
-        best.cost,
-        run.stats,
-    ))
 }
 
 /// The outcome of one optimization call: the engine's uniform result plus
@@ -431,6 +433,51 @@ mod tests {
             );
         }
         assert!(opt.optimize(&q, &Mode::LscAt(700.0)).is_ok());
+    }
+
+    #[test]
+    fn each_mode_names_its_objective() {
+        // Example 1.1's belief: 700 pages w.p. 0.2, 2000 w.p. 0.8.
+        let memory = example_1_1_memory();
+        let chain = MarkovChain::birth_death(vec![700.0, 2000.0], 0.3, 0.1).unwrap();
+        let point = |m| Ok(Objective::Static(Distribution::point(m)));
+        let fixed = Ok(Objective::Static(memory.clone()));
+        let cases = [
+            (Mode::LscAt(700.0), point(700.0)),
+            (Mode::Lsc(PointEstimate::Mean), point(1740.0)),
+            (Mode::Lsc(PointEstimate::Mode), point(2000.0)),
+            (
+                Mode::AlgorithmCDynamic {
+                    chain: chain.clone(),
+                },
+                Ok(Objective::Dynamic {
+                    initial: memory.clone(),
+                    chain,
+                }),
+            ),
+            (Mode::AlgorithmC, fixed.clone()),
+            (Mode::Bushy, fixed.clone()),
+            (Mode::AlgorithmA, fixed.clone()),
+            (Mode::AlgorithmB { c: 3 }, fixed.clone()),
+            (
+                Mode::AlgorithmD {
+                    config: AlgDConfig::default(),
+                },
+                fixed,
+            ),
+        ];
+        for (mode, objective) in cases {
+            assert_eq!(mode.objective(&memory), objective, "{}", mode.name());
+        }
+        for m in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    Mode::LscAt(m).objective(&memory),
+                    Err(OptError::BadParameter(_))
+                ),
+                "LscAt({m})"
+            );
+        }
     }
 
     #[test]

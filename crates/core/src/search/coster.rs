@@ -6,7 +6,7 @@
 //! the dynamic one with a single phase distribution — so there is one
 //! coster, [`MemoryCoster`], holding one distribution per execution phase,
 //! and LSC, Algorithms A/B/C, the bushy extension and the dynamic variant
-//! differ only in which constructor built it.
+//! differ only in the [`Objective`] it was built from.
 //!
 //! `ctx.phase` is the 0-based execution phase index of §3.5 (first join =
 //! phase 0; a root sort after `n-1` joins is phase `n-1`); a coster with
@@ -17,9 +17,9 @@
 //! distribution do the same work.
 
 use super::policy::JoinContext;
-use lec_cost::CostModel;
+use lec_cost::{CostModel, Objective};
 use lec_plan::JoinMethod;
-use lec_prob::{Distribution, MarkovChain, ProbError};
+use lec_prob::{Distribution, ProbError};
 
 /// Strategy for costing the memory-dependent operators.  One production
 /// implementation ([`MemoryCoster`]); the trait is the seam tests
@@ -60,15 +60,15 @@ pub struct MemoryCoster {
 }
 
 impl MemoryCoster {
-    /// Classical point costing (the LSC baseline, Algorithm A's black box,
-    /// Algorithm B's per-bucket runs): memory is exactly `memory` in every
-    /// phase.  Panics on a non-finite value ([`Distribution::point`]).
+    /// Classical point costing (Algorithm B's per-bucket runs): memory is
+    /// exactly `memory` in every phase.  Panics on a non-finite value
+    /// ([`Distribution::point`]).
     pub fn point(memory: f64) -> Self {
         Self::fixed(&Distribution::point(memory))
     }
 
-    /// The static distribution of Algorithm C and the bushy extension:
-    /// every phase sees `memory`.
+    /// A static distribution: every phase sees `memory`, as under
+    /// [`MemoryCoster::new`] with `Objective::Static(memory)`.
     pub fn fixed(memory: &Distribution) -> Self {
         MemoryCoster {
             phases: vec![memory.clone()],
@@ -76,32 +76,27 @@ impl MemoryCoster {
         }
     }
 
-    /// Dynamically changing memory (§3.5): phase `k` is costed under
-    /// `initial` evolved `k` steps through `chain`, for `n_phases` phases.
-    /// Phases whose distributions agree bit for bit read one of them, so
-    /// they share their prices ([`PhaseCoster::price_phase`]).
-    pub fn evolving(
-        initial: &Distribution,
-        chain: &MarkovChain,
-        n_phases: usize,
-    ) -> Result<Self, ProbError> {
-        let bits = |d: &Distribution| -> Vec<u64> {
-            d.support()
-                .iter()
-                .chain(d.probs())
-                .map(|v| v.to_bits())
-                .collect()
-        };
+    /// Costing under `objective` for `n_phases` phases: phase `k` is
+    /// priced under the objective's phase-`k` distribution (§3.5; every
+    /// phase the same one under a static belief).  Phases whose
+    /// distributions agree bit for bit read one of them, so they share
+    /// their prices ([`PhaseCoster::price_phase`]).
+    pub fn new(objective: Objective, n_phases: usize) -> Result<Self, ProbError> {
+        if let Objective::Static(memory) = objective {
+            // Every phase reads the one distribution, held once.
+            let (phases, reads) = (vec![memory], vec![0]);
+            return Ok(MemoryCoster { phases, reads });
+        }
+        fn bits(d: &Distribution) -> impl Iterator<Item = u64> + '_ {
+            d.support().iter().chain(d.probs()).map(|v| v.to_bits())
+        }
         let (mut phases, mut reads) = (Vec::new(), Vec::with_capacity(n_phases.max(1)));
-        let mut cur = initial.clone();
-        for _ in 0..n_phases.max(1) {
-            let next = chain.evolve_dist(&cur)?;
-            let seen = phases.iter().position(|d| bits(d) == bits(&cur));
+        for dist in objective.phase_distributions(n_phases.max(1))? {
+            let seen = phases.iter().position(|d| bits(d).eq(bits(&dist)));
             reads.push(seen.unwrap_or(phases.len()));
             if seen.is_none() {
-                phases.push(cur);
+                phases.push(dist);
             }
-            cur = next;
         }
         Ok(MemoryCoster { phases, reads })
     }

@@ -16,13 +16,14 @@
 //!   dag node and how a join candidate is costed.
 //!
 //! Paper-section → policy mapping ([`coster::MemoryCoster`] is the one
-//! coster; a row names the constructor that built it):
+//! coster; a keep-best row names the [`lec_cost::Objective`] that
+//! [`crate::Mode::objective`] gives and `MemoryCoster::new` prices under):
 //!
 //! | policy | costing | paper | used by |
 //! |---|---|---|---|
-//! | [`keep_best::KeepBestPolicy`] + `MemoryCoster::point(m)` | `C(P, m)` at one memory value — the one-bucket expectation | Thm 2.1 | [`crate::lsc`], Algorithm A's black box |
-//! | [`keep_best::KeepBestPolicy`] + `MemoryCoster::fixed(&dist)` | `EC(P)` under a static distribution | §3.4, Thm 3.3 | [`crate::alg_c`], [`crate::bushy`] |
-//! | [`keep_best::KeepBestPolicy`] + `MemoryCoster::evolving(..)` | per-phase Markov-evolved `EC(P)` | §3.5, Thm 3.4 | [`crate::alg_c`] |
+//! | [`keep_best::KeepBestPolicy`] + `Static(point(m))` | `C(P, m)` at one memory value — the one-bucket expectation | Thm 2.1 | [`crate::lsc`], Algorithm A's black box |
+//! | [`keep_best::KeepBestPolicy`] + `Static(dist)` | `EC(P)` under a static distribution | §3.4, Thm 3.3 | [`crate::alg_c`], [`crate::bushy`] |
+//! | [`keep_best::KeepBestPolicy`] + `Dynamic { initial, chain }` | per-phase Markov-evolved `EC(P)` | §3.5, Thm 3.4 | [`crate::alg_c`] |
 //! | [`top_c::TopCPolicy`] + `MemoryCoster::point(m)` | top-`c` per (subset, order class) at a point, Prop 3.1 frontier | §3.3 | [`crate::alg_b`] |
 //! | [`multi_param::MultiParamPolicy`] | Figure 1 distribution bookkeeping, §3.6.3 rebucketing | §3.6 | [`crate::alg_d`] |
 //!

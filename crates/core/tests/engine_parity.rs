@@ -12,8 +12,8 @@
 use lec_core::{
     fixtures, optimize, AlgDConfig, Mode, OptError, PointEstimate, SearchConfig, SearchOutcome,
 };
-use lec_cost::oracle::{self, Best, Objective};
-use lec_cost::CostModel;
+use lec_cost::oracle::{self, Best};
+use lec_cost::{CostModel, Objective};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;
@@ -239,9 +239,9 @@ fn the_oracle_agrees_with_example_1_1() {
 fn the_three_chain_matches_the_oracle() {
     let (cat, q) = fixtures::three_chain();
     let model = CostModel::new(&cat, &q);
-    let matches = |mode: Mode, memory: &Distribution, objective: Objective| {
+    let matches = |mode: Mode, memory: &Distribution| {
         let dp = run(&model, memory, mode.clone()).unwrap();
-        let best = oracle::left_deep(&model, &objective).unwrap();
+        let best = oracle::left_deep(&model, &mode.objective(memory).unwrap()).unwrap();
         assert!(
             rel_eq(dp.cost, best.cost),
             "{mode:?}: dp {} vs oracle {}",
@@ -250,25 +250,16 @@ fn the_three_chain_matches_the_oracle() {
         );
     };
     for m in [30.0, 150.0, 700.0, 20_000.0] {
-        let point = Distribution::point(m);
-        matches(Mode::LscAt(m), &point, Objective::Static(point.clone()));
+        matches(Mode::LscAt(m), &Distribution::point(m));
     }
     for spread in [0.2, 0.5, 0.9] {
         let memory = presets::spread_family(400.0, spread, 6).unwrap();
-        matches(Mode::AlgorithmC, &memory, Objective::Static(memory.clone()));
+        matches(Mode::AlgorithmC, &memory);
     }
     let chain = MarkovChain::birth_death(vec![50.0, 200.0, 800.0], 0.35, 0.15).unwrap();
-    let initial = Distribution::point(200.0);
-    let mode = Mode::AlgorithmCDynamic {
-        chain: chain.clone(),
-    };
     matches(
-        mode,
-        &initial,
-        Objective::Dynamic {
-            initial: initial.clone(),
-            chain,
-        },
+        Mode::AlgorithmCDynamic { chain },
+        &Distribution::point(200.0),
     );
 }
 

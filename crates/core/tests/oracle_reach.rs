@@ -6,8 +6,7 @@
 //! them.
 
 use lec_core::{fixtures, optimize, Mode, SearchConfig};
-use lec_cost::oracle::{self, Objective};
-use lec_cost::{expected_plan_cost_static, CostModel};
+use lec_cost::{expected_plan_cost_static, oracle, CostModel, Objective};
 use lec_plan::{JoinMethod, PlanNode};
 use lec_prob::presets;
 

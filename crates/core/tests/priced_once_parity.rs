@@ -22,7 +22,7 @@ use lec_core::search::{
     RootContext, SearchConfig, SearchStats, Step,
 };
 use lec_core::{AlgDConfig, MemoryCoster};
-use lec_cost::{CostModel, DistTables};
+use lec_cost::{CostModel, DistTables, Objective};
 use lec_plan::{JoinMethod, OrderProperty, PlanNode, Query, QueryProfile, Topology};
 use lec_prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;
@@ -381,12 +381,26 @@ fn assert_every_policy_priced_once(catalog: &Catalog, query: &Query) {
     costers.push(("fixed", MemoryCoster::fixed(&memory)));
     costers.push((
         "evolving",
-        MemoryCoster::evolving(&memory, &chain, n).unwrap(),
+        MemoryCoster::new(
+            Objective::Dynamic {
+                initial: memory.clone(),
+                chain: chain.clone(),
+            },
+            n,
+        )
+        .unwrap(),
     ));
     // The uniform start barely moves under the sticky chain; a skewed one
     // gives every phase its own distribution, so its own prices.
     let skewed = presets::zipf_over(memory.support(), 1.5).unwrap();
-    let drifting = MemoryCoster::evolving(&skewed, &chain, n).unwrap();
+    let drifting = MemoryCoster::new(
+        Objective::Dynamic {
+            initial: skewed,
+            chain,
+        },
+        n,
+    )
+    .unwrap();
     costers.push(("evolving from a skew", drifting));
     for (what, coster) in costers {
         assert_priced_once(

@@ -8,37 +8,9 @@
 //! replays each plan whole.
 
 use crate::model::{AccessPath, CostModel};
-use crate::plan_cost::{expected_plan_cost_dynamic, expected_plan_cost_static, output_order};
+use crate::plan_cost::{expected_plan_cost_static, output_order, Objective};
 use lec_plan::{ColumnRef, JoinMethod, OrderProperty as Order, PlanNode, TableSet};
-use lec_prob::{Distribution, MarkovChain};
-
-/// What a plan is priced by.
-#[derive(Debug, Clone)]
-pub enum Objective {
-    /// `EC(P)` under one memory distribution (§3.1); a point memory is the
-    /// one-bucket distribution.
-    Static(Distribution),
-    /// §3.5: phase `k` sees `initial` pushed `k` steps through `chain`.
-    Dynamic {
-        /// The first phase's memory distribution.
-        initial: Distribution,
-        /// How memory moves between phases.
-        chain: MarkovChain,
-    },
-}
-
-impl Objective {
-    /// The replay's cost of `plan`.  Panics if a dynamic objective's chain
-    /// cannot evolve its initial distribution.
-    pub fn replay(&self, model: &CostModel<'_>, plan: &PlanNode) -> f64 {
-        match self {
-            Objective::Static(memory) => expected_plan_cost_static(model, plan, memory),
-            Objective::Dynamic { initial, chain } => {
-                expected_plan_cost_dynamic(model, plan, initial, chain).expect("chain evolves")
-            }
-        }
-    }
-}
+use lec_prob::Distribution;
 
 /// The cheapest plan of a space and what the enumeration saw.
 #[derive(Debug, Clone)]
@@ -103,7 +75,7 @@ fn root_sort(model: &CostModel<'_>, order: Order) -> Option<ColumnRef> {
 struct LeftDeep<'m, 'a> {
     model: &'m CostModel<'a>,
     objective: &'m Objective,
-    /// A dynamic objective's memory distribution per phase.
+    /// The memory distribution per phase, read by a dynamic objective.
     phases: Vec<Distribution>,
     accesses: Vec<Vec<Access>>,
     /// Running sums, `width` per row: row `k` after `k` phases.
@@ -191,14 +163,11 @@ impl LeftDeep<'_, '_> {
 /// objective's chain cannot evolve its initial distribution.
 pub fn left_deep(model: &CostModel<'_>, objective: &Objective) -> Option<Best> {
     let n = model.query().n_tables();
-    let (width, phases) = match objective {
-        Objective::Static(memory) => (memory.len(), Vec::new()),
-        Objective::Dynamic { initial, chain } => {
-            let evolve = |d: &Distribution| Some(chain.evolve_dist(d).expect("chain evolves"));
-            let phases = std::iter::successors(Some(initial.clone()), evolve);
-            (1, phases.take(n).collect())
-        }
+    let width = match objective {
+        Objective::Static(memory) => memory.len(),
+        Objective::Dynamic { .. } => 1,
     };
+    let phases = objective.phase_distributions(n).expect("chain evolves");
     let (accesses, sums) = (accesses(model), vec![0.0; (n + 1) * width]);
     let mut walk = LeftDeep {
         model,

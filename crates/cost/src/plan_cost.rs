@@ -128,8 +128,8 @@ impl OpClass {
 /// One plan node's predicted-cost record: the per-node decomposition the
 /// calibration observatory (`lec-exec::calib`) audits against measured
 /// page I/O.  Emitted by [`plan_node_costs`] in the exact traversal order
-/// of [`phases`], so a node's `phase` index lines up with the phase list,
-/// the simulator's traces, and the environment's per-phase marginals.
+/// of [`phases`], so a node's `phase` index lines up with the phase list
+/// and with [`Objective::phase_distributions`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanNodeCost {
     /// Short display label (`R0`, `IxR2`, `Sort`, `SM`, ... — the
@@ -334,13 +334,52 @@ pub fn expected_plan_cost_dynamic(
     chain: &MarkovChain,
 ) -> Result<f64, ProbError> {
     let ph = phases(model, plan);
-    let mut dist = initial.clone();
+    let marginals = chain.marginals(initial, ph.len())?;
     let mut total = 0.0;
-    for phase in &ph {
+    for (phase, dist) in ph.iter().zip(&marginals) {
         total += dist.expect(|m| phase.cost_at(model, m));
-        dist = chain.evolve_dist(&dist)?;
     }
     Ok(total)
+}
+
+/// A memory belief: what a plan is priced by.  The optimizer's exact
+/// modes search under one (`lec_core::Mode::objective` names each mode's),
+/// the oracle enumerates under one, and the calibration audit weighs its
+/// measurements by one.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Objective {
+    /// `EC(P)` under one memory distribution (§3.1); a point memory is the
+    /// one-bucket distribution.
+    Static(Distribution),
+    /// §3.5: phase `k` sees `initial` pushed `k` steps through `chain`.
+    Dynamic {
+        /// The first phase's memory distribution.
+        initial: Distribution,
+        /// How memory moves between phases.
+        chain: MarkovChain,
+    },
+}
+
+impl Objective {
+    /// The memory distribution of each of `n` phases: `n` copies of a
+    /// static belief, or the chain's marginals.
+    pub fn phase_distributions(&self, n: usize) -> Result<Vec<Distribution>, ProbError> {
+        match self {
+            Objective::Static(memory) => Ok(vec![memory.clone(); n]),
+            Objective::Dynamic { initial, chain } => chain.marginals(initial, n),
+        }
+    }
+
+    /// The replay's cost of `plan`.  Panics if a dynamic objective's chain
+    /// cannot evolve its initial distribution.
+    pub fn replay(&self, model: &CostModel<'_>, plan: &PlanNode) -> f64 {
+        match self {
+            Objective::Static(memory) => expected_plan_cost_static(model, plan, memory),
+            Objective::Dynamic { initial, chain } => {
+                expected_plan_cost_dynamic(model, plan, initial, chain).expect("chain evolves")
+            }
+        }
+    }
 }
 
 /// All memory values at which this plan's cost function `C(P, ·)` can jump:
@@ -546,6 +585,29 @@ mod tests {
         assert_eq!(c1, 1_400_000.0 + 2.0 * 1_400_000.0);
         // Sort of 3000 pages at m=50: ∛3000 ≈ 14.4 ≤ 50 < √3000 → 5·3000.
         assert_eq!(c2, 1_400_000.0 + 2.0 * 1_400_000.0 + 15_000.0);
+    }
+
+    #[test]
+    fn objectives_give_one_distribution_per_phase() {
+        let memory = lec_prob::presets::example_1_1_memory();
+        let fixed = Objective::Static(memory.clone());
+        assert_eq!(fixed.phase_distributions(3).unwrap(), vec![memory; 3]);
+        let chain =
+            MarkovChain::new(vec![50.0, 2000.0], vec![vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
+        let initial = Distribution::point(2000.0);
+        let moving = Objective::Dynamic {
+            initial: initial.clone(),
+            chain: chain.clone(),
+        };
+        let marginals = moving.phase_distributions(3).unwrap();
+        assert_eq!(marginals, chain.marginals(&initial, 3).unwrap());
+        let means: Vec<f64> = marginals.iter().map(Distribution::mean).collect();
+        assert_eq!(means, [2000.0, 50.0, 50.0]);
+        let foreign = Objective::Dynamic {
+            initial: Distribution::point(123.0),
+            chain,
+        };
+        assert!(foreign.phase_distributions(1).is_err());
     }
 
     #[test]

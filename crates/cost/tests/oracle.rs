@@ -5,8 +5,7 @@
 //! reported cost must be the replay of its own plan, bit for bit.
 
 use lec_catalog::{Catalog, CatalogGenerator};
-use lec_cost::oracle::{self, Objective};
-use lec_cost::{output_order, AccessPath, CostModel};
+use lec_cost::{oracle, output_order, AccessPath, CostModel, Objective};
 use lec_plan::{JoinMethod, PlanNode, Query, QueryProfile, TableSet, Topology, WorkloadGenerator};
 use lec_prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;

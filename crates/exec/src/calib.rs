@@ -6,7 +6,7 @@
 //! page-counting operators ([`crate::bufpool`] / [`crate::extops`]) and
 //! produces a per-plan **cost audit trace** pairing, for every plan node,
 //! its operator class and the cost model's prediction (point per memory
-//! bucket, and expected under the environment) with measured page I/O.
+//! bucket, and expected under the memory belief) with measured page I/O.
 //! The [`CostAudit`] is the one home of calibration data: no served
 //! request executes a plan, so nothing of it reaches the metrics document.
 //!
@@ -27,18 +27,14 @@
 //! `expected_plan_cost_dynamic`: operand sizes do not depend on memory,
 //! so executing the whole plan once per memory bucket and weighting each
 //! node's measurement by its *phase's* marginal distribution
-//! ([`Environment::phase_distributions`]) yields the exact expectation
+//! ([`Objective::phase_distributions`]) yields the exact expectation
 //! under static or drifting memory without enumerating memory paths.
 
 use crate::bufpool::{Disk, DiskTable, Row};
 use crate::datagen::{self, Dataset};
-use crate::env::Environment;
 use crate::extops;
 use lec_catalog::{Catalog, ColumnStats, IndexKind, TableStats};
-use lec_cost::{
-    expected_plan_cost_dynamic, expected_plan_cost_static, plan_cost_at, plan_node_costs,
-    CostModel, OpClass,
-};
+use lec_cost::{plan_cost_at, plan_node_costs, CostModel, Objective, OpClass};
 use lec_plan::{ColumnRef, JoinMethod, NodeRef, PlanNode, Query, Step};
 use lec_prob::{Distribution, ProbError};
 use serde_json::{json, Value};
@@ -79,7 +75,7 @@ pub enum CalibError {
     BadMemoryBucket(f64),
     /// An index scan appears in the plan for a table with no usable filter.
     MissingFilter(usize),
-    /// Probability-layer failure (environment/chain mismatch).
+    /// Probability-layer failure (initial memory off the chain's states).
     Prob(ProbError),
 }
 
@@ -137,14 +133,14 @@ pub fn op_band(class: OpClass) -> (f64, f64) {
 }
 
 /// One plan node's audit record: predictions and measurements per memory
-/// bucket, plus both expectations under the environment.
+/// bucket, plus both expectations under the memory belief.
 #[derive(Debug, Clone)]
 pub struct NodeAudit {
     /// Display label (`R0`, `IxR2`, `Sort`, `SM`, ...).
     pub label: String,
     /// Physical operator class.
     pub class: OpClass,
-    /// Phase index (aligned with `lec_cost::phases` and the simulator);
+    /// Phase index (aligned with `lec_cost::phases` and the per-phase marginals);
     /// `None` for memory-independent base accesses.
     pub phase: Option<usize>,
     /// `(memory bucket, predicted cost)` pairs.
@@ -186,7 +182,7 @@ impl NodeAudit {
 pub struct CostAudit {
     /// `PlanNode::compact` of the audited plan.
     pub plan: String,
-    /// Memory buckets executed (the union of the environment's support).
+    /// Memory buckets executed (the union of the phase marginals' supports).
     pub buckets: Vec<f64>,
     /// Per-node audits in `plan_node_costs` traversal order.
     pub nodes: Vec<NodeAudit>,
@@ -194,9 +190,9 @@ pub struct CostAudit {
     pub predicted_total: Vec<(f64, f64)>,
     /// Whole-plan measured page I/O per bucket.
     pub measured_total: Vec<(f64, f64)>,
-    /// Expected predicted cost under the environment.
+    /// Expected predicted cost under the memory belief (the replay).
     pub predicted_expected: f64,
-    /// Expected measured page I/O under the environment.
+    /// Expected measured page I/O under the memory belief.
     pub measured_expected: f64,
     /// Largest relative disagreement, over buckets, between the summed
     /// per-node predictions and the whole-plan prediction.  A correct
@@ -337,14 +333,14 @@ impl Calibrator {
         CostModel::new(&self.twin.catalog, &self.twin.query)
     }
 
-    /// Audit one plan under one environment.
-    pub fn audit(&self, plan: &PlanNode, env: &Environment) -> Result<CostAudit, CalibError> {
+    /// Audit one plan under one memory belief.
+    pub fn audit(&self, plan: &PlanNode, objective: &Objective) -> Result<CostAudit, CalibError> {
         let model = self.model();
         let node_costs = plan_node_costs(&model, plan);
         let n_phases = node_costs.iter().filter(|n| n.phase.is_some()).count();
 
         // Memory buckets: the union of every phase marginal's support.
-        let phase_dists = env.phase_distributions(n_phases)?;
+        let phase_dists = objective.phase_distributions(n_phases.max(1))?;
         let mut buckets: Vec<f64> = phase_dists
             .iter()
             .flat_map(|d| d.support().iter().copied())
@@ -416,12 +412,7 @@ impl Calibrator {
             .enumerate()
             .map(|(bi, &m)| (m, measured_per_bucket[bi].iter().sum::<u64>() as f64))
             .collect();
-        let predicted_expected = match env {
-            Environment::Static(d) => expected_plan_cost_static(&model, plan, d),
-            Environment::Dynamic { initial, chain } => {
-                expected_plan_cost_dynamic(&model, plan, initial, chain)?
-            }
-        };
+        let predicted_expected = objective.replay(&model, plan);
         let measured_expected = nodes.iter().map(|n| n.measured_expected).sum();
         let node_consistency_rel = predicted_total
             .iter()
@@ -715,8 +706,8 @@ mod tests {
         let (cat, q) = fixtures::example_1_1();
         let cal = Calibrator::new(&cat, &q);
         let plan = PlanNode::seq_scan(0);
-        let env = Environment::Static(Distribution::point(8.0));
-        let audit = cal.audit(&plan, &env).unwrap();
+        let objective = Objective::Static(Distribution::point(8.0));
+        let audit = cal.audit(&plan, &objective).unwrap();
         assert_eq!(audit.nodes.len(), 1);
         assert_eq!(audit.nodes[0].class, OpClass::SeqAccess);
         // Model seq scan = raw pages; measured = the same pages read once.
@@ -732,8 +723,8 @@ mod tests {
         let optimized = Optimizer::new(&cal.twin().catalog, memory.clone())
             .optimize(&cal.twin().query, &Mode::AlgorithmC)
             .unwrap();
-        let env = Environment::Static(memory);
-        let audit = cal.audit(&optimized.plan, &env).unwrap();
+        let objective = Objective::Static(memory);
+        let audit = cal.audit(&optimized.plan, &objective).unwrap();
         // Per-node predictions agree with the whole-plan prediction.
         assert!(
             audit.node_consistency_rel <= 1e-9,
@@ -774,7 +765,7 @@ mod tests {
         let states = vec![4.0, 8.0, 16.0];
         let chain = MarkovChain::birth_death(states.clone(), 0.4, 0.2).unwrap();
         let initial = Distribution::point(8.0);
-        let env = Environment::Dynamic {
+        let objective = Objective::Dynamic {
             initial: initial.clone(),
             chain: chain.clone(),
         };
@@ -782,7 +773,7 @@ mod tests {
         let optimized = Optimizer::new(&cal.twin().catalog, initial)
             .optimize(&cal.twin().query, &mode)
             .unwrap();
-        let audit = cal.audit(&optimized.plan, &env).unwrap();
+        let audit = cal.audit(&optimized.plan, &objective).unwrap();
         assert_eq!(audit.buckets, states);
         assert!(audit.node_consistency_rel <= 1e-9);
         // The dynamic expectation matches the library computation (the
@@ -807,8 +798,8 @@ mod tests {
             PlanNode::seq_scan(0),
             PlanNode::seq_scan(1),
         );
-        let env = Environment::Static(Distribution::point(8.0));
-        match cal.audit(&plan, &env) {
+        let objective = Objective::Static(Distribution::point(8.0));
+        match cal.audit(&plan, &objective) {
             Err(CalibError::NoJoinPredicate(_)) => {}
             other => panic!("expected NoJoinPredicate, got {other:?}"),
         }
@@ -819,8 +810,8 @@ mod tests {
         let (cat, q) = fixtures::example_1_1();
         let cal = Calibrator::new(&cat, &q);
         let plan = PlanNode::seq_scan(0);
-        let env = Environment::Static(Distribution::point(7.5));
-        match cal.audit(&plan, &env) {
+        let objective = Objective::Static(Distribution::point(7.5));
+        match cal.audit(&plan, &objective) {
             Err(CalibError::BadMemoryBucket(m)) => assert_eq!(m, 7.5),
             other => panic!("expected BadMemoryBucket, got {other:?}"),
         }

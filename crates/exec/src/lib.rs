@@ -4,11 +4,6 @@
 //! against realistic queries and execution environments" (§4).  This crate
 //! is that prototype's execution half:
 //!
-//! * [`mod@env`] — run-time environments producing per-phase memory values
-//!   (static draw, or §3.5 Markov drift);
-//! * [`sim`] — Monte-Carlo plan-cost simulation: sample a memory trace,
-//!   charge each §3.5 phase its model cost, average over many runs — the
-//!   measured quantity the LEC objective claims to minimize;
 //! * [`bufpool`] / [`extops`] — page-granular disk tables and *real*
 //!   external-memory operators (external sort, sort-merge join, Grace hash
 //!   join, block nested-loop) that count actual page I/O under a buffer
@@ -29,31 +24,27 @@
 //! form, beside each node's measured page I/O.  The same output checks
 //! that every plan the optimizer can emit for a query computes the same
 //! result (the §2.2 commutativity/associativity observations, made
-//! executable).  Run at every memory bucket of an [`Environment`], it
-//! yields a [`calib::CostAudit`]: for each plan node, its operator class
-//! and predicted cost (point per bucket, and expected under the
-//! environment's per-phase marginals) beside measured page I/O, dumpable
-//! as sorted-key JSON.  The audit is the caller's: no served request
-//! executes a plan, so calibration data stays out of the serving stack's
-//! metrics document.  [`calib::op_band`] records
-//! the measured-vs-formula envelope each operator class is expected to
-//! stay inside; the `calibration` bench pins per-optimizer-mode error
-//! bands in `BENCH_calibration.json`.
+//! executable).  Run at every memory bucket of a memory belief (a
+//! [`lec_cost::Objective`]), it yields a [`calib::CostAudit`]: for each
+//! plan node, its operator class and predicted cost (point per bucket,
+//! and expected under the belief's per-phase marginals) beside measured
+//! page I/O, dumpable as sorted-key JSON.  The audit is the caller's: no
+//! served request executes a plan, so calibration data stays out of the
+//! serving stack's metrics document.  [`calib::op_band`] records the
+//! measured-vs-formula envelope each operator class is expected to stay
+//! inside; the `calibration` bench pins per-optimizer-mode error bands in
+//! `BENCH_calibration.json`.
 
 #![forbid(unsafe_code)]
 
 pub mod bufpool;
 pub mod calib;
 pub mod datagen;
-pub mod env;
 pub mod extops;
-pub mod sim;
 
 pub use bufpool::{Disk, DiskTable, Io};
 pub use calib::{error_bp, op_band, CalibError, Calibrator, CostAudit, Execution, NodeAudit, Twin};
 pub use datagen::{generate, Dataset};
-pub use env::Environment;
 pub use extops::{
     block_nl_join, external_sort, grace_hash_join, page_nl_join, sort_merge_join, OpResult,
 };
-pub use sim::{monte_carlo, SimStats};

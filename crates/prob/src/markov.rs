@@ -217,6 +217,23 @@ impl MarkovChain {
         self.probs_to_dist(&self.evolve(&probs)?)
     }
 
+    /// The per-phase marginals of §3.5: phase `k` is `initial` evolved `k`
+    /// steps, for `n` phases.  Each phase's successor is computed before
+    /// the phase is kept, so an `initial` off the chain's states errs for
+    /// every `n > 0`.
+    pub fn marginals(
+        &self,
+        initial: &Distribution,
+        n: usize,
+    ) -> Result<Vec<Distribution>, ProbError> {
+        let (mut out, mut cur) = (Vec::with_capacity(n), initial.clone());
+        for _ in 0..n {
+            let next = self.evolve_dist(&cur)?;
+            out.push(std::mem::replace(&mut cur, next));
+        }
+        Ok(out)
+    }
+
     /// Stationary distribution by power iteration.
     pub fn stationary(&self, tol: f64, max_iter: usize) -> Result<Distribution, ProbError> {
         let n = self.n_states();
@@ -339,6 +356,30 @@ mod tests {
         let c = chain();
         let d = Distribution::point(123.0);
         assert!(c.dist_to_probs(&d).is_err());
+    }
+
+    #[test]
+    fn marginals_evolve_phase_by_phase() {
+        let absorbing = MarkovChain::new(
+            vec![100.0, 400.0],
+            vec![vec![0.0, 1.0], vec![0.0, 1.0]], // absorb at 400
+        )
+        .unwrap();
+        let dists = absorbing.marginals(&Distribution::point(100.0), 3).unwrap();
+        let means: Vec<f64> = dists.iter().map(Distribution::mean).collect();
+        assert_eq!(means, [100.0, 400.0, 400.0]);
+        assert!(absorbing
+            .marginals(&Distribution::point(100.0), 0)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn marginals_of_a_foreign_initial_support_err() {
+        let c = MarkovChain::identity(vec![100.0, 200.0]).unwrap();
+        for n in [1, 2] {
+            assert!(c.marginals(&Distribution::point(123.0), n).is_err());
+        }
     }
 
     #[test]

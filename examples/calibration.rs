@@ -12,7 +12,8 @@
 //! ```
 
 use lec_qopt::core::{fixtures, Mode, Optimizer, PointEstimate};
-use lec_qopt::exec::{Calibrator, Environment};
+use lec_qopt::cost::Objective;
+use lec_qopt::exec::Calibrator;
 use lec_qopt::prob::Distribution;
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
     // through mostly-fitting joins.
     let memory =
         Distribution::from_pairs([(4.0, 1.0 / 3.0), (8.0, 1.0 / 3.0), (16.0, 1.0 / 3.0)]).unwrap();
-    let env = Environment::Static(memory.clone());
+    let objective = Objective::Static(memory.clone());
     let opt = Optimizer::new(&twin.catalog, memory);
 
     // Every audited node's (operator class, error in bp), for the
@@ -46,7 +47,7 @@ fn main() {
     );
     for mode in [Mode::Lsc(PointEstimate::Mean), Mode::AlgorithmC] {
         let optimized = opt.optimize(&cal.twin().query, &mode).unwrap();
-        let audit = cal.audit(&optimized.plan, &env).unwrap();
+        let audit = cal.audit(&optimized.plan, &objective).unwrap();
         errors.extend(audit.nodes.iter().map(|n| (n.class.name(), n.error_bp())));
         println!(
             "{:<10} {:>12.1} {:>12.1} {:>8.1}%  {}",
@@ -60,7 +61,7 @@ fn main() {
 
     // The full audit trace for the LEC plan, as sorted-key JSON.
     let optimized = opt.optimize(&cal.twin().query, &Mode::AlgorithmC).unwrap();
-    let audit = cal.audit(&optimized.plan, &env).unwrap();
+    let audit = cal.audit(&optimized.plan, &objective).unwrap();
     println!("\nper-node audit of the LEC plan:");
     for node in &audit.nodes {
         println!(

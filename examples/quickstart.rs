@@ -6,8 +6,6 @@
 
 use lec_qopt::catalog::{Catalog, ColumnStats, TableStats};
 use lec_qopt::core::{Mode, Optimizer, PointEstimate};
-use lec_qopt::cost::CostModel;
-use lec_qopt::exec::{monte_carlo, Environment};
 use lec_qopt::plan::{ColumnRef, JoinPredicate, Query, QueryTable};
 use lec_qopt::prob::Distribution;
 
@@ -67,7 +65,7 @@ fn main() {
         memory.mean()
     );
 
-    let opt = Optimizer::new(&catalog, memory.clone());
+    let opt = Optimizer::new(&catalog, memory);
 
     // 4. Optimize classically and with Algorithm C.
     let lsc = opt
@@ -85,18 +83,9 @@ fn main() {
     let ec_lec = opt.expected_cost_of(&query, &lec.plan);
     println!("\nexpected cost: LSC plan {ec_lsc:>14.0}");
     println!("expected cost: LEC plan {ec_lec:>14.0}");
-
-    // 6. Confirm by simulation: 20,000 executions with memory drawn fresh
-    //    each time.
-    let model = CostModel::new(&catalog, &query);
-    let env = Environment::Static(memory);
-    let s_lsc = monte_carlo(&model, &lsc.plan, &env, 20_000, 42).unwrap();
-    let s_lec = monte_carlo(&model, &lec.plan, &env, 20_000, 42).unwrap();
-    println!("\nsimulated mean (20k runs): LSC {:>14.0}", s_lsc.mean);
-    println!("simulated mean (20k runs): LEC {:>14.0}", s_lec.mean);
     println!(
         "\nLEC saves {:.1}% on average{}",
-        (1.0 - s_lec.mean / s_lsc.mean) * 100.0,
+        (1.0 - ec_lec / ec_lsc) * 100.0,
         if lsc.plan == lec.plan {
             " (same plan here)"
         } else {

@@ -9,11 +9,11 @@
 //! | [`prob`] | bucketed distributions, prefix tables, Markov memory chains |
 //! | [`catalog`] | table statistics and synthetic catalogs |
 //! | [`plan`] | queries, order properties, physical plans, workloads |
-//! | [`cost`] | the paper's I/O cost formulas and expected-cost algorithms |
+//! | [`cost`] | the paper's I/O cost formulas and expected-cost algorithms; the memory belief (`Objective`) and the plan replay under it |
 //! | [`core`] | LSC baseline and Algorithms A, B, C, D; bucketing; ground truth |
 //! | [`service`] | cross-query serving: canonical-shape plan cache shared by many client threads, singleflight on misses |
 //! | [`serviced`] | hardened network daemon: wire protocol, admission control, graceful drain, fault injection |
-//! | [`exec`] | Monte-Carlo simulation, page-counting operators (the one plan executor), cost-calibration observatory |
+//! | [`exec`] | Page-counting operators (the one plan executor), synthetic data, cost-calibration observatory |
 //! | [`telemetry`] | lock-free histograms, request tracing, the slow log |
 //!
 //! This facade crate re-exports the public APIs and hosts the runnable

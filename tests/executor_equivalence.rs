@@ -2,19 +2,21 @@
 //! a query must compute the same result through the page-counting
 //! operators calibration measures (System R's §2.2 observations, verified
 //! end to end on a physical twin of each query, at several memory values),
-//! and simulated costs must match the cost model.
+//! and sampled executions must average to the replay's expected cost.
 
 use lec_qopt::catalog::{
     Catalog, CatalogGenerator, CatalogProfile, ColumnStats, IndexKind, TableStats,
 };
 use lec_qopt::core::{AlgDConfig, Mode, Optimizer, PointEstimate};
-use lec_qopt::cost::CostModel;
-use lec_qopt::exec::{monte_carlo, Calibrator, Environment};
+use lec_qopt::cost::{phases, CostModel, Objective};
+use lec_qopt::exec::Calibrator;
 use lec_qopt::plan::{
     ColumnRef, JoinMethod, JoinPredicate, PlanNode, Query, QueryProfile, QueryTable, TableSet,
     Topology, WorkloadGenerator,
 };
-use lec_qopt::prob::{presets, Distribution};
+use lec_qopt::prob::{presets, Distribution, MarkovChain};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Buffer pages every plan runs at: the operators' floor and two more.
 const MEMORY: [usize; 3] = [3, 5, 40];
@@ -263,6 +265,35 @@ fn a_root_sort_delivers_its_order() {
     }
 }
 
+/// The mean cost of `runs` sampled executions of `plan`, each charging
+/// every phase its model cost at the memory a trace drawn from
+/// `objective` gives that phase: one static draw for the whole trace, or
+/// a path of the chain.  Sampling noise aside, this is the replay's
+/// expectation; it checks the replay's per-phase linearity independently.
+fn sampled_mean(
+    model: &CostModel<'_>,
+    plan: &PlanNode,
+    objective: &Objective,
+    runs: usize,
+    seed: u64,
+) -> f64 {
+    let phases = phases(model, plan);
+    let n = phases.len().max(1);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut total = 0.0;
+    for _ in 0..runs {
+        let trace = match objective {
+            Objective::Static(memory) => vec![memory.sample(&mut rng); n],
+            Objective::Dynamic { initial, chain } => {
+                chain.sample_path(&chain.dist_to_probs(initial).unwrap(), n, &mut rng)
+            }
+        };
+        let cost = phases.iter().zip(trace).map(|(p, m)| p.cost_at(model, m));
+        total += cost.sum::<f64>();
+    }
+    total / runs as f64
+}
+
 #[test]
 fn monte_carlo_agrees_with_analytic_expected_cost() {
     for seed in [21u64, 22] {
@@ -272,41 +303,62 @@ fn monte_carlo_agrees_with_analytic_expected_cost() {
         let opt = Optimizer::new(&cat, memory.clone());
         let r = opt.optimize(&q, &Mode::Lsc(PointEstimate::Mean)).unwrap();
         let analytic = lec_qopt::cost::expected_plan_cost_static(&model, &r.plan, &memory);
-        let env = Environment::Static(memory);
-        let sim = monte_carlo(&model, &r.plan, &env, 60_000, seed).unwrap();
-        let rel = (sim.mean - analytic).abs() / analytic;
+        let sampled = sampled_mean(&model, &r.plan, &Objective::Static(memory), 60_000, seed);
+        let rel = (sampled - analytic).abs() / analytic;
         assert!(
             rel < 0.02,
-            "seed {seed}: sim {} vs analytic {analytic}",
-            sim.mean
+            "seed {seed}: sampled {sampled} vs analytic {analytic}"
+        );
+    }
+}
+
+/// Memory drifting down a birth-death chain from its top state: sampled
+/// paths average to the dynamic replay of dynamic Algorithm C's plan.
+#[test]
+fn monte_carlo_agrees_with_dynamic_expected_cost() {
+    let chain = MarkovChain::birth_death(vec![50.0, 150.0, 450.0, 1350.0], 0.45, 0.10).unwrap();
+    let initial = Distribution::point(1350.0);
+    let mode = Mode::AlgorithmCDynamic { chain };
+    let objective = mode.objective(&initial).unwrap();
+    for (seed, topology) in [(23u64, Topology::Chain), (24, Topology::Star)] {
+        let (cat, q) = workload(seed, 5, topology, 800_000);
+        let model = CostModel::new(&cat, &q);
+        let plan = Optimizer::new(&cat, initial.clone())
+            .optimize(&q, &mode)
+            .unwrap()
+            .plan;
+        let analytic = objective.replay(&model, &plan);
+        let sampled = sampled_mean(&model, &plan, &objective, 20_000, seed);
+        let rel = (sampled - analytic).abs() / analytic;
+        assert!(
+            rel < 0.03,
+            "{topology:?}: sampled {sampled} vs dynamic replay {analytic} (rel {rel})"
         );
     }
 }
 
 #[test]
-fn lec_improvement_survives_measurement() {
-    // On workloads where LEC and LSC disagree, the simulated average must
-    // favor LEC (it can never favor LSC, by optimality of the objective).
+fn lec_plan_never_replays_above_the_lsc_plan() {
+    // On workloads where LEC and LSC disagree, Algorithm C's plan has the
+    // lower expected cost: C is exact over a space holding LSC's plan.
     let mut disagreements = 0;
     for seed in 0..20u64 {
         let (cat, q) = workload(seed + 31, 4, Topology::Chain, 800_000);
         let memory = presets::spread_family(250.0, 0.9, 6).unwrap();
-        let model = CostModel::new(&cat, &q);
-        let opt = Optimizer::new(&cat, memory.clone());
+        let opt = Optimizer::new(&cat, memory);
         let lsc = opt.optimize(&q, &Mode::Lsc(PointEstimate::Mean)).unwrap();
         let lec = opt.optimize(&q, &Mode::AlgorithmC).unwrap();
         if lsc.plan == lec.plan {
             continue;
         }
         disagreements += 1;
-        let env = Environment::Static(memory);
-        let s_lsc = monte_carlo(&model, &lsc.plan, &env, 20_000, seed).unwrap();
-        let s_lec = monte_carlo(&model, &lec.plan, &env, 20_000, seed).unwrap();
+        let (ec_lsc, ec_lec) = (
+            opt.expected_cost_of(&q, &lsc.plan),
+            opt.expected_cost_of(&q, &lec.plan),
+        );
         assert!(
-            s_lec.mean <= s_lsc.mean * 1.01,
-            "seed {seed}: LEC measured {} vs LSC {}",
-            s_lec.mean,
-            s_lsc.mean
+            ec_lec <= ec_lsc,
+            "seed {seed}: EC(C) {ec_lec} vs EC(LSC) {ec_lsc}"
         );
     }
     assert!(

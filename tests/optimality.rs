@@ -5,8 +5,7 @@
 
 use lec_qopt::catalog::{CatalogGenerator, CatalogProfile};
 use lec_qopt::core::{optimize, Mode, OptError, SearchConfig, SearchOutcome};
-use lec_qopt::cost::oracle::{self, Objective};
-use lec_qopt::cost::CostModel;
+use lec_qopt::cost::{oracle, CostModel, Objective};
 use lec_qopt::plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_qopt::prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;

@@ -126,7 +126,7 @@ fn socket_path(tag: &str) -> std::path::PathBuf {
 
 fn assert_identical(
     resp: &lec_service::ServeResponse,
-    fresh: &lec_core::Optimized,
+    fresh: &lec_core::SearchOutcome,
     i: usize,
     label: &str,
 ) {

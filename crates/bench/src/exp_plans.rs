@@ -7,7 +7,12 @@
 use crate::search;
 use crate::table::{num, pct, Table};
 use crate::workloads::{batch, scaling_chain};
-use lec_core::{fixtures, Mode, Optimizer, PointEstimate};
+use lec_core::alg_a::representatives;
+use lec_core::search::TopCPolicy;
+use lec_core::{
+    fixtures, run_search_with, FrontierStats, Mode, Optimizer, PlanShape, PointEstimate,
+    SearchConfig,
+};
 use lec_cost::{expected_plan_cost_static, oracle, plan_cost_at, CostModel, Objective};
 use lec_prob::presets;
 use serde_json::{json, Value};
@@ -259,8 +264,21 @@ pub fn e5() -> Value {
     ]);
     let mut rows_json = Vec::new();
     for c in [1usize, 2, 3, 5, 8, 13, 21] {
-        let r = search(&model, &memory, Mode::AlgorithmB { c });
-        let f = r.frontier().unwrap();
+        // Algorithm B's counters: one top-c run per memory representative.
+        let mut f = FrontierStats::default();
+        for m in representatives(&memory) {
+            let mut policy = TopCPolicy::new(m, c);
+            run_search_with(
+                &model,
+                PlanShape::LeftDeep,
+                &mut policy,
+                &SearchConfig::default(),
+            )
+            .unwrap();
+            f.combinations_examined += policy.frontier.combinations_examined;
+            f.bound_total = f.bound_total.saturating_add(policy.frontier.bound_total);
+            f.groups += policy.frontier.groups;
+        }
         let per_group = f.combinations_examined as f64 / f.groups as f64;
         let bound = c as f64 + c as f64 * (c as f64).ln();
         let ok = f.combinations_examined <= f.bound_total;

@@ -10,29 +10,15 @@
 
 use crate::error::OptError;
 use crate::optimizer::{optimize, Mode};
-use crate::search::{SearchConfig, SearchExtras, SearchOutcome, SearchStats};
+use crate::search::{SearchConfig, SearchOutcome, SearchStats};
 use lec_cost::{expected_plan_cost_static, CostModel};
-use lec_plan::PlanNode;
 use lec_prob::Distribution;
-
-/// One candidate produced by Algorithm A: the LSC plan for memory `m`.
-#[derive(Debug, Clone)]
-pub struct Candidate {
-    /// The memory representative the optimizer was run at.
-    pub memory: f64,
-    /// The plan it produced.
-    pub plan: PlanNode,
-    /// Its cost at `memory` (what the black-box optimizer reported).
-    pub point_cost: f64,
-    /// Its expected cost under the full distribution.
-    pub expected_cost: f64,
-}
 
 /// The memory values Algorithms A and B run their point searches at: the
 /// distribution's bucket representatives, plus — per the paper's "without
 /// loss of generality" remark — the mean when not already present, which
 /// guarantees `EC(result) ≤ EC(LSC-at-mean plan)`.
-pub(crate) fn representatives(memory: &Distribution) -> Vec<f64> {
+pub fn representatives(memory: &Distribution) -> Vec<f64> {
     let mut reps: Vec<f64> = memory.support().to_vec();
     let mean = memory.mean();
     if !reps.iter().any(|&m| (m - mean).abs() < 1e-9) {
@@ -41,45 +27,34 @@ pub(crate) fn representatives(memory: &Distribution) -> Vec<f64> {
     reps
 }
 
-/// Algorithm A's ranking: the LSC plan of every representative, EC-ranked.
-/// The outcome's extras carry the per-representative [`Candidate`] list.
+/// Algorithm A's ranking: the LSC plan of every representative, EC-ranked
+/// (the first of an exact tie wins).
 pub(crate) fn rank_point_plans(
     model: &CostModel<'_>,
     memory: &Distribution,
     config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
-    let reps = representatives(memory);
     let mut stats = SearchStats::default();
-    let mut candidates = Vec::with_capacity(reps.len());
-    for m in reps {
+    let mut plans = Vec::new();
+    for m in representatives(memory) {
         let r = optimize(model, memory, &Mode::LscAt(m), config)?;
         stats.absorb(&r.stats);
-        candidates.push(Candidate {
-            memory: m,
-            plan: r.plan,
-            point_cost: r.cost,
-            expected_cost: 0.0, // filled below, under the eval counter
-        });
+        plans.push(r.plan);
     }
 
-    // EC-rank the candidates; the replay evaluations count toward the
-    // uniform stats like every other cost-formula call.
+    // EC-rank the plans; the replay evaluations count toward the uniform
+    // stats like every other cost-formula call.
     model.reset_evals();
-    for c in &mut candidates {
-        c.expected_cost = expected_plan_cost_static(model, &c.plan, memory);
-    }
-    stats.evals += model.evals();
-
-    let best = candidates
-        .iter()
-        .min_by(|a, b| a.expected_cost.total_cmp(&b.expected_cost))
+    let (plan, cost) = plans
+        .into_iter()
+        .map(|plan| {
+            let ec = expected_plan_cost_static(model, &plan, memory);
+            (plan, ec)
+        })
+        .min_by(|a, b| a.1.total_cmp(&b.1))
         .ok_or(OptError::NoPlanFound)?;
-    Ok(SearchOutcome {
-        plan: best.plan.clone(),
-        cost: best.expected_cost,
-        stats,
-        extras: SearchExtras::Candidates(candidates.clone()),
-    })
+    stats.evals += model.evals();
+    Ok(SearchOutcome { plan, cost, stats })
 }
 
 #[cfg(test)]
@@ -98,8 +73,8 @@ mod tests {
         let memory = example_1_1_memory();
         let r = run(&model, &memory, Mode::AlgorithmA).unwrap();
         assert!(crate::fixtures::is_plan2(&r.plan), "{}", r.plan.compact());
-        // Candidates: 700, 2000, and the mean 1740.
-        assert_eq!(r.candidates().unwrap().len(), 3);
+        // Representatives: 700, 2000, and the mean 1740.
+        assert_eq!(representatives(&memory), [700.0, 2000.0, 1740.0]);
         assert!((r.cost - 4_209_000.0).abs() < 1.0);
     }
 
@@ -139,17 +114,13 @@ mod tests {
     }
 
     #[test]
-    fn candidate_expected_costs_are_replayable() {
+    fn reported_cost_is_the_plans_replay() {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
         let r = run(&model, &memory, Mode::AlgorithmA).unwrap();
-        for c in r.candidates().unwrap() {
-            let replay = expected_plan_cost_static(&model, &c.plan, &memory);
-            assert!((c.expected_cost - replay).abs() < 1e-9);
-            let point = lec_cost::plan_cost_at(&model, &c.plan, c.memory);
-            assert!((c.point_cost - point).abs() < 1e-9);
-        }
+        let replay = expected_plan_cost_static(&model, &r.plan, &memory);
+        assert_eq!(r.cost.to_bits(), replay.to_bits());
     }
 
     #[test]
@@ -160,6 +131,6 @@ mod tests {
         let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
         let lsc = lsc_at(&model, 800.0).unwrap();
         assert!((a.cost - lsc.cost).abs() < 1e-9);
-        assert_eq!(a.candidates().unwrap().len(), 1);
+        assert_eq!(representatives(&memory), [800.0]);
     }
 }

@@ -6,15 +6,15 @@
 
 use crate::error::OptError;
 use crate::search::{
-    run_search_with, PlanShape, SearchConfig, SearchExtras, SearchOutcome, SearchStats, TopCPolicy,
+    run_search_with, PlanShape, SearchConfig, SearchOutcome, SearchStats, TopCPolicy,
 };
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
 
 /// Algorithm B's ranking: the top-`c` plans of every memory
-/// representative, the union EC-ranked.  The outcome's extras carry the
-/// Proposition 3.1 [`crate::search::FrontierStats`].
+/// representative, the union EC-ranked.  Each run's Proposition 3.1
+/// counters stay on its [`TopCPolicy::frontier`].
 pub(crate) fn rank_top_c_plans(
     model: &CostModel<'_>,
     memory: &Distribution,
@@ -26,17 +26,12 @@ pub(crate) fn rank_top_c_plans(
     }
     let reps = crate::alg_a::representatives(memory);
 
-    let mut frontier = crate::search::FrontierStats::default();
     let mut stats = SearchStats::default();
     let mut candidates: Vec<PlanNode> = Vec::new();
     for m in reps {
         let mut policy = TopCPolicy::new(m, c);
         let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
         stats.absorb(&run.stats);
-        let f = policy.frontier;
-        frontier.combinations_examined += f.combinations_examined;
-        frontier.bound_total = frontier.bound_total.saturating_add(f.bound_total);
-        frontier.groups += f.groups;
         for e in &run.roots {
             let plan = run.plans.node(e.plan);
             if !candidates.contains(&plan) {
@@ -55,20 +50,38 @@ pub(crate) fn rank_top_c_plans(
         }
     }
     stats.evals += model.evals();
-    let (plan, expected_cost) = best.ok_or(OptError::NoPlanFound)?;
-    Ok(SearchOutcome {
-        plan,
-        cost: expected_cost,
-        stats,
-        extras: SearchExtras::Frontier(frontier),
-    })
+    let (plan, cost) = best.ok_or(OptError::NoPlanFound)?;
+    Ok(SearchOutcome { plan, cost, stats })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alg_a::representatives;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
     use crate::optimizer::{run, Mode};
+    use crate::search::FrontierStats;
+
+    /// Algorithm B's Proposition 3.1 counters: one top-`c` run per memory
+    /// representative, summed.
+    fn frontier(model: &CostModel<'_>, memory: &Distribution, c: usize) -> FrontierStats {
+        let mut sum = FrontierStats::default();
+        for m in representatives(memory) {
+            let mut policy = TopCPolicy::new(m, c);
+            run_search_with(
+                model,
+                PlanShape::LeftDeep,
+                &mut policy,
+                &SearchConfig::default(),
+            )
+            .unwrap();
+            let f = policy.frontier;
+            sum.combinations_examined += f.combinations_examined;
+            sum.bound_total = sum.bound_total.saturating_add(f.bound_total);
+            sum.groups += f.groups;
+        }
+        sum
+    }
 
     #[test]
     fn b_with_c1_matches_a() {
@@ -118,10 +131,9 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
         for c in [1, 2, 3, 5, 8, 13] {
-            let b = run(&model, &memory, Mode::AlgorithmB { c }).unwrap();
             // Per group, examined ≤ c + c·log c (the bound_total is the
             // per-group bound times the number of groups).
-            let f = b.frontier().unwrap();
+            let f = frontier(&model, &memory, c);
             assert!(
                 f.combinations_examined <= f.bound_total,
                 "c={c}: {} > {}",
@@ -141,7 +153,7 @@ mod tests {
         let model = CostModel::new(&cat, &q);
         let memory = example_1_1_memory();
         let huge = run(&model, &memory, Mode::AlgorithmB { c: usize::MAX }).unwrap();
-        assert_eq!(huge.frontier().unwrap().bound_total, u64::MAX);
+        assert_eq!(frontier(&model, &memory, usize::MAX).bound_total, u64::MAX);
         let c3 = run(&model, &memory, Mode::AlgorithmB { c: 3 }).unwrap();
         assert!(huge.cost <= c3.cost, "a candidate superset cannot hurt");
     }

@@ -7,15 +7,11 @@
 
 use crate::error::OptError;
 pub use crate::search::AlgDConfig;
-use crate::search::{
-    run_search_with, MultiParamPolicy, PlanShape, SearchConfig, SearchExtras, SearchOutcome,
-};
+use crate::search::{run_search_with, MultiParamPolicy, PlanShape, SearchConfig, SearchOutcome};
 use lec_cost::CostModel;
 use lec_prob::Distribution;
 
-/// Run Algorithm D.  The outcome's extras carry the winning plan's
-/// result-size distribution and the largest pre-rebucketing product
-/// support.
+/// Run Algorithm D.
 pub(crate) fn search(
     model: &CostModel<'_>,
     memory: &Distribution,
@@ -34,10 +30,6 @@ pub(crate) fn search(
         plan: run.plans.node(best.plan),
         cost: best.cost,
         stats: run.stats,
-        extras: SearchExtras::MultiParam {
-            result_size: best.pages.dist.clone(),
-            max_product_support: policy.max_product_support,
-        },
     })
 }
 
@@ -47,6 +39,25 @@ mod tests {
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
     use crate::optimizer::{run, Mode};
     use lec_plan::ColumnRef;
+
+    /// Algorithm D's diagnostics, read off its policy: the winning entry's
+    /// result-size distribution and the largest pre-rebucketing product
+    /// support.
+    fn diagnostics(
+        model: &CostModel<'_>,
+        memory: &Distribution,
+        config: AlgDConfig,
+    ) -> (Distribution, usize) {
+        let mut policy = MultiParamPolicy::new(memory, config);
+        let run = run_search_with(
+            model,
+            PlanShape::LeftDeep,
+            &mut policy,
+            &SearchConfig::default(),
+        )
+        .unwrap();
+        (run.best().pages.dist.clone(), policy.max_product_support)
+    }
 
     #[test]
     fn with_point_sizes_d_reduces_to_c() {
@@ -87,7 +98,7 @@ mod tests {
         assert!(crate::fixtures::is_plan2(&d.plan), "{}", d.plan.compact());
         assert!((d.cost - 4_209_000.0).abs() < 1.0);
         // Result size is the certain 3000 pages.
-        let size = d.result_size().unwrap();
+        let (size, _) = diagnostics(&model, &example_1_1_memory(), AlgDConfig::default());
         assert!(size.is_point());
         assert!((size.mean() - 3000.0).abs() < 1e-6);
         // The uniform counters are all populated (the seed hard-coded
@@ -119,8 +130,9 @@ mod tests {
         )
         .unwrap();
         // Result size now has two buckets: 300 and 5700 pages.
-        assert_eq!(d.result_size().unwrap().len(), 2);
-        assert!((d.result_size().unwrap().mean() - 3000.0).abs() < 1e-6);
+        let (size, _) = diagnostics(&model, &memory, AlgDConfig::default());
+        assert_eq!(size.len(), 2);
+        assert!((size.mean() - 3000.0).abs() < 1e-6);
         // The plan choice is unchanged (sort cost is still small), but the
         // cost reflects the spread.
         assert!(crate::fixtures::is_plan2(&d.plan), "{}", d.plan.compact());
@@ -146,14 +158,15 @@ mod tests {
             max_buckets: 8,
             ..Default::default()
         };
+        let (_, full_support) = diagnostics(&model, &memory, full.clone());
+        let (_, cube_support) = diagnostics(&model, &memory, cube.clone());
+        assert!(
+            cube_support <= 27,
+            "∛8 = 2 per factor → ≤ 8 product buckets (constructor may merge), got {cube_support}"
+        );
+        assert!(full_support >= cube_support);
         let rf = run(&model, &memory, Mode::AlgorithmD { config: full }).unwrap();
         let rc = run(&model, &memory, Mode::AlgorithmD { config: cube }).unwrap();
-        assert!(
-            rc.max_product_support().unwrap() <= 27,
-            "∛8 = 2 per factor → ≤ 8 product buckets (constructor may merge), got {}",
-            rc.max_product_support().unwrap()
-        );
-        assert!(rf.max_product_support().unwrap() >= rc.max_product_support().unwrap());
         // Both should agree on cost within a coarse tolerance (rebucketing
         // error), sanity-bounded to the same order of magnitude.
         let ratio = rf.cost / rc.cost;
@@ -171,16 +184,18 @@ mod tests {
         b_stats.page_dist = Some(Distribution::bimodal(200_000.0, 600_000.0, 0.5).unwrap());
         cat2.add_table("B", b_stats);
         let model = CostModel::new(&cat2, &q);
+        let memory = example_1_1_memory();
         let d = run(
             &model,
-            &example_1_1_memory(),
+            &memory,
             Mode::AlgorithmD {
                 config: AlgDConfig::default(),
             },
         )
         .unwrap();
         assert!(d.cost > 0.0);
-        assert!(!d.result_size().unwrap().is_point());
+        let (size, _) = diagnostics(&model, &memory, AlgDConfig::default());
+        assert!(!size.is_point());
     }
 
     #[test]

@@ -44,14 +44,16 @@
 //! or the §4 bushy extension — so every mode commutes with table renaming,
 //! which is what lets the serving layer cache answers by query shape.
 //!
-//! Every mode returns the same [`SearchOutcome`] — plan, objective value,
-//! uniform [`SearchStats`] and optional mode-specific extras — so callers
-//! never destructure per-mode result types.  A scalar-size operator is
-//! priced in place, `b` formula calls under a `b`-bucket memory
-//! distribution, and each `combine` prices each distinct operand-size
-//! pair once; nothing is memoized across calls.  [`SearchStats::evals`]
-//! counts the formula evaluations actually performed, making the paper's
-//! "factor b" overhead claims directly observable.
+//! Every mode returns the same [`SearchOutcome`] — plan, objective value
+//! and uniform [`SearchStats`] — and so does [`Optimizer::optimize`]; a
+//! mode's own diagnostics (Algorithm B's Proposition 3.1 frontier,
+//! Algorithm D's product supports) stay on its policy.  A scalar-size
+//! operator is priced in place, `b` formula calls under a `b`-bucket
+//! memory distribution, and each `combine` prices each distinct
+//! operand-size pair once; nothing is memoized across calls.
+//! [`SearchStats::evals`] counts the formula evaluations actually
+//! performed, making the paper's "factor b" overhead claims directly
+//! observable.
 //!
 //! ## Threading model
 //!
@@ -91,13 +93,12 @@ pub mod lsc;
 pub mod optimizer;
 pub mod search;
 
-pub use alg_a::Candidate;
 pub use alg_d::AlgDConfig;
 pub use bucketing::{bucketize, query_memory_breakpoints, BucketStrategy};
 pub use error::OptError;
 pub use lsc::PointEstimate;
-pub use optimizer::{optimize, Mode, Optimized, Optimizer};
+pub use optimizer::{optimize, Mode, Optimizer};
 pub use search::{
     run_search_with, CandidatePolicy, FrontierStats, MemoryCoster, PlanShape, SearchConfig,
-    SearchExtras, SearchOutcome, SearchStats,
+    SearchOutcome, SearchStats,
 };

@@ -2,14 +2,14 @@
 //! policy × coster, and [`Optimizer`] binds it to a catalog and a memory
 //! belief.
 //!
-//! Every mode returns the engine's uniform [`SearchOutcome`], so neither
-//! does any per-mode destructuring.
+//! Both return one [`SearchOutcome`] for every mode, so no caller
+//! destructures a per-mode result.
 
 use crate::alg_d::AlgDConfig;
 use crate::error::OptError;
 use crate::lsc::PointEstimate;
 use crate::search::{run_search_with, KeepBestPolicy, MemoryCoster, PlanShape};
-pub use crate::search::{SearchConfig, SearchExtras, SearchOutcome, SearchStats};
+pub use crate::search::{SearchConfig, SearchOutcome, SearchStats};
 use lec_catalog::Catalog;
 use lec_cost::{CostModel, Objective};
 use lec_plan::{PlanNode, Query};
@@ -159,30 +159,13 @@ pub fn optimize(
             let mut policy = KeepBestPolicy::new(coster);
             let run = run_search_with(model, shape, &mut policy, config)?;
             let best = run.best();
-            Ok(SearchOutcome::new(
-                run.plans.node(best.plan),
-                best.cost,
-                run.stats,
-            ))
+            Ok(SearchOutcome {
+                plan: run.plans.node(best.plan),
+                cost: best.cost,
+                stats: run.stats,
+            })
         }
     }
-}
-
-/// The outcome of one optimization call: the engine's uniform result plus
-/// the mode's display name.
-#[derive(Debug, Clone)]
-pub struct Optimized {
-    /// Chosen plan.
-    pub plan: PlanNode,
-    /// The objective value the algorithm reported: point cost for LSC,
-    /// expected cost for every LEC mode.
-    pub cost: f64,
-    /// Mode display name.
-    pub mode: &'static str,
-    /// Uniform statistics (elapsed covers the whole facade call).
-    pub stats: SearchStats,
-    /// Mode-specific diagnostics.
-    pub extras: SearchExtras,
 }
 
 /// An optimizer bound to a catalog and a memory model.
@@ -249,24 +232,17 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Optimize `query` under `mode`: validate, build the cost model, run
-    /// the free [`optimize`].
-    pub fn optimize(&self, query: &Query, mode: &Mode) -> Result<Optimized, OptError> {
+    /// the free [`optimize`].  `stats.elapsed` covers the whole call.
+    pub fn optimize(&self, query: &Query, mode: &Mode) -> Result<SearchOutcome, OptError> {
         query.validate(self.catalog)?;
         let mut model = CostModel::new(self.catalog, query);
         if let Some(t) = &self.search.telemetry {
             model.set_telemetry(Some(Arc::clone(t)));
         }
         let start = Instant::now();
-        let outcome = optimize(&model, &self.memory, mode, &self.search)?;
-        let mut stats = outcome.stats;
-        stats.elapsed = start.elapsed();
-        Ok(Optimized {
-            plan: outcome.plan,
-            cost: outcome.cost,
-            mode: mode.name(),
-            stats,
-            extras: outcome.extras,
-        })
+        let mut outcome = optimize(&model, &self.memory, mode, &self.search)?;
+        outcome.stats.elapsed = start.elapsed();
+        Ok(outcome)
     }
 
     /// Expected cost of an arbitrary plan under this optimizer's memory
@@ -317,7 +293,7 @@ mod tests {
         ];
         for mode in modes {
             let r = opt.optimize(&q, &mode).unwrap();
-            assert!(r.cost > 0.0, "{}", r.mode);
+            assert!(r.cost > 0.0, "{}", mode.name());
             assert!(r.plan.is_left_deep());
             assert!(r.stats.elapsed.as_nanos() > 0);
         }
@@ -344,10 +320,10 @@ mod tests {
         ];
         for mode in modes {
             let r = opt.optimize(&q, &mode).unwrap();
-            assert!(r.stats.nodes > 0, "{}: nodes", r.mode);
-            assert!(r.stats.candidates > 0, "{}: candidates", r.mode);
-            assert!(r.stats.evals > 0, "{}: evals", r.mode);
-            assert!(r.stats.elapsed.as_nanos() > 0, "{}: elapsed", r.mode);
+            assert!(r.stats.nodes > 0, "{}: nodes", mode.name());
+            assert!(r.stats.candidates > 0, "{}: candidates", mode.name());
+            assert!(r.stats.evals > 0, "{}: evals", mode.name());
+            assert!(r.stats.elapsed.as_nanos() > 0, "{}: elapsed", mode.name());
         }
     }
 
@@ -375,14 +351,14 @@ mod tests {
             assert!(
                 crate::fixtures::is_plan2(&lec.plan),
                 "{}: {}",
-                lec.mode,
+                mode.name(),
                 lec.plan.compact()
             );
             let lsc_ec = opt.expected_cost_of(&q, &lsc.plan);
             assert!(
                 lec.cost < lsc_ec,
                 "{}: {} !< {}",
-                lec.mode,
+                mode.name(),
                 lec.cost,
                 lsc_ec
             );
@@ -399,8 +375,7 @@ mod tests {
         // optimum (the plan space is tiny).
         assert!(
             (r.cost - exact.cost).abs() < 1.0,
-            "{}: {} vs {}",
-            r.mode,
+            "Bushy: {} vs {}",
             r.cost,
             exact.cost
         );

@@ -82,7 +82,6 @@ pub use policy::{
 pub use top_c::{insert_top_c, order_run, FrontierStats, TopCPolicy};
 
 use lec_plan::PlanNode;
-use lec_prob::Distribution;
 use std::time::Duration;
 
 // Shim (the subplan memo is gone): crates/bench/src/bin/ledger/src/harness.rs is the only caller.
@@ -187,27 +186,9 @@ impl serde_json::Serialize for SearchStats {
     }
 }
 
-/// Mode-specific diagnostics carried alongside the uniform outcome.
-#[derive(Debug, Clone, Default)]
-pub enum SearchExtras {
-    /// Nothing beyond the uniform fields.
-    #[default]
-    None,
-    /// Algorithm A: the per-memory-representative candidates.
-    Candidates(Vec<crate::alg_a::Candidate>),
-    /// Algorithm B: Proposition 3.1 frontier counters.
-    Frontier(FrontierStats),
-    /// Algorithm D: the winning plan's result-size distribution and the
-    /// largest pre-rebucketing product support seen.
-    MultiParam {
-        /// Distribution of the final result size in pages.
-        result_size: Distribution,
-        /// Largest size-distribution support before rebucketing.
-        max_product_support: usize,
-    },
-}
-
-/// The uniform result of one optimization run, whatever the mode.
+/// The one result of an optimization, whatever the mode: what the free
+/// [`crate::optimize`] and [`crate::Optimizer::optimize`] return and what
+/// the plan cache stores.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// The chosen plan.
@@ -217,53 +198,4 @@ pub struct SearchOutcome {
     pub cost: f64,
     /// Uniform statistics.
     pub stats: SearchStats,
-    /// Mode-specific diagnostics.
-    pub extras: SearchExtras,
-}
-
-impl SearchOutcome {
-    /// Assemble an outcome with no extras.
-    pub fn new(plan: PlanNode, cost: f64, stats: SearchStats) -> Self {
-        SearchOutcome {
-            plan,
-            cost,
-            stats,
-            extras: SearchExtras::None,
-        }
-    }
-
-    /// Algorithm B's frontier counters, when this outcome has them.
-    pub fn frontier(&self) -> Option<&FrontierStats> {
-        match &self.extras {
-            SearchExtras::Frontier(frontier) => Some(frontier),
-            _ => None,
-        }
-    }
-
-    /// Algorithm A's candidate list.
-    pub fn candidates(&self) -> Option<&[crate::alg_a::Candidate]> {
-        match &self.extras {
-            SearchExtras::Candidates(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Algorithm D's result-size distribution.
-    pub fn result_size(&self) -> Option<&Distribution> {
-        match &self.extras {
-            SearchExtras::MultiParam { result_size, .. } => Some(result_size),
-            _ => None,
-        }
-    }
-
-    /// Algorithm D's largest pre-rebucketing product support.
-    pub fn max_product_support(&self) -> Option<usize> {
-        match &self.extras {
-            SearchExtras::MultiParam {
-                max_product_support,
-                ..
-            } => Some(*max_product_support),
-            _ => None,
-        }
-    }
 }

@@ -9,7 +9,7 @@
 use lec_catalog::{Catalog, ColumnStats, TableStats};
 use lec_core::search::engine::next_level;
 use lec_core::search::SearchConfig;
-use lec_core::{fixtures, optimize, Mode, OptError, Optimized, Optimizer};
+use lec_core::{fixtures, optimize, Mode, OptError, Optimizer, SearchOutcome};
 use lec_cost::formulas::MIN_PAGES;
 use lec_cost::CostModel;
 use lec_plan::{
@@ -263,7 +263,7 @@ fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<
 }
 
 /// Algorithm C over `q` under a 4-bucket memory.
-fn search(cat: &Catalog, q: &Query, what: &str) -> Optimized {
+fn search(cat: &Catalog, q: &Query, what: &str) -> SearchOutcome {
     let memory = presets::spread_family(400.0, 0.5, 4).unwrap();
     Optimizer::new(cat, memory)
         .optimize(q, &Mode::AlgorithmC)

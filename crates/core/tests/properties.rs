@@ -2,8 +2,11 @@
 //! orderings and bucketing.
 
 use lec_catalog::CatalogGenerator;
+use lec_core::alg_a::representatives;
+use lec_core::search::TopCPolicy;
 use lec_core::{
-    bucketize, optimize, BucketStrategy, Mode, OptError, PointEstimate, SearchConfig, SearchOutcome,
+    bucketize, optimize, run_search_with, BucketStrategy, Mode, OptError, PlanShape, PointEstimate,
+    SearchConfig, SearchOutcome,
 };
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
@@ -67,14 +70,18 @@ proptest! {
         prop_assert!(bu.cost <= cc.cost + 1e-6);
     }
 
-    /// Algorithm B's frontier counters never exceed the Prop 3.1 bound.
+    /// Algorithm B's frontier counters never exceed the Prop 3.1 bound,
+    /// at any of its memory representatives.
     #[test]
     fn frontier_bound(seed in 0u64..5000, n in 3usize..6, c in 1usize..12) {
         let (cat, q) = workload(seed, n);
         let model = CostModel::new(&cat, &q);
         let memory = presets::spread_family(300.0, 0.6, 4).unwrap();
-        let b = run(&model, &memory, Mode::AlgorithmB { c }).unwrap();
-        prop_assert!(b.frontier().unwrap().combinations_examined <= b.frontier().unwrap().bound_total);
+        for m in representatives(&memory) {
+            let mut policy = TopCPolicy::new(m, c);
+            run_search_with(&model, PlanShape::LeftDeep, &mut policy, &SearchConfig::default()).unwrap();
+            prop_assert!(policy.frontier.combinations_examined <= policy.frontier.bound_total);
+        }
     }
 
     /// Every bucketing strategy preserves mass and mean on random truths

@@ -171,22 +171,6 @@ pub fn sort_breakpoints(r: f64) -> Vec<f64> {
     vec![r.cbrt(), r.sqrt(), r]
 }
 
-/// A truncated set of memory values at which [`bnl_join_cost`] changes:
-/// the block count `⌈a/(m-2)⌉` steps at every divisor of the outer size.
-/// Only the `limit` largest thresholds are returned (the small ones are
-/// closely spaced and contribute little mass to any realistic bucket set).
-pub fn bnl_breakpoints(a: f64, b: f64, limit: usize) -> Vec<f64> {
-    let _ = b; // cliffs depend only on the outer size
-    let a = clamp(a);
-    let mut out = Vec::with_capacity(limit);
-    for k in 1..=limit as u64 {
-        // smallest m with ⌈a/(m-2)⌉ <= k  ⇒  m = a/k + 2
-        out.push(a / k as f64 + 2.0);
-    }
-    out.reverse(); // ascending
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,16 +315,6 @@ mod tests {
             let below = sort_cost(3000.0, bp - 1e-6);
             let above = sort_cost(3000.0, bp + 1e-6);
             assert!(below > above, "sort cliff at {bp}");
-        }
-    }
-
-    #[test]
-    fn bnl_breakpoints_are_real_cliffs() {
-        let (a, b) = (100.0, 50.0);
-        for bp in bnl_breakpoints(a, b, 5) {
-            let below = bnl_join_cost(a, b, bp - 1e-6);
-            let at = bnl_join_cost(a, b, bp);
-            assert!(below > at, "bnl cliff at {bp}: {below} vs {at}");
         }
     }
 

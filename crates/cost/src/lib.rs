@@ -12,8 +12,8 @@
 //!   complexity claims are stated in;
 //! * [`plan_cost`] — whole-plan costing `C(P, v)`, the §3.5 phase
 //!   decomposition, expected plan cost under static and Markov-evolving
-//!   memory (the replay), the memory belief [`Objective`] that names
-//!   which, and per-plan cliff positions for §3.7 level-set bucketing;
+//!   memory (the replay), and the memory belief [`Objective`] that names
+//!   which;
 //! * [`expected`] — expected *join* cost under size+memory distributions:
 //!   the defining `O(b³)` triple sum and the paper's `O(b)` streaming
 //!   algorithms, which are tested to agree exactly;
@@ -38,6 +38,5 @@ pub use model::{
 };
 pub use plan_cost::{
     expected_plan_cost_dynamic, expected_plan_cost_static, output_order, phases, plan_cost_at,
-    plan_memory_breakpoints, plan_node_costs, MemCost, NodeKind, Objective, OpClass, Phase,
-    PlanNodeCost,
+    plan_node_costs, NodeKind, Objective, OpClass, Phase, PlanNodeCost,
 };

@@ -14,50 +14,21 @@ use crate::model::{AccessPath, CostModel};
 use lec_plan::{JoinMethod, NodeRef, OrderProperty, PlanNode, Step};
 use lec_prob::{Distribution, MarkovChain, ProbError};
 
-/// The memory-dependent part of one execution phase.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MemCost {
-    /// Phase with no memory-dependent work (pure access, degenerate plans).
-    None,
-    /// A join of two inputs of known (point-estimated) sizes.
-    Join {
-        /// Join algorithm.
-        method: JoinMethod,
-        /// Outer input size in pages.
-        outer: f64,
-        /// Inner input size in pages.
-        inner: f64,
-    },
-    /// An explicit sort.
-    Sort {
-        /// Input size in pages.
-        pages: f64,
-    },
-}
-
 /// One execution phase (§3.5): a join or sort plus the memory-independent
 /// access costs charged alongside it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Memory-independent cost (base-table accesses feeding this phase).
     pub fixed: f64,
-    /// Memory-dependent operator.
-    pub mem: MemCost,
+    /// The sort or join that opens the phase; `None` for a lone access
+    /// (a degenerate single-access plan).
+    pub op: Option<NodeKind>,
 }
 
 impl Phase {
     /// Cost of the phase when memory is `m`.
     pub fn cost_at(&self, model: &CostModel<'_>, m: f64) -> f64 {
-        self.fixed
-            + match &self.mem {
-                MemCost::None => 0.0,
-                MemCost::Join {
-                    method,
-                    outer,
-                    inner,
-                } => model.join_cost(*method, *outer, *inner, m),
-                MemCost::Sort { pages } => model.sort_cost(*pages, m),
-            }
+        self.fixed + self.op.as_ref().map_or(0.0, |op| op.cost_at(model, m))
     }
 }
 
@@ -146,15 +117,7 @@ pub struct PlanNodeCost {
 impl PlanNodeCost {
     /// The node's predicted cost when memory is `m` pages.
     pub fn cost_at(&self, model: &CostModel<'_>, m: f64) -> f64 {
-        match &self.kind {
-            NodeKind::Access { path, table } => model.access_cost(*path, *table),
-            NodeKind::Sort { pages } => model.sort_cost(*pages, m),
-            NodeKind::Join {
-                method,
-                outer,
-                inner,
-            } => model.join_cost(*method, *outer, *inner, m),
-        }
+        self.kind.cost_at(model, m)
     }
 
     /// The physical operator class of this node.
@@ -180,20 +143,17 @@ impl PlanNodeCost {
 }
 
 impl NodeKind {
-    /// The memory-dependent part of the phase a sort or join opens.
-    fn mem(&self) -> MemCost {
+    /// The operator's predicted cost when memory is `m` pages: the one
+    /// per-operator price of the replay.
+    pub fn cost_at(&self, model: &CostModel<'_>, m: f64) -> f64 {
         match *self {
-            NodeKind::Access { .. } => MemCost::None,
-            NodeKind::Sort { pages } => MemCost::Sort { pages },
+            NodeKind::Access { path, table } => model.access_cost(path, table),
+            NodeKind::Sort { pages } => model.sort_cost(pages, m),
             NodeKind::Join {
                 method,
                 outer,
                 inner,
-            } => MemCost::Join {
-                method,
-                outer,
-                inner,
-            },
+            } => model.join_cost(method, outer, inner, m),
         }
     }
 }
@@ -264,7 +224,7 @@ pub fn phases(model: &CostModel<'_>, plan: &PlanNode) -> Vec<Phase> {
         if let Some(fixed) = fixed {
             out.push(Phase {
                 fixed,
-                mem: kind.mem(),
+                op: Some(kind),
             });
         }
     });
@@ -272,7 +232,7 @@ pub fn phases(model: &CostModel<'_>, plan: &PlanNode) -> Vec<Phase> {
         // Degenerate single-access plan: charge the access as its own phase.
         out.push(Phase {
             fixed: pending,
-            mem: MemCost::None,
+            op: None,
         });
     }
     out
@@ -382,37 +342,6 @@ impl Objective {
     }
 }
 
-/// All memory values at which this plan's cost function `C(P, ·)` can jump:
-/// the union of the per-operator cliff positions, sorted and deduplicated.
-/// This is the §3.7 "level set" information used by the level-set
-/// bucketing strategy.
-pub fn plan_memory_breakpoints(model: &CostModel<'_>, plan: &PlanNode) -> Vec<f64> {
-    use crate::formulas;
-    let mut bps: Vec<f64> = Vec::new();
-    let ph = phases(model, plan);
-    for phase in &ph {
-        match &phase.mem {
-            MemCost::None => {}
-            MemCost::Join {
-                method,
-                outer,
-                inner,
-            } => match method {
-                JoinMethod::SortMerge => bps.extend(formulas::sm_breakpoints(*outer, *inner)),
-                JoinMethod::GraceHash => bps.extend(formulas::grace_breakpoints(*outer, *inner)),
-                JoinMethod::PageNestedLoop => bps.extend(formulas::nl_breakpoints(*outer, *inner)),
-                JoinMethod::BlockNestedLoop => {
-                    bps.extend(formulas::bnl_breakpoints(*outer, *inner, 16))
-                }
-            },
-            MemCost::Sort { pages } => bps.extend(formulas::sort_breakpoints(*pages)),
-        }
-    }
-    bps.sort_by(f64::total_cmp);
-    bps.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-    bps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,16 +448,16 @@ mod tests {
         // Phase 0: the join, carrying both scans as fixed cost.
         assert_eq!(ph[0].fixed, 1_400_000.0);
         assert!(matches!(
-            ph[0].mem,
-            MemCost::Join {
+            ph[0].op,
+            Some(NodeKind::Join {
                 method: JoinMethod::GraceHash,
                 ..
-            }
+            })
         ));
         // Phase 1: the sort of the 3000-page result.
         assert_eq!(ph[0].fixed + ph[1].fixed, 1_400_000.0);
-        match ph[1].mem {
-            MemCost::Sort { pages } => assert!((pages - 3000.0).abs() < 1e-6),
+        match ph[1].op {
+            Some(NodeKind::Sort { pages }) => assert!((pages - 3000.0).abs() < 1e-6),
             _ => panic!("expected sort phase"),
         }
     }
@@ -649,52 +578,12 @@ mod tests {
         for n in &nodes {
             let Some(i) = n.phase else { continue };
             mem_nodes += 1;
-            match (&n.kind, &ph[i].mem) {
-                (NodeKind::Sort { pages: a }, MemCost::Sort { pages: b }) => {
-                    assert_eq!(a, b);
-                }
-                (
-                    NodeKind::Join {
-                        method: ma,
-                        outer: oa,
-                        inner: ia,
-                    },
-                    MemCost::Join {
-                        method: mb,
-                        outer: ob,
-                        inner: ib,
-                    },
-                ) => {
-                    assert_eq!(ma, mb);
-                    assert_eq!(oa, ob);
-                    assert_eq!(ia, ib);
-                }
-                (k, m) => panic!("phase {i}: node {k:?} vs phase {m:?}"),
-            }
+            assert_eq!(Some(&n.kind), ph[i].op.as_ref(), "phase {i}");
         }
         assert_eq!(mem_nodes, ph.len());
         // Access leaves carry no phase and classify by path.
         assert_eq!(nodes[0].class(), OpClass::SeqAccess);
         assert_eq!(nodes[0].phase, None);
         assert_eq!(nodes.last().unwrap().class(), OpClass::Sort);
-    }
-
-    #[test]
-    fn breakpoints_cover_both_plans_cliffs() {
-        let (cat, q) = example_1_1();
-        let model = CostModel::new(&cat, &q);
-        let bp1 = plan_memory_breakpoints(&model, &plan1());
-        // SM cliffs at ∛1e6 = 100 and √1e6 = 1000.
-        assert!(bp1.iter().any(|&x| (x - 100.0).abs() < 1e-6));
-        assert!(bp1.iter().any(|&x| (x - 1000.0).abs() < 1e-6));
-        let bp2 = plan_memory_breakpoints(&model, &plan2());
-        // Grace cliffs at ∛4e5 ≈ 73.68 and √4e5 ≈ 632.5, sort cliffs at
-        // ∛3000, √3000, 3000.
-        assert!(bp2.iter().any(|&x| (x - 400_000f64.sqrt()).abs() < 1e-6));
-        assert!(bp2.iter().any(|&x| (x - 3000.0).abs() < 1e-6));
-        // Sorted ascending.
-        for w in bp2.windows(2) {
-            assert!(w[0] < w[1]);
-        }
     }
 }

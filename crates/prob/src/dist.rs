@@ -243,11 +243,6 @@ impl Distribution {
         self.iter().map(|(v, p)| (v - m) * (v - m) * p).sum()
     }
 
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Expectation of an arbitrary function of the value: `E[f(X)]`.
     ///
     /// This is the paper's fundamental quantity
@@ -321,17 +316,6 @@ impl Distribution {
             }
         }
         Distribution::from_pairs(pairs).expect("product of valid distributions is valid")
-    }
-
-    /// Distribution of `X + Y` for independent `X` and `Y` (convolution).
-    pub fn convolve(&self, other: &Distribution) -> Distribution {
-        let mut pairs = Vec::with_capacity(self.len() * other.len());
-        for (a, pa) in self.iter() {
-            for (b, pb) in other.iter() {
-                pairs.push((a + b, pa * pb));
-            }
-        }
-        Distribution::from_pairs(pairs).expect("convolution of valid distributions is valid")
     }
 
     /// Reduce to at most `n` buckets (§3.6.3).
@@ -610,14 +594,6 @@ mod tests {
         let p = a.product(&b);
         assert_eq!(p.support(), &[10.0, 14.0, 15.0, 21.0]);
         assert!((p.mean() - a.mean() * b.mean()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn convolution_mean_adds() {
-        let a = Distribution::uniform(&[1.0, 2.0]).unwrap();
-        let b = Distribution::uniform(&[10.0, 20.0]).unwrap();
-        let s = a.convolve(&b);
-        assert!((s.mean() - (a.mean() + b.mean())).abs() < 1e-9);
     }
 
     #[test]

@@ -69,14 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn convolve_mean_is_sum_of_means(a in arb_distribution(), b in arb_distribution()) {
-        let s = a.convolve(&b);
-        let expected = a.mean() + b.mean();
-        let scale = expected.abs().max(1.0);
-        prop_assert!((s.mean() - expected).abs() / scale < 1e-9);
-    }
-
-    #[test]
     fn expectation_is_linear(d in arb_distribution(), a in -5.0f64..5.0, b in -100.0f64..100.0) {
         let lhs = d.expect(|v| a * v + b);
         let rhs = a * d.mean() + b;

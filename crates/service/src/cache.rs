@@ -22,9 +22,8 @@
 
 use crate::concurrent::ServeError;
 use lec_canon::RefusalReason;
-use lec_core::SearchStats;
+use lec_core::SearchOutcome;
 use lec_cost::{Fingerprint, Prehashed};
-use lec_plan::PlanNode;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -204,27 +203,15 @@ impl Hash for PlanKey {
 
 type KeyMap<V> = HashMap<PlanKey, V, BuildHasherDefault<Prehashed>>;
 
-/// A completed search result in canonical label space — what a leader
-/// hands its followers and what the cache stores.
-#[derive(Debug, Clone)]
-pub(crate) struct CanonicalAnswer {
-    /// The plan, canonically labeled.
-    pub plan: PlanNode,
-    /// Its objective value.
-    pub cost: f64,
-    /// The original computation's statistics.
-    pub stats: SearchStats,
-}
-
 /// One in-flight search: the rendezvous between a leader and the
 /// followers coalesced onto it.  The leader publishes exactly once —
-/// a canonical answer, or the [`ServeError`] its search died with (an
-/// optimizer error, or `Overloaded` when admission control shed the
-/// leader: the whole cohort is told, never left hanging) — and every
-/// follower wakes with a clone of it.
+/// its [`SearchOutcome`] in canonical labels, or the [`ServeError`] its
+/// search died with (an optimizer error, or `Overloaded` when admission
+/// control shed the leader: the whole cohort is told, never left
+/// hanging) — and every follower wakes with a clone of it.
 #[derive(Debug)]
 pub(crate) struct InflightSearch {
-    done: Mutex<Option<Result<Arc<CanonicalAnswer>, ServeError>>>,
+    done: Mutex<Option<Result<Arc<SearchOutcome>, ServeError>>>,
     cv: Condvar,
     followers: AtomicU64,
 }
@@ -240,8 +227,8 @@ impl InflightSearch {
 
     /// Block until the leader publishes, then share its result out (an
     /// `Arc` bump, not a deep clone — followers relabel from the shared
-    /// canonical answer).
-    pub(crate) fn wait(&self) -> Result<Arc<CanonicalAnswer>, ServeError> {
+    /// canonical outcome).
+    pub(crate) fn wait(&self) -> Result<Arc<SearchOutcome>, ServeError> {
         let mut slot = self.done.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if let Some(result) = slot.as_ref() {
@@ -258,7 +245,7 @@ impl InflightSearch {
     pub(crate) fn wait_deadline(
         &self,
         deadline: Instant,
-    ) -> Option<Result<Arc<CanonicalAnswer>, ServeError>> {
+    ) -> Option<Result<Arc<SearchOutcome>, ServeError>> {
         let mut slot = self.done.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if let Some(result) = slot.as_ref() {
@@ -281,7 +268,7 @@ impl InflightSearch {
         self.followers.load(Ordering::Relaxed)
     }
 
-    fn publish(&self, result: Result<Arc<CanonicalAnswer>, ServeError>) {
+    fn publish(&self, result: Result<Arc<SearchOutcome>, ServeError>) {
         let mut slot = self.done.lock().unwrap_or_else(|p| p.into_inner());
         if slot.is_none() {
             *slot = Some(result);
@@ -293,8 +280,8 @@ impl InflightSearch {
 
 /// The outcome of one exact-key lookup.
 pub(crate) enum ExactLookup {
-    /// The cached canonical answer (already counted as served).
-    Hit(Arc<CanonicalAnswer>),
+    /// The cached outcome, canonically labeled (already counted as served).
+    Hit(Arc<SearchOutcome>),
     /// This thread is the leader: it must run the search and then call
     /// [`ShapeCache::publish_answer`] or [`ShapeCache::publish_error`]
     /// with the same key — unconditionally, or followers deadlock (the
@@ -304,14 +291,14 @@ pub(crate) enum ExactLookup {
     Follow(Arc<InflightSearch>),
 }
 
-/// One cached plan in canonical label space.  The answer rides in an
+/// One cached search outcome in canonical label space.  It rides in an
 /// `Arc` so the hit path hands it out with a pointer bump — the deep
 /// work (relabeling into the caller's numbering) happens outside the
 /// shard lock, and one allocation is shared between the entry and every
 /// coalesced follower.
 #[derive(Debug, Clone)]
 struct CachedShapePlan {
-    answer: Arc<CanonicalAnswer>,
+    answer: Arc<SearchOutcome>,
     /// Exact hits this entry has answered.
     hits: u64,
     /// LRU clock value of the last touch.
@@ -456,7 +443,7 @@ impl ShapeCache {
 
     /// Leader completion (success): insert the entry under the exact key,
     /// retire the in-flight record, and wake the followers.
-    pub(crate) fn publish_answer(&self, exact: &PlanKey, answer: CanonicalAnswer) {
+    pub(crate) fn publish_answer(&self, exact: &PlanKey, answer: SearchOutcome) {
         // One allocation shared by the entry and every follower.
         let answer = Arc::new(answer);
         self.stats.recomputed.fetch_add(1, Ordering::Relaxed);
@@ -510,14 +497,15 @@ impl ShapeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lec_core::OptError;
+    use lec_core::{OptError, SearchStats};
+    use lec_plan::PlanNode;
 
     fn key(v: u64) -> PlanKey {
         PlanKey::new(vec![v])
     }
 
-    fn answer(t: usize, cost: f64) -> CanonicalAnswer {
-        CanonicalAnswer {
+    fn answer(t: usize, cost: f64) -> SearchOutcome {
+        SearchOutcome {
             plan: PlanNode::seq_scan(t),
             cost,
             stats: SearchStats::default(),
@@ -526,7 +514,7 @@ mod tests {
 
     /// Lead on `k` and immediately publish `a` (the single-threaded
     /// equivalent of the old insert).
-    fn insert(c: &ShapeCache, k: u64, a: CanonicalAnswer) {
+    fn insert(c: &ShapeCache, k: u64, a: SearchOutcome) {
         match c.lookup_or_lead(&key(k)) {
             ExactLookup::Lead(_) => c.publish_answer(&key(k), a),
             _ => panic!("fresh key must elect a leader"),

@@ -51,10 +51,10 @@
 //! assert_eq!(server.cache_stats().lookups, 4);
 //! ```
 
-use crate::cache::{CacheDecision, CacheStats, CanonicalAnswer, ExactLookup, PlanKey, ShapeCache};
+use crate::cache::{CacheDecision, CacheStats, ExactLookup, PlanKey, ShapeCache};
 use lec_canon::canonical_form;
 use lec_catalog::Catalog;
-use lec_core::{Mode, OptError, Optimized, Optimizer, SearchStats};
+use lec_core::{Mode, OptError, Optimizer, SearchOutcome, SearchStats};
 use lec_cost::dist_fingerprint;
 use lec_plan::{PlanNode, Query};
 use lec_prob::Distribution;
@@ -384,7 +384,7 @@ impl<'a> ConcurrentPlanServer<'a> {
                     return Ok(ServeResponse {
                         plan: out.plan,
                         cost: out.cost,
-                        mode: out.mode,
+                        mode: mode.name(),
                         stats: out.stats,
                         decision: CacheDecision::Uncacheable,
                     });
@@ -393,9 +393,9 @@ impl<'a> ConcurrentPlanServer<'a> {
 
             let inverse_perm = form.inverse_perm();
             let exact_key = self.plan_key(form.exact, mode);
-            // A cached or coalesced canonical answer, carried back into
+            // A cached or coalesced canonical outcome, carried back into
             // the caller's table numbering.
-            let relabeled = |answer: &CanonicalAnswer, decision| {
+            let relabeled = |answer: &SearchOutcome, decision| {
                 let plan = answer.plan.relabel_tables(&inverse_perm);
                 let mut stats = answer.stats;
                 stats.elapsed = t0.elapsed();
@@ -442,7 +442,7 @@ impl<'a> ConcurrentPlanServer<'a> {
                     };
                     match self.cold_search(query, mode, hooks, trace) {
                         Ok(out) => {
-                            guard.complete_ok(CanonicalAnswer {
+                            guard.complete_ok(SearchOutcome {
                                 plan: out.plan.relabel_tables(&form.perm),
                                 cost: out.cost,
                                 stats: out.stats,
@@ -452,7 +452,7 @@ impl<'a> ConcurrentPlanServer<'a> {
                             Ok(ServeResponse {
                                 plan: out.plan,
                                 cost: out.cost,
-                                mode: out.mode,
+                                mode: mode.name(),
                                 stats,
                                 decision: CacheDecision::Recomputed,
                             })
@@ -494,7 +494,7 @@ impl<'a> ConcurrentPlanServer<'a> {
         mode: &Mode,
         hooks: &dyn ServeHooks,
         trace: &mut TraceCtx,
-    ) -> Result<Optimized, ServeError> {
+    ) -> Result<SearchOutcome, ServeError> {
         let adm_start = trace.now_ns();
         let admitted = hooks.admit_cold();
         trace.span(Stage::Admission, adm_start, admitted as u64);
@@ -544,7 +544,7 @@ struct LeaderGuard<'c> {
 }
 
 impl LeaderGuard<'_> {
-    fn complete_ok(mut self, answer: CanonicalAnswer) {
+    fn complete_ok(mut self, answer: SearchOutcome) {
         self.completed = true;
         self.cache.publish_answer(self.exact_key, answer);
     }
@@ -857,7 +857,7 @@ mod tests {
         let canon_plan = out.plan.relabel_tables(&form.perm);
         server.cache.publish_answer(
             &exact_key,
-            CanonicalAnswer {
+            SearchOutcome {
                 plan: canon_plan,
                 cost: out.cost,
                 stats: out.stats,

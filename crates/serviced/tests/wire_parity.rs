@@ -134,7 +134,7 @@ fn responses_cross_the_wire_byte_identically() {
                                 fresh[i].cost.to_bits(),
                                 "request {i}: wire cost bits differ"
                             );
-                            assert_eq!(resp.mode, fresh[i].mode, "request {i}: mode name");
+                            assert_eq!(resp.mode, mode.name(), "request {i}: mode name");
                         }
                     }
                 } else {
@@ -151,7 +151,7 @@ fn responses_cross_the_wire_byte_identically() {
                             fresh[i].cost.to_bits(),
                             "request {i}: wire cost bits differ"
                         );
-                        assert_eq!(resp.mode, fresh[i].mode, "request {i}: mode name");
+                        assert_eq!(resp.mode, mode.name(), "request {i}: mode name");
                     }
                 }
             }));
@@ -198,7 +198,7 @@ fn responses_cross_the_wire_byte_identically() {
 fn assert_identical(
     i: usize,
     resp: &lec_service::ServeResponse,
-    fresh: &[lec_core::Optimized],
+    fresh: &[lec_core::SearchOutcome],
     over: &str,
 ) {
     assert_eq!(resp.plan, fresh[i].plan, "request {i} over {over}: plan");
@@ -207,7 +207,11 @@ fn assert_identical(
         fresh[i].cost.to_bits(),
         "request {i} over {over}: cost bits"
     );
-    assert_eq!(resp.mode, fresh[i].mode, "request {i} over {over}: mode");
+    assert_eq!(
+        resp.mode,
+        Mode::AlgorithmC.name(),
+        "request {i} over {over}: mode"
+    );
 }
 
 /// The parity stream over one real transport: a batching client and a
@@ -218,7 +222,7 @@ fn parity_over<L: Listener + Sync>(
     dial: &(dyn Fn() -> Box<dyn Stream> + Sync),
     catalog: &lec_catalog::Catalog,
     stream: &[Query],
-    fresh: &[lec_core::Optimized],
+    fresh: &[lec_core::SearchOutcome],
 ) {
     let mode = Mode::AlgorithmC;
     let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
@@ -265,7 +269,11 @@ fn parity_over<L: Listener + Sync>(
 }
 
 /// The catalog, the parity stream over it and its fresh optimizations.
-fn parity_fixture() -> (lec_catalog::Catalog, Vec<Query>, Vec<lec_core::Optimized>) {
+fn parity_fixture() -> (
+    lec_catalog::Catalog,
+    Vec<Query>,
+    Vec<lec_core::SearchOutcome>,
+) {
     let mut g = lec_catalog::CatalogGenerator::new(31);
     let catalog = g.generate(18);
     let stream = build_stream(&catalog);

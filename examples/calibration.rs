@@ -51,7 +51,7 @@ fn main() {
         errors.extend(audit.nodes.iter().map(|n| (n.class.name(), n.error_bp())));
         println!(
             "{:<10} {:>12.1} {:>12.1} {:>8.1}%  {}",
-            optimized.mode,
+            mode.name(),
             audit.predicted_expected,
             audit.measured_expected,
             100.0 * audit.relative_error(),

@@ -4,9 +4,9 @@
 //! The plan cache is lock-striped so warm hits from different clients
 //! never serialize behind a global lock, and concurrent misses on the
 //! same canonical shape *coalesce*: one leader runs the DP, the other
-//! clients block on it and get the canonical answer relabeled into their
-//! own table numbering (`CacheDecision::Coalesced`).  Every response —
-//! whatever the interleaving — is byte-identical to a fresh
+//! clients block on it and get the leader's canonical outcome relabeled
+//! into their own table numbering (`CacheDecision::Coalesced`).  Every
+//! response — whatever the interleaving — is byte-identical to a fresh
 //! `Optimizer::optimize` of the same request.
 //!
 //! ```text

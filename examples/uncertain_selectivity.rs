@@ -61,25 +61,24 @@ fn main() {
     let memory = Distribution::from_pairs([(400.0, 0.3), (1200.0, 0.7)]).unwrap();
     let opt = Optimizer::new(&catalog, memory);
 
-    // Classical: mean memory AND mean selectivity.
-    let lsc = opt
-        .optimize(&query, &Mode::Lsc(PointEstimate::Mean))
-        .unwrap();
-    // Algorithm C: memory distribution, point selectivity (the mean).
-    let alg_c = opt.optimize(&query, &Mode::AlgorithmC).unwrap();
-    // Algorithm D: both distributions.
-    let alg_d = opt
-        .optimize(
-            &query,
-            &Mode::AlgorithmD {
-                config: AlgDConfig::default(),
-            },
-        )
-        .unwrap();
-
     println!("\n{:<28} {:>30} {:>16}", "optimizer", "plan", "objective");
-    for r in [&lsc, &alg_c, &alg_d] {
-        println!("{:<28} {:>30} {:>16.0}", r.mode, r.plan.compact(), r.cost);
+    for mode in [
+        // Classical: mean memory AND mean selectivity.
+        Mode::Lsc(PointEstimate::Mean),
+        // Algorithm C: memory distribution, point selectivity (the mean).
+        Mode::AlgorithmC,
+        // Algorithm D: both distributions.
+        Mode::AlgorithmD {
+            config: AlgDConfig::default(),
+        },
+    ] {
+        let r = opt.optimize(&query, &mode).unwrap();
+        println!(
+            "{:<28} {:>30} {:>16.0}",
+            mode.name(),
+            r.plan.compact(),
+            r.cost
+        );
     }
     println!();
     println!("Algorithm C prices the sort of the result at its MEAN size;");

@@ -72,7 +72,7 @@ fn reported_costs_replay_through_the_cost_model() {
             assert!(
                 (r.cost - replay).abs() / replay.max(1.0) < 1e-9,
                 "{}: reported {} vs replay {replay}",
-                r.mode,
+                mode.name(),
                 r.cost
             );
         }
@@ -96,11 +96,15 @@ fn plans_are_structurally_valid() {
             },
         ] {
             let r = opt.optimize(&q, &mode).unwrap();
-            assert!(r.plan.is_left_deep(), "{}", r.mode);
-            assert_eq!(r.plan.tables(), q.all_tables(), "{}", r.mode);
+            assert!(r.plan.is_left_deep(), "{}", mode.name());
+            assert_eq!(r.plan.tables(), q.all_tables(), "{}", mode.name());
             if q.required_order.is_some() {
                 let order = lec_qopt::cost::output_order(&model, &r.plan);
-                assert!(order.is_required(), "{}: required order violated", r.mode);
+                assert!(
+                    order.is_required(),
+                    "{}: required order violated",
+                    mode.name()
+                );
             }
         }
     }
@@ -126,7 +130,7 @@ fn all_algorithms_collapse_at_a_point() {
             assert!(
                 (r.cost - lsc.cost).abs() / lsc.cost < 1e-9,
                 "{}: {} vs LSC {}",
-                r.mode,
+                mode.name(),
                 r.cost,
                 lsc.cost
             );

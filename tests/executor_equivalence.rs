@@ -87,7 +87,7 @@ fn all_chosen_plans_return_identical_results() {
                         assert!(
                             !got.is_empty(),
                             "{topology:?} seed {seed}: {} returned no rows at m={m}",
-                            r.mode
+                            mode.name()
                         );
                         reference = Some(got);
                     }
@@ -95,7 +95,7 @@ fn all_chosen_plans_return_identical_results() {
                         &got == want,
                         "{topology:?} seed {seed}: {} returned {} rows at m={m}, not the {} \
                          the first plan returned",
-                        r.mode,
+                        mode.name(),
                         got.len(),
                         want.len()
                     ),

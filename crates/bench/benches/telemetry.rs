@@ -127,10 +127,6 @@ fn bench_telemetry(c: &mut Criterion) {
         );
         assert_eq!(on.decision, off.decision, "request {i}: decision differs");
     }
-    assert!(
-        tel.engine().level_combine_ns.snapshot().count() > 0,
-        "engine-internal histograms saw the cold searches"
-    );
 
     // Overhead guard: alternate warm passes, best of each.
     let mut off_best = f64::INFINITY;
@@ -220,7 +216,7 @@ fn bench_telemetry(c: &mut Criterion) {
             "bench": "telemetry",
             "schema_version": lec_bench::BENCH_SCHEMA_VERSION,
             "host_cores": lec_bench::host_cores() as u64,
-            "claim": "full telemetry (outcome histograms, engine timing, request tracing) \
+            "claim": "full telemetry (outcome histograms, request tracing) \
                       costs at most 10% of warm plan-cache throughput, perturbs no served \
                       byte, and its STATS wire snapshot matches the in-process document",
             "workload": {

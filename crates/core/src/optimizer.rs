@@ -173,19 +173,13 @@ pub fn optimize(
 pub struct Optimizer<'a> {
     catalog: &'a Catalog,
     memory: Distribution,
-    search: SearchConfig,
 }
 
 impl<'a> Optimizer<'a> {
     /// Create an optimizer believing `memory` describes the run-time
-    /// environment.  Searches use the default [`SearchConfig`] (no
-    /// telemetry) and run on the calling thread.
+    /// environment.  Searches run on the calling thread.
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
-        Optimizer {
-            catalog,
-            memory,
-            search: SearchConfig::default(),
-        }
+        Optimizer { catalog, memory }
     }
 
     // Shim, returns `self`: crates/bench/src/bin/ledger/src/harness.rs is the only caller.
@@ -206,21 +200,6 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Engine-internal telemetry for every subsequent optimize call (see
-    /// [`SearchConfig::telemetry`]): DP level combine passes and
-    /// Algorithm D's pair pricing are timed into the handed-in
-    /// histograms.  Purely observational — plans,
-    /// costs, and every work counter stay byte-identical.
-    pub fn with_telemetry(mut self, telemetry: Arc<lec_telemetry::EngineTelemetry>) -> Self {
-        self.set_telemetry(Some(telemetry));
-        self
-    }
-
-    /// In-place form of [`Optimizer::with_telemetry`]; `None` uninstalls.
-    pub fn set_telemetry(&mut self, telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>) {
-        self.search.telemetry = telemetry;
-    }
-
     /// The catalog this optimizer is bound to.
     pub fn catalog(&self) -> &Catalog {
         self.catalog
@@ -235,12 +214,9 @@ impl<'a> Optimizer<'a> {
     /// the free [`optimize`].  `stats.elapsed` covers the whole call.
     pub fn optimize(&self, query: &Query, mode: &Mode) -> Result<SearchOutcome, OptError> {
         query.validate(self.catalog)?;
-        let mut model = CostModel::new(self.catalog, query);
-        if let Some(t) = &self.search.telemetry {
-            model.set_telemetry(Some(Arc::clone(t)));
-        }
+        let model = CostModel::new(self.catalog, query);
         let start = Instant::now();
-        let mut outcome = optimize(&model, &self.memory, mode, &self.search)?;
+        let mut outcome = optimize(&model, &self.memory, mode, &SearchConfig::default())?;
         outcome.stats.elapsed = start.elapsed();
         Ok(outcome)
     }

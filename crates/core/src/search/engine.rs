@@ -21,7 +21,6 @@ use super::SearchStats;
 use crate::error::OptError;
 use lec_cost::CostModel;
 use lec_plan::TableSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The most tables whose bushy walk indexes its subsets by their bits: a
@@ -190,25 +189,11 @@ impl<E: SearchEntry> SearchRun<E> {
     }
 }
 
-/// What a search does beyond the plain DP ([`run_search_with`]).
+/// Holds nothing: a search is the plain DP.  The type and the parameter
+/// of [`run_search_with`] and [`crate::optimize`] stay only because pinned
+/// callers pass `SearchConfig::default()`.
 #[derive(Debug, Clone, Default)]
-pub struct SearchConfig {
-    /// Optional engine-internal telemetry
-    /// ([`lec_telemetry::EngineTelemetry`]): when installed, the driver
-    /// times each DP level's combine pass into its histogram.  Purely
-    /// observational — results and all work counters are byte-identical
-    /// with or without it.
-    pub telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
-}
-
-impl SearchConfig {
-    /// This configuration with engine-internal telemetry installed (see
-    /// [`SearchConfig::telemetry`]).
-    pub fn with_telemetry(mut self, telemetry: Arc<lec_telemetry::EngineTelemetry>) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-}
+pub struct SearchConfig {}
 
 /// Fill the DP table of an `n ≥ 1`-table query level by level: a subset's
 /// splits rank *pending* joins into one buffer, built after its last split,
@@ -219,7 +204,6 @@ fn fill_table<P: CandidatePolicy>(
     shape: PlanShape,
     policy: &mut P,
     plans: &mut PlanArena,
-    config: &SearchConfig,
     stats: &mut SearchStats,
 ) -> DpTable<P::Entry> {
     let n = model.query().n_tables();
@@ -245,10 +229,8 @@ fn fill_table<P: CandidatePolicy>(
         level.add(TableSet::singleton(idx), start, stats);
     }
     table.push_level(&mut level);
-    let tel = config.telemetry.as_deref();
     // Depths 2..n, each read off depth `k + 1`, the level at index `k`.
     for k in 0..n - 1 {
-        let level_start = tel.map(|_| Instant::now());
         match shape {
             PlanShape::LeftDeep => {
                 grow_left_deep(model, &table.sets[k], &mut grown);
@@ -284,9 +266,6 @@ fn fill_table<P: CandidatePolicy>(
             }
         }
         table.push_level(&mut level);
-        if let (Some(t), Some(t0)) = (tel, level_start) {
-            t.level_combine_ns.record_duration(t0.elapsed());
-        }
     }
     table
 }
@@ -299,7 +278,7 @@ pub fn run_search_with<P: CandidatePolicy>(
     model: &CostModel<'_>,
     shape: PlanShape,
     policy: &mut P,
-    config: &SearchConfig,
+    _config: &SearchConfig,
 ) -> Result<SearchRun<P::Entry>, OptError> {
     let n = model.query().n_tables();
     if n == 0 {
@@ -309,7 +288,7 @@ pub fn run_search_with<P: CandidatePolicy>(
     model.reset_evals();
     let mut stats = SearchStats::default();
     let mut plans = PlanArena::default();
-    let mut table = fill_table(model, shape, policy, &mut plans, config, &mut stats);
+    let mut table = fill_table(model, shape, policy, &mut plans, &mut stats);
     // Level `n` holds the full set only.
     let root = table.levels.pop().unwrap_or_default();
     if root.is_empty() {
@@ -342,8 +321,7 @@ mod tests {
         policy: &mut P,
     ) -> (DpTable<P::Entry>, PlanArena, SearchStats) {
         let (mut plans, mut stats) = (PlanArena::default(), SearchStats::default());
-        let config = SearchConfig::default();
-        let table = fill_table(model, shape, policy, &mut plans, &config, &mut stats);
+        let table = fill_table(model, shape, policy, &mut plans, &mut stats);
         (table, plans, stats)
     }
 

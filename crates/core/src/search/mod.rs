@@ -122,7 +122,7 @@ pub struct SearchStats {
     /// Always 0: no cost model memoizes an expectation.  Kept because the
     /// wire and the frozen ledger read it.
     pub cache_hits: u64,
-    // Shim, always 0 (still absorbed, serialized and on the wire): only crates/bench/src/bin/ledger/src/trace.rs reads it.
+    // Shim, always 0 (still absorbed and on the wire): only crates/bench/src/bin/ledger/src/trace.rs reads it.
     #[doc(hidden)]
     pub memo_hits: u64,
     // Shim, always 0: only crates/bench/src/bin/ledger/src/trace.rs reads it.
@@ -156,33 +156,6 @@ impl SearchStats {
         self.sharp_bound_evals += other.sharp_bound_evals;
         self.cheap_bound_skips += other.cheap_bound_skips;
         self.elapsed += other.elapsed;
-    }
-
-    /// Machine-readable form, for service metrics and benchmark
-    /// artifacts.  `elapsed` is reported in microseconds (the natural
-    /// scale of one search).  Keys are emitted in sorted order, like
-    /// every metrics producer in the workspace, so snapshots diff
-    /// cleanly across runs.
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "bound_evals": self.bound_evals,
-            "cache_hits": self.cache_hits,
-            "candidates": self.candidates,
-            "cheap_bound_skips": self.cheap_bound_skips,
-            "elapsed_us": self.elapsed.as_secs_f64() * 1e6,
-            "evals": self.evals,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "nodes": self.nodes,
-            "pruned_subsets": self.pruned_subsets,
-            "sharp_bound_evals": self.sharp_bound_evals,
-        })
-    }
-}
-
-impl serde_json::Serialize for SearchStats {
-    fn to_value(&self) -> serde_json::Value {
-        self.to_json()
     }
 }
 

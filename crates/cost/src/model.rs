@@ -9,7 +9,6 @@ use lec_plan::{ColumnEquivalences, ColumnRef, JoinMethod, OrderProperty, Query, 
 use lec_prob::{Distribution, PrefixTables};
 use std::cell::Cell;
 use std::hash::Hasher;
-use std::sync::Arc;
 
 /// How a base table is accessed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,11 +118,6 @@ pub struct CostModel<'a> {
     incident: Vec<u64>,
     words: usize,
     evals: Cell<u64>,
-    /// When installed, Algorithm D's per-pair pricing
-    /// ([`CostModel::expected_join_costs_for`]) is timed into
-    /// `telemetry.eval_compute_ns`.  `None` (the default) keeps the hot
-    /// path a single branch.
-    telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
 }
 
 /// One join predicate as the search reads it: the tables it joins, the
@@ -206,15 +200,7 @@ impl<'a> CostModel<'a> {
             incident,
             words,
             evals: Cell::new(0),
-            telemetry: None,
         }
-    }
-
-    /// Install (or remove) engine telemetry: Algorithm D's per-pair
-    /// pricing is timed into its `eval_compute_ns` histogram.  Purely
-    /// observational — costs, counters, and results are unaffected.
-    pub fn set_telemetry(&mut self, telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>) {
-        self.telemetry = telemetry;
     }
 
     /// The query this model is bound to.
@@ -292,26 +278,15 @@ impl<'a> CostModel<'a> {
         inner: &DistTables,
         memory: &DistTables,
     ) -> [f64; 4] {
-        let price = || {
-            JoinMethod::ALL.map(|method| {
-                self.count_evals(match method {
-                    JoinMethod::BlockNestedLoop => {
-                        expected::naive_eval_count(&outer.dist, &inner.dist, &memory.dist)
-                    }
-                    _ => (outer.dist.len() + inner.dist.len()) as u64,
-                });
-                expected::expected_join_cost(method, outer, inner, memory)
-            })
-        };
-        match &self.telemetry {
-            Some(t) => {
-                let t0 = std::time::Instant::now();
-                let costs = price();
-                t.eval_compute_ns.record_duration(t0.elapsed());
-                costs
-            }
-            None => price(),
-        }
+        JoinMethod::ALL.map(|method| {
+            self.count_evals(match method {
+                JoinMethod::BlockNestedLoop => {
+                    expected::naive_eval_count(&outer.dist, &inner.dist, &memory.dist)
+                }
+                _ => (outer.dist.len() + inner.dist.len()) as u64,
+            });
+            expected::expected_join_cost(method, outer, inner, memory)
+        })
     }
 
     /// Expected sort cost over size and memory distributions: `b_R`

@@ -225,9 +225,8 @@ pub struct ConcurrentPlanServer<'a> {
     cache: ShapeCache,
     memory_fp: u64,
     /// Observability surface ([`lec_telemetry::Telemetry`]): outcome
-    /// latency histograms recorded on every serve, engine histograms
-    /// installed into the optimizer, and the slow log — the one store of
-    /// finished traces — fed by traced callers.  `None` keeps the serve
+    /// latency histograms recorded on every serve, and the slow log — the
+    /// one store of finished traces — fed by traced callers.  `None` keeps the serve
     /// path entirely uninstrumented.
     telemetry: Option<Arc<Telemetry>>,
 }
@@ -245,8 +244,7 @@ impl<'a> ConcurrentPlanServer<'a> {
         Self::with_optimizer(Optimizer::new(catalog, memory), DEFAULT_CACHE_CAPACITY)
     }
 
-    /// A server around an explicitly configured optimizer (search config)
-    /// and cache capacity.
+    /// A server around `optimizer` with an explicit cache capacity.
     pub fn with_optimizer(optimizer: Optimizer<'a>, cache_capacity: usize) -> Self {
         let memory_fp = dist_fingerprint(optimizer.memory());
         ConcurrentPlanServer {
@@ -259,12 +257,9 @@ impl<'a> ConcurrentPlanServer<'a> {
 
     /// This server with a telemetry surface installed: request outcomes
     /// (served/coalesced/fresh/shed/error) are recorded into its latency
-    /// histograms on every serve, and the optimizer's searches time their
-    /// engine internals into [`Telemetry::engine`].  Purely observational
-    /// — served bytes are identical with or without it.
+    /// histograms on every serve.  The optimizer never sees it, so served
+    /// bytes are identical with or without it.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.optimizer
-            .set_telemetry(Some(Arc::clone(telemetry.engine())));
         self.telemetry = Some(telemetry);
         self
     }
@@ -478,8 +473,7 @@ impl<'a> ConcurrentPlanServer<'a> {
     }
 
     /// The cache key: the exact encoding with the memory and mode
-    /// fingerprints pushed onto it (it arrives with room for them).  The
-    /// search config stays out: telemetry never changes an answer.
+    /// fingerprints pushed onto it (it arrives with room for them).
     fn plan_key(&self, mut exact: Vec<u64>, mode: &Mode) -> PlanKey {
         exact.extend_from_slice(&[self.memory_fp, mode.fingerprint()]);
         PlanKey::new(exact)
@@ -514,7 +508,7 @@ impl<'a> ConcurrentPlanServer<'a> {
     /// per-reason canonicalizer refusals included), occupancy, the
     /// exact-hit skew histogram, and — when telemetry is installed — the
     /// full observability snapshot (latency histograms with
-    /// p50/p90/p99/p999, engine timing, slow log).  Keys are
+    /// p50/p90/p99/p999, slow log).  Keys are
     /// emitted recursively sorted so snapshots diff cleanly across runs.
     pub fn metrics_json(&self) -> serde_json::Value {
         serde_json::json!({
@@ -945,8 +939,6 @@ mod tests {
         assert_eq!(rec.spans.len(), 1);
         assert_eq!(rec.spans[0].stage, Stage::CacheProbe);
         assert_eq!(rec.spans[0].detail, 0);
-        // The fresh search timed its engine internals.
-        assert!(tel.engine().level_combine_ns.snapshot().count() > 0);
         // metrics_json folds the snapshot in, with keys recursively sorted.
         let v = server.metrics_json();
         assert_eq!(

@@ -4,15 +4,18 @@
 //! uncacheable — is
 //! byte-identical (plan, cost bits, table numbering) to a fresh
 //! `Optimizer::optimize` of the same request, and the cache actually
-//! absorbs the skew (non-trivial hit rate, per-entry hit counters).
+//! absorbs the skew (non-trivial hit rate, per-entry hit counters),
+//! with telemetry installed or not.
 
 mod common;
 
 use lec_core::{Mode, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::{CacheDecision, ConcurrentPlanServer};
+use lec_telemetry::{Outcome, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const STREAM_LEN: usize = 500;
 
@@ -71,6 +74,9 @@ fn skewed_stream(pool: &[Query], seed: u64) -> Vec<Query> {
         .collect()
 }
 
+/// The stream runs through two servers, one with telemetry installed:
+/// each must serve fresh optimization's bytes, and the telemetry one
+/// records every request under its outcome.
 #[test]
 fn five_hundred_query_stream_is_byte_identical_to_fresh_optimization() {
     let mut g = lec_catalog::CatalogGenerator::new(11);
@@ -80,67 +86,85 @@ fn five_hundred_query_stream_is_byte_identical_to_fresh_optimization() {
     assert_eq!(stream.len(), STREAM_LEN);
 
     let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
-    let server = ConcurrentPlanServer::new(&catalog, memory.clone());
+    let tel = Arc::new(Telemetry::on());
+    let plain = ConcurrentPlanServer::new(&catalog, memory.clone());
+    let observed =
+        ConcurrentPlanServer::new(&catalog, memory.clone()).with_telemetry(Arc::clone(&tel));
     let fresh_opt = Optimizer::new(&catalog, memory);
     let mode = Mode::AlgorithmC;
 
-    let mut decisions = [0usize; 3];
-    for (i, q) in stream.iter().enumerate() {
-        let resp = server.serve(q, &mode).expect("serve succeeds");
-        let fresh = fresh_opt
-            .optimize(q, &mode)
-            .expect("fresh optimize succeeds");
-        assert_eq!(
-            resp.plan, fresh.plan,
-            "request {i}: served plan differs from fresh optimization \
-             (decision {:?})",
-            resp.decision
-        );
-        assert_eq!(
-            resp.cost.to_bits(),
-            fresh.cost.to_bits(),
-            "request {i}: cost bits differ (decision {:?})",
-            resp.decision
-        );
-        decisions[match resp.decision {
-            CacheDecision::Served => 0,
-            CacheDecision::Recomputed => 1,
-            CacheDecision::Uncacheable => 2,
-            // A single-client server can never race itself onto a leader.
-            CacheDecision::Coalesced => unreachable!("no concurrent clients here"),
-        }] += 1;
-    }
+    for (name, server, tel) in [
+        ("plain", &plain, None),
+        ("telemetry", &observed, Some(&tel)),
+    ] {
+        let mut decisions = [0usize; 3];
+        for (i, q) in stream.iter().enumerate() {
+            let resp = server.serve(q, &mode).expect("serve succeeds");
+            let fresh = fresh_opt
+                .optimize(q, &mode)
+                .expect("fresh optimize succeeds");
+            assert_eq!(
+                resp.plan, fresh.plan,
+                "{name} request {i}: served plan differs from fresh optimization \
+                 (decision {:?})",
+                resp.decision
+            );
+            assert_eq!(
+                resp.cost.to_bits(),
+                fresh.cost.to_bits(),
+                "{name} request {i}: cost bits differ (decision {:?})",
+                resp.decision
+            );
+            decisions[match resp.decision {
+                CacheDecision::Served => 0,
+                CacheDecision::Recomputed => 1,
+                CacheDecision::Uncacheable => 2,
+                // A single-client server can never race itself onto a leader.
+                CacheDecision::Coalesced => unreachable!("no concurrent clients here"),
+            }] += 1;
+        }
 
-    let stats = server.cache_stats();
-    assert_eq!(stats.lookups as usize, STREAM_LEN);
-    assert_eq!(stats.served as usize, decisions[0]);
-    assert_eq!(
-        stats.uncacheable, 0,
-        "every request in this stream is cacheable"
-    );
-    // The skewed stream repeats shapes heavily: the cache must be doing
-    // real work, and each distinct shape is recomputed exactly once.
-    assert!(
-        stats.hit_rate() > 0.8,
-        "hit rate {:.3} too low for a {}-shape pool over {} requests",
-        stats.hit_rate(),
-        pool.len(),
-        STREAM_LEN
-    );
-    assert_eq!(
-        decisions[1],
-        server.cache_len(),
-        "one recompute per distinct shape"
-    );
-    // Hit counters expose the skew: the hottest entry outdraws the sum's
-    // tail by construction of the 1/(i+1) weights.
-    let histogram = server.hit_histogram();
-    assert!(histogram[0] >= histogram[histogram.len() - 1]);
-    assert_eq!(
-        histogram.iter().sum::<u64>(),
-        stats.served,
-        "per-entry hits must add up to the served total"
-    );
+        let stats = server.cache_stats();
+        assert_eq!(stats.lookups as usize, STREAM_LEN);
+        assert_eq!(stats.served as usize, decisions[0]);
+        assert_eq!(
+            stats.uncacheable, 0,
+            "every request in this stream is cacheable"
+        );
+        // The skewed stream repeats shapes heavily: the cache must be doing
+        // real work, and each distinct shape is recomputed exactly once.
+        assert!(
+            stats.hit_rate() > 0.8,
+            "{name}: hit rate {:.3} too low for a {}-shape pool over {} requests",
+            stats.hit_rate(),
+            pool.len(),
+            STREAM_LEN
+        );
+        assert_eq!(
+            decisions[1],
+            server.cache_len(),
+            "{name}: one recompute per distinct shape"
+        );
+        // Hit counters expose the skew: the hottest entry outdraws the sum's
+        // tail by construction of the 1/(i+1) weights.
+        let histogram = server.hit_histogram();
+        assert!(histogram[0] >= histogram[histogram.len() - 1]);
+        assert_eq!(
+            histogram.iter().sum::<u64>(),
+            stats.served,
+            "{name}: per-entry hits must add up to the served total"
+        );
+        if let Some(tel) = tel {
+            assert_eq!(
+                tel.outcome_snapshot(Outcome::Fresh).count() as usize,
+                decisions[1]
+            );
+            assert_eq!(
+                tel.outcome_snapshot(Outcome::Served).count() as usize,
+                decisions[0]
+            );
+        }
+    }
 }
 
 #[test]

@@ -277,7 +277,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
     /// The daemon's metrics document: the serving layer's own snapshot
     /// under `"service"`, the daemon counters under `"daemon"`, keys
     /// recursively sorted.  When telemetry is installed on the server,
-    /// its full snapshot (latency quantiles, engine histograms, slow log)
+    /// its full snapshot (latency quantiles, slow log)
     /// rides along under `service.telemetry` — this is
     /// also the exact document a wire `STATS` request with the JSON
     /// format byte returns.

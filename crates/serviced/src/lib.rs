@@ -43,7 +43,7 @@
 //!
 //! `STATS` with the JSON format byte returns the daemon's full
 //! observability snapshot — latency histograms (p50/p90/p99/p999 per
-//! outcome), engine timing and the slow-query log when telemetry is
+//! outcome) and the slow-query log when telemetry is
 //! installed — byte-identical to the in-process `Daemon::metrics_json`
 //! document at snapshot time; the Prometheus format returns the same
 //! document rendered as one unlabelled sample per numeric leaf

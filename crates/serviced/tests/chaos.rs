@@ -6,7 +6,7 @@
 //! connection or cohort observes an error, everything else keeps
 //! serving, and drain completes within its deadline.
 
-use lec_core::Mode;
+use lec_core::{Mode, Optimizer};
 use lec_plan::Query;
 use lec_service::ConcurrentPlanServer;
 use lec_serviced::protocol::{self, op, ErrorCode, Writer, MAX_FRAME};
@@ -342,7 +342,7 @@ fn overload_sheds_cold_requests_while_warm_hits_keep_serving() {
         max_cold_backlog: 1,
         ..DaemonConfig::default()
     };
-    let ((), _report) = with_daemon(&catalog, config, faults, |socket, _daemon| {
+    let ((), _report) = with_daemon(&catalog, config, faults, |socket, daemon| {
         let mut blocker = Client::new(Box::new(socket.connect()), 1);
         let mut prober = Client::new(Box::new(socket.connect()), 2);
 
@@ -374,15 +374,20 @@ fn overload_sheds_cold_requests_while_warm_hits_keep_serving() {
             );
 
             // Warm hits bypass admission: query 0 still serves during
-            // the overload.
+            // the overload, and both it and the held search serve fresh
+            // optimization's bytes.
+            let fresh = Optimizer::new(&catalog, memory());
             let resp = prober
                 .optimize_once(1, &mode, &queries[0])
                 .expect("warm hit");
-            assert!(resp.cost.is_finite());
-
             let held = holder.join().expect("holder thread");
-            assert!(held.cost.is_finite());
+            for (got, q) in [(&resp, &queries[0]), (&held, &queries[1])] {
+                let want = fresh.optimize(q, &mode).expect("fresh optimize");
+                assert_eq!(got.plan, want.plan);
+                assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+            }
         });
+        assert_eq!(daemon.metrics().shed_requests(), 1, "only the probe shed");
     });
 }
 

@@ -46,16 +46,17 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
         assert!(wire_json.contains("\"telemetry\""));
 
         // The served telemetry document holds exactly what a server can
-        // fill: latency and engine histograms and the slow log.  No
-        // served request executes a plan, so it has no calibration or I/O
-        // section.  An empty latency histogram crosses the wire as a
-        // literal with `_ns` keys.
+        // fill: latency histograms and the slow log.  No served request
+        // executes a plan, so it has no calibration or I/O section, and
+        // the optimizer sees no telemetry, so it has no engine section.
+        // An empty latency histogram crosses the wire as a literal with
+        // `_ns` keys.
         let local = daemon.metrics_json();
         let serde_json::Value::Object(sections) = &local["service"]["telemetry"] else {
             panic!("service.telemetry is not an object: {local_json}");
         };
         let keys: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["engine", "latency", "trace"]);
+        assert_eq!(keys, ["latency", "trace"]);
         let pinned_shed = "\"shed\": {\"count\": 0, \"mean_ns\": 0, \"p50_ns\": 0, \
              \"p90_ns\": 0, \"p999_ns\": 0, \"p99_ns\": 0, \"sum_ns\": 0}";
         assert!(

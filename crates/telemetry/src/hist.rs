@@ -12,7 +12,6 @@
 //! exposition without coordination (pinned by `tests/hist_props.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use serde_json::Value;
 
@@ -102,12 +101,6 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Record a duration as saturating nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     pub fn count(&self) -> u64 {

@@ -3,9 +3,8 @@
 //! Three pieces, designed so the warm serving path pays almost nothing:
 //!
 //! * [`Histogram`] — lock-free log-scale latency histograms with atomic
-//!   buckets and deterministic merge ([`hist`]). Request outcomes
-//!   (served/coalesced/fresh/shed/error) and engine internals (per-level
-//!   combine, Algorithm D's pair pricing) each get one.
+//!   buckets and deterministic merge ([`hist`]), one per request outcome
+//!   (served/coalesced/fresh/shed/error).
 //! * [`TraceCtx`] — per-request typed span events collected on the stack
 //!   (zero allocation, [`trace`]); a finished trace is offered to the
 //!   slowest-N log ([`slowlog`]), the one store of finished traces, which
@@ -17,6 +16,8 @@
 //!
 //! Cost calibration is not here: no served request executes a plan, so
 //! per-operator-class prediction error lives in `lec-exec`'s `CostAudit`.
+//! Nor is the optimizer's inside: a search's time is the `Search` span
+//! and `SearchStats::elapsed`, and no optimizer crate depends on this one.
 
 #![forbid(unsafe_code)]
 
@@ -29,8 +30,6 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use prom::{flatten, parse_prometheus, render, PromSample};
 pub use slowlog::{SlowEntry, SlowLog};
 pub use trace::{Span, Stage, TraceCtx, MAX_SPANS};
-
-use std::sync::Arc;
 
 use serde_json::{json, Value};
 
@@ -77,33 +76,10 @@ impl Outcome {
 /// Slowest-N requests retained with span breakdowns.
 const SLOW_LOG_SIZE: usize = 16;
 
-/// Engine-internal timing histograms, shared with `lec-core` / `lec-cost`
-/// via `Arc`.  Lock-free.
-#[derive(Debug, Default)]
-pub struct EngineTelemetry {
-    /// Wall time of each DP level (combine pass over all subsets of size k).
-    pub level_combine_ns: Histogram,
-    /// Compute time of Algorithm D's per-pair pricing (the four join
-    /// expectations of one operand-size pair); scalar-size expectations
-    /// are not timed.
-    pub eval_compute_ns: Histogram,
-}
-
-impl EngineTelemetry {
-    pub fn to_json(&self) -> Value {
-        json!({
-            "eval_compute": self.eval_compute_ns.snapshot().to_json(),
-            "level_combine": self.level_combine_ns.snapshot().to_json(),
-        })
-        .sorted()
-    }
-}
-
 /// The full telemetry surface for one serving stack: outcome latency
-/// histograms, engine-internal histograms and the slow log.
+/// histograms and the slow log.
 pub struct Telemetry {
     outcomes: [Histogram; OUTCOME_COUNT],
-    engine: Arc<EngineTelemetry>,
     slow: SlowLog,
 }
 
@@ -121,15 +97,8 @@ impl Telemetry {
     pub fn on() -> Telemetry {
         Telemetry {
             outcomes: std::array::from_fn(|_| Histogram::new()),
-            engine: Arc::new(EngineTelemetry::default()),
             slow: SlowLog::new(SLOW_LOG_SIZE),
         }
-    }
-
-    /// Engine-internal histograms handle, for installation into
-    /// `SearchConfig` / `CostModel`.
-    pub fn engine(&self) -> &Arc<EngineTelemetry> {
-        &self.engine
     }
 
     /// Record a finished request's wall time under its outcome class.
@@ -155,8 +124,8 @@ impl Telemetry {
         self.outcomes[outcome as usize].snapshot()
     }
 
-    /// Full snapshot as sorted-key JSON: per-outcome latency histograms,
-    /// engine histograms and the slow log.
+    /// Full snapshot as sorted-key JSON: per-outcome latency histograms
+    /// and the slow log.
     pub fn snapshot_json(&self) -> Value {
         let mut latency: Vec<(String, Value)> = Outcome::all()
             .iter()
@@ -164,7 +133,6 @@ impl Telemetry {
             .collect();
         latency.sort_by(|a, b| a.0.cmp(&b.0));
         json!({
-            "engine": self.engine.to_json(),
             "latency": Value::Object(latency),
             "trace": {
                 "slow_log": self.slow.to_json(),

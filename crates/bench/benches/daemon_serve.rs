@@ -28,7 +28,7 @@ use lec_core::{Mode, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::ConcurrentPlanServer;
 use lec_serviced::transport::UnixAcceptor;
-use lec_serviced::{Client, ClientError, Daemon, DaemonConfig, ErrorCode, FaultPlan, SearchFault};
+use lec_serviced::{Client, ClientError, Daemon, DaemonConfig, ErrorCode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
@@ -265,9 +265,13 @@ fn bench_daemon_serve(_c: &mut Criterion) {
             ..DaemonConfig::default()
         },
     )
-    // Connection 0's second request parks in `before_search` holding the
-    // only cold slot for `hold`.
-    .with_faults(FaultPlan::new().search(0, 1, SearchFault::Delay(hold)));
+    // The search of stream[1] parks in the search hook holding the only
+    // cold slot for `hold`.
+    .with_search_hook(|q| {
+        if q == &stream[1] {
+            std::thread::sleep(hold);
+        }
+    });
     let over_path = socket_path("overload");
     let over_acceptor =
         UnixAcceptor::new(UnixListener::bind(&over_path).expect("bind unix socket"))
@@ -280,7 +284,7 @@ fn bench_daemon_serve(_c: &mut Criterion) {
         let mut blocker = Client::new(connect(), 1);
         let mut prober = Client::new(connect(), 2);
 
-        // Warm query 0 through the blocker (conn 0, request 0: unfaulted).
+        // Warm query 0 through the blocker (no hold: it is not stream[1]).
         assert_identical(
             &blocker.optimize_once(0, &mode, &stream[0]).expect("warmup"),
             &fresh[0],

@@ -144,9 +144,9 @@ pub fn outcome_of(result: &Result<ServeResponse, ServeError>) -> Outcome {
 
 /// Serving-layer extension points, carried by [`ServeCtx`].  A daemon implements this once
 /// to get admission control (bounded cold-search backlog with
-/// load-shedding) and deterministic fault injection; the default
+/// load-shedding) and a search hook for tests; the default
 /// implementation of every hook is a no-op, and `()` implements the
-/// trait as "admit everything, inject nothing".
+/// trait as "admit everything, hook nothing".
 ///
 /// Only requests that are about to run a **fresh search** (a coalescing
 /// leader, or an uncacheable request) consult [`ServeHooks::admit_cold`];
@@ -167,14 +167,15 @@ pub trait ServeHooks: Sync {
     /// via a drop guard).
     fn release_cold(&self) {}
 
-    /// Called after admission, immediately before the search runs.  The
-    /// fault-injection harness uses this to delay or kill a leader
-    /// mid-cohort; a panic out of this hook is indistinguishable from a
-    /// search that died ([`OptError::WorkerPanicked`] to the cohort).
+    /// Called after admission, immediately before the search runs.  A
+    /// daemon hands it to its search hook, which tests use to delay or
+    /// kill a leader mid-cohort; a panic out of this hook is
+    /// indistinguishable from a search that died
+    /// ([`OptError::WorkerPanicked`] to the cohort).
     fn before_search(&self) {}
 }
 
-/// `()` is the ungated hook set: admit everything, inject nothing.
+/// `()` is the ungated hook set: admit everything, hook nothing.
 impl ServeHooks for () {}
 
 /// Drop guard pairing every successful [`ServeHooks::admit_cold`] with
@@ -192,11 +193,13 @@ impl Drop for ColdPermit<'_> {
 /// What one request carries through [`ConcurrentPlanServer::serve_with`]
 /// besides the query and the mode.
 pub struct ServeCtx<'a> {
-    /// Admission control for fresh (cold) searches, and fault injection;
-    /// `&()` admits everything and injects nothing.
+    /// Admission control for fresh (cold) searches, and the search hook;
+    /// `&()` admits everything and hooks nothing.
     pub hooks: &'a dyn ServeHooks,
     /// Bounds how long this request may wait coalesced behind another
-    /// leader's in-flight search.
+    /// leader's in-flight search, and turns any answer finished after it
+    /// into [`ServeError::DeadlineExceeded`] (a leader's search still runs
+    /// to the end and feeds the cache).
     pub deadline: Option<Instant>,
     /// Typed stage spans (cache probe, admission gate, coalesce wait, DP
     /// search) are appended here as the request moves through the
@@ -326,20 +329,21 @@ impl<'a> ConcurrentPlanServer<'a> {
     }
 
     /// [`serve`](Self::serve) with the serving-layer controls of `ctx`:
-    /// admission of fresh (cold) searches, fault injection, a deadline on
-    /// coalesced waits, and request tracing.
+    /// admission of fresh (cold) searches, the search hook, a deadline,
+    /// and request tracing.
     ///
     /// The byte-identity contract is unchanged — a response, when one is
     /// produced, is bit-identical to plain `serve`.  The extra
     /// [`ServeError`] variants are *refusals*, not different answers: a
     /// cold request denied admission fails fast with
     /// [`ServeError::Overloaded`] (and a shed leader publishes that to
-    /// its whole cohort, so followers never hang), and a follower whose
-    /// deadline passes gets [`ServeError::DeadlineExceeded`] while the
-    /// leader's search runs on and feeds the cache.  Warm hits bypass
-    /// both gates: under overload the cache keeps serving.  When
-    /// telemetry is installed the request's outcome class and wall time
-    /// land in the latency histograms.
+    /// its whole cohort, so followers never hang), and a request whose
+    /// deadline passes — waiting on a leader, or before its answer is
+    /// done — gets [`ServeError::DeadlineExceeded`] while any search runs
+    /// on and feeds the cache.  Warm hits bypass admission: under overload
+    /// the cache keeps serving.  When telemetry is installed the request's
+    /// outcome class (a missed deadline is an error) and wall time land in
+    /// the latency histograms.
     pub fn serve_with(
         &self,
         query: &Query,
@@ -428,8 +432,8 @@ impl<'a> ConcurrentPlanServer<'a> {
                     trace.span(Stage::CacheProbe, probe_start, 2);
                     // From here on this thread owes the cohort a
                     // publication; the guard pays the debt with
-                    // `WorkerPanicked` if the search — or the fault
-                    // harness's `before_search` hook — unwinds past us.
+                    // `WorkerPanicked` if the search — or the
+                    // `before_search` hook — unwinds past us.
                     let guard = LeaderGuard {
                         cache: &self.cache,
                         exact_key: &exact_key,
@@ -463,6 +467,13 @@ impl<'a> ConcurrentPlanServer<'a> {
                 }
             }
         })();
+        // A leader is never cancelled mid-search (its answer feeds the
+        // cache), but an answer finished past the deadline is a refusal,
+        // recorded as one.
+        let result = match (result, deadline) {
+            (Ok(_), Some(d)) if Instant::now() > d => Err(ServeError::DeadlineExceeded),
+            (other, _) => other,
+        };
         if let Some(tel) = &self.telemetry {
             tel.record_outcome(
                 outcome_of(&result),
@@ -480,8 +491,8 @@ impl<'a> ConcurrentPlanServer<'a> {
     }
 
     /// One fresh search, as the uncacheable branch and a coalescing leader
-    /// both run it: take a cold slot or shed, give the fault harness its
-    /// hook, search, close the span, count.
+    /// both run it: take a cold slot or shed, call `before_search`,
+    /// search, close the span, count.
     fn cold_search(
         &self,
         query: &Query,

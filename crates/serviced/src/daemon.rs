@@ -1,5 +1,5 @@
 //! The daemon: accept loop, per-connection frame pump, admission control,
-//! graceful drain, and deterministic fault injection.
+//! and graceful drain.
 //!
 //! # Threading model
 //!
@@ -33,12 +33,10 @@
 //! recorded in the metrics and the final metrics snapshot is returned in
 //! the [`DrainReport`].
 
-use crate::faults::{FaultPlan, FrameFault, SearchFault};
-use crate::protocol::{
-    self, op, split_frame, DecodeError, ErrorCode, FrameBuf, Reader, StatsFormat, Writer,
-};
+use crate::protocol::{self, op, DecodeError, ErrorCode, FrameBuf, Reader, StatsFormat, Writer};
 use crate::transport::{is_timeout, AbortHandle, Listener, Stream};
 use lec_core::OptError;
+use lec_plan::Query;
 use lec_service::{outcome_of, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks};
 use lec_telemetry::{Stage, TraceCtx};
 use serde_json::json;
@@ -54,9 +52,9 @@ pub struct DaemonConfig {
     /// Cold-search slots: fresh searches admitted concurrently before
     /// further cold requests are shed with `Overloaded`.
     pub max_cold_backlog: usize,
-    /// Per-request deadline.  Bounds a follower's coalesced wait inside
-    /// the serving layer and converts an over-deadline completion into
-    /// `DeadlineExceeded` at the response site.  `None` disables it.
+    /// Per-request deadline, handed to the serving layer: it bounds a
+    /// follower's coalesced wait, and an answer finished past it is
+    /// `DeadlineExceeded`.  `None` disables it.
     pub request_deadline: Option<Duration>,
     /// Slow-client write timeout; a connection whose peer stops draining
     /// its socket is closed rather than allowed to wedge a handler.
@@ -172,10 +170,12 @@ impl Gate {
 }
 
 /// Per-request [`ServeHooks`]: wires the daemon's gate into the serving
-/// layer's admission points and injects the scripted search fault.
+/// layer's admission points and hands the request's query to the search
+/// hook.
 struct RequestHooks<'d> {
     gate: &'d Gate,
-    fault: Option<SearchFault>,
+    search_hook: &'d (dyn Fn(&Query) + Sync),
+    query: &'d Query,
 }
 
 impl ServeHooks for RequestHooks<'_> {
@@ -188,16 +188,7 @@ impl ServeHooks for RequestHooks<'_> {
     }
 
     fn before_search(&self) {
-        match self.fault {
-            // A genuine mid-cohort death: this panic unwinds through the
-            // serving layer's LeaderGuard (publishing `WorkerPanicked` to
-            // the whole cohort) before the daemon's catch_unwind stops it.
-            Some(SearchFault::KillLeader) => panic!("fault injection: leader killed mid-search"),
-            // Holding the admission slot while sleeping is the lever
-            // overload tests use to saturate the backlog deterministically.
-            Some(SearchFault::Delay(d)) => std::thread::sleep(d),
-            None => {}
-        }
+        (self.search_hook)(self.query)
     }
 }
 
@@ -224,7 +215,9 @@ pub struct DrainReport {
 pub struct Daemon<'s, 'c> {
     server: &'s ConcurrentPlanServer<'c>,
     config: DaemonConfig,
-    faults: FaultPlan,
+    /// Called with each query about to be searched
+    /// ([`Daemon::with_search_hook`]).
+    search_hook: Box<dyn Fn(&Query) + Sync + 's>,
     metrics: DaemonMetrics,
     gate: Gate,
     drain: AtomicBool,
@@ -237,7 +230,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
         Daemon {
             server,
             config,
-            faults: FaultPlan::new(),
+            search_hook: Box::new(|_| {}),
             metrics: DaemonMetrics::default(),
             gate,
             drain: AtomicBool::new(false),
@@ -245,10 +238,13 @@ impl<'s, 'c> Daemon<'s, 'c> {
         }
     }
 
-    /// Install a deterministic fault schedule (chaos tests only; the
-    /// empty default keeps the batched fast path).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+    /// Call `hook` with every query this daemon is about to search: after
+    /// its cold slot is taken, before the search runs.  Tests sleep in it
+    /// to hold a slot, or panic in it to kill a leader mid-cohort (the
+    /// panic reaches the cohort as `WorkerPanicked`, as a search's own
+    /// would).  The default does nothing.
+    pub fn with_search_hook(mut self, hook: impl Fn(&Query) + Sync + 's) -> Self {
+        self.search_hook = Box::new(hook);
         self
     }
 
@@ -345,7 +341,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                             .unwrap_or_else(|p| p.into_inner())
                             .insert(conn_id, stream.abort_handle());
                         scope.spawn(move || {
-                            self.handle_conn(conn_id, stream);
+                            self.handle_conn(stream);
                             handles
                                 .lock()
                                 .unwrap_or_else(|p| p.into_inner())
@@ -409,7 +405,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
         }
     }
 
-    fn handle_conn(&self, conn_id: u64, mut stream: Box<dyn Stream>) {
+    fn handle_conn(&self, mut stream: Box<dyn Stream>) {
         struct ActiveGuard<'a>(&'a AtomicU64);
         impl Drop for ActiveGuard<'_> {
             fn drop(&mut self) {
@@ -423,9 +419,6 @@ impl<'s, 'c> Daemon<'s, 'c> {
 
         let mut inbuf = FrameBuf::default();
         let mut out = Writer::new();
-        let mut in_frame_idx: u64 = 0;
-        let mut out_frame_idx: u64 = 0;
-        let mut req_idx: u64 = 0;
 
         loop {
             match inbuf.fill(stream.as_mut()) {
@@ -449,35 +442,20 @@ impl<'s, 'c> Daemon<'s, 'c> {
             // frame is among it), then closes.
             let mut poisoned = false;
             while !poisoned {
-                let mut frame = match inbuf.next_frame() {
-                    Ok(Some(at)) => &mut inbuf.buf[at],
+                let frame = match inbuf.next_frame() {
+                    Ok(Some(at)) => &inbuf.buf[at],
                     Ok(None) => break,
                     Err(what) => {
                         poisoned = self.malformed(&mut out, what);
                         break;
                     }
                 };
-
-                let idx = in_frame_idx;
-                in_frame_idx += 1;
-                match self.faults.inbound_fault(conn_id, idx) {
-                    None => {}
-                    // Close at once, flushing nothing.
-                    Some(FrameFault::Drop) => return,
-                    Some(FrameFault::Truncate(n)) => {
-                        let n = n.min(frame.len());
-                        frame = &mut frame[..n];
-                    }
-                    Some(FrameFault::Garble { offset, mask }) if !frame.is_empty() => {
-                        frame[offset % frame.len()] ^= mask;
-                    }
-                    Some(FrameFault::Garble { .. }) => {}
-                    Some(FrameFault::Delay(d)) => std::thread::sleep(d),
-                }
-                poisoned = self.dispatch(conn_id, &mut req_idx, frame, &mut out);
+                poisoned = self.dispatch(frame, &mut out);
             }
 
-            let flushed = self.flush(conn_id, stream.as_mut(), &mut out.buf, &mut out_frame_idx);
+            // One write per batch; a failure (or a slow client's write
+            // timeout) closes the connection.
+            let flushed = stream.write_all(&out.buf).is_ok();
             if !flushed || poisoned || self.is_draining() {
                 return;
             }
@@ -495,7 +473,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
     /// Process one frame (opcode + body).  Encodes any response frames
     /// onto `out`; returns `true` when the connection must be poisoned
     /// (the error frame is already encoded).
-    fn dispatch(&self, conn_id: u64, req_idx: &mut u64, frame: &[u8], out: &mut Writer) -> bool {
+    fn dispatch(&self, frame: &[u8], out: &mut Writer) -> bool {
         let Some((&opcode, body)) = frame.split_first() else {
             return self.malformed(out, "empty frame");
         };
@@ -527,12 +505,11 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 // Decode span: epoch to now, detail = frame body bytes.
                 trace.span(Stage::Decode, 0, body.len() as u64);
 
-                let fault = self.faults.search_fault(conn_id, *req_idx);
-                *req_idx += 1;
                 let deadline = self.config.request_deadline.map(|d| Instant::now() + d);
                 let hooks = RequestHooks {
                     gate: &self.gate,
-                    fault,
+                    search_hook: &*self.search_hook,
+                    query: &query,
                 };
                 // A search is a plain call on this handler thread, so a
                 // panic in it unwinds to here.  The serving layer's
@@ -549,13 +526,6 @@ impl<'s, 'c> Daemon<'s, 'c> {
                     self.server.serve_with(&query, &mode, ctx)
                 }))
                 .unwrap_or(Err(ServeError::Opt(OptError::WorkerPanicked)));
-                // A leader is never cancelled mid-search (its result
-                // feeds the cache), but its *response* still honors the
-                // deadline.
-                let result = match (result, deadline) {
-                    (Ok(_), Some(d)) if Instant::now() > d => Err(ServeError::DeadlineExceeded),
-                    (other, _) => other,
-                };
 
                 match &result {
                     Ok(resp) => {
@@ -618,51 +588,6 @@ impl<'s, 'c> Daemon<'s, 'c> {
             _ => self.malformed(out, "unknown or malformed opcode"),
         }
     }
-
-    /// Write the batch: one `write_all` of the whole buffer.  A scripted
-    /// outbound fault acts on the same bytes, found by walking the
-    /// buffer's frames; only a fault that severs or delays splits the
-    /// write, at that frame's boundary.  Returns `false` when the
-    /// connection must close (write failure, slow client, or a fault
-    /// that severs it).
-    fn flush(
-        &self,
-        conn_id: u64,
-        stream: &mut dyn Stream,
-        out: &mut [u8],
-        out_frame_idx: &mut u64,
-    ) -> bool {
-        // Bytes of `out` already written.
-        let mut sent = 0;
-        if !self.faults.is_empty() {
-            let mut lo = 0;
-            while let Ok(Some((_, used))) = split_frame(&out[lo..]) {
-                let idx = *out_frame_idx;
-                *out_frame_idx += 1;
-                match self.faults.outbound_fault(conn_id, idx) {
-                    None => {}
-                    Some(FrameFault::Drop) => {
-                        let _ = stream.write_all(&out[sent..lo]);
-                        return false;
-                    }
-                    Some(FrameFault::Truncate(n)) => {
-                        let _ = stream.write_all(&out[sent..lo + n.min(used)]);
-                        return false;
-                    }
-                    Some(FrameFault::Garble { offset, mask }) => out[lo + offset % used] ^= mask,
-                    Some(FrameFault::Delay(d)) => {
-                        if stream.write_all(&out[sent..lo]).is_err() {
-                            return false;
-                        }
-                        sent = lo;
-                        std::thread::sleep(d);
-                    }
-                }
-                lo += used;
-            }
-        }
-        stream.write_all(&out[sent..]).is_ok()
-    }
 }
 
 /// Encode one `ERROR` frame onto `out`.
@@ -721,13 +646,12 @@ mod tests {
         assert_eq!(fresh.value, 1.0);
         // The exposition is the document: sample for sample, each one is
         // a numeric leaf of `metrics_json` under its `_`-joined path, with
-        // the same value and no labels.
+        // the same value.
         let leaves = lec_telemetry::flatten(&daemon.metrics_json());
         assert_eq!(samples.len(), leaves.len());
         for (sample, (path, value)) in samples.iter().zip(&leaves) {
             assert_eq!(sample.name, format!("lec_{}", path.replace('.', "_")));
             assert_eq!(sample.value, *value, "{path}");
-            assert!(sample.labels.is_empty(), "{} carries labels", sample.name);
         }
         assert!(leaves
             .iter()

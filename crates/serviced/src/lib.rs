@@ -77,9 +77,10 @@
 //!   timeouts, and malformed frames that poison exactly one connection.
 //! - **Graceful drain**: stop accepting, finish in-flight cohorts, flush,
 //!   report.  A watchdog force-closes stragglers at `drain_deadline`.
-//! - **Fault injection**: a [`FaultPlan`] deterministically drops,
-//!   truncates, garbles, or delays scripted frames and kills scripted
-//!   leaders mid-search, so the chaos suite asserts exact blast radii.
+//! - **Fault injection**: none in the daemon.  Tests send malformed bytes
+//!   themselves, and a search hook ([`Daemon::with_search_hook`]) lets
+//!   them hold a cold slot or kill a leader mid-search, so the chaos suite
+//!   asserts exact blast radii.
 //!
 //! The daemon serves any [`transport::Listener`] of
 //! [`transport::Stream`]s.  There is one implementation, the kernel
@@ -91,12 +92,10 @@
 
 pub mod client;
 pub mod daemon;
-pub mod faults;
 pub mod protocol;
 pub mod transport;
 
 pub use client::{backoff_delay, Client, ClientError, RetryPolicy, ServerError};
 pub use daemon::{Daemon, DaemonConfig, DaemonMetrics, DrainReport};
-pub use faults::{FaultPlan, FrameFault, SearchFault};
 pub use protocol::{ErrorCode, StatsFormat};
 pub use transport::{TcpAcceptor, UnixAcceptor};

@@ -1,18 +1,22 @@
-//! The chaos suite: deterministic fault injection against a live daemon.
+//! The chaos suite: faults against a live daemon, each with an exact
+//! blast radius.
 //!
-//! Every test scripts an exact [`FaultPlan`] — faults keyed by
-//! `(connection id, frame/request index)` with connection ids in accept
-//! order — and asserts the exact blast radius: only the affected
-//! connection or cohort observes an error, everything else keeps
-//! serving, and drain completes within its deadline.
+//! The daemon runs no fault script.  Tests send malformed bytes down a raw
+//! socket themselves, and a search hook ([`Daemon::with_search_hook`]),
+//! keyed on the query a test sends, sleeps to hold a cold slot or panics to
+//! kill a leader mid-cohort.  Each test asserts that only the affected
+//! connection or cohort observes an error, everything else keeps serving,
+//! and drain completes within its deadline.
 
 use lec_core::{Mode, Optimizer};
 use lec_plan::Query;
 use lec_service::ConcurrentPlanServer;
 use lec_serviced::protocol::{self, op, ErrorCode, Writer, MAX_FRAME};
 use lec_serviced::transport::Stream;
-use lec_serviced::{Client, ClientError, Daemon, DaemonConfig, FaultPlan, FrameFault, SearchFault};
+use lec_serviced::{Client, ClientError, Daemon, DaemonConfig};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
@@ -35,16 +39,43 @@ fn memory() -> lec_prob::Distribution {
     lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap()
 }
 
-/// Run `body` against a daemon configured with `config` and `faults`;
-/// returns the drain report after `body` finishes and the daemon drains.
+/// A search hook that does nothing.
+fn no_hook(_: &Query) {}
+
+/// A search hook that sleeps `hold` before searching `target`.
+fn hold_on(target: &Query, hold: Duration) -> impl Fn(&Query) + Sync + '_ {
+    move |q| {
+        if q == target {
+            std::thread::sleep(hold);
+        }
+    }
+}
+
+/// Run `body` against a daemon over `catalog` configured with `config`
+/// and `search_hook`; returns the drain report after `body` finishes and
+/// the daemon drains.
 fn with_daemon<T>(
     catalog: &lec_catalog::Catalog,
     config: DaemonConfig,
-    faults: FaultPlan,
+    search_hook: impl Fn(&Query) + Sync,
     body: impl FnOnce(&Socket, &Daemon<'_, '_>) -> T,
 ) -> (T, lec_serviced::DrainReport) {
-    let server = ConcurrentPlanServer::new(catalog, memory());
-    let daemon = Daemon::new(&server, config).with_faults(faults);
+    with_daemon_over(
+        ConcurrentPlanServer::new(catalog, memory()),
+        config,
+        search_hook,
+        body,
+    )
+}
+
+/// [`with_daemon`] over a server the caller built.
+fn with_daemon_over<T>(
+    server: ConcurrentPlanServer<'_>,
+    config: DaemonConfig,
+    search_hook: impl Fn(&Query) + Sync,
+    body: impl FnOnce(&Socket, &Daemon<'_, '_>) -> T,
+) -> (T, lec_serviced::DrainReport) {
+    let daemon = Daemon::new(&server, config).with_search_hook(search_hook);
     let socket = Socket::bind();
     std::thread::scope(|scope| {
         let runner = scope.spawn(|| daemon.run(&socket.acceptor));
@@ -57,6 +88,38 @@ fn with_daemon<T>(
     })
 }
 
+/// An `OPTIMIZE` frame, as a client encodes it.
+fn optimize_frame(req_id: u64, mode: &Mode, query: &Query) -> Vec<u8> {
+    let mut body = Writer::new();
+    body.u64(req_id);
+    protocol::encode_mode(&mut body, mode);
+    protocol::encode_query(&mut body, query);
+    protocol::frame(op::OPTIMIZE, &body.into_bytes())
+}
+
+/// Write `bytes` on `raw`, then read until the daemon closes the
+/// connection by itself: the reply must be exactly one `ERROR` frame with
+/// no request id to echo.  Returns its code.
+fn sole_error_reply(raw: &mut impl Stream, bytes: &[u8]) -> u8 {
+    raw.write_all(bytes).unwrap();
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 256];
+    loop {
+        match raw.read(&mut chunk).expect("reply, then a clean close") {
+            0 => break,
+            n => reply.extend_from_slice(&chunk[..n]),
+        }
+    }
+    let (frame, used) = protocol::split_frame(&reply)
+        .expect("legal prefix")
+        .expect("one whole frame");
+    assert_eq!(used, reply.len(), "nothing follows the error frame");
+    assert_eq!(frame[0], op::ERROR);
+    let mut r = protocol::Reader::new(&frame[1..]);
+    assert_eq!(r.u64(), Ok(0), "no request id to echo");
+    r.u8().expect("an error code")
+}
+
 // ---------------------------------------------------------------------
 // Malformed frames poison exactly one connection
 // ---------------------------------------------------------------------
@@ -65,32 +128,26 @@ fn with_daemon<T>(
 fn a_garbled_frame_poisons_only_its_connection() {
     let (catalog, queries) = fixture();
     let mode = Mode::AlgorithmC;
-    // Garble the opcode byte of connection 0's first frame.
-    let faults = FaultPlan::new().inbound(
-        0,
-        0,
-        FrameFault::Garble {
-            offset: 0,
-            mask: 0x7F,
-        },
-    );
     let ((), report) = with_daemon(
         &catalog,
         DaemonConfig::default(),
-        faults,
+        no_hook,
         |socket, daemon| {
-            // Connection ids follow accept order, which for a Unix
-            // socket is dial order: dial sequentially.
-            let mut poisoned = Client::new(Box::new(socket.connect()), 1);
+            let mut raw = socket.connect();
             let mut healthy = Client::new(Box::new(socket.connect()), 2);
 
-            match poisoned.optimize_once(0, &mode, &queries[0]) {
-                Err(ClientError::Server(e)) => {
-                    assert_eq!(e.code, ErrorCode::Malformed, "garbled frame is rejected");
-                }
-                other => panic!("expected a Malformed rejection, got {other:?}"),
-            }
-            // The poisoned connection is closed after the error frame…
+            // A whole OPTIMIZE frame with its opcode byte (just past the
+            // 4-byte length prefix) flipped: length intact, contents not.
+            let mut garbled = optimize_frame(0, &mode, &queries[0]);
+            garbled[4] ^= 0x7F;
+            assert_eq!(
+                sole_error_reply(&mut raw, &garbled),
+                ErrorCode::Malformed as u8,
+                "garbled frame is rejected"
+            );
+            // The poisoned connection is closed after the error frame: the
+            // next call sees EOF as an I/O error, never a hang…
+            let mut poisoned = Client::new(Box::new(raw), 1);
             assert!(
                 matches!(
                     poisoned.optimize_once(1, &mode, &queries[1]),
@@ -113,39 +170,12 @@ fn a_garbled_frame_poisons_only_its_connection() {
 }
 
 #[test]
-fn a_dropped_frame_hangs_up_without_a_response() {
-    let (catalog, queries) = fixture();
-    let mode = Mode::AlgorithmC;
-    let faults = FaultPlan::new().inbound(0, 0, FrameFault::Drop);
-    let ((), _report) = with_daemon(
-        &catalog,
-        DaemonConfig::default(),
-        faults,
-        |socket, daemon| {
-            let mut dropped = Client::new(Box::new(socket.connect()), 1);
-            assert!(
-                matches!(
-                    dropped.optimize_once(0, &mode, &queries[0]),
-                    Err(ClientError::Io(_))
-                ),
-                "dropped frame means EOF, never a hang"
-            );
-            // No request was dispatched, no error frame sent.
-            assert_eq!(
-                daemon.metrics().requests_ok() + daemon.metrics().requests_err(),
-                0
-            );
-        },
-    );
-}
-
-#[test]
 fn an_oversized_frame_is_rejected_without_reading_it() {
     let (catalog, _queries) = fixture();
     let ((), _report) = with_daemon(
         &catalog,
         DaemonConfig::default(),
-        FaultPlan::new(),
+        no_hook,
         |socket, daemon| {
             let mut raw = socket.connect();
             // A header announcing MAX_FRAME + 1 bytes: the daemon must
@@ -166,28 +196,25 @@ fn an_oversized_frame_is_rejected_without_reading_it() {
 fn truncated_optimize_bodies_are_rejected_cleanly() {
     let (catalog, queries) = fixture();
     let mode = Mode::AlgorithmC;
-    // Build a full OPTIMIZE frame, then deliver ever-shorter prefixes of
-    // its body via the Truncate fault (which cuts the peeled frame).
-    let mut w = Writer::new();
-    w.u64(7);
-    protocol::encode_mode(&mut w, &mode);
-    protocol::encode_query(&mut w, &queries[0]);
-    let body_len = w.into_bytes().len();
-    let (catalog2, _) = (catalog, ());
+    // A full OPTIMIZE frame, then ever-shorter prefixes of its opcode and
+    // body, each under a length prefix that announces just the cut: a
+    // zero-length frame, an opcode alone, an opcode and request id, and
+    // half the body.
+    let whole = optimize_frame(7, &mode, &queries[0]);
+    let body_len = whole.len() - 5;
     for cut in [0usize, 1, 9, body_len / 2] {
-        let faults = FaultPlan::new().inbound(0, 0, FrameFault::Truncate(cut));
+        let mut cut_frame = (cut as u32).to_le_bytes().to_vec();
+        cut_frame.extend_from_slice(&whole[4..4 + cut]);
         let ((), _report) = with_daemon(
-            &catalog2,
+            &catalog,
             DaemonConfig::default(),
-            faults,
+            no_hook,
             |socket, daemon| {
-                let mut client = Client::new(Box::new(socket.connect()), 1);
-                match client.optimize_once(7, &mode, &queries[0]) {
-                    Err(ClientError::Server(e)) => {
-                        assert_eq!(e.code, ErrorCode::Malformed, "cut at {cut}")
-                    }
-                    other => panic!("cut at {cut}: expected Malformed, got {other:?}"),
-                }
+                assert_eq!(
+                    sole_error_reply(&mut socket.connect(), &cut_frame),
+                    ErrorCode::Malformed as u8,
+                    "cut at {cut}"
+                );
                 assert_eq!(daemon.metrics().malformed_frames(), 1);
             },
         );
@@ -204,28 +231,14 @@ fn the_retired_metrics_opcode_is_malformed_and_poisons_its_connection() {
     let ((), report) = with_daemon(
         &catalog,
         DaemonConfig::default(),
-        FaultPlan::new(),
+        no_hook,
         |socket, daemon| {
-            let mut raw = socket.connect();
-            raw.write_all(&protocol::frame(0x02, &[])).unwrap();
-            // Read to EOF: the daemon closes the connection by itself,
-            // after exactly one frame.
-            let mut reply = Vec::new();
-            let mut chunk = [0u8; 256];
-            loop {
-                match raw.read(&mut chunk).expect("reply, then a clean close") {
-                    0 => break,
-                    n => reply.extend_from_slice(&chunk[..n]),
-                }
-            }
-            let (frame, used) = protocol::split_frame(&reply)
-                .expect("legal prefix")
-                .expect("one whole frame");
-            assert_eq!(used, reply.len(), "nothing follows the error frame");
-            assert_eq!(frame[0], op::ERROR);
-            let mut r = protocol::Reader::new(&frame[1..]);
-            assert_eq!(r.u64(), Ok(0), "no request id to echo");
-            assert_eq!(r.u8(), Ok(ErrorCode::Malformed as u8));
+            // The daemon closes the connection by itself, after exactly
+            // one frame.
+            assert_eq!(
+                sole_error_reply(&mut socket.connect(), &protocol::frame(0x02, &[])),
+                ErrorCode::Malformed as u8
+            );
             let mut healthy = Client::new(Box::new(socket.connect()), 2);
             healthy
                 .optimize_once(0, &Mode::AlgorithmC, &queries[0])
@@ -244,11 +257,18 @@ fn the_retired_metrics_opcode_is_malformed_and_poisons_its_connection() {
 fn a_killed_leader_surfaces_worker_panicked_and_the_connection_survives() {
     let (catalog, queries) = fixture();
     let mode = Mode::AlgorithmC;
-    let faults = FaultPlan::new().search(0, 0, SearchFault::KillLeader);
+    // The first search of query 0 dies after admission, as if the DP
+    // itself had panicked; later searches of it run.
+    let killed = AtomicBool::new(false);
+    let kill_once = |q: &Query| {
+        if q == &queries[0] && !killed.swap(true, Ordering::SeqCst) {
+            panic!("leader killed mid-search");
+        }
+    };
     let ((), _report) = with_daemon(
         &catalog,
         DaemonConfig::default(),
-        faults,
+        kill_once,
         |socket, daemon| {
             let mut client = Client::new(Box::new(socket.connect()), 1);
             // optimize (with retry) must NOT mask the panic behind retries:
@@ -261,7 +281,7 @@ fn a_killed_leader_surfaces_worker_panicked_and_the_connection_survives() {
                 other => panic!("expected WorkerPanicked, got {other:?}"),
             }
             // The connection is healthy — only the cohort died — and the
-            // same request succeeds on the next, unfaulted attempt.
+            // same request succeeds on the next attempt.
             let resp = client
                 .optimize_once(1, &mode, &queries[0])
                 .expect("retry succeeds");
@@ -293,7 +313,7 @@ fn a_non_finite_lsc_memory_is_an_error_frame_and_the_daemon_keeps_serving() {
     let ((), _report) = with_daemon(
         &catalog,
         DaemonConfig::default(),
-        FaultPlan::new(),
+        no_hook,
         |socket, daemon| {
             let mut client = Client::new(Box::new(socket.connect()), 1);
             let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
@@ -336,13 +356,13 @@ fn overload_sheds_cold_requests_while_warm_hits_keep_serving() {
     let (catalog, queries) = fixture();
     let mode = Mode::AlgorithmC;
     let hold = Duration::from_millis(400);
-    // Connection 0's second request holds the single cold slot.
-    let faults = FaultPlan::new().search(0, 1, SearchFault::Delay(hold));
+    // The search of query 1 holds the single cold slot.
     let config = DaemonConfig {
         max_cold_backlog: 1,
         ..DaemonConfig::default()
     };
-    let ((), _report) = with_daemon(&catalog, config, faults, |socket, daemon| {
+    let hook = hold_on(&queries[1], hold);
+    let ((), _report) = with_daemon(&catalog, config, hook, |socket, daemon| {
         let mut blocker = Client::new(Box::new(socket.connect()), 1);
         let mut prober = Client::new(Box::new(socket.connect()), 2);
 
@@ -396,12 +416,12 @@ fn the_client_retry_rides_out_a_transient_overload() {
     let (catalog, queries) = fixture();
     let mode = Mode::AlgorithmC;
     let hold = Duration::from_millis(120);
-    let faults = FaultPlan::new().search(0, 0, SearchFault::Delay(hold));
     let config = DaemonConfig {
         max_cold_backlog: 1,
         ..DaemonConfig::default()
     };
-    let ((), _report) = with_daemon(&catalog, config, faults, |socket, daemon| {
+    let hook = hold_on(&queries[1], hold);
+    let ((), _report) = with_daemon(&catalog, config, hook, |socket, daemon| {
         let mut blocker = Client::new(Box::new(socket.connect()), 1);
         // A generous retry budget: backoff outlasts the 120ms hold.
         let mut retrier = Client::with_policy(
@@ -439,12 +459,12 @@ fn the_client_retry_rides_out_a_transient_overload() {
 fn a_request_deadline_expires_instead_of_hanging() {
     let (catalog, queries) = fixture();
     let mode = Mode::AlgorithmC;
-    let faults = FaultPlan::new().search(0, 0, SearchFault::Delay(Duration::from_millis(200)));
     let config = DaemonConfig {
         request_deadline: Some(Duration::from_millis(40)),
         ..DaemonConfig::default()
     };
-    let ((), _report) = with_daemon(&catalog, config, faults, |socket, daemon| {
+    let hook = hold_on(&queries[0], Duration::from_millis(200));
+    let ((), _report) = with_daemon(&catalog, config, hook, |socket, daemon| {
         let mut client = Client::new(Box::new(socket.connect()), 1);
         match client.optimize_once(0, &mode, &queries[0]) {
             Err(ClientError::Server(e)) => {
@@ -460,6 +480,34 @@ fn a_request_deadline_expires_instead_of_hanging() {
             .optimize_once(1, &mode, &queries[0])
             .expect("warm retry");
         assert!(resp.cost.is_finite());
+    });
+}
+
+/// A request whose answer comes back past its deadline is refused, and
+/// the latency histograms file it under the refusal: an error, never a
+/// fresh answer the client did not get.
+#[test]
+fn a_missed_deadline_is_recorded_as_an_error_not_a_fresh_answer() {
+    let (catalog, queries) = fixture();
+    let mode = Mode::AlgorithmC;
+    let server = ConcurrentPlanServer::new(&catalog, memory())
+        .with_telemetry(Arc::new(lec_telemetry::Telemetry::on()));
+    let config = DaemonConfig {
+        request_deadline: Some(Duration::from_millis(40)),
+        ..DaemonConfig::default()
+    };
+    let hook = hold_on(&queries[0], Duration::from_millis(200));
+    let ((), _report) = with_daemon_over(server, config, hook, |socket, daemon| {
+        let mut client = Client::new(Box::new(socket.connect()), 1);
+        match client.optimize_once(0, &mode, &queries[0]) {
+            Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::DeadlineExceeded),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        let doc = daemon.metrics_json();
+        let latency = &doc["service"]["telemetry"]["latency"];
+        assert_eq!(latency["error"]["count"].as_f64(), Some(1.0));
+        assert_eq!(latency["fresh"]["count"].as_f64(), Some(0.0));
+        assert_eq!(doc["daemon"]["requests_err"].as_f64(), Some(1.0));
     });
 }
 
@@ -519,12 +567,12 @@ fn a_slow_client_is_disconnected_not_waited_on() {
 fn drain_finishes_inflight_work_and_rejects_late_arrivals() {
     let (catalog, queries) = fixture();
     let mode = Mode::AlgorithmC;
-    let faults = FaultPlan::new().search(0, 0, SearchFault::Delay(Duration::from_millis(150)));
     let config = DaemonConfig {
         drain_deadline: Duration::from_secs(5),
         ..DaemonConfig::default()
     };
-    let ((), report) = with_daemon(&catalog, config, faults, |socket, daemon| {
+    let hook = hold_on(&queries[0], Duration::from_millis(150));
+    let ((), report) = with_daemon(&catalog, config, hook, |socket, daemon| {
         let mut inflight = Client::new(Box::new(socket.connect()), 1);
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| inflight.optimize_once(0, &mode, &queries[0]));
@@ -564,15 +612,16 @@ fn the_drain_watchdog_force_closes_stragglers_at_the_deadline() {
     let (catalog, queries) = fixture();
     let mode = Mode::AlgorithmC;
     let hold = Duration::from_millis(400);
-    let faults = FaultPlan::new().search(0, 0, SearchFault::Delay(hold));
     let config = DaemonConfig {
         drain_deadline: Duration::from_millis(50),
         ..DaemonConfig::default()
     };
-    let ((), report) = with_daemon(&catalog, config, faults, |socket, daemon| {
+    let hook = hold_on(&queries[0], hold);
+    let ((), report) = with_daemon(&catalog, config, hook, |socket, daemon| {
         let mut straggler = Client::new(Box::new(socket.connect()), 1);
         std::thread::scope(|scope| {
-            let worker = scope.spawn(move || straggler.optimize_once(0, &mode, &queries[0]));
+            let query = &queries[0];
+            let worker = scope.spawn(move || straggler.optimize_once(0, &mode, query));
             std::thread::sleep(Duration::from_millis(40));
             daemon.initiate_drain();
             // The force-closed client observes an I/O failure, not a hang.

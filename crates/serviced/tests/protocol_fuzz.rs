@@ -5,7 +5,7 @@
 //! Three input families: pure noise, structurally-plausible noise
 //! (valid-looking length prefixes over garbage), and mutated valid
 //! frames (one byte flipped anywhere in a well-formed encoding — the
-//! single-bit-rot case the chaos suite's `Garble` fault plays out
+//! single-bit-rot case the chaos suite's garbled-frame test sends
 //! end-to-end).
 //!
 //! The frame splitter gets the same treatment: `split_frame` on arbitrary

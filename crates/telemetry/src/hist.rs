@@ -5,11 +5,10 @@
 //! buckets, and every later power-of-two octave is split into `2^SUB_BITS`
 //! sub-buckets, bounding relative quantile error at `2^-SUB_BITS` (~6%).
 //! Recording is three relaxed `fetch_add`s — no locks, no allocation —
-//! so concurrent recorders produce bucket counts identical to any serial
-//! interleaving of the same samples, and merging two snapshots is an
-//! element-wise add that is associative and commutative. That determinism
-//! is what lets per-thread or per-process histograms be combined into one
-//! exposition without coordination (pinned by `tests/hist_props.rs`).
+//! so concurrent recorders sharing one histogram produce bucket counts
+//! identical to any serial interleaving of the same samples (pinned by
+//! `tests/hist_props.rs`): every handler thread records into the same
+//! per-outcome histogram without coordination.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -133,37 +132,13 @@ pub struct HistogramSnapshot {
     sum: u64,
 }
 
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot::empty()
-    }
-}
-
 impl HistogramSnapshot {
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: vec![0; N_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }
 
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Element-wise merge: associative, commutative, and deterministic, so
-    /// any merge order over per-thread histograms yields identical counts.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 
     /// Quantile estimate `q` in `[0, 1]`: the upper bound of the bucket
@@ -260,24 +235,5 @@ mod tests {
         assert!((500_000..=500_000 + 500_000 / 8).contains(&p50));
         assert!((990_000..=990_000 + 990_000 / 8).contains(&p99));
         assert!(s.quantile(0.0) <= p50 && p50 <= p99 && p99 <= s.quantile(1.0));
-    }
-
-    #[test]
-    fn merge_matches_combined_recording() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let all = Histogram::new();
-        for v in 0..500u64 {
-            let x = v * v % 10_007;
-            if v % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            all.record(x);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, all.snapshot());
     }
 }

@@ -1,9 +1,9 @@
 //! Prometheus-style text exposition of a metrics document: [`flatten`]
 //! takes every numeric leaf of a sorted-key JSON document, [`render`]
 //! writes each as one unlabelled `name value` line, and a strict
-//! line-by-line parser lets tests and the CI smoke step assert that every
-//! emitted line is well-formed.  The exposition is the document, so the
-//! two cannot drift apart.
+//! line-by-line parser, which takes exactly such lines, lets tests and the
+//! CI smoke step assert that every emitted line is well-formed.  The
+//! exposition is the document, so the two cannot drift apart.
 
 use serde_json::Value;
 
@@ -11,7 +11,6 @@ use serde_json::Value;
 #[derive(Clone, Debug, PartialEq)]
 pub struct PromSample {
     pub name: String,
-    pub labels: Vec<(String, String)>,
     pub value: f64,
 }
 
@@ -67,9 +66,10 @@ fn valid_name(s: &str) -> bool {
         && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Parse a full exposition. Every non-empty, non-comment line must be a
-/// well-formed sample (valid metric name, quoted label values, numeric
-/// value) or the whole parse fails with a line-numbered error.
+/// Parse a full exposition.  Every non-empty, non-comment line must be an
+/// unlabelled sample, as [`render`] writes it (a valid metric name, one
+/// space, a numeric value), or the whole parse fails with a line-numbered
+/// error.
 pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -83,97 +83,18 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
 }
 
 fn parse_line(line: &str) -> Result<PromSample, String> {
-    let (head, value_str) = match line.find('}') {
-        Some(close) => {
-            let rest = line[close + 1..].trim_start();
-            (&line[..close + 1], rest)
-        }
-        None => {
-            let sp = line.find(' ').ok_or("missing value")?;
-            (&line[..sp], line[sp + 1..].trim_start())
-        }
-    };
-    let (name, labels) = match head.find('{') {
-        Some(open) => {
-            if !head.ends_with('}') {
-                return Err("unterminated label set".into());
-            }
-            (
-                &head[..open],
-                parse_labels(&head[open + 1..head.len() - 1])?,
-            )
-        }
-        None => (head, Vec::new()),
-    };
+    let (name, value_str) = line.split_once(' ').ok_or("missing value")?;
     if !valid_name(name) {
         return Err(format!("invalid metric name {name:?}"));
     }
-    if value_str.is_empty() {
-        return Err("missing value".into());
-    }
+    let value_str = value_str.trim_start();
     let value: f64 = value_str
         .parse()
         .map_err(|_| format!("non-numeric value {value_str:?}"))?;
     Ok(PromSample {
         name: name.to_string(),
-        labels,
         value,
     })
-}
-
-fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
-    let mut labels = Vec::new();
-    let mut chars = body.char_indices().peekable();
-    let mut key_start = 0usize;
-    loop {
-        // Find `key="` then scan the quoted value honoring escapes.
-        let eq = loop {
-            match chars.next() {
-                Some((i, '=')) => break i,
-                Some((_, _)) => {}
-                None => {
-                    if body[key_start..].trim().is_empty() && labels.is_empty() && key_start == 0 {
-                        return if body.trim().is_empty() {
-                            Ok(labels)
-                        } else {
-                            Err("malformed label".into())
-                        };
-                    }
-                    if body[key_start..].trim().is_empty() {
-                        return Ok(labels);
-                    }
-                    return Err("label without value".into());
-                }
-            }
-        };
-        let key = body[key_start..eq].trim();
-        if !valid_name(key) {
-            return Err(format!("invalid label name {key:?}"));
-        }
-        match chars.next() {
-            Some((_, '"')) => {}
-            _ => return Err("label value not quoted".into()),
-        }
-        let mut value = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, 'n')) => value.push('\n'),
-                    Some((_, c)) => value.push(c),
-                    None => return Err("dangling escape".into()),
-                },
-                Some((_, '"')) => break,
-                Some((_, c)) => value.push(c),
-                None => return Err("unterminated label value".into()),
-            }
-        }
-        labels.push((key.to_string(), value));
-        match chars.next() {
-            Some((i, ',')) => key_start = i + 1,
-            None => return Ok(labels),
-            Some((_, c)) => return Err(format!("expected ',' between labels, got {c:?}")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -199,15 +120,7 @@ mod tests {
         assert_eq!(text, "lec_a_count 42\nlec_a_mean 1.5\nlec_z 0\n");
         let parsed = parse_prometheus(&text).expect("parses");
         assert_eq!(parsed.len(), 3);
-        assert!(parsed.iter().all(|s| s.labels.is_empty()));
         assert_eq!(parsed[1].value, 1.5);
-    }
-
-    #[test]
-    fn escaped_label_values_parse() {
-        let parsed = parse_prometheus("m{k=\"a\\\"b\\\\c\\nd\",q=\"0.5\"} 1").expect("parses");
-        assert_eq!(parsed[0].labels[0].1, "a\"b\\c\nd");
-        assert_eq!(parsed[0].labels[1], ("q".into(), "0.5".into()));
     }
 
     #[test]
@@ -217,6 +130,7 @@ mod tests {
         assert!(parse_prometheus("name abc").is_err());
         assert!(parse_prometheus("name{k=v} 1").is_err());
         assert!(parse_prometheus("name{k=\"v\" 1").is_err());
+        assert!(parse_prometheus("name{k=\"v\"} 1").is_err());
         assert!(parse_prometheus("# comment\n\nok_name 3").unwrap().len() == 1);
     }
 }

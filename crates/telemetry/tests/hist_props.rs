@@ -1,7 +1,7 @@
-//! Property tests for histogram determinism (ISSUE 8 satellite):
+//! Property tests for histogram determinism:
 //!
-//! * concurrent recording across threads followed by merge yields bucket
-//!   counts identical to serial recording of the same samples, and
+//! * concurrent recording into one shared histogram yields bucket counts
+//!   identical to serial recording of the same samples, and
 //! * quantile estimates are monotone — in `q` for a fixed sample set, and
 //!   in the recorded values (element-wise domination of sample sets).
 
@@ -23,36 +23,6 @@ fn record_all(values: &[u64]) -> HistogramSnapshot {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn concurrent_record_and_merge_matches_serial(values in samples(), threads in 2usize..5) {
-        let serial = record_all(&values);
-
-        // Shard the samples round-robin over worker threads, each with its
-        // own histogram, then merge the per-thread snapshots.
-        let hists: Vec<Histogram> = (0..threads).map(|_| Histogram::new()).collect();
-        std::thread::scope(|scope| {
-            for (t, h) in hists.iter().enumerate() {
-                let shard: Vec<u64> = values
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % threads == t)
-                    .map(|(_, v)| *v)
-                    .collect();
-                scope.spawn(move || {
-                    for v in shard {
-                        h.record(v);
-                    }
-                });
-            }
-        });
-        let mut merged = HistogramSnapshot::empty();
-        for h in &hists {
-            merged.merge(&h.snapshot());
-        }
-
-        prop_assert_eq!(merged, serial);
-    }
 
     #[test]
     fn shared_histogram_under_contention_matches_serial(values in samples()) {

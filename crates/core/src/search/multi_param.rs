@@ -15,7 +15,8 @@
 //! method costs depend only on its operands' sizes: so `combine` forms
 //! the product and prices the four methods once per distinct (outer,
 //! inner) size pair, and every entry pair of that pair reads them; as in
-//! [`super::keep_best`], it inserts only each group's cheapest candidates.
+//! [`super::keep_best`], it inserts only the candidates no cheaper one of
+//! the split covers.
 
 use super::arena::{PlanArena, PlanId};
 use super::keep_best::{for_each_cheapest, sort_where_required};
@@ -216,18 +217,24 @@ impl CandidatePolicy for MultiParamPolicy {
             }
         }
         self.pairs = pairs;
-        for_each_cheapest(&self.sums, inner.len(), |i, j, method, cost, size| {
-            let (oe, ie) = (&outer[i], &inner[j]);
-            let joined = Joined {
-                cost,
-                order: join_output_order(sm_order, oe.order, method),
-                size,
-                method,
-                outer: oe.plan,
-                inner: ie.plan,
-            };
-            insert_entry_shaped(model, plans, into, joined);
-        });
+        let order = |i: usize, method| join_output_order(sm_order, outer[i].order, method);
+        for_each_cheapest(
+            &self.sums,
+            inner.len(),
+            order,
+            |i, j, method, cost, order, size| {
+                let (oe, ie) = (&outer[i], &inner[j]);
+                let joined = Joined {
+                    cost,
+                    order,
+                    size,
+                    method,
+                    outer: oe.plan,
+                    inner: ie.plan,
+                };
+                insert_entry_shaped(model, plans, into, joined);
+            },
+        );
     }
 
     /// Only survivors fingerprint a size distribution and build its

@@ -1,8 +1,8 @@
 //! The DP driver walks the join graph, not the subset lattice: each level
 //! is the connected subsets of its size, grown from the level below
 //! through the cost model's graph tables.  Pinned here: the enumeration
-//! against a brute-force filter of the lattice, the graph tables (incident
-//! predicate bitsets) against the full predicate scans they replaced (bit
+//! against a brute-force filter of the lattice, the graph tables (per-table
+//! predicate lists) against the full predicate scans they replaced (bit
 //! for bit), and the sizes the walk now reaches — a 40-table chain is 820
 //! subsets, not `2^40`.
 
@@ -25,6 +25,16 @@ use proptest::prelude::*;
 /// components.  Every third table is filtered through a 3-bucket local
 /// selectivity.
 fn graph_query(n: usize, edges: &[(usize, usize, f64)]) -> (Catalog, Query) {
+    let edges: Vec<_> = (edges.iter())
+        .map(|&(u, v, s)| (u % n, v % n, s))
+        .filter(|(u, v, _)| u != v)
+        .collect();
+    raw_graph_query(n, &edges)
+}
+
+/// [`graph_query`] with each `(u, v, s)` a predicate between tables `u`
+/// and `v` as given: a self-loop, or an endpoint past the query, stays.
+fn raw_graph_query(n: usize, edges: &[(usize, usize, f64)]) -> (Catalog, Query) {
     let mut catalog = Catalog::new();
     let tables = (0..n)
         .map(|i| {
@@ -47,10 +57,9 @@ fn graph_query(n: usize, edges: &[(usize, usize, f64)]) -> (Catalog, Query) {
         .collect();
     let joins = edges
         .iter()
-        .filter(|(u, v, _)| u % n != v % n)
         .map(|&(u, v, s)| JoinPredicate {
-            left: ColumnRef::new(u % n, 1),
-            right: ColumnRef::new(v % n, 0),
+            left: ColumnRef::new(u, 1),
+            right: ColumnRef::new(v, 0),
             selectivity: Distribution::uniform(&[s, s * 3.7, s * 11.3]).unwrap(),
         })
         .collect();
@@ -151,6 +160,34 @@ proptest! {
         let (cat, mut q) = clique_query(clique, &sels);
         q.required_order = required(clique);
         prop_assert!(q.joins.len() > 64);
+        assert_graph_tables_agree(&cat, &q, &masks)?;
+    }
+
+    /// The per-table predicate lists answer every crossing query as the
+    /// reference walk of the whole predicate list does, bit for bit, on
+    /// graphs no generator builds: a clique over some of the tables with
+    /// random predicates around it, repeated pairs, and self-loops and
+    /// predicates with an endpoint past the query — which cross no split,
+    /// here first in predicate order, where a walk that counted them would
+    /// report them as the first crossing predicate.
+    #[test]
+    fn predicate_lists_agree_with_a_reference_walk(
+        n in 2usize..=10,
+        clique in 0usize..=10,
+        sels in prop::collection::vec(1e-5f64..1e-2, 45),
+        extra in prop::collection::vec((0usize..13, 0usize..13, 1e-5f64..1e-2), 0..=16),
+        repeats in prop::collection::vec(any::<usize>(), 0..=4),
+        masks in prop::collection::vec(any::<u64>(), 12),
+    ) {
+        let clique = clique.min(n);
+        let pairs = (0..clique).flat_map(|u| (u + 1..clique).map(move |v| (u, v)));
+        let mut edges = vec![(n - 1, n - 1, 0.5), (0, n + 2, 0.25), (n, n, 0.125)];
+        edges.extend(pairs.zip(&sels).map(|((u, v), &s)| (u, v, s)));
+        edges.extend(extra);
+        for r in repeats {
+            edges.push(edges[r % edges.len()]);
+        }
+        let (cat, q) = raw_graph_query(n, &edges);
         assert_graph_tables_agree(&cat, &q, &masks)?;
     }
 }

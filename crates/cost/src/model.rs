@@ -90,6 +90,14 @@ pub fn table_occurrence_fingerprint(catalog: &Catalog, query: &Query, idx: usize
 /// cost depends only on its operands' sizes), so the evaluation counter
 /// counts exactly the formula calls made.
 ///
+/// The join graph is read per split, so it is laid out for that: each
+/// table's incident predicates are one list in predicate order (the
+/// predicate's tables, mean selectivity and merge order), and a crossing
+/// query with a one-table side — every left-deep split, the replay's and
+/// the oracle's — walks that list; two multi-table sides scan every
+/// predicate.  Either way the factors multiply in predicate order, so a
+/// product's bits do not depend on which walk found them.
+///
 /// # Thread safety
 ///
 /// A search runs on the thread that asked for it and builds its own
@@ -112,23 +120,23 @@ pub struct CostModel<'a> {
     neighbours: Vec<TableSet>,
     /// One [`JoinEdge`] per join predicate, in predicate order.
     edges: Vec<JoinEdge>,
-    /// Each table's incident predicates as a bitset over predicate
-    /// indices: `words` `u64`s per table, table `t`'s at
-    /// `t * words..(t + 1) * words`.
-    incident: Vec<u64>,
-    words: usize,
+    /// Each table's incident predicates, copied out of `edges` in
+    /// predicate order, table `t`'s at `incident[starts[t]..starts[t + 1]]`.
+    incident: Vec<JoinEdge>,
+    starts: Vec<u32>,
     evals: Cell<u64>,
 }
 
-/// One join predicate as the search reads it: the tables it joins, the
-/// mean of its selectivity distribution and the order a sort-merge join on
-/// it delivers ([`ColumnEquivalences::sorted_on`]).  A predicate with an
-/// endpoint outside the query is in no table's incident bitset, so no set
+/// One join predicate as the search reads it: its index, the tables it
+/// joins, the mean of its selectivity distribution and the order a
+/// sort-merge join on it delivers ([`ColumnEquivalences::sorted_on`]).  A
+/// predicate with an endpoint outside the query joins no tables, so no set
 /// reaches it.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct JoinEdge {
     ends: TableSet,
     selectivity: f64,
+    pred: u32,
     merge_order: OrderProperty,
 }
 
@@ -148,24 +156,16 @@ impl<'a> CostModel<'a> {
             })
             .collect();
         // The query's graph tables, built once: every split of every
-        // subset asks which predicates cross it, and reads the answer off
-        // its tables' incident bitsets.
+        // subset asks which predicates cross it, and a left-deep split,
+        // whose inner is one table, reads the answer off that table's list.
         let equivalences = ColumnEquivalences::for_query(query);
-        let words = query.joins.len().div_ceil(64);
-        let mut incident = vec![0u64; n * words];
         let mut neighbours = vec![TableSet::EMPTY; n];
-        let edges: Vec<JoinEdge> = query
-            .joins
-            .iter()
-            .enumerate()
+        let edges: Vec<JoinEdge> = (query.joins.iter().enumerate())
             .map(|(p, join)| {
                 let (u, v) = join.tables();
                 let mut ends = TableSet::EMPTY;
                 if u < n && v < n {
                     ends = TableSet::from_indices([u, v]);
-                    for t in ends.iter() {
-                        incident[t * words + p / 64] |= 1u64 << (p % 64);
-                    }
                     if u != v {
                         neighbours[u] = neighbours[u].with(v);
                         neighbours[v] = neighbours[v].with(u);
@@ -174,10 +174,19 @@ impl<'a> CostModel<'a> {
                 JoinEdge {
                     ends,
                     selectivity: join.selectivity.mean(),
+                    pred: u32::try_from(p).expect("< 2^32 predicates"),
                     merge_order: equivalences.sorted_on(join.left),
                 }
             })
             .collect();
+        // Each predicate is in at most two lists.
+        let mut incident = Vec::with_capacity(2 * edges.len());
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        for t in 0..n {
+            incident.extend(edges.iter().filter(|e| e.ends.contains(t)));
+            starts.push(incident.len() as u32);
+        }
         let index_orders = (query.tables.iter().enumerate())
             .map(|(t, qt)| match qt.filter.as_ref().map(|f| f.column) {
                 Some(c) if catalog.table(qt.table).stats.index_on(c) == IndexKind::Clustered => {
@@ -198,7 +207,7 @@ impl<'a> CostModel<'a> {
             neighbours,
             edges,
             incident,
-            words,
+            starts,
             evals: Cell::new(0),
         }
     }
@@ -347,49 +356,34 @@ impl<'a> CostModel<'a> {
         TableSet::from_bits(reach & !set.bits())
     }
 
-    /// The indices of the predicates with an endpoint in `side`, ascending:
-    /// the union of its tables' incident bitsets, walked word by word.
-    fn incident_to(&self, side: TableSet) -> impl Iterator<Item = usize> + '_ {
-        let words = self.words;
-        // `bits` holds what is left of word `w - 1`.
-        let (mut w, mut bits) = (0, 0u64);
-        std::iter::from_fn(move || loop {
-            if bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                return Some((w - 1) * 64 + bit);
-            }
-            if w == words {
-                return None;
-            }
-            bits = side
-                .iter()
-                .fold(0, |acc, t| acc | self.incident[t * words + w]);
-            w += 1;
-        })
-    }
-
-    /// The indices of the predicates with one side in `a` and the other in
-    /// the disjoint `b`, ascending — [`Query::joins_crossing`] read off the
-    /// smaller side's incident bitsets.
-    fn predicates_between(&self, a: TableSet, b: TableSet) -> impl Iterator<Item = usize> + '_ {
-        let (side, other) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        self.incident_to(side)
-            .filter(move |&p| !self.edges[p].ends.intersect(other).is_empty())
+    /// The predicates with one side in `a` and the other in the disjoint
+    /// `b`, in predicate order — [`Query::joins_crossing`]: a one-table
+    /// side's list, or else a scan of every predicate.
+    fn predicates_between(&self, a: TableSet, b: TableSet) -> impl Iterator<Item = &JoinEdge> {
+        let one = |s: TableSet| (s.len() == 1).then(|| s.sole_member());
+        let edges = match one(b).or_else(|| one(a)) {
+            Some(t) => &self.incident[self.starts[t] as usize..self.starts[t + 1] as usize],
+            None => &self.edges[..],
+        };
+        let meets = |e: &JoinEdge, s: TableSet| !e.ends.intersect(s).is_empty();
+        edges.iter().filter(move |e| meets(e, a) && meets(e, b))
     }
 
     /// The first join predicate (in predicate order) crossing two disjoint
     /// table sets: the one a sort-merge join of the two sorts on.
     pub fn first_crossing_join(&self, a: TableSet, b: TableSet) -> Option<usize> {
-        self.predicates_between(a, b).next()
+        self.predicates_between(a, b)
+            .next()
+            .map(|e| e.pred as usize)
     }
 
     /// The order a sort-merge join of two disjoint table sets delivers:
     /// sorted on the class of the first predicate crossing them, the one
     /// the join sorts on.
     pub fn sort_merge_order(&self, a: TableSet, b: TableSet) -> OrderProperty {
-        self.first_crossing_join(a, b)
-            .map_or(OrderProperty::Unsorted, |p| self.edges[p].merge_order)
+        self.predicates_between(a, b)
+            .next()
+            .map_or(OrderProperty::Unsorted, |e| e.merge_order)
     }
 
     /// [`Self::join_selectivity_sets`] and [`Self::sort_merge_order`], bit
@@ -398,8 +392,8 @@ impl<'a> CostModel<'a> {
         let mut preds = self.predicates_between(a, b).peekable();
         let order = preds
             .peek()
-            .map_or(OrderProperty::Unsorted, |&p| self.edges[p].merge_order);
-        (preds.map(|p| self.edges[p].selectivity).product(), order)
+            .map_or(OrderProperty::Unsorted, |e| e.merge_order);
+        (preds.map(|e| e.selectivity).product(), order)
     }
 
     /// Distribution of the combined selectivity of all predicates crossing
@@ -407,8 +401,8 @@ impl<'a> CostModel<'a> {
     /// form).
     pub fn join_selectivity_dist_sets(&self, a: TableSet, b: TableSet) -> Distribution {
         let mut dist = Distribution::point(1.0);
-        for p in self.predicates_between(a, b) {
-            dist = dist.product(&self.query.joins[p].selectivity);
+        for e in self.predicates_between(a, b) {
+            dist = dist.product(&self.query.joins[e.pred as usize].selectivity);
         }
         dist
     }
@@ -419,7 +413,7 @@ impl<'a> CostModel<'a> {
     /// predicate order.
     pub fn join_selectivity_sets(&self, a: TableSet, b: TableSet) -> f64 {
         self.predicates_between(a, b)
-            .map(|p| self.edges[p].selectivity)
+            .map(|e| e.selectivity)
             .product()
     }
 

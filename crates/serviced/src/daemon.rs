@@ -78,10 +78,10 @@ impl Default for DaemonConfig {
 /// How often blocked reads and accepts wake up to poll the drain flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
-/// Monotonic counters, cheap to bump from any handler thread.  The
-/// closure invariants tests assert: `connections_accepted ==
-/// connections_active + closed`, `requests == requests_ok +
-/// requests_err`, and the gate's depth returns to zero at drain.
+/// The daemon's counters, cheap to update from any handler thread.  All
+/// are monotonic but two: `connections_active` is a gauge (the accept loop
+/// bumps it and a handler decrements it when it returns), and
+/// `drain_duration_ms` is stored once, when the drain ends.
 #[derive(Debug, Default)]
 pub struct DaemonMetrics {
     connections_accepted: AtomicU64,

@@ -870,7 +870,7 @@ mod tests {
     fn all_modes_roundtrip() {
         let chain =
             MarkovChain::new(vec![700.0, 2000.0], vec![vec![0.9, 0.1], vec![0.2, 0.8]]).unwrap();
-        let modes = vec![
+        let mut modes = vec![
             Mode::Lsc(PointEstimate::Mean),
             Mode::Lsc(PointEstimate::Mode),
             Mode::LscAt(1234.5),
@@ -878,15 +878,21 @@ mod tests {
             Mode::AlgorithmB { c: 3 },
             Mode::AlgorithmC,
             Mode::AlgorithmCDynamic { chain },
-            Mode::AlgorithmD {
-                config: AlgDConfig {
-                    max_buckets: 16,
-                    rebucket: Rebucket::EqualDepth,
-                    cube_root_inputs: true,
-                },
-            },
             Mode::Bushy,
         ];
+        // Every D config: both strategies, both input schemes, two caps.
+        for max_buckets in [3, 16] {
+            for rebucket in [Rebucket::EqualWidth, Rebucket::EqualDepth] {
+                for cube_root_inputs in [false, true] {
+                    let config = AlgDConfig {
+                        max_buckets,
+                        rebucket,
+                        cube_root_inputs,
+                    };
+                    modes.push(Mode::AlgorithmD { config });
+                }
+            }
+        }
         for m in &modes {
             let mut w = Writer::new();
             encode_mode(&mut w, m);

@@ -177,16 +177,13 @@ fn an_oversized_frame_is_rejected_without_reading_it() {
         DaemonConfig::default(),
         no_hook,
         |socket, daemon| {
-            let mut raw = socket.connect();
-            // A header announcing MAX_FRAME + 1 bytes: the daemon must
-            // reject on the prefix alone.
-            raw.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
-            let mut client = Client::new(Box::new(raw), 1);
-            match client.ping() {
-                Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Malformed),
-                Err(ClientError::Io(_)) => {} // error frame raced the close
-                other => panic!("expected rejection, got {other:?}"),
-            }
+            // A header announcing MAX_FRAME + 1 bytes and nothing else:
+            // the daemon must reject on the prefix alone, with one
+            // `Malformed` frame, and close.
+            assert_eq!(
+                sole_error_reply(&mut socket.connect(), &(MAX_FRAME + 1).to_le_bytes()),
+                ErrorCode::Malformed as u8
+            );
             assert_eq!(daemon.metrics().malformed_frames(), 1);
         },
     );
@@ -571,16 +568,35 @@ fn drain_finishes_inflight_work_and_rejects_late_arrivals() {
         drain_deadline: Duration::from_secs(5),
         ..DaemonConfig::default()
     };
-    let hook = hold_on(&queries[0], Duration::from_millis(150));
+    // The hook marks when the held search starts and when its hold ends.
+    let (held, released) = (AtomicBool::new(false), AtomicBool::new(false));
+    let hook = |q: &Query| {
+        if q == &queries[0] {
+            held.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(300));
+            released.store(true, Ordering::SeqCst);
+        }
+    };
     let ((), report) = with_daemon(&catalog, config, hook, |socket, daemon| {
         let mut inflight = Client::new(Box::new(socket.connect()), 1);
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| inflight.optimize_once(0, &mode, &queries[0]));
-            std::thread::sleep(Duration::from_millis(40));
+            let start = Instant::now();
+            while !held.load(Ordering::SeqCst) {
+                assert!(
+                    start.elapsed() < Duration::from_secs(5),
+                    "the search is held"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
 
             // Drain arrives while the search is mid-flight.
             let mut ctl = Client::new(Box::new(socket.connect()), 2);
             ctl.drain().expect("drain acknowledged");
+            assert!(
+                !released.load(Ordering::SeqCst),
+                "the drain overlapped the held search"
+            );
 
             // A connection dialed after the drain ack is rejected
             // (closed), never served, never hung.
@@ -593,6 +609,7 @@ fn drain_finishes_inflight_work_and_rejects_late_arrivals() {
             // The in-flight cohort still completes and flushes.
             let resp = worker.join().expect("thread").expect("in-flight completes");
             assert!(resp.cost.is_finite());
+            assert!(released.load(Ordering::SeqCst));
         });
         assert!(daemon.metrics().connections_rejected() >= 1);
     });

@@ -24,7 +24,11 @@
 //! one labeling, the tables in colour order, whose exact encoding is
 //! emitted directly: no permutation enumerated, no candidate encoding
 //! built or sorted; the request costs its fingerprint folds (byte-wise
-//! FNV-1a, eight dependent multiplies per word) and little else.  Only a
+//! FNV-1a, eight dependent multiplies per word) and the form's two
+//! vectors, the labeling and the key's words.  Per-join labels and the
+//! half-edges refinement sorts live in stack scratch up to 66 joins (a
+//! simple graph on 12 tables), and no half-edge is built when the seed
+//! colouring is already discrete.  Only a
 //! class of two or more tables starts a search: of all class-respecting
 //! labelings, the one whose weak encoding (bucketed tables, sorted labeled
 //! edges) — then exact encoding — is lexicographically least.

@@ -49,7 +49,8 @@ pub struct CanonicalForm {
 impl CanonicalForm {
     /// The inverse permutation: `inv[canonical] = original`, for carrying
     /// a canonically-labeled cached plan back to the caller's numbering.
-    pub fn inverse_perm(&self) -> Vec<usize> {
+    /// It lives on the stack; slots past the query's tables hold 0.
+    pub fn inverse_perm(&self) -> [usize; MAX_CANON_TABLES] {
         invert(&self.perm)
     }
 }
@@ -76,6 +77,7 @@ fn weak_sel_bucket(mean: f64) -> u64 {
 }
 
 /// Per-join labels: weak bucket and exact distribution fingerprint.
+#[derive(Clone, Copy, Default)]
 struct EdgeLabels {
     weak: u64,
     exact: u64,
@@ -145,7 +147,7 @@ fn exact_encoding(query: &Query, r: &Refined, perm: &[usize]) -> Vec<u64> {
     // Joins in original vector order and orientation: selectivity products
     // are folded in this order, so it is part of the computation's
     // identity (see the crate docs).
-    for (j, l) in query.joins.iter().zip(&r.labels) {
+    for (j, l) in query.joins.iter().zip(r.labels) {
         out.extend_from_slice(&[
             perm[j.left.table] as u64,
             j.left.column as u64,
@@ -225,28 +227,52 @@ fn twin_swap_exists(exact_attr: &[u64], query: &Query, labels: &[EdgeLabels]) ->
 /// Compute the canonical form of `query`, or the [`RefusalReason`] when
 /// the query is too large or too symmetric to canonicalize cheaply (the
 /// caller then treats the request as uncacheable, counting the reason).
+/// The form's two vectors are all it allocates: per-join labels and
+/// half-edges live in stack scratch up to [`STACK_JOINS`] joins.
 pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm, RefusalReason> {
-    let r = refine(catalog, query)?;
-    let (perm, mut exact) = if r.discrete {
-        discrete_labeling(query, &r)
+    with_scratch::<_, STACK_JOINS, _>(query.joins.len(), |labels| {
+        let r = refine(catalog, query, labels)?;
+        let (perm, mut exact) = if r.discrete {
+            discrete_labeling(query, &r)
+        } else {
+            minimal_labeling(query, &r)?
+        };
+        // The required-order suffix: part of the key, not of the labeled
+        // body.
+        match &query.required_order {
+            Some(c) => exact.extend_from_slice(&[1, perm[c.table] as u64, c.column as u64]),
+            None => exact.push(0),
+        }
+        Ok(CanonicalForm { perm, exact })
+    })
+}
+
+/// Joins whose scratch (an [`EdgeLabels`] and two [`HalfEdge`]s each)
+/// lives on the stack: a simple graph on [`MAX_CANON_TABLES`] tables has
+/// at most this many edges.  A query repeating predicates past it takes
+/// the heap.
+const STACK_JOINS: usize = MAX_CANON_TABLES * (MAX_CANON_TABLES - 1) / 2;
+
+/// Run `f` on `len` default values: in an `N`-slot array on the stack
+/// when they fit, in a vector when they do not.
+fn with_scratch<T: Copy + Default, const N: usize, R>(
+    len: usize,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    if len <= N {
+        f(&mut [T::default(); N][..len])
     } else {
-        minimal_labeling(query, &r)?
-    };
-    // The required-order suffix: part of the key, not of the labeled body.
-    match &query.required_order {
-        Some(c) => exact.extend_from_slice(&[1, perm[c.table] as u64, c.column as u64]),
-        None => exact.push(0),
+        f(&mut vec![T::default(); len])
     }
-    Ok(CanonicalForm { perm, exact })
 }
 
 /// What a labeling is chosen from: a query's per-table attributes (`n`
 /// live slots each), its per-join labels and the refined colouring.
-struct Refined {
+struct Refined<'l> {
     n: usize,
     exact_attr: [u64; MAX_CANON_TABLES],
     weak_attr: [u64; MAX_CANON_TABLES],
-    labels: Vec<EdgeLabels>,
+    labels: &'l [EdgeLabels],
     colors: [u64; MAX_CANON_TABLES],
     /// Tables by (colour, original index): the colour classes end to end.
     order: [usize; MAX_CANON_TABLES],
@@ -254,7 +280,13 @@ struct Refined {
     discrete: bool,
 }
 
-fn refine(catalog: &Catalog, query: &Query) -> Result<Refined, RefusalReason> {
+/// Refine `query`'s colouring, its per-join labels written to `labels`
+/// (one slot per join).
+fn refine<'l>(
+    catalog: &Catalog,
+    query: &Query,
+    labels: &'l mut [EdgeLabels],
+) -> Result<Refined<'l>, RefusalReason> {
     let n = query.n_tables();
     if n == 0 || n > MAX_CANON_TABLES {
         return Err(RefusalReason::TooManyTables);
@@ -267,21 +299,20 @@ fn refine(catalog: &Catalog, query: &Query) -> Result<Refined, RefusalReason> {
         exact_attr[i] = lec_cost::table_occurrence_fingerprint(catalog, query, i);
         weak_attr[i] = weak_table_attr(catalog, query, i);
     }
-    let labels: Vec<EdgeLabels> = query
-        .joins
-        .iter()
-        .map(|j| EdgeLabels {
+    for (l, j) in labels.iter_mut().zip(&query.joins) {
+        *l = EdgeLabels {
             weak: weak_sel_bucket(j.selectivity.mean()),
             exact: lec_cost::dist_fingerprint(&j.selectivity),
-        })
-        .collect();
+        };
+    }
+    let labels = &*labels;
     // Interchangeable twins anywhere in the body — even inside a proper
     // subgraph a third table disambiguates globally — make sub-root
     // tie-breaks label-dependent; refuse before doing any more work.
-    if twin_swap_exists(&exact_attr[..n], query, &labels) {
+    if twin_swap_exists(&exact_attr[..n], query, labels) {
         return Err(RefusalReason::TwinTables);
     }
-    let (colors, n_classes) = refine_colors(&weak_attr[..n], query, &labels);
+    let (colors, n_classes) = refine_colors(&weak_attr[..n], query, labels);
     let mut order: [usize; MAX_CANON_TABLES] = std::array::from_fn(|i| i);
     order[..n].sort_unstable_by_key(|&i| (colors[i], i));
     Ok(Refined {
@@ -298,7 +329,7 @@ fn refine(catalog: &Catalog, query: &Query) -> Result<Refined, RefusalReason> {
 /// The one class-respecting labeling of a discrete colouring — the class
 /// order itself — and its exact body encoding.
 fn discrete_labeling(query: &Query, r: &Refined) -> (Vec<usize>, Vec<u64>) {
-    let perm = invert(&r.order[..r.n]);
+    let perm = invert(&r.order[..r.n])[..r.n].to_vec();
     let exact = exact_encoding(query, r, &perm);
     (perm, exact)
 }
@@ -322,7 +353,7 @@ fn minimal_labeling(query: &Query, r: &Refined) -> Result<(Vec<usize>, Vec<u64>)
         }
     }
 
-    let mut best: Option<(_, Vec<usize>)> = None;
+    let mut best: Option<(_, [usize; MAX_CANON_TABLES])> = None;
     // The automorphism detector: the minimal order-insensitive exact body
     // encoding seen so far, and whether a *different* perm reproduced it
     // (the candidates are distinct permutations, so any equal encoding
@@ -336,8 +367,9 @@ fn minimal_labeling(query: &Query, r: &Refined) -> Result<(Vec<usize>, Vec<u64>)
     let mut best_sym: Option<Vec<u64>> = None;
     let mut automorphic = false;
     loop {
-        let perm = invert(&arrangement[..r.n]);
-        let sym = sorted_edge_encoding(query, &r.exact_attr[..r.n], &r.labels, |l| l.exact, &perm);
+        let inverse = invert(&arrangement[..r.n]);
+        let perm = &inverse[..r.n];
+        let sym = sorted_edge_encoding(query, &r.exact_attr[..r.n], r.labels, |l| l.exact, perm);
         match best_sym.as_ref().map(|bs| sym.cmp(bs)) {
             None | Some(std::cmp::Ordering::Less) => {
                 automorphic = false;
@@ -346,10 +378,10 @@ fn minimal_labeling(query: &Query, r: &Refined) -> Result<(Vec<usize>, Vec<u64>)
             Some(std::cmp::Ordering::Equal) => automorphic = true,
             Some(std::cmp::Ordering::Greater) => {}
         }
-        let weak = sorted_edge_encoding(query, &r.weak_attr[..r.n], &r.labels, |l| l.weak, &perm);
-        let key = (weak, exact_encoding(query, r, &perm));
+        let weak = sorted_edge_encoding(query, &r.weak_attr[..r.n], r.labels, |l| l.weak, perm);
+        let key = (weak, exact_encoding(query, r, perm));
         if best.as_ref().is_none_or(|(least, _)| key < *least) {
-            best = Some((key, perm));
+            best = Some((key, inverse));
         }
         // An odometer over the per-class orderings, first class fastest:
         // a class past its last ordering wraps and carries into the next.
@@ -362,7 +394,7 @@ fn minimal_labeling(query: &Query, r: &Refined) -> Result<(Vec<usize>, Vec<u64>)
         return Err(RefusalReason::TwinTables);
     }
     let ((_, exact), perm) = best.expect("at least one candidate");
-    Ok((perm, exact))
+    Ok((perm[..r.n].to_vec(), exact))
 }
 
 /// One direction of a join predicate as colour refinement reads it: the
@@ -385,6 +417,12 @@ fn refine_colors(
     labels: &[EdgeLabels],
 ) -> ([u64; MAX_CANON_TABLES], usize) {
     let n = weak_attr.len();
+    let mut colors = [0; MAX_CANON_TABLES];
+    colors[..n].copy_from_slice(weak_attr);
+    let mut n_classes = distinct(&colors[..n]);
+    if n_classes == n {
+        return (colors, n_classes);
+    }
     // Half-edges grouped by near table: `start[i]..start[i + 1]` are `i`'s.
     let mut start = [0usize; MAX_CANON_TABLES + 1];
     for (u, v) in query.joins.iter().map(|j| j.tables()) {
@@ -395,45 +433,43 @@ fn refine_colors(
         start[i + 1] += start[i];
     }
     let mut fill = start;
-    let mut half = vec![HalfEdge::default(); 2 * query.joins.len()];
-    for (j, l) in query.joins.iter().zip(labels) {
-        for (near, far) in [(j.left, j.right), (j.right, j.left)] {
-            let label = Fingerprint::new().u64(near.column as u64);
-            let label = label.u64(far.column as u64).u64(l.weak).finish();
-            let to = far.table;
-            half[fill[near.table]] = HalfEdge { to, label };
-            fill[near.table] += 1;
+    with_scratch::<_, { 2 * STACK_JOINS }, _>(2 * query.joins.len(), |half| {
+        for (j, l) in query.joins.iter().zip(labels) {
+            for (near, far) in [(j.left, j.right), (j.right, j.left)] {
+                let label = Fingerprint::new().u64(near.column as u64);
+                let label = label.u64(far.column as u64).u64(l.weak).finish();
+                let to = far.table;
+                half[fill[near.table]] = HalfEdge { to, label };
+                fill[near.table] += 1;
+            }
         }
-    }
-
-    let mut colors = [0; MAX_CANON_TABLES];
-    colors[..n].copy_from_slice(weak_attr);
-    let mut n_classes = distinct(&colors[..n]);
-    for _ in 0..n {
-        if n_classes == n {
-            break;
+        for _ in 0..n {
+            let mut next = [0; MAX_CANON_TABLES];
+            for i in 0..n {
+                let neigh = &mut half[start[i]..start[i + 1]];
+                neigh.sort_unstable_by_key(|h| (h.label, colors[h.to]));
+                let seed = Fingerprint::new().u64(colors[i]);
+                let fold = |fp: Fingerprint, h: &HalfEdge| fp.u64(h.label).u64(colors[h.to]);
+                next[i] = neigh.iter().fold(seed, fold).finish();
+            }
+            let next_classes = distinct(&next[..n]);
+            if next_classes == n_classes {
+                break;
+            }
+            colors = next;
+            n_classes = next_classes;
+            if n_classes == n {
+                break;
+            }
         }
-        let mut next = [0; MAX_CANON_TABLES];
-        for i in 0..n {
-            let neigh = &mut half[start[i]..start[i + 1]];
-            neigh.sort_unstable_by_key(|h| (h.label, colors[h.to]));
-            let seed = Fingerprint::new().u64(colors[i]);
-            let fold = |fp: Fingerprint, h: &HalfEdge| fp.u64(h.label).u64(colors[h.to]);
-            next[i] = neigh.iter().fold(seed, fold).finish();
-        }
-        let next_classes = distinct(&next[..n]);
-        if next_classes == n_classes {
-            break;
-        }
-        colors = next;
-        n_classes = next_classes;
-    }
+    });
     (colors, n_classes)
 }
 
-/// Invert a permutation: `inv[perm[i]] = i`.
-fn invert(perm: &[usize]) -> Vec<usize> {
-    let mut inv = vec![0usize; perm.len()];
+/// Invert a permutation of at most [`MAX_CANON_TABLES`] tables:
+/// `inv[perm[i]] = i`, slots past `perm.len()` left 0.
+fn invert(perm: &[usize]) -> [usize; MAX_CANON_TABLES] {
+    let mut inv = [0; MAX_CANON_TABLES];
     for (orig, &canon) in perm.iter().enumerate() {
         inv[canon] = orig;
     }
@@ -582,6 +618,55 @@ mod tests {
     }
 
     #[test]
+    fn a_query_past_the_stack_scratch_keys_like_its_renamings() {
+        // Twelve tables in six pairs, each pair one weak class (rows
+        // drifted inside a log₂ bucket) but exactly distinct; a clique of
+        // 66 joins plus one repeated predicate, so both the per-join
+        // labels (67) and the half-edges (134) take the heap.  The repeat
+        // joins tables 0 and 2, which splits their pairs in refinement;
+        // four pairs stay classes, so a search runs too.
+        let mut cat = Catalog::new();
+        let ids: Vec<_> = (0..MAX_CANON_TABLES)
+            .map(|i| {
+                let (pages, rows) = (1000 << (i / 2), (50_000 << (i / 2)) + i as u64 % 2);
+                let stats = TableStats::new(pages, rows, vec![ColumnStats::plain("a", 100)]);
+                cat.add_table(format!("P{i}"), stats)
+            })
+            .collect();
+        let mut joins = Vec::new();
+        for i in 0..MAX_CANON_TABLES {
+            for j in i + 1..MAX_CANON_TABLES {
+                joins.push(JoinPredicate::exact(
+                    ColumnRef::new(i, 0),
+                    ColumnRef::new(j, 0),
+                    1e-5,
+                ));
+            }
+        }
+        joins.push(JoinPredicate::exact(
+            ColumnRef::new(0, 0),
+            ColumnRef::new(2, 0),
+            1e-3,
+        ));
+        assert!(joins.len() > STACK_JOINS);
+        let mut q = Query {
+            tables: ids.into_iter().map(QueryTable::bare).collect(),
+            joins,
+            required_order: None,
+        };
+        let base = canonical_form(&cat, &q).expect("no twins, 16 candidates");
+        let map = [7usize, 3, 11, 0, 5, 9, 1, 10, 2, 8, 4, 6];
+        let renamed = canonical_form(&cat, &q.relabel_tables(&map)).unwrap();
+        assert_eq!(base.exact, renamed.exact);
+        for (i, &m) in map.iter().enumerate() {
+            assert_eq!(base.perm[i], renamed.perm[m]);
+        }
+        // The heap-held labels reach the key.
+        q.joins.last_mut().unwrap().selectivity = lec_prob::Distribution::point(2e-3);
+        assert_ne!(canonical_form(&cat, &q).unwrap().exact, base.exact);
+    }
+
+    #[test]
     fn globally_distinguished_twins_are_still_uncacheable() {
         // Hub H with twin spokes S1/S2 (equal stats, equal selectivities)
         // plus X joined only to S1.  The *whole body* has no automorphism
@@ -691,7 +776,10 @@ mod tests {
                 let (last, first) = (ColumnRef::new(n - 1, 0), ColumnRef::new(0, 0));
                 q.joins.push(JoinPredicate::exact(last, first, 1e-4));
             }
-            let Ok(r) = refine(&cat, &q) else { continue };
+            let mut labels = vec![EdgeLabels::default(); q.joins.len()];
+            let Ok(r) = refine(&cat, &q, &mut labels) else {
+                continue;
+            };
             if r.discrete {
                 let fast = discrete_labeling(&q, &r);
                 assert_eq!(minimal_labeling(&q, &r), Ok(fast), "seed {seed}");
@@ -725,7 +813,8 @@ mod tests {
                 .collect(),
             required_order: None,
         };
-        assert!(!refine(&cat, &q).unwrap().discrete);
+        let mut labels = vec![EdgeLabels::default(); q.joins.len()];
+        assert!(!refine(&cat, &q, &mut labels).unwrap().discrete);
         let base = canonical_form(&cat, &q).unwrap();
         let mut map = [0, 1, 2, 3];
         while next_permutation(&mut map) {

@@ -18,6 +18,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Which optimization algorithm to run.
+///
+/// No memory value is validated: an `LscAt` point, a memory belief or a
+/// chain state of zero or negative pages is accepted and priced at the
+/// formulas' floor, every join and sort in its lowest-memory regime (six
+/// passes for sort-merge and Grace hash, the quadratic page nested-loop,
+/// one-page blocks, seven sort passes).  `tests/degenerate_inputs.rs`
+/// pins that such requests get finite, non-negative costs in every mode.
 #[derive(Debug, Clone)]
 pub enum Mode {
     /// Classical System R at the mean or mode of the memory distribution
@@ -177,7 +184,9 @@ pub struct Optimizer<'a> {
 
 impl<'a> Optimizer<'a> {
     /// Create an optimizer believing `memory` describes the run-time
-    /// environment.  Searches run on the calling thread.
+    /// environment.  Searches run on the calling thread.  A belief with
+    /// support at or below zero pages is accepted and priced at the
+    /// formulas' floor (see [`Mode`]).
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
         Optimizer { catalog, memory }
     }

@@ -156,7 +156,7 @@ impl fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 /// An SPJ query block: the unit the paper's optimizer works on (§2.1).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Query {
     /// Tables, with optional local selections.
     pub tables: Vec<QueryTable>,
@@ -228,11 +228,13 @@ impl Query {
         if let Some(ord) = &self.required_order {
             check(ord)?;
         }
-        // Connectivity via BFS over the join graph.
+        // Connectivity by a search over the join graph; its worklist is a
+        // bitset, so validating allocates nothing.
         if n > 1 {
             let mut seen = TableSet::singleton(0);
-            let mut frontier = vec![0usize];
-            while let Some(t) = frontier.pop() {
+            let mut frontier = seen;
+            while let Some(t) = frontier.iter().next() {
+                frontier = frontier.without(t);
                 for p in &self.joins {
                     let (a, b) = p.tables();
                     let other = if a == t {
@@ -244,7 +246,7 @@ impl Query {
                     };
                     if !seen.contains(other) {
                         seen = seen.with(other);
-                        frontier.push(other);
+                        frontier = frontier.with(other);
                     }
                 }
             }

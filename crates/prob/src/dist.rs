@@ -125,43 +125,25 @@ impl Distribution {
     /// positive finite probabilities, total mass within `1e-6` of one);
     /// only the normalization rewrite is skipped.
     pub fn from_parts_exact(support: Vec<f64>, probs: Vec<f64>) -> Result<Self, ProbError> {
-        if support.is_empty() {
-            return Err(ProbError::EmptySupport);
-        }
-        if support.len() != probs.len() {
-            return Err(ProbError::SupportMismatch {
-                expected: support.len(),
-                got: probs.len(),
-            });
-        }
-        for &v in &support {
-            if !v.is_finite() {
-                return Err(ProbError::NonFinite {
-                    what: "support value",
-                    value: v,
-                });
-            }
-        }
-        if support.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(ProbError::InvalidParts("support not strictly increasing"));
-        }
-        let mut total = 0.0;
-        for &p in &probs {
-            if !p.is_finite() {
-                return Err(ProbError::NonFinite {
-                    what: "probability",
-                    value: p,
-                });
-            }
-            if p <= 0.0 {
-                return Err(ProbError::InvalidParts("probability not strictly positive"));
-            }
-            total += p;
-        }
-        if (total - 1.0).abs() > 1e-6 {
-            return Err(ProbError::InvalidParts("total mass not within 1e-6 of one"));
-        }
+        check_parts(support.iter().copied(), probs.iter().copied())?;
         Ok(Distribution { support, probs })
+    }
+
+    /// [`Self::from_parts_exact`] in place: the parts are checked first,
+    /// then copied into `self`'s buffers, whose capacity is reused.  On an
+    /// error nothing is written, so `self` stays the valid distribution it
+    /// was.
+    pub fn assign_parts_exact<S, P>(&mut self, support: S, probs: P) -> Result<(), ProbError>
+    where
+        S: ExactSizeIterator<Item = f64> + Clone,
+        P: ExactSizeIterator<Item = f64> + Clone,
+    {
+        check_parts(support.clone(), probs.clone())?;
+        self.support.clear();
+        self.support.extend(support);
+        self.probs.clear();
+        self.probs.extend(probs);
+        Ok(())
     }
 
     /// Uniform distribution over the given values.
@@ -426,6 +408,50 @@ impl Distribution {
     }
 }
 
+/// The invariants [`Distribution::from_parts_exact`] checks, in its order:
+/// parallel non-empty parts, a finite strictly increasing support, finite
+/// strictly positive probabilities with a total within `1e-6` of one.
+fn check_parts(
+    support: impl ExactSizeIterator<Item = f64> + Clone,
+    probs: impl ExactSizeIterator<Item = f64>,
+) -> Result<(), ProbError> {
+    if support.len() == 0 {
+        return Err(ProbError::EmptySupport);
+    }
+    if support.len() != probs.len() {
+        return Err(ProbError::SupportMismatch {
+            expected: support.len(),
+            got: probs.len(),
+        });
+    }
+    if let Some(v) = support.clone().find(|v| !v.is_finite()) {
+        return Err(ProbError::NonFinite {
+            what: "support value",
+            value: v,
+        });
+    }
+    if support.clone().zip(support.skip(1)).any(|(a, b)| a >= b) {
+        return Err(ProbError::InvalidParts("support not strictly increasing"));
+    }
+    let mut total = 0.0;
+    for p in probs {
+        if !p.is_finite() {
+            return Err(ProbError::NonFinite {
+                what: "probability",
+                value: p,
+            });
+        }
+        if p <= 0.0 {
+            return Err(ProbError::InvalidParts("probability not strictly positive"));
+        }
+        total += p;
+    }
+    if (total - 1.0).abs() > 1e-6 {
+        return Err(ProbError::InvalidParts("total mass not within 1e-6 of one"));
+    }
+    Ok(())
+}
+
 fn nearly_equal(a: f64, b: f64) -> bool {
     (a - b).abs() <= MERGE_EPS * a.abs().max(b.abs()).max(1.0)
 }
@@ -537,6 +563,34 @@ mod tests {
             Distribution::from_parts_exact(vec![1.0, f64::NAN], vec![0.5, 0.5]),
             Err(ProbError::NonFinite { .. })
         ));
+    }
+
+    #[test]
+    fn assign_parts_exact_checks_before_it_writes_and_reuses_the_buffers() {
+        let mut d = Distribution::uniform(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        let before = d.clone();
+        let bad: [(&[f64], &[f64]); 5] = [
+            (&[], &[]),
+            (&[1.0, 2.0], &[1.0]),
+            (&[2.0, 1.0], &[0.5, 0.5]),
+            (&[1.0, 2.0], &[1.0, 0.0]),
+            (&[1.0, f64::NAN], &[0.5, 0.5]),
+        ];
+        for (support, probs) in bad {
+            let owned = Distribution::from_parts_exact(support.to_vec(), probs.to_vec());
+            let got = d.assign_parts_exact(support.iter().copied(), probs.iter().copied());
+            // By their text: a NaN in an error is unequal to itself.
+            let owned = owned.map(|_| ());
+            assert_eq!(format!("{got:?}"), format!("{owned:?}"), "{support:?}");
+            assert_eq!(d, before, "a rejected assignment writes nothing");
+        }
+        let at = d.support().as_ptr();
+        let (support, probs) = ([0.5, 7.0], [0.25, 0.75]);
+        d.assign_parts_exact(support.iter().copied(), probs.iter().copied())
+            .unwrap();
+        assert_eq!(d.support(), &support);
+        assert_eq!(d.probs(), &probs);
+        assert_eq!(d.support().as_ptr(), at, "fewer buckets fit the old buffer");
     }
 
     #[test]

@@ -390,12 +390,15 @@ impl<'a> ConcurrentPlanServer<'a> {
                 }
             };
 
-            let inverse_perm = form.inverse_perm();
+            // On the stack: a hit allocates only the key's words, the
+            // labeling and the plan.
+            let inverse = form.inverse_perm();
+            let inverse_perm = &inverse[..form.perm.len()];
             let exact_key = self.plan_key(form.exact, mode);
             // A cached or coalesced canonical outcome, carried back into
             // the caller's table numbering.
             let relabeled = |answer: &SearchOutcome, decision| {
-                let plan = answer.plan.relabel_tables(&inverse_perm);
+                let plan = answer.plan.relabel_tables(inverse_perm);
                 let mut stats = answer.stats;
                 stats.elapsed = t0.elapsed();
                 ServeResponse {

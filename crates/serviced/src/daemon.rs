@@ -405,6 +405,10 @@ impl<'s, 'c> Daemon<'s, 'c> {
         }
     }
 
+    /// Pump one connection: read, answer every complete frame into one
+    /// output buffer, write it once.  The connection owns one input
+    /// buffer, one output [`Writer`] and one [`Query`] that every request
+    /// decodes into, so a warm request allocates only its answer.
     fn handle_conn(&self, mut stream: Box<dyn Stream>) {
         struct ActiveGuard<'a>(&'a AtomicU64);
         impl Drop for ActiveGuard<'_> {
@@ -419,6 +423,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
 
         let mut inbuf = FrameBuf::default();
         let mut out = Writer::new();
+        let mut query = Query::default();
 
         loop {
             match inbuf.fill(stream.as_mut()) {
@@ -450,7 +455,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                         break;
                     }
                 };
-                poisoned = self.dispatch(frame, &mut out);
+                poisoned = self.dispatch(frame, &mut out, &mut query);
             }
 
             // One write per batch; a failure (or a slow client's write
@@ -470,10 +475,11 @@ impl<'s, 'c> Daemon<'s, 'c> {
         true
     }
 
-    /// Process one frame (opcode + body).  Encodes any response frames
-    /// onto `out`; returns `true` when the connection must be poisoned
-    /// (the error frame is already encoded).
-    fn dispatch(&self, frame: &[u8], out: &mut Writer) -> bool {
+    /// Process one frame (opcode + body), decoding an `OPTIMIZE` request
+    /// into the connection's `query`.  Encodes any response frames onto
+    /// `out`; returns `true` when the connection must be poisoned (the
+    /// error frame is already encoded).
+    fn dispatch(&self, frame: &[u8], out: &mut Writer, query: &mut Query) -> bool {
         let Some((&opcode, body)) = frame.split_first() else {
             return self.malformed(out, "empty frame");
         };
@@ -490,11 +496,11 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 let parsed = (|| {
                     let req_id = r.u64()?;
                     let mode = protocol::decode_mode(&mut r)?;
-                    let query = protocol::decode_query(&mut r)?;
+                    protocol::decode_query_into(&mut r, query)?;
                     r.finish()?;
-                    Ok::<_, DecodeError>((req_id, mode, query))
+                    Ok::<_, DecodeError>((req_id, mode))
                 })();
-                let (req_id, mode, query) = match parsed {
+                let (req_id, mode) = match parsed {
                     Ok(parts) => parts,
                     Err(e) => return self.malformed(out, &e.to_string()),
                 };
@@ -509,7 +515,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 let hooks = RequestHooks {
                     gate: &self.gate,
                     search_hook: &*self.search_hook,
-                    query: &query,
+                    query,
                 };
                 // A search is a plain call on this handler thread, so a
                 // panic in it unwinds to here.  The serving layer's
@@ -523,7 +529,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                         deadline,
                         trace: &mut trace,
                     };
-                    self.server.serve_with(&query, &mode, ctx)
+                    self.server.serve_with(query, &mode, ctx)
                 }))
                 .unwrap_or(Err(ServeError::Opt(OptError::WorkerPanicked)));
 

@@ -32,6 +32,17 @@
 //! malformed frame therefore yields a clean [`DecodeError`] — never a
 //! panic, an OOM, or a hang — which the daemon answers with
 //! [`ErrorCode::Malformed`] before poisoning exactly that connection.
+//!
+//! # One query per connection
+//!
+//! [`decode_query_into`] is the one query decoder ([`decode_query`] runs it
+//! on a fresh query).  The daemon keeps one [`Query`] per connection and
+//! decodes every request into it: the table and join vectors and the
+//! distributions' buffers are reused, so a request no larger than an
+//! earlier one, with its filters where that one had them, decodes
+//! without allocating.  A distribution is refilled by
+//! [`Distribution::assign_parts_exact`], which checks the parts before it
+//! writes, so a rejected frame leaves only valid distributions behind.
 
 use crate::transport::Stream;
 use lec_catalog::TableId;
@@ -353,16 +364,23 @@ impl<'a> Reader<'a> {
     }
 
     pub fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
+        Ok(self.f64_parts()?.collect())
+    }
+
+    /// A length-prefixed `f64` vector read in place: the values decode as
+    /// the iterator walks the frame's bytes, and nothing is allocated.
+    pub(crate) fn f64_parts(
+        &mut self,
+    ) -> Result<impl ExactSizeIterator<Item = f64> + Clone + 'a, DecodeError> {
         let n = self.u32()? as usize;
         if n > MAX_ELEMS {
             return Err(DecodeError::BadValue("vector exceeds MAX_ELEMS"));
         }
-        // `take` bounds the allocation: n f64s must actually be present.
+        // `take` bounds any allocation: n f64s must actually be present.
         let bytes = self.take(n * 8)?;
         Ok(bytes
             .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect())
+            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunks")))))
     }
 }
 
@@ -376,10 +394,19 @@ pub fn encode_dist(w: &mut Writer, d: &Distribution) {
 }
 
 pub fn decode_dist(r: &mut Reader) -> Result<Distribution, DecodeError> {
-    let support = r.f64s()?;
-    let probs = r.f64s()?;
-    Distribution::from_parts_exact(support, probs)
-        .map_err(|_| DecodeError::BadValue("invalid distribution parts"))
+    let (support, probs) = (r.f64_parts()?, r.f64_parts()?);
+    Distribution::from_parts_exact(support.collect(), probs.collect()).map_err(invalid_dist)
+}
+
+/// [`decode_dist`] into `d`, reusing its buffers.  A rejected distribution
+/// leaves `d` as it was.
+fn decode_dist_into(r: &mut Reader, d: &mut Distribution) -> Result<(), DecodeError> {
+    let (support, probs) = (r.f64_parts()?, r.f64_parts()?);
+    d.assign_parts_exact(support, probs).map_err(invalid_dist)
+}
+
+fn invalid_dist(_: lec_prob::ProbError) -> DecodeError {
+    DecodeError::BadValue("invalid distribution parts")
 }
 
 // ---------------------------------------------------------------------
@@ -429,53 +456,80 @@ pub fn encode_query(w: &mut Writer, q: &Query) {
     }
 }
 
+/// [`decode_query_into`] a fresh query.
 pub fn decode_query(r: &mut Reader) -> Result<Query, DecodeError> {
+    let mut query = Query::default();
+    decode_query_into(r, &mut query)?;
+    Ok(query)
+}
+
+/// Decode a query into `q`, the one query decoder.  It reuses `q`'s
+/// vectors and the buffers of the distributions already in place, so a
+/// query no larger than the one `q` held, with filters where that one had
+/// them, decodes without allocating.  On an error `q` holds parts of both
+/// queries, but every distribution in it is valid.
+pub fn decode_query_into(r: &mut Reader, q: &mut Query) -> Result<(), DecodeError> {
     let n_tables = r.count()?;
-    let mut tables = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
+    q.tables.truncate(n_tables);
+    q.tables.reserve_exact(n_tables - q.tables.len());
+    for i in 0..n_tables {
         let id = r.u64()?;
         if id > u32::MAX as u64 {
             return Err(DecodeError::BadValue("table id exceeds u32"));
         }
-        let filter = match r.u8()? {
+        let table = TableId(id as u32);
+        let column = match r.u8()? {
             0 => None,
-            1 => {
-                let column = r.count()?;
-                let selectivity = decode_dist(r)?;
-                Some(LocalPredicate {
-                    column,
-                    selectivity,
-                })
-            }
+            1 => Some(r.count()?),
             _ => return Err(DecodeError::BadTag("filter option")),
         };
-        tables.push(QueryTable {
-            table: TableId(id as u32),
-            filter,
-        });
+        if i == q.tables.len() {
+            q.tables.push(QueryTable::bare(table));
+        }
+        let slot = &mut q.tables[i];
+        slot.table = table;
+        match (column, &mut slot.filter) {
+            (None, filter) => *filter = None,
+            (Some(column), Some(f)) => {
+                f.column = column;
+                decode_dist_into(r, &mut f.selectivity)?;
+            }
+            (Some(column), filter @ None) => {
+                let selectivity = decode_dist(r)?;
+                *filter = Some(LocalPredicate {
+                    column,
+                    selectivity,
+                });
+            }
+        }
     }
     let n_joins = r.count()?;
-    let mut joins = Vec::with_capacity(n_joins);
-    for _ in 0..n_joins {
+    q.joins.truncate(n_joins);
+    q.joins.reserve_exact(n_joins - q.joins.len());
+    for i in 0..n_joins {
         let left = decode_column_ref(r)?;
         let right = decode_column_ref(r)?;
-        let selectivity = decode_dist(r)?;
-        joins.push(JoinPredicate {
-            left,
-            right,
-            selectivity,
-        });
+        match q.joins.get_mut(i) {
+            Some(j) => {
+                (j.left, j.right) = (left, right);
+                decode_dist_into(r, &mut j.selectivity)?;
+            }
+            None => {
+                let selectivity = decode_dist(r)?;
+                q.joins.push(JoinPredicate {
+                    left,
+                    right,
+                    selectivity,
+                });
+            }
+        }
     }
-    let required_order = match r.u8()? {
+    q.required_order = match r.u8()? {
         0 => None,
         1 => Some(decode_column_ref(r)?),
         _ => return Err(DecodeError::BadTag("required_order option")),
     };
-    Ok(Query {
-        tables,
-        joins,
-        required_order,
-    })
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -864,6 +918,52 @@ mod tests {
             }
         }
         assert_eq!(rt.required_order, q.required_order);
+    }
+
+    fn encoded(q: &Query) -> Vec<u8> {
+        let mut w = Writer::new();
+        encode_query(&mut w, q);
+        w.into_bytes()
+    }
+
+    /// One buffer decodes a run of queries whose tables and joins grow and
+    /// shrink, whose filters come and go and whose bucket counts change:
+    /// each result is the fresh decoder's, every distribution bit for bit.
+    #[test]
+    fn a_reused_query_decodes_as_a_fresh_one() {
+        use lec_plan::{QueryProfile, Topology, WorkloadGenerator};
+        let mut g = lec_catalog::CatalogGenerator::new(7);
+        let catalog = g.generate(16);
+        let mut wg = WorkloadGenerator::new(7);
+        let mut buf = Query::default();
+        for (i, n) in [5, 2, 9, 9, 3, 12, 2, 7, 4].into_iter().enumerate() {
+            let ids = g.pick_tables(&catalog, n);
+            let profile = QueryProfile {
+                topology: [Topology::Chain, Topology::Star, Topology::Random][i % 3],
+                sel_buckets: 1 + 2 * (i % 3),
+                ..Default::default()
+            };
+            let mut q = wg.gen_query(&catalog, &ids, &profile);
+            for (t, qt) in q.tables.iter_mut().enumerate() {
+                let buckets = 1 + (t + i) % 4;
+                let values: Vec<f64> = (1..=buckets).map(|k| k as f64 / 8.0).collect();
+                qt.filter = ((t + i) % 3 != 0).then(|| LocalPredicate {
+                    column: t % 2,
+                    selectivity: Distribution::uniform(&values).unwrap(),
+                });
+            }
+            let bytes = encoded(&q);
+            let fresh = decode_query(&mut Reader::new(&bytes)).unwrap();
+            let mut r = Reader::new(&bytes);
+            decode_query_into(&mut r, &mut buf).unwrap();
+            r.finish().unwrap();
+            assert_eq!(buf, fresh, "query {i}");
+            assert_eq!(
+                encoded(&buf),
+                encoded(&fresh),
+                "query {i}: distribution bits"
+            );
+        }
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //! bytes, and on valid frame streams cut in two at every offset.
 
 use lec_core::{Mode, PointEstimate};
+use lec_plan::Query;
 use lec_plan::{ColumnRef, JoinMethod, PlanNode, QueryProfile, WorkloadGenerator};
+use lec_prob::Distribution;
 use lec_serviced::protocol::{
-    decode_dist, decode_mode, decode_plan, decode_query, decode_response, encode_mode, encode_plan,
-    encode_query, encode_response, frame, op, split_frame, DecodeError, Reader, Writer, MAX_FRAME,
-    MAX_PLAN_DEPTH,
+    decode_dist, decode_mode, decode_plan, decode_query, decode_query_into, decode_response,
+    encode_mode, encode_plan, encode_query, encode_response, frame, op, split_frame, DecodeError,
+    Reader, Writer, MAX_FRAME, MAX_PLAN_DEPTH,
 };
 use proptest::prelude::*;
 
@@ -41,6 +43,82 @@ fn valid_payload() -> Vec<u8> {
     encode_mode(&mut w, &Mode::Lsc(PointEstimate::Mean));
     encode_query(&mut w, &query);
     w.into_bytes()
+}
+
+fn query_bytes(query: &Query) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode_query(&mut w, query);
+    w.into_bytes()
+}
+
+/// A query larger than [`valid_payload`]'s, every table filtered and every
+/// selectivity three buckets wide: the buffer the reused decoder starts
+/// from, so a fuzzed frame overwrites distributions in place.
+fn warm_query() -> Query {
+    let mut g = lec_catalog::CatalogGenerator::new(31);
+    let catalog = g.generate(10);
+    let ids = g.pick_tables(&catalog, 8);
+    let profile = QueryProfile {
+        sel_buckets: 3,
+        p_filter: 1.0,
+        ..QueryProfile::default()
+    };
+    WorkloadGenerator::new(0x5EED).gen_query(&catalog, &ids, &profile)
+}
+
+/// Every distribution of `q` holds `from_parts_exact`'s invariants.
+fn distributions_are_valid(q: &Query) -> bool {
+    let filters = q.tables.iter().filter_map(|t| t.filter.as_ref());
+    let dists = filters.map(|f| &f.selectivity);
+    let mut dists = dists.chain(q.joins.iter().map(|j| &j.selectivity));
+    dists.all(|d| Distribution::from_parts_exact(d.support().to_vec(), d.probs().to_vec()).is_ok())
+}
+
+/// Decoding `bytes` into a warm buffer accepts or rejects exactly as the
+/// fresh decoder does, with the same error, the same bytes consumed and,
+/// when accepted, the same query bit for bit.  A rejection leaves every
+/// distribution in the buffer valid, and the buffer still decodes a
+/// valid query exactly.  Checked from the start of `bytes`, and after a
+/// mode when one decodes there.
+fn reused_decoder_agrees(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let warm = warm_query();
+    let mut after_mode = Reader::new(bytes);
+    let starts = match decode_mode(&mut after_mode) {
+        Ok(_) => vec![0, bytes.len() - after_mode.remaining()],
+        Err(_) => vec![0],
+    };
+    for start in starts {
+        let mut buf = warm.clone();
+        let (mut fresh_r, mut reused_r) =
+            (Reader::new(&bytes[start..]), Reader::new(&bytes[start..]));
+        let fresh = decode_query(&mut fresh_r);
+        let reused = decode_query_into(&mut reused_r, &mut buf);
+        prop_assert_eq!(
+            fresh_r.remaining(),
+            reused_r.remaining(),
+            "from byte {}",
+            start
+        );
+        match (fresh, reused) {
+            (Ok(q), Ok(())) => prop_assert_eq!(query_bytes(&buf), query_bytes(&q)),
+            (Err(want), Err(got)) => {
+                prop_assert_eq!(got, want, "from byte {}", start);
+                prop_assert!(distributions_are_valid(&buf), "from byte {}", start);
+            }
+            (fresh, reused) => {
+                prop_assert!(false, "fresh {:?}, reused {:?}", fresh.map(|_| ()), reused)
+            }
+        }
+        let again = query_bytes(&warm);
+        decode_query_into(&mut Reader::new(&again), &mut buf).expect("a valid query");
+        prop_assert_eq!(
+            query_bytes(&buf),
+            again,
+            "the buffer decodes again after byte {}",
+            start
+        );
+    }
+    Ok(())
 }
 
 /// A 6-table bushy plan that reaches every arm of the plan decoder: both
@@ -319,6 +397,32 @@ proptest! {
         let cut = ((response.len() as f64) * cut_frac) as usize;
         decode_everything(&response[..cut.min(response.len())]);
         plan_reencodes(&response[..cut.min(response.len())])?;
+    }
+
+    /// The four families' inputs through a reused query buffer: noise,
+    /// a plausible length prefix, a valid payload with one byte flipped
+    /// and one cut short.
+    #[test]
+    fn a_reused_buffer_decodes_exactly_as_a_fresh_query(
+        noise in prop::collection::vec(any::<u8>(), 0..512),
+        claimed in 0u32..=(1 << 21),
+        tail in prop::collection::vec(any::<u8>(), 0..128),
+        offset in any::<usize>(),
+        mask in 1u8..=255,
+        cut_frac in 0.0f64..1.0,
+    ) {
+        reused_decoder_agrees(&noise)?;
+        let mut framed = claimed.to_le_bytes().to_vec();
+        framed.extend_from_slice(&(claimed as u64).to_le_bytes());
+        framed.extend_from_slice(&tail);
+        reused_decoder_agrees(&framed)?;
+        for payload in [valid_payload(), query_bytes(&warm_query())] {
+            let mut flipped = payload.clone();
+            flipped[offset % payload.len()] ^= mask;
+            reused_decoder_agrees(&flipped)?;
+            let cut = ((payload.len() as f64) * cut_frac) as usize;
+            reused_decoder_agrees(&payload[..cut.min(payload.len())])?;
+        }
     }
 
     /// One or two byte flips inside the plan's own bytes: about half of a

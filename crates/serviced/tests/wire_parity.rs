@@ -11,9 +11,10 @@ use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::ConcurrentPlanServer;
 use lec_serviced::protocol::{self, Writer};
 use lec_serviced::transport::{Listener, Stream};
-use lec_serviced::{Client, Daemon, DaemonConfig, StatsFormat, TcpAcceptor};
+use lec_serviced::{Client, Daemon, DaemonConfig, DrainReport, StatsFormat, TcpAcceptor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 mod common;
 use common::Socket;
@@ -21,6 +22,25 @@ use common::Socket;
 const POOL_SIZE: usize = 12;
 const STREAM_LEN: usize = 180;
 const CLIENTS: usize = 3;
+
+/// Run `body` while `daemon` serves `listener`, then drain and return
+/// the report.  A body may drain over the wire itself; the drain here
+/// comes as well, and even when `body` panics, so a failed assertion
+/// fails the test instead of leaving it waiting on a daemon that still
+/// runs.
+fn while_serving<T>(
+    daemon: &Daemon<'_, '_>,
+    listener: &(dyn Listener + Sync),
+    body: impl FnOnce() -> T,
+) -> (T, DrainReport) {
+    std::thread::scope(|scope| {
+        let runner = scope.spawn(|| daemon.run(listener));
+        let out = catch_unwind(AssertUnwindSafe(body));
+        daemon.initiate_drain();
+        let report = runner.join().expect("daemon thread");
+        (out.unwrap_or_else(|panic| resume_unwind(panic)), report)
+    })
+}
 
 fn random_perm(rng: &mut StdRng, n: usize) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..n).collect();
@@ -97,34 +117,49 @@ fn responses_cross_the_wire_byte_identically() {
     );
     let socket = Socket::bind();
 
-    std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&socket.acceptor));
-
+    let ((), report) = while_serving(&daemon, &socket.acceptor, || {
         // N clients replay overlapping staggered views of the stream, so
         // warm hits, coalesced cohorts, and cold leads all cross the
         // wire.  Client 0 pipelines in batches (one write per batch);
         // the others round-trip one request at a time.
-        let mut client_threads = Vec::new();
-        for client_id in 0..CLIENTS {
-            let stream = &stream;
-            let fresh = &fresh;
-            let socket = &socket;
-            let mode = mode.clone();
-            client_threads.push(scope.spawn(move || {
-                let mut client =
-                    Client::new(Box::new(socket.connect()), 0xC0FFEE + client_id as u64);
-                let indices: Vec<usize> = (0..stream.len())
-                    .map(|k| (k + client_id * 7) % stream.len())
-                    .collect();
-                if client_id == 0 {
-                    for batch in indices.chunks(16) {
-                        let requests: Vec<_> = batch
-                            .iter()
-                            .map(|&i| (i as u64, mode.clone(), stream[i].clone()))
-                            .collect();
-                        let responses = client.optimize_batch(&requests).expect("batch io");
-                        for (&i, resp) in batch.iter().zip(responses) {
-                            let resp = resp.expect("batched optimize succeeds");
+        std::thread::scope(|scope| {
+            for client_id in 0..CLIENTS {
+                let stream = &stream;
+                let fresh = &fresh;
+                let socket = &socket;
+                let mode = mode.clone();
+                scope.spawn(move || {
+                    let mut client =
+                        Client::new(Box::new(socket.connect()), 0xC0FFEE + client_id as u64);
+                    let indices: Vec<usize> = (0..stream.len())
+                        .map(|k| (k + client_id * 7) % stream.len())
+                        .collect();
+                    if client_id == 0 {
+                        for batch in indices.chunks(16) {
+                            let requests: Vec<_> = batch
+                                .iter()
+                                .map(|&i| (i as u64, mode.clone(), stream[i].clone()))
+                                .collect();
+                            let responses = client.optimize_batch(&requests).expect("batch io");
+                            for (&i, resp) in batch.iter().zip(responses) {
+                                let resp = resp.expect("batched optimize succeeds");
+                                assert_eq!(
+                                    resp.plan, fresh[i].plan,
+                                    "request {i}: wire plan differs from fresh optimization"
+                                );
+                                assert_eq!(
+                                    resp.cost.to_bits(),
+                                    fresh[i].cost.to_bits(),
+                                    "request {i}: wire cost bits differ"
+                                );
+                                assert_eq!(resp.mode, mode.name(), "request {i}: mode name");
+                            }
+                        }
+                    } else {
+                        for &i in &indices {
+                            let resp = client
+                                .optimize(i as u64, &mode, &stream[i])
+                                .expect("optimize succeeds");
                             assert_eq!(
                                 resp.plan, fresh[i].plan,
                                 "request {i}: wire plan differs from fresh optimization"
@@ -137,28 +172,9 @@ fn responses_cross_the_wire_byte_identically() {
                             assert_eq!(resp.mode, mode.name(), "request {i}: mode name");
                         }
                     }
-                } else {
-                    for &i in &indices {
-                        let resp = client
-                            .optimize(i as u64, &mode, &stream[i])
-                            .expect("optimize succeeds");
-                        assert_eq!(
-                            resp.plan, fresh[i].plan,
-                            "request {i}: wire plan differs from fresh optimization"
-                        );
-                        assert_eq!(
-                            resp.cost.to_bits(),
-                            fresh[i].cost.to_bits(),
-                            "request {i}: wire cost bits differ"
-                        );
-                        assert_eq!(resp.mode, mode.name(), "request {i}: mode name");
-                    }
-                }
-            }));
-        }
-        for t in client_threads {
-            t.join().expect("client thread");
-        }
+                });
+            }
+        });
 
         // A final control client checks liveness and metrics, then drains.
         let mut control = Client::new(Box::new(socket.connect()), 0xD1A1);
@@ -173,25 +189,24 @@ fn responses_cross_the_wire_byte_identically() {
             "metrics embed the serving layer"
         );
         control.drain().expect("drain");
-        let report = runner.join().expect("daemon thread");
-
-        // Closure: all connections closed, no sheds/deadlines/aborts, and
-        // every optimize accounted ok.
-        let m = daemon.metrics();
-        assert_eq!(m.connections_accepted(), CLIENTS as u64 + 1);
-        assert_eq!(m.connections_active(), 0, "every connection closed");
-        assert_eq!(m.requests_ok(), (CLIENTS * STREAM_LEN) as u64);
-        assert_eq!(m.requests_err(), 0);
-        assert_eq!(m.shed_requests(), 0, "backlog of 8 never sheds here");
-        assert_eq!(m.deadline_expirations(), 0);
-        assert_eq!(m.malformed_frames(), 0);
-        assert_eq!(report.forced_aborts, 0, "graceful drain needs no hammer");
-        assert_eq!(daemon.gate().depth(), 0, "cold gate drains to empty");
-        assert!(
-            daemon.gate().high_water() >= 1,
-            "cold searches did pass the gate"
-        );
     });
+
+    // Closure: all connections closed, no sheds/deadlines/aborts, and
+    // every optimize accounted ok.
+    let m = daemon.metrics();
+    assert_eq!(m.connections_accepted(), CLIENTS as u64 + 1);
+    assert_eq!(m.connections_active(), 0, "every connection closed");
+    assert_eq!(m.requests_ok(), (CLIENTS * STREAM_LEN) as u64);
+    assert_eq!(m.requests_err(), 0);
+    assert_eq!(m.shed_requests(), 0, "backlog of 8 never sheds here");
+    assert_eq!(m.deadline_expirations(), 0);
+    assert_eq!(m.malformed_frames(), 0);
+    assert_eq!(report.forced_aborts, 0, "graceful drain needs no hammer");
+    assert_eq!(daemon.gate().depth(), 0, "cold gate drains to empty");
+    assert!(
+        daemon.gate().high_water() >= 1,
+        "cold searches did pass the gate"
+    );
 }
 
 /// Assert one wire response against the fresh optimization of request `i`.
@@ -234,32 +249,31 @@ fn parity_over<L: Listener + Sync>(
             ..DaemonConfig::default()
         },
     );
-    std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(listener));
-        let batcher = scope.spawn(|| {
-            let mut client = Client::new(dial(), 0xBA7C);
-            let indices: Vec<usize> = (0..stream.len()).collect();
-            for batch in indices.chunks(16) {
-                let requests: Vec<_> = batch
-                    .iter()
-                    .map(|&i| (i as u64, mode.clone(), stream[i].clone()))
-                    .collect();
-                let responses = client.optimize_batch(&requests).expect("batch io");
-                for (&i, resp) in batch.iter().zip(responses) {
-                    assert_identical(i, &resp.expect("batched optimize"), fresh, over);
+    let ((), report) = while_serving(&daemon, listener, || {
+        let mut single = Client::new(dial(), 0x51261E);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut client = Client::new(dial(), 0xBA7C);
+                let indices: Vec<usize> = (0..stream.len()).collect();
+                for batch in indices.chunks(16) {
+                    let requests: Vec<_> = batch
+                        .iter()
+                        .map(|&i| (i as u64, mode.clone(), stream[i].clone()))
+                        .collect();
+                    let responses = client.optimize_batch(&requests).expect("batch io");
+                    for (&i, resp) in batch.iter().zip(responses) {
+                        assert_identical(i, &resp.expect("batched optimize"), fresh, over);
+                    }
                 }
+            });
+            for (i, q) in stream.iter().enumerate().rev() {
+                let resp = single.optimize(i as u64, &mode, q).expect("optimize");
+                assert_identical(i, &resp, fresh, over);
             }
         });
-        let mut single = Client::new(dial(), 0x51261E);
-        for (i, q) in stream.iter().enumerate().rev() {
-            let resp = single.optimize(i as u64, &mode, q).expect("optimize");
-            assert_identical(i, &resp, fresh, over);
-        }
-        batcher.join().expect("batching client");
         single.drain().expect("drain");
-        let report = runner.join().expect("daemon thread");
-        assert_eq!(report.forced_aborts, 0, "{over}: graceful drain");
     });
+    assert_eq!(report.forced_aborts, 0, "{over}: graceful drain");
     let m = daemon.metrics();
     assert_eq!(m.connections_accepted(), 2, "{over}");
     assert_eq!(m.connections_active(), 0, "{over}");
@@ -359,8 +373,7 @@ fn a_pipelined_batch_straddles_read_boundaries() {
         },
     );
     let socket = Socket::bind();
-    std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&socket.acceptor));
+    while_serving(&daemon, &socket.acceptor, || {
         let mut client = Client::new(Box::new(socket.connect()), 0x96);
         let responses = client.optimize_batch(&requests).expect("batch io");
         assert_eq!(responses.len(), BATCH);
@@ -369,7 +382,6 @@ fn a_pipelined_batch_straddles_read_boundaries() {
             assert_identical(i, &resp, &fresh, "one pipelined batch");
         }
         client.drain().expect("drain");
-        runner.join().expect("daemon thread");
     });
     assert_eq!(daemon.metrics().requests_ok(), BATCH as u64);
     assert_eq!(daemon.metrics().malformed_frames(), 0);
@@ -404,8 +416,7 @@ fn a_retired_mode_tag_is_malformed_and_a_new_connection_is_served() {
     let server = ConcurrentPlanServer::new(&catalog, memory);
     let daemon = Daemon::new(&server, DaemonConfig::default());
     let socket = Socket::bind();
-    std::thread::scope(|scope| {
-        let runner = scope.spawn(|| daemon.run(&socket.acceptor));
+    while_serving(&daemon, &socket.acceptor, || {
         let mut raw = socket.connect();
         raw.write_all(&request).unwrap();
         // Read to EOF: the daemon answers one frame, then closes.
@@ -432,8 +443,6 @@ fn a_retired_mode_tag_is_malformed_and_a_new_connection_is_served() {
             .optimize_once(0, &Mode::AlgorithmC, &query)
             .expect("a new connection is served");
         assert_identical(0, &resp, &fresh, "a new connection");
-        daemon.initiate_drain();
-        runner.join().expect("daemon thread");
     });
     assert_eq!(daemon.metrics().requests_ok(), 1);
     assert_eq!(daemon.metrics().malformed_frames(), 1);

@@ -369,14 +369,6 @@ impl<'a> CostModel<'a> {
         edges.iter().filter(move |e| meets(e, a) && meets(e, b))
     }
 
-    /// The first join predicate (in predicate order) crossing two disjoint
-    /// table sets: the one a sort-merge join of the two sorts on.
-    pub fn first_crossing_join(&self, a: TableSet, b: TableSet) -> Option<usize> {
-        self.predicates_between(a, b)
-            .next()
-            .map(|e| e.pred as usize)
-    }
-
     /// The order a sort-merge join of two disjoint table sets delivers:
     /// sorted on the class of the first predicate crossing them, the one
     /// the join sorts on.

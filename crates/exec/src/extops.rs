@@ -428,8 +428,8 @@ mod tests {
     #[test]
     fn sort_merge_join_io_shape() {
         // |A| = 64, |B| = 16 pages; measured SM = 3(|A|+|B|) in the
-        // one-merge regime (the model's simplified constant is 2; same
-        // cliff positions, constant offset — see EXPERIMENTS.md).
+        // one-merge regime (the model's simplified constant is 2; lec-bench's
+        // e11 test states why the pass counts differ).
         let a = table(256, 4, 64, 3);
         let b = table(64, 4, 64, 4);
         let r = sort_merge_join(&a, &b, 0, 0, 12, 4);

@@ -131,19 +131,4 @@ proptest! {
             prop_assert!(probs.iter().all(|&p| p >= -1e-12));
         }
     }
-
-    #[test]
-    fn stationary_is_a_fixed_point(c in arb_chain()) {
-        let pi = c.stationary(1e-13, 20_000).unwrap();
-        let evolved = c.evolve_dist(&pi).unwrap();
-        // Compare pointwise over the states (supports may drop zero entries).
-        for (v, p) in pi.iter() {
-            let q = evolved
-                .iter()
-                .find(|(w, _)| (w - v).abs() < 1e-9)
-                .map(|(_, q)| q)
-                .unwrap_or(0.0);
-            prop_assert!((p - q).abs() < 1e-6, "state {v}: {p} vs {q}");
-        }
-    }
 }

@@ -17,7 +17,7 @@ mod tests {
     };
     use lec_cost::{expected_plan_cost_static, oracle, CostModel, OpClass};
     use lec_plan::{JoinMethod, TableSet};
-    use lec_prob::{presets, Distribution, MarkovChain, PrefixTables, Rebucket};
+    use lec_prob::{presets, Distribution, MarkovChain, Rebucket};
     use rand::{Rng, SeedableRng};
     use std::time::Instant;
 
@@ -67,8 +67,8 @@ mod tests {
             let start = Instant::now();
             let mut fast_vals = Vec::new();
             for (a, bd, m) in &dists {
-                let mt = PrefixTables::new(m);
-                let (a, bd) = (DistTables::new(a.clone()), DistTables::new(bd.clone()));
+                let mt = DistTables::new(m);
+                let (a, bd) = (DistTables::new(a), DistTables::new(bd));
                 for method in methods {
                     fast_vals.push(streaming_expected_join_cost(method, &a, &bd, &mt).unwrap());
                 }
@@ -356,7 +356,7 @@ mod tests {
             "sort EC err",
         ]);
         let m = presets::spread_family(500.0, 0.6, 6).unwrap();
-        let mt = PrefixTables::new(&m);
+        let mt = DistTables::new(&m);
         let rel = |x: f64, exact: f64| ((x - exact) / exact).abs();
         let mut rows = Vec::new();
         for b in [2usize, 4, 8, 16, 32] {
@@ -376,8 +376,8 @@ mod tests {
                 exact_support = exact_support.max(exact.len());
                 reb_support = reb_support.max(approx.len());
                 let thresh = exact.quantile(0.8);
-                let ec_exact = lec_cost::expected_sort_cost(&exact, &mt);
-                let ec_approx = lec_cost::expected_sort_cost(&approx, &mt);
+                let ec_exact = lec_cost::expected_sort_cost(&DistTables::new(&exact), &mt);
+                let ec_approx = lec_cost::expected_sort_cost(&DistTables::new(&approx), &mt);
                 let errs = [
                     rel(approx.mean(), exact.mean()),
                     rel(raw_approx.mean(), raw.mean()),
@@ -590,7 +590,7 @@ mod tests {
         // The two arrows of Figure 1: EC(P_S) from (M, |B_j|, |A_j|), and
         // Pr(|B_j ⋈ A_j|) from (|B_j|, |A_j|, σ).
         let mut ec_table = Table::new(&["join method", "EC from (M,|B_j|,|A_j|)", "triple sum"]);
-        let [m, b, a] = [&memory, &b_outer, &a_j].map(|d| DistTables::new(d.clone()));
+        let [m, b, a] = [&memory, &b_outer, &a_j].map(DistTables::new);
         let mut ecs = Vec::new();
         for method in JoinMethod::ALL {
             let ec = expected_join_cost(method, &b, &a, &m);
@@ -605,6 +605,40 @@ mod tests {
             result.len(),
             num(result.mean())
         );
+
+        // That node's sizes keep √l above every memory value: only the
+        // cheap regime of sort-merge's and Grace's brackets.  Sizes just
+        // under and over each memory value's square and cube put √l and
+        // ∛l on both sides of the memory support, so the middle
+        // (∛l < M ≤ √l) and deep (M ≤ ∛l) regimes are checked too.
+        let straddling = |k: f64| {
+            let sizes: Vec<f64> = (memory.support().iter())
+                .flat_map(|&m| [m * m * k, m * m * m * k])
+                .collect();
+            Distribution::uniform(&sizes).unwrap()
+        };
+        let (under, over) = (straddling(0.9), straddling(1.1));
+        let nodes = [
+            (&under, &over),
+            (&over, &under),
+            (&b_outer, &over),
+            (&under, &a_j),
+        ];
+        let mut ec_table = Table::new(&["join method (node)", "EC", "triple sum"]);
+        for (k, (outer, inner)) in nodes.into_iter().enumerate() {
+            let [b, a] = [outer, inner].map(DistTables::new);
+            for method in JoinMethod::ALL {
+                let ec = expected_join_cost(method, &b, &a, &m);
+                let naive = naive_expected_join_cost(method, outer, inner, &memory);
+                ecs.push((method, ec, naive));
+                ec_table.row(vec![
+                    format!("{} (node {k})", method.name()),
+                    num(ec),
+                    num(naive),
+                ]);
+            }
+        }
+        println!("straddling √M and ∛M:\n{}", ec_table.render());
 
         for (method, ec, naive) in ecs {
             verdict(

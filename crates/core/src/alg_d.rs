@@ -56,7 +56,10 @@ mod tests {
             &SearchConfig::default(),
         )
         .unwrap();
-        (run.best().pages.dist.clone(), policy.max_product_support)
+        (
+            run.best().pages.to_distribution(),
+            policy.max_product_support,
+        )
     }
 
     #[test]

@@ -10,13 +10,31 @@
 //! join has size abσ"), kept small by the §3.6.3 rebucketing — either
 //! rebucket-after-product, or the paper's ∛b-inputs scheme.
 //!
-//! A size distribution carries its prefix tables, built once with the
-//! entry (a table's access entries share one set), and a join's four
-//! method costs depend only on its operands' sizes: so `combine` forms
-//! the product and prices the four methods once per distinct (outer,
-//! inner) size pair, and every entry pair of that pair reads them; as in
+//! A join's four method costs and its result size depend only on its
+//! operands' sizes, so `combine` prices each distinct (outer, inner) size
+//! pair once, and every entry pair of that pair reads the prices; as in
 //! [`super::keep_best`], it inserts only the candidates no cheaper one of
-//! the split covers.
+//! the split covers.  What a size pair costs is only Figure 1's
+//! arithmetic; everything that belongs to a distribution or to the search
+//! is done once:
+//!
+//! * **The size chain runs in scratch.**  Product, product, one-page
+//!   clamp and rebucket each run [`lec_prob::normalize_pairs`] — the
+//!   normalization behind every `Distribution` constructor, so the bits
+//!   are the allocating chain's — on the policy's three pair buffers; the
+//!   result is appended to the subset's one size store, and only a
+//!   survivor's size becomes tables.
+//! * **`Pr(σ)` is built once per search per set of crossing predicates.**
+//!   The predicates crossing `(left, right)` are those joining `right` to
+//!   `left ∩ frontier(right)`, so that pair keys the memo
+//!   (`Selectivities`), for bushy splits as for left-deep ones.
+//! * **Roots once per distribution.**  A size's [`DistTables`] hold its
+//!   prefix tables and every support value's `√` and `∛`, computed once,
+//!   which the sort-merge, Grace and sort expectations read
+//!   ([`lec_cost::expected`]).
+//! * **A survivor's tables are one allocation**: one shared block,
+//!   written through the policy's scratch, shared by the survivors with
+//!   that size and by a table's access entries.
 
 use super::arena::{PlanArena, PlanId};
 use super::keep_best::{for_each_cheapest, sort_where_required};
@@ -26,10 +44,11 @@ use super::policy::{
 };
 use super::SearchStats;
 use lec_cost::{CostModel, DistTables};
-use lec_plan::{JoinMethod, OrderProperty, Step};
-use lec_prob::{Distribution, Rebucket};
+use lec_plan::{JoinMethod, OrderProperty, Step, TableSet};
+use lec_prob::{normalize_pairs, product_pairs, rebucket_pairs, Distribution, Rebucket};
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration of Algorithm D's distribution bookkeeping.
 #[derive(Debug, Clone)]
@@ -63,9 +82,9 @@ pub struct DistEntry {
     pub plan: PlanId,
     /// Its expected cost over memory, sizes and selectivities.
     pub cost: f64,
-    /// Distribution of the output size in pages, with its prefix tables;
-    /// shared by the entries built with the same size.
-    pub pages: Arc<DistTables>,
+    /// Distribution of the output size in pages, with its prefix tables
+    /// and roots; shared by the entries built with the same size.
+    pub pages: DistTables,
     /// `pages`' [`lec_cost::dist_fingerprint`], folded once when the entry
     /// is built: it keys the size pairs of every combine the entry is an
     /// operand of.
@@ -89,21 +108,150 @@ impl SearchEntry for DistEntry {
 /// (outer fingerprint, inner fingerprint) -> (size, method costs).
 type PricedPairs = Vec<((u64, u64), (usize, [f64; 4]))>;
 
+/// `(value, probability)` buckets.
+type Buckets = Vec<(f64, f64)>;
+
+/// Folds a memo key's two set words, then avalanches: every bit of
+/// either set reaches the bits a map probes with.
+#[derive(Debug, Default)]
+struct SplitHasher(u64);
+
+impl Hasher for SplitHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("a split key writes its two sets' words");
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.rotate_left(32) ^ word;
+    }
+    fn finish(&self) -> u64 {
+        lec_cost::avalanche(self.0)
+    }
+}
+
+/// Figure 1's `Pr(σ)` of a search's splits, built once for each set of
+/// crossing predicates.  The predicates crossing `(left, right)` are the
+/// ones joining `right` to `left ∩ frontier(right)`, so that pair is the
+/// key — a left-deep split's singleton inner and a bushy split's
+/// multi-table one alike — and the entry it indexes holds the product's
+/// run of buckets in one store, with the sort-merge order of the split's
+/// first crossing predicate.
+#[derive(Debug, Clone, Default)]
+struct Selectivities {
+    index: HashMap<(TableSet, TableSet), usize, BuildHasherDefault<SplitHasher>>,
+    entries: Vec<([u32; 2], OrderProperty)>,
+    buckets: Buckets,
+    scratch: [Buckets; 2],
+}
+
+impl Selectivities {
+    /// Forget the search before.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.entries.clear();
+        self.buckets.clear();
+    }
+
+    /// The entry of the split `(left, right)`, built on its key's first
+    /// split as [`CostModel::join_selectivity_dist_sets`] builds it: the
+    /// point 1 times each crossing predicate's distribution in turn.
+    fn entry(&mut self, model: &CostModel<'_>, left: TableSet, right: TableSet) -> usize {
+        let key = (right, left.intersect(model.frontier(right)));
+        if let Some(&i) = self.index.get(&key) {
+            return i;
+        }
+        let [product, next] = &mut self.scratch;
+        product.clear();
+        product.push((1.0, 1.0));
+        for sel in model.crossing_selectivities(left, right) {
+            next.clear();
+            product_pairs(product.iter().copied(), sel.iter(), next);
+            normalize_pairs(next).expect("product of valid distributions is valid");
+            std::mem::swap(product, next);
+        }
+        let start = self.buckets.len();
+        self.buckets.extend_from_slice(product);
+        let run = [start, self.buckets.len()].map(|i| u32::try_from(i).expect("< 2^32 buckets"));
+        self.entries
+            .push((run, model.sort_merge_order(left, right)));
+        self.index.insert(key, self.entries.len() - 1);
+        self.entries.len() - 1
+    }
+
+    /// Entry `i`'s buckets.
+    fn buckets(&self, i: usize) -> &[(f64, f64)] {
+        let [start, end] = self.entries[i].0.map(|x| x as usize);
+        &self.buckets[start..end]
+    }
+
+    /// Entry `i`'s sort-merge order.
+    fn order(&self, i: usize) -> OrderProperty {
+        self.entries[i].1
+    }
+}
+
+/// The §3.6.3 result-size distribution `|B_j| · |A_j| · σ`, each link
+/// normalized in place in the three scratch buffers; returns the buffer
+/// holding it, and raises `max_support` to the product's support before
+/// the clamp and rebucket.
+fn size_chain<'s>(
+    config: &AlgDConfig,
+    outer: &DistTables,
+    inner: &DistTables,
+    sel: &[(f64, f64)],
+    [x, y, z]: &'s mut [Buckets; 3],
+    max_support: &mut usize,
+) -> &'s [(f64, f64)] {
+    let (b, strategy) = (config.max_buckets.max(1), config.rebucket);
+    let valid = "the chain of valid distributions is valid";
+    x.clear();
+    y.clear();
+    if config.cube_root_inputs {
+        // Rebucket each factor to ∛b so the product has ≈ b buckets.
+        let cube = ((b as f64).cbrt().ceil() as usize).max(1);
+        rebucket_pairs(outer.iter(), cube, strategy, y).expect(valid);
+        rebucket_pairs(inner.iter(), cube, strategy, z).expect(valid);
+        product_pairs(y.iter().copied(), z.iter().copied(), x);
+        normalize_pairs(x).expect(valid);
+        rebucket_pairs(sel.iter().copied(), cube, strategy, z).expect(valid);
+        y.clear();
+        product_pairs(x.iter().copied(), z.iter().copied(), y);
+    } else {
+        product_pairs(outer.iter(), inner.iter(), x);
+        normalize_pairs(x).expect(valid);
+        product_pairs(x.iter().copied(), sel.iter().copied(), y);
+    }
+    normalize_pairs(y).expect(valid);
+    *max_support = (*max_support).max(y.len());
+    for (v, _) in y.iter_mut() {
+        *v = v.max(1.0);
+    }
+    normalize_pairs(y).expect(valid);
+    rebucket_pairs(y.iter().copied(), b, strategy, x).expect(valid);
+    x
+}
+
 /// The Figure 1 multi-parameter policy.
 #[derive(Debug, Clone)]
 pub struct MultiParamPolicy {
     config: AlgDConfig,
     memory: DistTables,
-    /// This subset's result sizes, one per distinct size pair of each
-    /// combine, indexed by [`Joined::size`].
-    sizes: Vec<Distribution>,
+    /// The search's crossing-selectivity distributions.
+    selectivities: Selectivities,
+    /// The size chain's scratch buffers.
+    chain: [Buckets; 3],
+    /// This subset's result sizes, one run of buckets per distinct size
+    /// pair of each combine: `sizes[runs[i]]` is [`Joined::size`] `i`'s.
+    sizes: Buckets,
+    runs: Vec<[u32; 2]>,
     /// The size pairs one `combine` call has priced, cleared per call.
     pairs: PricedPairs,
     /// One `combine` call's candidate costs and sizes per entry pair.
     sums: Vec<([f64; 4], usize)>,
     /// `build`'s per-size slots: each size's tables and fingerprint, built
     /// for the first survivor that has it.
-    slots: Vec<Option<(Arc<DistTables>, u64)>>,
+    slots: Vec<Option<(DistTables, u64)>>,
+    /// Where `build` lays out a survivor's tables.
+    block: Vec<f64>,
     /// Largest size-distribution support seen before rebucketing.
     pub max_product_support: usize,
 }
@@ -117,37 +265,18 @@ impl MultiParamPolicy {
             "MultiParamPolicy requires max_buckets >= 1"
         );
         MultiParamPolicy {
-            memory: DistTables::new(memory.clone()),
+            memory: DistTables::new(memory),
             config,
+            selectivities: Selectivities::default(),
+            chain: Default::default(),
             sizes: Vec::new(),
+            runs: Vec::new(),
             pairs: Vec::new(),
             sums: Vec::new(),
             slots: Vec::new(),
+            block: Vec::new(),
             max_product_support: 0,
         }
-    }
-
-    /// The §3.6.3 result-size distribution `|B_j| · |A_j| · σ`.
-    fn product_size(
-        &mut self,
-        outer: &Distribution,
-        inner: &Distribution,
-        sel: &Distribution,
-    ) -> Distribution {
-        let b = self.config.max_buckets;
-        let strategy = self.config.rebucket;
-        let product = if self.config.cube_root_inputs {
-            // Rebucket each factor to ∛b so the product has ≈ b buckets.
-            let cube = ((b as f64).cbrt().ceil() as usize).max(1);
-            rebucket_to(outer, cube, strategy)
-                .product(&rebucket_to(inner, cube, strategy))
-                .product(&rebucket_to(sel, cube, strategy))
-        } else {
-            outer.product(inner).product(sel)
-        };
-        self.max_product_support = self.max_product_support.max(product.len());
-        let clamped = product.map(|v| v.max(1.0));
-        rebucket_to(&clamped, b, strategy)
     }
 }
 
@@ -167,19 +296,22 @@ impl CandidatePolicy for MultiParamPolicy {
         idx: usize,
         _stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
+        if idx == 0 {
+            self.selectivities.clear();
+        }
         let pages = rebucket_to(
             &model.base_pages_dist(idx),
             self.config.max_buckets,
             self.config.rebucket,
         );
-        let pages_fp = lec_cost::dist_fingerprint(&pages);
-        let pages = Arc::new(DistTables::new(pages));
+        let pages = DistTables::new(&pages);
+        let pages_fp = pages.fingerprint();
         let mut entries = Vec::new();
         for e in access_alternatives(model, plans, idx) {
             let e = DistEntry {
                 plan: e.plan,
                 cost: e.cost,
-                pages: Arc::clone(&pages),
+                pages: pages.clone(),
                 pages_fp,
                 order: e.order,
             };
@@ -198,25 +330,30 @@ impl CandidatePolicy for MultiParamPolicy {
         into: &mut Vec<Joined<usize>>,
         stats: &mut SearchStats,
     ) {
-        let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
-        let sm_order = model.sort_merge_order(ctx.left, ctx.right);
-        let mut pairs = std::mem::take(&mut self.pairs);
+        let sel = self.selectivities.entry(model, ctx.left, ctx.right);
+        let sm_order = self.selectivities.order(sel);
+        let sel = self.selectivities.buckets(sel);
+        let (pairs, sums) = (&mut self.pairs, &mut self.sums);
+        let (sizes, runs) = (&mut self.sizes, &mut self.runs);
+        let max_support = &mut self.max_product_support;
         pairs.clear();
-        self.sums.clear();
+        sums.clear();
         for oe in outer {
             for ie in inner {
-                let (size, costs) = priced(&mut pairs, (oe.pages_fp, ie.pages_fp), || {
-                    let result = self.product_size(&oe.pages.dist, &ie.pages.dist, &sel_dist);
-                    self.sizes.push(result);
-                    let costs = model.expected_join_costs_for(&oe.pages, &ie.pages, &self.memory);
-                    (self.sizes.len() - 1, costs)
+                let (size, costs) = priced(pairs, (oe.pages_fp, ie.pages_fp), || {
+                    let (o, i) = (&oe.pages, &ie.pages);
+                    let result = size_chain(&self.config, o, i, sel, &mut self.chain, max_support);
+                    let start = sizes.len();
+                    sizes.extend_from_slice(result);
+                    let run = [start, sizes.len()].map(|x| x as u32);
+                    runs.push(run);
+                    let costs = model.expected_join_costs_for(o, i, &self.memory);
+                    (runs.len() - 1, costs)
                 });
                 stats.candidates += JoinMethod::ALL.len() as u64;
-                self.sums
-                    .push((costs.map(|join_ec| oe.cost + ie.cost + join_ec), size));
+                sums.push((costs.map(|join_ec| oe.cost + ie.cost + join_ec), size));
             }
         }
-        self.pairs = pairs;
         let order = |i: usize, method| join_output_order(sm_order, outer[i].order, method);
         for_each_cheapest(
             &self.sums,
@@ -246,23 +383,26 @@ impl CandidatePolicy for MultiParamPolicy {
         into: &mut Vec<DistEntry>,
     ) {
         self.slots.clear();
-        self.slots.resize(self.sizes.len(), None);
-        let (sizes, slots) = (&self.sizes, &mut self.slots);
+        self.slots.resize(self.runs.len(), None);
+        let (sizes, runs, slots, block) =
+            (&self.sizes, &self.runs, &mut self.slots, &mut self.block);
         into.extend(pending.drain(..).map(|j| {
             let (pages, pages_fp) = slots[j.size].get_or_insert_with(|| {
-                let size = &sizes[j.size];
-                let fp = lec_cost::dist_fingerprint(size);
-                (Arc::new(DistTables::new(size.clone())), fp)
+                let [start, end] = runs[j.size].map(|x| x as usize);
+                let pages = DistTables::from_buckets(sizes[start..end].iter().copied(), block);
+                let fp = pages.fingerprint();
+                (pages, fp)
             });
             DistEntry {
                 plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
                 cost: j.cost,
-                pages: Arc::clone(pages),
+                pages: pages.clone(),
                 pages_fp: *pages_fp,
                 order: j.order,
             }
         }));
         self.sizes.clear();
+        self.runs.clear();
     }
 
     fn finalize(
@@ -273,14 +413,83 @@ impl CandidatePolicy for MultiParamPolicy {
         entries: Vec<DistEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
-        let m_tables = &self.memory.tables;
+        let memory = &self.memory;
         let mut roots = sort_where_required(model, entries, |e, key| DistEntry {
-            cost: e.cost + model.expected_sort_cost_for(&e.pages.dist, m_tables),
+            cost: e.cost + model.expected_sort_cost_for(&e.pages, memory),
             plan: plans.push(Step::Sort(e.plan, key)),
             order: OrderProperty::Required,
             ..e
         });
         super::keep_best::sort_roots(model, plans, &mut roots);
         roots
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lec_catalog::CatalogGenerator;
+    use lec_plan::{QueryProfile, Topology, WorkloadGenerator};
+
+    /// One memo over every left-deep split `(S∖{t}, {t})` and every bushy
+    /// split of a query's tables returns, for each, the bits of
+    /// [`CostModel::join_selectivity_dist_sets`] and the order of
+    /// [`CostModel::sort_merge_order`] — on chains, stars, cliques and
+    /// random graphs with three-bucket selectivities, where a bushy
+    /// split's inner has several tables and, but on the clique, many
+    /// splits share a key.
+    #[test]
+    fn the_selectivity_memo_returns_the_crossing_products_bits() {
+        let topologies = [
+            Topology::Chain,
+            Topology::Star,
+            Topology::Clique,
+            Topology::Random,
+        ];
+        for (seed, topology) in topologies.into_iter().enumerate() {
+            let mut tables = CatalogGenerator::new(seed as u64);
+            let catalog = tables.generate(10);
+            let ids = tables.pick_tables(&catalog, 6);
+            let profile = QueryProfile {
+                topology,
+                sel_buckets: 3,
+                ..Default::default()
+            };
+            let query = WorkloadGenerator::new(seed as u64).gen_query(&catalog, &ids, &profile);
+            let model = CostModel::new(&catalog, &query);
+            let all = query.all_tables().bits();
+            let mut memo = Selectivities::default();
+            let (mut splits, mut hits) = (0, 0);
+            for bits in 1..=all {
+                let left = TableSet::from_bits(bits);
+                let rest = all & !bits;
+                // Every nonempty subset of the rest: bushy inners, and the
+                // singletons among them left-deep inners.
+                let mut sub = rest;
+                while sub != 0 {
+                    let right = TableSet::from_bits(sub);
+                    sub = (sub - 1) & rest;
+                    if model.frontier(left).intersect(right).is_empty() {
+                        continue;
+                    }
+                    let before = memo.entries.len();
+                    let i = memo.entry(&model, left, right);
+                    (splits, hits) = (splits + 1, hits + usize::from(memo.entries.len() == before));
+                    let want = model.join_selectivity_dist_sets(left, right);
+                    let want: Vec<_> = want
+                        .iter()
+                        .map(|(v, p)| (v.to_bits(), p.to_bits()))
+                        .collect();
+                    let got: Vec<_> = (memo.buckets(i).iter())
+                        .map(|(v, p)| (v.to_bits(), p.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{topology:?}: {left} x {right}");
+                    assert_eq!(memo.order(i), model.sort_merge_order(left, right));
+                }
+            }
+            // A clique's crossing predicates differ with every split.
+            let shared = !matches!(topology, Topology::Clique);
+            assert_eq!(hits > 0, shared, "{topology:?}: {hits} of {splits} hit");
+        }
     }
 }

@@ -24,9 +24,8 @@ use lec_core::search::{
 use lec_core::{AlgDConfig, MemoryCoster};
 use lec_cost::{CostModel, DistTables, Objective};
 use lec_plan::{JoinMethod, OrderProperty, PlanNode, Query, QueryProfile, Topology};
-use lec_prob::{presets, Distribution, MarkovChain};
+use lec_prob::{presets, Distribution, MarkovChain, Rebucket};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Keep-best's combine before any memo: four coster calls and one output
 /// size per (outer, inner) entry pair.
@@ -120,7 +119,7 @@ impl EagerMultiParam {
         EagerMultiParam {
             policy: MultiParamPolicy::new(memory, config.clone()),
             config,
-            memory: DistTables::new(memory.clone()),
+            memory: DistTables::new(memory),
             sizes: Vec::new(),
             max_product_support: 0,
         }
@@ -176,7 +175,8 @@ impl CandidatePolicy for EagerMultiParam {
         let sm_order = model.sort_merge_order(ctx.left, ctx.right);
         for oe in outer {
             for ie in inner {
-                let result_size = self.product_size(&oe.pages.dist, &ie.pages.dist, &sel_dist);
+                let (o, i) = (oe.pages.to_distribution(), ie.pages.to_distribution());
+                let result_size = self.product_size(&o, &i, &sel_dist);
                 self.sizes.push(result_size);
                 let size = self.sizes.len() - 1;
                 let costs = model.expected_join_costs_for(&oe.pages, &ie.pages, &self.memory);
@@ -205,7 +205,7 @@ impl CandidatePolicy for EagerMultiParam {
         into.extend(pending.drain(..).map(|j| DistEntry {
             plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
             cost: j.cost,
-            pages: Arc::new(DistTables::new(self.sizes[j.size].clone())),
+            pages: DistTables::new(&self.sizes[j.size]),
             pages_fp: lec_cost::dist_fingerprint(&self.sizes[j.size]),
             order: j.order,
         }));
@@ -242,7 +242,7 @@ impl Viewed for DpEntry {
 
 impl Viewed for DistEntry {
     fn row(&self, plans: &PlanArena) -> Row {
-        let d = &self.pages.dist;
+        let d = &self.pages;
         let bits = d.support().iter().chain(d.probs()).map(|v| v.to_bits());
         let size = bits.chain([self.pages_fp]).collect();
         (plans.node(self.plan), self.cost.to_bits(), self.order, size)
@@ -413,19 +413,33 @@ fn assert_every_policy_priced_once(catalog: &Catalog, query: &Query) {
             },
         );
     }
-    for cube_root_inputs in [false, true] {
-        let config = AlgDConfig {
-            cube_root_inputs,
-            ..AlgDConfig::default()
-        };
+    for config in d_configs() {
         assert_priced_once(
             catalog,
             query,
-            &format!("multi-param, cube-root inputs {cube_root_inputs}"),
+            &format!("multi-param, {config:?}"),
             || MultiParamPolicy::new(&memory, config.clone()),
             || EagerMultiParam::new(&memory, config.clone()),
         );
     }
+}
+
+/// Every (rebucketing strategy, ∛b inputs) pair, at `b` = 16 and at
+/// `b` = 2, where every product is rebucketed.
+fn d_configs() -> Vec<AlgDConfig> {
+    let mut configs = Vec::new();
+    for rebucket in [Rebucket::EqualDepth, Rebucket::EqualWidth] {
+        for cube_root_inputs in [false, true] {
+            for max_buckets in [16, 2] {
+                configs.push(AlgDConfig {
+                    max_buckets,
+                    rebucket,
+                    cube_root_inputs,
+                });
+            }
+        }
+    }
+    configs
 }
 
 /// The largest pre-rebucketing support D reports is the reference's too.
@@ -434,12 +448,14 @@ fn multi_param_reports_the_eager_product_support() {
     let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
     for (catalog, query) in [pruning_star(7), pruning_clique(6)] {
         let model = CostModel::new(&catalog, &query);
-        let mut fast = MultiParamPolicy::new(&memory, AlgDConfig::default());
-        let mut slow = EagerMultiParam::new(&memory, AlgDConfig::default());
-        let config = SearchConfig::default();
-        run_search_with(&model, PlanShape::LeftDeep, &mut fast, &config).unwrap();
-        run_search_with(&model, PlanShape::LeftDeep, &mut slow, &config).unwrap();
-        assert_eq!(fast.max_product_support, slow.max_product_support);
+        for d in d_configs() {
+            let mut fast = MultiParamPolicy::new(&memory, d.clone());
+            let mut slow = EagerMultiParam::new(&memory, d.clone());
+            let config = SearchConfig::default();
+            run_search_with(&model, PlanShape::LeftDeep, &mut fast, &config).unwrap();
+            run_search_with(&model, PlanShape::LeftDeep, &mut slow, &config).unwrap();
+            assert_eq!(fast.max_product_support, slow.max_product_support, "{d:?}");
+        }
     }
 }
 

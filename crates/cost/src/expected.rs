@@ -15,6 +15,14 @@
 //!   `E[X·1{X≤x}]` so the paper's running update
 //!   `E(≤b') = E(≤b) + E(b<·≤b')` is a plain sum.
 //!
+//! The three separable methods share their passes: one over `B`'s support
+//! gives every method its `a ≤ b` term and one over `A`'s its `a > b`
+//! term, each value searching the other operand's tables once for all
+//! three, and sort-merge and Grace sharing the memory factor they read at
+//! the same size.  Each term sums in its per-method algorithm's order, so
+//! the bits are the per-method algorithms'.  (Walking the positions in
+//! step instead of searching them measured no faster on 2–16 buckets.)
+//!
 //! Block nested-loop has no separable form (`⌈a/(m-2)⌉·b` couples `a` and
 //! `m`), so it deliberately takes the triple sum — it is the resident
 //! example of why the generic `O(b³)` algorithm must exist.  Its block
@@ -22,13 +30,14 @@
 //! (outer, memory) value pair, in the naive sum's term order, to the same
 //! bits.
 //!
-//! Every operand reaches the streaming path as a [`DistTables`]: its
-//! prefix tables are built once, with the distribution, and then only
-//! queried.
+//! Every operand, memory included, reaches the streaming path as a
+//! [`DistTables`]: its buckets, prefix tables and roots, built once into
+//! one block and then only read.
 
 use crate::formulas;
 use lec_plan::JoinMethod;
 use lec_prob::{Distribution, PrefixTables};
+use std::sync::Arc;
 
 fn join_formula(method: JoinMethod) -> fn(f64, f64, f64) -> f64 {
     match method {
@@ -63,7 +72,7 @@ pub fn naive_expected_join_cost(
 /// Block nested-loop's [`naive_expected_join_cost`], term for term and
 /// so bit for bit, with each (outer, memory) pair's block count computed
 /// once rather than once per inner size.
-fn expected_bnl_cost(a: &Distribution, b: &Distribution, m: &Distribution) -> f64 {
+fn expected_bnl_cost(a: &DistTables, b: &DistTables, m: &DistTables) -> f64 {
     // One outer value's block counts, on the stack up to 16 memory buckets.
     let (mut stack, mut heap) = ([0.0; 16], Vec::new());
     let blocks = match m.len() <= stack.len() {
@@ -75,14 +84,14 @@ fn expected_bnl_cost(a: &Distribution, b: &Distribution, m: &Distribution) -> f6
     };
     a.iter()
         .map(|(av, ap)| {
-            for (scans, (mv, _)) in blocks.iter_mut().zip(m.iter()) {
+            for (scans, &mv) in blocks.iter_mut().zip(m.support()) {
                 *scans = formulas::bnl_blocks(av, mv);
             }
             let outer = formulas::clamp(av);
             let mut partial = 0.0;
             for (bv, bp) in b.iter() {
                 let inner = formulas::clamp(bv);
-                for ((_, mp), &scans) in m.iter().zip(blocks.iter()) {
+                for (&mp, &scans) in m.probs().iter().zip(blocks.iter()) {
                     partial += (outer + scans * inner) * bp * mp;
                 }
             }
@@ -97,144 +106,200 @@ pub fn naive_eval_count(a: &Distribution, b: &Distribution, m: &Distribution) ->
 }
 
 /// The sort-merge memory factor
-/// `2·Pr(M > √l) + 4·Pr(∛l < M ≤ √l) + 6·Pr(M ≤ ∛l)` for a given larger
-/// size `l` (§3.6.1's bracketed term).
-fn sm_memory_factor(m: &PrefixTables, l: f64) -> f64 {
-    let p_cheap = m.prob_gt(l.sqrt());
-    let p_deep = m.prob_le(l.cbrt());
+/// `2·Pr(M > √l) + 4·Pr(∛l < M ≤ √l) + 6·Pr(M ≤ ∛l)` of a size `l` with
+/// roots `sqrt` and `cbrt` (§3.6.1's bracketed term); Grace hash's on the
+/// smaller size is the same function.
+fn sm_memory_factor(m: &PrefixTables<'_>, sqrt: f64, cbrt: f64) -> f64 {
+    let p_cheap = m.prob_gt(sqrt);
+    let p_deep = m.prob_le(cbrt);
     let p_mid = (1.0 - p_cheap - p_deep).max(0.0);
     2.0 * p_cheap + 4.0 * p_mid + 6.0 * p_deep
 }
 
-/// §3.6.1: expected sort-merge cost in `O((b_A + b_B)·log + b_M)` time.
+/// The §3.6.1/§3.6.2 expectations of the three separable methods,
+/// `[sort-merge, Grace hash, page nested-loop]`, `A` outer, each
+/// `term1 + term2` split on `a ≤ b` vs `a > b` and summed in the order of
+/// the per-method algorithms:
 ///
-/// `EC(SM) = Σ_{a≤b} Pr(a)Pr(b)(a+b)·g(M, b) + Σ_{a>b} Pr(a)Pr(b)(a+b)·g(M, a)`
-/// where `g` is the three-regime memory factor `sm_memory_factor`; the
-/// inner sums collapse into the prefix tables of the opposite side.
-pub fn streaming_expected_sm_cost(
-    a: &PrefixTables,
-    b_dist: &Distribution,
-    b: &PrefixTables,
-    a_dist: &Distribution,
-    m: &PrefixTables,
-) -> f64 {
-    // Term 1: a ≤ b, so L = b.  For each b: Σ_{a≤b} Pr(a)(a+b) =
-    // E[A·1{A≤b}] + b·Pr(A≤b).
-    let mut term1 = 0.0;
-    for (bv, bp) in b_dist.iter() {
-        let inner = a.partial_expect_le(bv) + bv * a.prob_le(bv);
-        if inner > 0.0 {
-            term1 += bp * inner * sm_memory_factor(m, bv);
-        }
-    }
-    // Term 2: a > b, so L = a.  For each a: Σ_{b<a} Pr(b)(a+b) =
-    // E[B·1{B<a}] + a·Pr(B<a).
-    let mut term2 = 0.0;
-    for (av, ap) in a_dist.iter() {
-        let inner = b.partial_expect_lt(av) + av * b.prob_lt(av);
-        if inner > 0.0 {
-            term2 += ap * inner * sm_memory_factor(m, av);
-        }
-    }
-    term1 + term2
-}
-
-/// The Grace-hash memory factor: same brackets as sort-merge but on the
-/// *smaller* size `s` (Example 1.1 / \[Sha86\]).
-fn grace_memory_factor(m: &PrefixTables, s: f64) -> f64 {
-    sm_memory_factor(m, s) // identical piecewise shape, different argument
-}
-
-/// Grace hash analogue of §3.6.1 (the paper's technique transfers because
-/// the formula again depends only on `(a+b)` and a one-sided extremum).
-pub fn streaming_expected_grace_cost(
-    a: &PrefixTables,
-    b_dist: &Distribution,
-    b: &PrefixTables,
-    a_dist: &Distribution,
-    m: &PrefixTables,
-) -> f64 {
-    // Term 1: a ≤ b, S = a.  For each a: Σ_{b≥a} Pr(b)(a+b) =
-    // a·Pr(B≥a) + E[B·1{B≥a}].
-    let mut term1 = 0.0;
-    for (av, ap) in a_dist.iter() {
-        let inner = av * b.prob_ge(av) + b.partial_expect_ge(av);
-        if inner > 0.0 {
-            term1 += ap * inner * grace_memory_factor(m, av);
-        }
-    }
-    // Term 2: a > b, S = b.  For each b: Σ_{a>b} Pr(a)(a+b) =
-    // b·Pr(A>b) + E[A·1{A>b}].
-    let mut term2 = 0.0;
-    for (bv, bp) in b_dist.iter() {
-        let inner = bv * a.prob_gt(bv) + a.partial_expect_gt(bv);
-        if inner > 0.0 {
-            term2 += bp * inner * grace_memory_factor(m, bv);
-        }
-    }
-    term1 + term2
-}
-
-/// §3.6.2: expected page nested-loop cost, `A` outer.
+/// * sort-merge, `g` the memory factor on the larger size:
+///   `Σ_{a≤b} Pr(a)Pr(b)(a+b)·g(b) + Σ_{a>b} Pr(a)Pr(b)(a+b)·g(a)`;
+/// * Grace hash, the same on the smaller size;
+/// * page nested-loop, `|A|+|B|` if `M ≥ S+2` else `|A| + |A|·|B|`.
 ///
-/// `C(NL) = |A|+|B|` if `M ≥ S+2` else `|A| + |A|·|B|`, `S = min`.
-pub fn streaming_expected_nl_cost(
-    a: &PrefixTables,
-    b_dist: &Distribution,
-    b: &PrefixTables,
-    a_dist: &Distribution,
-    m: &PrefixTables,
-) -> f64 {
-    // Term 1: a ≤ b (S = a).  Inner sums over b ≥ a:
-    //   cheap: Σ Pr(b)(a+b)   = a·Pr(B≥a) + E[B·1{B≥a}]
-    //   flood: Σ Pr(b)(a+a·b) = a·Pr(B≥a) + a·E[B·1{B≥a}]
-    let mut term1 = 0.0;
-    for (av, ap) in a_dist.iter() {
-        let pb = b.prob_ge(av);
-        let eb = b.partial_expect_ge(av);
-        if pb <= 0.0 {
-            continue;
+/// The pass over `B` makes sort-merge's term 1 and Grace's and nested
+/// loop's term 2 (their inner sums over `a ≤ b` read `A`'s tables at `b`),
+/// the pass over `A` the others (over `b < a`, `B`'s tables at `a`).
+fn separable_costs(a: &DistTables, b: &DistTables, m: &DistTables) -> [f64; 3] {
+    let (ta, tb, tm) = (a.prefix(), b.prefix(), m.prefix());
+    let (mut sm, mut gh, mut nl) = ([0.0; 2], [0.0; 2], [0.0; 2]);
+
+    // Over b: Σ_{a≤b} Pr(a)(a+b) = E[A·1{A≤b}] + b·Pr(A≤b) for sort-merge
+    // (L = b); for Grace and nested loop, Σ_{a>b} Pr(a)(a+b) =
+    // b·Pr(A>b) + E[A·1{A>b}] (S = b), and nested loop's flood
+    // Σ_{a>b} Pr(a)(a+a·b) = E[A·1{A>b}]·(1+b).
+    for (k, (bv, bp)) in b.iter().enumerate() {
+        let at = ta.count_le(bv);
+        let (pa_le, ea_le) = (ta.prob_first(at), ta.expect_first(at));
+        let (pa_gt, ea_gt) = (1.0 - pa_le, ta.mean() - ea_le);
+        let sm_inner = ea_le + bv * pa_le;
+        let gh_inner = bv * pa_gt + ea_gt;
+        if sm_inner > 0.0 || gh_inner > 0.0 {
+            let factor = sm_memory_factor(&tm, b.sqrt()[k], b.cbrt()[k]);
+            if sm_inner > 0.0 {
+                sm[0] += bp * sm_inner * factor;
+            }
+            if gh_inner > 0.0 {
+                gh[1] += bp * gh_inner * factor;
+            }
         }
-        let p_cheap = m.prob_ge(av + 2.0);
-        let cheap = av * pb + eb;
-        let flood = av * pb + av * eb;
-        term1 += ap * (cheap * p_cheap + flood * (1.0 - p_cheap));
-    }
-    // Term 2: a > b (S = b).  Inner sums over a > b:
-    //   cheap: Σ Pr(a)(a+b)   = E[A·1{A>b}] + b·Pr(A>b)
-    //   flood: Σ Pr(a)(a+a·b) = E[A·1{A>b}]·(1+b)
-    let mut term2 = 0.0;
-    for (bv, bp) in b_dist.iter() {
-        let pa = a.prob_gt(bv);
-        let ea = a.partial_expect_gt(bv);
-        if pa <= 0.0 {
-            continue;
+        if pa_gt > 0.0 {
+            let p_cheap = tm.prob_ge(bv + 2.0);
+            let cheap = ea_gt + bv * pa_gt;
+            let flood = ea_gt * (1.0 + bv);
+            nl[1] += bp * (cheap * p_cheap + flood * (1.0 - p_cheap));
         }
-        let p_cheap = m.prob_ge(bv + 2.0);
-        let cheap = ea + bv * pa;
-        let flood = ea * (1.0 + bv);
-        term2 += bp * (cheap * p_cheap + flood * (1.0 - p_cheap));
     }
-    term1 + term2
+
+    // Over a: Σ_{b<a} Pr(b)(a+b) = E[B·1{B<a}] + a·Pr(B<a) for sort-merge
+    // (L = a); for Grace and nested loop, Σ_{b≥a} Pr(b)(a+b) =
+    // a·Pr(B≥a) + E[B·1{B≥a}] (S = a), and nested loop's flood
+    // Σ_{b≥a} Pr(b)(a+a·b) = a·Pr(B≥a) + a·E[B·1{B≥a}].
+    for (k, (av, ap)) in a.iter().enumerate() {
+        let at = tb.count_lt(av);
+        let (pb_lt, eb_lt) = (tb.prob_first(at), tb.expect_first(at));
+        let (pb_ge, eb_ge) = (1.0 - pb_lt, tb.mean() - eb_lt);
+        let sm_inner = eb_lt + av * pb_lt;
+        let gh_inner = av * pb_ge + eb_ge;
+        if sm_inner > 0.0 || gh_inner > 0.0 {
+            let factor = sm_memory_factor(&tm, a.sqrt()[k], a.cbrt()[k]);
+            if sm_inner > 0.0 {
+                sm[1] += ap * sm_inner * factor;
+            }
+            if gh_inner > 0.0 {
+                gh[0] += ap * gh_inner * factor;
+            }
+        }
+        if pb_ge > 0.0 {
+            let p_cheap = tm.prob_ge(av + 2.0);
+            let cheap = av * pb_ge + eb_ge;
+            let flood = av * pb_ge + av * eb_ge;
+            nl[0] += ap * (cheap * p_cheap + flood * (1.0 - p_cheap));
+        }
+    }
+    [sm, gh, nl].map(|[term1, term2]| term1 + term2)
 }
 
-/// A distribution together with its [`PrefixTables`], built once and then
-/// only queried: what the linear-time expectations read of an operand.
+/// A distribution's buckets with their prefix tables and each support
+/// value's square and cube roots, built once into one shared block and
+/// then only read: what the linear-time expectations read of an operand
+/// or of memory.  Cloning shares the block.
+///
+/// The block holds six columns of one value per bucket: the support,
+/// the probabilities, the two running sums of [`PrefixTables`], `√v` and
+/// `∛v` — the roots at which sort-merge's, Grace's and the sort's memory
+/// brackets are read, computed here once rather than per size pair.
 #[derive(Debug, Clone)]
 pub struct DistTables {
-    /// The distribution.
-    pub dist: Distribution,
-    /// Its prefix tables.
-    pub tables: PrefixTables,
+    block: Arc<[f64]>,
 }
 
+/// Columns of a [`DistTables`] block.
+const COLUMNS: usize = 6;
+
 impl DistTables {
-    /// Build `dist`'s prefix tables, once.
-    pub fn new(dist: Distribution) -> Self {
-        DistTables {
-            tables: PrefixTables::new(&dist),
-            dist,
+    /// `dist`'s tables.
+    pub fn new(dist: &Distribution) -> Self {
+        Self::from_buckets(dist.iter(), &mut Vec::new())
+    }
+
+    /// The tables of the distribution whose buckets `buckets` are
+    /// (normalized, as [`lec_prob::normalize_pairs`] leaves them), laid out
+    /// in `scratch` and copied into the block: one allocation.
+    pub fn from_buckets(
+        buckets: impl ExactSizeIterator<Item = (f64, f64)> + Clone,
+        scratch: &mut Vec<f64>,
+    ) -> Self {
+        let n = buckets.len();
+        assert!(n > 0, "a distribution has a bucket");
+        scratch.clear();
+        scratch.extend(buckets.clone().map(|(v, _)| v));
+        scratch.extend(buckets.clone().map(|(_, p)| p));
+        scratch.resize(4 * n, 0.0);
+        let (cum_prob, cum_vp) = scratch[2 * n..].split_at_mut(n);
+        PrefixTables::accumulate(buckets, cum_prob, cum_vp);
+        for root in [f64::sqrt, f64::cbrt] {
+            let at = scratch.len();
+            scratch.extend_from_within(..n);
+            for v in &mut scratch[at..] {
+                *v = root(*v);
+            }
         }
+        DistTables {
+            block: Arc::from(&scratch[..]),
+        }
+    }
+
+    fn column(&self, c: usize) -> &[f64] {
+        let n = self.len();
+        &self.block[c * n..(c + 1) * n]
+    }
+
+    /// Number of buckets.
+    pub fn len(&self) -> usize {
+        self.block.len() / COLUMNS
+    }
+
+    /// Always false: a distribution has a bucket.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// The strictly increasing bucket representatives.
+    pub fn support(&self) -> &[f64] {
+        self.column(0)
+    }
+
+    /// Bucket probabilities, parallel to [`Self::support`].
+    pub fn probs(&self) -> &[f64] {
+        self.column(1)
+    }
+
+    /// `√v` of each support value.
+    pub fn sqrt(&self) -> &[f64] {
+        self.column(4)
+    }
+
+    /// `∛v` of each support value.
+    pub fn cbrt(&self) -> &[f64] {
+        self.column(5)
+    }
+
+    /// `(value, probability)` pairs in increasing value order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (f64, f64)> + Clone + '_ {
+        self.support()
+            .iter()
+            .copied()
+            .zip(self.probs().iter().copied())
+    }
+
+    /// The prefix tables over the support.
+    pub fn prefix(&self) -> PrefixTables<'_> {
+        PrefixTables::new(self.support(), self.column(2), self.column(3))
+    }
+
+    /// The distribution, bit for bit.
+    pub fn to_distribution(&self) -> Distribution {
+        Distribution::from_parts_exact(self.support().to_vec(), self.probs().to_vec())
+            .expect("the buckets of a distribution")
+    }
+
+    /// [`crate::dist_fingerprint`] of the distribution, from the block.
+    pub fn fingerprint(&self) -> u64 {
+        (self.iter())
+            .fold(lec_catalog::Fingerprint::new(), |fp, (v, p)| {
+                fp.f64(v).f64(p)
+            })
+            .finish()
     }
 }
 
@@ -244,44 +309,46 @@ pub fn streaming_expected_join_cost(
     method: JoinMethod,
     a: &DistTables,
     b: &DistTables,
-    m_tables: &PrefixTables,
+    m: &DistTables,
 ) -> Option<f64> {
-    let (a_dist, b_dist) = (&a.dist, &b.dist);
-    let (a, b) = (&a.tables, &b.tables);
+    let [sm, gh, nl] = separable_costs(a, b, m);
     match method {
-        JoinMethod::SortMerge => Some(streaming_expected_sm_cost(a, b_dist, b, a_dist, m_tables)),
-        JoinMethod::GraceHash => Some(streaming_expected_grace_cost(
-            a, b_dist, b, a_dist, m_tables,
-        )),
-        JoinMethod::PageNestedLoop => {
-            Some(streaming_expected_nl_cost(a, b_dist, b, a_dist, m_tables))
-        }
+        JoinMethod::SortMerge => Some(sm),
+        JoinMethod::GraceHash => Some(gh),
+        JoinMethod::PageNestedLoop => Some(nl),
         JoinMethod::BlockNestedLoop => None,
     }
 }
 
 /// Best available expected join cost: streaming when separable, the
-/// triple sum with its block counts hoisted otherwise.  This is Algorithm
-/// D's per-method costing step.
+/// triple sum with its block counts hoisted otherwise.
 pub fn expected_join_cost(
     method: JoinMethod,
     a: &DistTables,
     b: &DistTables,
     m: &DistTables,
 ) -> f64 {
-    streaming_expected_join_cost(method, a, b, &m.tables)
-        .unwrap_or_else(|| expected_bnl_cost(&a.dist, &b.dist, &m.dist))
+    streaming_expected_join_cost(method, a, b, m).unwrap_or_else(|| expected_bnl_cost(a, b, m))
+}
+
+/// Algorithm D's per-pair costing step: every method's
+/// [`expected_join_cost`], in [`JoinMethod::ALL`] order, from one pair of
+/// separable walks and one hoisted triple sum.
+pub fn expected_join_costs(a: &DistTables, b: &DistTables, m: &DistTables) -> [f64; 4] {
+    let [sm, gh, nl] = separable_costs(a, b, m);
+    [sm, gh, nl, expected_bnl_cost(a, b, m)]
 }
 
 /// Expected external-sort cost over uncertain input size and memory, in
 /// time linear in the bucket counts (same §3.6.1 technique: the formula is
-/// `r · factor(M vs r)`).
-pub fn expected_sort_cost(r_dist: &Distribution, m: &PrefixTables) -> f64 {
+/// `r · factor(M vs r)`), reading each size's roots off its tables.
+pub fn expected_sort_cost(r: &DistTables, m: &DistTables) -> f64 {
+    let m = m.prefix();
     let mut total = 0.0;
-    for (rv, rp) in r_dist.iter() {
+    for (k, (rv, rp)) in r.iter().enumerate() {
         let p_fit = m.prob_ge(rv);
-        let p_one = (m.prob_ge(rv.sqrt()) - p_fit).max(0.0);
-        let p_two = (m.prob_ge(rv.cbrt()) - p_fit - p_one).max(0.0);
+        let p_one = (m.prob_ge(r.sqrt()[k]) - p_fit).max(0.0);
+        let p_two = (m.prob_ge(r.cbrt()[k]) - p_fit - p_one).max(0.0);
         let p_deep = (1.0 - p_fit - p_one - p_two).max(0.0);
         total += rp * rv * (p_fit + 3.0 * p_one + 5.0 * p_two + 7.0 * p_deep);
     }
@@ -311,7 +378,7 @@ mod tests {
     }
 
     fn tabled(d: &Distribution) -> DistTables {
-        DistTables::new(d.clone())
+        DistTables::new(d)
     }
 
     const SEPARABLE: [JoinMethod; 3] = [
@@ -327,7 +394,7 @@ mod tests {
             let a = rand_dist(&mut rng, 8, 1.0, 1e6);
             let b = rand_dist(&mut rng, 8, 1.0, 1e6);
             let m = rand_dist(&mut rng, 8, 2.0, 5e3);
-            let mt = PrefixTables::new(&m);
+            let mt = tabled(&m);
             for method in SEPARABLE {
                 let naive = naive_expected_join_cost(method, &a, &b, &m);
                 let fast = streaming_expected_join_cost(method, &tabled(&a), &tabled(&b), &mt)
@@ -360,7 +427,7 @@ mod tests {
     #[test]
     fn streaming_handles_boundary_ties() {
         let (a, b, m) = boundary_ties();
-        let mt = PrefixTables::new(&m);
+        let mt = tabled(&m);
         for method in SEPARABLE {
             let naive = naive_expected_join_cost(method, &a, &b, &m);
             let fast = streaming_expected_join_cost(method, &tabled(&a), &tabled(&b), &mt).unwrap();
@@ -371,49 +438,189 @@ mod tests {
         }
     }
 
-    /// The expectation as it was computed before operands carried their
-    /// tables: both operands' tables rebuilt on every call.
-    fn with_tables_rebuilt(
-        method: JoinMethod,
-        a_dist: &Distribution,
-        b_dist: &Distribution,
-        m_dist: &Distribution,
-        m: &PrefixTables,
-    ) -> f64 {
-        let a = PrefixTables::new(a_dist);
-        let b = PrefixTables::new(b_dist);
-        match method {
-            JoinMethod::SortMerge => streaming_expected_sm_cost(&a, b_dist, &b, a_dist, m),
-            JoinMethod::GraceHash => streaming_expected_grace_cost(&a, b_dist, &b, a_dist, m),
-            JoinMethod::PageNestedLoop => streaming_expected_nl_cost(&a, b_dist, &b, a_dist, m),
-            JoinMethod::BlockNestedLoop => naive_expected_join_cost(method, a_dist, b_dist, m_dist),
+    /// The per-method §3.6.1/§3.6.2 algorithms as they were before the
+    /// passes were shared: every quantity its own binary search of the
+    /// prefix tables, every root computed per call.
+    mod searched {
+        use lec_prob::{Distribution, PrefixTables};
+
+        fn sm_memory_factor(m: &PrefixTables, l: f64) -> f64 {
+            let p_cheap = m.prob_gt(l.sqrt());
+            let p_deep = m.prob_le(l.cbrt());
+            let p_mid = (1.0 - p_cheap - p_deep).max(0.0);
+            2.0 * p_cheap + 4.0 * p_mid + 6.0 * p_deep
+        }
+
+        pub fn sm(
+            a: &PrefixTables,
+            b_dist: &Distribution,
+            b: &PrefixTables,
+            a_dist: &Distribution,
+            m: &PrefixTables,
+        ) -> f64 {
+            let mut term1 = 0.0;
+            for (bv, bp) in b_dist.iter() {
+                let inner = a.partial_expect_le(bv) + bv * a.prob_le(bv);
+                if inner > 0.0 {
+                    term1 += bp * inner * sm_memory_factor(m, bv);
+                }
+            }
+            let mut term2 = 0.0;
+            for (av, ap) in a_dist.iter() {
+                let inner = b.partial_expect_lt(av) + av * b.prob_lt(av);
+                if inner > 0.0 {
+                    term2 += ap * inner * sm_memory_factor(m, av);
+                }
+            }
+            term1 + term2
+        }
+
+        pub fn grace(
+            a: &PrefixTables,
+            b_dist: &Distribution,
+            b: &PrefixTables,
+            a_dist: &Distribution,
+            m: &PrefixTables,
+        ) -> f64 {
+            let mut term1 = 0.0;
+            for (av, ap) in a_dist.iter() {
+                let inner = av * b.prob_ge(av) + b.partial_expect_ge(av);
+                if inner > 0.0 {
+                    term1 += ap * inner * sm_memory_factor(m, av);
+                }
+            }
+            let mut term2 = 0.0;
+            for (bv, bp) in b_dist.iter() {
+                let inner = bv * a.prob_gt(bv) + a.partial_expect_gt(bv);
+                if inner > 0.0 {
+                    term2 += bp * inner * sm_memory_factor(m, bv);
+                }
+            }
+            term1 + term2
+        }
+
+        pub fn nl(
+            a: &PrefixTables,
+            b_dist: &Distribution,
+            b: &PrefixTables,
+            a_dist: &Distribution,
+            m: &PrefixTables,
+        ) -> f64 {
+            let mut term1 = 0.0;
+            for (av, ap) in a_dist.iter() {
+                let pb = b.prob_ge(av);
+                let eb = b.partial_expect_ge(av);
+                if pb <= 0.0 {
+                    continue;
+                }
+                let p_cheap = m.prob_ge(av + 2.0);
+                let cheap = av * pb + eb;
+                let flood = av * pb + av * eb;
+                term1 += ap * (cheap * p_cheap + flood * (1.0 - p_cheap));
+            }
+            let mut term2 = 0.0;
+            for (bv, bp) in b_dist.iter() {
+                let pa = a.prob_gt(bv);
+                let ea = a.partial_expect_gt(bv);
+                if pa <= 0.0 {
+                    continue;
+                }
+                let p_cheap = m.prob_ge(bv + 2.0);
+                let cheap = ea + bv * pa;
+                let flood = ea * (1.0 + bv);
+                term2 += bp * (cheap * p_cheap + flood * (1.0 - p_cheap));
+            }
+            term1 + term2
+        }
+
+        pub fn sort(r_dist: &Distribution, m: &PrefixTables) -> f64 {
+            let mut total = 0.0;
+            for (rv, rp) in r_dist.iter() {
+                let p_fit = m.prob_ge(rv);
+                let p_one = (m.prob_ge(rv.sqrt()) - p_fit).max(0.0);
+                let p_two = (m.prob_ge(rv.cbrt()) - p_fit - p_one).max(0.0);
+                let p_deep = (1.0 - p_fit - p_one - p_two).max(0.0);
+                total += rp * rv * (p_fit + 3.0 * p_one + 5.0 * p_two + 7.0 * p_deep);
+            }
+            total
         }
     }
 
-    /// Tables built once and queried by every call give every method the
-    /// bits of tables rebuilt per call, in both operand orders.
+    /// A distribution with values at `m`'s squares and cubes, at its
+    /// values and two pages below them, and under one page: every regime
+    /// boundary the expectations read.
+    fn straddling(rng: &mut impl Rng, m: &Distribution) -> Distribution {
+        let pick = |rng: &mut dyn rand::RngCore| m.support()[rng.gen_range(0..m.len())];
+        let n = rng.gen_range(1..=8);
+        Distribution::from_pairs((0..n).map(|_| {
+            let v = pick(rng);
+            let v = match rng.gen_range(0..6) {
+                0 => v * v,
+                1 => v * v * v,
+                2 => (v - 2.0).max(0.25),
+                3 => v,
+                4 => rng.gen_range(0.25..2.0),
+                _ => rng.gen_range(1.0..1e6),
+            };
+            (v, rng.gen_range(0.05..1.0))
+        }))
+        .unwrap()
+    }
+
+    /// Tables built once, with their roots, read by the shared passes and
+    /// the sort cost give the bits of the per-method algorithms taking
+    /// every root per value, in both operand orders, on random sizes, on
+    /// sizes at memory's squares, cubes and two pages below it, and on
+    /// boundary ties.
     #[test]
     fn prebuilt_tables_change_no_bits() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E5);
-        let mut inputs: Vec<_> = (0..200)
-            .map(|_| {
-                (
-                    rand_dist(&mut rng, 8, 1.0, 1e6),
-                    rand_dist(&mut rng, 8, 1.0, 1e6),
-                    rand_dist(&mut rng, 8, 2.0, 5e3),
-                )
+        let mut inputs: Vec<_> = (0..300)
+            .map(|trial| {
+                let m = rand_dist(&mut rng, 8, 2.0, 5e3);
+                match trial % 2 {
+                    0 => (
+                        rand_dist(&mut rng, 8, 1.0, 1e6),
+                        rand_dist(&mut rng, 8, 1.0, 1e6),
+                        m,
+                    ),
+                    _ => (straddling(&mut rng, &m), straddling(&mut rng, &m), m),
+                }
             })
             .collect();
         inputs.push(boundary_ties());
         for (a, b, m) in &inputs {
             let (ta, tb, tm) = (tabled(a), tabled(b), tabled(m));
-            for method in JoinMethod::ALL {
-                for (x, y, tx, ty) in [(a, b, &ta, &tb), (b, a, &tb, &ta)] {
-                    let want = with_tables_rebuilt(method, x, y, m, &tm.tables);
-                    let got = expected_join_cost(method, tx, ty, &tm);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{method:?}: {got} vs {want}");
+            let (pa, pb, pm) = (ta.prefix(), tb.prefix(), tm.prefix());
+            for (x, y, tx, ty, px, py) in [(a, b, &ta, &tb, &pa, &pb), (b, a, &tb, &ta, &pb, &pa)] {
+                let want = [
+                    searched::sm(px, y, py, x, &pm),
+                    searched::grace(px, y, py, x, &pm),
+                    searched::nl(px, y, py, x, &pm),
+                    naive_expected_join_cost(JoinMethod::BlockNestedLoop, x, y, m),
+                ];
+                let got = expected_join_costs(tx, ty, &tm);
+                for (method, (g, w)) in JoinMethod::ALL.into_iter().zip(got.iter().zip(want)) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{method:?}: {g} vs {w}");
+                    let one = expected_join_cost(method, tx, ty, &tm);
+                    assert_eq!(one.to_bits(), w.to_bits(), "{method:?} alone");
                 }
+                let (g, w) = (expected_sort_cost(tx, &tm), searched::sort(x, &pm));
+                assert_eq!(g.to_bits(), w.to_bits(), "sort: {g} vs {w}");
             }
+        }
+    }
+
+    /// The tables hold the distribution bit for bit, and its fingerprint
+    /// is [`crate::dist_fingerprint`]'s.
+    #[test]
+    fn tables_hold_the_distribution_and_its_fingerprint() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EEC);
+        for _ in 0..100 {
+            let d = rand_dist(&mut rng, 12, 0.5, 1e4);
+            let t = tabled(&d);
+            assert_eq!(t.to_distribution(), d);
+            assert_eq!(t.fingerprint(), crate::dist_fingerprint(&d));
         }
     }
 
@@ -423,7 +630,7 @@ mod tests {
         let a = tabled(&Distribution::point(1_000_000.0));
         let b = tabled(&Distribution::point(400_000.0));
         let m = lec_prob::presets::example_1_1_memory();
-        let mt = PrefixTables::new(&m);
+        let mt = tabled(&m);
         let direct = m.expect(|mv| formulas::sm_join_cost(1_000_000.0, 400_000.0, mv));
         let fast = streaming_expected_join_cost(JoinMethod::SortMerge, &a, &b, &mt).unwrap();
         assert!((direct - fast).abs() < 1e-6);
@@ -438,7 +645,7 @@ mod tests {
         // Outer 10 pages vs outer 1000 pages differ under low memory.
         let small = tabled(&Distribution::point(10.0));
         let big = tabled(&Distribution::point(1000.0));
-        let mt = PrefixTables::new(&Distribution::point(5.0));
+        let mt = tabled(&Distribution::point(5.0));
         let small_outer =
             streaming_expected_join_cost(JoinMethod::PageNestedLoop, &small, &big, &mt).unwrap();
         let big_outer =
@@ -460,7 +667,7 @@ mod tests {
             let b = rand_dist(&mut rng, 16, 0.25, 1e5);
             let m = rand_dist(&mut rng, if trial % 10 == 0 { 24 } else { 4 }, 0.5, 3e3);
             let naive = naive_expected_join_cost(JoinMethod::BlockNestedLoop, &a, &b, &m);
-            let got = expected_bnl_cost(&a, &b, &m);
+            let got = expected_bnl_cost(&tabled(&a), &tabled(&b), &tabled(&m));
             assert_eq!(
                 got.to_bits(),
                 naive.to_bits(),
@@ -475,7 +682,7 @@ mod tests {
         let b = tabled(&Distribution::point(50.0));
         let m = tabled(&Distribution::point(12.0));
         let bnl = JoinMethod::BlockNestedLoop;
-        assert!(streaming_expected_join_cost(bnl, &a, &b, &m.tables).is_none());
+        assert!(streaming_expected_join_cost(bnl, &a, &b, &m).is_none());
         let ec = expected_join_cost(bnl, &a, &b, &m);
         assert_eq!(ec, formulas::bnl_join_cost(100.0, 50.0, 12.0));
     }
@@ -486,9 +693,8 @@ mod tests {
         for _ in 0..100 {
             let r = rand_dist(&mut rng, 8, 1.0, 1e5);
             let m = rand_dist(&mut rng, 8, 2.0, 1e4);
-            let mt = PrefixTables::new(&m);
             let naive = naive_expected_sort_cost(&r, &m);
-            let fast = expected_sort_cost(&r, &mt);
+            let fast = expected_sort_cost(&tabled(&r), &tabled(&m));
             assert!(
                 (naive - fast).abs() / naive.max(1.0) < 1e-9,
                 "{naive} vs {fast}"

@@ -6,7 +6,7 @@ use crate::formulas;
 pub use lec_catalog::{table_stats_fingerprint, Fingerprint};
 use lec_catalog::{Catalog, IndexKind};
 use lec_plan::{ColumnEquivalences, ColumnRef, JoinMethod, OrderProperty, Query, TableSet};
-use lec_prob::{Distribution, PrefixTables};
+use lec_prob::Distribution;
 use std::cell::Cell;
 use std::hash::Hasher;
 
@@ -287,22 +287,16 @@ impl<'a> CostModel<'a> {
         inner: &DistTables,
         memory: &DistTables,
     ) -> [f64; 4] {
-        JoinMethod::ALL.map(|method| {
-            self.count_evals(match method {
-                JoinMethod::BlockNestedLoop => {
-                    expected::naive_eval_count(&outer.dist, &inner.dist, &memory.dist)
-                }
-                _ => (outer.dist.len() + inner.dist.len()) as u64,
-            });
-            expected::expected_join_cost(method, outer, inner, memory)
-        })
+        let (a, b, m) = (outer.len(), inner.len(), memory.len());
+        self.count_evals((3 * (a + b) + a * b * m) as u64);
+        expected::expected_join_costs(outer, inner, memory)
     }
 
     /// Expected sort cost over size and memory distributions: `b_R`
     /// formula evaluations.
-    pub fn expected_sort_cost_for(&self, r_dist: &Distribution, m_tables: &PrefixTables) -> f64 {
-        self.count_evals(r_dist.len() as u64);
-        expected::expected_sort_cost(r_dist, m_tables)
+    pub fn expected_sort_cost_for(&self, r: &DistTables, memory: &DistTables) -> f64 {
+        self.count_evals(r.len() as u64);
+        expected::expected_sort_cost(r, memory)
     }
 
     // ---- sizes ----------------------------------------------------------
@@ -388,15 +382,23 @@ impl<'a> CostModel<'a> {
         (preds.map(|e| e.selectivity).product(), order)
     }
 
+    /// The selectivity distributions of the predicates crossing two
+    /// disjoint table sets, in predicate order: the factors of
+    /// [`Self::join_selectivity_dist_sets`].
+    pub fn crossing_selectivities(
+        &self,
+        a: TableSet,
+        b: TableSet,
+    ) -> impl Iterator<Item = &Distribution> {
+        (self.predicates_between(a, b)).map(|e| &self.query.joins[e.pred as usize].selectivity)
+    }
+
     /// Distribution of the combined selectivity of all predicates crossing
     /// two disjoint table sets (the `Pr(σ)` of Figure 1 in bushy-capable
-    /// form).
+    /// form): the product of [`Self::crossing_selectivities`] in their
+    /// order, starting from the point 1.
     pub fn join_selectivity_dist_sets(&self, a: TableSet, b: TableSet) -> Distribution {
-        let mut dist = Distribution::point(1.0);
-        for e in self.predicates_between(a, b) {
-            dist = dist.product(&self.query.joins[e.pred as usize].selectivity);
-        }
-        dist
+        (self.crossing_selectivities(a, b)).fold(Distribution::point(1.0), |d, s| d.product(s))
     }
 
     /// Point (mean) combined selectivity of all predicates crossing two
@@ -610,9 +612,9 @@ mod tests {
     fn distribution_pricing_counts_the_formula_calls_it_makes() {
         let (cat, q) = fixture();
         let m = CostModel::new(&cat, &q);
-        let a = DistTables::new(Distribution::bimodal(100.0, 200.0, 0.5).unwrap());
-        let b = DistTables::new(Distribution::uniform(&[50.0, 80.0, 90.0]).unwrap());
-        let mem = DistTables::new(Distribution::bimodal(10.0, 1000.0, 0.5).unwrap());
+        let a = DistTables::new(&Distribution::bimodal(100.0, 200.0, 0.5).unwrap());
+        let b = DistTables::new(&Distribution::uniform(&[50.0, 80.0, 90.0]).unwrap());
+        let mem = DistTables::new(&Distribution::bimodal(10.0, 1000.0, 0.5).unwrap());
         let per_pair = 3 * (2 + 3) + 2 * 3 * 2;
         for call in 1..=2 {
             let costs = m.expected_join_costs_for(&a, &b, &mem);
@@ -623,7 +625,7 @@ mod tests {
             }
         }
         m.reset_evals();
-        m.expected_sort_cost_for(&a.dist, &mem.tables);
+        m.expected_sort_cost_for(&a, &mem);
         assert_eq!(m.evals(), 2);
     }
 

@@ -5,7 +5,7 @@
 use lec_cost::expected::{naive_expected_join_cost, streaming_expected_join_cost, DistTables};
 use lec_cost::formulas;
 use lec_plan::JoinMethod;
-use lec_prob::{Distribution, PrefixTables};
+use lec_prob::Distribution;
 use proptest::prelude::*;
 
 fn arb_dist(lo: f64, hi: f64) -> impl Strategy<Value = Distribution> {
@@ -22,8 +22,8 @@ proptest! {
         b in arb_dist(1.0, 1e6),
         m in arb_dist(2.0, 1e4),
     ) {
-        let mt = PrefixTables::new(&m);
-        let (ta, tb) = (DistTables::new(a.clone()), DistTables::new(b.clone()));
+        let mt = DistTables::new(&m);
+        let (ta, tb) = (DistTables::new(&a), DistTables::new(&b));
         for method in [JoinMethod::SortMerge, JoinMethod::GraceHash, JoinMethod::PageNestedLoop] {
             let naive = naive_expected_join_cost(method, &a, &b, &m);
             let fast = streaming_expected_join_cost(method, &ta, &tb, &mt).unwrap();
@@ -124,10 +124,9 @@ proptest! {
         b in 1.0f64..1e6,
         m in 2.0f64..1e5,
     ) {
-        let da = DistTables::new(Distribution::point(a));
-        let db = DistTables::new(Distribution::point(b));
-        let dm = Distribution::point(m);
-        let mt = PrefixTables::new(&dm);
+        let da = DistTables::new(&Distribution::point(a));
+        let db = DistTables::new(&Distribution::point(b));
+        let mt = DistTables::new(&Distribution::point(m));
         for method in [JoinMethod::SortMerge, JoinMethod::GraceHash, JoinMethod::PageNestedLoop] {
             let fast = streaming_expected_join_cost(method, &da, &db, &mt).unwrap();
             let f: fn(f64, f64, f64) -> f64 = match method {
@@ -150,9 +149,9 @@ proptest! {
         shift in 1.0f64..1e4,
     ) {
         let m_up = m.scale(1.0 + shift / 1e4);
-        let mt = PrefixTables::new(&m);
-        let mt_up = PrefixTables::new(&m_up);
-        let (a, b) = (DistTables::new(a), DistTables::new(b));
+        let mt = DistTables::new(&m);
+        let mt_up = DistTables::new(&m_up);
+        let (a, b) = (DistTables::new(&a), DistTables::new(&b));
         for method in [JoinMethod::SortMerge, JoinMethod::GraceHash, JoinMethod::PageNestedLoop] {
             let base = streaming_expected_join_cost(method, &a, &b, &mt).unwrap();
             let up = streaming_expected_join_cost(method, &a, &b, &mt_up).unwrap();

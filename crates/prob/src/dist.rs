@@ -61,55 +61,21 @@ impl Distribution {
     ///
     /// Pairs are sorted by value, near-duplicate values are merged, zero
     /// probabilities are dropped, and the result is normalized to total mass
-    /// one.  Returns an error for empty/non-finite/negative input.
+    /// one ([`normalize_pairs`]).  Returns an error for
+    /// empty/non-finite/negative input.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (f64, f64)>) -> Result<Self, ProbError> {
         let mut pairs: Vec<(f64, f64)> = pairs.into_iter().collect();
-        if pairs.is_empty() {
-            return Err(ProbError::EmptySupport);
-        }
-        for &(v, p) in &pairs {
-            if !v.is_finite() {
-                return Err(ProbError::NonFinite {
-                    what: "support value",
-                    value: v,
-                });
-            }
-            if !p.is_finite() {
-                return Err(ProbError::NonFinite {
-                    what: "probability",
-                    value: p,
-                });
-            }
-            if p < 0.0 {
-                return Err(ProbError::NegativeProbability(p));
-            }
-        }
-        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        normalize_pairs(&mut pairs)?;
+        Ok(Self::from_normalized(&pairs))
+    }
 
-        let mut support: Vec<f64> = Vec::with_capacity(pairs.len());
-        let mut probs: Vec<f64> = Vec::with_capacity(pairs.len());
-        for (v, p) in pairs {
-            if p == 0.0 {
-                continue;
-            }
-            match support.last() {
-                Some(&last) if nearly_equal(last, v) => {
-                    *probs.last_mut().expect("probs parallel to support") += p;
-                }
-                _ => {
-                    support.push(v);
-                    probs.push(p);
-                }
-            }
+    /// The distribution whose buckets `pairs` are, as [`normalize_pairs`]
+    /// leaves them.
+    fn from_normalized(pairs: &[(f64, f64)]) -> Self {
+        Distribution {
+            support: pairs.iter().map(|&(v, _)| v).collect(),
+            probs: pairs.iter().map(|&(_, p)| p).collect(),
         }
-        let total: f64 = probs.iter().sum();
-        if support.is_empty() || total <= 0.0 {
-            return Err(ProbError::ZeroTotalMass);
-        }
-        for p in &mut probs {
-            *p /= total;
-        }
-        Ok(Distribution { support, probs })
     }
 
     /// Rebuild a distribution from parts previously read out of
@@ -185,7 +151,7 @@ impl Distribution {
     }
 
     /// Iterate over `(value, probability)` pairs in increasing value order.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (f64, f64)> + Clone + '_ {
         self.support.iter().copied().zip(self.probs.iter().copied())
     }
 
@@ -292,12 +258,9 @@ impl Distribution {
     /// with [`Self::rebucket`].
     pub fn product(&self, other: &Distribution) -> Distribution {
         let mut pairs = Vec::with_capacity(self.len() * other.len());
-        for (a, pa) in self.iter() {
-            for (b, pb) in other.iter() {
-                pairs.push((a * b, pa * pb));
-            }
-        }
-        Distribution::from_pairs(pairs).expect("product of valid distributions is valid")
+        product_pairs(self.iter(), other.iter(), &mut pairs);
+        normalize_pairs(&mut pairs).expect("product of valid distributions is valid");
+        Self::from_normalized(&pairs)
     }
 
     /// Reduce to at most `n` buckets (§3.6.3).
@@ -307,77 +270,9 @@ impl Distribution {
     /// mass it absorbs).  What is lost is resolution: `Pr(X <= t)` may move
     /// by up to the mass of the bucket straddling `t`.
     pub fn rebucket(&self, n: usize, strategy: Rebucket) -> Result<Distribution, ProbError> {
-        if n == 0 {
-            return Err(ProbError::ZeroBuckets);
-        }
-        if self.len() <= n {
-            return Ok(self.clone());
-        }
-        match strategy {
-            Rebucket::EqualWidth => self.rebucket_equal_width(n),
-            Rebucket::EqualDepth => self.rebucket_equal_depth(n),
-        }
-    }
-
-    fn rebucket_equal_width(&self, n: usize) -> Result<Distribution, ProbError> {
-        let lo = self.min_value();
-        let hi = self.max_value();
-        let width = (hi - lo) / n as f64;
-        let mut mass = vec![0.0; n];
-        let mut weighted = vec![0.0; n];
-        for (v, p) in self.iter() {
-            let mut idx = if width > 0.0 {
-                ((v - lo) / width) as usize
-            } else {
-                0
-            };
-            if idx >= n {
-                idx = n - 1; // v == hi lands in the last bucket
-            }
-            mass[idx] += p;
-            weighted[idx] += v * p;
-        }
-        Distribution::from_pairs(
-            mass.iter()
-                .zip(&weighted)
-                .filter(|(m, _)| **m > 0.0)
-                .map(|(&m, &w)| (w / m, m)),
-        )
-    }
-
-    fn rebucket_equal_depth(&self, n: usize) -> Result<Distribution, ProbError> {
-        let target = 1.0 / n as f64;
-        let mut out: Vec<(f64, f64)> = Vec::with_capacity(n);
-        let mut mass = 0.0;
-        let mut weighted = 0.0;
-        let mut filled = 0usize;
-        for (i, (v, p)) in self.iter().enumerate() {
-            mass += p;
-            weighted += v * p;
-            let remaining_buckets = n - filled;
-            let last_value = i + 1 == self.len();
-            // Close the bucket once it holds its share, but never leave more
-            // values than buckets remaining.
-            let values_left = self.len() - (i + 1);
-            if last_value
-                || (mass + 1e-12 >= target && values_left >= remaining_buckets - 1)
-                || values_left < remaining_buckets
-            {
-                out.push((weighted / mass, mass));
-                filled += 1;
-                mass = 0.0;
-                weighted = 0.0;
-                if filled == n {
-                    break;
-                }
-            }
-        }
-        if mass > 0.0 {
-            // Fold any residue into the last bucket, preserving the mean.
-            let (lv, lp) = out.pop().expect("at least one bucket emitted");
-            out.push(((lv * lp + weighted) / (lp + mass), lp + mass));
-        }
-        Distribution::from_pairs(out)
+        let mut pairs = Vec::with_capacity(self.len().min(n));
+        rebucket_pairs(self.iter(), n, strategy, &mut pairs)?;
+        Ok(Self::from_normalized(&pairs))
     }
 
     /// Draw a sample using inverse-CDF sampling.
@@ -405,6 +300,174 @@ impl Distribution {
                 .iter()
                 .zip(other.iter())
                 .all(|((v1, p1), (v2, p2))| (v1 - v2).abs() <= tol && (p1 - p2).abs() <= tol)
+    }
+}
+
+/// [`Distribution::from_pairs`]' normalization, in place on a caller's
+/// buffer: check every pair (a finite value, a finite non-negative
+/// probability), stably sort by value, fold each value within the merge
+/// tolerance of its group's first value into that group, drop zero
+/// probabilities and divide by the total.  `pairs` ends as the
+/// distribution's buckets, `(value, probability)` by increasing value.
+/// Every allocating constructor and transform runs through it, so a chain
+/// of transforms kept in scratch buffers has the bits of the distributions
+/// it stands for.  On an error `pairs` holds no distribution.
+pub fn normalize_pairs(pairs: &mut Vec<(f64, f64)>) -> Result<(), ProbError> {
+    if pairs.is_empty() {
+        return Err(ProbError::EmptySupport);
+    }
+    for &(v, p) in pairs.iter() {
+        if !v.is_finite() {
+            return Err(ProbError::NonFinite {
+                what: "support value",
+                value: v,
+            });
+        }
+        if !p.is_finite() {
+            return Err(ProbError::NonFinite {
+                what: "probability",
+                value: p,
+            });
+        }
+        if p < 0.0 {
+            return Err(ProbError::NegativeProbability(p));
+        }
+    }
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut kept = 0;
+    for i in 0..pairs.len() {
+        let (v, p) = pairs[i];
+        if p == 0.0 {
+            continue;
+        }
+        match kept {
+            0 => {}
+            _ if nearly_equal(pairs[kept - 1].0, v) => {
+                pairs[kept - 1].1 += p;
+                continue;
+            }
+            _ => {}
+        }
+        pairs[kept] = (v, p);
+        kept += 1;
+    }
+    pairs.truncate(kept);
+    let total: f64 = pairs.iter().map(|&(_, p)| p).sum();
+    if pairs.is_empty() || total <= 0.0 {
+        return Err(ProbError::ZeroTotalMass);
+    }
+    for (_, p) in pairs.iter_mut() {
+        *p /= total;
+    }
+    Ok(())
+}
+
+/// Append the pairs of `X · Y` for independent `X` and `Y` given by their
+/// buckets, `x`'s value major: what [`Distribution::product`] normalizes.
+pub fn product_pairs(
+    x: impl Iterator<Item = (f64, f64)>,
+    y: impl Iterator<Item = (f64, f64)> + Clone,
+    out: &mut Vec<(f64, f64)>,
+) {
+    for (a, pa) in x {
+        out.extend(y.clone().map(|(b, pb)| (a * b, pa * pb)));
+    }
+}
+
+/// [`Distribution::rebucket`] of the distribution whose buckets `buckets`
+/// are, written normalized into `out` (cleared first): a copy when it has
+/// at most `n` buckets already.
+pub fn rebucket_pairs<I>(
+    buckets: I,
+    n: usize,
+    strategy: Rebucket,
+    out: &mut Vec<(f64, f64)>,
+) -> Result<(), ProbError>
+where
+    I: ExactSizeIterator<Item = (f64, f64)> + Clone,
+{
+    if n == 0 {
+        return Err(ProbError::ZeroBuckets);
+    }
+    out.clear();
+    if buckets.len() <= n {
+        out.extend(buckets);
+        return Ok(());
+    }
+    match strategy {
+        Rebucket::EqualWidth => equal_width_pairs(buckets, n, out),
+        Rebucket::EqualDepth => equal_depth_pairs(buckets, n, out),
+    }
+    normalize_pairs(out)
+}
+
+/// Equal-width buckets over `[min, max]`: each gets the contained mass and
+/// its mass-weighted mean.  `out` first accumulates (weighted, mass) per
+/// bucket.
+fn equal_width_pairs(
+    buckets: impl ExactSizeIterator<Item = (f64, f64)> + Clone,
+    n: usize,
+    out: &mut Vec<(f64, f64)>,
+) {
+    let lo = buckets.clone().next().expect("non-empty buckets").0;
+    let hi = buckets.clone().last().expect("non-empty buckets").0;
+    let width = (hi - lo) / n as f64;
+    out.resize(n, (0.0, 0.0));
+    for (v, p) in buckets {
+        let mut idx = if width > 0.0 {
+            ((v - lo) / width) as usize
+        } else {
+            0
+        };
+        if idx >= n {
+            idx = n - 1; // v == hi lands in the last bucket
+        }
+        out[idx].1 += p;
+        out[idx].0 += v * p;
+    }
+    out.retain(|&(_, m)| m > 0.0);
+    for (w, m) in out.iter_mut() {
+        *w /= *m;
+    }
+}
+
+/// Equi-depth buckets: successive buckets receive roughly `1/n` of the
+/// mass each.
+fn equal_depth_pairs(
+    buckets: impl ExactSizeIterator<Item = (f64, f64)>,
+    n: usize,
+    out: &mut Vec<(f64, f64)>,
+) {
+    let len = buckets.len();
+    let target = 1.0 / n as f64;
+    let mut mass = 0.0;
+    let mut weighted = 0.0;
+    let mut filled = 0usize;
+    for (i, (v, p)) in buckets.enumerate() {
+        mass += p;
+        weighted += v * p;
+        let remaining_buckets = n - filled;
+        let last_value = i + 1 == len;
+        // Close the bucket once it holds its share, but never leave more
+        // values than buckets remaining.
+        let values_left = len - (i + 1);
+        if last_value
+            || (mass + 1e-12 >= target && values_left >= remaining_buckets - 1)
+            || values_left < remaining_buckets
+        {
+            out.push((weighted / mass, mass));
+            filled += 1;
+            mass = 0.0;
+            weighted = 0.0;
+            if filled == n {
+                break;
+            }
+        }
+    }
+    if mass > 0.0 {
+        // Fold any residue into the last bucket, preserving the mean.
+        let (lv, lp) = out.pop().expect("at least one bucket emitted");
+        out.push(((lv * lp + weighted) / (lp + mass), lp + mass));
     }
 }
 

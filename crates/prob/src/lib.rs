@@ -30,7 +30,7 @@ pub mod markov;
 pub mod prefix;
 pub mod presets;
 
-pub use dist::{Distribution, Rebucket};
+pub use dist::{normalize_pairs, product_pairs, rebucket_pairs, Distribution, Rebucket};
 pub use error::ProbError;
 pub use markov::MarkovChain;
 pub use prefix::PrefixTables;

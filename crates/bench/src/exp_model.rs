@@ -12,8 +12,8 @@ mod tests {
         PointEstimate,
     };
     use lec_cost::expected::{
-        expected_join_cost, naive_eval_count, naive_expected_join_cost,
-        streaming_expected_join_cost, DistTables,
+        expected_join_costs, naive_eval_count, naive_expected_join_cost,
+        streaming_expected_join_costs, DistTables,
     };
     use lec_cost::{expected_plan_cost_static, oracle, CostModel, OpClass};
     use lec_plan::{JoinMethod, TableSet};
@@ -55,11 +55,13 @@ mod tests {
                     )
                 })
                 .collect();
-            let methods = [JoinMethod::SortMerge, JoinMethod::PageNestedLoop];
+            // Sort-merge and page nested-loop, each with its index in the
+            // streaming costs.
+            let methods = [(JoinMethod::SortMerge, 0), (JoinMethod::PageNestedLoop, 2)];
             let start = Instant::now();
             let mut naive_vals = Vec::new();
             for (a, bd, m) in &dists {
-                for method in methods {
+                for (method, _) in methods {
                     naive_vals.push(naive_expected_join_cost(method, a, bd, m));
                 }
             }
@@ -69,9 +71,8 @@ mod tests {
             for (a, bd, m) in &dists {
                 let mt = DistTables::new(m);
                 let (a, bd) = (DistTables::new(a), DistTables::new(bd));
-                for method in methods {
-                    fast_vals.push(streaming_expected_join_cost(method, &a, &bd, &mt).unwrap());
-                }
+                let streamed = streaming_expected_join_costs(&a, &bd, &mt);
+                fast_vals.extend(methods.map(|(_, at)| streamed[at]));
             }
             let t_fast = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
             let max_err = naive_vals
@@ -376,12 +377,13 @@ mod tests {
                 exact_support = exact_support.max(exact.len());
                 reb_support = reb_support.max(approx.len());
                 let thresh = exact.quantile(0.8);
-                let ec_exact = lec_cost::expected_sort_cost(&DistTables::new(&exact), &mt);
-                let ec_approx = lec_cost::expected_sort_cost(&DistTables::new(&approx), &mt);
+                let [exact_t, approx_t] = [&exact, &approx].map(DistTables::new);
+                let ec_exact = lec_cost::expected_sort_cost(&exact_t, &mt);
+                let ec_approx = lec_cost::expected_sort_cost(&approx_t, &mt);
                 let errs = [
                     rel(approx.mean(), exact.mean()),
                     rel(raw_approx.mean(), raw.mean()),
-                    (approx.prob_gt(thresh) - exact.prob_gt(thresh)).abs(),
+                    (approx_t.prob_gt(thresh) - exact_t.prob_gt(thresh)).abs(),
                     ((ec_approx - ec_exact) / ec_exact.max(1.0)).abs(),
                 ];
                 for (w, e) in worst.iter_mut().zip(errs) {
@@ -592,8 +594,8 @@ mod tests {
         let mut ec_table = Table::new(&["join method", "EC from (M,|B_j|,|A_j|)", "triple sum"]);
         let [m, b, a] = [&memory, &b_outer, &a_j].map(DistTables::new);
         let mut ecs = Vec::new();
-        for method in JoinMethod::ALL {
-            let ec = expected_join_cost(method, &b, &a, &m);
+        let node_ecs = expected_join_costs(&b, &a, &m);
+        for (method, ec) in JoinMethod::ALL.into_iter().zip(node_ecs) {
             let naive = naive_expected_join_cost(method, &b_outer, &a_j, &memory);
             ec_table.row(vec![method.name().into(), num(ec), num(naive)]);
             ecs.push((method, ec, naive));
@@ -627,8 +629,8 @@ mod tests {
         let mut ec_table = Table::new(&["join method (node)", "EC", "triple sum"]);
         for (k, (outer, inner)) in nodes.into_iter().enumerate() {
             let [b, a] = [outer, inner].map(DistTables::new);
-            for method in JoinMethod::ALL {
-                let ec = expected_join_cost(method, &b, &a, &m);
+            let node_ecs = expected_join_costs(&b, &a, &m);
+            for (method, ec) in JoinMethod::ALL.into_iter().zip(node_ecs) {
                 let naive = naive_expected_join_cost(method, outer, inner, &memory);
                 ecs.push((method, ec, naive));
                 ec_table.row(vec![

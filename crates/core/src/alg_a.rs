@@ -5,13 +5,18 @@
 //! gives us b candidate plans.  We then compute the expected cost of each
 //! candidate, and choose the one with least expected cost."
 //!
-//! Policy over the engine: one [`crate::Mode::LscAt`] run — the black box
-//! — per memory representative, then EC ranking of the candidates.
+//! Policy over the engine: one keep-best point search — the black box, as
+//! [`crate::Mode::LscAt`] runs it — per memory representative, then EC
+//! ranking of the candidates (`rank_by_expected_cost`, shared with
+//! Algorithm B).
 
 use crate::error::OptError;
-use crate::optimizer::{optimize, Mode};
-use crate::search::{SearchConfig, SearchOutcome, SearchStats};
+use crate::search::{
+    run_search_with, KeepBestPolicy, MemoryCoster, PlanShape, SearchConfig, SearchOutcome,
+    SearchStats,
+};
 use lec_cost::{expected_plan_cost_static, CostModel};
+use lec_plan::PlanNode;
 use lec_prob::Distribution;
 
 /// The memory values Algorithms A and B run their point searches at: the
@@ -37,15 +42,25 @@ pub(crate) fn rank_point_plans(
     let mut stats = SearchStats::default();
     let mut plans = Vec::new();
     for m in representatives(memory) {
-        let r = optimize(model, memory, &Mode::LscAt(m), config)?;
-        stats.absorb(&r.stats);
-        plans.push(r.plan);
+        let mut policy = KeepBestPolicy::new(MemoryCoster::point(m));
+        let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
+        stats.absorb(&run.stats);
+        plans.push(run.plans.node(run.best().plan));
     }
+    rank_by_expected_cost(model, memory, plans, stats)
+}
 
-    // EC-rank the plans; the replay evaluations count toward the uniform
-    // stats like every other cost-formula call.
+/// Algorithm A's and B's last step: the candidate of least expected cost
+/// under `memory` (the first of an exact tie), with the replay's formula
+/// evaluations added to `stats` like every other cost-formula call.
+pub(crate) fn rank_by_expected_cost(
+    model: &CostModel<'_>,
+    memory: &Distribution,
+    candidates: Vec<PlanNode>,
+    mut stats: SearchStats,
+) -> Result<SearchOutcome, OptError> {
     model.reset_evals();
-    let (plan, cost) = plans
+    let (plan, cost) = candidates
         .into_iter()
         .map(|plan| {
             let ec = expected_plan_cost_static(model, &plan, memory);
@@ -62,7 +77,7 @@ mod tests {
     use super::*;
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
     use crate::lsc::PointEstimate;
-    use crate::optimizer::{lsc_at, run};
+    use crate::optimizer::{lsc_at, run, Mode};
 
     #[test]
     fn algorithm_a_recovers_plan2_in_example_1_1() {

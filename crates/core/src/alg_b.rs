@@ -2,13 +2,14 @@
 //!
 //! Policy over the engine: one [`TopCPolicy`] run per memory
 //! representative (the Proposition 3.1 frontier lives in the policy),
-//! then EC ranking of the union of root candidates.
+//! then EC ranking of the union of root candidates
+//! (`alg_a::rank_by_expected_cost`, shared with Algorithm A).
 
 use crate::error::OptError;
 use crate::search::{
     run_search_with, PlanShape, SearchConfig, SearchOutcome, SearchStats, TopCPolicy,
 };
-use lec_cost::{expected_plan_cost_static, CostModel};
+use lec_cost::CostModel;
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
 
@@ -39,19 +40,7 @@ pub(crate) fn rank_top_c_plans(
             }
         }
     }
-
-    // EC-rank the union of candidates, counting the replay evaluations.
-    model.reset_evals();
-    let mut best: Option<(PlanNode, f64)> = None;
-    for plan in &candidates {
-        let ec = expected_plan_cost_static(model, plan, memory);
-        if best.as_ref().is_none_or(|(_, b)| ec < *b) {
-            best = Some((plan.clone(), ec));
-        }
-    }
-    stats.evals += model.evals();
-    let (plan, cost) = best.ok_or(OptError::NoPlanFound)?;
-    Ok(SearchOutcome { plan, cost, stats })
+    crate::alg_a::rank_by_expected_cost(model, memory, candidates, stats)
 }
 
 #[cfg(test)]

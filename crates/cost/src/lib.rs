@@ -16,7 +16,8 @@
 //!   which;
 //! * [`expected`] — expected *join* cost under size+memory distributions:
 //!   the defining `O(b³)` triple sum and the paper's `O(b)` streaming
-//!   algorithms, which are tested to agree exactly;
+//!   algorithms, which are tested to agree exactly, reading each
+//!   distribution's one-pass prefix tables ([`DistTables`]);
 //! * [`oracle`] — ground truth for the optimizer's theorems: every plan of
 //!   a space, priced by the replay.
 
@@ -29,8 +30,8 @@ pub mod oracle;
 pub mod plan_cost;
 
 pub use expected::{
-    expected_join_cost, expected_sort_cost, naive_expected_join_cost, streaming_expected_join_cost,
-    DistTables,
+    expected_join_costs, expected_sort_cost, naive_expected_join_cost,
+    streaming_expected_join_costs, DistTables,
 };
 pub use model::{
     avalanche, dist_fingerprint, table_occurrence_fingerprint, table_stats_fingerprint, AccessPath,

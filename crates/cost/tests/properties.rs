@@ -1,8 +1,8 @@
-//! Property tests for the cost crate: formula laws, streaming/naive
-//! agreement, scalar expectations priced in place, and plan-cost
-//! consistency.
+//! Property tests for the cost crate: prefix tables against direct sums,
+//! formula laws, streaming/naive agreement, scalar expectations priced in
+//! place, and plan-cost consistency.
 
-use lec_cost::expected::{naive_expected_join_cost, streaming_expected_join_cost, DistTables};
+use lec_cost::expected::{naive_expected_join_cost, streaming_expected_join_costs, DistTables};
 use lec_cost::formulas;
 use lec_plan::JoinMethod;
 use lec_prob::Distribution;
@@ -13,7 +13,23 @@ fn arb_dist(lo: f64, hi: f64) -> impl Strategy<Value = Distribution> {
         .prop_map(|pairs| Distribution::from_pairs(pairs).expect("valid"))
 }
 
+const SEPARABLE: [JoinMethod; 3] = [
+    JoinMethod::SortMerge,
+    JoinMethod::GraceHash,
+    JoinMethod::PageNestedLoop,
+];
+
 proptest! {
+    #[test]
+    fn prefix_tables_agree_with_direct_sums(d in arb_dist(1.0, 1e6), x in 0.0f64..2e6) {
+        let t = DistTables::new(&d);
+        let direct_le: f64 = d.iter().filter(|&(v, _)| v <= x).map(|(_, p)| p).sum();
+        let direct_pe: f64 = d.iter().filter(|&(v, _)| v <= x).map(|(v, p)| v * p).sum();
+        prop_assert!((t.prob_le(x) - direct_le).abs() < 1e-9);
+        prop_assert!((t.expect_first(t.count_le(x)) - direct_pe).abs() < 1e-6);
+        prop_assert!((t.prob_le(x) + t.prob_gt(x) - 1.0).abs() < 1e-9);
+    }
+
     /// Streaming EC ≡ naive EC for every separable method — §3.6.1/§3.6.2
     /// verified over the whole input space, including boundary ties.
     #[test]
@@ -24,9 +40,9 @@ proptest! {
     ) {
         let mt = DistTables::new(&m);
         let (ta, tb) = (DistTables::new(&a), DistTables::new(&b));
-        for method in [JoinMethod::SortMerge, JoinMethod::GraceHash, JoinMethod::PageNestedLoop] {
+        let streamed = streaming_expected_join_costs(&ta, &tb, &mt);
+        for (method, fast) in SEPARABLE.into_iter().zip(streamed) {
             let naive = naive_expected_join_cost(method, &a, &b, &m);
-            let fast = streaming_expected_join_cost(method, &ta, &tb, &mt).unwrap();
             prop_assert!(
                 ((naive - fast) / naive.max(1.0)).abs() < 1e-9,
                 "{method:?}: {naive} vs {fast}"
@@ -127,8 +143,8 @@ proptest! {
         let da = DistTables::new(&Distribution::point(a));
         let db = DistTables::new(&Distribution::point(b));
         let mt = DistTables::new(&Distribution::point(m));
-        for method in [JoinMethod::SortMerge, JoinMethod::GraceHash, JoinMethod::PageNestedLoop] {
-            let fast = streaming_expected_join_cost(method, &da, &db, &mt).unwrap();
+        let streamed = streaming_expected_join_costs(&da, &db, &mt);
+        for (method, fast) in SEPARABLE.into_iter().zip(streamed) {
             let f: fn(f64, f64, f64) -> f64 = match method {
                 JoinMethod::SortMerge => formulas::sm_join_cost,
                 JoinMethod::GraceHash => formulas::grace_join_cost,
@@ -152,9 +168,9 @@ proptest! {
         let mt = DistTables::new(&m);
         let mt_up = DistTables::new(&m_up);
         let (a, b) = (DistTables::new(&a), DistTables::new(&b));
-        for method in [JoinMethod::SortMerge, JoinMethod::GraceHash, JoinMethod::PageNestedLoop] {
-            let base = streaming_expected_join_cost(method, &a, &b, &mt).unwrap();
-            let up = streaming_expected_join_cost(method, &a, &b, &mt_up).unwrap();
+        let base = streaming_expected_join_costs(&a, &b, &mt);
+        let up = streaming_expected_join_costs(&a, &b, &mt_up);
+        for (method, (up, base)) in SEPARABLE.into_iter().zip(up.into_iter().zip(base)) {
             prop_assert!(up <= base + 1e-6, "{method:?}: {up} > {base}");
         }
     }

@@ -199,28 +199,6 @@ impl Distribution {
         self.iter().map(|(v, p)| f(v) * p).sum()
     }
 
-    /// `Pr(X <= x)`.
-    pub fn prob_le(&self, x: f64) -> f64 {
-        let idx = self.support.partition_point(|&v| v <= x);
-        self.probs[..idx].iter().sum()
-    }
-
-    /// `Pr(X < x)`.
-    pub fn prob_lt(&self, x: f64) -> f64 {
-        let idx = self.support.partition_point(|&v| v < x);
-        self.probs[..idx].iter().sum()
-    }
-
-    /// `Pr(X >= x)`.
-    pub fn prob_ge(&self, x: f64) -> f64 {
-        1.0 - self.prob_lt(x)
-    }
-
-    /// `Pr(X > x)`.
-    pub fn prob_gt(&self, x: f64) -> f64 {
-        1.0 - self.prob_le(x)
-    }
-
     /// Smallest support value `v` with `Pr(X <= v) >= q` (a quantile).
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile level must be in [0,1]");
@@ -277,29 +255,15 @@ impl Distribution {
 
     /// Draw a sample using inverse-CDF sampling.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.support[self.sample_index(rng)]
-    }
-
-    /// Draw the *index* of a sampled bucket.
-    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         let mut acc = 0.0;
-        for (i, &p) in self.probs.iter().enumerate() {
+        for (v, p) in self.iter() {
             acc += p;
             if u < acc {
-                return i;
+                return v;
             }
         }
-        self.len() - 1 // guard against accumulated rounding
-    }
-
-    /// Structural comparison with tolerance, for tests.
-    pub fn approx_eq(&self, other: &Distribution, tol: f64) -> bool {
-        self.len() == other.len()
-            && self
-                .iter()
-                .zip(other.iter())
-                .all(|((v1, p1), (v2, p2))| (v1 - v2).abs() <= tol && (p1 - p2).abs() <= tol)
+        self.max_value() // guard against accumulated rounding
     }
 }
 
@@ -534,8 +498,6 @@ mod tests {
         assert_eq!(d.mean(), 42.0);
         assert_eq!(d.mode(), 42.0);
         assert_eq!(d.variance(), 0.0);
-        assert_eq!(d.prob_le(42.0), 1.0);
-        assert_eq!(d.prob_lt(42.0), 0.0);
     }
 
     #[test]
@@ -544,8 +506,6 @@ mod tests {
         let d = example_memory();
         assert!((d.mean() - 1740.0).abs() < 1e-9);
         assert_eq!(d.mode(), 2000.0);
-        assert!((d.prob_gt(1000.0) - 0.8).abs() < 1e-12);
-        assert!((d.prob_le(700.0) - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -654,18 +614,6 @@ mod tests {
         assert_eq!(d.support(), &support);
         assert_eq!(d.probs(), &probs);
         assert_eq!(d.support().as_ptr(), at, "fewer buckets fit the old buffer");
-    }
-
-    #[test]
-    fn tail_probabilities_are_consistent() {
-        let d = Distribution::uniform(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        for x in [0.5, 1.0, 2.5, 4.0, 9.0] {
-            assert!((d.prob_le(x) + d.prob_gt(x) - 1.0).abs() < 1e-12);
-            assert!((d.prob_lt(x) + d.prob_ge(x) - 1.0).abs() < 1e-12);
-        }
-        assert_eq!(d.prob_le(2.0), 0.5);
-        assert_eq!(d.prob_lt(2.0), 0.25);
-        assert_eq!(d.prob_ge(2.0), 0.75);
     }
 
     #[test]

@@ -187,7 +187,12 @@ mod tests {
             vec![105.0, 400.0], // snaps to 100
         ];
         let init = fit_initial(&traces, &chain).unwrap();
-        assert!((init.prob_le(100.0) - 0.75).abs() < 1e-12);
+        let le_100: f64 = init
+            .iter()
+            .filter(|&(v, _)| v <= 100.0)
+            .map(|(_, p)| p)
+            .sum();
+        assert!((le_100 - 0.75).abs() < 1e-12);
         assert!(fit_initial(&[], &chain).is_err());
     }
 }

@@ -5,10 +5,8 @@
 //! Exercise in Utility"* (PODS 1999):
 //!
 //! * [`Distribution`] — the bucketed discrete distributions over parameter
-//!   values (§3.1–§3.2), with expectations, tail probabilities, independent
+//!   values (§3.1–§3.2), with expectations, quantiles, independent
 //!   products and the ∛-rebucketing of §3.6.3;
-//! * [`PrefixTables`] — the `O(b)` cumulative tables enabling the paper's
-//!   linear-time expected-cost computations (§3.6.1, §3.6.2);
 //! * [`MarkovChain`] — the per-phase memory evolution model of §3.5
 //!   (Theorem 3.4);
 //! * [`presets`] — parametric environment families used by the experiments
@@ -27,10 +25,8 @@ pub mod dist;
 pub mod error;
 pub mod fit;
 pub mod markov;
-pub mod prefix;
 pub mod presets;
 
 pub use dist::{normalize_pairs, product_pairs, rebucket_pairs, Distribution, Rebucket};
 pub use error::ProbError;
 pub use markov::MarkovChain;
-pub use prefix::PrefixTables;

@@ -227,39 +227,27 @@ impl InflightSearch {
 
     /// Block until the leader publishes, then share its result out (an
     /// `Arc` bump, not a deep clone — followers relabel from the shared
-    /// canonical outcome).
-    pub(crate) fn wait(&self) -> Result<Arc<SearchOutcome>, ServeError> {
-        let mut slot = self.done.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return result.clone();
-            }
-            slot = self.cv.wait(slot).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Like [`Self::wait`], but give up at `deadline`: returns `None` if
-    /// the leader has not published by then.  The leader's search is *not*
+    /// canonical outcome).  With a `deadline`, give up then: `None` if
+    /// the leader has not published by it.  The leader's search is *not*
     /// cancelled — it still completes and feeds the cache; only this
     /// follower stops waiting (and reports `DeadlineExceeded` upstream).
-    pub(crate) fn wait_deadline(
+    pub(crate) fn wait(
         &self,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> Option<Result<Arc<SearchOutcome>, ServeError>> {
         let mut slot = self.done.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if let Some(result) = slot.as_ref() {
                 return Some(result.clone());
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timeout) = self
-                .cv
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            slot = guard;
+            slot = match deadline {
+                None => self.cv.wait(slot).unwrap_or_else(|p| p.into_inner()),
+                Some(deadline) => {
+                    let left = deadline.checked_duration_since(Instant::now())?;
+                    let waited = self.cv.wait_timeout(slot, left);
+                    waited.unwrap_or_else(|p| p.into_inner()).0
+                }
+            };
         }
     }
 
@@ -572,7 +560,7 @@ mod tests {
             .collect();
         let waiters: Vec<_> = followers
             .into_iter()
-            .map(|f| std::thread::spawn(move || f.wait()))
+            .map(|f| std::thread::spawn(move || f.wait(None).unwrap()))
             .collect();
         c.publish_answer(&key(7), answer(4, 9.0));
         for w in waiters {
@@ -598,7 +586,7 @@ mod tests {
         };
         c.publish_error(&key(9), ServeError::Opt(OptError::WorkerPanicked));
         assert_eq!(
-            f.wait().unwrap_err(),
+            f.wait(None).unwrap().unwrap_err(),
             ServeError::Opt(OptError::WorkerPanicked)
         );
         // Nothing was cached; the next request elects a fresh leader.

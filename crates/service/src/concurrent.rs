@@ -418,10 +418,7 @@ impl<'a> ConcurrentPlanServer<'a> {
                 ExactLookup::Follow(flight) => {
                     trace.span(Stage::CacheProbe, probe_start, 1);
                     let wait_start = trace.now_ns();
-                    let waited = match deadline {
-                        Some(d) => flight.wait_deadline(d).ok_or(ServeError::DeadlineExceeded),
-                        None => Ok(flight.wait()),
-                    };
+                    let waited = flight.wait(deadline).ok_or(ServeError::DeadlineExceeded);
                     // Detail 1 marks a wait that expired or surfaced the
                     // leader's error rather than an answer.
                     trace.span(
@@ -825,7 +822,7 @@ mod tests {
         let ExactLookup::Follow(flight) = server.cache.lookup_or_lead(&exact_key) else {
             panic!("second miss must follow");
         };
-        let waiter = std::thread::spawn(move || flight.wait());
+        let waiter = std::thread::spawn(move || flight.wait(None).unwrap());
         // Shed the in-flight leader by publishing what serve_with would.
         server
             .cache

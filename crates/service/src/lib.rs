@@ -46,8 +46,10 @@
 //! `serve` takes `&self`, the plan cache is lock-striped so hits never
 //! serialize behind a global lock, and concurrent misses on the same
 //! exact canonical shape *coalesce*: one leader runs the DP, every
-//! follower blocks on it and gets the leader's canonical outcome
-//! relabeled into its own table numbering ([`CacheDecision::Coalesced`]).
+//! follower blocks on it — until its request's deadline, if
+//! [`ServeCtx::deadline`] sets one — and gets the leader's canonical
+//! outcome relabeled into its own table numbering
+//! ([`CacheDecision::Coalesced`]).
 //! Share the server with `Arc` (or plain borrows under
 //! [`std::thread::scope`]):
 //!

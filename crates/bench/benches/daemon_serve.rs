@@ -244,9 +244,8 @@ fn bench_daemon_serve(_c: &mut Criterion) {
     let shed_probes = 8usize;
     // Dedicated probe queries generated under a fresh seed: their random
     // selectivities make each canonical shape distinct from the whole
-    // stream pool, so no probe can coalesce onto the holder's in-flight
-    // search (or hit stream[0]'s warm entry) — every one needs the cold
-    // slot the holder occupies.
+    // stream pool, so no probe can hit stream[0]'s warm entry — every one
+    // needs the cold slot the holder occupies.
     let probe_queries: Vec<Query> = {
         let mut pg = lec_catalog::CatalogGenerator::new(97);
         let mut pwg = WorkloadGenerator::new(0xF00D);

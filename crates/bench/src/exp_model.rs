@@ -383,7 +383,7 @@ mod tests {
                 let errs = [
                     rel(approx.mean(), exact.mean()),
                     rel(raw_approx.mean(), raw.mean()),
-                    (approx_t.prob_gt(thresh) - exact_t.prob_gt(thresh)).abs(),
+                    (approx_t.sums().prob_gt(thresh) - exact_t.sums().prob_gt(thresh)).abs(),
                     ((ec_approx - ec_exact) / ec_exact.max(1.0)).abs(),
                 ];
                 for (w, e) in worst.iter_mut().zip(errs) {
@@ -566,10 +566,13 @@ mod tests {
         let b_outer = model
             .base_pages_dist(first)
             .product(&model.base_pages_dist(second))
-            .product(&model.join_selectivity_dist(TableSet::singleton(first), second))
+            .product(&model.join_selectivity_dist_sets(
+                TableSet::singleton(first),
+                TableSet::singleton(second),
+            ))
             .map(|v| v.max(1.0));
         let a_j = model.base_pages_dist(j);
-        let sigma = model.join_selectivity_dist(sj, j);
+        let sigma = model.join_selectivity_dist_sets(sj, TableSet::singleton(j));
 
         println!("node S_j = {sj}, joining A_j = table {j}\n");
         let mut t = Table::new(&["distribution", "buckets", "mean", "min", "max"]);

@@ -228,7 +228,7 @@ fn twin_swap_exists(exact_attr: &[u64], query: &Query, labels: &[EdgeLabels]) ->
 /// the query is too large or too symmetric to canonicalize cheaply (the
 /// caller then treats the request as uncacheable, counting the reason).
 /// The form's two vectors are all it allocates: per-join labels and
-/// half-edges live in stack scratch up to [`STACK_JOINS`] joins.
+/// half-edges live in stack scratch up to `STACK_JOINS` joins.
 pub fn canonical_form(catalog: &Catalog, query: &Query) -> Result<CanonicalForm, RefusalReason> {
     with_scratch::<_, STACK_JOINS, _>(query.joins.len(), |labels| {
         let r = refine(catalog, query, labels)?;

@@ -9,7 +9,6 @@
 //! using the level sets ... we can minimize the computation involved").
 
 use lec_cost::CostModel;
-use lec_plan::JoinMethod;
 use lec_prob::{Distribution, Rebucket};
 
 /// How to reduce a fine-grained "true" memory distribution to `b` buckets
@@ -40,8 +39,8 @@ pub fn query_memory_breakpoints(model: &CostModel<'_>) -> Vec<f64> {
         let b = model.base_pages(r);
         bps.extend(formulas::sm_breakpoints(a, b));
         bps.extend(formulas::grace_breakpoints(a, b));
+        // Block nested-loop's cliffs are dense; level sets skip them.
         bps.extend(formulas::nl_breakpoints(a, b));
-        let _ = JoinMethod::ALL; // BNL cliffs are dense; level sets skip them
     }
     if query.required_order.is_some() {
         // Estimate the final result size as the full product of base sizes

@@ -19,10 +19,8 @@ pub enum OptError {
     BadParameter(&'static str),
     /// The search serving a request panicked (e.g. a coster bug).  The
     /// engine itself never returns this — a panic inside a search unwinds
-    /// to its caller; the serving layer produces it, for the followers
-    /// coalesced onto a leader whose search panicked (`lec-service`) and
-    /// for a connection whose request handler panicked (`lec-serviced`,
-    /// wire code 3).
+    /// to its caller; the daemon produces it for a request whose handler
+    /// caught the panic (`lec-serviced`, wire code 3).
     WorkerPanicked,
 }
 

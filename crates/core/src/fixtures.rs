@@ -295,7 +295,7 @@ const PRUNING_CLIQUE_SEL: f64 = 1e-2;
 /// An `n`-table clique built to exercise branch-and-bound pruning on a
 /// *dense* join graph: every pair of 1000-page tables is joined, so every
 /// subset of every size is connected.  The joins among tables `1`, `6`
-/// and `11` are expansive ([`PRUNING_EXPANSIVE_SEL`]); every other pair
+/// and `11` are expansive (`PRUNING_EXPANSIVE_SEL`); every other pair
 /// is mildly reductive.  Subsets gathering two or three of the expansive
 /// trio before the rest of the clique has collapsed the intermediate
 /// carry size floors of `5·10⁵` pages and up against incumbents in the

@@ -1,7 +1,7 @@
 //! The costing axis of the keep-1 and top-c policies: how one
 //! memory-dependent operator is priced.
 //!
-//! Memory is a distribution everywhere.  "The standard approach [is] the
+//! Memory is a distribution everywhere.  "The standard approach \[is\] the
 //! special case where there is only one bucket", and §3.5's static case is
 //! the dynamic one with a single phase distribution — so there is one
 //! coster, [`MemoryCoster`], holding one distribution per execution phase,

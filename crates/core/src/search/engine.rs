@@ -6,7 +6,7 @@
 //! the *connected* subsets of its size only ([`next_level`]): the walk
 //! costs what the join graph has, not the `2^n` lattice around it.
 //!
-//! A level's entries live in one exactly sized vector ([`fill_table`]),
+//! A level's entries live in one exactly sized vector (`fill_table`),
 //! their plans as steps of the search's [`PlanArena`]; a plan is copied
 //! out only for a root a caller takes ([`SearchRun::plans`]).  A
 //! left-deep level is grown from its parents (`grow_left_deep`), so a

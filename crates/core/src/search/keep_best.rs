@@ -8,7 +8,7 @@
 //!
 //! A keep-1 `combine` prices and sums every candidate of a split, then
 //! inserts only those no cheaper candidate of the split covers
-//! ([`for_each_cheapest`]).  The split's cheapest candidate covers every
+//! (`for_each_cheapest`).  The split's cheapest candidate covers every
 //! candidate not sorted as required, and the cheapest of those sorted as
 //! required covers the rest, so two minima filter the split.  A costlier
 //! candidate is strictly dominated by a covering one: the insert rule

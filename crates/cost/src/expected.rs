@@ -196,11 +196,11 @@ pub fn streaming_expected_join_costs(a: &DistTables, b: &DistTables, m: &DistTab
 /// `E[X·1{X ≤ v_i}]`, `√v` and `∛v` — the roots at which sort-merge's,
 /// Grace's and the sort's memory brackets are read, computed here once
 /// rather than per size pair.  Every query of the tables (§3.6.1's
-/// `Pr(M > √b)`, `E(|A| : |A| ≤ b)`, …) is a binary search for a
-/// position in the support ([`Self::count_le`], [`Self::count_lt`]) and
-/// a read of the sums there ([`Self::prob_first`],
-/// [`Self::expect_first`]), one search for every quantity at that
-/// position.
+/// `Pr(M > √b)`, `E(|A| : |A| ≤ b)`, …) goes through [`Self::sums`]: a
+/// binary search for a position in the support ([`Sums::count_le`],
+/// [`Sums::count_lt`]) and a read of the sums there
+/// ([`Sums::prob_first`], [`Sums::expect_first`]), one search for every
+/// quantity at that position.
 #[derive(Debug, Clone)]
 pub struct DistTables {
     block: Arc<[f64]>,
@@ -291,56 +291,15 @@ impl DistTables {
             .zip(self.probs().iter().copied())
     }
 
-    /// The columns the queries read, sliced once: what a hot loop binds
-    /// rather than slicing the block per query.
-    fn sums(&self) -> Sums<'_> {
+    /// The support and running sums, sliced once: the §3.6.1 query
+    /// surface, which a hot loop binds rather than slicing the block per
+    /// query.
+    pub fn sums(&self) -> Sums<'_> {
         Sums {
             support: self.support(),
             cum_prob: self.column(2),
             cum_vp: self.column(3),
         }
-    }
-
-    /// The number of support values `<= x`: the position at which
-    /// [`Self::prob_first`] and [`Self::expect_first`] read `Pr(X <= x)`
-    /// and `E[X · 1{X <= x}]`.
-    pub fn count_le(&self, x: f64) -> usize {
-        self.sums().count_le(x)
-    }
-
-    /// The number of support values `< x`.
-    pub fn count_lt(&self, x: f64) -> usize {
-        self.sums().count_lt(x)
-    }
-
-    /// The probability of the first `i` buckets.
-    pub fn prob_first(&self, i: usize) -> f64 {
-        self.sums().prob_first(i)
-    }
-
-    /// The partial expectation `E[X · 1{X in the first i buckets}]`.
-    pub fn expect_first(&self, i: usize) -> f64 {
-        self.sums().expect_first(i)
-    }
-
-    /// The mean `E[X]`: the last partial expectation.
-    pub fn mean(&self) -> f64 {
-        self.sums().mean()
-    }
-
-    /// `Pr(X <= x)`.
-    pub fn prob_le(&self, x: f64) -> f64 {
-        self.sums().prob_le(x)
-    }
-
-    /// `Pr(X > x)`.
-    pub fn prob_gt(&self, x: f64) -> f64 {
-        self.sums().prob_gt(x)
-    }
-
-    /// `Pr(X >= x)`.
-    pub fn prob_ge(&self, x: f64) -> f64 {
-        self.sums().prob_ge(x)
     }
 
     /// The distribution, bit for bit.
@@ -359,50 +318,62 @@ impl DistTables {
     }
 }
 
-/// A [`DistTables`]' support and running sums, sliced once; each query
-/// is [`DistTables`]' of the same name.
-struct Sums<'a> {
+/// A [`DistTables`]' support and running sums `Pr(X ≤ v_i)` and
+/// `E[X·1{X ≤ v_i}]`, sliced once ([`DistTables::sums`]): §3.6.1's
+/// queries.
+#[derive(Debug, Clone, Copy)]
+pub struct Sums<'a> {
     support: &'a [f64],
     cum_prob: &'a [f64],
     cum_vp: &'a [f64],
 }
 
 impl Sums<'_> {
-    fn count_le(&self, x: f64) -> usize {
+    /// The number of support values `<= x`: the position at which
+    /// [`Self::prob_first`] and [`Self::expect_first`] read `Pr(X <= x)`
+    /// and `E[X · 1{X <= x}]`.
+    pub fn count_le(&self, x: f64) -> usize {
         self.support.partition_point(|&v| v <= x)
     }
 
-    fn count_lt(&self, x: f64) -> usize {
+    /// The number of support values `< x`.
+    pub fn count_lt(&self, x: f64) -> usize {
         self.support.partition_point(|&v| v < x)
     }
 
-    fn prob_first(&self, i: usize) -> f64 {
+    /// The probability of the first `i` buckets.
+    pub fn prob_first(&self, i: usize) -> f64 {
         match i {
             0 => 0.0,
             i => self.cum_prob[i - 1],
         }
     }
 
-    fn expect_first(&self, i: usize) -> f64 {
+    /// The partial expectation `E[X · 1{X in the first i buckets}]`.
+    pub fn expect_first(&self, i: usize) -> f64 {
         match i {
             0 => 0.0,
             i => self.cum_vp[i - 1],
         }
     }
 
-    fn mean(&self) -> f64 {
+    /// The mean `E[X]`: the last partial expectation.
+    pub fn mean(&self) -> f64 {
         self.expect_first(self.support.len())
     }
 
-    fn prob_le(&self, x: f64) -> f64 {
+    /// `Pr(X <= x)`.
+    pub fn prob_le(&self, x: f64) -> f64 {
         self.prob_first(self.count_le(x))
     }
 
-    fn prob_gt(&self, x: f64) -> f64 {
+    /// `Pr(X > x)`.
+    pub fn prob_gt(&self, x: f64) -> f64 {
         1.0 - self.prob_le(x)
     }
 
-    fn prob_ge(&self, x: f64) -> f64 {
+    /// `Pr(X >= x)`.
+    pub fn prob_ge(&self, x: f64) -> f64 {
         1.0 - self.prob_first(self.count_lt(x))
     }
 }
@@ -521,15 +492,15 @@ mod tests {
             }
 
             fn mean(&self) -> f64 {
-                self.0.mean()
+                self.0.sums().mean()
             }
 
             fn prob_le(&self, x: f64) -> f64 {
-                self.0.prob_first(self.count_le(x))
+                self.0.sums().prob_first(self.count_le(x))
             }
 
             fn prob_lt(&self, x: f64) -> f64 {
-                self.0.prob_first(self.count_lt(x))
+                self.0.sums().prob_first(self.count_lt(x))
             }
 
             fn prob_ge(&self, x: f64) -> f64 {
@@ -541,7 +512,7 @@ mod tests {
             }
 
             fn partial_expect_le(&self, x: f64) -> f64 {
-                self.0.expect_first(self.count_le(x))
+                self.0.sums().expect_first(self.count_le(x))
             }
 
             fn partial_expect_ge(&self, x: f64) -> f64 {
@@ -549,7 +520,7 @@ mod tests {
             }
 
             fn partial_expect_lt(&self, x: f64) -> f64 {
-                self.0.expect_first(self.count_lt(x))
+                self.0.sums().expect_first(self.count_lt(x))
             }
 
             fn partial_expect_gt(&self, x: f64) -> f64 {
@@ -840,7 +811,8 @@ mod tests {
     #[test]
     fn tables_match_direct_computation() {
         let d = four_buckets();
-        let t = tabled(&d);
+        let tables = tabled(&d);
+        let t = tables.sums();
         for x in [0.0, 1.0, 1.5, 2.0, 4.9, 5.0, 8.0, 9.0, 100.0] {
             let (le, e_le) = direct(&d, |v| v <= x);
             let (lt, _) = direct(&d, |v| v < x);
@@ -857,7 +829,7 @@ mod tests {
     #[test]
     fn mean_agrees() {
         let d = four_buckets();
-        assert!((tabled(&d).mean() - d.mean()).abs() < 1e-12);
+        assert!((tabled(&d).sums().mean() - d.mean()).abs() < 1e-12);
     }
 
     /// The partial expectation read at `count_le` (`count_lt`) and the
@@ -865,7 +837,8 @@ mod tests {
     #[test]
     fn partial_expectations_partition_the_mean() {
         let d = four_buckets();
-        let t = tabled(&d);
+        let tables = tabled(&d);
+        let t = tables.sums();
         for x in [0.5, 2.0, 5.0, 9.0, 10.0] {
             let le = t.expect_first(t.count_le(x));
             let (_, gt) = direct(&d, |v| v > x);
@@ -880,8 +853,9 @@ mod tests {
     /// uniform distribution, a point mass and Example 1.1's memory.
     #[test]
     fn tail_probabilities_are_consistent() {
-        let prob_lt = |t: &DistTables, x| t.prob_first(t.count_lt(x));
-        let t = tabled(&Distribution::uniform(&[1.0, 2.0, 3.0, 4.0]).unwrap());
+        let prob_lt = |t: &Sums, x| t.prob_first(t.count_lt(x));
+        let uniform = tabled(&Distribution::uniform(&[1.0, 2.0, 3.0, 4.0]).unwrap());
+        let t = uniform.sums();
         for x in [0.5, 1.0, 2.5, 4.0, 9.0] {
             assert!((t.prob_le(x) + t.prob_gt(x) - 1.0).abs() < 1e-12);
             assert!((prob_lt(&t, x) + t.prob_ge(x) - 1.0).abs() < 1e-12);
@@ -890,9 +864,11 @@ mod tests {
         assert_eq!(prob_lt(&t, 2.0), 0.25);
         assert_eq!(t.prob_ge(2.0), 0.75);
         let point = tabled(&Distribution::point(42.0));
+        let point = point.sums();
         assert_eq!(point.prob_le(42.0), 1.0);
         assert_eq!(prob_lt(&point, 42.0), 0.0);
         let memory = tabled(&Distribution::bimodal(700.0, 2000.0, 0.8).unwrap());
+        let memory = memory.sums();
         assert!((memory.prob_gt(1000.0) - 0.8).abs() < 1e-12);
         assert!((memory.prob_le(700.0) - 0.2).abs() < 1e-12);
     }

@@ -337,11 +337,6 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Distribution of the combined selectivity (`Pr(σ)` in Figure 1).
-    pub fn join_selectivity_dist(&self, set: TableSet, idx: usize) -> Distribution {
-        self.join_selectivity_dist_sets(set, TableSet::singleton(idx))
-    }
-
     /// The tables outside `set` sharing a join predicate with a member of
     /// it: what `set` can be joined with, one table at a time, without a
     /// cross product.
@@ -548,7 +543,7 @@ mod tests {
         let m = CostModel::new(&cat, &q);
         let s = m.join_selectivity_sets(TableSet::singleton(0), TableSet::singleton(1));
         assert!((s - 1e-4 * 0.5).abs() < 1e-18);
-        let d = m.join_selectivity_dist(TableSet::singleton(0), 1);
+        let d = m.join_selectivity_dist_sets(TableSet::singleton(0), TableSet::singleton(1));
         assert!(d.is_point());
         assert!((d.mean() - 5e-5).abs() < 1e-18);
     }

@@ -1,16 +1,16 @@
 //! The concurrent-serving acceptance tests: N client threads sharing one
-//! `ConcurrentPlanServer` through `&self`, with every response —
-//! served, coalesced, recomputed — byte-identical (plan,
-//! cost bits, table numbering) to a fresh `Optimizer::optimize` of the
-//! same request under randomized interleavings; plus deterministic
-//! coalescing tests built on a gate-keeping serve hook that holds a
-//! leader just short of its search until its followers have provably
-//! queued.
+//! `ConcurrentPlanServer` through `&self`, with every response — served
+//! or recomputed — byte-identical (plan, cost bits, table numbering) to a
+//! fresh `Optimizer::optimize` of the same request under randomized
+//! interleavings; plus deterministic same-key tests built on a
+//! gate-keeping serve hook that holds every search just short of its DP
+//! until all of them have provably missed.
 
-use lec_core::{Mode, OptError, Optimizer};
+use lec_core::{Mode, OptError, Optimizer, SearchOutcome};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::{
-    CacheDecision, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks, ServeResponse,
+    canonical_form, CacheDecision, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks,
+    ServeResponse,
 };
 use lec_telemetry::TraceCtx;
 use rand::rngs::StdRng;
@@ -96,17 +96,15 @@ fn concurrent_clients_stay_byte_identical_to_fresh_optimization() {
         .collect();
 
     let server = Arc::new(ConcurrentPlanServer::new(&catalog, memory));
-    let coalesced = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for client in 0..CLIENTS {
             let server = Arc::clone(&server);
-            let (stream, fresh, mode, coalesced) = (&stream, &fresh, &mode, &coalesced);
+            let (stream, fresh, mode) = (&stream, &fresh, &mode);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ client as u64);
                 for i in (client..STREAM_LEN).step_by(CLIENTS) {
                     // Randomize the interleaving: sometimes yield before
-                    // serving so leaders and followers swap roles between
-                    // runs.
+                    // serving so racing misses change between runs.
                     if rng.gen::<bool>() {
                         std::thread::yield_now();
                     }
@@ -123,9 +121,6 @@ fn concurrent_clients_stay_byte_identical_to_fresh_optimization() {
                         "request {i}: cost bits differ (decision {:?})",
                         resp.decision
                     );
-                    if resp.decision == CacheDecision::Coalesced {
-                        coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
                 }
             });
         }
@@ -136,22 +131,17 @@ fn concurrent_clients_stay_byte_identical_to_fresh_optimization() {
     assert_eq!(stats.uncacheable, 0, "this stream is fully cacheable");
     // Every request resolved to exactly one decision.
     assert_eq!(
-        stats.served + stats.coalesced_followers + stats.recomputed,
+        stats.served + stats.recomputed,
         STREAM_LEN as u64,
         "decision accounting must close"
     );
-    // The follower counter agrees with the responses the clients saw.
-    assert_eq!(
-        stats.coalesced_followers as usize,
-        coalesced.load(Ordering::Relaxed),
-        "follower stat must match Coalesced responses"
-    );
-    // The skew must still be absorbed: at most one search per distinct
-    // shape (coalescing can only reduce searches, never add).
+    // The skew must still be absorbed: misses racing on one shape each
+    // search, but at most one entry per distinct shape is inserted.
+    assert_eq!(stats.insertions, server.cache_len() as u64);
     assert!(
-        stats.recomputed <= pool.len() as u64,
-        "more searches ({}) than distinct shapes ({})",
-        stats.recomputed,
+        server.cache_len() <= pool.len(),
+        "more entries ({}) than distinct shapes ({})",
+        server.cache_len(),
         pool.len()
     );
     assert!(
@@ -165,16 +155,18 @@ fn concurrent_clients_stay_byte_identical_to_fresh_optimization() {
     assert_eq!(server.hit_histogram().iter().sum::<u64>(), stats.served);
 }
 
-/// Serve hooks that can hold a leader at `before_search` — after cohort
-/// admission, so a test can pile followers onto the in-flight leader
-/// deterministically — and, when armed to, panic it instead of letting
-/// the search run.
+/// Serve hooks that count cold-slot admissions and releases and can hold
+/// every search at `before_search` — after its lookup missed, so a test
+/// can pile several misses onto one key deterministically — and, when
+/// armed to, panic the first search released instead of letting it run.
 #[derive(Debug, Default)]
 struct Gate {
     gated: AtomicBool,
     entered: AtomicUsize,
     released: AtomicBool,
     poisoned: AtomicBool,
+    admits: AtomicUsize,
+    releases: AtomicUsize,
 }
 
 impl Gate {
@@ -200,9 +192,24 @@ impl Gate {
             std::thread::yield_now();
         }
     }
+
+    /// Cold slots taken and given back.
+    fn permits(&self) -> (usize, usize) {
+        let admits = self.admits.load(Ordering::SeqCst);
+        (admits, self.releases.load(Ordering::SeqCst))
+    }
 }
 
 impl ServeHooks for Gate {
+    fn admit_cold(&self) -> bool {
+        self.admits.fetch_add(1, Ordering::SeqCst);
+        true
+    }
+
+    fn release_cold(&self) {
+        self.releases.fetch_add(1, Ordering::SeqCst);
+    }
+
     fn before_search(&self) {
         if self.gated.load(Ordering::SeqCst) {
             self.entered.fetch_add(1, Ordering::SeqCst);
@@ -214,14 +221,23 @@ impl ServeHooks for Gate {
                 );
                 std::thread::yield_now();
             }
-            if self.poisoned.load(Ordering::SeqCst) {
+            if self.poisoned.swap(false, Ordering::SeqCst) {
                 panic!("the gate poisoned this search");
             }
         }
     }
 }
 
-/// A 4-table chain for the gated cohort, plus a 3-table chain (another
+/// Admits nothing: every cold request is shed.
+struct Shed;
+
+impl ServeHooks for Shed {
+    fn admit_cold(&self) -> bool {
+        false
+    }
+}
+
+/// A 4-table chain for the same-key tests, plus a 3-table chain (another
 /// canonical key) for bystander traffic.
 fn gated_fixtures() -> (lec_catalog::Catalog, Query, Query) {
     let mut g = lec_catalog::CatalogGenerator::new(77);
@@ -238,15 +254,15 @@ fn gated_fixtures() -> (lec_catalog::Catalog, Query, Query) {
     (catalog, big, small)
 }
 
-/// `serve_with` behind `gate`, untraced, with no deadline.
+/// `serve_with` behind `hooks`, untraced, with no deadline.
 fn serve_behind(
     server: &ConcurrentPlanServer<'_>,
     query: &Query,
     mode: &Mode,
-    gate: &Gate,
+    hooks: &dyn ServeHooks,
 ) -> Result<ServeResponse, ServeError> {
     let ctx = ServeCtx {
-        hooks: gate,
+        hooks,
         deadline: None,
         trace: &mut TraceCtx::disabled(),
     };
@@ -258,149 +274,165 @@ fn gated_server(catalog: &lec_catalog::Catalog) -> ConcurrentPlanServer<'_> {
     ConcurrentPlanServer::with_optimizer(Optimizer::new(catalog, memory), 64)
 }
 
-/// Concurrent misses on one exact canonical key must run exactly one DP:
-/// the gate holds the leader's search open until three followers have
-/// provably attached, then every response comes out byte-identical and
-/// the metrics show one leader, three followers, one search.
+/// `query`'s fresh optimization, from a new optimizer over `server`'s
+/// catalog and memory.
+fn fresh_of(server: &ConcurrentPlanServer<'_>, query: &Query, mode: &Mode) -> SearchOutcome {
+    let opt = server.optimizer();
+    Optimizer::new(opt.catalog(), opt.memory().clone())
+        .optimize(query, mode)
+        .unwrap()
+}
+
+fn assert_same_answer(got: &ServeResponse, want: &SearchOutcome, what: &str) {
+    assert_eq!(got.plan, want.plan, "{what}: plan differs from fresh");
+    assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}: cost bits");
+}
+
+/// Four clients cold-serve renamings of one shape at once: the gate holds
+/// every search until all four have missed, so each runs its own search.
+/// Every answer is fresh optimization's, bit for bit; the first insert
+/// stays the shape's one entry, and a second round is all hits — in each
+/// caller's own table numbering.
 #[test]
-fn coalesced_misses_on_one_key_run_exactly_one_dp() {
+fn concurrent_misses_on_one_key_each_search_and_answer_alike() {
     let (catalog, big, _) = gated_fixtures();
     let gate = Gate::default();
     let server = gated_server(&catalog);
     let mode = Mode::AlgorithmC;
 
-    // Renamed copies of the same shape: one exact canonical key.
-    let renamings: [&[usize]; 3] = [&[1, 0, 2, 3], &[3, 2, 1, 0], &[2, 0, 3, 1]];
+    // Renamed copies of one shape: one exact canonical key.  None is in
+    // canonical labels already, so an entry stored in its inserter's
+    // labels would answer the second round wrong.
+    let renamed: Vec<Query> = [[1usize, 0, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [0, 3, 1, 2]]
+        .iter()
+        .map(|map| big.relabel_tables(map))
+        .collect();
+    for q in &renamed {
+        let perm = canonical_form(&catalog, q).expect("cacheable").perm;
+        assert!(perm.iter().enumerate().any(|(i, &p)| i != p));
+    }
+    let fresh: Vec<SearchOutcome> = renamed
+        .iter()
+        .map(|q| fresh_of(&server, q, &mode))
+        .collect();
 
     gate.arm(false);
     std::thread::scope(|scope| {
-        let leader = {
-            let (server, big, mode, gate) = (&server, &big, &mode, &gate);
-            scope.spawn(move || serve_behind(server, big, mode, gate).unwrap())
-        };
-        // The leader now provably holds the key (gated just before its DP).
-        gate.await_entered(1);
-        let followers: Vec<_> = renamings
+        let clients: Vec<_> = renamed
             .iter()
-            .map(|map| {
-                let renamed = big.relabel_tables(map);
+            .map(|q| {
                 let (server, mode, gate) = (&server, &mode, &gate);
-                scope.spawn(move || {
-                    let fresh = Optimizer::new(
-                        server.optimizer().catalog(),
-                        server.optimizer().memory().clone(),
-                    )
-                    .optimize(&renamed, mode)
-                    .unwrap();
-                    let resp = serve_behind(server, &renamed, mode, gate).unwrap();
-                    (resp, fresh)
-                })
+                scope.spawn(move || serve_behind(server, q, mode, gate).unwrap())
             })
             .collect();
-        // Hold the gate until every follower has attached to the leader's
-        // in-flight search — then release and let the single DP answer
-        // all four clients.
-        let t0 = Instant::now();
-        while server.cache_stats().coalesced_followers < renamings.len() as u64 {
-            assert!(
-                t0.elapsed() < Duration::from_secs(30),
-                "followers never attached"
-            );
-            std::thread::yield_now();
-        }
+        gate.await_entered(renamed.len());
         gate.release();
-
-        let leader_resp = leader.join().unwrap();
-        assert_eq!(leader_resp.decision, CacheDecision::Recomputed);
-        for f in followers {
-            let (resp, fresh) = f.join().unwrap();
-            assert_eq!(resp.decision, CacheDecision::Coalesced);
-            assert_eq!(resp.plan, fresh.plan, "coalesced plan differs from fresh");
-            assert_eq!(resp.cost.to_bits(), fresh.cost.to_bits());
+        for (client, want) in clients.into_iter().zip(&fresh) {
+            let resp = client.join().unwrap();
+            assert_eq!(resp.decision, CacheDecision::Recomputed);
+            assert_same_answer(&resp, want, "racing miss");
         }
     });
 
     let stats = server.cache_stats();
-    assert_eq!(stats.recomputed, 1, "exactly one DP ran");
-    assert_eq!(stats.coalesced_followers, 3);
-    assert_eq!(stats.coalesced_leaders, 1);
-    assert_eq!(stats.served, 0);
-    // The cohort's key is now a plain cache entry.
-    let again = server.serve(&big, &mode).unwrap();
-    assert_eq!(again.decision, CacheDecision::Served);
+    assert_eq!(stats.lookups, 4);
+    assert_eq!(stats.served + stats.recomputed, 4);
+    assert_eq!(stats.recomputed, 4, "every held miss ran its own search");
+    assert_eq!((stats.insertions, server.cache_len()), (1, 1));
+    assert_eq!(gate.permits(), (4, 4));
+    for (q, want) in renamed.iter().zip(&fresh) {
+        let resp = server.serve(q, &mode).unwrap();
+        assert_eq!(resp.decision, CacheDecision::Served);
+        assert_same_answer(&resp, want, "second round");
+    }
 }
 
-/// A leader that panics mid-flight fails exactly its own followers —
-/// each receives `WorkerPanicked` — while a bystander on a different key
-/// is untouched, and the poisoned key elects a healthy fresh leader
-/// afterwards.
+/// A search that fails fails only its own request, gives its cold slot
+/// back, and leaves the key healthy: a panicking search beside a
+/// concurrent miss on the same key (the other answers normally, and so
+/// does a bystander on another key), a shed request, and an optimizer
+/// error, none of which caches anything.
 #[test]
-fn poisoned_leader_fails_only_its_followers() {
+fn a_failed_search_fails_only_its_own_request() {
     let (catalog, big, small) = gated_fixtures();
     let gate = Gate::default();
     let server = gated_server(&catalog);
     let mode = Mode::AlgorithmC;
+    let renamed = big.relabel_tables(&[3, 2, 1, 0]);
+    let fresh = [
+        fresh_of(&server, &big, &mode),
+        fresh_of(&server, &renamed, &mode),
+    ];
 
     gate.arm(true);
     std::thread::scope(|scope| {
-        let leader = {
-            let (server, big, mode, gate) = (&server, &big, &mode, &gate);
-            scope.spawn(move || serve_behind(server, big, mode, gate))
-        };
-        gate.await_entered(1);
-        let followers: Vec<_> = [[1usize, 0, 2, 3], [3, 2, 1, 0]]
-            .iter()
-            .map(|map| {
-                let renamed = big.relabel_tables(map);
+        let clients: Vec<_> = [&big, &renamed]
+            .into_iter()
+            .map(|q| {
                 let (server, mode, gate) = (&server, &mode, &gate);
-                scope.spawn(move || serve_behind(server, &renamed, mode, gate))
+                scope.spawn(move || serve_behind(server, q, mode, gate))
             })
             .collect();
-        let t0 = Instant::now();
-        while server.cache_stats().coalesced_followers < 2 {
-            assert!(
-                t0.elapsed() < Duration::from_secs(30),
-                "followers never attached"
-            );
-            std::thread::yield_now();
-        }
+        gate.await_entered(2);
         // A bystander on a different key serves ungated, so it never
-        // meets the gate and must be answered normally while the leader
-        // hangs.
+        // meets the gate and is answered normally while both searches
+        // hang.
         let bystander = server.serve(&small, &mode).unwrap();
         assert_eq!(bystander.decision, CacheDecision::Recomputed);
 
         gate.release();
-        assert!(
-            leader.join().is_err(),
-            "the poisoned leader's own thread must observe the panic"
-        );
-        for f in followers {
-            let got = f.join().unwrap();
-            assert!(
-                matches!(got, Err(ServeError::Opt(OptError::WorkerPanicked))),
-                "followers of the failed leader must see WorkerPanicked, got {got:?}"
-            );
+        let mut panicked = 0;
+        for (client, want) in clients.into_iter().zip(&fresh) {
+            match client.join() {
+                Err(_) => panicked += 1,
+                Ok(resp) => {
+                    let resp = resp.expect("the unpoisoned search answers");
+                    assert_eq!(resp.decision, CacheDecision::Recomputed);
+                    assert_same_answer(&resp, want, "the surviving miss");
+                }
+            }
         }
+        assert_eq!(panicked, 1, "exactly the poisoned search's caller panics");
     });
-
-    // Nothing about the poisoned key was cached: the same key now elects
-    // a fresh leader whose search succeeds and is byte-identical to fresh
-    // optimization.
-    let resp = server.serve(&big, &mode).unwrap();
-    assert_eq!(resp.decision, CacheDecision::Recomputed);
-    let fresh = Optimizer::new(&catalog, server.optimizer().memory().clone())
-        .optimize(&big, &mode)
-        .unwrap();
-    assert_eq!(resp.plan, fresh.plan);
-    assert_eq!(resp.cost.to_bits(), fresh.cost.to_bits());
     assert_eq!(
-        server.serve(&big, &mode).unwrap().decision,
-        CacheDecision::Served
+        gate.permits(),
+        (2, 2),
+        "the panicking search gave its slot back"
     );
-    // The bystander's entry survived untouched.
+    // The survivor's answer is the key's one entry; the bystander's
+    // entry is untouched.
+    assert_eq!(server.cache_len(), 2);
+    for (q, want) in [&big, &renamed].into_iter().zip(&fresh) {
+        let resp = server.serve(q, &mode).unwrap();
+        assert_eq!(resp.decision, CacheDecision::Served);
+        assert_same_answer(&resp, want, "after the panic");
+    }
     assert_eq!(
         server.serve(&small, &mode).unwrap().decision,
         CacheDecision::Served
     );
+
+    // A shed request fails alone and caches nothing; the key then serves.
+    let bushy = Mode::Bushy;
+    assert!(matches!(
+        serve_behind(&server, &big, &bushy, &Shed),
+        Err(ServeError::Overloaded)
+    ));
+    assert_eq!(server.cache_len(), 2);
+    let resp = server.serve(&big, &bushy).unwrap();
+    assert_eq!(resp.decision, CacheDecision::Recomputed);
+    assert_same_answer(&resp, &fresh_of(&server, &big, &bushy), "after the shed");
+
+    // An optimizer error (AlgorithmB with c = 0 is rejected after the
+    // lookup missed) is not cached: the same request fails the same way
+    // again, and a healthy mode on the query is unaffected.
+    let bad = Mode::AlgorithmB { c: 0 };
+    for _ in 0..2 {
+        assert!(matches!(
+            serve_behind(&server, &big, &bad, &gate),
+            Err(ServeError::Opt(OptError::BadParameter(_)))
+        ));
+    }
+    assert_eq!(gate.permits(), (4, 4), "every rejection released its slot");
+    assert_eq!(server.cache_len(), 3);
 }

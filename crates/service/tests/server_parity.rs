@@ -119,8 +119,6 @@ fn five_hundred_query_stream_is_byte_identical_to_fresh_optimization() {
                 CacheDecision::Served => 0,
                 CacheDecision::Recomputed => 1,
                 CacheDecision::Uncacheable => 2,
-                // A single-client server can never race itself onto a leader.
-                CacheDecision::Coalesced => unreachable!("no concurrent clients here"),
             }] += 1;
         }
 

@@ -5,11 +5,10 @@
 //!
 //! Only *transient* wire errors ([`ErrorCode::is_transient`]) are retried:
 //! `Overloaded` (the daemon shed the request) and `DeadlineExceeded` (the
-//! coalesced wait ran out — a retry usually lands on the cache the
-//! abandoned search fed).  `WorkerPanicked` — the search serving the
-//! request panicked, the request's own or the leader's it coalesced onto
-//! — is **not** retried blindly: the same request may kill the next
-//! search too, so it surfaces to the caller, who decides.  Deterministic optimizer errors
+//! answer came too late — a retry usually lands on the cache the
+//! abandoned answer fed).  `WorkerPanicked` — the search serving the
+//! request panicked — is **not** retried blindly: the same request may
+//! kill the next search too, so it surfaces to the caller, who decides.  Deterministic optimizer errors
 //! and malformed-frame rejections likewise surface immediately.
 
 use crate::protocol::{self, op, DecodeError, ErrorCode, FrameBuf, Reader, StatsFormat, Writer};
@@ -393,7 +392,7 @@ mod tests {
         assert!(deadline.is_transient());
         assert!(
             !panicked.is_transient(),
-            "cohort panics are surfaced, not retried"
+            "search panics are surfaced, not retried"
         );
         assert!(!ClientError::Protocol("x").is_transient());
         assert!(

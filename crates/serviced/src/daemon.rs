@@ -13,15 +13,12 @@
 //!
 //! # Admission control
 //!
-//! Warm cache hits and coalesced followers are practically free, so they
-//! are never gated.  Fresh (cold) searches are the expensive resource: a
-//! bounded [`Gate`] of `max_cold_backlog` slots fronts them, and a cold
-//! request that cannot take a slot is shed with
-//! [`ErrorCode::Overloaded`](crate::protocol::ErrorCode::Overloaded)
-//! *immediately* — under overload the daemon degrades to serving only
-//! what it already knows, it never hangs.  A shed leader publishes the
-//! refusal to its whole coalesced cohort (see
-//! [`lec_service::ConcurrentPlanServer::serve_with`]).
+//! Warm cache hits are practically free, so they are never gated.  Fresh
+//! (cold) searches are the expensive resource: a bounded [`Gate`] of
+//! `max_cold_backlog` slots fronts them, and a cold request that cannot
+//! take a slot is shed with [`ErrorCode::Overloaded`] *immediately* —
+//! under overload the daemon degrades to serving only what it already
+//! knows, it never hangs.
 //!
 //! # Drain semantics
 //!
@@ -52,9 +49,8 @@ pub struct DaemonConfig {
     /// Cold-search slots: fresh searches admitted concurrently before
     /// further cold requests are shed with `Overloaded`.
     pub max_cold_backlog: usize,
-    /// Per-request deadline, handed to the serving layer: it bounds a
-    /// follower's coalesced wait, and an answer finished past it is
-    /// `DeadlineExceeded`.  `None` disables it.
+    /// Per-request deadline, handed to the serving layer: an answer
+    /// finished past it is `DeadlineExceeded`.  `None` disables it.
     pub request_deadline: Option<Duration>,
     /// Slow-client write timeout; a connection whose peer stops draining
     /// its socket is closed rather than allowed to wedge a handler.
@@ -202,13 +198,6 @@ pub struct DrainReport {
     /// Final metrics snapshot (the document a wire `STATS` request with
     /// the JSON format byte returns).
     pub metrics: serde_json::Value,
-    /// The same snapshot flattened into dotted counter keys
-    /// ([`lec_telemetry::flatten`]), every one prefixed with its layer's
-    /// namespace (`daemon.requests_ok`, `service.cache.served`, ...).  The
-    /// prefixes keep the two layers' counter names from colliding however
-    /// either document evolves — pinned by
-    /// `drain_report_counters_are_namespaced_and_collision_free`.
-    pub counters: Vec<(String, f64)>,
 }
 
 /// A hardened front end over one [`ConcurrentPlanServer`].
@@ -240,9 +229,9 @@ impl<'s, 'c> Daemon<'s, 'c> {
 
     /// Call `hook` with every query this daemon is about to search: after
     /// its cold slot is taken, before the search runs.  Tests sleep in it
-    /// to hold a slot, or panic in it to kill a leader mid-cohort (the
-    /// panic reaches the cohort as `WorkerPanicked`, as a search's own
-    /// would).  The default does nothing.
+    /// to hold a slot, or panic in it to kill the search (the request gets
+    /// `WorkerPanicked`, as for a search's own panic).  The default does
+    /// nothing.
     pub fn with_search_hook(mut self, hook: impl Fn(&Query) + Sync + 's) -> Self {
         self.search_hook = Box::new(hook);
         self
@@ -396,12 +385,10 @@ impl<'s, 'c> Daemon<'s, 'c> {
         self.metrics
             .drain_duration_ms
             .store(drain_duration.as_millis() as u64, Ordering::Release);
-        let metrics = self.metrics_json();
         DrainReport {
             drain_duration,
             forced_aborts: self.metrics.forced_aborts(),
-            counters: lec_telemetry::flatten(&metrics),
-            metrics,
+            metrics: self.metrics_json(),
         }
     }
 
@@ -518,11 +505,8 @@ impl<'s, 'c> Daemon<'s, 'c> {
                     query,
                 };
                 // A search is a plain call on this handler thread, so a
-                // panic in it unwinds to here.  The serving layer's
-                // LeaderGuard publishes the cohort error on the way;
-                // mapping the escaped panic to WorkerPanicked keeps the
-                // leader's own response consistent with what its
-                // followers saw.
+                // panic in it unwinds to here and fails only this
+                // request, as WorkerPanicked.
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     let ctx = ServeCtx {
                         hooks: &hooks,

@@ -60,7 +60,7 @@
 //! |-----:|--------------------|------------|--------------------------------------------|
 //! | 1    | `Overloaded`       | yes        | admission control shed this cold request   |
 //! | 2    | `DeadlineExceeded` | yes        | the request's deadline expired             |
-//! | 3    | `WorkerPanicked`   | **no**     | the search serving this request panicked (its own, or the leader's it coalesced onto) — surfaced, never retried blindly |
+//! | 3    | `WorkerPanicked`   | **no**     | the search serving this request panicked — surfaced, never retried blindly |
 //! | 4    | `Opt`              | no         | deterministic optimizer rejection          |
 //! | 5    | `Malformed`        | no         | undecodable frame; the connection is poisoned |
 //!
@@ -71,15 +71,15 @@
 //!
 //! - **Admission control**: fresh (cold) searches pass a bounded gate;
 //!   past `max_cold_backlog` they are shed with `Overloaded` immediately.
-//!   Warm hits and coalesced followers bypass the gate entirely, so an
-//!   overloaded daemon degrades to a cache, never to a hang.
+//!   Warm hits bypass the gate entirely, so an overloaded daemon degrades
+//!   to a cache, never to a hang.
 //! - **Failure discipline**: per-request deadlines, slow-client write
 //!   timeouts, and malformed frames that poison exactly one connection.
-//! - **Graceful drain**: stop accepting, finish in-flight cohorts, flush,
-//!   report.  A watchdog force-closes stragglers at `drain_deadline`.
+//! - **Graceful drain**: stop accepting, finish in-flight requests,
+//!   flush, report.  A watchdog force-closes stragglers at `drain_deadline`.
 //! - **Fault injection**: none in the daemon.  Tests send malformed bytes
 //!   themselves, and a search hook ([`Daemon::with_search_hook`]) lets
-//!   them hold a cold slot or kill a leader mid-search, so the chaos suite
+//!   them hold a cold slot or kill a search, so the chaos suite
 //!   asserts exact blast radii.
 //!
 //! The daemon serves any [`transport::Listener`] of

@@ -130,9 +130,9 @@ pub enum ErrorCode {
     /// The request's deadline expired.  Transient: a retry usually hits
     /// the cache the abandoned search fed.
     DeadlineExceeded = 2,
-    /// The search serving this request panicked — its own, or the
-    /// leader's it coalesced onto.  **Not** blindly retryable — surface
-    /// it; the same request may kill the next search too.
+    /// The search serving this request panicked.  **Not** blindly
+    /// retryable — surface it; the same request may kill the next search
+    /// too.
     WorkerPanicked = 3,
     /// The optimizer rejected the request (bad query, bad parameter, no
     /// plan).  Deterministic: retrying the same bytes returns the same
@@ -752,13 +752,12 @@ fn mode_index(name: &str) -> u8 {
         .expect("every Mode::name() is in MODE_NAMES") as u8
 }
 
-/// Wire tag of a cache decision.  Tag 2 named the weak-key revalidation
-/// decision, which no longer exists; it is retired, not reused, so the
-/// other tags keep their numbers.
+/// Wire tag of a cache decision.  Tags 1 and 2 named the coalesced and
+/// the weak-key revalidation decisions, which no longer exist; they are
+/// retired, not reused, so the other tags keep their numbers.
 fn decision_index(d: CacheDecision) -> u8 {
     match d {
         CacheDecision::Served => 0,
-        CacheDecision::Coalesced => 1,
         CacheDecision::Recomputed => 3,
         CacheDecision::Uncacheable => 4,
     }
@@ -781,7 +780,6 @@ pub fn decode_response(r: &mut Reader) -> Result<lec_service::ServeResponse, Dec
         .ok_or(DecodeError::BadTag("mode name index"))?;
     let decision = match r.u8()? {
         0 => CacheDecision::Served,
-        1 => CacheDecision::Coalesced,
         3 => CacheDecision::Recomputed,
         4 => CacheDecision::Uncacheable,
         _ => return Err(DecodeError::BadTag("cache decision")),
@@ -1095,7 +1093,6 @@ mod tests {
         let tag_at = w.into_bytes().len() + 8 + 1;
         for (decision, tag) in [
             (CacheDecision::Served, 0u8),
-            (CacheDecision::Coalesced, 1),
             (CacheDecision::Recomputed, 3),
             (CacheDecision::Uncacheable, 4),
         ] {
@@ -1114,12 +1111,15 @@ mod tests {
             assert_eq!(back.decision, decision);
             assert_eq!(back.plan, plan);
             assert_eq!(back.cost.to_bits(), 42.5f64.to_bits());
-            // Tag 2 (weak-key revalidation) is retired, never reassigned.
-            bytes[tag_at] = 2;
-            assert_eq!(
-                decode_response(&mut Reader::new(&bytes)).err(),
-                Some(DecodeError::BadTag("cache decision"))
-            );
+            // Tags 1 (coalesced) and 2 (weak-key revalidation) are
+            // retired, never reassigned.
+            for retired in [1, 2] {
+                bytes[tag_at] = retired;
+                assert_eq!(
+                    decode_response(&mut Reader::new(&bytes)).err(),
+                    Some(DecodeError::BadTag("cache decision"))
+                );
+            }
         }
     }
 

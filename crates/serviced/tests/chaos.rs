@@ -4,9 +4,9 @@
 //! The daemon runs no fault script.  Tests send malformed bytes down a raw
 //! socket themselves, and a search hook ([`Daemon::with_search_hook`]),
 //! keyed on the query a test sends, sleeps to hold a cold slot or panics to
-//! kill a leader mid-cohort.  Each test asserts that only the affected
-//! connection or cohort observes an error, everything else keeps serving,
-//! and drain completes within its deadline.
+//! kill a search.  Each test asserts that only the affected connection or
+//! request observes an error, everything else keeps serving, and drain
+//! completes within its deadline.
 
 use lec_core::{Mode, Optimizer};
 use lec_plan::Query;
@@ -247,7 +247,7 @@ fn the_retired_metrics_opcode_is_malformed_and_poisons_its_connection() {
 }
 
 // ---------------------------------------------------------------------
-// Leader kills: the cohort fails, the connection survives
+// Search kills: the request fails, the connection survives
 // ---------------------------------------------------------------------
 
 #[test]
@@ -277,7 +277,7 @@ fn a_killed_leader_surfaces_worker_panicked_and_the_connection_survives() {
                 }
                 other => panic!("expected WorkerPanicked, got {other:?}"),
             }
-            // The connection is healthy — only the cohort died — and the
+            // The connection is healthy — only the request died — and the
             // same request succeeds on the next attempt.
             let resp = client
                 .optimize_once(1, &mode, &queries[0])

@@ -175,9 +175,9 @@ fn valid_response() -> (Vec<u8>, usize) {
     (w.into_bytes(), tag_at)
 }
 
-/// Decision tag 2 (weak-key revalidation) is retired: a peer still sending
-/// it gets a clean `BadTag`, and every other byte value there decodes or
-/// errors without a panic.
+/// Decision tags 1 (coalesced) and 2 (weak-key revalidation) are retired:
+/// a peer still sending them gets a clean `BadTag`, and every other byte
+/// value there decodes or errors without a panic.
 #[test]
 fn the_retired_decision_tag_is_a_clean_error() {
     let (mut payload, tag_at) = valid_response();
@@ -186,7 +186,7 @@ fn the_retired_decision_tag_is_a_clean_error() {
         payload[tag_at] = tag;
         let got = decode_response(&mut Reader::new(&payload));
         match tag {
-            0 | 1 | 3 | 4 => assert!(got.is_ok(), "tag {tag}"),
+            0 | 3 | 4 => assert!(got.is_ok(), "tag {tag}"),
             _ => assert_eq!(
                 got.err(),
                 Some(DecodeError::BadTag("cache decision")),

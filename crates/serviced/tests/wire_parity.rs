@@ -2,8 +2,8 @@
 //! encoded, framed, pushed through a Unix-domain socket, decoded —
 //! must be byte-identical (plan shape, cost bits, table numbering, mode)
 //! to a fresh `Optimizer::optimize` of the same request, over a skewed
-//! multi-client workload with batching, warm hits, and coalescing all in
-//! play.  Plus the metrics-closure assertions: every accepted connection
+//! multi-client workload with batching, warm hits, and racing cold misses
+//! all in play.  Plus the metrics-closure assertions: every accepted connection
 //! is closed, every request accounted ok or err, the cold gate empty.
 
 use lec_core::{Mode, Optimizer};
@@ -119,8 +119,8 @@ fn responses_cross_the_wire_byte_identically() {
 
     let ((), report) = while_serving(&daemon, &socket.acceptor, || {
         // N clients replay overlapping staggered views of the stream, so
-        // warm hits, coalesced cohorts, and cold leads all cross the
-        // wire.  Client 0 pipelines in batches (one write per batch);
+        // warm hits and cold misses, some racing on one shape, all cross
+        // the wire.  Client 0 pipelines in batches (one write per batch);
         // the others round-trip one request at a time.
         std::thread::scope(|scope| {
             for client_id in 0..CLIENTS {

@@ -4,7 +4,7 @@
 //!
 //! * [`Histogram`] — lock-free log-scale latency histograms with atomic
 //!   buckets, deterministic under concurrent recording ([`hist`]), one per
-//!   request outcome (served/coalesced/fresh/shed/error).
+//!   request outcome (served/fresh/shed/error).
 //! * [`TraceCtx`] — per-request typed span events collected on the stack
 //!   (zero allocation, [`trace`]); a finished trace is offered to the
 //!   slowest-N log ([`slowlog`]), the one store of finished traces, which
@@ -39,23 +39,20 @@ use serde_json::{json, Value};
 pub enum Outcome {
     /// Warm cache hit served without optimization.
     Served = 0,
-    /// Coalesced onto another request's in-flight computation.
-    Coalesced = 1,
     /// Fresh optimization (cold miss or uncacheable).
-    Fresh = 2,
+    Fresh = 1,
     /// Rejected by admission control.
-    Shed = 3,
+    Shed = 2,
     /// Failed for any other reason (optimizer error, deadline).
-    Error = 4,
+    Error = 3,
 }
 
-pub const OUTCOME_COUNT: usize = 5;
+pub const OUTCOME_COUNT: usize = 4;
 
 impl Outcome {
     pub fn name(self) -> &'static str {
         match self {
             Outcome::Served => "served",
-            Outcome::Coalesced => "coalesced",
             Outcome::Fresh => "fresh",
             Outcome::Shed => "shed",
             Outcome::Error => "error",
@@ -65,7 +62,6 @@ impl Outcome {
     pub fn all() -> [Outcome; OUTCOME_COUNT] {
         [
             Outcome::Served,
-            Outcome::Coalesced,
             Outcome::Fresh,
             Outcome::Shed,
             Outcome::Error,

@@ -19,8 +19,6 @@ pub enum Stage {
     Admission,
     /// Canonicalization + exact-cache probe.
     CacheProbe,
-    /// Blocking on another request's in-flight computation.
-    CoalesceWait,
     /// The DP search itself; `detail` is the number of DP nodes it
     /// populated.
     Search,
@@ -34,7 +32,6 @@ impl Stage {
             Stage::Decode => "decode",
             Stage::Admission => "admission",
             Stage::CacheProbe => "cache_probe",
-            Stage::CoalesceWait => "coalesce_wait",
             Stage::Search => "search",
             Stage::Flush => "flush",
         }

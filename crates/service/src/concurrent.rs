@@ -633,6 +633,7 @@ mod tests {
         admitted: AtomicU64,
         released: AtomicU64,
         deny: std::sync::atomic::AtomicBool,
+        panic_in_search: std::sync::atomic::AtomicBool,
     }
 
     impl CountingGate {
@@ -641,6 +642,7 @@ mod tests {
                 admitted: AtomicU64::new(0),
                 released: AtomicU64::new(0),
                 deny: std::sync::atomic::AtomicBool::new(false),
+                panic_in_search: std::sync::atomic::AtomicBool::new(false),
             }
         }
     }
@@ -655,6 +657,11 @@ mod tests {
         }
         fn release_cold(&self) {
             self.released.fetch_add(1, Ordering::SeqCst);
+        }
+        fn before_search(&self) {
+            if self.panic_in_search.load(Ordering::SeqCst) {
+                panic!("injected search fault");
+            }
         }
     }
 
@@ -686,6 +693,88 @@ mod tests {
             1,
             "no release on shed"
         );
+    }
+
+    /// A shed request is the whole of its own cohort: no follower waits
+    /// on a miss, so the shed request alone fails with `Overloaded`.  It
+    /// takes no slot, caches nothing, and the key then serves as fresh
+    /// optimization would.
+    #[test]
+    fn a_shed_leader_tells_its_whole_cohort_and_leaves_the_key_healthy() {
+        let (cat, q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory);
+        let gate = CountingGate::new();
+        gate.deny.store(true, Ordering::SeqCst);
+        assert!(matches!(
+            serve_behind(&server, &q, &Mode::AlgorithmC, &gate),
+            Err(ServeError::Overloaded)
+        ));
+        assert_eq!(gate.admitted.load(Ordering::SeqCst), 0);
+        assert_eq!(gate.released.load(Ordering::SeqCst), 0);
+        assert_eq!(server.cache_len(), 0);
+        // The key is healthy: an ungated serve searches, matches fresh
+        // optimization bit for bit, and its answer is then served.
+        let fresh = server.optimizer.optimize(&q, &Mode::AlgorithmC).unwrap();
+        let resp = server.serve(&q, &Mode::AlgorithmC).unwrap();
+        assert_eq!(resp.decision, CacheDecision::Recomputed);
+        assert_eq!(resp.plan, fresh.plan);
+        assert_eq!(resp.cost.to_bits(), fresh.cost.to_bits());
+        let warm = server.serve(&q, &Mode::AlgorithmC).unwrap();
+        assert_eq!(warm.decision, CacheDecision::Served);
+    }
+
+    /// A search killed by a fault panics out of `serve_with` to its own
+    /// caller (a daemon reports that panic as `WorkerPanicked`), its cold
+    /// permit is released across the unwind, and the key serves again.
+    #[test]
+    fn a_fault_killed_leader_reports_worker_panicked_and_releases_its_permit() {
+        let (cat, q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory);
+        let gate = CountingGate::new();
+        gate.panic_in_search.store(true, Ordering::SeqCst);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = serve_behind(&server, &q, &Mode::AlgorithmC, &gate);
+        }));
+        assert!(died.is_err(), "the injected panic propagates to the caller");
+        assert_eq!(
+            gate.released.load(Ordering::SeqCst),
+            1,
+            "the cold permit is released even across the panic"
+        );
+        assert_eq!(server.cache_len(), 0, "a killed search caches nothing");
+        gate.panic_in_search.store(false, Ordering::SeqCst);
+        let resp = serve_behind(&server, &q, &Mode::AlgorithmC, &gate).unwrap();
+        assert_eq!(resp.decision, CacheDecision::Recomputed);
+        assert_eq!(gate.admitted.load(Ordering::SeqCst), 2);
+        assert_eq!(gate.released.load(Ordering::SeqCst), 2);
+    }
+
+    /// An optimizer error reaches only the request whose search raised it,
+    /// which has no followers.  AlgorithmB with c = 0 is rejected after the
+    /// lookup missed: nothing is cached, the cold slot is given back, the
+    /// same request fails the same way again, and a healthy mode on the
+    /// query is unaffected.
+    #[test]
+    fn leader_errors_reach_their_followers_only() {
+        let (cat, q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory);
+        let gate = CountingGate::new();
+        let bad = Mode::AlgorithmB { c: 0 };
+        for _ in 0..2 {
+            assert!(matches!(
+                serve_behind(&server, &q, &bad, &gate),
+                Err(ServeError::Opt(OptError::BadParameter(_)))
+            ));
+            assert_eq!(server.cache_len(), 0);
+        }
+        assert_eq!(gate.admitted.load(Ordering::SeqCst), 2);
+        assert_eq!(gate.released.load(Ordering::SeqCst), 2);
+        let ok = server.serve(&q, &Mode::AlgorithmC).unwrap();
+        assert_eq!(ok.decision, CacheDecision::Recomputed);
+        assert_eq!(server.cache_len(), 1);
     }
 
     /// An answer done past its deadline is refused, and the search still

@@ -109,6 +109,35 @@ pub fn diamond() -> (Catalog, Query) {
     (cat, query)
 }
 
+/// The tables and query of every scaling and pruning fixture: table `i`
+/// named `{prefix}{i}`, of `pages[i]` pages, 50 rows a page and columns
+/// `a` and `b` with 1000 distinct values each; a predicate `u.b = v.a`
+/// per edge `(u, v, selectivity)`, in order; and the output required
+/// sorted on the last table's `b`.
+fn graph_fixture(
+    prefix: &str,
+    pages: &[u64],
+    edges: impl IntoIterator<Item = (usize, usize, f64)>,
+) -> (Catalog, Query) {
+    let mut catalog = Catalog::new();
+    let tables = (pages.iter().enumerate())
+        .map(|(i, &pages)| {
+            let columns = vec![ColumnStats::plain("a", 1000), ColumnStats::plain("b", 1000)];
+            let stats = TableStats::new(pages, pages * 50, columns);
+            QueryTable::bare(catalog.add_table(format!("{prefix}{i}"), stats))
+        })
+        .collect();
+    let joins = (edges.into_iter())
+        .map(|(u, v, sel)| JoinPredicate::exact(ColumnRef::new(u, 1), ColumnRef::new(v, 0), sel))
+        .collect();
+    let query = Query {
+        tables,
+        joins,
+        required_order: Some(ColumnRef::new(pages.len() - 1, 1)),
+    };
+    (catalog, query)
+}
+
 /// A fixed `n`-table chain over round-number table sizes with a required
 /// output order: the scaling fixture for optimization-effort experiments
 /// (identical shape at every `n`).  The required order is on a column no
@@ -116,37 +145,12 @@ pub fn diamond() -> (Catalog, Query) {
 /// interesting, and each dag node keeps one candidate.
 pub fn scaling_chain(n: usize) -> (Catalog, Query) {
     assert!(n >= 2, "a chain needs at least two tables");
-    let mut catalog = Catalog::new();
-    let sizes: Vec<u64> = (0..n).map(|i| 10_000 * (1 + (i as u64 % 5))).collect();
-    let ids: Vec<_> = sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &pages)| {
-            catalog.add_table(
-                format!("S{i}"),
-                TableStats::new(
-                    pages,
-                    pages * 50,
-                    vec![ColumnStats::plain("a", 1000), ColumnStats::plain("b", 1000)],
-                ),
-            )
-        })
-        .collect();
-    let query = Query {
-        tables: ids.into_iter().map(QueryTable::bare).collect(),
-        joins: (0..n - 1)
-            .map(|i| {
-                let target = (sizes[i].min(sizes[i + 1]) as f64) * 0.3;
-                JoinPredicate::exact(
-                    ColumnRef::new(i, 1),
-                    ColumnRef::new(i + 1, 0),
-                    target / (sizes[i] as f64 * sizes[i + 1] as f64),
-                )
-            })
-            .collect(),
-        required_order: Some(ColumnRef::new(n - 1, 1)),
-    };
-    (catalog, query)
+    let pages: Vec<u64> = (0..n).map(|i| 10_000 * (1 + (i as u64 % 5))).collect();
+    let edges = (0..n - 1).map(|i| {
+        let target = (pages[i].min(pages[i + 1]) as f64) * 0.3;
+        (i, i + 1, target / (pages[i] as f64 * pages[i + 1] as f64))
+    });
+    graph_fixture("S", &pages, edges)
 }
 
 /// A fixed `n`-table star: hub table 0 joined to each spoke, round-number
@@ -157,37 +161,12 @@ pub fn scaling_chain(n: usize) -> (Catalog, Query) {
 /// `C(n-1, k-1)` working nodes.
 pub fn scaling_star(n: usize) -> (Catalog, Query) {
     assert!(n >= 2, "a star needs a hub and at least one spoke");
-    let mut catalog = Catalog::new();
-    let sizes: Vec<u64> = (0..n).map(|i| 10_000 * (1 + (i as u64 % 5))).collect();
-    let ids: Vec<_> = sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &pages)| {
-            catalog.add_table(
-                format!("H{i}"),
-                TableStats::new(
-                    pages,
-                    pages * 50,
-                    vec![ColumnStats::plain("a", 1000), ColumnStats::plain("b", 1000)],
-                ),
-            )
-        })
-        .collect();
-    let query = Query {
-        tables: ids.into_iter().map(QueryTable::bare).collect(),
-        joins: (1..n)
-            .map(|i| {
-                let target = (sizes[0].min(sizes[i]) as f64) * 0.3;
-                JoinPredicate::exact(
-                    ColumnRef::new(0, 1),
-                    ColumnRef::new(i, 0),
-                    target / (sizes[0] as f64 * sizes[i] as f64),
-                )
-            })
-            .collect(),
-        required_order: Some(ColumnRef::new(n - 1, 1)),
-    };
-    (catalog, query)
+    let pages: Vec<u64> = (0..n).map(|i| 10_000 * (1 + (i as u64 % 5))).collect();
+    let edges = (1..n).map(|i| {
+        let target = (pages[0].min(pages[i]) as f64) * 0.3;
+        (0, i, target / (pages[0] as f64 * pages[i] as f64))
+    });
+    graph_fixture("H", &pages, edges)
 }
 
 /// Selectivity of an *expansive* pruning-fixture join: output is 500× the
@@ -200,143 +179,76 @@ const PRUNING_EXPANSIVE_SEL: f64 = 0.5;
 /// partner: each one shrinks the intermediate by 100×.
 const PRUNING_REDUCTIVE_SEL: f64 = 1e-5;
 
-/// An `n`-table chain built to exercise branch-and-bound pruning (now a
-/// reach case for `lec_cost::oracle`): every table is 1000 pages, most
-/// adjacent joins are strongly reductive (output shrinks 100× per join)
-/// but the joins at positions `n/3` and `2n/3` are expansive (output grows
-/// 500×).  Orders that cross an expansive edge while the running
-/// intermediate is still large are hopeless — a contiguous run that
-/// starts *at* an expansive edge has a size floor of ~5·10⁵ pages against
-/// incumbents in the tens of thousands — while the good orders start
-/// between the expansive edges and shrink the intermediate to a page or
-/// two before crossing either one.
+/// An `n`-table chain whose every table is 1000 pages: most adjacent joins
+/// are strongly reductive (output shrinks 100× per join) but the joins at
+/// positions `n/3` and `2n/3` are expansive (output grows 500×), so the
+/// good orders start between the expansive edges and shrink the
+/// intermediate to a page or two before crossing either one.  It measures
+/// the reach of `lec_cost::oracle`, the ground truth: an 8-table chain is
+/// verified in a release build.
 pub fn pruning_chain(n: usize) -> (Catalog, Query) {
     assert!(n >= 4, "the pruning chain needs at least four tables");
-    let mut catalog = Catalog::new();
-    let ids: Vec<_> = (0..n)
-        .map(|i| {
-            catalog.add_table(
-                format!("P{i}"),
-                TableStats::new(
-                    1000,
-                    50_000,
-                    vec![ColumnStats::plain("a", 1000), ColumnStats::plain("b", 1000)],
-                ),
-            )
-        })
-        .collect();
-    let query = Query {
-        tables: ids.into_iter().map(QueryTable::bare).collect(),
-        joins: (0..n - 1)
-            .map(|i| {
-                let sel = if i == n / 3 || i == (2 * n) / 3 {
-                    PRUNING_EXPANSIVE_SEL
-                } else {
-                    PRUNING_REDUCTIVE_SEL
-                };
-                JoinPredicate::exact(ColumnRef::new(i, 1), ColumnRef::new(i + 1, 0), sel)
-            })
-            .collect(),
-        required_order: Some(ColumnRef::new(n - 1, 1)),
-    };
-    (catalog, query)
+    let edges = (0..n - 1).map(|i| {
+        let sel = if i == n / 3 || i == (2 * n) / 3 {
+            PRUNING_EXPANSIVE_SEL
+        } else {
+            PRUNING_REDUCTIVE_SEL
+        };
+        (i, i + 1, sel)
+    });
+    graph_fixture("P", &vec![1000; n], edges)
 }
 
-/// An `n`-table star built to exercise branch-and-bound pruning: a
-/// 100-page hub, 1000-page spokes, and every fifth spoke (spoke indices
-/// `1, 6, 11, …`) expansive while the rest are strongly reductive.  Every
-/// hub-containing subset is connected, so unlike the chain the bad
-/// subsets are plentiful: any subset combining expansive spokes with few
-/// reductive ones has a size floor orders of magnitude above the
-/// incumbent, while the good orders join every reductive spoke first and
-/// pay for the expansive ones only once the intermediate has collapsed
-/// to a page.  Its one-page intermediates also make Algorithm C's sizes
-/// depend on join order: at 7 tables C misses the oracle's plan by 70x.
+/// An `n`-table star: a 100-page hub, 1000-page spokes, and every fifth
+/// spoke (spoke indices `1, 6, 11, …`) expansive while the rest are
+/// strongly reductive, so the good orders join every reductive spoke
+/// first and pay for the expansive ones only once the intermediate has
+/// collapsed to a page.  Every hub-containing subset is connected, so the
+/// oracle's enumeration grows fast (7 tables are 5,898,240 plans).  It is
+/// the witness that the one-page clamp makes intermediate sizes depend on
+/// join order: at 7 tables Algorithm C, which keeps one size per subset,
+/// misses the oracle's plan by 70x.
 pub fn pruning_star(n: usize) -> (Catalog, Query) {
     assert!(
         n >= 3,
         "the pruning star needs a hub and at least two spokes"
     );
-    let mut catalog = Catalog::new();
-    let ids: Vec<_> = (0..n)
-        .map(|i| {
-            let pages = if i == 0 { 100 } else { 1000 };
-            catalog.add_table(
-                format!("Q{i}"),
-                TableStats::new(
-                    pages,
-                    pages * 50,
-                    vec![ColumnStats::plain("a", 1000), ColumnStats::plain("b", 1000)],
-                ),
-            )
-        })
-        .collect();
-    let query = Query {
-        tables: ids.into_iter().map(QueryTable::bare).collect(),
-        joins: (1..n)
-            .map(|i| {
-                let sel = if i % 5 == 1 {
-                    PRUNING_EXPANSIVE_SEL
-                } else {
-                    PRUNING_REDUCTIVE_SEL
-                };
-                JoinPredicate::exact(ColumnRef::new(0, 1), ColumnRef::new(i, 0), sel)
-            })
-            .collect(),
-        required_order: Some(ColumnRef::new(n - 1, 1)),
-    };
-    (catalog, query)
+    let pages: Vec<u64> = (0..n).map(|i| if i == 0 { 100 } else { 1000 }).collect();
+    let edges = (1..n).map(|i| {
+        let sel = if i % 5 == 1 {
+            PRUNING_EXPANSIVE_SEL
+        } else {
+            PRUNING_REDUCTIVE_SEL
+        };
+        (0, i, sel)
+    });
+    graph_fixture("Q", &pages, edges)
 }
 
 /// Selectivity of an ordinary pruning-clique join: mildly reductive, so
 /// intermediates shrink but the graph stays far from degenerate.
 const PRUNING_CLIQUE_SEL: f64 = 1e-2;
 
-/// An `n`-table clique built to exercise branch-and-bound pruning on a
-/// *dense* join graph: every pair of 1000-page tables is joined, so every
-/// subset of every size is connected.  The joins among tables `1`, `6`
-/// and `11` are expansive (`PRUNING_EXPANSIVE_SEL`); every other pair
-/// is mildly reductive.  Subsets gathering two or three of the expansive
-/// trio before the rest of the clique has collapsed the intermediate
-/// carry size floors of `5·10⁵` pages and up against incumbents in the
-/// tens of thousands.
+/// An `n`-table clique, the *dense* join graph: every pair of 1000-page
+/// tables is joined, so every subset of every size is connected and the
+/// bushy walk meets the most splits.  The joins among tables `1`, `6` and
+/// `11` are expansive (`PRUNING_EXPANSIVE_SEL`); every other pair is
+/// mildly reductive, so subsets gathering two or three of the expansive
+/// trio before the rest of the clique has collapsed the intermediate are
+/// far costlier than the good orders.
 pub fn pruning_clique(n: usize) -> (Catalog, Query) {
     assert!(n >= 4, "the pruning clique needs at least four tables");
     let heavy = |i: usize| i == 1 || i == 6 || i == 11;
-    let mut catalog = Catalog::new();
-    let ids: Vec<_> = (0..n)
-        .map(|i| {
-            catalog.add_table(
-                format!("K{i}"),
-                TableStats::new(
-                    1000,
-                    50_000,
-                    vec![ColumnStats::plain("a", 1000), ColumnStats::plain("b", 1000)],
-                ),
-            )
-        })
-        .collect();
-    let mut joins = Vec::new();
-    for u in 0..n {
-        for v in u + 1..n {
-            let sel = if heavy(u) && heavy(v) {
-                PRUNING_EXPANSIVE_SEL
-            } else {
-                PRUNING_CLIQUE_SEL
-            };
-            joins.push(JoinPredicate::exact(
-                ColumnRef::new(u, 1),
-                ColumnRef::new(v, 0),
-                sel,
-            ));
-        }
-    }
-    let query = Query {
-        tables: ids.into_iter().map(QueryTable::bare).collect(),
-        joins,
-        required_order: Some(ColumnRef::new(n - 1, 1)),
-    };
-    (catalog, query)
+    let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+    let edges = pairs.map(|(u, v)| {
+        let sel = if heavy(u) && heavy(v) {
+            PRUNING_EXPANSIVE_SEL
+        } else {
+            PRUNING_CLIQUE_SEL
+        };
+        (u, v, sel)
+    });
+    graph_fixture("K", &vec![1000; n], edges)
 }
 
 /// Recognizer for Example 1.1's Plan 1: a bare sort-merge join of the two

@@ -3,17 +3,19 @@
 //!
 //! A search is a plain function call: [`run_search_with`] walks the
 //! subset dag level by level on the thread that called it.  A level holds
-//! the *connected* subsets of its size only ([`next_level`]): the walk
-//! costs what the join graph has, not the `2^n` lattice around it.
+//! the *connected* subsets of its size only: the walk costs what the join
+//! graph has, not the `2^n` lattice around it.
 //!
 //! A level's entries live in one exactly sized vector (`fill_table`),
 //! their plans as steps of the search's [`PlanArena`]; a plan is copied
-//! out only for a root a caller takes ([`SearchRun::plans`]).  A
-//! left-deep level is grown from its parents (`grow_left_deep`), so a
-//! split reads its outer entries at its parent's index and its inner ones
-//! at its table's; its splits are ordered by set, with a radix sort on
-//! the set's bits once a level holds `RADIX_MIN_SPLITS` of them and a
-//! comparison sort below.  Only the bushy walk looks a subset up
+//! out only for a root a caller takes ([`SearchRun::plans`]).  Both plan
+//! shapes grow a level from its parents the same way (`grow_level`): each
+//! parent by each table on its frontier, ordered by set, with a radix sort
+//! on the set's bits once a level holds `RADIX_MIN_SPLITS` of them and a
+//! comparison sort below.  A set's run of grown splits is its left-deep
+//! splits, so a left-deep split reads its outer entries at its parent's
+//! index and its inner ones at its table's; a bushy set walks its own
+//! splits (`bushy_splits`), the only walk that looks a subset up
 //! (`DpTable::get`: by its bits, or past `DENSE_INDEX_TABLES` tables by
 //! a binary search of its level).
 
@@ -124,23 +126,6 @@ fn bushy_splits(model: &CostModel<'_>, set: TableSet, out: &mut Vec<(TableSet, T
     }
 }
 
-/// The connected subsets one table larger than those of `level`, in
-/// increasing bit order: each set grown by each table on its frontier,
-/// sorted and deduplicated.  Every connected set of `k + 1` tables has a
-/// connected `k`-subset (drop a leaf of a spanning tree), so growing *all*
-/// connected `k`-sets reaches all of them — in the order a walk of every
-/// `k + 1`-subset by increasing bits would meet them, which is the order
-/// the tie-breaks were recorded against.
-pub fn next_level(model: &CostModel<'_>, level: &[TableSet]) -> Vec<TableSet> {
-    let mut next: Vec<TableSet> = level
-        .iter()
-        .flat_map(|&set| model.frontier(set).iter().map(move |t| set.with(t)))
-        .collect();
-    next.sort_unstable();
-    next.dedup();
-    next
-}
-
 /// A left-deep split of level `k + 1`: table `table` joined to the
 /// subset at index `parent` of level `k`, the outer half.  It names its
 /// set rather than holding it, so a level's splits take 8 bytes each.
@@ -166,18 +151,20 @@ impl Grown {
 /// 0.4x at the thousands of a 12-table clique's levels.
 const RADIX_MIN_SPLITS: usize = 128;
 
-/// Level `k + 1` of a left-deep walk as its splits: every subset of
-/// `level` (level `k`'s, in increasing bit order) grown by each table on
-/// its frontier, ordered by (set, table).  A set's run holds its splits
-/// `(S∖{t}, {t})` with a connected outer, in ascending `t` — the sets of
-/// [`next_level`], in its order, each with its left-deep splits (`t`
-/// adjacent to `S∖{t}`) whose outer a level holds, in ascending `t`.
+/// Level `k + 1` as its left-deep splits: every subset of `level` (level
+/// `k`'s, in increasing bit order) grown by each table on its frontier,
+/// ordered by (set, table).  Every connected set of `k + 1` tables has a
+/// connected `k`-subset (drop a leaf of a spanning tree), so the runs'
+/// sets are all of level `k + 1`'s connected sets, in increasing bit
+/// order — the order the tie-breaks were recorded against — and a set's
+/// run holds its splits `(S∖{t}, {t})` with a connected outer, in
+/// ascending `t`.
 ///
 /// Parents are grown by descending bits, so a set's splits arrive by
 /// ascending `t` (a greater `t` leaves a smaller parent) and a stable
 /// sort on the set alone orders them: a large level's is a radix sort
 /// through `scratch`, the search's one spare buffer.
-fn grow_left_deep(
+fn grow_level(
     model: &CostModel<'_>,
     level: &[TableSet],
     out: &mut Vec<Grown>,
@@ -296,11 +283,12 @@ fn fill_table<P: CandidatePolicy>(
     table.push_level(&mut level);
     // Depths 2..n, each read off depth `k + 1`, the level at index `k`.
     for k in 0..n - 1 {
-        match shape {
-            PlanShape::LeftDeep => {
-                let parents = &table.sets[k];
-                grow_left_deep(model, parents, &mut grown, &mut scratch);
-                for run in grown.chunk_by(|a, b| a.set(parents) == b.set(parents)) {
+        let parents = &table.sets[k];
+        grow_level(model, parents, &mut grown, &mut scratch);
+        for run in grown.chunk_by(|a, b| a.set(parents) == b.set(parents)) {
+            let set = run[0].set(parents);
+            match shape {
+                PlanShape::LeftDeep => {
                     for g in run {
                         let (t, parent) = (g.table as usize, g.parent as usize);
                         let outer = table.entries(k, parent);
@@ -310,13 +298,8 @@ fn fill_table<P: CandidatePolicy>(
                         let ctx = JoinContext::of(parents[parent], TableSet::singleton(t));
                         policy.combine(model, plans, &ctx, outer, inner, &mut pending, stats);
                     }
-                    let start = level.entries.len();
-                    policy.build(plans, &mut pending, &mut level.entries);
-                    level.add(run[0].set(parents), start, stats);
                 }
-            }
-            PlanShape::Bushy => {
-                for set in next_level(model, &table.sets[k]) {
+                PlanShape::Bushy => {
                     bushy_splits(model, set, &mut splits);
                     for &(left, right) in &splits {
                         let (Some(outer), Some(inner)) = (table.get(left), table.get(right)) else {
@@ -325,11 +308,11 @@ fn fill_table<P: CandidatePolicy>(
                         let ctx = JoinContext::of(left, right);
                         policy.combine(model, plans, &ctx, outer, inner, &mut pending, stats);
                     }
-                    let start = level.entries.len();
-                    policy.build(plans, &mut pending, &mut level.entries);
-                    level.add(set, start, stats);
                 }
             }
+            let start = level.entries.len();
+            policy.build(plans, &mut pending, &mut level.entries);
+            level.add(set, start, stats);
         }
         table.push_level(&mut level);
     }
@@ -483,6 +466,78 @@ mod tests {
         }
     }
 
+    /// A query over `n` identical tables with a predicate between tables
+    /// `u % n` and `v % n` for each `(u, v)` (self-pairs dropped), so a
+    /// pair can carry several predicates, a table none at all, and the
+    /// graph any number of components.
+    fn graph_query(n: usize, edges: &[(usize, usize)]) -> (lec_catalog::Catalog, lec_plan::Query) {
+        use lec_plan::{ColumnRef, JoinPredicate, QueryTable};
+        let mut catalog = lec_catalog::Catalog::new();
+        let columns = vec![lec_catalog::ColumnStats::plain("a", 100)];
+        let stats = lec_catalog::TableStats::new(200, 8000, columns);
+        let tables = (0..n)
+            .map(|i| QueryTable::bare(catalog.add_table(format!("G{i}"), stats.clone())))
+            .collect();
+        let joins = (edges.iter())
+            .map(|&(u, v)| (u % n, v % n))
+            .filter(|(u, v)| u != v)
+            .map(|(u, v)| JoinPredicate::exact(ColumnRef::new(u, 0), ColumnRef::new(v, 0), 0.01))
+            .collect();
+        let query = lec_plan::Query {
+            tables,
+            joins,
+            required_order: None,
+        };
+        (catalog, query)
+    }
+
+    /// Connectivity by breadth-first search over the predicate list.
+    fn bfs_connected(query: &lec_plan::Query, set: TableSet) -> bool {
+        let Some(start) = set.iter().next() else {
+            return false;
+        };
+        let mut seen = TableSet::singleton(start);
+        let mut queue = vec![start];
+        while let Some(t) = queue.pop() {
+            for join in &query.joins {
+                let (a, b) = join.tables();
+                for (from, to) in [(a, b), (b, a)] {
+                    if from == t && set.contains(to) && !seen.contains(to) {
+                        seen = seen.with(to);
+                        queue.push(to);
+                    }
+                }
+            }
+        }
+        seen == set
+    }
+
+    proptest::proptest! {
+        /// Every level the walk grows is exactly the connected subsets of
+        /// its size, in the order `subsets_of_size` visits them: on random
+        /// graphs of up to 10 tables.
+        #[test]
+        fn levels_are_the_connected_subsets_in_bit_order(
+            n in 2usize..=10,
+            edges in proptest::collection::vec((0usize..10, 0usize..10), 0..=16),
+        ) {
+            let (cat, q) = graph_query(n, &edges);
+            let model = CostModel::new(&cat, &q);
+            let mut level: Vec<TableSet> = (0..n).map(TableSet::singleton).collect();
+            let (mut grown, mut scratch) = (Vec::new(), Vec::new());
+            for k in 2..=n {
+                grow_level(&model, &level, &mut grown, &mut scratch);
+                let runs = grown.chunk_by(|a, b| a.set(&level) == b.set(&level));
+                level = runs.map(|run| run[0].set(&level)).collect();
+                let brute: Vec<TableSet> = TableSet::subsets_of_size(n, k)
+                    .into_iter()
+                    .filter(|&s| bfs_connected(&q, s))
+                    .collect();
+                proptest::prop_assert_eq!(&level, &brute, "level {} of {:?}", k, edges);
+            }
+        }
+    }
+
     /// A left-deep level grown from its parents gives every set its
     /// left-deep splits whose halves are populated, in ascending inner
     /// table, and [`DpTable::get`] finds every set a level stores and no
@@ -518,7 +573,7 @@ mod tests {
             let (mut grown, mut scratch) = (Vec::new(), Vec::new());
             for k in 0..q.n_tables() - 1 {
                 let parents = &table.sets[k];
-                grow_left_deep(&model, parents, &mut grown, &mut scratch);
+                grow_level(&model, parents, &mut grown, &mut scratch);
                 let key = |g: &Grown| (g.set(parents), g.table, g.parent);
                 let mut sorted = grown.clone();
                 sorted.sort_unstable_by_key(key);
@@ -526,7 +581,6 @@ mod tests {
                 radix_levels += usize::from(grown.len() >= RADIX_MIN_SPLITS);
                 let runs: Vec<_> = grown.chunk_by(|a, b| key(a).0 == key(b).0).collect();
                 let sets: Vec<_> = runs.iter().map(|run| run[0].set(parents)).collect();
-                assert_eq!(sets, next_level(&model, parents));
                 assert_eq!(sets, table.sets[k + 1], "level {}", k + 2);
                 for run in runs {
                     let set = run[0].set(parents);
@@ -554,6 +608,7 @@ mod tests {
             let mut policy = KeepBestPolicy::new(MemoryCoster::fixed(&memory));
             let (bushy, _, _) = filled(&model, PlanShape::Bushy, &mut policy);
             assert!(!bushy.dense.is_empty() && table.dense.is_empty());
+            assert_eq!(bushy.sets, table.sets, "both shapes walk one level list");
             for table in [table, bushy] {
                 for (k, sets) in table.sets.iter().enumerate() {
                     for (i, &set) in sets.iter().enumerate() {

@@ -7,15 +7,10 @@
 //! it is the §4 extension.
 //!
 //! A keep-1 `combine` prices and sums every candidate of a split, then
-//! inserts only those no cheaper candidate of the split covers
-//! (`for_each_cheapest`).  The split's cheapest candidate covers every
-//! candidate not sorted as required, and the cheapest of those sorted as
-//! required covers the rest, so two minima filter the split.  A costlier
-//! candidate is strictly dominated by a covering one: the insert rule
-//! drops it whenever it arrives, and what it would evict or reject, the
-//! cheaper one does too.  So the node's entries, their order and every
-//! counter stay; exact ties (and NaN costs) all go in, for the shape
-//! tie-break.
+//! inserts only those no cheaper candidate of the split covers, in
+//! `policy::insert_cheapest`, the tail it shares with Algorithm D's: two
+//! minima filter a split, and the node's entries, their order and every
+//! counter stay.
 //!
 //! A search prices each operand-size pair once per phase distribution, not
 //! once per split: most of a dense graph's intermediates clamp to one
@@ -28,7 +23,7 @@
 use super::arena::{PlanArena, PlanId};
 use super::coster::PhaseCoster;
 use super::policy::{
-    access_alternatives, insert_entry_shaped, join_output_order, shape_rank, CandidatePolicy,
+    access_alternatives, insert_cheapest, insert_entry_shaped, shape_rank, CandidatePolicy,
     JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
@@ -116,45 +111,6 @@ impl PriceTable {
     }
 }
 
-/// Call `insert(i, j, method, cost, order, size)`, in enumeration order,
-/// for each candidate of one split that no cheaper candidate of the split
-/// covers (module docs): those at the split's least cost, and those sorted
-/// as required at the least cost of such candidates.
-/// `sums[i * n_inner + j]` holds outer `i` with inner `j`'s costs and
-/// size, and `order(i, method)` is their join's output order.
-pub(super) fn for_each_cheapest<S: Copy>(
-    sums: &[([f64; 4], S)],
-    n_inner: usize,
-    order: impl Fn(usize, JoinMethod) -> OrderProperty,
-    mut insert: impl FnMut(usize, usize, JoinMethod, f64, OrderProperty, S),
-) {
-    let (mut least, mut least_required) = (f64::INFINITY, f64::INFINITY);
-    for (i, row) in sums.chunks(n_inner.max(1)).enumerate() {
-        let row_least = (row.iter()).fold([f64::INFINITY; 4], |m, (costs, _)| {
-            std::array::from_fn(|k| m[k].min(costs[k]))
-        });
-        for (cost, method) in row_least.into_iter().zip(JoinMethod::ALL) {
-            least = least.min(cost);
-            if order(i, method).is_required() {
-                least_required = least_required.min(cost);
-            }
-        }
-    }
-    for (i, row) in sums.chunks(n_inner.max(1)).enumerate() {
-        for (j, &(costs, size)) in row.iter().enumerate() {
-            for (k, method) in JoinMethod::ALL.into_iter().enumerate() {
-                let order = order(i, method);
-                // A NaN cost is above no minimum: the filter keeps it, as the rule does.
-                let covered =
-                    costs[k] > least && (!order.is_required() || costs[k] > least_required);
-                if !covered {
-                    insert(i, j, method, costs[k], order, size);
-                }
-            }
-        }
-    }
-}
-
 /// The keep-1 policy over any [`PhaseCoster`].
 #[derive(Debug, Clone)]
 pub struct KeepBestPolicy<C> {
@@ -227,24 +183,8 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
                     .push((costs.map(|join_cost| oe.cost + ie.cost + join_cost), pages));
             }
         }
-        let order = |i: usize, method| join_output_order(sm_order, outer[i].order, method);
-        for_each_cheapest(
-            &self.sums,
-            inner.len(),
-            order,
-            |i, j, method, cost, order, pages| {
-                let (oe, ie) = (&outer[i], &inner[j]);
-                let joined = Joined {
-                    cost,
-                    order,
-                    size: pages,
-                    method,
-                    outer: oe.plan,
-                    inner: ie.plan,
-                };
-                insert_entry_shaped(model, plans, into, joined);
-            },
-        );
+        let split = (outer, inner);
+        insert_cheapest(model, plans, sm_order, split, |e| e.plan, &self.sums, into);
     }
 
     fn build(
@@ -319,6 +259,7 @@ pub(super) fn sort_roots<E: SearchEntry>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::join_output_order;
     use lec_plan::TableSet;
 
     /// A coster pricing each join method at one fixed cost.
@@ -372,41 +313,6 @@ mod tests {
         assert_eq!(read(first, a), a, "the evicted key is priced again");
         assert_eq!(read(other_phase, b), b, "another phase's price is priced");
         assert_eq!(priced, [first, second, first, other_phase]);
-    }
-
-    /// The split-wide filter over two outer entries, the first unsorted
-    /// and the second sorted as required, and a sort-merge join sorted as
-    /// required: a costlier candidate of another method that the split's
-    /// cheapest covers is dropped (the first entry's page nested-loop),
-    /// and so is a required one above the cheapest required (its
-    /// sort-merge joins), but the cheapest required survives a cheaper
-    /// unsorted one, and exact ties and a NaN cost are kept.
-    #[test]
-    fn the_split_wide_filter_drops_only_covered_candidates() {
-        use JoinMethod::{BlockNestedLoop as Bnl, GraceHash as Gh, PageNestedLoop as Nl};
-        let sums = [
-            ([5.0, 3.0, 4.0, 3.0], 'a'),
-            ([6.0, f64::NAN, 4.5, 3.0], 'b'),
-        ];
-        let order = |i, method| match method == JoinMethod::SortMerge || (i, method) == (1, Nl) {
-            true => OrderProperty::Required,
-            false => OrderProperty::Unsorted,
-        };
-        let mut kept = Vec::new();
-        for_each_cheapest(&sums, 1, order, |i, j, method, cost, _, size| {
-            kept.push((i, j, method, cost.to_bits(), size));
-        });
-        let want = [
-            (0, Gh, 3.0, 'a'),
-            (0, Bnl, 3.0, 'a'),
-            (1, Gh, f64::NAN, 'b'),
-            (1, Nl, 4.5, 'b'),
-            (1, Bnl, 3.0, 'b'),
-        ];
-        let want: Vec<_> = (want.iter())
-            .map(|&(i, method, cost, size)| (i, 0, method, cost.to_bits(), size))
-            .collect();
-        assert_eq!(kept, want);
     }
 
     /// Two outer entries whose sums round to one candidate cost: 1.5 and

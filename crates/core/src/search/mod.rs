@@ -11,7 +11,9 @@
 //!
 //! * **plan shape** ([`engine::PlanShape`]): how a subset is split into
 //!   (outer, inner) operand pairs — left-deep (`S∖{j}` × `{j}`, §2.2) or
-//!   bushy (every connected 2-partition, the §4 extension);
+//!   bushy (every connected 2-partition, the §4 extension).  Both shapes
+//!   walk the same levels, grown once from the level below, and differ
+//!   only in the splits they combine for a set;
 //! * **candidate policy** ([`policy::CandidatePolicy`]): what is kept per
 //!   dag node and how a join candidate is costed.
 //!

@@ -37,9 +37,9 @@
 //!   that size and by a table's access entries.
 
 use super::arena::{PlanArena, PlanId};
-use super::keep_best::{for_each_cheapest, sort_where_required};
+use super::keep_best::sort_where_required;
 use super::policy::{
-    access_alternatives, insert_entry_shaped, join_output_order, priced, CandidatePolicy,
+    access_alternatives, insert_cheapest, insert_entry_shaped, priced, CandidatePolicy,
     JoinContext, Joined, RootContext, SearchEntry,
 };
 use super::SearchStats;
@@ -171,8 +171,7 @@ impl Selectivities {
         let start = self.buckets.len();
         self.buckets.extend_from_slice(product);
         let run = [start, self.buckets.len()].map(|i| u32::try_from(i).expect("< 2^32 buckets"));
-        self.entries
-            .push((run, model.sort_merge_order(left, right)));
+        self.entries.push((run, model.crossing(left, right).1));
         self.index.insert(key, self.entries.len() - 1);
         self.entries.len() - 1
     }
@@ -354,24 +353,8 @@ impl CandidatePolicy for MultiParamPolicy {
                 sums.push((costs.map(|join_ec| oe.cost + ie.cost + join_ec), size));
             }
         }
-        let order = |i: usize, method| join_output_order(sm_order, outer[i].order, method);
-        for_each_cheapest(
-            &self.sums,
-            inner.len(),
-            order,
-            |i, j, method, cost, order, size| {
-                let (oe, ie) = (&outer[i], &inner[j]);
-                let joined = Joined {
-                    cost,
-                    order,
-                    size,
-                    method,
-                    outer: oe.plan,
-                    inner: ie.plan,
-                };
-                insert_entry_shaped(model, plans, into, joined);
-            },
-        );
+        let split = (outer, inner);
+        insert_cheapest(model, plans, sm_order, split, |e| e.plan, &self.sums, into);
     }
 
     /// Only survivors fingerprint a size distribution and build its
@@ -434,7 +417,7 @@ mod tests {
     /// One memo over every left-deep split `(S∖{t}, {t})` and every bushy
     /// split of a query's tables returns, for each, the bits of
     /// [`CostModel::join_selectivity_dist_sets`] and the order of
-    /// [`CostModel::sort_merge_order`] — on chains, stars, cliques and
+    /// [`CostModel::crossing`] — on chains, stars, cliques and
     /// random graphs with three-bucket selectivities, where a bushy
     /// split's inner has several tables and, but on the clique, many
     /// splits share a key.
@@ -484,7 +467,7 @@ mod tests {
                         .map(|(v, p)| (v.to_bits(), p.to_bits()))
                         .collect();
                     assert_eq!(got, want, "{topology:?}: {left} x {right}");
-                    assert_eq!(memo.order(i), model.sort_merge_order(left, right));
+                    assert_eq!(memo.order(i), model.crossing(left, right).1);
                 }
             }
             // A clique's crossing predicates differ with every split.

@@ -226,7 +226,7 @@ pub fn shape_rank<E: SearchEntry>(
 /// the \[SAC+79\] interesting-order rules (left-deep inner singletons are
 /// the special case `right = {j}`).  `sort_merge` is the order a
 /// sort-merge join of the operand pair delivers
-/// ([`CostModel::sort_merge_order`]), which depends on the operand *sets*
+/// ([`CostModel::crossing`]), which depends on the operand *sets*
 /// only, so a policy reads it once per `combine` call.
 pub fn join_output_order(
     sort_merge: OrderProperty,
@@ -237,6 +237,84 @@ pub fn join_output_order(
         JoinMethod::SortMerge => sort_merge,
         JoinMethod::PageNestedLoop => left_order,
         JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::Unsorted,
+    }
+}
+
+/// The tail of every keep-1 `combine`: insert into `into`, through
+/// [`insert_entry_shaped`] and in enumeration order, the candidates of one
+/// split that no cheaper candidate of the split covers.  `sums[i *
+/// inner.len() + j]` holds outer entry `i` joined with inner entry `j`:
+/// the four method costs and the result size; `sort_merge` is the split's
+/// sort-merge order and `plan` reads an entry's plan.
+///
+/// The split's cheapest candidate covers every candidate not sorted as
+/// required, and the cheapest of those sorted as required covers the
+/// rest, so two minima filter the split.  A costlier candidate is strictly
+/// dominated by a covering one: the insert rule drops it whenever it
+/// arrives, and what it would evict or reject, the cheaper one does too.
+/// So the node's entries, their order and every counter stay; exact ties
+/// (and NaN costs) all go in, for the shape tie-break.
+pub(super) fn insert_cheapest<E: SearchEntry, S: Copy>(
+    model: &CostModel<'_>,
+    plans: &PlanArena,
+    sort_merge: OrderProperty,
+    (outer, inner): (&[E], &[E]),
+    plan: impl Fn(&E) -> PlanId,
+    sums: &[([f64; 4], S)],
+    into: &mut Vec<Joined<S>>,
+) {
+    let order = |i: usize, method| join_output_order(sort_merge, outer[i].order(), method);
+    let insert = |i: usize, j: usize, method, cost, order, size| {
+        let (outer, inner) = (plan(&outer[i]), plan(&inner[j]));
+        let joined = Joined {
+            cost,
+            order,
+            size,
+            method,
+            outer,
+            inner,
+        };
+        insert_entry_shaped(model, plans, into, joined);
+    };
+    for_each_cheapest(sums, inner.len(), order, insert);
+}
+
+/// Call `insert(i, j, method, cost, order, size)`, in enumeration order,
+/// for each candidate of one split that no cheaper candidate of the split
+/// covers ([`insert_cheapest`]): those at the split's least cost, and
+/// those sorted as required at the least cost of such candidates.
+/// `sums[i * n_inner + j]` holds outer `i` with inner `j`'s costs and
+/// size, and `order(i, method)` is their join's output order.
+fn for_each_cheapest<S: Copy>(
+    sums: &[([f64; 4], S)],
+    n_inner: usize,
+    order: impl Fn(usize, JoinMethod) -> OrderProperty,
+    mut insert: impl FnMut(usize, usize, JoinMethod, f64, OrderProperty, S),
+) {
+    let (mut least, mut least_required) = (f64::INFINITY, f64::INFINITY);
+    for (i, row) in sums.chunks(n_inner.max(1)).enumerate() {
+        let row_least = (row.iter()).fold([f64::INFINITY; 4], |m, (costs, _)| {
+            std::array::from_fn(|k| m[k].min(costs[k]))
+        });
+        for (cost, method) in row_least.into_iter().zip(JoinMethod::ALL) {
+            least = least.min(cost);
+            if order(i, method).is_required() {
+                least_required = least_required.min(cost);
+            }
+        }
+    }
+    for (i, row) in sums.chunks(n_inner.max(1)).enumerate() {
+        for (j, &(costs, size)) in row.iter().enumerate() {
+            for (k, method) in JoinMethod::ALL.into_iter().enumerate() {
+                let order = order(i, method);
+                // A NaN cost is above no minimum: the filter keeps it, as the rule does.
+                let covered =
+                    costs[k] > least && (!order.is_required() || costs[k] > least_required);
+                if !covered {
+                    insert(i, j, method, costs[k], order, size);
+                }
+            }
+        }
     }
 }
 
@@ -425,5 +503,40 @@ mod tests {
         assert_eq!(order_run(&v, Unsorted), 0..2);
         let kept: Vec<_> = v.iter().map(|e| (e.cost, e.order)).collect();
         assert_eq!(kept, [(3.0, Unsorted), (3.0, Incidental), (9.0, Required)]);
+    }
+
+    /// The split-wide filter over two outer entries, the first unsorted
+    /// and the second sorted as required, and a sort-merge join sorted as
+    /// required: a costlier candidate of another method that the split's
+    /// cheapest covers is dropped (the first entry's page nested-loop),
+    /// and so is a required one above the cheapest required (its
+    /// sort-merge joins), but the cheapest required survives a cheaper
+    /// unsorted one, and exact ties and a NaN cost are kept.
+    #[test]
+    fn the_split_wide_filter_drops_only_covered_candidates() {
+        use JoinMethod::{BlockNestedLoop as Bnl, GraceHash as Gh, PageNestedLoop as Nl};
+        let sums = [
+            ([5.0, 3.0, 4.0, 3.0], 'a'),
+            ([6.0, f64::NAN, 4.5, 3.0], 'b'),
+        ];
+        let order = |i, method| match method == JoinMethod::SortMerge || (i, method) == (1, Nl) {
+            true => OrderProperty::Required,
+            false => OrderProperty::Unsorted,
+        };
+        let mut kept = Vec::new();
+        for_each_cheapest(&sums, 1, order, |i, j, method, cost, _, size| {
+            kept.push((i, j, method, cost.to_bits(), size));
+        });
+        let want = [
+            (0, Gh, 3.0, 'a'),
+            (0, Bnl, 3.0, 'a'),
+            (1, Gh, f64::NAN, 'b'),
+            (1, Nl, 4.5, 'b'),
+            (1, Bnl, 3.0, 'b'),
+        ];
+        let want: Vec<_> = (want.iter())
+            .map(|&(i, method, cost, size)| (i, 0, method, cost.to_bits(), size))
+            .collect();
+        assert_eq!(kept, want);
     }
 }

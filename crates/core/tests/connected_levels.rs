@@ -1,13 +1,13 @@
 //! The DP driver walks the join graph, not the subset lattice: each level
 //! is the connected subsets of its size, grown from the level below
-//! through the cost model's graph tables.  Pinned here: the enumeration
-//! against a brute-force filter of the lattice, the graph tables (per-table
-//! predicate lists) against the full predicate scans they replaced (bit
-//! for bit), and the sizes the walk now reaches — a 40-table chain is 820
-//! subsets, not `2^40`.
+//! through the cost model's graph tables (the enumeration itself is held
+//! to a brute-force filter of the lattice in `search::engine`'s unit
+//! tests).  Pinned here: the graph tables (per-table predicate lists)
+//! against the full predicate scans they replaced (bit for bit), and the
+//! sizes the walk now reaches — a 40-table chain is 820 subsets, not
+//! `2^40`.
 
 use lec_catalog::{Catalog, ColumnStats, TableStats};
-use lec_core::search::engine::next_level;
 use lec_core::search::SearchConfig;
 use lec_core::{fixtures, optimize, Mode, OptError, Optimizer, SearchOutcome};
 use lec_cost::formulas::MIN_PAGES;
@@ -97,24 +97,6 @@ fn edges_strategy() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
 }
 
 proptest! {
-    /// Every level the driver walks is exactly the connected subsets of
-    /// that size, in the order `subsets_of_size` visits them.
-    #[test]
-    fn levels_are_the_connected_subsets_in_bit_order(n in 2usize..=10, edges in edges_strategy()) {
-        let (cat, q) = graph_query(n, &edges);
-        let model = CostModel::new(&cat, &q);
-        let mut level: Vec<TableSet> = (0..n).map(TableSet::singleton).collect();
-        for k in 2..=n {
-            level = next_level(&model, &level);
-            let brute: Vec<TableSet> = TableSet::subsets_of_size(n, k)
-                .into_iter()
-                .filter(|&s| bfs_connected(&q, s))
-                .collect();
-            prop_assert_eq!(&level, &brute, "level {} of {:?}", k, edges);
-            prop_assert!(level.windows(2).all(|w| w[0].bits() < w[1].bits()));
-        }
-    }
-
     /// A query whose graph is not connected has no cross-product-free
     /// plan.
     #[test]
@@ -225,13 +207,13 @@ fn crosses(q: &Query, i: usize, a: TableSet, b: TableSet) -> bool {
     (hits(left, a) && hits(right, b)) || (hits(right, a) && hits(left, b))
 }
 
-/// Every crossing product the search reads, for
-/// singleton pairs, each singleton against the rest of the query, and
-/// disjoint bushy halves cut from `masks`, against full scans of the
-/// predicate list: selectivity means, the order a sort-merge join on the
-/// first crossing predicate delivers, the
-/// selectivity distributions' support and probability bits (where the
-/// product has at most 4,096 buckets).
+/// Every crossing product the search reads, for singleton pairs, each
+/// singleton against the rest of the query, and disjoint bushy halves cut
+/// from `masks`, against full scans of the predicate list: `crossing`'s
+/// product of selectivity means and the order a sort-merge join on the
+/// first crossing predicate delivers, and the selectivity distributions'
+/// support and probability bits (where the product has at most 4,096
+/// buckets).
 fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<(), TestCaseError> {
     let model = CostModel::new(cat, q);
     let n = q.n_tables();
@@ -252,8 +234,9 @@ fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<
             .iter()
             .map(|&i| q.joins[i].selectivity.mean())
             .product();
+        let (sel, order) = model.crossing(a, b);
         prop_assert_eq!(
-            model.join_selectivity_sets(a, b).to_bits(),
+            sel.to_bits(),
             mean.to_bits(),
             "{} x {} over {} predicates",
             a,
@@ -270,11 +253,7 @@ fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<
                 Some(want) if eq.same_class(q.joins[i].left, want) => OrderProperty::Required,
                 _ => OrderProperty::Incidental,
             });
-        prop_assert_eq!(model.sort_merge_order(a, b), merge);
-        // The one-walk reader every scalar combine calls agrees with both.
-        let (sel, order) = model.crossing(a, b);
-        prop_assert_eq!(sel.to_bits(), model.join_selectivity_sets(a, b).to_bits());
-        prop_assert_eq!(order, model.sort_merge_order(a, b));
+        prop_assert_eq!(order, merge);
         let buckets: usize = crossing
             .iter()
             .map(|&i| q.joins[i].selectivity.len())

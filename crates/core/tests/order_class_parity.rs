@@ -184,7 +184,7 @@ impl CandidatePolicy for FullClassKeepBest {
         stats: &mut SearchStats,
     ) {
         let q = model.query();
-        let sel = model.join_selectivity_sets(ctx.left, ctx.right);
+        let (sel, _) = model.crossing(ctx.left, ctx.right);
         let crossing = q.joins_crossing(ctx.left, ctx.right);
         let merge = crossing
             .first()

@@ -57,8 +57,7 @@ impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
         into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
-        let sel = model.join_selectivity_sets(ctx.left, ctx.right);
-        let sm_order = model.sort_merge_order(ctx.left, ctx.right);
+        let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
         for oe in outer {
             for ie in inner {
                 let pages = model.join_output_pages(oe.pages, ie.pages, sel);
@@ -172,7 +171,7 @@ impl CandidatePolicy for EagerMultiParam {
         stats: &mut SearchStats,
     ) {
         let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
-        let sm_order = model.sort_merge_order(ctx.left, ctx.right);
+        let (_, sm_order) = model.crossing(ctx.left, ctx.right);
         for oe in outer {
             for ie in inner {
                 let (o, i) = (oe.pages.to_distribution(), ie.pages.to_distribution());
@@ -392,7 +391,11 @@ fn assert_every_policy_priced_once(catalog: &Catalog, query: &Query) {
     ));
     // The uniform start barely moves under the sticky chain; a skewed one
     // gives every phase its own distribution, so its own prices.
-    let skewed = presets::zipf_over(memory.support(), 1.5).unwrap();
+    // Zipf weights: the k-th largest value weighs 1/(k+1)^1.5.
+    let descending = memory.support().iter().rev().enumerate();
+    let skewed =
+        Distribution::from_pairs(descending.map(|(k, &v)| (v, 1.0 / ((k + 1) as f64).powf(1.5))))
+            .unwrap();
     let drifting = MemoryCoster::new(
         Objective::Dynamic {
             initial: skewed,

@@ -75,8 +75,7 @@ impl CandidatePolicy for EagerTopC {
         _into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
-        let sel = model.join_selectivity_sets(ctx.left, ctx.right);
-        let sm_order = model.sort_merge_order(ctx.left, ctx.right);
+        let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
         let key = |e: &DpEntry| (e.order.is_required(), e.pages.to_bits());
         let mut outer_list: Vec<&DpEntry> = outer.iter().collect();
         outer_list.sort_by_key(|e| key(e));

@@ -358,17 +358,11 @@ impl<'a> CostModel<'a> {
         edges.iter().filter(move |e| meets(e, a) && meets(e, b))
     }
 
-    /// The order a sort-merge join of two disjoint table sets delivers:
-    /// sorted on the class of the first predicate crossing them, the one
-    /// the join sorts on.
-    pub fn sort_merge_order(&self, a: TableSet, b: TableSet) -> OrderProperty {
-        self.predicates_between(a, b)
-            .next()
-            .map_or(OrderProperty::Unsorted, |e| e.merge_order)
-    }
-
-    /// [`Self::join_selectivity_sets`] and [`Self::sort_merge_order`], bit
-    /// for bit, from one walk of the crossing predicates.
+    /// The point (mean) combined selectivity of the predicates crossing two
+    /// disjoint table sets, their means multiplied in predicate order, and
+    /// the order a sort-merge join of the two delivers: sorted on the class
+    /// of the first crossing predicate, the one the join sorts on.  One walk
+    /// answers both, for every scalar reader of a split.
     pub fn crossing(&self, a: TableSet, b: TableSet) -> (f64, OrderProperty) {
         let mut preds = self.predicates_between(a, b).peekable();
         let order = preds
@@ -394,16 +388,6 @@ impl<'a> CostModel<'a> {
     /// order, starting from the point 1.
     pub fn join_selectivity_dist_sets(&self, a: TableSet, b: TableSet) -> Distribution {
         (self.crossing_selectivities(a, b)).fold(Distribution::point(1.0), |d, s| d.product(s))
-    }
-
-    /// Point (mean) combined selectivity of all predicates crossing two
-    /// disjoint table sets (general form used when costing arbitrary
-    /// trees): the product of the crossing predicates' means, taken in
-    /// predicate order.
-    pub fn join_selectivity_sets(&self, a: TableSet, b: TableSet) -> f64 {
-        self.predicates_between(a, b)
-            .map(|e| e.selectivity)
-            .product()
     }
 
     /// Result size of a join: the paper's `a·b·σ` pages, clamped to one page.
@@ -541,7 +525,7 @@ mod tests {
             0.5,
         ));
         let m = CostModel::new(&cat, &q);
-        let s = m.join_selectivity_sets(TableSet::singleton(0), TableSet::singleton(1));
+        let (s, _) = m.crossing(TableSet::singleton(0), TableSet::singleton(1));
         assert!((s - 1e-4 * 0.5).abs() < 1e-18);
         let d = m.join_selectivity_dist_sets(TableSet::singleton(0), TableSet::singleton(1));
         assert!(d.is_point());

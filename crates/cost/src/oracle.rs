@@ -113,14 +113,14 @@ impl LeftDeep<'_, '_> {
         }
         for j in (0..q.n_tables()).filter(|&j| !set.contains(j) && q.is_connected_to(set, j)) {
             let (right, inner) = (TableSet::singleton(j), model.base_pages(j));
-            let out =
-                model.join_output_pages(pages, inner, model.join_selectivity_sets(set, right));
+            let (sel, merge_order) = model.crossing(set, right);
+            let out = model.join_output_pages(pages, inner, sel);
             for a in 0..self.accesses[j].len() {
                 let fixed = pending + self.accesses[j][a].0;
                 for method in JoinMethod::ALL {
                     self.add(k, |m| fixed + model.join_cost(method, pages, inner, m));
                     let order = match method {
-                        JoinMethod::SortMerge => model.sort_merge_order(set, right),
+                        JoinMethod::SortMerge => merge_order,
                         JoinMethod::PageNestedLoop => order,
                         _ => Order::Unsorted,
                     };

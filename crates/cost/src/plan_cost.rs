@@ -190,7 +190,7 @@ fn walk<'p>(
                 inner: inner_pages,
             };
             visit(node, kind, Some(outer_pending + inner_pending));
-            let sel = model.join_selectivity_sets(outer.tables(), inner.tables());
+            let (sel, _) = model.crossing(outer.tables(), inner.tables());
             let pages = model.join_output_pages(outer_pages, inner_pages, sel);
             (pages, 0.0)
         }
@@ -258,7 +258,7 @@ pub fn output_order(model: &CostModel<'_>, plan: &PlanNode) -> OrderProperty {
         Step::IndexScan(table) => model.index_scan_order(table),
         Step::Sort(_, key) => model.equivalences.sorted_on(key),
         Step::Join(JoinMethod::SortMerge, outer, inner) => {
-            model.sort_merge_order(outer.tables(), inner.tables())
+            model.crossing(outer.tables(), inner.tables()).1
         }
         Step::Join(..) => OrderProperty::Unsorted,
     }

@@ -90,11 +90,6 @@ impl TableSet {
         TableSet(self.0 & other.0)
     }
 
-    /// True when `self ⊆ other`.
-    pub fn is_subset_of(&self, other: TableSet) -> bool {
-        self.0 & !other.0 == 0
-    }
-
     /// Iterate over member indices in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> {
         let mut bits = self.0;
@@ -175,8 +170,6 @@ mod tests {
         assert!(!s.contains(1));
         assert_eq!(s.without(2), TableSet::from_indices([0, 5]));
         assert_eq!(s.with(1).len(), 4);
-        assert!(TableSet::singleton(2).is_subset_of(s));
-        assert!(!s.is_subset_of(TableSet::singleton(2)));
         assert_eq!(
             s.union(TableSet::singleton(1)),
             TableSet::from_indices([0, 1, 2, 5])
@@ -227,7 +220,7 @@ mod tests {
                 assert_eq!(subs.len() as u64, choose(n as u64, k as u64), "n={n},k={k}");
                 for s in &subs {
                     assert_eq!(s.len(), k);
-                    assert!(s.is_subset_of(TableSet::full(n)));
+                    assert_eq!(s.intersect(TableSet::full(n)), *s);
                 }
                 // strictly increasing bit order, hence distinct
                 for w in subs.windows(2) {

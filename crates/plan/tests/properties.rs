@@ -19,8 +19,8 @@ proptest! {
         // Union/intersection identities.
         prop_assert_eq!(sa.union(sb), sb.union(sa));
         prop_assert_eq!(sa.intersect(sb), sb.intersect(sa));
-        prop_assert!(sa.intersect(sb).is_subset_of(sa));
-        prop_assert!(sa.is_subset_of(sa.union(sb)));
+        prop_assert_eq!(sa.intersect(sb).intersect(sa), sa.intersect(sb));
+        prop_assert_eq!(sa.intersect(sa.union(sb)), sa);
         // Membership agrees with construction.
         for i in 0..32 {
             prop_assert_eq!(sa.contains(i), a.contains(&i));

@@ -185,12 +185,6 @@ impl Distribution {
         best.0
     }
 
-    /// Variance `E[(X - E[X])^2]`.
-    pub fn variance(&self) -> f64 {
-        let m = self.mean();
-        self.iter().map(|(v, p)| (v - m) * (v - m) * p).sum()
-    }
-
     /// Expectation of an arbitrary function of the value: `E[f(X)]`.
     ///
     /// This is the paper's fundamental quantity
@@ -497,7 +491,7 @@ mod tests {
         assert!(d.is_point());
         assert_eq!(d.mean(), 42.0);
         assert_eq!(d.mode(), 42.0);
-        assert_eq!(d.variance(), 0.0);
+        assert_eq!(d.expect(|v| (v - 42.0) * (v - 42.0)), 0.0);
     }
 
     #[test]

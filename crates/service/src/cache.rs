@@ -160,7 +160,7 @@ impl AtomicCacheStats {
 /// folded through [`Fingerprint`] once when built.  That one fold picks the
 /// stripe and is the hash its maps probe with ([`Prehashed`]); equality is
 /// on the full words, so distinct shapes never collide into one plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct PlanKey {
     fingerprint: u64,
     words: Vec<u64>,
@@ -335,12 +335,14 @@ impl ShapeCache {
                 self.stats.insertions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // The LRU scan is O(stripe): stripes are small slices of a
-        // bounded capacity, and it only runs when one is full.
+        // The LRU scans are O(stripe): stripes are small slices of a
+        // bounded capacity, and they only run when one is full.  A stripe's
+        // ticks are unique, so its least one names the coldest entry, and
+        // removing it clones no key.
         while shard.entries.len() > self.shard_capacity {
-            let coldest = shard.entries.iter().min_by_key(|(_, e)| e.last_used);
-            let victim = coldest.expect("over capacity, so not empty").0.clone();
-            shard.entries.remove(&victim);
+            let coldest = shard.entries.values().map(|e| e.last_used).min();
+            let coldest = coldest.expect("over capacity, so not empty");
+            shard.entries.retain(|_, e| e.last_used != coldest);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -6,13 +6,13 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`prob`] | bucketed distributions, prefix tables, Markov memory chains |
+//! | [`prob`] | bucketed distributions, Markov memory chains |
 //! | [`catalog`] | table statistics and synthetic catalogs |
 //! | [`plan`] | queries, order properties, physical plans, workloads |
-//! | [`cost`] | the paper's I/O cost formulas and expected-cost algorithms; the memory belief (`Objective`) and the plan replay under it |
-//! | [`core`] | LSC baseline and Algorithms A, B, C, D; bucketing; ground truth |
+//! | [`cost`] | the paper's I/O cost formulas and expected-cost algorithms over prefix tables (`DistTables`); the memory belief (`Objective`), the plan replay under it, and the ground truth (`oracle`) |
+//! | [`core`] | LSC baseline and Algorithms A, B, C, D over one DP engine; bucketing |
 //! | [`service`] | cross-query serving: canonical-shape plan cache shared by many client threads |
-//! | [`serviced`] | hardened network daemon: wire protocol, admission control, graceful drain, fault injection |
+//! | [`serviced`] | hardened network daemon: wire protocol, admission control, graceful drain, a search hook |
 //! | [`exec`] | Page-counting operators (the one plan executor), synthetic data, cost-calibration observatory |
 //! | [`telemetry`] | lock-free histograms, request tracing, the slow log |
 //!

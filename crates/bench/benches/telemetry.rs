@@ -16,19 +16,17 @@
 //! 3. **Trace coherence**: a traced cold request's per-stage spans must
 //!    sum to within its own measured wall time.
 //! 4. **Wire agreement**: a `STATS` snapshot fetched over the wire must
-//!    be byte-identical to the daemon's in-process `metrics_json`, and
-//!    the Prometheus exposition must parse line by line.
+//!    be byte-identical to the daemon's in-process `metrics_json`.
 //!
-//! Results land in `BENCH_telemetry.json`; the JSON and Prometheus
-//! snapshots land beside it (`BENCH_telemetry_stats.json`,
-//! `BENCH_telemetry.prom`) for the CI artifact upload.
+//! Results land in `BENCH_telemetry.json`; the wire snapshot lands beside
+//! it (`BENCH_telemetry_stats.json`) for the CI artifact upload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lec_core::Mode;
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::{ConcurrentPlanServer, ServeCtx};
-use lec_serviced::{Client, Daemon, DaemonConfig, StatsFormat, UnixAcceptor};
-use lec_telemetry::{parse_prometheus, Outcome, Telemetry, TraceCtx};
+use lec_serviced::{Client, Daemon, DaemonConfig, UnixAcceptor};
+use lec_telemetry::{Outcome, Telemetry, TraceCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
@@ -181,22 +179,19 @@ fn bench_telemetry(c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
     let acceptor =
         UnixAcceptor::new(UnixListener::bind(&path).expect("bind unix socket")).expect("acceptor");
-    let (wire_json, wire_prom) = std::thread::scope(|scope| {
+    let wire_json = std::thread::scope(|scope| {
         let runner = scope.spawn(|| daemon.run(&acceptor));
         let stream = UnixStream::connect(&path).expect("connect unix socket");
         let mut client = Client::new(Box::new(stream), 0xD0C5);
-        let wire_json = client.stats(StatsFormat::Json).expect("stats json");
+        let wire_json = client.stats().expect("stats json");
         let local_json = serde_json::to_string(&daemon.metrics_json()).unwrap();
         assert_eq!(
             wire_json, local_json,
             "STATS-over-the-wire snapshot disagrees with in-process metrics_json"
         );
-        let wire_prom = client.stats(StatsFormat::Prometheus).expect("stats prom");
-        let samples = parse_prometheus(&wire_prom).expect("Prometheus exposition parses");
-        assert!(samples.len() > 30, "exposition covers both layers");
         client.drain().expect("drain");
         runner.join().expect("daemon thread");
-        (wire_json, wire_prom)
+        wire_json
     });
     let _ = std::fs::remove_file(&path);
 
@@ -251,8 +246,6 @@ fn bench_telemetry(c: &mut Criterion) {
     .expect("write BENCH_telemetry.json");
     std::fs::write(root.join("BENCH_telemetry_stats.json"), &wire_json)
         .expect("write BENCH_telemetry_stats.json");
-    std::fs::write(root.join("BENCH_telemetry.prom"), &wire_prom)
-        .expect("write BENCH_telemetry.prom");
 
     // Criterion history: one hot warm hit with and without telemetry.
     let hot = &stream[0];

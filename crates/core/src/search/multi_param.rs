@@ -162,7 +162,8 @@ impl Selectivities {
         let [product, next] = &mut self.scratch;
         product.clear();
         product.push((1.0, 1.0));
-        for sel in model.crossing_selectivities(left, right) {
+        let (order, selectivities) = model.crossing_selectivities(left, right);
+        for sel in selectivities {
             next.clear();
             product_pairs(product.iter().copied(), sel.iter(), next);
             normalize_pairs(next).expect("product of valid distributions is valid");
@@ -171,7 +172,7 @@ impl Selectivities {
         let start = self.buckets.len();
         self.buckets.extend_from_slice(product);
         let run = [start, self.buckets.len()].map(|i| u32::try_from(i).expect("< 2^32 buckets"));
-        self.entries.push((run, model.crossing(left, right).1));
+        self.entries.push((run, order));
         self.index.insert(key, self.entries.len() - 1);
         self.entries.len() - 1
     }

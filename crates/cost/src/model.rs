@@ -372,14 +372,22 @@ impl<'a> CostModel<'a> {
     }
 
     /// The selectivity distributions of the predicates crossing two
-    /// disjoint table sets, in predicate order: the factors of
-    /// [`Self::join_selectivity_dist_sets`].
+    /// disjoint table sets, in predicate order — the factors of
+    /// [`Self::join_selectivity_dist_sets`] — beside the sort-merge order
+    /// [`Self::crossing`] reports, taken from the same walk.
     pub fn crossing_selectivities(
         &self,
         a: TableSet,
         b: TableSet,
-    ) -> impl Iterator<Item = &Distribution> {
-        (self.predicates_between(a, b)).map(|e| &self.query.joins[e.pred as usize].selectivity)
+    ) -> (OrderProperty, impl Iterator<Item = &Distribution>) {
+        let mut preds = self.predicates_between(a, b).peekable();
+        let order = preds
+            .peek()
+            .map_or(OrderProperty::Unsorted, |e| e.merge_order);
+        (
+            order,
+            preds.map(|e| &self.query.joins[e.pred as usize].selectivity),
+        )
     }
 
     /// Distribution of the combined selectivity of all predicates crossing
@@ -387,7 +395,7 @@ impl<'a> CostModel<'a> {
     /// form): the product of [`Self::crossing_selectivities`] in their
     /// order, starting from the point 1.
     pub fn join_selectivity_dist_sets(&self, a: TableSet, b: TableSet) -> Distribution {
-        (self.crossing_selectivities(a, b)).fold(Distribution::point(1.0), |d, s| d.product(s))
+        (self.crossing_selectivities(a, b).1).fold(Distribution::point(1.0), |d, s| d.product(s))
     }
 
     /// Result size of a join: the paper's `a·b·σ` pages, clamped to one page.

@@ -265,11 +265,6 @@ impl<'a> ConcurrentPlanServer<'a> {
         self.cache.stats()
     }
 
-    /// Number of plans currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Per-entry exact-hit counters, descending.
     pub fn hit_histogram(&self) -> Vec<u64> {
         self.cache.hit_histogram()
@@ -594,7 +589,8 @@ mod tests {
         // Every response was answered by exactly one decision.
         assert_eq!(stats.served + stats.recomputed, 4);
         // However the four clients interleaved, one entry holds the shape.
-        assert_eq!((stats.insertions, server.cache_len()), (1, 1));
+        assert_eq!(stats.insertions, 1);
+        assert_eq!(server.metrics_json()["cache_entries"].as_f64(), Some(1.0));
     }
 
     #[test]
@@ -712,7 +708,7 @@ mod tests {
         ));
         assert_eq!(gate.admitted.load(Ordering::SeqCst), 0);
         assert_eq!(gate.released.load(Ordering::SeqCst), 0);
-        assert_eq!(server.cache_len(), 0);
+        assert_eq!(server.metrics_json()["cache_entries"].as_f64(), Some(0.0));
         // The key is healthy: an ungated serve searches, matches fresh
         // optimization bit for bit, and its answer is then served.
         let fresh = server.optimizer.optimize(&q, &Mode::AlgorithmC).unwrap();
@@ -743,7 +739,11 @@ mod tests {
             1,
             "the cold permit is released even across the panic"
         );
-        assert_eq!(server.cache_len(), 0, "a killed search caches nothing");
+        assert_eq!(
+            server.metrics_json()["cache_entries"].as_f64(),
+            Some(0.0),
+            "a killed search caches nothing"
+        );
         gate.panic_in_search.store(false, Ordering::SeqCst);
         let resp = serve_behind(&server, &q, &Mode::AlgorithmC, &gate).unwrap();
         assert_eq!(resp.decision, CacheDecision::Recomputed);
@@ -768,13 +768,13 @@ mod tests {
                 serve_behind(&server, &q, &bad, &gate),
                 Err(ServeError::Opt(OptError::BadParameter(_)))
             ));
-            assert_eq!(server.cache_len(), 0);
+            assert_eq!(server.metrics_json()["cache_entries"].as_f64(), Some(0.0));
         }
         assert_eq!(gate.admitted.load(Ordering::SeqCst), 2);
         assert_eq!(gate.released.load(Ordering::SeqCst), 2);
         let ok = server.serve(&q, &Mode::AlgorithmC).unwrap();
         assert_eq!(ok.decision, CacheDecision::Recomputed);
-        assert_eq!(server.cache_len(), 1);
+        assert_eq!(server.metrics_json()["cache_entries"].as_f64(), Some(1.0));
     }
 
     /// An answer done past its deadline is refused, and the search still

@@ -76,7 +76,7 @@
 //! // However the clients raced, one entry holds the shape.
 //! let stats = server.cache_stats();
 //! assert_eq!(stats.served + stats.recomputed, 4);
-//! assert_eq!(server.cache_len(), 1);
+//! assert_eq!(server.metrics_json()["cache_entries"].as_f64(), Some(1.0));
 //! ```
 
 #![forbid(unsafe_code)]

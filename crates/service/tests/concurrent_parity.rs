@@ -137,11 +137,13 @@ fn concurrent_clients_stay_byte_identical_to_fresh_optimization() {
     );
     // The skew must still be absorbed: misses racing on one shape each
     // search, but at most one entry per distinct shape is inserted.
-    assert_eq!(stats.insertions, server.cache_len() as u64);
+    let entries = server.metrics_json()["cache_entries"]
+        .as_f64()
+        .expect("cache_entries");
+    assert_eq!(stats.insertions as f64, entries);
     assert!(
-        server.cache_len() <= pool.len(),
-        "more entries ({}) than distinct shapes ({})",
-        server.cache_len(),
+        entries <= pool.len() as f64,
+        "more entries ({entries}) than distinct shapes ({})",
         pool.len()
     );
     assert!(
@@ -329,7 +331,8 @@ fn concurrent_misses_on_one_key_each_search_and_answer_alike() {
     assert_eq!(stats.lookups, 4);
     assert_eq!(stats.served + stats.recomputed, 4);
     assert_eq!(stats.recomputed, 4, "every held miss ran its own search");
-    assert_eq!((stats.insertions, server.cache_len()), (1, 1));
+    assert_eq!(stats.insertions, 1);
+    assert_eq!(server.metrics_json()["cache_entries"].as_f64(), Some(1.0));
     assert_eq!(gate.permits(), (4, 4));
     for (q, want) in renamed.iter().zip(&fresh) {
         let resp = server.serve(q, &mode).unwrap();
@@ -392,7 +395,7 @@ fn poisoned_leader_fails_only_its_followers() {
     );
     // The survivor's answer is the key's one entry; the bystander's
     // entry is untouched.
-    assert_eq!(server.cache_len(), 2);
+    assert_eq!(server.metrics_json()["cache_entries"].as_f64(), Some(2.0));
     for (q, want) in [&big, &renamed].into_iter().zip(&fresh) {
         let resp = server.serve(q, &mode).unwrap();
         assert_eq!(resp.decision, CacheDecision::Served);

@@ -139,8 +139,8 @@ fn five_hundred_query_stream_is_byte_identical_to_fresh_optimization() {
             STREAM_LEN
         );
         assert_eq!(
-            decisions[1],
-            server.cache_len(),
+            Some(decisions[1] as f64),
+            server.metrics_json()["cache_entries"].as_f64(),
             "{name}: one recompute per distinct shape"
         );
         // Hit counters expose the skew: the hottest entry outdraws the sum's

@@ -11,7 +11,7 @@
 //! kill the next search too, so it surfaces to the caller, who decides.  Deterministic optimizer errors
 //! and malformed-frame rejections likewise surface immediately.
 
-use crate::protocol::{self, op, DecodeError, ErrorCode, FrameBuf, Reader, StatsFormat, Writer};
+use crate::protocol::{self, op, DecodeError, ErrorCode, FrameBuf, Reader, Writer};
 use crate::transport::Stream;
 use lec_core::Mode;
 use lec_plan::Query;
@@ -303,15 +303,13 @@ impl Client {
         Ok(out)
     }
 
-    /// Fetch the daemon's observability snapshot in the requested
-    /// format: [`StatsFormat::Json`] returns the exact document
-    /// `Daemon::metrics_json` serializes in-process (so wire and local
-    /// snapshots can be compared field-for-field), and
-    /// [`StatsFormat::Prometheus`] returns the text exposition.
-    pub fn stats(&mut self, format: StatsFormat) -> Result<String, ClientError> {
+    /// Fetch the daemon's observability snapshot: the exact JSON document
+    /// `Daemon::metrics_json` serializes in-process, so wire and local
+    /// snapshots can be compared field for field.
+    pub fn stats(&mut self) -> Result<String, ClientError> {
         let body = self.control(
             op::STATS,
-            &[format as u8],
+            &[protocol::STATS_JSON],
             op::STATS_OK,
             "unexpected opcode for stats",
         )?;

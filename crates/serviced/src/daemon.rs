@@ -30,7 +30,7 @@
 //! recorded in the metrics and the final metrics snapshot is returned in
 //! the [`DrainReport`].
 
-use crate::protocol::{self, op, DecodeError, ErrorCode, FrameBuf, Reader, StatsFormat, Writer};
+use crate::protocol::{self, op, DecodeError, ErrorCode, FrameBuf, Reader, Writer};
 use crate::transport::{is_timeout, AbortHandle, Listener, Stream};
 use lec_core::OptError;
 use lec_plan::Query;
@@ -286,18 +286,6 @@ impl<'s, 'c> Daemon<'s, 'c> {
             }
         })
         .sorted()
-    }
-
-    /// Prometheus text exposition: [`Self::metrics_json`] rendered by
-    /// [`lec_telemetry::render`], every numeric leaf one unlabelled
-    /// gauge named by its path (`lec_daemon_requests_ok`,
-    /// `lec_service_cache_served`,
-    /// `lec_service_telemetry_latency_served_count`, ...).  The
-    /// exposition is the document, so the two cannot drift apart; every
-    /// line parses with [`lec_telemetry::parse_prometheus`], and tests
-    /// and the CI smoke step pin that.
-    pub fn prometheus(&self) -> String {
-        lec_telemetry::render("lec", &self.metrics_json())
     }
 
     /// Serve the listener until drained.  Blocks the calling thread; one
@@ -560,21 +548,13 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 out.end_frame(at);
                 false
             }
-            op::STATS if body.len() == 1 => match StatsFormat::from_u8(body[0]) {
-                Some(fmt) => {
-                    let doc = match fmt {
-                        StatsFormat::Json => {
-                            serde_json::to_string(&self.metrics_json()).unwrap_or_default()
-                        }
-                        StatsFormat::Prometheus => self.prometheus(),
-                    };
-                    let at = out.begin_frame(op::STATS_OK);
-                    out.str(&doc);
-                    out.end_frame(at);
-                    false
-                }
-                None => self.malformed(out, "unknown stats format"),
-            },
+            op::STATS if body == [protocol::STATS_JSON] => {
+                let doc = serde_json::to_string(&self.metrics_json()).unwrap_or_default();
+                let at = out.begin_frame(op::STATS_OK);
+                out.str(&doc);
+                out.end_frame(at);
+                false
+            }
             _ => self.malformed(out, "unknown or malformed opcode"),
         }
     }
@@ -592,6 +572,7 @@ fn error_frame(out: &mut Writer, req_id: u64, code: ErrorCode, message: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     #[test]
     fn drain_report_counters_are_namespaced_and_collision_free() {
@@ -600,52 +581,32 @@ mod tests {
         let tel = std::sync::Arc::new(lec_telemetry::Telemetry::on());
         let server = ConcurrentPlanServer::new(&cat, memory).with_telemetry(tel);
         let daemon = Daemon::new(&server, DaemonConfig::default());
-        let counters = lec_telemetry::flatten(&daemon.metrics_json());
-        assert!(!counters.is_empty());
-        let mut seen = std::collections::HashSet::new();
-        for (key, value) in &counters {
-            assert!(
-                key.starts_with("service.") || key.starts_with("daemon."),
-                "counter {key} is missing its layer namespace"
-            );
-            assert!(seen.insert(key.clone()), "counter key {key} collides");
-            assert!(value.is_finite(), "counter {key} is not finite");
+        let doc = daemon.metrics_json();
+        let Value::Object(layers) = &doc else {
+            panic!("the metrics document is an object: {doc}");
+        };
+        let names: Vec<&str> = layers.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["daemon", "service"], "one namespace per layer");
+        fn assert_finite(path: &str, v: &Value) {
+            match v {
+                Value::Object(pairs) => {
+                    for (k, v) in pairs {
+                        assert_finite(&format!("{path}.{k}"), v);
+                    }
+                }
+                Value::Array(items) => items.iter().for_each(|v| assert_finite(path, v)),
+                Value::Number(x) => assert!(x.is_finite(), "counter {path} is not finite"),
+                _ => {}
+            }
         }
-        // The per-layer request counters that share short names stay
-        // distinct under their namespaces.
-        assert!(seen.contains("daemon.requests_ok"));
-        assert!(seen.contains("service.cache.served"));
-        assert!(seen.contains("service.telemetry.latency.served.count"));
-    }
-
-    #[test]
-    fn prometheus_exposition_parses_line_by_line() {
-        let (cat, q) = lec_core::fixtures::three_chain();
-        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
-        let tel = std::sync::Arc::new(lec_telemetry::Telemetry::on());
-        let server = ConcurrentPlanServer::new(&cat, memory).with_telemetry(tel);
-        server.serve(&q, &lec_core::Mode::AlgorithmC).unwrap();
-        let daemon = Daemon::new(&server, DaemonConfig::default());
-        let text = daemon.prometheus();
-        let samples = lec_telemetry::parse_prometheus(&text).expect("exposition parses");
-        assert!(samples.len() > 30);
-        let fresh = samples
-            .iter()
-            .find(|s| s.name == "lec_service_cache_recomputed")
-            .expect("service counter exposed");
-        assert_eq!(fresh.value, 1.0);
-        // The exposition is the document: sample for sample, each one is
-        // a numeric leaf of `metrics_json` under its `_`-joined path, with
-        // the same value.
-        let leaves = lec_telemetry::flatten(&daemon.metrics_json());
-        assert_eq!(samples.len(), leaves.len());
-        for (sample, (path, value)) in samples.iter().zip(&leaves) {
-            assert_eq!(sample.name, format!("lec_{}", path.replace('.', "_")));
-            assert_eq!(sample.value, *value, "{path}");
-        }
-        assert!(leaves
-            .iter()
-            .any(|(path, v)| path == "service.telemetry.latency.fresh.count" && *v == 1.0));
+        assert_finite("", &doc);
+        // Counters that share a short name are read under their layer.
+        assert_eq!(doc["daemon"]["requests_ok"].as_f64(), Some(0.0));
+        assert_eq!(doc["service"]["cache"]["served"].as_f64(), Some(0.0));
+        assert_eq!(
+            doc["service"]["telemetry"]["latency"]["served"]["count"].as_f64(),
+            Some(0.0)
+        );
     }
 
     #[test]

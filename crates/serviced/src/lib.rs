@@ -26,30 +26,29 @@
 //! | 0x02 | *retired*    | request   | was `METRICS`; answered as an unknown opcode |
 //! | 0x03 | `PING`       | request   | empty                                       |
 //! | 0x04 | `DRAIN`      | request   | empty                                       |
-//! | 0x05 | `STATS`      | request   | `format: u8` (0 = JSON, 1 = Prometheus)     |
+//! | 0x05 | `STATS`      | request   | `format: u8`, 0 = JSON; 1 retired           |
 //! | 0x81 | `OPTIMIZE_OK`| response  | `req_id: u64`, response                     |
 //! | 0x82 | `ERROR`      | response  | `req_id: u64`, `code: u8`, message          |
 //! | 0x83 | *retired*    | response  | was `METRICS_OK`; never sent                |
 //! | 0x84 | `PONG`       | response  | empty                                       |
 //! | 0x85 | `DRAIN_OK`   | response  | empty                                       |
-//! | 0x86 | `STATS_OK`   | response  | one string in the requested format          |
+//! | 0x86 | `STATS_OK`   | response  | the JSON document as one string             |
 //!
 //! Opcodes 0x02 / 0x83 are retired, not renumbered: `METRICS` returned the
 //! document `STATS` with the JSON format byte returns, so `STATS` is the
-//! one stats op.  [`protocol::split_frame`] is the only code that reads a
-//! length prefix and [`protocol::Writer::end_frame`] the only code that
-//! writes one; daemon and client each keep one input buffer whose frames
-//! are slices of it and one output buffer encoded in place.
+//! one stats op.  Its format byte `1` named a second rendering of that
+//! document; it is retired the same way, and any byte but
+//! [`protocol::STATS_JSON`] is answered `Malformed`.
+//! [`protocol::split_frame`] is the only code that reads a length prefix
+//! and [`protocol::Writer::end_frame`] the only code that writes one;
+//! daemon and client each keep one input buffer whose frames are slices
+//! of it and one output buffer encoded in place.
 //!
-//! `STATS` with the JSON format byte returns the daemon's full
-//! observability snapshot — latency histograms (p50/p90/p99/p999 per
-//! outcome) and the slow-query log when telemetry is
-//! installed — byte-identical to the in-process `Daemon::metrics_json`
-//! document at snapshot time; the Prometheus format returns the same
-//! document rendered as one unlabelled sample per numeric leaf
-//! ([`lec_telemetry::render`]), every line of which parses with
-//! [`lec_telemetry::parse_prometheus`].  Floats travel
-//! as IEEE-754 bit patterns and distributions are reconstructed with
+//! `STATS` returns the daemon's full observability snapshot — latency
+//! histograms (p50/p90/p99/p999 per outcome) and the slow-query log when
+//! telemetry is installed — byte-identical to the in-process
+//! `Daemon::metrics_json` document at snapshot time.  Floats travel as
+//! IEEE-754 bit patterns and distributions are reconstructed with
 //! [`Distribution::from_parts_exact`](lec_prob::Distribution::from_parts_exact)
 //! (validate, never renormalize), which is what carries bit-exactness
 //! across the socket.
@@ -97,5 +96,5 @@ pub mod transport;
 
 pub use client::{backoff_delay, Client, ClientError, RetryPolicy, ServerError};
 pub use daemon::{Daemon, DaemonConfig, DaemonMetrics, DrainReport};
-pub use protocol::{ErrorCode, StatsFormat};
+pub use protocol::ErrorCode;
 pub use transport::{TcpAcceptor, UnixAcceptor};

@@ -80,9 +80,9 @@ pub mod op {
     pub const PING: u8 = 0x03;
     /// Initiate graceful drain.  Empty body.
     pub const DRAIN: u8 = 0x04;
-    /// Fetch the full observability snapshot.  Body: one format byte —
-    /// `0` = JSON (identical to the daemon's in-process `metrics_json`),
-    /// `1` = Prometheus text exposition.
+    /// Fetch the full observability snapshot.  Body: one format byte,
+    /// [`super::STATS_JSON`]; the answer is the document the daemon's
+    /// in-process `metrics_json` serializes.
     pub const STATS: u8 = 0x05;
 
     /// Successful optimize response: `req_id: u64`, then
@@ -95,32 +95,14 @@ pub mod op {
     pub const PONG: u8 = 0x84;
     /// Drain acknowledged; the daemon finishes in-flight work and exits.
     pub const DRAIN_OK: u8 = 0x85;
-    /// Stats response: one string in the requested format.
+    /// Stats response: the JSON document as one string.
     pub const STATS_OK: u8 = 0x86;
 }
 
-/// Wire format selector for [`op::STATS`] bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum StatsFormat {
-    /// Sorted-key JSON, byte-identical to the daemon's in-process
-    /// `metrics_json().to_string()` at snapshot time.
-    Json = 0,
-    /// Prometheus text exposition (every line parses with
-    /// `lec_telemetry::parse_prometheus`).
-    Prometheus = 1,
-}
-
-impl StatsFormat {
-    /// Decode a wire byte.
-    pub fn from_u8(b: u8) -> Option<StatsFormat> {
-        match b {
-            0 => Some(StatsFormat::Json),
-            1 => Some(StatsFormat::Prometheus),
-            _ => None,
-        }
-    }
-}
+/// The one [`op::STATS`] body: the JSON format byte.  Byte `1` named a
+/// second rendering of the same document; it is retired, not reused, and
+/// answered `Malformed` like any other byte.
+pub const STATS_JSON: u8 = 0;
 
 /// Stable wire codes for everything that can go wrong serving a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1121,13 +1103,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn stats_formats_roundtrip() {
-        for fmt in [StatsFormat::Json, StatsFormat::Prometheus] {
-            assert_eq!(StatsFormat::from_u8(fmt as u8), Some(fmt));
-        }
-        assert_eq!(StatsFormat::from_u8(2), None);
     }
 }

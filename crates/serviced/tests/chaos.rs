@@ -246,6 +246,36 @@ fn the_retired_metrics_opcode_is_malformed_and_poisons_its_connection() {
     assert_eq!(report.forced_aborts, 0);
 }
 
+/// `STATS` format byte 1 named a second rendering of the JSON document.
+/// It is retired like opcode 0x02: that byte, and any other but
+/// `STATS_JSON`, is answered with one `Malformed` error frame and a
+/// close, while another connection still gets the JSON document.
+#[test]
+fn a_retired_stats_format_byte_is_malformed_and_poisons_its_connection() {
+    let (catalog, _queries) = fixture();
+    let ((), report) = with_daemon(
+        &catalog,
+        DaemonConfig::default(),
+        no_hook,
+        |socket, daemon| {
+            for format in [1, 2] {
+                let stats = protocol::frame(op::STATS, &[format]);
+                assert_eq!(
+                    sole_error_reply(&mut socket.connect(), &stats),
+                    ErrorCode::Malformed as u8,
+                    "STATS format byte {format}"
+                );
+            }
+            let mut healthy = Client::new(Box::new(socket.connect()), 2);
+            let doc = healthy.stats().expect("healthy conn gets the document");
+            assert!(doc.starts_with("{\"daemon\": {"), "{doc}");
+            assert!(doc.contains("\"malformed_frames\": 2,"), "{doc}");
+            assert_eq!(daemon.metrics().malformed_frames(), 2);
+        },
+    );
+    assert_eq!(report.forced_aborts, 0);
+}
+
 // ---------------------------------------------------------------------
 // Search kills: the request fails, the connection survives
 // ---------------------------------------------------------------------
@@ -529,7 +559,7 @@ fn a_slow_client_is_disconnected_not_waited_on() {
         // then never reads.  Each reply is a JSON document of some 640
         // bytes, so the replies overflow both socket buffers.
         let mut slow = socket.connect();
-        let stats = protocol::frame(op::STATS, &[protocol::StatsFormat::Json as u8]);
+        let stats = protocol::frame(op::STATS, &[protocol::STATS_JSON]);
         slow.write_all(&stats.repeat(1_000))
             .expect("the requests fit the socket");
 

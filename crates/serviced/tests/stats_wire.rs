@@ -1,17 +1,16 @@
 //! `STATS` over the wire: the JSON snapshot a client fetches must be
 //! byte-identical to the daemon's in-process `metrics_json` document at
-//! a quiescent moment, the Prometheus exposition must parse line by
-//! line as that same document's numeric leaves, the daemon's request
-//! traces (kept by the slow log) must bracket the serving layer's spans
-//! with decode and flush, and the drain report's metrics, flattened, must
-//! carry the telemetry snapshot under its namespace.  The
-//! always-zero pruning counters still cross a response round trip.
+//! a quiescent moment and carry both layers' counters, the daemon's
+//! request traces (kept by the slow log) must bracket the serving layer's
+//! spans with decode and flush, and the drain report's metrics must carry
+//! the telemetry snapshot under its namespace.  The always-zero pruning
+//! counters still cross a response round trip.
 
 use lec_core::Mode;
 use lec_service::ConcurrentPlanServer;
 use lec_serviced::protocol::{decode_response, encode_response, Reader, Writer};
-use lec_serviced::{Client, Daemon, DaemonConfig, StatsFormat};
-use lec_telemetry::{flatten, parse_prometheus, Outcome, Stage, Telemetry};
+use lec_serviced::{Client, Daemon, DaemonConfig};
+use lec_telemetry::{Outcome, Stage, Telemetry};
 use std::sync::Arc;
 
 mod common;
@@ -37,7 +36,7 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
         // Wire JSON == in-process JSON, byte for byte: the STATS handler
         // serializes the same sorted-key document `metrics_json` builds,
         // and nothing moves between the two snapshots.
-        let wire_json = client.stats(StatsFormat::Json).expect("stats json");
+        let wire_json = client.stats().expect("stats json");
         let local_json = serde_json::to_string(&daemon.metrics_json()).unwrap();
         assert_eq!(
             wire_json, local_json,
@@ -104,26 +103,22 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
             "the cold request ran a traced search"
         );
 
-        // Prometheus exposition parses and exposes both layers, the
-        // telemetry snapshot under its flattened document path.
-        let prom = client.stats(StatsFormat::Prometheus).expect("stats prom");
-        let samples = parse_prometheus(&prom).expect("exposition parses");
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "lec_daemon_requests_ok" && s.value == 2.0));
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "lec_service_telemetry_latency_served_count" && s.value == 1.0));
+        // The wire document exposes both layers, the telemetry snapshot
+        // under its namespace (`local` is that document, byte for byte).
+        assert_eq!(local["daemon"]["requests_ok"].as_f64(), Some(2.0));
+        assert_eq!(
+            local["service"]["telemetry"]["latency"]["served"]["count"].as_f64(),
+            Some(1.0)
+        );
+        assert!(wire_json.contains("\"requests_ok\": 2,"), "{wire_json}");
 
         client.drain().expect("drain");
         let report = runner.join().expect("daemon thread");
-        let counters = flatten(&report.metrics);
-        assert!(counters
-            .iter()
-            .any(|(k, v)| k == "daemon.requests_ok" && *v == 2.0));
-        assert!(counters
-            .iter()
-            .any(|(k, v)| k == "service.telemetry.latency.served.count" && *v == 1.0));
+        assert_eq!(report.metrics["daemon"]["requests_ok"].as_f64(), Some(2.0));
+        assert_eq!(
+            report.metrics["service"]["telemetry"]["latency"]["served"]["count"].as_f64(),
+            Some(1.0)
+        );
     });
 }
 

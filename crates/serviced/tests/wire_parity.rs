@@ -11,7 +11,7 @@ use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_service::ConcurrentPlanServer;
 use lec_serviced::protocol::{self, Writer};
 use lec_serviced::transport::{Listener, Stream};
-use lec_serviced::{Client, Daemon, DaemonConfig, DrainReport, StatsFormat, TcpAcceptor};
+use lec_serviced::{Client, Daemon, DaemonConfig, DrainReport, TcpAcceptor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -179,7 +179,7 @@ fn responses_cross_the_wire_byte_identically() {
         // A final control client checks liveness and metrics, then drains.
         let mut control = Client::new(Box::new(socket.connect()), 0xD1A1);
         control.ping().expect("ping");
-        let metrics = control.stats(StatsFormat::Json).expect("metrics");
+        let metrics = control.stats().expect("metrics");
         assert!(
             metrics.contains("\"daemon\""),
             "metrics carry a daemon section"

@@ -10,9 +10,8 @@
 //!   slowest-N log ([`slowlog`]), the one store of finished traces, which
 //!   keeps each retained request's per-stage breakdown.
 //! * [`Telemetry::snapshot_json`] — the full snapshot as one sorted-key
-//!   JSON document.  Its Prometheus text exposition is a mechanical
-//!   rendering of the same document ([`prom::render`]: one unlabelled
-//!   sample per numeric leaf), so a new metric is one line in a `json!`.
+//!   JSON document, the one format it is served in, so a new metric is
+//!   one line in a `json!`.
 //!
 //! Cost calibration is not here: no served request executes a plan, so
 //! per-operator-class prediction error lives in `lec-exec`'s `CostAudit`.
@@ -22,12 +21,10 @@
 #![forbid(unsafe_code)]
 
 pub mod hist;
-pub mod prom;
 pub mod slowlog;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use prom::{flatten, parse_prometheus, render, PromSample};
 pub use slowlog::{SlowEntry, SlowLog};
 pub use trace::{Span, Stage, TraceCtx, MAX_SPANS};
 
@@ -186,9 +183,10 @@ mod tests {
         let mut ctx = TraceCtx::new(3);
         ctx.span_with(Stage::CacheProbe, 0, 10, 0);
         t.finish_request(&ctx, Outcome::Served);
-        let samples = parse_prometheus(&render("lec", &t.snapshot_json())).expect("parses");
-        let value = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
-        assert_eq!(value("lec_latency_served_count"), Some(100.0));
+        assert_eq!(
+            t.snapshot_json()["latency"]["served"]["count"].as_f64(),
+            Some(100.0)
+        );
     }
 
     #[test]

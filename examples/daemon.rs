@@ -21,7 +21,7 @@ use lec_qopt::core::{Mode, Optimizer};
 use lec_qopt::plan::{Query, QueryProfile, WorkloadGenerator};
 use lec_qopt::prob::presets;
 use lec_qopt::service::ConcurrentPlanServer;
-use lec_qopt::serviced::{Client, Daemon, DaemonConfig, StatsFormat, UnixAcceptor};
+use lec_qopt::serviced::{Client, Daemon, DaemonConfig, UnixAcceptor};
 
 const ROUNDS: usize = 3;
 
@@ -91,7 +91,7 @@ fn main() {
         // Control client: metrics, then drain.  DRAIN_OK acknowledges;
         // the daemon finishes in-flight work and `run` returns.
         let mut ctl = Client::new(dial(), 0xC7A1);
-        let metrics = ctl.stats(StatsFormat::Json).unwrap();
+        let metrics = ctl.stats().unwrap();
         assert!(metrics.contains("\"daemon\"") && metrics.contains("\"service\""));
         ctl.drain().unwrap();
         let report = handle.join().unwrap();

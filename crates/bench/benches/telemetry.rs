@@ -8,7 +8,7 @@
 //! 1. **Overhead guard**: the telemetry-on warm pass must stay within
 //!    10% of the telemetry-off warm pass (best of 5 alternating passes)
 //!    — the run *fails* otherwise.  Instrumentation on the warm hit path
-//!    is one clock pair plus three relaxed atomic adds, so losing here
+//!    is one clock pair plus two relaxed atomic adds, so losing here
 //!    means the zero-allocation contract broke.
 //! 2. **Byte identity**: every telemetry-on response must be
 //!    byte-identical (plan, cost bits, decision) to the telemetry-off

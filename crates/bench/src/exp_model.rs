@@ -561,7 +561,7 @@ mod tests {
         // The node S = {0,1} joined with A_j = table 2 (if connected; else 1).
         let sj = TableSet::from_indices([0, 1]);
         let j = if w.query.is_connected_to(sj, 2) { 2 } else { 1 };
-        let sj = w.query.all_tables().without(j);
+        let sj = TableSet::full(w.query.n_tables()).without(j);
         let (first, second) = (sj.iter().next().unwrap(), sj.iter().nth(1).unwrap());
         let b_outer = model
             .base_pages_dist(first)

@@ -17,11 +17,6 @@ pub enum OptError {
     NoPlanFound,
     /// A parameter was out of range (e.g. Algorithm B with c = 0).
     BadParameter(&'static str),
-    /// The search serving a request panicked (e.g. a coster bug).  The
-    /// engine itself never returns this — a panic inside a search unwinds
-    /// to its caller; the daemon produces it for a request whose handler
-    /// caught the panic (`lec-serviced`, wire code 3).
-    WorkerPanicked,
 }
 
 impl fmt::Display for OptError {
@@ -32,7 +27,6 @@ impl fmt::Display for OptError {
             OptError::Prob(e) => write!(f, "probability error: {e}"),
             OptError::NoPlanFound => write!(f, "no plan found"),
             OptError::BadParameter(msg) => write!(f, "bad parameter: {msg}"),
-            OptError::WorkerPanicked => write!(f, "the search serving this request panicked"),
         }
     }
 }

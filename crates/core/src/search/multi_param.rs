@@ -441,7 +441,7 @@ mod tests {
             };
             let query = WorkloadGenerator::new(seed as u64).gen_query(&catalog, &ids, &profile);
             let model = CostModel::new(&catalog, &query);
-            let all = query.all_tables().bits();
+            let all = TableSet::full(query.n_tables()).bits();
             let mut memo = Selectivities::default();
             let (mut splits, mut hits) = (0, 0);
             for bits in 1..=all {

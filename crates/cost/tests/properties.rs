@@ -165,7 +165,12 @@ proptest! {
         m in arb_dist(2.0, 1e4),
         shift in 1.0f64..1e4,
     ) {
-        let m_up = m.scale(1.0 + shift / 1e4);
+        let k = 1.0 + shift / 1e4;
+        let m_up = Distribution::from_parts_exact(
+            m.support().iter().map(|v| v * k).collect(),
+            m.probs().to_vec(),
+        )
+        .expect("a scaled support stays increasing");
         let mt = DistTables::new(&m);
         let mt_up = DistTables::new(&m_up);
         let (a, b) = (DistTables::new(&a), DistTables::new(&b));

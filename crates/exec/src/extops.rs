@@ -23,96 +23,66 @@ pub struct OpResult {
     pub io: u64,
 }
 
-/// Sorted runs: either a table small enough to sort in memory, or a set of
-/// sorted on-disk runs awaiting merging.
-enum RunSet {
-    InMemory(Vec<Row>),
-    OnDisk(Vec<DiskTable>),
-}
-
 fn key_of(row: &Row, col: usize) -> i64 {
     row[col]
 }
 
-/// Form initial sorted runs of `m` pages each; returns the run set.
-/// Charges `R` reads always, plus `R` writes when runs must spill.
-fn make_runs(disk: &mut Disk, input: &DiskTable, key: usize, m: usize, page_cap: usize) -> RunSet {
+/// `input`'s rows sorted on column `key`, as external merge sort with `m`
+/// buffer pages reads and writes them.  A table of at most `m` pages is
+/// read once and sorted in memory.  A larger one is read once into
+/// sorted runs of `m` pages each, which are written out; every merge pass
+/// reads and rewrites every page until at most `m - 1` runs remain, and
+/// the final merge reads those.
+fn sorted_rows(
+    disk: &mut Disk,
+    input: &DiskTable,
+    key: usize,
+    m: usize,
+    page_cap: usize,
+) -> Vec<Row> {
     let r = input.n_pages();
     if r <= m {
         let mut rows = disk.read_all(input);
         rows.sort_by_key(|row| key_of(row, key));
-        return RunSet::InMemory(rows);
+        return rows;
     }
     let mut runs = Vec::new();
-    let mut i = 0;
-    while i < r {
-        let hi = (i + m).min(r);
+    for lo in (0..r).step_by(m) {
         let mut rows: Vec<Row> = Vec::new();
-        for p in i..hi {
+        for p in lo..(lo + m).min(r) {
             rows.extend(disk.read_page(input, p));
         }
         rows.sort_by_key(|row| key_of(row, key));
         runs.push(disk.write_rows(rows, page_cap));
-        i = hi;
     }
-    RunSet::OnDisk(runs)
-}
-
-/// Merge runs down until at most `fan_in` remain; each pass reads and
-/// rewrites every page.
-fn reduce_runs(
-    disk: &mut Disk,
-    mut runs: Vec<DiskTable>,
-    key: usize,
-    fan_in: usize,
-    page_cap: usize,
-) -> Vec<DiskTable> {
-    let fan_in = fan_in.max(2);
+    // A real merge is a k-way heap over page cursors; row-level sorting
+    // here produces the identical output and I/O count.
+    let merge = |disk: &mut Disk, group: &[DiskTable]| {
+        let mut rows: Vec<Row> = Vec::new();
+        for run in group {
+            rows.extend(disk.read_all(run));
+        }
+        rows.sort_by_key(|row| key_of(row, key));
+        rows
+    };
+    let fan_in = (m - 1).max(2);
     while runs.len() > fan_in {
-        let mut next = Vec::new();
-        for group in runs.chunks(fan_in) {
-            let mut rows: Vec<Row> = Vec::new();
-            for run in group {
-                rows.extend(disk.read_all(run));
-            }
-            // A real merge is a k-way heap over page cursors; row-level
-            // sorting here produces the identical output and I/O count.
-            rows.sort_by_key(|row| key_of(row, key));
-            next.push(disk.write_rows(rows, page_cap));
-        }
-        runs = next;
+        runs = runs
+            .chunks(fan_in)
+            .map(|group| {
+                let rows = merge(disk, group);
+                disk.write_rows(rows, page_cap)
+            })
+            .collect();
     }
-    runs
-}
-
-/// Read out a run set as one sorted row stream (charges the reads of
-/// on-disk runs; in-memory runs were already charged at formation).
-fn drain_runs(disk: &mut Disk, runs: RunSet, key: usize) -> Vec<Row> {
-    match runs {
-        RunSet::InMemory(rows) => rows,
-        RunSet::OnDisk(tables) => {
-            let mut rows: Vec<Row> = Vec::new();
-            for t in &tables {
-                rows.extend(disk.read_all(t));
-            }
-            rows.sort_by_key(|row| key_of(row, key));
-            rows
-        }
-    }
+    merge(disk, &runs)
 }
 
 /// External merge sort of `input` on column `key` with `m` buffer pages.
 pub fn external_sort(input: &DiskTable, key: usize, m: usize, page_cap: usize) -> OpResult {
     assert!(m >= 3, "external sort needs at least 3 buffer pages");
     let mut disk = Disk::new();
-    let runs = make_runs(&mut disk, input, key, m, page_cap);
-    let runs = match runs {
-        RunSet::OnDisk(tables) => {
-            RunSet::OnDisk(reduce_runs(&mut disk, tables, key, m - 1, page_cap))
-        }
-        in_mem => in_mem,
-    };
-    let rows = drain_runs(&mut disk, runs, key);
+    let rows = sorted_rows(&mut disk, input, key, m, page_cap);
     OpResult {
         rows,
         io: disk.io().total(),
@@ -120,7 +90,7 @@ pub fn external_sort(input: &DiskTable, key: usize, m: usize, page_cap: usize) -
 }
 
 /// Sort-merge join: sort both inputs (sharing the buffer budget as the
-/// formulas assume), then merge-join the final run sets.
+/// formulas assume), then merge-join the sorted rows.
 pub fn sort_merge_join(
     a: &DiskTable,
     b: &DiskTable,
@@ -131,18 +101,8 @@ pub fn sort_merge_join(
 ) -> OpResult {
     assert!(m >= 3, "sort-merge join needs at least 3 buffer pages");
     let mut disk = Disk::new();
-    let runs_a = make_runs(&mut disk, a, a_key, m, page_cap);
-    let runs_a = match runs_a {
-        RunSet::OnDisk(t) => RunSet::OnDisk(reduce_runs(&mut disk, t, a_key, m - 1, page_cap)),
-        x => x,
-    };
-    let runs_b = make_runs(&mut disk, b, b_key, m, page_cap);
-    let runs_b = match runs_b {
-        RunSet::OnDisk(t) => RunSet::OnDisk(reduce_runs(&mut disk, t, b_key, m - 1, page_cap)),
-        x => x,
-    };
-    let left = drain_runs(&mut disk, runs_a, a_key);
-    let right = drain_runs(&mut disk, runs_b, b_key);
+    let left = sorted_rows(&mut disk, a, a_key, m, page_cap);
+    let right = sorted_rows(&mut disk, b, b_key, m, page_cap);
     let rows = merge_join_sorted(&left, &right, a_key, b_key);
     OpResult {
         rows,

@@ -107,16 +107,6 @@ impl JoinPredicate {
         let (a, b) = self.tables();
         (set.contains(a) && b == idx) || (set.contains(b) && a == idx)
     }
-
-    /// Given that the predicate connects `set` to `idx`, the column on the
-    /// `set` side and the column on the `idx` side.
-    pub fn oriented(&self, idx: usize) -> (ColumnRef, ColumnRef) {
-        if self.right.table == idx {
-            (self.left, self.right)
-        } else {
-            (self.right, self.left)
-        }
-    }
 }
 
 /// Errors found while validating a query.
@@ -171,11 +161,6 @@ impl Query {
     /// Number of tables.
     pub fn n_tables(&self) -> usize {
         self.tables.len()
-    }
-
-    /// The set of all table indices.
-    pub fn all_tables(&self) -> TableSet {
-        TableSet::full(self.n_tables())
     }
 
     /// True when table `idx` has at least one predicate into `set`
@@ -300,17 +285,6 @@ impl Query {
             required_order: self.required_order.as_ref().map(relabel),
         }
     }
-
-    /// Does any parameter of this query carry genuine uncertainty?
-    /// (If not, LEC optimization degenerates to LSC — the paper's
-    /// single-bucket remark.)
-    pub fn has_uncertain_selectivities(&self) -> bool {
-        self.joins.iter().any(|p| !p.selectivity.is_point())
-            || self
-                .tables
-                .iter()
-                .any(|t| t.filter.as_ref().is_some_and(|f| !f.selectivity.is_point()))
-    }
 }
 
 #[cfg(test)]
@@ -405,17 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn oriented_returns_set_side_first() {
-        let p = JoinPredicate::exact(ColumnRef::new(0, 1), ColumnRef::new(1, 2), 0.5);
-        let (s, t) = p.oriented(1);
-        assert_eq!(s, ColumnRef::new(0, 1));
-        assert_eq!(t, ColumnRef::new(1, 2));
-        let (s, t) = p.oriented(0);
-        assert_eq!(s, ColumnRef::new(1, 2));
-        assert_eq!(t, ColumnRef::new(0, 1));
-    }
-
-    #[test]
     fn relabeling_is_a_validated_permutation() {
         let cat = catalog(4);
         let mut q = chain_query(4);
@@ -444,13 +407,5 @@ mod tests {
     #[should_panic(expected = "permutation")]
     fn relabeling_rejects_non_permutations() {
         chain_query(3).relabel_tables(&[0, 0, 1]);
-    }
-
-    #[test]
-    fn uncertainty_detection() {
-        let mut q = chain_query(2);
-        assert!(!q.has_uncertain_selectivities());
-        q.joins[0].selectivity = Distribution::bimodal(1e-5, 1e-3, 0.5).unwrap();
-        assert!(q.has_uncertain_selectivities());
     }
 }

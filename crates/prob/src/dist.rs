@@ -213,16 +213,6 @@ impl Distribution {
             .expect("mapping a valid distribution preserves validity")
     }
 
-    /// Multiply every support value by a positive constant.
-    pub fn scale(&self, k: f64) -> Distribution {
-        assert!(k.is_finite() && k > 0.0, "scale factor must be positive");
-        // Monotone map: no re-sort or merge needed.
-        Distribution {
-            support: self.support.iter().map(|v| v * k).collect(),
-            probs: self.probs.clone(),
-        }
-    }
-
     /// Distribution of `X · Y` for independent `X` (self) and `Y` (other).
     ///
     /// This is the §3.6.3 product used for result sizes `|A|·|B|·σ`; the
@@ -636,14 +626,6 @@ mod tests {
         let sq = d.map(|v| v * v);
         assert_eq!(sq.support(), &[1.0, 4.0]);
         assert!((sq.probs()[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scale_preserves_shape() {
-        let d = example_memory();
-        let s = d.scale(2.0);
-        assert_eq!(s.support(), &[1400.0, 4000.0]);
-        assert_eq!(s.probs(), d.probs());
     }
 
     #[test]

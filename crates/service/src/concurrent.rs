@@ -56,15 +56,14 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 512;
 
 /// One answered request: the plan in the *caller's* table numbering, its
 /// objective value, the search statistics behind it, and what the cache
-/// did.
+/// did.  It does not echo the mode: the caller knows the mode it asked
+/// for.
 #[derive(Debug, Clone)]
 pub struct ServeResponse {
     /// The chosen plan, relabeled to the request's table indices.
     pub plan: PlanNode,
     /// Its objective value (point cost for LSC, expected cost otherwise).
     pub cost: f64,
-    /// Mode display name.
-    pub mode: &'static str,
     /// Statistics of the search that produced the plan.  For a
     /// [`CacheDecision::Served`] response these are the *original*
     /// computation's counters with `elapsed` re-stamped to this request's
@@ -94,6 +93,11 @@ pub enum ServeError {
     /// the end and fed the cache; only this response is abandoned.
     /// Transient — a retry usually hits the cache.
     DeadlineExceeded,
+    /// The search serving this request panicked (e.g. a coster bug).
+    /// `serve_with` never returns this — a panic inside a search unwinds
+    /// to its caller; a daemon answers with it for a request whose
+    /// handler caught the panic (`lec-serviced`, wire code 3).
+    WorkerPanicked,
 }
 
 impl std::fmt::Display for ServeError {
@@ -102,6 +106,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Opt(e) => write!(f, "optimizer error: {e}"),
             ServeError::Overloaded => write!(f, "server overloaded; retry with backoff"),
             ServeError::DeadlineExceeded => write!(f, "request deadline exceeded"),
+            ServeError::WorkerPanicked => write!(f, "the search serving this request panicked"),
         }
     }
 }
@@ -265,11 +270,6 @@ impl<'a> ConcurrentPlanServer<'a> {
         self.cache.stats()
     }
 
-    /// Per-entry exact-hit counters, descending.
-    pub fn hit_histogram(&self) -> Vec<u64> {
-        self.cache.hit_histogram()
-    }
-
     /// Answer one optimization request; safe to call from any number of
     /// threads concurrently.
     ///
@@ -284,10 +284,9 @@ impl<'a> ConcurrentPlanServer<'a> {
         };
         self.serve_with(query, mode, ctx).map_err(|e| match e {
             ServeError::Opt(e) => e,
-            // `()` admits every search and no deadline is set.
-            ServeError::Overloaded | ServeError::DeadlineExceeded => {
-                unreachable!("an ungated request without a deadline failed with {e}")
-            }
+            // `()` admits every search, no deadline is set, and only a
+            // daemon reports a caught panic.
+            _ => unreachable!("an ungated request without a deadline failed with {e}"),
         })
     }
 
@@ -343,7 +342,6 @@ impl<'a> ConcurrentPlanServer<'a> {
                     return Ok(ServeResponse {
                         plan: out.plan,
                         cost: out.cost,
-                        mode: mode.name(),
                         stats: out.stats,
                         decision: CacheDecision::Uncacheable,
                     });
@@ -364,7 +362,6 @@ impl<'a> ConcurrentPlanServer<'a> {
                 return Ok(ServeResponse {
                     plan,
                     cost: answer.cost,
-                    mode: mode.name(),
                     stats,
                     decision: CacheDecision::Served,
                 });
@@ -384,7 +381,6 @@ impl<'a> ConcurrentPlanServer<'a> {
             Ok(ServeResponse {
                 plan: out.plan,
                 cost: out.cost,
-                mode: mode.name(),
                 stats,
                 decision: CacheDecision::Recomputed,
             })
@@ -446,7 +442,7 @@ impl<'a> ConcurrentPlanServer<'a> {
             "cache": self.cache.stats().to_json(),
             "cache_entries": self.cache.len(),
             "cache_capacity": self.cache.capacity(),
-            "hit_histogram": self.hit_histogram(),
+            "hit_histogram": self.cache.hit_histogram(),
             "telemetry": match &self.telemetry {
                 Some(t) => t.snapshot_json(),
                 None => serde_json::Value::Null,
@@ -495,7 +491,9 @@ mod tests {
         assert_eq!(fresh.cost.to_bits(), second.cost.to_bits());
         assert_eq!(server.cache_stats().served, 1);
         assert_eq!(server.cache_stats().recomputed, 1);
-        assert_eq!(server.hit_histogram(), vec![1]);
+        let metrics = server.metrics_json();
+        assert_eq!(metrics["hit_histogram"].as_array().map(Vec::len), Some(1));
+        assert_eq!(metrics["hit_histogram"][0].as_f64(), Some(1.0));
     }
 
     #[test]

@@ -154,7 +154,13 @@ fn concurrent_clients_stay_byte_identical_to_fresh_optimization() {
         STREAM_LEN
     );
     // Per-entry hits add up to the served total.
-    assert_eq!(server.hit_histogram().iter().sum::<u64>(), stats.served);
+    let hits: f64 = server.metrics_json()["hit_histogram"]
+        .as_array()
+        .expect("hit_histogram")
+        .iter()
+        .map(|n| n.as_f64().expect("a hit count"))
+        .sum();
+    assert_eq!(hits, stats.served as f64);
 }
 
 /// Serve hooks that count cold-slot admissions and releases and can hold

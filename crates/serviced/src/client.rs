@@ -81,36 +81,22 @@ impl ClientError {
     }
 }
 
-/// Capped exponential backoff with full-range-to-half jitter.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 disables retry entirely).
-    pub max_retries: u32,
-    /// Delay before the first retry, pre-jitter.
-    pub base: Duration,
-    /// Ceiling on the pre-jitter delay.
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(200),
-        }
-    }
-}
+/// Retries after the first attempt of [`Client::optimize`].
+const MAX_RETRIES: u32 = 4;
+/// Delay before the first retry, pre-jitter.
+const BACKOFF_BASE: Duration = Duration::from_millis(5);
+/// Ceiling on the pre-jitter delay.
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
 
 /// The delay before retry number `attempt` (0-based):
-/// `min(base << attempt, cap)` scaled by a jitter uniform in
-/// `[0.5, 1.0)`, so synchronized clients desynchronize instead of
-/// re-stampeding the daemon in lockstep.
-pub fn backoff_delay(policy: &RetryPolicy, attempt: u32, rng: &mut StdRng) -> Duration {
-    let exp = policy
-        .base
+/// `min(BACKOFF_BASE << attempt, BACKOFF_CAP)` scaled by a jitter uniform
+/// in `[0.5, 1.0)`, so synchronized clients desynchronize instead of
+/// re-stampeding the daemon in lockstep.  The four retries wait at least
+/// 37.5 ms in all.
+fn backoff_delay(attempt: u32, rng: &mut StdRng) -> Duration {
+    let exp = BACKOFF_BASE
         .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-        .min(policy.cap);
+        .min(BACKOFF_CAP);
     let jitter = 0.5 + 0.5 * rng.gen::<f64>();
     exp.mul_f64(jitter)
 }
@@ -118,23 +104,16 @@ pub fn backoff_delay(policy: &RetryPolicy, attempt: u32, rng: &mut StdRng) -> Du
 /// A connection to one daemon.
 pub struct Client {
     stream: Box<dyn Stream>,
-    policy: RetryPolicy,
     rng: StdRng,
     inbuf: FrameBuf,
     out: Writer,
 }
 
 impl Client {
-    /// Wrap a connected stream with the default retry policy, seeded for
-    /// reproducible jitter.
+    /// Wrap a connected stream, seeded for reproducible retry jitter.
     pub fn new(stream: Box<dyn Stream>, seed: u64) -> Self {
-        Client::with_policy(stream, RetryPolicy::default(), seed)
-    }
-
-    pub fn with_policy(stream: Box<dyn Stream>, policy: RetryPolicy, seed: u64) -> Self {
         Client {
             stream,
-            policy,
             rng: StdRng::seed_from_u64(seed),
             inbuf: FrameBuf::default(),
             out: Writer::new(),
@@ -253,8 +232,9 @@ impl Client {
         Ok(resp)
     }
 
-    /// Optimize with the retry policy: transient refusals retry after a
-    /// jittered backoff; everything else surfaces on the first attempt.
+    /// Optimize with retry: transient refusals retry after a jittered
+    /// backoff, up to four times; everything else surfaces on the first
+    /// attempt.
     pub fn optimize(
         &mut self,
         req_id: u64,
@@ -264,9 +244,8 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             match self.optimize_once(req_id, mode, query) {
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    let delay = backoff_delay(&self.policy, attempt, &mut self.rng);
-                    std::thread::sleep(delay);
+                Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
+                    std::thread::sleep(backoff_delay(attempt, &mut self.rng));
                     attempt += 1;
                 }
                 other => return other,
@@ -336,18 +315,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let policy = RetryPolicy {
-            max_retries: 10,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(100),
-        };
         let mut rng = StdRng::seed_from_u64(42);
         for attempt in 0..12 {
-            let pre_jitter = policy
-                .base
+            let pre_jitter = BACKOFF_BASE
                 .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-                .min(policy.cap);
-            let d = backoff_delay(&policy, attempt, &mut rng);
+                .min(BACKOFF_CAP);
+            let d = backoff_delay(attempt, &mut rng);
             assert!(
                 d >= pre_jitter.mul_f64(0.5) && d <= pre_jitter,
                 "attempt {attempt}: {d:?} outside [{:?}, {pre_jitter:?}]",
@@ -355,20 +328,19 @@ mod tests {
             );
         }
         // Deep attempts are pinned to the cap (no overflow past u32 shifts).
-        let deep = backoff_delay(&policy, 40, &mut rng);
-        assert!(deep <= policy.cap && deep >= policy.cap.mul_f64(0.5));
+        let deep = backoff_delay(40, &mut rng);
+        assert!(deep <= BACKOFF_CAP && deep >= BACKOFF_CAP.mul_f64(0.5));
     }
 
     #[test]
     fn backoff_jitter_is_seeded_and_varies() {
-        let policy = RetryPolicy::default();
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
-        let da: Vec<_> = (0..4).map(|i| backoff_delay(&policy, i, &mut a)).collect();
-        let db: Vec<_> = (0..4).map(|i| backoff_delay(&policy, i, &mut b)).collect();
+        let da: Vec<_> = (0..4).map(|i| backoff_delay(i, &mut a)).collect();
+        let db: Vec<_> = (0..4).map(|i| backoff_delay(i, &mut b)).collect();
         assert_eq!(da, db, "same seed, same schedule");
         let mut c = StdRng::seed_from_u64(8);
-        let dc: Vec<_> = (0..4).map(|i| backoff_delay(&policy, i, &mut c)).collect();
+        let dc: Vec<_> = (0..4).map(|i| backoff_delay(i, &mut c)).collect();
         assert_ne!(da, dc, "different seed, different jitter");
     }
 

@@ -32,7 +32,6 @@
 
 use crate::protocol::{self, op, DecodeError, ErrorCode, FrameBuf, Reader, Writer};
 use crate::transport::{is_timeout, AbortHandle, Listener, Stream};
-use lec_core::OptError;
 use lec_plan::Query;
 use lec_service::{outcome_of, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks};
 use lec_telemetry::{Stage, TraceCtx};
@@ -503,7 +502,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                     };
                     self.server.serve_with(query, &mode, ctx)
                 }))
-                .unwrap_or(Err(ServeError::Opt(OptError::WorkerPanicked)));
+                .unwrap_or(Err(ServeError::WorkerPanicked));
 
                 match &result {
                     Ok(resp) => {
@@ -527,7 +526,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                             ServeError::DeadlineExceeded => {
                                 bump(&self.metrics.deadline_expirations)
                             }
-                            ServeError::Opt(_) => {}
+                            ServeError::Opt(_) | ServeError::WorkerPanicked => {}
                         }
                         error_frame(out, req_id, ErrorCode::from_serve_error(e), &e.to_string());
                     }

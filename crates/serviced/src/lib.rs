@@ -27,7 +27,7 @@
 //! | 0x03 | `PING`       | request   | empty                                       |
 //! | 0x04 | `DRAIN`      | request   | empty                                       |
 //! | 0x05 | `STATS`      | request   | `format: u8`, 0 = JSON; 1 retired           |
-//! | 0x81 | `OPTIMIZE_OK`| response  | `req_id: u64`, response                     |
+//! | 0x81 | `OPTIMIZE_OK`| response  | `req_id: u64`, plan, cost, decision, stats  |
 //! | 0x82 | `ERROR`      | response  | `req_id: u64`, `code: u8`, message          |
 //! | 0x83 | *retired*    | response  | was `METRICS_OK`; never sent                |
 //! | 0x84 | `PONG`       | response  | empty                                       |
@@ -63,8 +63,14 @@
 //! | 4    | `Opt`              | no         | deterministic optimizer rejection          |
 //! | 5    | `Malformed`        | no         | undecodable frame; the connection is poisoned |
 //!
-//! Transient codes are the only ones [`Client`] retries, with capped
-//! jittered exponential backoff ([`backoff_delay`]).
+//! An `OPTIMIZE_OK` body carries no mode: the caller knows the mode it
+//! sent, and a pipelined client matches replies by `req_id`.  Its cache
+//! decision tags are 0 (served), 3 (recomputed) and 4 (uncacheable); tags
+//! 1 and 2 are retired.
+//!
+//! Transient codes are the only ones [`Client`] retries, up to four times
+//! with capped jittered exponential backoff (5 ms doubling to at most
+//! 200 ms, each delay scaled by a jitter in `[0.5, 1)`).
 //!
 //! # Robustness posture
 //!
@@ -94,7 +100,7 @@ pub mod daemon;
 pub mod protocol;
 pub mod transport;
 
-pub use client::{backoff_delay, Client, ClientError, RetryPolicy, ServerError};
+pub use client::{Client, ClientError, ServerError};
 pub use daemon::{Daemon, DaemonConfig, DaemonMetrics, DrainReport};
 pub use protocol::ErrorCode;
 pub use transport::{TcpAcceptor, UnixAcceptor};

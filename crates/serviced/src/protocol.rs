@@ -46,7 +46,7 @@
 
 use crate::transport::Stream;
 use lec_catalog::TableId;
-use lec_core::{AlgDConfig, Mode, OptError, PointEstimate, SearchStats};
+use lec_core::{AlgDConfig, Mode, PointEstimate, SearchStats};
 use lec_plan::{
     ColumnRef, JoinMethod, JoinPredicate, LocalPredicate, NodeRef, PlanNode, Query, QueryTable,
     Step,
@@ -148,7 +148,7 @@ impl ErrorCode {
         match e {
             ServeError::Overloaded => ErrorCode::Overloaded,
             ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
-            ServeError::Opt(OptError::WorkerPanicked) => ErrorCode::WorkerPanicked,
+            ServeError::WorkerPanicked => ErrorCode::WorkerPanicked,
             ServeError::Opt(_) => ErrorCode::Opt,
         }
     }
@@ -181,24 +181,6 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-/// Mode display names, indexed by the same tag the codec transmits.
-/// Decoding a response reconstructs the `&'static str` the in-process
-/// [`lec_service::ServeResponse`] carries by indexing this table — the
-/// reason responses can be compared field-for-field across the wire.
-/// Indices 9 and 10 named the randomized searches, which no longer exist;
-/// they are retired, not reused, and decode as a bad tag.
-pub const MODE_NAMES: [&str; 9] = [
-    "LSC(mean)",
-    "LSC(mode)",
-    "LSC(at)",
-    "AlgA",
-    "AlgB",
-    "AlgC",
-    "AlgC-dyn",
-    "AlgD",
-    "Bushy",
-];
 
 // ---------------------------------------------------------------------
 // Writer
@@ -518,9 +500,8 @@ pub fn decode_query_into(r: &mut Reader, q: &mut Query) -> Result<(), DecodeErro
 // Modes
 // ---------------------------------------------------------------------
 
-/// Mode tags match the fingerprint tags in `lec_core::optimizer` and the
-/// indices of [`MODE_NAMES`].  Tags 9 and 10 named the randomized
-/// searches; they are retired, not reused.
+/// Mode tags match the fingerprint tags in `lec_core::optimizer`.  Tags 9
+/// and 10 named the randomized searches; they are retired, not reused.
 pub fn encode_mode(w: &mut Writer, m: &Mode) {
     match m {
         Mode::Lsc(PointEstimate::Mean) => {
@@ -727,13 +708,6 @@ fn decode_stats(r: &mut Reader) -> Result<SearchStats, DecodeError> {
     })
 }
 
-fn mode_index(name: &str) -> u8 {
-    MODE_NAMES
-        .iter()
-        .position(|n| *n == name)
-        .expect("every Mode::name() is in MODE_NAMES") as u8
-}
-
 /// Wire tag of a cache decision.  Tags 1 and 2 named the coalesced and
 /// the weak-key revalidation decisions, which no longer exist; they are
 /// retired, not reused, so the other tags keep their numbers.
@@ -748,7 +722,6 @@ fn decision_index(d: CacheDecision) -> u8 {
 pub fn encode_response(w: &mut Writer, resp: &lec_service::ServeResponse) {
     encode_plan(w, &resp.plan);
     w.f64(resp.cost);
-    w.u8(mode_index(resp.mode));
     w.u8(decision_index(resp.decision));
     encode_stats(w, &resp.stats);
 }
@@ -756,10 +729,6 @@ pub fn encode_response(w: &mut Writer, resp: &lec_service::ServeResponse) {
 pub fn decode_response(r: &mut Reader) -> Result<lec_service::ServeResponse, DecodeError> {
     let plan = decode_plan(r)?;
     let cost = r.f64()?;
-    let mode_idx = r.u8()? as usize;
-    let mode = *MODE_NAMES
-        .get(mode_idx)
-        .ok_or(DecodeError::BadTag("mode name index"))?;
     let decision = match r.u8()? {
         0 => CacheDecision::Served,
         3 => CacheDecision::Recomputed,
@@ -770,7 +739,6 @@ pub fn decode_response(r: &mut Reader) -> Result<lec_service::ServeResponse, Dec
     Ok(lec_service::ServeResponse {
         plan,
         cost,
-        mode,
         stats,
         decision,
     })
@@ -1071,8 +1039,9 @@ mod tests {
         let plan = PlanNode::seq_scan(3);
         let mut w = Writer::new();
         encode_plan(&mut w, &plan);
-        // plan, f64 cost, u8 mode, then the decision tag.
-        let tag_at = w.into_bytes().len() + 8 + 1;
+        // plan, f64 cost, then the decision tag and eleven u64 counters.
+        let plan_len = w.into_bytes().len();
+        let tag_at = plan_len + 8;
         for (decision, tag) in [
             (CacheDecision::Served, 0u8),
             (CacheDecision::Recomputed, 3),
@@ -1081,13 +1050,13 @@ mod tests {
             let resp = lec_service::ServeResponse {
                 plan: plan.clone(),
                 cost: 42.5,
-                mode: "AlgC",
                 stats: SearchStats::default(),
                 decision,
             };
             let mut w = Writer::new();
             encode_response(&mut w, &resp);
             let mut bytes = w.into_bytes();
+            assert_eq!(bytes.len(), plan_len + 8 + 1 + 11 * 8, "no byte but these");
             assert_eq!(bytes[tag_at], tag, "{decision:?} keeps its wire tag");
             let back = decode_response(&mut Reader::new(&bytes)).unwrap();
             assert_eq!(back.decision, decision);

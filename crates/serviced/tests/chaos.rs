@@ -438,43 +438,59 @@ fn overload_sheds_cold_requests_while_warm_hits_keep_serving() {
     });
 }
 
+/// Poll `done` every millisecond for at most ten seconds; true once it
+/// holds.  The bound keeps a failing test from hanging the suite.
+fn wait_until(done: impl Fn() -> bool) -> bool {
+    let t0 = Instant::now();
+    while !done() {
+        if t0.elapsed() > Duration::from_secs(10) {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
 #[test]
 fn the_client_retry_rides_out_a_transient_overload() {
     let (catalog, queries) = fixture();
     let mode = Mode::AlgorithmC;
-    let hold = Duration::from_millis(120);
     let config = DaemonConfig {
         max_cold_backlog: 1,
         ..DaemonConfig::default()
     };
-    let hook = hold_on(&queries[1], hold);
+    // The search of query 1 holds the only cold slot from `held` until the
+    // test sees a shed and sets `release`.
+    let held = AtomicBool::new(false);
+    let release = AtomicBool::new(false);
+    let hook = |q: &Query| {
+        if q == &queries[1] {
+            held.store(true, Ordering::SeqCst);
+            wait_until(|| release.load(Ordering::SeqCst));
+        }
+    };
     let ((), _report) = with_daemon(&catalog, config, hook, |socket, daemon| {
         let mut blocker = Client::new(Box::new(socket.connect()), 1);
-        // A generous retry budget: backoff outlasts the 120ms hold.
-        let mut retrier = Client::with_policy(
-            Box::new(socket.connect()),
-            lec_serviced::RetryPolicy {
-                max_retries: 30,
-                base: Duration::from_millis(10),
-                cap: Duration::from_millis(40),
-            },
-            2,
-        );
+        let mut retrier = Client::new(Box::new(socket.connect()), 2);
         std::thread::scope(|scope| {
             let holder = scope.spawn(|| blocker.optimize_once(0, &mode, &queries[1]));
-            std::thread::sleep(Duration::from_millis(30));
+            let slot_taken = wait_until(|| held.load(Ordering::SeqCst));
             // Shed at first, then admitted once the slot frees: the
-            // retry loop turns a transient refusal into an answer.
-            let resp = retrier
-                .optimize(0, &mode, &queries[2])
+            // retry loop turns a transient refusal into an answer.  The
+            // release follows the first shed within milliseconds, and the
+            // client's four retries wait at least 37.5 ms in all.
+            let retried = scope.spawn(|| retrier.optimize(0, &mode, &queries[2]));
+            let shed = wait_until(|| daemon.metrics().shed_requests() >= 1);
+            release.store(true, Ordering::SeqCst);
+            assert!(slot_taken, "the held search never started");
+            assert!(shed, "the overload never happened");
+            let resp = retried
+                .join()
+                .expect("retrier thread")
                 .expect("retry wins through");
             assert!(resp.cost.is_finite());
             holder.join().expect("holder").expect("held search");
         });
-        assert!(
-            daemon.metrics().shed_requests() >= 1,
-            "the overload actually happened"
-        );
     });
 }
 
@@ -611,14 +627,10 @@ fn drain_finishes_inflight_work_and_rejects_late_arrivals() {
         let mut inflight = Client::new(Box::new(socket.connect()), 1);
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| inflight.optimize_once(0, &mode, &queries[0]));
-            let start = Instant::now();
-            while !held.load(Ordering::SeqCst) {
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "the search is held"
-                );
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            assert!(
+                wait_until(|| held.load(Ordering::SeqCst)),
+                "the search is held"
+            );
 
             // Drain arrives while the search is mid-flight.
             let mut ctl = Client::new(Box::new(socket.connect()), 2);

@@ -164,12 +164,11 @@ fn valid_response() -> (Vec<u8>, usize) {
     let resp = lec_service::ServeResponse {
         plan: plan(),
         cost: 1234.5,
-        mode: Mode::AlgorithmC.name(),
         stats: lec_core::SearchStats::default(),
         decision: lec_service::CacheDecision::Recomputed,
     };
-    // plan, f64 cost, u8 mode, then the decision tag.
-    let tag_at = plan_bytes(&resp.plan).len() + 8 + 1;
+    // plan, f64 cost, then the decision tag.
+    let tag_at = plan_bytes(&resp.plan).len() + 8;
     let mut w = Writer::new();
     encode_response(&mut w, &resp);
     (w.into_bytes(), tag_at)
@@ -197,10 +196,9 @@ fn the_retired_decision_tag_is_a_clean_error() {
 }
 
 /// Mode tags 9 and 10 named the randomized searches (iterative
-/// improvement, simulated annealing), and so did response mode-name
-/// indices 9 and 10.  All four are retired, not reused: a peer still
-/// sending them gets a clean `BadTag` before any of the old mode's
-/// parameters are read.
+/// improvement, simulated annealing).  Both are retired, not reused: a
+/// peer still sending them gets a clean `BadTag` before any of the old
+/// mode's parameters are read.
 #[test]
 fn the_retired_mode_tags_are_clean_errors() {
     for tag in [9u8, 10] {
@@ -211,17 +209,6 @@ fn the_retired_mode_tags_are_clean_errors() {
             decode_mode(&mut Reader::new(&bytes)).err(),
             Some(DecodeError::BadTag("mode")),
             "mode tag {tag}"
-        );
-    }
-    let (mut payload, tag_at) = valid_response();
-    // The mode-name index is the byte before the decision tag.
-    let index_at = tag_at - 1;
-    for index in [9u8, 10] {
-        payload[index_at] = index;
-        assert_eq!(
-            decode_response(&mut Reader::new(&payload)).err(),
-            Some(DecodeError::BadTag("mode name index")),
-            "mode name index {index}"
         );
     }
 }

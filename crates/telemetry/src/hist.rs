@@ -4,7 +4,7 @@
 //! function of the value: the first `2^SUB_BITS` values get exact unit
 //! buckets, and every later power-of-two octave is split into `2^SUB_BITS`
 //! sub-buckets, bounding relative quantile error at `2^-SUB_BITS` (~6%).
-//! Recording is three relaxed `fetch_add`s — no locks, no allocation —
+//! Recording is two relaxed `fetch_add`s — no locks, no allocation —
 //! so concurrent recorders sharing one histogram produce bucket counts
 //! identical to any serial interleaving of the same samples (pinned by
 //! `tests/hist_props.rs`): every handler thread records into the same
@@ -57,10 +57,10 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 /// Lock-free log-scale histogram with atomic buckets.
 ///
-/// `Debug` prints a summary (count/sum), not the bucket array.
+/// `Debug` prints the sum, not the bucket array; a snapshot derives the
+/// count from the buckets.
 pub struct Histogram {
     buckets: Box<[AtomicU64; N_BUCKETS]>,
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -73,7 +73,6 @@ impl Default for Histogram {
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
-            .field("count", &self.count.load(Ordering::Relaxed))
             .field("sum", &self.sum.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -89,21 +88,15 @@ impl Histogram {
             .unwrap_or_else(|_| unreachable!("length fixed at N_BUCKETS"));
         Histogram {
             buckets,
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
 
-    /// Record one sample: three relaxed atomic adds, nothing else.
+    /// Record one sample: two relaxed atomic adds, nothing else.
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Capture a consistent-enough snapshot for reporting. Buckets are read

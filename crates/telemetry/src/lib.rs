@@ -95,7 +95,7 @@ impl Telemetry {
     }
 
     /// Record a finished request's wall time under its outcome class.
-    /// Three relaxed atomic adds; no allocation.
+    /// Two relaxed atomic adds; no allocation.
     #[inline]
     pub fn record_outcome(&self, outcome: Outcome, elapsed_ns: u64) {
         self.outcomes[outcome as usize].record(elapsed_ns);

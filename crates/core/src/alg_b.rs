@@ -1,21 +1,34 @@
 //! Algorithm B: generating more candidates with top-c lists (§3.3).
 //!
-//! Policy over the engine: one [`TopCPolicy`] run per memory
-//! representative (the Proposition 3.1 frontier lives in the policy),
-//! then EC ranking of the union of root candidates
+//! "For each value m_i of the memory parameter" the paper runs a top-`c`
+//! search; here the representatives are the lanes of one
+//! [`TopCPolicy`] search (the Proposition 3.1 frontier lives in the
+//! policy), then the union of the lanes' root candidates is EC-ranked
 //! (`alg_a::rank_by_expected_cost`, shared with Algorithm A).
+//!
+//! The lanes share everything that does not read memory — the level walk,
+//! each split's crossing, the outer grouping, one plan arena — and, at
+//! each subset, the lanes that have agreed bit for bit on every split's
+//! inputs and join prices so far form one class, whose top-`c` insert
+//! walk runs once and whose entries are stored once.  Sharing is exact: a
+//! lane's kept lists are what its own search would keep, and each lane
+//! still prices its own splits and counts its own work, so plans, cost
+//! bits and every [`SearchStats`] counter equal those of one search per
+//! representative.  More than [`MAX_LANES`] representatives run in
+//! passes of that many lanes.
 
 use crate::error::OptError;
 use crate::search::{
-    run_search_with, PlanShape, SearchConfig, SearchOutcome, SearchStats, TopCPolicy,
+    run_search_with, PlanShape, SearchConfig, SearchOutcome, SearchStats, TopCPolicy, MAX_LANES,
 };
 use lec_cost::CostModel;
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
 
 /// Algorithm B's ranking: the top-`c` plans of every memory
-/// representative, the union EC-ranked.  Each run's Proposition 3.1
-/// counters stay on its [`TopCPolicy::frontier`].
+/// representative, one lane each, the union EC-ranked in representative
+/// order.  The Proposition 3.1 counters stay on the policy's
+/// [`TopCPolicy::frontier`].
 pub(crate) fn rank_top_c_plans(
     model: &CostModel<'_>,
     memory: &Distribution,
@@ -29,8 +42,8 @@ pub(crate) fn rank_top_c_plans(
 
     let mut stats = SearchStats::default();
     let mut candidates: Vec<PlanNode> = Vec::new();
-    for m in reps {
-        let mut policy = TopCPolicy::new(m, c);
+    for pass in reps.chunks(MAX_LANES) {
+        let mut policy = TopCPolicy::with_lanes(pass, c);
         let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
         stats.absorb(&run.stats);
         for e in &run.roots {
@@ -51,25 +64,12 @@ mod tests {
     use crate::optimizer::{run, Mode};
     use crate::search::FrontierStats;
 
-    /// Algorithm B's Proposition 3.1 counters: one top-`c` run per memory
-    /// representative, summed.
+    /// Algorithm B's Proposition 3.1 counters: its lanes', summed.
     fn frontier(model: &CostModel<'_>, memory: &Distribution, c: usize) -> FrontierStats {
-        let mut sum = FrontierStats::default();
-        for m in representatives(memory) {
-            let mut policy = TopCPolicy::new(m, c);
-            run_search_with(
-                model,
-                PlanShape::LeftDeep,
-                &mut policy,
-                &SearchConfig::default(),
-            )
-            .unwrap();
-            let f = policy.frontier;
-            sum.combinations_examined += f.combinations_examined;
-            sum.bound_total = sum.bound_total.saturating_add(f.bound_total);
-            sum.groups += f.groups;
-        }
-        sum
+        let mut policy = TopCPolicy::with_lanes(&representatives(memory), c);
+        let config = SearchConfig::default();
+        run_search_with(model, PlanShape::LeftDeep, &mut policy, &config).unwrap();
+        policy.frontier
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! * [`alg_a`] — Algorithm A (§3.2): the point policy run once per
 //!   memory bucket, candidates ranked by expected cost;
 //! * [`alg_b`] — Algorithm B (§3.3): top-`c` plans per (subset, order class)
-//!   with the Proposition 3.1 frontier enumeration;
+//!   with the Proposition 3.1 frontier enumeration, every memory
+//!   representative a lane of one search, lanes that agree on a subset
+//!   sharing its work;
 //! * [`alg_c`] — Algorithm C (§3.4/§3.5): keep-1 on expected cost, under
 //!   static or Markov-evolving memory (Theorems 3.3 and 3.4);
 //! * [`alg_d`] — Algorithm D (§3.6): per-node distribution bookkeeping

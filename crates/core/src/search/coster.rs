@@ -35,6 +35,18 @@ pub trait PhaseCoster {
         inner: f64,
     ) -> f64;
 
+    /// [`PhaseCoster::join_cost`] of every method, in [`JoinMethod::ALL`]
+    /// order.
+    fn join_costs(
+        &self,
+        model: &CostModel<'_>,
+        ctx: &JoinContext,
+        outer: f64,
+        inner: f64,
+    ) -> [f64; 4] {
+        JoinMethod::ALL.map(|method| self.join_cost(model, ctx, method, outer, inner))
+    }
+
     /// Cost of sorting `pages` pages at `phase`.
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64;
 
@@ -116,6 +128,16 @@ impl PhaseCoster for MemoryCoster {
         inner: f64,
     ) -> f64 {
         model.expected_join_cost_over(method, outer, inner, self.phase(ctx.phase))
+    }
+
+    fn join_costs(
+        &self,
+        model: &CostModel<'_>,
+        ctx: &JoinContext,
+        outer: f64,
+        inner: f64,
+    ) -> [f64; 4] {
+        model.expected_join_costs_over(outer, inner, self.phase(ctx.phase))
     }
 
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64 {

@@ -163,7 +163,9 @@ const RADIX_MIN_SPLITS: usize = 128;
 /// Parents are grown by descending bits, so a set's splits arrive by
 /// ascending `t` (a greater `t` leaves a smaller parent) and a stable
 /// sort on the set alone orders them: a large level's is a radix sort
-/// through `scratch`, the search's one spare buffer.
+/// through `scratch`, the search's one spare buffer.  A small level's
+/// comparison sort reads each split's set once, into a stack buffer of
+/// (set, table, parent) keys, not through its parent per comparison.
 fn grow_level(
     model: &CostModel<'_>,
     level: &[TableSet],
@@ -179,7 +181,15 @@ fn grow_level(
         }));
     }
     if out.len() < RADIX_MIN_SPLITS {
-        out.sort_unstable_by_key(|g| (g.set(level), g.table));
+        let mut keyed = [(0u64, 0u32, 0u32); RADIX_MIN_SPLITS];
+        let keyed = &mut keyed[..out.len()];
+        for (k, g) in keyed.iter_mut().zip(out.iter()) {
+            *k = (g.set(level).bits(), g.table, g.parent);
+        }
+        keyed.sort_unstable();
+        for (g, &(_, table, parent)) in out.iter_mut().zip(keyed.iter()) {
+            *g = Grown { parent, table };
+        }
     } else {
         let bytes = model.query().n_tables().div_ceil(8);
         radix_sort_by_set(out, scratch, level, bytes);

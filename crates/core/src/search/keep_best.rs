@@ -172,10 +172,7 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
             for ie in inner {
                 let key = (oe.pages.to_bits(), ie.pages.to_bits(), phase);
                 let costs = self.prices.get_or_price(key, || {
-                    JoinMethod::ALL.map(|method| {
-                        self.coster
-                            .join_cost(model, ctx, method, oe.pages, ie.pages)
-                    })
+                    self.coster.join_costs(model, ctx, oe.pages, ie.pages)
                 });
                 let pages = model.join_output_pages(oe.pages, ie.pages, sel);
                 stats.candidates += JoinMethod::ALL.len() as u64;

@@ -113,7 +113,9 @@ pub trait CandidatePolicy {
 
     /// Combine every (outer, inner) entry pair under every join method,
     /// retaining pending joins in `into` — which holds the subset's
-    /// survivors of earlier splits — under the policy's insert rule.
+    /// survivors of earlier splits — under the policy's insert rule.  A
+    /// policy may keep them in buffers of its own instead (top-c keeps one
+    /// per class of lanes), which its `build` drains.
     #[allow(clippy::too_many_arguments)]
     fn combine(
         &mut self,

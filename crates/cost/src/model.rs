@@ -268,6 +268,19 @@ impl<'a> CostModel<'a> {
         formulas::join_cost_over(method, outer, inner, memory)
     }
 
+    /// [`CostModel::expected_join_cost_over`] of every method, in
+    /// [`JoinMethod::ALL`] order: a size pair's four prices in one call,
+    /// all `4·b` evaluations counted.
+    pub fn expected_join_costs_over(
+        &self,
+        outer: f64,
+        inner: f64,
+        memory: &Distribution,
+    ) -> [f64; 4] {
+        self.count_evals(4 * memory.len() as u64);
+        JoinMethod::ALL.map(|method| formulas::join_cost_over(method, outer, inner, memory))
+    }
+
     /// Expected sort cost of a point-sized input over a memory
     /// distribution, priced like [`CostModel::expected_join_cost_over`].
     pub fn expected_sort_cost_over(&self, pages: f64, memory: &Distribution) -> f64 {
@@ -612,6 +625,35 @@ mod tests {
         m.reset_evals();
         m.expected_sort_cost_for(&a, &mem);
         assert_eq!(m.evals(), 2);
+    }
+
+    /// A size pair's four prices in one call are the four single-method
+    /// calls' bits and count their evaluations, on sub-page, NaN, square
+    /// and cube sizes, under a point and a spread of memory values that
+    /// fall on each side of the roots.
+    #[test]
+    fn four_prices_in_one_call_are_the_single_calls() {
+        let (cat, q) = fixture();
+        let m = CostModel::new(&cat, &q);
+        let sizes = [0.25, 1.0, 7.0, 64.0, 729.0, 1e4, 3.3e6, f64::NAN];
+        let memories = [
+            Distribution::point(500.0),
+            Distribution::uniform(&[2.0, 5.0, 30.0, 101.0, 4000.0]).unwrap(),
+        ];
+        for memory in &memories {
+            for outer in sizes {
+                for inner in sizes {
+                    m.reset_evals();
+                    let all = m.expected_join_costs_over(outer, inner, memory);
+                    let evals = m.evals();
+                    m.reset_evals();
+                    let one = JoinMethod::ALL
+                        .map(|method| m.expected_join_cost_over(method, outer, inner, memory));
+                    assert_eq!(all.map(f64::to_bits), one.map(f64::to_bits));
+                    assert_eq!(evals, m.evals(), "{outer} x {inner}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@
 use crate::protocol::{self, op, DecodeError, ErrorCode, FrameBuf, Reader, Writer};
 use crate::transport::{is_timeout, AbortHandle, Listener, Stream};
 use lec_plan::Query;
+use lec_prob::Distribution;
 use lec_service::{outcome_of, ConcurrentPlanServer, ServeCtx, ServeError, ServeHooks};
 use lec_telemetry::{Stage, TraceCtx};
 use serde_json::json;
@@ -397,7 +398,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
 
         let mut inbuf = FrameBuf::default();
         let mut out = Writer::new();
-        let mut query = Query::default();
+        let (mut query, mut spares) = (Query::default(), Vec::new());
 
         loop {
             match inbuf.fill(stream.as_mut()) {
@@ -429,7 +430,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                         break;
                     }
                 };
-                poisoned = self.dispatch(frame, &mut out, &mut query);
+                poisoned = self.dispatch(frame, &mut out, &mut query, &mut spares);
             }
 
             // One write per batch; a failure (or a slow client's write
@@ -450,10 +451,16 @@ impl<'s, 'c> Daemon<'s, 'c> {
     }
 
     /// Process one frame (opcode + body), decoding an `OPTIMIZE` request
-    /// into the connection's `query`.  Encodes any response frames onto
+    /// into the connection's `query` and its `spares` distributions.  Encodes any response frames onto
     /// `out`; returns `true` when the connection must be poisoned (the
     /// error frame is already encoded).
-    fn dispatch(&self, frame: &[u8], out: &mut Writer, query: &mut Query) -> bool {
+    fn dispatch(
+        &self,
+        frame: &[u8],
+        out: &mut Writer,
+        query: &mut Query,
+        spares: &mut Vec<Distribution>,
+    ) -> bool {
         let Some((&opcode, body)) = frame.split_first() else {
             return self.malformed(out, "empty frame");
         };
@@ -470,7 +477,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 let parsed = (|| {
                     let req_id = r.u64()?;
                     let mode = protocol::decode_mode(&mut r)?;
-                    protocol::decode_query_into(&mut r, query)?;
+                    protocol::decode_query_into(&mut r, query, spares)?;
                     r.finish()?;
                     Ok::<_, DecodeError>((req_id, mode))
                 })();

@@ -38,11 +38,13 @@
 //! [`decode_query_into`] is the one query decoder ([`decode_query`] runs it
 //! on a fresh query).  The daemon keeps one [`Query`] per connection and
 //! decodes every request into it: the table and join vectors and the
-//! distributions' buffers are reused, so a request no larger than an
-//! earlier one, with its filters where that one had them, decodes
-//! without allocating.  A distribution is refilled by
-//! [`Distribution::assign_parts_exact`], which checks the parts before it
-//! writes, so a rejected frame leaves only valid distributions behind.
+//! distributions' buffers are reused, and a distribution a request drops
+//! (a filter gone, a join list shorter) waits in the connection's spares
+//! for the next filter or join that needs one, so a request no larger than
+//! an earlier one decodes without allocating, wherever its filters are.  A
+//! distribution is refilled by [`Distribution::assign_parts_exact`], which
+//! checks the parts before it writes, so a rejected frame leaves only
+//! valid distributions behind.
 
 use crate::transport::Stream;
 use lec_catalog::TableId;
@@ -420,21 +422,59 @@ pub fn encode_query(w: &mut Writer, q: &Query) {
     }
 }
 
-/// [`decode_query_into`] a fresh query.
+/// [`decode_query_into`] a fresh query (its spares are never needed).
 pub fn decode_query(r: &mut Reader) -> Result<Query, DecodeError> {
     let mut query = Query::default();
-    decode_query_into(r, &mut query)?;
+    decode_query_parts(r, &mut query, &mut Vec::new())?;
     Ok(query)
 }
 
+/// [`decode_dist`] into one of `spares` when there is one; a rejected
+/// distribution leaves the spare among them.
+fn decode_spare(
+    r: &mut Reader,
+    spares: &mut Vec<Distribution>,
+) -> Result<Distribution, DecodeError> {
+    let Some(mut d) = spares.pop() else {
+        return decode_dist(r);
+    };
+    match decode_dist_into(r, &mut d) {
+        Ok(()) => Ok(d),
+        Err(e) => {
+            spares.push(d);
+            Err(e)
+        }
+    }
+}
+
 /// Decode a query into `q`, the one query decoder.  It reuses `q`'s
-/// vectors and the buffers of the distributions already in place, so a
-/// query no larger than the one `q` held, with filters where that one had
-/// them, decodes without allocating.  On an error `q` holds parts of both
-/// queries, but every distribution in it is valid.
-pub fn decode_query_into(r: &mut Reader, q: &mut Query) -> Result<(), DecodeError> {
+/// vectors and the buffers of the distributions already in place; a
+/// distribution the query no longer needs goes to `spares`, and one it
+/// newly needs comes from there, so a query no larger than those decoded
+/// before decodes without allocating.  On an error `q` holds parts of
+/// both queries, but every distribution in it and in `spares` is valid.
+pub fn decode_query_into(
+    r: &mut Reader,
+    q: &mut Query,
+    spares: &mut Vec<Distribution>,
+) -> Result<(), DecodeError> {
+    decode_query_parts(r, q, spares)?;
+    // Room for every distribution `q` holds: a later query drops them
+    // into the spares without growing them.
+    let filters = q.tables.iter().filter(|t| t.filter.is_some()).count();
+    spares.reserve(filters + q.joins.len());
+    Ok(())
+}
+
+/// [`decode_query_into`] but for its spares' room.
+fn decode_query_parts(
+    r: &mut Reader,
+    q: &mut Query,
+    spares: &mut Vec<Distribution>,
+) -> Result<(), DecodeError> {
     let n_tables = r.count()?;
-    q.tables.truncate(n_tables);
+    let dropped = q.tables.drain(n_tables.min(q.tables.len())..);
+    spares.extend(dropped.filter_map(|t| Some(t.filter?.selectivity)));
     q.tables.reserve_exact(n_tables - q.tables.len());
     for i in 0..n_tables {
         let id = r.u64()?;
@@ -453,13 +493,13 @@ pub fn decode_query_into(r: &mut Reader, q: &mut Query) -> Result<(), DecodeErro
         let slot = &mut q.tables[i];
         slot.table = table;
         match (column, &mut slot.filter) {
-            (None, filter) => *filter = None,
+            (None, filter) => spares.extend(filter.take().map(|f| f.selectivity)),
             (Some(column), Some(f)) => {
                 f.column = column;
                 decode_dist_into(r, &mut f.selectivity)?;
             }
             (Some(column), filter @ None) => {
-                let selectivity = decode_dist(r)?;
+                let selectivity = decode_spare(r, spares)?;
                 *filter = Some(LocalPredicate {
                     column,
                     selectivity,
@@ -468,7 +508,8 @@ pub fn decode_query_into(r: &mut Reader, q: &mut Query) -> Result<(), DecodeErro
         }
     }
     let n_joins = r.count()?;
-    q.joins.truncate(n_joins);
+    let dropped = q.joins.drain(n_joins.min(q.joins.len())..);
+    spares.extend(dropped.map(|j| j.selectivity));
     q.joins.reserve_exact(n_joins - q.joins.len());
     for i in 0..n_joins {
         let left = decode_column_ref(r)?;
@@ -479,7 +520,7 @@ pub fn decode_query_into(r: &mut Reader, q: &mut Query) -> Result<(), DecodeErro
                 decode_dist_into(r, &mut j.selectivity)?;
             }
             None => {
-                let selectivity = decode_dist(r)?;
+                let selectivity = decode_spare(r, spares)?;
                 q.joins.push(JoinPredicate {
                     left,
                     right,
@@ -883,7 +924,7 @@ mod tests {
         let mut g = lec_catalog::CatalogGenerator::new(7);
         let catalog = g.generate(16);
         let mut wg = WorkloadGenerator::new(7);
-        let mut buf = Query::default();
+        let (mut buf, mut spares) = (Query::default(), Vec::new());
         for (i, n) in [5, 2, 9, 9, 3, 12, 2, 7, 4].into_iter().enumerate() {
             let ids = g.pick_tables(&catalog, n);
             let profile = QueryProfile {
@@ -903,7 +944,7 @@ mod tests {
             let bytes = encoded(&q);
             let fresh = decode_query(&mut Reader::new(&bytes)).unwrap();
             let mut r = Reader::new(&bytes);
-            decode_query_into(&mut r, &mut buf).unwrap();
+            decode_query_into(&mut r, &mut buf, &mut spares).unwrap();
             r.finish().unwrap();
             assert_eq!(buf, fresh, "query {i}");
             assert_eq!(

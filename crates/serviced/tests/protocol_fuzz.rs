@@ -88,11 +88,11 @@ fn reused_decoder_agrees(bytes: &[u8]) -> Result<(), TestCaseError> {
         Err(_) => vec![0],
     };
     for start in starts {
-        let mut buf = warm.clone();
+        let (mut buf, mut spares) = (warm.clone(), Vec::new());
         let (mut fresh_r, mut reused_r) =
             (Reader::new(&bytes[start..]), Reader::new(&bytes[start..]));
         let fresh = decode_query(&mut fresh_r);
-        let reused = decode_query_into(&mut reused_r, &mut buf);
+        let reused = decode_query_into(&mut reused_r, &mut buf, &mut spares);
         prop_assert_eq!(
             fresh_r.remaining(),
             reused_r.remaining(),
@@ -110,7 +110,7 @@ fn reused_decoder_agrees(bytes: &[u8]) -> Result<(), TestCaseError> {
             }
         }
         let again = query_bytes(&warm);
-        decode_query_into(&mut Reader::new(&again), &mut buf).expect("a valid query");
+        decode_query_into(&mut Reader::new(&again), &mut buf, &mut spares).expect("a valid query");
         prop_assert_eq!(
             query_bytes(&buf),
             again,

@@ -268,6 +268,90 @@ mod tests {
         println!("LSC baseline: {t_lsc:.0}us, {e_lsc} cost-formula evaluations.\n");
     }
 
+    /// E4, counted — Theorem 3.2 in the paper's units, cost-formula
+    /// evaluations (§3.4), on e4's chain at b ∈ {1, …, 32}.  Algorithm C
+    /// makes between 0.9·b and b times LSC's (every distinct size pair of
+    /// the search priced at `b` buckets, every access path once).
+    /// Algorithms A and B(3) make exactly what their parts make: A one
+    /// `LscAt(m)` search per memory representative, B(3) one single-lane
+    /// top-3 search per representative, and each one replay of every
+    /// candidate plan it ranks (A one per representative, B one per
+    /// distinct root).
+    #[test]
+    fn e4_evaluations_grow_as_the_bucket_count() {
+        println!("E4 counted: cost-formula evaluations vs bucket count b (6-table chain)\n");
+        let w = scaling_chain(6);
+        let model = CostModel::new(&w.catalog, &w.query);
+        let point = |m: f64| lec_prob::Distribution::point(m);
+        let lsc = search(&model, &point(400.0), Mode::LscAt(400.0)).stats;
+        let replays = |plans: &[lec_plan::PlanNode], memory: &lec_prob::Distribution| {
+            model.reset_evals();
+            for plan in plans {
+                expected_plan_cost_static(&model, plan, memory);
+            }
+            model.evals()
+        };
+        let mut t = Table::new(&[
+            "b",
+            "C/LSC/b",
+            "evals C / A / B(3)",
+            "nodes C / A / B(3)",
+            "candidates C / A / B(3)",
+        ]);
+        let mut rows = Vec::new();
+        for b in [1usize, 2, 4, 8, 16, 32] {
+            let memory = presets::spread_family(400.0, 0.8, b).unwrap();
+            let (mut a_want, mut b_want) = (0, 0);
+            let (mut a_plans, mut b_roots) = (Vec::new(), Vec::new());
+            for m in representatives(&memory) {
+                let a_run = search(&model, &point(m), Mode::LscAt(m));
+                a_want += a_run.stats.evals;
+                a_plans.push(a_run.plan);
+                let mut policy = TopCPolicy::new(m, 3);
+                let config = SearchConfig::default();
+                let b_run = run_search_with(&model, PlanShape::LeftDeep, &mut policy, &config);
+                let b_run = b_run.unwrap();
+                b_want += b_run.stats.evals;
+                for root in &b_run.roots {
+                    let plan = b_run.plans.node(root.plan);
+                    if !b_roots.contains(&plan) {
+                        b_roots.push(plan);
+                    }
+                }
+            }
+            a_want += replays(&a_plans, &memory);
+            b_want += replays(&b_roots, &memory);
+            let c = search(&model, &memory, Mode::AlgorithmC).stats;
+            let a = search(&model, &memory, Mode::AlgorithmA).stats;
+            let b3 = search(&model, &memory, Mode::AlgorithmB { c: 3 }).stats;
+            let per_bucket = c.evals as f64 / lsc.evals as f64 / b as f64;
+            let three = |f: fn(&lec_core::SearchStats) -> u64| {
+                format!("{} / {} / {}", f(&c), f(&a), f(&b3))
+            };
+            t.row(vec![
+                b.to_string(),
+                format!("{per_bucket:.3}"),
+                three(|s| s.evals),
+                three(|s| s.nodes as u64),
+                three(|s| s.candidates),
+            ]);
+            rows.push((b, per_bucket, (a.evals, a_want), (b3.evals, b_want)));
+        }
+        println!("{}", t.render());
+        println!("LSC at 400: {} cost-formula evaluations.\n", lsc.evals);
+
+        for (b, per_bucket, (a, a_want), (b3, b_want)) in rows {
+            let at = format!("e4 at b = {b}");
+            let ratio = format!("{at}: C evals / (b · LSC's)");
+            verdict(&ratio, Side::AtLeast, 0.9, 0.0, per_bucket);
+            verdict(&ratio, Side::AtMost, 1.0, 0.0, per_bucket);
+            for (alg, want, got) in [("A", a_want, a), ("B(3)", b_want, b3)] {
+                let what = format!("{at}: {alg} evals");
+                verdict(what, Side::Both, want as f64, 0.0, got as f64);
+            }
+        }
+    }
+
     /// E5 — Proposition 3.1: combinations examined per (node, j, method)
     /// group in Algorithm B stay within `c + c·log c`, at every `c`.
     #[test]

@@ -6,6 +6,11 @@
 //! policy), then the union of the lanes' root candidates is EC-ranked
 //! (`alg_a::rank_by_expected_cost`, shared with Algorithm A).
 //!
+//! The search is left-deep, as the paper's "if we join A_j last" is: the
+//! frontier prices a split's candidates at one inner size, which only a
+//! single inner table guarantees, so [`TopCPolicy`] refuses a bushy
+//! split.
+//!
 //! The lanes share everything that does not read memory — the level walk,
 //! each split's crossing, the outer grouping, one plan arena — and, at
 //! each subset, the lanes that have agreed bit for bit on every split's

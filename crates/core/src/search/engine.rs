@@ -6,21 +6,23 @@
 //! the *connected* subsets of its size only: the walk costs what the join
 //! graph has, not the `2^n` lattice around it.
 //!
-//! A level's entries live in one exactly sized vector (`fill_table`),
-//! their plans as steps of the search's [`PlanArena`]; a plan is copied
-//! out only for a root a caller takes ([`SearchRun::plans`]).  Both plan
-//! shapes grow a level from its parents the same way (`grow_level`): each
-//! parent by each table on its frontier, ordered by set, with a radix sort
-//! on the set's bits once a level holds `RADIX_MIN_SPLITS` of them and a
-//! comparison sort below.  A set's run of grown splits is its left-deep
-//! splits, so a left-deep split reads its outer entries at its parent's
-//! index and its inner ones at its table's; a bushy set walks its own
-//! splits (`bushy_splits`), the only walk that looks a subset up
-//! (`DpTable::get`: by its bits, or past `DENSE_INDEX_TABLES` tables by
-//! a binary search of its level).
+//! A subset's splits go to the policy one by one (`combine`), which keeps
+//! the subset's pending joins, and the policy builds the survivors once
+//! the last split is in (`build`).  A level's entries live in one exactly
+//! sized vector (`fill_table`), their plans as steps of the search's
+//! [`PlanArena`]; a plan is copied out only for a root a caller takes
+//! ([`SearchRun::plans`]).  Both plan shapes grow a level from its
+//! parents the same way (`grow_level`): each parent by each table on its
+//! frontier, ordered by set, with a radix sort on the set's bits once a
+//! level holds `RADIX_MIN_SPLITS` of them and a comparison sort below.  A
+//! set's run of grown splits is its left-deep splits, so a left-deep
+//! split reads its outer entries at its parent's index and its inner ones
+//! at its table's; a bushy set walks its own splits (`bushy_splits`), the
+//! only walk that looks a subset up (`DpTable::get`: by its bits, or past
+//! `DENSE_INDEX_TABLES` tables by a binary search of its level).
 
 use super::arena::PlanArena;
-use super::policy::{CandidatePolicy, JoinContext, RootContext, SearchEntry};
+use super::policy::{CandidatePolicy, JoinContext, SearchEntry};
 use super::SearchStats;
 use crate::error::OptError;
 use lec_cost::CostModel;
@@ -257,9 +259,9 @@ impl<E: SearchEntry> SearchRun<E> {
 pub struct SearchConfig {}
 
 /// Fill the DP table of an `n ≥ 1`-table query level by level: a subset's
-/// splits rank *pending* joins into one buffer, built after its last split,
-/// and a level (reading only those below it) fills one buffer, stored
-/// exactly sized when done.
+/// splits rank *pending* joins in the policy, which builds them after the
+/// last split, and a level (reading only those below it) fills one
+/// buffer, stored exactly sized when done.
 fn fill_table<P: CandidatePolicy>(
     model: &CostModel<'_>,
     shape: PlanShape,
@@ -283,10 +285,10 @@ fn fill_table<P: CandidatePolicy>(
         entries: Vec::new(),
     };
     let (mut grown, mut scratch) = (Vec::new(), Vec::new());
-    let (mut splits, mut pending) = (Vec::new(), Vec::new());
+    let mut splits = Vec::new();
     for idx in 0..n {
         let start = level.entries.len();
-        let access = policy.access_entries(model, plans, idx, stats);
+        let access = policy.access_entries(model, plans, idx);
         level.entries.extend(access);
         level.add(TableSet::singleton(idx), start, stats);
     }
@@ -306,7 +308,7 @@ fn fill_table<P: CandidatePolicy>(
                             continue;
                         };
                         let ctx = JoinContext::of(parents[parent], TableSet::singleton(t));
-                        policy.combine(model, plans, &ctx, outer, inner, &mut pending, stats);
+                        policy.combine(model, plans, &ctx, outer, inner, stats);
                     }
                 }
                 PlanShape::Bushy => {
@@ -316,12 +318,12 @@ fn fill_table<P: CandidatePolicy>(
                             continue;
                         };
                         let ctx = JoinContext::of(left, right);
-                        policy.combine(model, plans, &ctx, outer, inner, &mut pending, stats);
+                        policy.combine(model, plans, &ctx, outer, inner, stats);
                     }
                 }
             }
             let start = level.entries.len();
-            policy.build(plans, &mut pending, &mut level.entries);
+            policy.build(plans, &mut level.entries);
             level.add(set, start, stats);
         }
         table.push_level(&mut level);
@@ -353,8 +355,7 @@ pub fn run_search_with<P: CandidatePolicy>(
     if root.is_empty() {
         return Err(OptError::NoPlanFound);
     }
-    let ctx = RootContext { sort_phase: n - 1 };
-    let roots = policy.finalize(model, &mut plans, &ctx, root, &mut stats);
+    let roots = policy.finalize(model, &mut plans, root, &mut stats);
     if roots.is_empty() {
         return Err(OptError::NoPlanFound);
     }
@@ -469,8 +470,10 @@ mod tests {
             let what = |policy: &str| format!("{policy}, {shape:?}");
             let keep_best = KeepBestPolicy::new(MemoryCoster::fixed(&memory));
             assert_levels_exactly_sized(query, *shape, keep_best, &what("keep-best"));
-            let top_c = TopCPolicy::new(memory.mean(), 3);
-            assert_levels_exactly_sized(query, *shape, top_c, &what("top-c"));
+            if *shape == PlanShape::LeftDeep {
+                let top_c = TopCPolicy::new(memory.mean(), 3);
+                assert_levels_exactly_sized(query, *shape, top_c, &what("top-c"));
+            }
             let multi_param = MultiParamPolicy::new(&memory, AlgDConfig::default());
             assert_levels_exactly_sized(query, *shape, multi_param, &what("multi-param"));
         }

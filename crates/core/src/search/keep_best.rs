@@ -24,7 +24,7 @@ use super::arena::{PlanArena, PlanId};
 use super::coster::PhaseCoster;
 use super::policy::{
     access_alternatives, insert_cheapest, insert_entry_shaped, shape_rank, CandidatePolicy,
-    JoinContext, Joined, RootContext, SearchEntry,
+    JoinContext, Joined, SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
@@ -120,6 +120,9 @@ pub struct KeepBestPolicy<C> {
     prices: PriceTable,
     /// One `combine` call's candidate costs and sizes per entry pair.
     sums: Vec<([f64; 4], f64)>,
+    /// The subset in hand's pending joins; `build` drains them, so one
+    /// buffer serves the whole search.
+    pending: Vec<Joined<f64>>,
 }
 
 impl<C: PhaseCoster> KeepBestPolicy<C> {
@@ -129,20 +132,19 @@ impl<C: PhaseCoster> KeepBestPolicy<C> {
             coster,
             prices: PriceTable::default(),
             sums: Vec::new(),
+            pending: Vec::new(),
         }
     }
 }
 
 impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
     type Entry = DpEntry;
-    type Size = f64;
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
         // A search starts with its first table: no price outlives a search.
         if idx == 0 {
@@ -162,7 +164,6 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
         ctx: &JoinContext,
         outer: &[DpEntry],
         inner: &[DpEntry],
-        into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
         let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
@@ -180,44 +181,39 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
                     .push((costs.map(|join_cost| oe.cost + ie.cost + join_cost), pages));
             }
         }
-        let split = (outer, inner);
+        let (split, into) = ((outer, inner), &mut self.pending);
         insert_cheapest(model, plans, sm_order, split, |e| e.plan, &self.sums, into);
     }
 
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<f64>>,
-        into: &mut Vec<DpEntry>,
-    ) {
-        build_entries(plans, pending, into);
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<DpEntry>) {
+        build_entries(plans, &mut self.pending, into);
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<DpEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        let mut roots = finalize_with_coster(model, plans, ctx, entries, &self.coster);
+        let mut roots = finalize_with_coster(model, plans, entries, &self.coster);
         sort_roots(model, plans, &mut roots);
         roots
     }
 }
 
 /// Shared root finalization: wrap entries that miss a required order in a
-/// sort costed by `coster`.  Used by every policy but multi-param.
+/// sort costed by `coster` at the phase after the query's `n - 1` joins.
+/// Used by every policy but multi-param.
 pub(super) fn finalize_with_coster<C: PhaseCoster>(
     model: &CostModel<'_>,
     plans: &mut PlanArena,
-    ctx: &RootContext,
     entries: Vec<DpEntry>,
     coster: &C,
 ) -> Vec<DpEntry> {
+    let sort_phase = model.query().n_tables() - 1;
     sort_where_required(model, entries, |e, key| DpEntry {
-        cost: e.cost + coster.sort_cost(model, ctx.sort_phase, e.pages),
+        cost: e.cost + coster.sort_cost(model, sort_phase, e.pages),
         plan: plans.push(Step::Sort(e.plan, key)),
         order: OrderProperty::Required,
         ..e
@@ -364,15 +360,16 @@ mod tests {
             }
         }
         let mut policy = KeepBestPolicy::new(coster);
-        let (mut got, mut stats) = (Vec::new(), SearchStats::default());
-        policy.combine(&model, &plans, &ctx, &outer, &inner, &mut got, &mut stats);
+        let mut stats = SearchStats::default();
+        policy.combine(&model, &plans, &ctx, &outer, &inner, &mut stats);
+        let got = &policy.pending;
         assert_eq!(stats.candidates, 12, "every candidate counts");
         let view = |v: &[Joined<f64>]| -> Vec<_> {
             v.iter()
                 .map(|j| (j.method, j.outer, j.inner, j.cost.to_bits(), j.order))
                 .collect()
         };
-        assert_eq!(view(&got), view(&want));
+        assert_eq!(view(got), view(&want));
         let unordered: Vec<_> = got
             .iter()
             .filter(|j| j.order == OrderProperty::Unsorted)

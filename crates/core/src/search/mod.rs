@@ -26,7 +26,7 @@
 //! | [`keep_best::KeepBestPolicy`] + `Static(point(m))` | `C(P, m)` at one memory value — the one-bucket expectation | Thm 2.1 | [`crate::lsc`], Algorithm A's black box |
 //! | [`keep_best::KeepBestPolicy`] + `Static(dist)` | `EC(P)` under a static distribution | §3.4, Thm 3.3 | [`crate::alg_c`], [`crate::bushy`] |
 //! | [`keep_best::KeepBestPolicy`] + `Dynamic { initial, chain }` | per-phase Markov-evolved `EC(P)` | §3.5, Thm 3.4 | [`crate::alg_c`] |
-//! | [`top_c::TopCPolicy`] + one `MemoryCoster::point(m)` per lane | top-`c` per (subset, order class) at each lane's point, Prop 3.1 frontier | §3.3 | [`crate::alg_b`] |
+//! | [`top_c::TopCPolicy`] + one `MemoryCoster::point(m)` per lane | top-`c` per (subset, order class) at each lane's point, Prop 3.1 frontier; left-deep splits only | §3.3 | [`crate::alg_b`] |
 //! | [`multi_param::MultiParamPolicy`] | Figure 1 distribution bookkeeping, §3.6.3 rebucketing | §3.6 | [`crate::alg_d`] |
 //!
 //! Every policy funnels its memory-dependent evaluations through the
@@ -78,8 +78,7 @@ pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use lec_plan::Step;
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
 pub use policy::{
-    insert_entry_shaped, join_output_order, CandidatePolicy, JoinContext, Joined, RootContext,
-    SearchEntry,
+    insert_entry_shaped, join_output_order, CandidatePolicy, JoinContext, Joined, SearchEntry,
 };
 pub use top_c::{insert_top_c, order_run, FrontierStats, TopCPolicy, MAX_LANES};
 

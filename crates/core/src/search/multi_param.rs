@@ -40,9 +40,10 @@ use super::arena::{PlanArena, PlanId};
 use super::keep_best::sort_where_required;
 use super::policy::{
     access_alternatives, insert_cheapest, insert_entry_shaped, priced, CandidatePolicy,
-    JoinContext, Joined, RootContext, SearchEntry,
+    JoinContext, Joined, SearchEntry,
 };
 use super::SearchStats;
+use lec_cost::formulas::MIN_PAGES;
 use lec_cost::{CostModel, DistTables};
 use lec_plan::{JoinMethod, OrderProperty, Step, TableSet};
 use lec_prob::{normalize_pairs, product_pairs, rebucket_pairs, Distribution, Rebucket};
@@ -223,7 +224,7 @@ fn size_chain<'s>(
     normalize_pairs(y).expect(valid);
     *max_support = (*max_support).max(y.len());
     for (v, _) in y.iter_mut() {
-        *v = v.max(1.0);
+        *v = v.max(MIN_PAGES);
     }
     normalize_pairs(y).expect(valid);
     rebucket_pairs(y.iter().copied(), b, strategy, x).expect(valid);
@@ -247,6 +248,9 @@ pub struct MultiParamPolicy {
     pairs: PricedPairs,
     /// One `combine` call's candidate costs and sizes per entry pair.
     sums: Vec<([f64; 4], usize)>,
+    /// The subset in hand's pending joins; `build` drains them, so one
+    /// buffer serves the whole search.
+    pending: Vec<Joined<usize>>,
     /// `build`'s per-size slots: each size's tables and fingerprint, built
     /// for the first survivor that has it.
     slots: Vec<Option<(DistTables, u64)>>,
@@ -273,6 +277,7 @@ impl MultiParamPolicy {
             runs: Vec::new(),
             pairs: Vec::new(),
             sums: Vec::new(),
+            pending: Vec::new(),
             slots: Vec::new(),
             block: Vec::new(),
             max_product_support: 0,
@@ -287,14 +292,12 @@ fn rebucket_to(d: &Distribution, n: usize, strategy: Rebucket) -> Distribution {
 
 impl CandidatePolicy for MultiParamPolicy {
     type Entry = DistEntry;
-    type Size = usize;
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        _stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
         if idx == 0 {
             self.selectivities.clear();
@@ -327,7 +330,6 @@ impl CandidatePolicy for MultiParamPolicy {
         ctx: &JoinContext,
         outer: &[DistEntry],
         inner: &[DistEntry],
-        into: &mut Vec<Joined<usize>>,
         stats: &mut SearchStats,
     ) {
         let sel = self.selectivities.entry(model, ctx.left, ctx.right);
@@ -354,23 +356,18 @@ impl CandidatePolicy for MultiParamPolicy {
                 sums.push((costs.map(|join_ec| oe.cost + ie.cost + join_ec), size));
             }
         }
-        let split = (outer, inner);
+        let (split, into) = ((outer, inner), &mut self.pending);
         insert_cheapest(model, plans, sm_order, split, |e| e.plan, &self.sums, into);
     }
 
     /// Only survivors fingerprint a size distribution and build its
     /// tables, once per size whichever survivors share it.
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<usize>>,
-        into: &mut Vec<DistEntry>,
-    ) {
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<DistEntry>) {
         self.slots.clear();
         self.slots.resize(self.runs.len(), None);
         let (sizes, runs, slots, block) =
             (&self.sizes, &self.runs, &mut self.slots, &mut self.block);
-        into.extend(pending.drain(..).map(|j| {
+        into.extend(self.pending.drain(..).map(|j| {
             let (pages, pages_fp) = slots[j.size].get_or_insert_with(|| {
                 let [start, end] = runs[j.size].map(|x| x as usize);
                 let pages = DistTables::from_buckets(sizes[start..end].iter().copied(), block);
@@ -393,7 +390,6 @@ impl CandidatePolicy for MultiParamPolicy {
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        _ctx: &RootContext,
         entries: Vec<DistEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<DistEntry> {

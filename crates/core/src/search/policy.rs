@@ -13,10 +13,9 @@ use std::cmp::Ordering;
 pub struct JoinContext {
     /// The outer operand's table set.
     pub left: TableSet,
-    /// The inner operand's table set (a singleton in left-deep search).
+    /// The inner operand's table set: a singleton in left-deep search,
+    /// the only shape top-c runs.
     pub right: TableSet,
-    /// The union being built.
-    pub result: TableSet,
     /// 0-based execution phase of §3.5: joining the k-th relation is
     /// phase `k - 2`.
     pub phase: usize,
@@ -25,21 +24,12 @@ pub struct JoinContext {
 impl JoinContext {
     /// The context of joining `left` with `right`.
     pub fn of(left: TableSet, right: TableSet) -> Self {
-        let result = left.union(right);
         JoinContext {
             left,
             right,
-            result,
-            phase: result.len() - 2,
+            phase: left.len() + right.len() - 2,
         }
     }
-}
-
-/// Context for root finalization.
-#[derive(Debug, Clone, Copy)]
-pub struct RootContext {
-    /// Phase index of a root sort (after `n - 1` joins).
-    pub sort_phase: usize,
 }
 
 /// What the insert rules and the engine read out of a candidate, a built
@@ -92,15 +82,13 @@ impl<S> SearchEntry for Joined<S> {
 /// The engine owns subset enumeration, operand pairing and the search's
 /// [`PlanArena`]; the policy owns everything per-candidate: costing,
 /// output-order and size bookkeeping, and which candidates a node keeps.
-/// `combine` emits *pending* joins ([`Joined`]) into a buffer the engine
-/// owns (holding the subset in hand's survivors), so a losing candidate
-/// builds nothing; after the subset's last split the engine builds the
-/// survivors once, through `build`.
+/// `combine` ranks *pending* joins ([`Joined`]) in buffers the policy
+/// owns (the survivors so far of the subset in hand), so a losing
+/// candidate builds nothing; after the subset's last split the engine
+/// has the policy build the survivors once, through `build`.
 pub trait CandidatePolicy {
     /// The per-node candidate representation.
     type Entry: SearchEntry + Clone;
-    /// A pending join's [`Joined::size`].
-    type Size;
 
     /// Build the depth-1 entries (access paths) for one table.
     fn access_entries(
@@ -108,15 +96,12 @@ pub trait CandidatePolicy {
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        stats: &mut SearchStats,
     ) -> Vec<Self::Entry>;
 
-    /// Combine every (outer, inner) entry pair under every join method,
-    /// retaining pending joins in `into` — which holds the subset's
-    /// survivors of earlier splits — under the policy's insert rule.  A
-    /// policy may keep them in buffers of its own instead (top-c keeps one
-    /// per class of lanes), which its `build` drains.
-    #[allow(clippy::too_many_arguments)]
+    /// Combine every (outer, inner) entry pair of one split of the subset
+    /// in hand under every join method, retaining pending joins among the
+    /// subset's survivors of earlier splits under the policy's insert
+    /// rule.
     fn combine(
         &mut self,
         model: &CostModel<'_>,
@@ -124,18 +109,12 @@ pub trait CandidatePolicy {
         ctx: &JoinContext,
         outer: &[Self::Entry],
         inner: &[Self::Entry],
-        into: &mut Vec<Joined<Self::Size>>,
         stats: &mut SearchStats,
     );
 
-    /// Build one subset's surviving pending joins, in order, onto `into`
-    /// (its level's entries), one join step each; `pending` ends empty.
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<Self::Size>>,
-        into: &mut Vec<Self::Entry>,
-    );
+    /// Build the subset in hand's surviving pending joins, in order, onto
+    /// `into` (its level's entries), one join step each, and forget them.
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<Self::Entry>);
 
     /// Enforce the query's required output order on the root candidates
     /// (wrapping in a sort step where needed) and return the survivors.
@@ -143,7 +122,6 @@ pub trait CandidatePolicy {
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<Self::Entry>,
         stats: &mut SearchStats,
     ) -> Vec<Self::Entry>;

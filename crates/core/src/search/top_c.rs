@@ -19,6 +19,16 @@
 //! that rejects a combination on cost would reject the rest of its outer
 //! group too (and, if it was the group's cheapest, every later inner's).
 //!
+//! Top-c runs left-deep splits only, and `combine` panics on any other.
+//! The frontier ranks a (group, method)'s combinations by their input
+//! costs alone, which is exact only when the join's cost term is one
+//! number for the whole group, and so only when every inner entry has one
+//! size.  A left-deep inner is one table, whose access paths all have its
+//! base page count; a composite inner's entries are built through
+//! different splits, and the one-page clamp can give them sizes that
+//! differ in the last bits, so a bushy split would price some candidates
+//! at another entry's size.
+//!
 //! Only the required order is interesting ([`lec_plan::order`]), so a node
 //! keeps `c` plans sorted as required and `c` others in one run ranked by
 //! (cost, shape), and groups its outer list on the same two classes.
@@ -36,33 +46,33 @@
 //! [`TopCPolicy`] search runs them all, one lane per value
 //! ([`TopCPolicy::with_lanes`]).  The lanes share what reads no memory:
 //! the engine's level walk, each split's `crossing`, the outer grouping,
-//! the plan arena and the level vectors.  At each subset the lanes fall
-//! into *classes*: lanes whose pending joins are one list.  A split's
-//! walk runs once per class, read from its lowest lane, and a class's
-//! entries are built and stored once, each with the class's lane set
-//! (kept beside the entries, by plan id, so [`DpEntry`] stays 24 bytes).
+//! the inner table's access paths, the plan arena and the level vectors.
+//! At each subset the lanes fall into *classes*: lanes whose pending
+//! joins are one list.  A split's walk runs once per class, read from its
+//! lowest lane, and a class's entries are built and stored once, each
+//! with the class's lane set (kept beside the entries, by plan id, so
+//! [`DpEntry`] stays 24 bytes).
 //!
 //! Sharing is exact because a walk reads nothing a lane could see
 //! differently: every lane prices its own split, and a lane leaves its
 //! class at the first split where its outer entries (its class at the
-//! outer subset), its inner entries or any of its join prices differ
-//! from the class's lowest lane's, bit for bit — taking a copy of the
-//! class's pending joins with it.  When a subset is done, classes whose
-//! joins agree (plans, cost, order and size bits) are built as one: their
-//! lanes see the same entries above.  So each lane keeps, at every node,
-//! what its own search would keep.  The counters stay per lane: each
-//! lane's pricing counts its formula calls, a class's walk adds its
-//! frontier admissions to `candidates` and [`FrontierStats`] once per
-//! member lane, `nodes` counts every lane's, and `finalize` sorts, ranks
-//! and truncates each lane's roots at its own memory value, in lane
-//! order.
+//! outer subset) or any of its join prices differ from the class's
+//! lowest lane's, bit for bit — taking a copy of the class's pending
+//! joins with it.  When a subset is done, classes whose joins agree
+//! (plans, cost, order and size bits) are built as one: their lanes see
+//! the same entries above.  So each lane keeps, at every node, what its
+//! own search would keep.  The counters stay per lane: each lane's
+//! pricing counts its formula calls, a class's walk adds its frontier
+//! admissions to `candidates` and [`FrontierStats`] once per member lane,
+//! `nodes` counts every lane's, and `finalize` sorts, ranks and truncates
+//! each lane's roots at its own memory value, in lane order.
 
 use super::arena::{PlanArena, PlanId};
 use super::coster::{MemoryCoster, PhaseCoster};
 use super::keep_best::{build_entries, finalize_with_coster, sort_roots, DpEntry};
 use super::policy::{
     access_alternatives, join_output_order, shape_rank, CandidatePolicy, JoinContext, Joined,
-    RootContext, SearchEntry,
+    SearchEntry,
 };
 use super::SearchStats;
 use lec_cost::CostModel;
@@ -104,9 +114,9 @@ pub struct TopCPolicy {
     classes: Vec<Class>,
     spare: Vec<Vec<Joined<f64>>>,
     /// One `combine` call's scratch, cleared per call: each operand's
-    /// entries' indices in walk order, class by class, each lane's view of
-    /// the split, and the lanes' prices: per distinct outer page count,
-    /// its bits and the four method costs.
+    /// entries' indices in walk order (the outer's class by class), each
+    /// lane's view of the split, and the lanes' prices: per distinct outer
+    /// page count, its bits and the four method costs.
     outer_order: Vec<usize>,
     inner_order: Vec<usize>,
     views: Vec<View>,
@@ -163,12 +173,11 @@ struct Class {
 type Split<'a> = ((f64, OrderProperty), (&'a [DpEntry], &'a [DpEntry]), View);
 
 /// One lane's view of a split, as `[start, end)` ranges of the call's
-/// scratch: its outer and inner classes' entries (in `outer_order` and
-/// `inner_order`) and its prices.
+/// scratch: its outer class's entries (in `outer_order`) and its prices.
+/// The inner, a singleton's access paths, is every lane's.
 #[derive(Debug, Clone, Copy)]
 struct View {
     outer: [usize; 2],
-    inner: [usize; 2],
     prices: [usize; 2],
 }
 
@@ -209,14 +218,14 @@ impl TopCPolicy {
         }
     }
 
-    /// Whether lanes `a` and `b` see one split alike: the same outer and
-    /// inner classes and the same join prices, bit for bit.
+    /// Whether lanes `a` and `b` see one split alike: the same outer class
+    /// and the same join prices, bit for bit.
     fn agree(&self, a: usize, b: usize) -> bool {
         let (va, vb) = (self.views[a], self.views[b]);
         let prices = |[start, end]: [usize; 2]| {
             (self.prices[start..end].iter()).map(|(size, p)| (*size, p.map(f64::to_bits)))
         };
-        (va.outer, va.inner) == (vb.outer, vb.inner) && prices(va.prices).eq(prices(vb.prices))
+        va.outer == vb.outer && prices(va.prices).eq(prices(vb.prices))
     }
 
     /// Split each class of the subset in hand into the lanes that agree on
@@ -265,15 +274,15 @@ impl TopCPolicy {
     ) -> (u64, u64) {
         let range = |[start, end]: [usize; 2]| start..end;
         let outer_order = &self.outer_order[range(view.outer)];
-        let inner_order = &self.inner_order[range(view.inner)];
+        let inner_order = &self.inner_order;
         let prices = &self.prices[range(view.prices)];
         let c = self.c;
         let key = |i: usize| (outer[i].order.is_required(), outer[i].pages.to_bits());
         // Flattened inner entries: their orders are folded into the join's
         // output order rule, which for inner sides never depends on the
-        // inner order, and a singleton's access paths all share the same
-        // page count.
-        let inner_pages = inner[inner_order[0]].pages;
+        // inner order, and a singleton's access paths all share its page
+        // count.
+        let inner_pages = inner[0].pages;
         let (mut groups, mut admitted) = (0, 0);
         // `into` is the run of entries not sorted as required, then the
         // run of those that are: a walk's run is one side of this split,
@@ -409,14 +418,12 @@ pub fn insert_top_c<T: SearchEntry>(
 
 impl CandidatePolicy for TopCPolicy {
     type Entry = DpEntry;
-    type Size = f64;
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        _stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
         // A search starts with its first table: no lane set outlives it.
         if idx == 0 {
@@ -450,9 +457,12 @@ impl CandidatePolicy for TopCPolicy {
         ctx: &JoinContext,
         outer: &[DpEntry],
         inner: &[DpEntry],
-        _into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
+        assert!(
+            ctx.right.len() == 1,
+            "top-c runs left-deep splits only: Proposition 3.1's frontier needs one inner size"
+        );
         let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
         // Group each outer class by (order class, pages).  A class is a
         // top-c node, sorted by (class, cost, shape), so a stable sort on
@@ -471,24 +481,20 @@ impl CandidatePolicy for TopCPolicy {
         for (_, [start, end]) in self.lane_sets.classes(outer) {
             self.outer_order[start..end].sort_by_key(|&i| key(i));
         }
-        let rank = |&a: &usize, &b: &usize| shape_rank(model, plans, &inner[a], &inner[b]);
+        // The inner is a singleton's access paths, every lane's: one list,
+        // walked cheapest first.
         self.inner_order.clear();
         self.inner_order.extend(0..inner.len());
-        for (_, [start, end]) in self.lane_sets.classes(inner) {
-            self.inner_order[start..end].sort_by(rank);
-        }
+        (self.inner_order).sort_by(|&a, &b| shape_rank(model, plans, &inner[a], &inner[b]));
         // Every lane prices its own split: each distinct page count of its
-        // outer class against its inner class, once per call.
+        // outer class against the inner's, once per call.
         self.views.clear();
         self.prices.clear();
+        let inner_pages = inner[0].pages;
         for (lane, coster) in self.lanes.iter().enumerate() {
-            let class_of = |entries| {
-                let mut classes = self.lane_sets.classes(entries);
-                let class = classes.find(|(lanes, _)| lanes >> lane & 1 == 1);
-                class.expect("a populated operand holds every lane").1
-            };
-            let (outer_run, inner_run) = (class_of(outer), class_of(inner));
-            let inner_pages = inner[self.inner_order[inner_run[0]]].pages;
+            let mut classes = self.lane_sets.classes(outer);
+            let class = classes.find(|(lanes, _)| lanes >> lane & 1 == 1);
+            let outer_run = class.expect("a populated operand holds every lane").1;
             let start = self.prices.len();
             for &i in &self.outer_order[outer_run[0]..outer_run[1]] {
                 let size = outer[i].pages.to_bits();
@@ -502,7 +508,6 @@ impl CandidatePolicy for TopCPolicy {
             }
             self.views.push(View {
                 outer: outer_run,
-                inner: inner_run,
                 prices: [start, self.prices.len()],
             });
         }
@@ -525,17 +530,11 @@ impl CandidatePolicy for TopCPolicy {
         self.classes = classes;
     }
 
-    /// Build `pending` (a caller's own buffer: every lane's), then each
-    /// class's pending joins, recording the class's lanes on its entries.
-    /// Classes whose joins agree, plan for plan and bit for bit, are built
-    /// once, as one class: their lanes agree on every split above too.
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<f64>>,
-        into: &mut Vec<DpEntry>,
-    ) {
-        build_entries(plans, pending, into);
+    /// Build each class's pending joins, recording the class's lanes on
+    /// its entries.  Classes whose joins agree, plan for plan and bit for
+    /// bit, are built once, as one class: their lanes agree on every split
+    /// above too.
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<DpEntry>) {
         let mut classes = take(&mut self.classes);
         for ci in 0..classes.len() {
             let (kept, rest) = classes.split_at_mut(ci + 1);
@@ -568,7 +567,6 @@ impl CandidatePolicy for TopCPolicy {
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<DpEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
@@ -579,11 +577,29 @@ impl CandidatePolicy for TopCPolicy {
         for (lane, coster) in self.lanes.iter().enumerate() {
             let in_lane = |e: &&DpEntry| self.lane_sets.of(e) >> lane & 1 == 1;
             let mine = entries.iter().filter(in_lane).copied().collect();
-            let mut roots = finalize_with_coster(model, plans, ctx, mine, coster);
+            let mut roots = finalize_with_coster(model, plans, mine, coster);
             sort_roots(model, plans, &mut roots);
             roots.truncate(self.c);
             out.extend(roots);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::search::{run_search_with, PlanShape, SearchConfig};
+
+    /// A bushy split hands top-c a multi-table inner, whose entries may
+    /// differ in size: the policy refuses it rather than price them all
+    /// at one.
+    #[test]
+    #[should_panic(expected = "Proposition 3.1")]
+    fn top_c_refuses_a_bushy_split() {
+        let (cat, q) = crate::fixtures::three_chain();
+        let model = CostModel::new(&cat, &q);
+        let (mut policy, config) = (TopCPolicy::new(500.0, 3), SearchConfig::default());
+        let _ = run_search_with(&model, PlanShape::Bushy, &mut policy, &config);
     }
 }

@@ -142,30 +142,17 @@ fn a_warm_combine_allocates_nothing_whatever_it_prices() {
         let outer = outers(&mut plans, u, k);
         let inner = outers(&mut plans, v, 1);
         let mut policy = MultiParamPolicy::new(&memory, AlgDConfig::default());
-        let (mut pending, mut level) = (Vec::new(), Vec::new());
+        let mut level = Vec::new();
         let mut stats = SearchStats::default();
-        policy.combine(
-            &model,
-            &plans,
-            &ctx,
-            &outer,
-            &inner,
-            &mut pending,
-            &mut stats,
-        );
-        policy.build(&mut plans, &mut pending, &mut level);
+        policy.combine(&model, &plans, &ctx, &outer, &inner, &mut stats);
+        policy.build(&mut plans, &mut level);
+        let built = level.len();
         let (made, ()) = allocations(|| {
-            policy.combine(
-                &model,
-                &plans,
-                &ctx,
-                &outer,
-                &inner,
-                &mut pending,
-                &mut stats,
-            );
+            policy.combine(&model, &plans, &ctx, &outer, &inner, &mut stats);
         });
-        assert!(!pending.is_empty());
+        policy.build(&mut plans, &mut level);
+        assert!(built > 0, "the first combine keeps survivors");
+        assert_eq!(level.len(), 2 * built, "the warm survivors are built");
         assert_eq!(stats.candidates, 2 * 4 * k as u64);
         counts.push(made);
     }

@@ -18,8 +18,7 @@
 use lec_catalog::{Catalog, CatalogGenerator, IndexKind};
 use lec_core::search::{
     run_search_with, CandidatePolicy, DpEntry, JoinContext, Joined, KeepBestPolicy, MemoryCoster,
-    PhaseCoster, PlanArena, PlanId, PlanShape, RootContext, SearchConfig, SearchEntry, SearchStats,
-    Step,
+    PhaseCoster, PlanArena, PlanId, PlanShape, SearchConfig, SearchEntry, SearchStats, Step,
 };
 use lec_core::{Mode, PointEstimate};
 use lec_cost::{AccessPath, CostModel};
@@ -107,6 +106,8 @@ struct FullClassKeepBest {
     clustered: Vec<Option<usize>>,
     /// Every entry's cost and order, by its plan step.
     kept: HashMap<PlanId, (f64, OrderProperty)>,
+    /// The subset in hand's pending joins.
+    pending: Vec<Joined<(f64, Class)>>,
 }
 
 impl FullClassKeepBest {
@@ -126,6 +127,7 @@ impl FullClassKeepBest {
             classes,
             clustered,
             kept: HashMap::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -140,14 +142,12 @@ impl FullClassKeepBest {
 
 impl CandidatePolicy for FullClassKeepBest {
     type Entry = FullEntry;
-    type Size = (f64, Class);
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        _stats: &mut SearchStats,
     ) -> Vec<FullEntry> {
         let mut entries = Vec::new();
         for path in model.access_paths(idx) {
@@ -180,7 +180,6 @@ impl CandidatePolicy for FullClassKeepBest {
         ctx: &JoinContext,
         outer: &[FullEntry],
         inner: &[FullEntry],
-        into: &mut Vec<Joined<(f64, Class)>>,
         stats: &mut SearchStats,
     ) {
         let q = model.query();
@@ -210,20 +209,15 @@ impl CandidatePolicy for FullClassKeepBest {
                         outer: oe.plan,
                         inner: ie.plan,
                     };
-                    insert_full_class(model, plans, into, joined, |j| j.size.1);
+                    insert_full_class(model, plans, &mut self.pending, joined, |j| j.size.1);
                 }
             }
         }
     }
 
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<(f64, Class)>>,
-        into: &mut Vec<FullEntry>,
-    ) {
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<FullEntry>) {
         let start = into.len();
-        into.extend(pending.drain(..).map(|j| FullEntry {
+        into.extend(self.pending.drain(..).map(|j| FullEntry {
             plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
             cost: j.cost,
             pages: j.size.0,
@@ -240,16 +234,16 @@ impl CandidatePolicy for FullClassKeepBest {
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<FullEntry>,
         _stats: &mut SearchStats,
     ) -> Vec<FullEntry> {
+        let sort_phase = model.query().n_tables() - 1;
         let mut roots: Vec<FullEntry> = entries
             .into_iter()
             .map(|e| match model.query().required_order {
                 Some(want) if e.class != self.required => FullEntry {
                     plan: plans.push(Step::Sort(e.plan, want)),
-                    cost: e.cost + self.coster.sort_cost(model, ctx.sort_phase, e.pages),
+                    cost: e.cost + self.coster.sort_cost(model, sort_phase, e.pages),
                     class: self.required,
                     order: OrderProperty::Required,
                     ..e
@@ -284,16 +278,14 @@ impl Recorded {
 
 impl CandidatePolicy for Recorded {
     type Entry = DpEntry;
-    type Size = f64;
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        let entries = self.policy.access_entries(model, plans, idx, stats);
+        let entries = self.policy.access_entries(model, plans, idx);
         self.record(TableSet::singleton(idx), &entries);
         entries
     }
@@ -305,22 +297,15 @@ impl CandidatePolicy for Recorded {
         ctx: &JoinContext,
         outer: &[DpEntry],
         inner: &[DpEntry],
-        into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
-        self.building = ctx.result;
-        self.policy
-            .combine(model, plans, ctx, outer, inner, into, stats);
+        self.building = ctx.left.union(ctx.right);
+        self.policy.combine(model, plans, ctx, outer, inner, stats);
     }
 
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<f64>>,
-        into: &mut Vec<DpEntry>,
-    ) {
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<DpEntry>) {
         let start = into.len();
-        self.policy.build(plans, pending, into);
+        self.policy.build(plans, into);
         self.record(self.building, &into[start..]);
     }
 
@@ -328,11 +313,10 @@ impl CandidatePolicy for Recorded {
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<DpEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.policy.finalize(model, plans, ctx, entries, stats)
+        self.policy.finalize(model, plans, entries, stats)
     }
 }
 

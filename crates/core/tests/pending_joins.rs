@@ -10,8 +10,8 @@
 use lec_catalog::CatalogGenerator;
 use lec_core::search::policy::shape_rank;
 use lec_core::search::{
-    run_search_with, CandidatePolicy, Joined, PlanArena, PlanId, PlanShape, SearchConfig,
-    SearchEntry, Step, TopCPolicy,
+    run_search_with, DpEntry, Joined, PlanArena, PlanId, PlanShape, SearchConfig, SearchEntry,
+    Step, TopCPolicy,
 };
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, NodeRef, OrderProperty, QueryProfile, Topology, WorkloadGenerator};
@@ -114,9 +114,12 @@ proptest! {
                 inner: if share == 2 { a.inner } else { pick(bi) },
                 ..a
             };
-            let mut built = Vec::new();
-            policy.build(&mut plans, &mut vec![a, b], &mut built);
-            let (built_a, built_b) = (built[0], built[1]);
+            let [built_a, built_b] = [a, b].map(|j| DpEntry {
+                plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
+                cost: j.cost,
+                pages: j.size,
+                order: j.order,
+            });
             prop_assert_eq!(plans.step(built_a.plan), Step::Join(a.method, a.outer, a.inner));
             let (tree_a, tree_b) = (plans.node(built_a.plan), plans.node(built_b.plan));
             let want = plan_shape_cmp(&model, tree_a.root(), tree_b.root());

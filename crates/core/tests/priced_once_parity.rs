@@ -19,7 +19,7 @@ use lec_core::fixtures::{pruning_clique, pruning_star};
 use lec_core::search::{
     insert_entry_shaped, join_output_order, run_search_with, CandidatePolicy, DistEntry, DpEntry,
     JoinContext, Joined, KeepBestPolicy, MultiParamPolicy, PhaseCoster, PlanArena, PlanShape,
-    RootContext, SearchConfig, SearchStats, Step,
+    SearchConfig, SearchStats, Step,
 };
 use lec_core::{AlgDConfig, MemoryCoster};
 use lec_cost::{CostModel, DistTables, Objective};
@@ -31,20 +31,19 @@ use proptest::prelude::*;
 /// size per (outer, inner) entry pair.
 struct EagerKeepBest<C> {
     policy: KeepBestPolicy<C>,
+    pending: Vec<Joined<f64>>,
 }
 
 impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
     type Entry = DpEntry;
-    type Size = f64;
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.policy.access_entries(model, plans, idx, stats)
+        self.policy.access_entries(model, plans, idx)
     }
 
     fn combine(
@@ -54,7 +53,6 @@ impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
         ctx: &JoinContext,
         outer: &[DpEntry],
         inner: &[DpEntry],
-        into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
         let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
@@ -75,30 +73,29 @@ impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
                         outer: oe.plan,
                         inner: ie.plan,
                     };
-                    insert_entry_shaped(model, plans, into, joined);
+                    insert_entry_shaped(model, plans, &mut self.pending, joined);
                 }
             }
         }
     }
 
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<f64>>,
-        into: &mut Vec<DpEntry>,
-    ) {
-        self.policy.build(plans, pending, into);
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<DpEntry>) {
+        into.extend(self.pending.drain(..).map(|j| DpEntry {
+            plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
+            cost: j.cost,
+            pages: j.size,
+            order: j.order,
+        }));
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<DpEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.policy.finalize(model, plans, ctx, entries, stats)
+        self.policy.finalize(model, plans, entries, stats)
     }
 }
 
@@ -110,6 +107,7 @@ struct EagerMultiParam {
     config: AlgDConfig,
     memory: DistTables,
     sizes: Vec<Distribution>,
+    pending: Vec<Joined<usize>>,
     max_product_support: usize,
 }
 
@@ -120,6 +118,7 @@ impl EagerMultiParam {
             config,
             memory: DistTables::new(memory),
             sizes: Vec::new(),
+            pending: Vec::new(),
             max_product_support: 0,
         }
     }
@@ -148,16 +147,14 @@ impl EagerMultiParam {
 
 impl CandidatePolicy for EagerMultiParam {
     type Entry = DistEntry;
-    type Size = usize;
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
-        self.policy.access_entries(model, plans, idx, stats)
+        self.policy.access_entries(model, plans, idx)
     }
 
     fn combine(
@@ -167,7 +164,6 @@ impl CandidatePolicy for EagerMultiParam {
         ctx: &JoinContext,
         outer: &[DistEntry],
         inner: &[DistEntry],
-        into: &mut Vec<Joined<usize>>,
         stats: &mut SearchStats,
     ) {
         let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
@@ -189,19 +185,14 @@ impl CandidatePolicy for EagerMultiParam {
                         outer: oe.plan,
                         inner: ie.plan,
                     };
-                    insert_entry_shaped(model, plans, into, joined);
+                    insert_entry_shaped(model, plans, &mut self.pending, joined);
                 }
             }
         }
     }
 
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<usize>>,
-        into: &mut Vec<DistEntry>,
-    ) {
-        into.extend(pending.drain(..).map(|j| DistEntry {
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<DistEntry>) {
+        into.extend(self.pending.drain(..).map(|j| DistEntry {
             plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
             cost: j.cost,
             pages: DistTables::new(&self.sizes[j.size]),
@@ -215,11 +206,10 @@ impl CandidatePolicy for EagerMultiParam {
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<DistEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DistEntry> {
-        self.policy.finalize(model, plans, ctx, entries, stats)
+        self.policy.finalize(model, plans, entries, stats)
     }
 }
 
@@ -263,16 +253,14 @@ where
     P::Entry: Viewed,
 {
     type Entry = P::Entry;
-    type Size = P::Size;
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        stats: &mut SearchStats,
     ) -> Vec<P::Entry> {
-        self.policy.access_entries(model, plans, idx, stats)
+        self.policy.access_entries(model, plans, idx)
     }
 
     fn combine(
@@ -282,21 +270,14 @@ where
         ctx: &JoinContext,
         outer: &[P::Entry],
         inner: &[P::Entry],
-        into: &mut Vec<Joined<P::Size>>,
         stats: &mut SearchStats,
     ) {
-        self.policy
-            .combine(model, plans, ctx, outer, inner, into, stats);
+        self.policy.combine(model, plans, ctx, outer, inner, stats);
     }
 
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<P::Size>>,
-        into: &mut Vec<P::Entry>,
-    ) {
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<P::Entry>) {
         let start = into.len();
-        self.policy.build(plans, pending, into);
+        self.policy.build(plans, into);
         self.nodes.push(view(plans, &into[start..]));
     }
 
@@ -304,11 +285,10 @@ where
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<P::Entry>,
         stats: &mut SearchStats,
     ) -> Vec<P::Entry> {
-        self.policy.finalize(model, plans, ctx, entries, stats)
+        self.policy.finalize(model, plans, entries, stats)
     }
 }
 
@@ -413,6 +393,7 @@ fn assert_every_policy_priced_once(catalog: &Catalog, query: &Query) {
             || KeepBestPolicy::new(coster.clone()),
             || EagerKeepBest {
                 policy: KeepBestPolicy::new(coster.clone()),
+                pending: Vec::new(),
             },
         );
     }

@@ -11,7 +11,7 @@ use lec_core::search::policy::shape_rank;
 use lec_core::search::{
     insert_top_c, join_output_order, order_run, run_search_with, CandidatePolicy, DpEntry,
     FrontierStats, JoinContext, Joined, MemoryCoster, PhaseCoster, PlanArena, PlanId, PlanShape,
-    RootContext, SearchConfig, SearchStats, TopCPolicy,
+    SearchConfig, SearchStats, Step, TopCPolicy,
 };
 use lec_cost::CostModel;
 use lec_plan::{
@@ -53,16 +53,14 @@ impl EagerTopC {
 
 impl CandidatePolicy for EagerTopC {
     type Entry = DpEntry;
-    type Size = f64;
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.delegate.access_entries(model, plans, idx, stats)
+        self.delegate.access_entries(model, plans, idx)
     }
 
     fn combine(
@@ -72,7 +70,6 @@ impl CandidatePolicy for EagerTopC {
         ctx: &JoinContext,
         outer: &[DpEntry],
         inner: &[DpEntry],
-        _into: &mut Vec<Joined<f64>>,
         stats: &mut SearchStats,
     ) {
         let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
@@ -116,24 +113,23 @@ impl CandidatePolicy for EagerTopC {
         }
     }
 
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        _pending: &mut Vec<Joined<f64>>,
-        into: &mut Vec<DpEntry>,
-    ) {
-        self.delegate.build(plans, &mut self.node, into);
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<DpEntry>) {
+        into.extend(self.node.drain(..).map(|j| DpEntry {
+            plan: plans.push(Step::Join(j.method, j.outer, j.inner)),
+            cost: j.cost,
+            pages: j.size,
+            order: j.order,
+        }));
     }
 
     fn finalize(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<DpEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.delegate.finalize(model, plans, ctx, entries, stats)
+        self.delegate.finalize(model, plans, entries, stats)
     }
 }
 
@@ -169,16 +165,14 @@ struct Logged<P> {
 
 impl<P: CandidatePolicy<Entry = DpEntry>> CandidatePolicy for Logged<P> {
     type Entry = DpEntry;
-    type Size = P::Size;
 
     fn access_entries(
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
         idx: usize,
-        stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.policy.access_entries(model, plans, idx, stats)
+        self.policy.access_entries(model, plans, idx)
     }
 
     fn combine(
@@ -188,21 +182,14 @@ impl<P: CandidatePolicy<Entry = DpEntry>> CandidatePolicy for Logged<P> {
         ctx: &JoinContext,
         outer: &[DpEntry],
         inner: &[DpEntry],
-        into: &mut Vec<Joined<P::Size>>,
         stats: &mut SearchStats,
     ) {
-        self.policy
-            .combine(model, plans, ctx, outer, inner, into, stats);
+        self.policy.combine(model, plans, ctx, outer, inner, stats);
     }
 
-    fn build(
-        &mut self,
-        plans: &mut PlanArena,
-        pending: &mut Vec<Joined<P::Size>>,
-        into: &mut Vec<DpEntry>,
-    ) {
+    fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<DpEntry>) {
         let start = into.len();
-        self.policy.build(plans, pending, into);
+        self.policy.build(plans, into);
         self.nodes.push(view(plans, &into[start..]));
     }
 
@@ -210,11 +197,10 @@ impl<P: CandidatePolicy<Entry = DpEntry>> CandidatePolicy for Logged<P> {
         &mut self,
         model: &CostModel<'_>,
         plans: &mut PlanArena,
-        ctx: &RootContext,
         entries: Vec<DpEntry>,
         stats: &mut SearchStats,
     ) -> Vec<DpEntry> {
-        self.policy.finalize(model, plans, ctx, entries, stats)
+        self.policy.finalize(model, plans, entries, stats)
     }
 }
 

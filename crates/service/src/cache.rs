@@ -225,7 +225,7 @@ impl ShapeCache {
     /// An empty cache with an explicit stripe count (`shards >= 1`,
     /// clamped to `capacity`); tests use a single stripe to make the LRU
     /// order deterministic.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+    fn with_shards(capacity: usize, shards: usize) -> Self {
         let capacity = capacity.max(1);
         let shards = shards.clamp(1, capacity);
         ShapeCache {

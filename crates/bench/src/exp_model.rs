@@ -467,7 +467,7 @@ mod tests {
     fn e11_measured_io_stays_in_each_operators_band() {
         println!("E11: measured I/O of real operators vs the paper's formulas\n");
         use lec_cost::formulas::{bnl_join_cost, grace_join_cost, sm_join_cost, sort_cost};
-        use lec_exec::{block_nl_join, external_sort, grace_hash_join, sort_merge_join, DiskTable};
+        use lec_exec::{external_sort, join, DiskTable};
         let page_cap = 4usize;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xE11);
         let mk = |rows: usize, rng: &mut rand::rngs::StdRng| {
@@ -495,10 +495,10 @@ mod tests {
         for m in [4usize, 6, 8, 12, 24, 48, 96, 140] {
             let mf = m as f64;
             let measured = [
-                external_sort(&a, 0, m, page_cap).io,
-                sort_merge_join(&a, &b, 0, 0, m, page_cap).io,
-                grace_hash_join(&a, &b, 0, 0, m, page_cap).io,
-                block_nl_join(&a, &b, 0, 0, m, page_cap).io,
+                external_sort(&a, 0, m).io,
+                join(JoinMethod::SortMerge, &a, &b, (0, 0), m).io,
+                join(JoinMethod::GraceHash, &a, &b, (0, 0), m).io,
+                join(JoinMethod::BlockNestedLoop, &a, &b, (0, 0), m).io,
             ];
             let model = [
                 sort_cost(ap, mf),

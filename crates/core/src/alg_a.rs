@@ -5,16 +5,13 @@
 //! gives us b candidate plans.  We then compute the expected cost of each
 //! candidate, and choose the one with least expected cost."
 //!
-//! Policy over the engine: one keep-best point search — the black box, as
-//! [`crate::Mode::LscAt`] runs it — per memory representative, then EC
-//! ranking of the candidates (`rank_by_expected_cost`, shared with
-//! Algorithm B).
+//! The black box is [`crate::Mode::LscAt`]'s search, run once per memory
+//! representative; the candidates are then EC-ranked
+//! (`rank_by_expected_cost`, shared with Algorithm B).
 
 use crate::error::OptError;
-use crate::search::{
-    run_search_with, KeepBestPolicy, MemoryCoster, PlanShape, SearchConfig, SearchOutcome,
-    SearchStats,
-};
+use crate::search::{SearchConfig, SearchOutcome, SearchStats};
+use crate::Mode;
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
@@ -42,10 +39,9 @@ pub(crate) fn rank_point_plans(
     let mut stats = SearchStats::default();
     let mut plans = Vec::new();
     for m in representatives(memory) {
-        let mut policy = KeepBestPolicy::new(MemoryCoster::point(m));
-        let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
+        let run = crate::optimize(model, memory, &Mode::LscAt(m), config)?;
         stats.absorb(&run.stats);
-        plans.push(run.plans.node(run.best().plan));
+        plans.push(run.plan);
     }
     rank_by_expected_cost(model, memory, plans, stats)
 }

@@ -1,7 +1,9 @@
 //! Theorems 2.1 and 3.3 over a small domain, enumerated in full: every
-//! chain and star of 3 and 4 tables, each table's pages in {1, 30, 1000}
-//! and each join selectivity in {1e-5, 1e-2, 0.5}, under one memory
-//! belief.  LSC at the mean and Algorithm C must each cost what
+//! chain and star of 3 and 4 tables, the triangle, the 4-cycle and the
+//! 4-clique, each table's pages in {1, 30, 1000} and each join
+//! selectivity in {1e-5, 1e-2, 0.5}, under one memory belief.  The
+//! 4-cycle (6,561 instances) and the 4-clique (59,049) run in release
+//! builds only.  LSC at the mean and Algorithm C must each cost what
 //! `lec_cost::oracle::left_deep` finds under the mode's own objective,
 //! within 1e-9 relative.
 //!
@@ -62,20 +64,45 @@ struct Misses {
     first: Option<String>,
 }
 
-/// Run LSC(mean) and Algorithm C on every chain and star of `n` tables
-/// and return the instance count and each mode's misses against the
-/// oracle.
-fn sweep(n: usize) -> (usize, [Misses; 2]) {
+/// A join graph's name and its edges `(u, v)`, each joining `u.b = v.a`.
+type Topology = (&'static str, Vec<(usize, usize)>);
+
+/// Each table of `n` joined to the next.
+fn chain(n: usize) -> Topology {
+    ("chain", (1..n).map(|v| (v - 1, v)).collect())
+}
+
+/// Table 0 joined to every other.
+fn star(n: usize) -> Topology {
+    ("star", (1..n).map(|v| (0, v)).collect())
+}
+
+/// A chain of `n` tables closed by joining the last to table 0.
+fn cycle(n: usize) -> Topology {
+    let (_, mut edges) = chain(n);
+    edges.push((n - 1, 0));
+    ("cycle", edges)
+}
+
+/// Every pair of `n` tables joined.
+fn clique(n: usize) -> Topology {
+    let edges = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+    ("clique", edges.collect())
+}
+
+/// Run LSC(mean) and Algorithm C on every instance of each topology over
+/// `n` tables and return the instance count and each mode's misses
+/// against the oracle.
+fn sweep(n: usize, topologies: &[Topology]) -> (usize, [Misses; 2]) {
     let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
     let modes = [Mode::Lsc(PointEstimate::Mean), Mode::AlgorithmC];
     let mut misses: [Misses; 2] = Default::default();
     let mut instances = 0;
-    // A chain joins each table to the next, a star table 0 to every other.
-    for (topology, star) in [("chain", false), ("star", true)] {
+    for (topology, edges) in topologies {
         for pages in sequences(&PAGES, n) {
-            for sels in sequences(&SELECTIVITIES, n - 1) {
-                let edges: Vec<_> = (sels.iter().enumerate())
-                    .map(|(i, &sel)| (if star { 0 } else { i }, i + 1, sel))
+            for sels in sequences(&SELECTIVITIES, edges.len()) {
+                let edges: Vec<_> = (edges.iter().zip(&sels))
+                    .map(|(&(u, v), &sel)| (u, v, sel))
                     .collect();
                 let (catalog, query) = graph(&pages, &edges);
                 let model = CostModel::new(&catalog, &query);
@@ -108,9 +135,15 @@ fn sweep(n: usize) -> (usize, [Misses; 2]) {
     (instances, misses)
 }
 
-/// Require `n` tables' instance count and each mode's pinned miss count.
-fn assert_pinned(n: usize, instances: usize, [lsc, c]: [usize; 2]) {
-    let (got, [lsc_misses, c_misses]) = sweep(n);
+/// Require the topologies' instance count over `n` tables and each mode's
+/// pinned miss count, and return C's tally.
+fn assert_pinned(
+    n: usize,
+    topologies: &[Topology],
+    instances: usize,
+    [lsc, c]: [usize; 2],
+) -> Misses {
+    let (got, [lsc_misses, c_misses]) = sweep(n, topologies);
     println!("{n} tables, {got} instances: LSC(mean) {lsc_misses:?}, C {c_misses:?}");
     assert_eq!(got, instances, "{n} tables: instances");
     for (what, misses, pinned) in [("LSC(mean)", &lsc_misses, lsc), ("C", &c_misses, c)] {
@@ -120,14 +153,45 @@ fn assert_pinned(n: usize, instances: usize, [lsc, c]: [usize; 2]) {
             "{n} tables: {what}'s misses; the first: {first}"
         );
     }
+    c_misses
+}
+
+/// Require C's worst cost over the oracle's, to two decimals.
+fn assert_worst(c: &Misses, worst: f64) {
+    let first = c.first.as_deref().unwrap_or("none");
+    assert_eq!(
+        (c.worst * 100.0).round() / 100.0,
+        worst,
+        "C's worst ratio {}; the first miss: {first}",
+        c.worst
+    );
 }
 
 #[test]
 fn every_three_table_chain_and_star_misses_as_pinned() {
-    assert_pinned(3, 486, [0, 20]);
+    assert_pinned(3, &[chain(3), star(3)], 486, [0, 20]);
 }
 
 #[test]
 fn every_four_table_chain_and_star_misses_as_pinned() {
-    assert_pinned(4, 4_374, [538, 914]);
+    assert_pinned(4, &[chain(4), star(4)], 4_374, [538, 914]);
+}
+
+#[test]
+fn every_triangle_meets_the_oracle() {
+    assert_pinned(3, &[cycle(3)], 729, [0, 0]);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only small-scope case")]
+fn every_four_cycle_misses_as_pinned() {
+    let c = assert_pinned(4, &[cycle(4)], 6_561, [440, 442]);
+    assert_worst(&c, 52.46);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only small-scope case")]
+fn every_four_clique_misses_as_pinned() {
+    let c = assert_pinned(4, &[clique(4)], 59_049, [1_176, 1_176]);
+    assert_worst(&c, 21.22);
 }

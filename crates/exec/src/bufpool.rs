@@ -12,10 +12,11 @@ pub type Row = Vec<i64>;
 /// A page: up to `page_cap` rows.
 pub type Page = Vec<Row>;
 
-/// A disk-resident table: a sequence of pages.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A disk-resident table: a sequence of pages of at most `page_cap` rows.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskTable {
     pages: Vec<Page>,
+    page_cap: usize,
 }
 
 impl DiskTable {
@@ -33,7 +34,12 @@ impl DiskTable {
         if !cur.is_empty() {
             pages.push(cur);
         }
-        DiskTable { pages }
+        DiskTable { pages, page_cap }
+    }
+
+    /// Rows per page, as [`DiskTable::from_rows`] was given it.
+    pub fn page_cap(&self) -> usize {
+        self.page_cap
     }
 
     /// Number of pages.
@@ -46,12 +52,12 @@ impl DiskTable {
         self.pages.iter().map(|p| p.len()).sum()
     }
 
-    /// Borrow a page without I/O accounting (test inspection only).
+    /// Borrow page `i` as a read with no I/O charged.
     pub fn peek_page(&self, i: usize) -> &Page {
         &self.pages[i]
     }
 
-    /// All rows, without I/O accounting (test inspection only).
+    /// All rows in page order, as a read with no I/O charged.
     pub fn peek_rows(&self) -> Vec<Row> {
         self.pages.iter().flatten().cloned().collect()
     }
@@ -73,24 +79,13 @@ impl Io {
     }
 }
 
-/// A handle charging I/O to a counter.
-#[derive(Debug)]
+/// A handle charging I/O to a counter; `Disk::default()` starts at zero.
+#[derive(Debug, Default)]
 pub struct Disk {
     io: Io,
 }
 
-impl Default for Disk {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Disk {
-    /// Fresh disk with zeroed counters.
-    pub fn new() -> Self {
-        Disk { io: Io::default() }
-    }
-
     /// Counter snapshot.
     pub fn io(&self) -> Io {
         self.io
@@ -139,12 +134,13 @@ mod tests {
         let t = DiskTable::from_rows(rows(10), 4);
         assert_eq!(t.n_pages(), 3);
         assert_eq!(t.n_rows(), 10);
+        assert_eq!(t.page_cap(), 4);
         assert_eq!(t.peek_page(2).len(), 2); // remainder page
     }
 
     #[test]
     fn io_accounting() {
-        let mut disk = Disk::new();
+        let mut disk = Disk::default();
         let t = DiskTable::from_rows(rows(8), 2);
         let _ = disk.read_page(&t, 0);
         assert_eq!(

@@ -35,7 +35,7 @@ use crate::datagen::{self, Dataset};
 use crate::extops;
 use lec_catalog::{Catalog, ColumnStats, IndexKind, TableStats};
 use lec_cost::{plan_cost_at, plan_node_costs, CostModel, Objective, OpClass};
-use lec_plan::{ColumnRef, JoinMethod, NodeRef, PlanNode, Query, Step};
+use lec_plan::{ColumnRef, NodeRef, PlanNode, Query, Step};
 use lec_prob::{Distribution, ProbError};
 use serde_json::{json, Value};
 
@@ -366,39 +366,29 @@ impl Calibrator {
 
         // Per-node records: pointwise per bucket, expectation by the
         // node's phase marginal (phase 0 for memory-independent accesses —
-        // any marginal gives the same constant expectation).
+        // any marginal gives the same constant expectation), each support
+        // value read at its position in the sorted `buckets`.
+        let bucket = |m: f64| {
+            buckets
+                .binary_search_by(|b| b.total_cmp(&m))
+                .expect("every support value is a bucket")
+        };
+        let pairs = |values: Vec<f64>| buckets.iter().copied().zip(values).collect();
         let mut nodes = Vec::with_capacity(node_costs.len());
         for (i, nc) in node_costs.iter().enumerate() {
-            let predicted: Vec<(f64, f64)> = buckets
-                .iter()
-                .map(|&m| (m, nc.cost_at(&model, m)))
-                .collect();
-            let measured: Vec<(f64, f64)> = buckets
-                .iter()
-                .enumerate()
-                .map(|(bi, &m)| (m, measured_per_bucket[bi][i] as f64))
+            let predicted: Vec<f64> = buckets.iter().map(|&m| nc.cost_at(&model, m)).collect();
+            let measured: Vec<f64> = (measured_per_bucket.iter())
+                .map(|ios| ios[i] as f64)
                 .collect();
             let dist = &phase_dists[nc.phase.unwrap_or(0).min(phase_dists.len() - 1)];
-            let weigh = |pairs: &[(f64, f64)]| {
-                dist.iter()
-                    .map(|(m, p)| {
-                        let v = pairs
-                            .iter()
-                            .find(|(bm, _)| *bm == m)
-                            .map(|(_, c)| *c)
-                            .unwrap_or(0.0);
-                        p * v
-                    })
-                    .sum::<f64>()
-            };
             nodes.push(NodeAudit {
                 label: nc.label.clone(),
                 class: nc.class(),
                 phase: nc.phase,
-                predicted_expected: weigh(&predicted),
-                measured_expected: weigh(&measured),
-                predicted,
-                measured,
+                predicted_expected: dist.expect(|m| predicted[bucket(m)]),
+                measured_expected: dist.expect(|m| measured[bucket(m)]),
+                predicted: pairs(predicted),
+                measured: pairs(measured),
             });
         }
 
@@ -414,19 +404,9 @@ impl Calibrator {
             .collect();
         let predicted_expected = objective.replay(&model, plan);
         let measured_expected = nodes.iter().map(|n| n.measured_expected).sum();
-        let node_consistency_rel = predicted_total
-            .iter()
-            .map(|&(m, whole)| {
-                let node_sum: f64 = nodes
-                    .iter()
-                    .map(|n| {
-                        n.predicted
-                            .iter()
-                            .find(|(bm, _)| *bm == m)
-                            .map(|(_, c)| *c)
-                            .unwrap_or(0.0)
-                    })
-                    .sum();
+        let node_consistency_rel = (predicted_total.iter().enumerate())
+            .map(|(b, &(_, whole))| {
+                let node_sum: f64 = nodes.iter().map(|n| n.predicted[b].1).sum();
                 (node_sum - whole).abs() / whole.max(1.0)
             })
             .fold(0.0f64, f64::max);
@@ -489,7 +469,7 @@ impl Calibrator {
     ) -> Result<(Vec<Row>, Vec<usize>), CalibError> {
         match node.node() {
             Step::SeqScan(table) => {
-                let mut disk = Disk::new();
+                let mut disk = Disk::default();
                 let mut rows = disk.read_all(&self.base[table]);
                 if let Some(thr) = self.thresholds[table] {
                     let col = self.twin.query.tables[table]
@@ -507,7 +487,7 @@ impl Calibrator {
                 let qt = &self.twin.query.tables[table];
                 let col = qt.filter.as_ref().unwrap().column;
                 let base = &self.base[table];
-                let mut disk = Disk::new();
+                let mut disk = Disk::default();
                 let descent = (base.n_rows().max(1) as f64).log2().ceil().max(1.0) as u64;
                 disk.charge_reads(descent);
                 let kind = self.twin.catalog.table(qt.table).stats.index_on(col);
@@ -516,7 +496,7 @@ impl Calibrator {
                         // Matching rows are a prefix of the sorted heap:
                         // read exactly the pages holding them.
                         let n_match = base.peek_rows().iter().filter(|r| r[col] < thr).count();
-                        let n_read = n_match.div_ceil(PAGE_CAP).max(1).min(base.n_pages());
+                        let n_read = n_match.div_ceil(base.page_cap()).max(1).min(base.n_pages());
                         let mut rows = Vec::new();
                         for p in 0..n_read {
                             rows.extend(disk.read_page(base, p));
@@ -526,19 +506,11 @@ impl Calibrator {
                     }
                     _ => {
                         // Unclustered (or formally unindexed): one heap
-                        // page I/O per matching row, wherever it lives.
-                        let mut rows = Vec::new();
-                        for p in 0..base.n_pages() {
-                            for row in base.peek_page(p) {
-                                if row[col] < thr {
-                                    let _ = disk.read_page(base, p);
-                                    rows.push(row.clone());
-                                }
-                            }
-                        }
-                        if rows.is_empty() {
-                            disk.charge_reads(1);
-                        }
+                        // page I/O per matching row, wherever it lives,
+                        // and one when nothing matches.
+                        let mut rows = base.peek_rows();
+                        rows.retain(|r| r[col] < thr);
+                        disk.charge_reads(rows.len().max(1) as u64);
                         rows
                     }
                 };
@@ -549,7 +521,7 @@ impl Calibrator {
                 let (rows, layout) = self.exec_node(input, m, ios)?;
                 let off = self.column_offset(&layout, key);
                 let t = DiskTable::from_rows(rows, PAGE_CAP);
-                let r = extops::external_sort(&t, off, m, PAGE_CAP);
+                let r = extops::external_sort(&t, off, m);
                 ios.push(r.io);
                 Ok((r.rows, layout))
             }
@@ -573,20 +545,7 @@ impl Calibrator {
                 let i_off = self.column_offset(&ilay, ikey);
                 let ot = DiskTable::from_rows(orows, PAGE_CAP);
                 let it = DiskTable::from_rows(irows, PAGE_CAP);
-                let r = match method {
-                    JoinMethod::SortMerge => {
-                        extops::sort_merge_join(&ot, &it, o_off, i_off, m, PAGE_CAP)
-                    }
-                    JoinMethod::GraceHash => {
-                        extops::grace_hash_join(&ot, &it, o_off, i_off, m, PAGE_CAP)
-                    }
-                    JoinMethod::PageNestedLoop => {
-                        extops::page_nl_join(&ot, &it, o_off, i_off, m, PAGE_CAP)
-                    }
-                    JoinMethod::BlockNestedLoop => {
-                        extops::block_nl_join(&ot, &it, o_off, i_off, m, PAGE_CAP)
-                    }
-                };
+                let r = extops::join(method, &ot, &it, (o_off, i_off), m);
                 ios.push(r.io);
                 // Output layout is outer ++ inner; apply any further
                 // crossing predicates as an uncharged post-filter.
@@ -667,6 +626,7 @@ mod tests {
     use super::*;
     use lec_core::fixtures;
     use lec_core::{Mode, Optimizer, PointEstimate};
+    use lec_plan::QueryTable;
     use lec_prob::MarkovChain;
 
     fn spread(center: f64, n: usize) -> Distribution {
@@ -713,6 +673,29 @@ mod tests {
         // Model seq scan = raw pages; measured = the same pages read once.
         assert_eq!(audit.predicted_expected, audit.measured_expected);
         assert_eq!(audit.relative_error(), 0.0);
+    }
+
+    #[test]
+    fn an_unclustered_index_scan_reads_a_page_per_match_and_one_for_none() {
+        let mut cat = Catalog::new();
+        let columns = vec![ColumnStats::indexed("f", 40, IndexKind::Unclustered)];
+        let id = cat.add_table("R", TableStats::new(8, 32, columns));
+        let q = Query {
+            tables: vec![QueryTable::filtered(id, 0, Distribution::point(0.5))],
+            joins: Vec::new(),
+            required_order: None,
+        };
+        let mut cal = Calibrator::new(&cat, &q);
+        // 32 rows: a descent of log2(32) = 5 pages before the heap reads.
+        let scanned = cal.run(&PlanNode::seq_scan(0), 3).unwrap().rows;
+        assert!(!scanned.is_empty());
+        let ix = cal.run(&PlanNode::index_scan(0), 3).unwrap();
+        assert_eq!(ix.ios, [5 + scanned.len() as u64]);
+        assert_eq!(ix.rows, scanned, "heap order");
+        cal.thresholds[0] = Some(i64::MIN);
+        let none = cal.run(&PlanNode::index_scan(0), 3).unwrap();
+        assert!(none.rows.is_empty());
+        assert_eq!(none.ios, [5 + 1]);
     }
 
     #[test]

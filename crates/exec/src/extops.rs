@@ -1,17 +1,22 @@
 //! External-memory operators with real I/O accounting.
 //!
 //! These implement the algorithms behind the paper's cost formulas —
-//! external merge sort, sort-merge join, Grace hash join \[Sha86\], and
-//! block nested-loop — against [`crate::bufpool::DiskTable`]s under an
-//! explicit buffer budget of `m` pages.  Their *measured* page I/O exhibits
-//! the same memory cliffs (at `√size`, `∛size`, `size`) as the closed-form
-//! model; experiment E11 overlays the two.
+//! external merge sort, and the four join methods of
+//! [`lec_plan::JoinMethod`]: sort-merge, Grace hash \[Sha86\], page
+//! nested-loop and block nested-loop — against
+//! [`crate::bufpool::DiskTable`]s under an explicit buffer budget of `m`
+//! pages.  [`external_sort`] and [`join`] are the two entry points; every
+//! run or partition an operator writes has its input table's page size.
+//! Their *measured* page I/O exhibits the same memory cliffs (at `√size`,
+//! `∛size`, `size`) as the closed-form model; experiment E11 overlays the
+//! two.
 //!
 //! Accounting convention: an operator's final output is pipelined to its
 //! consumer, so output materialization is *not* charged — matching the
 //! model, where e.g. a fitting sort costs exactly `R` (its input reads).
 
 use crate::bufpool::{Disk, DiskTable, Row};
+use lec_plan::JoinMethod;
 use std::collections::HashMap;
 
 /// Result of one operator execution.
@@ -23,8 +28,38 @@ pub struct OpResult {
     pub io: u64,
 }
 
-fn key_of(row: &Row, col: usize) -> i64 {
-    row[col]
+/// Run one operator body with `m` buffer pages on a fresh disk: its rows
+/// and every page it read or wrote.
+fn measured(m: usize, body: impl FnOnce(&mut Disk) -> Vec<Row>) -> OpResult {
+    assert!(m >= 3, "external operators need at least 3 buffer pages");
+    let mut disk = Disk::default();
+    let rows = body(&mut disk);
+    OpResult {
+        rows,
+        io: disk.io().total(),
+    }
+}
+
+/// External merge sort of `input` on column `key` with `m` buffer pages.
+pub fn external_sort(input: &DiskTable, key: usize, m: usize) -> OpResult {
+    measured(m, |disk| sorted_rows(disk, input, key, m))
+}
+
+/// Join `a` and `b` on `a_key = b_key` by `method` with `m` buffer pages.
+/// Each output row is an `a` row followed by its `b` match.
+pub fn join(
+    method: JoinMethod,
+    a: &DiskTable,
+    b: &DiskTable,
+    keys: (usize, usize),
+    m: usize,
+) -> OpResult {
+    measured(m, |disk| match method {
+        JoinMethod::SortMerge => sort_merge_join(disk, a, b, keys, m),
+        JoinMethod::GraceHash => grace_hash_join(disk, a, b, keys, m, 0),
+        JoinMethod::PageNestedLoop => page_nl_join(disk, a, b, keys, m),
+        JoinMethod::BlockNestedLoop => block_nl_join(disk, a, b, keys, m),
+    })
 }
 
 /// `input`'s rows sorted on column `key`, as external merge sort with `m`
@@ -33,17 +68,11 @@ fn key_of(row: &Row, col: usize) -> i64 {
 /// sorted runs of `m` pages each, which are written out; every merge pass
 /// reads and rewrites every page until at most `m - 1` runs remain, and
 /// the final merge reads those.
-fn sorted_rows(
-    disk: &mut Disk,
-    input: &DiskTable,
-    key: usize,
-    m: usize,
-    page_cap: usize,
-) -> Vec<Row> {
+fn sorted_rows(disk: &mut Disk, input: &DiskTable, key: usize, m: usize) -> Vec<Row> {
     let r = input.n_pages();
     if r <= m {
         let mut rows = disk.read_all(input);
-        rows.sort_by_key(|row| key_of(row, key));
+        rows.sort_by_key(|row| row[key]);
         return rows;
     }
     let mut runs = Vec::new();
@@ -52,8 +81,8 @@ fn sorted_rows(
         for p in lo..(lo + m).min(r) {
             rows.extend(disk.read_page(input, p));
         }
-        rows.sort_by_key(|row| key_of(row, key));
-        runs.push(disk.write_rows(rows, page_cap));
+        rows.sort_by_key(|row| row[key]);
+        runs.push(disk.write_rows(rows, input.page_cap()));
     }
     // A real merge is a k-way heap over page cursors; row-level sorting
     // here produces the identical output and I/O count.
@@ -62,7 +91,7 @@ fn sorted_rows(
         for run in group {
             rows.extend(disk.read_all(run));
         }
-        rows.sort_by_key(|row| key_of(row, key));
+        rows.sort_by_key(|row| row[key]);
         rows
     };
     let fan_in = (m - 1).max(2);
@@ -71,68 +100,37 @@ fn sorted_rows(
             .chunks(fan_in)
             .map(|group| {
                 let rows = merge(disk, group);
-                disk.write_rows(rows, page_cap)
+                disk.write_rows(rows, input.page_cap())
             })
             .collect();
     }
     merge(disk, &runs)
 }
 
-/// External merge sort of `input` on column `key` with `m` buffer pages.
-pub fn external_sort(input: &DiskTable, key: usize, m: usize, page_cap: usize) -> OpResult {
-    assert!(m >= 3, "external sort needs at least 3 buffer pages");
-    let mut disk = Disk::new();
-    let rows = sorted_rows(&mut disk, input, key, m, page_cap);
-    OpResult {
-        rows,
-        io: disk.io().total(),
-    }
-}
-
 /// Sort-merge join: sort both inputs (sharing the buffer budget as the
 /// formulas assume), then merge-join the sorted rows.
-pub fn sort_merge_join(
+fn sort_merge_join(
+    disk: &mut Disk,
     a: &DiskTable,
     b: &DiskTable,
-    a_key: usize,
-    b_key: usize,
+    (a_key, b_key): (usize, usize),
     m: usize,
-    page_cap: usize,
-) -> OpResult {
-    assert!(m >= 3, "sort-merge join needs at least 3 buffer pages");
-    let mut disk = Disk::new();
-    let left = sorted_rows(&mut disk, a, a_key, m, page_cap);
-    let right = sorted_rows(&mut disk, b, b_key, m, page_cap);
-    let rows = merge_join_sorted(&left, &right, a_key, b_key);
-    OpResult {
-        rows,
-        io: disk.io().total(),
-    }
-}
-
-/// Merge two sorted row sets on their keys (all matching pairs).
-fn merge_join_sorted(left: &[Row], right: &[Row], a_key: usize, b_key: usize) -> Vec<Row> {
+) -> Vec<Row> {
+    let left = sorted_rows(disk, a, a_key, m);
+    let right = sorted_rows(disk, b, b_key, m);
     let mut out = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
     while i < left.len() && j < right.len() {
-        let ka = key_of(&left[i], a_key);
-        let kb = key_of(&right[j], b_key);
+        let ka = left[i][a_key];
+        let kb = right[j][b_key];
         if ka < kb {
             i += 1;
         } else if ka > kb {
             j += 1;
         } else {
             // Emit the cross product of the equal-key groups.
-            let i_end = left[i..]
-                .iter()
-                .take_while(|r| key_of(r, a_key) == ka)
-                .count()
-                + i;
-            let j_end = right[j..]
-                .iter()
-                .take_while(|r| key_of(r, b_key) == kb)
-                .count()
-                + j;
+            let i_end = left[i..].iter().take_while(|r| r[a_key] == ka).count() + i;
+            let j_end = right[j..].iter().take_while(|r| r[b_key] == kb).count() + j;
             for l in &left[i..i_end] {
                 for r in &right[j..j_end] {
                     let mut row = l.clone();
@@ -149,32 +147,12 @@ fn merge_join_sorted(left: &[Row], right: &[Row], a_key: usize, b_key: usize) ->
 
 /// Grace hash join \[Sha86\]: in-memory when the smaller input fits,
 /// otherwise partition both sides and recurse.
-pub fn grace_hash_join(
-    a: &DiskTable,
-    b: &DiskTable,
-    a_key: usize,
-    b_key: usize,
-    m: usize,
-    page_cap: usize,
-) -> OpResult {
-    assert!(m >= 3, "grace hash join needs at least 3 buffer pages");
-    let mut disk = Disk::new();
-    let rows = grace_recurse(&mut disk, a, b, a_key, b_key, m, page_cap, 0);
-    OpResult {
-        rows,
-        io: disk.io().total(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn grace_recurse(
+fn grace_hash_join(
     disk: &mut Disk,
     a: &DiskTable,
     b: &DiskTable,
-    a_key: usize,
-    b_key: usize,
+    keys: (usize, usize),
     m: usize,
-    page_cap: usize,
     depth: usize,
 ) -> Vec<Row> {
     const MAX_DEPTH: usize = 8;
@@ -186,7 +164,7 @@ fn grace_recurse(
         // partition directly rather than recurse forever.
         let left = disk.read_all(a);
         let right = disk.read_all(b);
-        return hash_join_rows(&left, &right, a_key, b_key);
+        return hash_join_rows(&left, &right, keys);
     }
     let f = m - 1;
     // splitmix64-style mixing with the depth folded into the seed, so
@@ -199,46 +177,31 @@ fn grace_recurse(
         h ^= h >> 31;
         (h % f as u64) as usize
     };
+    // An empty partition is written as zero pages, so it is never charged.
     let partition = |disk: &mut Disk, t: &DiskTable, key: usize| -> Vec<DiskTable> {
         let mut parts: Vec<Vec<Row>> = vec![Vec::new(); f];
         for p in 0..t.n_pages() {
             for row in disk.read_page(t, p) {
-                parts[bucket(key_of(&row, key))].push(row);
+                parts[bucket(row[key])].push(row);
             }
         }
-        parts
-            .into_iter()
-            .map(|rows| {
-                if rows.is_empty() {
-                    DiskTable::default()
-                } else {
-                    disk.write_rows(rows, page_cap)
-                }
-            })
+        (parts.into_iter())
+            .map(|rows| disk.write_rows(rows, t.page_cap()))
             .collect()
     };
-    let parts_a = partition(disk, a, a_key);
-    let parts_b = partition(disk, b, b_key);
+    let parts_a = partition(disk, a, keys.0);
+    let parts_b = partition(disk, b, keys.1);
     let mut out = Vec::new();
     for (pa, pb) in parts_a.iter().zip(&parts_b) {
         if pa.n_rows() == 0 || pb.n_rows() == 0 {
             continue;
         }
-        out.extend(grace_recurse(
-            disk,
-            pa,
-            pb,
-            a_key,
-            b_key,
-            m,
-            page_cap,
-            depth + 1,
-        ));
+        out.extend(grace_hash_join(disk, pa, pb, keys, m, depth + 1));
     }
     out
 }
 
-fn hash_join_rows(left: &[Row], right: &[Row], a_key: usize, b_key: usize) -> Vec<Row> {
+fn hash_join_rows(left: &[Row], right: &[Row], (a_key, b_key): (usize, usize)) -> Vec<Row> {
     let (build, probe, build_is_left) = if left.len() <= right.len() {
         (left, right, true)
     } else {
@@ -248,11 +211,11 @@ fn hash_join_rows(left: &[Row], right: &[Row], a_key: usize, b_key: usize) -> Ve
     let probe_key = if build_is_left { b_key } else { a_key };
     let mut table: HashMap<i64, Vec<&Row>> = HashMap::new();
     for r in build {
-        table.entry(key_of(r, build_key)).or_default().push(r);
+        table.entry(r[build_key]).or_default().push(r);
     }
     let mut out = Vec::new();
     for p in probe {
-        if let Some(matches) = table.get(&key_of(p, probe_key)) {
+        if let Some(matches) = table.get(&p[probe_key]) {
             for b in matches {
                 // Output is always (left ++ right).
                 let mut row = if build_is_left {
@@ -273,16 +236,13 @@ fn hash_join_rows(left: &[Row], right: &[Row], a_key: usize, b_key: usize) -> Ve
 /// streams past once (I/O exactly `|A| + |B|`); otherwise one outer page is
 /// held at a time and the inner is rescanned per outer page (I/O exactly
 /// `|A| + |A|·|B|`) — the two regimes of `lec-cost`'s `nl_join_cost`.
-pub fn page_nl_join(
+fn page_nl_join(
+    disk: &mut Disk,
     a: &DiskTable,
     b: &DiskTable,
-    a_key: usize,
-    b_key: usize,
+    keys: (usize, usize),
     m: usize,
-    _page_cap: usize,
-) -> OpResult {
-    assert!(m >= 3, "page nested-loop needs at least 3 buffer pages");
-    let mut disk = Disk::new();
+) -> Vec<Row> {
     let s = a.n_pages().min(b.n_pages());
     let mut out = Vec::new();
     if s + 2 <= m {
@@ -291,41 +251,35 @@ pub fn page_nl_join(
             let outer_rows = disk.read_all(a);
             for p in 0..b.n_pages() {
                 let inner_page = disk.read_page(b, p);
-                out.extend(hash_join_rows(&outer_rows, &inner_page, a_key, b_key));
+                out.extend(hash_join_rows(&outer_rows, &inner_page, keys));
             }
         } else {
             // Inner resident, outer streams.
             let inner_rows = disk.read_all(b);
             for p in 0..a.n_pages() {
                 let outer_page = disk.read_page(a, p);
-                out.extend(hash_join_rows(&outer_page, &inner_rows, a_key, b_key));
+                out.extend(hash_join_rows(&outer_page, &inner_rows, keys));
             }
         }
     } else {
         for p in 0..a.n_pages() {
             let outer_page = disk.read_page(a, p);
             let inner_rows = disk.read_all(b);
-            out.extend(hash_join_rows(&outer_page, &inner_rows, a_key, b_key));
+            out.extend(hash_join_rows(&outer_page, &inner_rows, keys));
         }
     }
-    OpResult {
-        rows: out,
-        io: disk.io().total(),
-    }
+    out
 }
 
 /// Block nested-loop join: `m - 2` pages of the outer per block, one inner
 /// scan per block.  Measured I/O is exactly `|A| + ⌈|A|/(m-2)⌉·|B|`.
-pub fn block_nl_join(
+fn block_nl_join(
+    disk: &mut Disk,
     a: &DiskTable,
     b: &DiskTable,
-    a_key: usize,
-    b_key: usize,
+    keys: (usize, usize),
     m: usize,
-    _page_cap: usize,
-) -> OpResult {
-    assert!(m >= 3, "block nested-loop needs at least 3 buffer pages");
-    let mut disk = Disk::new();
+) -> Vec<Row> {
     let block = m - 2;
     let mut out = Vec::new();
     let mut i = 0;
@@ -336,13 +290,10 @@ pub fn block_nl_join(
             outer_rows.extend(disk.read_page(a, p));
         }
         let inner_rows = disk.read_all(b);
-        out.extend(hash_join_rows(&outer_rows, &inner_rows, a_key, b_key));
+        out.extend(hash_join_rows(&outer_rows, &inner_rows, keys));
         i = hi;
     }
-    OpResult {
-        rows: out,
-        io: disk.io().total(),
-    }
+    out
 }
 
 #[cfg(test)]
@@ -362,7 +313,7 @@ mod tests {
     fn external_sort_sorts_and_preserves_rows() {
         let t = table(256, 4, 1000, 1); // 64 pages
         for m in [3, 5, 10, 70] {
-            let r = external_sort(&t, 0, m, 4);
+            let r = external_sort(&t, 0, m);
             assert_eq!(r.rows.len(), 256, "m={m}");
             assert!(r.rows.windows(2).all(|w| w[0][0] <= w[1][0]), "m={m}");
             let mut orig = t.peek_rows();
@@ -379,7 +330,7 @@ mod tests {
         // 4 <= m < 8 → 5R.  Measure away from exact boundaries.
         let t = table(256, 4, 1000, 2);
         assert_eq!(t.n_pages(), 64);
-        let io = |m| external_sort(&t, 0, m, 4).io;
+        let io = |m| external_sort(&t, 0, m).io;
         assert_eq!(io(70), 64); // fits: read only
         assert_eq!(io(10), 3 * 64); // runs + one merge level
         assert_eq!(io(5), 5 * 64); // runs + two merge levels
@@ -392,10 +343,10 @@ mod tests {
         // e11 test states why the pass counts differ).
         let a = table(256, 4, 64, 3);
         let b = table(64, 4, 64, 4);
-        let r = sort_merge_join(&a, &b, 0, 0, 12, 4);
+        let r = join(JoinMethod::SortMerge, &a, &b, (0, 0), 12);
         assert_eq!(r.io, 3 * (64 + 16));
         // High memory: both fit → read-only.
-        let r2 = sort_merge_join(&a, &b, 0, 0, 100, 4);
+        let r2 = join(JoinMethod::SortMerge, &a, &b, (0, 0), 100);
         assert_eq!(r2.io, 64 + 16);
         assert_eq!(r.rows.len(), r2.rows.len());
     }
@@ -408,10 +359,10 @@ mod tests {
             rows.sort();
             rows
         };
-        let sm = canonical(sort_merge_join(&a, &b, 0, 0, 8, 4).rows);
-        let gh = canonical(grace_hash_join(&a, &b, 0, 0, 8, 4).rows);
-        let nl = canonical(block_nl_join(&a, &b, 0, 0, 8, 4).rows);
-        let pnl = canonical(page_nl_join(&a, &b, 0, 0, 8, 4).rows);
+        let sm = canonical(join(JoinMethod::SortMerge, &a, &b, (0, 0), 8).rows);
+        let gh = canonical(join(JoinMethod::GraceHash, &a, &b, (0, 0), 8).rows);
+        let nl = canonical(join(JoinMethod::BlockNestedLoop, &a, &b, (0, 0), 8).rows);
+        let pnl = canonical(join(JoinMethod::PageNestedLoop, &a, &b, (0, 0), 8).rows);
         assert_eq!(sm.len(), gh.len());
         assert_eq!(sm, gh);
         assert_eq!(sm, nl);
@@ -425,16 +376,16 @@ mod tests {
         let b = table(40, 4, 10, 8); // 10 pages
                                      // S = 10 fits when m >= 12: one pass over each side.
         for m in [12usize, 30] {
-            let r = page_nl_join(&a, &b, 0, 0, m, 4);
+            let r = join(JoinMethod::PageNestedLoop, &a, &b, (0, 0), m);
             assert_eq!(r.io, 25 + 10, "m={m}");
         }
         // Below the cliff: inner rescanned per outer page.
         for m in [3usize, 6, 11] {
-            let r = page_nl_join(&a, &b, 0, 0, m, 4);
+            let r = join(JoinMethod::PageNestedLoop, &a, &b, (0, 0), m);
             assert_eq!(r.io, 25 + 25 * 10, "m={m}");
         }
         // Swapped operands hit the outer-resident branch with the same fit I/O.
-        let r = page_nl_join(&b, &a, 0, 0, 12, 4);
+        let r = join(JoinMethod::PageNestedLoop, &b, &a, (0, 0), 12);
         assert_eq!(r.io, 10 + 25);
     }
 
@@ -443,7 +394,7 @@ mod tests {
         let a = table(100, 4, 10, 7); // 25 pages
         let b = table(40, 4, 10, 8); // 10 pages
         for m in [3usize, 5, 10, 30] {
-            let r = block_nl_join(&a, &b, 0, 0, m, 4);
+            let r = join(JoinMethod::BlockNestedLoop, &a, &b, (0, 0), m);
             let blocks = 25usize.div_ceil(m - 2);
             assert_eq!(r.io as usize, 25 + blocks * 10, "m={m}");
         }
@@ -455,9 +406,9 @@ mod tests {
         // one partition level costs 3(|A|+|B|) ± partial-page slack.
         let a = table(256, 4, 512, 9);
         let b = table(64, 4, 512, 10);
-        let fit = grace_hash_join(&a, &b, 0, 0, 17, 4);
+        let fit = join(JoinMethod::GraceHash, &a, &b, (0, 0), 17);
         assert_eq!(fit.io, 64 + 16);
-        let one_level = grace_hash_join(&a, &b, 0, 0, 8, 4);
+        let one_level = join(JoinMethod::GraceHash, &a, &b, (0, 0), 8);
         let ideal = 3 * (64 + 16);
         let slack = (one_level.io as f64 / ideal as f64 - 1.0).abs();
         assert!(
@@ -472,8 +423,11 @@ mod tests {
     fn empty_inputs_join_to_empty() {
         let a = DiskTable::from_rows(std::iter::empty(), 4);
         let b = table(40, 4, 8, 11);
-        assert!(grace_hash_join(&a, &b, 0, 0, 5, 4).rows.is_empty());
-        assert!(block_nl_join(&a, &b, 0, 0, 5, 4).rows.is_empty());
-        assert!(sort_merge_join(&a, &b, 0, 0, 5, 4).rows.is_empty());
+        for method in JoinMethod::ALL {
+            assert!(
+                join(method, &a, &b, (0, 0), 5).rows.is_empty(),
+                "{method:?}"
+            );
+        }
     }
 }

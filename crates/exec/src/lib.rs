@@ -4,11 +4,13 @@
 //! against realistic queries and execution environments" (§4).  This crate
 //! is that prototype's execution half:
 //!
-//! * [`bufpool`] / [`extops`] — page-granular disk tables and *real*
-//!   external-memory operators (external sort, sort-merge join, Grace hash
-//!   join, block nested-loop) that count actual page I/O under a buffer
-//!   budget, demonstrating that the cost cliffs driving the paper exist in
-//!   a genuine implementation (experiment E11);
+//! * [`bufpool`] / [`extops`] — page-granular disk tables, each carrying
+//!   its rows per page, and *real* external-memory operators that count
+//!   actual page I/O under a buffer budget: [`external_sort`], and
+//!   [`join`] for each of the four join methods (sort-merge, Grace hash,
+//!   page nested-loop, block nested-loop).  They demonstrate that the cost
+//!   cliffs driving the paper exist in a genuine implementation
+//!   (experiment E11);
 //! * [`datagen`] — synthetic rows whose join and filter selectivities are
 //!   known by construction, so queries are executable, not just costable.
 //!
@@ -45,6 +47,4 @@ pub mod extops;
 pub use bufpool::{Disk, DiskTable, Io};
 pub use calib::{error_bp, op_band, CalibError, Calibrator, CostAudit, Execution, NodeAudit, Twin};
 pub use datagen::{generate, Dataset};
-pub use extops::{
-    block_nl_join, external_sort, grace_hash_join, page_nl_join, sort_merge_join, OpResult,
-};
+pub use extops::{external_sort, join, OpResult};

@@ -3,10 +3,8 @@
 
 use lec_cost::{formulas, OpClass};
 use lec_exec::bufpool::Row;
-use lec_exec::{
-    block_nl_join, error_bp, external_sort, grace_hash_join, op_band, page_nl_join,
-    sort_merge_join, DiskTable,
-};
+use lec_exec::{error_bp, external_sort, join, op_band, DiskTable};
+use lec_plan::JoinMethod;
 use proptest::prelude::*;
 
 const PAGE_CAP: usize = 4;
@@ -49,7 +47,7 @@ proptest! {
     /// budget, and its I/O never beats the read-everything lower bound.
     #[test]
     fn external_sort_is_a_sort(t in arb_table(200, 1000), m in 3usize..64) {
-        let r = external_sort(&t, 0, m, PAGE_CAP);
+        let r = external_sort(&t, 0, m);
         prop_assert_eq!(r.rows.len(), t.n_rows());
         for w in r.rows.windows(2) {
             prop_assert!(w[0][0] <= w[1][0]);
@@ -62,8 +60,8 @@ proptest! {
     #[test]
     fn sort_io_monotone_in_memory(t in arb_table(200, 1000), m1 in 3usize..64, m2 in 3usize..64) {
         let (lo, hi) = if m1 <= m2 { (m1, m2) } else { (m2, m1) };
-        let io_lo = external_sort(&t, 0, lo, PAGE_CAP).io;
-        let io_hi = external_sort(&t, 0, hi, PAGE_CAP).io;
+        let io_lo = external_sort(&t, 0, lo).io;
+        let io_hi = external_sort(&t, 0, hi).io;
         prop_assert!(io_hi <= io_lo, "more memory cost more I/O: {io_hi} > {io_lo}");
     }
 
@@ -76,18 +74,18 @@ proptest! {
         m in 3usize..40,
     ) {
         let want = reference_join(&a, &b);
-        let sm = canonical(sort_merge_join(&a, &b, 0, 0, m, PAGE_CAP).rows);
+        let sm = canonical(join(JoinMethod::SortMerge, &a, &b, (0, 0), m).rows);
         prop_assert_eq!(&sm, &want, "sort-merge differs");
-        let gh = canonical(grace_hash_join(&a, &b, 0, 0, m, PAGE_CAP).rows);
+        let gh = canonical(join(JoinMethod::GraceHash, &a, &b, (0, 0), m).rows);
         prop_assert_eq!(&gh, &want, "grace differs");
-        let nl = canonical(block_nl_join(&a, &b, 0, 0, m, PAGE_CAP).rows);
+        let nl = canonical(join(JoinMethod::BlockNestedLoop, &a, &b, (0, 0), m).rows);
         prop_assert_eq!(&nl, &want, "block NL differs");
     }
 
     /// Block nested-loop I/O matches its closed-form formula exactly.
     #[test]
     fn bnl_io_is_exact(a in arb_table(150, 50), b in arb_table(150, 50), m in 3usize..40) {
-        let r = block_nl_join(&a, &b, 0, 0, m, PAGE_CAP);
+        let r = join(JoinMethod::BlockNestedLoop, &a, &b, (0, 0), m);
         let blocks = a.n_pages().div_ceil(m - 2);
         prop_assert_eq!(r.io as usize, a.n_pages() + blocks * b.n_pages());
     }
@@ -100,7 +98,7 @@ proptest! {
         b in arb_table(150, 64),
         m in 4usize..40,
     ) {
-        let r = grace_hash_join(&a, &b, 0, 0, m, PAGE_CAP);
+        let r = join(JoinMethod::GraceHash, &a, &b, (0, 0), m);
         let total = (a.n_pages() + b.n_pages()) as u64;
         prop_assert!(r.io >= total);
         // Deepest model regime is 6(a+b); partial pages can add slack, and
@@ -114,7 +112,7 @@ proptest! {
     /// both regimes (resident smaller side, and per-outer-page rescans).
     #[test]
     fn page_nl_io_is_exact(a in arb_table(150, 50), b in arb_table(150, 50), m in 3usize..40) {
-        let r = page_nl_join(&a, &b, 0, 0, m, PAGE_CAP);
+        let r = join(JoinMethod::PageNestedLoop, &a, &b, (0, 0), m);
         let model = formulas::nl_join_cost(a.n_pages() as f64, b.n_pages() as f64, m as f64);
         prop_assert_eq!(r.io as f64, model);
     }
@@ -137,31 +135,31 @@ proptest! {
         let cases: Vec<(OpClass, u64, f64, &str)> = vec![
             (
                 OpClass::Sort,
-                external_sort(&a, 0, m, PAGE_CAP).io,
+                external_sort(&a, 0, m).io,
                 formulas::sort_cost(ap, mf),
                 "sort",
             ),
             (
                 OpClass::SortMerge,
-                sort_merge_join(&a, &b, 0, 0, m, PAGE_CAP).io,
+                join(JoinMethod::SortMerge, &a, &b, (0, 0), m).io,
                 formulas::sm_join_cost(ap, bp, mf),
                 "sort-merge",
             ),
             (
                 OpClass::GraceHash,
-                grace_hash_join(&a, &b, 0, 0, m, PAGE_CAP).io,
+                join(JoinMethod::GraceHash, &a, &b, (0, 0), m).io,
                 formulas::grace_join_cost(ap, bp, mf),
                 "grace",
             ),
             (
                 OpClass::BlockNestedLoop,
-                block_nl_join(&a, &b, 0, 0, m, PAGE_CAP).io,
+                join(JoinMethod::BlockNestedLoop, &a, &b, (0, 0), m).io,
                 formulas::bnl_join_cost(ap, bp, mf),
                 "block-nl",
             ),
             (
                 OpClass::PageNestedLoop,
-                page_nl_join(&a, &b, 0, 0, m, PAGE_CAP).io,
+                join(JoinMethod::PageNestedLoop, &a, &b, (0, 0), m).io,
                 formulas::nl_join_cost(ap, bp, mf),
                 "page-nl",
             ),

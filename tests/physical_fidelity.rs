@@ -2,7 +2,8 @@
 //! reproduced on real external-memory operators, not just on the cost
 //! model.  This is the strongest form of E11: whole plans, measured I/O.
 
-use lec_qopt::exec::{external_sort, grace_hash_join, sort_merge_join, DiskTable};
+use lec_qopt::exec::{external_sort, join, DiskTable};
+use lec_qopt::plan::JoinMethod;
 use rand::{Rng, SeedableRng};
 
 const PAGE_CAP: usize = 4;
@@ -24,19 +25,19 @@ fn inputs() -> (DiskTable, DiskTable) {
 
 /// Physical "Plan 1": sort-merge join; output already ordered on the key.
 fn plan1_io(a: &DiskTable, b: &DiskTable, m: usize) -> (u64, Vec<Vec<i64>>) {
-    let r = sort_merge_join(a, b, 0, 0, m, PAGE_CAP);
+    let r = join(JoinMethod::SortMerge, a, b, (0, 0), m);
     (r.io, r.rows)
 }
 
 /// Physical "Plan 2": Grace hash join, then an external sort of the
 /// (small) result to satisfy the order requirement.
 fn plan2_io(a: &DiskTable, b: &DiskTable, m: usize) -> (u64, Vec<Vec<i64>>) {
-    let join = grace_hash_join(a, b, 0, 0, m, PAGE_CAP);
-    let result = DiskTable::from_rows(join.rows, PAGE_CAP);
-    let sort = external_sort(&result, 0, m, PAGE_CAP);
+    let joined = join(JoinMethod::GraceHash, a, b, (0, 0), m);
+    let result = DiskTable::from_rows(joined.rows, PAGE_CAP);
+    let sort = external_sort(&result, 0, m);
     // The join's pipelined output must be materialized for the blocking
     // sort; charge its write like the model's sort input accounting.
-    (join.io + result.n_pages() as u64 + sort.io, sort.rows)
+    (joined.io + result.n_pages() as u64 + sort.io, sort.rows)
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! split.
 //!
 //! The lanes share everything that does not read memory — the level walk,
-//! each split's crossing, the outer grouping, one plan arena — and, at
+//! each split's `CostModel::split`, the outer grouping, one plan arena — and, at
 //! each subset, the lanes that have agreed bit for bit on every split's
 //! inputs and join prices so far form one class, whose top-`c` insert
 //! walk runs once and whose entries are stored once.  Sharing is exact: a

@@ -166,7 +166,7 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
         inner: &[DpEntry],
         stats: &mut SearchStats,
     ) {
-        let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
+        let split = model.split(ctx.left, ctx.right);
         let phase = self.coster.price_phase(ctx.phase);
         self.sums.clear();
         for oe in outer {
@@ -175,14 +175,14 @@ impl<C: PhaseCoster> CandidatePolicy for KeepBestPolicy<C> {
                 let costs = self.prices.get_or_price(key, || {
                     self.coster.join_costs(model, ctx, oe.pages, ie.pages)
                 });
-                let pages = model.join_output_pages(oe.pages, ie.pages, sel);
+                let pages = split.pages(oe.pages, ie.pages);
                 stats.candidates += JoinMethod::ALL.len() as u64;
                 self.sums
                     .push((costs.map(|join_cost| oe.cost + ie.cost + join_cost), pages));
             }
         }
-        let (split, into) = ((outer, inner), &mut self.pending);
-        insert_cheapest(model, plans, sm_order, split, |e| e.plan, &self.sums, into);
+        let (operands, into) = ((outer, inner), &mut self.pending);
+        insert_cheapest(model, plans, split, operands, |e| e.plan, &self.sums, into);
     }
 
     fn build(&mut self, plans: &mut PlanArena, into: &mut Vec<DpEntry>) {
@@ -221,18 +221,15 @@ pub(super) fn finalize_with_coster<C: PhaseCoster>(
 }
 
 /// Replace every root entry that misses the query's required order with
-/// `sort(entry, the required order's key)`, which delivers it.
+/// `sort(entry, key)`, the [`CostModel::root_sort`] that delivers it.
 pub(super) fn sort_where_required<E: SearchEntry>(
     model: &CostModel<'_>,
     entries: Vec<E>,
     mut sort: impl FnMut(E, ColumnRef) -> E,
 ) -> Vec<E> {
-    let Some(want) = model.query().required_order else {
-        return entries;
-    };
-    let sort_unsorted = |e: E| match e.order().is_required() {
-        true => e,
-        false => sort(e, want),
+    let sort_unsorted = |e: E| match model.root_sort(e.order()) {
+        Some(key) => sort(e, key),
+        None => e,
     };
     entries.into_iter().map(sort_unsorted).collect()
 }
@@ -252,7 +249,6 @@ pub(super) fn sort_roots<E: SearchEntry>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::join_output_order;
     use lec_plan::TableSet;
 
     /// A coster pricing each join method at one fixed cost.
@@ -340,7 +336,7 @@ mod tests {
         }];
         let ctx = JoinContext::of(TableSet::from_bits(0b011), TableSet::from_bits(0b100));
         let coster = Flat([4e18, 1e18, 2e18, 3e18]);
-        let (_, sm_order) = model.crossing(ctx.left, ctx.right);
+        let split = model.split(ctx.left, ctx.right);
         let mut want = Vec::new();
         for (oe, ie) in outer
             .iter()
@@ -350,7 +346,7 @@ mod tests {
                 let join_cost = coster.join_cost(&model, &ctx, method, oe.pages, ie.pages);
                 let joined = Joined {
                     cost: oe.cost + ie.cost + join_cost,
-                    order: join_output_order(sm_order, oe.order, method),
+                    order: split.order(method, oe.order),
                     size: 0.0,
                     method,
                     outer: oe.plan,

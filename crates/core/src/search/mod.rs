@@ -42,6 +42,13 @@
 //! of one `combine` call once.  Nothing outlives a search.
 //! [`SearchStats::evals`] counts the formula calls made.
 //!
+//! What a plan step delivers is not a policy's to say: a join's result
+//! size and output order come from [`lec_cost::CostModel::split`]
+//! ([`lec_cost::Split::pages`], [`lec_cost::Split::order`]), the access
+//! alternatives from [`lec_cost::CostModel::accesses`] and the root sort
+//! from [`lec_cost::CostModel::root_sort`] — the definitions the replay
+//! and the oracle read too.
+//!
 //! # Who holds plans
 //!
 //! A search's [`arena::PlanArena`] does: every access path, retained join
@@ -77,9 +84,7 @@ pub use engine::{run_search_with, PlanShape, SearchConfig, SearchRun};
 pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use lec_plan::Step;
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};
-pub use policy::{
-    insert_entry_shaped, join_output_order, CandidatePolicy, JoinContext, Joined, SearchEntry,
-};
+pub use policy::{insert_entry_shaped, CandidatePolicy, JoinContext, Joined, SearchEntry};
 pub use top_c::{insert_top_c, order_run, FrontierStats, TopCPolicy, MAX_LANES};
 
 use lec_plan::PlanNode;

@@ -44,7 +44,7 @@ use super::policy::{
 };
 use super::SearchStats;
 use lec_cost::formulas::MIN_PAGES;
-use lec_cost::{CostModel, DistTables};
+use lec_cost::{CostModel, DistTables, Split};
 use lec_plan::{JoinMethod, OrderProperty, Step, TableSet};
 use lec_prob::{normalize_pairs, product_pairs, rebucket_pairs, Distribution, Rebucket};
 use std::cmp::Ordering;
@@ -134,12 +134,11 @@ impl Hasher for SplitHasher {
 /// ones joining `right` to `left ∩ frontier(right)`, so that pair is the
 /// key — a left-deep split's singleton inner and a bushy split's
 /// multi-table one alike — and the entry it indexes holds the product's
-/// run of buckets in one store, with the sort-merge order of the split's
-/// first crossing predicate.
+/// run of buckets in one store, with the key's [`CostModel::split`].
 #[derive(Debug, Clone, Default)]
 struct Selectivities {
     index: HashMap<(TableSet, TableSet), usize, BuildHasherDefault<SplitHasher>>,
-    entries: Vec<([u32; 2], OrderProperty)>,
+    entries: Vec<([u32; 2], Split)>,
     buckets: Buckets,
     scratch: [Buckets; 2],
 }
@@ -163,8 +162,7 @@ impl Selectivities {
         let [product, next] = &mut self.scratch;
         product.clear();
         product.push((1.0, 1.0));
-        let (order, selectivities) = model.crossing_selectivities(left, right);
-        for sel in selectivities {
+        for sel in model.crossing_selectivities(left, right) {
             next.clear();
             product_pairs(product.iter().copied(), sel.iter(), next);
             normalize_pairs(next).expect("product of valid distributions is valid");
@@ -173,7 +171,7 @@ impl Selectivities {
         let start = self.buckets.len();
         self.buckets.extend_from_slice(product);
         let run = [start, self.buckets.len()].map(|i| u32::try_from(i).expect("< 2^32 buckets"));
-        self.entries.push((run, order));
+        self.entries.push((run, model.split(left, right)));
         self.index.insert(key, self.entries.len() - 1);
         self.entries.len() - 1
     }
@@ -184,8 +182,8 @@ impl Selectivities {
         &self.buckets[start..end]
     }
 
-    /// Entry `i`'s sort-merge order.
-    fn order(&self, i: usize) -> OrderProperty {
+    /// Entry `i`'s split.
+    fn split(&self, i: usize) -> Split {
         self.entries[i].1
     }
 }
@@ -333,7 +331,7 @@ impl CandidatePolicy for MultiParamPolicy {
         stats: &mut SearchStats,
     ) {
         let sel = self.selectivities.entry(model, ctx.left, ctx.right);
-        let sm_order = self.selectivities.order(sel);
+        let split = self.selectivities.split(sel);
         let sel = self.selectivities.buckets(sel);
         let (pairs, sums) = (&mut self.pairs, &mut self.sums);
         let (sizes, runs) = (&mut self.sizes, &mut self.runs);
@@ -356,8 +354,8 @@ impl CandidatePolicy for MultiParamPolicy {
                 sums.push((costs.map(|join_ec| oe.cost + ie.cost + join_ec), size));
             }
         }
-        let (split, into) = ((outer, inner), &mut self.pending);
-        insert_cheapest(model, plans, sm_order, split, |e| e.plan, &self.sums, into);
+        let (operands, into) = ((outer, inner), &mut self.pending);
+        insert_cheapest(model, plans, split, operands, |e| e.plan, &self.sums, into);
     }
 
     /// Only survivors fingerprint a size distribution and build its
@@ -413,8 +411,8 @@ mod tests {
 
     /// One memo over every left-deep split `(S∖{t}, {t})` and every bushy
     /// split of a query's tables returns, for each, the bits of
-    /// [`CostModel::join_selectivity_dist_sets`] and the order of
-    /// [`CostModel::crossing`] — on chains, stars, cliques and
+    /// [`CostModel::join_selectivity_dist_sets`] and the sort-merge order of
+    /// [`CostModel::split`] — on chains, stars, cliques and
     /// random graphs with three-bucket selectivities, where a bushy
     /// split's inner has several tables and, but on the clique, many
     /// splits share a key.
@@ -464,7 +462,8 @@ mod tests {
                         .map(|(v, p)| (v.to_bits(), p.to_bits()))
                         .collect();
                     assert_eq!(got, want, "{topology:?}: {left} x {right}");
-                    assert_eq!(memo.order(i), model.crossing(left, right).1);
+                    let merge_order = model.split(left, right).merge_order;
+                    assert_eq!(memo.split(i).merge_order, merge_order);
                 }
             }
             // A clique's crossing predicates differ with every split.

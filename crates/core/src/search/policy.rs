@@ -4,8 +4,8 @@
 use super::arena::{PlanArena, PlanId};
 use super::keep_best::DpEntry;
 use super::SearchStats;
-use lec_cost::{AccessPath, CostModel};
-use lec_plan::{JoinMethod, OrderProperty, Step, TableSet};
+use lec_cost::{CostModel, Split};
+use lec_plan::{JoinMethod, OrderProperty, TableSet};
 use std::cmp::Ordering;
 
 /// Everything a policy needs to cost one (outer, inner) combination.
@@ -202,30 +202,12 @@ pub fn shape_rank<E: SearchEntry>(
         .then_with(|| a.shape_cmp(model, plans, b))
 }
 
-/// The output order of joining two composites — the shape-generic form of
-/// the \[SAC+79\] interesting-order rules (left-deep inner singletons are
-/// the special case `right = {j}`).  `sort_merge` is the order a
-/// sort-merge join of the operand pair delivers
-/// ([`CostModel::crossing`]), which depends on the operand *sets*
-/// only, so a policy reads it once per `combine` call.
-pub fn join_output_order(
-    sort_merge: OrderProperty,
-    left_order: OrderProperty,
-    method: JoinMethod,
-) -> OrderProperty {
-    match method {
-        JoinMethod::SortMerge => sort_merge,
-        JoinMethod::PageNestedLoop => left_order,
-        JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::Unsorted,
-    }
-}
-
 /// The tail of every keep-1 `combine`: insert into `into`, through
 /// [`insert_entry_shaped`] and in enumeration order, the candidates of one
 /// split that no cheaper candidate of the split covers.  `sums[i *
 /// inner.len() + j]` holds outer entry `i` joined with inner entry `j`:
-/// the four method costs and the result size; `sort_merge` is the split's
-/// sort-merge order and `plan` reads an entry's plan.
+/// the four method costs and the result size; `split` gives each
+/// candidate's output order and `plan` reads an entry's plan.
 ///
 /// The split's cheapest candidate covers every candidate not sorted as
 /// required, and the cheapest of those sorted as required covers the
@@ -237,13 +219,13 @@ pub fn join_output_order(
 pub(super) fn insert_cheapest<E: SearchEntry, S: Copy>(
     model: &CostModel<'_>,
     plans: &PlanArena,
-    sort_merge: OrderProperty,
+    split: Split,
     (outer, inner): (&[E], &[E]),
     plan: impl Fn(&E) -> PlanId,
     sums: &[([f64; 4], S)],
     into: &mut Vec<Joined<S>>,
 ) {
-    let order = |i: usize, method| join_output_order(sort_merge, outer[i].order(), method);
+    let order = |i: usize, method| split.order(method, outer[i].order());
     let insert = |i: usize, j: usize, method, cost, order, size| {
         let (outer, inner) = (plan(&outer[i]), plan(&inner[j]));
         let joined = Joined {
@@ -316,28 +298,20 @@ pub(super) fn priced<K: PartialEq + Copy, V: Copy>(
     v
 }
 
-/// The access-path alternatives of one table, costed, at the table's
-/// point size, each a scan step of `plans`.  Shared by every policy's
-/// depth-1 construction.
+/// The access-path alternatives of one table ([`CostModel::accesses`]),
+/// at the table's point size, each a scan step of `plans`.  Shared by
+/// every policy's depth-1 construction.
 pub fn access_alternatives(
     model: &CostModel<'_>,
     plans: &mut PlanArena,
     idx: usize,
 ) -> Vec<DpEntry> {
-    model
-        .access_paths(idx)
-        .into_iter()
-        .map(|path| {
-            let (step, order) = match path {
-                AccessPath::SeqScan => (Step::SeqScan(idx), OrderProperty::Unsorted),
-                AccessPath::IndexScan => (Step::IndexScan(idx), model.index_scan_order(idx)),
-            };
-            DpEntry {
-                order,
-                cost: model.access_cost(path, idx),
-                pages: model.base_pages(idx),
-                plan: plans.push(step),
-            }
+    (model.accesses(idx))
+        .map(|(step, order, cost)| DpEntry {
+            order,
+            cost,
+            pages: model.base_pages(idx),
+            plan: plans.push(step),
         })
         .collect()
 }

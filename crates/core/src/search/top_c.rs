@@ -45,7 +45,7 @@
 //! Algorithm B runs "for each value m_i of the memory parameter"; one
 //! [`TopCPolicy`] search runs them all, one lane per value
 //! ([`TopCPolicy::with_lanes`]).  The lanes share what reads no memory:
-//! the engine's level walk, each split's `crossing`, the outer grouping,
+//! the engine's level walk, each split's [`CostModel::split`], the outer grouping,
 //! the inner table's access paths, the plan arena and the level vectors.
 //! At each subset the lanes fall into *classes*: lanes whose pending
 //! joins are one list.  A split's walk runs once per class, read from its
@@ -71,11 +71,10 @@ use super::arena::{PlanArena, PlanId};
 use super::coster::{MemoryCoster, PhaseCoster};
 use super::keep_best::{build_entries, finalize_with_coster, sort_roots, DpEntry};
 use super::policy::{
-    access_alternatives, join_output_order, shape_rank, CandidatePolicy, JoinContext, Joined,
-    SearchEntry,
+    access_alternatives, shape_rank, CandidatePolicy, JoinContext, Joined, SearchEntry,
 };
 use super::SearchStats;
-use lec_cost::CostModel;
+use lec_cost::{CostModel, Split};
 use lec_plan::{JoinMethod, OrderProperty, Step};
 use std::cmp::Ordering;
 use std::mem::take;
@@ -168,9 +167,9 @@ struct Class {
     pending: Vec<Joined<f64>>,
 }
 
-/// A split as one class walks it: its selectivity and sort-merge order,
-/// its operands' entries, and the class's lowest lane's view of it.
-type Split<'a> = ((f64, OrderProperty), (&'a [DpEntry], &'a [DpEntry]), View);
+/// A split as one class walks it: what its joins deliver, its operands'
+/// entries, and the class's lowest lane's view of it.
+type ClassWalk<'a> = (Split, (&'a [DpEntry], &'a [DpEntry]), View);
 
 /// One lane's view of a split, as `[start, end)` ranges of the call's
 /// scratch: its outer class's entries (in `outer_order`) and its prices.
@@ -269,7 +268,7 @@ impl TopCPolicy {
         &self,
         model: &CostModel<'_>,
         plans: &PlanArena,
-        ((sel, sm_order), (outer, inner), view): Split<'_>,
+        (split, (outer, inner), view): ClassWalk<'_>,
         into: &mut Vec<Joined<f64>>,
     ) -> (u64, u64) {
         let range = |[start, end]: [usize; 2]| start..end;
@@ -300,11 +299,11 @@ impl TopCPolicy {
             let (_, costs) = (prices.iter())
                 .find(|(size, _)| *size == outer_pages.to_bits())
                 .expect("every outer size is priced");
-            let pages = model.join_output_pages(outer_pages, inner_pages, sel);
+            let pages = split.pages(outer_pages, inner_pages);
             for (method, join_cost) in JoinMethod::ALL.into_iter().zip(*costs) {
                 groups += 1;
                 admitted += group_admitted;
-                let required = join_output_order(sm_order, outer_order, method).is_required();
+                let required = split.order(method, outer_order).is_required();
                 let mut run = match required {
                     true => others_end..into.len(),
                     false => 0..others_end,
@@ -315,7 +314,7 @@ impl TopCPolicy {
                         let oe = &outer[oi];
                         let joined = Joined {
                             cost: oe.cost + ie.cost + join_cost,
-                            order: join_output_order(sm_order, oe.order, method),
+                            order: split.order(method, oe.order),
                             size: pages,
                             method,
                             outer: oe.plan,
@@ -433,8 +432,7 @@ impl CandidatePolicy for TopCPolicy {
         // Every lane prices its access paths, as its own search would;
         // they read no memory, so the lanes share one class of them.
         for _ in 1..self.lanes.len() {
-            for (path, e) in model.access_paths(idx).into_iter().zip(&alternatives) {
-                let cost = model.access_cost(path, idx);
+            for ((_, _, cost), e) in model.accesses(idx).zip(&alternatives) {
                 debug_assert_eq!(
                     cost.to_bits(),
                     e.cost.to_bits(),
@@ -463,7 +461,7 @@ impl CandidatePolicy for TopCPolicy {
             ctx.right.len() == 1,
             "top-c runs left-deep splits only: Proposition 3.1's frontier needs one inner size"
         );
-        let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
+        let split = model.split(ctx.left, ctx.right);
         // Group each outer class by (order class, pages).  A class is a
         // top-c node, sorted by (class, cost, shape), so a stable sort on
         // the group key leaves every group cost-sorted with exact cost ties
@@ -517,8 +515,8 @@ impl CandidatePolicy for TopCPolicy {
         let mut classes = take(&mut self.classes);
         for class in &mut classes {
             let view = self.views[class.lanes.trailing_zeros() as usize];
-            let split = ((sel, sm_order), (outer, inner), view);
-            let (groups, admitted) = self.walk(model, plans, split, &mut class.pending);
+            let walk = (split, (outer, inner), view);
+            let (groups, admitted) = self.walk(model, plans, walk, &mut class.pending);
             let members = u64::from(class.lanes.count_ones());
             let f = &mut self.frontier;
             f.groups += groups * members;

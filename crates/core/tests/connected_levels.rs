@@ -209,7 +209,7 @@ fn crosses(q: &Query, i: usize, a: TableSet, b: TableSet) -> bool {
 
 /// Every crossing product the search reads, for singleton pairs, each
 /// singleton against the rest of the query, and disjoint bushy halves cut
-/// from `masks`, against full scans of the predicate list: `crossing`'s
+/// from `masks`, against full scans of the predicate list: `split`'s
 /// product of selectivity means and the order a sort-merge join on the
 /// first crossing predicate delivers, and the selectivity distributions'
 /// support and probability bits (where the product has at most 4,096
@@ -234,9 +234,9 @@ fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<
             .iter()
             .map(|&i| q.joins[i].selectivity.mean())
             .product();
-        let (sel, order) = model.crossing(a, b);
+        let split = model.split(a, b);
         prop_assert_eq!(
-            sel.to_bits(),
+            split.selectivity.to_bits(),
             mean.to_bits(),
             "{} x {} over {} predicates",
             a,
@@ -253,7 +253,7 @@ fn assert_graph_tables_agree(cat: &Catalog, q: &Query, masks: &[u64]) -> Result<
                 Some(want) if eq.same_class(q.joins[i].left, want) => OrderProperty::Required,
                 _ => OrderProperty::Incidental,
             });
-        prop_assert_eq!(order, merge);
+        prop_assert_eq!(split.merge_order, merge);
         let buckets: usize = crossing
             .iter()
             .map(|&i| q.joins[i].selectivity.len())

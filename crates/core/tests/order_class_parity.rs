@@ -183,14 +183,14 @@ impl CandidatePolicy for FullClassKeepBest {
         stats: &mut SearchStats,
     ) {
         let q = model.query();
-        let (sel, _) = model.crossing(ctx.left, ctx.right);
+        let split = model.split(ctx.left, ctx.right);
         let crossing = q.joins_crossing(ctx.left, ctx.right);
         let merge = crossing
             .first()
             .map(|&p| self.classes.canonical(q.joins[p].left));
         for oe in outer {
             for ie in inner {
-                let pages = model.join_output_pages(oe.pages, ie.pages, sel);
+                let pages = split.pages(oe.pages, ie.pages);
                 for method in JoinMethod::ALL {
                     stats.candidates += 1;
                     let join_cost = self

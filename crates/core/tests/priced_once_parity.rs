@@ -17,9 +17,9 @@
 use lec_catalog::{Catalog, CatalogGenerator};
 use lec_core::fixtures::{pruning_clique, pruning_star};
 use lec_core::search::{
-    insert_entry_shaped, join_output_order, run_search_with, CandidatePolicy, DistEntry, DpEntry,
-    JoinContext, Joined, KeepBestPolicy, MultiParamPolicy, PhaseCoster, PlanArena, PlanShape,
-    SearchConfig, SearchStats, Step,
+    insert_entry_shaped, run_search_with, CandidatePolicy, DistEntry, DpEntry, JoinContext, Joined,
+    KeepBestPolicy, MultiParamPolicy, PhaseCoster, PlanArena, PlanShape, SearchConfig, SearchStats,
+    Step,
 };
 use lec_core::{AlgDConfig, MemoryCoster};
 use lec_cost::{CostModel, DistTables, Objective};
@@ -55,10 +55,10 @@ impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
         inner: &[DpEntry],
         stats: &mut SearchStats,
     ) {
-        let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
+        let split = model.split(ctx.left, ctx.right);
         for oe in outer {
             for ie in inner {
-                let pages = model.join_output_pages(oe.pages, ie.pages, sel);
+                let pages = split.pages(oe.pages, ie.pages);
                 for method in JoinMethod::ALL {
                     stats.candidates += 1;
                     let join_cost = self
@@ -67,7 +67,7 @@ impl<C: PhaseCoster> CandidatePolicy for EagerKeepBest<C> {
                         .join_cost(model, ctx, method, oe.pages, ie.pages);
                     let joined = Joined {
                         cost: oe.cost + ie.cost + join_cost,
-                        order: join_output_order(sm_order, oe.order, method),
+                        order: split.order(method, oe.order),
                         size: pages,
                         method,
                         outer: oe.plan,
@@ -167,7 +167,7 @@ impl CandidatePolicy for EagerMultiParam {
         stats: &mut SearchStats,
     ) {
         let sel_dist = model.join_selectivity_dist_sets(ctx.left, ctx.right);
-        let (_, sm_order) = model.crossing(ctx.left, ctx.right);
+        let split = model.split(ctx.left, ctx.right);
         for oe in outer {
             for ie in inner {
                 let (o, i) = (oe.pages.to_distribution(), ie.pages.to_distribution());
@@ -179,7 +179,7 @@ impl CandidatePolicy for EagerMultiParam {
                     stats.candidates += 1;
                     let joined = Joined {
                         cost: oe.cost + ie.cost + join_ec,
-                        order: join_output_order(sm_order, oe.order, method),
+                        order: split.order(method, oe.order),
                         size,
                         method,
                         outer: oe.plan,

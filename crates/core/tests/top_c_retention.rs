@@ -9,9 +9,9 @@ use lec_catalog::{Catalog, CatalogGenerator, ColumnStats, TableStats};
 use lec_core::fixtures::{pruning_clique, pruning_star, three_chain};
 use lec_core::search::policy::shape_rank;
 use lec_core::search::{
-    insert_top_c, join_output_order, order_run, run_search_with, CandidatePolicy, DpEntry,
-    FrontierStats, JoinContext, Joined, MemoryCoster, PhaseCoster, PlanArena, PlanId, PlanShape,
-    SearchConfig, SearchStats, Step, TopCPolicy,
+    insert_top_c, order_run, run_search_with, CandidatePolicy, DpEntry, FrontierStats, JoinContext,
+    Joined, MemoryCoster, PhaseCoster, PlanArena, PlanId, PlanShape, SearchConfig, SearchStats,
+    Step, TopCPolicy,
 };
 use lec_cost::CostModel;
 use lec_plan::{
@@ -72,7 +72,7 @@ impl CandidatePolicy for EagerTopC {
         inner: &[DpEntry],
         stats: &mut SearchStats,
     ) {
-        let (sel, sm_order) = model.crossing(ctx.left, ctx.right);
+        let split = model.split(ctx.left, ctx.right);
         let key = |e: &DpEntry| (e.order.is_required(), e.pages.to_bits());
         let mut outer_list: Vec<&DpEntry> = outer.iter().collect();
         outer_list.sort_by_key(|e| key(e));
@@ -88,7 +88,7 @@ impl CandidatePolicy for EagerTopC {
                 let join_cost = self
                     .coster
                     .join_cost(model, ctx, method, outer_pages, inner_pages);
-                let pages = model.join_output_pages(outer_pages, inner_pages, sel);
+                let pages = split.pages(outer_pages, inner_pages);
                 for (ki, ie) in inner_list.iter().enumerate() {
                     let i_max = self.c / (ki + 1);
                     if i_max == 0 {
@@ -99,7 +99,7 @@ impl CandidatePolicy for EagerTopC {
                         stats.candidates += 1;
                         let e = Joined {
                             cost: oe.cost + ie.cost + join_cost,
-                            order: join_output_order(sm_order, oe.order, method),
+                            order: split.order(method, oe.order),
                             size: pages,
                             method,
                             outer: oe.plan,

@@ -7,9 +7,10 @@
 //!   Example 1.1), together with their *breakpoints* (the memory values at
 //!   which cost jumps — the discontinuities that make LEC ≠ LSC);
 //! * [`model`] — [`CostModel`], binding a catalog and query: effective
-//!   sizes after selections, combined selectivities, access-path and join
-//!   cost dispatch, and the cost-formula evaluation counter the paper's
-//!   complexity claims are stated in;
+//!   sizes after selections, what a join ([`Split`]), an access and a root
+//!   sort deliver — the one definition the DP, the replay and the oracle
+//!   read — access-path and join cost dispatch, and the cost-formula
+//!   evaluation counter the paper's complexity claims are stated in;
 //! * [`plan_cost`] — whole-plan costing `C(P, v)`, the §3.5 phase
 //!   decomposition, expected plan cost under static and Markov-evolving
 //!   memory (the replay), and the memory belief [`Objective`] that names
@@ -35,7 +36,7 @@ pub use expected::{
 };
 pub use model::{
     avalanche, dist_fingerprint, table_occurrence_fingerprint, table_stats_fingerprint, AccessPath,
-    CostModel, Fingerprint, Prehashed,
+    CostModel, Fingerprint, Prehashed, Split,
 };
 pub use plan_cost::{
     expected_plan_cost_dynamic, expected_plan_cost_static, output_order, phases, plan_cost_at,

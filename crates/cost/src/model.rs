@@ -5,7 +5,7 @@ use crate::expected::{self, DistTables};
 use crate::formulas;
 pub use lec_catalog::{table_stats_fingerprint, Fingerprint};
 use lec_catalog::{Catalog, IndexKind};
-use lec_plan::{ColumnEquivalences, ColumnRef, JoinMethod, OrderProperty, Query, TableSet};
+use lec_plan::{ColumnEquivalences, ColumnRef, JoinMethod, OrderProperty, Query, Step, TableSet};
 use lec_prob::Distribution;
 use std::cell::Cell;
 use std::hash::Hasher;
@@ -138,6 +138,43 @@ struct JoinEdge {
     selectivity: f64,
     pred: u32,
     merge_order: OrderProperty,
+}
+
+/// What a join across one split of a subset delivers
+/// ([`CostModel::split`]), whichever operands build its two sides: System
+/// R's premise that a set of joined relations has one size and one
+/// sort-merge order, whatever order built it.
+#[derive(Debug, Clone, Copy)]
+pub struct Split {
+    /// The point (mean) combined selectivity of the predicates crossing
+    /// the split, their means multiplied in predicate order.
+    pub selectivity: f64,
+    /// The order a sort-merge join across the split delivers: sorted on
+    /// the class of the first crossing predicate, the one the join sorts
+    /// on.
+    pub merge_order: OrderProperty,
+}
+
+impl Split {
+    /// Result size of a join of `outer` and `inner` pages across the
+    /// split: the paper's `a·b·σ` pages, clamped to one page.
+    #[inline]
+    pub fn pages(&self, outer: f64, inner: f64) -> f64 {
+        (outer * inner * self.selectivity).max(formulas::MIN_PAGES)
+    }
+
+    /// The order a `method` join across the split delivers from an outer
+    /// of order `outer`, the \[SAC+79\] interesting-order rules: sort-merge
+    /// sorts on its predicate, page nested-loop keeps the outer's order,
+    /// Grace hash and block nested-loop destroy it.
+    #[inline]
+    pub fn order(&self, method: JoinMethod, outer: OrderProperty) -> OrderProperty {
+        match method {
+            JoinMethod::SortMerge => self.merge_order,
+            JoinMethod::PageNestedLoop => outer,
+            JoinMethod::GraceHash | JoinMethod::BlockNestedLoop => OrderProperty::Unsorted,
+        }
+    }
 }
 
 impl<'a> CostModel<'a> {
@@ -371,36 +408,28 @@ impl<'a> CostModel<'a> {
         edges.iter().filter(move |e| meets(e, a) && meets(e, b))
     }
 
-    /// The point (mean) combined selectivity of the predicates crossing two
-    /// disjoint table sets, their means multiplied in predicate order, and
-    /// the order a sort-merge join of the two delivers: sorted on the class
-    /// of the first crossing predicate, the one the join sorts on.  One walk
-    /// answers both, for every scalar reader of a split.
-    pub fn crossing(&self, a: TableSet, b: TableSet) -> (f64, OrderProperty) {
+    /// What joining two disjoint table sets delivers, whichever operands
+    /// build them: one walk over the predicates crossing them.
+    pub fn split(&self, a: TableSet, b: TableSet) -> Split {
         let mut preds = self.predicates_between(a, b).peekable();
-        let order = preds
+        let merge_order = preds
             .peek()
             .map_or(OrderProperty::Unsorted, |e| e.merge_order);
-        (preds.map(|e| e.selectivity).product(), order)
+        Split {
+            selectivity: preds.map(|e| e.selectivity).product(),
+            merge_order,
+        }
     }
 
     /// The selectivity distributions of the predicates crossing two
-    /// disjoint table sets, in predicate order — the factors of
-    /// [`Self::join_selectivity_dist_sets`] — beside the sort-merge order
-    /// [`Self::crossing`] reports, taken from the same walk.
+    /// disjoint table sets, in predicate order: the factors of
+    /// [`Self::join_selectivity_dist_sets`].
     pub fn crossing_selectivities(
         &self,
         a: TableSet,
         b: TableSet,
-    ) -> (OrderProperty, impl Iterator<Item = &Distribution>) {
-        let mut preds = self.predicates_between(a, b).peekable();
-        let order = preds
-            .peek()
-            .map_or(OrderProperty::Unsorted, |e| e.merge_order);
-        (
-            order,
-            preds.map(|e| &self.query.joins[e.pred as usize].selectivity),
-        )
+    ) -> impl Iterator<Item = &Distribution> {
+        (self.predicates_between(a, b)).map(|e| &self.query.joins[e.pred as usize].selectivity)
     }
 
     /// Distribution of the combined selectivity of all predicates crossing
@@ -408,12 +437,13 @@ impl<'a> CostModel<'a> {
     /// form): the product of [`Self::crossing_selectivities`] in their
     /// order, starting from the point 1.
     pub fn join_selectivity_dist_sets(&self, a: TableSet, b: TableSet) -> Distribution {
-        (self.crossing_selectivities(a, b).1).fold(Distribution::point(1.0), |d, s| d.product(s))
+        (self.crossing_selectivities(a, b)).fold(Distribution::point(1.0), |d, s| d.product(s))
     }
 
-    /// Result size of a join: the paper's `a·b·σ` pages, clamped to one page.
-    pub fn join_output_pages(&self, outer: f64, inner: f64, selectivity: f64) -> f64 {
-        (outer * inner * selectivity).max(formulas::MIN_PAGES)
+    /// The plan that delivers a root of `order` sorts on this key, if any:
+    /// the query's required order, when `order` misses it.
+    pub fn root_sort(&self, order: OrderProperty) -> Option<ColumnRef> {
+        self.query.required_order.filter(|_| !order.is_required())
     }
 
     // ---- access paths ---------------------------------------------------
@@ -426,6 +456,19 @@ impl<'a> CostModel<'a> {
             out.push(AccessPath::IndexScan);
         }
         out
+    }
+
+    /// Each of [`Self::access_paths`] as the step that scans the table,
+    /// the order it delivers and its [`Self::access_cost`], one evaluation
+    /// per path.
+    pub fn accesses(&self, table: usize) -> impl Iterator<Item = (Step, OrderProperty, f64)> + '_ {
+        self.access_paths(table).into_iter().map(move |path| {
+            let (step, order) = match path {
+                AccessPath::SeqScan => (Step::SeqScan(table), OrderProperty::Unsorted),
+                AccessPath::IndexScan => (Step::IndexScan(table), self.index_scan_order(table)),
+            };
+            (step, order, self.access_cost(path, table))
+        })
     }
 
     fn index_kind_for_filter(&self, table_idx: usize) -> IndexKind {
@@ -546,7 +589,9 @@ mod tests {
             0.5,
         ));
         let m = CostModel::new(&cat, &q);
-        let (s, _) = m.crossing(TableSet::singleton(0), TableSet::singleton(1));
+        let s = m
+            .split(TableSet::singleton(0), TableSet::singleton(1))
+            .selectivity;
         assert!((s - 1e-4 * 0.5).abs() < 1e-18);
         let d = m.join_selectivity_dist_sets(TableSet::singleton(0), TableSet::singleton(1));
         assert!(d.is_point());
@@ -656,11 +701,22 @@ mod tests {
         }
     }
 
+    /// A split's result size is `a·b·σ` clamped to one page, and its output
+    /// order follows the method: sort-merge's predicate order, page
+    /// nested-loop's outer order, none for Grace hash and block
+    /// nested-loop, whatever the outer's order.
     #[test]
-    fn output_pages_clamped() {
-        let (cat, q) = fixture();
-        let m = CostModel::new(&cat, &q);
-        assert_eq!(m.join_output_pages(100.0, 500.0, 1e-4), 5.0);
-        assert_eq!(m.join_output_pages(10.0, 10.0, 1e-9), 1.0);
+    fn a_split_sizes_and_orders_its_joins() {
+        use OrderProperty::{Incidental, Required, Unsorted};
+        let split = Split {
+            selectivity: 1e-4,
+            merge_order: Incidental,
+        };
+        assert_eq!(split.pages(100.0, 500.0), 5.0);
+        assert_eq!(split.pages(10.0, 10.0), 1.0);
+        for outer in [Unsorted, Incidental, Required] {
+            let orders = JoinMethod::ALL.map(|method| split.order(method, outer));
+            assert_eq!(orders, [Incidental, Unsorted, outer, Unsorted], "{outer:?}");
+        }
     }
 }

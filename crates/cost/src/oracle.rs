@@ -1,15 +1,17 @@
 //! Ground truth for the optimizer's theorems: every plan of a space, priced
 //! by the replay (`expected_plan_cost_{static,dynamic}`), below the
-//! optimizer crate so that it shares none of the DP's code.  [`left_deep`]
+//! optimizer crate so that it shares none of the DP's search code (what a
+//! join, an access and a root sort deliver it reads from [`CostModel`], as
+//! the DP does).  [`left_deep`]
 //! shares each prefix's fold among the plans extending it, in the replay's
 //! own order (static: a running sum per memory bucket, phases innermost
 //! first, then `Σ f(m)·p(m)`; dynamic: a running sum of per-phase
 //! expectations), so every cost is the replay's to the bit; [`bushy`]
 //! replays each plan whole.
 
-use crate::model::{AccessPath, CostModel};
+use crate::model::CostModel;
 use crate::plan_cost::{expected_plan_cost_static, output_order, Objective};
-use lec_plan::{ColumnRef, JoinMethod, OrderProperty as Order, PlanNode, TableSet};
+use lec_plan::{JoinMethod, OrderProperty as Order, PlanNode, TableSet};
 use lec_prob::Distribution;
 
 /// The cheapest plan of a space and what the enumeration saw.
@@ -49,26 +51,13 @@ impl Best {
 /// One access path of a table: its cost, output order and plan leaf.
 type Access = (f64, Order, PlanNode);
 
+/// Each table's [`CostModel::accesses`], each with its plan leaf.
 fn accesses(model: &CostModel<'_>) -> Vec<Vec<Access>> {
-    let access = |table, path| {
-        let leaf = match path {
-            AccessPath::SeqScan => PlanNode::seq_scan(table),
-            AccessPath::IndexScan => PlanNode::index_scan(table),
-        };
-        let (cost, order) = (model.access_cost(path, table), output_order(model, &leaf));
-        (cost, order, leaf)
-    };
-    let of_table = |t| model.access_paths(t).into_iter().map(move |p| access(t, p));
+    let leaf = |(step, order, cost)| (cost, order, PlanNode::from_postorder(vec![step]));
     let n = model.query().n_tables();
-    (0..n).map(|t| of_table(t).collect()).collect()
-}
-
-/// The key of the root sort a plan of `order` needs, if any.
-fn root_sort(model: &CostModel<'_>, order: Order) -> Option<ColumnRef> {
-    model
-        .query()
-        .required_order
-        .filter(|_| !order.is_required())
+    (0..n)
+        .map(|t| model.accesses(t).map(leaf).collect())
+        .collect()
 }
 
 /// A left-deep enumeration in progress.
@@ -113,19 +102,14 @@ impl LeftDeep<'_, '_> {
         }
         for j in (0..q.n_tables()).filter(|&j| !set.contains(j) && q.is_connected_to(set, j)) {
             let (right, inner) = (TableSet::singleton(j), model.base_pages(j));
-            let (sel, merge_order) = model.crossing(set, right);
-            let out = model.join_output_pages(pages, inner, sel);
+            let split = model.split(set, right);
+            let out = split.pages(pages, inner);
             for a in 0..self.accesses[j].len() {
                 let fixed = pending + self.accesses[j][a].0;
                 for method in JoinMethod::ALL {
                     self.add(k, |m| fixed + model.join_cost(method, pages, inner, m));
-                    let order = match method {
-                        JoinMethod::SortMerge => merge_order,
-                        JoinMethod::PageNestedLoop => order,
-                        _ => Order::Unsorted,
-                    };
                     self.path.push((method, j, a));
-                    self.extend(set.with(j), out, order, 0.0);
+                    self.extend(set.with(j), out, split.order(method, order), 0.0);
                     self.path.pop();
                 }
             }
@@ -135,7 +119,7 @@ impl LeftDeep<'_, '_> {
     /// Price a complete order with its root phase — a sort where the order
     /// is missing, else a lone table's access — and offer it.
     fn complete(&mut self, k: usize, pages: f64, order: Order, pending: f64) {
-        let (model, sort) = (self.model, root_sort(self.model, order));
+        let (model, sort) = (self.model, self.model.root_sort(order));
         let row = if sort.is_some() {
             self.add(k, |m| pending + model.sort_cost(pages, m))
         } else if pending > 0.0 {
@@ -206,7 +190,7 @@ pub fn bushy(model: &CostModel<'_>, memory: &Distribution) -> Option<Best> {
             if bits != full {
                 return here.push(plan);
             }
-            let sort = root_sort(model, output_order(model, &plan));
+            let sort = model.root_sort(output_order(model, &plan));
             let plan = sort.into_iter().fold(plan, PlanNode::sort);
             best.offer(expected_plan_cost_static(model, &plan, memory), || plan);
         };

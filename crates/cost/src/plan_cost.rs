@@ -190,9 +190,8 @@ fn walk<'p>(
                 inner: inner_pages,
             };
             visit(node, kind, Some(outer_pending + inner_pending));
-            let (sel, _) = model.crossing(outer.tables(), inner.tables());
-            let pages = model.join_output_pages(outer_pages, inner_pages, sel);
-            (pages, 0.0)
+            let split = model.split(outer.tables(), inner.tables());
+            (split.pages(outer_pages, inner_pages), 0.0)
         }
     }
 }
@@ -242,26 +241,21 @@ pub fn phases(model: &CostModel<'_>, plan: &PlanNode) -> Vec<Phase> {
 ///
 /// Rules (the \[SAC+79\] interesting-order extension, with the required
 /// order the one interesting order — [`lec_plan::order`]):
-/// * sort-merge output is sorted on the join column (class of the
-///   lowest-indexed crossing predicate);
-/// * page nested-loop preserves the outer order; Grace hash and block
-///   nested-loop destroy order;
+/// * a join delivers what [`crate::Split::order`] says of its method;
 /// * a clustered index scan produces its filter column's order;
 /// * a sort produces its key's order.
 pub fn output_order(model: &CostModel<'_>, plan: &PlanNode) -> OrderProperty {
-    let mut node = plan.root();
-    while let Step::Join(JoinMethod::PageNestedLoop, outer, _) = node.node() {
-        node = outer;
-    }
-    match node.node() {
-        Step::SeqScan(_) => OrderProperty::Unsorted,
-        Step::IndexScan(table) => model.index_scan_order(table),
-        Step::Sort(_, key) => model.equivalences.sorted_on(key),
-        Step::Join(JoinMethod::SortMerge, outer, inner) => {
-            model.crossing(outer.tables(), inner.tables()).1
+    fn order(model: &CostModel<'_>, node: NodeRef<'_>) -> OrderProperty {
+        match node.node() {
+            Step::SeqScan(_) => OrderProperty::Unsorted,
+            Step::IndexScan(table) => model.index_scan_order(table),
+            Step::Sort(_, key) => model.equivalences.sorted_on(key),
+            Step::Join(method, outer, inner) => {
+                (model.split(outer.tables(), inner.tables())).order(method, order(model, outer))
+            }
         }
-        Step::Join(..) => OrderProperty::Unsorted,
     }
+    order(model, plan.root())
 }
 
 /// Total plan cost `C(P, m)` at a fixed memory value.

@@ -52,11 +52,6 @@ impl DiskTable {
         self.pages.iter().map(|p| p.len()).sum()
     }
 
-    /// Borrow page `i` as a read with no I/O charged.
-    pub fn peek_page(&self, i: usize) -> &Page {
-        &self.pages[i]
-    }
-
     /// All rows in page order, as a read with no I/O charged.
     pub fn peek_rows(&self) -> Vec<Row> {
         self.pages.iter().flatten().cloned().collect()
@@ -135,7 +130,8 @@ mod tests {
         assert_eq!(t.n_pages(), 3);
         assert_eq!(t.n_rows(), 10);
         assert_eq!(t.page_cap(), 4);
-        assert_eq!(t.peek_page(2).len(), 2); // remainder page
+        let mut disk = Disk::default();
+        assert_eq!(disk.read_page(&t, 2).len(), 2); // remainder page
     }
 
     #[test]

@@ -698,6 +698,42 @@ mod tests {
         assert_eq!(none.ios, [5 + 1]);
     }
 
+    /// Index scans, clustered and unclustered, over tables of 4 to 32
+    /// pages and filters keeping 5% to 90% of the rows, measure inside
+    /// their class's band: nothing else audits an index access.
+    #[test]
+    fn index_scans_measure_inside_their_band() {
+        let (lo, hi) = op_band(OpClass::IndexAccess);
+        let objective = Objective::Static(Distribution::point(8.0));
+        for kind in [IndexKind::Clustered, IndexKind::Unclustered] {
+            for pages in [4, 8, 20, 32] {
+                for selectivity in [0.05, 0.25, 0.5, 0.9] {
+                    let mut cat = Catalog::new();
+                    let columns = vec![ColumnStats::indexed("f", 40, kind)];
+                    let id = cat.add_table("R", TableStats::new(pages, 4 * pages, columns));
+                    let q = Query {
+                        tables: vec![QueryTable::filtered(
+                            id,
+                            0,
+                            Distribution::point(selectivity),
+                        )],
+                        joins: Vec::new(),
+                        required_order: None,
+                    };
+                    let cal = Calibrator::new(&cat, &q);
+                    let audit = cal.audit(&PlanNode::index_scan(0), &objective).unwrap();
+                    let node = &audit.nodes[0];
+                    assert_eq!(node.class, OpClass::IndexAccess);
+                    let ratio = node.measured_expected / node.predicted_expected;
+                    assert!(
+                        (lo..=hi).contains(&ratio),
+                        "{kind:?}, {pages} pages, selectivity {selectivity}: ratio {ratio}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn audit_trace_is_consistent_and_sorted() {
         let (cat, q) = fixtures::three_chain();

@@ -197,7 +197,7 @@ impl MarkovChain {
     }
 
     /// Convert a dense probability vector back into a [`Distribution`].
-    pub fn probs_to_dist(&self, probs: &[f64]) -> Result<Distribution, ProbError> {
+    fn probs_to_dist(&self, probs: &[f64]) -> Result<Distribution, ProbError> {
         if probs.len() != self.n_states() {
             return Err(ProbError::SupportMismatch {
                 expected: self.n_states(),
@@ -207,20 +207,12 @@ impl MarkovChain {
         Distribution::from_pairs(self.states.iter().copied().zip(probs.iter().copied()))
     }
 
-    /// Evolve a [`Distribution`] one phase forward.
-    ///
-    /// This is exactly the per-depth update Algorithm C performs in the
-    /// dynamic setting: "use the transition probabilities to compute the
-    /// distribution associated with each node" (§3.5).
-    pub fn evolve_dist(&self, dist: &Distribution) -> Result<Distribution, ProbError> {
-        let probs = self.dist_to_probs(dist)?;
-        self.probs_to_dist(&self.evolve(&probs)?)
-    }
-
     /// The per-phase marginals of §3.5: phase `k` is `initial` evolved `k`
-    /// steps, for `n` phases.  Each phase's successor is computed before
-    /// the phase is kept, so an `initial` off the chain's states errs for
-    /// every `n > 0`.
+    /// steps, for `n` phases — the per-depth update Algorithm C performs
+    /// in the dynamic setting: "use the transition probabilities to
+    /// compute the distribution associated with each node" (§3.5).  Each
+    /// phase's successor is computed before the phase is kept, so an
+    /// `initial` off the chain's states errs for every `n > 0`.
     pub fn marginals(
         &self,
         initial: &Distribution,
@@ -228,7 +220,8 @@ impl MarkovChain {
     ) -> Result<Vec<Distribution>, ProbError> {
         let (mut out, mut cur) = (Vec::with_capacity(n), initial.clone());
         for _ in 0..n {
-            let next = self.evolve_dist(&cur)?;
+            let probs = self.evolve(&self.dist_to_probs(&cur)?)?;
+            let next = self.probs_to_dist(&probs)?;
             out.push(std::mem::replace(&mut cur, next));
         }
         Ok(out)
@@ -329,8 +322,8 @@ mod tests {
     fn identity_chain_is_a_fixed_point() {
         let c = MarkovChain::identity(vec![100.0, 200.0]).unwrap();
         let d = Distribution::bimodal(100.0, 200.0, 0.7).unwrap();
-        let e = c.evolve_dist(&d).unwrap();
-        assert!(approx_eq(&e, &d, 1e-12));
+        let e = &c.marginals(&d, 2).unwrap()[1];
+        assert!(approx_eq(e, &d, 1e-12));
     }
 
     #[test]

@@ -8,7 +8,7 @@ mod tests {
     use crate::workloads::batch;
     use crate::{search, verdict, Side};
     use lec_core::Mode;
-    use lec_cost::{expected_plan_cost_dynamic, CostModel};
+    use lec_cost::{CostModel, Objective};
     use lec_prob::{fit, presets, Distribution, MarkovChain, Rebucket};
     use rand::SeedableRng;
 
@@ -155,6 +155,10 @@ mod tests {
             let fitted_chain = fit::fit_markov(&traces, state_dist.support().to_vec()).unwrap();
             let fitted_init = fit::fit_initial(&traces, &fitted_chain).unwrap();
             let l1 = chain_l1(&truth_chain, &fitted_chain);
+            let truth = Objective::Dynamic {
+                initial: truth_init.clone(),
+                chain: truth_chain.clone(),
+            };
             let mut regrets = Vec::new();
             for w in &workloads {
                 let model = CostModel::new(&w.catalog, &w.query);
@@ -163,13 +167,7 @@ mod tests {
                 let chain = truth_chain.clone();
                 let oracle = search(&model, &truth_init, Mode::AlgorithmCDynamic { chain });
                 // Judge the fitted plan under the TRUE environment.
-                let true_ec = expected_plan_cost_dynamic(
-                    &model,
-                    &fitted_plan.plan,
-                    &truth_init,
-                    &truth_chain,
-                )
-                .unwrap();
+                let true_ec = truth.replay(&model, &fitted_plan.plan);
                 regrets.push((true_ec - oracle.cost) / oracle.cost);
             }
             let mean = regrets.iter().sum::<f64>() / regrets.len() as f64;

@@ -9,7 +9,6 @@ mod tests {
     use lec_core::search::TopCPolicy;
     use lec_core::{
         fixtures, run_search_with, FrontierStats, Mode, Optimizer, PlanShape, PointEstimate,
-        SearchConfig,
     };
     use lec_cost::{expected_plan_cost_static, oracle, plan_cost_at, CostModel, Objective};
     use lec_prob::presets;
@@ -308,8 +307,7 @@ mod tests {
                 a_want += a_run.stats.evals;
                 a_plans.push(a_run.plan);
                 let mut policy = TopCPolicy::new(m, 3);
-                let config = SearchConfig::default();
-                let b_run = run_search_with(&model, PlanShape::LeftDeep, &mut policy, &config);
+                let b_run = run_search_with(&model, PlanShape::LeftDeep, &mut policy);
                 let b_run = b_run.unwrap();
                 b_want += b_run.stats.evals;
                 for root in &b_run.roots {
@@ -373,13 +371,7 @@ mod tests {
             let mut f = FrontierStats::default();
             for m in representatives(&memory) {
                 let mut policy = TopCPolicy::new(m, c);
-                run_search_with(
-                    &model,
-                    PlanShape::LeftDeep,
-                    &mut policy,
-                    &SearchConfig::default(),
-                )
-                .unwrap();
+                run_search_with(&model, PlanShape::LeftDeep, &mut policy).unwrap();
                 f.combinations_examined += policy.frontier.combinations_examined;
                 f.bound_total = f.bound_total.saturating_add(policy.frontier.bound_total);
                 f.groups += policy.frontier.groups;

@@ -39,16 +39,15 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// The experiments' shorthand: one search under the default
-/// [`lec_core::SearchConfig`], on a model and belief the experiment built.
+/// The experiments' shorthand: one search on a model and belief the
+/// experiment built.
 #[cfg(test)]
 fn search(
     model: &lec_cost::CostModel<'_>,
     memory: &lec_prob::Distribution,
     mode: lec_core::Mode,
 ) -> lec_core::SearchOutcome {
-    lec_core::optimize(model, memory, &mode, &lec_core::SearchConfig::default())
-        .expect("experiment workloads optimize")
+    lec_core::optimize(model, memory, &mode).expect("experiment workloads optimize")
 }
 
 /// Which side of `expected ± margin` a [`verdict`] accepts.

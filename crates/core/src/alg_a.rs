@@ -10,7 +10,7 @@
 //! (`rank_by_expected_cost`, shared with Algorithm B).
 
 use crate::error::OptError;
-use crate::search::{SearchConfig, SearchOutcome, SearchStats};
+use crate::search::{SearchOutcome, SearchStats};
 use crate::Mode;
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::PlanNode;
@@ -34,12 +34,11 @@ pub fn representatives(memory: &Distribution) -> Vec<f64> {
 pub(crate) fn rank_point_plans(
     model: &CostModel<'_>,
     memory: &Distribution,
-    config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
     let mut stats = SearchStats::default();
     let mut plans = Vec::new();
     for m in representatives(memory) {
-        let run = crate::optimize(model, memory, &Mode::LscAt(m), config)?;
+        let run = crate::optimize(model, memory, &Mode::LscAt(m))?;
         stats.absorb(&run.stats);
         plans.push(run.plan);
     }

@@ -24,7 +24,7 @@
 
 use crate::error::OptError;
 use crate::search::{
-    run_search_with, PlanShape, SearchConfig, SearchOutcome, SearchStats, TopCPolicy, MAX_LANES,
+    run_search_with, PlanShape, SearchOutcome, SearchStats, TopCPolicy, MAX_LANES,
 };
 use lec_cost::CostModel;
 use lec_plan::PlanNode;
@@ -38,7 +38,6 @@ pub(crate) fn rank_top_c_plans(
     model: &CostModel<'_>,
     memory: &Distribution,
     c: usize,
-    config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
     if c == 0 {
         return Err(OptError::BadParameter("Algorithm B requires c >= 1"));
@@ -49,7 +48,7 @@ pub(crate) fn rank_top_c_plans(
     let mut candidates: Vec<PlanNode> = Vec::new();
     for pass in reps.chunks(MAX_LANES) {
         let mut policy = TopCPolicy::with_lanes(pass, c);
-        let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, config)?;
+        let run = run_search_with(model, PlanShape::LeftDeep, &mut policy)?;
         stats.absorb(&run.stats);
         for e in &run.roots {
             let plan = run.plans.node(e.plan);
@@ -72,8 +71,7 @@ mod tests {
     /// Algorithm B's Proposition 3.1 counters: its lanes', summed.
     fn frontier(model: &CostModel<'_>, memory: &Distribution, c: usize) -> FrontierStats {
         let mut policy = TopCPolicy::with_lanes(&representatives(memory), c);
-        let config = SearchConfig::default();
-        run_search_with(model, PlanShape::LeftDeep, &mut policy, &config).unwrap();
+        run_search_with(model, PlanShape::LeftDeep, &mut policy).unwrap();
         policy.frontier
     }
 

@@ -27,7 +27,7 @@
 mod tests {
     use crate::fixtures::{example_1_1, example_1_1_memory, three_chain};
     use crate::optimizer::{lsc_at, run, Mode};
-    use lec_cost::CostModel;
+    use lec_cost::{CostModel, Objective};
     use lec_prob::{Distribution, MarkovChain};
 
     #[test]
@@ -89,7 +89,7 @@ mod tests {
         let memory = lec_prob::presets::spread_family(500.0, 0.7, 4).unwrap();
         let r = run(&model, &memory, Mode::AlgorithmC).unwrap();
         let replay = lec_cost::expected_plan_cost_static(&model, &r.plan, &memory);
-        assert!((r.cost - replay).abs() < 1e-6);
+        assert_eq!(r.cost.to_bits(), replay.to_bits(), "{} vs {replay}", r.cost);
     }
 
     #[test]
@@ -126,9 +126,8 @@ mod tests {
             },
         )
         .unwrap();
-        let replay =
-            lec_cost::expected_plan_cost_dynamic(&model, &r.plan, &initial, &chain).unwrap();
-        assert!((r.cost - replay).abs() < 1e-6, "{} vs {replay}", r.cost);
+        let replay = Objective::Dynamic { initial, chain }.replay(&model, &r.plan);
+        assert_eq!(r.cost.to_bits(), replay.to_bits(), "{} vs {replay}", r.cost);
     }
 
     #[test]

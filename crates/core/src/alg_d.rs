@@ -7,7 +7,7 @@
 
 use crate::error::OptError;
 pub use crate::search::AlgDConfig;
-use crate::search::{run_search_with, MultiParamPolicy, PlanShape, SearchConfig, SearchOutcome};
+use crate::search::{run_search_with, MultiParamPolicy, PlanShape, SearchOutcome};
 use lec_cost::CostModel;
 use lec_prob::Distribution;
 
@@ -16,7 +16,6 @@ pub(crate) fn search(
     model: &CostModel<'_>,
     memory: &Distribution,
     config: &AlgDConfig,
-    search: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
     if config.max_buckets == 0 {
         return Err(OptError::BadParameter(
@@ -24,7 +23,7 @@ pub(crate) fn search(
         ));
     }
     let mut policy = MultiParamPolicy::new(memory, config.clone());
-    let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, search)?;
+    let run = run_search_with(model, PlanShape::LeftDeep, &mut policy)?;
     let best = run.best();
     Ok(SearchOutcome {
         plan: run.plans.node(best.plan),
@@ -49,13 +48,7 @@ mod tests {
         config: AlgDConfig,
     ) -> (Distribution, usize) {
         let mut policy = MultiParamPolicy::new(memory, config);
-        let run = run_search_with(
-            model,
-            PlanShape::LeftDeep,
-            &mut policy,
-            &SearchConfig::default(),
-        )
-        .unwrap();
+        let run = run_search_with(model, PlanShape::LeftDeep, &mut policy).unwrap();
         (
             run.best().pages.to_distribution(),
             policy.max_product_support,

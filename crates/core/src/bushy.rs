@@ -62,8 +62,9 @@ mod tests {
         let memory = presets::spread_family(300.0, 0.7, 4).unwrap();
         let bu = run(&model, &memory, Mode::Bushy).unwrap();
         let replay = lec_cost::expected_plan_cost_static(&model, &bu.plan, &memory);
-        assert!(
-            (bu.cost - replay).abs() / replay < 1e-9,
+        assert_eq!(
+            bu.cost.to_bits(),
+            replay.to_bits(),
             "{} vs {replay}",
             bu.cost
         );

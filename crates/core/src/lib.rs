@@ -101,6 +101,6 @@ pub use error::OptError;
 pub use lsc::PointEstimate;
 pub use optimizer::{optimize, Mode, Optimizer};
 pub use search::{
-    run_search_with, CandidatePolicy, FrontierStats, MemoryCoster, PlanShape, SearchConfig,
-    SearchOutcome, SearchStats,
+    run_search_with, CandidatePolicy, FrontierStats, MemoryCoster, PlanShape, SearchOutcome,
+    SearchStats,
 };

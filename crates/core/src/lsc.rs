@@ -67,8 +67,9 @@ mod tests {
         for m in [50.0, 200.0, 1000.0, 50_000.0] {
             let r = lsc_at(&model, m).unwrap();
             let replay = lec_cost::plan_cost_at(&model, &r.plan, m);
-            assert!(
-                (r.cost - replay).abs() < 1e-6,
+            assert_eq!(
+                r.cost.to_bits(),
+                replay.to_bits(),
                 "m={m}: dp cost {} vs replay {replay}",
                 r.cost
             );

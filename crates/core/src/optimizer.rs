@@ -9,7 +9,7 @@ use crate::alg_d::AlgDConfig;
 use crate::error::OptError;
 use crate::lsc::PointEstimate;
 use crate::search::{run_search_with, KeepBestPolicy, MemoryCoster, PlanShape};
-pub use crate::search::{SearchConfig, SearchOutcome, SearchStats};
+pub use crate::search::{SearchOutcome, SearchStats};
 use lec_catalog::Catalog;
 use lec_cost::{CostModel, Objective};
 use lec_plan::{PlanNode, Query};
@@ -146,14 +146,11 @@ pub fn optimize(
     model: &CostModel<'_>,
     memory: &Distribution,
     mode: &Mode,
-    config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
     match mode {
-        Mode::AlgorithmA => crate::alg_a::rank_point_plans(model, memory, config),
-        Mode::AlgorithmB { c } => crate::alg_b::rank_top_c_plans(model, memory, *c, config),
-        Mode::AlgorithmD { config: buckets } => {
-            crate::alg_d::search(model, memory, buckets, config)
-        }
+        Mode::AlgorithmA => crate::alg_a::rank_point_plans(model, memory),
+        Mode::AlgorithmB { c } => crate::alg_b::rank_top_c_plans(model, memory, *c),
+        Mode::AlgorithmD { config: buckets } => crate::alg_d::search(model, memory, buckets),
         _ => {
             let shape = match mode {
                 Mode::Bushy => PlanShape::Bushy,
@@ -164,7 +161,7 @@ pub fn optimize(
             let phases = model.query().n_tables().max(1);
             let coster = MemoryCoster::new(mode.objective(memory)?, phases)?;
             let mut policy = KeepBestPolicy::new(coster);
-            let run = run_search_with(model, shape, &mut policy, config)?;
+            let run = run_search_with(model, shape, &mut policy)?;
             let best = run.best();
             Ok(SearchOutcome {
                 plan: run.plans.node(best.plan),
@@ -225,7 +222,7 @@ impl<'a> Optimizer<'a> {
         query.validate(self.catalog)?;
         let model = CostModel::new(self.catalog, query);
         let start = Instant::now();
-        let mut outcome = optimize(&model, &self.memory, mode, &SearchConfig::default())?;
+        let mut outcome = optimize(&model, &self.memory, mode)?;
         outcome.stats.elapsed = start.elapsed();
         Ok(outcome)
     }
@@ -238,14 +235,14 @@ impl<'a> Optimizer<'a> {
     }
 }
 
-/// Unit-test shorthand: [`optimize`] under the default [`SearchConfig`].
+/// Unit-test shorthand: [`optimize`] taking the mode by value.
 #[cfg(test)]
 pub(crate) fn run(
     model: &CostModel<'_>,
     memory: &Distribution,
     mode: Mode,
 ) -> Result<SearchOutcome, OptError> {
-    optimize(model, memory, &mode, &SearchConfig::default())
+    optimize(model, memory, &mode)
 }
 
 /// Unit-test shorthand: classical System R at the memory value `m`.

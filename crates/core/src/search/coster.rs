@@ -103,7 +103,7 @@ impl MemoryCoster {
             d.support().iter().chain(d.probs()).map(|v| v.to_bits())
         }
         let (mut phases, mut reads) = (Vec::new(), Vec::with_capacity(n_phases.max(1)));
-        for dist in objective.phase_distributions(n_phases.max(1))? {
+        for dist in objective.phase_distributions(n_phases.max(1))?.into_owned() {
             let seen = phases.iter().position(|d| bits(d).eq(bits(&dist)));
             reads.push(seen.unwrap_or(phases.len()));
             if seen.is_none() {

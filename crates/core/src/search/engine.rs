@@ -252,12 +252,6 @@ impl<E: SearchEntry> SearchRun<E> {
     }
 }
 
-/// Holds nothing: a search is the plain DP.  The type and the parameter
-/// of [`run_search_with`] and [`crate::optimize`] stay only because pinned
-/// callers pass `SearchConfig::default()`.
-#[derive(Debug, Clone, Default)]
-pub struct SearchConfig {}
-
 /// Fill the DP table of an `n ≥ 1`-table query level by level: a subset's
 /// splits rank *pending* joins in the policy, which builds them after the
 /// last split, and a level (reading only those below it) fills one
@@ -339,7 +333,6 @@ pub fn run_search_with<P: CandidatePolicy>(
     model: &CostModel<'_>,
     shape: PlanShape,
     policy: &mut P,
-    _config: &SearchConfig,
 ) -> Result<SearchRun<P::Entry>, OptError> {
     let n = model.query().n_tables();
     if n == 0 {

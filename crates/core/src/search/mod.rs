@@ -80,7 +80,7 @@ pub mod top_c;
 
 pub use arena::{PlanArena, PlanId};
 pub use coster::{MemoryCoster, PhaseCoster};
-pub use engine::{run_search_with, PlanShape, SearchConfig, SearchRun};
+pub use engine::{run_search_with, PlanShape, SearchRun};
 pub use keep_best::{DpEntry, KeepBestPolicy};
 pub use lec_plan::Step;
 pub use multi_param::{AlgDConfig, DistEntry, MultiParamPolicy};

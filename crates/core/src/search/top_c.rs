@@ -587,7 +587,7 @@ impl CandidatePolicy for TopCPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{run_search_with, PlanShape, SearchConfig};
+    use crate::search::{run_search_with, PlanShape};
 
     /// A bushy split hands top-c a multi-table inner, whose entries may
     /// differ in size: the policy refuses it rather than price them all
@@ -597,7 +597,7 @@ mod tests {
     fn top_c_refuses_a_bushy_split() {
         let (cat, q) = crate::fixtures::three_chain();
         let model = CostModel::new(&cat, &q);
-        let (mut policy, config) = (TopCPolicy::new(500.0, 3), SearchConfig::default());
-        let _ = run_search_with(&model, PlanShape::Bushy, &mut policy, &config);
+        let mut policy = TopCPolicy::new(500.0, 3);
+        let _ = run_search_with(&model, PlanShape::Bushy, &mut policy);
     }
 }

@@ -8,7 +8,6 @@
 //! `2^40`.
 
 use lec_catalog::{Catalog, ColumnStats, TableStats};
-use lec_core::search::SearchConfig;
 use lec_core::{fixtures, optimize, Mode, OptError, Optimizer, SearchOutcome};
 use lec_cost::formulas::MIN_PAGES;
 use lec_cost::CostModel;
@@ -105,7 +104,7 @@ proptest! {
         if !bfs_connected(&q, TableSet::full(n)) {
             let memory = presets::spread_family(400.0, 0.5, 3).unwrap();
             let model = CostModel::new(&cat, &q);
-            let out = optimize(&model, &memory, &Mode::AlgorithmC, &SearchConfig::default());
+            let out = optimize(&model, &memory, &Mode::AlgorithmC);
             prop_assert!(
                 matches!(out, Err(OptError::NoPlanFound)),
                 "{:?}", out.map(|o| o.plan.compact())

@@ -9,7 +9,7 @@
 use lec_core::fixtures::{pruning_clique, pruning_star, scaling_chain};
 use lec_core::search::{
     run_search_with, CandidatePolicy, DistEntry, JoinContext, MultiParamPolicy, PlanArena,
-    PlanShape, SearchConfig, SearchStats, Step,
+    PlanShape, SearchStats, Step,
 };
 use lec_core::AlgDConfig;
 use lec_cost::{CostModel, DistTables};
@@ -88,12 +88,7 @@ fn a_d_search_allocates_what_its_survivors_keep() {
         let memory = memory();
         let (made, run) = allocations(|| {
             let mut policy = MultiParamPolicy::new(&memory, AlgDConfig::default());
-            run_search_with(
-                &model,
-                PlanShape::LeftDeep,
-                &mut policy,
-                &SearchConfig::default(),
-            )
+            run_search_with(&model, PlanShape::LeftDeep, &mut policy)
         });
         let run = run.unwrap();
         assert_eq!(

@@ -3,10 +3,12 @@
 //! pages, `LscAt(0)` and `LscAt(−5)`, and tables of 2^62 pages all give a
 //! plan with a finite, non-negative cost in every mode.  Memory at or
 //! below zero pages is accepted and priced at the formulas' floor (see
-//! `Mode`'s doc); these are today's answers, pinned.
+//! `Mode`'s doc); a selectivity outside [0, 1], on a join or a filter, is
+//! refused in every mode.  These are today's answers, pinned.
 
 use lec_catalog::{Catalog, ColumnStats, TableStats};
-use lec_core::{fixtures, AlgDConfig, Mode, Optimizer, PointEstimate};
+use lec_core::{fixtures, AlgDConfig, Mode, OptError, Optimizer, PointEstimate};
+use lec_plan::query::QueryError;
 use lec_plan::{ColumnRef, JoinPredicate, Query, QueryTable};
 use lec_prob::{presets, Distribution, MarkovChain};
 
@@ -63,6 +65,27 @@ fn selectivities_of_zero_and_one_are_priced() {
     for sel in [0.0, 1.0] {
         let (catalog, query) = chain_at(sel);
         assert_priced(&format!("selectivity {sel}"), &catalog, &query, &memory);
+    }
+}
+
+#[test]
+fn selectivities_outside_zero_and_one_are_refused() {
+    let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
+    let (catalog, chain) = fixtures::three_chain();
+    let optimizer = Optimizer::new(&catalog, memory.clone());
+    for sel in [2.0, -0.5] {
+        let mut on_join = chain.clone();
+        on_join.joins[1].selectivity = Distribution::point(sel);
+        let mut on_filter = chain.clone();
+        let middle = on_filter.tables[1].table;
+        on_filter.tables[1] = QueryTable::filtered(middle, 0, Distribution::point(sel));
+        for (what, query) in [("join", on_join), ("filter", on_filter)] {
+            for mode in every_mode(&memory) {
+                let got = optimizer.optimize(&query, &mode).map(|out| out.cost);
+                let refused = OptError::InvalidQuery(QueryError::SelectivityOutOfRange(sel));
+                assert_eq!(got, Err(refused), "{what} at {sel}, {}", mode.name());
+            }
+        }
     }
 }
 

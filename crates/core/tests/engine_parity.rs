@@ -9,22 +9,20 @@
 //! collapses to Algorithm C.  (`priced_once_parity.rs` holds the policies
 //! to eager references that price every candidate.)
 
-use lec_core::{
-    fixtures, optimize, AlgDConfig, Mode, OptError, PointEstimate, SearchConfig, SearchOutcome,
-};
+use lec_core::{fixtures, optimize, AlgDConfig, Mode, OptError, PointEstimate, SearchOutcome};
 use lec_cost::oracle::{self, Best};
 use lec_cost::{CostModel, Objective};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;
 
-/// [`optimize`] under the default [`SearchConfig`].
+/// [`optimize`] taking the mode by value.
 fn run(
     model: &CostModel<'_>,
     memory: &Distribution,
     mode: Mode,
 ) -> Result<SearchOutcome, OptError> {
-    optimize(model, memory, &mode, &SearchConfig::default())
+    optimize(model, memory, &mode)
 }
 
 fn workload(seed: u64, n: usize) -> (lec_catalog::Catalog, Query) {
@@ -43,6 +41,11 @@ fn workload(seed: u64, n: usize) -> (lec_catalog::Catalog, Query) {
     (cat, q)
 }
 
+/// Equal within relative 1e-9.  A search's cost and the oracle's are
+/// each a plan's replay to the bit, but not always the same plan's: a
+/// subset's size depends on the order that joined it (the one-page clamp
+/// on a join's output), so the DP can keep a plan whose replay lands an
+/// ulp above the oracle's optimum.
 fn rel_eq(a: f64, b: f64) -> bool {
     (a - b).abs() / a.abs().max(b.abs()).max(1.0) < 1e-9
 }
@@ -192,6 +195,52 @@ proptest! {
             prop_assert!(
                 cost >= best.cost * (1.0 - 1e-9),
                 "{:?}: {} replays to {} below the oracle's {}", mode, plan.compact(), cost, best.cost
+            );
+        }
+    }
+
+    /// Every mode serves its plan's replay under the mode's objective, bit
+    /// for bit: the DP adds `(outer + inner) + E[join]` and a root sort's
+    /// `E[sort]` in the order the replay walks the plan, and A and B rank
+    /// their candidates by the replay itself.  Algorithm D is not among
+    /// them: it prices a join by §3.6's streaming sums over size
+    /// distributions, which can land an ulp from the replay's point sizes
+    /// even when every size is certain.
+    #[test]
+    fn every_mode_serves_its_plans_replay(
+        seed in 0u64..4000,
+        n in 3usize..8,
+        center in 60.0f64..2500.0,
+        spread in 0.1f64..0.9,
+        b in 2usize..6,
+        p_down in 0.05f64..0.4,
+        p_up in 0.05f64..0.4,
+    ) {
+        let (cat, q) = workload(seed, n);
+        let model = CostModel::new(&cat, &q);
+        let memory = presets::spread_family(center, spread, b).unwrap();
+        let chain = MarkovChain::birth_death(memory.support().to_vec(), p_down, p_up).unwrap();
+        let modes = [
+            Mode::Lsc(PointEstimate::Mean),
+            Mode::Lsc(PointEstimate::Mode),
+            Mode::LscAt(center),
+            Mode::AlgorithmA,
+            Mode::AlgorithmB { c: 3 },
+            Mode::AlgorithmC,
+            Mode::AlgorithmCDynamic { chain },
+            Mode::Bushy,
+        ];
+        for mode in modes {
+            let served = run(&model, &memory, mode.clone()).unwrap();
+            let replay = mode.objective(&memory).unwrap().replay(&model, &served.plan);
+            prop_assert_eq!(
+                served.cost.to_bits(),
+                replay.to_bits(),
+                "{}: {} serves {} and replays to {}",
+                mode.name(),
+                served.plan.compact(),
+                served.cost,
+                replay
             );
         }
     }

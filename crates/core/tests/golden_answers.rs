@@ -25,7 +25,6 @@
 use lec_catalog::{Catalog, CatalogGenerator};
 use lec_core::search::{
     run_search_with, JoinContext, KeepBestPolicy, MemoryCoster, PhaseCoster, PlanShape,
-    SearchConfig,
 };
 use lec_core::{fixtures, AlgDConfig, Mode, Optimizer, PointEstimate, SearchStats};
 use lec_cost::CostModel;
@@ -411,9 +410,8 @@ fn a_panicking_coster_unwinds_and_leaves_the_model_usable() {
             calls: std::cell::Cell::new(0),
             k,
         });
-        let config = SearchConfig::default();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_search_with(&model, PlanShape::LeftDeep, &mut policy, &config)
+            run_search_with(&model, PlanShape::LeftDeep, &mut policy)
         }));
         (run, policy.coster.calls.get())
     };
@@ -435,8 +433,8 @@ fn a_panicking_coster_unwinds_and_leaves_the_model_usable() {
             "k = {k}"
         );
     }
-    let got = lec_core::optimize(&model, &mem, &Mode::AlgorithmC, &SearchConfig::default())
-        .expect("the model still searches");
+    let got =
+        lec_core::optimize(&model, &mem, &Mode::AlgorithmC).expect("the model still searches");
     let &(_, _, plan, bits) = GOLDEN
         .iter()
         .find(|r| r.0 == "scaling_chain(6)" && r.1 == "AlgC")

@@ -5,7 +5,7 @@
 //! cases take seconds in a debug build, so CI's release test step runs
 //! them.
 
-use lec_core::{fixtures, optimize, Mode, SearchConfig};
+use lec_core::{fixtures, optimize, Mode};
 use lec_cost::{expected_plan_cost_static, oracle, CostModel, Objective};
 use lec_plan::{JoinMethod, PlanNode};
 use lec_prob::presets;
@@ -15,7 +15,7 @@ use lec_prob::presets;
 fn c_matches_the_oracle((cat, q): (lec_catalog::Catalog, lec_plan::Query)) -> u64 {
     let model = CostModel::new(&cat, &q);
     let memory = presets::spread_family(400.0, 0.5, 4).unwrap();
-    let dp = optimize(&model, &memory, &Mode::AlgorithmC, &SearchConfig::default()).unwrap();
+    let dp = optimize(&model, &memory, &Mode::AlgorithmC).unwrap();
     let best = oracle::left_deep(&model, &Objective::Static(memory)).unwrap();
     assert_eq!(
         dp.cost.to_bits(),
@@ -72,6 +72,6 @@ fn the_oracle_finds_the_seven_table_star_plan_algorithm_c_misses() {
     );
     let replayed = expected_plan_cost_static(&model, &plan, &memory);
     assert_eq!(replayed.to_bits(), best.cost.to_bits(), "{replayed}");
-    let c = optimize(&model, &memory, &Mode::AlgorithmC, &SearchConfig::default()).unwrap();
+    let c = optimize(&model, &memory, &Mode::AlgorithmC).unwrap();
     assert_eq!(c.cost.round(), 1_013_454.0, "{}", c.cost);
 }

@@ -18,7 +18,7 @@
 use lec_catalog::{Catalog, CatalogGenerator, IndexKind};
 use lec_core::search::{
     run_search_with, CandidatePolicy, DpEntry, JoinContext, Joined, KeepBestPolicy, MemoryCoster,
-    PhaseCoster, PlanArena, PlanId, PlanShape, SearchConfig, SearchEntry, SearchStats, Step,
+    PhaseCoster, PlanArena, PlanId, PlanShape, SearchEntry, SearchStats, Step,
 };
 use lec_core::{Mode, PointEstimate};
 use lec_cost::{AccessPath, CostModel};
@@ -384,16 +384,15 @@ proptest! {
         }
         let model = CostModel::new(&catalog, &query);
         let memory: Distribution = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
-        let config = SearchConfig::default();
         let runs = [
             (Mode::Lsc(PointEstimate::Mean), MemoryCoster::point(memory.mean()), PlanShape::LeftDeep),
             (Mode::AlgorithmC, MemoryCoster::fixed(&memory), PlanShape::LeftDeep),
             (Mode::Bushy, MemoryCoster::fixed(&memory), PlanShape::Bushy),
         ];
         for (mode, coster, shape) in runs {
-            let got = lec_core::optimize(&model, &memory, &mode, &config).unwrap();
+            let got = lec_core::optimize(&model, &memory, &mode).unwrap();
             let mut reference = FullClassKeepBest::new(&catalog, &model, coster.clone());
-            let run = run_search_with(&model, shape, &mut reference, &config).unwrap();
+            let run = run_search_with(&model, shape, &mut reference).unwrap();
             let want = run.best();
             let want_plan = run.plans.node(want.plan);
             prop_assert_eq!(
@@ -412,7 +411,7 @@ proptest! {
                 building: TableSet::EMPTY,
                 nodes: HashMap::new(),
             };
-            run_search_with(&model, shape, &mut collapsed, &config).unwrap();
+            run_search_with(&model, shape, &mut collapsed).unwrap();
             prop_assert!(
                 extends_a_strictly_dominated_entry(&reference, &run.plans, &collapsed.nodes, want.plan),
                 "{}: {} vs the reference's {}, both at {:#018x}",

@@ -10,8 +10,7 @@
 use lec_catalog::CatalogGenerator;
 use lec_core::search::policy::shape_rank;
 use lec_core::search::{
-    run_search_with, DpEntry, Joined, PlanArena, PlanId, PlanShape, SearchConfig, SearchEntry,
-    Step, TopCPolicy,
+    run_search_with, DpEntry, Joined, PlanArena, PlanId, PlanShape, SearchEntry, Step, TopCPolicy,
 };
 use lec_cost::CostModel;
 use lec_plan::{JoinMethod, NodeRef, OrderProperty, QueryProfile, Topology, WorkloadGenerator};
@@ -88,8 +87,7 @@ proptest! {
         let query = WorkloadGenerator::new(seed ^ 0x5EED).gen_query(&catalog, &ids, &profile);
         let model = CostModel::new(&catalog, &query);
         let mut policy = TopCPolicy::new(500.0, 8);
-        let config = SearchConfig::default();
-        let run = run_search_with(&model, PlanShape::LeftDeep, &mut policy, &config).unwrap();
+        let run = run_search_with(&model, PlanShape::LeftDeep, &mut policy).unwrap();
         let mut pool = Vec::new();
         for root in &run.roots {
             steps(&run.plans, root.plan, &mut pool);

@@ -18,8 +18,7 @@ use lec_catalog::{Catalog, CatalogGenerator};
 use lec_core::fixtures::{pruning_clique, pruning_star};
 use lec_core::search::{
     insert_entry_shaped, run_search_with, CandidatePolicy, DistEntry, DpEntry, JoinContext, Joined,
-    KeepBestPolicy, MultiParamPolicy, PhaseCoster, PlanArena, PlanShape, SearchConfig, SearchStats,
-    Step,
+    KeepBestPolicy, MultiParamPolicy, PhaseCoster, PlanArena, PlanShape, SearchStats, Step,
 };
 use lec_core::{AlgDConfig, MemoryCoster};
 use lec_cost::{CostModel, DistTables, Objective};
@@ -319,7 +318,6 @@ fn assert_priced_once<P, Q>(
     P::Entry: Viewed,
 {
     let model = CostModel::new(catalog, query);
-    let config = SearchConfig::default();
     for shape in [PlanShape::LeftDeep, PlanShape::Bushy] {
         let ctx = format!("{what}, {shape:?}");
         let mut fast = Logged {
@@ -330,8 +328,8 @@ fn assert_priced_once<P, Q>(
             policy: eager(),
             nodes: Vec::new(),
         };
-        let got = run_search_with(&model, shape, &mut fast, &config).unwrap();
-        let want = run_search_with(&model, shape, &mut slow, &config).unwrap();
+        let got = run_search_with(&model, shape, &mut fast).unwrap();
+        let want = run_search_with(&model, shape, &mut slow).unwrap();
         assert_eq!(fast.nodes.len(), slow.nodes.len(), "node count, {ctx}");
         for (k, (g, w)) in fast.nodes.iter().zip(&slow.nodes).enumerate() {
             assert_eq!(g, w, "node {k}, {ctx}");
@@ -435,9 +433,8 @@ fn multi_param_reports_the_eager_product_support() {
         for d in d_configs() {
             let mut fast = MultiParamPolicy::new(&memory, d.clone());
             let mut slow = EagerMultiParam::new(&memory, d.clone());
-            let config = SearchConfig::default();
-            run_search_with(&model, PlanShape::LeftDeep, &mut fast, &config).unwrap();
-            run_search_with(&model, PlanShape::LeftDeep, &mut slow, &config).unwrap();
+            run_search_with(&model, PlanShape::LeftDeep, &mut fast).unwrap();
+            run_search_with(&model, PlanShape::LeftDeep, &mut slow).unwrap();
             assert_eq!(fast.max_product_support, slow.max_product_support, "{d:?}");
         }
     }

@@ -6,20 +6,20 @@ use lec_core::alg_a::representatives;
 use lec_core::search::TopCPolicy;
 use lec_core::{
     bucketize, optimize, run_search_with, BucketStrategy, Mode, OptError, PlanShape, PointEstimate,
-    SearchConfig, SearchOutcome,
+    SearchOutcome,
 };
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;
 
-/// [`optimize`] under the default [`SearchConfig`].
+/// [`optimize`] taking the mode by value.
 fn run(
     model: &CostModel<'_>,
     memory: &Distribution,
     mode: Mode,
 ) -> Result<SearchOutcome, OptError> {
-    optimize(model, memory, &mode, &SearchConfig::default())
+    optimize(model, memory, &mode)
 }
 
 fn workload(seed: u64, n: usize) -> (lec_catalog::Catalog, Query) {
@@ -79,7 +79,7 @@ proptest! {
         let memory = presets::spread_family(300.0, 0.6, 4).unwrap();
         for m in representatives(&memory) {
             let mut policy = TopCPolicy::new(m, c);
-            run_search_with(&model, PlanShape::LeftDeep, &mut policy, &SearchConfig::default()).unwrap();
+            run_search_with(&model, PlanShape::LeftDeep, &mut policy).unwrap();
             prop_assert!(policy.frontier.combinations_examined <= policy.frontier.bound_total);
         }
     }
@@ -114,9 +114,8 @@ proptest! {
         let (cat, q) = workload(seed, n);
         let at_m = Distribution::point(m);
         let chain = MarkovChain::identity(vec![m]).unwrap();
-        let config = SearchConfig::default();
         let fresh = |mode: Mode| {
-            let r = optimize(&CostModel::new(&cat, &q), &at_m, &mode, &config).unwrap();
+            let r = optimize(&CostModel::new(&cat, &q), &at_m, &mode).unwrap();
             (r.plan.compact(), r.cost.to_bits(), work_counters(&r))
         };
         let lsc = fresh(Mode::LscAt(m));

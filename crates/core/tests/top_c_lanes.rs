@@ -10,8 +10,7 @@ use lec_catalog::{Catalog, CatalogGenerator, ColumnStats, TableStats};
 use lec_core::alg_a::representatives;
 use lec_core::fixtures::three_chain;
 use lec_core::search::{
-    run_search_with, DpEntry, FrontierStats, PlanArena, PlanShape, SearchConfig, SearchStats,
-    TopCPolicy,
+    run_search_with, DpEntry, FrontierStats, PlanArena, PlanShape, SearchStats, TopCPolicy,
 };
 use lec_core::{optimize, Mode};
 use lec_cost::{expected_plan_cost_static, CostModel};
@@ -66,12 +65,11 @@ struct Reference {
 /// the first candidate of least expected cost, its replay's evaluations
 /// counted.
 fn reference(model: &CostModel<'_>, memory: &Distribution, c: usize) -> Reference {
-    let config = SearchConfig::default();
     let (mut stats, mut frontier) = (SearchStats::default(), FrontierStats::default());
     let (mut candidates, mut roots) = (Vec::new(), Vec::new());
     for m in representatives(memory) {
         let mut policy = TopCPolicy::new(m, c);
-        let run = run_search_with(model, PlanShape::LeftDeep, &mut policy, &config).unwrap();
+        let run = run_search_with(model, PlanShape::LeftDeep, &mut policy).unwrap();
         stats.absorb(&run.stats);
         let f = policy.frontier;
         frontier.combinations_examined += f.combinations_examined;
@@ -108,9 +106,8 @@ fn reference(model: &CostModel<'_>, memory: &Distribution, c: usize) -> Referenc
 /// one pass.
 fn assert_lanes_match(catalog: &Catalog, query: &Query, memory: &Distribution, c: usize) {
     let model = CostModel::new(catalog, query);
-    let config = SearchConfig::default();
     let want = reference(&model, memory, c);
-    let got = optimize(&model, memory, &Mode::AlgorithmB { c }, &config).unwrap();
+    let got = optimize(&model, memory, &Mode::AlgorithmB { c }).unwrap();
     let ctx = format!("c = {c}, {} buckets, {}", memory.len(), want.plan.compact());
     assert_eq!(got.plan, want.plan, "plan, {ctx}");
     assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost, {ctx}");
@@ -118,7 +115,7 @@ fn assert_lanes_match(catalog: &Catalog, query: &Query, memory: &Distribution, c
     let reps = representatives(memory);
     if reps.len() <= lec_core::search::MAX_LANES {
         let mut policy = TopCPolicy::with_lanes(&reps, c);
-        let run = run_search_with(&model, PlanShape::LeftDeep, &mut policy, &config).unwrap();
+        let run = run_search_with(&model, PlanShape::LeftDeep, &mut policy).unwrap();
         assert_eq!(view(&run.plans, &run.roots), want.roots, "roots, {ctx}");
         assert_eq!(policy.frontier, want.frontier, "frontier, {ctx}");
     }

@@ -10,8 +10,7 @@ use lec_core::fixtures::{pruning_clique, pruning_star, three_chain};
 use lec_core::search::policy::shape_rank;
 use lec_core::search::{
     insert_top_c, order_run, run_search_with, CandidatePolicy, DpEntry, FrontierStats, JoinContext,
-    Joined, MemoryCoster, PhaseCoster, PlanArena, PlanId, PlanShape, SearchConfig, SearchStats,
-    Step, TopCPolicy,
+    Joined, MemoryCoster, PhaseCoster, PlanArena, PlanId, PlanShape, SearchStats, Step, TopCPolicy,
 };
 use lec_cost::CostModel;
 use lec_plan::{
@@ -210,7 +209,6 @@ impl<P: CandidatePolicy<Entry = DpEntry>> CandidatePolicy for Logged<P> {
 /// with the policy's `evals` no more than the reference's.
 fn assert_early_stop_is_exact(catalog: &Catalog, query: &Query, memory: f64, c: usize) {
     let model = CostModel::new(catalog, query);
-    let config = SearchConfig::default();
     let mut fast = Logged {
         policy: TopCPolicy::new(memory, c),
         nodes: Vec::new(),
@@ -219,8 +217,8 @@ fn assert_early_stop_is_exact(catalog: &Catalog, query: &Query, memory: f64, c: 
         policy: EagerTopC::new(memory, c),
         nodes: Vec::new(),
     };
-    let got = run_search_with(&model, PlanShape::LeftDeep, &mut fast, &config).unwrap();
-    let want = run_search_with(&model, PlanShape::LeftDeep, &mut eager, &config).unwrap();
+    let got = run_search_with(&model, PlanShape::LeftDeep, &mut fast).unwrap();
+    let want = run_search_with(&model, PlanShape::LeftDeep, &mut eager).unwrap();
     let ctx = format!("c = {c}, m = {memory}");
     assert_eq!(fast.nodes, eager.nodes, "nodes, {ctx}");
     assert_eq!(

@@ -11,10 +11,10 @@
 //!   sort deliver — the one definition the DP, the replay and the oracle
 //!   read — access-path and join cost dispatch, and the cost-formula
 //!   evaluation counter the paper's complexity claims are stated in;
-//! * [`plan_cost`] — whole-plan costing `C(P, v)`, the §3.5 phase
-//!   decomposition, expected plan cost under static and Markov-evolving
-//!   memory (the replay), and the memory belief [`Objective`] that names
-//!   which;
+//! * [`plan_cost`] — whole-plan costing: the replay, one walk that prices
+//!   a plan's §3.5 phases under static or Markov-evolving memory and sums
+//!   as the DP sums, under the memory belief [`Objective`] that names
+//!   which, and the per-node decomposition the calibration audit reads;
 //! * [`expected`] — expected *join* cost under size+memory distributions:
 //!   the defining `O(b³)` triple sum and the paper's `O(b)` streaming
 //!   algorithms, which are tested to agree exactly, reading each
@@ -39,6 +39,6 @@ pub use model::{
     CostModel, Fingerprint, Prehashed, Split,
 };
 pub use plan_cost::{
-    expected_plan_cost_dynamic, expected_plan_cost_static, output_order, phases, plan_cost_at,
-    plan_node_costs, NodeKind, Objective, OpClass, Phase, PlanNodeCost,
+    expected_plan_cost_static, output_order, plan_cost_at, plan_node_costs, NodeKind, Objective,
+    OpClass, PlanNodeCost,
 };

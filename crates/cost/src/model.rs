@@ -109,7 +109,7 @@ pub struct CostModel<'a> {
     query: &'a Query,
     /// Read only to classify a sort's key ([`crate::output_order`]).
     pub(crate) equivalences: ColumnEquivalences,
-    /// [`CostModel::index_scan_order`] per table.
+    /// Each table's index scan's [`CostModel::access_order`].
     index_orders: Vec<OrderProperty>,
     /// Per-table [`table_occurrence_fingerprint`]s, precomputed so the
     /// engine's tie-breaks are an array lookup rather than a rehash.
@@ -254,10 +254,14 @@ impl<'a> CostModel<'a> {
         self.query
     }
 
-    /// The order a table's index scan delivers: its filter column's when
-    /// the index is clustered, none otherwise.
-    pub fn index_scan_order(&self, table_idx: usize) -> OrderProperty {
-        self.index_orders[table_idx]
+    /// The order an access path delivers, priced by nothing: an index
+    /// scan its filter column's when the index is clustered, anything
+    /// else none.
+    pub fn access_order(&self, path: AccessPath, table_idx: usize) -> OrderProperty {
+        match path {
+            AccessPath::SeqScan => OrderProperty::Unsorted,
+            AccessPath::IndexScan => self.index_orders[table_idx],
+        }
     }
 
     /// Label-independent fingerprint of one table occurrence: everything
@@ -459,14 +463,15 @@ impl<'a> CostModel<'a> {
     }
 
     /// Each of [`Self::access_paths`] as the step that scans the table,
-    /// the order it delivers and its [`Self::access_cost`], one evaluation
-    /// per path.
+    /// its [`Self::access_order`] and its [`Self::access_cost`], one
+    /// evaluation per path.
     pub fn accesses(&self, table: usize) -> impl Iterator<Item = (Step, OrderProperty, f64)> + '_ {
         self.access_paths(table).into_iter().map(move |path| {
-            let (step, order) = match path {
-                AccessPath::SeqScan => (Step::SeqScan(table), OrderProperty::Unsorted),
-                AccessPath::IndexScan => (Step::IndexScan(table), self.index_scan_order(table)),
+            let step = match path {
+                AccessPath::SeqScan => Step::SeqScan(table),
+                AccessPath::IndexScan => Step::IndexScan(table),
             };
+            let order = self.access_order(path, table);
             (step, order, self.access_cost(path, table))
         })
     }

@@ -1,18 +1,18 @@
 //! Ground truth for the optimizer's theorems: every plan of a space, priced
-//! by the replay (`expected_plan_cost_{static,dynamic}`), below the
-//! optimizer crate so that it shares none of the DP's search code (what a
-//! join, an access and a root sort deliver it reads from [`CostModel`], as
-//! the DP does).  [`left_deep`]
-//! shares each prefix's fold among the plans extending it, in the replay's
-//! own order (static: a running sum per memory bucket, phases innermost
-//! first, then `Σ f(m)·p(m)`; dynamic: a running sum of per-phase
-//! expectations), so every cost is the replay's to the bit; [`bushy`]
-//! replays each plan whole.
+//! by the replay ([`Objective::replay`]), below the optimizer crate so that
+//! it shares none of the DP's search code (what a join, an access and a
+//! root sort deliver it reads from [`CostModel`], as the DP does).
+//! [`left_deep`] carries one cost per prefix, shared among the plans
+//! extending it and summed in the replay's order — the prefix plus the new
+//! table's access, plus the join's expectation under its phase's memory,
+//! then the root sort's — so every cost is the replay's to the bit;
+//! [`bushy`] replays each plan whole.
 
 use crate::model::CostModel;
-use crate::plan_cost::{expected_plan_cost_static, output_order, Objective};
+use crate::plan_cost::{expected_plan_cost_static, output_order, phase_memory, Objective};
 use lec_plan::{JoinMethod, OrderProperty as Order, PlanNode, TableSet};
 use lec_prob::Distribution;
+use std::borrow::Cow;
 
 /// The cheapest plan of a space and what the enumeration saw.
 #[derive(Debug, Clone)]
@@ -63,13 +63,9 @@ fn accesses(model: &CostModel<'_>) -> Vec<Vec<Access>> {
 /// A left-deep enumeration in progress.
 struct LeftDeep<'m, 'a> {
     model: &'m CostModel<'a>,
-    objective: &'m Objective,
-    /// The memory distribution per phase, read by a dynamic objective.
-    phases: Vec<Distribution>,
+    /// The memory distribution per phase ([`Objective::phase_distributions`]).
+    phases: Cow<'m, [Distribution]>,
     accesses: Vec<Vec<Access>>,
-    /// Running sums, `width` per row: row `k` after `k` phases.
-    sums: Vec<f64>,
-    width: usize,
     /// The prefix's leaves as (table, index into its `accesses`), each
     /// with the join that brought it in (unread for the first).
     path: Vec<(JoinMethod, usize, usize)>,
@@ -77,60 +73,40 @@ struct LeftDeep<'m, 'a> {
 }
 
 impl LeftDeep<'_, '_> {
-    /// Fill row `k + 1`, returned, with row `k` plus phase `k` at `cost(m)`:
-    /// fixed part plus operator, as [`crate::Phase::cost_at`] adds them.
-    fn add(&mut self, k: usize, cost: impl Fn(f64) -> f64) -> usize {
-        let w = self.width;
-        let (prev, next) = self.sums[k * w..(k + 2) * w].split_at_mut(w);
-        match self.objective {
-            Objective::Static(memory) => {
-                for ((n, p), &m) in next.iter_mut().zip(&*prev).zip(memory.support()) {
-                    *n = p + cost(m);
-                }
-            }
-            Objective::Dynamic { .. } => next[0] = prev[0] + self.phases[k].expect(cost),
-        }
-        k + 1
-    }
-
-    /// Extend the prefix over `set`, its phases folded into row `|set| - 1`;
-    /// `pending` is a lone table's access cost, which the first join pays.
-    fn extend(&mut self, set: TableSet, pages: f64, order: Order, pending: f64) {
+    /// Extend the prefix over `set`, which costs `cost`, by each table `j`
+    /// it can join: at phase `|set| - 1` that costs `(cost + access) +
+    /// E[join]`, as the DP and the replay add, and `j`'s access paths
+    /// share the size pair's four prices.
+    fn extend(&mut self, set: TableSet, pages: f64, order: Order, cost: f64) {
         let (model, q, k) = (self.model, self.model.query(), set.len() - 1);
         if k + 1 == q.n_tables() {
-            return self.complete(k, pages, order, pending);
+            return self.complete(k, pages, order, cost);
         }
         for j in (0..q.n_tables()).filter(|&j| !set.contains(j) && q.is_connected_to(set, j)) {
             let (right, inner) = (TableSet::singleton(j), model.base_pages(j));
             let split = model.split(set, right);
             let out = split.pages(pages, inner);
+            let prices =
+                model.expected_join_costs_over(pages, inner, phase_memory(&self.phases, k));
             for a in 0..self.accesses[j].len() {
-                let fixed = pending + self.accesses[j][a].0;
-                for method in JoinMethod::ALL {
-                    self.add(k, |m| fixed + model.join_cost(method, pages, inner, m));
+                let access = self.accesses[j][a].0;
+                for (method, price) in JoinMethod::ALL.into_iter().zip(prices) {
                     self.path.push((method, j, a));
-                    self.extend(set.with(j), out, split.order(method, order), 0.0);
+                    let order = split.order(method, order);
+                    self.extend(set.with(j), out, order, (cost + access) + price);
                     self.path.pop();
                 }
             }
         }
     }
 
-    /// Price a complete order with its root phase — a sort where the order
-    /// is missing, else a lone table's access — and offer it.
-    fn complete(&mut self, k: usize, pages: f64, order: Order, pending: f64) {
+    /// Price a complete order's root sort, at phase `k`, where the order
+    /// is missing, and offer it.
+    fn complete(&mut self, k: usize, pages: f64, order: Order, cost: f64) {
         let (model, sort) = (self.model, self.model.root_sort(order));
-        let row = if sort.is_some() {
-            self.add(k, |m| pending + model.sort_cost(pages, m))
-        } else if pending > 0.0 {
-            self.add(k, |_| pending)
-        } else {
-            k
-        };
-        let sums = &self.sums[row * self.width..(row + 1) * self.width];
-        let cost = match self.objective {
-            Objective::Static(memory) => sums.iter().zip(memory.probs()).map(|(s, p)| s * p).sum(),
-            Objective::Dynamic { .. } => sums[0],
+        let cost = match sort {
+            Some(_) => cost + model.expected_sort_cost_over(pages, phase_memory(&self.phases, k)),
+            None => cost,
         };
         let (path, accesses) = (&self.path, &self.accesses);
         let leaf = |t: usize, a: usize| accesses[t][a].2.clone();
@@ -147,27 +123,18 @@ impl LeftDeep<'_, '_> {
 /// objective's chain cannot evolve its initial distribution.
 pub fn left_deep(model: &CostModel<'_>, objective: &Objective) -> Option<Best> {
     let n = model.query().n_tables();
-    let width = match objective {
-        Objective::Static(memory) => memory.len(),
-        Objective::Dynamic { .. } => 1,
-    };
-    let phases = objective.phase_distributions(n).expect("chain evolves");
-    let (accesses, sums) = (accesses(model), vec![0.0; (n + 1) * width]);
     let mut walk = LeftDeep {
         model,
-        objective,
-        phases,
-        accesses,
-        sums,
-        width,
+        phases: objective.phase_distributions(n).expect("chain evolves"),
+        accesses: accesses(model),
         path: Vec::with_capacity(n),
         best: Best::nothing(),
     };
     for t in 0..n {
         for a in 0..walk.accesses[t].len() {
-            let (pending, order, _) = walk.accesses[t][a];
+            let (cost, order, _) = walk.accesses[t][a];
             walk.path.push((JoinMethod::SortMerge, t, a));
-            walk.extend(TableSet::singleton(t), model.base_pages(t), order, pending);
+            walk.extend(TableSet::singleton(t), model.base_pages(t), order, cost);
             walk.path.pop();
         }
     }

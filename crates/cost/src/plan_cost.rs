@@ -1,5 +1,5 @@
-//! Whole-plan costing: `C(P, v)`, phase decomposition, and expected cost
-//! under static and dynamically changing memory.
+//! Whole-plan costing: `C(P, v)` and expected cost under static and
+//! dynamically changing memory, one replay for all three.
 //!
 //! The paper's cost function takes "a plan p and a vector v of values of
 //! relevant parameters" (§3.1).  Here `v` is the available memory (sizes
@@ -7,30 +7,14 @@
 //! business of `lec-core`'s Algorithm D, which costs joins *before* plans
 //! exist).  For §3.5's dynamic case, "plan execution takes place in phases,
 //! each corresponding to a join in the plan ... memory does not change
-//! during the execution of a phase, but can change between phases" —
-//! [`phases`] materializes exactly that decomposition.
+//! during the execution of a phase, but can change between phases": the
+//! replay prices the `k`-th sort or join of a plan's postorder under phase
+//! `k`'s memory distribution ([`Objective::phase_distributions`]).
 
 use crate::model::{AccessPath, CostModel};
 use lec_plan::{JoinMethod, NodeRef, OrderProperty, PlanNode, Step};
 use lec_prob::{Distribution, MarkovChain, ProbError};
-
-/// One execution phase (§3.5): a join or sort plus the memory-independent
-/// access costs charged alongside it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Phase {
-    /// Memory-independent cost (base-table accesses feeding this phase).
-    pub fixed: f64,
-    /// The sort or join that opens the phase; `None` for a lone access
-    /// (a degenerate single-access plan).
-    pub op: Option<NodeKind>,
-}
-
-impl Phase {
-    /// Cost of the phase when memory is `m`.
-    pub fn cost_at(&self, model: &CostModel<'_>, m: f64) -> f64 {
-        self.fixed + self.op.as_ref().map_or(0.0, |op| op.cost_at(model, m))
-    }
-}
+use std::borrow::Cow;
 
 /// What one audited plan node is, with the point-estimated operand sizes
 /// its predicted cost is computed from.
@@ -98,17 +82,17 @@ impl OpClass {
 
 /// One plan node's predicted-cost record: the per-node decomposition the
 /// calibration observatory (`lec-exec::calib`) audits against measured
-/// page I/O.  Emitted by [`plan_node_costs`] in the exact traversal order
-/// of [`phases`], so a node's `phase` index lines up with the phase list
-/// and with [`Objective::phase_distributions`].
+/// page I/O.  Emitted by [`plan_node_costs`] in the replay's traversal
+/// order, so a node's `phase` index is the one the replay prices it at
+/// and indexes [`Objective::phase_distributions`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanNodeCost {
     /// Short display label (`R0`, `IxR2`, `Sort`, `SM`, ... — the
     /// vocabulary of `PlanNode::compact`).
     pub label: String,
-    /// Index into [`phases`] for memory-dependent nodes; `None` for
-    /// base-table accesses (their cost is memory-independent and folded
-    /// into an enclosing phase's fixed part).
+    /// The §3.5 phase of a sort or join, the `k`-th of the plan's
+    /// postorder being phase `k`; `None` for base-table accesses (their
+    /// cost is memory-independent).
     pub phase: Option<usize>,
     /// The node's operator and operand sizes.
     pub kind: NodeKind,
@@ -117,7 +101,15 @@ pub struct PlanNodeCost {
 impl PlanNodeCost {
     /// The node's predicted cost when memory is `m` pages.
     pub fn cost_at(&self, model: &CostModel<'_>, m: f64) -> f64 {
-        self.kind.cost_at(model, m)
+        match self.kind {
+            NodeKind::Access { path, table } => model.access_cost(path, table),
+            NodeKind::Sort { pages } => model.sort_cost(pages, m),
+            NodeKind::Join {
+                method,
+                outer,
+                inner,
+            } => model.join_cost(method, outer, inner, m),
+        }
     }
 
     /// The physical operator class of this node.
@@ -142,99 +134,105 @@ impl PlanNodeCost {
     }
 }
 
-impl NodeKind {
-    /// The operator's predicted cost when memory is `m` pages: the one
-    /// per-operator price of the replay.
-    pub fn cost_at(&self, model: &CostModel<'_>, m: f64) -> f64 {
-        match *self {
-            NodeKind::Access { path, table } => model.access_cost(path, table),
-            NodeKind::Sort { pages } => model.sort_cost(pages, m),
-            NodeKind::Join {
-                method,
-                outer,
-                inner,
-            } => model.join_cost(method, outer, inner, m),
-        }
-    }
-}
-
 /// The replay's one walk over a plan: postorder, outer before inner.
-/// Calls `visit(node, kind, fixed)` once per node, where `fixed` is `Some`
-/// for a sort or join — the access costs of the leaves directly below it,
-/// which its phase carries — and `None` for an access.  Returns the
-/// node's output pages and, for an access, its cost not yet carried by a
-/// phase.
+/// Calls `visit(node, kind, phase)` once per node, where `phase` is the
+/// node's §3.5 phase — the `k`-th sort or join in postorder is phase `k` —
+/// and `None` for an access.
 fn walk<'p>(
     model: &CostModel<'_>,
-    node: NodeRef<'p>,
-    visit: &mut impl FnMut(NodeRef<'p>, NodeKind, Option<f64>),
-) -> (f64, f64) {
-    let mut access = |path, table| {
-        visit(node, NodeKind::Access { path, table }, None);
-        (model.base_pages(table), model.access_cost(path, table))
-    };
-    match node.node() {
-        Step::SeqScan(table) => access(AccessPath::SeqScan, table),
-        Step::IndexScan(table) => access(AccessPath::IndexScan, table),
-        Step::Sort(input, _) => {
-            let (pages, pending) = walk(model, input, visit);
-            visit(node, NodeKind::Sort { pages }, Some(pending));
-            (pages, 0.0)
-        }
-        Step::Join(method, outer, inner) => {
-            let (outer_pages, outer_pending) = walk(model, outer, visit);
-            let (inner_pages, inner_pending) = walk(model, inner, visit);
-            let kind = NodeKind::Join {
-                method,
-                outer: outer_pages,
-                inner: inner_pages,
-            };
-            visit(node, kind, Some(outer_pending + inner_pending));
-            let split = model.split(outer.tables(), inner.tables());
-            (split.pages(outer_pages, inner_pages), 0.0)
-        }
+    plan: &'p PlanNode,
+    mut visit: impl FnMut(NodeRef<'p>, NodeKind, Option<usize>),
+) {
+    /// Visit `node`'s subtree and return its output pages.
+    fn go<'p>(
+        model: &CostModel<'_>,
+        node: NodeRef<'p>,
+        phases: &mut std::ops::RangeFrom<usize>,
+        visit: &mut impl FnMut(NodeRef<'p>, NodeKind, Option<usize>),
+    ) -> f64 {
+        let access = |path, table| (NodeKind::Access { path, table }, model.base_pages(table));
+        let (kind, pages) = match node.node() {
+            Step::SeqScan(table) => access(AccessPath::SeqScan, table),
+            Step::IndexScan(table) => access(AccessPath::IndexScan, table),
+            Step::Sort(input, _) => {
+                let pages = go(model, input, phases, visit);
+                (NodeKind::Sort { pages }, pages)
+            }
+            Step::Join(method, outer, inner) => {
+                let outer_pages = go(model, outer, phases, visit);
+                let inner_pages = go(model, inner, phases, visit);
+                let split = model.split(outer.tables(), inner.tables());
+                let kind = NodeKind::Join {
+                    method,
+                    outer: outer_pages,
+                    inner: inner_pages,
+                };
+                (kind, split.pages(outer_pages, inner_pages))
+            }
+        };
+        let phase = match kind {
+            NodeKind::Access { .. } => None,
+            _ => phases.next(),
+        };
+        visit(node, kind, phase);
+        pages
     }
+    go(model, plan.root(), &mut (0..), &mut visit);
 }
 
-/// Per-node predicted-cost decomposition of a plan, in the traversal order
-/// of [`phases`] (post-order, outer before inner; access leaves emitted
-/// where they occur).  Invariant, tested here and re-asserted by every
-/// calibration audit: for any memory `m`, the node costs sum to the
-/// whole-plan prediction `plan_cost_at(model, plan, m)`.
+/// Per-node predicted-cost decomposition of a plan, in the replay's
+/// traversal order (postorder, outer before inner).  Invariant, tested
+/// here and re-asserted by every calibration audit: for any memory `m`,
+/// the node costs sum to the whole-plan prediction
+/// `plan_cost_at(model, plan, m)`.
 pub fn plan_node_costs(model: &CostModel<'_>, plan: &PlanNode) -> Vec<PlanNodeCost> {
     let mut out = Vec::with_capacity(plan.steps().len());
-    let mut next_phase = 0..;
-    walk(model, plan.root(), &mut |node, kind, fixed| {
+    walk(model, plan, |node, kind, phase| {
         let label = match &kind {
             NodeKind::Access { .. } => node.compact(),
             NodeKind::Sort { .. } => "Sort".to_string(),
             NodeKind::Join { method, .. } => method.name().to_string(),
         };
-        let phase = fixed.and_then(|_| next_phase.next());
         out.push(PlanNodeCost { label, phase, kind });
     });
     out
 }
 
-/// Decompose a plan into execution phases, innermost first.
-pub fn phases(model: &CostModel<'_>, plan: &PlanNode) -> Vec<Phase> {
-    let mut out = Vec::with_capacity(plan.n_phases());
-    let (_, pending) = walk(model, plan.root(), &mut |_, kind, fixed| {
-        if let Some(fixed) = fixed {
-            out.push(Phase {
-                fixed,
-                op: Some(kind),
-            });
-        }
+/// Phase `k`'s memory among `phases`: `phases[k]`, or the last where
+/// there are fewer (the rule of `lec_core`'s `MemoryCoster`).
+pub(crate) fn phase_memory(phases: &[Distribution], k: usize) -> &Distribution {
+    &phases[k.min(phases.len() - 1)]
+}
+
+/// The replay: `plan`'s cost with each phase priced under its
+/// [`phase_memory`], summed as the DP sums — an access costs its access
+/// cost, a sort its input plus `E[sort]`, a join `(outer + inner) +
+/// E[join]` — so a search's cost is its plan's replay to the bit.
+fn replay_over(model: &CostModel<'_>, plan: &PlanNode, phases: &[Distribution]) -> f64 {
+    let memory = |phase: Option<usize>| phase_memory(phases, phase.unwrap_or(0));
+    // The costs of the subtrees whose parent is not visited yet.
+    let mut costs = Vec::with_capacity(plan.steps().len());
+    walk(model, plan, |_, kind, phase| {
+        let cost = match kind {
+            NodeKind::Access { path, table } => model.access_cost(path, table),
+            NodeKind::Sort { pages } => {
+                let input = costs.pop().expect("a sort has an input");
+                input + model.expected_sort_cost_over(pages, memory(phase))
+            }
+            NodeKind::Join {
+                method,
+                outer,
+                inner,
+            } => {
+                let inner_cost = costs.pop().expect("a join has an inner");
+                let outer_cost = costs.pop().expect("a join has an outer");
+                let join = model.expected_join_cost_over(method, outer, inner, memory(phase));
+                (outer_cost + inner_cost) + join
+            }
+        };
+        costs.push(cost);
     });
-    if pending > 0.0 {
-        // Degenerate single-access plan: charge the access as its own phase.
-        out.push(Phase {
-            fixed: pending,
-            op: None,
-        });
-    }
-    out
+    costs.pop().expect("a plan has a root")
 }
 
 /// The order property of a plan's output.
@@ -242,13 +240,13 @@ pub fn phases(model: &CostModel<'_>, plan: &PlanNode) -> Vec<Phase> {
 /// Rules (the \[SAC+79\] interesting-order extension, with the required
 /// order the one interesting order — [`lec_plan::order`]):
 /// * a join delivers what [`crate::Split::order`] says of its method;
-/// * a clustered index scan produces its filter column's order;
+/// * an access delivers its [`CostModel::access_order`];
 /// * a sort produces its key's order.
 pub fn output_order(model: &CostModel<'_>, plan: &PlanNode) -> OrderProperty {
     fn order(model: &CostModel<'_>, node: NodeRef<'_>) -> OrderProperty {
         match node.node() {
-            Step::SeqScan(_) => OrderProperty::Unsorted,
-            Step::IndexScan(table) => model.index_scan_order(table),
+            Step::SeqScan(table) => model.access_order(AccessPath::SeqScan, table),
+            Step::IndexScan(table) => model.access_order(AccessPath::IndexScan, table),
             Step::Sort(_, key) => model.equivalences.sorted_on(key),
             Step::Join(method, outer, inner) => {
                 (model.split(outer.tables(), inner.tables())).order(method, order(model, outer))
@@ -258,42 +256,21 @@ pub fn output_order(model: &CostModel<'_>, plan: &PlanNode) -> OrderProperty {
     order(model, plan.root())
 }
 
-/// Total plan cost `C(P, m)` at a fixed memory value.
+/// Total plan cost `C(P, m)` at a fixed memory value: the replay under a
+/// point memory.  Panics on a non-finite `m` ([`Distribution::point`]).
 pub fn plan_cost_at(model: &CostModel<'_>, plan: &PlanNode, m: f64) -> f64 {
-    phases(model, plan)
-        .iter()
-        .map(|p| p.cost_at(model, m))
-        .sum()
+    replay_over(model, plan, &[Distribution::point(m)])
 }
 
 /// Expected plan cost under a static memory distribution:
-/// `EC(P) = Σ_m C(P, m)·Pr(m)` (§3.1).
+/// `EC(P) = Σ_m C(P, m)·Pr(m)` (§3.1), [`Objective::replay`] of a static
+/// belief.
 pub fn expected_plan_cost_static(
     model: &CostModel<'_>,
     plan: &PlanNode,
     memory: &Distribution,
 ) -> f64 {
-    let ph = phases(model, plan);
-    memory.expect(|m| ph.iter().map(|p| p.cost_at(model, m)).sum())
-}
-
-/// Expected plan cost when memory evolves between phases (§3.5): phase `k`
-/// sees the initial distribution pushed `k` steps through the chain.
-/// Linearity of expectation makes this a per-phase sum — the observation
-/// Theorem 3.4 rests on.
-pub fn expected_plan_cost_dynamic(
-    model: &CostModel<'_>,
-    plan: &PlanNode,
-    initial: &Distribution,
-    chain: &MarkovChain,
-) -> Result<f64, ProbError> {
-    let ph = phases(model, plan);
-    let marginals = chain.marginals(initial, ph.len())?;
-    let mut total = 0.0;
-    for (phase, dist) in ph.iter().zip(&marginals) {
-        total += dist.expect(|m| phase.cost_at(model, m));
-    }
-    Ok(total)
+    replay_over(model, plan, std::slice::from_ref(memory))
 }
 
 /// A memory belief: what a plan is priced by.  The optimizer's exact
@@ -306,6 +283,8 @@ pub enum Objective {
     /// one-bucket distribution.
     Static(Distribution),
     /// §3.5: phase `k` sees `initial` pushed `k` steps through `chain`.
+    /// Linearity of expectation makes a plan's cost one expectation per
+    /// phase — the observation Theorem 3.4 rests on.
     Dynamic {
         /// The first phase's memory distribution.
         initial: Distribution,
@@ -315,24 +294,21 @@ pub enum Objective {
 }
 
 impl Objective {
-    /// The memory distribution of each of `n` phases: `n` copies of a
-    /// static belief, or the chain's marginals.
-    pub fn phase_distributions(&self, n: usize) -> Result<Vec<Distribution>, ProbError> {
+    /// The memory distribution of each of `n` phases: phase `k` reads
+    /// element `k`, or the last where there are fewer.  A static belief is
+    /// its one distribution, a dynamic one the chain's `n` marginals.
+    pub fn phase_distributions(&self, n: usize) -> Result<Cow<'_, [Distribution]>, ProbError> {
         match self {
-            Objective::Static(memory) => Ok(vec![memory.clone(); n]),
-            Objective::Dynamic { initial, chain } => chain.marginals(initial, n),
+            Objective::Static(memory) => Ok(Cow::Borrowed(std::slice::from_ref(memory))),
+            Objective::Dynamic { initial, chain } => chain.marginals(initial, n).map(Cow::Owned),
         }
     }
 
     /// The replay's cost of `plan`.  Panics if a dynamic objective's chain
     /// cannot evolve its initial distribution.
     pub fn replay(&self, model: &CostModel<'_>, plan: &PlanNode) -> f64 {
-        match self {
-            Objective::Static(memory) => expected_plan_cost_static(model, plan, memory),
-            Objective::Dynamic { initial, chain } => {
-                expected_plan_cost_dynamic(model, plan, initial, chain).expect("chain evolves")
-            }
-        }
+        let phases = (self.phase_distributions(plan.n_phases().max(1))).expect("chain evolves");
+        replay_over(model, plan, &phases)
     }
 }
 
@@ -437,23 +413,34 @@ mod tests {
     fn phase_decomposition_shape() {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
-        let ph = phases(&model, &plan2());
-        assert_eq!(ph.len(), 2);
-        // Phase 0: the join, carrying both scans as fixed cost.
-        assert_eq!(ph[0].fixed, 1_400_000.0);
+        let nodes = plan_node_costs(&model, &plan2());
+        let phased: Vec<_> = nodes
+            .iter()
+            .filter_map(|n| Some((n.phase?, &n.kind)))
+            .collect();
+        assert_eq!(phased.len(), 2);
+        // Phase 0: the join of the two scans.
         assert!(matches!(
-            ph[0].op,
-            Some(NodeKind::Join {
-                method: JoinMethod::GraceHash,
-                ..
-            })
+            phased[0],
+            (
+                0,
+                NodeKind::Join {
+                    method: JoinMethod::GraceHash,
+                    ..
+                }
+            )
         ));
         // Phase 1: the sort of the 3000-page result.
-        assert_eq!(ph[0].fixed + ph[1].fixed, 1_400_000.0);
-        match ph[1].op {
-            Some(NodeKind::Sort { pages }) => assert!((pages - 3000.0).abs() < 1e-6),
+        match phased[1] {
+            (1, NodeKind::Sort { pages }) => assert!((pages - 3000.0).abs() < 1e-6),
             _ => panic!("expected sort phase"),
         }
+        // The scans carry no phase, and cost their access in any phase.
+        let scans: f64 = (nodes.iter())
+            .filter(|n| n.phase.is_none())
+            .map(|n| n.cost_at(&model, 0.0))
+            .sum();
+        assert_eq!(scans, 1_400_000.0);
     }
 
     #[test]
@@ -489,7 +476,11 @@ mod tests {
         let chain = MarkovChain::identity(vec![700.0, 2000.0]).unwrap();
         for plan in [plan1(), plan2()] {
             let stat = expected_plan_cost_static(&model, &plan, &memory);
-            let dynm = expected_plan_cost_dynamic(&model, &plan, &memory, &chain).unwrap();
+            let dynm = Objective::Dynamic {
+                initial: memory.clone(),
+                chain: chain.clone(),
+            }
+            .replay(&model, &plan);
             assert!((stat - dynm).abs() < 1e-6, "{} vs {}", stat, dynm);
         }
     }
@@ -502,9 +493,12 @@ mod tests {
         // plan 2's sort phase gets expensive, plan 1 has no second phase.
         let chain =
             MarkovChain::new(vec![50.0, 2000.0], vec![vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
-        let start = Distribution::point(2000.0);
-        let c1 = expected_plan_cost_dynamic(&model, &plan1(), &start, &chain).unwrap();
-        let c2 = expected_plan_cost_dynamic(&model, &plan2(), &start, &chain).unwrap();
+        let objective = Objective::Dynamic {
+            initial: Distribution::point(2000.0),
+            chain,
+        };
+        let c1 = objective.replay(&model, &plan1());
+        let c2 = objective.replay(&model, &plan2());
         assert_eq!(c1, 1_400_000.0 + 2.0 * 1_400_000.0);
         // Sort of 3000 pages at m=50: ∛3000 ≈ 14.4 ≤ 50 < √3000 → 5·3000.
         assert_eq!(c2, 1_400_000.0 + 2.0 * 1_400_000.0 + 15_000.0);
@@ -514,7 +508,7 @@ mod tests {
     fn objectives_give_one_distribution_per_phase() {
         let memory = lec_prob::presets::example_1_1_memory();
         let fixed = Objective::Static(memory.clone());
-        assert_eq!(fixed.phase_distributions(3).unwrap(), vec![memory; 3]);
+        assert_eq!(*fixed.phase_distributions(3).unwrap(), [memory]);
         let chain =
             MarkovChain::new(vec![50.0, 2000.0], vec![vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
         let initial = Distribution::point(2000.0);
@@ -523,7 +517,7 @@ mod tests {
             chain: chain.clone(),
         };
         let marginals = moving.phase_distributions(3).unwrap();
-        assert_eq!(marginals, chain.marginals(&initial, 3).unwrap());
+        assert_eq!(*marginals, chain.marginals(&initial, 3).unwrap());
         let means: Vec<f64> = marginals.iter().map(Distribution::mean).collect();
         assert_eq!(means, [2000.0, 50.0, 50.0]);
         let foreign = Objective::Dynamic {
@@ -564,17 +558,24 @@ mod tests {
         let (cat, q) = example_1_1();
         let model = CostModel::new(&cat, &q);
         let plan = plan2();
-        let ph = phases(&model, &plan);
         let nodes = plan_node_costs(&model, &plan);
-        // Every memory-dependent node maps to the phase holding the same
-        // operator, with the same operand sizes.
-        let mut mem_nodes = 0;
-        for n in &nodes {
-            let Some(i) = n.phase else { continue };
-            mem_nodes += 1;
-            assert_eq!(Some(&n.kind), ph[i].op.as_ref(), "phase {i}");
-        }
-        assert_eq!(mem_nodes, ph.len());
+        // Each node's cost, weighted by the distribution of the phase it
+        // names (accesses by any), sums to the dynamic replay.
+        let chain =
+            MarkovChain::new(vec![50.0, 2000.0], vec![vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
+        let objective = Objective::Dynamic {
+            initial: Distribution::point(2000.0),
+            chain,
+        };
+        let dists = objective.phase_distributions(plan.n_phases()).unwrap();
+        let by_node: f64 = (nodes.iter())
+            .map(|n| dists[n.phase.unwrap_or(0)].expect(|m| n.cost_at(&model, m)))
+            .sum();
+        assert_eq!(by_node, objective.replay(&model, &plan));
+        assert_eq!(
+            nodes.iter().filter_map(|n| n.phase).count(),
+            plan.n_phases()
+        );
         // Access leaves carry no phase and classify by path.
         assert_eq!(nodes[0].class(), OpClass::SeqAccess);
         assert_eq!(nodes[0].phase, None);

@@ -1,11 +1,11 @@
-//! The plan replay's bits, pinned: `expected_plan_cost_{static,dynamic}`
-//! and `plan_cost_at` on a left-deep plan, a bushy join whose outer is a
+//! The plan replay's bits, pinned: `expected_plan_cost_static`, the
+//! dynamic `Objective::replay` and `plan_cost_at` on a left-deep plan, a bushy join whose outer is a
 //! leaf and whose inner is a join, a sort over a leaf and lone accesses,
 //! as `to_bits` literals.  Any change to how the replay walks a plan must
 //! leave every one of these bits where it is.
 
 use lec_catalog::{Catalog, ColumnStats, IndexKind, TableStats};
-use lec_cost::{expected_plan_cost_dynamic, expected_plan_cost_static, plan_cost_at, CostModel};
+use lec_cost::{expected_plan_cost_static, plan_cost_at, CostModel, Objective};
 use lec_plan::{ColumnRef, JoinMethod, JoinPredicate, PlanNode, Query, QueryTable};
 use lec_prob::{Distribution, MarkovChain};
 
@@ -100,14 +100,16 @@ fn replay_bits() -> Vec<[u64; 2 + POINTS.len()]> {
     let memory =
         Distribution::from_pairs([(5.0, 0.1), (40.0, 0.3), (150.0, 0.4), (900.0, 0.2)]).unwrap();
     let chain = MarkovChain::birth_death(states, 0.3, 0.2).unwrap();
+    let dynamic = Objective::Dynamic {
+        initial: memory.clone(),
+        chain,
+    };
     plans()
         .iter()
         .map(|plan| {
             let mut row = [0u64; 2 + POINTS.len()];
             row[0] = expected_plan_cost_static(&model, plan, &memory).to_bits();
-            row[1] = expected_plan_cost_dynamic(&model, plan, &memory, &chain)
-                .unwrap()
-                .to_bits();
+            row[1] = dynamic.replay(&model, plan).to_bits();
             for (k, &m) in POINTS.iter().enumerate() {
                 row[2 + k] = plan_cost_at(&model, plan, m).to_bits();
             }
@@ -120,7 +122,7 @@ const POINTS: [f64; 4] = [3.0, 17.0, 150.0, 1e6];
 
 const PINNED: [[u64; 2 + POINTS.len()]; 5] = [
     [
-        0x411f0587ffffffff,
+        0x411f058800000000,
         0x41217fee28f5c28f,
         0x4130de9600000000,
         0x413014b600000000,

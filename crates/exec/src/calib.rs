@@ -23,8 +23,8 @@
 //! the same physical reality, so residual error is formula error, not
 //! scaling error.
 //!
-//! The expected measured cost uses the same linearity trick as
-//! `expected_plan_cost_dynamic`: operand sizes do not depend on memory,
+//! The expected measured cost uses the same linearity trick as the
+//! replay ([`Objective::replay`]): operand sizes do not depend on memory,
 //! so executing the whole plan once per memory bucket and weighting each
 //! node's measurement by its *phase's* marginal distribution
 //! ([`Objective::phase_distributions`]) yields the exact expectation
@@ -140,8 +140,9 @@ pub struct NodeAudit {
     pub label: String,
     /// Physical operator class.
     pub class: OpClass,
-    /// Phase index (aligned with `lec_cost::phases` and the per-phase marginals);
-    /// `None` for memory-independent base accesses.
+    /// Phase index (the replay's, [`lec_cost::PlanNodeCost::phase`], which
+    /// indexes the per-phase marginals); `None` for memory-independent base
+    /// accesses.
     pub phase: Option<usize>,
     /// `(memory bucket, predicted cost)` pairs.
     pub predicted: Vec<(f64, f64)>,

@@ -126,6 +126,9 @@ pub enum QueryError {
     Disconnected,
     /// A table id is not present in the catalog.
     UnknownTable(TableId),
+    /// A join or filter selectivity's support holds this value outside
+    /// `[0, 1]`.
+    SelectivityOutOfRange(f64),
 }
 
 impl fmt::Display for QueryError {
@@ -139,6 +142,7 @@ impl fmt::Display for QueryError {
             }
             QueryError::Disconnected => write!(f, "join graph is not connected"),
             QueryError::UnknownTable(id) => write!(f, "table {id} not in catalog"),
+            QueryError::SelectivityOutOfRange(s) => write!(f, "selectivity {s} outside [0, 1]"),
         }
     }
 }
@@ -191,9 +195,16 @@ impl Query {
         if n > TableSet::MAX_TABLES {
             return Err(QueryError::TooManyTables(n));
         }
+        let fraction = |selectivity: &Distribution| {
+            let outside = (selectivity.support().iter()).find(|s| !(0.0..=1.0).contains(*s));
+            outside.map_or(Ok(()), |&s| Err(QueryError::SelectivityOutOfRange(s)))
+        };
         for qt in &self.tables {
             if catalog.try_table(qt.table).is_none() {
                 return Err(QueryError::UnknownTable(qt.table));
+            }
+            if let Some(filter) = &qt.filter {
+                fraction(&filter.selectivity)?;
             }
         }
         let check = |c: &ColumnRef| {
@@ -209,6 +220,7 @@ impl Query {
         for p in &self.joins {
             check(&p.left)?;
             check(&p.right)?;
+            fraction(&p.selectivity)?;
             let (a, b) = p.tables();
             if a == b {
                 return Err(QueryError::SelfJoinPredicate(a));
@@ -345,6 +357,21 @@ mod tests {
             required_order: None,
         };
         assert_eq!(empty.validate(&cat), Err(QueryError::NoTables));
+    }
+
+    #[test]
+    fn selectivities_outside_zero_and_one_are_rejected() {
+        let cat = catalog(2);
+        let out_of_range = |s| Err(QueryError::SelectivityOutOfRange(s));
+        for s in [2.0, -0.5] {
+            let mut q = chain_query(2);
+            q.joins[0].selectivity = Distribution::uniform(&[0.5, s]).unwrap();
+            assert_eq!(q.validate(&cat), out_of_range(s));
+
+            let mut q = chain_query(2);
+            q.tables[1] = QueryTable::filtered(TableId(1), 0, Distribution::point(s));
+            assert_eq!(q.validate(&cat), out_of_range(s));
+        }
     }
 
     /// [`Query::validate`]'s verdict by brute force: the checks in their

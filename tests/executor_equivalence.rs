@@ -8,7 +8,7 @@ use lec_qopt::catalog::{
     Catalog, CatalogGenerator, CatalogProfile, ColumnStats, IndexKind, TableStats,
 };
 use lec_qopt::core::{AlgDConfig, Mode, Optimizer, PointEstimate};
-use lec_qopt::cost::{phases, CostModel, Objective};
+use lec_qopt::cost::{plan_node_costs, CostModel, Objective};
 use lec_qopt::exec::Calibrator;
 use lec_qopt::plan::{
     ColumnRef, JoinMethod, JoinPredicate, PlanNode, Query, QueryProfile, QueryTable, TableSet,
@@ -277,8 +277,8 @@ fn sampled_mean(
     runs: usize,
     seed: u64,
 ) -> f64 {
-    let phases = phases(model, plan);
-    let n = phases.len().max(1);
+    let nodes = plan_node_costs(model, plan);
+    let n = plan.n_phases().max(1);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut total = 0.0;
     for _ in 0..runs {
@@ -288,7 +288,8 @@ fn sampled_mean(
                 chain.sample_path(&chain.dist_to_probs(initial).unwrap(), n, &mut rng)
             }
         };
-        let cost = phases.iter().zip(trace).map(|(p, m)| p.cost_at(model, m));
+        // An access costs the same in any phase: charge it phase 0's.
+        let cost = (nodes.iter()).map(|node| node.cost_at(model, trace[node.phase.unwrap_or(0)]));
         total += cost.sum::<f64>();
     }
     total / runs as f64

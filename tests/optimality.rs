@@ -4,19 +4,19 @@
 //! queries.
 
 use lec_qopt::catalog::{CatalogGenerator, CatalogProfile};
-use lec_qopt::core::{optimize, Mode, OptError, SearchConfig, SearchOutcome};
+use lec_qopt::core::{optimize, Mode, OptError, SearchOutcome};
 use lec_qopt::cost::{oracle, CostModel, Objective};
 use lec_qopt::plan::{Query, QueryProfile, Topology, WorkloadGenerator};
 use lec_qopt::prob::{presets, Distribution, MarkovChain};
 use proptest::prelude::*;
 
-/// [`optimize`] under the default [`SearchConfig`].
+/// [`optimize`] taking the mode by value.
 fn run(
     model: &CostModel<'_>,
     memory: &Distribution,
     mode: Mode,
 ) -> Result<SearchOutcome, OptError> {
-    optimize(model, memory, &mode, &SearchConfig::default())
+    optimize(model, memory, &mode)
 }
 
 /// The oracle's optimal left-deep cost under `objective`.
@@ -56,6 +56,11 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
     ]
 }
 
+// The DP-against-oracle checks compare within relative 1e-9.  A search's
+// cost and the oracle's are each a plan's replay to the bit, but not always
+// the same plan's: a subset's size depends on the order that joined it (the
+// one-page clamp on a join's output), so the DP can keep a plan whose
+// replay lands an ulp above the oracle's optimum.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -271,24 +271,40 @@ mod tests {
     /// evaluations (§3.4), on e4's chain at b ∈ {1, …, 32}.  Algorithm C
     /// makes between 0.9·b and b times LSC's (every distinct size pair of
     /// the search priced at `b` buckets, every access path once).
-    /// Algorithms A and B(3) make exactly what their parts make: A one
-    /// `LscAt(m)` search per memory representative, B(3) one single-lane
-    /// top-3 search per representative, and each one replay of every
-    /// candidate plan it ranks (A one per representative, B one per
-    /// distinct root).
+    /// Algorithms A and B(3) make exactly what their parts make: one
+    /// single-lane top-`c` search per memory representative (`c` = 1 for
+    /// A) and one replay of each distinct root they rank.
     #[test]
     fn e4_evaluations_grow_as_the_bucket_count() {
         println!("E4 counted: cost-formula evaluations vs bucket count b (6-table chain)\n");
         let w = scaling_chain(6);
         let model = CostModel::new(&w.catalog, &w.query);
-        let point = |m: f64| lec_prob::Distribution::point(m);
-        let lsc = search(&model, &point(400.0), Mode::LscAt(400.0)).stats;
-        let replays = |plans: &[lec_plan::PlanNode], memory: &lec_prob::Distribution| {
+        let lsc = search(
+            &model,
+            &lec_prob::Distribution::point(400.0),
+            Mode::LscAt(400.0),
+        )
+        .stats;
+        // One top-`c` search per representative, then one replay of each
+        // distinct root: what A (c = 1) and B(c) are built from.
+        let parts = |memory: &lec_prob::Distribution, c: usize| {
+            let (mut evals, mut roots) = (0, Vec::new());
+            for m in representatives(memory) {
+                let mut policy = TopCPolicy::new(m, c);
+                let run = run_search_with(&model, PlanShape::LeftDeep, &mut policy).unwrap();
+                evals += run.stats.evals;
+                for root in &run.roots {
+                    let plan = run.plans.node(root.plan);
+                    if !roots.contains(&plan) {
+                        roots.push(plan);
+                    }
+                }
+            }
             model.reset_evals();
-            for plan in plans {
+            for plan in &roots {
                 expected_plan_cost_static(&model, plan, memory);
             }
-            model.evals()
+            evals + model.evals()
         };
         let mut t = Table::new(&[
             "b",
@@ -300,25 +316,6 @@ mod tests {
         let mut rows = Vec::new();
         for b in [1usize, 2, 4, 8, 16, 32] {
             let memory = presets::spread_family(400.0, 0.8, b).unwrap();
-            let (mut a_want, mut b_want) = (0, 0);
-            let (mut a_plans, mut b_roots) = (Vec::new(), Vec::new());
-            for m in representatives(&memory) {
-                let a_run = search(&model, &point(m), Mode::LscAt(m));
-                a_want += a_run.stats.evals;
-                a_plans.push(a_run.plan);
-                let mut policy = TopCPolicy::new(m, 3);
-                let b_run = run_search_with(&model, PlanShape::LeftDeep, &mut policy);
-                let b_run = b_run.unwrap();
-                b_want += b_run.stats.evals;
-                for root in &b_run.roots {
-                    let plan = b_run.plans.node(root.plan);
-                    if !b_roots.contains(&plan) {
-                        b_roots.push(plan);
-                    }
-                }
-            }
-            a_want += replays(&a_plans, &memory);
-            b_want += replays(&b_roots, &memory);
             let c = search(&model, &memory, Mode::AlgorithmC).stats;
             let a = search(&model, &memory, Mode::AlgorithmA).stats;
             let b3 = search(&model, &memory, Mode::AlgorithmB { c: 3 }).stats;
@@ -333,6 +330,7 @@ mod tests {
                 three(|s| s.nodes as u64),
                 three(|s| s.candidates),
             ]);
+            let (a_want, b_want) = (parts(&memory, 1), parts(&memory, 3));
             rows.push((b, per_bucket, (a.evals, a_want), (b3.evals, b_want)));
         }
         println!("{}", t.render());

@@ -5,18 +5,19 @@
 //! gives us b candidate plans.  We then compute the expected cost of each
 //! candidate, and choose the one with least expected cost."
 //!
-//! The black box is [`crate::Mode::LscAt`]'s search, run once per memory
-//! representative; the candidates are then EC-ranked
-//! (`rank_by_expected_cost`, shared with Algorithm B).
+//! Algorithm B (§3.3) differs from A only in keeping `c` plans per DP
+//! node, so [`crate::optimize`] runs `Mode::AlgorithmA` as B's lane
+//! search at `c = 1`.  This module holds what the two share: the
+//! representatives and the ranking, which replays each distinct
+//! candidate once.
 
 use crate::error::OptError;
 use crate::search::{SearchOutcome, SearchStats};
-use crate::Mode;
 use lec_cost::{expected_plan_cost_static, CostModel};
 use lec_plan::PlanNode;
 use lec_prob::Distribution;
 
-/// The memory values Algorithms A and B run their point searches at: the
+/// The memory values Algorithms A and B search at, one lane each: the
 /// distribution's bucket representatives, plus — per the paper's "without
 /// loss of generality" remark — the mean when not already present, which
 /// guarantees `EC(result) ≤ EC(LSC-at-mean plan)`.
@@ -27,22 +28,6 @@ pub fn representatives(memory: &Distribution) -> Vec<f64> {
         reps.push(mean);
     }
     reps
-}
-
-/// Algorithm A's ranking: the LSC plan of every representative, EC-ranked
-/// (the first of an exact tie wins).
-pub(crate) fn rank_point_plans(
-    model: &CostModel<'_>,
-    memory: &Distribution,
-) -> Result<SearchOutcome, OptError> {
-    let mut stats = SearchStats::default();
-    let mut plans = Vec::new();
-    for m in representatives(memory) {
-        let run = crate::optimize(model, memory, &Mode::LscAt(m))?;
-        stats.absorb(&run.stats);
-        plans.push(run.plan);
-    }
-    rank_by_expected_cost(model, memory, plans, stats)
 }
 
 /// Algorithm A's and B's last step: the candidate of least expected cost
@@ -135,12 +120,17 @@ mod tests {
 
     #[test]
     fn point_distribution_degenerates_to_lsc() {
+        // One representative, one lane, one root: A returns LSC's plan at
+        // that point, to the bit.
         let (cat, q) = three_chain();
         let model = CostModel::new(&cat, &q);
-        let memory = Distribution::point(800.0);
-        let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
-        let lsc = lsc_at(&model, 800.0).unwrap();
-        assert!((a.cost - lsc.cost).abs() < 1e-9);
-        assert_eq!(representatives(&memory), [800.0]);
+        for m in [300.0, 800.0, 2_000.0] {
+            let memory = Distribution::point(m);
+            let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
+            let lsc = lsc_at(&model, m).unwrap();
+            assert_eq!(a.plan, lsc.plan, "at {m}");
+            assert_eq!(a.cost.to_bits(), lsc.cost.to_bits(), "at {m}");
+            assert_eq!(representatives(&memory), [m]);
+        }
     }
 }

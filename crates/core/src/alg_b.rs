@@ -3,8 +3,9 @@
 //! "For each value m_i of the memory parameter" the paper runs a top-`c`
 //! search; here the representatives are the lanes of one
 //! [`TopCPolicy`] search (the Proposition 3.1 frontier lives in the
-//! policy), then the union of the lanes' root candidates is EC-ranked
-//! (`alg_a::rank_by_expected_cost`, shared with Algorithm A).
+//! policy), then the union of the lanes' distinct root candidates is
+//! EC-ranked (`alg_a::rank_by_expected_cost`).  Algorithm A is this
+//! search at `c = 1`.
 //!
 //! The search is left-deep, as the paper's "if we join A_j last" is: the
 //! frontier prices a split's candidates at one inner size, which only a
@@ -77,14 +78,28 @@ mod tests {
 
     #[test]
     fn b_with_c1_matches_a() {
-        // With c = 1, Algorithm B's candidate set per memory value is the
-        // single LSC plan — i.e. Algorithm A.
-        let (cat, q) = three_chain();
-        let model = CostModel::new(&cat, &q);
-        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
-        let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
-        let b = run(&model, &memory, Mode::AlgorithmB { c: 1 }).unwrap();
-        assert!((a.cost - b.cost).abs() < 1e-9);
+        // With c = 1, Algorithm B's candidate per memory value is that
+        // value's least-cost plan — Algorithm A, plan, cost bits and work.
+        let work = |s: SearchStats| {
+            format!(
+                "{:?}",
+                SearchStats {
+                    elapsed: Default::default(),
+                    ..s
+                }
+            )
+        };
+        let (cat, q) = example_1_1();
+        let (cat3, q3) = three_chain();
+        let spread = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        for (cat, q, memory) in [(&cat, &q, example_1_1_memory()), (&cat3, &q3, spread)] {
+            let model = CostModel::new(cat, q);
+            let a = run(&model, &memory, Mode::AlgorithmA).unwrap();
+            let b = run(&model, &memory, Mode::AlgorithmB { c: 1 }).unwrap();
+            assert_eq!(a.plan, b.plan);
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+            assert_eq!(work(a.stats), work(b.stats));
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!
 //! * [`lsc`] — keep-1 at a point parameter value (Theorem 2.1, the
 //!   "least specific cost" plan);
-//! * [`alg_a`] — Algorithm A (§3.2): the point policy run once per
-//!   memory bucket, candidates ranked by expected cost;
+//! * [`alg_a`] — Algorithm A (§3.2): Algorithm B's search at `c = 1`,
+//!   each memory bucket's least-cost plan ranked by expected cost, and
+//!   the representatives and ranking the two share;
 //! * [`alg_b`] — Algorithm B (§3.3): top-`c` plans per (subset, order class)
 //!   with the Proposition 3.1 frontier enumeration, every memory
 //!   representative a lane of one search, lanes that agree on a subset

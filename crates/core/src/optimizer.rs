@@ -32,7 +32,8 @@ pub enum Mode {
     Lsc(PointEstimate),
     /// Classical System R at an explicit memory value.
     LscAt(f64),
-    /// Algorithm A (§3.2): black-box LSC per bucket, EC-ranked.
+    /// Algorithm A (§3.2): the least-cost plan per bucket, EC-ranked —
+    /// Algorithm B at `c = 1`.
     AlgorithmA,
     /// Algorithm B (§3.3): top-`c` candidates per bucket, EC-ranked.
     AlgorithmB {
@@ -148,7 +149,7 @@ pub fn optimize(
     mode: &Mode,
 ) -> Result<SearchOutcome, OptError> {
     match mode {
-        Mode::AlgorithmA => crate::alg_a::rank_point_plans(model, memory),
+        Mode::AlgorithmA => crate::alg_b::rank_top_c_plans(model, memory, 1),
         Mode::AlgorithmB { c } => crate::alg_b::rank_top_c_plans(model, memory, *c),
         Mode::AlgorithmD { config: buckets } => crate::alg_d::search(model, memory, buckets),
         _ => {

@@ -23,10 +23,10 @@
 //!
 //! | policy | costing | paper | used by |
 //! |---|---|---|---|
-//! | [`keep_best::KeepBestPolicy`] + `Static(point(m))` | `C(P, m)` at one memory value — the one-bucket expectation | Thm 2.1 | [`crate::lsc`], Algorithm A's black box |
+//! | [`keep_best::KeepBestPolicy`] + `Static(point(m))` | `C(P, m)` at one memory value — the one-bucket expectation | Thm 2.1 | [`crate::lsc`] |
 //! | [`keep_best::KeepBestPolicy`] + `Static(dist)` | `EC(P)` under a static distribution | §3.4, Thm 3.3 | [`crate::alg_c`], [`crate::bushy`] |
 //! | [`keep_best::KeepBestPolicy`] + `Dynamic { initial, chain }` | per-phase Markov-evolved `EC(P)` | §3.5, Thm 3.4 | [`crate::alg_c`] |
-//! | [`top_c::TopCPolicy`] + one `MemoryCoster::point(m)` per lane | top-`c` per (subset, order class) at each lane's point, Prop 3.1 frontier; left-deep splits only | §3.3 | [`crate::alg_b`] |
+//! | [`top_c::TopCPolicy`] + one `MemoryCoster::point(m)` per lane | top-`c` per (subset, order class) at each lane's point, Prop 3.1 frontier; left-deep splits only | §3.2, §3.3 | [`crate::alg_a`] (`c = 1`), [`crate::alg_b`] |
 //! | [`multi_param::MultiParamPolicy`] | Figure 1 distribution bookkeeping, §3.6.3 rebucketing | §3.6 | [`crate::alg_d`] |
 //!
 //! Every policy funnels its memory-dependent evaluations through the
@@ -148,8 +148,8 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Accumulate another run's counters (black-box modes invoke the
-    /// engine several times).
+    /// Accumulate another run's counters (Algorithms A and B run one
+    /// search per pass of at most `MAX_LANES` representatives).
     pub fn absorb(&mut self, other: &SearchStats) {
         self.nodes += other.nodes;
         self.candidates += other.candidates;

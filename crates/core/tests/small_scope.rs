@@ -14,12 +14,22 @@
 //! miss counts are pinned, so they cannot grow or shrink unnoticed, and a
 //! failure prints the first counterexample in enumeration order, smallest
 //! values first.  No engine plan may ever beat the oracle.
+//!
+//! Every instance also climbs the paper's ladder: EC(A) ≥ EC(B(3)) ≥
+//! EC(C) ≥ EC(Bushy), and C no dearer than LSC(mean)'s plan under the
+//! belief.  It holds on every chain, star, triangle and 4-clique.  On 28
+//! 4-cycles, all of them instances where C misses the oracle, a rung
+//! breaks by the same clamp: a subset's entries carry different sizes, so
+//! B(3)'s wider lists reach plans below C's (27 instances), and a lane's
+//! top-3 roots need not include its top-1 root, so A can beat B(3) (one).
+//! The breaks are pinned like the misses, and a rung that breaks where C
+//! meets the oracle fails outright.
 
 use lec_catalog::{Catalog, ColumnStats, TableStats};
 use lec_core::{optimize, Mode, PointEstimate};
-use lec_cost::{oracle, CostModel};
-use lec_plan::{ColumnRef, JoinPredicate, Query, QueryTable};
-use lec_prob::presets;
+use lec_cost::{expected_plan_cost_static, oracle, CostModel};
+use lec_plan::{ColumnRef, JoinPredicate, PlanNode, Query, QueryTable};
+use lec_prob::{presets, Distribution};
 
 const PAGES: [u64; 3] = [1, 30, 1000];
 const SELECTIVITIES: [f64; 3] = [1e-5, 1e-2, 0.5];
@@ -91,13 +101,43 @@ fn clique(n: usize) -> Topology {
     ("clique", edges.collect())
 }
 
+/// The paper's ladder on one instance: Algorithm B(3)'s candidates
+/// include A's, C searches every plan either ranks, and the bushy space
+/// contains every left-deep plan, so EC(A) ≥ EC(B(3)) ≥ EC(C) ≥
+/// EC(Bushy); and C costs no more than LSC(mean)'s plan replayed under
+/// the belief.  Returns the first rung that breaks, if one does.
+fn broken_rung(
+    model: &CostModel<'_>,
+    memory: &Distribution,
+    lsc: &PlanNode,
+    c: f64,
+) -> Option<String> {
+    let ec = |mode| optimize(model, memory, &mode).unwrap().cost;
+    let (a, b3, bushy) = (
+        ec(Mode::AlgorithmA),
+        ec(Mode::AlgorithmB { c: 3 }),
+        ec(Mode::Bushy),
+    );
+    let lsc = expected_plan_cost_static(model, lsc, memory);
+    let rungs = [
+        ("A", a, "B(3)", b3),
+        ("B(3)", b3, "C", c),
+        ("C", c, "Bushy", bushy),
+        ("LSC(mean)'s plan", lsc, "C", c),
+    ];
+    (rungs.into_iter())
+        .find(|&(_, upper, _, lower)| upper < lower)
+        .map(|(upper, u, lower, l)| format!("{upper} costs {u}, below {lower}'s {l}"))
+}
+
 /// Run LSC(mean) and Algorithm C on every instance of each topology over
-/// `n` tables and return the instance count and each mode's misses
-/// against the oracle.
-fn sweep(n: usize, topologies: &[Topology]) -> (usize, [Misses; 2]) {
+/// `n` tables, and climb the ladder on each.  Returns the instance count,
+/// each mode's misses against the oracle, and the ladder's breaks: a rung
+/// may break only where C misses the oracle.
+fn sweep(n: usize, topologies: &[Topology]) -> (usize, [Misses; 3]) {
     let memory = presets::spread_family(500.0, 0.6, 4).unwrap();
     let modes = [Mode::Lsc(PointEstimate::Mean), Mode::AlgorithmC];
-    let mut misses: [Misses; 2] = Default::default();
+    let mut misses: [Misses; 3] = Default::default();
     let mut instances = 0;
     for (topology, edges) in topologies {
         for pages in sequences(&PAGES, n) {
@@ -107,14 +147,17 @@ fn sweep(n: usize, topologies: &[Topology]) -> (usize, [Misses; 2]) {
                     .collect();
                 let (catalog, query) = graph(&pages, &edges);
                 let model = CostModel::new(&catalog, &query);
+                let instance = format!("the {topology} {pages:?}, selectivities {sels:?}");
                 instances += 1;
-                for (mode, tally) in modes.iter().zip(&mut misses) {
-                    let got = optimize(&model, &memory, mode).unwrap();
+                let served = modes
+                    .each_ref()
+                    .map(|mode| optimize(&model, &memory, mode).unwrap());
+                let mut c_missed = false;
+                for ((mode, got), tally) in modes.iter().zip(&served).zip(&mut misses) {
                     let objective = mode.objective(&memory).unwrap();
                     let best = oracle::left_deep(&model, &objective).expect("a connected query");
                     let what = format!(
-                        "{mode:?} on the {topology} {pages:?}, selectivities {sels:?}: \
-                         {} costs {}, the oracle's {} costs {}",
+                        "{mode:?} on {instance}: {} costs {}, the oracle's {} costs {}",
                         got.plan.compact(),
                         got.cost,
                         best.plan.compact(),
@@ -122,10 +165,18 @@ fn sweep(n: usize, topologies: &[Topology]) -> (usize, [Misses; 2]) {
                     );
                     assert!(got.cost >= best.cost, "below the oracle: {what}");
                     if got.cost > best.cost {
+                        c_missed |= matches!(mode, Mode::AlgorithmC);
                         tally.count += 1;
                         tally.worst = tally.worst.max(got.cost / best.cost);
                         tally.first.get_or_insert(what);
                     }
+                }
+                let [lsc, c] = &served;
+                if let Some(rung) = broken_rung(&model, &memory, &lsc.plan, c.cost) {
+                    let what = format!("on {instance}, {rung}");
+                    assert!(c_missed, "the ladder breaks where C is exact: {what}");
+                    misses[2].count += 1;
+                    misses[2].first.get_or_insert(what);
                 }
             }
         }
@@ -133,18 +184,24 @@ fn sweep(n: usize, topologies: &[Topology]) -> (usize, [Misses; 2]) {
     (instances, misses)
 }
 
-/// Require the topologies' instance count over `n` tables and each mode's
-/// pinned miss count, and return C's tally.
+/// Require the topologies' instance count over `n` tables, each mode's
+/// pinned miss count and the ladder's pinned breaks, and return C's tally.
 fn assert_pinned(
     n: usize,
     topologies: &[Topology],
     instances: usize,
-    [lsc, c]: [usize; 2],
+    [lsc, c, breaks]: [usize; 3],
 ) -> Misses {
-    let (got, [lsc_misses, c_misses]) = sweep(n, topologies);
-    println!("{n} tables, {got} instances: LSC(mean) {lsc_misses:?}, C {c_misses:?}");
+    let (got, [lsc_misses, c_misses, ladder]) = sweep(n, topologies);
+    println!(
+        "{n} tables, {got} instances: LSC(mean) {lsc_misses:?}, C {c_misses:?}, ladder {ladder:?}"
+    );
     assert_eq!(got, instances, "{n} tables: instances");
-    for (what, misses, pinned) in [("LSC(mean)", &lsc_misses, lsc), ("C", &c_misses, c)] {
+    for (what, misses, pinned) in [
+        ("LSC(mean)", &lsc_misses, lsc),
+        ("C", &c_misses, c),
+        ("the ladder", &ladder, breaks),
+    ] {
         let first = misses.first.as_deref().unwrap_or("none");
         assert_eq!(
             misses.count, pinned,
@@ -167,29 +224,29 @@ fn assert_worst(c: &Misses, worst: f64) {
 
 #[test]
 fn every_three_table_chain_and_star_misses_as_pinned() {
-    assert_pinned(3, &[chain(3), star(3)], 486, [0, 20]);
+    assert_pinned(3, &[chain(3), star(3)], 486, [0, 20, 0]);
 }
 
 #[test]
 fn every_four_table_chain_and_star_misses_as_pinned() {
-    assert_pinned(4, &[chain(4), star(4)], 4_374, [538, 914]);
+    assert_pinned(4, &[chain(4), star(4)], 4_374, [538, 914, 0]);
 }
 
 #[test]
 fn every_triangle_meets_the_oracle() {
-    assert_pinned(3, &[cycle(3)], 729, [0, 0]);
+    assert_pinned(3, &[cycle(3)], 729, [0, 0, 0]);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only small-scope case")]
 fn every_four_cycle_misses_as_pinned() {
-    let c = assert_pinned(4, &[cycle(4)], 6_561, [440, 442]);
+    let c = assert_pinned(4, &[cycle(4)], 6_561, [440, 442, 28]);
     assert_worst(&c, 52.46);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only small-scope case")]
 fn every_four_clique_misses_as_pinned() {
-    let c = assert_pinned(4, &[clique(4)], 59_049, [1_176, 1_176]);
+    let c = assert_pinned(4, &[clique(4)], 59_049, [1_176, 1_176, 0]);
     assert_worst(&c, 21.22);
 }

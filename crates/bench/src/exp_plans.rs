@@ -143,10 +143,19 @@ mod tests {
         }
     }
 
+    /// The one e3 query on which Algorithm C's plan does not replay to the
+    /// oracle's bits, and its gap `EC(C) / EC(oracle) - 1`: ROADMAP item
+    /// 1's order-dependent clamp.  C's plan `Sort(NL(NL(NL(IxR3,R2),R0),R1))`
+    /// reaches the four tables at 1.0595 pages, the oracle's
+    /// `Sort(NL(NL(NL(R0,R2),R1),IxR3))` clamps them to 1.0, so the root
+    /// sorts price different sizes and C's plan replays one ulp above.
+    const E3_CLAMP_MISS: (usize, f64) = (5, f64::EPSILON);
+
     /// E3 — §3.2–§3.4: quality ladder of Algorithms A, B(c) and C, every
     /// plan replayed and measured against the oracle's least expected cost.
-    /// Algorithm C's plan costs the oracle's optimum on every query, and no
-    /// plan of any algorithm replays below it.
+    /// Algorithm C's plan replays to the oracle's optimum bit for bit on
+    /// every query but [`E3_CLAMP_MISS`], and no plan of any algorithm
+    /// replays below it.
     #[test]
     fn e3_c_is_exact_and_no_plan_beats_the_oracle() {
         println!(
@@ -161,15 +170,21 @@ mod tests {
             ("B(c=4)", Mode::AlgorithmB { c: 4 }),
             ("C", Mode::AlgorithmC),
         ];
-        // Per mode, EC(plan) / EC(oracle) - 1 on each query.
+        // Per mode, EC(plan) / EC(oracle) - 1 on each query, and the
+        // queries on which C's plan replays to the oracle's bits.
         let mut gaps = vec![Vec::new(); modes.len()];
+        let mut c_exact = Vec::new();
         for w in &workloads {
             let model = CostModel::new(&w.catalog, &w.query);
             let best =
                 oracle::left_deep(&model, &objective).expect("experiment queries are connected");
             for ((_, mode), gaps) in modes.iter().zip(&mut gaps) {
                 let plan = search(&model, &memory, mode.clone()).plan;
-                gaps.push(objective.replay(&model, &plan) / best.cost - 1.0);
+                let ec = objective.replay(&model, &plan);
+                if matches!(mode, Mode::AlgorithmC) {
+                    c_exact.push(ec.to_bits() == best.cost.to_bits());
+                }
+                gaps.push(ec / best.cost - 1.0);
             }
         }
         let n_queries = workloads.len();
@@ -188,15 +203,25 @@ mod tests {
             ]);
         }
         println!("{}", t.render());
-        let c_matches = n_queries - suboptimal(&gaps[modes.len() - 1]);
-        println!("Algorithm C matched the oracle on {c_matches}/{n_queries} queries.\n");
+        let c_matches = c_exact.iter().filter(|&&exact| exact).count();
+        println!("Algorithm C matched the oracle's bits on {c_matches}/{n_queries} queries.\n");
 
+        let (miss, miss_gap) = E3_CLAMP_MISS;
+        for (i, &exact) in c_exact.iter().enumerate() {
+            verdict(
+                format!("e3 query {i}: C replays to the oracle's bits"),
+                Side::Both,
+                f64::from(u8::from(i != miss)),
+                0.0,
+                f64::from(u8::from(exact)),
+            );
+        }
         verdict(
-            "e3: queries on which C matched the oracle",
+            format!("e3 query {miss}: C's clamp gap to the oracle"),
             Side::Both,
-            n_queries as f64,
+            miss_gap,
             0.0,
-            c_matches as f64,
+            gaps[modes.len() - 1][miss],
         );
         for ((name, _), gaps) in modes.iter().zip(&gaps) {
             verdict(

@@ -130,16 +130,6 @@ impl PhaseCoster for MemoryCoster {
         model.expected_join_cost_over(method, outer, inner, self.phase(ctx.phase))
     }
 
-    fn join_costs(
-        &self,
-        model: &CostModel<'_>,
-        ctx: &JoinContext,
-        outer: f64,
-        inner: f64,
-    ) -> [f64; 4] {
-        model.expected_join_costs_over(outer, inner, self.phase(ctx.phase))
-    }
-
     fn sort_cost(&self, model: &CostModel<'_>, phase: usize, pages: f64) -> f64 {
         model.expected_sort_cost_over(pages, self.phase(phase))
     }
@@ -148,5 +138,40 @@ impl PhaseCoster for MemoryCoster {
     /// and a later phase reads the last phase's.
     fn price_phase(&self, phase: usize) -> usize {
         self.reads[phase.min(self.reads.len() - 1)]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lec_plan::TableSet;
+
+    /// A size pair's four prices are the four `expected_join_cost_over`
+    /// calls' bits and count their `4·b` evaluations, on sub-page, NaN,
+    /// square and cube sizes, under a point and a spread of memory values
+    /// that fall on each side of the roots.
+    #[test]
+    fn a_size_pairs_four_prices_are_the_single_calls() {
+        let (cat, q) = crate::fixtures::three_chain();
+        let m = CostModel::new(&cat, &q);
+        let ctx = JoinContext::of(TableSet::singleton(0), TableSet::singleton(1));
+        let sizes = [0.25, 1.0, 7.0, 64.0, 729.0, 1e4, 3.3e6, f64::NAN];
+        let memories = [
+            Distribution::point(500.0),
+            Distribution::uniform(&[2.0, 5.0, 30.0, 101.0, 4000.0]).unwrap(),
+        ];
+        for memory in &memories {
+            let coster = MemoryCoster::fixed(memory);
+            for outer in sizes {
+                for inner in sizes {
+                    m.reset_evals();
+                    let all = coster.join_costs(&m, &ctx, outer, inner);
+                    assert_eq!(m.evals(), 4 * memory.len() as u64, "{outer} x {inner}");
+                    let one = JoinMethod::ALL
+                        .map(|method| m.expected_join_cost_over(method, outer, inner, memory));
+                    assert_eq!(all.map(f64::to_bits), one.map(f64::to_bits));
+                }
+            }
+        }
     }
 }

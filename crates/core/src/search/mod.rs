@@ -116,32 +116,30 @@ impl WorkerPool for PersistentPool {}
 /// Uniform search statistics, populated by the engine for every mode.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
-    /// Dag nodes (subsets) populated; for move-based searches, complete
-    /// plans costed.
+    /// Dag nodes (subsets) populated.
     pub nodes: usize,
     /// Join candidates generated (subset × split × entry pair × method;
     /// for top-c, the pairs its frontier admits), whether or not they are
-    /// ranked or built; for move-based searches, neighbour moves proposed.
+    /// ranked or built.
     pub candidates: u64,
     /// Cost-formula evaluations made, in the paper's units (§3.4, §3.6).
     pub evals: u64,
-    /// Always 0: no cost model memoizes an expectation.  Kept because the
-    /// wire and the frozen ledger read it.
+    // Shims, always 0 (not absorbed, not on the wire): no cost model
+    // memoizes an expectation and no search prunes; only
+    // crates/bench/src/bin/ledger/src/trace.rs reads them.
+    #[doc(hidden)]
     pub cache_hits: u64,
-    // Shim, always 0 (still absorbed and on the wire): only crates/bench/src/bin/ledger/src/trace.rs reads it.
     #[doc(hidden)]
     pub memo_hits: u64,
-    // Shim, always 0: only crates/bench/src/bin/ledger/src/trace.rs reads it.
     #[doc(hidden)]
     pub memo_misses: u64,
-    /// Always 0: no served search prunes.  This and the next three
-    /// counters stay because the wire and the frozen ledger read them.
+    #[doc(hidden)]
     pub pruned_subsets: u64,
-    /// Always 0 (see `pruned_subsets`).
+    #[doc(hidden)]
     pub bound_evals: u64,
-    /// Always 0 (see `pruned_subsets`).
+    #[doc(hidden)]
     pub sharp_bound_evals: u64,
-    /// Always 0 (see `pruned_subsets`).
+    #[doc(hidden)]
     pub cheap_bound_skips: u64,
     /// Wall-clock optimization time.
     pub elapsed: Duration,
@@ -154,13 +152,6 @@ impl SearchStats {
         self.nodes += other.nodes;
         self.candidates += other.candidates;
         self.evals += other.evals;
-        self.cache_hits += other.cache_hits;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
-        self.pruned_subsets += other.pruned_subsets;
-        self.bound_evals += other.bound_evals;
-        self.sharp_bound_evals += other.sharp_bound_evals;
-        self.cheap_bound_skips += other.cheap_bound_skips;
         self.elapsed += other.elapsed;
     }
 }

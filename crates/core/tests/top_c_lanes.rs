@@ -70,7 +70,10 @@ fn reference(model: &CostModel<'_>, memory: &Distribution, c: usize) -> Referenc
     for m in representatives(memory) {
         let mut policy = TopCPolicy::new(m, c);
         let run = run_search_with(model, PlanShape::LeftDeep, &mut policy).unwrap();
-        stats.absorb(&run.stats);
+        // Summed by hand: B sums its passes through `SearchStats::absorb`.
+        stats.nodes += run.stats.nodes;
+        stats.candidates += run.stats.candidates;
+        stats.evals += run.stats.evals;
         let f = policy.frontier;
         frontier.combinations_examined += f.combinations_examined;
         frontier.bound_total = frontier.bound_total.saturating_add(f.bound_total);

@@ -40,6 +40,7 @@ pub fn raw_join_cost(method: JoinMethod, outer: f64, inner: f64, m: f64) -> f64 
 /// `E[raw_join_cost(method, outer, inner, M)]` over a memory distribution,
 /// bit for bit, with sort-merge's and Grace hash's square and cube roots
 /// taken once per call rather than once per bucket.
+#[inline]
 pub fn join_cost_over(method: JoinMethod, outer: f64, inner: f64, memory: &Distribution) -> f64 {
     let (a, b) = (clamp(outer), clamp(inner));
     match method {

@@ -86,8 +86,9 @@ impl LeftDeep<'_, '_> {
             let (right, inner) = (TableSet::singleton(j), model.base_pages(j));
             let split = model.split(set, right);
             let out = split.pages(pages, inner);
-            let prices =
-                model.expected_join_costs_over(pages, inner, phase_memory(&self.phases, k));
+            let memory = phase_memory(&self.phases, k);
+            let prices = JoinMethod::ALL
+                .map(|method| model.expected_join_cost_over(method, pages, inner, memory));
             for a in 0..self.accesses[j].len() {
                 let access = self.accesses[j][a].0;
                 for (method, price) in JoinMethod::ALL.into_iter().zip(prices) {

@@ -6,7 +6,7 @@
 //! serve a *stream* of optimization requests fast?  This crate is that
 //! subsystem, built around one piece:
 //!
-//! * **Canonical-shape plan cache** ([`canon`], [`cache`]): every request
+//! * **Canonical-shape plan cache** ([`lec_canon`], [`cache`]): every request
 //!   is normalized to a canonical table labeling (join-graph topology up
 //!   to renaming, per-table statistics, memory-distribution and
 //!   mode fingerprints — Weisfeiler–Leman refinement plus
@@ -83,10 +83,6 @@
 
 pub mod cache;
 pub mod concurrent;
-
-/// Canonicalization lives in the [`lec_canon`] crate; re-exported here
-/// under its historical module path.
-pub use lec_canon as canon;
 
 pub use cache::{CacheDecision, CacheStats, ShapeCache, CACHE_SHARDS};
 pub use concurrent::{

@@ -189,17 +189,10 @@ impl Client {
         Ok((req_id, resp))
     }
 
-    /// One control round trip: send `opcode` + `body`, return the body of
-    /// the `want` reply.
-    fn control(
-        &mut self,
-        opcode: u8,
-        body: &[u8],
-        want: u8,
-        what: &'static str,
-    ) -> Result<&[u8], ClientError> {
+    /// One control round trip: send `opcode` with an empty body, return
+    /// the body of the `want` reply.
+    fn control(&mut self, opcode: u8, want: u8, what: &'static str) -> Result<&[u8], ClientError> {
         let at = self.out.begin_frame(opcode);
-        self.out.buf.extend_from_slice(body);
         self.out.end_frame(at);
         self.send()?;
         Self::expect_opcode(self.read_frame()?, want, what)
@@ -207,7 +200,7 @@ impl Client {
 
     /// A control round trip whose request and reply both carry no body.
     fn control_ack(&mut self, opcode: u8, want: u8, what: &'static str) -> Result<(), ClientError> {
-        if self.control(opcode, &[], want, what)?.is_empty() {
+        if self.control(opcode, want, what)?.is_empty() {
             Ok(())
         } else {
             Err(ClientError::Protocol("acknowledgement carries a body"))
@@ -286,12 +279,7 @@ impl Client {
     /// `Daemon::metrics_json` serializes in-process, so wire and local
     /// snapshots can be compared field for field.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        let body = self.control(
-            op::STATS,
-            &[protocol::STATS_JSON],
-            op::STATS_OK,
-            "unexpected opcode for stats",
-        )?;
+        let body = self.control(op::STATS, op::STATS_OK, "unexpected opcode for stats")?;
         let mut r = Reader::new(body);
         let doc = r.str()?;
         r.finish()?;

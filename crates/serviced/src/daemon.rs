@@ -195,8 +195,8 @@ pub struct DrainReport {
     pub drain_duration: Duration,
     /// Connections the watchdog had to force-close at the deadline.
     pub forced_aborts: u64,
-    /// Final metrics snapshot (the document a wire `STATS` request with
-    /// the JSON format byte returns).
+    /// Final metrics snapshot (the document a wire `STATS` request
+    /// returns).
     pub metrics: serde_json::Value,
 }
 
@@ -264,8 +264,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
     /// recursively sorted.  When telemetry is installed on the server,
     /// its full snapshot (latency quantiles, slow log)
     /// rides along under `service.telemetry` — this is
-    /// also the exact document a wire `STATS` request with the JSON
-    /// format byte returns.
+    /// also the exact document a wire `STATS` request returns.
     pub fn metrics_json(&self) -> serde_json::Value {
         let m = &self.metrics;
         json!({
@@ -554,7 +553,7 @@ impl<'s, 'c> Daemon<'s, 'c> {
                 out.end_frame(at);
                 false
             }
-            op::STATS if body == [protocol::STATS_JSON] => {
+            op::STATS if body.is_empty() => {
                 let doc = serde_json::to_string(&self.metrics_json()).unwrap_or_default();
                 let at = out.begin_frame(op::STATS_OK);
                 out.str(&doc);

@@ -26,7 +26,7 @@
 //! | 0x02 | *retired*    | request   | was `METRICS`; answered as an unknown opcode |
 //! | 0x03 | `PING`       | request   | empty                                       |
 //! | 0x04 | `DRAIN`      | request   | empty                                       |
-//! | 0x05 | `STATS`      | request   | `format: u8`, 0 = JSON; 1 retired           |
+//! | 0x05 | `STATS`      | request   | empty                                       |
 //! | 0x81 | `OPTIMIZE_OK`| response  | `req_id: u64`, plan, cost, decision, stats  |
 //! | 0x82 | `ERROR`      | response  | `req_id: u64`, `code: u8`, message          |
 //! | 0x83 | *retired*    | response  | was `METRICS_OK`; never sent                |
@@ -35,10 +35,10 @@
 //! | 0x86 | `STATS_OK`   | response  | the JSON document as one string             |
 //!
 //! Opcodes 0x02 / 0x83 are retired, not renumbered: `METRICS` returned the
-//! document `STATS` with the JSON format byte returns, so `STATS` is the
-//! one stats op.  Its format byte `1` named a second rendering of that
-//! document; it is retired the same way, and any byte but
-//! [`protocol::STATS_JSON`] is answered `Malformed`.
+//! document `STATS` returns, so `STATS` is the one stats op.  It once took
+//! a format byte naming the JSON document or a second rendering of it; its
+//! body is now empty, like `PING`'s and `DRAIN`'s, and a `STATS` frame
+//! with any body is answered `Malformed`.
 //! [`protocol::split_frame`] is the only code that reads a length prefix
 //! and [`protocol::Writer::end_frame`] the only code that writes one;
 //! daemon and client each keep one input buffer whose frames are slices

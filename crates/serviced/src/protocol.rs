@@ -75,16 +75,15 @@ pub mod op {
     /// Optimize one query: `req_id: u64`, then [`super::encode_mode`],
     /// then [`super::encode_query`].
     pub const OPTIMIZE: u8 = 0x01;
-    // 0x02 named `METRICS`, which returned the document `STATS` with the
-    // JSON format byte returns; it is retired, not reused, and a peer still
-    // sending it is answered like any unknown opcode.
+    // 0x02 named `METRICS`, which returned the document `STATS` returns;
+    // it is retired, not reused, and a peer still sending it is answered
+    // like any unknown opcode.
     /// Liveness probe.  Empty body.
     pub const PING: u8 = 0x03;
     /// Initiate graceful drain.  Empty body.
     pub const DRAIN: u8 = 0x04;
-    /// Fetch the full observability snapshot.  Body: one format byte,
-    /// [`super::STATS_JSON`]; the answer is the document the daemon's
-    /// in-process `metrics_json` serializes.
+    /// Fetch the full observability snapshot.  Empty body; the answer is
+    /// the document the daemon's in-process `metrics_json` serializes.
     pub const STATS: u8 = 0x05;
 
     /// Successful optimize response: `req_id: u64`, then
@@ -100,11 +99,6 @@ pub mod op {
     /// Stats response: the JSON document as one string.
     pub const STATS_OK: u8 = 0x86;
 }
-
-/// The one [`op::STATS`] body: the JSON format byte.  Byte `1` named a
-/// second rendering of the same document; it is retired, not reused, and
-/// answered `Malformed` like any other byte.
-pub const STATS_JSON: u8 = 0;
 
 /// Stable wire codes for everything that can go wrong serving a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -719,17 +713,13 @@ pub fn decode_plan(r: &mut Reader) -> Result<PlanNode, DecodeError> {
 // Responses
 // ---------------------------------------------------------------------
 
+/// The four counters a search sets; the `SearchStats` shims the frozen
+/// ledger still reads (`cache_hits`, `memo_*`, the pruning counters) are
+/// always 0, so they stay off the wire and decode as 0.
 fn encode_stats(w: &mut Writer, s: &SearchStats) {
     w.u64(s.nodes as u64);
     w.u64(s.candidates);
     w.u64(s.evals);
-    w.u64(s.cache_hits);
-    w.u64(s.memo_hits);
-    w.u64(s.memo_misses);
-    w.u64(s.pruned_subsets);
-    w.u64(s.bound_evals);
-    w.u64(s.sharp_bound_evals);
-    w.u64(s.cheap_bound_skips);
     w.u64(s.elapsed.as_nanos() as u64);
 }
 
@@ -738,14 +728,8 @@ fn decode_stats(r: &mut Reader) -> Result<SearchStats, DecodeError> {
         nodes: r.count()?,
         candidates: r.u64()?,
         evals: r.u64()?,
-        cache_hits: r.u64()?,
-        memo_hits: r.u64()?,
-        memo_misses: r.u64()?,
-        pruned_subsets: r.u64()?,
-        bound_evals: r.u64()?,
-        sharp_bound_evals: r.u64()?,
-        cheap_bound_skips: r.u64()?,
         elapsed: Duration::from_nanos(r.u64()?),
+        ..SearchStats::default()
     })
 }
 
@@ -1080,7 +1064,7 @@ mod tests {
         let plan = PlanNode::seq_scan(3);
         let mut w = Writer::new();
         encode_plan(&mut w, &plan);
-        // plan, f64 cost, then the decision tag and eleven u64 counters.
+        // plan, f64 cost, then the decision tag and four u64 counters.
         let plan_len = w.into_bytes().len();
         let tag_at = plan_len + 8;
         for (decision, tag) in [
@@ -1097,7 +1081,7 @@ mod tests {
             let mut w = Writer::new();
             encode_response(&mut w, &resp);
             let mut bytes = w.into_bytes();
-            assert_eq!(bytes.len(), plan_len + 8 + 1 + 11 * 8, "no byte but these");
+            assert_eq!(bytes.len(), plan_len + 8 + 1 + 4 * 8, "no byte but these");
             assert_eq!(bytes[tag_at], tag, "{decision:?} keeps its wire tag");
             let back = decode_response(&mut Reader::new(&bytes)).unwrap();
             assert_eq!(back.decision, decision);

@@ -218,10 +218,9 @@ fn truncated_optimize_bodies_are_rejected_cleanly() {
     }
 }
 
-/// Opcode 0x02 was `METRICS` until `STATS` with the JSON format byte
-/// replaced it.  It is retired, not reused: a peer still sending it is
-/// answered like any unknown opcode — one `Malformed` error frame, then
-/// its connection is closed.
+/// Opcode 0x02 was `METRICS` until `STATS` replaced it.  It is retired,
+/// not reused: a peer still sending it is answered like any unknown
+/// opcode — one `Malformed` error frame, then its connection is closed.
 #[test]
 fn the_retired_metrics_opcode_is_malformed_and_poisons_its_connection() {
     let (catalog, queries) = fixture();
@@ -246,10 +245,10 @@ fn the_retired_metrics_opcode_is_malformed_and_poisons_its_connection() {
     assert_eq!(report.forced_aborts, 0);
 }
 
-/// `STATS` format byte 1 named a second rendering of the JSON document.
-/// It is retired like opcode 0x02: that byte, and any other but
-/// `STATS_JSON`, is answered with one `Malformed` error frame and a
-/// close, while another connection still gets the JSON document.
+/// `STATS` once took a format byte: 0 named the JSON document, 1 a second
+/// rendering of it.  Its body is now empty, so a `STATS` frame carrying
+/// either byte is answered with one `Malformed` error frame and a close,
+/// while another connection still gets the JSON document.
 #[test]
 fn a_retired_stats_format_byte_is_malformed_and_poisons_its_connection() {
     let (catalog, _queries) = fixture();
@@ -258,7 +257,7 @@ fn a_retired_stats_format_byte_is_malformed_and_poisons_its_connection() {
         DaemonConfig::default(),
         no_hook,
         |socket, daemon| {
-            for format in [1, 2] {
+            for format in [0, 1] {
                 let stats = protocol::frame(op::STATS, &[format]);
                 assert_eq!(
                     sole_error_reply(&mut socket.connect(), &stats),
@@ -575,7 +574,7 @@ fn a_slow_client_is_disconnected_not_waited_on() {
         // then never reads.  Each reply is a JSON document of some 640
         // bytes, so the replies overflow both socket buffers.
         let mut slow = socket.connect();
-        let stats = protocol::frame(op::STATS, &[protocol::STATS_JSON]);
+        let stats = protocol::frame(op::STATS, &[]);
         slow.write_all(&stats.repeat(1_000))
             .expect("the requests fit the socket");
 

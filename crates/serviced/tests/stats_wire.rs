@@ -3,12 +3,12 @@
 //! a quiescent moment and carry both layers' counters, the daemon's
 //! request traces (kept by the slow log) must bracket the serving layer's
 //! spans with decode and flush, and the drain report's metrics must carry
-//! the telemetry snapshot under its namespace.  The always-zero pruning
-//! counters still cross a response round trip.
+//! the telemetry snapshot under its namespace.  The always-zero shim
+//! counters stay off a response's wire bytes.
 
 use lec_core::Mode;
 use lec_service::ConcurrentPlanServer;
-use lec_serviced::protocol::{decode_response, encode_response, Reader, Writer};
+use lec_serviced::protocol::{decode_response, encode_plan, encode_response, Reader, Writer};
 use lec_serviced::{Client, Daemon, DaemonConfig};
 use lec_telemetry::{Outcome, Stage, Telemetry};
 use std::sync::Arc;
@@ -122,37 +122,62 @@ fn stats_cross_the_wire_and_agree_with_in_process_snapshots() {
     });
 }
 
-/// No served search prunes, so the four `SearchStats` pruning counters
-/// read 0 and the metrics document has no pruning section; the counters
-/// stay on the wire for the frozen benchmark, each value crossing a
-/// response round trip in its own slot.
+/// No search sets `SearchStats`' seven shim counters (`cache_hits`,
+/// `memo_*` and the four pruning counters), so they read 0 in-process, the
+/// metrics document has no pruning section, and a response's stats block
+/// is the four counters a search sets: shims set by hand are not encoded
+/// and decode as 0.
 #[test]
-fn the_frozen_pruning_counters_still_round_trip() {
+fn the_zero_counters_stay_off_the_wire() {
     let (cat, q) = lec_core::fixtures::pruning_star(9);
     let memory = lec_prob::presets::spread_family(400.0, 0.5, 4).unwrap();
     let server = ConcurrentPlanServer::new(&cat, memory);
     let mut resp = server.serve(&q, &Mode::AlgorithmC).expect("fresh search");
-    let pruning = |s: &lec_core::SearchStats| {
+    let shims = |s: &lec_core::SearchStats| {
         [
+            s.cache_hits,
+            s.memo_hits,
+            s.memo_misses,
             s.pruned_subsets,
             s.bound_evals,
             s.sharp_bound_evals,
             s.cheap_bound_skips,
         ]
     };
-    assert_eq!(pruning(&resp.stats), [0; 4]);
+    assert_eq!(shims(&resp.stats), [0; 7]);
     let metrics = serde_json::to_string(&server.metrics_json()).unwrap();
     assert!(!metrics.contains("pruning"), "{metrics}");
 
     [
+        resp.stats.cache_hits,
+        resp.stats.memo_hits,
+        resp.stats.memo_misses,
         resp.stats.pruned_subsets,
         resp.stats.bound_evals,
         resp.stats.sharp_bound_evals,
         resp.stats.cheap_bound_skips,
-    ] = [11, 22, 33, 44];
+    ] = [11, 22, 33, 44, 55, 66, 77];
     let mut w = Writer::new();
     encode_response(&mut w, &resp);
     let bytes = w.into_bytes();
+    let mut w = Writer::new();
+    encode_plan(&mut w, &resp.plan);
+    // Plan, f64 cost, decision tag, then exactly four u64s.
+    let stats_at = w.into_bytes().len() + 8 + 1;
+    let block: Vec<u64> = bytes[stats_at..]
+        .chunks(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("whole u64s")))
+        .collect();
+    let set = |s: &lec_core::SearchStats| {
+        [
+            s.nodes as u64,
+            s.candidates,
+            s.evals,
+            s.elapsed.as_nanos() as u64,
+        ]
+    };
+    assert_eq!(block, set(&resp.stats));
     let back = decode_response(&mut Reader::new(&bytes)).expect("decodes");
-    assert_eq!(pruning(&back.stats), [11, 22, 33, 44]);
+    assert_eq!(set(&back.stats), set(&resp.stats));
+    assert_eq!(shims(&back.stats), [0; 7]);
 }

@@ -33,8 +33,8 @@ pub fn avalanche(word: u64) -> u64 {
 }
 
 /// The identity hasher for keys that hash themselves once, when built:
-/// the serving layer's plan-cache key (one [`Fingerprint`] fold picks the
-/// stripe and probes it).
+/// the serving layer's plan-cache key (one fold of its words, a multiply
+/// per word finished by [`avalanche`], picks the stripe and probes it).
 #[derive(Debug, Default)]
 pub struct Prehashed(u64);
 

@@ -4,9 +4,9 @@
 //! Entries are keyed by the full exact encoding (not a hash of it), so
 //! distinct shapes can never collide into each other's plans.  The exact
 //! map is split into [`CACHE_SHARDS`] lock-striped shards selected by a
-//! fingerprint of the canonical key: the 97%+ hit path of a skewed
-//! workload takes exactly one shard lock, so concurrent clients only ever
-//! serialize when they race on the same sliver of the key space.  Each
+//! one-multiply-per-word fold of the canonical key: the 97%+ hit path of a
+//! skewed workload takes exactly one shard lock, so concurrent clients only
+//! ever serialize when they race on the same sliver of the key space.  Each
 //! shard runs its own LRU over its slice of the capacity, and the
 //! counters are atomics ([`CacheStats`] is a point-in-time snapshot).
 //!
@@ -16,7 +16,7 @@
 
 use lec_canon::RefusalReason;
 use lec_core::SearchOutcome;
-use lec_cost::{Fingerprint, Prehashed};
+use lec_cost::Prehashed;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,9 +157,12 @@ impl AtomicCacheStats {
 }
 
 /// A plan-cache key: the exact encoding plus the environment fingerprints,
-/// folded through [`Fingerprint`] once when built.  That one fold picks the
+/// folded once when built, one FxHash multiply per word, then
+/// [`lec_cost::avalanche`] of the fold and the length.  That fold picks the
 /// stripe and is the hash its maps probe with ([`Prehashed`]); equality is
-/// on the full words, so distinct shapes never collide into one plan.
+/// on the full words, so a colliding fingerprint is still a miss, and as a
+/// stripe holds its share of the capacity, crafted collisions cost at most
+/// one stripe's scan.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct PlanKey {
     fingerprint: u64,
@@ -168,8 +171,10 @@ pub(crate) struct PlanKey {
 
 impl PlanKey {
     pub(crate) fn new(words: Vec<u64>) -> Self {
-        let fold = words.iter().fold(Fingerprint::new(), |fp, &w| fp.u64(w));
-        let fingerprint = fold.finish();
+        let fold = words.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let fingerprint = lec_cost::avalanche(fold ^ words.len() as u64);
         PlanKey { fingerprint, words }
     }
 }
@@ -238,7 +243,8 @@ impl ShapeCache {
         }
     }
 
-    /// `key`'s stripe: multiply-shift of its fingerprint, uniform for any count.
+    /// `key`'s stripe: multiply-shift of its fingerprint's top bits,
+    /// uniform for any count (the avalanche spreads every word into them).
     fn exact_shard(&self, key: &PlanKey) -> MutexGuard<'_, ExactShard> {
         self.exact[((key.fingerprint as u128 * self.exact.len() as u128) >> 64) as usize]
             .lock()
@@ -414,6 +420,51 @@ mod tests {
         assert_eq!((s.recomputed, s.insertions, s.served), (2, 1, 1));
         assert_eq!(c.len(), 1);
         assert_eq!(c.hit_histogram(), vec![1]);
+    }
+
+    /// The fold, its finisher and the stripe pick, as literals: a change
+    /// to any of them re-rolls which stripe each shape lands in, and so
+    /// the LRU evictions of a full cache, so it must show here first.
+    #[test]
+    fn fingerprint_and_stripe_are_pinned() {
+        let pinned: [(&[u64], u64, usize); 3] = [
+            (&[1, 2, 3], 0xD291_14AC_007C_01B6, 13),
+            (&[0, 0, 0, 0], 0x4790_0468_A8F0_1875, 4),
+            (
+                &[5, 0x1234_5678_9ABC_DEF0, 42, 3, 0xDEAD_BEEF],
+                0x4508_A152_B82A_0937,
+                4,
+            ),
+        ];
+        for (words, fingerprint, stripe) in pinned {
+            let key = PlanKey::new(words.to_vec());
+            assert_eq!(key.fingerprint, fingerprint, "{words:x?}: fingerprint");
+            let c = ShapeCache::with_shards(CACHE_SHARDS, CACHE_SHARDS);
+            c.insert(key, answer(0, 1.0));
+            let held: Vec<usize> = (0..CACHE_SHARDS)
+                .filter(|&i| !c.exact[i].lock().unwrap().entries.is_empty())
+                .collect();
+            assert_eq!(held, [stripe], "{words:x?}: stripe");
+        }
+    }
+
+    /// Two keys with one fingerprint but different words are two entries:
+    /// equality compares the words, so neither is ever answered with the
+    /// other's plan.
+    #[test]
+    fn a_shared_fingerprint_never_serves_the_other_keys_plan() {
+        let colliding = |w: u64| PlanKey {
+            fingerprint: 0x5EED,
+            words: vec![w, 9],
+        };
+        let c = ShapeCache::with_shards(4, 1);
+        assert!(c.lookup(&colliding(1)).is_none());
+        c.insert(colliding(1), answer(1, 1.0));
+        assert!(c.lookup(&colliding(2)).is_none(), "the other key misses");
+        c.insert(colliding(2), answer(2, 2.0));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.lookup(&colliding(1)).expect("hit").cost, 1.0);
+        assert_eq!(c.lookup(&colliding(2)).expect("hit").cost, 2.0);
     }
 
     #[test]

@@ -309,12 +309,15 @@ fn uncertain_random(seed: u64, n: usize) -> (lec_catalog::Catalog, Query) {
     (cat, q)
 }
 
-/// The exact key's bytes and the labeling behind them, as literals
-/// recorded at the commit that removed the weak key.  The key picks the
-/// cache stripe an entry lands in, and the frozen benchmark's
-/// `mixed_churn` state check accepts a hit share of 0.72–0.78 only, so a
-/// canonicalizer change that re-rolls stripe assignment fails here in
-/// seconds rather than 25 s into a benchmark run.
+/// The exact key's words and the labeling behind them, as literals
+/// recorded at the commit that removed the weak key; the words are
+/// compared through an FNV-1a digest of them, which is this test's own
+/// and not the cache's.  The words pick the cache stripe an entry lands
+/// in, and the frozen benchmark's `mixed_churn` state check accepts a hit
+/// share of 0.72–0.78 only, so a canonicalizer change that moves them
+/// fails here in seconds rather than 25 s into a benchmark run.  The
+/// stripe function itself, the fold of these words, is pinned in
+/// `cache.rs`' `fingerprint_and_stripe_are_pinned`.
 #[test]
 fn exact_key_bytes_are_pinned() {
     fn pinned(name: &str, (cat, q): (lec_catalog::Catalog, Query), key: u64, perm: &[usize]) {

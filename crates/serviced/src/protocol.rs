@@ -51,7 +51,7 @@ use lec_catalog::TableId;
 use lec_core::{AlgDConfig, Mode, PointEstimate, SearchStats};
 use lec_plan::{
     ColumnRef, JoinMethod, JoinPredicate, LocalPredicate, NodeRef, PlanNode, Query, QueryTable,
-    Step,
+    Step, TableSet,
 };
 use lec_prob::{Distribution, MarkovChain, Rebucket};
 use lec_service::{CacheDecision, ServeError};
@@ -669,8 +669,15 @@ enum Pending {
 
 /// The plan [`encode_plan`] wrote, its preorder read into postorder steps
 /// with an explicit stack of the nodes still waiting for an input.
+///
+/// Both vectors are sized once, from the bytes left: a node takes at
+/// least 2 bytes and a plan of scans and joins more than 5 bytes a node, so
+/// `remaining / 5 + 1` slots hold a valid plan.  The size is capped at
+/// `2 * TableSet::MAX_TABLES`, the most a valid plan's scans and joins
+/// number, so a hostile frame reserves no more than a real plan would.
 pub fn decode_plan(r: &mut Reader) -> Result<PlanNode, DecodeError> {
-    let (mut steps, mut pending) = (Vec::new(), Vec::new());
+    let nodes = (r.remaining() / 5 + 1).min(2 * TableSet::MAX_TABLES);
+    let (mut steps, mut pending) = (Vec::with_capacity(nodes), Vec::with_capacity(nodes));
     loop {
         // The node about to be read has every pending node above it.
         if pending.len() > MAX_PLAN_DEPTH {
